@@ -4,7 +4,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= staticcheck
 
-.PHONY: build test race vet lint check bench chaos pipeline warm scrub slo restart federation diurnal
+.PHONY: build test race vet lint check bench
 
 build:
 	$(GO) build ./...
@@ -36,64 +36,10 @@ check: scripts/check.sh
 bench:
 	$(GO) run ./cmd/vmbench -series smoke
 
-# chaos is the failure-recovery smoke: a short deterministic run under
-# the default fault mix that exits nonzero unless every request
-# eventually succeeds, nothing is orphaned or leaked, and a same-seed
-# rerun reproduces byte-identical results.
-chaos:
-	$(GO) run ./cmd/vmbench -exp chaos -series smoke
-
-# pipeline is the batched-creation smoke: throughput at batch sizes
-# 1/4/16 plus the serial-vs-batch determinism check; exits nonzero if
-# batch-16 speedup over batch-1 drops below 3x or determinism breaks.
-pipeline:
-	$(GO) run ./cmd/vmbench -exp pipeline -series smoke
-
-# warm is the warehouse learning-loop smoke: a Zipf request stream with
-# checkpoint publish-back enabled must cut warm-half mean creation time
-# >= 30% vs the cold half, stay within the derived-image byte budget
-# (with retirements observed, seeds intact), and replay byte-identically
-# on the same seed.
-warm:
-	$(GO) run ./cmd/vmbench -exp warm -series smoke
-
-# scrub is the data-integrity smoke: a Zipf stream under injected
-# corruption (corrupt-extent on clone and scrub reads, torn-write on
-# publish) must complete every request from verified state, quarantine
-# every detected corruption, repair or retire it, keep seeds intact,
-# finish with a clean deep audit, and replay byte-identically on the
-# same seed.
-scrub:
-	$(GO) run ./cmd/vmbench -exp scrub -series smoke
-
-# slo is the observability smoke: a warm batch plus a chaos burst in
-# which every creation must yield exactly one rooted span tree crossing
-# shop, plant and clone layers, a complete flight-recorder timeline,
-# and SLO objectives that hold, with same-seed reruns byte-identical.
-slo:
-	$(GO) run ./cmd/vmbench -exp slo -series smoke
-
-# restart is the kill-9 crash-restart smoke: shop daemons are killed at
-# the write-ahead protocol's worst instants (intent durable but
-# undispatched; VM built but uncommitted), plants crash and the
-# warehouse restarts with an image quarantined. Exits nonzero unless
-# every creation is exactly-once (zero lost, zero duplicated), the
-# quarantine survives, and a same-seed rerun is byte-identical.
-restart:
-	$(GO) run ./cmd/vmbench -exp restart -series smoke
-
-# federation is the multi-shop smoke: 3 shops of 6 plants each must
-# serve a skewed create-hold-destroy stream at >= 2.5x the goodput of 1
-# shop of 6 plants, with hierarchical forwards exactly-once across a
-# mid-run shop kill, catalog gossip cloning a derived image warm in
-# another cell, and byte-identical same-seed reruns.
-federation:
-	$(GO) run ./cmd/vmbench -exp federation -series smoke
-
-# diurnal is the elastic-fleet smoke: a compressed two-day day/night
-# cycle with flash crowds and maintenance windows, one of them crossing
-# a kill -9 mid-drain. Exits nonzero unless SLOs hold, the fleet scales
-# up >= 2x and drains/retires >= 2 plants, every shed is retryable,
-# nothing is orphaned or leaked, and same-seed reruns are byte-identical.
-diurnal:
-	$(GO) run ./cmd/vmbench -exp diurnal -series smoke
+# smoke-<scenario> runs one gated scenario at CI scale through the
+# generic gate runner: it exits nonzero unless the scenario's invariants
+# hold and a same-seed rerun is byte-identical. `go run ./cmd/vmbench
+# -list` names the scenarios; what each one gates is its run function's
+# doc comment in internal/workload.
+smoke-%:
+	$(GO) run ./cmd/vmbench -exp $* -series smoke

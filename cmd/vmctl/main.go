@@ -109,9 +109,18 @@ func doCreate(shopAddr string, timeout time.Duration, args []string) {
 		printExample()
 		return
 	}
+	req := readRequest(*specPath)
+	if _, err := req.Spec(); err != nil {
+		log.Fatalf("vmctl: invalid spec: %v", err)
+	}
+	doSimple(shopAddr, timeout, &proto.Message{Kind: proto.KindCreateRequest, Create: req})
+}
+
+// readRequest parses the XML creation request at path ('-' = stdin).
+func readRequest(path string) *proto.CreateRequest {
 	var src io.Reader = os.Stdin
-	if *specPath != "-" {
-		f, err := os.Open(*specPath)
+	if path != "-" {
+		f, err := os.Open(path)
 		if err != nil {
 			log.Fatalf("vmctl: %v", err)
 		}
@@ -122,14 +131,11 @@ func doCreate(shopAddr string, timeout time.Duration, args []string) {
 	if err != nil {
 		log.Fatalf("vmctl: read spec: %v", err)
 	}
-	var req proto.CreateRequest
-	if err := xml.Unmarshal(blob, &req); err != nil {
+	req := new(proto.CreateRequest)
+	if err := xml.Unmarshal(blob, req); err != nil {
 		log.Fatalf("vmctl: parse spec: %v", err)
 	}
-	if _, err := req.Spec(); err != nil {
-		log.Fatalf("vmctl: invalid spec: %v", err)
-	}
-	doSimple(shopAddr, timeout, &proto.Message{Kind: proto.KindCreateRequest, Create: &req})
+	return req
 }
 
 func doSimple(shopAddr string, timeout time.Duration, m *proto.Message) {
@@ -172,13 +178,9 @@ func doStats(args []string) {
 	traces := fs.Int("traces", 0, "also print the N most recent trace spans (0 = none)")
 	fs.Parse(args)
 
-	body, err := httpGet(fmt.Sprintf("http://%s/metrics", *debugAddr))
-	if err != nil {
-		log.Fatalf("vmctl: %v", err)
-	}
 	var snap map[string]any
-	if err := json.Unmarshal(body, &snap); err != nil {
-		log.Fatalf("vmctl: bad /metrics response: %v", err)
+	if err := getJSON(*debugAddr, "/metrics", &snap); err != nil {
+		log.Fatalf("vmctl: %v", err)
 	}
 	names := make([]string, 0, len(snap))
 	for n := range snap {
@@ -203,14 +205,12 @@ func doStats(args []string) {
 			fmt.Printf("%-32s %d\n", "tracer.dropped", meta.Dropped)
 		}
 	}
-	if body, err := httpGet(fmt.Sprintf("http://%s/debug/health", *debugAddr)); err == nil {
-		var hr telemetry.HealthReport
-		if json.Unmarshal(body, &hr) == nil {
-			fmt.Printf("\n# slo health at %.3fs virtual: healthy=%v\n", hr.VSecs, hr.Healthy)
-			for _, o := range hr.Objectives {
-				fmt.Printf("%-32s ok=%-5v value=%s bound=%s burn=%s samples=%d\n",
-					o.Name, o.OK, num(o.Value), num(o.Bound), num(o.Burn), o.Samples)
-			}
+	var hr telemetry.HealthReport
+	if getJSON(*debugAddr, "/debug/health", &hr) == nil {
+		fmt.Printf("\n# slo health at %.3fs virtual: healthy=%v\n", hr.VSecs, hr.Healthy)
+		for _, o := range hr.Objectives {
+			fmt.Printf("%-32s ok=%-5v value=%s bound=%s burn=%s samples=%d\n",
+				o.Name, o.OK, num(o.Value), num(o.Bound), num(o.Burn), o.Samples)
 		}
 	}
 	if *traces > 0 {
@@ -234,10 +234,7 @@ func doStats(args []string) {
 // rooted at shop.create with the plant-side subtree — joined across the
 // process boundary by the propagated trace context — attached beneath.
 func doTrace(vmid string, args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "localhost:7070,localhost:7071", "comma-separated daemon debug HTTP addresses")
-	fs.Parse(args)
-
+	addrs := debugAddrs(flag.NewFlagSet("trace", flag.ExitOnError), "localhost:7070,localhost:7071", args)
 	var (
 		events  []telemetry.FlightRecord
 		spans   []telemetry.SpanRecord
@@ -245,18 +242,10 @@ func doTrace(vmid string, args []string) {
 		seen    = map[uint64]bool{}
 		daemons int
 	)
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet(fmt.Sprintf("http://%s/debug/creation/%s", addr, vmid))
-		if err != nil {
-			log.Fatalf("vmctl: %v", err)
-		}
+	for _, addr := range addrs {
 		var rep telemetry.CreationReport
-		if err := json.Unmarshal(body, &rep); err != nil {
-			log.Fatalf("vmctl: bad /debug/creation response from %s: %v", addr, err)
+		if err := getJSON(addr, "/debug/creation/"+vmid, &rep); err != nil {
+			log.Fatalf("vmctl: %v", err)
 		}
 		daemons++
 		events = append(events, rep.Events...)
@@ -325,10 +314,6 @@ func doTrace(vmid string, args []string) {
 // or more daemons: per-plant in-flight clones and admission queue depth,
 // plus the shop-side batch backlog where those gauges exist.
 func doQueue(args []string) {
-	fs := flag.NewFlagSet("queue", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "localhost:7070", "comma-separated daemon debug HTTP addresses")
-	fs.Parse(args)
-
 	// Only the admission-control surface; everything else is `stats`.
 	gauges := []string{
 		"shop.batch_queue_depth",
@@ -337,46 +322,22 @@ func doQueue(args []string) {
 		"plant.clone_inflight_max",
 		"plant.admission_queue",
 	}
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet(fmt.Sprintf("http://%s/metrics", addr))
-		if err != nil {
-			log.Fatalf("vmctl: %v", err)
-		}
-		var snap map[string]any
-		if err := json.Unmarshal(body, &snap); err != nil {
-			log.Fatalf("vmctl: bad /metrics response from %s: %v", addr, err)
-		}
-		fmt.Printf("%s:\n", addr)
-		found := false
-		for _, n := range gauges {
-			if v, ok := snap[n]; ok {
-				fmt.Printf("  %-26s %v\n", n, v)
-				found = true
+	metricsView(debugAddrs(flag.NewFlagSet("queue", flag.ExitOnError), "localhost:7070", args), gauges, 26,
+		"no pipeline metrics (daemon runs neither a shop nor a plant?)",
+		func(_ string, snap map[string]any) bool {
+			v, ok := snap["plant.admission_wait_secs"].(map[string]any)
+			if ok {
+				fmt.Printf("  %-26s count=%v mean=%s p99=%s max=%s\n",
+					"plant.admission_wait_secs", v["count"], num(v["mean"]), num(v["p99"]), num(v["max"]))
 			}
-		}
-		if v, ok := snap["plant.admission_wait_secs"].(map[string]any); ok {
-			fmt.Printf("  %-26s count=%v mean=%s p99=%s max=%s\n",
-				"plant.admission_wait_secs", v["count"], num(v["mean"]), num(v["p99"]), num(v["max"]))
-			found = true
-		}
-		if !found {
-			fmt.Println("  no pipeline metrics (daemon runs neither a shop nor a plant?)")
-		}
-	}
+			return ok
+		})
 }
 
 // doWarehouse summarizes the image store across one or more daemons:
 // published and derived image counts, byte accounting against the
 // capacity budget, retirement churn, and the hot clone cache.
 func doWarehouse(args []string) {
-	fs := flag.NewFlagSet("warehouse", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "localhost:7070", "comma-separated daemon debug HTTP addresses")
-	fs.Parse(args)
-
 	instruments := []string{
 		"warehouse.images",
 		"warehouse.derived_images",
@@ -391,31 +352,8 @@ func doWarehouse(args []string) {
 		"warehouse.quarantined",
 		"warehouse.quarantine_size",
 	}
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet(fmt.Sprintf("http://%s/metrics", addr))
-		if err != nil {
-			log.Fatalf("vmctl: %v", err)
-		}
-		var snap map[string]any
-		if err := json.Unmarshal(body, &snap); err != nil {
-			log.Fatalf("vmctl: bad /metrics response from %s: %v", addr, err)
-		}
-		fmt.Printf("%s:\n", addr)
-		found := false
-		for _, n := range instruments {
-			if v, ok := snap[n]; ok {
-				fmt.Printf("  %-26s %v\n", n, v)
-				found = true
-			}
-		}
-		if !found {
-			fmt.Println("  no warehouse metrics (daemon runs no plant?)")
-		}
-	}
+	metricsView(debugAddrs(flag.NewFlagSet("warehouse", flag.ExitOnError), "localhost:7070", args), instruments, 26,
+		"no warehouse metrics (daemon runs no plant?)", nil)
 }
 
 // doScrub summarizes the warehouse's data-integrity state across one or
@@ -423,10 +361,6 @@ func doWarehouse(args []string) {
 // corruptions, quarantine and repair activity, plus the current
 // quarantine list from /debug/warehouse where the daemon exposes it.
 func doScrub(args []string) {
-	fs := flag.NewFlagSet("scrub", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "localhost:7071", "comma-separated daemon debug HTTP addresses")
-	fs.Parse(args)
-
 	instruments := []string{
 		"warehouse.scrub_passes",
 		"warehouse.scrub_verified",
@@ -440,71 +374,40 @@ func doScrub(args []string) {
 		"fault.injections.corrupt-extent",
 		"fault.injections.torn-write",
 	}
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet(fmt.Sprintf("http://%s/metrics", addr))
-		if err != nil {
-			log.Fatalf("vmctl: %v", err)
-		}
-		var snap map[string]any
-		if err := json.Unmarshal(body, &snap); err != nil {
-			log.Fatalf("vmctl: bad /metrics response from %s: %v", addr, err)
-		}
-		fmt.Printf("%s:\n", addr)
-		found := false
-		for _, n := range instruments {
-			if v, ok := snap[n]; ok {
-				fmt.Printf("  %-32s %v\n", n, v)
-				found = true
-			}
-		}
-		if !found {
-			fmt.Println("  no integrity metrics (daemon runs no warehouse?)")
-		}
-		// The quarantine list lives on its own endpoint; daemons without
-		// a warehouse simply do not serve it.
-		if body, err := httpGet(fmt.Sprintf("http://%s/debug/warehouse", addr)); err == nil {
+	metricsView(debugAddrs(flag.NewFlagSet("scrub", flag.ExitOnError), "localhost:7071", args), instruments, 32,
+		"no integrity metrics (daemon runs no warehouse?)",
+		func(addr string, _ map[string]any) bool {
+			// The quarantine list lives on its own endpoint; daemons
+			// without a warehouse simply do not serve it.
 			var state struct {
 				Quarantine []struct {
 					Image  string `json:"image"`
 					Reason string `json:"reason"`
 				} `json:"quarantine"`
 			}
-			if json.Unmarshal(body, &state) == nil {
-				if len(state.Quarantine) == 0 {
-					fmt.Println("  quarantine: empty")
-				}
-				for _, q := range state.Quarantine {
-					fmt.Printf("  quarantine: %s (%s)\n", q.Image, q.Reason)
-				}
+			if getJSON(addr, "/debug/warehouse", &state) != nil {
+				return false
 			}
-		}
-	}
+			if len(state.Quarantine) == 0 {
+				fmt.Println("  quarantine: empty")
+			}
+			for _, q := range state.Quarantine {
+				fmt.Printf("  quarantine: %s (%s)\n", q.Image, q.Reason)
+			}
+			return false
+		})
 }
 
 // doJournal tails and verifies each daemon's control-plane event log
 // over its /debug/journal endpoint.
 func doJournal(args []string) {
 	fs := flag.NewFlagSet("journal", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "localhost:7070,localhost:7071", "comma-separated daemon debug HTTP addresses")
 	tail := fs.Int("n", 20, "records to tail per daemon (0 = all)")
 	verify := fs.Bool("verify", false, "only print checksum verification counts")
-	fs.Parse(args)
+	addrs := debugAddrs(fs, "localhost:7070,localhost:7071", args)
 
 	bad := 0
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet(fmt.Sprintf("http://%s/debug/journal?n=%d", addr, *tail))
-		if err != nil {
-			fmt.Printf("%s: no journal (%v)\n", addr, err)
-			continue
-		}
+	for _, addr := range addrs {
 		var st struct {
 			Dir      string `json:"dir"`
 			Seq      uint64 `json:"seq"`
@@ -519,8 +422,9 @@ func doJournal(args []string) {
 				Fields map[string]string `json:"fields"`
 			} `json:"records"`
 		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			log.Fatalf("vmctl: bad /debug/journal response from %s: %v", addr, err)
+		if err := getJSON(addr, fmt.Sprintf("/debug/journal?n=%d", *tail), &st); err != nil {
+			fmt.Printf("%s: no journal (%v)\n", addr, err)
+			continue
 		}
 		fmt.Printf("%s: %s seq=%d segments=%d bytes=%d verified %d good / %d bad\n",
 			addr, st.Dir, st.Seq, st.Segments, st.Bytes, st.Good, st.Bad)
@@ -550,26 +454,13 @@ func doJournal(args []string) {
 // /debug/federation endpoint: the cell's peers, cross-cell forwarding
 // routes, and the forwarding counters from /metrics.
 func doFederation(args []string) {
-	fs := flag.NewFlagSet("federation", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "localhost:7070", "comma-separated shop daemon debug HTTP addresses")
-	fs.Parse(args)
-
 	counters := []string{
 		"shop.peer_bid_rounds",
 		"shop.forwarded_creates",
 		"shop.forward_failures",
 		"shop.served_forwards",
 	}
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet(fmt.Sprintf("http://%s/debug/federation", addr))
-		if err != nil {
-			fmt.Printf("%s: no federation state (%v)\n", addr, err)
-			continue
-		}
+	for _, addr := range debugAddrs(flag.NewFlagSet("federation", flag.ExitOnError), "localhost:7070", args) {
 		var st struct {
 			Shop      string `json:"shop"`
 			Peers     []string
@@ -579,22 +470,17 @@ func doFederation(args []string) {
 				RemoteID string `json:"remote_id"`
 			} `json:"forwarded"`
 		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			log.Fatalf("vmctl: bad /debug/federation response from %s: %v", addr, err)
+		if err := getJSON(addr, "/debug/federation", &st); err != nil {
+			fmt.Printf("%s: no federation state (%v)\n", addr, err)
+			continue
 		}
 		fmt.Printf("%s: cell %q, peers %s\n", addr, st.Shop, strings.Join(st.Peers, ","))
 		for _, f := range st.Forwarded {
 			fmt.Printf("  %s -> %s as %s\n", f.LocalID, f.Peer, f.RemoteID)
 		}
-		if body, err := httpGet(fmt.Sprintf("http://%s/metrics", addr)); err == nil {
-			var snap map[string]any
-			if json.Unmarshal(body, &snap) == nil {
-				for _, n := range counters {
-					if v, ok := snap[n]; ok {
-						fmt.Printf("  %-26s %v\n", n, v)
-					}
-				}
-			}
+		var snap map[string]any
+		if getJSON(addr, "/metrics", &snap) == nil {
+			printInstruments(snap, counters, 26)
 		}
 	}
 }
@@ -603,20 +489,7 @@ func doFederation(args []string) {
 // /debug/fleet endpoint: every plant's drain state, VM and in-flight
 // counts, plus the admission gate and overload/retirement counters.
 func doFleet(args []string) {
-	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
-	debugAddrs := fs.String("debug", "localhost:7070", "comma-separated shop daemon debug HTTP addresses")
-	fs.Parse(args)
-
-	for _, addr := range strings.Split(*debugAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		body, err := httpGet(fmt.Sprintf("http://%s/debug/fleet", addr))
-		if err != nil {
-			fmt.Printf("%s: no fleet state (%v)\n", addr, err)
-			continue
-		}
+	for _, addr := range debugAddrs(flag.NewFlagSet("fleet", flag.ExitOnError), "localhost:7070", args) {
 		var st struct {
 			Shop   string `json:"shop"`
 			Plants []struct {
@@ -632,8 +505,9 @@ func doFleet(args []string) {
 			Drains         int64 `json:"drains"`
 			Retirements    int64 `json:"retirements"`
 		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			log.Fatalf("vmctl: bad /debug/fleet response from %s: %v", addr, err)
+		if err := getJSON(addr, "/debug/fleet", &st); err != nil {
+			fmt.Printf("%s: no fleet state (%v)\n", addr, err)
+			continue
 		}
 		fmt.Printf("%s: shop %q, gate queue=%d inflight=%d, shed=%d stale_bids=%d drains=%d retired=%d\n",
 			addr, st.Shop, st.AdmissionQueue, st.InflightAtGate,
@@ -644,6 +518,66 @@ func doFleet(args []string) {
 				vms = "?"
 			}
 			fmt.Printf("  %-12s %-9s vms=%-4s inflight=%d\n", pl.Name, pl.State, vms, pl.Inflight)
+		}
+	}
+}
+
+// debugAddrs parses a debug subcommand's flags — each takes -debug, a
+// comma-separated list of daemon debug HTTP addresses (vmshopd :7070,
+// vmplantd :7071), beside whatever the caller already defined on fs —
+// and returns the addresses.
+func debugAddrs(fs *flag.FlagSet, def string, args []string) []string {
+	list := fs.String("debug", def, "comma-separated daemon debug HTTP addresses")
+	fs.Parse(args)
+	var addrs []string
+	for _, addr := range strings.Split(*list, ",") {
+		if addr = strings.TrimSpace(addr); addr != "" {
+			addrs = append(addrs, addr)
+		}
+	}
+	return addrs
+}
+
+// getJSON fetches http://addr/path and decodes the JSON body into v; a
+// daemon that answers with something else is fatal.
+func getJSON(addr, path string, v any) error {
+	body, err := httpGet("http://" + addr + path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		log.Fatalf("vmctl: bad %s response from %s: %v", path, addr, err)
+	}
+	return nil
+}
+
+// printInstruments prints the named instruments a /metrics snapshot
+// holds, reporting whether there were any.
+func printInstruments(snap map[string]any, names []string, width int) (found bool) {
+	for _, n := range names {
+		if v, ok := snap[n]; ok {
+			fmt.Printf("  %-*s %v\n", width, n, v)
+			found = true
+		}
+	}
+	return found
+}
+
+// metricsView prints one slice of every daemon's /metrics snapshot:
+// the named instruments, whatever extra adds, or the empty notice.
+func metricsView(addrs, instruments []string, width int, empty string, extra func(addr string, snap map[string]any) bool) {
+	for _, addr := range addrs {
+		var snap map[string]any
+		if err := getJSON(addr, "/metrics", &snap); err != nil {
+			log.Fatalf("vmctl: %v", err)
+		}
+		fmt.Printf("%s:\n", addr)
+		found := printInstruments(snap, instruments, width)
+		if extra != nil {
+			found = extra(addr, snap) || found
+		}
+		if !found {
+			fmt.Println("  " + empty)
 		}
 	}
 }
@@ -674,23 +608,7 @@ func doDot(args []string) {
 	fs := flag.NewFlagSet("dot", flag.ExitOnError)
 	specPath := fs.String("spec", "-", "XML creation request file ('-' = stdin)")
 	fs.Parse(args)
-	var src io.Reader = os.Stdin
-	if *specPath != "-" {
-		f, err := os.Open(*specPath)
-		if err != nil {
-			log.Fatalf("vmctl: %v", err)
-		}
-		defer f.Close()
-		src = f
-	}
-	blob, err := io.ReadAll(src)
-	if err != nil {
-		log.Fatalf("vmctl: %v", err)
-	}
-	var req proto.CreateRequest
-	if err := xml.Unmarshal(blob, &req); err != nil {
-		log.Fatalf("vmctl: parse spec: %v", err)
-	}
+	req := readRequest(*specPath)
 	if req.Graph == nil {
 		log.Fatal("vmctl: spec has no DAG")
 	}

@@ -19,8 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"vmplants/internal/cluster"
-	"vmplants/internal/core"
 	"vmplants/internal/cost"
 	"vmplants/internal/journal"
 	"vmplants/internal/plant"
@@ -67,15 +65,7 @@ func main() {
 		// run the same node naming scheme (node00, node01, …).
 		*name = *cell + "/" + *name
 	}
-	hub := telemetry.New()
-	// Distinct per-instance ID bases keep cross-process span merges
-	// (shop + several plants) free of ID collisions.
-	hub.T().SetIDBase(telemetry.IDBaseForInstance(*name))
-	k := sim.NewKernel()
-	k.SetTelemetry(hub)
-	tb := cluster.NewTestbed(k, 1, cluster.DefaultParams(), *seed)
-	wh := warehouse.New(tb.Warehouse)
-	wh.SetTelemetry(hub)
+	var images []*warehouse.Image
 	for _, field := range strings.Split(*golden, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -85,32 +75,31 @@ func main() {
 		if err != nil {
 			log.Fatalf("vmplantd: bad golden size %q", field)
 		}
-		hw := core.HardwareSpec{Arch: "x86", MemoryMB: mem, DiskMB: *diskMB}
-		im, err := warehouse.BuildGolden(workload.GoldenName(mem, warehouse.BackendVMware),
-			hw, warehouse.BackendVMware, workload.InVigoGoldenHistory())
+		im, err := workload.GoldenImage(mem, *diskMB, warehouse.BackendVMware)
 		if err != nil {
 			log.Fatalf("vmplantd: golden %d MB: %v", mem, err)
 		}
-		if err := wh.Publish(im); err != nil {
-			log.Fatalf("vmplantd: publish: %v", err)
-		}
-		log.Printf("published golden image %s", im.Name)
+		images = append(images, im)
 	}
-
-	if *budgetMB > 0 {
-		wh.SetCapacity(wh.BytesUsed() + *budgetMB<<20)
-	}
-	pl := plant.New(*name, tb.Nodes[0], wh, plant.Config{
+	d := service.NewDaemon(*name, workload.DefaultSLOObjectives()...)
+	hub, runner := d.Hub, d.Runner
+	pl, err := d.HostPlant(*name, *seed, plant.Config{
 		MaxVMs:               *maxVMs,
 		HostOnlyNetworks:     *networks,
 		CostModel:            model,
-		Telemetry:            hub,
 		PublishBack:          *pubBack,
 		PublishBackThreshold: *pubMin,
-	})
-	runner := service.NewRunner(k)
-	hub.VClock = runner
-	hub.SLO = telemetry.NewSLOEngine(hub.M(), workload.DefaultSLOObjectives()...)
+	}, images...)
+	if err != nil {
+		log.Fatalf("vmplantd: publish: %v", err)
+	}
+	wh := pl.Warehouse()
+	for _, im := range images {
+		log.Printf("published golden image %s", im.Name)
+	}
+	if *budgetMB > 0 {
+		wh.SetCapacity(wh.BytesUsed() + *budgetMB<<20)
+	}
 
 	var jnl *journal.Journal
 	if *durable {
@@ -118,7 +107,7 @@ func main() {
 		// warehouse view: VM lifecycle, catalog and quarantine records
 		// interleave in one stream on the node's local disk. Attaching
 		// after publish imports the already-published catalog.
-		jnl = journal.Open(tb.Nodes[0].LocalDisk(), "journal/"+*name)
+		jnl = journal.Open(pl.Node().LocalDisk(), "journal/"+*name)
 		jnl.SetTelemetry(hub)
 		pl.SetJournal(jnl)
 		wh.SetJournal(jnl)

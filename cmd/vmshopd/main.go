@@ -21,8 +21,6 @@ import (
 	"vmplants/internal/proto"
 	"vmplants/internal/service"
 	"vmplants/internal/shop"
-	"vmplants/internal/sim"
-	"vmplants/internal/storage"
 	"vmplants/internal/telemetry"
 	"vmplants/internal/workload"
 )
@@ -41,20 +39,11 @@ func main() {
 	)
 	flag.Parse()
 
-	hub := telemetry.New()
-	// Span IDs minted here must never collide with the plant daemons'
-	// when vmctl merges /debug/creation payloads across processes.
-	hub.T().SetIDBase(telemetry.IDBaseForInstance(*cell))
+	d := service.NewDaemon(*cell, workload.DefaultSLOObjectives()...)
+	hub, runner := d.Hub, d.Runner
 	var handles []shop.PlantHandle
-	for _, pair := range strings.Split(*plants, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		name, addr, ok := strings.Cut(pair, "=")
-		if !ok {
-			log.Fatalf("vmshopd: bad plant %q (want name=addr)", pair)
-		}
+	for _, e := range endpoints("plant", *plants) {
+		name, addr := e[0], e[1]
 		handles = append(handles, &service.RemotePlant{PlantName: name, Addr: addr, Timeout: *timeout, Telemetry: hub})
 	}
 	if len(handles) == 0 {
@@ -65,36 +54,18 @@ func main() {
 	s.CacheAds = *cache
 	s.SetTelemetry(hub)
 	var peerHandles []shop.PeerHandle
-	for _, pair := range strings.Split(*peers, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		name, addr, ok := strings.Cut(pair, "=")
-		if !ok {
-			log.Fatalf("vmshopd: bad peer %q (want name=addr)", pair)
-		}
+	for _, e := range endpoints("peer", *peers) {
+		name, addr := e[0], e[1]
 		if name == *cell {
 			log.Fatalf("vmshopd: peer %q is this cell", name)
 		}
 		peerHandles = append(peerHandles, &service.RemotePeer{PeerName: name, Addr: addr, Timeout: *timeout, Telemetry: hub})
 	}
 	s.SetPeers(peerHandles)
-	k := sim.NewKernel()
-	k.SetTelemetry(hub)
-	runner := service.NewRunner(k)
-	hub.VClock = runner
-	hub.SLO = telemetry.NewSLOEngine(hub.M(), workload.DefaultSLOObjectives()...)
 
 	var jnl *journal.Journal
 	if *durable {
-		// The write-ahead event log lives on its own volume, apart from
-		// any image storage, the way a real deployment separates WAL and
-		// data devices.
-		vol := storage.NewVolume("shop-log",
-			storage.NewDevice("shop-log-disk", 64<<20, 100*time.Microsecond))
-		jnl = journal.Open(vol, "journal/shop")
-		jnl.SetTelemetry(hub)
+		jnl = workload.OpenShopLog(*cell, hub)
 		s.SetJournal(jnl)
 		log.Printf("journaling control-plane events to %s", jnl.Dir())
 	}
@@ -125,4 +96,20 @@ func main() {
 	}
 	fmt.Printf("vmshopd cell %q serving on %s with %d plants, %d peers\n", *cell, l.Addr(), len(handles), len(peerHandles))
 	proto.Serve(l, service.NewShopHandler(runner, s))
+}
+
+// endpoints parses a comma-separated name=addr list, in order.
+func endpoints(kind, list string) (pairs [][2]string) {
+	for _, pair := range strings.Split(list, ",") {
+		pair = strings.TrimSpace(pair)
+		if pair == "" {
+			continue
+		}
+		name, addr, ok := strings.Cut(pair, "=")
+		if !ok {
+			log.Fatalf("vmshopd: bad %s %q (want name=addr)", kind, pair)
+		}
+		pairs = append(pairs, [2]string{name, addr})
+	}
+	return pairs
 }

@@ -11,38 +11,32 @@ import (
 	"strings"
 	"time"
 
-	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/plant"
 	"vmplants/internal/proto"
 	"vmplants/internal/registry"
 	"vmplants/internal/service"
 	"vmplants/internal/shop"
-	"vmplants/internal/sim"
 	"vmplants/internal/warehouse"
 	"vmplants/internal/workload"
 )
 
 // startPlant brings up one plant daemon on a loopback port.
 func startPlant(name string, seed int64) (addr string, closer func(), err error) {
-	k := sim.NewKernel()
-	tb := cluster.NewTestbed(k, 1, cluster.DefaultParams(), seed)
-	wh := warehouse.New(tb.Warehouse)
-	hw := core.HardwareSpec{Arch: "x86", MemoryMB: 64, DiskMB: 2048}
-	im, err := warehouse.BuildGolden(workload.GoldenName(64, warehouse.BackendVMware),
-		hw, warehouse.BackendVMware, workload.InVigoGoldenHistory())
+	im, err := workload.GoldenImage(64, 2048, warehouse.BackendVMware)
 	if err != nil {
 		return "", nil, err
 	}
-	if err := wh.Publish(im); err != nil {
+	d := service.NewDaemon(name)
+	pl, err := d.HostPlant(name, seed, plant.Config{MaxVMs: 16}, im)
+	if err != nil {
 		return "", nil, err
 	}
-	pl := plant.New(name, tb.Nodes[0], wh, plant.Config{MaxVMs: 16})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
 	}
-	go proto.Serve(l, service.NewPlantHandler(service.NewRunner(k), pl))
+	go proto.Serve(l, service.NewPlantHandler(d.Runner, pl))
 	return l.Addr().String(), func() { l.Close() }, nil
 }
 
@@ -69,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer l.Close()
-	go proto.Serve(l, service.NewShopHandler(service.NewRunner(sim.NewKernel()), s))
+	go proto.Serve(l, service.NewShopHandler(service.NewDaemon("shop").Runner, s))
 	fmt.Printf("vmshop serving on %s with %d discovered plants\n\n", l.Addr(), len(handles))
 
 	// A typed client drives the whole lifecycle over real sockets.

@@ -52,7 +52,7 @@ func TestScaleUpOnQueueDepth(t *testing.T) {
 
 	const clients = 4
 	done := 0
-	err := d.Run(func(p *sim.Proc) {
+	err := d.Run(func(p *sim.Proc) error {
 		for i := 0; i < clients; i++ {
 			seq := i + 1
 			p.Kernel().Spawn("burst", func(wp *sim.Proc) {
@@ -70,6 +70,7 @@ func TestScaleUpOnQueueDepth(t *testing.T) {
 			p.Sleep(time.Minute)
 		}
 		c.Stop()
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +108,10 @@ func TestScaleDownWhenCalm(t *testing.T) {
 	}
 	c.Start(d.Kernel)
 
-	err := d.Run(func(p *sim.Proc) {
+	err := d.Run(func(p *sim.Proc) error {
 		p.Sleep(5 * time.Minute)
 		c.Stop()
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +156,7 @@ func TestBrownoutFollowsSLOBurn(t *testing.T) {
 	c.Start(d.Kernel)
 
 	good, bad := hub.Counter("fleet_test.good"), hub.Counter("fleet_test.bad")
-	err := d.Run(func(p *sim.Proc) {
+	err := d.Run(func(p *sim.Proc) error {
 		// Half the requests failing: burn = 0.5/0.1 = 5 ≥ 2 → brownout.
 		good.Add(5)
 		bad.Add(5)
@@ -176,6 +178,7 @@ func TestBrownoutFollowsSLOBurn(t *testing.T) {
 		}
 		c.Stop()
 		scrub.Stop()
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

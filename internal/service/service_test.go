@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vmplants/internal/actions"
-	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/dag"
 	"vmplants/internal/plant"
@@ -15,6 +14,7 @@ import (
 	"vmplants/internal/registry"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
+	"vmplants/internal/telemetry"
 	"vmplants/internal/warehouse"
 )
 
@@ -30,9 +30,14 @@ func act(op string, kv ...string) dag.Action {
 // startPlantDaemon spins up one plant daemon on a loopback listener.
 func startPlantDaemon(t *testing.T, name string, seed int64) (addr string) {
 	t.Helper()
-	k := sim.NewKernel()
-	tb := cluster.NewTestbed(k, 1, cluster.DefaultParams(), seed)
-	wh := warehouse.New(tb.Warehouse)
+	addr, _ = startPlantDaemonOn(t, name, seed, func(l net.Listener) net.Listener { return l })
+	return addr
+}
+
+// startPlantDaemonOn is startPlantDaemon serving through wrap(listener),
+// also returning the daemon's telemetry hub.
+func startPlantDaemonOn(t *testing.T, name string, seed int64, wrap func(net.Listener) net.Listener) (string, *telemetry.Hub) {
+	t.Helper()
 	im, err := warehouse.BuildGolden("base",
 		core.HardwareSpec{Arch: "x86", MemoryMB: 64, DiskMB: 2048},
 		warehouse.BackendVMware,
@@ -40,34 +45,25 @@ func startPlantDaemon(t *testing.T, name string, seed int64) (addr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wh.Publish(im); err != nil {
+	d := NewDaemon(name)
+	pl, err := d.HostPlant(name, seed, plant.Config{MaxVMs: 8}, im)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pl := plant.New(name, tb.Nodes[0], wh, plant.Config{MaxVMs: 8})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go proto.Serve(l, NewPlantHandler(NewRunner(k), pl))
-	return l.Addr().String()
+	go proto.Serve(wrap(l), NewPlantHandler(d.Runner, pl))
+	return l.Addr().String(), d.Hub
 }
 
 // startShopDaemon spins up a shop daemon over the given plant daemons.
 func startShopDaemon(t *testing.T, plantAddrs map[string]string) (addr string) {
 	t.Helper()
-	var handles []shop.PlantHandle
-	for name, a := range plantAddrs {
-		handles = append(handles, &RemotePlant{PlantName: name, Addr: a, Timeout: 5 * time.Second})
-	}
-	s := shop.New("shop", handles, 7)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go proto.Serve(l, NewShopHandler(NewRunner(sim.NewKernel()), s))
-	return l.Addr().String()
+	addr, _ = startTracedShopDaemon(t, plantAddrs)
+	return addr
 }
 
 func requestGraph(t *testing.T) *dag.Graph {

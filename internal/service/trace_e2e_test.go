@@ -7,16 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"vmplants/internal/actions"
-	"vmplants/internal/cluster"
-	"vmplants/internal/core"
-	"vmplants/internal/dag"
-	"vmplants/internal/plant"
 	"vmplants/internal/proto"
 	"vmplants/internal/shop"
-	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
-	"vmplants/internal/warehouse"
 )
 
 // dropListener closes the first drops accepted connections before the
@@ -51,56 +44,33 @@ func (l *dropListener) Accept() (net.Conn, error) {
 // when drops > 0, a listener that kills the first connections.
 func startTracedPlantDaemon(t *testing.T, name string, seed int64, drops int) (string, *telemetry.Hub) {
 	t.Helper()
-	hub := telemetry.New()
-	hub.T().SetIDBase(telemetry.IDBaseForInstance(name))
-	k := sim.NewKernel()
-	k.SetTelemetry(hub)
-	tb := cluster.NewTestbed(k, 1, cluster.DefaultParams(), seed)
-	wh := warehouse.New(tb.Warehouse)
-	im, err := warehouse.BuildGolden("base",
-		core.HardwareSpec{Arch: "x86", MemoryMB: 64, DiskMB: 2048},
-		warehouse.BackendVMware,
-		[]dag.Action{act(actions.OpInstallOS, "distro", "redhat-8.0")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wh.Publish(im); err != nil {
-		t.Fatal(err)
-	}
-	pl := plant.New(name, tb.Nodes[0], wh, plant.Config{MaxVMs: 8, Telemetry: hub})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	var lis net.Listener = l
-	if drops > 0 {
-		lis = &dropListener{Listener: l, drops: drops}
-	}
-	go proto.Serve(lis, NewPlantHandler(NewRunner(k), pl))
-	return l.Addr().String(), hub
+	return startPlantDaemonOn(t, name, seed, func(l net.Listener) net.Listener {
+		if drops > 0 {
+			return &dropListener{Listener: l, drops: drops}
+		}
+		return l
+	})
 }
 
-// startTracedShopDaemon is startShopDaemon with a telemetry hub wired
-// through the shop and its remote plant handles.
+// startTracedShopDaemon spins up a shop daemon over the given plant
+// daemons, its telemetry hub wired through the shop and its remote plant
+// handles.
 func startTracedShopDaemon(t *testing.T, plantAddrs map[string]string) (string, *telemetry.Hub) {
 	t.Helper()
-	hub := telemetry.New()
-	hub.T().SetIDBase(telemetry.IDBaseForInstance("shop"))
+	d := NewDaemon("shop")
+	hub := d.Hub
 	var handles []shop.PlantHandle
 	for name, a := range plantAddrs {
 		handles = append(handles, &RemotePlant{PlantName: name, Addr: a, Timeout: 5 * time.Second, Telemetry: hub})
 	}
 	s := shop.New("shop", handles, 7)
 	s.SetTelemetry(hub)
-	k := sim.NewKernel()
-	k.SetTelemetry(hub)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go proto.Serve(l, NewShopHandler(NewRunner(k), s))
+	go proto.Serve(l, NewShopHandler(d.Runner, s))
 	return l.Addr().String(), hub
 }
 

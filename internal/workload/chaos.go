@@ -2,104 +2,75 @@ package workload
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"vmplants/internal/core"
 	"vmplants/internal/fault"
-	"vmplants/internal/plant"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
 	"vmplants/internal/stats"
 	"vmplants/internal/telemetry"
 )
 
-// ChaosMix is the fault cocktail a chaos run injects, as wildcard rules
-// over every plant. Action failures are deliberately absent from the
-// default mix: a DAG action exhausting its error policy is the
-// request's outcome on every plant, so it is not a fault the shop can
-// route around.
-type ChaosMix struct {
-	// RPCDrop is the probability any shop→plant message is lost.
-	RPCDrop float64
-	// RPCDelayProb stalls a message by RPCDelay without losing it.
-	RPCDelayProb float64
-	RPCDelay     time.Duration
-	// SlowBidProb stalls a plant's estimate by SlowBidDelay — past the
+// faultMix is a fault cocktail, armed as wildcard rules over every
+// plant. Action failures are deliberately absent: a DAG action
+// exhausting its error policy is the request's outcome on every plant,
+// so it is not a fault the shop can route around.
+type faultMix struct {
+	// rpcDrop is the probability any shop→plant message is lost.
+	rpcDrop float64
+	// rpcDelayProb stalls a message by rpcDelay without losing it.
+	rpcDelayProb float64
+	rpcDelay     time.Duration
+	// slowBidProb stalls a plant's estimate by slowBidDelay — past the
 	// shop's bid timeout, so the round proceeds without it.
-	SlowBidProb  float64
-	SlowBidDelay time.Duration
-	// CloneIO fails a clone's state copy, destroying the partial clone.
-	CloneIO float64
-	// CrashInCreate crashes the winning plant mid-creation.
-	CrashInCreate float64
+	slowBidProb  float64
+	slowBidDelay time.Duration
+	// cloneIO fails a clone's state copy, destroying the partial clone.
+	cloneIO float64
+	// crashInCreate crashes the winning plant mid-creation.
+	crashInCreate float64
 }
 
-// DefaultChaosMix is the standard cocktail: every fault class at a rate
-// high enough that a run of a few dozen requests hits each of them.
-func DefaultChaosMix() ChaosMix {
-	return ChaosMix{
-		RPCDrop:       0.05,
-		RPCDelayProb:  0.05,
-		RPCDelay:      300 * time.Millisecond,
-		SlowBidProb:   0.08,
-		SlowBidDelay:  3 * time.Second,
-		CloneIO:       0.05,
-		CrashInCreate: 0.04,
-	}
+// chaosMix is the standard cocktail: every fault class at a rate high
+// enough that a run of a few dozen requests hits each of them.
+var chaosMix = faultMix{
+	rpcDrop:       0.05,
+	rpcDelayProb:  0.05,
+	rpcDelay:      300 * time.Millisecond,
+	slowBidProb:   0.08,
+	slowBidDelay:  3 * time.Second,
+	cloneIO:       0.05,
+	crashInCreate: 0.04,
 }
 
-// ChaosOptions configures a chaos run.
-type ChaosOptions struct {
-	Plants   int // default 8
-	Requests int // default 32
-	MemoryMB int // default 64
-	Mix      *ChaosMix
-	// BidTimeout bounds each bidding round (default 1 s virtual).
-	BidTimeout time.Duration
-	// Breaker is the shop's circuit-breaker config (default threshold 3,
-	// cooldown 20 s virtual).
-	Breaker *shop.BreakerConfig
-	// RestartAfter is the supervisor's crash→restart delay
-	// (default 10 s virtual).
-	RestartAfter time.Duration
-	// ClientRetries bounds how often the client re-submits a request the
-	// shop failed transiently (default 8).
-	ClientRetries int
+// arm installs the mix's non-zero rates on reg.
+func (m faultMix) arm(reg *fault.Registry) {
+	set := func(kind fault.Kind, op string, prob float64, delay time.Duration) {
+		if prob <= 0 {
+			return
+		}
+		reg.SetProb(fault.Wildcard, kind, op, prob)
+		if delay > 0 {
+			reg.SetDelay(fault.Wildcard, kind, op, delay)
+		}
+	}
+	set(fault.RPCDrop, "", m.rpcDrop, 0)
+	set(fault.RPCDelay, "", m.rpcDelayProb, m.rpcDelay)
+	set(fault.SlowBid, "", m.slowBidProb, m.slowBidDelay)
+	set(fault.CloneIO, "", m.cloneIO, 0)
+	set(fault.PlantCrash, "create", m.crashInCreate, 0)
 }
 
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.Plants == 0 {
-		o.Plants = 8
-	}
-	if o.Requests == 0 {
-		o.Requests = 32
-	}
-	if o.MemoryMB == 0 {
-		o.MemoryMB = 64
-	}
-	if o.Mix == nil {
-		m := DefaultChaosMix()
-		o.Mix = &m
-	}
-	if o.BidTimeout == 0 {
-		o.BidTimeout = time.Second
-	}
-	if o.Breaker == nil {
-		o.Breaker = &shop.BreakerConfig{Threshold: 3, Cooldown: 20 * time.Second}
-	}
-	if o.RestartAfter == 0 {
-		o.RestartAfter = 10 * time.Second
-	}
-	if o.ClientRetries == 0 {
-		o.ClientRetries = 8
-	}
-	return o
-}
+// bidTimeout bounds each bidding round (virtual time) wherever a
+// scenario needs concurrent rounds to overlap or slow bidders skipped.
+const bidTimeout = time.Second
 
-// ChaosResult reports what a chaos run survived.
-type ChaosResult struct {
+type chaosParams struct{ requests int }
+
+// chaosResult reports what a chaos run survived.
+type chaosResult struct {
+	transcript    // every per-request outcome and injection count
 	Requests      int
 	Succeeded     int
 	ClientRetries int // request re-submissions after shop-level failure
@@ -110,98 +81,58 @@ type ChaosResult struct {
 	Recoveries    int64
 	RoutesRecov   int // routes shop.Recover re-learned at the end
 	Injections    map[string]int64
+	Disruptions   int64 // injections that fail a call: drops, clone I/O, crashes, slow bids
 	CreateSecs    stats.Summary
 	OrphanVMs     int // VMs left on plants after every destroy
 	LeakedNets    int // host-only network slots never released
-	// Fingerprint digests every per-request outcome and injection
-	// count; two runs with the same seed must produce identical
-	// fingerprints.
-	Fingerprint string
 }
 
-// RunChaos drives a creation series through a deployment under fault
-// injection and verifies the system absorbed every fault: all requests
-// eventually succeed (shop-side failover plus bounded client retry),
-// recovery rebuilds routing after the shop forgets it, and destroying
-// everything leaves zero orphaned VMs and zero leaked host-only
-// networks.
-func RunChaos(seed int64, opts ChaosOptions) (*ChaosResult, error) {
-	opts = opts.withDefaults()
+// runChaos is the failure-recovery gate: a series of 64 MB creations
+// through 8 plants under the default fault mix must absorb every fault.
+// All requests eventually succeed (shop-side failover and circuit
+// breaking plus bounded client retry), recovery rebuilds routing after
+// the shop forgets it, and destroying everything leaves zero orphaned
+// VMs and zero leaked host-only networks.
+func runChaos(seed int64, par chaosParams) (*chaosResult, error) {
+	const (
+		memMB         = 64
+		clientRetries = 8
+	)
 	hub := telemetry.New()
-
-	// One registry for the whole site, with wildcard rules: which plant
-	// a fault hits is decided by the deterministic order injection
-	// points consult the shared stream.
-	reg := fault.NewRegistry(seed + 7919)
-	reg.SetTelemetry(hub)
-	mix := *opts.Mix
-	reg.SetProb(fault.Wildcard, fault.RPCDrop, "", mix.RPCDrop)
-	if mix.RPCDelayProb > 0 {
-		reg.SetProb(fault.Wildcard, fault.RPCDelay, "", mix.RPCDelayProb)
-		reg.SetDelay(fault.Wildcard, fault.RPCDelay, "", mix.RPCDelay)
-	}
-	if mix.SlowBidProb > 0 {
-		reg.SetProb(fault.Wildcard, fault.SlowBid, "", mix.SlowBidProb)
-		reg.SetDelay(fault.Wildcard, fault.SlowBid, "", mix.SlowBidDelay)
-	}
-	reg.SetProb(fault.Wildcard, fault.CloneIO, "", mix.CloneIO)
-	reg.SetProb(fault.Wildcard, fault.PlantCrash, "create", mix.CrashInCreate)
-
-	d, err := NewDeployment(Options{
-		Plants:      opts.Plants,
-		Seed:        seed,
-		Telemetry:   hub,
-		PlantConfig: plant.Config{Faults: reg},
-	})
+	d, reg, err := newFaultedSite(7919, Options{Seed: seed, Telemetry: hub})
 	if err != nil {
 		return nil, err
 	}
-	d.Shop.BidTimeout = opts.BidTimeout
-	d.Shop.Breaker = *opts.Breaker
+	chaosMix.arm(reg)
+	d.Shop.BidTimeout = bidTimeout
+	d.Shop.Breaker = shop.BreakerConfig{Threshold: 3, Cooldown: 20 * time.Second}
 	for _, h := range d.Handles {
-		h.Faults = reg
-		h.RestartAfter = opts.RestartAfter
+		h.RestartAfter = 10 * time.Second // the supervisor's crash→restart delay
 	}
 
-	res := &ChaosResult{Requests: opts.Requests}
-	var lines []string // fingerprint material
+	res := &chaosResult{Requests: par.requests}
 	var created []core.VMID
-	var runErr error
-	err = d.Run(func(p *sim.Proc) {
+	err = d.Run(func(p *sim.Proc) error {
 		var secs []float64
-		for i := 1; i <= opts.Requests; i++ {
-			spec, err := d.WorkspaceSpec(i, opts.MemoryMB)
+		for i := 1; i <= par.requests; i++ {
+			spec, err := d.WorkspaceSpec(i, memMB)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			start := p.Now()
-			var id core.VMID
-			for try := 0; ; try++ {
-				var cerr error
-				id, _, cerr = d.Shop.Create(p, spec)
-				if cerr == nil {
-					break
-				}
-				if try >= opts.ClientRetries {
-					lines = append(lines, fmt.Sprintf("req %d FAILED %v", i, cerr))
-					id = ""
-					break
-				}
-				// Transient wipeout (every bidder down at once): back
-				// off and re-submit; supervisors restart crashed
-				// daemons meanwhile.
-				res.ClientRetries++
-				p.Sleep(5 * time.Second)
-			}
-			if id == "" {
+			// Transient wipeout (every bidder down at once): back off and
+			// re-submit; supervisors restart crashed daemons meanwhile.
+			id, _, retries, cerr := createRetrying(p, d.Shop, spec, clientRetries, backoff(p, 5*time.Second))
+			res.ClientRetries += retries
+			if cerr != nil {
+				res.logf("req %d FAILED %v", i, cerr)
 				continue
 			}
 			elapsed := (p.Now() - start).Seconds()
 			secs = append(secs, elapsed)
 			created = append(created, id)
 			res.Succeeded++
-			lines = append(lines, fmt.Sprintf("req %d ok %s route=%s %.6fs", i, id, d.Shop.RouteOf(id), elapsed))
+			res.logf("req %d ok %s route=%s %.6fs", i, id, d.Shop.RouteOf(id), elapsed)
 		}
 		res.CreateSecs = stats.Summarize(secs)
 
@@ -214,69 +145,56 @@ func RunChaos(seed int64, opts ChaosOptions) (*ChaosResult, error) {
 		d.Shop.ForgetRoutes()
 		routes, unreachable := d.Shop.Recover(p)
 		res.RoutesRecov = routes
-		lines = append(lines, fmt.Sprintf("recover routes=%d unreachable=%d", routes, len(unreachable)))
+		res.logf("recover routes=%d unreachable=%d", routes, len(unreachable))
 
 		// Drain the site through the recovered routes; every VM must be
 		// reachable and collectable. Destroys ride the same fault mix —
 		// a dropped collect times out before reaching the plant and the
 		// shop keeps the route, so re-asking is safe.
 		for _, id := range created {
-			var derr error
-			for try := 0; try <= opts.ClientRetries; try++ {
-				if derr = d.Shop.Destroy(p, id); derr == nil {
-					break
-				}
-				res.ClientRetries++
-				p.Sleep(2 * time.Second)
-			}
+			retries, derr := retry(clientRetries, func() error { return d.Shop.Destroy(p, id) }, backoff(p, 2*time.Second))
+			res.ClientRetries += retries
 			if derr != nil {
-				lines = append(lines, fmt.Sprintf("destroy %s FAILED %v", id, derr))
+				res.logf("destroy %s FAILED %v", id, derr)
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
 
-	// Zero-orphan, zero-leak audit.
-	for _, pl := range d.Plants {
-		res.OrphanVMs += pl.ActiveVMs()
-		nets := pl.Networks()
-		res.LeakedNets += nets.Size() - nets.FreeCount()
-	}
-
+	res.OrphanVMs, res.LeakedNets = residue(d.Plants)
 	res.Failovers = hub.Counter("shop.failovers").Value()
 	res.DegradedBids = hub.Counter("shop.degraded_bid_rounds").Value()
 	res.BreakerOpens = hub.Counter("shop.breaker_opens").Value()
 	res.PlantCrashes = hub.Counter("plant.crashes").Value()
 	res.Recoveries = hub.Counter("plant.recoveries").Value()
 	res.Injections = reg.Counts()
+	res.Disruptions = reg.Total(fault.RPCDrop) + reg.Total(fault.CloneIO) + reg.Total(fault.PlantCrash) + reg.Total(fault.SlowBid)
 
-	lines = append(lines, reg.Summary()...)
-	lines = append(lines, fmt.Sprintf("failovers=%d degraded=%d breaker_opens=%d crashes=%d recoveries=%d orphans=%d leaks=%d",
-		res.Failovers, res.DegradedBids, res.BreakerOpens, res.PlantCrashes, res.Recoveries, res.OrphanVMs, res.LeakedNets))
-	res.Fingerprint = strings.Join(lines, "\n")
+	res.lines = append(res.lines, reg.Summary()...)
+	res.logf("failovers=%d degraded=%d breaker_opens=%d crashes=%d recoveries=%d orphans=%d leaks=%d",
+		res.Failovers, res.DegradedBids, res.BreakerOpens, res.PlantCrashes, res.Recoveries, res.OrphanVMs, res.LeakedNets)
 	return res, nil
 }
 
-// InjectionTotal sums injections across all sites for one fault kind.
-func (r *ChaosResult) InjectionTotal(kind fault.Kind) int64 {
-	var n int64
-	for label, c := range r.Injections {
-		parts := strings.SplitN(label, "/", 3)
-		if len(parts) >= 2 && parts[1] == string(kind) {
-			n += c
-		}
-	}
-	return n
+// Violations lists the chaos invariants the run broke.
+func (r *chaosResult) Violations() []string {
+	var g gate
+	g.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
+	g.check(r.OrphanVMs == 0, "%d orphaned VMs after drain", r.OrphanVMs)
+	g.check(r.LeakedNets == 0, "%d leaked host-only networks after drain", r.LeakedNets)
+	g.check(r.RoutesRecov == r.Requests, "shop.Recover rebuilt %d routes, want %d", r.RoutesRecov, r.Requests)
+	// The mix is hot enough that even the smoke run must actually have
+	// exercised the machinery, or the experiment proves nothing.
+	g.check(r.Disruptions > 0, "no faults injected; chaos run exercised nothing")
+	return g
 }
 
 // Report renders the run as printable lines.
-func (r *ChaosResult) Report() []string {
-	out := []string{
+func (r *chaosResult) Report() []string {
+	return append([]string{
 		fmt.Sprintf("requests:            %d", r.Requests),
 		fmt.Sprintf("succeeded:           %d (%.0f%%)", r.Succeeded, 100*float64(r.Succeeded)/float64(r.Requests)),
 		fmt.Sprintf("client retries:      %d", r.ClientRetries),
@@ -288,14 +206,5 @@ func (r *ChaosResult) Report() []string {
 		fmt.Sprintf("create latency:      %s", r.CreateSecs),
 		fmt.Sprintf("orphaned VMs:        %d", r.OrphanVMs),
 		fmt.Sprintf("leaked networks:     %d", r.LeakedNets),
-	}
-	labels := make([]string, 0, len(r.Injections))
-	for l := range r.Injections {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		out = append(out, fmt.Sprintf("injected %-28s %d", l, r.Injections[l]))
-	}
-	return out
+	}, injectionReport(r.Injections)...)
 }

@@ -3,11 +3,9 @@ package workload
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"vmplants/internal/core"
 	"vmplants/internal/plant"
-	"vmplants/internal/sim"
 	"vmplants/internal/stats"
 	"vmplants/internal/telemetry"
 	"vmplants/internal/vdisk"
@@ -23,8 +21,8 @@ import (
 // same VMs and their end-state disks must hash byte-identically once
 // hydration converges.
 
-// CloneModeRun is one clone mode's measurement over a fresh deployment.
-type CloneModeRun struct {
+// cloneModeRun is one clone mode's measurement over a fresh deployment.
+type cloneModeRun struct {
 	Mode       vdisk.CloneMode
 	ResumeSecs []float64 // client-observed creation latency per request
 	Hashes     map[core.VMID]uint64
@@ -36,13 +34,13 @@ type CloneModeRun struct {
 	ExtentStats     warehouse.ExtentStats
 	AllHydrated     bool
 
-	// Fingerprint digests every observable of the run; equal
+	// The transcript digests every observable of the run; equal
 	// fingerprints across same-seed reruns mean lazy hydration
 	// (demand faults included) is deterministic.
-	Fingerprint string
+	transcript
 }
 
-func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*CloneModeRun, error) {
+func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun, error) {
 	hub := telemetry.New()
 	d, err := NewDeployment(Options{
 		Plants:        4,
@@ -54,38 +52,23 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*CloneModeRun
 	if err != nil {
 		return nil, err
 	}
-	r := &CloneModeRun{Mode: mode, Hashes: make(map[core.VMID]uint64)}
-	var ids []core.VMID
-	var buildErr error
-	err = d.Run(func(p *sim.Proc) {
-		for i := 1; i <= n; i++ {
-			spec, err := d.WorkspaceSpec(i, memMB)
-			if err != nil {
-				buildErr = err
-				return
-			}
-			start := p.Now()
-			id, _, err := d.Shop.Create(p, spec)
-			if err != nil {
-				buildErr = err
-				return
-			}
-			r.ResumeSecs = append(r.ResumeSecs, (p.Now() - start).Seconds())
-			ids = append(ids, id)
-		}
-	})
+	recs, err := d.RunCreationSeries(n, memMB)
 	if err != nil {
 		return nil, err
 	}
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	// d.Run drained the kernel, so every background hydrator has
+	r := &cloneModeRun{Mode: mode, Hashes: make(map[core.VMID]uint64)}
+	// The series drained the kernel, so every background hydrator has
 	// finished: the hashes below are converged end states.
-	for _, id := range ids {
+	var ids []core.VMID
+	for _, rec := range recs {
+		if !rec.OK {
+			return nil, fmt.Errorf("clone comparison: request %d: %s", rec.Seq, rec.Err)
+		}
+		r.ResumeSecs = append(r.ResumeSecs, rec.CreateSecs)
+		ids = append(ids, rec.VMID)
 		for _, pl := range d.Plants {
-			if vm, ok := pl.VM(id); ok {
-				r.Hashes[id] = vm.Disk().ContentHash()
+			if vm, ok := pl.VM(rec.VMID); ok {
+				r.Hashes[rec.VMID] = vm.Disk().ContentHash()
 			}
 		}
 	}
@@ -102,28 +85,26 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*CloneModeRun
 	r.HydrationLag = hub.Histogram("plant.hydration_lag_secs").Snapshot()
 	r.ExtentStats = d.Warehouse.ExtentStatsNow()
 
-	var lines []string
 	for i, id := range ids {
-		lines = append(lines, fmt.Sprintf("vm=%s resume=%.6f hash=%016x", id, r.ResumeSecs[i], r.Hashes[id]))
+		r.logf("vm=%s resume=%.6f hash=%016x", id, r.ResumeSecs[i], r.Hashes[id])
 	}
 	for _, hs := range r.Hydrations {
-		lines = append(lines, fmt.Sprintf("hyd vm=%s extents=%d faults=%d resume=%.6f complete=%.6f aborted=%v",
-			hs.VMID, hs.Extents, hs.DemandFaults, hs.ResumeSecs, hs.CompleteSecs, hs.Aborted))
+		r.logf("hyd vm=%s extents=%d faults=%d resume=%.6f complete=%.6f aborted=%v",
+			hs.VMID, hs.Extents, hs.DemandFaults, hs.ResumeSecs, hs.CompleteSecs, hs.Aborted)
 	}
-	lines = append(lines, fmt.Sprintf("extents entries=%d refs=%d logical=%d physical=%d",
-		r.ExtentStats.Entries, r.ExtentStats.Refs, r.ExtentStats.LogicalBytes, r.ExtentStats.PhysicalBytes))
-	r.Fingerprint = strings.Join(lines, "\n")
+	r.logf("extents entries=%d refs=%d logical=%d physical=%d",
+		r.ExtentStats.Entries, r.ExtentStats.Refs, r.ExtentStats.LogicalBytes, r.ExtentStats.PhysicalBytes)
 	return r, nil
 }
 
-// CloneComparison is the lazy-vs-eager measurement reported by the
+// cloneComparison is the lazy-vs-eager measurement reported by the
 // pipeline experiment.
-type CloneComparison struct {
+type cloneComparison struct {
 	VMs      int
 	MemoryMB int
 
-	Eager *CloneModeRun // vdisk.CloneByCopy — the full-copy floor
-	Lazy  *CloneModeRun // vdisk.CloneByLazy
+	Eager *cloneModeRun // vdisk.CloneByCopy — the full-copy floor
+	Lazy  *cloneModeRun // vdisk.CloneByLazy
 
 	EagerResume  stats.Summary // creation latency under full copy
 	LazyResume   stats.Summary // creation latency under lazy cloning
@@ -146,23 +127,21 @@ type CloneComparison struct {
 	DeterminismOK bool
 }
 
-// RunCloneComparison replays the same n-request stream under eager
+// runCloneComparison replays the same n-request stream under eager
 // full-copy and lazy cloning (plus a lazy same-seed rerun for the
 // determinism check) and compares critical-path latency and end state.
-func RunCloneComparison(seed int64, n, memMB int) (*CloneComparison, error) {
+func runCloneComparison(seed int64, n, memMB int) (*cloneComparison, error) {
 	eager, err := runCloneMode(seed, n, memMB, vdisk.CloneByCopy)
 	if err != nil {
 		return nil, err
 	}
-	lazy, err := runCloneMode(seed, n, memMB, vdisk.CloneByLazy)
+	lazy, rerunSame, err := sameSeed(func() (*cloneModeRun, error) {
+		return runCloneMode(seed, n, memMB, vdisk.CloneByLazy)
+	})
 	if err != nil {
 		return nil, err
 	}
-	again, err := runCloneMode(seed, n, memMB, vdisk.CloneByLazy)
-	if err != nil {
-		return nil, err
-	}
-	c := &CloneComparison{VMs: n, MemoryMB: memMB, Eager: eager, Lazy: lazy}
+	c := &cloneComparison{VMs: n, MemoryMB: memMB, Eager: eager, Lazy: lazy}
 	c.EagerResume = stats.Summarize(eager.ResumeSecs)
 	c.LazyResume = stats.Summarize(lazy.ResumeSecs)
 	var completes []float64
@@ -182,12 +161,12 @@ func RunCloneComparison(seed int64, n, memMB int) (*CloneComparison, error) {
 		}
 	}
 	c.AllHydrated = lazy.AllHydrated
-	c.DeterminismOK = lazy.Fingerprint == again.Fingerprint
+	c.DeterminismOK = rerunSame
 	return c, nil
 }
 
 // Report renders the comparison as printable lines.
-func (c *CloneComparison) Report() []string {
+func (c *cloneComparison) Report() []string {
 	return []string{
 		fmt.Sprintf("%d VMs of %d MB, eager full-copy vs lazy hydration:", c.VMs, c.MemoryMB),
 		fmt.Sprintf("eager resume p50: %7.1f s   (full-copy floor)", c.EagerResume.P50),

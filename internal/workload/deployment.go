@@ -7,9 +7,13 @@ import (
 	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/cost"
+	"vmplants/internal/dag"
+	"vmplants/internal/fault"
+	"vmplants/internal/journal"
 	"vmplants/internal/plant"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
+	"vmplants/internal/storage"
 	"vmplants/internal/telemetry"
 	"vmplants/internal/warehouse"
 )
@@ -37,9 +41,6 @@ type Options struct {
 	// PlantConfig is applied to every plant (cost model is overridden
 	// by CostModelName when set).
 	PlantConfig plant.Config
-	// ClusterParams overrides the testbed calibration (zero value =
-	// cluster.DefaultParams()).
-	ClusterParams *cluster.Params
 	// Telemetry receives spans and metrics from the whole deployment
 	// (kernel, warehouse, every plant, shop); nil disables.
 	Telemetry *telemetry.Hub
@@ -99,6 +100,13 @@ func GoldenName(memMB int, backend string) string {
 	return fmt.Sprintf("invigo-%s-%dmb", backend, memMB)
 }
 
+// GoldenImage builds the In-VIGO workspace golden machine of one memory
+// size: the image every site and plant daemon seeds its warehouse with.
+func GoldenImage(memMB, diskMB int, backend string) (*warehouse.Image, error) {
+	hw := core.HardwareSpec{Arch: "x86", MemoryMB: memMB, DiskMB: diskMB}
+	return warehouse.BuildGolden(GoldenName(memMB, backend), hw, backend, InVigoGoldenHistory())
+}
+
 // NewDeployment builds the simulated site: testbed, warehouse with the
 // golden workspace images, one plant per node, and a shop in front.
 func NewDeployment(opts Options) (*Deployment, error) {
@@ -108,16 +116,11 @@ func NewDeployment(opts Options) (*Deployment, error) {
 		k = sim.NewKernel()
 		k.SetTelemetry(opts.Telemetry)
 	}
-	params := cluster.DefaultParams()
-	if opts.ClusterParams != nil {
-		params = *opts.ClusterParams
-	}
-	tb := cluster.NewTestbed(k, opts.Plants, params, opts.Seed)
+	tb := cluster.NewTestbed(k, opts.Plants, cluster.DefaultParams(), opts.Seed)
 	wh := warehouse.New(tb.Warehouse)
 	wh.SetTelemetry(opts.Telemetry)
 	for _, mem := range opts.GoldenSizesMB {
-		hw := core.HardwareSpec{Arch: "x86", MemoryMB: mem, DiskMB: opts.GoldenDiskMB}
-		im, err := warehouse.BuildGolden(GoldenName(mem, opts.Backend), hw, opts.Backend, InVigoGoldenHistory())
+		im, err := GoldenImage(mem, opts.GoldenDiskMB, opts.Backend)
 		if err != nil {
 			return nil, err
 		}
@@ -125,6 +128,7 @@ func NewDeployment(opts Options) (*Deployment, error) {
 			return nil, err
 		}
 		if opts.PublishBlank {
+			hw := core.HardwareSpec{Arch: "x86", MemoryMB: mem, DiskMB: opts.GoldenDiskMB}
 			blank, err := warehouse.BuildGolden(fmt.Sprintf("blank-%s-%dmb", opts.Backend, mem), hw, opts.Backend, nil)
 			if err != nil {
 				return nil, err
@@ -163,12 +167,52 @@ func NewDeployment(opts Options) (*Deployment, error) {
 	return d, nil
 }
 
+// newFaultedSite is NewDeployment plus the site's one fault registry,
+// seeded seed+faultSeed and consulted by every injection point: plants,
+// shop→plant transports, the shop and the warehouse. Which component a
+// fault hits is decided by the deterministic order injection points
+// consult the shared stream; a component no rule names draws nothing.
+func newFaultedSite(faultSeed int64, opts Options) (*Deployment, *fault.Registry, error) {
+	reg := fault.NewRegistry(opts.Seed + faultSeed)
+	reg.SetTelemetry(opts.Telemetry)
+	opts.PlantConfig.Faults = reg
+	d, err := NewDeployment(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	d.Shop.Faults = reg
+	d.Warehouse.SetFaults(reg)
+	for _, h := range d.Handles {
+		h.Faults = reg
+	}
+	return d, reg, nil
+}
+
+// OpenShopLog opens a shop's write-ahead journal on a dedicated volume
+// named after the shop, apart from any image storage, the way a real
+// deployment separates WAL and data devices.
+func OpenShopLog(name string, hub *telemetry.Hub) *journal.Journal {
+	vol := storage.NewVolume(name+"-log", storage.NewDevice(name+"-log-disk", 64<<20, 100*time.Microsecond))
+	jnl := journal.Open(vol, "journal/"+name)
+	jnl.SetTelemetry(hub)
+	return jnl
+}
+
+// JournalShop makes the site's control plane durable: the shop journals
+// creation intents/commits, routes and drains to its own log volume.
+func (d *Deployment) JournalShop() *journal.Journal {
+	jnl := OpenShopLog(d.Opts.CellName, d.Opts.Telemetry)
+	d.Shop.SetJournal(jnl)
+	return jnl
+}
+
 // CreationRecord is one client-observed creation.
 type CreationRecord struct {
 	Seq        int // 1-based request sequence number
 	MemoryMB   int
 	CreateSecs float64 // client request → shop response (Figure 4)
 	CloneSecs  float64 // PPP clone latency from the classad (Figures 5, 6)
+	MatchedOps int     // golden-image actions the match saved the creation
 	Plant      string
 	VMID       core.VMID
 	OK         bool
@@ -177,10 +221,22 @@ type CreationRecord struct {
 
 // WorkspaceSpec builds the creation request for one workspace instance.
 func (d *Deployment) WorkspaceSpec(seq, memMB int) (*core.Spec, error) {
+	return d.workspaceSpec(seq, memMB, InVigoDAG)
+}
+
+// userEnvSpec is WorkspaceSpec with the user-environment DAG: the
+// Figure 3 personalization plus the user's application stack
+// (InVigoUserEnvDAG), so residual configuration dominates a cold
+// creation and a derived checkpoint has something substantial to save.
+func (d *Deployment) userEnvSpec(seq, memMB int) (*core.Spec, error) {
+	return d.workspaceSpec(seq, memMB, InVigoUserEnvDAG)
+}
+
+func (d *Deployment) workspaceSpec(seq, memMB int, userDAG func(user, mac, ip string) (*dag.Graph, error)) (*core.Spec, error) {
 	user := fmt.Sprintf("user%04d", seq)
 	mac := fmt.Sprintf("00:50:56:%02x:%02x:%02x", (seq>>16)&0xff, (seq>>8)&0xff, seq&0xff)
 	ip := fmt.Sprintf("10.1.%d.%d", (seq/250)%250, seq%250+1)
-	g, err := InVigoDAG(user, mac, ip)
+	g, err := userDAG(user, mac, ip)
 	if err != nil {
 		return nil, err
 	}
@@ -198,14 +254,17 @@ func (d *Deployment) WorkspaceSpec(seq, memMB int) (*core.Spec, error) {
 // shape ("a series of requests, in sequence, for virtual machine
 // creation through VMShop") — and returns one record per request.
 func (d *Deployment) RunCreationSeries(n, memMB int) ([]CreationRecord, error) {
+	return d.runSeries(n, memMB, d.WorkspaceSpec)
+}
+
+// runSeries is RunCreationSeries over any per-request spec builder.
+func (d *Deployment) runSeries(n, memMB int, specFor func(seq, memMB int) (*core.Spec, error)) ([]CreationRecord, error) {
 	records := make([]CreationRecord, 0, n)
-	var buildErr error
-	d.Kernel.Spawn("client", func(p *sim.Proc) {
+	err := d.Run(func(p *sim.Proc) error {
 		for i := 1; i <= n; i++ {
-			spec, err := d.WorkspaceSpec(i, memMB)
+			spec, err := specFor(i, memMB)
 			if err != nil {
-				buildErr = err
-				return
+				return err
 			}
 			start := p.Now()
 			id, ad, err := d.Shop.Create(p, spec)
@@ -221,67 +280,50 @@ func (d *Deployment) RunCreationSeries(n, memMB int) ([]CreationRecord, error) {
 				rec.VMID = id
 				rec.Plant = ad.GetString(core.AttrPlant, "")
 				rec.CloneSecs = ad.GetReal(core.AttrCloneSecs, 0)
+				rec.MatchedOps = int(ad.GetInt(core.AttrMatchedOps, 0))
 			}
 			records = append(records, rec)
 		}
+		return nil
 	})
-	res := d.Kernel.Run(0)
-	if len(res.Stranded) != 0 {
-		return nil, fmt.Errorf("workload: stranded processes: %v", res.Stranded)
-	}
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	return records, nil
+	return records, err
 }
 
-// Run executes an arbitrary client body inside the deployment's kernel
-// to completion.
-func (d *Deployment) Run(body func(p *sim.Proc)) error {
-	d.Kernel.Spawn("client", body)
-	res := d.Kernel.Run(0)
-	if len(res.Stranded) != 0 {
+// Run executes a client body inside the deployment's kernel to
+// completion, returning the body's error.
+func (d *Deployment) Run(body func(p *sim.Proc) error) error {
+	var err error
+	d.Kernel.Spawn("client", func(p *sim.Proc) { err = body(p) })
+	if res := d.Kernel.Run(0); len(res.Stranded) != 0 {
 		return fmt.Errorf("workload: stranded processes: %v", res.Stranded)
 	}
-	return nil
+	return err
 }
 
 // Succeeded counts successful records.
 func Succeeded(recs []CreationRecord) int {
-	n := 0
-	for _, r := range recs {
-		if r.OK {
-			n++
-		}
-	}
-	return n
+	return len(CreateTimes(recs))
 }
 
 // CreateTimes extracts CreateSecs of successful records.
 func CreateTimes(recs []CreationRecord) []float64 {
-	var out []float64
-	for _, r := range recs {
-		if r.OK {
-			out = append(out, r.CreateSecs)
-		}
-	}
-	return out
+	return okValues(recs, func(r CreationRecord) float64 { return r.CreateSecs })
 }
 
 // CloneTimes extracts CloneSecs of successful records.
 func CloneTimes(recs []CreationRecord) []float64 {
+	return okValues(recs, func(r CreationRecord) float64 { return r.CloneSecs })
+}
+
+func okValues(recs []CreationRecord, value func(CreationRecord) float64) []float64 {
 	var out []float64
 	for _, r := range recs {
 		if r.OK {
-			out = append(out, r.CloneSecs)
+			out = append(out, value(r))
 		}
 	}
 	return out
 }
-
-// TotalVirtualTime reports how much virtual time the deployment's
-// kernel has consumed.
-func (d *Deployment) TotalVirtualTime() time.Duration { return d.Kernel.Now() }
 
 // DefaultFailProb is the per-request configuration failure probability
 // used by the Figure 4–6 runs so that success counts land near the

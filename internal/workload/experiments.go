@@ -42,21 +42,28 @@ type CreationExperiment struct {
 func RunCreationExperiment(seed int64, series []SeriesSpec) (*CreationExperiment, error) {
 	exp := &CreationExperiment{Series: series, Records: make(map[int][]CreationRecord)}
 	for i, s := range series {
-		d, err := NewDeployment(Options{
+		_, recs, err := runSeriesOn(Options{
 			Seed:          seed + int64(i)*1000,
 			GoldenSizesMB: []int{s.MemoryMB},
 			PlantConfig:   plant.Config{FailProb: DefaultFailProb()},
-		})
-		if err != nil {
-			return nil, err
-		}
-		recs, err := d.RunCreationSeries(s.Requests, s.MemoryMB)
+		}, s.Requests, s.MemoryMB)
 		if err != nil {
 			return nil, err
 		}
 		exp.Records[s.MemoryMB] = recs
 	}
 	return exp, nil
+}
+
+// runSeriesOn builds a fresh deployment and drives n sequential
+// creations of memMB workspaces through it.
+func runSeriesOn(opts Options, n, memMB int) (*Deployment, []CreationRecord, error) {
+	d, err := NewDeployment(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	recs, err := d.RunCreationSeries(n, memMB)
+	return d, recs, err
 }
 
 // sizeLabel renders a histogram column header.
@@ -66,25 +73,22 @@ func sizeLabel(memMB int) string { return fmt.Sprintf("%d MB", memMB) }
 // latencies, bucketed exactly as the paper plots them (10 s buckets
 // centered at 5, 15, …).
 func (e *CreationExperiment) Figure4() (map[string]*stats.Histogram, []string) {
-	hists := make(map[string]*stats.Histogram)
-	var order []string
-	for _, s := range e.Series {
-		h := stats.NewHistogram(0, 10)
-		h.AddAll(CreateTimes(e.Records[s.MemoryMB]))
-		label := sizeLabel(s.MemoryMB)
-		hists[label] = h
-		order = append(order, label)
-	}
-	return hists, order
+	return e.histograms(10, CreateTimes)
 }
 
 // Figure5 builds the distribution of cloning latencies (5 s buckets).
 func (e *CreationExperiment) Figure5() (map[string]*stats.Histogram, []string) {
+	return e.histograms(5, CloneTimes)
+}
+
+// histograms buckets one latency of every series, keyed and ordered by
+// size label.
+func (e *CreationExperiment) histograms(bucketSecs float64, latency func([]CreationRecord) []float64) (map[string]*stats.Histogram, []string) {
 	hists := make(map[string]*stats.Histogram)
 	var order []string
 	for _, s := range e.Series {
-		h := stats.NewHistogram(0, 5)
-		h.AddAll(CloneTimes(e.Records[s.MemoryMB]))
+		h := stats.NewHistogram(0, bucketSecs)
+		h.AddAll(latency(e.Records[s.MemoryMB]))
 		label := sizeLabel(s.MemoryMB)
 		hists[label] = h
 		order = append(order, label)
@@ -140,26 +144,23 @@ func RunCopyBaseline(seed int64) (*CopyBaselineResult, error) {
 		GoldenDiskBytes: im.Disk.Base().SizeBytes(),
 		GoldenSpanFiles: im.Disk.Base().SpanFiles(),
 	}
-	err = d.Run(func(p *sim.Proc) {
+	err = d.Run(func(p *sim.Proc) error {
 		node := d.Testbed.Nodes[0]
 		start := p.Now()
 		for i, ext := range im.ExtentPaths {
 			if _, err := node.Warehouse().CopyTo(p, ext, node.LocalDisk(), fmt.Sprintf("copy/ext%03d", i), 1); err != nil {
-				p.Failf("copy: %v", err)
+				return fmt.Errorf("copy: %w", err)
 			}
 		}
 		res.FullCopySecs = (p.Now() - start).Seconds()
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Side 2: the average cloning time of 256 MB link clones.
-	d2, err := NewDeployment(Options{Seed: seed + 7, GoldenSizesMB: []int{256}})
-	if err != nil {
-		return nil, err
-	}
-	recs, err := d2.RunCreationSeries(40, 256)
+	_, recs, err := runSeriesOn(Options{Seed: seed + 7, GoldenSizesMB: []int{256}}, 40, 256)
 	if err != nil {
 		return nil, err
 	}
@@ -179,15 +180,11 @@ type UMLResult struct {
 
 // RunUML runs the UML series.
 func RunUML(seed int64, requests int) (*UMLResult, error) {
-	d, err := NewDeployment(Options{
+	_, recs, err := runSeriesOn(Options{
 		Seed:          seed,
 		GoldenSizesMB: []int{32},
 		Backend:       warehouse.BackendUML,
-	})
-	if err != nil {
-		return nil, err
-	}
-	recs, err := d.RunCreationSeries(requests, 32)
+	}, requests, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -205,17 +202,13 @@ type CrossoverResult struct {
 // cost 4×VMs, one client domain. The paper predicts 13 VMs on the first
 // plant before the 14th lands on the second.
 func RunCostCrossover(seed int64, requests int) (*CrossoverResult, error) {
-	d, err := NewDeployment(Options{
+	_, recs, err := runSeriesOn(Options{
 		Plants:        2,
 		Seed:          seed,
 		GoldenSizesMB: []int{32},
 		CostModelName: "network+compute",
 		PlantConfig:   plant.Config{MaxVMs: 32, HostOnlyNetworks: 4},
-	})
-	if err != nil {
-		return nil, err
-	}
-	recs, err := d.RunCreationSeries(requests, 32)
+	}, requests, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -242,24 +235,17 @@ type AblationResult struct {
 	Factor       float64 // variant mean / baseline mean
 }
 
-func ablate(seed int64, name string, n, memMB int, variant plant.Config, variantOpts func(*Options)) (*AblationResult, error) {
-	base, err := NewDeployment(Options{Seed: seed, GoldenSizesMB: []int{memMB}})
+func ablate(seed int64, name string, n, memMB int, variant plant.Config, publishBlank bool) (*AblationResult, error) {
+	_, baseRecs, err := runSeriesOn(Options{Seed: seed, GoldenSizesMB: []int{memMB}}, n, memMB)
 	if err != nil {
 		return nil, err
 	}
-	baseRecs, err := base.RunCreationSeries(n, memMB)
-	if err != nil {
-		return nil, err
-	}
-	opts := Options{Seed: seed, GoldenSizesMB: []int{memMB}, PlantConfig: variant}
-	if variantOpts != nil {
-		variantOpts(&opts)
-	}
-	vd, err := NewDeployment(opts)
-	if err != nil {
-		return nil, err
-	}
-	varRecs, err := vd.RunCreationSeries(n, memMB)
+	_, varRecs, err := runSeriesOn(Options{
+		Seed:          seed,
+		GoldenSizesMB: []int{memMB},
+		PlantConfig:   variant,
+		PublishBlank:  publishBlank,
+	}, n, memMB)
 	if err != nil {
 		return nil, err
 	}
@@ -279,15 +265,12 @@ func ablate(seed int64, name string, n, memMB int, variant plant.Config, variant
 // RunAblationNoPartialMatch disables partial matching: every creation
 // starts from a blank image and pays the full OS install.
 func RunAblationNoPartialMatch(seed int64, n int) (*AblationResult, error) {
-	return ablate(seed, "no-partial-match", n, 64,
-		plant.Config{DisablePartialMatch: true},
-		func(o *Options) { o.PublishBlank = true })
+	return ablate(seed, "no-partial-match", n, 64, plant.Config{DisablePartialMatch: true}, true)
 }
 
 // RunAblationCopyClone replaces link cloning with full disk copies.
 func RunAblationCopyClone(seed int64, n int) (*AblationResult, error) {
-	return ablate(seed, "copy-clone", n, 64,
-		plant.Config{CloneMode: vdisk.CloneByCopy}, nil)
+	return ablate(seed, "copy-clone", n, 64, plant.Config{CloneMode: vdisk.CloneByCopy}, false)
 }
 
 // PrecreationResult compares on-demand cloning against speculative
@@ -315,25 +298,20 @@ func RunPrecreation(seed int64, n int) (*PrecreationResult, error) {
 // experimental studies"): pre-created UML clones resume from their
 // checkpoint, skipping the ≈76 s boot.
 func RunPrecreationBackend(seed int64, n int, backend string) (*PrecreationResult, error) {
-	cold, err := NewDeployment(Options{Seed: seed, Plants: 1, GoldenSizesMB: []int{64}, Backend: backend})
-	if err != nil {
-		return nil, err
-	}
-	coldRecs, err := cold.RunCreationSeries(n, 64)
+	opts := Options{Seed: seed, Plants: 1, GoldenSizesMB: []int{64}, Backend: backend}
+	_, coldRecs, err := runSeriesOn(opts, n, 64)
 	if err != nil {
 		return nil, err
 	}
 
-	warm, err := NewDeployment(Options{Seed: seed, Plants: 1, GoldenSizesMB: []int{64}, Backend: backend})
+	warm, err := NewDeployment(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := warm.Run(func(p *sim.Proc) {
-		if err := warm.Plants[0].Precreate(p, GoldenName(64, warm.Opts.Backend), n); err != nil {
-			p.Failf("precreate: %v", err)
-		}
+	if err := warm.Run(func(p *sim.Proc) error {
+		return warm.Plants[0].Precreate(p, GoldenName(64, warm.Opts.Backend), n)
 	}); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("precreate: %w", err)
 	}
 	warmRecs, err := warm.RunCreationSeries(n, 64)
 	if err != nil {
@@ -374,19 +352,19 @@ func RunMigration(seed int64, n int) (*MigrationResult, error) {
 	}
 	src, dst := d.Plants[0], d.Plants[1]
 	var migrate, recreate []float64
-	err = d.Run(func(p *sim.Proc) {
+	err = d.Run(func(p *sim.Proc) error {
 		for i := 1; i <= n; i++ {
 			spec, err := d.WorkspaceSpec(i, 64)
 			if err != nil {
-				p.Failf("spec: %v", err)
+				return err
 			}
 			id := core.VMID(fmt.Sprintf("vm-mig-%d", i))
 			if _, err := src.Create(p, id, spec); err != nil {
-				p.Failf("create: %v", err)
+				return fmt.Errorf("create: %w", err)
 			}
 			start := p.Now()
 			if err := src.MigrateTo(p, id, dst); err != nil {
-				p.Failf("migrate: %v", err)
+				return fmt.Errorf("migrate: %w", err)
 			}
 			migrate = append(migrate, (p.Now() - start).Seconds())
 
@@ -394,14 +372,15 @@ func RunMigration(seed int64, n int) (*MigrationResult, error) {
 			// the destination.
 			spec2, err := d.WorkspaceSpec(i+1000, 64)
 			if err != nil {
-				p.Failf("spec: %v", err)
+				return err
 			}
 			start = p.Now()
 			if _, err := dst.Create(p, core.VMID(fmt.Sprintf("vm-fresh-%d", i)), spec2); err != nil {
-				p.Failf("recreate: %v", err)
+				return fmt.Errorf("recreate: %w", err)
 			}
 			recreate = append(recreate, (p.Now() - start).Seconds())
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -430,11 +409,7 @@ type AnatomyResult struct {
 // RunAnatomy runs a 64 MB series and aggregates per-stage latencies
 // from the plants' creation logs.
 func RunAnatomy(seed int64, n int) (*AnatomyResult, error) {
-	d, err := NewDeployment(Options{Seed: seed, GoldenSizesMB: []int{64}})
-	if err != nil {
-		return nil, err
-	}
-	recs, err := d.RunCreationSeries(n, 64)
+	d, recs, err := runSeriesOn(Options{Seed: seed, GoldenSizesMB: []int{64}}, n, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -472,22 +447,18 @@ type ParkingResult struct {
 // resumes them, recording each transition's latency and the node's
 // committed memory.
 func RunParking(seed int64, n int) (*ParkingResult, error) {
-	d, err := NewDeployment(Options{Seed: seed, Plants: 1, GoldenSizesMB: []int{64}})
-	if err != nil {
-		return nil, err
-	}
-	recs, err := d.RunCreationSeries(n, 64)
+	d, recs, err := runSeriesOn(Options{Seed: seed, Plants: 1, GoldenSizesMB: []int{64}}, n, 64)
 	if err != nil {
 		return nil, err
 	}
 	res := &ParkingResult{CreateSecs: stats.Summarize(CreateTimes(recs))}
 	var suspend, resume []float64
-	err = d.Run(func(p *sim.Proc) {
+	err = d.Run(func(p *sim.Proc) error {
 		res.CommittedBefore = d.Testbed.Nodes[0].CommittedMB()
 		for _, rec := range recs {
 			start := p.Now()
 			if err := d.Shop.Suspend(p, rec.VMID); err != nil {
-				p.Failf("suspend: %v", err)
+				return fmt.Errorf("suspend: %w", err)
 			}
 			suspend = append(suspend, (p.Now() - start).Seconds())
 		}
@@ -495,10 +466,11 @@ func RunParking(seed int64, n int) (*ParkingResult, error) {
 		for _, rec := range recs {
 			start := p.Now()
 			if err := d.Shop.Resume(p, rec.VMID); err != nil {
-				p.Failf("resume: %v", err)
+				return fmt.Errorf("resume: %w", err)
 			}
 			resume = append(resume, (p.Now() - start).Seconds())
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -536,35 +508,19 @@ func RunTemplateVsDAG(seed int64, n int) (*TemplateVsDAGResult, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		var recs []CreationRecord
-		hits := 0
-		err = d.Run(func(p *sim.Proc) {
-			for i := 1; i <= n; i++ {
-				spec, err := d.WorkspaceSpec(i, 64)
-				if err != nil {
-					p.Failf("spec: %v", err)
-				}
-				if i%2 == 1 {
-					g, err := GenericDAG()
-					if err != nil {
-						p.Failf("generic dag: %v", err)
-					}
-					spec.Graph = g
-				}
-				start := p.Now()
-				_, ad, err := d.Shop.Create(p, spec)
-				rec := CreationRecord{Seq: i, MemoryMB: 64, CreateSecs: (p.Now() - start).Seconds()}
-				if err != nil {
-					rec.Err = err.Error()
-				} else {
-					rec.OK = true
-					if ad.GetInt(core.AttrMatchedOps, 0) > 0 {
-						hits++
-					}
-				}
-				recs = append(recs, rec)
+		recs, err := d.runSeries(n, 64, func(seq, memMB int) (*core.Spec, error) {
+			spec, err := d.WorkspaceSpec(seq, memMB)
+			if err == nil && seq%2 == 1 {
+				spec.Graph, err = GenericDAG()
 			}
+			return spec, err
 		})
+		hits := 0
+		for _, r := range recs {
+			if r.MatchedOps > 0 {
+				hits++
+			}
+		}
 		return recs, hits, err
 	}
 	tmplRecs, tmplHits, err := run(plant.Config{TemplateMatch: true})

@@ -13,120 +13,46 @@ import (
 	"vmplants/internal/plant"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
-	"vmplants/internal/storage"
 	"vmplants/internal/telemetry"
 )
 
-// The federation experiment gates the multi-shop control plane, in two
-// phases sharing one seed and one fingerprint:
-//
-// Throughput phase — the scale-out claim. A create–hold–destroy stream
-// of W workspace requests is driven once through a single shop fronting
-// M plants, then through N cells of M plants each (each cell its own
-// testbed, so its own NFS server), with 70% of the requests aimed at
-// the first cell. Clients on both sides get the same bounded patience,
-// so the single shop sheds the load it cannot admit while the hot cell
-// re-auctions its overflow to peers and serves the full stream; the
-// goodput ratio must scale near-linearly with the added cells (the
-// acceptance gate wants >= 2.5x for 3 cells).
-//
-// Integrity phase — the exactly-once claim. A create-and-hold wave
-// saturates a smaller federation whose hot shop is killed at the
-// nastiest cross-cell instant: after a peer built the forwarded VM but
-// before the origin committed the route. The supervisor restarts it
-// from its journal, reconciliation probes the attempted peers, clients
-// re-submit under the same RequestID — and the audit demands zero lost,
-// zero duplicated creations across every cell, plus the gossip proof: a
-// checkpoint published in one cell warm-clones in another.
+// The federation gate's geometry. Both vmbench series run it at this
+// one size, so none of it is a parameter.
+const (
+	fedCells   = 3
+	fedMaxVMs  = 6 // per-plant VM cap
+	fedMemMB   = 64
+	fedHotTen  = 7 // of every ten requests, how many aim at the first cell
+	fedRetries = 10
+	// fedRestartAfter is the supervisor's delay before restarting the
+	// killed hot shop.
+	fedRestartAfter = 5 * time.Second
 
-// FederationOptions configures a federation run.
-type FederationOptions struct {
-	Cells    int // default 3
-	MaxVMs   int // per-plant VM cap (default 6)
-	MemoryMB int // default 64
-	// HotShare is the fraction of requests aimed at the first cell
-	// (default 0.7); the rest round-robin over the remaining cells.
-	HotShare float64
+	// Throughput phase: N cells of this many plants against one cell of
+	// the same, on a stream that fills the federation once, each
+	// workspace held this long before its client destroys it.
+	fedPlantsPerCell = 6
+	fedStream        = fedCells * fedPlantsPerCell * fedMaxVMs
+	fedHold          = 15 * time.Second
 
-	// PlantsPerCell sizes the throughput phase (default 6): N cells of
-	// this many plants against one cell of the same.
-	PlantsPerCell int
-	// ThroughputRequests is the stream length (default
-	// Cells*PlantsPerCell*MaxVMs).
-	ThroughputRequests int
-	// HoldSecs is how long each workspace lives before the client
-	// destroys it (default 15).
-	HoldSecs float64
+	// Integrity phase: small cells, so the hot one must overflow and the
+	// kill lands mid-forward; the wave fills the federation exactly.
+	fedIntegrityPlantsPerCell = 2
+	fedIntegrityRequests      = fedCells * fedIntegrityPlantsPerCell * fedMaxVMs
+)
 
-	// IntegrityPlantsPerCell sizes the integrity phase (default 2 — the
-	// hot cell must overflow so the kill lands mid-forward).
-	IntegrityPlantsPerCell int
-	// IntegrityRequests fills the integrity federation exactly (default
-	// Cells*IntegrityPlantsPerCell*MaxVMs).
-	IntegrityRequests int
-	// RestartAfter is the supervisor's delay before restarting the
-	// killed hot shop (default 5 s virtual).
-	RestartAfter time.Duration
-	// ClientRetries bounds request re-submissions (default 10).
-	ClientRetries int
-	// DisableKill skips the integrity phase's mid-run hot-shop kill.
-	DisableKill bool
-}
-
-func (o FederationOptions) withDefaults() FederationOptions {
-	if o.Cells == 0 {
-		o.Cells = 3
-	}
-	if o.MaxVMs == 0 {
-		o.MaxVMs = 6
-	}
-	if o.MemoryMB == 0 {
-		o.MemoryMB = 64
-	}
-	if o.HotShare == 0 {
-		o.HotShare = 0.7
-	}
-	if o.PlantsPerCell == 0 {
-		o.PlantsPerCell = 6
-	}
-	if o.ThroughputRequests == 0 {
-		o.ThroughputRequests = o.Cells * o.PlantsPerCell * o.MaxVMs
-	}
-	if o.HoldSecs == 0 {
-		o.HoldSecs = 15
-	}
-	if o.IntegrityPlantsPerCell == 0 {
-		o.IntegrityPlantsPerCell = 2
-	}
-	if o.IntegrityRequests == 0 {
-		o.IntegrityRequests = o.Cells * o.IntegrityPlantsPerCell * o.MaxVMs
-	}
-	if o.RestartAfter == 0 {
-		o.RestartAfter = 5 * time.Second
-	}
-	if o.ClientRetries == 0 {
-		o.ClientRetries = 10
-	}
-	return o
-}
-
-// SmokeFederationOptions is the CI-gate variant: 3 shops of 6 plants
-// each versus 1 shop of 6 plants on the same stream.
-func SmokeFederationOptions() FederationOptions {
-	return FederationOptions{Cells: 3, PlantsPerCell: 6, ThroughputRequests: 108}
-}
-
-// CellLoad is one integrity-phase cell's share of the wave.
-type CellLoad struct {
+// cellLoad is one integrity-phase cell's share of the wave.
+type cellLoad struct {
 	Cell      string
 	Targeted  int // requests clients aimed at this cell
 	LiveVMs   int // VMs its plants host at the end
 	Forwarded int // creations it re-auctioned to peers
 }
 
-// FederationResult reports what a federation run proved.
-type FederationResult struct {
-	Cells int
+// federationResult reports what a federation run proved.
+type federationResult struct {
+	transcript // every outcome of both phases
+	Cells      int
 
 	// Throughput phase.
 	ThroughputRequests    int
@@ -167,17 +93,13 @@ type FederationResult struct {
 	WarmCloneCell  string
 	WarmMatchedOps int
 
-	PerCell []CellLoad
+	PerCell []cellLoad
 
 	// Journals holds each integrity-phase cell's final shop-journal
 	// records and Spans that phase's trace — the material vmbench dumps
 	// as CI failure artifacts.
 	Journals map[string][]journal.Record
 	Spans    []telemetry.Span
-
-	// Fingerprint digests every outcome of both phases; two runs with
-	// the same seed must produce identical fingerprints.
-	Fingerprint string
 }
 
 // fedRecord is one request's client-observed outcome.
@@ -188,24 +110,20 @@ type fedRecord struct {
 	VMID       core.VMID
 	Plant      string
 	Retries    int
-	Destroyed  bool
 	Err        string
 }
 
 // cellName names cell i ("cellA", "cellB", ...).
 func cellName(i int) string { return fmt.Sprintf("cell%c", 'A'+i) }
 
-// fedTargets assigns each request a target cell: hotShare of every ten
+// fedTargets assigns each request a target cell: fedHotTen of every ten
 // requests go to cell 0, the rest round-robin over the others.
-func fedTargets(n, cells int, hotShare float64) []int {
-	hotPerTen := int(hotShare*10 + 0.5)
+func fedTargets(n int) []int {
 	targets := make([]int, n)
 	cool := 0
 	for i := range targets {
-		if i%10 < hotPerTen || cells == 1 {
-			targets[i] = 0
-		} else {
-			targets[i] = 1 + cool%(cells-1)
+		if i%10 >= fedHotTen {
+			targets[i] = 1 + cool%(fedCells-1)
 			cool++
 		}
 	}
@@ -219,7 +137,7 @@ func fedTargets(n, cells int, hotShare float64) []int {
 // clients finish; once all have, the wave proc stores the makespan and
 // runs `after` (post-wave audits that need a live proc), so callers
 // read both only after the kernel runs.
-func runFederatedWave(k *sim.Kernel, d *Deployment, shops []*shop.Shop, targets []int, opts FederationOptions, prefix string, hold time.Duration, makespan *time.Duration, after func(p *sim.Proc)) []fedRecord {
+func runFederatedWave(k *sim.Kernel, d *Deployment, shops []*shop.Shop, targets []int, prefix string, hold time.Duration, makespan *time.Duration, after func(p *sim.Proc)) []fedRecord {
 	n := len(targets)
 	records := make([]fedRecord, n)
 	done := 0
@@ -239,45 +157,36 @@ func runFederatedWave(k *sim.Kernel, d *Deployment, shops []*shop.Shop, targets 
 			rec := &records[i]
 			rec.Seq = i + 1
 			rec.TargetCell = targets[i]
-			spec, err := d.WorkspaceSpec(i+1, opts.MemoryMB)
+			spec, err := d.WorkspaceSpec(i+1, fedMemMB)
 			if err != nil {
 				rec.Err = err.Error()
 				return
 			}
 			spec.RequestID = fmt.Sprintf("%s-req-%04d", prefix, i+1)
 			s := shops[targets[i]]
-			for try := 0; ; try++ {
-				id, ad, cerr := s.Create(p, spec)
-				if cerr == nil {
-					rec.OK = true
-					rec.VMID = id
-					rec.Plant = ad.GetString(core.AttrPlant, "")
-					rec.Retries = try
-					break
-				}
-				if try >= opts.ClientRetries {
-					rec.Err = cerr.Error()
-					return
-				}
-				if errors.Is(cerr, shop.ErrShopDown) {
-					// The supervisor restarts the daemon; re-submit under
-					// the same request ID once it should be back.
-					p.Sleep(opts.RestartAfter + 2*time.Second)
-					continue
-				}
+			id, ad, retries, cerr := createRetrying(p, s, spec, fedRetries, func(_ int, cerr error) error {
 				// Transient (cluster momentarily full, peer round
-				// exhausted): back off and re-bid.
-				p.Sleep(2 * time.Second)
+				// exhausted): back off and re-bid. A dead shop takes
+				// longer: the supervisor restarts the daemon; re-submit
+				// under the same request ID once it should be back.
+				wait := 2 * time.Second
+				if errors.Is(cerr, shop.ErrShopDown) {
+					wait += fedRestartAfter
+				}
+				p.Sleep(wait)
+				return nil
+			})
+			if cerr != nil {
+				rec.Err = cerr.Error()
+				return
 			}
+			rec.OK, rec.VMID, rec.Retries = true, id, retries
+			rec.Plant = ad.GetString(core.AttrPlant, "")
 			if hold > 0 {
 				p.Sleep(hold)
-				for try := 0; try < opts.ClientRetries; try++ {
-					if derr := s.Destroy(p, rec.VMID); derr == nil {
-						rec.Destroyed = true
-						return
-					}
-					p.Sleep(2 * time.Second)
-				}
+				// A workspace nobody could collect costs the stream only
+				// the capacity it keeps holding.
+				retry(fedRetries-1, func() error { return s.Destroy(p, id) }, backoff(p, 2*time.Second))
 			}
 		})
 	}
@@ -287,34 +196,26 @@ func runFederatedWave(k *sim.Kernel, d *Deployment, shops []*shop.Shop, targets 
 // buildCells wires a federation of fresh cells on one kernel, each with
 // its own testbed. Journals attach only when withJournals is set (the
 // integrity phase needs forwarded intents durable in both cells).
-func buildCells(k *sim.Kernel, hub *telemetry.Hub, seed int64, opts FederationOptions, plantsPerCell int, withJournals bool) ([]*Deployment, []*shop.Shop, []*journal.Journal, *federation.Federation, error) {
-	cells := make([]*Deployment, opts.Cells)
-	shops := make([]*shop.Shop, opts.Cells)
-	jnls := make([]*journal.Journal, opts.Cells)
+func buildCells(k *sim.Kernel, hub *telemetry.Hub, seed int64, plantsPerCell int, withJournals bool) ([]*Deployment, []*shop.Shop, []*journal.Journal, *federation.Federation, error) {
+	cells := make([]*Deployment, fedCells)
+	shops := make([]*shop.Shop, fedCells)
+	jnls := make([]*journal.Journal, fedCells)
 	fed := federation.New(k)
 	fed.SetTelemetry(hub)
 	for i := range cells {
 		d, err := NewDeployment(Options{
-			Kernel:   k,
-			CellName: cellName(i),
-			Plants:   plantsPerCell,
-			Seed:     seed + int64(i)*101,
-			PlantConfig: plant.Config{
-				MaxVMs:      opts.MaxVMs,
-				PublishBack: true,
-			},
-			Telemetry: hub,
+			Kernel:      k,
+			CellName:    cellName(i),
+			Plants:      plantsPerCell,
+			Seed:        seed + int64(i)*101,
+			PlantConfig: fedPlantConfig,
+			Telemetry:   hub,
 		})
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
 		if withJournals {
-			vol := storage.NewVolume(cellName(i)+"-log",
-				storage.NewDevice(cellName(i)+"-log-disk", 64<<20, 100*time.Microsecond))
-			jnl := journal.Open(vol, "journal/"+cellName(i))
-			jnl.SetTelemetry(hub)
-			d.Shop.SetJournal(jnl)
-			jnls[i] = jnl
+			jnls[i] = d.JournalShop()
 		}
 		cells[i] = d
 		shops[i] = d.Shop
@@ -327,9 +228,11 @@ func buildCells(k *sim.Kernel, hub *telemetry.Hub, seed int64, opts FederationOp
 	return cells, shops, jnls, fed, nil
 }
 
+var fedPlantConfig = plant.Config{MaxVMs: fedMaxVMs, PublishBack: true}
+
 // forwardCounters accumulates the forward-protocol counters of one
 // phase's hub into the result.
-func (r *FederationResult) forwardCounters(hub *telemetry.Hub) {
+func (r *federationResult) forwardCounters(hub *telemetry.Hub) {
 	r.PeerBidRounds += hub.Counter("shop.peer_bid_rounds").Value()
 	r.Forwarded += hub.Counter("shop.forwarded_creates").Value()
 	r.ForwardFails += hub.Counter("shop.forward_failures").Value()
@@ -338,24 +241,15 @@ func (r *FederationResult) forwardCounters(hub *telemetry.Hub) {
 
 // runThroughputPhase measures the scale-out claim: the same stream
 // through 1 shop × M plants, then through N shops × M plants.
-func runThroughputPhase(seed int64, opts FederationOptions, res *FederationResult, fp *[]string) error {
-	hold := time.Duration(opts.HoldSecs * float64(time.Second))
-	w := opts.ThroughputRequests
-
-	base, err := NewDeployment(Options{
-		Plants: opts.PlantsPerCell,
-		Seed:   seed,
-		PlantConfig: plant.Config{
-			MaxVMs:      opts.MaxVMs,
-			PublishBack: true,
-		},
-	})
+func runThroughputPhase(seed int64, res *federationResult) error {
+	const w = fedStream
+	base, err := NewDeployment(Options{Plants: fedPlantsPerCell, Seed: seed, PlantConfig: fedPlantConfig})
 	if err != nil {
 		return err
 	}
 	var baseSpan time.Duration
 	baseRecs := runFederatedWave(base.Kernel, base, []*shop.Shop{base.Shop},
-		make([]int, w), opts, "base", hold, &baseSpan, nil)
+		make([]int, w), "base", fedHold, &baseSpan, nil)
 	if r := base.Kernel.Run(0); len(r.Stranded) != 0 {
 		return fmt.Errorf("federation baseline: stranded processes: %v", r.Stranded)
 	}
@@ -363,13 +257,13 @@ func runThroughputPhase(seed int64, opts FederationOptions, res *FederationResul
 	hub := telemetry.New()
 	k := sim.NewKernel()
 	k.SetTelemetry(hub)
-	cells, shops, _, fed, err := buildCells(k, hub, seed+1, opts, opts.PlantsPerCell, false)
+	cells, shops, _, fed, err := buildCells(k, hub, seed+1, fedPlantsPerCell, false)
 	if err != nil {
 		return err
 	}
 	var fedSpan time.Duration
 	fedRecs := runFederatedWave(k, cells[0], shops,
-		fedTargets(w, opts.Cells, opts.HotShare), opts, "scale", hold, &fedSpan,
+		fedTargets(w), "scale", fedHold, &fedSpan,
 		func(p *sim.Proc) { fed.Stop() })
 	if r := k.Run(0); len(r.Stranded) != 0 {
 		return fmt.Errorf("federation scale-out: stranded processes: %v", r.Stranded)
@@ -382,9 +276,9 @@ func runThroughputPhase(seed int64, opts FederationOptions, res *FederationResul
 		if fedRecs[i].OK {
 			res.FederatedSucceeded++
 		}
-		*fp = append(*fp, fmt.Sprintf("stream %d base ok=%v retries=%d | fed cell=%s ok=%v plant=%s retries=%d",
+		res.logf("stream %d base ok=%v retries=%d | fed cell=%s ok=%v plant=%s retries=%d",
 			i+1, baseRecs[i].OK, baseRecs[i].Retries,
-			cellName(fedRecs[i].TargetCell), fedRecs[i].OK, fedRecs[i].Plant, fedRecs[i].Retries))
+			cellName(fedRecs[i].TargetCell), fedRecs[i].OK, fedRecs[i].Plant, fedRecs[i].Retries)
 	}
 	res.BaselineMakespanSecs = baseSpan.Seconds()
 	res.FederatedMakespanSecs = fedSpan.Seconds()
@@ -394,42 +288,40 @@ func runThroughputPhase(seed int64, opts FederationOptions, res *FederationResul
 		res.Speedup = fedTput / baseTput
 	}
 	res.forwardCounters(hub)
-	*fp = append(*fp, fmt.Sprintf("throughput: base %d/%d in %.1fs, federated %d/%d in %.1fs, speedup %.3f",
+	res.logf("throughput: base %d/%d in %.1fs, federated %d/%d in %.1fs, speedup %.3f",
 		res.BaselineSucceeded, w, res.BaselineMakespanSecs,
-		res.FederatedSucceeded, w, res.FederatedMakespanSecs, res.Speedup))
+		res.FederatedSucceeded, w, res.FederatedMakespanSecs, res.Speedup)
 	return nil
 }
 
 // runIntegrityPhase drives the kill/reconcile/gossip wave and its
 // exactly-once audit.
-func runIntegrityPhase(seed int64, opts FederationOptions, res *FederationResult, fp *[]string) error {
+func runIntegrityPhase(seed int64, res *federationResult) error {
 	hub := telemetry.New()
 	reg := fault.NewRegistry(seed + 7919)
 	reg.SetTelemetry(hub)
 	k := sim.NewKernel()
 	k.SetTelemetry(hub)
-	cells, shops, jnls, fed, err := buildCells(k, hub, seed+2, opts, opts.IntegrityPlantsPerCell, true)
+	cells, shops, jnls, fed, err := buildCells(k, hub, seed+2, fedIntegrityPlantsPerCell, true)
 	if err != nil {
 		return err
 	}
 	for _, s := range shops {
 		s.Faults = reg
 	}
-	targets := fedTargets(opts.IntegrityRequests, opts.Cells, opts.HotShare)
+	targets := fedTargets(fedIntegrityRequests)
 
+	// Die at the worst cross-cell instant: the peer has built the
+	// forwarded VM, the origin has not committed the route.
 	hot := shops[0]
-	if !opts.DisableKill {
-		// Die at the worst cross-cell instant: the peer has built the
-		// forwarded VM, the origin has not committed the route.
-		reg.Arm(hot.Name(), fault.DaemonKill, "forward", 1)
-	}
+	reg.Arm(hot.Name(), fault.DaemonKill, "forward", 1)
 
 	var supLines []string
 	supStop := false
 	sup := k.Spawn("fed-supervisor", func(p *sim.Proc) {
 		for !supStop {
 			if hot.Down() {
-				p.Sleep(opts.RestartAfter)
+				p.Sleep(fedRestartAfter)
 				st, rerr := hot.Restart(p)
 				if rerr != nil {
 					p.Failf("federation: hot shop restart: %v", rerr)
@@ -447,7 +339,7 @@ func runIntegrityPhase(seed int64, opts FederationOptions, res *FederationResult
 	var lines []string
 	var fedRecs []fedRecord
 	var fedSpan time.Duration
-	fedRecs = runFederatedWave(k, cells[0], shops, targets, opts, "fed", 0, &fedSpan, func(p *sim.Proc) {
+	fedRecs = runFederatedWave(k, cells[0], shops, targets, "fed", 0, &fedSpan, func(p *sim.Proc) {
 		// Let straggler publish-back uploads land before gossiping.
 		p.Sleep(30 * time.Second)
 
@@ -467,29 +359,25 @@ func runIntegrityPhase(seed int64, opts FederationOptions, res *FederationResult
 
 		// Exactly-once audit, half two: the plants across every cell
 		// host exactly one VM per acked request.
-		unique := make(map[core.VMID]bool)
-		for i := range fedRecs {
-			if fedRecs[i].OK {
-				unique[remoteID(shops[fedRecs[i].TargetCell], fedRecs[i].VMID)] = true
+		var hosted []core.VMID
+		for _, r := range fedRecs {
+			if r.OK {
+				hosted = append(hosted, remoteID(shops[r.TargetCell], r.VMID))
 			}
 		}
 		live := 0
 		for _, d := range cells {
-			for _, pl := range d.Plants {
-				live += pl.ActiveVMs()
-			}
+			vms, _ := residue(d.Plants)
+			live += vms
 		}
-		res.Duplicated = live - len(unique)
-		if len(unique) < res.Succeeded {
-			res.Duplicated += res.Succeeded - len(unique)
-		}
+		res.Duplicated = duplicates(hosted, live)
 
 		// Catalog gossip + warm-clone proof. The donor is the first
 		// acked request whose VM was built outside the warm cell, so
 		// its publish-back checkpoint can only reach the warm cell via
 		// gossip. Re-instantiating the same user's workspace there must
 		// then clone the gossiped derived image.
-		warmCell := opts.Cells - 1
+		warmCell := fedCells - 1
 		donor := -1
 		for i, r := range fedRecs {
 			if r.OK && !strings.HasPrefix(r.Plant, cellName(warmCell)+"/") {
@@ -515,7 +403,7 @@ func runIntegrityPhase(seed int64, opts FederationOptions, res *FederationResult
 			if !freed {
 				lines = append(lines, "warm check: no local VM to evict in warm cell")
 			}
-			spec, serr := cells[0].WorkspaceSpec(fedRecs[donor].Seq, opts.MemoryMB)
+			spec, serr := cells[0].WorkspaceSpec(fedRecs[donor].Seq, fedMemMB)
 			if serr != nil {
 				runErr = serr
 				return
@@ -573,58 +461,95 @@ func runIntegrityPhase(seed int64, opts FederationOptions, res *FederationResult
 	res.GossipImported = hub.Counter("federation.images_imported").Value()
 
 	for i, d := range cells {
-		load := CellLoad{Cell: cellName(i)}
+		load := cellLoad{Cell: cellName(i)}
 		for _, t := range targets {
 			if t == i {
 				load.Targeted++
 			}
 		}
-		for _, pl := range d.Plants {
-			load.LiveVMs += pl.ActiveVMs()
-		}
+		load.LiveVMs, _ = residue(d.Plants)
 		load.Forwarded = len(d.Shop.Federation().Forwarded)
 		res.PerCell = append(res.PerCell, load)
 	}
 
-	res.Journals = make(map[string][]journal.Record, opts.Cells)
+	res.Journals = make(map[string][]journal.Record, fedCells)
 	for i, jnl := range jnls {
 		res.Journals[cellName(i)] = jnl.Records()
 	}
 	res.Spans = hub.Tracer.Spans()
 
 	for _, r := range fedRecs {
-		*fp = append(*fp, fmt.Sprintf("req %d cell=%s ok=%v id=%s plant=%s retries=%d",
-			r.Seq, cellName(r.TargetCell), r.OK, r.VMID, r.Plant, r.Retries))
+		res.logf("req %d cell=%s ok=%v id=%s plant=%s retries=%d",
+			r.Seq, cellName(r.TargetCell), r.OK, r.VMID, r.Plant, r.Retries)
 	}
-	*fp = append(*fp, supLines...)
-	*fp = append(*fp, lines...)
-	*fp = append(*fp, reg.Summary()...)
+	res.lines = append(res.lines, supLines...)
+	res.lines = append(res.lines, lines...)
+	res.lines = append(res.lines, reg.Summary()...)
 	return nil
 }
 
-// RunFederation measures the federated control plane against a
-// single-shop baseline and audits the forward protocol under a mid-run
-// shop kill.
-func RunFederation(seed int64, opts FederationOptions) (*FederationResult, error) {
-	opts = opts.withDefaults()
-	res := &FederationResult{
-		Cells:              opts.Cells,
-		ThroughputRequests: opts.ThroughputRequests,
-		Requests:           opts.IntegrityRequests,
-	}
-	var fp []string
-	if err := runThroughputPhase(seed, opts, res, &fp); err != nil {
+// runFederation is the multi-shop control plane's gate, in two phases
+// sharing one seed and one fingerprint.
+//
+// Throughput phase — the scale-out claim. A create–hold–destroy stream
+// of workspace requests is driven once through a single shop fronting 6
+// plants, then through 3 cells of 6 plants each (each cell its own
+// testbed, so its own NFS server), with 70% of the requests aimed at
+// the first cell. Clients on both sides get the same bounded patience,
+// so the single shop sheds the load it cannot admit while the hot cell
+// re-auctions its overflow to peers and serves the full stream; the
+// goodput ratio must scale near-linearly with the added cells (>= 2.5x
+// for 3 cells).
+//
+// Integrity phase — the exactly-once claim. A create-and-hold wave
+// saturates a smaller federation whose hot shop is killed at the
+// nastiest cross-cell instant: after a peer built the forwarded VM but
+// before the origin committed the route. The supervisor restarts it
+// from its journal, reconciliation probes the attempted peers, clients
+// re-submit under the same RequestID — and the audit demands zero lost,
+// zero duplicated creations across every cell, plus the gossip proof: a
+// checkpoint published in one cell warm-clones in another.
+func runFederation(seed int64, _ struct{}) (*federationResult, error) {
+	res := &federationResult{Cells: fedCells, ThroughputRequests: fedStream, Requests: fedIntegrityRequests}
+	if err := runThroughputPhase(seed, res); err != nil {
 		return nil, err
 	}
-	if err := runIntegrityPhase(seed, opts, res, &fp); err != nil {
+	if err := runIntegrityPhase(seed, res); err != nil {
 		return nil, err
 	}
-	fp = append(fp, fmt.Sprintf(
-		"forwarded=%d fails=%d served=%d kills=%d restarts=%d reconciled=%d deduped=%d lost=%d dup=%d imported=%d",
+	res.logf("forwarded=%d fails=%d served=%d kills=%d restarts=%d reconciled=%d deduped=%d lost=%d dup=%d imported=%d",
 		res.Forwarded, res.ForwardFails, res.ServedForwards, res.ShopKills, res.ShopRestarts,
-		res.Reconciled, res.Deduped, res.Lost, res.Duplicated, res.GossipImported))
-	res.Fingerprint = strings.Join(fp, "\n")
+		res.Reconciled, res.Deduped, res.Lost, res.Duplicated, res.GossipImported)
 	return res, nil
+}
+
+// Violations lists the federation invariants the run broke. The
+// federation must serve the entire offered stream; the single shop is
+// allowed to shed load (that is the point), but must serve something or
+// the ratio is meaningless.
+func (r *federationResult) Violations() []string {
+	var g gate
+	g.check(r.FederatedSucceeded == r.ThroughputRequests, "federated stream served %d/%d", r.FederatedSucceeded, r.ThroughputRequests)
+	g.check(r.BaselineSucceeded > 0, "single-shop baseline served nothing of %d", r.ThroughputRequests)
+	g.check(r.Speedup >= 2.5, "goodput speedup %.2fx < 2.5", r.Speedup)
+	g.check(r.Succeeded == r.Requests, "integrity wave served %d/%d", r.Succeeded, r.Requests)
+	g.check(r.Forwarded > 0 && r.ServedForwards > 0, "hot cell never overflowed: forwarded=%d served=%d", r.Forwarded, r.ServedForwards)
+	g.check(r.ShopKills == 1 && r.ShopRestarts == 1, "kill/restart = %d/%d, want 1/1", r.ShopKills, r.ShopRestarts)
+	g.check(r.Lost == 0 && r.Duplicated == 0, "exactly-once violated: lost=%d duplicated=%d", r.Lost, r.Duplicated)
+	g.check(r.GossipOK, "gossiped image is not in every cell's catalog")
+	g.check(r.WarmCloneOK, "no cross-cell warm clone of a gossiped derived image")
+	g.check(len(r.Journals) == r.Cells, "captured %d cell journals, want %d", len(r.Journals), r.Cells)
+	return g
+}
+
+// Artifacts is each integrity-phase cell's shop journal and that
+// phase's span set as a Chrome trace.
+func (r *federationResult) Artifacts() []Artifact {
+	var arts []Artifact
+	for i := 0; i < r.Cells; i++ {
+		arts = append(arts, journalJSONL("journal-"+cellName(i)+".jsonl", r.Journals[cellName(i)]))
+	}
+	return append(arts, chromeTrace("trace.json", r.Spans))
 }
 
 // remoteID resolves the VMID actually hosted on a plant: for a
@@ -638,7 +563,7 @@ func remoteID(s *shop.Shop, id core.VMID) core.VMID {
 }
 
 // Report renders the run as printable lines.
-func (r *FederationResult) Report() []string {
+func (r *federationResult) Report() []string {
 	out := []string{
 		fmt.Sprintf("cells:                %d", r.Cells),
 		fmt.Sprintf("stream:               %d requests (create-hold-destroy)", r.ThroughputRequests),

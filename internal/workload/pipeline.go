@@ -1,10 +1,11 @@
 package workload
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"vmplants/internal/core"
 	"vmplants/internal/shop"
@@ -13,43 +14,19 @@ import (
 	"vmplants/internal/telemetry"
 )
 
-// The pipeline experiment measures what the batched creation pipeline
-// buys: creations per virtual second at growing batch sizes, plus the
-// determinism guarantee that the pipeline machinery leaves a single
-// serial request byte-identical.
-
-// PipelineOptions tunes RunPipeline.
-type PipelineOptions struct {
-	// Plants is the cluster size (default 8, the paper's testbed).
-	Plants int
-	// MemoryMB is the workspace size (default 64).
-	MemoryMB int
-	// Sizes are the batch sizes to sweep (default 1, 4, 16, 64).
-	Sizes []int
-	// BidTimeout bounds each bidding round so concurrent rounds overlap
-	// (default 1 s of virtual time).
-	BidTimeout time.Duration
+// pipelineParams are the pipeline scenario's presets: the batch sizes
+// to sweep and how many VMs the clone-mode comparison creates.
+type pipelineParams struct {
+	sizes    []int
+	cloneVMs int
 }
 
-func (o PipelineOptions) withDefaults() PipelineOptions {
-	if o.Plants == 0 {
-		o.Plants = 8
-	}
-	if o.MemoryMB == 0 {
-		o.MemoryMB = 64
-	}
-	if len(o.Sizes) == 0 {
-		o.Sizes = []int{1, 4, 16, 64}
-	}
-	if o.BidTimeout == 0 {
-		o.BidTimeout = time.Second
-	}
-	return o
-}
+// pipelineMemMB is the workspace size of both halves of the scenario.
+const pipelineMemMB = 64
 
-// BatchPoint is one batch size's measurement, taken on a fresh
+// batchPoint is one batch size's measurement, taken on a fresh
 // deployment.
-type BatchPoint struct {
+type batchPoint struct {
 	Size         int
 	OK           int
 	Failed       int
@@ -65,11 +42,10 @@ type BatchPoint struct {
 	MaxInflight int
 }
 
-// PipelineResult is the full sweep plus the determinism check.
-type PipelineResult struct {
-	Plants   int
-	MemoryMB int
-	Batches  []BatchPoint
+// pipelineResult is the full sweep, the determinism check and the
+// lazy-vs-eager clone comparison.
+type pipelineResult struct {
+	Batches []batchPoint
 
 	// DeterminismOK reports that a fresh default deployment creating
 	// one VM serially and a fresh same-seed deployment creating the
@@ -78,11 +54,13 @@ type PipelineResult struct {
 	DeterminismOK     bool
 	SerialFingerprint string
 	BatchFingerprint  string
+
+	Comparison *cloneComparison
 }
 
 // SpeedupOver reports throughput at batch size a divided by throughput
 // at batch size b (0 when either point is missing or empty).
-func (r *PipelineResult) SpeedupOver(a, b int) float64 {
+func (r *pipelineResult) SpeedupOver(a, b int) float64 {
 	var ta, tb float64
 	for _, bp := range r.Batches {
 		if bp.Size == a {
@@ -98,62 +76,127 @@ func (r *PipelineResult) SpeedupOver(a, b int) float64 {
 	return ta / tb
 }
 
-// RunPipeline sweeps the batched creation pipeline over the configured
-// batch sizes — a fresh deployment per size so points are independent —
-// and runs the serial-vs-batch determinism check.
-func RunPipeline(seed int64, opts PipelineOptions) (*PipelineResult, error) {
-	opts = opts.withDefaults()
-	res := &PipelineResult{Plants: opts.Plants, MemoryMB: opts.MemoryMB}
-	for i, size := range opts.Sizes {
-		pt, err := runBatchPoint(seed+int64(i)*1000, opts, size)
+// runPipeline is the batched-creation gate: what the creation pipeline
+// buys in creations per virtual second at growing batch sizes on 8
+// plants — a fresh deployment per size so points are independent; the
+// clone cache must be warm after the first clone of the one golden
+// image, and batch 16 must beat batch 1 by >= 3x — plus the guarantee
+// that the pipeline machinery leaves a single serial request
+// byte-identical, and the lazy-vs-eager clone comparison.
+func runPipeline(seed int64, par pipelineParams) (*pipelineResult, error) {
+	res := &pipelineResult{}
+	for i, size := range par.sizes {
+		pt, err := runBatchPoint(seed+int64(i)*1000, size)
 		if err != nil {
 			return nil, err
 		}
 		res.Batches = append(res.Batches, pt)
 	}
-	serial, err := creationFingerprint(seed, false)
-	if err != nil {
+	var err error
+	if res.SerialFingerprint, err = creationFingerprint(seed, false); err != nil {
 		return nil, err
 	}
-	batch, err := creationFingerprint(seed, true)
-	if err != nil {
+	if res.BatchFingerprint, err = creationFingerprint(seed, true); err != nil {
 		return nil, err
 	}
-	res.SerialFingerprint = serial
-	res.BatchFingerprint = batch
-	res.DeterminismOK = serial == batch
+	res.DeterminismOK = res.SerialFingerprint == res.BatchFingerprint
+	if res.Comparison, err = runCloneComparison(seed, par.cloneVMs, pipelineMemMB); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-func runBatchPoint(seed int64, opts PipelineOptions, size int) (BatchPoint, error) {
-	hub := telemetry.New()
-	d, err := NewDeployment(Options{
-		Plants:        opts.Plants,
-		Seed:          seed,
-		GoldenSizesMB: []int{opts.MemoryMB},
-		Telemetry:     hub,
-	})
-	if err != nil {
-		return BatchPoint{}, err
+// Fingerprint digests the batch sweep, the serial-vs-batch creation
+// logs, and both clone-mode runs.
+func (r *pipelineResult) Fingerprint() string {
+	var lines []string
+	for _, bp := range r.Batches {
+		lines = append(lines, fmt.Sprintf("batch size=%d ok=%d failed=%d makespan=%.6f hits=%d misses=%d admwait_p99=%.6f max_inflight=%d",
+			bp.Size, bp.OK, bp.Failed, bp.MakespanSecs, bp.CacheHits, bp.CacheMisses, bp.AdmissionWait.P99, bp.MaxInflight))
 	}
-	d.Shop.BidTimeout = opts.BidTimeout
+	lines = append(lines, "serial:", r.SerialFingerprint, "batch:", r.BatchFingerprint,
+		"eager:", r.Comparison.Eager.Fingerprint(), "lazy:", r.Comparison.Lazy.Fingerprint())
+	return strings.Join(lines, "\n")
+}
+
+// Report renders the sweep table and the comparison as printable lines.
+func (r *pipelineResult) Report() []string {
+	out := []string{fmt.Sprintf("%5s %4s %4s %12s %14s %10s %14s %12s",
+		"batch", "ok", "fail", "makespan(s)", "thruput(vm/s)", "cache h/m", "adm-wait p99", "max-inflight")}
+	for _, bp := range r.Batches {
+		out = append(out, fmt.Sprintf("%5d %4d %4d %12.1f %14.4f %6d/%-4d %13.1fs %12d",
+			bp.Size, bp.OK, bp.Failed, bp.MakespanSecs, bp.Throughput,
+			bp.CacheHits, bp.CacheMisses, bp.AdmissionWait.P99, bp.MaxInflight))
+	}
+	out = append(out, "",
+		fmt.Sprintf("batch-16 vs batch-1 throughput: %.1f×", r.SpeedupOver(16, 1)),
+		fmt.Sprintf("serial vs batch single-request creation log byte-identical: %v", r.DeterminismOK),
+		"", "Lazy vs eager cloning (content-addressed extent store):")
+	return append(out, r.Comparison.Report()...)
+}
+
+// Violations lists the pipeline invariants the run broke.
+func (r *pipelineResult) Violations() []string {
+	var g gate
+	for _, b := range r.Batches {
+		g.check(b.Failed == 0 && b.OK == b.Size, "batch %d: ok=%d failed=%d", b.Size, b.OK, b.Failed)
+		// One golden image: the first clone misses, the rest must hit.
+		g.check(b.CacheMisses == 1 && b.CacheHits == int64(b.Size-1),
+			"batch %d: cache hits=%d misses=%d", b.Size, b.CacheHits, b.CacheMisses)
+		// The derived per-plant cap is 3 on the default node; a batch of
+		// 16 over 8 plants must drive plants into concurrent cloning.
+		g.check(b.Size < 16 || b.MaxInflight >= 2,
+			"batch %d: max in-flight clones = %d; batching produced no concurrency", b.Size, b.MaxInflight)
+	}
+	speedup := r.SpeedupOver(16, 1)
+	g.check(speedup >= 3, "batch-16 speedup over batch-1 = %.2f×, want >= 3×", speedup)
+	g.check(r.DeterminismOK, "serial and single-batch creation logs diverged")
+	c := r.Comparison
+	g.check(c.ResumeSpeedup >= 2, "lazy resume speedup %.2f× < 2", c.ResumeSpeedup)
+	g.check(c.HashesMatch, "lazy and eager end-state disks hash differently")
+	g.check(c.AllHydrated, "a lazy clone never finished hydrating")
+	g.check(c.DeterminismOK, "same-seed lazy rerun not byte-identical")
+	return g
+}
+
+// Artifacts is the batch sweep and the clone comparison (dedup ratio,
+// hydration lag, per-VM hashes) as JSON.
+func (r *pipelineResult) Artifacts() []Artifact {
+	return []Artifact{{Name: "metrics.json", Write: func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(struct {
+			Batches    []batchPoint
+			Comparison *cloneComparison
+		}{r.Batches, r.Comparison})
+	}}}
+}
+
+func runBatchPoint(seed int64, size int) (batchPoint, error) {
+	hub := telemetry.New()
+	d, err := NewDeployment(Options{Seed: seed, GoldenSizesMB: []int{pipelineMemMB}, Telemetry: hub})
+	if err != nil {
+		return batchPoint{}, err
+	}
+	d.Shop.BidTimeout = bidTimeout // so concurrent bidding rounds overlap
 
 	specs := make([]*core.Spec, size)
 	for i := range specs {
-		specs[i], err = d.WorkspaceSpec(i+1, opts.MemoryMB)
+		specs[i], err = d.WorkspaceSpec(i+1, pipelineMemMB)
 		if err != nil {
-			return BatchPoint{}, err
+			return batchPoint{}, err
 		}
 	}
-	pt := BatchPoint{Size: size}
+	pt := batchPoint{Size: size}
 	var results []shop.BatchResult
-	err = d.Run(func(p *sim.Proc) {
+	err = d.Run(func(p *sim.Proc) error {
 		start := p.Now()
 		results = d.Shop.CreateMany(p, specs)
 		pt.MakespanSecs = (p.Now() - start).Seconds()
+		return nil
 	})
 	if err != nil {
-		return BatchPoint{}, err
+		return batchPoint{}, err
 	}
 	for _, r := range results {
 		if r.Err != nil {
@@ -186,12 +229,12 @@ func creationFingerprint(seed int64, batch bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	spec, err := d.WorkspaceSpec(1, 64)
+	spec, err := d.WorkspaceSpec(1, pipelineMemMB)
 	if err != nil {
 		return "", err
 	}
 	var lines []string
-	err = d.Run(func(p *sim.Proc) {
+	err = d.Run(func(p *sim.Proc) error {
 		var id core.VMID
 		var cerr error
 		if batch {
@@ -201,6 +244,7 @@ func creationFingerprint(seed int64, batch bool) (string, error) {
 			id, _, cerr = d.Shop.Create(p, spec)
 		}
 		lines = append(lines, fmt.Sprintf("outcome id=%s err=%v end=%s", id, cerr, p.Now()))
+		return nil
 	})
 	if err != nil {
 		return "", err

@@ -3,71 +3,23 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"vmplants/internal/core"
 	"vmplants/internal/fault"
 	"vmplants/internal/journal"
-	"vmplants/internal/plant"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
-	"vmplants/internal/storage"
 	"vmplants/internal/telemetry"
 )
 
-// The restart experiment is the kill-9 gate for the journaled control
-// plane: shop daemons are killed at the worst possible instants — after
-// the creation intent is durable but before dispatch, and after the
-// plant built the VM but before the commit — plants crash and recover
-// mid-run, and the warehouse daemon restarts with an image in
-// quarantine. The run passes only if every creation is exactly-once
-// (zero lost, zero duplicated), the quarantine survives the warehouse
-// restart, and two runs with the same seed produce byte-identical
-// fingerprints.
+type restartParams struct{ requests int }
 
-// RestartOptions configures a restart run.
-type RestartOptions struct {
-	Plants   int // default 4
-	Requests int // default 24
-	MemoryMB int // default 64
-	// KillEvery arms a shop kill before every KillEvery-th request,
-	// alternating between the "intent" and "commit" kill points
-	// (default 6).
-	KillEvery int
-	// RestartAfter is how long the supervisor waits before restarting a
-	// killed shop daemon (default 5 s virtual).
-	RestartAfter time.Duration
-	// ClientRetries bounds request re-submissions (default 8).
-	ClientRetries int
-}
-
-func (o RestartOptions) withDefaults() RestartOptions {
-	if o.Plants == 0 {
-		o.Plants = 4
-	}
-	if o.Requests == 0 {
-		o.Requests = 24
-	}
-	if o.MemoryMB == 0 {
-		o.MemoryMB = 64
-	}
-	if o.KillEvery == 0 {
-		o.KillEvery = 6
-	}
-	if o.RestartAfter == 0 {
-		o.RestartAfter = 5 * time.Second
-	}
-	if o.ClientRetries == 0 {
-		o.ClientRetries = 8
-	}
-	return o
-}
-
-// RestartResult reports what a restart run proved.
-type RestartResult struct {
-	Requests  int
-	Succeeded int
+// restartResult reports what a restart run proved.
+type restartResult struct {
+	transcript // every outcome
+	Requests   int
+	Succeeded  int
 	// ShopKills / ShopRestarts count daemon deaths and revivals.
 	ShopKills    int64
 	ShopRestarts int64
@@ -95,119 +47,108 @@ type RestartResult struct {
 	TornTails int64
 	// JournalRecords is the shop journal's final record count.
 	JournalRecords int
-	// Fingerprint digests every outcome; two runs with the same seed
-	// must produce identical fingerprints.
-	Fingerprint string
 }
 
-// RunRestart drives a creation series through a deployment whose
-// control-plane daemons are journaled, killing and restarting them
-// mid-flight, and audits exactly-once semantics at the end.
-func RunRestart(seed int64, opts RestartOptions) (*RestartResult, error) {
-	opts = opts.withDefaults()
+// runRestart is the kill-9 gate for the journaled control plane: a
+// series of 64 MB creations on 4 plants while shop daemons are killed
+// at the worst possible instants — after the creation intent is durable
+// but before dispatch, and after the plant built the VM but before the
+// commit — plants crash and recover mid-run, and the warehouse daemon
+// restarts with an image in quarantine. The run passes only if every
+// creation is exactly-once (zero lost, zero duplicated), the route
+// table comes back from the journal alone, and the quarantine survives
+// the warehouse restart.
+func runRestart(seed int64, par restartParams) (*restartResult, error) {
+	const (
+		memMB = 64
+		// killEvery arms a shop kill before every killEvery-th request,
+		// alternating between the "intent" and "commit" kill points.
+		killEvery = 6
+		// restartAfter is how long the supervisor waits before
+		// restarting a killed shop daemon.
+		restartAfter  = 5 * time.Second
+		clientRetries = 8
+	)
 	hub := telemetry.New()
-
-	reg := fault.NewRegistry(seed + 104729)
-	reg.SetTelemetry(hub)
-
-	d, err := NewDeployment(Options{
-		Plants:      opts.Plants,
-		Seed:        seed,
-		Telemetry:   hub,
-		PlantConfig: plant.Config{Faults: reg},
-	})
+	d, reg, err := newFaultedSite(104729, Options{Plants: 4, Seed: seed, Telemetry: hub})
 	if err != nil {
 		return nil, err
 	}
-	d.Shop.Faults = reg
 
 	// Journals: the shop's on its own dedicated log volume, each
 	// plant's on its node's local disk, the warehouse's on the shared
 	// warehouse volume (which backfills the already-published catalog).
-	logVol := storage.NewVolume("shop-log", storage.NewDevice("shop-log-disk", 64<<20, 100*time.Microsecond))
-	jnl := journal.Open(logVol, "journal/shop")
-	jnl.SetTelemetry(hub)
-	d.Shop.SetJournal(jnl)
+	jnl := d.JournalShop()
 	for i, pl := range d.Plants {
 		pl.SetJournal(journal.Open(d.Testbed.Nodes[i].LocalDisk(), "journal/"+pl.Name()))
 	}
 	d.Warehouse.SetJournal(journal.Open(d.Testbed.Warehouse, "journal/warehouse"))
 
-	res := &RestartResult{Requests: opts.Requests}
-	var lines []string // fingerprint material
-	created := make(map[string]core.VMID)
-	var order []string
-	var runErr error
-	err = d.Run(func(p *sim.Proc) {
-		crashPlantAt := opts.Requests / 2
-		quarantineAt := 2 * opts.Requests / 3
-		for i := 1; i <= opts.Requests; i++ {
+	res := &restartResult{Requests: par.requests}
+	var acked []core.VMID // acknowledged creations, in request order
+	err = d.Run(func(p *sim.Proc) error {
+		crashPlantAt := par.requests / 2
+		quarantineAt := 2 * par.requests / 3
+		for i := 1; i <= par.requests; i++ {
 			// Arm a kill-9 at the worst instants: odd kills die with the
 			// intent durable but undispatched, even kills die with the VM
 			// built but uncommitted.
-			if opts.KillEvery > 0 && i%opts.KillEvery == 0 {
+			if i%killEvery == 0 {
 				op := "intent"
-				if (i/opts.KillEvery)%2 == 0 {
+				if (i/killEvery)%2 == 0 {
 					op = "commit"
 				}
 				reg.Arm("shop", fault.DaemonKill, op, 1)
-				lines = append(lines, fmt.Sprintf("armed kill at %s before req %d", op, i))
+				res.logf("armed kill at %s before req %d", op, i)
 			}
-			if i == crashPlantAt && len(d.Plants) > 0 {
+			if i == crashPlantAt {
 				d.Plants[0].Crash()
-				lines = append(lines, fmt.Sprintf("plant %s crashed before req %d", d.Plants[0].Name(), i))
+				res.logf("plant %s crashed before req %d", d.Plants[0].Name(), i)
 			}
 			if i == quarantineAt {
 				name := GoldenName(256, d.Opts.Backend)
 				d.Warehouse.Quarantine(name, "scrub: checksum mismatch (injected)")
 				st := d.Warehouse.Restart()
 				res.QuarantineSurvived = d.Warehouse.IsQuarantined(name)
-				lines = append(lines, fmt.Sprintf("warehouse restart before req %d: restored=%d mismatch=%d survived=%v",
-					i, st.QuarantineRestored, st.CatalogMismatch, res.QuarantineSurvived))
+				res.logf("warehouse restart before req %d: restored=%d mismatch=%d survived=%v",
+					i, st.QuarantineRestored, st.CatalogMismatch, res.QuarantineSurvived)
 			}
 
-			spec, err := d.WorkspaceSpec(i, opts.MemoryMB)
+			spec, err := d.WorkspaceSpec(i, memMB)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			spec.RequestID = fmt.Sprintf("req-%04d", i)
-			var id core.VMID
-			for try := 0; ; try++ {
-				var cerr error
-				id, _, cerr = d.Shop.Create(p, spec)
-				if cerr == nil {
-					break
+			var restartErr error
+			id, _, _, cerr := createRetrying(p, d.Shop, spec, clientRetries, func(_ int, cerr error) error {
+				if !errors.Is(cerr, shop.ErrShopDown) {
+					p.Sleep(2 * time.Second)
+					return nil
 				}
-				if try >= opts.ClientRetries {
-					lines = append(lines, fmt.Sprintf("req %d FAILED %v", i, cerr))
-					id = ""
-					break
+				// Supervisor: wait out the death, restart the daemon
+				// from its journal, then re-submit under the same
+				// request ID — the dedupe index absorbs the retry.
+				p.Sleep(restartAfter)
+				st, rerr := d.Shop.Restart(p)
+				if rerr != nil {
+					restartErr = rerr
+					return rerr
 				}
-				if errors.Is(cerr, shop.ErrShopDown) {
-					// Supervisor: wait out the death, restart the daemon
-					// from its journal, then re-submit under the same
-					// request ID — the dedupe index absorbs the retry.
-					p.Sleep(opts.RestartAfter)
-					st, rerr := d.Shop.Restart(p)
-					if rerr != nil {
-						runErr = rerr
-						return
-					}
-					lines = append(lines, fmt.Sprintf("shop restart: replayed=%d routes=%d reconciled=%d redriven=%d aborted=%d",
-						st.Replayed, st.Routes, st.Reconciled, st.Redriven, st.Aborted))
-					res.TornTails += int64(st.TornTails)
-					continue
-				}
-				p.Sleep(2 * time.Second)
+				res.logf("shop restart: replayed=%d routes=%d reconciled=%d redriven=%d aborted=%d",
+					st.Replayed, st.Routes, st.Reconciled, st.Redriven, st.Aborted)
+				res.TornTails += int64(st.TornTails)
+				return nil
+			})
+			if restartErr != nil {
+				return restartErr
 			}
-			if id == "" {
+			if cerr != nil {
+				res.logf("req %d FAILED %v", i, cerr)
 				continue
 			}
-			created[spec.RequestID] = id
-			order = append(order, spec.RequestID)
+			acked = append(acked, id)
 			res.Succeeded++
-			lines = append(lines, fmt.Sprintf("req %d ok %s route=%s", i, id, d.Shop.RouteOf(id)))
+			res.logf("req %d ok %s route=%s", i, id, d.Shop.RouteOf(id))
 		}
 
 		// The crashed plant's daemon comes back; its journal replay
@@ -221,44 +162,31 @@ func RunRestart(seed int64, opts RestartOptions) (*RestartResult, error) {
 		d.Shop.Kill()
 		st, rerr := d.Shop.Restart(p)
 		if rerr != nil {
-			runErr = rerr
-			return
+			return rerr
 		}
 		res.RoutesFinal = st.Routes
 		res.TornTails += int64(st.TornTails)
-		lines = append(lines, fmt.Sprintf("final restart: replayed=%d routes=%d", st.Replayed, st.Routes))
+		res.logf("final restart: replayed=%d routes=%d", st.Replayed, st.Routes)
 
 		// Exactly-once audit, half one: every acknowledged creation is
 		// queryable through the restarted shop.
-		for _, req := range order {
-			if _, qerr := d.Shop.Query(p, created[req]); qerr != nil {
+		for i, id := range acked {
+			if _, qerr := d.Shop.Query(p, id); qerr != nil {
 				res.Lost++
-				lines = append(lines, fmt.Sprintf("LOST %s (%s): %v", created[req], req, qerr))
+				res.logf("LOST %s (acked creation %d): %v", id, i+1, qerr)
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 
 	// Exactly-once audit, half two: the plants hold exactly one VM per
 	// acknowledged request — no duplicates from re-driven intents, and
 	// no two requests answered with the same VM.
-	unique := make(map[core.VMID]bool)
-	for _, id := range created {
-		unique[id] = true
-	}
-	live := 0
-	for _, pl := range d.Plants {
-		live += pl.ActiveVMs()
-	}
-	res.Duplicated = live - len(unique)
-	if len(unique) < len(created) {
-		res.Duplicated += len(created) - len(unique) // two requests share a VM
-	}
+	live, _ := residue(d.Plants)
+	res.Duplicated = duplicates(acked, live)
 
 	res.ShopKills = hub.Counter("shop.crashes").Value()
 	res.ShopRestarts = hub.Counter("shop.restarts").Value()
@@ -269,16 +197,31 @@ func RunRestart(seed int64, opts RestartOptions) (*RestartResult, error) {
 	res.PlantRecoveries = hub.Counter("plant.recoveries").Value()
 	res.JournalRecords = len(jnl.Records())
 
-	lines = append(lines, reg.Summary()...)
-	lines = append(lines, fmt.Sprintf("kills=%d restarts=%d redriven=%d reconciled=%d deduped=%d lost=%d dup=%d torn=%d records=%d",
+	res.lines = append(res.lines, reg.Summary()...)
+	res.logf("kills=%d restarts=%d redriven=%d reconciled=%d deduped=%d lost=%d dup=%d torn=%d records=%d",
 		res.ShopKills, res.ShopRestarts, res.Redriven, res.Reconciled, res.Deduped,
-		res.Lost, res.Duplicated, res.TornTails, res.JournalRecords))
-	res.Fingerprint = strings.Join(lines, "\n")
+		res.Lost, res.Duplicated, res.TornTails, res.JournalRecords)
 	return res, nil
 }
 
+// Violations lists the exactly-once invariants the run broke.
+func (r *restartResult) Violations() []string {
+	var g gate
+	g.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
+	g.check(r.Lost == 0, "%d acknowledged creations lost", r.Lost)
+	g.check(r.Duplicated == 0, "%d duplicated VMs", r.Duplicated)
+	g.check(r.ShopKills > 0, "no shop kills fired; the run exercised nothing")
+	g.check(r.Redriven+r.Reconciled > 0, "kills fired but no intent was re-driven or reconciled (kills=%d)", r.ShopKills)
+	g.check(r.QuarantineSurvived, "quarantine did not survive the warehouse restart")
+	g.check(r.RoutesFinal == r.Succeeded, "final restart rebuilt %d routes, want %d", r.RoutesFinal, r.Succeeded)
+	g.check(r.TornTails == 0, "%d torn tails in a sync-boundary kill schedule", r.TornTails)
+	g.check(r.PlantCrashes > 0 && r.PlantRecoveries > 0,
+		"plant crash/recover leg did not run (crashes=%d recoveries=%d)", r.PlantCrashes, r.PlantRecoveries)
+	return g
+}
+
 // Report renders the run as printable lines.
-func (r *RestartResult) Report() []string {
+func (r *restartResult) Report() []string {
 	return []string{
 		fmt.Sprintf("requests:            %d", r.Requests),
 		fmt.Sprintf("succeeded:           %d (%.0f%%)", r.Succeeded, 100*float64(r.Succeeded)/float64(r.Requests)),

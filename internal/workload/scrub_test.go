@@ -4,53 +4,12 @@ import (
 	"testing"
 )
 
-// The scrub run is the acceptance gate for the integrity layer: under
-// injected corruption every completed creation must have resumed from
-// verified state, every detected corruption must be quarantined and
-// either repaired or retired, seeds must survive, and the end-of-run
-// deep audit must come back clean.
-func TestScrubRunSmoke(t *testing.T) {
-	res, err := RunScrub(42, SmokeScrubOptions())
-	if err != nil {
-		t.Fatalf("RunScrub: %v", err)
-	}
-	if err := res.Check(); err != nil {
-		t.Errorf("integrity gate: %v", err)
-	}
-	if res.Injected == 0 || res.Detected == 0 {
-		t.Errorf("injected=%d detected=%d — the run attacked nothing", res.Injected, res.Detected)
-	}
-	if res.Repairs == 0 {
-		t.Error("the scrubber repaired nothing")
-	}
-}
-
-func TestScrubRunDeterministicAcrossRuns(t *testing.T) {
-	opts := SmokeScrubOptions()
-	a, err := RunScrub(7, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunScrub(7, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint != b.Fingerprint {
-		t.Errorf("same-seed scrub runs diverged:\n--- first ---\n%s\n--- second ---\n%s",
-			a.Fingerprint, b.Fingerprint)
-	}
-}
-
 // A clean system — no fault rules armed — must sail through the same
 // pipeline with zero detections, zero quarantines, and zero repair
 // traffic: the integrity layer is pure verification overhead when
 // nothing is wrong.
 func TestScrubCleanRunDetectsNothing(t *testing.T) {
-	opts := SmokeScrubOptions()
-	opts.CorruptProb = -1 // withDefaults treats 0 as "default"; negative disarms
-	opts.ScrubCorruptProb = -1
-	opts.TornWriteProb = -1
-	res, err := RunScrub(11, opts)
+	res, err := scrubStream(11, streamParams{plants: 2, requests: 20, users: 6, derivedBudgetMB: 375}, corruption{})
 	if err != nil {
 		t.Fatal(err)
 	}

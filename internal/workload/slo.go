@@ -7,68 +7,19 @@ import (
 	"time"
 
 	"vmplants/internal/core"
-	"vmplants/internal/fault"
-	"vmplants/internal/plant"
 	"vmplants/internal/sim"
 	"vmplants/internal/stats"
 	"vmplants/internal/telemetry"
 )
 
-// The SLO experiment is the observability stack's own CI gate: a mixed
-// warm/chaos burst whose every creation must yield exactly one rooted
-// span tree crossing all three layers (shop, plant, clone/verify), a
-// complete flight-recorder timeline, and SLOs that hold under the
-// injected faults — all byte-identically reproducible per seed.
+// sloParams size the two phases: a clean batched warm burst, then
+// serial creations issued after the fault mix is switched on.
+type sloParams struct{ warmBatch, chaosRequests int }
 
-// SLOOptions tunes RunSLO.
-type SLOOptions struct {
-	Plants int // default 4
-	// WarmBatch is the clean batched burst (default 16 requests).
-	WarmBatch int
-	// ChaosRequests are serial creations issued after the fault mix is
-	// switched on (default 16).
-	ChaosRequests int
-	MemoryMB      int           // default 64
-	BidTimeout    time.Duration // default 1 s virtual
-	// Mix is the chaos-phase fault cocktail; only RPCDrop, SlowBid and
-	// CloneIO are used — never PlantCrash, so every creation resolves
-	// inside one Shop.Create via failover and the span-tree invariant
-	// has no legitimate exception.
-	Mix *ChaosMix
-	// ClientRetries bounds re-submission of a request the shop failed
-	// outright (default 4).
-	ClientRetries int
-}
-
-func (o SLOOptions) withDefaults() SLOOptions {
-	if o.Plants == 0 {
-		o.Plants = 4
-	}
-	if o.WarmBatch == 0 {
-		o.WarmBatch = 16
-	}
-	if o.ChaosRequests == 0 {
-		o.ChaosRequests = 16
-	}
-	if o.MemoryMB == 0 {
-		o.MemoryMB = 64
-	}
-	if o.BidTimeout == 0 {
-		o.BidTimeout = time.Second
-	}
-	if o.Mix == nil {
-		o.Mix = &ChaosMix{
-			RPCDrop:      0.08,
-			SlowBidProb:  0.08,
-			SlowBidDelay: 3 * time.Second,
-			CloneIO:      0.08,
-		}
-	}
-	if o.ClientRetries == 0 {
-		o.ClientRetries = 4
-	}
-	return o
-}
+// sloMix is the chaos-phase cocktail — transport and clone faults only,
+// never a plant crash, so every creation resolves inside one Shop.Create
+// via failover and the span-tree invariant has no legitimate exception.
+var sloMix = faultMix{rpcDrop: 0.08, slowBidProb: 0.08, slowBidDelay: 3 * time.Second, cloneIO: 0.08}
 
 // DefaultSLOObjectives declares the stack's standing objectives. The
 // bounds are generous against the calibrated testbed on purpose: the
@@ -82,10 +33,11 @@ func DefaultSLOObjectives() []telemetry.Objective {
 	}
 }
 
-// SLOResult is one RunSLO outcome.
-type SLOResult struct {
-	Requests  int
-	Succeeded int
+// sloResult is one runSLO outcome.
+type sloResult struct {
+	transcript // every virtual-time observable
+	Requests   int
+	Succeeded  int
 
 	// Span-tree audit over every trace the run produced.
 	Traces        int
@@ -105,15 +57,11 @@ type SLOResult struct {
 
 	// Spans is the full span set, for Chrome trace export.
 	Spans []telemetry.Span
-
-	// Fingerprint digests every virtual-time observable; same-seed runs
-	// must produce identical fingerprints.
-	Fingerprint string
 }
 
 // TreeOK reports the span-tree invariant: complete rings, zero orphans,
 // one root per trace, all layers present for every success.
-func (r *SLOResult) TreeOK() bool {
+func (r *sloResult) TreeOK() bool {
 	return r.TracerDropped == 0 && r.FlightDropped == 0 &&
 		r.OrphanSpans == 0 && r.ExtraRoots == 0 && r.Incomplete == 0 && r.BadFlights == 0
 }
@@ -125,10 +73,17 @@ var requiredFlightKinds = []string{
 	telemetry.EvCloneStart, telemetry.EvCloneDone, telemetry.EvCreated,
 }
 
-// RunSLO drives the mixed warm/chaos burst and audits traces, flight
-// timelines and objectives.
-func RunSLO(seed int64, opts SLOOptions) (*SLOResult, error) {
-	opts = opts.withDefaults()
+// runSLO is the observability stack's own gate: a mixed warm/chaos
+// burst of 64 MB creations on 4 plants whose every creation — batched,
+// serial, faulted-over — must yield exactly one rooted span tree
+// crossing all three layers (shop, plant, clone/verify), a complete
+// flight-recorder timeline, and SLOs that hold under the injected
+// faults.
+func runSLO(seed int64, par sloParams) (*sloResult, error) {
+	const (
+		memMB         = 64
+		clientRetries = 4 // re-submissions of a request the shop failed outright
+	)
 	hub := telemetry.New()
 	// The audit needs the complete span set: size the ring far above
 	// what the burst can produce so nothing is evicted.
@@ -136,51 +91,41 @@ func RunSLO(seed int64, opts SLOOptions) (*SLOResult, error) {
 
 	// The fault registry starts empty — the warm phase runs clean — and
 	// gets the chaos mix's rules between phases.
-	reg := fault.NewRegistry(seed + 104729)
-	reg.SetTelemetry(hub)
-
-	d, err := NewDeployment(Options{
-		Plants:        opts.Plants,
+	d, reg, err := newFaultedSite(104729, Options{
+		Plants:        4,
 		Seed:          seed,
-		GoldenSizesMB: []int{opts.MemoryMB},
+		GoldenSizesMB: []int{memMB},
 		Telemetry:     hub,
-		PlantConfig:   plant.Config{Faults: reg},
 	})
 	if err != nil {
 		return nil, err
 	}
-	d.Shop.BidTimeout = opts.BidTimeout
-	for _, h := range d.Handles {
-		h.Faults = reg
-	}
-	// Fresh-run guarantee: snapshots and SLO evaluations must never mix
-	// samples from an earlier experiment sharing this registry.
-	hub.M().ResetHistograms()
-	hub.SLO = telemetry.NewSLOEngine(hub.M(), DefaultSLOObjectives()...)
+	d.Shop.BidTimeout = bidTimeout
+	installSLOs(hub)
 
-	res := &SLOResult{Requests: opts.WarmBatch + opts.ChaosRequests}
-	var lines []string // fingerprint material
+	res := &sloResult{Requests: par.warmBatch + par.chaosRequests}
 	var createdIDs []core.VMID
 	var secs []float64
 
 	// Phase 1 — warm burst: a clean batch through the creation pipeline.
-	specs := make([]*core.Spec, opts.WarmBatch)
+	specs := make([]*core.Spec, par.warmBatch)
 	for i := range specs {
-		specs[i], err = d.WorkspaceSpec(i+1, opts.MemoryMB)
+		specs[i], err = d.WorkspaceSpec(i+1, memMB)
 		if err != nil {
 			return nil, err
 		}
 	}
-	err = d.Run(func(p *sim.Proc) {
+	err = d.Run(func(p *sim.Proc) error {
 		for i, r := range d.Shop.CreateMany(p, specs) {
 			if r.Err != nil {
-				lines = append(lines, fmt.Sprintf("warm %d FAILED %v", i+1, r.Err))
+				res.logf("warm %d FAILED %v", i+1, r.Err)
 				continue
 			}
 			res.Succeeded++
 			createdIDs = append(createdIDs, r.VMID)
-			lines = append(lines, fmt.Sprintf("warm %d ok %s", i+1, r.VMID))
+			res.logf("warm %d ok %s", i+1, r.VMID)
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -189,51 +134,29 @@ func RunSLO(seed int64, opts SLOOptions) (*SLOResult, error) {
 	// Phase 2 — chaos burst: transport and clone faults on, serial
 	// creations. Every fault resolves inside one Shop.Create (failover,
 	// re-bid), so each request still yields exactly one trace.
-	mix := *opts.Mix
-	reg.SetProb(fault.Wildcard, fault.RPCDrop, "", mix.RPCDrop)
-	if mix.SlowBidProb > 0 {
-		reg.SetProb(fault.Wildcard, fault.SlowBid, "", mix.SlowBidProb)
-		reg.SetDelay(fault.Wildcard, fault.SlowBid, "", mix.SlowBidDelay)
-	}
-	reg.SetProb(fault.Wildcard, fault.CloneIO, "", mix.CloneIO)
+	sloMix.arm(reg)
 
-	var runErr error
-	err = d.Run(func(p *sim.Proc) {
-		for i := 1; i <= opts.ChaosRequests; i++ {
-			spec, err := d.WorkspaceSpec(opts.WarmBatch+i, opts.MemoryMB)
+	err = d.Run(func(p *sim.Proc) error {
+		for i := 1; i <= par.chaosRequests; i++ {
+			spec, err := d.WorkspaceSpec(par.warmBatch+i, memMB)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			start := p.Now()
-			var id core.VMID
-			for try := 0; ; try++ {
-				var cerr error
-				id, _, cerr = d.Shop.Create(p, spec)
-				if cerr == nil {
-					break
-				}
-				if try >= opts.ClientRetries {
-					lines = append(lines, fmt.Sprintf("chaos %d FAILED %v", i, cerr))
-					id = ""
-					break
-				}
-				p.Sleep(2 * time.Second)
-			}
-			if id == "" {
+			id, _, _, cerr := createRetrying(p, d.Shop, spec, clientRetries, backoff(p, 2*time.Second))
+			if cerr != nil {
+				res.logf("chaos %d FAILED %v", i, cerr)
 				continue
 			}
 			res.Succeeded++
 			createdIDs = append(createdIDs, id)
 			secs = append(secs, (p.Now() - start).Seconds())
-			lines = append(lines, fmt.Sprintf("chaos %d ok %s route=%s", i, id, d.Shop.RouteOf(id)))
+			res.logf("chaos %d ok %s route=%s", i, id, d.Shop.RouteOf(id))
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	res.CreateSecs = stats.Summarize(secs)
 
@@ -275,8 +198,7 @@ func RunSLO(seed int64, opts SLOOptions) (*SLOResult, error) {
 		}
 		res.OrphanSpans += orphans
 		sort.Strings(names)
-		lines = append(lines, fmt.Sprintf("trace %d roots=%d orphans=%d spans=[%s]",
-			tid, roots, orphans, strings.Join(names, ",")))
+		res.logf("trace %d roots=%d orphans=%d spans=[%s]", tid, roots, orphans, strings.Join(names, ","))
 	}
 
 	// Audit 2 — layer coverage and flight timelines, per successful
@@ -296,7 +218,7 @@ func RunSLO(seed int64, opts SLOOptions) (*SLOResult, error) {
 		}
 		if !have["shop.create"] || !have["plant.create"] || !have["clone"] {
 			res.Incomplete++
-			lines = append(lines, fmt.Sprintf("incomplete trace for %s", id))
+			res.logf("incomplete trace for %s", id)
 		}
 		evs := hub.F().Events(string(id))
 		kinds := make(map[string]bool, len(evs))
@@ -312,29 +234,45 @@ func RunSLO(seed int64, opts SLOOptions) (*SLOResult, error) {
 		if !ok {
 			res.BadFlights++
 		}
-		lines = append(lines, fmt.Sprintf("flight %s %s", id, strings.Join(evLine, " ")))
+		res.logf("flight %s %s", id, strings.Join(evLine, " "))
 	}
 
 	// Audit 3 — objectives, evaluated at the end of virtual time.
-	res.Objectives = hub.SLO.Evaluate(d.Kernel.Now())
-	res.SLOsHold = true
-	for _, st := range res.Objectives {
-		res.SLOsHold = res.SLOsHold && st.OK
-		lines = append(lines, fmt.Sprintf("slo %s ok=%v value=%.6g bound=%g samples=%d burn=%.6g",
-			st.Name, st.OK, st.Value, st.Bound, st.Samples, st.Burn))
-	}
+	res.Objectives, res.SLOsHold = evaluateSLOs(hub, d.Kernel.Now(), &res.transcript)
 
 	res.Injections = reg.Counts()
-	lines = append(lines, reg.Summary()...)
-	lines = append(lines, fmt.Sprintf("traces=%d spans=%d orphans=%d extra_roots=%d incomplete=%d bad_flights=%d dropped=%d/%d end=%s",
+	res.lines = append(res.lines, reg.Summary()...)
+	res.logf("traces=%d spans=%d orphans=%d extra_roots=%d incomplete=%d bad_flights=%d dropped=%d/%d end=%s",
 		res.Traces, res.SpanCount, res.OrphanSpans, res.ExtraRoots, res.Incomplete,
-		res.BadFlights, res.TracerDropped, res.FlightDropped, d.Kernel.Now()))
-	res.Fingerprint = strings.Join(lines, "\n")
+		res.BadFlights, res.TracerDropped, res.FlightDropped, d.Kernel.Now())
 	return res, nil
 }
 
+// Violations lists the observability invariants the run broke.
+func (r *sloResult) Violations() []string {
+	var g gate
+	g.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
+	g.check(r.TreeOK(), "span-tree invariant violated: orphans=%d extra_roots=%d incomplete=%d bad_flights=%d dropped=%d/%d",
+		r.OrphanSpans, r.ExtraRoots, r.Incomplete, r.BadFlights, r.TracerDropped, r.FlightDropped)
+	for _, st := range r.Objectives {
+		g.check(st.OK, "objective %s violated: value=%v bound=%v", st.Name, st.Value, st.Bound)
+	}
+	g.check(len(r.Objectives) == len(DefaultSLOObjectives()),
+		"%d objective statuses, want %d", len(r.Objectives), len(DefaultSLOObjectives()))
+	// The chaos phase must actually have injected something, or the
+	// gate proves nothing.
+	g.check(len(r.Injections) > 0, "chaos phase injected no faults")
+	return g
+}
+
+// Artifacts is the run's span set as a Chrome trace: deterministic
+// (virtual time only), so it doubles as a golden timeline.
+func (r *sloResult) Artifacts() []Artifact {
+	return []Artifact{chromeTrace("trace.json", r.Spans)}
+}
+
 // Report renders the run as printable lines.
-func (r *SLOResult) Report() []string {
+func (r *sloResult) Report() []string {
 	out := []string{
 		fmt.Sprintf("requests:          %d", r.Requests),
 		fmt.Sprintf("succeeded:         %d (%.0f%%)", r.Succeeded, 100*float64(r.Succeeded)/float64(r.Requests)),
@@ -346,17 +284,6 @@ func (r *SLOResult) Report() []string {
 		fmt.Sprintf("ring drops:        spans=%d events=%d", r.TracerDropped, r.FlightDropped),
 		fmt.Sprintf("chaos create secs: %s", r.CreateSecs),
 	}
-	for _, st := range r.Objectives {
-		out = append(out, fmt.Sprintf("slo %-16s ok=%-5v value=%.4g bound=%g burn=%.3g (n=%d)",
-			st.Name, st.OK, st.Value, st.Bound, st.Burn, st.Samples))
-	}
-	labels := make([]string, 0, len(r.Injections))
-	for l := range r.Injections {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		out = append(out, fmt.Sprintf("injected %-28s %d", l, r.Injections[l]))
-	}
-	return out
+	out = append(out, objectiveReport(r.Objectives)...)
+	return append(out, injectionReport(r.Injections)...)
 }

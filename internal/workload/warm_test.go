@@ -11,51 +11,6 @@ import (
 	"vmplants/internal/sim"
 )
 
-// The warm run is the acceptance gate for the learning loop: the warm
-// half of the stream must create VMs at least 30% faster than the cold
-// half, within the byte budget, retiring only unreferenced derived
-// images and never a seed.
-func TestWarmRunSmoke(t *testing.T) {
-	res, err := RunWarm(42, SmokeWarmOptions())
-	if err != nil {
-		t.Fatalf("RunWarm: %v", err)
-	}
-	if res.Failed != 0 {
-		t.Errorf("%d requests failed", res.Failed)
-	}
-	if res.Improvement < 0.30 {
-		t.Errorf("improvement = %.1f%%, want >= 30%%", 100*res.Improvement)
-	}
-	if res.PublishBacks == 0 || res.DerivedImages == 0 {
-		t.Errorf("publish-backs = %d, derived images = %d", res.PublishBacks, res.DerivedImages)
-	}
-	if res.Retirements == 0 {
-		t.Error("capacity pressure retired nothing")
-	}
-	if res.BytesUsed > res.Capacity {
-		t.Errorf("bytes used %d exceed the %d budget", res.BytesUsed, res.Capacity)
-	}
-	if !res.SeedsIntact {
-		t.Error("a seed image was evicted")
-	}
-}
-
-func TestWarmRunDeterministicAcrossRuns(t *testing.T) {
-	opts := SmokeWarmOptions()
-	a, err := RunWarm(7, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunWarm(7, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint != b.Fingerprint {
-		t.Errorf("same-seed warm runs diverged:\n--- first ---\n%s\n--- second ---\n%s",
-			a.Fingerprint, b.Fingerprint)
-	}
-}
-
 // concurrentPublishFingerprint drives one batched CreateMany of
 // duplicate-user requests against a single warehouse with publish-back
 // enabled, and digests every observable: per-request outcome, the
@@ -79,14 +34,14 @@ func concurrentPublishFingerprint(t *testing.T, seed int64) string {
 	// concurrently several times.
 	var specs []*core.Spec
 	for i := 0; i < 12; i++ {
-		spec, err := warmSpec(d, i%3+1, 64)
+		spec, err := d.userEnvSpec(i%3+1, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		specs = append(specs, spec)
 	}
 	var results []shop.BatchResult
-	err = d.Run(func(p *sim.Proc) {
+	err = d.Run(func(p *sim.Proc) error {
 		results = d.Shop.CreateMany(p, specs)
 		// Let the off-critical-path publish uploads drain, then end
 		// every session so the images' reference counts settle.
@@ -98,6 +53,7 @@ func concurrentPublishFingerprint(t *testing.T, seed int64) string {
 				}
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

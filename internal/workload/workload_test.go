@@ -269,7 +269,7 @@ func TestDeploymentRunReportsStranded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Run(func(p *sim.Proc) { p.Wait(-1) }); err == nil {
+	if err := d.Run(func(p *sim.Proc) error { p.Wait(-1); return nil }); err == nil {
 		t.Error("stranded process not reported")
 	}
 }
@@ -435,7 +435,7 @@ func TestPlantDeathMidSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ok, failed int
-	err = d.Run(func(p *sim.Proc) {
+	err = d.Run(func(p *sim.Proc) error {
 		for i := 1; i <= 9; i++ {
 			if i == 4 {
 				d.Handles[0].Down = true // kill one plant
@@ -450,6 +450,7 @@ func TestPlantDeathMidSeries(t *testing.T) {
 				ok++
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,39 +7,33 @@
 # Knobs (all off by default):
 #   CI_QUIET=1        suppress command echoing (CI logs stay readable)
 #   CHECK_SHORT=1     skip the experiment smokes; tests-only gate
-#   CHECK_EXP=<name>  build, then run only that one experiment smoke —
-#                     the CI matrix fans out one job per experiment
-#                     this way, while this script stays the single
-#                     local entry point
-#   CHECK_ARTIFACTS=<dir>  have smokes that support it dump their
-#                     journals / Chrome traces there (CI uploads the
-#                     directory when a matrix job fails)
+#   CHECK_EXP=<name>  build, then run only that one scenario smoke —
+#                     the CI matrix fans out one job per scenario this
+#                     way, while this script stays the single local
+#                     entry point
+#   CHECK_ARTIFACTS=<dir>  have the smokes dump their run evidence —
+#                     journals, Chrome traces, metrics — there (CI
+#                     uploads the directory when a matrix job fails)
 set -eu
 [ "${CI_QUIET:-0}" = "1" ] || set -x
 
 cd "$(dirname "$0")/.."
 
-# smoke runs one experiment gate; failure artifacts land in
-# CHECK_ARTIFACTS for the experiments that can dump them.
+# smoke runs one scenario gate (what each one holds the system to is
+# its run function's doc comment in internal/workload); every scenario
+# takes -artifacts.
 smoke() {
-    exp="$1"
-    set -- -exp "$exp" -series smoke
+    set -- -exp "$1" -series smoke
     if [ -n "${CHECK_ARTIFACTS:-}" ]; then
-        mkdir -p "$CHECK_ARTIFACTS"
-        case "$exp" in
-        federation) set -- "$@" -artifacts "$CHECK_ARTIFACTS" ;;
-        pipeline) set -- "$@" -artifacts "$CHECK_ARTIFACTS" ;;
-        diurnal) set -- "$@" -artifacts "$CHECK_ARTIFACTS" ;;
-        slo) set -- "$@" -trace "$CHECK_ARTIFACTS/slo-trace.json" ;;
-        esac
+        set -- "$@" -artifacts "$CHECK_ARTIFACTS"
     fi
     go run ./cmd/vmbench "$@" >/dev/null
 }
 
 if [ -n "${CHECK_EXP:-}" ]; then
-    # Matrix mode: one experiment smoke per invocation. The toolchain
-    # gate (vet, lint, race tests) runs once in its own job, not seven
-    # times over.
+    # Matrix mode: one scenario smoke per invocation. The toolchain
+    # gate (vet, lint, race tests) runs once in its own job, not once
+    # per scenario.
     go build ./...
     smoke "$CHECK_EXP"
     exit 0
@@ -60,42 +54,8 @@ fi
 go test -race ./...
 
 if [ "${CHECK_SHORT:-0}" != "1" ]; then
-    # Failure-recovery smoke: deterministic chaos run that must complete
-    # every request via failover/retry with zero orphans or leaks.
-    smoke chaos
-    # Batched-creation smoke: batch-16 must beat batch-1 by >= 3x while a
-    # single request stays byte-identical to the serial path; the lazy
-    # clone comparison must resume >= 2x below the full-copy floor with
-    # byte-identical converged end states.
-    smoke pipeline
-    # Learning-loop smoke: publish-back must cut warm-half creation time
-    # >= 30% within the byte budget, retiring only unreferenced derived
-    # images, with same-seed reruns byte-identical.
-    smoke warm
-    # Data-integrity smoke: under injected corruption every creation
-    # must resume from verified state, every detection must quarantine
-    # and heal (or retire), seeds stay intact, the end audit is clean,
-    # and same-seed reruns are byte-identical.
-    smoke scrub
-    # Observability smoke: every creation must yield one rooted span
-    # tree crossing all three layers with a complete flight timeline,
-    # SLOs must hold, and same-seed reruns are byte-identical.
-    smoke slo
-    # Crash-restart smoke: daemons killed at the write-ahead protocol's
-    # worst instants must still yield exactly-once creations, a
-    # journal-rebuilt route table, and a quarantine set that survives
-    # the warehouse restart, byte-identically across same-seed reruns.
-    smoke restart
-    # Federation smoke: 3 shops of 6 plants must beat 1 shop of 6 by
-    # >= 2.5x goodput on the same skewed stream, keep cross-cell
-    # forwards exactly-once through a mid-run shop kill, gossip a
-    # derived image clone-warm into another cell, and replay
-    # byte-identically on the same seed.
-    smoke federation
-    # Elastic-fleet smoke: a compressed day/night cycle with flash
-    # crowds and maintenance windows (one crossing a kill -9 mid-drain)
-    # must hold its SLOs, scale up and drain/retire at least twice
-    # each, shed only retryably, orphan and leak nothing, and replay
-    # byte-identically on the same seed.
-    smoke diurnal
+    # Every registered scenario, in registry order.
+    for exp in $(go run ./cmd/vmbench -list); do
+        smoke "$exp"
+    done
 fi
