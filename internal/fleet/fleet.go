@@ -288,29 +288,26 @@ func (c *Controller) cooledDown(p *sim.Proc) bool {
 // lastBidSpread is the cheapest-to-dearest gap of the most recent
 // bidding round with at least two feasible bids (0 when none).
 func (c *Controller) lastBidSpread() core.Cost {
-	bids := c.shop.Bids()
-	for i := len(bids) - 1; i >= 0; i-- {
-		if len(bids[i].Costs) < 2 {
+	round, ok := c.shop.LastContestedBid()
+	if !ok {
+		return 0
+	}
+	var min, max core.Cost
+	first := true
+	for _, cost := range round.Costs {
+		if first {
+			min, max = cost, cost
+			first = false
 			continue
 		}
-		var min, max core.Cost
-		first := true
-		for _, cost := range bids[i].Costs {
-			if first {
-				min, max = cost, cost
-				first = false
-				continue
-			}
-			if cost < min {
-				min = cost
-			}
-			if cost > max {
-				max = cost
-			}
+		if cost < min {
+			min = cost
 		}
-		return max - min
+		if cost > max {
+			max = cost
+		}
 	}
-	return 0
+	return max - min
 }
 
 func (c *Controller) scaleUp(p *sim.Proc) {

@@ -273,7 +273,8 @@ func decode(b []byte) (Record, error) {
 		k := rest[:eq]
 		rest = rest[eq+1:]
 		var v string
-		if strings.HasPrefix(rest, `"`) {
+		quoted := strings.HasPrefix(rest, `"`)
+		if quoted {
 			var err error
 			v, err = strconv.Unquote(quotedPrefix(rest))
 			if err != nil {
@@ -295,6 +296,11 @@ func decode(b []byte) (Record, error) {
 			}
 			r.Seq = n
 		case "kind":
+			// encode writes kinds bare; a quoted one could hold a space
+			// or a quote and would not survive being written back.
+			if quoted {
+				return Record{}, fmt.Errorf("journal: quoted kind")
+			}
 			r.Kind = Kind(v)
 		case "key":
 			r.Key = v

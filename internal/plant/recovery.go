@@ -134,23 +134,16 @@ func (pl *Plant) Recover(p *sim.Proc) (n int) {
 			}
 			return nil
 		})
+		// A mismatch is a VM on the host the log never saw created, or
+		// one the log believes live that the host no longer has.
 		for _, id := range ids {
-			if !live[id] {
+			if live[id] {
+				delete(live, id)
+			} else {
 				mismatches++
 			}
 		}
-		for id := range live {
-			found := false
-			for _, hid := range ids {
-				if hid == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				mismatches++
-			}
-		}
+		mismatches += len(live)
 	}
 	// Daemon restart cost: process start plus a host-state scan.
 	p.Sleep(sim.Seconds(0.5 * pl.node.Jitter()))

@@ -246,39 +246,45 @@ func (rp *RemotePlant) Name() string { return rp.PlantName }
 // configured otherwise.
 var DefaultRetry = proto.RetryPolicy{Attempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Jitter: 0.2}
 
-// call dials the remote daemon and performs one RPC. p, when non-nil,
-// supplies the trace context stamped onto the envelope so the daemon's
-// server-side spans join the caller's creation tree.
-func (rp *RemotePlant) call(p *sim.Proc, m *proto.Message) (*proto.Message, error) {
+// dialAndCall dials a remote daemon — a plant's or a peer shop's — and
+// performs one RPC on a fresh connection. p, when non-nil, supplies the
+// trace context stamped onto the envelope so the daemon's server-side
+// spans join the caller's creation tree. down is the sentinel
+// (shop.ErrPlantDown, shop.ErrPeerDown) an unreachable daemon is
+// reported as.
+func dialAndCall(p *sim.Proc, m *proto.Message, addr string, timeout time.Duration, retry proto.RetryPolicy, tel *telemetry.Hub, down error) (*proto.Message, error) {
 	if p != nil {
 		sc := p.Trace()
 		m.TraceID, m.ParentSpan = sc.TraceID, sc.Span
 	}
-	timeout := rp.Timeout
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	c, err := proto.Dial(rp.Addr, timeout)
+	c, err := proto.Dial(addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", shop.ErrPlantDown, err)
+		return nil, fmt.Errorf("%w: %v", down, err)
 	}
 	defer c.Close()
-	c.Retry = rp.Retry
+	c.Retry = retry
 	if c.Retry.Attempts == 0 {
 		c.Retry = DefaultRetry
 	}
-	c.SetTelemetry(rp.Telemetry)
+	c.SetTelemetry(tel)
 	resp, err := c.Call(m)
 	if err != nil {
 		// An unavailable answer is a crashed daemon: let the shop's
 		// recovery machinery (re-bid, failover, breakers) take over.
 		var remote *proto.RemoteError
 		if errors.As(err, &remote) && remote.Code == proto.CodeUnavailable {
-			return nil, fmt.Errorf("%w: %v", shop.ErrPlantDown, err)
+			return nil, fmt.Errorf("%w: %v", down, err)
 		}
 		return nil, err
 	}
 	return resp, nil
+}
+
+func (rp *RemotePlant) call(p *sim.Proc, m *proto.Message) (*proto.Message, error) {
+	return dialAndCall(p, m, rp.Addr, rp.Timeout, rp.Retry, rp.Telemetry, shop.ErrPlantDown)
 }
 
 // List implements shop.PlantHandle.
@@ -394,33 +400,7 @@ func (rp *RemotePeer) call(p *sim.Proc, m *proto.Message) (*proto.Message, error
 			return nil, fmt.Errorf("%w: %s: no live registry lease", shop.ErrPeerDown, rp.PeerName)
 		}
 	}
-	if p != nil {
-		sc := p.Trace()
-		m.TraceID, m.ParentSpan = sc.TraceID, sc.Span
-	}
-	timeout := rp.Timeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
-	}
-	c, err := proto.Dial(rp.Addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", shop.ErrPeerDown, err)
-	}
-	defer c.Close()
-	c.Retry = rp.Retry
-	if c.Retry.Attempts == 0 {
-		c.Retry = DefaultRetry
-	}
-	c.SetTelemetry(rp.Telemetry)
-	resp, err := c.Call(m)
-	if err != nil {
-		var remote *proto.RemoteError
-		if errors.As(err, &remote) && remote.Code == proto.CodeUnavailable {
-			return nil, fmt.Errorf("%w: %v", shop.ErrPeerDown, err)
-		}
-		return nil, err
-	}
-	return resp, nil
+	return dialAndCall(p, m, rp.Addr, rp.Timeout, rp.Retry, rp.Telemetry, shop.ErrPeerDown)
 }
 
 // Estimate implements shop.PeerHandle.

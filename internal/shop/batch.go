@@ -103,27 +103,22 @@ func (s *Shop) CreateMany(p *sim.Proc, specs []*core.Spec) []BatchResult {
 // plant; the returned function retires it. The ledger backs the
 // admission-aware winner filter in pickWinner.
 func (s *Shop) noteDispatch(plant string) func() {
+	s.adjustInflight(plant, +1)
+	return func() { s.adjustInflight(plant, -1) }
+}
+
+func (s *Shop) adjustInflight(plant string, by int) {
 	s.mu.Lock()
-	s.inflight[plant]++
+	s.inflight[plant] += by
+	if s.inflight[plant] <= 0 {
+		delete(s.inflight, plant)
+	}
 	total := 0
 	for _, n := range s.inflight {
 		total += n
 	}
 	s.mu.Unlock()
 	s.gInflight.Set(int64(total))
-	return func() {
-		s.mu.Lock()
-		s.inflight[plant]--
-		if s.inflight[plant] <= 0 {
-			delete(s.inflight, plant)
-		}
-		total := 0
-		for _, n := range s.inflight {
-			total += n
-		}
-		s.mu.Unlock()
-		s.gInflight.Set(int64(total))
-	}
 }
 
 // InflightByPlant snapshots the shop's in-flight creation ledger.
@@ -141,10 +136,10 @@ func (s *Shop) InflightByPlant() map[string]int {
 // slot. Bids that don't advertise CloneSlots (older plants) are never
 // filtered. With nothing in flight the filter passes every bid, so the
 // serial path draws from exactly the pre-pipeline candidate set.
-func (s *Shop) admissible(feasible []bid) []bid {
+func (s *Shop) admissible(feasible []bid[PlantHandle]) []bid[PlantHandle] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []bid
+	var out []bid[PlantHandle]
 	for _, b := range feasible {
 		if b.slots <= 0 || s.inflight[b.h.Name()] < b.slots {
 			out = append(out, b)

@@ -57,28 +57,33 @@ type Migrator interface {
 const drainPoll = time.Second
 
 // plantByName finds a wired plant handle, including one already
-// draining (a drain must keep reaching the plant it is emptying).
-func (s *Shop) plantByName(name string) PlantHandle {
-	for _, h := range s.plants {
+// draining (a drain must keep reaching the plant it is emptying). The
+// ledger holds names; this is how a name becomes a handle again.
+func (s *Shop) plantByName(name string) PlantHandle { return byName(s.plants, name) }
+
+// byName finds the plant or peer handle wired under a name (the zero
+// handle, nil, when none is).
+func byName[H bidder](hs []H, name string) (none H) {
+	for _, h := range hs {
 		if h.Name() == name {
 			return h
 		}
 	}
-	return nil
+	return none
 }
 
 // Draining reports whether the named plant is draining (or retired).
 func (s *Shop) Draining(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.draining[name] || s.retired[name]
+	return s.led.Draining(name)
 }
 
 // Retired reports whether the named plant has been retired.
 func (s *Shop) Retired(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.retired[name]
+	return s.led.Retired(name)
 }
 
 // eligiblePlants is the candidate set for a bidding round: every wired
@@ -88,10 +93,9 @@ func (s *Shop) eligiblePlants() []PlantHandle {
 	defer s.mu.Unlock()
 	out := make([]PlantHandle, 0, len(s.plants))
 	for _, h := range s.plants {
-		if s.draining[h.Name()] || s.retired[h.Name()] {
-			continue
+		if !s.led.Draining(h.Name()) {
+			out = append(out, h)
 		}
-		out = append(out, h)
 	}
 	return out
 }
@@ -102,10 +106,7 @@ func (s *Shop) eligiblePlants() []PlantHandle {
 // trying to empty itself or burn a call timeout on a corpse; the caller
 // skips the stale bid and re-picks instead.
 func (s *Shop) dispatchOK(h PlantHandle) bool {
-	s.mu.Lock()
-	stale := s.draining[h.Name()] || s.retired[h.Name()]
-	s.mu.Unlock()
-	if stale {
+	if s.Draining(h.Name()) {
 		return false
 	}
 	if probe, ok := h.(LivenessProbe); ok && !probe.Alive() {
@@ -126,22 +127,13 @@ func (s *Shop) BeginDrain(p *sim.Proc, name string) error {
 	if h == nil {
 		return fmt.Errorf("shop %s: no plant %s to drain", s.name, name)
 	}
-	s.mu.Lock()
-	if s.retired[name] {
-		s.mu.Unlock()
+	if s.Retired(name) {
 		return fmt.Errorf("shop %s: plant %s already retired", s.name, name)
 	}
-	open := s.draining[name]
-	s.mu.Unlock()
-	if open {
+	if s.Draining(name) {
 		return nil
 	}
-	if s.jnl != nil {
-		s.jnl.AppendSync(p, journal.Record{Kind: journal.PlantDrainBegin, Key: name})
-	}
-	s.mu.Lock()
-	s.draining[name] = true
-	s.mu.Unlock()
+	s.record(p, true, journal.Record{Kind: journal.PlantDrainBegin, Key: name})
 	if d, ok := h.(Drainable); ok {
 		d.SetDraining(true)
 	}
@@ -172,13 +164,7 @@ func (s *Shop) DrainAndRetire(p *sim.Proc, name string) error {
 func (s *Shop) OpenDrains() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var open []string
-	for name := range s.draining {
-		if !s.retired[name] {
-			open = append(open, name)
-		}
-	}
-	sort.Strings(open)
+	open, _ := s.led.Exits()
 	return open
 }
 
@@ -221,7 +207,7 @@ func (s *Shop) finishDrain(p *sim.Proc, name string) error {
 		if s.down {
 			return ErrShopDown
 		}
-		ids := s.routedTo(h)
+		ids := s.routedTo(name)
 		if len(ids) == 0 {
 			break
 		}
@@ -235,8 +221,15 @@ func (s *Shop) finishDrain(p *sim.Proc, name string) error {
 			if err := m.MigrateVM(p, id, dst); err != nil {
 				continue // refused now; retry next pass
 			}
-			s.routes[id] = dst
-			s.journalMigrate(p, id, dst.Name())
+			// The one place that applies before it persists: the VM has
+			// already moved, so the live route flips before the sync
+			// parks this proc — a Query or Destroy arriving meanwhile must
+			// not be sent to the plant the VM just left. The sync still
+			// comes before the retirement record: that must never be
+			// durable while a route points at the retiring plant.
+			rec := routeRecord(id, dst.Name())
+			s.apply(rec)
+			s.persist(p, true, rec)
 			s.mMigratedVMs.Inc()
 			moved = true
 		}
@@ -253,12 +246,7 @@ func (s *Shop) finishDrain(p *sim.Proc, name string) error {
 	if s.Retired(name) {
 		return nil
 	}
-	if s.jnl != nil {
-		s.jnl.AppendSync(p, journal.Record{Kind: journal.PlantRetired, Key: name})
-	}
-	s.mu.Lock()
-	s.retired[name] = true
-	s.mu.Unlock()
+	s.record(p, true, journal.Record{Kind: journal.PlantRetired, Key: name})
 	s.plants = without(s.plants, h)
 	if d, ok := h.(Drainable); ok {
 		d.Retire()
@@ -275,7 +263,7 @@ func (s *Shop) AddPlant(h PlantHandle) error {
 	name := h.Name()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.retired[name] {
+	if s.led.Retired(name) {
 		return fmt.Errorf("shop %s: plant name %s is retired", s.name, name)
 	}
 	for _, cur := range s.plants {
@@ -294,17 +282,12 @@ func (s *Shop) inflightOf(name string) int {
 	return s.inflight[name]
 }
 
-// routedTo lists the VMs the shop routes to the given plant, in VMID
+// routedTo lists the VMs the shop routes to the named plant, in VMID
 // order for deterministic migration order.
-func (s *Shop) routedTo(h PlantHandle) []core.VMID {
-	var ids []core.VMID
-	for id, r := range s.routes {
-		if r == h {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+func (s *Shop) routedTo(name string) []core.VMID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.led.RoutedTo(name)
 }
 
 // migrationTarget picks where an evacuated VM goes: the eligible,
@@ -320,7 +303,7 @@ func (s *Shop) migrationTarget(from PlantHandle) PlantHandle {
 		if probe, ok := h.(LivenessProbe); ok && !probe.Alive() {
 			continue
 		}
-		load := len(s.routedTo(h))
+		load := len(s.routedTo(h.Name()))
 		if best == nil || load < bestLoad || (load == bestLoad && h.Name() < best.Name()) {
 			best, bestLoad = h, load
 		}
@@ -373,51 +356,26 @@ func (s *Shop) Fleet() FleetStatus {
 		Retirements:    s.mRetires.Value(),
 	}
 	s.mu.Lock()
-	seen := make(map[string]bool, len(s.plants))
-	names := make([]string, 0, len(s.plants)+len(s.retired))
-	for _, h := range s.plants {
-		names = append(names, h.Name())
-		seen[h.Name()] = true
-	}
-	for name := range s.retired {
-		if !seen[name] {
-			names = append(names, name)
-		}
-	}
+	_, retired := s.led.Exits()
+	plants := append([]PlantHandle(nil), s.plants...)
 	s.mu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		row := PlantFleetStatus{Name: name, State: "active", ActiveVMs: -1}
-		s.mu.Lock()
-		if s.retired[name] {
-			row.State = "retired"
-			row.ActiveVMs = 0
-		} else if s.draining[name] {
+	for _, name := range retired {
+		st.Plants = append(st.Plants, PlantFleetStatus{Name: name, State: "retired"})
+	}
+	for _, h := range plants {
+		name := h.Name()
+		if s.Retired(name) {
+			continue
+		}
+		row := PlantFleetStatus{Name: name, State: "active", ActiveVMs: -1, Inflight: s.inflightOf(name)}
+		if s.Draining(name) {
 			row.State = "draining"
 		}
-		row.Inflight = s.inflight[name]
-		s.mu.Unlock()
-		if row.State != "retired" {
-			if h := s.plantByName(name); h != nil {
-				if vc, ok := h.(vmCounter); ok {
-					row.ActiveVMs = vc.ActiveVMs()
-				}
-			}
+		if vc, ok := h.(vmCounter); ok {
+			row.ActiveVMs = vc.ActiveVMs()
 		}
 		st.Plants = append(st.Plants, row)
 	}
+	sort.Slice(st.Plants, func(i, j int) bool { return st.Plants[i].Name < st.Plants[j].Name })
 	return st
-}
-
-// journalMigrate records a drain-time migration's new route, synced:
-// the retirement record that follows must never be durable while the
-// route still points at the retiring plant.
-func (s *Shop) journalMigrate(p *sim.Proc, id core.VMID, plant string) {
-	if s.jnl == nil {
-		return
-	}
-	s.jnl.AppendSync(p, journal.Record{
-		Kind: journal.RouteChange, Key: string(id),
-		Fields: map[string]string{"endpoint": journal.EndpointPlant, "plant": plant},
-	})
 }

@@ -13,24 +13,25 @@
 // crash are answered from the journal (the original VMID) instead of
 // getting a second VM: exactly-once creation across daemon deaths.
 //
-// Without a journal every method here degrades to the legacy soft-state
-// behavior (Restart falls back to the Recover re-scrape), so existing
-// callers see no change.
+// Everything a restart must know again lives in one ledger.Ledger, and
+// record is its only writer: the record goes to the journal, then
+// through Ledger.Apply. Restart folds the journal through the same
+// Apply, so replayed state is live state by construction. Without a
+// journal the shop keeps the same ledger — it just cannot get it back
+// after a kill, and Restart falls back to the legacy Recover re-scrape.
 package shop
 
 import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"vmplants/internal/classad"
 	"vmplants/internal/core"
 	"vmplants/internal/fault"
 	"vmplants/internal/journal"
 	"vmplants/internal/proto"
+	"vmplants/internal/shop/ledger"
 	"vmplants/internal/sim"
 )
 
@@ -38,26 +39,6 @@ import (
 // not yet restarted. Clients treat it like a connection refused: back
 // off and retry after the daemon returns.
 var ErrShopDown = errors.New("shop daemon down")
-
-// intent is one journaled creation not yet known to be closed.
-type intent struct {
-	id        core.VMID
-	req       string // client RequestID ("" when the client sent none)
-	specXML   string // proto.CreateRequest XML, enough to re-drive
-	committed bool
-	plant     string
-	// origin names the cell that forwarded this creation here (""
-	// for client-originated requests) — journaled on the intent so
-	// both sides of a cross-cell hop can reconcile it.
-	origin string
-	// attempts lists the peers this cell wrote a forward-attempt record
-	// for (in order), so reconciliation knows exactly which cells may
-	// hold the VM; fwdPeer/remote are set by the forward-commit record
-	// once a peer answered.
-	attempts []string
-	fwdPeer  string
-	remote   core.VMID
-}
 
 // SetJournal attaches the shop's durable event log. From now on every
 // creation writes intent/commit records, Destroy writes route-drops,
@@ -72,20 +53,90 @@ func (s *Shop) Journal() *journal.Journal { return s.jnl }
 // Down reports whether the shop daemon is currently dead.
 func (s *Shop) Down() bool { return s.down }
 
-// Kill is kill -9: all soft state — routes, classad cache, breakers,
-// the in-memory intent table — evaporates, the journal loses its
+// record is how shop state changes: the record goes to the journal —
+// synced when the protocol needs it durable before the next step — and
+// then into the ledger.
+func (s *Shop) record(p *sim.Proc, sync bool, r journal.Record) {
+	s.persist(p, sync, r)
+	s.apply(r)
+}
+
+// persist writes a record to the journal when one is attached — the
+// write path's only such check.
+func (s *Shop) persist(p *sim.Proc, sync bool, r journal.Record) {
+	switch {
+	case s.jnl == nil:
+	case sync:
+		s.jnl.AppendSync(p, r)
+	default:
+		s.jnl.Append(p, r)
+	}
+}
+
+// apply folds a record into the ledger. The mutex is held for the fold
+// only, never across persist: a sync parks the proc in the kernel.
+func (s *Shop) apply(r journal.Record) {
+	s.mu.Lock()
+	s.led.Apply(r)
+	s.mu.Unlock()
+}
+
+// The records written from more than one place. What each does to the
+// ledger is Ledger.Apply's business alone.
+
+func commitRecord(id core.VMID, plant string) journal.Record {
+	return journal.Record{
+		Kind: journal.CreationCommit, Key: string(id),
+		Fields: map[string]string{"plant": plant},
+	}
+}
+
+func forwardCommitRecord(id core.VMID, peer string, remote core.VMID) journal.Record {
+	return journal.Record{
+		Kind: journal.CreationForward, Key: string(id),
+		Fields: map[string]string{"phase": "commit", "peer": peer, "remote": string(remote)},
+	}
+}
+
+// routeRecord says the VM is now served by the named plant: re-learned
+// by a recovery sweep, or moved there by a drain.
+func routeRecord(id core.VMID, plant string) journal.Record {
+	return journal.Record{
+		Kind: journal.RouteChange, Key: string(id),
+		Fields: map[string]string{"endpoint": journal.EndpointPlant, "plant": plant},
+	}
+}
+
+// evictRecord is a route-change naming no endpoint: the route is stale
+// and no better one is known. It is only ever applied, never persisted —
+// a route the journal still holds costs a restarted shop one sweep.
+func evictRecord(id core.VMID) journal.Record {
+	return journal.Record{Kind: journal.RouteChange, Key: string(id)}
+}
+
+// aborted closes an intent whose creation failed permanently and
+// returns the error unchanged. Safe because every transient failure
+// path destroys its partial clone before reporting: a failed createAs
+// means no VM exists anywhere under this VMID.
+func (s *Shop) aborted(p *sim.Proc, id core.VMID, err error) error {
+	s.record(p, true, journal.Record{
+		Kind: journal.CreationAbort, Key: string(id),
+		Fields: map[string]string{"reason": err.Error()},
+	})
+	return err
+}
+
+// Kill is kill -9: the ledger and all soft state — classad cache,
+// breakers, in-flight counts — evaporate, the journal loses its
 // unsynced tail, and every call fails with ErrShopDown until Restart.
 func (s *Shop) Kill() {
 	s.down = true
 	s.mCrashes.Inc()
-	s.routes = make(map[core.VMID]PlantHandle)
 	s.cache = make(map[core.VMID]*classad.Ad)
 	s.breakers = make(map[string]*breaker)
 	s.mu.Lock()
-	s.intents = make(map[core.VMID]*intent)
-	s.byReq = make(map[string]core.VMID)
+	s.led = ledger.New(s.name)
 	s.inflight = make(map[string]int)
-	s.peerRoutes = make(map[core.VMID]peerRoute)
 	s.mu.Unlock()
 	if s.jnl != nil {
 		s.jnl.Crash()
@@ -128,11 +179,12 @@ type RestartStats struct {
 	Unresolved int
 }
 
-// Restart brings a killed shop back: journal replay rebuilds the route
-// table, the request-dedupe index and the open-intent ledger, then each
-// open intent is reconciled against the world — committed if the VM
-// exists on some plant, re-driven from its journaled spec if not.
-// Without a journal it falls back to the legacy Recover re-scrape.
+// Restart brings a killed shop back: the journal is folded into a fresh
+// ledger — routes, the request-dedupe index, open intents, the fleet's
+// exits — then each open intent is reconciled against the world:
+// committed if the VM exists on some plant, re-driven from its journaled
+// spec if not. Without a journal it falls back to the legacy Recover
+// re-scrape.
 func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 	var st RestartStats
 	s.down = false
@@ -148,167 +200,76 @@ func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 			SetInt("redriven", int64(st.Redriven)).
 			End(p)
 	}()
-	s.routes = make(map[core.VMID]PlantHandle)
-	s.cache = make(map[core.VMID]*classad.Ad)
-	s.mu.Lock()
-	s.intents = make(map[core.VMID]*intent)
-	s.byReq = make(map[string]core.VMID)
-	s.peerRoutes = make(map[core.VMID]peerRoute)
-	// The journal is the authority on fleet membership too: drain and
-	// retirement state is rebuilt from its records below.
-	s.draining = make(map[string]bool)
-	s.retired = make(map[string]bool)
-	s.mu.Unlock()
-	byName := make(map[string]PlantHandle, len(s.plants))
-	for _, h := range s.plants {
-		byName[h.Name()] = h
-	}
-	byPeer := make(map[string]PeerHandle, len(s.peers))
-	for _, h := range s.peers {
-		byPeer[h.Name()] = h
-	}
-	var maxMinted uint64
+	led := ledger.New(s.name)
 	rst, err := s.jnl.Replay(func(r journal.Record) error {
-		id := core.VMID(r.Key)
-		switch r.Kind {
-		case journal.CreationIntent:
-			in := &intent{id: id, req: r.Field("req"), specXML: r.Field("spec"), origin: r.Field("origin")}
-			s.intents[id] = in
-			if in.req != "" {
-				s.byReq[in.req] = id
-			}
-			if n, ok := vmSeq(id, s.name); ok && n > maxMinted {
-				maxMinted = n
-			}
-		case journal.CreationCommit:
-			if in := s.intents[id]; in != nil {
-				in.committed = true
-				in.plant = r.Field("plant")
-			}
-			if h := byName[r.Field("plant")]; h != nil {
-				s.routes[id] = h
-			}
-		case journal.CreationForward:
-			switch r.Field("phase") {
-			case "commit":
-				if in := s.intents[id]; in != nil {
-					in.committed = true
-					in.fwdPeer = r.Field("peer")
-					in.remote = core.VMID(r.Field("remote"))
-				}
-				if h := byPeer[r.Field("peer")]; h != nil {
-					s.peerRoutes[id] = peerRoute{peer: h, remote: core.VMID(r.Field("remote"))}
-				}
-			default: // "attempt": the write-ahead half — a peer may hold the VM
-				if in := s.intents[id]; in != nil {
-					in.attempts = append(in.attempts, r.Field("peer"))
-				}
-			}
-		case journal.PlantDrainBegin:
-			s.mu.Lock()
-			s.draining[r.Key] = true
-			s.mu.Unlock()
-		case journal.PlantRetired:
-			s.mu.Lock()
-			s.draining[r.Key] = true
-			s.retired[r.Key] = true
-			s.mu.Unlock()
-		case journal.CreationAbort:
-			s.dropIntent(id)
-		case journal.RouteDrop:
-			delete(s.routes, id)
-			delete(s.peerRoutes, id)
-			s.dropIntent(id)
-		case journal.RouteChange:
-			// Routes carry an endpoint kind: a VM can be served by a
-			// local plant or live in a peer cell under its own VMID.
-			// (Records written before federation have no endpoint field
-			// and default to plant.)
-			switch r.Field("endpoint") {
-			case "", journal.EndpointPlant:
-				if h := byName[r.Field("plant")]; h != nil {
-					s.routes[id] = h
-				}
-			case journal.EndpointPeer:
-				if h := byPeer[r.Field("peer")]; h != nil {
-					s.peerRoutes[id] = peerRoute{peer: h, remote: core.VMID(r.Field("remote"))}
-				}
-			}
-		}
+		led.Apply(r)
 		return nil
 	})
 	if err != nil {
 		return st, err
 	}
+	s.mu.Lock()
+	s.led = led
+	s.mu.Unlock()
 	st.Replayed = rst.Records
 	st.TornTails = rst.TornTails
-	// Apply the replayed fleet ledger before any intent is reconciled:
-	// retired plants leave the candidate set (and shed any stale route
-	// still naming them — a retired plant is provably empty), open
-	// drains re-mark their plants, so neither the reconcile sweep nor a
-	// re-drive can ever route work to a plant that already left.
-	s.mu.Lock()
-	retired := make(map[string]bool, len(s.retired))
-	for name := range s.retired {
-		retired[name] = true
-	}
-	draining := make([]string, 0, len(s.draining))
-	for name := range s.draining {
-		if !retired[name] {
-			draining = append(draining, name)
-		}
-	}
-	s.mu.Unlock()
-	for name := range retired {
-		if h := byName[name]; h != nil {
+	// The journal is the authority on fleet membership too. Act on it
+	// before any intent is reconciled: retired plants leave the candidate
+	// set (a route still naming one no longer resolves — a retired plant
+	// is provably empty), open drains re-mark their plants, so neither
+	// the reconcile sweep nor a re-drive can ever route work to a plant
+	// that already left.
+	draining, retired := led.Exits()
+	for _, name := range retired {
+		if h := s.plantByName(name); h != nil {
 			s.plants = without(s.plants, h)
 			if d, ok := h.(Drainable); ok {
 				d.Retire()
 			}
 		}
-		for id, h := range s.routes {
-			if h != nil && h.Name() == name {
-				delete(s.routes, id)
-			}
-		}
 	}
 	for _, name := range draining {
-		if d, ok := byName[name].(Drainable); ok {
+		if d, ok := s.plantByName(name).(Drainable); ok {
 			d.SetDraining(true)
 		}
 	}
-	st.Routes = len(s.routes) + len(s.peerRoutes)
-	s.mRecoveredRts.Add(int64(len(s.routes)))
+	plantRoutes := 0
+	led.Routes(func(_ core.VMID, rt ledger.Route) {
+		switch {
+		case rt.Peer != "":
+			if s.peerByName(rt.Peer) != nil {
+				st.Routes++
+			}
+		case s.plantByName(rt.Plant) != nil:
+			st.Routes++
+			plantRoutes++
+		}
+	})
+	s.mRecoveredRts.Add(int64(plantRoutes))
 	// The VMID counter must never re-mint an ID that reached the journal;
 	// keep the in-memory counter when it is already ahead.
-	if cur := s.nextID.Load(); maxMinted > cur {
-		s.nextID.Store(maxMinted)
+	if cur := s.nextID.Load(); led.Minted() > cur {
+		s.nextID.Store(led.Minted())
 	}
 	// Reconcile open intents in deterministic (VMID) order.
-	var open []core.VMID
-	for id, in := range s.intents {
-		if !in.committed {
-			open = append(open, id)
-		}
-	}
-	sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
-	for _, id := range open {
-		in := s.intents[id]
+	for _, id := range led.Open() {
 		if h, ok := s.findVM(p, id); ok {
 			// The plant finished the creation before the crash; only the
 			// commit record was lost. Write it now.
-			s.commitCreation(p, id, h.Name())
-			s.routes[id] = h
+			s.record(p, true, commitRecord(id, h.Name()))
 			s.mReconciled.Inc()
 			st.Reconciled++
 			continue
 		}
-		if len(in.attempts) > 0 {
+		s.mu.Lock()
+		specXML, attempts := s.led.Intent(id)
+		s.mu.Unlock()
+		if len(attempts) > 0 {
 			// The crash hit inside a forward window: an attempted peer
 			// may hold the VM under our forwarding token. Resolve by
 			// token lookup; only when every attempted peer
 			// authoritatively denies it is a local re-drive safe.
-			done, resolved := s.reconcileForward(p, id, in)
+			done, resolved := s.reconcileForward(p, id, attempts)
 			if done {
 				s.mReconciled.Inc()
 				st.Reconciled++
@@ -324,9 +285,9 @@ func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 		// The intent never produced a VM (the crash hit before dispatch,
 		// or the partial clone died with its fault). Re-drive it under
 		// the original VMID so the client's retry finds it committed.
-		spec, serr := specFromXML(in.specXML)
+		spec, serr := specFromXML(specXML)
 		if serr != nil {
-			_ = s.abortCreation(p, id, fmt.Errorf("shop %s: unreplayable intent: %w", s.name, serr))
+			_ = s.aborted(p, id, fmt.Errorf("shop %s: unreplayable intent: %w", s.name, serr))
 			st.Aborted++
 			continue
 		}
@@ -344,127 +305,45 @@ func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 	return st, nil
 }
 
-// beginCreation is the journaled front half of Create: request
-// deduplication, VMID minting, and the write-ahead intent record. done
-// means Create is finished (a deduped answer, an in-flight duplicate,
-// or a daemon kill) without running the creation machinery.
+// beginCreation is the front half of Create: request deduplication
+// (journaled shops only — without a journal a retry after a crash has
+// nothing to dedupe against), VMID minting, and the write-ahead intent
+// record. done means Create is finished (a deduped answer, an in-flight
+// duplicate, or a daemon kill) without running the creation machinery.
 func (s *Shop) beginCreation(p *sim.Proc, spec *core.Spec) (id core.VMID, ad *classad.Ad, done bool, err error) {
 	if spec.RequestID != "" && s.jnl != nil {
 		s.mu.Lock()
-		prior, ok := s.byReq[spec.RequestID]
-		var in *intent
-		if ok {
-			in = s.intents[prior]
-		}
+		prior, committed, ok := s.led.Request(spec.RequestID)
 		s.mu.Unlock()
-		if in != nil {
-			if in.committed {
-				// Retransmission of a finished creation: answer with the
-				// original VMID; the classad comes from the routed plant.
-				s.mDedups.Inc()
-				ad, qerr := s.Query(p, prior)
-				return prior, ad, true, qerr
-			}
+		if ok && committed {
+			// Retransmission of a finished creation: answer with the
+			// original VMID; the classad comes from the routed plant.
+			s.mDedups.Inc()
+			ad, qerr := s.Query(p, prior)
+			return prior, ad, true, qerr
+		}
+		if ok {
 			return "", nil, true, fmt.Errorf("shop %s: request %s already in flight", s.name, spec.RequestID)
 		}
 	}
 	id = s.mintID()
-	if s.jnl != nil {
-		f := map[string]string{"name": spec.Name}
-		if spec.RequestID != "" {
-			f["req"] = spec.RequestID
-		}
-		if spec.Origin != "" {
-			f["origin"] = spec.Origin
-		}
-		var specXML string
-		if x, merr := xml.Marshal(proto.FromSpec(spec, "")); merr == nil {
-			specXML = string(x)
-			f["spec"] = specXML
-		}
-		s.jnl.AppendSync(p, journal.Record{Kind: journal.CreationIntent, Key: string(id), Fields: f})
-		s.mu.Lock()
-		s.intents[id] = &intent{id: id, req: spec.RequestID, specXML: specXML, origin: spec.Origin}
-		if spec.RequestID != "" {
-			s.byReq[spec.RequestID] = id
-		}
-		s.mu.Unlock()
-		if s.killIf("intent") {
-			return "", nil, true, ErrShopDown
-		}
+	f := map[string]string{"name": spec.Name}
+	if spec.RequestID != "" {
+		f["req"] = spec.RequestID
+	}
+	if spec.Origin != "" {
+		f["origin"] = spec.Origin
+	}
+	if x, merr := xml.Marshal(proto.FromSpec(spec, "")); merr == nil {
+		f["spec"] = string(x)
+	}
+	s.record(p, true, journal.Record{Kind: journal.CreationIntent, Key: string(id), Fields: f})
+	// Chaos point: the daemon can die here, the intent durable and no
+	// plant asked yet — Restart re-drives it.
+	if s.killIf("intent") {
+		return "", nil, true, ErrShopDown
 	}
 	return id, nil, false, nil
-}
-
-// commitCreation closes an intent with its winning plant: the commit
-// record is synced before the caller can answer the client.
-func (s *Shop) commitCreation(p *sim.Proc, id core.VMID, plant string) {
-	if s.jnl != nil {
-		s.jnl.AppendSync(p, journal.Record{
-			Kind: journal.CreationCommit, Key: string(id),
-			Fields: map[string]string{"plant": plant},
-		})
-	}
-	s.mu.Lock()
-	if in := s.intents[id]; in != nil {
-		in.committed = true
-		in.plant = plant
-	}
-	s.mu.Unlock()
-}
-
-// abortCreation closes an intent whose creation failed permanently and
-// returns the error unchanged. Safe because every transient failure
-// path destroys its partial clone before reporting: a failed createAs
-// means no VM exists anywhere under this VMID.
-func (s *Shop) abortCreation(p *sim.Proc, id core.VMID, err error) error {
-	if s.jnl != nil {
-		s.jnl.AppendSync(p, journal.Record{
-			Kind: journal.CreationAbort, Key: string(id),
-			Fields: map[string]string{"reason": err.Error()},
-		})
-	}
-	s.mu.Lock()
-	s.dropIntentLocked(id)
-	s.mu.Unlock()
-	return err
-}
-
-// forwardAttempt writes the write-ahead half of a cross-cell forward:
-// synced BEFORE the peer sees the create, so a crash inside the forward
-// window leaves a durable trail naming every cell that may hold the VM.
-func (s *Shop) forwardAttempt(p *sim.Proc, id core.VMID, peer string) {
-	if s.jnl != nil {
-		s.jnl.AppendSync(p, journal.Record{
-			Kind: journal.CreationForward, Key: string(id),
-			Fields: map[string]string{"phase": "attempt", "peer": peer},
-		})
-	}
-	s.mu.Lock()
-	if in := s.intents[id]; in != nil {
-		in.attempts = append(in.attempts, peer)
-	}
-	s.mu.Unlock()
-}
-
-// forwardCommit closes an intent that a peer cell served: the record is
-// synced before the client hears the answer, and the peer route is
-// installed so later Query/Destroy/Publish calls reach the remote VM.
-func (s *Shop) forwardCommit(p *sim.Proc, id core.VMID, peer PeerHandle, remote core.VMID) {
-	if s.jnl != nil {
-		s.jnl.AppendSync(p, journal.Record{
-			Kind: journal.CreationForward, Key: string(id),
-			Fields: map[string]string{"phase": "commit", "peer": peer.Name(), "remote": string(remote)},
-		})
-	}
-	s.mu.Lock()
-	if in := s.intents[id]; in != nil {
-		in.committed = true
-		in.fwdPeer = peer.Name()
-		in.remote = remote
-	}
-	s.peerRoutes[id] = peerRoute{peer: peer, remote: remote}
-	s.mu.Unlock()
 }
 
 // reconcileForward settles an open intent whose forward-attempt records
@@ -475,21 +354,15 @@ func (s *Shop) forwardCommit(p *sim.Proc, id core.VMID, peer PeerHandle, remote 
 // resolved=true and the caller may safely re-drive locally. Any peer
 // unreachable or still in flight: resolved=false — the VM may exist
 // there, so the intent must stay open.
-func (s *Shop) reconcileForward(p *sim.Proc, id core.VMID, in *intent) (done, resolved bool) {
+func (s *Shop) reconcileForward(p *sim.Proc, id core.VMID, attempts []string) (done, resolved bool) {
 	token := ForwardToken(s.name, id)
-	seen := make(map[string]bool, len(in.attempts))
-	for _, name := range in.attempts {
+	seen := make(map[string]bool, len(attempts))
+	for _, name := range attempts {
 		if seen[name] {
 			continue
 		}
 		seen[name] = true
-		var h PeerHandle
-		for _, ph := range s.peers {
-			if ph.Name() == name {
-				h = ph
-				break
-			}
-		}
+		h := s.peerByName(name)
 		if h == nil {
 			// The attempted peer is not wired into this incarnation:
 			// its state cannot be ruled out.
@@ -500,7 +373,7 @@ func (s *Shop) reconcileForward(p *sim.Proc, id core.VMID, in *intent) (done, re
 			return false, false
 		}
 		if found {
-			s.forwardCommit(p, id, h, remote)
+			s.record(p, true, forwardCommitRecord(id, name, remote))
 			return true, true
 		}
 	}
@@ -520,62 +393,15 @@ func (s *Shop) ForwardLookup(p *sim.Proc, token string) (core.VMID, bool, error)
 		return "", false, nil
 	}
 	s.mu.Lock()
-	prior, ok := s.byReq[token]
-	var in *intent
-	if ok {
-		in = s.intents[prior]
-	}
+	prior, committed, ok := s.led.Request(token)
 	s.mu.Unlock()
-	if in == nil {
+	if !ok {
 		return "", false, nil
 	}
-	if !in.committed {
+	if !committed {
 		return "", false, fmt.Errorf("shop %s: forward %s still in flight", s.name, token)
 	}
 	return prior, true, nil
-}
-
-// journalRouteLearn records a route re-learned by the legacy Recover
-// re-scrape. Buffered, not synced: route-learn records are soft state —
-// losing one only costs another recovery sweep.
-func (s *Shop) journalRouteLearn(p *sim.Proc, id core.VMID, plant string) {
-	if s.jnl == nil {
-		return
-	}
-	s.jnl.Append(p, journal.Record{
-		Kind: journal.RouteChange, Key: string(id),
-		Fields: map[string]string{"endpoint": journal.EndpointPlant, "plant": plant},
-	})
-}
-
-// journalDrop records a VM leaving the routing table (Destroy).
-func (s *Shop) journalDrop(p *sim.Proc, id core.VMID) {
-	if s.jnl != nil {
-		s.jnl.AppendSync(p, journal.Record{Kind: journal.RouteDrop, Key: string(id)})
-	}
-	s.mu.Lock()
-	s.dropIntentLocked(id)
-	s.mu.Unlock()
-}
-
-// dropIntent removes an intent and its dedupe entry (replay path: the
-// mutex is not needed, replay is single-threaded).
-func (s *Shop) dropIntent(id core.VMID) {
-	if in := s.intents[id]; in != nil {
-		if in.req != "" {
-			delete(s.byReq, in.req)
-		}
-		delete(s.intents, id)
-	}
-}
-
-func (s *Shop) dropIntentLocked(id core.VMID) {
-	if in := s.intents[id]; in != nil {
-		if in.req != "" {
-			delete(s.byReq, in.req)
-		}
-		delete(s.intents, id)
-	}
 }
 
 // findVM sweeps the plants for a VM the journal says was intended but
@@ -600,18 +426,4 @@ func specFromXML(x string) (*core.Spec, error) {
 		return nil, err
 	}
 	return cr.Spec()
-}
-
-// vmSeq extracts the numeric suffix of a "vm-<shop>-<n>" VMID.
-func vmSeq(id core.VMID, shop string) (uint64, bool) {
-	prefix := "vm-" + shop + "-"
-	sid := string(id)
-	if !strings.HasPrefix(sid, prefix) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(sid[len(prefix):], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }

@@ -23,8 +23,11 @@ import (
 	"vmplants/internal/classad"
 	"vmplants/internal/core"
 	"vmplants/internal/fault"
+	"vmplants/internal/journal"
 	"vmplants/internal/registry"
+	"vmplants/internal/shop/ledger"
 	"vmplants/internal/sim"
+	"vmplants/internal/telemetry"
 )
 
 // PeerHandle is one shop's view of a peer shop in another cell: the
@@ -63,13 +66,6 @@ type PeerHandle interface {
 // the peer auction fails over instead of reporting it to the client.
 var ErrPeerDown = errors.New("shop: peer shop unreachable")
 
-// peerRoute records where a forwarded creation lives: the peer serving
-// it and the VMID that cell knows it by.
-type peerRoute struct {
-	peer   PeerHandle
-	remote core.VMID
-}
-
 // SetPeers wires the shop's peer cells for hierarchical bidding.
 func (s *Shop) SetPeers(peers []PeerHandle) {
 	s.peers = append([]PeerHandle(nil), peers...)
@@ -77,6 +73,10 @@ func (s *Shop) SetPeers(peers []PeerHandle) {
 
 // Peers returns the wired peer handles.
 func (s *Shop) Peers() []PeerHandle { return append([]PeerHandle(nil), s.peers...) }
+
+// peerByName finds a wired peer handle (nil when the cell is not wired
+// into this incarnation).
+func (s *Shop) peerByName(name string) PeerHandle { return byName(s.peers, name) }
 
 // ForwardToken derives the idempotency token a forwarded creation
 // carries. It is a pure function of the origin cell and the origin-side
@@ -107,26 +107,10 @@ func (s *Shop) tryForward(p *sim.Proc, id core.VMID, spec *core.Spec) (ad *class
 		Set("vmid", string(id))
 	defer func() { sp.EndErr(p, err) }()
 
-	// Peer bidding round, breaker-gated like a plant round: skip peers
-	// whose breaker is open unless that would empty the round.
+	// Peer bidding round, breaker-gated like a plant round.
 	s.mPeerBidRounds.Inc()
-	round := s.peers
-	if s.Breaker.Threshold > 0 {
-		var allowed []PeerHandle
-		for _, h := range s.peers {
-			if s.breakerFor(peerKey(h.Name())).allow(p.Now()) {
-				allowed = append(allowed, h)
-			}
-		}
-		if len(allowed) > 0 {
-			round = allowed
-		}
-	}
-	type peerBid struct {
-		h PeerHandle
-		c core.Cost
-	}
-	var feasible []peerBid
+	round := breakerGate(s, p.Now(), s.peers, peerKey)
+	var feasible []bid[PeerHandle]
 	for _, h := range round {
 		c, eerr := h.Estimate(p, &fwd)
 		if eerr != nil {
@@ -137,28 +121,20 @@ func (s *Shop) tryForward(p *sim.Proc, id core.VMID, spec *core.Spec) (ad *class
 		if !c.OK() {
 			continue
 		}
-		feasible = append(feasible, peerBid{h, c})
+		feasible = append(feasible, bid[PeerHandle]{h: h, c: c})
 	}
 	sp.SetInt("peers", int64(len(round))).SetInt("feasible", int64(len(feasible)))
 
 	for len(feasible) > 0 {
-		best := feasible[0].c
-		for _, b := range feasible[1:] {
-			if b.c < best {
-				best = b.c
-			}
-		}
-		var winners []PeerHandle
-		for _, b := range feasible {
-			if b.c == best {
-				winners = append(winners, b.h)
-			}
-		}
-		win := winners[s.rng.Intn(len(winners))]
+		win := cheapest(s.rng, feasible)
 		// Write-ahead: the attempt record must be durable before the
 		// peer can build anything, or a crash here would strand a VM in
-		// a cell the restart has no reason to ask.
-		s.forwardAttempt(p, id, win.Name())
+		// a cell the restart has no reason to ask — it names every cell
+		// that may hold the VM.
+		s.record(p, true, journal.Record{
+			Kind: journal.CreationForward, Key: string(id),
+			Fields: map[string]string{"phase": "attempt", "peer": win.Name()},
+		})
 		remote, ad, cerr := win.Create(p, &fwd)
 		if cerr == nil {
 			// Chaos point: the origin daemon can die here — the peer
@@ -168,29 +144,26 @@ func (s *Shop) tryForward(p *sim.Proc, id core.VMID, spec *core.Spec) (ad *class
 			if s.killIf("forward") {
 				return nil, true, ErrShopDown
 			}
-			s.forwardCommit(p, id, win, remote)
+			// Synced before the client hears the answer; applying it
+			// installs the cross-cell route later calls follow.
+			s.record(p, true, forwardCommitRecord(id, win.Name(), remote))
 			s.noteSuccess(peerKey(win.Name()))
 			s.mForwards.Inc()
 			if s.CacheAds {
 				s.cache[id] = ad.Clone()
 			}
 			sp.Set("peer", win.Name()).Set("remote", string(remote))
+			s.flight.Record(p, string(id), telemetry.EvCreated, "peer")
 			return ad, true, nil
 		}
 		if !errors.Is(cerr, ErrPeerDown) && !errors.Is(cerr, core.ErrTransient) {
 			// A permanent peer-side creation failure is the request's
 			// outcome: the spec would fail the same way in any cell.
 			s.mForwardFails.Inc()
-			return nil, true, s.abortCreation(p, id, fmt.Errorf("shop %s: peer %s: %w", s.name, win.Name(), cerr))
+			return nil, true, s.aborted(p, id, fmt.Errorf("shop %s: peer %s: %w", s.name, win.Name(), cerr))
 		}
 		s.noteFailure(p.Now(), peerKey(win.Name()))
-		next := feasible[:0]
-		for _, b := range feasible {
-			if b.h != win {
-				next = append(next, b)
-			}
-		}
-		feasible = next
+		feasible = withoutBid(feasible, win)
 	}
 	s.mForwardFails.Inc()
 	return nil, false, nil
@@ -211,19 +184,7 @@ func (s *Shop) EstimateForward(p *sim.Proc, spec *core.Spec) (core.Cost, error) 
 	if err != nil {
 		return core.Infeasible, err
 	}
-	eligible := s.eligiblePlants()
-	round := eligible
-	if s.Breaker.Threshold > 0 {
-		var allowed []PlantHandle
-		for _, h := range eligible {
-			if s.breakerFor(h.Name()).allow(p.Now()) {
-				allowed = append(allowed, h)
-			}
-		}
-		if len(allowed) > 0 {
-			round = allowed
-		}
-	}
+	round := breakerGate(s, p.Now(), s.eligiblePlants(), plantKey)
 	sp := s.tel.T().StartCtx(p, "shop.estimate_forward", p.Trace()).Set("shop", s.name)
 	rec := BidRecord{Costs: make(map[string]core.Cost)}
 	feasible := s.collectBids(p, round, spec, reqAd, &rec, sp)
@@ -231,16 +192,10 @@ func (s *Shop) EstimateForward(p *sim.Proc, spec *core.Spec) (core.Cost, error) 
 	if len(feasible) == 0 {
 		return core.Infeasible, nil
 	}
-	best := feasible[0].c
-	for _, b := range feasible[1:] {
-		if b.c < best {
-			best = b.c
-		}
-	}
 	// Price admission pressure into the quote: a forwarded creation
 	// would queue at this cell's gate like any other arrival, so a
 	// loaded cell bids higher and loses auctions it would only delay.
-	return best + s.bidPressure(), nil
+	return lowest(feasible) + s.bidPressure(), nil
 }
 
 // ForwardCreate serves a creation on behalf of a peer cell. The spec
@@ -291,11 +246,11 @@ func (s *Shop) ForwardCreate(p *sim.Proc, spec *core.Spec) (core.VMID, *classad.
 func (s *Shop) ForwardedTo(id core.VMID) (peer string, remote core.VMID, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pr, ok := s.peerRoutes[id]
-	if !ok {
+	rt, ok := s.led.Route(id)
+	if !ok || rt.Peer == "" {
 		return "", "", false
 	}
-	return pr.peer.Name(), pr.remote, true
+	return rt.Peer, rt.Remote, true
 }
 
 // ForwardedRoute is one cross-cell route, for status reporting.
@@ -321,11 +276,13 @@ func (s *Shop) Federation() FederationStatus {
 	}
 	sort.Strings(st.Peers)
 	s.mu.Lock()
-	for id, pr := range s.peerRoutes {
-		st.Forwarded = append(st.Forwarded, ForwardedRoute{
-			LocalID: string(id), Peer: pr.peer.Name(), RemoteID: string(pr.remote),
-		})
-	}
+	s.led.Routes(func(id core.VMID, rt ledger.Route) {
+		if rt.Peer != "" {
+			st.Forwarded = append(st.Forwarded, ForwardedRoute{
+				LocalID: string(id), Peer: rt.Peer, RemoteID: string(rt.Remote),
+			})
+		}
+	})
 	s.mu.Unlock()
 	sort.Slice(st.Forwarded, func(i, j int) bool { return st.Forwarded[i].LocalID < st.Forwarded[j].LocalID })
 	return st
@@ -360,14 +317,6 @@ func NewLocalPeerHandle(target *Shop, reg *registry.Registry) *LocalPeerHandle {
 // Name implements PeerHandle.
 func (h *LocalPeerHandle) Name() string { return h.Target.Name() }
 
-func (h *LocalPeerHandle) timeout(p *sim.Proc) {
-	t := h.CallTimeout
-	if t <= 0 {
-		t = 1.0
-	}
-	p.Sleep(sim.Seconds(t))
-}
-
 func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
 	name := h.Target.Name()
 	if h.Registry != nil {
@@ -379,14 +328,14 @@ func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
 		}
 	}
 	if h.Faults.Should(name, fault.RPCDrop, op) {
-		h.timeout(p)
+		callTimeout(p, h.CallTimeout)
 		return fmt.Errorf("%w: %s: %s timed out", ErrPeerDown, name, op)
 	}
 	if d := h.Faults.DelayFor(name, fault.RPCDelay, op); d > 0 {
 		p.Sleep(d)
 	}
 	if h.Target.Down() {
-		h.timeout(p)
+		callTimeout(p, h.CallTimeout)
 		return fmt.Errorf("%w: %s: daemon not running", ErrPeerDown, name)
 	}
 	p.Sleep(sim.Seconds(2 * h.MsgLatency))

@@ -97,14 +97,14 @@ func (h *LocalHandle) scheduleRestart(p *sim.Proc) {
 	})
 }
 
-// timeout charges the caller a full call timeout — the cost of waiting
-// on a message that will never be answered.
-func (h *LocalHandle) timeout(p *sim.Proc) {
-	t := h.CallTimeout
-	if t <= 0 {
-		t = 1.0
+// callTimeout charges the caller a full call timeout (default 1 s) —
+// the cost of waiting on a plant or peer message that will never be
+// answered.
+func callTimeout(p *sim.Proc, secs float64) {
+	if secs <= 0 {
+		secs = 1.0
 	}
-	p.Sleep(sim.Seconds(t))
+	p.Sleep(sim.Seconds(secs))
 }
 
 func (h *LocalHandle) roundTrip(p *sim.Proc, op string) error {
@@ -119,13 +119,13 @@ func (h *LocalHandle) roundTrip(p *sim.Proc, op string) error {
 	}
 	if h.Plant.Down() {
 		h.scheduleRestart(p)
-		h.timeout(p)
+		callTimeout(p, h.CallTimeout)
 		return fmt.Errorf("%w: %s: daemon not running", ErrPlantDown, name)
 	}
 	// Dropped request (or dropped reply — indistinguishable to the
 	// caller): burn the timeout, then report the transport failure.
 	if h.Faults.Should(name, fault.RPCDrop, op) {
-		h.timeout(p)
+		callTimeout(p, h.CallTimeout)
 		return fmt.Errorf("%w: %s: %s timed out", ErrPlantDown, name, op)
 	}
 	if d := h.Faults.DelayFor(name, fault.RPCDelay, op); d > 0 {

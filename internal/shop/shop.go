@@ -22,6 +22,7 @@ import (
 	"vmplants/internal/fault"
 	"vmplants/internal/journal"
 	"vmplants/internal/proto"
+	"vmplants/internal/shop/ledger"
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
 )
@@ -35,17 +36,11 @@ type Shop struct {
 	// nextID is atomic so concurrent Create calls (e.g. from the RPC
 	// server's per-connection handlers) never mint duplicate VMIDs.
 	nextID atomic.Uint64
-	routes map[core.VMID]PlantHandle // soft state
 	cache  map[core.VMID]*classad.Ad // optional classad cache (speeds queries)
 
 	// peers are the other cells of the federation (SetPeers); when a
 	// creation cannot be served locally it is re-auctioned among them.
-	// peerRoutes maps a forwarded creation's local VMID to the peer
-	// serving it (guarded by mu: debug endpoints snapshot it from
-	// outside the kernel). Rebuilt from creation-forward records on
-	// Restart, so forwarding tables survive daemon deaths.
-	peers      []PeerHandle
-	peerRoutes map[core.VMID]peerRoute
+	peers []PeerHandle
 
 	// CacheAds enables classad caching (paper: "VMShop may, however,
 	// cache classad information … to speed up queries").
@@ -74,25 +69,21 @@ type Shop struct {
 	Faults *fault.Registry
 
 	// Durable state (durability.go). jnl is the event journal; down
-	// marks a killed daemon; intents/byReq are the open-creation ledger
-	// and RequestID dedupe index rebuilt by replay.
-	jnl     *journal.Journal
-	down    bool
-	intents map[core.VMID]*intent
-	byReq   map[string]core.VMID
+	// marks a killed daemon.
+	jnl  *journal.Journal
+	down bool
 
-	// mu guards the bid audit log, which out-of-kernel observers (debug
-	// endpoints, tests) read while creations append to it, and the
-	// in-flight creation ledger shared by concurrent pipeline workers.
-	mu       sync.Mutex
+	// mu guards the ledger, the bid audit log and the in-flight creation
+	// count: out-of-kernel observers (debug endpoints, tests) read them
+	// while creations write.
+	mu sync.Mutex
+	// led is everything the shop knows that a restart must know again —
+	// routes, open and committed creations, the RequestID dedupe index,
+	// draining and retired plants. Its only writer is record/apply
+	// (durability.go); Restart rebuilds it by folding the journal.
+	led      *ledger.Ledger
 	bids     []BidRecord    // audit log for experiments
 	inflight map[string]int // plant name → creations dispatched, not yet done
-
-	// draining/retired is the durable fleet-exit ledger (drain.go),
-	// keyed by plant name and rebuilt from drain-begin/retired journal
-	// records on Restart. Guarded by mu: debug endpoints snapshot it.
-	draining map[string]bool
-	retired  map[string]bool
 
 	// admission/gate is the bounded front door (overload.go).
 	admission AdmissionConfig
@@ -143,18 +134,13 @@ type BidRecord struct {
 // tie-breaking deterministically.
 func New(name string, plants []PlantHandle, seed int64) *Shop {
 	return &Shop{
-		name:       name,
-		plants:     plants,
-		rng:        sim.NewRNG(seed),
-		routes:     make(map[core.VMID]PlantHandle),
-		cache:      make(map[core.VMID]*classad.Ad),
-		peerRoutes: make(map[core.VMID]peerRoute),
-		breakers:   make(map[string]*breaker),
-		inflight:   make(map[string]int),
-		intents:    make(map[core.VMID]*intent),
-		byReq:      make(map[string]core.VMID),
-		draining:   make(map[string]bool),
-		retired:    make(map[string]bool),
+		name:     name,
+		plants:   plants,
+		rng:      sim.NewRNG(seed),
+		led:      ledger.New(name),
+		cache:    make(map[core.VMID]*classad.Ad),
+		breakers: make(map[string]*breaker),
+		inflight: make(map[string]int),
 	}
 }
 
@@ -170,6 +156,21 @@ func (s *Shop) Bids() []BidRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]BidRecord(nil), s.bids...)
+}
+
+// LastContestedBid returns the most recent bidding round with at least
+// two feasible bids — what the fleet controller's bid-spread signal
+// reads every tick. The log is scanned in place under the mutex; only
+// the one record leaves it.
+func (s *Shop) LastContestedBid() (BidRecord, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := len(s.bids) - 1; i >= 0; i-- {
+		if len(s.bids[i].Costs) >= 2 {
+			return s.bids[i], true
+		}
+	}
+	return BidRecord{}, false
 }
 
 // logBid appends one bidding round to the audit log.
@@ -290,24 +291,11 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 
 	reqAd, err := requestAd(spec)
 	if err != nil {
-		return nil, s.abortCreation(p, id, fmt.Errorf("shop %s: bad Requirements: %w", s.name, err))
+		return nil, s.aborted(p, id, fmt.Errorf("shop %s: bad Requirements: %w", s.name, err))
 	}
+	failure := "every feasible plant failed to create the VM"
 	for len(candidates) > 0 {
-		// Breaker gate: skip plants whose breaker is open. When every
-		// remaining candidate is refused, probe them all anyway —
-		// availability beats protection once nothing else is left.
-		round := candidates
-		if s.Breaker.Threshold > 0 {
-			var allowed []PlantHandle
-			for _, h := range candidates {
-				if s.breakerFor(h.Name()).allow(p.Now()) {
-					allowed = append(allowed, h)
-				}
-			}
-			if len(allowed) > 0 {
-				round = allowed
-			}
-		}
+		round := breakerGate(s, p.Now(), candidates, plantKey)
 		// Bidding round: ask each plant in the round for an estimate.
 		s.mBidRounds.Inc()
 		bidSp := sp.Child(p, "shop.bid").
@@ -315,17 +303,8 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		feasible := s.collectBids(p, round, spec, reqAd, &rec, bidSp)
 		bidSp.SetInt("feasible", int64(len(feasible))).End(p)
 		if len(feasible) == 0 {
-			s.logBid(rec)
-			// Hierarchical bidding: before giving up, re-auction the
-			// request among the peer cells (client-originated requests
-			// only — a forwarded request never hops twice).
-			if fad, handled, ferr := s.tryForward(p, id, spec); handled {
-				if ferr == nil {
-					s.flight.Record(p, string(id), telemetry.EvCreated, "peer")
-				}
-				return fad, ferr
-			}
-			return nil, s.abortCreation(p, id, fmt.Errorf("shop %s: no plant can satisfy the request", s.name))
+			failure = "no plant can satisfy the request"
+			break
 		}
 		// Dispatch to the cheapest bidder; on a transient failure
 		// (unreachable plant, crash or I/O error mid-creation — the
@@ -362,11 +341,10 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 				if s.killIf("commit") {
 					return nil, ErrShopDown
 				}
-				s.commitCreation(p, id, winner.Name())
+				s.record(p, true, commitRecord(id, winner.Name()))
 				s.noteSuccess(winner.Name())
 				rec.Winner = winner.Name()
 				s.logBid(rec)
-				s.routes[id] = winner
 				if s.CacheAds {
 					s.cache[id] = ad.Clone()
 				}
@@ -380,7 +358,7 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 				// outcome, reported to the client: it would fail the same
 				// way on every plant. Only transient failures fail over.
 				s.logBid(rec)
-				return nil, s.abortCreation(p, id, fmt.Errorf("shop %s: plant %s: %w", s.name, winner.Name(), err))
+				return nil, s.aborted(p, id, fmt.Errorf("shop %s: plant %s: %w", s.name, winner.Name(), err))
 			}
 			s.noteFailure(p.Now(), winner.Name())
 			feasible = withoutBid(feasible, winner)
@@ -391,56 +369,96 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		// their breaker, or missed the round's deadline).
 	}
 	s.logBid(rec)
-	// Every local plant failed transiently; a peer cell may still be
-	// able to serve the request.
+	// No local plant can take the request, or every one that could
+	// failed transiently. Hierarchical bidding: before giving up,
+	// re-auction it among the peer cells (client-originated requests
+	// only — a forwarded request never hops twice).
 	if fad, handled, ferr := s.tryForward(p, id, spec); handled {
-		if ferr == nil {
-			s.flight.Record(p, string(id), telemetry.EvCreated, "peer")
-		}
 		return fad, ferr
 	}
 	// Safe to abort: every transient failure path destroyed its partial
 	// clone plant-side, so no VM exists anywhere under this VMID.
-	return nil, s.abortCreation(p, id, fmt.Errorf("shop %s: every feasible plant failed to create the VM", s.name))
+	return nil, s.aborted(p, id, fmt.Errorf("shop %s: %s", s.name, failure))
+}
+
+// bidder is what the auction needs of a handle — a plant's or a peer
+// cell's: the same rounds run over both.
+type bidder interface {
+	comparable
+	Name() string
 }
 
 // bid is one feasible answer from a bidding round.
-type bid struct {
-	h PlantHandle
+type bid[H bidder] struct {
+	h H
 	c core.Cost
-	// slots is the plant's advertised admission cap (CloneSlots);
-	// 0 when the plant doesn't advertise one.
+	// slots is a plant's advertised admission cap (CloneSlots); 0 when
+	// the bidder doesn't advertise one.
 	slots int
 }
 
-// pickWinner selects the cheapest bid, ties broken uniformly at random
-// ("The VMShop picks one plant at random", §3.4). Under the batched
+// plantKey is a plant's breaker key: its name. Peers use peerKey.
+func plantKey(name string) string { return name }
+
+// breakerGate is the front of every bidding round: bidders whose breaker
+// is open are skipped — unless that would empty the round, in which
+// case all are probed anyway: availability beats protection once
+// nothing else is left.
+func breakerGate[H bidder](s *Shop, now time.Duration, hs []H, key func(string) string) []H {
+	if s.Breaker.Threshold <= 0 {
+		return hs
+	}
+	var allowed []H
+	for _, h := range hs {
+		if s.breakerFor(key(h.Name())).allow(now) {
+			allowed = append(allowed, h)
+		}
+	}
+	if len(allowed) == 0 {
+		return hs
+	}
+	return allowed
+}
+
+// lowest is the cheapest cost among a round's (non-empty) bids.
+func lowest[H bidder](bids []bid[H]) core.Cost {
+	best := bids[0].c
+	for _, b := range bids[1:] {
+		if b.c < best {
+			best = b.c
+		}
+	}
+	return best
+}
+
+// cheapest selects the cheapest bid, ties broken uniformly at random
+// ("The VMShop picks one plant at random", §3.4) — one RNG draw per
+// call, tie or not.
+func cheapest[H bidder](rng *sim.RNG, bids []bid[H]) H {
+	best := lowest(bids)
+	var winners []H
+	for _, b := range bids {
+		if b.c == best {
+			winners = append(winners, b.h)
+		}
+	}
+	return winners[rng.Intn(len(winners))]
+}
+
+// pickWinner selects the cheapest plant bid. Under the batched
 // pipeline, bids from plants whose advertised clone slots are all
 // occupied by this shop's own in-flight orders are set aside first —
 // unless that empties the set, in which case queuing somewhere beats
 // failing. With nothing in flight the filter passes everything, so a
 // serial creation draws from exactly the same candidates as before.
-func (s *Shop) pickWinner(feasible []bid) PlantHandle {
-	pool := feasible
+func (s *Shop) pickWinner(feasible []bid[PlantHandle]) PlantHandle {
 	if open := s.admissible(feasible); len(open) > 0 {
-		pool = open
+		return cheapest(s.rng, open)
 	}
-	best := pool[0].c
-	for _, b := range pool[1:] {
-		if b.c < best {
-			best = b.c
-		}
-	}
-	var winners []PlantHandle
-	for _, b := range pool {
-		if b.c == best {
-			winners = append(winners, b.h)
-		}
-	}
-	return winners[s.rng.Intn(len(winners))]
+	return cheapest(s.rng, feasible)
 }
 
-func withoutBid(bs []bid, drop PlantHandle) []bid {
+func withoutBid[H bidder](bs []bid[H], drop H) []bid[H] {
 	out := bs[:0]
 	for _, b := range bs {
 		if b.h != drop {
@@ -458,7 +476,7 @@ func withoutBid(bs []bid, drop PlantHandle) []bid {
 // round that would otherwise close empty-handed extends until its
 // first response (quorum ≥ 1), and plants that missed the deadline are
 // charged a breaker failure.
-func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, reqAd *classad.Ad, rec *BidRecord, bidSp *telemetry.Span) []bid {
+func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, reqAd *classad.Ad, rec *BidRecord, bidSp *telemetry.Span) []bid[PlantHandle] {
 	type answer struct {
 		h   PlantHandle
 		c   core.Cost
@@ -531,7 +549,7 @@ func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, re
 		s.gMissingBids.Set(int64(st.pending))
 	}
 
-	var feasible []bid
+	var feasible []bid[PlantHandle]
 	for _, a := range answers {
 		if a.err != nil {
 			s.noteFailure(p.Now(), a.h.Name())
@@ -552,7 +570,7 @@ func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, re
 			slots = int(a.ad.GetInt("CloneSlots", 0))
 		}
 		rec.Costs[a.h.Name()] = a.c
-		feasible = append(feasible, bid{a.h, a.c, slots})
+		feasible = append(feasible, bid[PlantHandle]{a.h, a.c, slots})
 	}
 	return feasible
 }
@@ -560,8 +578,8 @@ func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, re
 // Recover rebuilds the shop's soft routing state by asking every plant
 // for its VM inventory (paper §3.1: an active VM's classad "is not part
 // of the state that needs to be maintained by VMShop" — it can always
-// be re-learned). All existing routes are dropped first, so routes to
-// unreachable plants disappear rather than being fabricated: the shop
+// be re-learned). All existing plant routes are dropped first, so routes
+// to unreachable plants disappear rather than being fabricated: the shop
 // honestly reports not knowing those VMs until the plant returns and a
 // later Recover — or a per-query recovery sweep — re-learns them. It
 // returns the number of routes learned and the names of the plants it
@@ -573,7 +591,7 @@ func (s *Shop) Recover(p *sim.Proc) (routes int, unreachable []string) {
 			SetInt("unreachable", int64(len(unreachable))).
 			End(p)
 	}()
-	s.routes = make(map[core.VMID]PlantHandle)
+	s.forgetPlantRoutes()
 	for _, h := range s.plants {
 		ids, err := h.List(p)
 		if err != nil {
@@ -583,8 +601,7 @@ func (s *Shop) Recover(p *sim.Proc) (routes int, unreachable []string) {
 		}
 		s.noteSuccess(h.Name())
 		for _, id := range ids {
-			s.routes[id] = h
-			s.journalRouteLearn(p, id, h.Name())
+			s.record(p, false, routeRecord(id, h.Name()))
 			routes++
 		}
 	}
@@ -602,121 +619,146 @@ func without(hs []PlantHandle, drop PlantHandle) []PlantHandle {
 	return out
 }
 
-// Query returns an active VM's classad. Unknown routes trigger
+// vmServer is what a route resolves to — the operations PlantHandle and
+// PeerHandle share, so a routed call need not care which kind serves it.
+type vmServer interface {
+	Name() string
+	Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, error)
+	Collect(p *sim.Proc, id core.VMID) (bool, error)
+	Publish(p *sim.Proc, id core.VMID, image string) error
+	Lifecycle(p *sim.Proc, id core.VMID, op string) error
+}
+
+// served is a resolved route: the wired handle serving a VM and the ID
+// it knows the VM by (a peer cell mints its own).
+type served struct {
+	vmServer
+	id   core.VMID
+	peer bool
+}
+
+// lookup resolves the VM's ledger route to the handle wired under the
+// name it holds. A route naming a plant or peer that is not wired (any
+// more — a retired plant, say) resolves to nothing.
+func (s *Shop) lookup(id core.VMID) (served, bool) {
+	s.mu.Lock()
+	rt, ok := s.led.Route(id)
+	s.mu.Unlock()
+	switch {
+	case !ok:
+	case rt.Peer != "":
+		if h := s.peerByName(rt.Peer); h != nil {
+			return served{h, rt.Remote, true}, true
+		}
+	default:
+		if h := s.plantByName(rt.Plant); h != nil {
+			return served{h, id, false}, true
+		}
+	}
+	return served{}, false
+}
+
+// resolve is lookup for a call that needs the VM served: with no usable
+// route the shop sweeps its plants, re-learning the soft state, before
+// it admits not knowing the VM.
+func (s *Shop) resolve(p *sim.Proc, id core.VMID) (served, error) {
+	if sv, ok := s.lookup(id); ok {
+		return sv, nil
+	}
+	if _, h := s.recover(p, id); h != nil {
+		return served{h, id, false}, nil
+	}
+	return served{}, fmt.Errorf("shop %s: no plant knows VM %s", s.name, id)
+}
+
+// Query returns an active VM's classad, from the plant — or the peer
+// cell — its route names. A missing or stale plant route triggers
 // recovery: the shop asks every plant, rebuilding its soft state.
-// Forwarded creations are routed to the peer cell serving them.
 func (s *Shop) Query(p *sim.Proc, id core.VMID) (*classad.Ad, error) {
 	if s.down {
 		return nil, ErrShopDown
 	}
-	if pr, ok := s.peerRouteOf(id); ok {
-		ad, found, err := pr.peer.Query(p, pr.remote)
+	sv, routed := s.lookup(id)
+	if routed {
+		ad, found, err := sv.Query(p, sv.id)
 		if err == nil && found {
 			if s.CacheAds {
 				s.cache[id] = ad.Clone()
 			}
 			return ad, nil
 		}
-		if err == nil && !found {
-			// The peer no longer holds the VM (collected there); the
-			// cross-cell route is stale.
-			s.dropPeerRoute(id)
+		if err == nil {
+			// Whoever the route names no longer holds the VM: it was
+			// collected — or migrated to another plant, where the sweep
+			// below finds it. The eviction is soft state: applied, never
+			// journaled.
+			s.apply(evictRecord(id))
 			delete(s.cache, id)
 		}
-		// Peer unreachable: fall through to the stale-cache answer.
-		if s.CacheAds {
-			if ad, ok := s.cache[id]; ok {
-				return ad.Clone(), nil
-			}
-		}
-		return nil, fmt.Errorf("shop %s: peer %s serving VM %s is unreachable", s.name, pr.peer.Name(), id)
 	}
-	if h, ok := s.routes[id]; ok {
-		ad, found, err := h.Query(p, id)
-		if err == nil && found {
-			if s.CacheAds {
-				s.cache[id] = ad.Clone()
-			}
+	// A VM served by a peer cell is on none of this cell's plants;
+	// anything else unreachable or stale is worth the recovery sweep.
+	if !sv.peer {
+		if ad, h := s.recover(p, id); h != nil {
 			return ad, nil
 		}
-		if err == nil && !found {
-			// The routed plant no longer holds the VM: it was collected
-			// — or migrated to another plant. Drop the stale route and
-			// fall through to the recovery sweep, which finds migrated
-			// VMs and re-learns their location.
-			delete(s.routes, id)
-			delete(s.cache, id)
-		}
-		// Plant unreachable or route stale: recovery sweep below.
 	}
-	if ad, ok := s.recover(p, id); ok {
-		return ad, nil
-	}
-	// Serve a stale cached ad if we have one and the plant is down.
+	// Serve a stale cached ad if we have one and the server is down.
 	if s.CacheAds {
 		if ad, ok := s.cache[id]; ok {
 			return ad.Clone(), nil
 		}
 	}
+	if sv.peer {
+		return nil, fmt.Errorf("shop %s: peer %s serving VM %s is unreachable", s.name, sv.Name(), id)
+	}
 	return nil, fmt.Errorf("shop %s: no plant knows VM %s", s.name, id)
 }
 
 // recover sweeps all plants for a VM the shop has no (valid) route to.
-func (s *Shop) recover(p *sim.Proc, id core.VMID) (*classad.Ad, bool) {
+// The re-learned route is journaled buffered, not synced: it is soft
+// state — losing it to a crash only costs another sweep.
+func (s *Shop) recover(p *sim.Proc, id core.VMID) (*classad.Ad, PlantHandle) {
 	for _, h := range s.plants {
 		ad, found, err := h.Query(p, id)
 		if err != nil || !found {
 			continue
 		}
-		s.routes[id] = h
-		s.journalRouteLearn(p, id, h.Name())
+		s.record(p, false, routeRecord(id, h.Name()))
 		if s.CacheAds {
 			s.cache[id] = ad.Clone()
 		}
-		return ad, true
+		return ad, h
 	}
-	return nil, false
+	return nil, nil
 }
 
-// Destroy collects a VM. With a journal attached, a route-drop record
-// makes the departure durable, so a restarted shop neither routes to
-// nor re-drives a VM the client already destroyed. Forwarded creations
-// are collected in the peer cell serving them.
+// Destroy collects a VM, on its plant or in the peer cell serving it.
+// With a journal attached, a route-drop record makes the departure
+// durable, so a restarted shop neither routes to nor re-drives a VM the
+// client already destroyed.
 func (s *Shop) Destroy(p *sim.Proc, id core.VMID) error {
 	if s.down {
 		return ErrShopDown
 	}
-	if pr, ok := s.peerRouteOf(id); ok {
-		found, err := pr.peer.Collect(p, pr.remote)
-		if err != nil {
-			return err
-		}
-		s.dropPeerRoute(id)
-		delete(s.cache, id)
-		s.journalDrop(p, id)
-		if !found {
-			return fmt.Errorf("shop %s: VM %s no longer exists on peer %s", s.name, id, pr.peer.Name())
-		}
-		return nil
-	}
-	h, ok := s.routes[id]
-	if !ok {
-		if _, found := s.recover(p, id); !found {
-			return fmt.Errorf("shop %s: no plant knows VM %s", s.name, id)
-		}
-		h = s.routes[id]
-	}
-	found, err := h.Collect(p, id)
+	sv, err := s.resolve(p, id)
 	if err != nil {
 		return err
 	}
-	delete(s.routes, id)
+	found, err := sv.Collect(p, sv.id)
+	if err != nil {
+		return err
+	}
 	delete(s.cache, id)
-	s.journalDrop(p, id)
-	if !found {
+	s.record(p, true, journal.Record{Kind: journal.RouteDrop, Key: string(id)})
+	switch {
+	case found:
+		return nil
+	case sv.peer:
+		return fmt.Errorf("shop %s: VM %s no longer exists on peer %s", s.name, id, sv.Name())
+	default:
 		return fmt.Errorf("shop %s: VM %s no longer exists", s.name, id)
 	}
-	return nil
 }
 
 // Publish checkpoints an active VM into the warehouse as a new golden
@@ -724,17 +766,11 @@ func (s *Shop) Destroy(p *sim.Proc, id core.VMID) error {
 // forwarded creation (the image lands in that cell's warehouse and
 // reaches this one through catalog gossip).
 func (s *Shop) Publish(p *sim.Proc, id core.VMID, image string) error {
-	if pr, ok := s.peerRouteOf(id); ok {
-		return pr.peer.Publish(p, pr.remote, image)
+	sv, err := s.resolve(p, id)
+	if err != nil {
+		return err
 	}
-	h, ok := s.routes[id]
-	if !ok {
-		if _, found := s.recover(p, id); !found {
-			return fmt.Errorf("shop %s: no plant knows VM %s", s.name, id)
-		}
-		h = s.routes[id]
-	}
-	return h.Publish(p, id, image)
+	return sv.Publish(p, sv.id, image)
 }
 
 // Suspend parks an active VM (checkpoint to disk, host memory freed).
@@ -748,24 +784,35 @@ func (s *Shop) Resume(p *sim.Proc, id core.VMID) error {
 }
 
 func (s *Shop) lifecycle(p *sim.Proc, id core.VMID, op string) error {
-	if pr, ok := s.peerRouteOf(id); ok {
-		return pr.peer.Lifecycle(p, pr.remote, op)
+	sv, err := s.resolve(p, id)
+	if err != nil {
+		return err
 	}
-	h, ok := s.routes[id]
-	if !ok {
-		if _, found := s.recover(p, id); !found {
-			return fmt.Errorf("shop %s: no plant knows VM %s", s.name, id)
-		}
-		h = s.routes[id]
-	}
-	return h.Lifecycle(p, id, op)
+	return sv.Lifecycle(p, sv.id, op)
 }
 
 // ForgetRoutes drops the shop's soft routing state, simulating a shop
 // restart; subsequent queries must recover from the plants.
 func (s *Shop) ForgetRoutes() {
-	s.routes = make(map[core.VMID]PlantHandle)
+	s.forgetPlantRoutes()
 	s.cache = make(map[core.VMID]*classad.Ad)
+}
+
+// forgetPlantRoutes evicts every plant route — soft state, so nothing
+// is journaled. Cross-cell routes and the creation ledger are not the
+// plants' to re-teach, and stay.
+func (s *Shop) forgetPlantRoutes() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ids []core.VMID
+	s.led.Routes(func(id core.VMID, rt ledger.Route) {
+		if rt.Peer == "" {
+			ids = append(ids, id)
+		}
+	})
+	for _, id := range ids {
+		s.led.Apply(evictRecord(id))
+	}
 }
 
 // requestAd renders a creation request as a classad for matchmaking
@@ -790,26 +837,13 @@ func requestAd(spec *core.Spec) (*classad.Ad, error) {
 // unknown) — used by tests and the experiment harness. A forwarded
 // creation reports "peer:<cell>".
 func (s *Shop) RouteOf(id core.VMID) string {
-	if pr, ok := s.peerRouteOf(id); ok {
-		return "peer:" + pr.peer.Name()
+	sv, ok := s.lookup(id)
+	switch {
+	case !ok:
+		return ""
+	case sv.peer:
+		return "peer:" + sv.Name()
+	default:
+		return sv.Name()
 	}
-	if h, ok := s.routes[id]; ok {
-		return h.Name()
-	}
-	return ""
-}
-
-// peerRouteOf reads a cross-cell route under the mutex (debug endpoints
-// snapshot the table from outside the kernel).
-func (s *Shop) peerRouteOf(id core.VMID) (peerRoute, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pr, ok := s.peerRoutes[id]
-	return pr, ok
-}
-
-func (s *Shop) dropPeerRoute(id core.VMID) {
-	s.mu.Lock()
-	delete(s.peerRoutes, id)
-	s.mu.Unlock()
 }

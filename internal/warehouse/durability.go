@@ -36,12 +36,7 @@ func (w *Warehouse) SetJournal(j *journal.Journal) {
 	}
 	published := make(map[string]bool)
 	_, _ = j.Replay(func(r journal.Record) error {
-		switch r.Kind {
-		case journal.ImagePublish:
-			published[r.Key] = true
-		case journal.ImageRetire:
-			delete(published, r.Key)
-		}
+		foldCatalog(published, r)
 		return nil
 	})
 	for _, name := range w.List() {
@@ -68,6 +63,18 @@ func (w *Warehouse) SetJournal(j *journal.Journal) {
 				})
 			}
 		}
+	}
+}
+
+// foldCatalog folds one record into the set of images the journal says
+// are published — the catalog half of the warehouse's replay, shared by
+// SetJournal's import check and Restart's cross-check.
+func foldCatalog(published map[string]bool, r journal.Record) {
+	switch r.Kind {
+	case journal.ImagePublish:
+		published[r.Key] = true
+	case journal.ImageRetire:
+		delete(published, r.Key)
 	}
 }
 
@@ -128,11 +135,9 @@ func (w *Warehouse) Restart() RestartStats {
 	restored := make(map[string]string)
 	extents := make(map[uint64]*extentEntry)
 	rst, _ := w.jnl.Replay(func(r journal.Record) error {
+		foldCatalog(published, r)
 		switch r.Kind {
-		case journal.ImagePublish:
-			published[r.Key] = true
 		case journal.ImageRetire:
-			delete(published, r.Key)
 			delete(restored, r.Key)
 		case journal.QuarantineEnter:
 			restored[r.Key] = r.Field("reason")

@@ -6,7 +6,8 @@
 #
 # Knobs (all off by default):
 #   CI_QUIET=1        suppress command echoing (CI logs stay readable)
-#   CHECK_SHORT=1     skip the experiment smokes; tests-only gate
+#   CHECK_SHORT=1     skip the fuzz targets and the experiment smokes;
+#                     tests-only gate
 #   CHECK_EXP=<name>  build, then run only that one scenario smoke —
 #                     the CI matrix fans out one job per scenario this
 #                     way, while this script stays the single local
@@ -54,6 +55,9 @@ fi
 go test -race ./...
 
 if [ "${CHECK_SHORT:-0}" != "1" ]; then
+    # Each native fuzz target, 30 s apiece.
+    ./scripts/fuzz.sh
+
     # Every registered scenario, in registry order.
     for exp in $(go run ./cmd/vmbench -list); do
         smoke "$exp"
