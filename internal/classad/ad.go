@@ -4,7 +4,10 @@ import (
 	"encoding/xml"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+
+	"vmplants/internal/xmlwire"
 )
 
 // Ad is a classified advertisement: an ordered collection of attribute
@@ -327,6 +330,102 @@ func (a *Ad) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 		a.Set(at.Name, ex)
 	}
 	return nil
+}
+
+// AppendXML appends the ad's wire form to dst: byte for byte what
+// MarshalXML writes, without encoding/xml. It is what the protocol
+// codec (internal/proto) calls.
+func (a *Ad) AppendXML(dst []byte) []byte {
+	dst = append(dst, "<classad>"...)
+	for _, n := range a.names {
+		dst = append(dst, `<attr name="`...)
+		dst = xmlwire.AppendEscaped(dst, n)
+		dst = append(dst, `">`...)
+		dst = appendExprXML(dst, a.attrs[strings.ToLower(n)])
+		dst = append(dst, "</attr>"...)
+	}
+	return append(dst, "</classad>"...)
+}
+
+// appendExprXML appends e's source text, XML-escaped. Literals that
+// need no escaping — most of what an ad on the wire holds — skip the
+// String call and the escaper.
+func appendExprXML(dst []byte, e Expr) []byte {
+	if l, ok := e.(litExpr); ok {
+		switch l.v.kind {
+		case KindBool:
+			return strconv.AppendBool(dst, l.v.b)
+		case KindInt:
+			return strconv.AppendInt(dst, l.v.i, 10)
+		case KindReal:
+			return strconv.AppendFloat(dst, l.v.r, 'g', -1, 64)
+		case KindString:
+			if quotesToItself(l.v.s) {
+				dst = append(dst, "&#34;"...)
+				dst = append(dst, l.v.s...)
+				return append(dst, "&#34;"...)
+			}
+		}
+	}
+	return xmlwire.AppendEscaped(dst, e.String())
+}
+
+// quotesToItself reports whether s is printable ASCII that neither
+// strconv.Quote nor the XML escaper would change.
+func quotesToItself(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c > 0x7E, c == '"', c == '\\', c == '&', c == '<', c == '>', c == '\'':
+			return false
+		}
+	}
+	return true
+}
+
+var (
+	adChildren = []string{"attr"}
+	attrAttrs  = []string{"name"}
+)
+
+// DecodeXML reads the wire form from a scanner that has just read the
+// <classad> start tag, and adds its attributes to a: what UnmarshalXML
+// does, over the subset of XML the scanner accepts.
+func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
+	n := s.CountAhead("<attr", "</classad>")
+	if a.attrs == nil {
+		a.attrs = make(map[string]Expr, n)
+	}
+	if a.names == nil && n > 0 {
+		a.names = make([]string, 0, n)
+		// The count is a guess ("<attr0" counts too): an ad that ends
+		// up empty must look as if nothing had been reserved.
+		defer func() {
+			if len(a.names) == 0 {
+				a.names = nil
+			}
+		}()
+	}
+	return s.Children(adChildren, 1, func(int) error {
+		var name string
+		if err := s.Attrs(attrAttrs, func(_ int, v []byte) error {
+			name = string(v)
+			return nil
+		}); err != nil {
+			return err
+		}
+		src, err := s.Text()
+		if err != nil {
+			return err
+		}
+		ex, ok := literal(src)
+		if !ok {
+			if ex, err = parseExpr(string(src)); err != nil {
+				return fmt.Errorf("classad: attribute %q: %w", name, err)
+			}
+		}
+		a.Set(name, ex)
+		return nil
+	})
 }
 
 // SortedDebugString renders attributes sorted by name; handy in tests

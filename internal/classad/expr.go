@@ -91,6 +91,14 @@ func Attr(name string) Expr { return attrExpr{name: name} }
 
 // ParseExpr parses a single classad expression from source text.
 func ParseExpr(src string) (Expr, error) {
+	if e, ok := literal(src); ok {
+		return e, nil
+	}
+	return parseExpr(src)
+}
+
+// parseExpr is the lexer and parser, which read every expression.
+func parseExpr(src string) (Expr, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -104,6 +112,54 @@ func ParseExpr(src string) (Expr, error) {
 		return nil, fmt.Errorf("classad: trailing input at offset %d", p.peek().pos)
 	}
 	return e, nil
+}
+
+// literal recognises the expressions that are one plain literal and
+// nothing else — a quoted string without escapes, an unsigned integer,
+// digits.digits, true or false — and builds what the lexer and parser
+// would build from them, without either. Everything else (escapes,
+// signs, exponents, other spellings of the booleans, surrounding white
+// space, numbers out of range) it declines, leaving the full parser to
+// accept or reject it.
+func literal[T string | []byte](src T) (Expr, bool) {
+	n := len(src)
+	if n == 0 {
+		return nil, false
+	}
+	switch c := src[0]; {
+	case c == '"':
+		if n < 2 || src[n-1] != '"' {
+			return nil, false
+		}
+		for i := 1; i < n-1; i++ {
+			if src[i] == '"' || src[i] == '\\' {
+				return nil, false
+			}
+		}
+		return litExpr{Str(string(src[1 : n-1]))}, true
+	case '0' <= c && c <= '9':
+		isReal := false
+		for i := 1; i < n; i++ {
+			switch c := src[i]; {
+			case '0' <= c && c <= '9':
+			case c == '.' && !isReal && i+1 < n && '0' <= src[i+1] && src[i+1] <= '9':
+				isReal = true
+			default:
+				return nil, false
+			}
+		}
+		if isReal {
+			r, err := strconv.ParseFloat(string(src), 64)
+			return litExpr{Real(r)}, err == nil
+		}
+		i, err := strconv.ParseInt(string(src), 10, 64)
+		return litExpr{Int(i)}, err == nil
+	case string(src) == "true":
+		return litExpr{Bool(true)}, true
+	case string(src) == "false":
+		return litExpr{Bool(false)}, true
+	}
+	return nil, false
 }
 
 // MustParseExpr is ParseExpr, panicking on error; for constants in code.

@@ -127,15 +127,19 @@ type Graph struct {
 }
 
 // NewGraph returns a graph containing only the START and FINISH markers.
-func NewGraph() *Graph {
+func NewGraph() *Graph { return newGraph(2) }
+
+// newGraph is NewGraph with room for nodes nodes, markers included.
+func newGraph(nodes int) *Graph {
 	g := &Graph{
-		nodes: make(map[string]*Node),
-		succ:  make(map[string][]string),
-		pred:  make(map[string][]string),
+		nodes: make(map[string]*Node, nodes),
+		order: make([]string, 0, nodes),
+		succ:  make(map[string][]string, nodes),
+		pred:  make(map[string][]string, nodes),
 	}
 	g.nodes[StartID] = &Node{ID: StartID, Action: Action{Op: "start"}}
 	g.nodes[FinishID] = &Node{ID: FinishID, Action: Action{Op: "finish"}}
-	g.order = []string{StartID, FinishID}
+	g.order = append(g.order, StartID, FinishID)
 	return g
 }
 

@@ -7,6 +7,21 @@
 // prefix. The same codec runs over real net.Conn streams (the daemons)
 // and over in-memory/simulated transports (the experiments), so the
 // exact bytes on the wire are identical in both settings.
+//
+// The struct tags below define the format, and the bytes are what
+// encoding/xml makes of them — but Marshal and Unmarshal do not go
+// through encoding/xml: codec.go writes each body with an append-style
+// encoder and reads it with internal/xmlwire's scanner, and the tests
+// hold both to encoding/xml as their oracle. The decoder reads a subset
+// of XML: elements, attributes in either quote, character data with the
+// five named entities and numeric character references, self-closing
+// tags, comments, and a leading <?xml ... ?> declaration; unknown
+// elements and attributes are skipped, which is how the envelope stays
+// backward compatible. Anything else — DOCTYPE, CDATA, namespaces,
+// text between child elements, a scalar element given twice or holding
+// markup, nesting past the grammar — is an error rather than a guess:
+// the decoder may refuse what encoding/xml would read, never the
+// reverse.
 package proto
 
 import (
@@ -14,6 +29,8 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"vmplants/internal/classad"
 	"vmplants/internal/core"
@@ -338,43 +355,27 @@ func Errorf(seq uint64, code, format string, args ...any) *Message {
 	return &Message{Kind: KindError, Seq: seq, Err: &ErrorResponse{Code: code, Detail: fmt.Sprintf(format, args...)}}
 }
 
-// validateEnvelope checks the Kind matches the populated body.
+// validateEnvelope checks the Kind matches the populated body and that
+// no other body rides along.
 func (m *Message) validateEnvelope() error {
-	bodies := map[Kind]bool{
-		KindCreateRequest:         m.Create != nil,
-		KindCreateResponse:        m.Created != nil,
-		KindBatchCreateRequest:    m.BatchCreate != nil,
-		KindBatchCreateResponse:   m.BatchCreated != nil,
-		KindQueryRequest:          m.Query != nil,
-		KindQueryResponse:         m.Queried != nil,
-		KindDestroyRequest:        m.Destroy != nil,
-		KindDestroyResponse:       m.Destroyed != nil,
-		KindEstimateRequest:       m.Estimate != nil,
-		KindEstimateResponse:      m.Bid != nil,
-		KindForwardCreateRequest:  m.ForwardCreate != nil,
-		KindForwardCreateResponse: m.ForwardCreated != nil,
-		KindPublishRequest:        m.Publish != nil,
-		KindPublishResponse:       m.Published != nil,
-		KindPublishImageRequest:   m.PublishImage != nil,
-		KindPublishImageResponse:  m.ImagePublished != nil,
-		KindLifecycleRequest:      m.Lifecycle != nil,
-		KindLifecycleResponse:     m.Lifecycled != nil,
-		KindListRequest:           m.List != nil,
-		KindListResponse:          m.Listed != nil,
-		KindPingRequest:           m.Ping != nil,
-		KindPingResponse:          m.Pong != nil,
-		KindError:                 m.Err != nil,
+	bodies := [...]bool{ // in bodyNames order
+		m.Create != nil, m.Created != nil, m.BatchCreate != nil, m.BatchCreated != nil,
+		m.Query != nil, m.Queried != nil, m.Destroy != nil, m.Destroyed != nil,
+		m.Estimate != nil, m.Bid != nil, m.ForwardCreate != nil, m.ForwardCreated != nil,
+		m.Publish != nil, m.Published != nil, m.PublishImage != nil, m.ImagePublished != nil,
+		m.Lifecycle != nil, m.Lifecycled != nil, m.List != nil, m.Listed != nil,
+		m.Ping != nil, m.Pong != nil, m.Err != nil,
 	}
-	present, known := bodies[m.Kind]
-	if !known {
+	kind := slices.Index(bodyNames, string(m.Kind))
+	if kind < 0 {
 		return fmt.Errorf("proto: unknown message kind %q", m.Kind)
 	}
-	if !present {
+	if !bodies[kind] {
 		return fmt.Errorf("proto: message kind %q without matching body", m.Kind)
 	}
 	n := 0
-	for _, p := range bodies {
-		if p {
+	for _, set := range bodies {
+		if set {
 			n++
 		}
 	}
@@ -389,52 +390,112 @@ func Marshal(m *Message) ([]byte, error) {
 	if err := m.validateEnvelope(); err != nil {
 		return nil, err
 	}
-	return xml.Marshal(m)
+	bp := frameBufs.Get().(*[]byte)
+	buf := appendMessage((*bp)[:0], m)
+	defer recycle(bp, buf)
+	return append([]byte(nil), buf...), nil
 }
 
-// Unmarshal parses and validates a message document.
-func Unmarshal(blob []byte) (*Message, error) {
-	var m Message
-	if err := xml.Unmarshal(blob, &m); err != nil {
+// Unmarshal parses and validates a message document. The message holds
+// no reference to doc afterwards.
+func Unmarshal(doc []byte) (*Message, error) {
+	m, err := scanMessage(doc)
+	if err != nil {
 		return nil, fmt.Errorf("proto: %w", err)
 	}
 	if err := m.validateEnvelope(); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
 }
 
-// WriteMessage frames and writes one message.
+// frameBufs recycles WriteMessage's and ReadMessage's frame buffers.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// recycle returns a frame buffer to the pool, unless one outsized
+// message grew it past what ordinary traffic needs.
+func recycle(bp *[]byte, buf []byte) {
+	if cap(buf) <= 64<<10 {
+		*bp = buf[:0]
+		frameBufs.Put(bp)
+	}
+}
+
+// WriteMessage frames and writes one message: length prefix and
+// document leave in a single Write.
 func WriteMessage(w io.Writer, m *Message) error {
-	blob, err := Marshal(m)
-	if err != nil {
+	if err := m.validateEnvelope(); err != nil {
 		return err
 	}
-	if len(blob) > MaxMessageSize {
-		return fmt.Errorf("proto: message of %d bytes exceeds limit", len(blob))
+	bp := frameBufs.Get().(*[]byte)
+	buf := appendMessage(append((*bp)[:0], 0, 0, 0, 0), m)
+	defer recycle(bp, buf)
+	if len(buf)-4 > MaxMessageSize {
+		return fmt.Errorf("proto: message of %d bytes exceeds limit", len(buf)-4)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(blob)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(blob)
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	_, err := w.Write(buf)
 	return err
 }
 
-// ReadMessage reads one framed message.
+// ReadMessage reads one framed message, and not a byte more.
 func ReadMessage(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	bp := frameBufs.Get().(*[]byte)
+	fr := frameReader{r: r, buf: *bp, exact: true}
+	defer func() { recycle(bp, fr.buf) }()
+	return fr.next()
+}
+
+// frameReader reads framed messages off one stream into a buffer it
+// keeps between frames. Unless exact, each read takes whatever has
+// arrived, so a frame that was written at once is read at once.
+type frameReader struct {
+	r     io.Reader
+	buf   []byte
+	start int // buf[start:end] has been read but is not yet decoded
+	end   int
+	exact bool
+}
+
+// next reads and decodes the next frame. The error is io.EOF when the
+// stream ends between frames.
+func (fr *frameReader) next() (*Message, error) {
+	fr.end = copy(fr.buf, fr.buf[fr.start:fr.end])
+	fr.start = 0
+	if err := fr.fill(4); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(fr.buf)
 	if n > MaxMessageSize {
 		return nil, fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
 	}
-	blob := make([]byte, n)
-	if _, err := io.ReadFull(r, blob); err != nil {
+	fr.start = 4 + int(n)
+	if err := fr.fill(fr.start); err != nil {
+		fr.start, fr.end = 0, 0
 		return nil, fmt.Errorf("proto: truncated frame: %w", err)
 	}
-	return Unmarshal(blob)
+	return Unmarshal(fr.buf[4:fr.start])
+}
+
+// fill reads until n bytes are buffered.
+func (fr *frameReader) fill(n int) error {
+	if fr.end >= n {
+		return nil
+	}
+	if cap(fr.buf) < n {
+		grown := make([]byte, max(n, 4096))
+		copy(grown, fr.buf[:fr.end])
+		fr.buf = grown
+	}
+	fr.buf = fr.buf[:cap(fr.buf)]
+	into := fr.buf[fr.end:]
+	if fr.exact {
+		into = fr.buf[fr.end:n]
+	}
+	got, err := io.ReadAtLeast(fr.r, into, n-fr.end)
+	if err == io.EOF && fr.end > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	fr.end += got
+	return err
 }

@@ -71,7 +71,8 @@ func (rp RetryPolicy) backoffFor(retry int, rng *rand.Rand) time.Duration {
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
-	addr string // remote address, for error attribution
+	in   frameReader // reads conn, keeping its buffer between responses
+	addr string      // remote address, for error attribution
 	seq  uint64
 	// Timeout bounds each round trip (0 = no deadline).
 	Timeout time.Duration
@@ -102,14 +103,14 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proto: dial %s: %w", addr, err)
 	}
-	c := &Client{conn: conn, addr: addr, Timeout: timeout}
+	c := &Client{conn: conn, in: frameReader{r: conn}, addr: addr, Timeout: timeout}
 	c.redial = func() (net.Conn, error) { return d.Dial("tcp", addr) }
 	return c, nil
 }
 
 // NewClient wraps an existing connection.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{conn: conn}
+	c := &Client{conn: conn, in: frameReader{r: conn}}
 	if ra := conn.RemoteAddr(); ra != nil {
 		c.addr = ra.String()
 	}
@@ -194,6 +195,7 @@ func (c *Client) call(m *Message) (*Message, error) {
 			}
 			c.conn.Close()
 			c.conn = conn
+			c.in = frameReader{r: conn, buf: c.in.buf}
 			redialed = true
 		}
 		resp, err = c.tracedAttempt(sp, m, retry+1, backoff, redialed)
@@ -244,7 +246,7 @@ func (c *Client) attempt(m *Message) (*Message, error) {
 	if err := WriteMessage(c.conn, m); err != nil {
 		return nil, err
 	}
-	resp, err := ReadMessage(c.conn)
+	resp, err := c.in.next()
 	if err != nil {
 		return nil, err
 	}
@@ -315,27 +317,67 @@ func (c *Client) SetRedialFunc(fn func() (net.Conn, error)) { c.redial = fn }
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
+// Stale reports whether the connection, idle between calls, can no
+// longer carry one: the peer has closed or reset it (a daemon that
+// restarted since the last call), or sent bytes nobody asked for. A
+// caller that keeps a client across calls checks before each one and
+// dials afresh instead of writing a request into a dead connection —
+// a request that was never written is not retransmitted by being
+// written elsewhere.
+func (c *Client) Stale() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// The last call's deadline may have passed since; expired, it would
+	// fail the check on a healthy connection.
+	c.conn.SetReadDeadline(time.Time{})
+	return connCheck(c.conn) != nil
+}
+
 // Handler processes one request message and returns the response. The
 // returned message's Seq is overwritten with the request's.
 type Handler func(*Message) *Message
 
 // Serve accepts connections on l until it is closed, running each
-// connection's request loop in its own goroutine.
+// connection's request loop in its own goroutine. When Accept fails it
+// closes the connections still open — their peers may hold them between
+// calls indefinitely — and returns once every request loop has.
 func Serve(l net.Listener, h Handler) {
+	var (
+		mu    sync.Mutex
+		open  = make(map[net.Conn]struct{})
+		loops sync.WaitGroup
+	)
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			return
+			break
 		}
-		go ServeConn(conn, h)
+		mu.Lock()
+		open[conn] = struct{}{}
+		mu.Unlock()
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			ServeConn(conn, h)
+			mu.Lock()
+			delete(open, conn)
+			mu.Unlock()
+		}()
 	}
+	mu.Lock()
+	for conn := range open {
+		conn.Close()
+	}
+	mu.Unlock()
+	loops.Wait()
 }
 
 // ServeConn runs the request loop for one connection.
 func ServeConn(conn net.Conn, h Handler) {
 	defer conn.Close()
+	in := frameReader{r: conn}
 	for {
-		req, err := ReadMessage(conn)
+		req, err := in.next()
 		if err != nil {
 			return
 		}

@@ -224,9 +224,10 @@ func NewPlantHandler(r *Runner, pl *plant.Plant) proto.Handler {
 	}
 }
 
-// RemotePlant is a shop.PlantHandle reaching a plant daemon over TCP.
-// Each call dials a fresh connection, so a crashed plant surfaces as
-// ErrPlantDown rather than wedging the shop.
+// RemotePlant is a shop.PlantHandle reaching a plant daemon over TCP on
+// one connection, dialed at the first call and kept between calls. A
+// crashed plant still surfaces as ErrPlantDown rather than wedging the
+// shop: see peerConn.
 type RemotePlant struct {
 	PlantName string
 	Addr      string
@@ -235,47 +236,90 @@ type RemotePlant struct {
 	// (estimate/query/list/ping); the zero value selects a default of
 	// 3 attempts with 50 ms base backoff. Set Attempts to 1 to disable.
 	Retry proto.RetryPolicy
-	// Telemetry instruments each dialed connection's RPCs; nil disables.
+	// Telemetry instruments the connection's RPCs; nil disables.
 	Telemetry *telemetry.Hub
+
+	conn peerConn
 }
 
 // Name implements shop.PlantHandle.
 func (rp *RemotePlant) Name() string { return rp.PlantName }
 
+// Close releases the handle's connection; a later call dials again.
+func (rp *RemotePlant) Close() { rp.conn.close() }
+
 // DefaultRetry is the retry policy remote plant handles use unless
 // configured otherwise.
 var DefaultRetry = proto.RetryPolicy{Attempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Jitter: 0.2}
 
-// dialAndCall dials a remote daemon — a plant's or a peer shop's — and
-// performs one RPC on a fresh connection. p, when non-nil, supplies the
-// trace context stamped onto the envelope so the daemon's server-side
-// spans join the caller's creation tree. down is the sentinel
-// (shop.ErrPlantDown, shop.ErrPeerDown) an unreachable daemon is
-// reported as.
-func dialAndCall(p *sim.Proc, m *proto.Message, addr string, timeout time.Duration, retry proto.RetryPolicy, tel *telemetry.Hub, down error) (*proto.Message, error) {
+// peerConn is a remote handle's connection to its daemon — a plant's or
+// a peer shop's. The shop's kernel runs one process at a time and
+// proto.Client serializes callers anyway, so one connection per peer is
+// the whole pool.
+//
+// Keeping it changes nothing about what is sent when. Before each call
+// the idle connection is checked (proto.Client.Stale): one the daemon
+// has closed — it restarted since the last call — is replaced by a
+// fresh dial before the request is written, which is not a
+// retransmission. A call that fails in flight drops the connection and
+// returns the error it always did; mutating requests are still sent at
+// most once, idempotent ones retried by the client's own policy. An
+// error response is an answer: the connection stays.
+type peerConn struct {
+	mu sync.Mutex
+	c  *proto.Client
+}
+
+func (pc *peerConn) close() {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.c != nil {
+		pc.c.Close()
+		pc.c = nil
+	}
+}
+
+// call performs one RPC. p, when non-nil, supplies the trace context
+// stamped onto the envelope so the daemon's server-side spans join the
+// caller's creation tree. down is the sentinel (shop.ErrPlantDown,
+// shop.ErrPeerDown) an unreachable daemon is reported as.
+func (pc *peerConn) call(p *sim.Proc, m *proto.Message, addr string, timeout time.Duration, retry proto.RetryPolicy, tel *telemetry.Hub, down error) (*proto.Message, error) {
 	if p != nil {
 		sc := p.Trace()
 		m.TraceID, m.ParentSpan = sc.TraceID, sc.Span
 	}
-	if timeout == 0 {
-		timeout = 30 * time.Second
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.c != nil && pc.c.Stale() {
+		pc.c.Close()
+		pc.c = nil
 	}
-	c, err := proto.Dial(addr, timeout)
+	if pc.c == nil {
+		if timeout == 0 {
+			timeout = 30 * time.Second
+		}
+		c, err := proto.Dial(addr, timeout)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", down, err)
+		}
+		c.Retry = retry
+		if c.Retry.Attempts == 0 {
+			c.Retry = DefaultRetry
+		}
+		c.SetTelemetry(tel)
+		pc.c = c
+	}
+	resp, err := pc.c.Call(m)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", down, err)
-	}
-	defer c.Close()
-	c.Retry = retry
-	if c.Retry.Attempts == 0 {
-		c.Retry = DefaultRetry
-	}
-	c.SetTelemetry(tel)
-	resp, err := c.Call(m)
-	if err != nil {
+		var remote *proto.RemoteError
+		if !errors.As(err, &remote) {
+			pc.c.Close()
+			pc.c = nil
+			return nil, err
+		}
 		// An unavailable answer is a crashed daemon: let the shop's
 		// recovery machinery (re-bid, failover, breakers) take over.
-		var remote *proto.RemoteError
-		if errors.As(err, &remote) && remote.Code == proto.CodeUnavailable {
+		if remote.Code == proto.CodeUnavailable {
 			return nil, fmt.Errorf("%w: %v", down, err)
 		}
 		return nil, err
@@ -284,7 +328,7 @@ func dialAndCall(p *sim.Proc, m *proto.Message, addr string, timeout time.Durati
 }
 
 func (rp *RemotePlant) call(p *sim.Proc, m *proto.Message) (*proto.Message, error) {
-	return dialAndCall(p, m, rp.Addr, rp.Timeout, rp.Retry, rp.Telemetry, shop.ErrPlantDown)
+	return rp.conn.call(p, m, rp.Addr, rp.Timeout, rp.Retry, rp.Telemetry, shop.ErrPlantDown)
 }
 
 // List implements shop.PlantHandle.
@@ -375,10 +419,10 @@ func (rp *RemotePlant) Lifecycle(p *sim.Proc, id core.VMID, op string) error {
 }
 
 // RemotePeer is a shop.PeerHandle reaching a peer shop daemon in
-// another cell over TCP. Like RemotePlant, each call dials fresh so a
-// dead cell surfaces as ErrPeerDown; when a registry is wired, the
+// another cell over TCP. Like RemotePlant it keeps one connection, and
+// a dead cell surfaces as ErrPeerDown; when a registry is wired, the
 // peer's "vmshop" lease is checked first so a withdrawn or lapsed cell
-// fails fast without a connection attempt.
+// fails fast without touching the connection.
 type RemotePeer struct {
 	PeerName string
 	Addr     string
@@ -389,10 +433,15 @@ type RemotePeer struct {
 	// selects DefaultRetry.
 	Retry     proto.RetryPolicy
 	Telemetry *telemetry.Hub
+
+	conn peerConn
 }
 
 // Name implements shop.PeerHandle.
 func (rp *RemotePeer) Name() string { return rp.PeerName }
+
+// Close releases the handle's connection; a later call dials again.
+func (rp *RemotePeer) Close() { rp.conn.close() }
 
 func (rp *RemotePeer) call(p *sim.Proc, m *proto.Message) (*proto.Message, error) {
 	if rp.Registry != nil {
@@ -400,7 +449,7 @@ func (rp *RemotePeer) call(p *sim.Proc, m *proto.Message) (*proto.Message, error
 			return nil, fmt.Errorf("%w: %s: no live registry lease", shop.ErrPeerDown, rp.PeerName)
 		}
 	}
-	return dialAndCall(p, m, rp.Addr, rp.Timeout, rp.Retry, rp.Telemetry, shop.ErrPeerDown)
+	return rp.conn.call(p, m, rp.Addr, rp.Timeout, rp.Retry, rp.Telemetry, shop.ErrPeerDown)
 }
 
 // Estimate implements shop.PeerHandle.

@@ -2,7 +2,9 @@ package service
 
 import (
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,6 +40,19 @@ func startPlantDaemon(t *testing.T, name string, seed int64) (addr string) {
 // also returning the daemon's telemetry hub.
 func startPlantDaemonOn(t *testing.T, name string, seed int64, wrap func(net.Listener) net.Listener) (string, *telemetry.Hub) {
 	t.Helper()
+	d, pl := newTestPlant(t, name, seed)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(t, wrap(l), NewPlantHandler(d.Runner, pl))
+	return l.Addr().String(), d.Hub
+}
+
+// newTestPlant builds a plant daemon's insides: one golden image, one
+// eight-VM plant.
+func newTestPlant(t *testing.T, name string, seed int64) (*Daemon, *plant.Plant) {
+	t.Helper()
 	im, err := warehouse.BuildGolden("base",
 		core.HardwareSpec{Arch: "x86", MemoryMB: 64, DiskMB: 2048},
 		warehouse.BackendVMware,
@@ -50,13 +65,57 @@ func startPlantDaemonOn(t *testing.T, name string, seed int64, wrap func(net.Lis
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	return d, pl
+}
+
+// serve runs proto.Serve on l until the test ends, then closes the
+// listener and waits for Serve — and so for every connection's request
+// loop — to return. The first call in a test also arms the test's
+// goroutine-leak check.
+func serve(t *testing.T, l net.Listener, h proto.Handler) (stop func()) {
+	t.Helper()
+	checkGoroutines(t)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		proto.Serve(l, h)
+	}()
+	stop = func() {
+		l.Close()
+		<-done
 	}
-	t.Cleanup(func() { l.Close() })
-	go proto.Serve(wrap(l), NewPlantHandler(d.Runner, pl))
-	return l.Addr().String(), d.Hub
+	t.Cleanup(stop)
+	return stop
+}
+
+var (
+	leakMu      sync.Mutex
+	leakChecked = map[*testing.T]bool{}
+)
+
+// checkGoroutines asserts, once per test and after every other cleanup
+// the test registers later, that the test ends with no more goroutines
+// than it started with. Closing a socket and the goroutine parked on it
+// noticing are not one step, hence the short settle loop.
+func checkGoroutines(t *testing.T) {
+	leakMu.Lock()
+	armed := leakChecked[t]
+	leakChecked[t] = true
+	leakMu.Unlock()
+	if armed {
+		return
+	}
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			buf := make([]byte, 1<<16)
+			t.Errorf("goroutines: %d before the test, %d after\n%s", before, after, buf[:runtime.Stack(buf, true)])
+		}
+	})
 }
 
 // startShopDaemon spins up a shop daemon over the given plant daemons.

@@ -69,8 +69,7 @@ func startTracedShopDaemon(t *testing.T, plantAddrs map[string]string) (string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	go proto.Serve(l, NewShopHandler(d.Runner, s))
+	serve(t, l, NewShopHandler(d.Runner, s))
 	return l.Addr().String(), hub
 }
 

@@ -22,7 +22,6 @@
 package shop
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 
@@ -334,9 +333,7 @@ func (s *Shop) beginCreation(p *sim.Proc, spec *core.Spec) (id core.VMID, ad *cl
 	if spec.Origin != "" {
 		f["origin"] = spec.Origin
 	}
-	if x, merr := xml.Marshal(proto.FromSpec(spec, "")); merr == nil {
-		f["spec"] = string(x)
-	}
+	f["spec"] = string(proto.MarshalCreateRequest(proto.FromSpec(spec, "")))
 	s.record(p, true, journal.Record{Kind: journal.CreationIntent, Key: string(id), Fields: f})
 	// Chaos point: the daemon can die here, the intent durable and no
 	// plant asked yet — Restart re-drives it.
@@ -421,8 +418,8 @@ func specFromXML(x string) (*core.Spec, error) {
 	if x == "" {
 		return nil, errors.New("intent has no spec")
 	}
-	var cr proto.CreateRequest
-	if err := xml.Unmarshal([]byte(x), &cr); err != nil {
+	cr, err := proto.UnmarshalCreateRequest([]byte(x))
+	if err != nil {
 		return nil, err
 	}
 	return cr.Spec()

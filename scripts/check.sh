@@ -42,6 +42,11 @@ fi
 
 go build ./...
 go vet ./...
+# The benchmark is its own module, invisible to ./...: vet and test it
+# here so a change to the proto/service surface it compiles against
+# cannot break it unseen.
+go vet -C bench .
+go test -C bench .
 
 # staticcheck is part of the gate when available (CI installs the
 # pinned version; see `make lint`). Local runs without it still pass,
