@@ -64,8 +64,10 @@ func (b *Builder) Build() (*Graph, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	for id, deps := range b.deps {
-		for _, d := range deps {
+	// In declaration order, not b.deps' map order: the order edges are
+	// added is the order Edges and the wire form list them.
+	for _, id := range b.g.ActionIDs() {
+		for _, d := range b.deps[id] {
 			if err := b.g.AddEdge(d, id); err != nil {
 				return nil, err
 			}

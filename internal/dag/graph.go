@@ -14,8 +14,8 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Reserved node identifiers.
@@ -85,20 +85,8 @@ func (a Action) Key() string {
 	if len(a.Params) == 0 {
 		return a.Op
 	}
-	keys := make([]string, 0, len(a.Params))
-	for k := range a.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(a.Op)
-	for _, k := range keys {
-		b.WriteByte('|')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(a.Params[k])
-	}
-	return b.String()
+	var buf [128]byte
+	return string(a.appendKey(buf[:0]))
 }
 
 // Param returns a parameter value, or "" when absent.
@@ -119,11 +107,20 @@ func (n *Node) IsFinish() bool { return n.ID == FinishID }
 
 // Graph is a configuration DAG. Construct with NewGraph or Builder; a
 // Graph must pass Validate before being submitted or matched.
+//
+// What Validate, TopoSort and the matcher derive from the structure is
+// kept in one derived index (see Index), built on first use and dropped
+// by AddNode and AddEdge, so a graph that is no longer being built pays
+// for it once. A node's Action must not change once the node is added.
+// Any number of goroutines may read a graph, the index included, as
+// long as none mutates it.
 type Graph struct {
 	nodes map[string]*Node
 	order []string            // node insertion order (determinism)
 	succ  map[string][]string // edges out, in insertion order
 	pred  map[string][]string // edges in, in insertion order
+
+	idx atomic.Pointer[Index] // nil until needed; see Index
 }
 
 // NewGraph returns a graph containing only the START and FINISH markers.
@@ -157,6 +154,7 @@ func (g *Graph) AddNode(n *Node) error {
 	}
 	g.nodes[n.ID] = n
 	g.order = append(g.order, n.ID)
+	g.idx.Store(nil)
 	return nil
 }
 
@@ -179,6 +177,7 @@ func (g *Graph) AddEdge(from, to string) error {
 	}
 	g.succ[from] = append(g.succ[from], to)
 	g.pred[to] = append(g.pred[to], from)
+	g.idx.Store(nil)
 	return nil
 }
 
@@ -228,44 +227,10 @@ func (g *Graph) Edges() [][2]string {
 
 // Validate checks the structural invariants the paper's model requires:
 // START is the unique source, FINISH the unique sink, the graph is
-// acyclic, and every action node lies on some START→FINISH path.
-func (g *Graph) Validate() error {
-	for _, id := range g.order {
-		if id == StartID {
-			if len(g.pred[id]) != 0 {
-				return errors.New("dag: START has incoming edges")
-			}
-			continue
-		}
-		if id == FinishID {
-			if len(g.succ[id]) != 0 {
-				return errors.New("dag: FINISH has outgoing edges")
-			}
-			continue
-		}
-		if len(g.pred[id]) == 0 {
-			return fmt.Errorf("dag: node %q unreachable (no incoming edges; connect it to START)", id)
-		}
-		if len(g.succ[id]) == 0 {
-			return fmt.Errorf("dag: node %q is a dead end (no outgoing edges; connect it to FINISH)", id)
-		}
-	}
-	if _, err := g.TopoSort(); err != nil {
-		return err
-	}
-	// Reachability from START and co-reachability from FINISH.
-	fwd := g.reach(StartID, g.succ)
-	back := g.reach(FinishID, g.pred)
-	for _, id := range g.order {
-		if !fwd[id] {
-			return fmt.Errorf("dag: node %q not reachable from START", id)
-		}
-		if !back[id] {
-			return fmt.Errorf("dag: FINISH not reachable from node %q", id)
-		}
-	}
-	return nil
-}
+// acyclic, and every action node lies on some START→FINISH path. The
+// verdict is part of the index, so asking again before the next
+// mutation costs nothing.
+func (g *Graph) Validate() error { return g.Index().valid }
 
 func (g *Graph) reach(from string, adj map[string][]string) map[string]bool {
 	seen := map[string]bool{from: true}
@@ -288,46 +253,13 @@ func (g *Graph) reach(from string, adj map[string][]string) map[string]bool {
 // graph always sorts the same way). It returns an error naming a node on
 // a cycle if the graph is cyclic.
 func (g *Graph) TopoSort() ([]string, error) {
-	indeg := make(map[string]int, len(g.nodes))
-	for id := range g.nodes {
-		indeg[id] = len(g.pred[id])
+	ix := g.Index()
+	if ix.topo == nil {
+		return nil, ix.cycle
 	}
-	pos := make(map[string]int, len(g.order))
-	for i, id := range g.order {
-		pos[id] = i
-	}
-	var ready []string
-	for _, id := range g.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
-		}
-	}
-	var out []string
-	for len(ready) > 0 {
-		// Pick the ready node earliest in insertion order.
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if pos[ready[i]] < pos[ready[best]] {
-				best = i
-			}
-		}
-		id := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		out = append(out, id)
-		for _, next := range g.succ[id] {
-			indeg[next]--
-			if indeg[next] == 0 {
-				ready = append(ready, next)
-			}
-		}
-	}
-	if len(out) != len(g.nodes) {
-		for _, id := range g.order {
-			if indeg[id] > 0 {
-				return nil, fmt.Errorf("dag: cycle involving node %q", id)
-			}
-		}
-		return nil, errors.New("dag: cycle detected")
+	out := make([]string, len(ix.topo))
+	for i, p := range ix.topo {
+		out[i] = ix.ids[p]
 	}
 	return out, nil
 }
@@ -382,16 +314,8 @@ func (g *Graph) IsLinearExtension(seq []string) bool {
 	return true
 }
 
-// ActionKeys maps node ID → action key for every action node.
-func (g *Graph) ActionKeys() map[string]string {
-	out := make(map[string]string, g.Len())
-	for _, id := range g.ActionIDs() {
-		out[id] = g.nodes[id].Action.Key()
-	}
-	return out
-}
-
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. The copy derives its own
+// index.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		nodes: make(map[string]*Node, len(g.nodes)),

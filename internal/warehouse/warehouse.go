@@ -52,8 +52,12 @@ type Image struct {
 	// Backend says which production line can instantiate the image.
 	Backend string
 	// Performed is the recorded configuration history from blank
-	// machine to checkpoint, in execution order.
+	// machine to checkpoint, in execution order. It does not change
+	// once the image is published.
 	Performed []dag.Action
+	// keys is dag.Keys(Performed), filled at publish time so that no
+	// bid recomputes it; see Candidate.
+	keys []string
 	// Guest is the guest OS state snapshot at checkpoint time.
 	Guest *actions.State
 	// Disk is the golden virtual disk (frozen, clean top layer).
@@ -158,7 +162,7 @@ func (im *Image) CheckpointBytes() int64 {
 
 // Candidate converts the image to the matcher's view of it.
 func (im *Image) Candidate() match.Candidate {
-	return match.Candidate{ID: im.Name, Hardware: im.Hardware, Performed: im.Performed}
+	return match.Candidate{ID: im.Name, Hardware: im.Hardware, Performed: im.Performed, Keys: im.keys}
 }
 
 // Descriptor is the XML description stored beside each image (paper
@@ -455,6 +459,7 @@ func (w *Warehouse) validate(im *Image) error {
 
 // register books the image into the store and updates the gauges.
 func (w *Warehouse) register(im *Image, accounted int64) {
+	im.keys = dag.Keys(im.Performed)
 	im.bytes = accounted
 	w.bytesUsed += accounted
 	w.images[im.Name] = im

@@ -495,3 +495,51 @@ func TestAnatomyStagesSumSensibly(t *testing.T) {
 		t.Errorf("plant total %.1f ≥ client %.1f", res.TotalSecs.Mean, res.ClientSecs.Mean)
 	}
 }
+
+// Bugfix pin: Builder.Build wired edges in the iteration order of a
+// map, so the successor order under a fan-out node (F → J, G, I) — and
+// with it Edges(), the <edge> order on the wire and in the shop's
+// intent record — differed between two builds of one graph: 200 builds
+// gave six encodings. Edges are now wired in declaration order. No
+// plan, fingerprint or golden depended on the old order: TopoSort
+// breaks ties by node insertion position, never by edge order.
+func TestUserEnvDAGHasOneEncoding(t *testing.T) {
+	var first []byte
+	for i := 0; i < 200; i++ {
+		g, err := InVigoUserEnvDAG("arijit", "00:50:56:00:00:01", "10.1.0.7")
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := g.AppendXML(nil)
+		if first == nil {
+			first = enc
+		} else if string(enc) != string(first) {
+			t.Fatalf("build %d encodes differently\n got: %s\nwant: %s", i, enc, first)
+		}
+	}
+	g, _ := InVigoUserEnvDAG("arijit", "00:50:56:00:00:01", "10.1.0.7")
+	if got := fmt.Sprint(g.Successors("F")); got != "[J G I]" {
+		t.Errorf("successors of F = %s, want declaration order [J G I]", got)
+	}
+}
+
+// Allocation ceiling from the issue: compiling the ten-node request
+// costs at most 70 allocations, below what one match.Best over three
+// candidates cost before requests were compiled (78), so even a graph
+// that is matched once comes out ahead.
+func TestUserEnvDAGIndexAllocationCeiling(t *testing.T) {
+	g, err := InVigoUserEnvDAG("arijit", "00:50:56:00:00:01", "10.1.0.7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		if g.Clone().Index() == nil { // a clone starts without an index
+			t.Fatal("no index")
+		}
+	})
+	clone := testing.AllocsPerRun(50, func() { g.Clone() })
+	t.Logf("index: %.0f allocations (clone %.0f)", n-clone, clone)
+	if n-clone > 70 {
+		t.Errorf("building the index: %.0f allocations, want ≤ 70", n-clone)
+	}
+}

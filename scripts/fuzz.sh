@@ -16,4 +16,5 @@ done <<TARGETS
 ./internal/proto FuzzEnvelope
 ./internal/classad FuzzAdXML
 ./internal/dag FuzzGraphXML
+./internal/match FuzzEvaluate
 TARGETS
