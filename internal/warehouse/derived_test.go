@@ -2,6 +2,10 @@ package warehouse
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -374,5 +378,50 @@ func TestSetCloneCacheSizeResetsGauge(t *testing.T) {
 	}
 	if len(w.CacheKeys()) != 0 {
 		t.Errorf("cache still holds %v", w.CacheKeys())
+	}
+}
+
+// List is served from a name slice register and unregister keep sorted,
+// not from a sort per call: after every step of a random publish /
+// retire / restart sequence it must equal the sorted keys of the catalog.
+func TestListTracksCatalog(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		g := rand.New(rand.NewSource(seed))
+		w := newWarehouse()
+		w.SetJournal(testJournal(t))
+		seeds := []*Image{seedImage(t, w, "seed-m"), seedImage(t, w, "seed-b")}
+		for step := 0; step < 200; step++ {
+			switch op := g.Intn(10); {
+			case op < 5:
+				name := fmt.Sprintf("img-%02d", g.Intn(40))
+				if _, dup := w.Lookup(name); dup {
+					continue
+				}
+				i := g.Intn(len(seeds))
+				if _, live := w.Lookup(seeds[i].Name); !live {
+					seeds[i] = seedImage(t, w, seeds[i].Name) // removed earlier: publish it again
+					break
+				}
+				if err := w.PublishDerived(derivedOf(t, seeds[i], name, name), 0); err != nil {
+					t.Fatal(err)
+				}
+			case op < 9:
+				if names := w.List(); len(names) > 0 {
+					// A seed with derived children refuses; either way
+					// List must follow the catalog.
+					_ = w.Remove(names[g.Intn(len(names))])
+				}
+			default:
+				w.Restart()
+			}
+			want := make([]string, 0, len(w.images))
+			for n := range w.images {
+				want = append(want, n)
+			}
+			sort.Strings(want)
+			if got := w.List(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: List = %v, catalog %v", seed, step, got, want)
+			}
+		}
 	}
 }

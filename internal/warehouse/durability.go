@@ -39,7 +39,7 @@ func (w *Warehouse) SetJournal(j *journal.Journal) {
 		foldCatalog(published, r)
 		return nil
 	})
-	for _, name := range w.List() {
+	for _, name := range w.names {
 		if published[name] {
 			continue
 		}

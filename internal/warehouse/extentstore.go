@@ -225,7 +225,7 @@ func (w *Warehouse) reconcileExtents(replayed map[uint64]*extentEntry) (rebuilt,
 		hash uint64
 	}
 	expected := make(map[uint64]*want)
-	for _, name := range w.List() {
+	for _, name := range w.names {
 		im := w.images[name]
 		if im.Derived {
 			continue // derived images reference extents through their parent

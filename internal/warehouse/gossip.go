@@ -42,7 +42,7 @@ type CatalogEntry struct {
 // installer-seeded identically, so only learned state is news.
 func (w *Warehouse) ExportCatalog() ([]CatalogEntry, error) {
 	var out []CatalogEntry
-	for _, n := range w.List() {
+	for _, n := range w.names {
 		im := w.images[n]
 		if !im.Derived {
 			continue

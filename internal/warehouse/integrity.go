@@ -242,7 +242,7 @@ func (w *Warehouse) Quarantined() []string {
 func (w *Warehouse) detect(im *Image, bad []string, origin string) {
 	w.mCorruptions.Add(int64(len(bad)))
 	w.Quarantine(im.Name, fmt.Sprintf("%s: checksum mismatch on %s", origin, bad[0]))
-	for _, name := range w.List() {
+	for _, name := range w.names {
 		other := w.images[name]
 		if other == im {
 			continue
@@ -284,7 +284,7 @@ func (w *Warehouse) VerifyClone(ctx *CloneContext) error {
 // list means nothing slipped through.
 func (w *Warehouse) DirtyImages() []string {
 	var out []string
-	for _, name := range w.List() {
+	for _, name := range w.names {
 		if len(w.badArtifacts(w.images[name])) > 0 {
 			out = append(out, name)
 		}

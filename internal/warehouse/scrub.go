@@ -85,6 +85,8 @@ func (s *Scrubber) Stop() {
 // everything quarantined — seeds first, so a healed parent extent
 // clears the derived images poisoned through it in the same pass.
 func (w *Warehouse) ScrubPass(p *sim.Proc) {
+	// List's copy: the pass sleeps in Charge and retires at the repair
+	// limit, so the catalog changes under the walk.
 	for _, name := range w.List() {
 		im, ok := w.images[name]
 		if !ok || w.IsQuarantined(name) {

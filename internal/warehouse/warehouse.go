@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -269,7 +270,10 @@ func ParseDescriptor(blob []byte) (Descriptor, []dag.Action, error) {
 type Warehouse struct {
 	vol    *storage.Volume
 	images map[string]*Image
-	cache  *cloneCache
+	// names is the keys of images, kept sorted by register and
+	// unregister, its only writers.
+	names []string
+	cache *cloneCache
 	// extents is the content-addressed store seed disk extents live in:
 	// byte-identical extents share one refcounted physical copy
 	// (extentstore.go).
@@ -463,6 +467,8 @@ func (w *Warehouse) register(im *Image, accounted int64) {
 	im.bytes = accounted
 	w.bytesUsed += accounted
 	w.images[im.Name] = im
+	i, _ := slices.BinarySearch(w.names, im.Name)
+	w.names = slices.Insert(w.names, i, im.Name)
 	w.mPublishes.Inc()
 	w.gImages.Set(int64(len(w.images)))
 	w.gDerived.Set(int64(w.DerivedCount()))
@@ -623,7 +629,7 @@ func (w *Warehouse) PublishDerived(im *Image, now time.Duration) error {
 // and images with live clones are never candidates.
 func (w *Warehouse) retireOne() error {
 	var victim *Image
-	for _, n := range w.List() {
+	for _, n := range w.names {
 		im := w.images[n]
 		if !im.Derived || im.refs > 0 {
 			continue
@@ -717,6 +723,9 @@ func (w *Warehouse) unregister(im *Image) {
 	}
 	w.bytesUsed -= im.bytes
 	delete(w.images, im.Name)
+	if i, ok := slices.BinarySearch(w.names, im.Name); ok {
+		w.names = slices.Delete(w.names, i, i+1)
+	}
 	w.qmu.Lock()
 	delete(w.quarantine, im.Name)
 	delete(w.repairFails, im.Name)
@@ -752,14 +761,10 @@ func (w *Warehouse) Lookup(name string) (*Image, bool) {
 	return im, ok
 }
 
-// List returns all image names, sorted.
+// List returns all image names, sorted. The slice is the caller's own:
+// it stays valid while images are published or retired.
 func (w *Warehouse) List() []string {
-	out := make([]string, 0, len(w.images))
-	for n := range w.images {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(w.names)
 }
 
 // Candidates returns the matcher's view of every image suited to the
@@ -768,7 +773,7 @@ func (w *Warehouse) List() []string {
 // under suspicion.
 func (w *Warehouse) Candidates(backend string) []match.Candidate {
 	var out []match.Candidate
-	for _, n := range w.List() {
+	for _, n := range w.names {
 		im := w.images[n]
 		if backend != "" && im.Backend != backend {
 			continue
