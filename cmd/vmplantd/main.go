@@ -27,7 +27,6 @@ import (
 	"vmplants/internal/sim"
 	"vmplants/internal/simnet"
 	"vmplants/internal/storage"
-	"vmplants/internal/telemetry"
 	"vmplants/internal/vnet"
 	"vmplants/internal/warehouse"
 	"vmplants/internal/workload"
@@ -135,16 +134,9 @@ func main() {
 	}
 
 	if *debug != "" {
-		mux := hub.DebugMux()
-		mux.Handle("/debug/warehouse", wh.DebugHandler())
-		if jnl != nil {
-			mux.Handle("/debug/journal", jnl.DebugHandler())
-		}
-		addr, err := telemetry.Serve(*debug, mux)
-		if err != nil {
+		if _, err := d.ServeDebug(*debug, nil, jnl, wh); err != nil {
 			log.Fatalf("vmplantd: %v", err)
 		}
-		log.Printf("debug endpoints on http://%s/metrics, /debug/traces, /debug/creation/<id>, /debug/health, /debug/warehouse and /debug/journal", addr)
 	}
 
 	if *vnetAddr != "" {

@@ -8,12 +8,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"strings"
 	"time"
 
@@ -21,7 +19,6 @@ import (
 	"vmplants/internal/proto"
 	"vmplants/internal/service"
 	"vmplants/internal/shop"
-	"vmplants/internal/telemetry"
 	"vmplants/internal/workload"
 )
 
@@ -59,7 +56,7 @@ func main() {
 		if name == *cell {
 			log.Fatalf("vmshopd: peer %q is this cell", name)
 		}
-		peerHandles = append(peerHandles, &service.RemotePeer{PeerName: name, Addr: addr, Timeout: *timeout, Telemetry: hub})
+		peerHandles = append(peerHandles, service.NewRemotePeer(name, addr, *timeout, hub))
 	}
 	s.SetPeers(peerHandles)
 
@@ -71,23 +68,12 @@ func main() {
 	}
 
 	if *debug != "" {
-		mux := hub.DebugMux()
-		if jnl != nil {
-			mux.Handle("/debug/journal", jnl.DebugHandler())
-		}
-		mux.HandleFunc("/debug/federation", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(s.Federation())
-		})
-		mux.HandleFunc("/debug/fleet", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(s.Fleet())
-		})
-		addr, err := telemetry.Serve(*debug, mux)
-		if err != nil {
+		if _, err := d.ServeDebug(*debug, map[string]func() any{
+			"federation": func() any { return s.Federation() },
+			"fleet":      func() any { return s.Fleet() },
+		}, jnl, nil); err != nil {
 			log.Fatalf("vmshopd: %v", err)
 		}
-		log.Printf("debug endpoints on http://%s/metrics, /debug/traces, /debug/creation/<id>, /debug/health, /debug/journal, /debug/federation and /debug/fleet", addr)
 	}
 
 	l, err := net.Listen("tcp", *listen)

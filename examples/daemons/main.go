@@ -57,13 +57,15 @@ func main() {
 
 	// The shop discovers them ("Discover"/"Bind") and serves clients.
 	handles := service.DiscoverPlants(reg, 5*time.Second)
+	d := service.NewDaemon("shop")
 	s := shop.New("shop", handles, 7)
+	s.SetTelemetry(d.Hub)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer l.Close()
-	go proto.Serve(l, service.NewShopHandler(service.NewDaemon("shop").Runner, s))
+	go proto.Serve(l, service.NewShopHandler(d.Runner, s))
 	fmt.Printf("vmshop serving on %s with %d discovered plants\n\n", l.Addr(), len(handles))
 
 	// A typed client drives the whole lifecycle over real sockets.

@@ -45,7 +45,7 @@ func main() {
 	// Create one VM per domain, directly on the plant.
 	domains := []string{"ufl.edu", "northwestern.edu"}
 	vmIDs := map[string]core.VMID{}
-	k.Spawn("client", func(p *sim.Proc) {
+	err = k.Do("client", func(p *sim.Proc) {
 		for i, domain := range domains {
 			g, err := dag.NewBuilder().
 				Add("os", dag.Action{Op: actions.OpInstallOS, Target: dag.Guest,
@@ -68,8 +68,8 @@ func main() {
 				domain, id, ad.GetString(core.AttrNetwork, "?"))
 		}
 	})
-	if res := k.Run(0); len(res.Stranded) != 0 {
-		log.Fatalf("stranded: %v", res.Stranded)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Plant-side VNET server with per-domain credentials.

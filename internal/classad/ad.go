@@ -3,7 +3,6 @@ package classad
 import (
 	"encoding/xml"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -426,23 +425,4 @@ func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
 		a.Set(name, ex)
 		return nil
 	})
-}
-
-// SortedDebugString renders attributes sorted by name; handy in tests
-// where insertion order is incidental.
-func (a *Ad) SortedDebugString() string {
-	names := a.Names()
-	sort.Slice(names, func(i, j int) bool {
-		return strings.ToLower(names[i]) < strings.ToLower(names[j])
-	})
-	var b strings.Builder
-	b.WriteString("[ ")
-	for i, n := range names {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		fmt.Fprintf(&b, "%s = %s", n, a.attrs[strings.ToLower(n)].String())
-	}
-	b.WriteString(" ]")
-	return b.String()
 }

@@ -97,9 +97,6 @@ func (v Value) IsUndefined() bool { return v.kind == KindUndefined }
 // IsError reports whether v is ERROR.
 func (v Value) IsError() bool { return v.kind == KindError }
 
-// ErrMsg returns the diagnostic carried by an ERROR value.
-func (v Value) ErrMsg() string { return v.msg }
-
 // BoolVal returns the boolean and ok=true if v is a bool.
 func (v Value) BoolVal() (bool, bool) { return v.b, v.kind == KindBool }
 

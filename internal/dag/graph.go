@@ -99,12 +99,6 @@ type Node struct {
 	OnError ErrorPolicy
 }
 
-// IsStart reports whether the node is the START marker.
-func (n *Node) IsStart() bool { return n.ID == StartID }
-
-// IsFinish reports whether the node is the FINISH marker.
-func (n *Node) IsFinish() bool { return n.ID == FinishID }
-
 // Graph is a configuration DAG. Construct with NewGraph or Builder; a
 // Graph must pass Validate before being submitted or matched.
 //

@@ -6,23 +6,24 @@ import (
 	"strconv"
 )
 
-// debugRecord is the JSON rendering of one record.
-type debugRecord struct {
+// DebugRecord is the JSON rendering of one record.
+type DebugRecord struct {
 	Seq    uint64            `json:"seq"`
 	Kind   string            `json:"kind"`
 	Key    string            `json:"key"`
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// debugState is the /debug/journal payload.
-type debugState struct {
+// DebugState is the /debug/journal payload, as DebugHandler serves it
+// and vmctl journal reads it.
+type DebugState struct {
 	Dir      string        `json:"dir"`
 	Seq      uint64        `json:"seq"`
 	Segments int           `json:"segments"`
 	Bytes    int64         `json:"bytes"`
 	Good     int           `json:"good_records"`
 	Bad      int           `json:"bad_records"`
-	Records  []debugRecord `json:"records"`
+	Records  []DebugRecord `json:"records"`
 }
 
 // DebugHandler serves the journal's state as JSON for vmctl journal:
@@ -41,7 +42,7 @@ func (j *Journal) DebugHandler() http.Handler {
 		if n > 0 && len(recs) > n {
 			recs = recs[len(recs)-n:]
 		}
-		st := debugState{
+		st := DebugState{
 			Dir:      j.dir,
 			Seq:      j.seq,
 			Segments: len(j.segs),
@@ -50,7 +51,7 @@ func (j *Journal) DebugHandler() http.Handler {
 			Bad:      bad,
 		}
 		for _, rec := range recs {
-			st.Records = append(st.Records, debugRecord{
+			st.Records = append(st.Records, DebugRecord{
 				Seq: rec.Seq, Kind: string(rec.Kind), Key: rec.Key, Fields: rec.Fields,
 			})
 		}

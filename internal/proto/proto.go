@@ -4,9 +4,12 @@
 // binding protocol "uses XML-based requests").
 //
 // Messages are XML documents framed with a 4-byte big-endian length
-// prefix. The same codec runs over real net.Conn streams (the daemons)
-// and over in-memory/simulated transports (the experiments), so the
-// exact bytes on the wire are identical in both settings.
+// prefix, carried over net.Conn streams between the daemons and their
+// clients. The simulated transports the experiments use
+// (shop.LocalHandle, shop.LocalPeerHandle) exchange no messages: they
+// call the same shop.PlantEnd / shop.ShopEnd the daemons' handlers
+// serve from, and internal/service's parity test holds the two paths to
+// the same outcomes.
 //
 // The struct tags below define the format, and the bytes are what
 // encoding/xml makes of them — but Marshal and Unmarshal do not go

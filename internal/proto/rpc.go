@@ -81,8 +81,7 @@ type Client struct {
 	Retry RetryPolicy
 
 	retryRNG *rand.Rand // lazily seeded from Retry.Seed, under mu
-	// redial re-establishes the connection between attempts; set by
-	// Dial. nil retries on the existing connection.
+	// redial re-establishes the connection between attempts.
 	redial func() (net.Conn, error)
 	// sleepFn pauses between attempts; time.Sleep unless a test
 	// substitutes one.
@@ -106,15 +105,6 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	c := &Client{conn: conn, in: frameReader{r: conn}, addr: addr, Timeout: timeout}
 	c.redial = func() (net.Conn, error) { return d.Dial("tcp", addr) }
 	return c, nil
-}
-
-// NewClient wraps an existing connection.
-func NewClient(conn net.Conn) *Client {
-	c := &Client{conn: conn, in: frameReader{r: conn}}
-	if ra := conn.RemoteAddr(); ra != nil {
-		c.addr = ra.String()
-	}
-	return c
 }
 
 // SetTelemetry wires the client's RPC instruments: call and error
@@ -180,25 +170,21 @@ func (c *Client) call(m *Message) (*Message, error) {
 		c.mRetries.Inc()
 		backoff := c.Retry.backoffFor(retry, c.jitterRNG())
 		c.pause(backoff)
-		redialed := false
-		if c.redial != nil {
-			conn, derr := c.redial()
-			if derr != nil {
-				err = fmt.Errorf("redial: %w", derr)
-				if sp != nil {
-					sp.Child(nil, "rpc.attempt").
-						SetInt("attempt", int64(retry+1)).
-						Set("redial", "failed").
-						EndErr(nil, err)
-				}
-				continue
+		conn, derr := c.redial()
+		if derr != nil {
+			err = fmt.Errorf("redial: %w", derr)
+			if sp != nil {
+				sp.Child(nil, "rpc.attempt").
+					SetInt("attempt", int64(retry+1)).
+					Set("redial", "failed").
+					EndErr(nil, err)
 			}
-			c.conn.Close()
-			c.conn = conn
-			c.in = frameReader{r: conn, buf: c.in.buf}
-			redialed = true
+			continue
 		}
-		resp, err = c.tracedAttempt(sp, m, retry+1, backoff, redialed)
+		c.conn.Close()
+		c.conn = conn
+		c.in = frameReader{r: conn, buf: c.in.buf}
+		resp, err = c.tracedAttempt(sp, m, retry+1, backoff, true)
 		if err == nil || !c.shouldRetry(m.Kind, err) {
 			sp.EndErr(nil, err)
 			return resp, err
@@ -308,11 +294,6 @@ func (c *Client) pause(d time.Duration) {
 // SetSleepFunc substitutes the pause between retry attempts — tests
 // use it to record the backoff schedule instead of sleeping.
 func (c *Client) SetSleepFunc(fn func(time.Duration)) { c.sleepFn = fn }
-
-// SetRedialFunc substitutes how the client re-establishes its
-// connection between retry attempts (nil keeps retrying on the current
-// connection). Dial installs the real re-dialer.
-func (c *Client) SetRedialFunc(fn func() (net.Conn, error)) { c.redial = fn }
 
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }

@@ -7,26 +7,38 @@ import (
 	"vmplants/internal/classad"
 	"vmplants/internal/core"
 	"vmplants/internal/proto"
+	"vmplants/internal/shop"
 )
 
-// ShopClient is the typed Go client for a VMShop daemon: the
-// counterpart of cmd/vmctl for programs. It wraps one protocol
-// connection and is safe for concurrent use.
+// ShopClient is the typed Go client for a VMShop daemon — what
+// cmd/vmctl and programs drive a shop with. It makes RemotePlant's
+// calls on one connection of its own, so idempotent requests (query,
+// ping) ride DefaultRetry and mutating kinds are never retransmitted;
+// it is safe for concurrent use.
 type ShopClient struct {
-	c *proto.Client
+	rp RemotePlant
 }
 
 // DialShop connects to a VMShop daemon.
 func DialShop(addr string, timeout time.Duration) (*ShopClient, error) {
-	c, err := proto.Dial(addr, timeout)
+	sc := &ShopClient{rp: RemotePlant{Addr: addr, Timeout: timeout, down: shop.ErrShopDown, unchecked: true}}
+	sc.rp.mu.Lock()
+	err := sc.rp.connect()
+	sc.rp.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return &ShopClient{c: c}, nil
+	return sc, nil
 }
 
 // Close releases the connection.
-func (sc *ShopClient) Close() error { return sc.c.Close() }
+func (sc *ShopClient) Close() error {
+	sc.rp.Close()
+	return nil
+}
+
+// Ping probes the daemon's liveness and returns the shop's name.
+func (sc *ShopClient) Ping() (string, error) { return sc.rp.ping() }
 
 // Create submits a creation request and returns the assigned VMID with
 // the resulting classad.
@@ -34,60 +46,48 @@ func (sc *ShopClient) Create(spec *core.Spec) (core.VMID, *classad.Ad, error) {
 	if err := spec.Validate(); err != nil {
 		return "", nil, err
 	}
-	resp, err := sc.c.Call(&proto.Message{Kind: proto.KindCreateRequest,
-		Create: proto.FromSpec(spec, "")})
-	if err != nil {
-		return "", nil, err
-	}
-	return core.VMID(resp.Created.VMID), resp.Created.Ad, nil
+	return sc.rp.create(nil, "", spec)
 }
 
 // Query fetches an active VM's classad.
 func (sc *ShopClient) Query(id core.VMID) (*classad.Ad, error) {
-	resp, err := sc.c.Call(&proto.Message{Kind: proto.KindQueryRequest,
-		Query: &proto.QueryRequest{VMID: string(id)}})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.Queried.Found {
-		return nil, fmt.Errorf("service: VM %s not found", id)
-	}
-	return resp.Queried.Ad, nil
+	ad, found, err := sc.rp.Query(nil, id)
+	return ad, notFound(id, found, err)
 }
 
 // Destroy collects an active VM.
 func (sc *ShopClient) Destroy(id core.VMID) error {
-	resp, err := sc.c.Call(&proto.Message{Kind: proto.KindDestroyRequest,
-		Destroy: &proto.DestroyRequest{VMID: string(id)}})
-	if err != nil {
-		return err
-	}
-	if !resp.Destroyed.Destroyed {
+	found, err := sc.rp.Collect(nil, id)
+	return notFound(id, found, err)
+}
+
+// notFound is the error a client gets for a VM the shop does not know.
+func notFound(id core.VMID, found bool, err error) error {
+	if err == nil && !found {
 		return fmt.Errorf("service: VM %s not found", id)
 	}
-	return nil
+	return err
+}
+
+// Lifecycle suspends or resumes an active VM (op is
+// proto.LifecycleSuspend or proto.LifecycleResume) and returns the state
+// it is in afterwards.
+func (sc *ShopClient) Lifecycle(id core.VMID, op string) (string, error) {
+	return sc.rp.lifecycle(nil, id, op)
 }
 
 // Suspend parks an active VM.
 func (sc *ShopClient) Suspend(id core.VMID) error {
-	return sc.lifecycle(id, proto.LifecycleSuspend)
+	return sc.rp.Lifecycle(nil, id, proto.LifecycleSuspend)
 }
 
 // Resume wakes a suspended VM.
 func (sc *ShopClient) Resume(id core.VMID) error {
-	return sc.lifecycle(id, proto.LifecycleResume)
-}
-
-func (sc *ShopClient) lifecycle(id core.VMID, op string) error {
-	_, err := sc.c.Call(&proto.Message{Kind: proto.KindLifecycleRequest,
-		Lifecycle: &proto.LifecycleRequest{VMID: string(id), Op: op}})
-	return err
+	return sc.rp.Lifecycle(nil, id, proto.LifecycleResume)
 }
 
 // Publish checkpoints an active VM into the warehouse as a new golden
 // image.
 func (sc *ShopClient) Publish(id core.VMID, image string) error {
-	_, err := sc.c.Call(&proto.Message{Kind: proto.KindPublishRequest,
-		Publish: &proto.PublishRequest{VMID: string(id), Image: image}})
-	return err
+	return sc.rp.Publish(nil, id, image)
 }

@@ -1,7 +1,14 @@
 package service
 
 import (
+	"encoding/json"
+	"log"
+	"net/http"
+	"slices"
+	"strings"
+
 	"vmplants/internal/cluster"
+	"vmplants/internal/journal"
 	"vmplants/internal/plant"
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
@@ -50,4 +57,39 @@ func (d *Daemon) HostPlant(name string, seed int64, cfg plant.Config, golden ...
 	}
 	cfg.Telemetry = d.Hub
 	return plant.New(name, tb.Nodes[0], wh, cfg), nil
+}
+
+// ServeDebug serves the daemon's debug HTTP endpoints on addr and
+// returns the bound address: the hub's own (/metrics, /debug/traces,
+// /debug/creation/<id>, /debug/health), every snapshot as JSON under
+// /debug/<its name>, and the journal's and the warehouse's when the
+// daemon has one. It logs what it mounted.
+func (d *Daemon) ServeDebug(addr string, snapshots map[string]func() any, jnl *journal.Journal, wh *warehouse.Warehouse) (string, error) {
+	handlers := map[string]http.Handler{}
+	for name, snapshot := range snapshots {
+		handlers["/debug/"+name] = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(snapshot())
+		})
+	}
+	if jnl != nil {
+		handlers["/debug/journal"] = jnl.DebugHandler()
+	}
+	if wh != nil {
+		handlers["/debug/warehouse"] = wh.DebugHandler()
+	}
+	mux := d.Hub.DebugMux()
+	var paths []string
+	for path, h := range handlers {
+		mux.Handle(path, h)
+		paths = append(paths, path)
+	}
+	slices.Sort(paths)
+	mounted := append([]string{"/metrics", "/debug/traces", "/debug/creation/<id>", "/debug/health"}, paths...)
+	bound, err := telemetry.Serve(addr, mux)
+	if err != nil {
+		return "", err
+	}
+	log.Printf("debug endpoints on http://%s%s", bound, strings.Join(mounted, ", "))
+	return bound, nil
 }

@@ -54,6 +54,11 @@ func startPlantDaemonOn(t *testing.T, name string, seed int64, wrap func(net.Lis
 // eight-VM plant.
 func newTestPlant(t *testing.T, name string, seed int64) (*Daemon, *plant.Plant) {
 	t.Helper()
+	return newTestPlantCfg(t, name, seed, plant.Config{MaxVMs: 8})
+}
+
+func newTestPlantCfg(t *testing.T, name string, seed int64, cfg plant.Config) (*Daemon, *plant.Plant) {
+	t.Helper()
 	im, err := warehouse.BuildGolden("base",
 		core.HardwareSpec{Arch: "x86", MemoryMB: 64, DiskMB: 2048},
 		warehouse.BackendVMware,
@@ -62,7 +67,7 @@ func newTestPlant(t *testing.T, name string, seed int64) (*Daemon, *plant.Plant)
 		t.Fatal(err)
 	}
 	d := NewDaemon(name)
-	pl, err := d.HostPlant(name, seed, plant.Config{MaxVMs: 8}, im)
+	pl, err := d.HostPlant(name, seed, cfg, im)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,14 +288,96 @@ func (s *Shop) Federation() FederationStatus {
 	return st
 }
 
-// LocalPeerHandle adapts an in-process peer *Shop under the same
-// simulation kernel, charging a cross-cell message latency and checking
-// the peer's registry lease before every call: a peer whose lease has
-// lapsed is authoritatively gone, so the call fails immediately instead
-// of burning a timeout — a vanished peer can never stall a bid round.
+// Service is the registry service type a shop cell publishes itself
+// under; peers check for a live lease there before every call.
+const Service = "vmshop"
+
+// ShopEnd is a shop's end of the protocol as another cell — or a
+// client on the wire — meets it, with no transport in front: each
+// operation run on the shop and its outcome put into one of the
+// protocol's classes. A killed shop is daemon down (ErrPeerDown), a VM it does not
+// serve is not found (ErrUnknownVM from the shop: found=false where the
+// result can say so), shed or momentarily infeasible work is transient
+// (core.ErrTransient), and any other error is the shop's own failure.
+// LocalPeerHandle and the shop daemon's handler
+// (service.NewShopHandler) are the two transports in front of it.
+type ShopEnd struct {
+	Shop *Shop
+}
+
+// Name is the shop's: its cell.
+func (e ShopEnd) Name() string { return e.Shop.name }
+
+// down maps the shop's killed state onto the transport error class, so
+// the caller's failover machinery treats a death mid-call the same as an
+// unreachable peer.
+func (e ShopEnd) down(err error) error {
+	if errors.Is(err, ErrShopDown) {
+		return fmt.Errorf("%w: %s: daemon not running", ErrPeerDown, e.Shop.name)
+	}
+	return err
+}
+
+// Estimate is the peer-facing half of hierarchical bidding: the shop's
+// aggregate bid, its cheapest feasible plant's. It carries no resource
+// ad.
+func (e ShopEnd) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, *classad.Ad, error) {
+	c, err := e.Shop.EstimateForward(p, spec)
+	return c, nil, e.down(err)
+}
+
+// Create is a client's creation: the shop mints the VMID, whatever it
+// is handed.
+func (e ShopEnd) Create(p *sim.Proc, _ core.VMID, spec *core.Spec) (core.VMID, *classad.Ad, error) {
+	id, ad, err := e.Shop.Create(p, spec)
+	return id, ad, e.down(err)
+}
+
+// Forward is a peer cell's creation, forwarded here.
+func (e ShopEnd) Forward(p *sim.Proc, spec *core.Spec) (core.VMID, *classad.Ad, error) {
+	id, ad, err := e.Shop.ForwardCreate(p, spec)
+	return id, ad, e.down(err)
+}
+
+// LookupForward asks, without creating anything, whether the shop
+// committed a creation under the forwarding token.
+func (e ShopEnd) LookupForward(p *sim.Proc, token string) (core.VMID, bool, error) {
+	remote, found, err := e.Shop.ForwardLookup(p, token)
+	return remote, found, e.down(err)
+}
+
+// Query fetches the classad of a VM the shop serves.
+func (e ShopEnd) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, error) {
+	ad, err := e.Shop.Query(p, id)
+	found, err := Found(e.down(err))
+	return ad, found, err
+}
+
+// Collect destroys a VM the shop serves.
+func (e ShopEnd) Collect(p *sim.Proc, id core.VMID) (bool, error) {
+	return Found(e.down(e.Shop.Destroy(p, id)))
+}
+
+// Publish checkpoints a VM the shop serves into its cell's warehouse.
+func (e ShopEnd) Publish(p *sim.Proc, id core.VMID, image string) error {
+	return e.down(e.Shop.Publish(p, id, image))
+}
+
+// Lifecycle suspends or resumes a VM the shop serves.
+func (e ShopEnd) Lifecycle(p *sim.Proc, id core.VMID, op string) error {
+	return e.down(e.Shop.lifecycle(p, id, op))
+}
+
+// LocalPeerHandle is the simulated transport in front of an in-process
+// peer's ShopEnd under the same kernel: it charges a cross-cell message
+// latency, injects transport faults, and checks the peer's registry
+// lease before every call — a peer whose lease has lapsed is
+// authoritatively gone, so the call fails immediately instead of
+// burning a timeout, and a vanished peer can never stall a bid round.
+// It decides no outcome itself.
 type LocalPeerHandle struct {
-	Target *Shop
-	// Registry, when set, is consulted for a live "vmshop" lease under
+	ShopEnd
+	// Registry, when set, is consulted for a live Service lease under
 	// the peer's name before every call.
 	Registry *registry.Registry
 	// MsgLatency is the one-way cross-cell control latency (WAN hop,
@@ -311,16 +393,13 @@ type LocalPeerHandle struct {
 
 // NewLocalPeerHandle wraps a peer shop with default cross-cell latency.
 func NewLocalPeerHandle(target *Shop, reg *registry.Registry) *LocalPeerHandle {
-	return &LocalPeerHandle{Target: target, Registry: reg, MsgLatency: 0.02, CallTimeout: 1.0}
+	return &LocalPeerHandle{ShopEnd: ShopEnd{target}, Registry: reg, MsgLatency: 0.02, CallTimeout: 1.0}
 }
 
-// Name implements PeerHandle.
-func (h *LocalPeerHandle) Name() string { return h.Target.Name() }
-
 func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
-	name := h.Target.Name()
+	name := h.Shop.Name()
 	if h.Registry != nil {
-		if _, err := h.Registry.Bind("vmshop", name); err != nil {
+		if _, err := h.Registry.Bind(Service, name); err != nil {
 			// Fail fast: an expired lease means the cell withdrew (or
 			// stopped heartbeating); no timeout is owed for a peer the
 			// directory already says is gone.
@@ -334,7 +413,7 @@ func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
 	if d := h.Faults.DelayFor(name, fault.RPCDelay, op); d > 0 {
 		p.Sleep(d)
 	}
-	if h.Target.Down() {
+	if h.Shop.Down() {
 		callTimeout(p, h.CallTimeout)
 		return fmt.Errorf("%w: %s: daemon not running", ErrPeerDown, name)
 	}
@@ -342,26 +421,13 @@ func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
 	return nil
 }
 
-// peerErr maps the target shop's down-state onto the transport error
-// class, so the origin's failover machinery treats a mid-call death the
-// same as an unreachable peer.
-func peerErr(name string, err error) error {
-	if errors.Is(err, ErrShopDown) {
-		return fmt.Errorf("%w: %s: daemon died mid-call", ErrPeerDown, name)
-	}
-	return err
-}
-
 // Estimate implements PeerHandle.
 func (h *LocalPeerHandle) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, error) {
 	if err := h.roundTrip(p, "peer-estimate"); err != nil {
 		return core.Infeasible, err
 	}
-	c, err := h.Target.EstimateForward(p, spec)
-	if err != nil {
-		return core.Infeasible, peerErr(h.Target.Name(), err)
-	}
-	return c, nil
+	c, _, err := h.ShopEnd.Estimate(p, spec)
+	return c, err
 }
 
 // Create implements PeerHandle.
@@ -369,11 +435,7 @@ func (h *LocalPeerHandle) Create(p *sim.Proc, spec *core.Spec) (core.VMID, *clas
 	if err := h.roundTrip(p, "peer-create"); err != nil {
 		return "", nil, err
 	}
-	id, ad, err := h.Target.ForwardCreate(p, spec)
-	if err != nil {
-		return "", nil, peerErr(h.Target.Name(), err)
-	}
-	return id, ad, nil
+	return h.ShopEnd.Forward(p, spec)
 }
 
 // LookupForward implements PeerHandle.
@@ -381,11 +443,7 @@ func (h *LocalPeerHandle) LookupForward(p *sim.Proc, token string) (core.VMID, b
 	if err := h.roundTrip(p, "peer-lookup"); err != nil {
 		return "", false, err
 	}
-	remote, found, err := h.Target.ForwardLookup(p, token)
-	if err != nil {
-		return "", false, peerErr(h.Target.Name(), err)
-	}
-	return remote, found, nil
+	return h.ShopEnd.LookupForward(p, token)
 }
 
 // Query implements PeerHandle.
@@ -393,14 +451,7 @@ func (h *LocalPeerHandle) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, e
 	if err := h.roundTrip(p, "peer-query"); err != nil {
 		return nil, false, err
 	}
-	ad, err := h.Target.Query(p, id)
-	if err != nil {
-		if errors.Is(err, ErrShopDown) {
-			return nil, false, peerErr(h.Target.Name(), err)
-		}
-		return nil, false, nil // peer reachable, VM unknown there
-	}
-	return ad, true, nil
+	return h.ShopEnd.Query(p, id)
 }
 
 // Collect implements PeerHandle.
@@ -408,13 +459,7 @@ func (h *LocalPeerHandle) Collect(p *sim.Proc, id core.VMID) (bool, error) {
 	if err := h.roundTrip(p, "peer-collect"); err != nil {
 		return false, err
 	}
-	if err := h.Target.Destroy(p, id); err != nil {
-		if errors.Is(err, ErrShopDown) {
-			return false, peerErr(h.Target.Name(), err)
-		}
-		return false, nil
-	}
-	return true, nil
+	return h.ShopEnd.Collect(p, id)
 }
 
 // Publish implements PeerHandle.
@@ -422,7 +467,7 @@ func (h *LocalPeerHandle) Publish(p *sim.Proc, id core.VMID, image string) error
 	if err := h.roundTrip(p, "peer-publish"); err != nil {
 		return err
 	}
-	return peerErr(h.Target.Name(), h.Target.Publish(p, id, image))
+	return h.ShopEnd.Publish(p, id, image)
 }
 
 // Lifecycle implements PeerHandle.
@@ -430,5 +475,5 @@ func (h *LocalPeerHandle) Lifecycle(p *sim.Proc, id core.VMID, op string) error 
 	if err := h.roundTrip(p, "peer-lifecycle"); err != nil {
 		return err
 	}
-	return peerErr(h.Target.Name(), h.Target.lifecycle(p, id, op))
+	return h.ShopEnd.Lifecycle(p, id, op)
 }

@@ -45,11 +45,98 @@ type PlantHandle interface {
 // ErrPlantDown marks an unreachable plant.
 var ErrPlantDown = errors.New("shop: plant unreachable")
 
-// LocalHandle adapts an in-process *plant.Plant, charging a per-message
-// network latency so that bid collection and service calls cost virtual
-// time like their on-the-wire equivalents.
-type LocalHandle struct {
+// ErrUnknownVM is the protocol's "not found" outcome: the daemon asked
+// is up and holds no such VM. Query and Collect say it as found=false;
+// an operation with no such result returns an error wrapping it.
+var ErrUnknownVM = errors.New("unknown VM")
+
+// Found reads a Query's or Collect's found off the operation's error:
+// ErrUnknownVM is found=false and no error, any other error stays one.
+func Found(err error) (bool, error) {
+	if errors.Is(err, ErrUnknownVM) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// PlantEnd is a plant's end of the shop↔plant protocol with no
+// transport in front of it: each operation run on the plant and its
+// outcome put into one of the protocol's classes — found, not found
+// (ErrUnknownVM), transient (core.ErrTransient), or the plant's own
+// failure (any other error). Both transports stand in front of this one
+// value — LocalHandle under the simulation kernel, the plant daemon's
+// handler behind its socket (service.NewPlantHandler) — so what an
+// outcome means is written here and nowhere else. A daemon that is not
+// running answers nothing: that class is each transport's to report.
+type PlantEnd struct {
 	Plant *plant.Plant
+}
+
+// Name is the plant's.
+func (e PlantEnd) Name() string { return e.Plant.Name() }
+
+// Estimate is the plant's bid with its resource classad.
+func (e PlantEnd) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, *classad.Ad, error) {
+	return e.Plant.Estimate(p, spec), e.Plant.ResourceAd(), nil
+}
+
+// Create builds the VM under the shop-assigned ID it is handed, and
+// hands the ID back.
+func (e PlantEnd) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (core.VMID, *classad.Ad, error) {
+	ad, err := e.Plant.Create(p, id, spec)
+	return id, ad, err
+}
+
+// Query fetches an active VM's classad; found=false when unknown.
+func (e PlantEnd) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, error) {
+	ad, found := e.Plant.Query(p, id)
+	return ad, found, nil
+}
+
+// Collect destroys an active VM; found=false when unknown, and found
+// means something only beside a nil error. A collection that fails on a VM the plant still holds is
+// the plant's failure, not "not found" — the shop keeps its route, or
+// it would orphan a live VM.
+func (e PlantEnd) Collect(p *sim.Proc, id core.VMID) (bool, error) {
+	return Found(e.classed(id, e.Plant.Collect(p, id)))
+}
+
+// Publish checkpoints an active VM into the warehouse as a new golden
+// image.
+func (e PlantEnd) Publish(p *sim.Proc, id core.VMID, image string) error {
+	return e.classed(id, e.Plant.PublishImage(p, id, image))
+}
+
+// Lifecycle suspends or resumes an active VM.
+func (e PlantEnd) Lifecycle(p *sim.Proc, id core.VMID, op string) error {
+	switch op {
+	case proto.LifecycleSuspend:
+		return e.classed(id, e.Plant.SuspendVM(p, id))
+	case proto.LifecycleResume:
+		return e.classed(id, e.Plant.ResumeVM(p, id))
+	}
+	return fmt.Errorf("plant %s: unknown lifecycle op %q", e.Plant.Name(), op)
+}
+
+// classed gives a failed operation on id its class: on a VM the plant
+// does not hold it is "not found", otherwise the plant's own failure.
+func (e PlantEnd) classed(id core.VMID, err error) error {
+	if err == nil {
+		return nil
+	}
+	if _, held := e.Plant.VM(id); held {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrUnknownVM, err)
+}
+
+// LocalHandle is the simulated transport in front of an in-process
+// plant's PlantEnd: it charges a per-message network latency so that bid
+// collection and service calls cost virtual time like their on-the-wire
+// equivalents, injects transport faults, and is where a crashed daemon
+// shows as ErrPlantDown. It decides no outcome itself.
+type LocalHandle struct {
+	PlantEnd
 	// MsgLatency is the one-way control-message latency (switched
 	// 100 Mbit/s Ethernet: sub-millisecond transfer plus protocol
 	// stack). Both directions are charged.
@@ -77,11 +164,8 @@ type LocalHandle struct {
 
 // NewLocalHandle wraps a plant with the default control latency.
 func NewLocalHandle(pl *plant.Plant) *LocalHandle {
-	return &LocalHandle{Plant: pl, MsgLatency: 0.004, CallTimeout: 1.0}
+	return &LocalHandle{PlantEnd: PlantEnd{pl}, MsgLatency: 0.004, CallTimeout: 1.0}
 }
-
-// Name implements PlantHandle.
-func (h *LocalHandle) Name() string { return h.Plant.Name() }
 
 // scheduleRestart arms the supervisor: one process that waits
 // RestartAfter of virtual time and restarts the plant daemon.
@@ -170,7 +254,7 @@ func (h *LocalHandle) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, *classa
 	if err := h.roundTrip(p, "estimate"); err != nil {
 		return core.Infeasible, nil, err
 	}
-	return h.Plant.Estimate(p, spec), h.Plant.ResourceAd(), nil
+	return h.PlantEnd.Estimate(p, spec)
 }
 
 // Create implements PlantHandle.
@@ -178,7 +262,7 @@ func (h *LocalHandle) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (*class
 	if err := h.roundTrip(p, "create"); err != nil {
 		return nil, err
 	}
-	ad, err := h.Plant.Create(p, id, spec)
+	_, ad, err := h.PlantEnd.Create(p, id, spec)
 	if h.Plant.Down() {
 		// The daemon crashed while handling the order; arm the
 		// supervisor so the plant eventually returns.
@@ -192,8 +276,7 @@ func (h *LocalHandle) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, error
 	if err := h.roundTrip(p, "query"); err != nil {
 		return nil, false, err
 	}
-	ad, ok := h.Plant.Query(p, id)
-	return ad, ok, nil
+	return h.PlantEnd.Query(p, id)
 }
 
 // List implements PlantHandle.
@@ -209,15 +292,7 @@ func (h *LocalHandle) Collect(p *sim.Proc, id core.VMID) (bool, error) {
 	if err := h.roundTrip(p, "collect"); err != nil {
 		return false, err
 	}
-	if err := h.Plant.Collect(p, id); err != nil {
-		// Distinguish "unknown VM" from plant-internal failures: the
-		// shop treats unknown as found=false for routing recovery.
-		if _, ok := h.Plant.VM(id); !ok {
-			return false, nil
-		}
-		return true, err
-	}
-	return true, nil
+	return h.PlantEnd.Collect(p, id)
 }
 
 // Publish implements PlantHandle.
@@ -225,7 +300,7 @@ func (h *LocalHandle) Publish(p *sim.Proc, id core.VMID, image string) error {
 	if err := h.roundTrip(p, "publish"); err != nil {
 		return err
 	}
-	return h.Plant.PublishImage(p, id, image)
+	return h.PlantEnd.Publish(p, id, image)
 }
 
 // Lifecycle implements PlantHandle.
@@ -233,11 +308,5 @@ func (h *LocalHandle) Lifecycle(p *sim.Proc, id core.VMID, op string) error {
 	if err := h.roundTrip(p, "lifecycle"); err != nil {
 		return err
 	}
-	switch op {
-	case proto.LifecycleSuspend:
-		return h.Plant.SuspendVM(p, id)
-	case proto.LifecycleResume:
-		return h.Plant.ResumeVM(p, id)
-	}
-	return fmt.Errorf("shop: unknown lifecycle op %q", op)
+	return h.PlantEnd.Lifecycle(p, id, op)
 }

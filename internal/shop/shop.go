@@ -660,15 +660,18 @@ func (s *Shop) lookup(id core.VMID) (served, bool) {
 
 // resolve is lookup for a call that needs the VM served: with no usable
 // route the shop sweeps its plants, re-learning the soft state, before
-// it admits not knowing the VM.
+// it admits not knowing the VM. A killed shop resolves nothing.
 func (s *Shop) resolve(p *sim.Proc, id core.VMID) (served, error) {
+	if s.down {
+		return served{}, ErrShopDown
+	}
 	if sv, ok := s.lookup(id); ok {
 		return sv, nil
 	}
 	if _, h := s.recover(p, id); h != nil {
 		return served{h, id, false}, nil
 	}
-	return served{}, fmt.Errorf("shop %s: no plant knows VM %s", s.name, id)
+	return served{}, fmt.Errorf("shop %s: %w %s: no plant knows it", s.name, ErrUnknownVM, id)
 }
 
 // Query returns an active VM's classad, from the plant — or the peer
@@ -712,7 +715,7 @@ func (s *Shop) Query(p *sim.Proc, id core.VMID) (*classad.Ad, error) {
 	if sv.peer {
 		return nil, fmt.Errorf("shop %s: peer %s serving VM %s is unreachable", s.name, sv.Name(), id)
 	}
-	return nil, fmt.Errorf("shop %s: no plant knows VM %s", s.name, id)
+	return nil, fmt.Errorf("shop %s: %w %s: no plant knows it", s.name, ErrUnknownVM, id)
 }
 
 // recover sweeps all plants for a VM the shop has no (valid) route to.
@@ -738,9 +741,6 @@ func (s *Shop) recover(p *sim.Proc, id core.VMID) (*classad.Ad, PlantHandle) {
 // durable, so a restarted shop neither routes to nor re-drives a VM the
 // client already destroyed.
 func (s *Shop) Destroy(p *sim.Proc, id core.VMID) error {
-	if s.down {
-		return ErrShopDown
-	}
 	sv, err := s.resolve(p, id)
 	if err != nil {
 		return err
@@ -755,9 +755,9 @@ func (s *Shop) Destroy(p *sim.Proc, id core.VMID) error {
 	case found:
 		return nil
 	case sv.peer:
-		return fmt.Errorf("shop %s: VM %s no longer exists on peer %s", s.name, id, sv.Name())
+		return fmt.Errorf("shop %s: %w %s: no longer exists on peer %s", s.name, ErrUnknownVM, id, sv.Name())
 	default:
-		return fmt.Errorf("shop %s: VM %s no longer exists", s.name, id)
+		return fmt.Errorf("shop %s: %w %s: no longer exists", s.name, ErrUnknownVM, id)
 	}
 }
 

@@ -184,9 +184,6 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // QueueDepth reports how many events are pending.
 func (k *Kernel) QueueDepth() int { return k.queue.Len() }
 
-// Dispatched reports events dispatched over the kernel's life.
-func (k *Kernel) Dispatched() uint64 { return k.dispatched }
-
 // SetTelemetry wires the kernel's instruments: the event-queue depth
 // gauge ("sim.queue_depth", with "sim.queue_depth_max" as high-water
 // mark) and the dispatched-event counter ("sim.events_dispatched").
@@ -444,6 +441,17 @@ func (k *Kernel) Run(until time.Duration) RunResult {
 	}
 	sort.Strings(res.Stranded)
 	return res
+}
+
+// Do runs fn as a process named name and drives the kernel to
+// quiescence — everything already scheduled and everything fn sets off
+// runs too. Processes left blocked for ever are an error.
+func (k *Kernel) Do(name string, fn func(p *Proc)) error {
+	k.Spawn(name, fn)
+	if res := k.Run(0); len(res.Stranded) != 0 {
+		return fmt.Errorf("sim: stranded processes: %v", res.Stranded)
+	}
+	return nil
 }
 
 // failure is the panic value of Failf: a message that already names its

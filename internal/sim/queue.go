@@ -61,17 +61,6 @@ func (m *Mailbox[T]) Get(p *Proc) (T, bool) {
 	return v, true
 }
 
-// TryGet dequeues without blocking; ok is false if the box is empty.
-func (m *Mailbox[T]) TryGet() (v T, ok bool) {
-	if len(m.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	v = m.items[0]
-	m.items = m.items[1:]
-	return v, true
-}
-
 // GetTimeout dequeues the oldest message, giving up after d of virtual
 // time. ok is false on timeout or close-and-drained.
 func (m *Mailbox[T]) GetTimeout(p *Proc, d time.Duration) (v T, ok bool) {

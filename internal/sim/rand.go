@@ -28,12 +28,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
 }
 
-// Normal returns a normally distributed value with the given mean and
-// standard deviation.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
-}
-
 // LogNormal returns a log-normally distributed value whose underlying
 // normal has mean mu and standard deviation sigma. Latency noise in the
 // cluster model is log-normal: strictly positive, right-skewed, matching

@@ -50,9 +50,6 @@ func NewImage(name string, sizeMB, spanFiles int) (*Image, error) {
 // Name returns the image name.
 func (im *Image) Name() string { return im.name }
 
-// SizeMB returns the virtual disk capacity.
-func (im *Image) SizeMB() int { return im.sizeMB }
-
 // SpanFiles returns the number of extent files the image occupies.
 func (im *Image) SpanFiles() int { return im.spanFiles }
 

@@ -5,11 +5,17 @@ import (
 	"net/http"
 )
 
-// quarantineEntry is the JSON shape of one quarantined image on the
+// QuarantineEntry is the JSON shape of one quarantined image on the
 // debug endpoint.
-type quarantineEntry struct {
+type QuarantineEntry struct {
 	Image  string `json:"image"`
 	Reason string `json:"reason"`
+}
+
+// DebugState is the /debug/warehouse payload, as DebugHandler serves it
+// and vmctl scrub reads it.
+type DebugState struct {
+	Quarantine []QuarantineEntry `json:"quarantine"`
 }
 
 // DebugHandler serves the warehouse's integrity state as JSON — the
@@ -18,16 +24,14 @@ type quarantineEntry struct {
 // readers like this handler never race the kernel-owned image maps.
 func (w *Warehouse) DebugHandler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-		entries := []quarantineEntry{}
+		st := DebugState{Quarantine: []QuarantineEntry{}}
 		for _, name := range w.Quarantined() {
 			reason, _ := w.QuarantineReason(name)
-			entries = append(entries, quarantineEntry{Image: name, Reason: reason})
+			st.Quarantine = append(st.Quarantine, QuarantineEntry{Image: name, Reason: reason})
 		}
 		rw.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(rw)
 		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Quarantine []quarantineEntry `json:"quarantine"`
-		}{entries})
+		enc.Encode(st)
 	})
 }

@@ -293,9 +293,8 @@ func (d *Deployment) runSeries(n, memMB int, specFor func(seq, memMB int) (*core
 // completion, returning the body's error.
 func (d *Deployment) Run(body func(p *sim.Proc) error) error {
 	var err error
-	d.Kernel.Spawn("client", func(p *sim.Proc) { err = body(p) })
-	if res := d.Kernel.Run(0); len(res.Stranded) != 0 {
-		return fmt.Errorf("workload: stranded processes: %v", res.Stranded)
+	if derr := d.Kernel.Do("client", func(p *sim.Proc) { err = body(p) }); derr != nil {
+		return derr
 	}
 	return err
 }

@@ -133,64 +133,65 @@ func fedTargets(n int) []int {
 // runFederatedWave drives the concurrent request wave against the given
 // per-request shops, with client retries riding out full cells and shop
 // downtime. With hold > 0 each client destroys its workspace after
-// holding it, modelling a grid session stream. The records fill in as
-// clients finish; once all have, the wave proc stores the makespan and
-// runs `after` (post-wave audits that need a live proc), so callers
-// read both only after the kernel runs.
-func runFederatedWave(k *sim.Kernel, d *Deployment, shops []*shop.Shop, targets []int, prefix string, hold time.Duration, makespan *time.Duration, after func(p *sim.Proc)) []fedRecord {
+// holding it, modelling a grid session stream. The wave proc starts the
+// clients, and once all have finished notes the makespan and runs
+// `after` on their records (post-wave audits that need a live proc);
+// the kernel then runs to quiescence, so anything the caller started
+// beside the wave must have been told to stop by then.
+func runFederatedWave(k *sim.Kernel, d *Deployment, shops []*shop.Shop, targets []int, prefix string, hold time.Duration, after func(p *sim.Proc, recs []fedRecord)) (records []fedRecord, makespan time.Duration, err error) {
 	n := len(targets)
-	records := make([]fedRecord, n)
+	records = make([]fedRecord, n)
 	done := 0
-	main := k.Spawn(prefix+"-wave", func(p *sim.Proc) {
-		for done < n {
-			p.Wait(24 * time.Hour)
+	err = k.Do(prefix+"-wave", func(main *sim.Proc) {
+		for i := 0; i < n; i++ {
+			i := i
+			k.Spawn(fmt.Sprintf("%s-client-%03d", prefix, i), func(p *sim.Proc) {
+				defer func() { done++; main.WakeUp() }()
+				rec := &records[i]
+				rec.Seq = i + 1
+				rec.TargetCell = targets[i]
+				spec, serr := d.WorkspaceSpec(i+1, fedMemMB)
+				if serr != nil {
+					rec.Err = serr.Error()
+					return
+				}
+				spec.RequestID = fmt.Sprintf("%s-req-%04d", prefix, i+1)
+				s := shops[targets[i]]
+				id, ad, retries, cerr := createRetrying(p, s, spec, fedRetries, func(_ int, cerr error) error {
+					// Transient (cluster momentarily full, peer round
+					// exhausted): back off and re-bid. A dead shop takes
+					// longer: the supervisor restarts the daemon; re-submit
+					// under the same request ID once it should be back.
+					wait := 2 * time.Second
+					if errors.Is(cerr, shop.ErrShopDown) {
+						wait += fedRestartAfter
+					}
+					p.Sleep(wait)
+					return nil
+				})
+				if cerr != nil {
+					rec.Err = cerr.Error()
+					return
+				}
+				rec.OK, rec.VMID, rec.Retries = true, id, retries
+				rec.Plant = ad.GetString(core.AttrPlant, "")
+				if hold > 0 {
+					p.Sleep(hold)
+					// A workspace nobody could collect costs the stream only
+					// the capacity it keeps holding.
+					retry(fedRetries-1, func() error { return s.Destroy(p, id) }, backoff(p, 2*time.Second))
+				}
+			})
 		}
-		*makespan = p.Now()
+		for done < n {
+			main.Wait(24 * time.Hour)
+		}
+		makespan = main.Now()
 		if after != nil {
-			after(p)
+			after(main, records)
 		}
 	})
-	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("%s-client-%03d", prefix, i), func(p *sim.Proc) {
-			defer func() { done++; main.WakeUp() }()
-			rec := &records[i]
-			rec.Seq = i + 1
-			rec.TargetCell = targets[i]
-			spec, err := d.WorkspaceSpec(i+1, fedMemMB)
-			if err != nil {
-				rec.Err = err.Error()
-				return
-			}
-			spec.RequestID = fmt.Sprintf("%s-req-%04d", prefix, i+1)
-			s := shops[targets[i]]
-			id, ad, retries, cerr := createRetrying(p, s, spec, fedRetries, func(_ int, cerr error) error {
-				// Transient (cluster momentarily full, peer round
-				// exhausted): back off and re-bid. A dead shop takes
-				// longer: the supervisor restarts the daemon; re-submit
-				// under the same request ID once it should be back.
-				wait := 2 * time.Second
-				if errors.Is(cerr, shop.ErrShopDown) {
-					wait += fedRestartAfter
-				}
-				p.Sleep(wait)
-				return nil
-			})
-			if cerr != nil {
-				rec.Err = cerr.Error()
-				return
-			}
-			rec.OK, rec.VMID, rec.Retries = true, id, retries
-			rec.Plant = ad.GetString(core.AttrPlant, "")
-			if hold > 0 {
-				p.Sleep(hold)
-				// A workspace nobody could collect costs the stream only
-				// the capacity it keeps holding.
-				retry(fedRetries-1, func() error { return s.Destroy(p, id) }, backoff(p, 2*time.Second))
-			}
-		})
-	}
-	return records
+	return records, makespan, err
 }
 
 // buildCells wires a federation of fresh cells on one kernel, each with
@@ -247,11 +248,10 @@ func runThroughputPhase(seed int64, res *federationResult) error {
 	if err != nil {
 		return err
 	}
-	var baseSpan time.Duration
-	baseRecs := runFederatedWave(base.Kernel, base, []*shop.Shop{base.Shop},
-		make([]int, w), "base", fedHold, &baseSpan, nil)
-	if r := base.Kernel.Run(0); len(r.Stranded) != 0 {
-		return fmt.Errorf("federation baseline: stranded processes: %v", r.Stranded)
+	baseRecs, baseSpan, err := runFederatedWave(base.Kernel, base, []*shop.Shop{base.Shop},
+		make([]int, w), "base", fedHold, nil)
+	if err != nil {
+		return fmt.Errorf("federation baseline: %w", err)
 	}
 
 	hub := telemetry.New()
@@ -261,12 +261,11 @@ func runThroughputPhase(seed int64, res *federationResult) error {
 	if err != nil {
 		return err
 	}
-	var fedSpan time.Duration
-	fedRecs := runFederatedWave(k, cells[0], shops,
-		fedTargets(w), "scale", fedHold, &fedSpan,
-		func(p *sim.Proc) { fed.Stop() })
-	if r := k.Run(0); len(r.Stranded) != 0 {
-		return fmt.Errorf("federation scale-out: stranded processes: %v", r.Stranded)
+	fedRecs, fedSpan, err := runFederatedWave(k, cells[0], shops,
+		fedTargets(w), "scale", fedHold,
+		func(*sim.Proc, []fedRecord) { fed.Stop() })
+	if err != nil {
+		return fmt.Errorf("federation scale-out: %w", err)
 	}
 
 	for i := range baseRecs {
@@ -337,9 +336,7 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 
 	var runErr error
 	var lines []string
-	var fedRecs []fedRecord
-	var fedSpan time.Duration
-	fedRecs = runFederatedWave(k, cells[0], shops, targets, "fed", 0, &fedSpan, func(p *sim.Proc) {
+	fedRecs, _, err := runFederatedWave(k, cells[0], shops, targets, "fed", 0, func(p *sim.Proc, fedRecs []fedRecord) {
 		// Let straggler publish-back uploads land before gossiping.
 		p.Sleep(30 * time.Second)
 
@@ -440,8 +437,8 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 		fed.Stop()
 	})
 
-	if r := k.Run(0); len(r.Stranded) != 0 {
-		return fmt.Errorf("federation integrity: stranded processes: %v", r.Stranded)
+	if err != nil {
+		return fmt.Errorf("federation integrity: %w", err)
 	}
 	if runErr != nil {
 		return runErr

@@ -42,6 +42,9 @@ fi
 
 go build ./...
 go vet ./...
+# "Small" is gated too: the non-test line count may not pass the ceiling
+# committed beside the script (a change that grows the tree moves it).
+./scripts/loc.sh --check
 # The benchmark is its own module, invisible to ./...: vet and test it
 # here so a change to the proto/service surface it compiles against
 # cannot break it unseen.

@@ -166,56 +166,37 @@ func (s *System) PublishGolden(name string, hw Hardware, backend string, history
 	return s.wh.Publish(im)
 }
 
-// do runs body as a client process and drives the simulation to
-// quiescence.
-func (s *System) do(name string, body func(p *sim.Proc)) error {
-	s.kernel.Spawn(name, body)
-	res := s.kernel.Run(0)
-	if len(res.Stranded) != 0 {
-		return fmt.Errorf("vmplants: stranded processes: %v", res.Stranded)
+// do runs body as a client process, drives the simulation to
+// quiescence and returns body's error.
+func (s *System) do(name string, body func(p *sim.Proc) error) (err error) {
+	if derr := s.kernel.Do(name, func(p *sim.Proc) { err = body(p) }); derr != nil {
+		return derr
 	}
-	return nil
+	return err
 }
 
 // CreateVM submits a creation request through the shop and returns the
 // assigned VMID and the resulting classad.
-func (s *System) CreateVM(spec *Spec) (VMID, *Ad, error) {
-	var (
-		id  VMID
-		ad  *Ad
-		err error
-	)
-	if derr := s.do("client-create", func(p *sim.Proc) {
-		id, ad, err = s.shop.Create(p, spec)
-	}); derr != nil {
-		return "", nil, derr
-	}
+func (s *System) CreateVM(spec *Spec) (id VMID, ad *Ad, err error) {
+	err = s.do("client-create", func(p *sim.Proc) (cerr error) {
+		id, ad, cerr = s.shop.Create(p, spec)
+		return cerr
+	})
 	return id, ad, err
 }
 
 // QueryVM fetches an active VM's classad.
-func (s *System) QueryVM(id VMID) (*Ad, error) {
-	var (
-		ad  *Ad
-		err error
-	)
-	if derr := s.do("client-query", func(p *sim.Proc) {
-		ad, err = s.shop.Query(p, id)
-	}); derr != nil {
-		return nil, derr
-	}
+func (s *System) QueryVM(id VMID) (ad *Ad, err error) {
+	err = s.do("client-query", func(p *sim.Proc) (qerr error) {
+		ad, qerr = s.shop.Query(p, id)
+		return qerr
+	})
 	return ad, err
 }
 
 // DestroyVM collects an active VM.
 func (s *System) DestroyVM(id VMID) error {
-	var err error
-	if derr := s.do("client-destroy", func(p *sim.Proc) {
-		err = s.shop.Destroy(p, id)
-	}); derr != nil {
-		return derr
-	}
-	return err
+	return s.do("client-destroy", func(p *sim.Proc) error { return s.shop.Destroy(p, id) })
 }
 
 // PublishVM checkpoints an active VM and publishes it to the warehouse
@@ -223,36 +204,18 @@ func (s *System) DestroyVM(id VMID) error {
 // a workspace once, publish it, and subsequent requests whose DAGs
 // extend its configuration clone it instead of repeating the work.
 func (s *System) PublishVM(id VMID, image string) error {
-	var err error
-	if derr := s.do("client-publish", func(p *sim.Proc) {
-		err = s.shop.Publish(p, id, image)
-	}); derr != nil {
-		return derr
-	}
-	return err
+	return s.do("client-publish", func(p *sim.Proc) error { return s.shop.Publish(p, id, image) })
 }
 
 // SuspendVM parks an active VM: its memory image is checkpointed and
 // host memory freed — how In-VIGO parks idle virtual workspaces.
 func (s *System) SuspendVM(id VMID) error {
-	var err error
-	if derr := s.do("client-suspend", func(p *sim.Proc) {
-		err = s.shop.Suspend(p, id)
-	}); derr != nil {
-		return derr
-	}
-	return err
+	return s.do("client-suspend", func(p *sim.Proc) error { return s.shop.Suspend(p, id) })
 }
 
 // ResumeVM brings a suspended VM back to running.
 func (s *System) ResumeVM(id VMID) error {
-	var err error
-	if derr := s.do("client-resume", func(p *sim.Proc) {
-		err = s.shop.Resume(p, id)
-	}); derr != nil {
-		return derr
-	}
-	return err
+	return s.do("client-resume", func(p *sim.Proc) error { return s.shop.Resume(p, id) })
 }
 
 // findPlant resolves a plant by name.
@@ -283,13 +246,7 @@ func (s *System) MigrateVM(id VMID, toPlant string) error {
 	if src == nil {
 		return fmt.Errorf("vmplants: no plant hosts VM %s", id)
 	}
-	var merr error
-	if derr := s.do("client-migrate", func(p *sim.Proc) {
-		merr = src.MigrateTo(p, id, dst)
-	}); derr != nil {
-		return derr
-	}
-	return merr
+	return s.do("client-migrate", func(p *sim.Proc) error { return src.MigrateTo(p, id, dst) })
 }
 
 // Precreate speculatively clones the named golden image count times on
@@ -301,19 +258,13 @@ func (s *System) Precreate(plantName, image string, count int) error {
 	if err != nil {
 		return err
 	}
-	var perr error
-	if derr := s.do("client-precreate", func(p *sim.Proc) {
-		perr = pl.Precreate(p, image, count)
-	}); derr != nil {
-		return derr
-	}
-	return perr
+	return s.do("client-precreate", func(p *sim.Proc) error { return pl.Precreate(p, image, count) })
 }
 
 // Advance moves virtual time forward by d with no client activity
 // (monitor processes and timeouts still run).
 func (s *System) Advance(d time.Duration) error {
-	return s.do("advance", func(p *sim.Proc) { p.Sleep(d) })
+	return s.kernel.Do("advance", func(p *sim.Proc) { p.Sleep(d) })
 }
 
 // Bids returns the shop's bidding audit log.
