@@ -3,6 +3,9 @@ package classad
 import (
 	"encoding/xml"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -11,49 +14,128 @@ import (
 
 // Ad is a classified advertisement: an ordered collection of attribute
 // definitions. Attribute names are case-insensitive (stored with their
-// first-seen spelling, matched case-insensitively), as in Condor.
+// first-seen spelling, matched case-insensitively), as in Condor. The
+// zero Ad is an empty ad ready to use.
 type Ad struct {
-	names []string        // insertion order, original spelling
-	attrs map[string]Expr // lower-case name -> expression
+	attrs []attr // insertion order
+	// index maps strings.ToLower(name) to a position in attrs once an ad
+	// has more than scanMax attributes (a 4 MiB frame holds some 10^5,
+	// and a scan per lookup would make decoding it quadratic). Only
+	// operations that change the ad touch it, so readers stay safe.
+	index map[string]int
+}
+
+const scanMax = 64
+
+// attr is one definition: a literal keeps its value unboxed in val and
+// leaves expr nil.
+type attr struct {
+	name string // original spelling
+	expr Expr
+	val  Value
+}
+
+func (at *attr) source() string {
+	if at.expr == nil {
+		return at.val.String()
+	}
+	return at.expr.String()
 }
 
 // New returns an empty ad.
-func New() *Ad {
-	return &Ad{attrs: make(map[string]Expr)}
+func New() *Ad { return &Ad{} }
+
+// Grow reserves room for n more attributes, so that an ad of known
+// size is allocated once.
+func (a *Ad) Grow(n int) *Ad {
+	a.attrs = slices.Grow(a.attrs, n)
+	return a
 }
 
-// Len reports the number of attributes.
-func (a *Ad) Len() int { return len(a.names) }
+// Len reports the number of attributes; a nil ad has none.
+func (a *Ad) Len() int {
+	if a == nil {
+		return 0
+	}
+	return len(a.attrs)
+}
 
 // Names returns attribute names in insertion order.
 func (a *Ad) Names() []string {
-	return append([]string(nil), a.names...)
+	var names []string
+	for i := range a.attrs {
+		names = append(names, a.attrs[i].name)
+	}
+	return names
+}
+
+// find returns the position of the attribute called name, or -1; a nil
+// ad holds none.
+func (a *Ad) find(name string) int {
+	if a == nil {
+		return -1
+	}
+	if a.index != nil {
+		if i, ok := a.index[strings.ToLower(name)]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range a.attrs {
+		if foldCompare(a.attrs[i].name, name) == 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// reindex rebuilds the index of an ad long enough to need one.
+func (a *Ad) reindex() {
+	a.index = nil
+	if len(a.attrs) > scanMax {
+		a.index = make(map[string]int, len(a.attrs))
+		for i := range a.attrs {
+			a.index[strings.ToLower(a.attrs[i].name)] = i
+		}
+	}
 }
 
 // Set binds name to the given expression, replacing any previous
 // binding but keeping the original position and spelling.
 func (a *Ad) Set(name string, e Expr) *Ad {
-	key := strings.ToLower(name)
-	if _, ok := a.attrs[key]; !ok {
-		a.names = append(a.names, name)
+	if l, ok := e.(litExpr); ok {
+		return a.set(name, nil, l.v)
 	}
-	a.attrs[key] = e
+	return a.set(name, e, Value{})
+}
+
+func (a *Ad) set(name string, e Expr, v Value) *Ad {
+	if i := a.find(name); i >= 0 {
+		a.attrs[i].expr, a.attrs[i].val = e, v
+		return a
+	}
+	a.attrs = append(a.attrs, attr{name, e, v})
+	if a.index != nil {
+		a.index[strings.ToLower(name)] = len(a.attrs) - 1
+	} else if len(a.attrs) > scanMax {
+		a.reindex()
+	}
 	return a
 }
 
 // Convenience setters for literal values.
 
 // SetInt binds name to an integer literal.
-func (a *Ad) SetInt(name string, v int64) *Ad { return a.Set(name, Lit(Int(v))) }
+func (a *Ad) SetInt(name string, v int64) *Ad { return a.set(name, nil, Int(v)) }
 
 // SetReal binds name to a real literal.
-func (a *Ad) SetReal(name string, v float64) *Ad { return a.Set(name, Lit(Real(v))) }
+func (a *Ad) SetReal(name string, v float64) *Ad { return a.set(name, nil, Real(v)) }
 
 // SetString binds name to a string literal.
-func (a *Ad) SetString(name, v string) *Ad { return a.Set(name, Lit(Str(v))) }
+func (a *Ad) SetString(name, v string) *Ad { return a.set(name, nil, Str(v)) }
 
 // SetBool binds name to a boolean literal.
-func (a *Ad) SetBool(name string, v bool) *Ad { return a.Set(name, Lit(Bool(v))) }
+func (a *Ad) SetBool(name string, v bool) *Ad { return a.set(name, nil, Bool(v)) }
 
 // SetStrings binds name to a list of string literals.
 func (a *Ad) SetStrings(name string, vs ...string) *Ad {
@@ -61,7 +143,7 @@ func (a *Ad) SetStrings(name string, vs ...string) *Ad {
 	for i, s := range vs {
 		elems[i] = Str(s)
 	}
-	return a.Set(name, Lit(List(elems...)))
+	return a.set(name, nil, List(elems...))
 }
 
 // SetExprString parses src as an expression and binds it to name.
@@ -76,27 +158,25 @@ func (a *Ad) SetExprString(name, src string) error {
 
 // Delete removes an attribute; it reports whether it was present.
 func (a *Ad) Delete(name string) bool {
-	key := strings.ToLower(name)
-	if _, ok := a.attrs[key]; !ok {
+	i := a.find(name)
+	if i < 0 {
 		return false
 	}
-	delete(a.attrs, key)
-	for i, n := range a.names {
-		if strings.ToLower(n) == key {
-			a.names = append(a.names[:i], a.names[i+1:]...)
-			break
-		}
-	}
+	a.attrs = slices.Delete(a.attrs, i, i+1)
+	a.reindex()
 	return true
 }
 
 // Lookup returns the unevaluated expression bound to name.
 func (a *Ad) Lookup(name string) (Expr, bool) {
-	if a == nil {
+	i := a.find(name)
+	if i < 0 {
 		return nil, false
 	}
-	e, ok := a.attrs[strings.ToLower(name)]
-	return e, ok
+	if e := a.attrs[i].expr; e != nil {
+		return e, true
+	}
+	return litExpr{a.attrs[i].val}, true
 }
 
 // Eval evaluates the named attribute in the ad's own scope.
@@ -107,16 +187,15 @@ func (a *Ad) Eval(name string) Value {
 // EvalAgainst evaluates the named attribute with other available as the
 // TARGET scope (and as fallback for unscoped references).
 func (a *Ad) EvalAgainst(name string, other *Ad) Value {
-	e, ok := a.Lookup(name)
-	if !ok {
+	i := a.find(name)
+	if i < 0 {
 		return Undefined()
 	}
-	en := &env{self: a, target: other}
-	if !en.push("my", name) {
-		return Errorf("cyclic reference to %q", name)
+	at := &a.attrs[i]
+	if at.expr == nil {
+		return at.val
 	}
-	defer en.pop()
-	return e.eval(en)
+	return at.expr.eval(&env{self: a, target: other, stack: []attrExpr{{"my", name}}})
 }
 
 // EvalExpr evaluates an arbitrary expression in the ad's scope.
@@ -184,17 +263,14 @@ func (a *Ad) GetStrings(name string) []string {
 // Clone returns a deep-enough copy: expressions are immutable once
 // parsed, so sharing them is safe; the attribute table is copied.
 func (a *Ad) Clone() *Ad {
-	c := New()
-	for _, n := range a.names {
-		c.Set(n, a.attrs[strings.ToLower(n)])
-	}
-	return c
+	return &Ad{attrs: slices.Clone(a.attrs), index: maps.Clone(a.index)}
 }
 
 // Merge copies every attribute of b into a, overwriting duplicates.
 func (a *Ad) Merge(b *Ad) *Ad {
-	for _, n := range b.names {
-		a.Set(n, b.attrs[strings.ToLower(n)])
+	for i := range b.attrs {
+		at := &b.attrs[i]
+		a.set(at.name, at.expr, at.val)
 	}
 	return a
 }
@@ -207,7 +283,7 @@ func Match(a, b *Ad) bool {
 }
 
 func halfMatch(a, b *Ad) bool {
-	if _, ok := a.Lookup("Requirements"); !ok {
+	if a.find("Requirements") < 0 {
 		return true
 	}
 	return a.EvalAgainst("Requirements", b).IsTrue()
@@ -229,11 +305,13 @@ func Rank(a, b *Ad) float64 {
 func (a *Ad) String() string {
 	var b strings.Builder
 	b.WriteString("[ ")
-	for i, n := range a.names {
+	for i := range a.attrs {
 		if i > 0 {
 			b.WriteString("; ")
 		}
-		fmt.Fprintf(&b, "%s = %s", n, a.attrs[strings.ToLower(n)].String())
+		b.WriteString(a.attrs[i].name)
+		b.WriteString(" = ")
+		b.WriteString(a.attrs[i].source())
 	}
 	b.WriteString(" ]")
 	return b.String()
@@ -305,8 +383,8 @@ type xmlAttr struct {
 // MarshalXML encodes the ad as <classad><attr name=...>expr</attr>...</classad>.
 func (a *Ad) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
 	x := xmlAd{}
-	for _, n := range a.names {
-		x.Attrs = append(x.Attrs, xmlAttr{Name: n, Expr: a.attrs[strings.ToLower(n)].String()})
+	for i := range a.attrs {
+		x.Attrs = append(x.Attrs, xmlAttr{Name: a.attrs[i].name, Expr: a.attrs[i].source()})
 	}
 	start.Name = xml.Name{Local: "classad"}
 	return e.EncodeElement(x, start)
@@ -317,9 +395,6 @@ func (a *Ad) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 	var x xmlAd
 	if err := d.DecodeElement(&x, &start); err != nil {
 		return err
-	}
-	if a.attrs == nil {
-		a.attrs = make(map[string]Expr)
 	}
 	for _, at := range x.Attrs {
 		ex, err := ParseExpr(at.Expr)
@@ -336,37 +411,37 @@ func (a *Ad) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 // codec (internal/proto) calls.
 func (a *Ad) AppendXML(dst []byte) []byte {
 	dst = append(dst, "<classad>"...)
-	for _, n := range a.names {
+	for i := range a.attrs {
 		dst = append(dst, `<attr name="`...)
-		dst = xmlwire.AppendEscaped(dst, n)
+		dst = xmlwire.AppendEscaped(dst, a.attrs[i].name)
 		dst = append(dst, `">`...)
-		dst = appendExprXML(dst, a.attrs[strings.ToLower(n)])
+		dst = appendSourceXML(dst, &a.attrs[i])
 		dst = append(dst, "</attr>"...)
 	}
 	return append(dst, "</classad>"...)
 }
 
-// appendExprXML appends e's source text, XML-escaped. Literals that
-// need no escaping — most of what an ad on the wire holds — skip the
-// String call and the escaper.
-func appendExprXML(dst []byte, e Expr) []byte {
-	if l, ok := e.(litExpr); ok {
-		switch l.v.kind {
+// appendSourceXML appends the definition's source text, XML-escaped.
+// Literals that need no escaping — most of what an ad on the wire
+// holds — skip the String call and the escaper.
+func appendSourceXML(dst []byte, at *attr) []byte {
+	if at.expr == nil {
+		switch v := &at.val; v.kind {
 		case KindBool:
-			return strconv.AppendBool(dst, l.v.b)
+			return strconv.AppendBool(dst, v.n != 0)
 		case KindInt:
-			return strconv.AppendInt(dst, l.v.i, 10)
+			return strconv.AppendInt(dst, int64(v.n), 10)
 		case KindReal:
-			return strconv.AppendFloat(dst, l.v.r, 'g', -1, 64)
+			return strconv.AppendFloat(dst, math.Float64frombits(v.n), 'g', -1, 64)
 		case KindString:
-			if quotesToItself(l.v.s) {
+			if quotesToItself(v.s) {
 				dst = append(dst, "&#34;"...)
-				dst = append(dst, l.v.s...)
+				dst = append(dst, v.s...)
 				return append(dst, "&#34;"...)
 			}
 		}
 	}
-	return xmlwire.AppendEscaped(dst, e.String())
+	return xmlwire.AppendEscaped(dst, at.source())
 }
 
 // quotesToItself reports whether s is printable ASCII that neither
@@ -390,17 +465,13 @@ var (
 // <classad> start tag, and adds its attributes to a: what UnmarshalXML
 // does, over the subset of XML the scanner accepts.
 func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
-	n := s.CountAhead("<attr", "</classad>")
-	if a.attrs == nil {
-		a.attrs = make(map[string]Expr, n)
-	}
-	if a.names == nil && n > 0 {
-		a.names = make([]string, 0, n)
+	if n := s.CountAhead("<attr", "</classad>"); a.attrs == nil && n > 0 {
+		a.attrs = make([]attr, 0, n)
 		// The count is a guess ("<attr0" counts too): an ad that ends
 		// up empty must look as if nothing had been reserved.
 		defer func() {
-			if len(a.names) == 0 {
-				a.names = nil
+			if len(a.attrs) == 0 {
+				a.attrs = nil
 			}
 		}()
 	}
@@ -416,11 +487,13 @@ func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
 		if err != nil {
 			return err
 		}
-		ex, ok := literal(src)
-		if !ok {
-			if ex, err = parseExpr(string(src)); err != nil {
-				return fmt.Errorf("classad: attribute %q: %w", name, err)
-			}
+		if v, ok := literal(src); ok {
+			a.set(name, nil, v)
+			return nil
+		}
+		ex, err := parseExpr(string(src))
+		if err != nil {
+			return fmt.Errorf("classad: attribute %q: %w", name, err)
 		}
 		a.Set(name, ex)
 		return nil

@@ -30,3 +30,53 @@ func BenchmarkAdString(b *testing.B) {
 		_ = ad.String()
 	}
 }
+
+// resourceAd builds the ten attributes of Plant.ResourceAd.
+func resourceAd() *Ad {
+	return New().Grow(10).
+		SetString("Plant", "plantA").
+		SetString("Arch", "x86").
+		SetInt("FreeMemoryMB", 4096).
+		SetInt("VMs", 3).
+		SetInt("MaxVMs", 16).
+		SetInt("FreeNetworks", 4).
+		SetInt("CloneSlots", 2).
+		SetInt("InflightClones", 0).
+		SetBool("Draining", false).
+		SetStrings("GoldenImages", "golden-32", "golden-64", "golden-256")
+}
+
+func BenchmarkAdBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		resourceAd()
+	}
+}
+
+func BenchmarkAdClone(b *testing.B) {
+	ad := resourceAd()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ad.Clone()
+	}
+}
+
+func BenchmarkAdGetInt(b *testing.B) {
+	ad := resourceAd()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if ad.GetInt("CloneSlots", 0) != 2 {
+			b.Fatal("wrong value")
+		}
+	}
+}
+
+func BenchmarkAdDecodeXML(b *testing.B) {
+	doc := resourceAd().AppendXML(nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := scanAd(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

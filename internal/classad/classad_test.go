@@ -338,6 +338,30 @@ func TestAdStringRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParse: Parse never panics, and whatever it accepts prints to text
+// that parses back to an ad printing the same.
+func FuzzParse(f *testing.F) {
+	f.Add(`[ Name = "vm-1"; Memory = 64; Req = (TARGET.FreeMemory >= MY.Memory); Tags = {"x", "y"}; Score = (Memory * 2) ]`)
+	f.Add(`[a = b; b = A; A = -1.5e-7 // comment
+	; s = "q\"uo\\te\n\t\r" ; c = x ? self.y : other.z; u = undefined; e = ERROR; l = {}; f = ifThenElse(!true, 1 % 2, 3 / 4)]`)
+	f.Add(`[]`)
+	f.Add("[ s = \"\x00\x7f\xff\u00e9\" ; \xe9 = 1 =?= 2 || 3 =!= 4 && 5 <= 6 ]")
+	f.Fuzz(func(t *testing.T, src string) {
+		ad, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := ad.String()
+		back, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q parses, but what it prints does not: %q: %v", src, text, err)
+		}
+		if again := back.String(); again != text {
+			t.Fatalf("%q prints %q, which parses and prints %q", src, text, again)
+		}
+	})
+}
+
 func TestXMLRoundTrip(t *testing.T) {
 	ad := New().
 		SetString("VMID", "vm-42").

@@ -1,79 +1,71 @@
 package classad
 
 import (
+	"cmp"
 	"math"
 	"regexp"
 	"strings"
 )
 
 // env is the evaluation environment: the ad in whose scope evaluation
-// started (self), the candidate it is being matched against (target,
-// possibly nil), and a stack of in-progress attribute lookups for cycle
-// detection.
+// is now (self), the candidate it is being matched against (target,
+// possibly nil), and the attribute references being evaluated, for
+// cycle detection: each with the scope it was reached through ("my" or
+// "target", relative to self at that moment).
 type env struct {
 	self   *Ad
 	target *Ad
-	stack  []string // "scope\x00name" entries currently being evaluated
+	stack  []attrExpr
 }
 
-func (e *env) push(scope, name string) bool {
-	key := scope + "\x00" + strings.ToLower(name)
-	for _, k := range e.stack {
-		if k == key {
-			return false // cycle
+func (e *env) active(scope, name string) bool {
+	for _, r := range e.stack {
+		if r.scope == scope && foldCompare(r.name, name) == 0 {
+			return true
 		}
 	}
-	e.stack = append(e.stack, key)
-	return true
+	return false
 }
-
-func (e *env) pop() { e.stack = e.stack[:len(e.stack)-1] }
 
 func (e litExpr) eval(*env) Value { return e.v }
 
+// An unscoped reference resolves in self and, if self does not define
+// it, in target.
 func (e attrExpr) eval(en *env) Value {
-	lookup := func(ad *Ad, scope string) (Value, bool) {
-		if ad == nil {
-			return Undefined(), false
-		}
-		ex, ok := ad.Lookup(e.name)
-		if !ok {
-			return Undefined(), false
-		}
-		if !en.push(scope, e.name) {
-			return Errorf("cyclic reference to %q", e.name), true
-		}
-		defer en.pop()
-		// Attribute bodies evaluate with "self" rebound to the ad that
-		// defines them, per classad scoping.
-		sub := &env{self: ad, target: en.otherOf(ad), stack: en.stack}
-		v := ex.eval(sub)
-		return v, true
-	}
-	switch e.scope {
-	case "my":
-		v, _ := lookup(en.self, "my")
-		return v
-	case "target":
-		v, _ := lookup(en.target, "target")
-		return v
-	default:
-		if v, ok := lookup(en.self, "my"); ok {
+	if e.scope != "target" {
+		if v, ok := e.evalIn(en, en.self, "my"); ok || e.scope == "my" {
 			return v
 		}
-		if v, ok := lookup(en.target, "target"); ok {
-			return v
-		}
-		return Undefined()
 	}
+	v, _ := e.evalIn(en, en.target, "target")
+	return v
 }
 
-// otherOf returns the counterpart ad of ad within this environment.
-func (e *env) otherOf(ad *Ad) *Ad {
-	if ad == e.self {
-		return e.target
+// evalIn evaluates the attribute as ad defines it; ok is false when ad
+// is nil or does not define it.
+func (e attrExpr) evalIn(en *env, ad *Ad, scope string) (v Value, ok bool) {
+	i := ad.find(e.name)
+	if i < 0 {
+		return Undefined(), false
 	}
-	return e.self
+	if en.active(scope, e.name) {
+		return Errorf("cyclic reference to %q", e.name), true
+	}
+	at := &ad.attrs[i]
+	if at.expr == nil {
+		return at.val, true
+	}
+	// Attribute bodies evaluate with "self" rebound to the ad that
+	// defines them, per classad scoping.
+	self, target := en.self, en.target
+	if ad != self {
+		en.self, en.target = target, self
+	}
+	en.stack = append(en.stack, attrExpr{scope, e.name})
+	v = at.expr.eval(en)
+	en.stack = en.stack[:len(en.stack)-1]
+	en.self, en.target = self, target
+	return v, true
 }
 
 func (e unaryExpr) eval(env *env) Value {
@@ -260,7 +252,7 @@ func evalCompare(op string, x, y Value) Value {
 			return Errorf("%s applied to %s and %s", op, x.Kind(), y.Kind())
 		}
 		// Classad string comparison is case-insensitive.
-		return cmpResult(op, strings.Compare(strings.ToLower(xs), strings.ToLower(ys)))
+		return cmpResult(op, foldCompare(xs, ys))
 	}
 	if xb, ok := x.BoolVal(); ok {
 		yb, ok := y.BoolVal()
@@ -276,6 +268,31 @@ func evalCompare(op string, x, y Value) Value {
 		return Errorf("%s not defined on booleans", op)
 	}
 	return Errorf("%s applied to %s and %s", op, x.Kind(), y.Kind())
+}
+
+// foldCompare is strings.Compare(strings.ToLower(a), strings.ToLower(b)),
+// the package's rule for names and for strings: for ASCII that is a
+// byte-wise fold, done in place without allocating, and the first byte
+// >= 0x80 in either string sends both through the rule as written.
+func foldCompare(a, b string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		c, d := a[i], b[i]
+		if c|d >= 0x80 {
+			return strings.Compare(strings.ToLower(a), strings.ToLower(b))
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if 'A' <= d && d <= 'Z' {
+			d += 'a' - 'A'
+		}
+		if c != d {
+			return cmp.Compare(c, d)
+		}
+	}
+	// One is a prefix of the other up to ASCII case, and lower-casing
+	// what follows the prefix cannot make it empty.
+	return cmp.Compare(len(a), len(b))
 }
 
 func compareFloats(a, b float64) int {

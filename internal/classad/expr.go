@@ -91,8 +91,8 @@ func Attr(name string) Expr { return attrExpr{name: name} }
 
 // ParseExpr parses a single classad expression from source text.
 func ParseExpr(src string) (Expr, error) {
-	if e, ok := literal(src); ok {
-		return e, nil
+	if v, ok := literal(src); ok {
+		return litExpr{v}, nil
 	}
 	return parseExpr(src)
 }
@@ -116,27 +116,27 @@ func parseExpr(src string) (Expr, error) {
 
 // literal recognises the expressions that are one plain literal and
 // nothing else — a quoted string without escapes, an unsigned integer,
-// digits.digits, true or false — and builds what the lexer and parser
-// would build from them, without either. Everything else (escapes,
+// digits.digits, true or false — and returns the value the lexer and
+// parser would read from them, without either. Everything else (escapes,
 // signs, exponents, other spellings of the booleans, surrounding white
 // space, numbers out of range) it declines, leaving the full parser to
 // accept or reject it.
-func literal[T string | []byte](src T) (Expr, bool) {
+func literal[T string | []byte](src T) (Value, bool) {
 	n := len(src)
 	if n == 0 {
-		return nil, false
+		return Value{}, false
 	}
 	switch c := src[0]; {
 	case c == '"':
 		if n < 2 || src[n-1] != '"' {
-			return nil, false
+			return Value{}, false
 		}
 		for i := 1; i < n-1; i++ {
 			if src[i] == '"' || src[i] == '\\' {
-				return nil, false
+				return Value{}, false
 			}
 		}
-		return litExpr{Str(string(src[1 : n-1]))}, true
+		return Str(string(src[1 : n-1])), true
 	case '0' <= c && c <= '9':
 		isReal := false
 		for i := 1; i < n; i++ {
@@ -145,21 +145,21 @@ func literal[T string | []byte](src T) (Expr, bool) {
 			case c == '.' && !isReal && i+1 < n && '0' <= src[i+1] && src[i+1] <= '9':
 				isReal = true
 			default:
-				return nil, false
+				return Value{}, false
 			}
 		}
 		if isReal {
 			r, err := strconv.ParseFloat(string(src), 64)
-			return litExpr{Real(r)}, err == nil
+			return Real(r), err == nil
 		}
 		i, err := strconv.ParseInt(string(src), 10, 64)
-		return litExpr{Int(i)}, err == nil
+		return Int(i), err == nil
 	case string(src) == "true":
-		return litExpr{Bool(true)}, true
+		return Bool(true), true
 	case string(src) == "false":
-		return litExpr{Bool(false)}, true
+		return Bool(false), true
 	}
-	return nil, false
+	return Value{}, false
 }
 
 // MustParseExpr is ParseExpr, panicking on error; for constants in code.

@@ -2,6 +2,7 @@ package classad
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -249,25 +250,18 @@ func (l *lexer) lexString(start int) (token, error) {
 			l.pos++
 			return token{kind: tokString, text: b.String(), pos: start}, nil
 		case '\\':
-			l.pos++
-			if l.pos >= len(l.src) {
-				return token{}, l.errf(start, "unterminated string")
+			// Every escape strconv.Quote writes — which is how String
+			// prints a string — reads back.
+			r, multibyte, tail, err := strconv.UnquoteChar(l.src[l.pos:], '"')
+			if err != nil {
+				return token{}, l.errf(l.pos, "bad escape in string")
 			}
-			switch e := l.src[l.pos]; e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				return token{}, l.errf(l.pos, "unknown escape \\%c", e)
+			if multibyte {
+				b.WriteRune(r)
+			} else {
+				b.WriteByte(byte(r))
 			}
-			l.pos++
+			l.pos = len(l.src) - len(tail)
 		default:
 			b.WriteByte(c)
 			l.pos++

@@ -14,6 +14,7 @@ package classad
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -55,12 +56,9 @@ func (k Kind) String() string {
 // Value is the result of evaluating a classad expression.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	r    float64
-	s    string
+	n    uint64 // KindBool: 0 or 1; KindInt: the int64; KindReal: the float64's bits
+	s    string // KindString: the string; KindError: what went wrong
 	l    []Value
-	msg  string // for KindError: what went wrong
 }
 
 // Constructors.
@@ -70,17 +68,23 @@ func Undefined() Value { return Value{kind: KindUndefined} }
 
 // Errorf returns an ERROR value carrying a diagnostic message.
 func Errorf(format string, args ...any) Value {
-	return Value{kind: KindError, msg: fmt.Sprintf(format, args...)}
+	return Value{kind: KindError, s: fmt.Sprintf(format, args...)}
 }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.n = 1
+	}
+	return v
+}
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Real returns a floating-point value.
-func Real(r float64) Value { return Value{kind: KindReal, r: r} }
+func Real(r float64) Value { return Value{kind: KindReal, n: math.Float64bits(r)} }
 
 // Str returns a string value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
@@ -98,16 +102,31 @@ func (v Value) IsUndefined() bool { return v.kind == KindUndefined }
 func (v Value) IsError() bool { return v.kind == KindError }
 
 // BoolVal returns the boolean and ok=true if v is a bool.
-func (v Value) BoolVal() (bool, bool) { return v.b, v.kind == KindBool }
+func (v Value) BoolVal() (bool, bool) { return v.IsTrue(), v.kind == KindBool }
 
 // IntVal returns the integer and ok=true if v is an int.
-func (v Value) IntVal() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) IntVal() (int64, bool) {
+	if v.kind != KindInt {
+		return 0, false
+	}
+	return int64(v.n), true
+}
 
 // RealVal returns the float and ok=true if v is a real.
-func (v Value) RealVal() (float64, bool) { return v.r, v.kind == KindReal }
+func (v Value) RealVal() (float64, bool) {
+	if v.kind != KindReal {
+		return 0, false
+	}
+	return math.Float64frombits(v.n), true
+}
 
 // StringVal returns the string and ok=true if v is a string.
-func (v Value) StringVal() (string, bool) { return v.s, v.kind == KindString }
+func (v Value) StringVal() (string, bool) {
+	if v.kind != KindString {
+		return "", false
+	}
+	return v.s, true
+}
 
 // ListVal returns the elements and ok=true if v is a list.
 func (v Value) ListVal() ([]Value, bool) { return v.l, v.kind == KindList }
@@ -116,15 +135,15 @@ func (v Value) ListVal() ([]Value, bool) { return v.l, v.kind == KindList }
 func (v Value) Number() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.n)), true
 	case KindReal:
-		return v.r, true
+		return math.Float64frombits(v.n), true
 	}
 	return 0, false
 }
 
 // IsTrue reports whether v is the boolean true.
-func (v Value) IsTrue() bool { return v.kind == KindBool && v.b }
+func (v Value) IsTrue() bool { return v.kind == KindBool && v.n != 0 }
 
 // Equal reports strict structural equality (same kind, same contents).
 // Unlike the == operator in the expression language it never coerces,
@@ -136,12 +155,10 @@ func (v Value) Equal(w Value) bool {
 	switch v.kind {
 	case KindUndefined, KindError:
 		return true
-	case KindBool:
-		return v.b == w.b
-	case KindInt:
-		return v.i == w.i
+	case KindBool, KindInt:
+		return v.n == w.n
 	case KindReal:
-		return v.r == w.r
+		return math.Float64frombits(v.n) == math.Float64frombits(w.n)
 	case KindString:
 		return v.s == w.s
 	case KindList:
@@ -166,14 +183,11 @@ func (v Value) String() string {
 	case KindError:
 		return "error"
 	case KindBool:
-		if v.b {
-			return "true"
-		}
-		return "false"
+		return strconv.FormatBool(v.n != 0)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindReal:
-		return strconv.FormatFloat(v.r, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindList:

@@ -37,7 +37,7 @@ func TestLiteralMatchesParser(t *testing.T) {
 			}
 			if werr != nil {
 				t.Errorf("literal(%s %q) accepted what the parser rejects: %v", form, src, werr)
-			} else if !reflect.DeepEqual(got, want) {
+			} else if !reflect.DeepEqual(Expr(litExpr{got}), want) {
 				t.Errorf("literal(%s %q) = %#v, parser %#v", form, src, got, want)
 			}
 		}
@@ -60,7 +60,7 @@ func TestLiteralMatchesParser(t *testing.T) {
 			t.Errorf("ParseExpr(%s): %v", v, err)
 			continue
 		}
-		if got := (&Ad{attrs: map[string]Expr{}}).EvalExpr(e, nil); !got.Equal(v) {
+		if got := new(Ad).EvalExpr(e, nil); !got.Equal(v) {
 			t.Errorf("ParseExpr(%s) evaluates to %s", v, got)
 		}
 	}

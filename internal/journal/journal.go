@@ -24,8 +24,7 @@ package journal
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -229,20 +228,42 @@ func (j *Journal) active() *segment {
 // Field keys are sorted, so encoding is deterministic; the checksum
 // covers everything before " #".
 func encode(r Record) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "seq=%d kind=%s key=%q", r.Seq, r.Kind, r.Key)
-	keys := make([]string, 0, len(r.Fields))
-	for k := range r.Fields {
+	var stack [16]string
+	keys := stack[:0]
+	n := len("seq=18446744073709551615 kind= key=\"\" #0123456789abcdef\n") + len(r.Kind) + len(r.Key)
+	for k, v := range r.Fields {
 		keys = append(keys, k)
+		n += len(` =""`) + len(k) + len(v)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
+	b := make([]byte, 0, n) // exact unless a value needs escaping
+	b = append(b, "seq="...)
+	b = strconv.AppendUint(b, r.Seq, 10)
+	b = append(b, " kind="...)
+	b = append(b, r.Kind...)
+	b = append(b, " key="...)
+	b = strconv.AppendQuote(b, r.Key)
 	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%q", k, r.Fields[k])
+		b = append(b, ' ')
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, r.Fields[k])
 	}
-	payload := b.String()
-	h := fnv.New64a()
-	h.Write([]byte(payload))
-	return []byte(fmt.Sprintf("%s #%016x\n", payload, h.Sum64()))
+	sum := fnv64a(b)
+	b = append(b, " #"...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[sum>>shift&0xf])
+	}
+	return append(b, '\n')
+}
+
+// fnv64a is hash/fnv's New64a over b, without the hasher.
+func fnv64a[T string | []byte](b T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * 1099511628211
+	}
+	return h
 }
 
 // decode parses and verifies one encoded record.
@@ -257,9 +278,7 @@ func decode(b []byte) (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("journal: bad checksum field: %w", err)
 	}
-	h := fnv.New64a()
-	h.Write([]byte(payload))
-	if h.Sum64() != want {
+	if fnv64a(payload) != want {
 		return Record{}, fmt.Errorf("journal: checksum mismatch")
 	}
 	var r Record

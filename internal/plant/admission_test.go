@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vmplants/internal/classad"
 	"vmplants/internal/core"
 	"vmplants/internal/fault"
 	"vmplants/internal/sim"
@@ -23,6 +24,30 @@ func TestDerivedCloneSlots(t *testing.T) {
 	}
 	if got := ad.GetInt("InflightClones", -1); got != 0 {
 		t.Errorf("ad InflightClones = %d", got)
+	}
+}
+
+// TestResourceAdAllocations pins what a bid and a query cost in
+// allocations: the ad and its reserved attributes, the image list and
+// its values; one slice for a copy; nothing to read a value.
+func TestResourceAdAllocations(t *testing.T) {
+	r := newRig(t, Config{PolicyAd: classad.New().SetBool("AcceptsGuests", true)})
+	ad := r.pl.ResourceAd()
+	if ad.Len() != 11 {
+		t.Fatalf("resource ad has %d attributes: %s", ad.Len(), ad)
+	}
+	for _, c := range []struct {
+		what string
+		max  float64
+		fn   func()
+	}{
+		{"ResourceAd", 6, func() { r.pl.ResourceAd() }},
+		{"Clone", 2, func() { ad.Clone() }},
+		{"GetInt", 0, func() { ad.GetInt("CloneSlots", 0) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got > c.max {
+			t.Errorf("%s: %v allocations, want at most %v", c.what, got, c.max)
+		}
 	}
 }
 

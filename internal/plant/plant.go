@@ -345,7 +345,7 @@ func (pl *Plant) view(domain string) cost.PlantView {
 // bidding: capacity and load attributes, plus the administrator's
 // policy ad (including any site Requirements).
 func (pl *Plant) ResourceAd() *classad.Ad {
-	ad := classad.New().
+	ad := classad.New().Grow(10+pl.cfg.PolicyAd.Len()).
 		SetString("Plant", pl.name).
 		SetString("Arch", "x86").
 		SetInt("FreeMemoryMB", int64(pl.node.FreeMB())).
@@ -862,7 +862,9 @@ func (pl *Plant) exec(p *sim.Proc, vm *vmm.VM, a dag.Action) error {
 // buildAd assembles the creation classad: identity, configuration
 // outputs (IP, MAC, credentials), and production metrics.
 func (pl *Plant) buildAd(p *sim.Proc, id core.VMID, spec *core.Spec, vm *vmm.VM, golden *warehouse.Image, best match.Ranked, cs vmm.CloneStats) *classad.Ad {
-	ad := classad.New().
+	// Sixteen attributes set here, one per action output, and the two
+	// the monitor and Query add later (CPULoad, UptimeSecs).
+	ad := classad.New().Grow(18+len(vm.Guest().Outputs)).
 		SetString(core.AttrVMID, string(id)).
 		SetString(core.AttrName, spec.Name).
 		SetString(core.AttrState, core.StateRunning.String()).

@@ -818,7 +818,7 @@ func (s *Shop) forgetPlantRoutes() {
 // requestAd renders a creation request as a classad for matchmaking
 // against plant resource ads.
 func requestAd(spec *core.Spec) (*classad.Ad, error) {
-	ad := classad.New().
+	ad := classad.New().Grow(7).
 		SetString("Name", spec.Name).
 		SetString("Arch", spec.Hardware.Arch).
 		SetInt("MemoryMB", int64(spec.Hardware.MemoryMB)).

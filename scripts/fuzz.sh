@@ -15,6 +15,8 @@ done <<TARGETS
 ./internal/shop/ledger FuzzApply
 ./internal/proto FuzzEnvelope
 ./internal/classad FuzzAdXML
+./internal/classad FuzzParse
+./internal/classad FuzzAdOps
 ./internal/dag FuzzGraphXML
 ./internal/match FuzzEvaluate
 TARGETS
