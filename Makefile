@@ -4,7 +4,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= staticcheck
 
-.PHONY: build test race vet lint check bench
+.PHONY: build test race vet lint check bench goldens
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,16 @@ check: scripts/check.sh
 
 bench:
 	$(GO) run ./cmd/vmbench -series smoke
+
+# goldens rewrites the behaviour pins — internal/workload/testdata/
+# fingerprints.golden and cmd/vmbench/testdata/{smoke,paper}.golden —
+# from this tree. Run the two tests without -update first: they list
+# every scenario and experiment block that diverges, and only those may
+# move; the reason goes in CHANGES.md. internal/sim/testdata/order.golden
+# is not one of them: it pins the kernel itself (see order_test.go).
+goldens:
+	$(GO) test ./internal/workload -run 'TestScenariosPassGateAndMatchGolden$$' -update
+	$(GO) test ./cmd/vmbench -run 'TestAllExperimentsMatchGolden$$' -update
 
 # smoke-<scenario> runs one gated scenario at CI scale through the
 # generic gate runner: it exits nonzero unless the scenario's invariants

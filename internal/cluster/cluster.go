@@ -140,7 +140,7 @@ func (n *Node) SendTo(p *sim.Proc, dst *Node, size int64) {
 	if dst == n || size <= 0 {
 		return
 	}
-	n.lan.Transfer(p, size, n.Jitter())
+	n.lan.Transfer(p, size, n.Jitter(), sim.Foreground)
 }
 
 // Jitter samples a multiplicative latency factor with mean 1.

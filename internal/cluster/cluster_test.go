@@ -45,7 +45,7 @@ func TestNFSCopySpeedMatchesPaper(t *testing.T) {
 	var took time.Duration
 	k.Spawn("copy", func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := node.Warehouse().CopyTo(p, "disk", node.LocalDisk(), "disk", 1); err != nil {
+		if _, err := node.Warehouse().CopyTo(p, "disk", node.LocalDisk(), "disk", 1, sim.Foreground); err != nil {
 			t.Error(err)
 		}
 		took = p.Now() - start

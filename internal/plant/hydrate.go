@@ -3,14 +3,20 @@
 // log, memory image) — the 2 GB of golden disk extents are NOT on the
 // node yet. This file materializes them afterwards, two ways:
 //
-//   - a background hydrator (one virtual-time proc per lazy clone,
-//     admission-gated like the clone state-copies themselves) walks the
+//   - a background hydrator (a virtual-time proc per lazy clone, one
+//     running per plant at a time, oldest clone first) walks the
 //     extents in order and copies each from the warehouse's NFS view to
-//     the clone's local disk directory;
+//     the clone's local disk directory as a background transfer: it is
+//     served only while no foreground transfer waits for the NFS
+//     server's slots or the node's mount, and gives both back to one
+//     that arrives (sim.Background);
 //   - a demand fault: when the guest's action DAG writes a block whose
 //     extent has not landed yet, the guest blocks and the touched extent
-//     is copied synchronously on the faulting proc (jumping the queue —
-//     foreground I/O).
+//     is copied synchronously on the faulting proc as a foreground
+//     transfer, which no hydrator's copy delays. When the hydrator is
+//     already copying that extent the guest promotes the rest of that
+//     copy to the foreground instead, so it never waits on a transfer
+//     that foreground traffic is starving.
 //
 // Every materialized extent re-checks the clone's integrity context
 // (warehouse.VerifyClone), extending PR 5's epoch gate to late-arriving
@@ -19,11 +25,13 @@
 package plant
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"vmplants/internal/core"
 	"vmplants/internal/sim"
+	"vmplants/internal/storage"
 	"vmplants/internal/vdisk"
 	"vmplants/internal/vmm"
 	"vmplants/internal/warehouse"
@@ -44,6 +52,10 @@ type HydrationStats struct {
 	// DemandFaults is how many extents the guest touched before the
 	// background hydrator reached them.
 	DemandFaults int
+	// Preemptions is how many times a foreground transfer took the
+	// node's mount or an NFS server slot back from the background
+	// hydrator — what explains a late CompleteSecs.
+	Preemptions int
 	// ResumeSecs is the creation's critical-path latency (VM usable);
 	// CompleteSecs is when the last extent landed — both measured from
 	// the creation's start, so their gap is what laziness moved off the
@@ -71,14 +83,17 @@ type hydration struct {
 	start     time.Duration // virtual time hydration began (VM resumed)
 	createdAt time.Duration // virtual time the creation started
 	faulted   int
+	// inFlight is the extent the hydrator is copying as a background
+	// transfer, -1 when there is none (or a guest promoted it).
+	inFlight  int
 	cancelled bool
-	failed    error // sticky integrity failure; guest touches surface it
-	proc      *sim.Proc
+	failed    error     // sticky integrity failure; guest touches surface it
+	proc      *sim.Proc // the hydrator, nil until the clone's turn comes
 	logged    bool
 }
 
 // startHydration installs the demand-fault hook on a freshly resumed
-// lazy clone and spawns its background hydrator.
+// lazy clone and queues it for the plant's background hydrator.
 func (pl *Plant) startHydration(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneContext, createdAt time.Duration) *hydration {
 	n := len(cctx.Image.ExtentPaths)
 	h := &hydration{
@@ -89,6 +104,7 @@ func (pl *Plant) startHydration(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneCo
 		state:     make([]int, n),
 		waiters:   make([][]*sim.Proc, n),
 		left:      n,
+		inFlight:  -1,
 		start:     p.Now(),
 		createdAt: createdAt,
 	}
@@ -96,13 +112,37 @@ func (pl *Plant) startHydration(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneCo
 	pl.mu.Lock()
 	pl.live[vm.ID()] = h
 	pl.mu.Unlock()
-	h.proc = p.Kernel().Spawn(pl.name+"/hydrate/"+string(vm.ID()), h.run)
+	pl.unhydrated = append(pl.unhydrated, h)
+	pl.nextHydrator(p.Kernel())
 	return h
 }
 
+// nextHydrator starts the hydrator of the longest-resumed clone still
+// waiting for one, unless one is running: a plant hydrates its clones
+// one after another. The node's mount serves one extent at a time
+// whichever clone it belongs to, so a hydrator process per clone would
+// finish no extent sooner; it would only keep a blocked process, and
+// its coroutine, alive for every clone in the backlog.
+func (pl *Plant) nextHydrator(k *sim.Kernel) {
+	for !pl.hydrating && len(pl.unhydrated) > 0 {
+		h := pl.unhydrated[0]
+		pl.unhydrated[0] = nil
+		pl.unhydrated = pl.unhydrated[1:]
+		if h.cancelled || h.failed != nil {
+			continue
+		}
+		pl.hydrating = true
+		h.proc = k.Spawn(pl.name+"/hydrate/"+string(h.vm.ID()), func(p *sim.Proc) {
+			h.run(p)
+			pl.hydrating = false
+			pl.nextHydrator(k)
+		})
+	}
+}
+
 // run is the background hydrator: extents are materialized in order,
-// each copy admission-gated so a batch of lazy clones cannot saturate
-// the host's disk pipes any harder than the clone stage itself could.
+// each a background transfer, so a batch of lazy clones takes from the
+// NFS server and the node's mount only what creations leave idle.
 func (h *hydration) run(p *sim.Proc) {
 	for i := range h.state {
 		// Brownout pauses background hydration at extent boundaries;
@@ -118,9 +158,12 @@ func (h *hydration) run(p *sim.Proc) {
 			continue // a demand fault got there first
 		}
 		h.state[i] = hCopying
-		h.pl.hydrateGate.Acquire(p, 1)
-		err := h.copyExtent(p, i)
-		h.pl.hydrateGate.Release(p, 1)
+		h.inFlight = i
+		err := h.copyExtent(p, i, sim.Background)
+		h.inFlight = -1
+		if errors.Is(err, storage.ErrInterrupted) {
+			return // cancelled mid-copy: nothing landed
+		}
 		h.land(p, i, err, false)
 	}
 }
@@ -143,7 +186,13 @@ func (h *hydration) touch(p *sim.Proc, block int64) error {
 			return nil
 		case hCopying:
 			// The background hydrator (or another guest proc) is on it:
-			// park until it lands and re-check.
+			// park until it lands and re-check. The hydrator's copy yields
+			// to every foreground transfer, and now a guest waits on it:
+			// the rest of it is foreground work.
+			if h.inFlight == i {
+				h.inFlight = -1
+				h.proc.Interrupt(true)
+			}
 			h.waiters[i] = append(h.waiters[i], p)
 			p.Wait(time.Hour)
 		case hAbsent:
@@ -152,7 +201,7 @@ func (h *hydration) touch(p *sim.Proc, block int64) error {
 			h.state[i] = hCopying
 			h.faulted++
 			h.pl.mDemandFaults.Inc()
-			err := h.copyExtent(p, i)
+			err := h.copyExtent(p, i, sim.Foreground)
 			h.land(p, i, err, true)
 			if err != nil {
 				return err
@@ -166,11 +215,11 @@ func (h *hydration) touch(p *sim.Proc, block int64) error {
 // clone's local directory and re-checks the clone's integrity context:
 // state arriving after the resume must pass the same epoch gate the
 // eager copy passed before it.
-func (h *hydration) copyExtent(p *sim.Proc, i int) error {
+func (h *hydration) copyExtent(p *sim.Proc, i int, class sim.Class) error {
 	node := h.vm.Node()
 	src := h.cctx.Image.ExtentPaths[i]
 	dst := fmt.Sprintf("%sdisk-s%03d.vmdk", h.dir, i)
-	if _, err := node.Warehouse().CopyTo(p, src, node.LocalDisk(), dst, node.Jitter()); err != nil {
+	if _, err := node.Warehouse().CopyTo(p, src, node.LocalDisk(), dst, node.Jitter(), class); err != nil {
 		return fmt.Errorf("hydrate extent %d: %w", i, err)
 	}
 	if err := h.pl.wh.VerifyClone(h.cctx); err != nil {
@@ -216,11 +265,19 @@ func (h *hydration) finish(p *sim.Proc, aborted bool) {
 	}
 	complete := (p.Now() - h.createdAt).Seconds()
 	h.pl.hHydrationComplete.Observe(complete)
+	// Resolved here and not in New: only a plant that clones lazily
+	// exports the counter.
+	preemptions := 0
+	if h.proc != nil {
+		preemptions = h.proc.Preemptions()
+	}
+	h.pl.tel.Counter("plant.hydration_preemptions").Add(int64(preemptions))
 	h.pl.mu.Lock()
 	h.pl.hydrations = append(h.pl.hydrations, HydrationStats{
 		VMID:         h.vm.ID(),
 		Extents:      len(h.state),
 		DemandFaults: h.faulted,
+		Preemptions:  preemptions,
 		ResumeSecs:   (h.start - h.createdAt).Seconds(),
 		CompleteSecs: complete,
 		Aborted:      aborted,
@@ -229,9 +286,9 @@ func (h *hydration) finish(p *sim.Proc, aborted bool) {
 }
 
 // cancel stops the hydration (VM collected, creation failed): the
-// background hydrator exits at its next extent boundary — an in-flight
-// copy finishes, it is not torn mid-stream — and parked guest procs are
-// woken into the sticky error.
+// background hydrator drops the copy it is queued for or in the middle
+// of — nothing of it lands, and it holds no place in any device's queue
+// — and exits; parked guest procs are woken into the sticky error.
 func (h *hydration) cancel(p *sim.Proc) {
 	if h.cancelled {
 		return
@@ -251,7 +308,7 @@ func (h *hydration) cancel(p *sim.Proc) {
 		h.waiters[i] = nil
 	}
 	if h.proc != nil {
-		h.proc.WakeUp()
+		h.proc.Interrupt(false)
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/sim"
+	"vmplants/internal/telemetry"
 	"vmplants/internal/vdisk"
 )
 
@@ -157,5 +159,183 @@ func TestPrecreateFallsBackToLinkUnderLazy(t *testing.T) {
 	}
 	if !r.pl.AllHydrated() {
 		t.Error("AllHydrated false with no lazy clones outstanding")
+	}
+}
+
+// newQuietRig is a lazy-cloning plant on node 0 of an n-node testbed
+// without jitter, so every service time is exact.
+func newQuietRig(t *testing.T, nodes int) (*rig, *telemetry.Hub) {
+	t.Helper()
+	params := cluster.DefaultParams()
+	params.JitterSigma = 0
+	hub := telemetry.New()
+	return newRigOn(t, nodes, params, Config{CloneMode: vdisk.CloneByLazy, Telemetry: hub}), hub
+}
+
+// extentCopy is one 128 MB extent's way from the warehouse to a local
+// disk with no jitter: the mount's service time, then the local disk's
+// per-file overhead.
+func extentCopy(r *rig) time.Duration {
+	par := r.tb.Params
+	return par.TransferOverhead + sim.Seconds(float64(128<<20)/par.NFSClientBps) + 20*time.Millisecond
+}
+
+// loadNFS keeps each of the given nodes streaming 110 MB reads from the
+// warehouse (10 s and the overhead apiece) in the given class until the
+// deadline.
+func loadNFS(r *rig, nodes []*cluster.Node, class sim.Class, until time.Duration) {
+	for _, n := range nodes {
+		r.k.Spawn(n.Name()+"/load", func(p *sim.Proc) {
+			for p.Now() < until {
+				n.Warehouse().Charge(p, 110e6, 1, class)
+			}
+		})
+	}
+}
+
+// lastBlock is a block of the VM's last extent: the one the hydrator
+// reaches last.
+func lastBlock(h *hydration) int64 {
+	return h.vm.Disk().Base().SizeBytes()/vdisk.BlockSize - 1
+}
+
+// A demand fault is foreground I/O: with a hydrator busy on its own
+// mount, another clone waiting for its turn, and background readers on
+// four other nodes holding every stream slot of the server, the guest
+// waits for its own extent's copy and nothing else.
+func TestDemandFaultLatencyUnderBackgroundLoad(t *testing.T) {
+	r, hub := newQuietRig(t, 5)
+	r.run(t, func(p *sim.Proc) {
+		for _, id := range []core.VMID{"vm-a", "vm-b"} {
+			if _, err := r.pl.Create(p, id, spec(t, "alice")); err != nil {
+				t.Fatalf("create %s: %v", id, err)
+			}
+		}
+		loadNFS(r, r.tb.Nodes[1:], sim.Background, p.Now()+5*time.Minute)
+		p.Sleep(30 * time.Second)
+		h := r.pl.live["vm-a"]
+		if h == nil || h.left < 8 {
+			t.Fatalf("vm-a's hydration is not in full swing: %+v", h)
+		}
+		faults := hub.Counter("plant.demand_faults").Value()
+		start := p.Now()
+		if err := h.touch(p, lastBlock(h)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.Now()-start, extentCopy(r); got != want {
+			t.Errorf("demand fault took %v under background load, its own copy takes %v", got, want)
+		}
+		if got := hub.Counter("plant.demand_faults").Value(); got != faults+1 {
+			t.Errorf("demand faults %d → %d, want one more", faults, got)
+		}
+	})
+	if !r.pl.AllHydrated() {
+		t.Error("hydration did not converge after the load")
+	}
+	var preemptions int
+	for _, hs := range r.pl.HydrationLog() {
+		preemptions += hs.Preemptions
+	}
+	if preemptions == 0 || int64(preemptions) != hub.Counter("plant.hydration_preemptions").Value() {
+		t.Errorf("hydration log counts %d preemptions, plant.hydration_preemptions %d", preemptions,
+			hub.Counter("plant.hydration_preemptions").Value())
+	}
+	if bytes, background, _ := r.tb.Nodes[0].Warehouse().Device().Stats(); background == 0 || background >= bytes {
+		t.Errorf("node00's mount served %d bytes, %d of them in the background", bytes, background)
+	}
+}
+
+// Priority inversion: five other nodes stream foreground reads through
+// the server's four slots, so the hydrator's background copy is starved
+// for as long as they last. A guest that touches the extent in flight
+// must not inherit that: the rest of the copy becomes foreground work
+// and is served in its FIFO turn.
+func TestTouchPromotesExtentInBackgroundFlight(t *testing.T) {
+	r, _ := newQuietRig(t, 6)
+	var loadEnds time.Duration
+	r.run(t, func(p *sim.Proc) {
+		loadEnds = p.Now() + 20*time.Minute
+		loadNFS(r, r.tb.Nodes[1:], sim.Foreground, loadEnds)
+		if _, err := r.pl.Create(p, "vm-a", spec(t, "alice")); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		h := r.pl.live["vm-a"]
+		landed := h.left
+		p.Sleep(2 * time.Minute)
+		i := h.inFlight
+		if h.left != landed || i < 0 {
+			t.Fatalf("hydration made progress (%d → %d extents left, extent %d in flight) under a saturating foreground load", landed, h.left, i)
+		}
+		blocks := h.vm.Disk().Base().SizeBytes() / vdisk.BlockSize
+		start := p.Now()
+		if err := h.touch(p, int64(i)*blocks/int64(len(h.state))); err != nil {
+			t.Fatal(err)
+		}
+		// Promoted behind the one stream queued for a slot: a slot
+		// frees within one stream's read, the extent needs at most all
+		// of its own copy.
+		bound := r.tb.Params.TransferOverhead + 10*time.Second + extentCopy(r)
+		if got := p.Now() - start; got > bound {
+			t.Errorf("guest waited %v for the extent in flight, want at most %v", got, bound)
+		}
+		if h.state[i] != hPresent {
+			t.Errorf("touched extent %d is in state %d", i, h.state[i])
+		}
+	})
+	if !r.pl.AllHydrated() {
+		t.Error("hydration did not converge after the load")
+	}
+	if hs := r.pl.HydrationLog()[0]; hs.CompleteSecs < loadEnds.Seconds() {
+		t.Errorf("hydration complete at %.0f s, before the foreground load ended at %.0f s", hs.CompleteSecs, loadEnds.Seconds())
+	}
+}
+
+// Collect drops the hydrator's copy at once, in service or queued: the
+// hydrator is gone before Collect returns, the extent it was on does
+// not land or count, and nothing of the VM is left in a device queue
+// for the kernel to run afterwards.
+func TestCollectDropsExtentInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		load sim.Class // what the other nodes stream meanwhile
+	}{
+		{"in service", sim.Background},
+		{"queued", sim.Foreground},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, hub := newQuietRig(t, 6)
+			var collected time.Duration
+			end := r.run(t, func(p *sim.Proc) {
+				if _, err := r.pl.Create(p, "vm-a", spec(t, "alice")); err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				loadNFS(r, r.tb.Nodes[1:], tc.load, p.Now()+time.Minute)
+				p.Sleep(extentCopy(r) / 2)
+				h := r.pl.live["vm-a"]
+				i, landed := h.inFlight, hub.Counter("plant.hydrated_extents").Value()
+				if i < 0 {
+					t.Fatal("no extent in flight")
+				}
+				if err := r.pl.Collect(p, "vm-a"); err != nil {
+					t.Fatal(err)
+				}
+				collected = p.Now()
+				if h.proc.State() != sim.ProcDone {
+					t.Errorf("hydrator still alive (state %d) after Collect", h.proc.State())
+				}
+				if got := hub.Counter("plant.hydrated_extents").Value(); got != landed {
+					t.Errorf("hydrated extents %d → %d across Collect: the cut-short extent counted", landed, got)
+				}
+				if path := fmt.Sprintf("vms/vm-a/disk-s%03d.vmdk", i); r.tb.Nodes[0].LocalDisk().Exists(path) {
+					t.Errorf("cut-short extent %s landed", path)
+				}
+			})
+			if end < collected+50*time.Second || end > collected+70*time.Second {
+				t.Errorf("kernel ran until %v after the Collect at %v: want only the other nodes' minute of load", end, collected)
+			}
+			if log := r.pl.HydrationLog(); len(log) != 1 || !log[0].Aborted {
+				t.Errorf("hydration log %+v, want one aborted entry", log)
+			}
+		})
 	}
 }

@@ -139,16 +139,15 @@ type Plant struct {
 	// state-copies in flight (see admission.go). Only kernel processes
 	// touch it, so it needs no lock.
 	cloneGate *sim.Resource
-	// hydrateGate is the sibling gate for lazy-clone background
-	// hydration (see hydrate.go): the deferred extent copies contend on
-	// the same host disk pipes the clone stage does, so they are bounded
-	// the same way — without stealing the clone gate's slots from
-	// foreground creations.
-	hydrateGate *sim.Resource
 	// live tracks the in-service lazy clones' hydrations (guarded by mu;
 	// hydrations is the closed-out log).
 	live       map[core.VMID]*hydration
 	hydrations []HydrationStats
+	// hydrating says a background hydrator process is running, and
+	// unhydrated holds the resumed clones waiting for theirs, oldest
+	// first (hydrate.go). Only kernel processes touch them.
+	hydrating  bool
+	unhydrated []*hydration
 	// host models the host-side runtime state that survives a daemon
 	// death: the production line's VM processes keep running when the
 	// management daemon dies. It is maintained continuously — a record
@@ -295,7 +294,6 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 		slots = pl.deriveCloneSlots()
 	}
 	pl.cloneGate = sim.NewResource(name+"/clone-slots", slots)
-	pl.hydrateGate = sim.NewResource(name+"/hydrate-slots", slots)
 	return pl
 }
 
@@ -731,7 +729,7 @@ func (pl *Plant) maybePublishBack(p *sim.Proc, sp *telemetry.Span, vm *vmm.VM, g
 		// The derived state (redo log + memory checkpoint) streams to
 		// the shared warehouse over the node's NFS path; the extents
 		// are already there — the checkpoint shares the parent's.
-		pl.node.Warehouse().Charge(bp, upload, pl.node.Jitter())
+		pl.node.Warehouse().Charge(bp, upload, pl.node.Jitter(), sim.Background)
 		if err := pl.wh.PublishDerived(im, bp.Now()); err != nil {
 			// Lost a race to an identical checkpoint, or the budget is
 			// full of referenced images: drop the checkpoint.
@@ -940,8 +938,8 @@ func (pl *Plant) Collect(p *sim.Proc, id core.VMID) error {
 	hyd := pl.live[id]
 	pl.mu.Unlock()
 	if hyd != nil {
-		// Stop hydrating state nobody will read; the hydrator finishes
-		// its in-flight extent and exits.
+		// Stop hydrating state nobody will read; the hydrator drops its
+		// in-flight extent and exits.
 		hyd.cancel(p)
 	}
 	if err := r.vm.Collect(p); err != nil {
@@ -1180,7 +1178,7 @@ func (pl *Plant) PublishImage(p *sim.Proc, id core.VMID, newName string) error {
 	// there (this VM link-cloned them) or are accounted at full size
 	// for copy-cloned disks.
 	upload := snap.RedoBytes() + im.MemImageBytes()
-	pl.node.Warehouse().Charge(p, upload, pl.node.Jitter())
+	pl.node.Warehouse().Charge(p, upload, pl.node.Jitter(), sim.Foreground)
 	if err := pl.wh.Publish(im); err != nil {
 		return fmt.Errorf("plant %s: publish %s: %w", pl.name, newName, err)
 	}

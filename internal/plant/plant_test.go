@@ -55,8 +55,15 @@ type rig struct {
 
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
+	return newRigOn(t, 1, cluster.DefaultParams(), cfg)
+}
+
+// newRigOn is a plant on node 0 of a testbed of the given size and
+// timing; the other nodes are there to load the NFS server.
+func newRigOn(t *testing.T, nodes int, params cluster.Params, cfg Config) *rig {
+	t.Helper()
 	k := sim.NewKernel()
-	tb := cluster.NewTestbed(k, 1, cluster.DefaultParams(), 5)
+	tb := cluster.NewTestbed(k, nodes, params, 5)
 	wh := warehouse.New(tb.Warehouse)
 	hw := core.HardwareSpec{Arch: "x86", MemoryMB: 64, DiskMB: 2048}
 	im, err := warehouse.BuildGolden("ws-golden", hw, warehouse.BackendVMware, goldenHistory())

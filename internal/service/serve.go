@@ -202,7 +202,7 @@ func NewPlantHandler(r *Runner, pl *plant.Plant) proto.Handler {
 			return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
 				// The derived state streams to the warehouse volume over
 				// the daemon host's NFS path before registration.
-				pl.Node().Warehouse().Charge(p, im.CheckpointBytes(), pl.Node().Jitter())
+				pl.Node().Warehouse().Charge(p, im.CheckpointBytes(), pl.Node().Jitter(), sim.Foreground)
 				resp := &proto.PublishImageResponse{Image: desc.Name, Accepted: true}
 				if err := wh.PublishDerived(im, p.Now()); err != nil {
 					resp.Accepted, resp.Reason = false, err.Error()

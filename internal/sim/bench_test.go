@@ -23,7 +23,7 @@ func BenchmarkPipeTransfers(b *testing.B) {
 	pipe := NewPipe("d", 1e9)
 	k.Spawn("xfer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			pipe.Transfer(p, 4096, 1)
+			pipe.Transfer(p, 4096, 1, Foreground)
 		}
 	})
 	b.ResetTimer()

@@ -226,6 +226,16 @@ type Proc struct {
 	// Wait before its deadline.
 	interrupted bool
 
+	// qnext and qn are the process's node in the queue of the one
+	// resource it is blocked on: the link, and the units it asked for.
+	qnext *Proc
+	qn    int
+	// bg is where the process's background transfer stands (bgNone
+	// outside one); preemptions counts the times a foreground request
+	// took back what the process held.
+	bg          bgState
+	preemptions int
+
 	// trace is the process's current trace context — which span new
 	// work on this proc should parent under. Only the proc's own
 	// body touches it (the kernel serializes processes), so no
@@ -385,6 +395,47 @@ func (p *Proc) WakeUp() {
 	p.interrupted = true
 	p.scheduleAt(p.k.now)
 }
+
+// bgState is where a process's background transfer stands. The stopped
+// states are ordered: a later, stronger reason replaces a weaker one.
+type bgState uint8
+
+const (
+	bgNone      bgState = iota // not in a background transfer
+	bgRunning                  // queued or in service, undisturbed
+	bgPreempted                // a resource took back what it held
+	bgPromoted                 // its owner wants the rest in the foreground
+	bgCancelled                // its owner wants it dropped
+)
+
+// stopBackground stops p's background transfer, if it is in one, and
+// wakes p to act on it.
+func (p *Proc) stopBackground(why bgState) {
+	if p.bg != bgNone && why > p.bg {
+		p.bg = why
+	}
+	p.WakeUp()
+}
+
+// Interrupt is how the owner of a background transfer (Pipe.Transfer
+// with Background) cuts it short, whether it is queued or in service.
+// With promote, the transfer gives up what it holds and finishes the
+// rest of its service as a foreground transfer: something has started
+// to wait for it. Without, it is cancelled: it leaves the queues at
+// once and Transfer reports the service left. Either way p is woken as
+// by WakeUp, which is all that happens to a process that is not in a
+// background transfer. It must be called from another running process.
+func (p *Proc) Interrupt(promote bool) {
+	if promote {
+		p.stopBackground(bgPromoted)
+	} else {
+		p.stopBackground(bgCancelled)
+	}
+}
+
+// Preemptions reports how many times a foreground request has taken
+// back a slot or a pipe one of p's background transfers held.
+func (p *Proc) Preemptions() int { return p.preemptions }
 
 // RunResult summarizes a kernel run.
 type RunResult struct {

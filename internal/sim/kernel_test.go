@@ -176,7 +176,7 @@ func TestDeterministicReplay(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			k.Spawn("xfer", func(p *Proc) {
 				p.Sleep(Seconds(g.Exp(1.0)))
-				pipe.Transfer(p, int64(g.Intn(1e6)), 1)
+				pipe.Transfer(p, int64(g.Intn(1e6)), 1, Foreground)
 				times = append(times, p.Now())
 			})
 		}

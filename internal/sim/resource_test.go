@@ -145,7 +145,7 @@ func TestPipeSerializesTransfers(t *testing.T) {
 	var done []time.Duration
 	for i := 0; i < 3; i++ {
 		k.Spawn("xfer", func(p *Proc) {
-			pipe.Transfer(p, 10e6, 1) // 1 second each
+			pipe.Transfer(p, 10e6, 1, Foreground) // 1 second each
 			done = append(done, p.Now())
 		})
 	}
@@ -156,7 +156,7 @@ func TestPipeSerializesTransfers(t *testing.T) {
 			t.Fatalf("transfer completions %v, want %v", done, want)
 		}
 	}
-	bytes, n := pipe.Stats()
+	bytes, _, n := pipe.Stats()
 	if bytes != 30e6 || n != 3 {
 		t.Errorf("stats = (%d, %d), want (30e6, 3)", bytes, n)
 	}
@@ -167,7 +167,7 @@ func TestPipeScaleSlowsTransfer(t *testing.T) {
 	pipe := NewPipe("disk", 1e6)
 	var end time.Duration
 	k.Spawn("xfer", func(p *Proc) {
-		pipe.Transfer(p, 1e6, 2.5)
+		pipe.Transfer(p, 1e6, 2.5, Foreground)
 		end = p.Now()
 	})
 	k.Run(0)

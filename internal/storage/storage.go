@@ -8,6 +8,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -15,55 +16,50 @@ import (
 	"vmplants/internal/sim"
 )
 
+// ErrInterrupted is what a background copy returns when its owner
+// cancelled it (sim.Proc.Interrupt): nothing was written.
+var ErrInterrupted = errors.New("storage: background transfer interrupted")
+
 // Device is something bytes move through at a finite rate.
 type Device struct {
-	name string
 	pipe *sim.Pipe
-	// slots caps concurrent streams for shared servers; nil means
-	// unlimited concurrency is irrelevant because the pipe serializes.
-	slots *sim.Resource
 }
 
 // NewDevice creates a device with the given throughput.
 func NewDevice(name string, bytesPerSecond float64, perTransferOverhead time.Duration) *Device {
 	p := sim.NewPipe(name, bytesPerSecond)
 	p.PerTransferOverhead = perTransferOverhead
-	return &Device{name: name, pipe: p}
+	return &Device{pipe: p}
 }
 
 // NewServer creates a shared device that admits at most maxStreams
 // concurrent transfers; further clients queue.
 func NewServer(name string, bytesPerSecond float64, perTransferOverhead time.Duration, maxStreams int) *Device {
 	d := NewDevice(name, bytesPerSecond, perTransferOverhead)
-	d.slots = sim.NewResource(name+".slots", maxStreams)
+	d.pipe.Slots = sim.NewResource(name+".slots", maxStreams)
 	return d
 }
 
 // Name returns the device name.
-func (d *Device) Name() string { return d.name }
+func (d *Device) Name() string { return d.pipe.Name() }
 
 // ShareSlots makes transfers through d also occupy other's stream slots,
 // modeling a client mount whose server bounds aggregate concurrency.
-func (d *Device) ShareSlots(other *Device) { d.slots = other.slots }
+func (d *Device) ShareSlots(other *Device) { d.pipe.Slots = other.pipe.Slots }
 
-// transfer moves size bytes through the device; scale ≥ 1 slows the
-// effective rate (memory pressure, degraded paths).
-func (d *Device) transfer(p *sim.Proc, size int64, scale float64) {
-	if d.slots != nil {
-		d.slots.Acquire(p, 1)
-		defer d.slots.Release(p, 1)
-	}
-	d.pipe.Transfer(p, size, scale)
+// Transfer moves size bytes through the device in the given class;
+// scale ≥ 1 slows the effective rate (memory pressure, degraded paths).
+// It returns the service time left, which is zero unless the transfer
+// was a background one and its owner cancelled it. Volumes move their
+// bytes through it; paths with no file namespace, like the cluster's
+// node-to-node interconnect, call it directly.
+func (d *Device) Transfer(p *sim.Proc, size int64, scale float64, class sim.Class) time.Duration {
+	return d.pipe.Transfer(p, size, scale, class)
 }
 
-// Transfer moves size bytes through the device directly — for paths
-// with no file namespace, like the cluster's node-to-node interconnect.
-func (d *Device) Transfer(p *sim.Proc, size int64, scale float64) {
-	d.transfer(p, size, scale)
-}
-
-// Stats reports cumulative bytes and transfer count.
-func (d *Device) Stats() (bytes, transfers int64) { return d.pipe.Stats() }
+// Stats reports cumulative bytes served, how many of them in the
+// background class, and the count of completed transfers.
+func (d *Device) Stats() (bytes, background, transfers int64) { return d.pipe.Stats() }
 
 // entry is one file in a volume.
 type entry struct {
@@ -155,7 +151,7 @@ func (v *Volume) Write(p *sim.Proc, path string, size int64, scale float64) erro
 	if size < 0 {
 		return fmt.Errorf("storage: negative size for %q", path)
 	}
-	v.dev.transfer(p, size, scale)
+	v.dev.Transfer(p, size, scale, sim.Foreground)
 	v.files[path] = entry{size: size}
 	return nil
 }
@@ -214,7 +210,7 @@ func (v *Volume) Read(p *sim.Proc, path string, scale float64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v.dev.transfer(p, size, scale)
+	v.dev.Transfer(p, size, scale, sim.Foreground)
 	return size, nil
 }
 
@@ -250,8 +246,10 @@ func (v *Volume) LinkForeign(p *sim.Proc, src *Volume, srcPath, dst string) erro
 // CopyTo copies src on v to dstPath on dst, streaming through both
 // devices: the transfer occupies the source device at the bottleneck
 // rate, then pays only the destination's fixed overhead (the stream
-// writes as it reads). scale further slows the effective rate.
-func (v *Volume) CopyTo(p *sim.Proc, src string, dst *Volume, dstPath string, scale float64) (int64, error) {
+// writes as it reads). scale further slows the effective rate. A
+// background copy gives way to foreground traffic on the source device;
+// cancelled by its owner it writes nothing and returns ErrInterrupted.
+func (v *Volume) CopyTo(p *sim.Proc, src string, dst *Volume, dstPath string, scale float64, class sim.Class) (int64, error) {
 	size, err := v.Stat(src)
 	if err != nil {
 		return 0, err
@@ -268,7 +266,9 @@ func (v *Volume) CopyTo(p *sim.Proc, src string, dst *Volume, dstPath string, sc
 	// Occupy the source device for the whole streamed copy at the
 	// bottleneck rate; the destination only charges its per-transfer
 	// overhead (its bandwidth is subsumed by the bottleneck rate).
-	v.dev.transfer(p, size, scale*srcBW/eff)
+	if left := v.dev.Transfer(p, size, scale*srcBW/eff, class); left > 0 {
+		return 0, fmt.Errorf("storage: copy %s:%q: %w with %v of service left", v.name, src, ErrInterrupted, left)
+	}
 	p.Sleep(dst.dev.pipe.PerTransferOverhead)
 	// The copy carries the source's recorded checksum: a faithful byte
 	// stream reproduces the content, corrupted or not.
@@ -292,7 +292,7 @@ func (v *Volume) Append(p *sim.Proc, path string, delta int64, scale float64) (i
 		return 0, fmt.Errorf("storage: %s: append to link %q", v.name, path)
 	}
 	if p != nil {
-		v.dev.transfer(p, delta, scale)
+		v.dev.Transfer(p, delta, scale, sim.Foreground)
 	}
 	e.size += delta
 	v.files[path] = e
@@ -317,14 +317,15 @@ func (v *Volume) Truncate(path string, size int64) error {
 	return nil
 }
 
-// Charge pays the device cost of moving size bytes without touching the
-// namespace — for operations whose file bookkeeping happens elsewhere
-// (e.g. a warehouse publish whose entries the warehouse itself records).
-func (v *Volume) Charge(p *sim.Proc, size int64, scale float64) {
+// Charge pays the device cost of moving size bytes in the given class
+// without touching the namespace — for operations whose file bookkeeping
+// happens elsewhere (e.g. a warehouse publish whose entries the
+// warehouse itself records).
+func (v *Volume) Charge(p *sim.Proc, size int64, scale float64, class sim.Class) {
 	if size <= 0 {
 		return
 	}
-	v.dev.transfer(p, size, scale)
+	v.dev.Transfer(p, size, scale, class)
 }
 
 // Delete removes a file; it is an error if absent.

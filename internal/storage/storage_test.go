@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -76,7 +77,7 @@ func TestCopyToBottleneckRate(t *testing.T) {
 	slow := NewVolume("slow", NewDevice("slowdev", 10e6, 0))
 	d := run(t, func(p *sim.Proc) {
 		fast.WriteMeta("src", 50e6)
-		if _, err := fast.CopyTo(p, "src", slow, "dst", 1); err != nil {
+		if _, err := fast.CopyTo(p, "src", slow, "dst", 1, sim.Foreground); err != nil {
 			t.Error(err)
 		}
 	})
@@ -94,7 +95,7 @@ func TestCopyScaleSlowsDown(t *testing.T) {
 	b := NewVolume("b", NewDevice("bd", 10e6, 0))
 	d := run(t, func(p *sim.Proc) {
 		a.WriteMeta("src", 10e6)
-		a.CopyTo(p, "src", b, "dst", 2)
+		a.CopyTo(p, "src", b, "dst", 2, sim.Foreground)
 	})
 	if d != 2*time.Second {
 		t.Errorf("scaled copy took %v, want 2s", d)
@@ -204,5 +205,99 @@ func TestPerTransferOverhead(t *testing.T) {
 	})
 	if d != 500*time.Millisecond {
 		t.Errorf("zero-byte write took %v, want overhead only", d)
+	}
+}
+
+// Three mounts of one two-stream server, as cluster.NewTestbed wires
+// them: a foreground copy that arrives in the middle of a background
+// one finishes in its own service time — on the same mount, and on
+// another mount when the background copies hold every stream slot — and
+// the background copies finish at the sum of what was served ahead of
+// them, no slot or mount having idled meanwhile.
+func TestForegroundCopyPreemptsBackgroundCopy(t *testing.T) {
+	server := NewServer("nfs", 20e6, 0, 2)
+	wh := NewVolume("w", server)
+	wh.WriteMeta("extent", 100e6) // 10 s over a 10 MB/s mount
+	wh.WriteMeta("mem", 20e6)     // 2 s
+	mount := func(name string) *Volume {
+		dev := NewDevice(name, 10e6, 0)
+		dev.ShareSlots(server)
+		return wh.ViewOn(dev)
+	}
+	m1, m2, m3 := mount("m1"), mount("m2"), mount("m3")
+	local := NewVolume("local", NewDevice("scsi", 100e6, 0))
+
+	k := sim.NewKernel()
+	done := make(map[string]time.Duration)
+	copyAt := func(name string, at time.Duration, m *Volume, src string, class sim.Class) {
+		k.Spawn(name, func(p *sim.Proc) {
+			p.Sleep(at)
+			if _, err := m.CopyTo(p, src, local, name, 1, class); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			done[name] = p.Now()
+		})
+	}
+	copyAt("bg1", 0, m1, "extent", sim.Background)
+	copyAt("bg2", 0, m2, "extent", sim.Background)
+	// At 3 s the foreground copy takes bg1's mount, and the slot of the
+	// more recent holder, bg2 — which at once takes the slot bg1 gives
+	// up with its mount, and carries on.
+	copyAt("fg-same-mount", 3*time.Second, m1, "mem", sim.Foreground)
+	// At 6 s both slots are held again, bg1's (back in service since
+	// 5 s) the more recently.
+	copyAt("fg-other-mount", 6*time.Second, m3, "mem", sim.Foreground)
+	if res := k.Run(0); len(res.Stranded) != 0 {
+		t.Fatalf("stranded: %v", res.Stranded)
+	}
+	for name, want := range map[string]time.Duration{
+		"fg-same-mount":  5 * time.Second,
+		"fg-other-mount": 8 * time.Second,
+		"bg1":            14 * time.Second, // 10 s of service, preempted 3–5 s and 6–8 s
+		"bg2":            10 * time.Second,
+	} {
+		if done[name] != want {
+			t.Errorf("%s done at %v, want %v", name, done[name], want)
+		}
+	}
+	if bytes, background, _ := m1.Device().Stats(); bytes != 120e6 || background != 100e6 {
+		t.Errorf("m1 served %d bytes, %d in the background; want 120e6 and 100e6", bytes, background)
+	}
+}
+
+// A background copy its owner cancels writes nothing, says so, and
+// reports the service it had left.
+func TestInterruptedBackgroundCopy(t *testing.T) {
+	src := NewVolume("src", NewDevice("srcdev", 10e6, time.Second))
+	dst := NewVolume("dst", NewDevice("dstdev", 100e6, 0))
+	src.WriteMeta("f", 100e6)
+	k := sim.NewKernel()
+	var err error
+	var left time.Duration
+	copier := k.Spawn("copier", func(p *sim.Proc) {
+		_, err = src.CopyTo(p, "f", dst, "f", 1, sim.Background)
+		left = src.Device().Transfer(p, 100e6, 1, sim.Background)
+	})
+	k.Spawn("owner", func(p *sim.Proc) {
+		p.Sleep(4 * time.Second)
+		copier.Interrupt(false)
+		p.Sleep(4 * time.Second)
+		copier.Interrupt(false)
+	})
+	if res := k.Run(0); len(res.Stranded) != 0 || res.End != 8*time.Second {
+		t.Fatalf("ended at %v, stranded %v", res.End, res.Stranded)
+	}
+	if !errors.Is(err, ErrInterrupted) {
+		t.Errorf("cancelled copy returned %v", err)
+	}
+	if dst.Exists("f") {
+		t.Error("cancelled copy wrote its destination")
+	}
+	if left != 7*time.Second {
+		t.Errorf("transfer cancelled after 4 of its 11 s reported %v left", left)
+	}
+	// 1 s of overhead, then 3 s at 10 MB/s, twice.
+	if bytes, background, n := src.Device().Stats(); bytes != 60e6 || background != 60e6 || n != 0 {
+		t.Errorf("stats = (%d, %d background, %d transfers), want (60e6, 60e6, 0)", bytes, background, n)
 	}
 }

@@ -75,14 +75,14 @@ func cloneDiskState(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, id
 	var linked int
 
 	// "replicates the VM configuration file … for each clone"
-	n, err := wh.CopyTo(p, golden.ConfigPath, local, dir+"vm.cfg", 1)
+	n, err := wh.CopyTo(p, golden.ConfigPath, local, dir+"vm.cfg", 1, sim.Foreground)
 	if err != nil {
 		return 0, 0, fmt.Errorf("vmm: replicate config: %w", err)
 	}
 	copied += n
 
 	// "… and base redo log for each clone"
-	n, err = wh.CopyTo(p, golden.RedoPath, local, dir+"base.redo", 1)
+	n, err = wh.CopyTo(p, golden.RedoPath, local, dir+"base.redo", 1, sim.Foreground)
 	if err != nil {
 		return 0, 0, fmt.Errorf("vmm: copy redo log: %w", err)
 	}
@@ -99,7 +99,7 @@ func cloneDiskState(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, id
 			}
 			linked++
 		case vdisk.CloneByCopy:
-			n, err := wh.CopyTo(p, ext, local, dst, 1)
+			n, err := wh.CopyTo(p, ext, local, dst, 1, sim.Foreground)
 			if err != nil {
 				return 0, 0, fmt.Errorf("vmm: copy extent: %w", err)
 			}
@@ -149,7 +149,7 @@ func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, golden *warehouse.Image,
 	// the copy slows under memory pressure too (priced as if this VM's
 	// own footprint were already committed).
 	copyScale := node.PressureScale(golden.Hardware.MemoryMB) * node.Jitter()
-	n, err := node.Warehouse().CopyTo(p, golden.MemImagePath, node.LocalDisk(), memPath, copyScale)
+	n, err := node.Warehouse().CopyTo(p, golden.MemImagePath, node.LocalDisk(), memPath, copyScale, sim.Foreground)
 	if err != nil {
 		return nil, CloneStats{}, fmt.Errorf("vmm: copy memory state: %w", err)
 	}

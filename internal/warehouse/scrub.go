@@ -106,7 +106,7 @@ func (w *Warehouse) ScrubPass(p *sim.Proc) {
 				}
 			}
 		}
-		w.vol.Charge(p, deep, 1)
+		w.vol.Charge(p, deep, 1, sim.Background)
 		// The proc slept in Charge; the image may have been removed or
 		// quarantined meanwhile.
 		if cur, live := w.images[name]; !live || cur != im || w.IsQuarantined(name) {
@@ -184,7 +184,7 @@ func (w *Warehouse) repairSeed(p *sim.Proc, im *Image) int64 {
 			if w.replica == nil || !w.replica.Exists(path) {
 				continue // unrepairable without a replica copy
 			}
-			if n, err := w.replica.CopyTo(p, path, w.vol, path, 1); err == nil {
+			if n, err := w.replica.CopyTo(p, path, w.vol, path, 1, sim.Foreground); err == nil {
 				healed += n
 			}
 			continue
@@ -256,7 +256,7 @@ func (w *Warehouse) rebuildArtifact(p *sim.Proc, im *Image, path string) int64 {
 	default:
 		return 0
 	}
-	w.vol.Charge(p, size, 1)
+	w.vol.Charge(p, size, 1, sim.Foreground)
 	w.vol.WriteMetaSum(path, size, im.Sums[path])
 	return size
 }

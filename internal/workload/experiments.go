@@ -148,7 +148,7 @@ func RunCopyBaseline(seed int64) (*CopyBaselineResult, error) {
 		node := d.Testbed.Nodes[0]
 		start := p.Now()
 		for i, ext := range im.ExtentPaths {
-			if _, err := node.Warehouse().CopyTo(p, ext, node.LocalDisk(), fmt.Sprintf("copy/ext%03d", i), 1); err != nil {
+			if _, err := node.Warehouse().CopyTo(p, ext, node.LocalDisk(), fmt.Sprintf("copy/ext%03d", i), 1, sim.Foreground); err != nil {
 				return fmt.Errorf("copy: %w", err)
 			}
 		}

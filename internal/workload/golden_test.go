@@ -2,11 +2,14 @@ package workload
 
 import (
 	"crypto/sha256"
+	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/fingerprints.golden from this run (make goldens)")
 
 // gateFailures renders a result's violations with its report, for a
 // failing test's log.
@@ -20,9 +23,10 @@ func gateFailures(res Result) string {
 // the sha256 recorded in testdata/fingerprints.golden ("<scenario>
 // <series> <sha256>" per line). A fingerprint digests every
 // virtual-time observable of a run, so a changed hash is a changed
-// behaviour.
+// behaviour; every scenario that diverges is reported, not the first.
 func TestScenariosPassGateAndMatchGolden(t *testing.T) {
-	blob, err := os.ReadFile("testdata/fingerprints.golden")
+	const golden = "testdata/fingerprints.golden"
+	blob, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +41,10 @@ func TestScenariosPassGateAndMatchGolden(t *testing.T) {
 	if len(want) != 2*len(Scenarios()) {
 		t.Fatalf("golden holds %d hashes, want %d", len(want), 2*len(Scenarios()))
 	}
+	var got strings.Builder
 	for _, sc := range Scenarios() {
 		for _, series := range []Series{Paper, Smoke} {
+			key := sc.Name + " " + string(series)
 			t.Run(sc.Name+"/"+string(series), func(t *testing.T) {
 				res, err := sc.Run(42, series)
 				if err != nil {
@@ -47,11 +53,17 @@ func TestScenariosPassGateAndMatchGolden(t *testing.T) {
 				if len(res.Violations()) != 0 {
 					t.Errorf("gate violations:\n%s", gateFailures(res))
 				}
-				key := sc.Name + " " + string(series)
-				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Fingerprint()))); got != want[key] {
-					t.Errorf("fingerprint sha256 = %s, golden %s", got, want[key])
+				sum := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Fingerprint())))
+				fmt.Fprintf(&got, "%s %s\n", key, sum)
+				if sum != want[key] && !*update {
+					t.Errorf("fingerprint sha256 = %s, golden %s", sum, want[key])
 				}
 			})
+		}
+	}
+	if *update && !t.Failed() {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
