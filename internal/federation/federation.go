@@ -190,13 +190,7 @@ func (f *Federation) GossipNow(p *sim.Proc) GossipStats {
 		if c.Shop.Down() || c.Warehouse == nil {
 			continue
 		}
-		entries, err := c.Warehouse.ExportCatalog()
-		if err != nil {
-			// An unexportable image is a local defect; the cell still
-			// imports from its peers this round.
-			continue
-		}
-		exports = append(exports, export{from: c.Name, entries: entries})
+		exports = append(exports, export{from: c.Name, entries: c.Warehouse.ExportCatalog()})
 	}
 	for _, c := range f.cells {
 		if c.Shop.Down() || c.Warehouse == nil {

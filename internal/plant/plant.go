@@ -43,9 +43,6 @@ type Config struct {
 	// CloneMode selects link cloning (default) or the full-copy
 	// ablation baseline.
 	CloneMode vdisk.CloneMode
-	// Backends are the available production lines; nil selects both
-	// defaults.
-	Backends vmm.Registry
 	// FailProb injects per-operation configuration failures: map of
 	// action op → probability.
 	//
@@ -112,6 +109,9 @@ type Plant struct {
 	info   *InfoSystem
 	rng    *sim.RNG
 	faults *fault.Registry
+
+	// backends are the production lines: both of vmm's.
+	backends vmm.Registry
 
 	// mu guards the fields below: the creation log and the pre-created
 	// pool are read by out-of-kernel observers (debug endpoints, tests)
@@ -219,9 +219,6 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 	if cfg.CostModel == nil {
 		cfg.CostModel = cost.DefaultNetworkCompute()
 	}
-	if cfg.Backends == nil {
-		cfg.Backends = vmm.DefaultRegistry()
-	}
 	if cfg.HostOnlyNetworks <= 0 {
 		cfg.HostOnlyNetworks = 4
 	}
@@ -254,6 +251,8 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 		live:   make(map[core.VMID]*hydration),
 		rng:    rng,
 		faults: faults,
+
+		backends: vmm.DefaultRegistry(),
 
 		tel:             tel,
 		flight:          tel.F(),
@@ -383,7 +382,7 @@ func (pl *Plant) Estimate(p *sim.Proc, spec *core.Spec) core.Cost {
 
 // plan runs warehouse matching for a spec without side effects.
 func (pl *Plant) plan(spec *core.Spec) (match.Ranked, error) {
-	backend, err := pl.cfg.Backends.Get(spec.Backend)
+	backend, err := pl.backends.Get(spec.Backend)
 	if err != nil {
 		return match.Ranked{}, err
 	}
@@ -492,20 +491,42 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		return nil, fmt.Errorf("plant %s: matched image %q unavailable: %w", pl.name, best.Candidate.ID, err)
 	}
 	golden := cctx.Image
-	backend, err := pl.cfg.Backends.Get(spec.Backend)
+	backend, err := pl.backends.Get(spec.Backend)
 	if err != nil {
 		return nil, err
 	}
+
+	// Everything the order holds from here on goes onto one undo list,
+	// which any error exit runs newest first; stage is the child span
+	// open at that exit, closed after the rollback so that it covers it.
+	var undo [5]func() // network, image reference, clone slot, VM, hydrator
+	held := 0
+	hold := func(release func()) {
+		undo[held] = release
+		held++
+	}
+	rollback := func() {
+		for ; held > 0; held-- {
+			undo[held-1]()
+		}
+	}
+	var stage *telemetry.Span
+	defer func() {
+		if err != nil {
+			rollback()
+			stage.EndErr(p, err)
+		}
+	}()
 
 	// Host-only network for the client's domain.
 	honet, _, err := pl.nets.Acquire(spec.Domain)
 	if err != nil {
 		return nil, fmt.Errorf("plant %s: %w", pl.name, err)
 	}
-	releaseNet := func() { pl.nets.Release(spec.Domain) }
+	hold(func() { pl.nets.Release(spec.Domain) })
 
 	golden.Ref() // the clone's disk links into the image's state
-	releaseRef := func() { golden.Unref() }
+	hold(func() { golden.Unref() })
 
 	// Clone — or resume a speculatively pre-created clone of the same
 	// golden image, paying only the resume instead of the state copy.
@@ -513,53 +534,52 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	// uncontended acquire costs zero virtual time.
 	admitSp := sp.Child(p, "admission")
 	releaseSlot := pl.admitClone(p)
+	hold(releaseSlot)
 	admitSp.End(p)
 	pl.flight.Record(p, string(id), telemetry.EvAdmitted, pl.name)
 	pl.flight.Record(p, string(id), telemetry.EvCloneStart, golden.Name)
 	cloneSp := sp.Child(p, "clone").
 		Set("golden", golden.Name).
 		Set("backend", backend.Name())
+	stage = cloneSp
 	cloneStart := p.Now()
 	var vm *vmm.VM
 	var cloneStats vmm.CloneStats
 	hit := false
 	if pre, ok := pl.takePrecreated(golden.Name); ok {
-		if err := pre.vm.Rebrand(id, spec.Name); err == nil {
-			if err := pre.vm.Resume(p); err == nil {
-				vm = pre.vm
-				cloneStats = pre.clone // off-critical-path cost, for the record
-				cloneStats.Total = p.Now() - cloneStart
-				hit = true
-				pl.mPrecreateHit.Inc()
-				// The pool's own image reference is superseded by the
-				// one this creation took above.
-				golden.Unref()
-			}
+		err := pre.vm.Rebrand(id, spec.Name)
+		if err == nil {
+			err = pre.vm.Resume(p)
 		}
+		if err == nil {
+			vm = pre.vm
+			cloneStats = pre.clone // off-critical-path cost, for the record
+			cloneStats.Total = p.Now() - cloneStart
+			hit = true
+			pl.mPrecreateHit.Inc()
+		} else {
+			// The parked clone is unusable (its memory image is gone from
+			// the local disk, say): reap it and clone afresh below.
+			pre.vm.Collect(p)
+		}
+		// Either way the pool's own image reference goes; a hit is
+		// covered by the one this creation took above.
+		golden.Unref()
 	}
 	if vm == nil {
-		var err error
 		vm, cloneStats, err = backend.Clone(p, pl.node, golden, id, pl.cfg.CloneMode)
 		if err != nil {
-			releaseSlot()
-			releaseNet()
-			releaseRef()
-			cerr := fmt.Errorf("plant %s: clone: %w", pl.name, err)
-			cloneSp.EndErr(p, cerr)
-			return nil, cerr
+			return nil, fmt.Errorf("plant %s: clone: %w", pl.name, err)
 		}
+	}
+	hold(func() { vm.Collect(p) })
+	if !hit {
 		// Clone I/O fault: the state copy went bad (stale NFS read,
 		// full local disk). The partial clone is destroyed and the
 		// error marked transient so the shop fails over.
 		if pl.faults.Should(pl.name, fault.CloneIO, "") {
 			pl.flight.Record(p, string(id), telemetry.EvFaultInjected, "clone-io")
-			vm.Collect(p)
-			releaseSlot()
-			releaseNet()
-			releaseRef()
-			cerr := fmt.Errorf("plant %s: clone: %w: injected I/O error", pl.name, core.ErrTransient)
-			cloneSp.EndErr(p, cerr)
-			return nil, cerr
+			return nil, fmt.Errorf("plant %s: clone: %w: injected I/O error", pl.name, core.ErrTransient)
 		}
 		// Integrity gate: the state copy slept in virtual time, so the
 		// image may have been quarantined or repaired underneath it. A
@@ -569,19 +589,14 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		if err := pl.wh.VerifyClone(cctx); err != nil {
 			verifySp.EndErr(p, err)
 			pl.flight.Record(p, string(id), telemetry.EvQuarantineHit, golden.Name)
-			vm.Collect(p)
-			releaseSlot()
-			releaseNet()
-			releaseRef()
-			cerr := fmt.Errorf("plant %s: clone: %w", pl.name, err)
-			cloneSp.EndErr(p, cerr)
-			return nil, cerr
+			return nil, fmt.Errorf("plant %s: clone: %w", pl.name, err)
 		}
 		verifySp.End(p)
 		pl.mVerifiedClones.Inc()
 	}
 	pl.recordClone(cloneSp, cloneStart, cloneStats, backend.Name(), hit)
 	cloneSp.End(p)
+	stage = nil
 	pl.flight.Record(p, string(id), telemetry.EvCloneDone, golden.Name)
 	// The state copy is done: free the slot before configuration, which
 	// contends on guest CPU rather than host disk.
@@ -590,31 +605,19 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	// of the state copy to the background hydrator and install the
 	// demand-fault hook before any guest action can touch the disk.
 	// (Pool hits were parked as link clones and need neither.)
-	var hyd *hydration
 	if cloneStats.Mode == vdisk.CloneByLazy && !hit {
-		hyd = pl.startHydration(p, vm, cctx, start)
-	}
-	cancelHyd := func() {
-		if hyd != nil {
-			hyd.cancel(p)
-		}
+		hyd := pl.startHydration(p, vm, cctx, start)
+		hold(func() { hyd.cancel(p) })
 	}
 	if err := vm.AttachNIC(honet, pl.macs.Next()); err != nil {
-		cancelHyd()
-		vm.Collect(p)
-		releaseNet()
-		releaseRef()
 		return nil, err
 	}
 	// Crash fault, mid-creation: the daemon dies between clone and
-	// configuration. The production line reaps the half-built clone, so
-	// nothing is orphaned; the plant stays down until Recover.
+	// configuration. The production line reaps the half-built clone
+	// first, so nothing is orphaned; the plant stays down until Recover.
 	if pl.faults.Should(pl.name, fault.PlantCrash, "create") {
 		pl.flight.Record(p, string(id), telemetry.EvFaultInjected, "plant-crash")
-		cancelHyd()
-		vm.Collect(p)
-		releaseNet()
-		releaseRef()
+		rollback()
 		pl.Crash()
 		return nil, fmt.Errorf("plant %s: %w: plant crashed during creation", pl.name, core.ErrTransient)
 	}
@@ -622,15 +625,10 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	// Configure the residual sub-graph.
 	cfgSp := sp.Child(p, "configure").
 		SetInt("nodes", int64(len(best.Result.Residual)))
+	stage = cfgSp
 	cfgStart := p.Now()
 	if err := pl.configure(p, vm, spec.Graph, best.Result.Residual, cfgSp); err != nil {
-		cancelHyd()
-		vm.Collect(p)
-		releaseNet()
-		releaseRef()
-		cerr := fmt.Errorf("plant %s: configure: %w", pl.name, err)
-		cfgSp.EndErr(p, cerr)
-		return nil, cerr
+		return nil, fmt.Errorf("plant %s: configure: %w", pl.name, err)
 	}
 	cfgSp.End(p)
 	cfgTime := p.Now() - cfgStart
@@ -1112,7 +1110,7 @@ func (pl *Plant) Precreate(p *sim.Proc, image string, count int) (err error) {
 		return fmt.Errorf("plant %s: precreate %q: %w", pl.name, image, err)
 	}
 	golden := cctx.Image
-	backend, err := pl.cfg.Backends.Get(golden.Backend)
+	backend, err := pl.backends.Get(golden.Backend)
 	if err != nil {
 		return err
 	}

@@ -141,3 +141,38 @@ func TestPoolClonesHoldImageReferences(t *testing.T) {
 		}
 	})
 }
+
+// Regression: a pool hit whose resume fails (the parked memory image is
+// gone from the local disk) fell through to a fresh clone and dropped
+// the parked VM uncollected, with the pool's image reference never
+// released — so the image could never be removed again.
+func TestUnusablePrecreatedCloneIsCollected(t *testing.T) {
+	r := newRig(t, Config{})
+	r.run(t, func(p *sim.Proc) {
+		if err := r.pl.Precreate(p, "ws-golden", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.tb.Nodes[0].LocalDisk().Delete("vms/pre-node00-1/mem.vmss"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.pl.Create(p, "vm-s-1", spec(t, "u1")); err != nil {
+			t.Fatalf("create did not fall back to a fresh clone: %v", err)
+		}
+		if log := r.pl.CreationLog(); len(log) != 1 || log[0].PrecreateHit {
+			t.Fatalf("creation log = %+v, want one cold creation", log)
+		}
+		im, _ := r.wh.Lookup("ws-golden")
+		if im.Refs() != 1 {
+			t.Errorf("image refs = %d after the fallback, want 1 (the pool's reference leaked)", im.Refs())
+		}
+		if got := r.tb.Nodes[0].VMs(); got != 1 {
+			t.Errorf("node hosts %d committed VMs, want 1", got)
+		}
+		if err := r.pl.Collect(p, "vm-s-1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.wh.Remove("ws-golden"); err != nil {
+			t.Errorf("image cannot be removed after its last VM is gone: %v", err)
+		}
+	})
+}

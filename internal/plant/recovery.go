@@ -126,12 +126,7 @@ func (pl *Plant) Recover(p *sim.Proc) (n int) {
 	if pl.jnl != nil {
 		live := make(map[core.VMID]bool)
 		_, _ = pl.jnl.Replay(func(r journal.Record) error {
-			switch r.Kind {
-			case journal.VMCreated:
-				live[core.VMID(r.Key)] = true
-			case journal.VMCollected:
-				delete(live, core.VMID(r.Key))
-			}
+			liveVMs(live, r)
 			return nil
 		})
 		// A mismatch is a VM on the host the log never saw created, or
@@ -166,6 +161,20 @@ func (pl *Plant) Recover(p *sim.Proc) (n int) {
 		})
 	}
 	return n
+}
+
+// liveVMs folds one record into the set of VMs a plant journal
+// believes live: created minus collected, every other kind ignored.
+// Recover builds the set to cross-check the host scan and drops it: the
+// host map, not the journal, is the plant's authority (ARCHITECTURE.md,
+// "Durability & crash recovery"), so the plant keeps no live ledger.
+func liveVMs(live map[core.VMID]bool, r journal.Record) {
+	switch r.Kind {
+	case journal.VMCreated:
+		live[core.VMID(r.Key)] = true
+	case journal.VMCollected:
+		delete(live, core.VMID(r.Key))
+	}
 }
 
 // rebuildAd re-derives a VM's classad from runtime state after a crash.

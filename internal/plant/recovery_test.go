@@ -7,8 +7,46 @@ import (
 	"vmplants/internal/actions"
 	"vmplants/internal/core"
 	"vmplants/internal/fault"
+	"vmplants/internal/journal"
 	"vmplants/internal/sim"
 )
+
+// liveVMs is Recover's whole reading of the journal: created minus
+// collected, by key, whatever else the shared log carries.
+func TestLiveVMsFold(t *testing.T) {
+	rec := func(kind journal.Kind, key string) journal.Record {
+		return journal.Record{Kind: kind, Key: key, Fields: map[string]string{"plant": "node00"}}
+	}
+	for _, tc := range []struct {
+		name string
+		log  []journal.Record
+		want []core.VMID
+	}{
+		{"empty log", nil, nil},
+		{"created stays live", []journal.Record{rec(journal.VMCreated, "vm-1"), rec(journal.VMCreated, "vm-2")}, []core.VMID{"vm-1", "vm-2"}},
+		{"collected leaves", []journal.Record{rec(journal.VMCreated, "vm-1"), rec(journal.VMCreated, "vm-2"), rec(journal.VMCollected, "vm-1")}, []core.VMID{"vm-2"}},
+		{"collect of an unknown VM changes nothing", []journal.Record{rec(journal.VMCollected, "vm-9"), rec(journal.VMCreated, "vm-1")}, []core.VMID{"vm-1"}},
+		{"re-created after collect is live again", []journal.Record{rec(journal.VMCreated, "vm-1"), rec(journal.VMCollected, "vm-1"), rec(journal.VMCreated, "vm-1")}, []core.VMID{"vm-1"}},
+		{"created twice is one VM", []journal.Record{rec(journal.VMCreated, "vm-1"), rec(journal.VMCreated, "vm-1"), rec(journal.VMCollected, "vm-1")}, nil},
+		{"crash, recover and the warehouse's kinds are not the plant's", []journal.Record{
+			rec(journal.VMCreated, "vm-1"), rec(journal.PlantCrash, "node00"), rec(journal.PlantRecover, "node00"),
+			rec(journal.ImagePublish, "vm-1"), rec(journal.ImageRetire, "vm-1"), rec(journal.ExtentRelease, "vm-1"),
+		}, []core.VMID{"vm-1"}},
+	} {
+		live := make(map[core.VMID]bool)
+		for _, r := range tc.log {
+			liveVMs(live, r)
+		}
+		if len(live) != len(tc.want) {
+			t.Errorf("%s: live = %v, want %v", tc.name, live, tc.want)
+		}
+		for _, id := range tc.want {
+			if !live[id] {
+				t.Errorf("%s: %s not live in %v", tc.name, id, live)
+			}
+		}
+	}
+}
 
 func TestCrashLosesSoftStateOnly(t *testing.T) {
 	r := newRig(t, Config{MaxVMs: 8})

@@ -17,14 +17,6 @@ import (
 // winners away from saturated plants so the batch spreads across the
 // cluster instead of piling onto the one cheapest bidder.
 
-// PipelineConfig tunes CreateMany.
-type PipelineConfig struct {
-	// Workers bounds how many creations are driven concurrently.
-	// 0 derives 2× the plant count — enough to keep every plant's
-	// admission slots fed without flooding bidding rounds.
-	Workers int
-}
-
 // BatchResult is one request's outcome within a batch.
 type BatchResult struct {
 	// Index is the request's position in the specs slice.
@@ -51,10 +43,10 @@ func (s *Shop) CreateMany(p *sim.Proc, specs []*core.Spec) []BatchResult {
 		results[0] = BatchResult{VMID: id, Ad: ad, Err: err}
 		return results
 	}
-	workers := s.Pipeline.Workers
-	if workers <= 0 {
-		workers = 2 * len(s.plants)
-	}
+	// Twice the plant count bounds how many creations are driven
+	// concurrently: enough to keep every plant's admission slots fed
+	// without flooding bidding rounds.
+	workers := 2 * len(s.plants)
 	if workers > len(specs) {
 		workers = len(specs)
 	}

@@ -380,20 +380,14 @@ type LocalPeerHandle struct {
 	// Registry, when set, is consulted for a live Service lease under
 	// the peer's name before every call.
 	Registry *registry.Registry
-	// MsgLatency is the one-way cross-cell control latency (WAN hop,
-	// default 20 ms). Both directions are charged.
-	MsgLatency float64
-	// CallTimeout is the virtual-seconds price of a call that will
-	// never be answered (dead daemon, dropped message).
-	CallTimeout float64
 	// Faults injects transport faults against this peer, keyed by the
 	// peer's name with ops "peer-estimate", "peer-create", …
 	Faults *fault.Registry
 }
 
-// NewLocalPeerHandle wraps a peer shop with default cross-cell latency.
+// NewLocalPeerHandle wraps a peer shop.
 func NewLocalPeerHandle(target *Shop, reg *registry.Registry) *LocalPeerHandle {
-	return &LocalPeerHandle{ShopEnd: ShopEnd{target}, Registry: reg, MsgLatency: 0.02, CallTimeout: 1.0}
+	return &LocalPeerHandle{ShopEnd: ShopEnd{target}, Registry: reg}
 }
 
 func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
@@ -407,17 +401,17 @@ func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
 		}
 	}
 	if h.Faults.Should(name, fault.RPCDrop, op) {
-		callTimeout(p, h.CallTimeout)
+		callTimeout(p)
 		return fmt.Errorf("%w: %s: %s timed out", ErrPeerDown, name, op)
 	}
 	if d := h.Faults.DelayFor(name, fault.RPCDelay, op); d > 0 {
 		p.Sleep(d)
 	}
 	if h.Shop.Down() {
-		callTimeout(p, h.CallTimeout)
+		callTimeout(p)
 		return fmt.Errorf("%w: %s: daemon not running", ErrPeerDown, name)
 	}
-	p.Sleep(sim.Seconds(2 * h.MsgLatency))
+	p.Sleep(sim.Seconds(2 * peerMsgLatency))
 	return nil
 }
 

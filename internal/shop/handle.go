@@ -137,16 +137,8 @@ func (e PlantEnd) classed(id core.VMID, err error) error {
 // shows as ErrPlantDown. It decides no outcome itself.
 type LocalHandle struct {
 	PlantEnd
-	// MsgLatency is the one-way control-message latency (switched
-	// 100 Mbit/s Ethernet: sub-millisecond transfer plus protocol
-	// stack). Both directions are charged.
-	MsgLatency float64 // seconds
 	// Down simulates a crashed plant: every call errors.
 	Down bool
-	// CallTimeout is how long a caller waits on a lost message before
-	// giving up, in virtual seconds; it is the price of an injected RPC
-	// drop or a call to a crashed daemon.
-	CallTimeout float64
 	// Faults injects transport faults against this plant — RPC
 	// drop/delay rules and crash triggers keyed by the plant's name,
 	// with the calling operation as the rule op. nil disables.
@@ -162,9 +154,17 @@ type LocalHandle struct {
 	restartArmed bool
 }
 
-// NewLocalHandle wraps a plant with the default control latency.
+// What the simulated transports charge, in virtual seconds; a message
+// latency is one-way and both directions are charged.
+const (
+	plantMsgLatency = 0.004 // switched 100 Mbit/s Ethernet: sub-millisecond transfer plus protocol stack
+	peerMsgLatency  = 0.02  // a cross-cell WAN hop
+	callTimeoutSecs = 1.0   // waiting on a lost message: an injected RPC drop, a crashed daemon
+)
+
+// NewLocalHandle wraps a plant.
 func NewLocalHandle(pl *plant.Plant) *LocalHandle {
-	return &LocalHandle{PlantEnd: PlantEnd{pl}, MsgLatency: 0.004, CallTimeout: 1.0}
+	return &LocalHandle{PlantEnd: PlantEnd{pl}}
 }
 
 // scheduleRestart arms the supervisor: one process that waits
@@ -181,15 +181,9 @@ func (h *LocalHandle) scheduleRestart(p *sim.Proc) {
 	})
 }
 
-// callTimeout charges the caller a full call timeout (default 1 s) —
-// the cost of waiting on a plant or peer message that will never be
-// answered.
-func callTimeout(p *sim.Proc, secs float64) {
-	if secs <= 0 {
-		secs = 1.0
-	}
-	p.Sleep(sim.Seconds(secs))
-}
+// callTimeout charges the caller a full call timeout — the cost of
+// waiting on a plant or peer message that will never be answered.
+func callTimeout(p *sim.Proc) { p.Sleep(sim.Seconds(callTimeoutSecs)) }
 
 func (h *LocalHandle) roundTrip(p *sim.Proc, op string) error {
 	name := h.Plant.Name()
@@ -203,19 +197,19 @@ func (h *LocalHandle) roundTrip(p *sim.Proc, op string) error {
 	}
 	if h.Plant.Down() {
 		h.scheduleRestart(p)
-		callTimeout(p, h.CallTimeout)
+		callTimeout(p)
 		return fmt.Errorf("%w: %s: daemon not running", ErrPlantDown, name)
 	}
 	// Dropped request (or dropped reply — indistinguishable to the
 	// caller): burn the timeout, then report the transport failure.
 	if h.Faults.Should(name, fault.RPCDrop, op) {
-		callTimeout(p, h.CallTimeout)
+		callTimeout(p)
 		return fmt.Errorf("%w: %s: %s timed out", ErrPlantDown, name, op)
 	}
 	if d := h.Faults.DelayFor(name, fault.RPCDelay, op); d > 0 {
 		p.Sleep(d)
 	}
-	p.Sleep(sim.Seconds(2 * h.MsgLatency))
+	p.Sleep(sim.Seconds(2 * plantMsgLatency))
 	return nil
 }
 

@@ -59,9 +59,6 @@ type Shop struct {
 	Breaker  BreakerConfig
 	breakers map[string]*breaker
 
-	// Pipeline tunes the batched creation pipeline (CreateMany).
-	Pipeline PipelineConfig
-
 	// Faults injects shop-level chaos: fault.DaemonKill at site "shop"
 	// with ops "intent" (after the intent record is durable, before
 	// dispatch) and "commit" (after the plant succeeded, before the

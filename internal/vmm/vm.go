@@ -429,8 +429,11 @@ func (vm *VM) Collect(p *sim.Proc) error {
 		vm.nic.Close()
 		vm.nic = nil
 	}
-	if err := vm.node.Release(vm.hw.MemoryMB); err != nil {
-		return err
+	// A suspended VM gave its host memory back when it was parked.
+	if vm.state != Suspended {
+		if err := vm.node.Release(vm.hw.MemoryMB); err != nil {
+			return err
+		}
 	}
 	vm.state = Stopped
 	return nil

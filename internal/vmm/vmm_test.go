@@ -357,6 +357,43 @@ func TestSuspendWritesMemoryImage(t *testing.T) {
 	})
 }
 
+// A suspended VM holds no host memory, so collecting it must not give
+// any back: with a second VM on the node the old double release took
+// that VM's memory, alone it failed and left the VM uncollected.
+func TestCollectSuspendedReleasesNoMemory(t *testing.T) {
+	r := newRig(t, warehouse.BackendVMware, 32)
+	r.inSim(t, func(p *sim.Proc) {
+		node := r.tb.Nodes[0]
+		parked, _, err := NewVMware().Clone(p, node, r.golden, "vm-t-1", vdisk.CloneByLink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := parked.Suspend(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := parked.Collect(p); err != nil || parked.State() != Stopped {
+			t.Fatalf("collect of a lone suspended VM: %v (state %v)", err, parked.State())
+		}
+		if _, _, err := NewVMware().Clone(p, node, r.golden, "vm-t-2", vdisk.CloneByLink); err != nil {
+			t.Fatal(err)
+		}
+		parked, _, err = NewVMware().Clone(p, node, r.golden, "vm-t-3", vdisk.CloneByLink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := parked.Suspend(p); err != nil {
+			t.Fatal(err)
+		}
+		free := node.FreeMB()
+		if err := parked.Collect(p); err != nil {
+			t.Fatal(err)
+		}
+		if node.VMs() != 1 || node.FreeMB() != free {
+			t.Errorf("after collecting the parked VM: %d VMs, %d MB free; want 1 VM, %d MB", node.VMs(), node.FreeMB(), free)
+		}
+	})
+}
+
 func TestRegistryResolution(t *testing.T) {
 	reg := DefaultRegistry()
 	b, err := reg.Get("")

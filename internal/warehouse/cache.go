@@ -1,9 +1,7 @@
 package warehouse
 
 import (
-	"bytes"
 	"container/list"
-	"encoding/xml"
 	"fmt"
 
 	"vmplants/internal/core"
@@ -20,8 +18,8 @@ const DefaultCloneCacheSize = 8
 // CloneContext is everything the production line needs to start cloning
 // a golden image beyond the image object itself: the parsed XML
 // descriptor and the extent metadata (paths and total size) that the
-// cloning loop walks. Building one means re-encoding and re-parsing the
-// descriptor and stat-ing every extent file — the per-clone "open the
+// cloning loop walks. Building one means parsing the descriptor and
+// stat-ing every extent file — the per-clone "open the
 // golden machine" work the clone cache exists to skip.
 type CloneContext struct {
 	Image       *Image
@@ -114,16 +112,11 @@ func (w *Warehouse) SetCloneCacheSize(capacity int) {
 // eviction order read back-to-front. For tests and debug endpoints.
 func (w *Warehouse) CacheKeys() []string { return w.cache.keys() }
 
-// buildCloneContext does the uncached per-clone open: serialize the
-// image's descriptor, parse it back (exactly what a plant reading
-// descriptor.xml off the warehouse volume does), and walk the extent
-// metadata.
+// buildCloneContext does the uncached per-clone open: parse the image's
+// descriptor (exactly what a plant reading descriptor.xml off the
+// warehouse volume does) and walk the extent metadata.
 func (w *Warehouse) buildCloneContext(im *Image) (*CloneContext, error) {
-	var buf bytes.Buffer
-	if err := xml.NewEncoder(&buf).Encode(im.Descriptor()); err != nil {
-		return nil, fmt.Errorf("warehouse: descriptor for %q: %w", im.Name, err)
-	}
-	desc, _, err := ParseDescriptor(buf.Bytes())
+	desc, _, err := ParseDescriptor(im.descriptor)
 	if err != nil {
 		return nil, err
 	}

@@ -1,92 +1,62 @@
-// Durable warehouse state: catalog and quarantine events journaled to
-// the shared control-plane event log, and a Restart path that replays
-// them.
+// Durable warehouse state: one ledger (internal/warehouse/ledger)
+// written only by record, and a Restart that rebuilds it by folding the
+// journal.
 //
-// The warehouse's image files live on a volume, so the catalog itself
-// survives a daemon death. What used to die was everything in process
-// memory: the quarantine set, the scrubber's repair counters, the hot
-// clone cache. Losing the clone cache costs latency; losing the
-// quarantine set is amnesia — a restarted daemon would happily match a
-// corrupted image it had already taken out of service. With a journal
-// attached, every quarantine entry/exit and every publish/retire is
-// appended as a typed record, and Restart rebuilds the quarantine set
-// by replay (for images still in the catalog) instead of forgetting it.
+// The image files live on a volume and survive a daemon death by
+// themselves. What must survive with them is what the ledger holds:
+// which images are published, which are quarantined and why — a
+// restarted daemon that forgot would happily match a corrupted image it
+// had already taken out of service — and how many references each
+// stored extent carries. Every change to it is a typed journal record,
+// appended and then applied by the same Ledger.Apply that Restart folds
+// the log with, so what a restart rebuilds is what the live daemon
+// held. The clone cache and the scrubber's repair counters are soft and
+// start empty.
 package warehouse
 
 import (
+	"slices"
+
 	"vmplants/internal/journal"
+	"vmplants/internal/warehouse/ledger"
 )
 
-// SetJournal attaches the warehouse's durable event log. Catalog and
-// quarantine transitions are journaled from now on; Restart replays
-// them. Warehouse mutations happen outside kernel processes (publish
-// is an off-line installer step, quarantine decisions ride scrubber
-// bookkeeping), so appends carry no virtual-time cost and are durable
-// immediately.
+// SetJournal attaches the warehouse's durable event log. Ledger changes
+// are journaled from now on; Restart folds them. Warehouse mutations
+// happen outside kernel processes (publish is an off-line installer
+// step, quarantine decisions ride scrubber bookkeeping), so appends
+// carry no virtual-time cost and are durable immediately.
 //
-// Attaching to a warehouse with an existing catalog imports it: any
-// cataloged image the journal's publish/retire history does not know
-// gets an image-publish record (origin "import"), so a later Restart's
-// cross-check starts clean. Re-attaching an up-to-date journal is a
-// no-op.
+// Attaching to a warehouse that already holds state imports it: the
+// ledger's Records that the journal's own fold lacks are appended
+// (publishes with origin "import", the seeds' extent-puts). This is the
+// one append that is not applied — the ledger is where these records
+// come from. Re-attaching an up-to-date journal is a no-op.
 func (w *Warehouse) SetJournal(j *journal.Journal) {
 	w.jnl = j
 	if j == nil {
 		return
 	}
-	published := make(map[string]bool)
+	held := ledger.New()
 	_, _ = j.Replay(func(r journal.Record) error {
-		foldCatalog(published, r)
+		held.Apply(r)
 		return nil
 	})
-	for _, name := range w.names {
-		if published[name] {
-			continue
-		}
-		im := w.images[name]
-		fields := map[string]string{"origin": "import"}
-		if im.Derived {
-			fields["parent"] = im.Parent
-		}
-		w.journalEvent(journal.ImagePublish, name, fields)
-		if !im.Derived {
-			// Import the seed's extent references too, or a later
-			// Restart's replay would see a catalog entry with no put
-			// trail and rebuild the store short.
-			base := im.Disk.Base()
-			extent := base.SizeBytes() / int64(DiskSpanFiles)
-			for i := 0; i < DiskSpanFiles; i++ {
-				key := extentKey(extent, base.ExtentContentHash(i))
-				w.journalEvent(journal.ExtentPut, keyString(key), map[string]string{
-					"size": sizeString(extent),
-					"hash": keyString(base.ExtentContentHash(i)),
-				})
-			}
-		}
+	for _, r := range w.led.Missing(held) {
+		j.AppendSync(nil, r)
 	}
 }
 
-// foldCatalog folds one record into the set of images the journal says
-// are published — the catalog half of the warehouse's replay, shared by
-// SetJournal's import check and Restart's cross-check.
-func foldCatalog(published map[string]bool, r journal.Record) {
-	switch r.Kind {
-	case journal.ImagePublish:
-		published[r.Key] = true
-	case journal.ImageRetire:
-		delete(published, r.Key)
+// record is how ledger state changes: the record goes to the journal
+// when one is attached, then into the ledger.
+func (w *Warehouse) record(kind journal.Kind, key string, fields map[string]string) {
+	r := journal.Record{Kind: kind, Key: key, Fields: fields}
+	if w.jnl != nil {
+		w.jnl.AppendSync(nil, r)
 	}
-}
-
-// Journal returns the attached journal (nil when none).
-func (w *Warehouse) Journal() *journal.Journal { return w.jnl }
-
-// journalEvent appends one warehouse record (no-op without a journal).
-func (w *Warehouse) journalEvent(kind journal.Kind, key string, fields map[string]string) {
-	if w.jnl == nil {
-		return
-	}
-	w.jnl.AppendSync(nil, journal.Record{Kind: kind, Key: key, Fields: fields})
+	w.qmu.Lock()
+	w.led.Apply(r)
+	w.qmu.Unlock()
 }
 
 // RestartStats reports what a warehouse restart rebuilt.
@@ -110,89 +80,62 @@ type RestartStats struct {
 	ExtentOrphansReleased int
 }
 
-// Restart models the warehouse daemon restarting: process memory — the
-// quarantine set, the scrubber's repair counters, the hot clone cache —
-// is gone, while the volume-backed catalog survives. With a journal
-// attached, the quarantine set is rebuilt by replay (entries for images
-// no longer in the catalog are skipped) and the journal's catalog
-// history is cross-checked against the volume scan. Without one, this
-// is exactly the amnesia the regression test documents: the quarantine
-// set comes back empty.
+// Restart models the warehouse daemon restarting: process memory is
+// gone, the volume and the journal survive. The ledger is rebuilt by
+// folding the journal into a fresh one, then reconciled against the
+// volume scan: catalog disagreements are counted, a quarantine entry is
+// restored only for an image still cataloged (its integrity epoch
+// advanced), and the extent references are squared with the catalog's
+// geometry. Without a journal the fold runs over what the volume keeps
+// anyway — the old ledger's catalog and extents — and the quarantine
+// set comes back empty: the amnesia the regression test documents.
 func (w *Warehouse) Restart() RestartStats {
-	w.qmu.Lock()
-	w.quarantine = make(map[string]string)
-	w.repairFails = make(map[string]int)
-	w.qmu.Unlock()
 	w.cache = newCloneCache(w.cache.cap)
 	w.gCacheSize.Set(0)
-	w.gQuarantine.Set(0)
 
 	var st RestartStats
-	if w.jnl == nil {
-		return st
-	}
-	published := make(map[string]bool)
-	restored := make(map[string]string)
-	extents := make(map[uint64]*extentEntry)
-	rst, _ := w.jnl.Replay(func(r journal.Record) error {
-		foldCatalog(published, r)
-		switch r.Kind {
-		case journal.ImageRetire:
-			delete(restored, r.Key)
-		case journal.QuarantineEnter:
-			restored[r.Key] = r.Field("reason")
-		case journal.QuarantineExit:
-			delete(restored, r.Key)
-		case journal.ExtentPut:
-			key, okK := parseHex(r.Key)
-			size, okS := parseSize(r.Field("size"))
-			hash, okH := parseHex(r.Field("hash"))
-			if !okK || !okS || !okH {
-				return nil // damaged fields; reconciliation squares it
-			}
-			e := extents[key]
-			if e == nil {
-				e = &extentEntry{size: size, hash: hash}
-				extents[key] = e
-			}
-			e.refs++
-		case journal.ExtentRelease:
-			if key, ok := parseHex(r.Key); ok {
-				if e := extents[key]; e != nil {
-					e.refs--
-				}
-			}
+	fresh := ledger.New()
+	if w.jnl != nil {
+		rst, _ := w.jnl.Replay(func(r journal.Record) error {
+			fresh.Apply(r)
+			return nil
+		})
+		st.Replayed, st.TornTails = rst.Records, rst.TornTails
+	} else {
+		for _, r := range w.led.Stored() {
+			fresh.Apply(r)
 		}
-		return nil
-	})
-	st.Replayed = rst.Records
-	st.TornTails = rst.TornTails
-	for name := range published {
+	}
+	w.qmu.Lock()
+	w.led = fresh
+	w.repairFails = make(map[string]int)
+	w.qmu.Unlock()
+
+	journaled := fresh.Published()
+	for _, name := range journaled {
 		if _, live := w.images[name]; !live {
 			st.CatalogMismatch++
 		}
 	}
-	for name := range w.images {
-		if !published[name] {
+	for _, name := range w.names {
+		if _, ok := slices.BinarySearch(journaled, name); !ok {
 			st.CatalogMismatch++
 		}
 	}
-	w.qmu.Lock()
-	for name, reason := range restored {
+	for _, name := range w.Quarantined() {
 		im, live := w.images[name]
 		if !live {
+			// Quarantined in the log, gone from the volume.
+			w.record(journal.QuarantineExit, name, nil)
 			continue
 		}
-		w.quarantine[name] = reason
 		// Clone contexts opened before the restart must not resume from
 		// a quarantined image: advance its integrity epoch, exactly as a
 		// live Quarantine would.
 		im.epoch++
 		st.QuarantineRestored++
 	}
-	n := len(w.quarantine)
-	w.qmu.Unlock()
-	w.gQuarantine.Set(int64(n))
-	st.ExtentRefsRebuilt, st.ExtentOrphansReleased = w.reconcileExtents(extents)
+	w.gQuarantine.Set(int64(st.QuarantineRestored))
+	st.ExtentRefsRebuilt, st.ExtentOrphansReleased = w.reconcileExtents()
 	return st
 }

@@ -18,10 +18,7 @@
 // so no cell clones state another cell already caught corrupting.
 package warehouse
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // CatalogEntry is one derived image as gossiped between cells: the XML
 // descriptor carries the full configuration history and integrity sums,
@@ -40,24 +37,20 @@ type CatalogEntry struct {
 // ExportCatalog serializes the cell's derived images for gossip, in
 // deterministic (name) order. Seed images are omitted: every cell is
 // installer-seeded identically, so only learned state is news.
-func (w *Warehouse) ExportCatalog() ([]CatalogEntry, error) {
+func (w *Warehouse) ExportCatalog() []CatalogEntry {
 	var out []CatalogEntry
 	for _, n := range w.names {
 		im := w.images[n]
 		if !im.Derived {
 			continue
 		}
-		blob, err := im.DescriptorXML()
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: export %q: %w", n, err)
-		}
-		e := CatalogEntry{Name: im.Name, Parent: im.Parent, Backend: im.Backend, Descriptor: blob}
+		e := CatalogEntry{Name: im.Name, Parent: im.Parent, Backend: im.Backend, Descriptor: im.descriptor}
 		if reason, q := w.QuarantineReason(n); q {
 			e.Quarantined, e.Reason = true, reason
 		}
 		out = append(out, e)
 	}
-	return out, nil
+	return out
 }
 
 // ImportStats reports what one gossip round changed locally.

@@ -85,8 +85,8 @@ func (im *Image) stampSums(parent *Image) {
 			// Canonical store checksum: content-derived, so every image
 			// referencing the same extent records the same sum under the
 			// same path — which is what lets detect() poison by content.
-			extent := im.Disk.Base().SizeBytes() / int64(DiskSpanFiles)
-			im.Sums[p] = artifactSum(p, extent, im.Disk.Base().ExtentContentHash(i))
+			size, hash := im.slot(i)
+			im.Sums[p] = artifactSum(p, size, hash)
 		}
 	}
 }
@@ -166,51 +166,36 @@ func (w *Warehouse) SetReplica(vol *storage.Volume) {
 // fail verification. Reports whether the image was newly quarantined.
 func (w *Warehouse) Quarantine(name, reason string) bool {
 	im, ok := w.images[name]
-	if !ok {
+	if !ok || w.IsQuarantined(name) {
 		return false
 	}
-	w.qmu.Lock()
-	if _, already := w.quarantine[name]; already {
-		w.qmu.Unlock()
-		return false
-	}
-	w.quarantine[name] = reason
-	n := len(w.quarantine)
-	w.qmu.Unlock()
+	w.record(journal.QuarantineEnter, name, map[string]string{"reason": reason})
 	im.epoch++
 	w.cache.drop(name)
 	w.gCacheSize.Set(int64(w.cache.order.Len()))
 	w.mQuarantines.Inc()
-	w.gQuarantine.Set(int64(n))
-	w.journalEvent(journal.QuarantineEnter, name, map[string]string{"reason": reason})
+	w.gQuarantine.Set(int64(len(w.Quarantined())))
 	return true
 }
 
 // Unquarantine returns a repaired image to service, advancing its
 // epoch: clones opened before the repair must not resume from it.
 func (w *Warehouse) Unquarantine(name string) bool {
-	w.qmu.Lock()
-	_, ok := w.quarantine[name]
-	delete(w.quarantine, name)
-	n := len(w.quarantine)
-	w.qmu.Unlock()
-	if !ok {
+	if !w.IsQuarantined(name) {
 		return false
 	}
+	w.record(journal.QuarantineExit, name, nil)
 	if im, live := w.images[name]; live {
 		im.epoch++
 	}
 	w.cache.drop(name)
-	w.gQuarantine.Set(int64(n))
-	w.journalEvent(journal.QuarantineExit, name, nil)
+	w.gQuarantine.Set(int64(len(w.Quarantined())))
 	return true
 }
 
 // IsQuarantined reports whether the image is currently quarantined.
 func (w *Warehouse) IsQuarantined(name string) bool {
-	w.qmu.Lock()
-	defer w.qmu.Unlock()
-	_, ok := w.quarantine[name]
+	_, ok := w.QuarantineReason(name)
 	return ok
 }
 
@@ -218,8 +203,7 @@ func (w *Warehouse) IsQuarantined(name string) bool {
 func (w *Warehouse) QuarantineReason(name string) (string, bool) {
 	w.qmu.Lock()
 	defer w.qmu.Unlock()
-	r, ok := w.quarantine[name]
-	return r, ok
+	return w.led.Quarantine(name)
 }
 
 // Quarantined lists the currently quarantined images, sorted. Safe for
@@ -227,12 +211,7 @@ func (w *Warehouse) QuarantineReason(name string) (string, bool) {
 func (w *Warehouse) Quarantined() []string {
 	w.qmu.Lock()
 	defer w.qmu.Unlock()
-	out := make([]string, 0, len(w.quarantine))
-	for n := range w.quarantine {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return w.led.Quarantined()
 }
 
 // detect books a verification failure: one corruption event per newly

@@ -248,11 +248,7 @@ func (w *Warehouse) rebuildArtifact(p *sim.Proc, im *Image, path string) int64 {
 	case im.MemImagePath:
 		size = im.MemImageBytes()
 	case im.descriptorPath():
-		blob, err := im.DescriptorXML()
-		if err != nil {
-			return 0
-		}
-		size = int64(len(blob))
+		size = int64(len(im.descriptor))
 	default:
 		return 0
 	}

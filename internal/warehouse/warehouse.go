@@ -28,6 +28,7 @@ import (
 	"vmplants/internal/storage"
 	"vmplants/internal/telemetry"
 	"vmplants/internal/vdisk"
+	"vmplants/internal/warehouse/ledger"
 )
 
 // Backend names of the production lines an image suits.
@@ -86,6 +87,9 @@ type Image struct {
 	// records the same sums in its namespace; clone and scrub paths
 	// verify the two still agree.
 	Sums map[string]uint64
+	// descriptor is the XML descriptor as publish rendered and laid it
+	// down; every input to it is stamped by then and never changes.
+	descriptor []byte
 	// epoch advances whenever the image's integrity status changes
 	// (quarantine, repair); see Epoch.
 	epoch int64
@@ -234,10 +238,15 @@ func (im *Image) Descriptor() Descriptor {
 	return d
 }
 
-// DescriptorXML serializes the image's descriptor to the XML bytes
-// stored beside it on the volume — and carried by the publish-image
-// RPC when a plant pushes a derived image to a remote warehouse.
+// DescriptorXML is the image's descriptor as the XML bytes stored
+// beside it on the volume — and carried by the publish-image RPC when a
+// plant pushes a derived image to a remote warehouse. A published image
+// returns the bytes publish rendered (shared: do not modify them); an
+// unpublished one is rendered here.
 func (im *Image) DescriptorXML() ([]byte, error) {
+	if im.descriptor != nil {
+		return im.descriptor, nil
+	}
 	return encodeDescriptor(im.Descriptor())
 }
 
@@ -274,10 +283,6 @@ type Warehouse struct {
 	// unregister, its only writers.
 	names []string
 	cache *cloneCache
-	// extents is the content-addressed store seed disk extents live in:
-	// byte-identical extents share one refcounted physical copy
-	// (extentstore.go).
-	extents *extentStore
 
 	// faults decides corruption injections on the warehouse's storage
 	// paths; nil means no injection (SetFaults).
@@ -287,16 +292,16 @@ type Warehouse struct {
 	// (SetReplica).
 	replica *storage.Volume
 
-	// quarantine maps out-of-service image names to the reason they
-	// were pulled. qmu covers it (and repairFails) for out-of-kernel
+	// led holds what must outlive the daemon — catalog membership, the
+	// quarantine set with its reasons, the extent store's refcounts —
+	// and is written only by record, which appends to jnl first when one
+	// is attached; Restart folds jnl into a fresh one (durability.go).
+	// qmu covers led's quarantine part and repairFails for out-of-kernel
 	// observers like debug endpoints; all mutation happens in-kernel.
-	// jnl, when attached, receives catalog and quarantine events
-	// (durability.go); Restart replays it to rebuild the quarantine
-	// set a daemon death would otherwise forget.
 	jnl *journal.Journal
 
 	qmu         sync.Mutex
-	quarantine  map[string]string
+	led         *ledger.Ledger
 	repairFails map[string]int
 	// repairLimit is how many failed repair passes the scrubber allows
 	// before retiring an unrepairable (derived, unreferenced) image.
@@ -345,8 +350,7 @@ func New(vol *storage.Volume) *Warehouse {
 		vol:         vol,
 		images:      make(map[string]*Image),
 		cache:       newCloneCache(DefaultCloneCacheSize),
-		extents:     newExtentStore(),
-		quarantine:  make(map[string]string),
+		led:         ledger.New(),
 		repairFails: make(map[string]int),
 		repairLimit: DefaultRepairAttempts,
 	}
@@ -461,8 +465,37 @@ func (w *Warehouse) validate(im *Image) error {
 	return nil
 }
 
-// register books the image into the store and updates the gauges.
-func (w *Warehouse) register(im *Image, accounted int64) {
+// describe stamps what the descriptor records — the state-file paths
+// and every artifact's sum (ExtentPaths are set; a derived image's
+// extent sums are its parent's) — and renders it, once: nothing it
+// reads changes after publish. Nothing has touched the volume yet, so
+// an encode failure leaves it untouched.
+func (im *Image) describe(parent *Image) error {
+	dir := "golden/" + im.Name + "/"
+	im.ConfigPath = dir + "vm.cfg"
+	im.RedoPath = dir + "base.redo"
+	if im.Backend == BackendVMware {
+		im.MemImagePath = dir + "mem.vmss"
+	}
+	im.stampSums(parent)
+	blob, err := encodeDescriptor(im.Descriptor())
+	if err != nil {
+		return fmt.Errorf("warehouse: image %q descriptor: %w", im.Name, err)
+	}
+	im.descriptor = blob
+	im.Sums[im.descriptorPath()] = artifactSum(im.descriptorPath(), int64(len(blob)), 0)
+	return nil
+}
+
+// register lays a described image's private state files down, books it
+// into the store and records the publication.
+func (w *Warehouse) register(im *Image, accounted int64, fields map[string]string) {
+	w.vol.WriteMetaSum(im.ConfigPath, configBytes, im.Sums[im.ConfigPath])
+	w.vol.WriteMetaSum(im.RedoPath, im.Disk.RedoBytes(), im.Sums[im.RedoPath])
+	if im.MemImagePath != "" {
+		w.vol.WriteMetaSum(im.MemImagePath, im.MemImageBytes(), im.Sums[im.MemImagePath])
+	}
+	w.vol.WriteMetaSum(im.descriptorPath(), int64(len(im.descriptor)), im.Sums[im.descriptorPath()])
 	im.keys = dag.Keys(im.Performed)
 	im.bytes = accounted
 	w.bytesUsed += accounted
@@ -473,6 +506,10 @@ func (w *Warehouse) register(im *Image, accounted int64) {
 	w.gImages.Set(int64(len(w.images)))
 	w.gDerived.Set(int64(w.DerivedCount()))
 	w.gBytesUsed.Set(w.BytesUsed())
+	w.record(journal.ImagePublish, im.Name, fields)
+	if w.faults.Should(integritySite, fault.TornWrite, "publish") {
+		w.corruptPath(im.RedoPath)
+	}
 }
 
 // Publish registers a seed golden image and lays its state files down
@@ -489,34 +526,19 @@ func (w *Warehouse) Publish(im *Image) error {
 		return err
 	}
 
-	// Stamp paths and checksums before encoding: the descriptor's
-	// integrity section records them. Nothing touches the volume until
-	// the encode succeeds, so an encode failure leaves it untouched.
-	dir := "golden/" + im.Name + "/"
-	im.ConfigPath = dir + "vm.cfg"
-	im.RedoPath = dir + "base.redo"
-	if im.Backend == BackendVMware {
-		im.MemImagePath = dir + "mem.vmss"
-	}
 	// Extents are content-addressed: each slot resolves to the canonical
 	// path of its (size, content) key, so byte-identical extents — the
 	// all-zero spans of sparse installer images, across every seed — land
-	// on one shared physical copy. Paths and sums are stamped before the
+	// on one shared physical copy. The paths are stamped before the
 	// encode; the store references (which lay the files) are taken after,
 	// so an encode failure still leaves the volume untouched.
 	im.ExtentPaths = nil
-	extent := im.Disk.Base().SizeBytes() / int64(DiskSpanFiles)
 	for i := 0; i < DiskSpanFiles; i++ {
-		key := extentKey(extent, im.Disk.Base().ExtentContentHash(i))
-		im.ExtentPaths = append(im.ExtentPaths, extentPath(key))
+		im.ExtentPaths = append(im.ExtentPaths, extentPath(extentKey(im.slot(i))))
 	}
-	im.stampSums(nil)
-	blob, err := encodeDescriptor(im.Descriptor())
-	if err != nil {
-		return fmt.Errorf("warehouse: image %q descriptor: %w", im.Name, err)
+	if err := im.describe(nil); err != nil {
+		return err
 	}
-	descPath := im.descriptorPath()
-	im.Sums[descPath] = artifactSum(descPath, int64(len(blob)), 0)
 
 	for i := 0; i < DiskSpanFiles; i++ {
 		if w.killpoint("publish", i) {
@@ -525,31 +547,22 @@ func (w *Warehouse) Publish(im *Image) error {
 			// reconciliation releases the orphans.
 			return fmt.Errorf("warehouse: daemon killed publishing %q (extent %d)", im.Name, i)
 		}
-		w.acquireExtent(extent, im.Disk.Base().ExtentContentHash(i))
+		w.acquireExtent(im.slot(i))
 	}
-	w.vol.WriteMetaSum(im.ConfigPath, configBytes, im.Sums[im.ConfigPath])
-	w.vol.WriteMetaSum(im.RedoPath, im.Disk.RedoBytes(), im.Sums[im.RedoPath])
-	if im.MemImagePath != "" {
-		w.vol.WriteMetaSum(im.MemImagePath, im.MemImageBytes(), im.Sums[im.MemImagePath])
-	}
-	w.vol.WriteMetaSum(descPath, int64(len(blob)), im.Sums[descPath])
 	// Extent bytes are accounted by the store (deduplicated), not per
 	// image: a seed's accounted bytes are its private state only.
-	w.register(im, configBytes+im.Disk.RedoBytes()+im.MemImageBytes()+int64(len(blob)))
-	w.journalEvent(journal.ImagePublish, im.Name, map[string]string{"origin": "seed"})
-	if w.faults.Should(integritySite, fault.TornWrite, "publish") {
-		w.corruptPath(im.RedoPath)
-	}
+	w.register(im, stateBytes(im), map[string]string{"origin": "seed"})
 	return nil
 }
 
 // configBytes is the size of a golden machine's VM configuration file.
 const configBytes = 2 * 1024
 
-// derivedStateBytes is the volume space a derived publication needs:
-// everything but the disk extents, which stay shared with the parent.
-func derivedStateBytes(im *Image, descriptorLen int) int64 {
-	return configBytes + im.CheckpointBytes() + int64(descriptorLen)
+// stateBytes is the volume space a described image's private state
+// takes: everything but the disk extents, which the store accounts for
+// a seed and a derived image shares with its parent.
+func stateBytes(im *Image) int64 {
+	return configBytes + im.CheckpointBytes() + int64(len(im.descriptor))
 }
 
 // PublishDerived registers a derived golden image — a copy-on-write
@@ -580,23 +593,13 @@ func (w *Warehouse) PublishDerived(im *Image, now time.Duration) error {
 		return err
 	}
 
-	dir := "golden/" + im.Name + "/"
-	im.ConfigPath = dir + "vm.cfg"
-	im.RedoPath = dir + "base.redo"
-	if im.Backend == BackendVMware {
-		im.MemImagePath = dir + "mem.vmss"
-	}
 	// The checkpoint is copy-on-write: clones of the derived image read
 	// base blocks from the parent's extent files.
 	im.ExtentPaths = append([]string(nil), parent.ExtentPaths...)
-	im.stampSums(parent)
-	blob, err := encodeDescriptor(im.Descriptor())
-	if err != nil {
-		return fmt.Errorf("warehouse: image %q descriptor: %w", im.Name, err)
+	if err := im.describe(parent); err != nil {
+		return err
 	}
-	descPath := im.descriptorPath()
-	im.Sums[descPath] = artifactSum(descPath, int64(len(blob)), 0)
-	need := derivedStateBytes(im, len(blob))
+	need := stateBytes(im)
 	if w.capacity > 0 {
 		for w.BytesUsed()+need > w.capacity {
 			if err := w.retireOne(); err != nil {
@@ -606,20 +609,9 @@ func (w *Warehouse) PublishDerived(im *Image, now time.Duration) error {
 		}
 	}
 
-	w.vol.WriteMetaSum(im.ConfigPath, configBytes, im.Sums[im.ConfigPath])
-	w.vol.WriteMetaSum(im.RedoPath, im.Disk.RedoBytes(), im.Sums[im.RedoPath])
-	if im.MemImagePath != "" {
-		w.vol.WriteMetaSum(im.MemImagePath, im.MemImageBytes(), im.Sums[im.MemImagePath])
-	}
-	w.vol.WriteMetaSum(descPath, int64(len(blob)), im.Sums[descPath])
 	parent.Ref()
 	im.lastUsed = now
-	w.register(im, need)
-	w.journalEvent(journal.ImagePublish, im.Name,
-		map[string]string{"origin": "derived", "parent": im.Parent})
-	if w.faults.Should(integritySite, fault.TornWrite, "publish") {
-		w.corruptPath(im.RedoPath)
-	}
+	w.register(im, need, map[string]string{"origin": "derived", "parent": im.Parent})
 	return nil
 }
 
@@ -726,26 +718,26 @@ func (w *Warehouse) unregister(im *Image) {
 	if i, ok := slices.BinarySearch(w.names, im.Name); ok {
 		w.names = slices.Delete(w.names, i, i+1)
 	}
+	// The retire record takes the image out of quarantine as well.
+	w.record(journal.ImageRetire, im.Name, nil)
 	w.qmu.Lock()
-	delete(w.quarantine, im.Name)
 	delete(w.repairFails, im.Name)
-	qn := len(w.quarantine)
 	w.qmu.Unlock()
-	w.gQuarantine.Set(int64(qn))
+	w.gQuarantine.Set(int64(len(w.Quarantined())))
 	w.cache.drop(im.Name)
 	w.gCacheSize.Set(int64(w.cache.order.Len()))
 	w.gImages.Set(int64(len(w.images)))
 	w.gDerived.Set(int64(w.DerivedCount()))
-	w.journalEvent(journal.ImageRetire, im.Name, nil)
 	if !im.Derived {
-		for i, p := range im.ExtentPaths {
+		// A seed's references go back slot by slot, as Publish took them.
+		for i := 0; i < DiskSpanFiles; i++ {
 			if w.killpoint("retire", i) {
 				// kill -9 mid-retire: the retire record is durable but
 				// some references were never released; Restart's
 				// reconciliation releases them as orphans.
 				return
 			}
-			w.releaseExtentPath(p)
+			w.releaseExtent(extentKey(im.slot(i)))
 		}
 	}
 	w.gBytesUsed.Set(w.BytesUsed())

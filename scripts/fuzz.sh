@@ -13,6 +13,7 @@ while read -r pkg target; do
 done <<TARGETS
 ./internal/journal FuzzDecode
 ./internal/shop/ledger FuzzApply
+./internal/warehouse/ledger FuzzApply
 ./internal/proto FuzzEnvelope
 ./internal/classad FuzzAdXML
 ./internal/classad FuzzParse
