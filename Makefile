@@ -49,7 +49,7 @@ goldens:
 # smoke-<scenario> runs one gated scenario at CI scale through the
 # generic gate runner: it exits nonzero unless the scenario's invariants
 # hold and a same-seed rerun is byte-identical. `go run ./cmd/vmbench
-# -list` names the scenarios; what each one gates is its run function's
-# doc comment in internal/workload.
+# -list` names the scenarios, the paper's own experiments first; what
+# each one gates is its result's Violations in internal/workload.
 smoke-%:
 	$(GO) run ./cmd/vmbench -exp $* -series smoke

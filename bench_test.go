@@ -1,10 +1,9 @@
 package vmplants
 
-// The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see EXPERIMENTS.md for the index). Each benchmark runs
-// the corresponding simulated experiment, reports its headline numbers
-// as custom benchmark metrics, and prints the paper-style rows/series
-// once per run.
+// The benchmark harness: one sub-benchmark per entry of the scenario
+// registry (see EXPERIMENTS.md for the index), each running that
+// experiment at paper scale and failing when the run breaks the claim
+// its result enforces. The tables themselves are `go run ./cmd/vmbench`.
 //
 //	go test -bench=. -benchmem
 //
@@ -13,294 +12,24 @@ package vmplants
 // simulation time.
 
 import (
-	"fmt"
-	"sync"
+	"strings"
 	"testing"
 
-	"vmplants/internal/guestbench"
-	"vmplants/internal/stats"
 	"vmplants/internal/workload"
 )
 
-// printOnce guards the paper-style table dumps so repeated benchmark
-// iterations do not spam the output.
-var printOnce sync.Map
-
-func printTable(key, table string) {
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		fmt.Printf("\n===== %s =====\n%s\n", key, table)
-	}
-}
-
-// creationExperiment caches the (deterministic) Figure 4–6 run across
-// the three benchmarks that view it.
-var (
-	expOnce sync.Once
-	expData *workload.CreationExperiment
-	expErr  error
-)
-
-func creationExperiment() (*workload.CreationExperiment, error) {
-	expOnce.Do(func() {
-		expData, expErr = workload.RunCreationExperiment(42, workload.PaperSeries())
-	})
-	return expData, expErr
-}
-
-// BenchmarkFigure4CreationLatency regenerates Figure 4: the normalized
-// distribution of end-to-end VM creation latencies for 32/64/256 MB
-// golden machines (128/128/40 sequential requests over 8 plants).
-func BenchmarkFigure4CreationLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp, err := creationExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hists, order := exp.Figure4()
-		printTable("Figure 4: overall VM creation latency distribution",
-			stats.MultiHistogramTable("latency (s, bucket center)", hists, order))
-		sums := exp.SummaryBySize()
-		b.ReportMetric(sums[32].Mean, "mean-create-32MB-s")
-		b.ReportMetric(sums[64].Mean, "mean-create-64MB-s")
-		b.ReportMetric(sums[256].Mean, "mean-create-256MB-s")
-		// Paper's observations: VMs instantiate on average in 25–48 s,
-		// larger memory → larger creation time; envelope 17–85 s.
-		if !(sums[32].Mean < sums[64].Mean && sums[64].Mean < sums[256].Mean) {
-			b.Fatalf("means not ordered by memory size: %v / %v / %v",
-				sums[32].Mean, sums[64].Mean, sums[256].Mean)
-		}
-		if sums[32].Min < 15 || sums[256].Max > 90 {
-			b.Fatalf("latencies outside the paper envelope: min=%v max=%v",
-				sums[32].Min, sums[256].Max)
-		}
-	}
-}
-
-// BenchmarkFigure5CloningLatency regenerates Figure 5: the distribution
-// of PPP cloning latencies (clone request → resume complete).
-func BenchmarkFigure5CloningLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp, err := creationExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hists, order := exp.Figure5()
-		printTable("Figure 5: VM cloning latency distribution",
-			stats.MultiHistogramTable("cloning time (s, bucket center)", hists, order))
-		for _, s := range exp.Series {
-			sum := stats.Summarize(workload.CloneTimes(exp.Records[s.MemoryMB]))
-			b.ReportMetric(sum.Mean, fmt.Sprintf("mean-clone-%dMB-s", s.MemoryMB))
-		}
-	}
-}
-
-// BenchmarkFigure6CloningVsSequence regenerates Figure 6: cloning time
-// as a function of VM sequence number, showing the memory-pressure
-// growth the paper reports for the 64 MB and 256 MB series.
-func BenchmarkFigure6CloningVsSequence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp, err := creationExperiment()
-		if err != nil {
-			b.Fatal(err)
-		}
-		series := exp.Figure6()
-		var down []*stats.Series
-		for _, s := range series {
-			down = append(down, s.Downsample(8))
-		}
-		printTable("Figure 6: cloning time vs VM sequence number (every 8th request)",
-			stats.MultiSeriesTable("sequence", down...))
-		var slope64, slope256 float64
-		for _, s := range series {
-			slope := s.TrendSlope()
-			b.ReportMetric(slope, "slope-"+s.Name[:len(s.Name)-3]+"MB-s/req")
-			switch s.Name {
-			case "64 MB":
-				slope64 = slope
-			case "256 MB":
-				slope256 = slope
+func BenchmarkScenarios(b *testing.B) {
+	for _, sc := range workload.Scenarios() {
+		b.Run(sc.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := sc.Run(42, workload.Paper)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if v := res.Violations(); len(v) != 0 {
+					b.Fatalf("gate violations:\n  %s", strings.Join(v, "\n  "))
+				}
 			}
-		}
-		// Paper: "cloning times tend to increase when the VMPlant hosts a
-		// large number of VMs … most noticeable in the 64MB and 256MB
-		// cases".
-		if slope64 <= 0 || slope256 <= slope64 {
-			b.Fatalf("pressure growth missing: slope64=%v slope256=%v", slope64, slope256)
-		}
-	}
-}
-
-// BenchmarkFullCopyVsLinkClone regenerates the §4.3 comparison: a full
-// copy of the 2 GB golden disk (≈210 s) versus the average link-clone
-// time of a 256 MB VM ("around 4 times slower").
-func BenchmarkFullCopyVsLinkClone(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunCopyBaseline(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("§4.3 link-clone vs full-copy", fmt.Sprintf(
-			"golden disk: %d bytes in %d extent files\nfull copy over NFS: %.1f s\naverage 256MB link clone: %.1f s\nslowdown factor: %.1f× (paper: ≈4×)\n",
-			res.GoldenDiskBytes, res.GoldenSpanFiles, res.FullCopySecs, res.AvgClone256Secs, res.SlowdownFactor))
-		b.ReportMetric(res.FullCopySecs, "full-copy-s")
-		b.ReportMetric(res.AvgClone256Secs, "avg-clone-256MB-s")
-		b.ReportMetric(res.SlowdownFactor, "slowdown-x")
-		if res.SlowdownFactor < 2.5 || res.SlowdownFactor > 6.5 {
-			b.Fatalf("slowdown factor %.2f outside ≈4× band", res.SlowdownFactor)
-		}
-	}
-}
-
-// BenchmarkUMLBootClone regenerates the §4.3 UML production-line
-// measurement: 32 MB UML VMs instantiated via a full reboot average
-// ≈76 s per clone.
-func BenchmarkUMLBootClone(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunUML(42, 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("§4.3 UML production line (32MB, full boot)",
-			fmt.Sprintf("clones: %s\n(paper: average cloning time 76 s)\n", res.CloneSummary))
-		b.ReportMetric(res.CloneSummary.Mean, "mean-uml-clone-s")
-		if res.CloneSummary.Mean < 65 || res.CloneSummary.Mean > 90 {
-			b.Fatalf("UML mean clone %.1f s outside ≈76 s band", res.CloneSummary.Mean)
-		}
-	}
-}
-
-// BenchmarkCostFunctionCrossover regenerates the §3.4 walk-through: two
-// plants, network cost 50, compute cost 4×VMs — the client's first 13
-// VMs stay on one plant, the 14th crosses over.
-func BenchmarkCostFunctionCrossover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunCostCrossover(42, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		table := "request  plant\n"
-		for j, pl := range res.Assignments {
-			table += fmt.Sprintf("%7d  %s\n", j+1, pl)
-		}
-		table += fmt.Sprintf("crossover at request %d (paper: 14)\n", res.Crossover)
-		printTable("§3.4 cost-function crossover", table)
-		b.ReportMetric(float64(res.Crossover), "crossover-request")
-		if res.Crossover != 14 {
-			b.Fatalf("crossover at %d, want 14", res.Crossover)
-		}
-	}
-}
-
-// BenchmarkRuntimeOverhead regenerates the §4.3 run-time overhead table
-// (cited constants: SPEC INT2000 2 %/3 %/≈0 % under VMware/UML/Xen;
-// SPECseis ≈6 % under VMware; LSS ≈13 %).
-func BenchmarkRuntimeOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := guestbench.Table()
-		printTable("§4.3 run-time virtualization overheads", guestbench.FormatTable(rows))
-		b.ReportMetric(guestbench.OverheadPercent(guestbench.VMware, guestbench.SPECINT), "vmware-specint-%")
-		b.ReportMetric(guestbench.OverheadPercent(guestbench.UML, guestbench.SPECINT), "uml-specint-%")
-		b.ReportMetric(guestbench.OverheadPercent(guestbench.VMware, guestbench.LSS), "vmware-lss-%")
-	}
-}
-
-// BenchmarkAblationNoPartialMatch measures design ablation A1: partial
-// matching disabled, every creation provisioned from a blank image.
-func BenchmarkAblationNoPartialMatch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunAblationNoPartialMatch(42, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("Ablation A1: no partial matching", fmt.Sprintf(
-			"baseline (DAG partial match): mean %.1f s\nvariant (blank install):      mean %.1f s\nfactor: %.1f×\n",
-			res.BaselineSecs.Mean, res.VariantSecs.Mean, res.Factor))
-		b.ReportMetric(res.Factor, "slowdown-x")
-	}
-}
-
-// BenchmarkAblationCopyClone measures design ablation A3: link cloning
-// replaced by full disk copies under the standard workload.
-func BenchmarkAblationCopyClone(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunAblationCopyClone(42, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("Ablation A3: copy-clone instead of link-clone", fmt.Sprintf(
-			"baseline (link clone): mean %.1f s\nvariant (copy clone):  mean %.1f s\nfactor: %.1f×\n",
-			res.BaselineSecs.Mean, res.VariantSecs.Mean, res.Factor))
-		b.ReportMetric(res.Factor, "slowdown-x")
-	}
-}
-
-// BenchmarkAblationTemplateVsDAG measures design ablation A2: exact
-// template matching (VirtualCenter-style) versus DAG partial matching
-// over a mixed generic/personalized workload.
-func BenchmarkAblationTemplateVsDAG(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunTemplateVsDAG(42, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("Ablation A2: template matching vs DAG matching", fmt.Sprintf(
-			"requests: %d (alternating generic/personalized)\ntemplate: %d cache hits, mean %.1f s\nDAG:      %d cache hits, mean %.1f s\n",
-			res.Requests, res.TemplateHits, res.TemplateSummary.Mean, res.DAGHits, res.DAGSummary.Mean))
-		b.ReportMetric(float64(res.TemplateHits), "template-hits")
-		b.ReportMetric(float64(res.DAGHits), "dag-hits")
-		b.ReportMetric(res.TemplateSummary.Mean/res.DAGSummary.Mean, "template-slowdown-x")
-	}
-}
-
-// BenchmarkExtensionPrecreation measures the §4.3/§6 latency-hiding
-// extension: requests served by resuming speculatively pre-created
-// clones versus cloning on demand.
-func BenchmarkExtensionPrecreation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunPrecreation(42, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("Extension E9: speculative pre-creation", fmt.Sprintf(
-			"on-demand cloning:  mean %.1f s\npre-created pool:   mean %.1f s (%d/%d pool hits)\nspeedup: %.1f×\n",
-			res.ColdSummary.Mean, res.WarmSummary.Mean, res.Hits, 6, res.Speedup))
-		b.ReportMetric(res.Speedup, "speedup-x")
-		if res.Speedup < 1.15 {
-			b.Fatalf("speedup %.2f, want visible latency hiding", res.Speedup)
-		}
-	}
-}
-
-// BenchmarkExtensionMigration measures the §6 future-work extension:
-// relocating an active VM between plants versus re-creating it.
-func BenchmarkExtensionMigration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunMigration(42, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("Extension E10: VM migration across plants", fmt.Sprintf(
-			"migrate (suspend+stream+resume): mean %.1f s\nre-create from golden image:     mean %.1f s\nspeedup: %.1f×\n",
-			res.MigrateSecs.Mean, res.RecreateSecs.Mean, res.Speedup))
-		b.ReportMetric(res.MigrateSecs.Mean, "migrate-s")
-		b.ReportMetric(res.Speedup, "speedup-x")
-	}
-}
-
-// BenchmarkExtensionUMLCheckpoint measures the SBUML study the paper
-// left open: UML clones resumed from checkpoints versus full boots.
-func BenchmarkExtensionUMLCheckpoint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := workload.RunPrecreationBackend(42, 4, "uml")
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("Extension E11: SBUML-style UML checkpoint resume", fmt.Sprintf(
-			"full boot per clone:        mean %.1f s\ncheckpoint resume per clone: mean %.1f s\nspeedup: %.1f×\n",
-			res.ColdSummary.Mean, res.WarmSummary.Mean, res.Speedup))
-		b.ReportMetric(res.Speedup, "speedup-x")
-		if res.Speedup < 2 {
-			b.Fatalf("UML checkpoint speedup %.2f, want ≫2×", res.Speedup)
-		}
+		})
 	}
 }

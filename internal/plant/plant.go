@@ -44,14 +44,16 @@ type Config struct {
 	// ablation baseline.
 	CloneMode vdisk.CloneMode
 	// FailProb injects per-operation configuration failures: map of
-	// action op → probability.
+	// action op → probability. New installs each entry as an ActionFail
+	// rule on a registry sharing the plant's own RNG stream.
 	//
-	// Deprecated: superseded by Faults. The field keeps working — New
-	// installs each entry as an ActionFail rule on a registry sharing
-	// the plant's RNG stream, so legacy failure experiments and tests
-	// replay byte-identically — but new code should configure a
-	// fault.Registry, which covers crashes, RPC faults, and clone I/O
-	// errors as well.
+	// It stays beside Faults by decision: its one product caller is the
+	// Figure 4–6 scenario (internal/workload's runCreation, tuned to
+	// the paper's observed 121/124/40 successes of 128/128/40 requests),
+	// and moving that to the site's shared fault.Registry changes which
+	// draws those figures see. ROADMAP item 2(b) regenerates the goldens anyway and
+	// may fold it in; anything else configures Faults, which covers
+	// crashes, RPC faults and clone I/O errors as well.
 	FailProb map[string]float64
 	// Faults is the fault-injection registry every injection point in
 	// the plant consults: DAG action failures, clone I/O errors,

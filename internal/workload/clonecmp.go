@@ -52,7 +52,7 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun
 	if err != nil {
 		return nil, err
 	}
-	recs, err := d.RunCreationSeries(n, memMB)
+	recs, err := d.runCreationSeries(n, memMB)
 	if err != nil {
 		return nil, err
 	}

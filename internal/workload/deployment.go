@@ -206,8 +206,8 @@ func (d *Deployment) JournalShop() *journal.Journal {
 	return jnl
 }
 
-// CreationRecord is one client-observed creation.
-type CreationRecord struct {
+// creationRecord is one client-observed creation.
+type creationRecord struct {
 	Seq        int // 1-based request sequence number
 	MemoryMB   int
 	CreateSecs float64 // client request → shop response (Figure 4)
@@ -249,17 +249,17 @@ func (d *Deployment) workspaceSpec(seq, memMB int, userDAG func(user, mac, ip st
 	}, nil
 }
 
-// RunCreationSeries issues n sequential workspace creations of the
+// runCreationSeries issues n sequential workspace creations of the
 // given memory size through the shop — the paper's §4.2 experiment
 // shape ("a series of requests, in sequence, for virtual machine
 // creation through VMShop") — and returns one record per request.
-func (d *Deployment) RunCreationSeries(n, memMB int) ([]CreationRecord, error) {
+func (d *Deployment) runCreationSeries(n, memMB int) ([]creationRecord, error) {
 	return d.runSeries(n, memMB, d.WorkspaceSpec)
 }
 
-// runSeries is RunCreationSeries over any per-request spec builder.
-func (d *Deployment) runSeries(n, memMB int, specFor func(seq, memMB int) (*core.Spec, error)) ([]CreationRecord, error) {
-	records := make([]CreationRecord, 0, n)
+// runSeries is runCreationSeries over any per-request spec builder.
+func (d *Deployment) runSeries(n, memMB int, specFor func(seq, memMB int) (*core.Spec, error)) ([]creationRecord, error) {
+	records := make([]creationRecord, 0, n)
 	err := d.Run(func(p *sim.Proc) error {
 		for i := 1; i <= n; i++ {
 			spec, err := specFor(i, memMB)
@@ -268,7 +268,7 @@ func (d *Deployment) runSeries(n, memMB int, specFor func(seq, memMB int) (*core
 			}
 			start := p.Now()
 			id, ad, err := d.Shop.Create(p, spec)
-			rec := CreationRecord{
+			rec := creationRecord{
 				Seq:        i,
 				MemoryMB:   memMB,
 				CreateSecs: (p.Now() - start).Seconds(),
@@ -299,22 +299,22 @@ func (d *Deployment) Run(body func(p *sim.Proc) error) error {
 	return err
 }
 
-// Succeeded counts successful records.
-func Succeeded(recs []CreationRecord) int {
-	return len(CreateTimes(recs))
+// succeeded counts successful records.
+func succeeded(recs []creationRecord) int {
+	return len(createTimes(recs))
 }
 
-// CreateTimes extracts CreateSecs of successful records.
-func CreateTimes(recs []CreationRecord) []float64 {
-	return okValues(recs, func(r CreationRecord) float64 { return r.CreateSecs })
+// createTimes extracts CreateSecs of successful records.
+func createTimes(recs []creationRecord) []float64 {
+	return okValues(recs, func(r creationRecord) float64 { return r.CreateSecs })
 }
 
-// CloneTimes extracts CloneSecs of successful records.
-func CloneTimes(recs []CreationRecord) []float64 {
-	return okValues(recs, func(r CreationRecord) float64 { return r.CloneSecs })
+// cloneTimes extracts CloneSecs of successful records.
+func cloneTimes(recs []creationRecord) []float64 {
+	return okValues(recs, func(r creationRecord) float64 { return r.CloneSecs })
 }
 
-func okValues(recs []CreationRecord, value func(CreationRecord) float64) []float64 {
+func okValues(recs []creationRecord, value func(creationRecord) float64) []float64 {
 	var out []float64
 	for _, r := range recs {
 		if r.OK {
@@ -322,11 +322,4 @@ func okValues(recs []CreationRecord, value func(CreationRecord) float64) []float
 		}
 	}
 	return out
-}
-
-// DefaultFailProb is the per-request configuration failure probability
-// used by the Figure 4–6 runs so that success counts land near the
-// paper's (121, 124 and 40 VMs out of 128, 128 and 40 requests).
-func DefaultFailProb() map[string]float64 {
-	return map[string]float64{"configure-network": 0.03}
 }

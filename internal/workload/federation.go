@@ -506,7 +506,7 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 // re-submit under the same RequestID — and the audit demands zero lost,
 // zero duplicated creations across every cell, plus the gossip proof: a
 // checkpoint published in one cell warm-clones in another.
-func runFederation(seed int64, _ struct{}) (*federationResult, error) {
+func runFederation(seed int64) (*federationResult, error) {
 	res := &federationResult{Cells: fedCells, ThroughputRequests: fedStream, Requests: fedIntegrityRequests}
 	if err := runThroughputPhase(seed, res); err != nil {
 		return nil, err

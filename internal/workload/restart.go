@@ -42,11 +42,15 @@ type restartResult struct {
 	QuarantineSurvived bool
 	PlantCrashes       int64
 	PlantRecoveries    int64
-	// TornTails counts journal records truncated during replays (zero:
-	// kills land at sync boundaries, so the log is always clean).
+	// TornTails counts records truncated during replays of any of the
+	// three journals — shop, plants, warehouse — as the hub's
+	// journal.torn_tails saw them (zero: kills land at sync boundaries,
+	// so every log is always clean).
 	TornTails int64
-	// JournalRecords is the shop journal's final record count.
+	// JournalRecords is the shop journal's final record count;
+	// JournalAppends is the hub's journal.appends, over all three.
 	JournalRecords int
+	JournalAppends int64
 }
 
 // runRestart is the kill-9 gate for the journaled control plane: a
@@ -80,9 +84,13 @@ func runRestart(seed int64, par restartParams) (*restartResult, error) {
 	// warehouse volume (which backfills the already-published catalog).
 	jnl := d.JournalShop()
 	for i, pl := range d.Plants {
-		pl.SetJournal(journal.Open(d.Testbed.Nodes[i].LocalDisk(), "journal/"+pl.Name()))
+		pj := journal.Open(d.Testbed.Nodes[i].LocalDisk(), "journal/"+pl.Name())
+		pj.SetTelemetry(hub)
+		pl.SetJournal(pj)
 	}
-	d.Warehouse.SetJournal(journal.Open(d.Testbed.Warehouse, "journal/warehouse"))
+	wj := journal.Open(d.Testbed.Warehouse, "journal/warehouse")
+	wj.SetTelemetry(hub)
+	d.Warehouse.SetJournal(wj)
 
 	res := &restartResult{Requests: par.requests}
 	var acked []core.VMID // acknowledged creations, in request order
@@ -136,7 +144,6 @@ func runRestart(seed int64, par restartParams) (*restartResult, error) {
 				}
 				res.logf("shop restart: replayed=%d routes=%d reconciled=%d redriven=%d aborted=%d",
 					st.Replayed, st.Routes, st.Reconciled, st.Redriven, st.Aborted)
-				res.TornTails += int64(st.TornTails)
 				return nil
 			})
 			if restartErr != nil {
@@ -165,7 +172,6 @@ func runRestart(seed int64, par restartParams) (*restartResult, error) {
 			return rerr
 		}
 		res.RoutesFinal = st.Routes
-		res.TornTails += int64(st.TornTails)
 		res.logf("final restart: replayed=%d routes=%d", st.Replayed, st.Routes)
 
 		// Exactly-once audit, half one: every acknowledged creation is
@@ -195,6 +201,8 @@ func runRestart(seed int64, par restartParams) (*restartResult, error) {
 	res.Deduped = hub.Counter("shop.deduped_creates").Value()
 	res.PlantCrashes = hub.Counter("plant.crashes").Value()
 	res.PlantRecoveries = hub.Counter("plant.recoveries").Value()
+	res.TornTails = hub.Counter("journal.torn_tails").Value()
+	res.JournalAppends = hub.Counter("journal.appends").Value()
 	res.JournalRecords = len(jnl.Records())
 
 	res.lines = append(res.lines, reg.Summary()...)

@@ -1,8 +1,8 @@
 #!/bin/sh
-# check.sh — the full pre-merge gate: build, vet, lint, then the test
-# suite under the race detector. The telemetry subsystem serves debug
-# HTTP endpoints concurrently with kernel runs, so -race is part of the
-# bar.
+# check.sh — the full pre-merge gate: gofmt, go mod tidy, build, vet,
+# lint, then the test suite under the race detector. The telemetry
+# subsystem serves debug HTTP endpoints concurrently with kernel runs,
+# so -race is part of the bar.
 #
 # Knobs (all off by default):
 #   CI_QUIET=1        suppress command echoing (CI logs stay readable)
@@ -20,8 +20,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# smoke runs one scenario gate (what each one holds the system to is
-# its run function's doc comment in internal/workload); every scenario
+# smoke runs one scenario gate — the paper's figures and tables first,
+# then the gates this repository adds (what each one holds the system
+# to is its result's Violations in internal/workload); every scenario
 # takes -artifacts.
 smoke() {
     set -- -exp "$1" -series smoke
@@ -40,6 +41,13 @@ if [ -n "${CHECK_EXP:-}" ]; then
     exit 0
 fi
 
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "check.sh: gofmt needed on:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+go mod tidy -diff
 go build ./...
 go vet ./...
 # "Small" is gated too: the non-test line count may not pass the ceiling
