@@ -64,6 +64,11 @@ func DefaultParams() Params {
 	}
 }
 
+// LocalDiskOverhead is each node's local disk's fixed per-transfer cost
+// — what a copy from the warehouse pays on arrival, after streaming
+// through the node's mount.
+const LocalDiskOverhead = 20 * time.Millisecond
+
 // Node is one physical cluster machine hosting a VMPlant.
 type Node struct {
 	name        string
@@ -179,7 +184,7 @@ func NewTestbed(k *sim.Kernel, n int, params Params, seed int64) *Testbed {
 		// server device above bounds aggregate throughput.
 		mount := storage.NewDevice(name+".nfs", params.NFSClientBps, params.TransferOverhead)
 		mount.ShareSlots(server)
-		local := storage.NewDevice(name+".scsi", params.LocalDiskBps, 20*time.Millisecond)
+		local := storage.NewDevice(name+".scsi", params.LocalDiskBps, LocalDiskOverhead)
 		node := &Node{
 			name:      name,
 			params:    params,

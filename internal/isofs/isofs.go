@@ -194,6 +194,11 @@ func Read(blob []byte) (*Image, error) {
 		if dlen > MaxFileSize {
 			return nil, fmt.Errorf("isofs: entry %d data too large", i)
 		}
+		// A length past the end is refused before it is allocated: a
+		// few hostile bytes must not cost MaxFileSize of memory.
+		if int64(dlen) > int64(r.Len()) {
+			return nil, fmt.Errorf("isofs: truncated data of entry %d: %w", i, io.ErrUnexpectedEOF)
+		}
 		data := make([]byte, dlen)
 		if _, err := io.ReadFull(r, data); err != nil {
 			return nil, fmt.Errorf("isofs: truncated data of entry %d: %w", i, err)

@@ -147,20 +147,30 @@ func TestPathsSorted(t *testing.T) {
 	}
 }
 
+// propertyImage is the image TestRoundTripProperty builds from quick's
+// arguments, with the content each path must read back as.
+func propertyImage(names []uint16, payload []byte) (*Image, map[string][]byte, error) {
+	im := New()
+	want := map[string][]byte{}
+	for i, n := range names {
+		p := "f" + string(rune('a'+int(n)%26)) + "/" + string(rune('a'+i%26))
+		data := payload
+		if len(payload) > i {
+			data = payload[i:]
+		}
+		if err := im.Add(p, data); err != nil {
+			return nil, nil, err
+		}
+		want[p] = append([]byte(nil), data...)
+	}
+	return im, want, nil
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	check := func(names []uint16, payload []byte) bool {
-		im := New()
-		want := map[string][]byte{}
-		for i, n := range names {
-			p := "f" + string(rune('a'+int(n)%26)) + "/" + string(rune('a'+i%26))
-			data := payload
-			if len(payload) > i {
-				data = payload[i:]
-			}
-			if err := im.Add(p, data); err != nil {
-				return false
-			}
-			want[p] = append([]byte(nil), data...)
+		im, want, err := propertyImage(names, payload)
+		if err != nil {
+			return false
 		}
 		back, err := Read(im.Bytes())
 		if err != nil {

@@ -1,7 +1,7 @@
 // Lazy-clone hydration: under vdisk.CloneByLazy the production line
 // resumes a clone after copying only its private state (config, redo
 // log, memory image) — the 2 GB of golden disk extents are NOT on the
-// node yet. This file materializes them afterwards, two ways:
+// node yet. This file materializes them afterwards, post-copy style:
 //
 //   - a background hydrator (a virtual-time proc per lazy clone, one
 //     running per plant at a time, oldest clone first) walks the
@@ -9,26 +9,27 @@
 //     the clone's local disk directory as a background transfer: it is
 //     served only while no foreground transfer waits for the NFS
 //     server's slots or the node's mount, and gives both back to one
-//     that arrives (sim.Background);
+//     that arrives (sim.Background). It is the only thing that lands
+//     extents, so the local ones are always a prefix;
 //   - a demand fault: when the guest's action DAG writes a block whose
-//     extent has not landed yet, the guest blocks and the touched extent
-//     is copied synchronously on the faulting proc as a foreground
-//     transfer, which no hydrator's copy delays. When the hydrator is
-//     already copying that extent the guest promotes the rest of that
-//     copy to the foreground instead, so it never waits on a transfer
-//     that foreground traffic is starving.
+//     extent has not landed yet, the guest blocks for one foreground
+//     read of that block (vdisk.BlockSize bytes) over the node's mount —
+//     the bytes it needs, not the 128 MB extent around them, which still
+//     arrives through the hydrator.
 //
-// Every materialized extent re-checks the clone's integrity context
-// (warehouse.VerifyClone), extending PR 5's epoch gate to late-arriving
-// state: an image quarantined or repaired after the VM resumed must not
-// have its suspect bytes land under a running guest.
+// Every extent landed and every block fetched re-checks the clone's
+// integrity context (warehouse.VerifyClone), extending PR 5's epoch gate
+// to late-arriving state: an image quarantined or repaired after the VM
+// resumed must not have its suspect bytes land under a running guest.
 package plant
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
+	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/sim"
 	"vmplants/internal/storage"
@@ -37,20 +38,13 @@ import (
 	"vmplants/internal/warehouse"
 )
 
-// Per-extent hydration states.
-const (
-	hAbsent  = iota // not local; nobody is copying it
-	hCopying        // a proc is copying it now
-	hPresent        // local (or hydration failed — h.failed is the verdict)
-)
-
 // HydrationStats is one lazy clone's hydration record, appended to the
 // plant's log when the last extent lands (or the hydration aborts).
 type HydrationStats struct {
 	VMID    core.VMID
 	Extents int
-	// DemandFaults is how many extents the guest touched before the
-	// background hydrator reached them.
+	// DemandFaults is how many blocks the guest fetched before the
+	// background hydrator landed their extents.
 	DemandFaults int
 	// Preemptions is how many times a foreground transfer took the
 	// node's mount or an NFS server slot back from the background
@@ -76,16 +70,13 @@ type hydration struct {
 	cctx *warehouse.CloneContext
 	dir  string
 
-	state   []int
-	waiters [][]*sim.Proc
-	left    int // extents not yet present
+	// landed is how many extents are local: extent i is iff i < landed.
+	landed int
+	// fetched holds the blocks demand faults read ahead of their extent.
+	fetched []int64
 
 	start     time.Duration // virtual time hydration began (VM resumed)
 	createdAt time.Duration // virtual time the creation started
-	faulted   int
-	// inFlight is the extent the hydrator is copying as a background
-	// transfer, -1 when there is none (or a guest promoted it).
-	inFlight  int
 	cancelled bool
 	failed    error     // sticky integrity failure; guest touches surface it
 	proc      *sim.Proc // the hydrator, nil until the clone's turn comes
@@ -95,16 +86,11 @@ type hydration struct {
 // startHydration installs the demand-fault hook on a freshly resumed
 // lazy clone and queues it for the plant's background hydrator.
 func (pl *Plant) startHydration(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneContext, createdAt time.Duration) *hydration {
-	n := len(cctx.Image.ExtentPaths)
 	h := &hydration{
 		pl:        pl,
 		vm:        vm,
 		cctx:      cctx,
 		dir:       "vms/" + string(vm.ID()) + "/",
-		state:     make([]int, n),
-		waiters:   make([][]*sim.Proc, n),
-		left:      n,
-		inFlight:  -1,
 		start:     p.Now(),
 		createdAt: createdAt,
 	}
@@ -140,13 +126,16 @@ func (pl *Plant) nextHydrator(k *sim.Kernel) {
 	}
 }
 
+// extents is how many extents the clone's disk spans.
+func (h *hydration) extents() int { return len(h.cctx.Image.ExtentPaths) }
+
 // run is the background hydrator: extents are materialized in order,
 // each a background transfer, so a batch of lazy clones takes from the
 // NFS server and the node's mount only what creations leave idle.
 func (h *hydration) run(p *sim.Proc) {
-	for i := range h.state {
+	for h.landed < h.extents() {
 		// Brownout pauses background hydration at extent boundaries;
-		// demand faults still copy synchronously (the guest is blocked on
+		// demand faults still read their blocks (the guest is blocked on
 		// them — that is foreground I/O).
 		for h.pl.Brownout() && !h.cancelled && h.failed == nil {
 			h.pl.brownoutPark(p)
@@ -154,72 +143,68 @@ func (h *hydration) run(p *sim.Proc) {
 		if h.cancelled || h.failed != nil {
 			return
 		}
-		if h.state[i] != hAbsent {
-			continue // a demand fault got there first
-		}
-		h.state[i] = hCopying
-		h.inFlight = i
-		err := h.copyExtent(p, i, sim.Background)
-		h.inFlight = -1
+		err := h.copyExtent(p, h.landed)
 		if errors.Is(err, storage.ErrInterrupted) {
 			return // cancelled mid-copy: nothing landed
 		}
-		h.land(p, i, err, false)
+		if err != nil {
+			h.poison(p, err)
+			return
+		}
+		h.landed++
+		h.pl.mHydratedExtents.Inc()
+		h.pl.hHydrationLag.Observe((p.Now() - h.start).Seconds())
 	}
+	h.finish(p, false)
 }
 
-// touch is the guest's pre-write hook: resolve the touched block to its
-// extent and block the guest until that extent is local, copying it on
-// demand when the background hydrator has not reached it yet.
+// touch is the guest's pre-write hook: block the guest until the
+// touched block is local, reading just that block on demand when the
+// background hydrator has not landed its extent yet. Only the creating
+// process's configure runs guest actions, so no two procs fault at once
+// and nobody needs to wait for another's read.
 func (h *hydration) touch(p *sim.Proc, block int64) error {
+	if h.failed != nil {
+		return h.failed
+	}
 	blocks := h.vm.Disk().Base().SizeBytes() / vdisk.BlockSize
-	i := int(block * int64(len(h.state)) / blocks)
-	if i >= len(h.state) {
-		i = len(h.state) - 1
+	i := min(int(block*int64(h.extents())/blocks), h.extents()-1)
+	if i < h.landed || slices.Contains(h.fetched, block) {
+		return nil
 	}
-	for {
-		if h.failed != nil {
-			return h.failed
-		}
-		switch h.state[i] {
-		case hPresent:
-			return nil
-		case hCopying:
-			// The background hydrator (or another guest proc) is on it:
-			// park until it lands and re-check. The hydrator's copy yields
-			// to every foreground transfer, and now a guest waits on it:
-			// the rest of it is foreground work.
-			if h.inFlight == i {
-				h.inFlight = -1
-				h.proc.Interrupt(true)
-			}
-			h.waiters[i] = append(h.waiters[i], p)
-			p.Wait(time.Hour)
-		case hAbsent:
-			// Demand fault: claim the extent and copy it on this proc —
-			// the guest pays the foreground I/O, like a page fault.
-			h.state[i] = hCopying
-			h.faulted++
-			h.pl.mDemandFaults.Inc()
-			err := h.copyExtent(p, i, sim.Foreground)
-			h.land(p, i, err, true)
-			if err != nil {
-				return err
-			}
-			return nil
-		}
+	node := h.vm.Node()
+	if _, err := node.Warehouse().Stat(h.cctx.Image.ExtentPaths[i]); err != nil {
+		return h.poison(p, fmt.Errorf("demand fault on extent %d: %w", i, err))
 	}
+	// Priced as CopyTo prices a copy: the mount (the bottleneck: 11 MB/s
+	// against the local disk's 35) at its rate, then the local disk's
+	// per-transfer overhead. Like the clone's config and redo copies, the
+	// small read carries no state-I/O jitter, so it draws nothing from the
+	// node's random stream.
+	node.Warehouse().Charge(p, vdisk.BlockSize, 1, sim.Foreground)
+	p.Sleep(cluster.LocalDiskOverhead)
+	// The image may have been quarantined, or the VM collected, while the
+	// read slept.
+	if h.failed != nil {
+		return h.failed
+	}
+	if err := h.pl.wh.VerifyClone(h.cctx); err != nil {
+		return h.poison(p, fmt.Errorf("demand fault on extent %d: %w", i, err))
+	}
+	h.fetched = append(h.fetched, block)
+	h.pl.mDemandFaults.Inc()
+	return nil
 }
 
 // copyExtent streams one extent from the warehouse's NFS view to the
 // clone's local directory and re-checks the clone's integrity context:
 // state arriving after the resume must pass the same epoch gate the
 // eager copy passed before it.
-func (h *hydration) copyExtent(p *sim.Proc, i int, class sim.Class) error {
+func (h *hydration) copyExtent(p *sim.Proc, i int) error {
 	node := h.vm.Node()
 	src := h.cctx.Image.ExtentPaths[i]
 	dst := fmt.Sprintf("%sdisk-s%03d.vmdk", h.dir, i)
-	if _, err := node.Warehouse().CopyTo(p, src, node.LocalDisk(), dst, node.Jitter(), class); err != nil {
+	if _, err := node.Warehouse().CopyTo(p, src, node.LocalDisk(), dst, node.Jitter(), sim.Background); err != nil {
 		return fmt.Errorf("hydrate extent %d: %w", i, err)
 	}
 	if err := h.pl.wh.VerifyClone(h.cctx); err != nil {
@@ -228,30 +213,15 @@ func (h *hydration) copyExtent(p *sim.Proc, i int, class sim.Class) error {
 	return nil
 }
 
-// land settles one extent copy: success marks it present and records
-// the lag; failure poisons the whole hydration (the image went suspect
-// under us — no further extents may land, and guest touches fail).
-// Either way every parked waiter is woken to re-check.
-func (h *hydration) land(p *sim.Proc, i int, err error, demand bool) {
-	if err != nil {
+// poison makes err the hydration's verdict unless it already has one:
+// no further extent lands, and every later guest touch fails with it.
+// It returns the verdict.
+func (h *hydration) poison(p *sim.Proc, err error) error {
+	if h.failed == nil {
 		h.failed = err
-		h.state[i] = hPresent // settled — nobody else should copy it
 		h.finish(p, true)
-	} else {
-		h.state[i] = hPresent
-		h.left--
-		h.pl.mHydratedExtents.Inc()
-		if !demand {
-			h.pl.hHydrationLag.Observe((p.Now() - h.start).Seconds())
-		}
-		if h.left == 0 {
-			h.finish(p, false)
-		}
 	}
-	for _, w := range h.waiters[i] {
-		w.WakeUp()
-	}
-	h.waiters[i] = nil
+	return h.failed
 }
 
 // finish closes out the hydration record exactly once.
@@ -275,8 +245,8 @@ func (h *hydration) finish(p *sim.Proc, aborted bool) {
 	h.pl.mu.Lock()
 	h.pl.hydrations = append(h.pl.hydrations, HydrationStats{
 		VMID:         h.vm.ID(),
-		Extents:      len(h.state),
-		DemandFaults: h.faulted,
+		Extents:      h.extents(),
+		DemandFaults: len(h.fetched),
 		Preemptions:  preemptions,
 		ResumeSecs:   (h.start - h.createdAt).Seconds(),
 		CompleteSecs: complete,
@@ -288,7 +258,7 @@ func (h *hydration) finish(p *sim.Proc, aborted bool) {
 // cancel stops the hydration (VM collected, creation failed): the
 // background hydrator drops the copy it is queued for or in the middle
 // of — nothing of it lands, and it holds no place in any device's queue
-// — and exits; parked guest procs are woken into the sticky error.
+// — and exits; a later guest touch gets the sticky error.
 func (h *hydration) cancel(p *sim.Proc) {
 	if h.cancelled {
 		return
@@ -297,23 +267,16 @@ func (h *hydration) cancel(p *sim.Proc) {
 	h.pl.mu.Lock()
 	delete(h.pl.live, h.vm.ID())
 	h.pl.mu.Unlock()
-	if h.failed == nil && h.left > 0 {
-		h.failed = fmt.Errorf("hydration cancelled: VM %s collected", h.vm.ID())
-		h.finish(p, true)
-	}
-	for i, ws := range h.waiters {
-		for _, w := range ws {
-			w.WakeUp()
-		}
-		h.waiters[i] = nil
+	if h.landed < h.extents() {
+		h.poison(p, fmt.Errorf("hydration cancelled: VM %s collected", h.vm.ID()))
 	}
 	if h.proc != nil {
-		h.proc.Interrupt(false)
+		h.proc.Interrupt()
 	}
 }
 
 // Done reports whether every extent is local (false after an abort).
-func (h *hydration) Done() bool { return h.left == 0 && h.failed == nil }
+func (h *hydration) Done() bool { return h.landed == h.extents() && h.failed == nil }
 
 // HydrationLog returns a copy of the plant's completed hydration
 // records.

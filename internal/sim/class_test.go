@@ -118,7 +118,7 @@ func TestInterruptCancelsBackgroundTransfer(t *testing.T) {
 	})
 	k.Spawn("owner", func(p *Proc) {
 		p.Sleep(2 * time.Second)
-		queued.Interrupt(false)
+		queued.Interrupt()
 		if pipe.QueueLen() != 1 { // not unlinked until it runs, at this same instant
 			t.Errorf("queue length %d at the interrupt", pipe.QueueLen())
 		}
@@ -126,7 +126,7 @@ func TestInterruptCancelsBackgroundTransfer(t *testing.T) {
 		if pipe.QueueLen() != 0 {
 			t.Errorf("queue length %d after the cancelled transfer left", pipe.QueueLen())
 		}
-		served.Interrupt(false)
+		served.Interrupt()
 	})
 	if res := k.Run(0); len(res.Stranded) != 0 {
 		t.Fatalf("stranded: %v", res.Stranded)
@@ -139,48 +139,6 @@ func TestInterruptCancelsBackgroundTransfer(t *testing.T) {
 	}
 	if bytes, background, n := pipe.Stats(); bytes != 7e6 || background != 3e6 || n != 1 {
 		t.Errorf("stats = (%d, %d background, %d transfers), want (7e6, 3e6, 1)", bytes, background, n)
-	}
-}
-
-// The owner's interrupt, promoting: a background transfer that a
-// foreground stream would starve for ever finishes, once promoted, in
-// its FIFO turn among the foreground transfers.
-func TestInterruptPromotesBackgroundTransfer(t *testing.T) {
-	k := NewKernel()
-	pipe := NewPipe("disk", 1e6)
-	var bgEnd time.Duration
-	bg := k.Spawn("bg", func(p *Proc) {
-		if left := pipe.Transfer(p, 3e6, 1, Background); left != 0 {
-			t.Errorf("promoted transfer left %v", left)
-		}
-		bgEnd = p.Now()
-	})
-	for i := 0; i < 2; i++ {
-		k.Spawn("stream", func(p *Proc) {
-			p.Sleep(time.Second)
-			for j := 0; j < 50; j++ {
-				pipe.Transfer(p, 1e6, 1, Foreground)
-			}
-		})
-	}
-	k.Spawn("owner", func(p *Proc) {
-		p.Sleep(20500 * time.Millisecond)
-		if bgEnd != 0 {
-			t.Errorf("background transfer finished at %v under a saturating foreground stream", bgEnd)
-		}
-		bg.Interrupt(true)
-	})
-	if res := k.Run(0); len(res.Stranded) != 0 {
-		t.Fatalf("stranded: %v", res.Stranded)
-	}
-	// Served for the first second only; promoted at 20.5 s behind the
-	// transfer in service (to 21 s) and the one queued (to 22 s), then
-	// its remaining 2 s.
-	if bgEnd != 24*time.Second {
-		t.Errorf("promoted transfer done at %v, want 24s", bgEnd)
-	}
-	if bytes, background, n := pipe.Stats(); bytes != 103e6 || background != 1e6 || n != 101 {
-		t.Errorf("stats = (%d, %d background, %d transfers)", bytes, background, n)
 	}
 }
 
@@ -229,12 +187,11 @@ type classRun struct {
 // processes making transfers and raw acquisitions and waking each other,
 // and, when background is set, background processes making background
 // transfers over the same pipes with an owner that cancels and wakes
-// them — and, when promote is set too, promotes them, which makes
-// foreground work of them. Two pipes share a two-slot server, a third
-// stands alone. Every process draws from its own generator, so deleting
-// the background side changes no foreground draw. The kernel is stepped
-// one timestamp at a time and the resources audited in between.
-func classProgram(t *testing.T, seed int64, background, promote bool) classRun {
+// them. Two pipes share a two-slot server, a third stands alone. Every
+// process draws from its own generator, so deleting the background side
+// changes no foreground draw. The kernel is stepped one timestamp at a
+// time and the resources audited in between.
+func classProgram(t *testing.T, seed int64, background bool) classRun {
 	var run classRun
 	var fgLog strings.Builder
 	k := NewKernel()
@@ -307,12 +264,9 @@ func classProgram(t *testing.T, seed int64, background, promote bool) classRun {
 			for n := g.Intn(12); n > 0; n-- {
 				p.Sleep(ms(g, 60))
 				q := bgs[g.Intn(len(bgs))]
-				switch op := g.Intn(4); {
-				case op < 2:
-					q.Interrupt(false)
-				case op < 3 && promote:
-					q.Interrupt(true)
-				default:
+				if g.Intn(4) < 2 {
+					q.Interrupt()
+				} else {
 					q.WakeUp()
 				}
 			}
@@ -361,7 +315,7 @@ func classProgram(t *testing.T, seed int64, background, promote bool) classRun {
 		}
 	}
 	for _, p := range bgs {
-		if held[p] != served[p] && !promote {
+		if held[p] != served[p] {
 			t.Fatalf("seed %d: %s was in service for %v, its transfers' service sums to %v", seed, p.Name(), held[p], served[p])
 		}
 		run.preemptions += p.Preemptions()
@@ -381,9 +335,8 @@ func classProgram(t *testing.T, seed int64, background, promote bool) classRun {
 func TestTwoClassPrograms(t *testing.T) {
 	var preemptions, cancels int
 	for seed := int64(1); seed <= 300; seed++ {
-		with := classProgram(t, seed, true, false)
-		without := classProgram(t, seed, false, false)
-		classProgram(t, seed, true, true) // the audit and the quiescence checks only
+		with := classProgram(t, seed, true)
+		without := classProgram(t, seed, false)
 		if with.fgLog != without.fgLog {
 			w, wo := strings.Split(with.fgLog, "\n"), strings.Split(without.fgLog, "\n")
 			for i := range w {

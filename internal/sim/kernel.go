@@ -404,7 +404,6 @@ const (
 	bgNone      bgState = iota // not in a background transfer
 	bgRunning                  // queued or in service, undisturbed
 	bgPreempted                // a resource took back what it held
-	bgPromoted                 // its owner wants the rest in the foreground
 	bgCancelled                // its owner wants it dropped
 )
 
@@ -418,20 +417,12 @@ func (p *Proc) stopBackground(why bgState) {
 }
 
 // Interrupt is how the owner of a background transfer (Pipe.Transfer
-// with Background) cuts it short, whether it is queued or in service.
-// With promote, the transfer gives up what it holds and finishes the
-// rest of its service as a foreground transfer: something has started
-// to wait for it. Without, it is cancelled: it leaves the queues at
-// once and Transfer reports the service left. Either way p is woken as
-// by WakeUp, which is all that happens to a process that is not in a
-// background transfer. It must be called from another running process.
-func (p *Proc) Interrupt(promote bool) {
-	if promote {
-		p.stopBackground(bgPromoted)
-	} else {
-		p.stopBackground(bgCancelled)
-	}
-}
+// with Background) cancels it, whether it is queued or in service: it
+// leaves the queues at once and Transfer reports the service left. p is
+// woken as by WakeUp, which is all that happens to a process that is
+// not in a background transfer. It must be called from another running
+// process.
+func (p *Proc) Interrupt() { p.stopBackground(bgCancelled) }
 
 // Preemptions reports how many times a foreground request has taken
 // back a slot or a pipe one of p's background transfers held.

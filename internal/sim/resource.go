@@ -303,9 +303,8 @@ func (pi *Pipe) Name() string { return pi.res.Name() }
 // so it is preemptible on everything it holds from the moment it holds
 // it, in service or still queued for the other: when a foreground
 // request takes back its pipe or its slot it gives up both, keeps the
-// service it has had and queues again for the rest. Its owner can cut
-// it short with Proc.Interrupt: promoted, it finishes the rest as a
-// foreground transfer; cancelled, it leaves the queues at once and
+// service it has had and queues again for the rest. Its owner can
+// cancel it with Proc.Interrupt: it leaves the queues at once and
 // Transfer returns the service time left (zero in every other case).
 func (pi *Pipe) Transfer(p *Proc, size int64, scale float64, class Class) time.Duration {
 	if size < 0 {
@@ -318,21 +317,14 @@ func (pi *Pipe) Transfer(p *Proc, size int64, scale float64, class Class) time.D
 	if class == Foreground {
 		pi.foreground(p, need)
 	} else {
-		left, promoted := pi.background(p, need)
-		moved := size
-		if left > 0 {
+		if left := pi.background(p, need); left > 0 {
 			// The overhead is served first and carries no bytes.
-			moved = int64(math.Max(0, (need-left-pi.PerTransferOverhead).Seconds()) * pi.BytesPerSecond / scale)
-		}
-		pi.backgroundBytes += moved
-		switch {
-		case left == 0:
-		case promoted:
-			pi.foreground(p, left)
-		default:
+			moved := int64(math.Max(0, (need-left-pi.PerTransferOverhead).Seconds()) * pi.BytesPerSecond / scale)
+			pi.backgroundBytes += moved
 			pi.totalBytes += moved
 			return left
 		}
+		pi.backgroundBytes += size
 	}
 	pi.totalBytes += size
 	pi.transfers++
@@ -359,10 +351,9 @@ func (pi *Pipe) foreground(p *Proc, d time.Duration) {
 }
 
 // background serves need of service time in the background class. It
-// returns what is left of it when the owner interrupted the transfer,
-// and which way.
-func (pi *Pipe) background(p *Proc, need time.Duration) (left time.Duration, promoted bool) {
-	left = need
+// returns what is left of it when the owner cancelled the transfer.
+func (pi *Pipe) background(p *Proc, need time.Duration) time.Duration {
+	left := need
 	for again := false; ; again = true {
 		p.bg = bgRunning
 		if pi.res.acquireBackground(p, again) && (pi.Slots == nil || pi.Slots.acquireBackground(p, again)) {
@@ -381,10 +372,7 @@ func (pi *Pipe) background(p *Proc, need time.Duration) (left time.Duration, pro
 		why := p.bg
 		p.bg = bgNone
 		if left == 0 || why == bgCancelled {
-			return left, false
-		}
-		if why == bgPromoted {
-			return left, true
+			return left
 		}
 	}
 }

@@ -280,9 +280,9 @@ func TestInterruptedBackgroundCopy(t *testing.T) {
 	})
 	k.Spawn("owner", func(p *sim.Proc) {
 		p.Sleep(4 * time.Second)
-		copier.Interrupt(false)
+		copier.Interrupt()
 		p.Sleep(4 * time.Second)
-		copier.Interrupt(false)
+		copier.Interrupt()
 	})
 	if res := k.Run(0); len(res.Stranded) != 0 || res.End != 8*time.Second {
 		t.Fatalf("ended at %v, stranded %v", res.End, res.Stranded)

@@ -20,4 +20,5 @@ done <<TARGETS
 ./internal/classad FuzzAdOps
 ./internal/dag FuzzGraphXML
 ./internal/match FuzzEvaluate
+./internal/isofs FuzzRead
 TARGETS
