@@ -4,7 +4,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= staticcheck
 
-.PHONY: build test race vet lint check bench goldens
+.PHONY: build test race vet lint check bench goldens reach
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ check: scripts/check.sh
 
 bench:
 	$(GO) run ./cmd/vmbench -series smoke
+
+# reach lists the non-test functions no binary links (cmd/*, examples/*
+# and the bench module, built with inlining off) and fails on one that
+# scripts/reach.allow does not name with the test that needs it.
+reach:
+	./scripts/reach.sh --check
 
 # goldens rewrites the behaviour pins — internal/workload/testdata/
 # fingerprints.golden and cmd/vmbench/testdata/{smoke,paper}.golden —

@@ -10,7 +10,6 @@
 //	vmctl stats -debug localhost:7070
 //	vmctl trace vm-shop-1 -debug localhost:7070,localhost:7071
 //	vmctl queue -debug localhost:7070,localhost:7071
-//	vmctl fleet -debug localhost:7070
 //
 // The requests go through service.ShopClient; every /debug payload is
 // decoded into the type the daemon encoded it from.
@@ -97,7 +96,6 @@ var commands = []command{
 	{"scrub", "[-debug addr,addr...]", 0, scrub},
 	{"journal", "[-debug addr,addr...] [-n k] [-verify]", 0, journalView},
 	{"federation", "[-debug addr,addr...]", 0, federation},
-	{"fleet", "[-debug addr,addr...]", 0, fleet},
 }
 
 // run is main without the process around it: it returns the exit code.
@@ -635,25 +633,6 @@ func federation(c *cli, args []string) {
 		}
 		if snap, err := fetch[map[string]any](addr, "/metrics"); err == nil {
 			printInstruments(c.out, snap, counters, 26)
-		}
-	})
-}
-
-// fleet summarizes each shop daemon's elastic-fleet state from its
-// /debug/fleet endpoint: every plant's drain state, VM and in-flight
-// counts, plus the admission gate and overload/retirement counters.
-func fleet(c *cli, args []string) {
-	addrs := c.daemons(c.flags("fleet"), "localhost:7070", args)
-	each(c, addrs, "/debug/fleet", "fleet state", func(addr string, st shop.FleetStatus) {
-		fmt.Fprintf(c.out, "%s: shop %q, gate queue=%d inflight=%d, shed=%d stale_bids=%d drains=%d retired=%d\n",
-			addr, st.Shop, st.AdmissionQueue, st.InflightAtGate,
-			st.ShedCreates, st.StaleBids, st.Drains, st.Retirements)
-		for _, pl := range st.Plants {
-			vms := fmt.Sprintf("%d", pl.ActiveVMs)
-			if pl.ActiveVMs < 0 {
-				vms = "?"
-			}
-			fmt.Fprintf(c.out, "  %-12s %-9s vms=%-4s inflight=%d\n", pl.Name, pl.State, vms, pl.Inflight)
 		}
 	})
 }

@@ -74,7 +74,6 @@ func startSite(t *testing.T) (shopAddr string, debug []string) {
 	s.SetJournal(jnl)
 	dbg, err := d.ServeDebug("127.0.0.1:0", map[string]func() any{
 		"federation": func() any { return s.Federation() },
-		"fleet":      func() any { return s.Fleet() },
 	}, jnl, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,6 @@ func TestEverySubcommand(t *testing.T) {
 		{args: []string{"publish", "vm-shop-1", "alice-image"}, out: `published vm-shop-1 as image "alice-image"`},
 		{args: []string{"destroy", "vm-shop-1"}, out: "destroyed vm-shop-1"},
 		{args: []string{"ping"}, out: "shop is alive"},
-		{args: []string{"fleet", "-debug", shopDebug}, out: `shop "shop", gate queue=0 inflight=0`},
 		{args: []string{"federation", "-debug", shopDebug}, out: `cell "shop", peers`},
 		{args: []string{"journal", "-verify", "-debug", all}, out: "/ 0 bad"},
 		{args: []string{"journal", "-n", "3", "-debug", shopDebug}, out: "route-drop"},
@@ -117,9 +115,10 @@ func TestEverySubcommand(t *testing.T) {
 
 		{args: []string{"query", "vm-shop-1"}, code: 1, err: "vmctl: service: VM vm-shop-1 not found"},
 		{args: []string{"trace", "vm-none", "-debug", all}, code: 1, err: "no trace for vm-none on 3 daemon(s)"},
-		{args: []string{"fleet", "-debug", plantDebug}, out: "no fleet state"},
+		{args: []string{"federation", "-debug", plantDebug}, out: "no federation state"},
 		{args: []string{"query"}, code: 2, err: "usage: vmctl"},
 		{args: []string{"defenestrate"}, code: 2, err: "usage: vmctl"},
+		{args: []string{"fleet", "-debug", shopDebug}, code: 2, err: "usage: vmctl"},
 		{args: []string{"journal", "-bogus"}, code: 2, err: "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer

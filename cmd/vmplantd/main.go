@@ -1,12 +1,14 @@
 // Command vmplantd runs one VMPlant daemon: it serves the plant-side
 // protocol (estimate, create, query, collect) on a TCP port, optionally
 // exposes a VNET server for client-domain overlay bridging, and hosts
-// the simulated node substrate beneath. Golden In-VIGO workspace images
-// of the requested memory sizes are published at startup.
+// the simulated node substrate beneath. It runs the daemons' preset
+// (workload.DaemonPlant): the golden In-VIGO workspace images of 32, 64
+// and 256 MB are published at startup, creations clone lazily, and
+// plant and warehouse events are journaled for crash-restart recovery.
 //
 // Usage:
 //
-//	vmplantd -listen :7001 -name plantA -golden 32,64,256
+//	vmplantd -listen :7001 -name plantA
 //	vmplantd -listen :7001 -vnet :7101 -creds ufl.edu=secret
 package main
 
@@ -15,20 +17,15 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"strconv"
 	"strings"
 	"time"
 
-	"vmplants/internal/cost"
 	"vmplants/internal/journal"
-	"vmplants/internal/plant"
 	"vmplants/internal/proto"
 	"vmplants/internal/service"
 	"vmplants/internal/sim"
-	"vmplants/internal/simnet"
 	"vmplants/internal/storage"
 	"vmplants/internal/vnet"
-	"vmplants/internal/warehouse"
 	"vmplants/internal/workload"
 )
 
@@ -38,57 +35,29 @@ func main() {
 		name     = flag.String("name", "plant0", "plant name")
 		cell     = flag.String("cell", "", "federation cell this plant serves (prefixes the plant name, e.g. cellA/plant0)")
 		seed     = flag.Int64("seed", 1, "substrate random seed")
-		maxVMs   = flag.Int("maxvms", 32, "maximum hosted VMs (0 = unlimited)")
-		networks = flag.Int("networks", 4, "host-only network pool size")
-		costName = flag.String("cost", "free-memory", "cost model: free-memory or network+compute")
-		golden   = flag.String("golden", "32,64,256", "comma-separated golden image memory sizes (MB)")
-		diskMB   = flag.Int("disk", 2048, "golden image disk size (MB)")
 		vnetAddr = flag.String("vnet", "", "VNET server listen address (empty = disabled)")
 		creds    = flag.String("creds", "", "VNET credentials, comma-separated domain=token pairs")
 		debug    = flag.String("debug", ":7071", "debug HTTP listen address for /metrics and /debug/traces (empty = disabled)")
 		pubBack  = flag.Bool("publish-back", false, "checkpoint long-residual creations back to the warehouse as derived golden images")
-		pubMin   = flag.Int("publish-threshold", 0, "minimum residual ops before a creation is checkpointed (0 = default)")
 		budgetMB = flag.Int64("warehouse-budget", 0, "warehouse byte budget in MB beyond the seed images (0 = unlimited)")
 		scrubInt = flag.Duration("scrub", 0, "wall-clock interval between warehouse integrity scrub passes (0 = disabled)")
 		replica  = flag.Bool("replica", false, "mirror seed extents to a replica device so the scrubber can repair them")
-		durable  = flag.Bool("journal", true, "journal VM lifecycle and warehouse catalog/quarantine events for crash-restart recovery")
 	)
 	flag.Parse()
 
-	model, err := cost.ByName(*costName)
-	if err != nil {
-		log.Fatalf("vmplantd: %v", err)
-	}
 	if *cell != "" {
 		// Cell-qualified names keep plants distinct when several cells
 		// run the same node naming scheme (node00, node01, …).
 		*name = *cell + "/" + *name
 	}
-	var images []*warehouse.Image
-	for _, field := range strings.Split(*golden, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		mem, err := strconv.Atoi(field)
-		if err != nil {
-			log.Fatalf("vmplantd: bad golden size %q", field)
-		}
-		im, err := workload.GoldenImage(mem, *diskMB, warehouse.BackendVMware)
-		if err != nil {
-			log.Fatalf("vmplantd: golden %d MB: %v", mem, err)
-		}
-		images = append(images, im)
+	cfg, images, err := workload.DaemonPlant()
+	if err != nil {
+		log.Fatalf("vmplantd: golden images: %v", err)
 	}
+	cfg.PublishBack = *pubBack
 	d := service.NewDaemon(*name, workload.DefaultSLOObjectives()...)
 	hub, runner := d.Hub, d.Runner
-	pl, err := d.HostPlant(*name, *seed, plant.Config{
-		MaxVMs:               *maxVMs,
-		HostOnlyNetworks:     *networks,
-		CostModel:            model,
-		PublishBack:          *pubBack,
-		PublishBackThreshold: *pubMin,
-	}, images...)
+	pl, err := d.HostPlant(*name, *seed, cfg, images...)
 	if err != nil {
 		log.Fatalf("vmplantd: publish: %v", err)
 	}
@@ -100,18 +69,15 @@ func main() {
 		wh.SetCapacity(wh.BytesUsed() + *budgetMB<<20)
 	}
 
-	var jnl *journal.Journal
-	if *durable {
-		// One event log per node, shared by the plant daemon and its
-		// warehouse view: VM lifecycle, catalog and quarantine records
-		// interleave in one stream on the node's local disk. Attaching
-		// after publish imports the already-published catalog.
-		jnl = journal.Open(pl.Node().LocalDisk(), "journal/"+*name)
-		jnl.SetTelemetry(hub)
-		pl.SetJournal(jnl)
-		wh.SetJournal(jnl)
-		log.Printf("journaling plant and warehouse events to %s", jnl.Dir())
-	}
+	// One event log per node, shared by the plant daemon and its
+	// warehouse view: VM lifecycle, catalog and quarantine records
+	// interleave in one stream on the node's local disk. Attaching after
+	// publish imports the already-published catalog.
+	jnl := journal.Open(pl.Node().LocalDisk(), "journal/"+*name)
+	jnl.SetTelemetry(hub)
+	pl.SetJournal(jnl)
+	wh.SetJournal(jnl)
+	log.Printf("journaling plant and warehouse events to %s", jnl.Dir())
 
 	if *replica {
 		wh.SetReplica(storage.NewVolume("replica",
@@ -151,19 +117,8 @@ func main() {
 			}
 			credTable[domain] = token
 		}
-		srv := vnet.NewServer(credTable, func(domain string) (*simnet.Switch, bool) {
-			// Resolve the domain's host-only network on this plant.
-			pool := pl.Networks()
-			if !pool.HasDomain(domain) {
-				return nil, false
-			}
-			net, _, err := pool.Acquire(domain) // returns the held network
-			if err != nil {
-				return nil, false
-			}
-			pool.Release(domain) // Acquire bumped the VM count; undo
-			return net.Switch, true
-		})
+		// A domain bridges to the host-only network it owns on this plant.
+		srv := vnet.NewServer(credTable, pl.Networks().Switch)
 		vl, err := net.Listen("tcp", *vnetAddr)
 		if err != nil {
 			log.Fatalf("vmplantd: vnet listen: %v", err)
@@ -177,6 +132,6 @@ func main() {
 		log.Fatalf("vmplantd: listen: %v", err)
 	}
 	fmt.Printf("vmplantd %s serving on %s (cost model %s, %d networks, max %d VMs)\n",
-		*name, l.Addr(), model.Name(), *networks, *maxVMs)
+		*name, l.Addr(), cfg.CostModel.Name(), cfg.HostOnlyNetworks, cfg.MaxVMs)
 	proto.Serve(l, service.NewPlantHandler(runner, pl))
 }

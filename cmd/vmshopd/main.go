@@ -1,6 +1,9 @@
 // Command vmshopd runs the VMShop daemon: the client-facing front end
 // that collects bids from the configured VMPlant daemons and routes
-// create/query/destroy requests.
+// create/query/destroy requests. It runs the daemons' preset: creations
+// pass workload.DaemonAdmission's gate, classads are cached to answer
+// queries while a plant is down, and creation intents, commits and
+// route changes are journaled for crash-restart recovery.
 //
 // Usage:
 //
@@ -15,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"vmplants/internal/journal"
 	"vmplants/internal/proto"
 	"vmplants/internal/service"
 	"vmplants/internal/shop"
@@ -30,9 +32,7 @@ func main() {
 		peers   = flag.String("peers", "", "comma-separated name=addr peer shop endpoints for hierarchical bidding")
 		seed    = flag.Int64("seed", 1, "tie-break random seed")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-plant call timeout")
-		cache   = flag.Bool("cache", true, "cache classads to serve queries when plants are down")
 		debug   = flag.String("debug", ":7070", "debug HTTP listen address for /metrics and /debug/traces (empty = disabled)")
-		durable = flag.Bool("journal", true, "journal creation intents/commits and route changes for crash-restart recovery")
 	)
 	flag.Parse()
 
@@ -48,8 +48,9 @@ func main() {
 	}
 
 	s := shop.New(*cell, handles, *seed)
-	s.CacheAds = *cache
+	s.CacheAds = true
 	s.SetTelemetry(hub)
+	s.SetAdmission(workload.DaemonAdmission)
 	var peerHandles []shop.PeerHandle
 	for _, e := range endpoints("peer", *peers) {
 		name, addr := e[0], e[1]
@@ -60,17 +61,13 @@ func main() {
 	}
 	s.SetPeers(peerHandles)
 
-	var jnl *journal.Journal
-	if *durable {
-		jnl = workload.OpenShopLog(*cell, hub)
-		s.SetJournal(jnl)
-		log.Printf("journaling control-plane events to %s", jnl.Dir())
-	}
+	jnl := workload.OpenShopLog(*cell, hub)
+	s.SetJournal(jnl)
+	log.Printf("journaling control-plane events to %s", jnl.Dir())
 
 	if *debug != "" {
 		if _, err := d.ServeDebug(*debug, map[string]func() any{
 			"federation": func() any { return s.Federation() },
-			"fleet":      func() any { return s.Fleet() },
 		}, jnl, nil); err != nil {
 			log.Fatalf("vmshopd: %v", err)
 		}

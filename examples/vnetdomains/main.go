@@ -74,18 +74,7 @@ func main() {
 
 	// Plant-side VNET server with per-domain credentials.
 	creds := vnet.Credentials{"ufl.edu": "gator", "northwestern.edu": "wildcat"}
-	srv := vnet.NewServer(creds, func(domain string) (*simnet.Switch, bool) {
-		pool := pl.Networks()
-		if !pool.HasDomain(domain) {
-			return nil, false
-		}
-		n, _, err := pool.Acquire(domain)
-		if err != nil {
-			return nil, false
-		}
-		pool.Release(domain)
-		return n.Switch, true
-	})
+	srv := vnet.NewServer(creds, pl.Networks().Switch)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -78,13 +78,6 @@ func (l *lexer) errf(pos int, format string, args ...any) error {
 	return fmt.Errorf("classad: offset %d: %s", pos, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *lexer) next() (token, error) {
 	// Skip whitespace and comments.
 	for l.pos < len(l.src) {

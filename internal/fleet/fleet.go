@@ -4,20 +4,19 @@
 // burn, and the spread of the latest bidding round, and grows or
 // shrinks the plant set in response.
 //
-// Growing provisions a new plant through a caller-supplied factory,
-// wires it into the shop's rotation and publishes its registry lease;
-// shrinking runs the shop's safe drain protocol (shop.DrainAndRetire)
-// against the emptiest plant and withdraws its lease once retired.
+// Growing provisions a new plant through a caller-supplied factory and
+// wires it into the shop's rotation; shrinking runs the shop's safe
+// drain protocol (shop.DrainAndRetire) against the emptiest plant.
 // Both directions are damped: scale decisions respect a cooldown, and
 // shrinking additionally demands a run of consecutive calm ticks —
 // classic hysteresis, so a sawtooth load cannot flap the fleet.
 //
 // The controller also owns brownout: when the watched SLO objective's
 // burn crosses the configured threshold, every plant is switched into
-// its degraded mode (publish-back and background hydration pause, the
-// warehouse scrubber parks) until the burn falls back below the clear
-// threshold. Enter and clear thresholds are distinct — hysteresis
-// again — so the fleet does not oscillate around one line.
+// its degraded mode (publish-back and background hydration pause)
+// until the burn falls back below the clear threshold. Enter and clear
+// thresholds are distinct — hysteresis again — so the fleet does not
+// oscillate around one line.
 package fleet
 
 import (
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"vmplants/internal/core"
-	"vmplants/internal/registry"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
@@ -73,9 +71,6 @@ type Config struct {
 	// (default half of BrownoutBurn).
 	BrownoutBurn  float64
 	BrownoutClear float64
-	// LeaseTTL is the registry lease published for provisioned plants
-	// (default 0: immortal, for runs without a heartbeat process).
-	LeaseTTL time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -120,18 +115,7 @@ type brownouter interface {
 	SetBrownout(on bool)
 }
 
-// vmCounter reports a plant's hosted-VM count without a round trip.
-type vmCounter interface {
-	ActiveVMs() int
-}
-
-// suspender is anything with a Suspend(bool) — the warehouse scrubber.
-type suspender interface {
-	Suspend(on bool)
-}
-
-// Status is the controller's snapshot for tests, experiments and the
-// /debug/fleet endpoint.
+// Status is the controller's snapshot for tests and experiments.
 type Status struct {
 	Active     int  `json:"active"`
 	Draining   int  `json:"draining"`
@@ -146,9 +130,7 @@ type Controller struct {
 	cfg       Config
 	shop      *shop.Shop
 	hub       *telemetry.Hub
-	reg       *registry.Registry
 	provision Provisioner
-	scrub     suspender
 
 	stopped    bool
 	proc       *sim.Proc
@@ -170,16 +152,13 @@ type Controller struct {
 }
 
 // New builds a controller over the shop. hub supplies the SLO engine
-// for brownout (and receives the controller's own metrics); reg, when
-// non-nil, gets a lease per provisioned plant and an Unpublish per
-// retirement; provision is required for scale-up (nil pins the fleet
-// at its current size).
-func New(cfg Config, s *shop.Shop, hub *telemetry.Hub, reg *registry.Registry, provision Provisioner) *Controller {
+// for brownout (and receives the controller's own metrics); provision
+// is required for scale-up (nil pins the fleet at its current size).
+func New(cfg Config, s *shop.Shop, hub *telemetry.Hub, provision Provisioner) *Controller {
 	c := &Controller{
 		cfg:       cfg.withDefaults(),
 		shop:      s,
 		hub:       hub,
-		reg:       reg,
 		provision: provision,
 	}
 	c.mScaleUps = hub.Counter("fleet.scale_ups")
@@ -188,9 +167,6 @@ func New(cfg Config, s *shop.Shop, hub *telemetry.Hub, reg *registry.Registry, p
 	c.gPlants = hub.Gauge("fleet.plants")
 	return c
 }
-
-// SetScrubber wires the warehouse scrubber into the brownout switch.
-func (c *Controller) SetScrubber(s suspender) { c.scrub = s }
 
 // Start spawns the control loop. Like the scrubber, the loop runs
 // until Stop — a simulation that must reach quiescence has to stop it.
@@ -319,11 +295,6 @@ func (c *Controller) scaleUp(p *sim.Proc) {
 	if err := c.shop.AddPlant(h); err != nil {
 		return
 	}
-	if c.reg != nil {
-		_ = c.reg.Publish(registry.Binding{
-			Service: "vmplant", Name: h.Name(), Addr: h.Name(),
-		}, c.cfg.LeaseTTL)
-	}
 	c.lastScale = p.Now()
 	c.scaleUps++
 	c.mScaleUps.Inc()
@@ -344,12 +315,7 @@ func (c *Controller) scaleDown(p *sim.Proc) {
 	c.draining++
 	p.Kernel().Spawn(fmt.Sprintf("fleet/drain/%s", victim), func(dp *sim.Proc) {
 		defer func() { c.draining-- }()
-		if err := c.shop.DrainAndRetire(dp, victim); err != nil {
-			return
-		}
-		if c.reg != nil {
-			c.reg.Unpublish("vmplant", victim)
-		}
+		_ = c.shop.DrainAndRetire(dp, victim)
 	})
 }
 
@@ -363,9 +329,9 @@ func (c *Controller) victim() string {
 		if c.shop.Draining(name) {
 			continue
 		}
-		vms := 0
-		if vc, ok := h.(vmCounter); ok {
-			vms = vc.ActiveVMs()
+		vms := 0 // a remote plant's count would cost a round trip
+		if lh, ok := h.(*shop.LocalHandle); ok {
+			vms = lh.Plant.ActiveVMs()
 		}
 		if best == "" || vms < bestVMs || (vms == bestVMs && name < best) {
 			best, bestVMs = name, vms
@@ -401,15 +367,12 @@ func (c *Controller) tickBrownout(p *sim.Proc) {
 }
 
 // setBrownout flips every plant (draining ones included — their
-// background work competes for the same disks) and the scrubber.
+// background work competes for the same disks).
 func (c *Controller) setBrownout(on bool) {
 	c.inBrownout = on
 	for _, h := range c.shop.Plants() {
 		if b, ok := h.(brownouter); ok {
 			b.SetBrownout(on)
 		}
-	}
-	if c.scrub != nil {
-		c.scrub.Suspend(on)
 	}
 }

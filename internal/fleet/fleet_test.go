@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"vmplants/internal/fleet"
-	"vmplants/internal/registry"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
@@ -14,7 +13,7 @@ import (
 
 // elastic builds a deployment with one active plant and standby
 // plants to provision from, plus a controller over it.
-func elastic(t *testing.T, total, standby int, hub *telemetry.Hub, cfg fleet.Config) (*workload.Deployment, *fleet.Controller, *registry.Registry) {
+func elastic(t *testing.T, total, standby int, hub *telemetry.Hub, cfg fleet.Config) (*workload.Deployment, *fleet.Controller) {
 	t.Helper()
 	d, err := workload.NewDeployment(workload.Options{
 		Plants:        total,
@@ -26,13 +25,11 @@ func elastic(t *testing.T, total, standby int, hub *telemetry.Hub, cfg fleet.Con
 	if err != nil {
 		t.Fatalf("deployment: %v", err)
 	}
-	reg := registry.New()
-	reg.Now = func() time.Time { return time.Unix(0, 0).Add(d.Kernel.Now()) }
 	base := total - standby
-	c := fleet.New(cfg, d.Shop, hub, reg, func(p *sim.Proc, idx int) (shop.PlantHandle, error) {
+	c := fleet.New(cfg, d.Shop, hub, func(p *sim.Proc, idx int) (shop.PlantHandle, error) {
 		return d.Handles[base+idx], nil
 	})
-	return d, c, reg
+	return d, c
 }
 
 // TestScaleUpOnQueueDepth: a burst of concurrent creations backs up
@@ -40,7 +37,7 @@ func elastic(t *testing.T, total, standby int, hub *telemetry.Hub, cfg fleet.Con
 // the pressure clears or the fleet cap is hit.
 func TestScaleUpOnQueueDepth(t *testing.T) {
 	hub := telemetry.New()
-	d, c, reg := elastic(t, 3, 2, hub, fleet.Config{
+	d, c := elastic(t, 3, 2, hub, fleet.Config{
 		MinPlants:    1,
 		MaxPlants:    3,
 		Tick:         5 * time.Second,
@@ -83,9 +80,6 @@ func TestScaleUpOnQueueDepth(t *testing.T) {
 	if got := len(d.Shop.Plants()); got < 2 {
 		t.Errorf("fleet still %d plants after scale-up", got)
 	}
-	if got := len(reg.Discover("vmplant")); got != st.ScaleUps {
-		t.Errorf("registry has %d vmplant bindings, want %d (one per scale-up)", got, st.ScaleUps)
-	}
 	if hub.Counter("fleet.scale_ups").Value() != int64(st.ScaleUps) {
 		t.Errorf("fleet.scale_ups counter %d != status %d",
 			hub.Counter("fleet.scale_ups").Value(), st.ScaleUps)
@@ -96,16 +90,13 @@ func TestScaleUpOnQueueDepth(t *testing.T) {
 // the floor via the safe drain protocol, and no further.
 func TestScaleDownWhenCalm(t *testing.T) {
 	hub := telemetry.New()
-	d, c, reg := elastic(t, 2, 0, hub, fleet.Config{
+	d, c := elastic(t, 2, 0, hub, fleet.Config{
 		MinPlants:  1,
 		MaxPlants:  2,
 		Tick:       10 * time.Second,
 		Cooldown:   time.Second,
 		QuietTicks: 3,
 	})
-	if err := reg.Publish(registry.Binding{Service: "vmplant", Name: "node00", Addr: "node00"}, 0); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
 	c.Start(d.Kernel)
 
 	err := d.Run(func(p *sim.Proc) error {
@@ -125,12 +116,9 @@ func TestScaleDownWhenCalm(t *testing.T) {
 		t.Errorf("fleet is %d plants, want 1", got)
 	}
 	// Victim selection is deterministic: empty plants tie on VM count,
-	// node00 wins by name, and its lease is withdrawn on retirement.
+	// and node00 wins by name.
 	if !d.Shop.Retired("node00") {
 		t.Error("node00 not retired")
-	}
-	if got := len(reg.Discover("vmplant")); got != 0 {
-		t.Errorf("retired plant's lease still published (%d bindings)", got)
 	}
 }
 
@@ -142,7 +130,7 @@ func TestBrownoutFollowsSLOBurn(t *testing.T) {
 	hub.SLO = telemetry.NewSLOEngine(hub.M(), telemetry.Objective{
 		Name: "create.success", Good: "fleet_test.good", Bad: "fleet_test.bad", MinRatio: 0.9,
 	})
-	d, c, _ := elastic(t, 1, 0, hub, fleet.Config{
+	d, c := elastic(t, 1, 0, hub, fleet.Config{
 		MinPlants:         1,
 		MaxPlants:         1,
 		Tick:              10 * time.Second,
@@ -150,9 +138,6 @@ func TestBrownoutFollowsSLOBurn(t *testing.T) {
 		BrownoutBurn:      2.0,
 		BrownoutClear:     0.5,
 	})
-	scrub := d.Warehouse.NewScrubber(time.Minute)
-	scrub.Start(d.Kernel)
-	c.SetScrubber(scrub)
 	c.Start(d.Kernel)
 
 	good, bad := hub.Counter("fleet_test.good"), hub.Counter("fleet_test.bad")
@@ -177,7 +162,6 @@ func TestBrownoutFollowsSLOBurn(t *testing.T) {
 			t.Error("plant still in brownout mode after clear")
 		}
 		c.Stop()
-		scrub.Stop()
 		return nil
 	})
 	if err != nil {

@@ -151,7 +151,7 @@ func (im *Image) Bytes() []byte {
 	return buf.Bytes()
 }
 
-// SizeBytes is the serialized size, used by the storage timing model.
+// SizeBytes is the serialized size: the length of Bytes.
 func (im *Image) SizeBytes() int64 { return int64(len(im.Bytes())) }
 
 // Read parses an image, verifying the magic and CRC.

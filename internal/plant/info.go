@@ -64,8 +64,9 @@ func (is *InfoSystem) IDs() []core.VMID {
 // Monitor is the plant's VM monitor process body: it periodically
 // refreshes each active VM's dynamic classad attributes (CPU load,
 // uptime). Run it with kernel.Spawn; it performs at most ticks
-// iterations so that bounded simulations quiesce (the real daemon runs
-// it with a large tick budget).
+// iterations so that bounded simulations quiesce. Only plant_test runs
+// it: no scenario spawns it, and vmplantd's kernel runs to quiescence
+// per request, so a periodic process has nowhere to live there.
 func (pl *Plant) Monitor(interval time.Duration, ticks int) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		for i := 0; i < ticks; i++ {

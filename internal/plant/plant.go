@@ -77,14 +77,11 @@ type Config struct {
 	// deriveCloneSlots.
 	CloneSlots int
 	// PublishBack enables the warehouse learning loop: after a
-	// creation whose residual plan ran at least PublishBackThreshold
+	// creation whose residual plan ran at least publishBackResidual
 	// actions, the plant checkpoints the configured VM copy-on-write
 	// and publishes it to the warehouse as a derived golden image, so
 	// the next similar request clones instead of reconfiguring.
 	PublishBack bool
-	// PublishBackThreshold is the minimum residual-plan length that
-	// triggers a publish-back; 0 selects DefaultPublishBackThreshold.
-	PublishBackThreshold int
 	// Telemetry receives the plant's spans and metrics; nil disables
 	// instrumentation at zero cost.
 	Telemetry *telemetry.Hub
@@ -669,10 +666,10 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	return ad.Clone(), nil
 }
 
-// DefaultPublishBackThreshold is the residual-plan length at which a
-// creation is deemed expensive enough to checkpoint back (an In-VIGO
-// workspace's first personalization runs 6 residual actions).
-const DefaultPublishBackThreshold = 4
+// publishBackResidual is the residual-plan length at which a creation
+// is deemed expensive enough to checkpoint back (an In-VIGO workspace's
+// first personalization runs 6 residual actions).
+const publishBackResidual = 4
 
 // maybePublishBack closes the warehouse learning loop after a
 // successful creation: if the residual plan was long enough and the
@@ -691,11 +688,7 @@ func (pl *Plant) maybePublishBack(p *sim.Proc, sp *telemetry.Span, vm *vmm.VM, g
 	if pl.Brownout() {
 		return
 	}
-	threshold := pl.cfg.PublishBackThreshold
-	if threshold <= 0 {
-		threshold = DefaultPublishBackThreshold
-	}
-	if residual < threshold {
+	if residual < publishBackResidual {
 		return
 	}
 	history := vm.History()
@@ -740,8 +733,7 @@ func (pl *Plant) maybePublishBack(p *sim.Proc, sp *telemetry.Span, vm *vmm.VM, g
 	})
 }
 
-// Warehouse returns the plant's image store (the daemon's publish-image
-// handler publishes remote derived images into it).
+// Warehouse returns the plant's image store.
 func (pl *Plant) Warehouse() *warehouse.Warehouse { return pl.wh }
 
 // recordClone decomposes the clone stage into "clone.copy" and

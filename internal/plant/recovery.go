@@ -7,7 +7,6 @@ import (
 
 	"vmplants/internal/classad"
 	"vmplants/internal/core"
-	"vmplants/internal/fault"
 	"vmplants/internal/journal"
 	"vmplants/internal/sim"
 	"vmplants/internal/vmm"
@@ -31,19 +30,11 @@ func (pl *Plant) Down() bool {
 	return pl.down
 }
 
-// Faults exposes the plant's effective fault registry (the configured
-// one, or the one the FailProb adapter created); nil when injection is
-// disabled.
-func (pl *Plant) Faults() *fault.Registry { return pl.faults }
-
 // SetJournal attaches the plant's event log: lifecycle events are
 // journaled from now on, and Recover replays the log as a cross-check
 // of its host scan — the same durability mechanism the shop and
 // warehouse use, replacing the old copy-on-crash ledger.
 func (pl *Plant) SetJournal(j *journal.Journal) { pl.jnl = j }
-
-// Journal returns the attached journal (nil when none).
-func (pl *Plant) Journal() *journal.Journal { return pl.jnl }
 
 // journalVM appends a vm-created / vm-collected lifecycle event.
 func (pl *Plant) journalVM(p *sim.Proc, id core.VMID, created bool) {

@@ -100,14 +100,6 @@ func appendMessage(dst []byte, m *Message) []byte {
 	case KindPublishResponse:
 		dst = appendText(dst, "vmid", m.Published.VMID)
 		dst = appendText(dst, "image", m.Published.Image)
-	case KindPublishImageRequest:
-		dst = appendText(dst, "image", m.PublishImage.Image)
-		dst = appendText(dst, "parent", m.PublishImage.Parent)
-		dst = appendText(dst, "descriptor", m.PublishImage.Descriptor)
-	case KindPublishImageResponse:
-		dst = appendText(dst, "image", m.ImagePublished.Image)
-		dst = appendBool(dst, "accepted", m.ImagePublished.Accepted)
-		dst = appendOptional(dst, "reason", m.ImagePublished.Reason)
 	case KindLifecycleRequest:
 		dst = appendText(dst, "vmid", m.Lifecycle.VMID)
 		dst = appendText(dst, "op", m.Lifecycle.Op)
@@ -245,7 +237,6 @@ var (
 		string(KindEstimateRequest), string(KindEstimateResponse),
 		string(KindForwardCreateRequest), string(KindForwardCreateResponse),
 		string(KindPublishRequest), string(KindPublishResponse),
-		string(KindPublishImageRequest), string(KindPublishImageResponse),
 		string(KindLifecycleRequest), string(KindLifecycleResponse),
 		string(KindListRequest), string(KindListResponse),
 		string(KindPingRequest), string(KindPingResponse),
@@ -281,7 +272,7 @@ func scanMessage(doc []byte) (*Message, error) {
 		return nil, err
 	}
 	if err := s.Children(bodyNames, 0, func(i int) error { return scanBody(s, m, Kind(bodyNames[i])) }); err != nil {
-		return nil, err
+		return m, err
 	}
 	return m, s.End()
 }
@@ -346,14 +337,6 @@ func scanBody(s *xmlwire.Scanner, m *Message, kind Kind) error {
 	case KindPublishResponse:
 		m.Published = new(PublishResponse)
 		return scanFields(s, field{"vmid", &m.Published.VMID}, field{"image", &m.Published.Image})
-	case KindPublishImageRequest:
-		p := new(PublishImageRequest)
-		m.PublishImage = p
-		return scanFields(s, field{"image", &p.Image}, field{"parent", &p.Parent}, field{"descriptor", &p.Descriptor})
-	case KindPublishImageResponse:
-		p := new(PublishImageResponse)
-		m.ImagePublished = p
-		return scanFields(s, field{"image", &p.Image}, field{"accepted", &p.Accepted}, field{"reason", &p.Reason})
 	case KindLifecycleRequest:
 		m.Lifecycle = new(LifecycleRequest)
 		return scanFields(s, field{"vmid", &m.Lifecycle.VMID}, field{"op", &m.Lifecycle.Op})

@@ -63,8 +63,6 @@ const (
 	KindForwardCreateResponse Kind = "forward-create-response"
 	KindPublishRequest        Kind = "publish-request"
 	KindPublishResponse       Kind = "publish-response"
-	KindPublishImageRequest   Kind = "publish-image-request"
-	KindPublishImageResponse  Kind = "publish-image-response"
 	KindLifecycleRequest      Kind = "lifecycle-request"
 	KindLifecycleResponse     Kind = "lifecycle-response"
 	KindListRequest           Kind = "list-request"
@@ -100,8 +98,6 @@ type Message struct {
 	ForwardCreated *ForwardCreateResponse `xml:"forward-create-response"`
 	Publish        *PublishRequest        `xml:"publish-request"`
 	Published      *PublishResponse       `xml:"publish-response"`
-	PublishImage   *PublishImageRequest   `xml:"publish-image-request"`
-	ImagePublished *PublishImageResponse  `xml:"publish-image-response"`
 	Lifecycle      *LifecycleRequest      `xml:"lifecycle-request"`
 	Lifecycled     *LifecycleResponse     `xml:"lifecycle-response"`
 	List           *ListRequest           `xml:"list-request"`
@@ -279,27 +275,6 @@ type PublishResponse struct {
 	Image string `xml:"image"`
 }
 
-// PublishImageRequest pushes a derived golden image from a plant to
-// the warehouse host (the learning loop's publish-back over the wire):
-// the image travels as its golden-machine descriptor XML plus the name
-// of the seed image whose disk extents the checkpoint shares. Not
-// idempotent — never retransmitted.
-type PublishImageRequest struct {
-	Image      string `xml:"image"`
-	Parent     string `xml:"parent"`
-	Descriptor string `xml:"descriptor"` // golden-machine descriptor XML
-}
-
-// PublishImageResponse reports the publication outcome. A refused
-// publication (duplicate name, budget full of referenced images) is
-// Accepted=false with a Reason, not a protocol error: the sender just
-// drops its checkpoint.
-type PublishImageResponse struct {
-	Image    string `xml:"image"`
-	Accepted bool   `xml:"accepted"`
-	Reason   string `xml:"reason,omitempty"`
-}
-
 // Lifecycle operations.
 const (
 	LifecycleSuspend = "suspend"
@@ -365,8 +340,8 @@ func (m *Message) validateEnvelope() error {
 		m.Create != nil, m.Created != nil, m.BatchCreate != nil, m.BatchCreated != nil,
 		m.Query != nil, m.Queried != nil, m.Destroy != nil, m.Destroyed != nil,
 		m.Estimate != nil, m.Bid != nil, m.ForwardCreate != nil, m.ForwardCreated != nil,
-		m.Publish != nil, m.Published != nil, m.PublishImage != nil, m.ImagePublished != nil,
-		m.Lifecycle != nil, m.Lifecycled != nil, m.List != nil, m.Listed != nil,
+		m.Publish != nil, m.Published != nil, m.Lifecycle != nil, m.Lifecycled != nil,
+		m.List != nil, m.Listed != nil,
 		m.Ping != nil, m.Pong != nil, m.Err != nil,
 	}
 	kind := slices.Index(bodyNames, string(m.Kind))
@@ -402,15 +377,27 @@ func Marshal(m *Message) ([]byte, error) {
 // Unmarshal parses and validates a message document. The message holds
 // no reference to doc afterwards.
 func Unmarshal(doc []byte) (*Message, error) {
-	m, err := scanMessage(doc)
+	m, err := decode(doc)
 	if err != nil {
-		return nil, fmt.Errorf("proto: %w", err)
-	}
-	if err := m.validateEnvelope(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
+
+// decode is Unmarshal, except that a document that does not decode
+// still yields what of the envelope was read (nil when not even that):
+// a server answers a bad request on the seq it came with.
+func decode(doc []byte) (*Message, error) {
+	m, err := scanMessage(doc)
+	if err != nil {
+		return m, fmt.Errorf("proto: %w", err)
+	}
+	return m, m.validateEnvelope()
+}
+
+// badFrame is a frame that arrived whole but does not decode. The
+// stream is still in step after it, so a server answers it and reads on.
+type badFrame struct{ error }
 
 // frameBufs recycles WriteMessage's and ReadMessage's frame buffers.
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -446,7 +433,11 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	bp := frameBufs.Get().(*[]byte)
 	fr := frameReader{r: r, buf: *bp, exact: true}
 	defer func() { recycle(bp, fr.buf) }()
-	return fr.next()
+	m, err := fr.next()
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // frameReader reads framed messages off one stream into a buffer it
@@ -461,7 +452,8 @@ type frameReader struct {
 }
 
 // next reads and decodes the next frame. The error is io.EOF when the
-// stream ends between frames.
+// stream ends between frames, and a badFrame — beside what of the
+// envelope decode read — when a whole frame does not decode.
 func (fr *frameReader) next() (*Message, error) {
 	fr.end = copy(fr.buf, fr.buf[fr.start:fr.end])
 	fr.start = 0
@@ -477,7 +469,11 @@ func (fr *frameReader) next() (*Message, error) {
 		fr.start, fr.end = 0, 0
 		return nil, fmt.Errorf("proto: truncated frame: %w", err)
 	}
-	return Unmarshal(fr.buf[4:fr.start])
+	m, err := decode(fr.buf[4:fr.start])
+	if err != nil {
+		return m, badFrame{err}
+	}
+	return m, nil
 }
 
 // fill reads until n bytes are buffered.

@@ -353,18 +353,27 @@ func Serve(l net.Listener, h Handler) {
 	loops.Wait()
 }
 
-// ServeConn runs the request loop for one connection.
+// ServeConn runs the request loop for one connection. A frame that
+// does not decode — an unknown kind, a malformed body — is answered
+// with a bad-request error on the seq it carried.
 func ServeConn(conn net.Conn, h Handler) {
 	defer conn.Close()
 	in := frameReader{r: conn}
 	for {
 		req, err := in.next()
-		if err != nil {
+		var resp *Message
+		switch err.(type) {
+		case nil:
+			if resp = safeHandle(h, req); resp == nil {
+				resp = Errorf(req.Seq, CodeInternal, "handler returned no response")
+			}
+		case badFrame:
+			if req == nil {
+				req = &Message{}
+			}
+			resp = Errorf(req.Seq, CodeBadRequest, "%v", err)
+		default:
 			return
-		}
-		resp := safeHandle(h, req)
-		if resp == nil {
-			resp = Errorf(req.Seq, CodeInternal, "handler returned no response")
 		}
 		resp.Seq = req.Seq
 		if err := WriteMessage(conn, resp); err != nil {

@@ -65,29 +65,6 @@ func (r *Registry) Publish(b Binding, ttl time.Duration) error {
 	return nil
 }
 
-// Withdraw removes a binding; it reports whether it was present.
-func (r *Registry) Withdraw(service, name string) bool {
-	return r.Unpublish(service, name)
-}
-
-// Unpublish permanently removes a binding regardless of lease state —
-// the drain/retire path: a plant leaving the fleet must disappear from
-// discovery immediately, not linger until its lease lapses. It reports
-// whether the binding was present.
-func (r *Registry) Unpublish(service, name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.bindings[service]
-	if _, ok := m[name]; !ok {
-		return false
-	}
-	delete(m, name)
-	if len(m) == 0 {
-		delete(r.bindings, service)
-	}
-	return true
-}
-
 // live reports whether b's lease is current.
 func (r *Registry) live(b Binding) bool {
 	return b.Expires.IsZero() || r.Now().Before(b.Expires)

@@ -87,43 +87,6 @@ func TestRepublishRefreshesLease(t *testing.T) {
 	}
 }
 
-func TestWithdraw(t *testing.T) {
-	r := New()
-	r.Publish(Binding{Service: "s", Name: "n", Addr: "a"}, 0)
-	if !r.Withdraw("s", "n") {
-		t.Error("withdraw reported false")
-	}
-	if r.Withdraw("s", "n") {
-		t.Error("double withdraw reported true")
-	}
-	if len(r.Discover("s")) != 0 {
-		t.Error("withdrawn binding visible")
-	}
-}
-
-func TestUnpublish(t *testing.T) {
-	now := time.Unix(0, 0)
-	r := New()
-	r.Now = func() time.Time { return now }
-	r.Publish(Binding{Service: "vmplant", Name: "n", Addr: "a"}, 10*time.Second)
-	if !r.Unpublish("vmplant", "n") {
-		t.Error("Unpublish of live binding reported false")
-	}
-	if r.Unpublish("vmplant", "n") {
-		t.Error("double Unpublish reported true")
-	}
-	if r.Size() != 0 {
-		t.Errorf("Size = %d after Unpublish, want 0", r.Size())
-	}
-	// Unpublish removes lapsed bindings too — a retired plant leaves the
-	// directory even if its lease already ran out.
-	r.Publish(Binding{Service: "vmplant", Name: "m", Addr: "a"}, time.Second)
-	now = now.Add(2 * time.Second)
-	if !r.Unpublish("vmplant", "m") {
-		t.Error("Unpublish of lapsed binding reported false")
-	}
-}
-
 // Plant churn must not grow the directory without bound: every lapsed
 // binding is compacted by the next read that touches it.
 func TestChurnStaysBounded(t *testing.T) {

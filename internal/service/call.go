@@ -265,19 +265,6 @@ func (rp *RemotePlant) List(p *sim.Proc) ([]core.VMID, error) {
 	return out, nil
 }
 
-// PublishDerived pushes a derived golden image (as its descriptor XML,
-// sharing the named parent's extents) to the remote daemon's
-// warehouse — the learning loop's publish-back RPC. It returns whether
-// the warehouse accepted the image and, when refused, why.
-func (rp *RemotePlant) PublishDerived(image, parent, descriptorXML string) (bool, string, error) {
-	resp, err := rp.call(nil, &proto.Message{Kind: proto.KindPublishImageRequest,
-		PublishImage: &proto.PublishImageRequest{Image: image, Parent: parent, Descriptor: descriptorXML}}, proto.KindPublishImageResponse)
-	if err != nil {
-		return false, "", err
-	}
-	return resp.ImagePublished.Accepted, resp.ImagePublished.Reason, nil
-}
-
 // RemotePeer is a shop.PeerHandle reaching a peer shop daemon in
 // another cell over TCP. A shop daemon speaks the plant's protocol —
 // query, destroy, publish and lifecycle are RemotePlant's, on the same

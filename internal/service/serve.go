@@ -11,7 +11,6 @@ import (
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
-	"vmplants/internal/warehouse"
 )
 
 // server is the seven operations both daemon kinds serve. What each
@@ -158,8 +157,7 @@ func (c *serving) handle(req *proto.Message) *proto.Message {
 
 // NewPlantHandler returns the proto.Handler serving a plant's four
 // operations (Figure 2: Create, Collect, Query, Estimate cost) and the
-// rest of the shared kinds, plus the plant's own: its VM inventory and
-// the learning loop's publish-back.
+// rest of the shared kinds, plus the plant's own: its VM inventory.
 func NewPlantHandler(r *Runner, pl *plant.Plant) proto.Handler {
 	c := &serving{r: r, sv: shop.PlantEnd{Plant: pl}}
 	return func(req *proto.Message) *proto.Message {
@@ -168,8 +166,7 @@ func NewPlantHandler(r *Runner, pl *plant.Plant) proto.Handler {
 		if pl.Down() {
 			return failure(req.Seq, fmt.Errorf("%w: %s: daemon not running", shop.ErrPlantDown, pl.Name()))
 		}
-		switch req.Kind {
-		case proto.KindListRequest:
+		if req.Kind == proto.KindListRequest {
 			ids := pl.VMIDs()
 			out := make([]string, len(ids))
 			for i, id := range ids {
@@ -177,38 +174,6 @@ func NewPlantHandler(r *Runner, pl *plant.Plant) proto.Handler {
 			}
 			return &proto.Message{Kind: proto.KindListResponse,
 				Listed: &proto.ListResponse{Plant: pl.Name(), VMIDs: out}}
-
-		case proto.KindPublishImageRequest:
-			// Learning-loop publish-back from a remote plant: the derived
-			// image arrives as its descriptor XML and is rebuilt over the
-			// named parent seed image in this daemon's warehouse.
-			pub := req.PublishImage
-			desc, performed, err := warehouse.ParseDescriptor([]byte(pub.Descriptor))
-			if err != nil {
-				return badRequest(req.Seq, err)
-			}
-			if pub.Image != "" && pub.Image != desc.Name {
-				return badRequest(req.Seq, fmt.Errorf("publish-image name %q does not match descriptor %q", pub.Image, desc.Name))
-			}
-			wh := pl.Warehouse()
-			parent, ok := wh.Lookup(pub.Parent)
-			if !ok {
-				return proto.Errorf(req.Seq, proto.CodeNotFound, "no parent image %q", pub.Parent)
-			}
-			im, err := warehouse.BuildDerived(desc.Name, parent, performed)
-			if err != nil {
-				return badRequest(req.Seq, err)
-			}
-			return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
-				// The derived state streams to the warehouse volume over
-				// the daemon host's NFS path before registration.
-				pl.Node().Warehouse().Charge(p, im.CheckpointBytes(), pl.Node().Jitter(), sim.Foreground)
-				resp := &proto.PublishImageResponse{Image: desc.Name, Accepted: true}
-				if err := wh.PublishDerived(im, p.Now()); err != nil {
-					resp.Accepted, resp.Reason = false, err.Error()
-				}
-				return &proto.Message{Kind: proto.KindPublishImageResponse, ImagePublished: resp}, nil
-			})
 		}
 		if req.Create != nil && req.Create.VMID == "" {
 			return badRequest(req.Seq, errors.New("plant create requires a shop-assigned vmid"))

@@ -16,7 +16,6 @@ package shop
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vmplants/internal/core"
@@ -309,73 +308,4 @@ func (s *Shop) migrationTarget(from PlantHandle) PlantHandle {
 		}
 	}
 	return best
-}
-
-// PlantFleetStatus is one plant's row in the fleet snapshot.
-type PlantFleetStatus struct {
-	Name string `json:"name"`
-	// State is "active", "draining" or "retired".
-	State string `json:"state"`
-	// ActiveVMs is the plant's hosted-VM count (-1 when the handle
-	// cannot report it without a round trip).
-	ActiveVMs int `json:"active_vms"`
-	// Inflight is this shop's dispatched-not-done count for the plant.
-	Inflight int `json:"inflight"`
-}
-
-// FleetStatus is a snapshot of the shop's elastic-fleet state, served
-// by the daemon's /debug/fleet endpoint and vmctl fleet.
-type FleetStatus struct {
-	Shop           string             `json:"shop"`
-	Plants         []PlantFleetStatus `json:"plants"`
-	AdmissionQueue int                `json:"admission_queue"`
-	InflightAtGate int                `json:"inflight_at_gate"`
-	ShedCreates    int64              `json:"shed_creates"`
-	StaleBids      int64              `json:"stale_bids"`
-	Drains         int64              `json:"drains"`
-	Retirements    int64              `json:"retirements"`
-}
-
-// vmCounter is the optional capability of handles that can report the
-// plant's hosted-VM count without a round trip (LocalHandle).
-type vmCounter interface {
-	ActiveVMs() int
-}
-
-// Fleet snapshots per-plant drain state, the admission gate, and the
-// overload counters. Retired plants stay in the report — an operator
-// asking "where did node03 go?" deserves an answer.
-func (s *Shop) Fleet() FleetStatus {
-	st := FleetStatus{
-		Shop:           s.name,
-		AdmissionQueue: s.AdmissionQueueLen(),
-		InflightAtGate: s.InflightCreates(),
-		ShedCreates:    s.mShedCreates.Value(),
-		StaleBids:      s.mStaleBids.Value(),
-		Drains:         s.mDrains.Value(),
-		Retirements:    s.mRetires.Value(),
-	}
-	s.mu.Lock()
-	_, retired := s.led.Exits()
-	plants := append([]PlantHandle(nil), s.plants...)
-	s.mu.Unlock()
-	for _, name := range retired {
-		st.Plants = append(st.Plants, PlantFleetStatus{Name: name, State: "retired"})
-	}
-	for _, h := range plants {
-		name := h.Name()
-		if s.Retired(name) {
-			continue
-		}
-		row := PlantFleetStatus{Name: name, State: "active", ActiveVMs: -1, Inflight: s.inflightOf(name)}
-		if s.Draining(name) {
-			row.State = "draining"
-		}
-		if vc, ok := h.(vmCounter); ok {
-			row.ActiveVMs = vc.ActiveVMs()
-		}
-		st.Plants = append(st.Plants, row)
-	}
-	sort.Slice(st.Plants, func(i, j int) bool { return st.Plants[i].Name < st.Plants[j].Name })
-	return st
 }

@@ -310,16 +310,11 @@ func TestAddPlantAndRetiredNameStaysDead(t *testing.T) {
 		if err := d.shop.AddPlant(d.handles[1]); err == nil {
 			t.Error("duplicate plant added")
 		}
-		st := d.shop.Fleet()
-		if len(st.Plants) != 2 {
-			t.Fatalf("fleet rows = %d, want 2", len(st.Plants))
+		if !d.shop.Retired(d.handles[0].Name()) {
+			t.Errorf("%s not retired", d.handles[0].Name())
 		}
-		var states []string
-		for _, row := range st.Plants {
-			states = append(states, row.Name+"="+row.State)
-		}
-		if st.Plants[0].State != "retired" || st.Plants[1].State != "active" {
-			t.Errorf("fleet states: %v", states)
+		if name := d.handles[1].Name(); d.shop.Retired(name) || d.shop.Draining(name) {
+			t.Errorf("%s not active", name)
 		}
 	})
 }

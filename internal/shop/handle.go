@@ -224,9 +224,6 @@ func (h *LocalHandle) Retire() { h.Plant.Retire() }
 // dispatch-time recheck, not a health probe.
 func (h *LocalHandle) Alive() bool { return !h.Down && !h.Plant.Down() }
 
-// ActiveVMs reports the plant's hosted-VM count for fleet status.
-func (h *LocalHandle) ActiveVMs() int { return h.Plant.ActiveVMs() }
-
 // SetBrownout toggles the plant's load-shedding degraded mode.
 func (h *LocalHandle) SetBrownout(on bool) { h.Plant.SetBrownout(on) }
 

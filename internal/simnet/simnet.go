@@ -262,9 +262,6 @@ type HostOnlyNet struct {
 	vms    int
 }
 
-// Domain returns the owning client domain, "" when free.
-func (h *HostOnlyNet) Domain() string { return h.domain }
-
 // VMs returns the number of VMs attached.
 func (h *HostOnlyNet) VMs() int { return h.vms }
 
@@ -315,6 +312,19 @@ func (p *NetPool) HasDomain(domain string) bool {
 		}
 	}
 	return false
+}
+
+// Switch returns the switch of the network the domain owns, without
+// attaching a VM or allocating a network: the VNET server's lookup.
+func (p *NetPool) Switch(domain string) (*Switch, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, h := range p.nets {
+		if h.domain == domain {
+			return h.Switch, true
+		}
+	}
+	return nil, false
 }
 
 // Acquire returns the domain's network, allocating a free one when the

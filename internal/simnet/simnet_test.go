@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -195,6 +196,76 @@ func TestNetPoolReleaseFreesOnLastVM(t *testing.T) {
 	// Freed network reusable by another domain.
 	if _, alloc, err := p.Acquire("b.edu"); err != nil || !alloc {
 		t.Errorf("reacquire: %v %v", alloc, err)
+	}
+}
+
+// A VNET lookup reads the pool: it neither attaches a VM to the owner's
+// network nor hands a free network to a domain that holds none.
+func TestSwitchLookupAllocatesNothing(t *testing.T) {
+	p := NewNetPool("vmnet", 2)
+	n, _, err := p.Acquire("ufl.edu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, ok := p.Switch("ufl.edu")
+	if !ok || sw != n.Switch {
+		t.Errorf("owned domain: switch %v ok=%v, want %v", sw, ok, n.Switch)
+	}
+	if free, vms := p.FreeCount(), n.VMs(); free != 1 || vms != 1 {
+		t.Errorf("after lookup: %d free, owner has %d VMs; want 1 and 1", free, vms)
+	}
+	if sw, ok := p.Switch("nwu.edu"); ok || sw != nil {
+		t.Errorf("unowned domain resolved to %v", sw)
+	}
+	if p.FreeCount() != 1 || p.HasDomain("nwu.edu") {
+		t.Error("lookup of an unowned domain allocated a network")
+	}
+}
+
+// Lookups race Acquire/Release churn (run under -race): each churning
+// domain holds at most one of the two networks, so neither may ever find
+// the pool exhausted, and the pool ends empty.
+func TestSwitchLookupUnderChurn(t *testing.T) {
+	p := NewNetPool("vmnet", 2)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for _, domain := range []string{"a.edu", "b.edu"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if _, _, err := p.Acquire(domain); err != nil {
+					t.Errorf("%s acquire %d: %v", domain, i, err)
+					return
+				}
+				if err := p.Release(domain); err != nil {
+					t.Errorf("%s release %d: %v", domain, i, err)
+					return
+				}
+			}
+		}()
+	}
+	lookups := make(chan struct{})
+	go func() {
+		defer close(lookups)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, domain := range []string{"a.edu", "b.edu", "c.edu"} {
+				if sw, ok := p.Switch(domain); ok && domain == "c.edu" {
+					t.Errorf("c.edu, which never acquired, resolved to %v", sw)
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-lookups
+	if p.FreeCount() != p.Size() {
+		t.Errorf("%d of %d networks free after the churn", p.FreeCount(), p.Size())
 	}
 }
 

@@ -158,17 +158,6 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// Table renders the histogram as an aligned two-column text table with
-// the given axis labels, matching the rows the paper's bar charts plot.
-func (h *Histogram) Table(xlabel, ylabel string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %s\n", xlabel, ylabel)
-	for _, bk := range h.Buckets() {
-		fmt.Fprintf(&b, "%-22.0f %.3f  (%d)\n", bk.Center, bk.Frequency, bk.Count)
-	}
-	return b.String()
-}
-
 // Series is an ordered sequence of (x, y) points, used for Figure 6
 // style per-sequence-number plots.
 type Series struct {

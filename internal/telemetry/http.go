@@ -127,7 +127,9 @@ func (h *Hub) HealthReportAt(vnow time.Duration) HealthReport {
 	return rep
 }
 
-// HTTPHandler serves the hub's debug endpoints:
+// DebugMux returns the hub's debug endpoints as a mux the caller can
+// extend with subsystem-specific handlers (the daemons add
+// /debug/warehouse) before serving:
 //
 //	GET /metrics              expvar-compatible JSON of every instrument
 //	GET /debug/traces         a meta line (span/dropped counts), then
@@ -136,13 +138,6 @@ func (h *Hub) HealthReportAt(vnow time.Duration) HealthReport {
 //	GET /debug/creation/<id>  one creation's flight-recorder timeline
 //	                          and span trees
 //	GET /debug/health         SLO evaluation at current virtual time
-func (h *Hub) HTTPHandler() http.Handler {
-	return h.DebugMux()
-}
-
-// DebugMux returns the hub's debug endpoints as a mux the caller can
-// extend with subsystem-specific handlers (the daemons add
-// /debug/warehouse) before serving.
 func (h *Hub) DebugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -268,15 +263,9 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 	return enc.Encode(doc)
 }
 
-// ServeDebug starts the hub's debug HTTP server on addr in a background
-// goroutine and returns the bound address (useful with ":0"). The
-// listener lives until the process exits.
-func (h *Hub) ServeDebug(addr string) (string, error) {
-	return Serve(addr, h.HTTPHandler())
-}
-
 // Serve starts handler on addr in a background goroutine and returns
-// the bound address — ServeDebug for a caller-extended mux.
+// the bound address (useful with ":0"). The listener lives until the
+// process exits.
 func Serve(addr string, handler http.Handler) (string, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {

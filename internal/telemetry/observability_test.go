@@ -209,7 +209,7 @@ func TestCreationAndHealthEndpoints(t *testing.T) {
 	h.F().Record(c, "vm-9", EvCreated, "plant-a")
 	h.Histogram("plant.create_secs").Observe(5)
 
-	addr, err := h.ServeDebug("127.0.0.1:0")
+	addr, err := Serve("127.0.0.1:0", h.DebugMux())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,16 +88,6 @@ func (e *SLOEngine) Add(obj Objective) {
 	e.mu.Unlock()
 }
 
-// Objectives returns the declared objectives.
-func (e *SLOEngine) Objectives() []Objective {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Objective(nil), e.objs...)
-}
-
 // Evaluate measures every objective at virtual time vnow. An objective
 // with no observations yet evaluates OK with zero burn — an idle
 // service has not violated anything.

@@ -208,7 +208,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	h.T().Start(c, "plant.create").Set("vmid", "vm-1").End(c)
 	h.T().Start(c, "shop.create").End(c)
 
-	addr, err := h.ServeDebug("127.0.0.1:0")
+	addr, err := Serve("127.0.0.1:0", h.DebugMux())
 	if err != nil {
 		t.Fatal(err)
 	}

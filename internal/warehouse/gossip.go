@@ -27,7 +27,7 @@ type CatalogEntry struct {
 	Name    string `json:"name"`
 	Parent  string `json:"parent"`
 	Backend string `json:"backend"`
-	// Descriptor is the image's XML manifest (DescriptorXML).
+	// Descriptor is the image's XML manifest, the bytes publish stored.
 	Descriptor []byte `json:"descriptor"`
 	// Quarantined/Reason propagate the exporter's integrity verdict.
 	Quarantined bool   `json:"quarantined,omitempty"`

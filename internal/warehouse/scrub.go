@@ -23,7 +23,6 @@ type Scrubber struct {
 	Interval time.Duration
 
 	stopped bool
-	paused  bool
 	proc    *sim.Proc
 }
 
@@ -41,16 +40,7 @@ func (w *Warehouse) NewScrubber(interval time.Duration) *Scrubber {
 // before the last foreground process exits.
 func (s *Scrubber) Start(k *sim.Kernel) {
 	s.proc = k.Spawn("warehouse/scrubber", func(p *sim.Proc) {
-		for {
-			// Brownout: a suspended scrubber parks between passes so its
-			// deep reads stop competing with foreground creations; Suspend
-			// (false) wakes it straight back into the loop.
-			for s.paused && !s.stopped {
-				p.Wait(time.Hour)
-			}
-			if s.stopped {
-				return
-			}
+		for !s.stopped {
 			s.w.ScrubPass(p)
 			if s.stopped {
 				return
@@ -58,16 +48,6 @@ func (s *Scrubber) Start(k *sim.Kernel) {
 			p.Wait(s.Interval)
 		}
 	})
-}
-
-// Suspend pauses (or resumes) the scrub loop without tearing it down —
-// the fleet controller's brownout hook. A suspended scrubber finishes
-// any pass already in progress, then parks until resumed or stopped.
-func (s *Scrubber) Suspend(on bool) {
-	s.paused = on
-	if !on && s.proc != nil {
-		s.proc.WakeUp()
-	}
 }
 
 // Stop ends the scrub loop: the flag stops the next iteration and the

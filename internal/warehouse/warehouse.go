@@ -238,18 +238,6 @@ func (im *Image) Descriptor() Descriptor {
 	return d
 }
 
-// DescriptorXML is the image's descriptor as the XML bytes stored
-// beside it on the volume — and carried by the publish-image RPC when a
-// plant pushes a derived image to a remote warehouse. A published image
-// returns the bytes publish rendered (shared: do not modify them); an
-// unpublished one is rendered here.
-func (im *Image) DescriptorXML() ([]byte, error) {
-	if im.descriptor != nil {
-		return im.descriptor, nil
-	}
-	return encodeDescriptor(im.Descriptor())
-}
-
 // ParseDescriptor decodes an XML descriptor and reconstructs the
 // performed-action list.
 func ParseDescriptor(blob []byte) (Descriptor, []dag.Action, error) {
@@ -826,11 +814,11 @@ func DerivedName(backend string, history []dag.Action) string {
 }
 
 // BuildDerived reconstructs a derived image from its descriptor
-// contents on the warehouse-host side of the publish-image RPC: the
-// configuration history is replayed for the guest state, and the disk
-// becomes a frozen copy-on-write snapshot over the parent's golden
-// disk with one dirty block per action executed beyond the parent's
-// history (mirroring what the configuration session wrote). The caller
+// contents on the receiving side of catalog gossip: the configuration
+// history is replayed for the guest state, and the disk becomes a
+// frozen copy-on-write snapshot over the parent's golden disk with one
+// dirty block per action executed beyond the parent's history
+// (mirroring what the configuration session wrote). The caller
 // publishes the result with PublishDerived.
 func BuildDerived(name string, parent *Image, performed []dag.Action) (*Image, error) {
 	guest, err := actions.Replay(performed)

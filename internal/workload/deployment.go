@@ -15,6 +15,7 @@ import (
 	"vmplants/internal/sim"
 	"vmplants/internal/storage"
 	"vmplants/internal/telemetry"
+	"vmplants/internal/vdisk"
 	"vmplants/internal/warehouse"
 )
 
@@ -186,6 +187,33 @@ func newFaultedSite(faultSeed int64, opts Options) (*Deployment, *fault.Registry
 		h.Faults = reg
 	}
 	return d, reg, nil
+}
+
+// The daemons' preset: the one configuration vmplantd and vmshopd run,
+// and so what the benchmark's tcp workload ("vmshopd + 4 vmplantd")
+// measures. bench/tcp.go writes the same values out by hand: it is this
+// preset's frozen twin until the benchmark module reads them from here.
+
+// DaemonAdmission is a shop daemon's front door: sixteen creations in
+// flight keep the plants' clone slots fed, and the queue bound is far
+// above any batch a client submits.
+var DaemonAdmission = shop.AdmissionConfig{MaxInflight: 16, MaxQueue: 1024}
+
+// DaemonPlant is a plant daemon's configuration (32 VMs, four host-only
+// networks, §4.1's free-memory bid, lazy cloning) and the golden
+// workspace images it publishes at start-up: 32, 64 and 256 MB of
+// memory on 2 048 MB disks.
+func DaemonPlant() (plant.Config, []*warehouse.Image, error) {
+	var golden []*warehouse.Image
+	for _, mem := range []int{32, 64, 256} {
+		im, err := GoldenImage(mem, 2048, warehouse.BackendVMware)
+		if err != nil {
+			return plant.Config{}, nil, err
+		}
+		golden = append(golden, im)
+	}
+	cfg := plant.Config{MaxVMs: 32, HostOnlyNetworks: 4, CostModel: cost.FreeMemory{}, CloneMode: vdisk.CloneByLazy}
+	return cfg, golden, nil
 }
 
 // OpenShopLog opens a shop's write-ahead journal on a dedicated volume

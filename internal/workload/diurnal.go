@@ -280,7 +280,7 @@ func runDiurnal(seed int64, par diurnalParams) (*diurnalResult, error) {
 		}
 		return nil, fmt.Errorf("diurnal: every node occupied")
 	}
-	c := fleet.New(par.fleet, d.Shop, hub, nil, provision)
+	c := fleet.New(par.fleet, d.Shop, hub, provision)
 
 	baseExtentRefs := d.Warehouse.ExtentStatsNow().Refs
 

@@ -53,6 +53,9 @@ go vet ./...
 # "Small" is gated too: the non-test line count may not pass the ceiling
 # committed beside the script (a change that grows the tree moves it).
 ./scripts/loc.sh --check
+# So is "a feature only its own test runs": every function no binary
+# links must be allowlisted with the test that needs it.
+./scripts/reach.sh --check
 # The benchmark is its own module, invisible to ./...: vet and test it
 # here so a change to the proto/service surface it compiles against
 # cannot break it unseen.
