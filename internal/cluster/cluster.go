@@ -20,8 +20,6 @@ type Params struct {
 	// minus protocol overhead ≈ 11 MB/s. It reproduces the paper's
 	// ≈210 s full copy of the 2 GB golden disk.
 	NFSClientBps float64
-	// NFSServerStreams caps concurrent NFS transfers server-side.
-	NFSServerStreams int
 	// LocalDiskBps is each node's SCSI disk throughput.
 	LocalDiskBps float64
 	// GigabitBps is node-to-node throughput over the cluster's gigabit
@@ -52,7 +50,6 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		NFSClientBps:        11e6,
-		NFSServerStreams:    4,
 		LocalDiskBps:        35e6,
 		GigabitBps:          90e6,
 		TransferOverhead:    120 * time.Millisecond,
@@ -170,8 +167,9 @@ func NewTestbed(k *sim.Kernel, n int, params Params, seed int64) *Testbed {
 		panic("cluster: need at least one node")
 	}
 	root := sim.NewRNG(seed)
-	server := storage.NewServer("nfs-server", params.NFSClientBps*float64(params.NFSServerStreams),
-		params.TransferOverhead, params.NFSServerStreams)
+	// The NFS server sustains four client paths' worth of bandwidth,
+	// time-shared among every transfer in progress.
+	server := storage.NewDevice("nfs-server", 4*params.NFSClientBps, params.TransferOverhead)
 	tb := &Testbed{
 		Kernel:    k,
 		Params:    params,
@@ -183,7 +181,7 @@ func NewTestbed(k *sim.Kernel, n int, params Params, seed int64) *Testbed {
 		// Each node's NFS mount is its own 100 Mbit/s path; the shared
 		// server device above bounds aggregate throughput.
 		mount := storage.NewDevice(name+".nfs", params.NFSClientBps, params.TransferOverhead)
-		mount.ShareSlots(server)
+		mount.ShareServer(server)
 		local := storage.NewDevice(name+".scsi", params.LocalDiskBps, LocalDiskOverhead)
 		node := &Node{
 			name:      name,

@@ -6,11 +6,11 @@
 //   - a background hydrator (a virtual-time proc per lazy clone, one
 //     running per plant at a time, oldest clone first) walks the
 //     extents in order and copies each from the warehouse's NFS view to
-//     the clone's local disk directory as a background transfer: it is
-//     served only while no foreground transfer waits for the NFS
-//     server's slots or the node's mount, and gives both back to one
-//     that arrives (sim.Background). It is the only thing that lands
-//     extents, so the local ones are always a prefix;
+//     the clone's local disk directory as a background transfer: it
+//     takes only the bandwidth foreground transfers leave on the NFS
+//     server, and none while one is on the node's mount
+//     (sim.Background). It is the only thing that lands extents, so the
+//     local ones are always a prefix;
 //   - a demand fault: when the guest's action DAG writes a block whose
 //     extent has not landed yet, the guest blocks for one foreground
 //     read of that block (vdisk.BlockSize bytes) over the node's mount —
@@ -46,10 +46,6 @@ type HydrationStats struct {
 	// DemandFaults is how many blocks the guest fetched before the
 	// background hydrator landed their extents.
 	DemandFaults int
-	// Preemptions is how many times a foreground transfer took the
-	// node's mount or an NFS server slot back from the background
-	// hydrator — what explains a late CompleteSecs.
-	Preemptions int
 	// ResumeSecs is the creation's critical-path latency (VM usable);
 	// CompleteSecs is when the last extent landed — both measured from
 	// the creation's start, so their gap is what laziness moved off the
@@ -235,19 +231,11 @@ func (h *hydration) finish(p *sim.Proc, aborted bool) {
 	}
 	complete := (p.Now() - h.createdAt).Seconds()
 	h.pl.hHydrationComplete.Observe(complete)
-	// Resolved here and not in New: only a plant that clones lazily
-	// exports the counter.
-	preemptions := 0
-	if h.proc != nil {
-		preemptions = h.proc.Preemptions()
-	}
-	h.pl.tel.Counter("plant.hydration_preemptions").Add(int64(preemptions))
 	h.pl.mu.Lock()
 	h.pl.hydrations = append(h.pl.hydrations, HydrationStats{
 		VMID:         h.vm.ID(),
 		Extents:      h.extents(),
 		DemandFaults: len(h.fetched),
-		Preemptions:  preemptions,
 		ResumeSecs:   (h.start - h.createdAt).Seconds(),
 		CompleteSecs: complete,
 		Aborted:      aborted,

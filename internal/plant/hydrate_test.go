@@ -217,9 +217,10 @@ func lastBlock(h *hydration) int64 {
 
 // A demand fault is foreground I/O of one block: with a hydrator busy on
 // its own mount, another clone waiting for its turn, and background
-// readers on four other nodes holding every stream slot of the server,
-// the guest waits for its block's read and nothing else — not for the
-// extent around it.
+// readers on four other nodes, the guest waits for its block's read and
+// nothing else — not for the extent around it. Beside three memory-image
+// copies on its own mount it shares the mount with them instead of
+// queueing behind them.
 func TestDemandFaultLatencyUnderBackgroundLoad(t *testing.T) {
 	r, hub := newQuietRig(t, 5)
 	r.run(t, func(p *sim.Proc) {
@@ -245,29 +246,38 @@ func TestDemandFaultLatencyUnderBackgroundLoad(t *testing.T) {
 		if got := hub.Counter("plant.demand_faults").Value(); got != faults+1 {
 			t.Errorf("demand faults %d → %d, want one more", faults, got)
 		}
+
+		for range 3 {
+			r.k.Spawn("memory-image", func(p *sim.Proc) {
+				r.tb.Nodes[0].Warehouse().Charge(p, 256<<20, 1, sim.Foreground)
+			})
+		}
+		p.Sleep(time.Second)
+		start = p.Now()
+		if err := h.touch(p, lastBlock(h)-1); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Now() - start; got >= time.Second {
+			t.Errorf("demand fault beside three memory-image copies took %v, want under 1 s", got)
+		}
+		if got := hub.Counter("plant.demand_faults").Value(); got != faults+2 {
+			t.Errorf("demand faults %d → %d, want two more", faults, got)
+		}
 	})
 	if !r.pl.AllHydrated() {
 		t.Error("hydration did not converge after the load")
-	}
-	var preemptions int
-	for _, hs := range r.pl.HydrationLog() {
-		preemptions += hs.Preemptions
-	}
-	if preemptions == 0 || int64(preemptions) != hub.Counter("plant.hydration_preemptions").Value() {
-		t.Errorf("hydration log counts %d preemptions, plant.hydration_preemptions %d", preemptions,
-			hub.Counter("plant.hydration_preemptions").Value())
 	}
 	if bytes, background, _ := r.tb.Nodes[0].Warehouse().Device().Stats(); background == 0 || background >= bytes {
 		t.Errorf("node00's mount served %d bytes, %d of them in the background", bytes, background)
 	}
 }
 
-// Five other nodes stream foreground reads through the server's four
-// slots, so the hydrator's background copy is starved for as long as
-// they last. A guest touching a block of the extent in flight does not
-// wait on that copy: it reads its block in its FIFO turn among the
-// streams, and the copy stays the hydrator's, neither promoted nor
-// cancelled, landing after the load like the rest.
+// Five other nodes stream foreground reads that take all of the
+// server's bandwidth, so the hydrator's background copy is starved for
+// as long as they last. A guest touching a block of the extent in flight
+// does not wait on that copy: it reads its block at its share of the
+// server beside the streams, and the copy stays the hydrator's, neither
+// promoted nor cancelled, landing after the load like the rest.
 func TestTouchBlockOfExtentInFlight(t *testing.T) {
 	r, hub := newQuietRig(t, 6)
 	var loadEnds time.Duration
@@ -289,9 +299,9 @@ func TestTouchBlockOfExtentInFlight(t *testing.T) {
 		if err := h.touch(p, block); err != nil {
 			t.Fatal(err)
 		}
-		// Behind the one stream queued for a slot: a slot frees within
-		// one stream's read, then the block's own read.
-		bound := r.tb.Params.TransferOverhead + 10*time.Second + blockRead(r)
+		// Six mounts share the server, so the block's read runs at
+		// two thirds of its mount's speed.
+		bound := 2 * blockRead(r)
 		if got := p.Now() - start; got > bound {
 			t.Errorf("guest waited %v for a block of the extent in flight, want at most %v", got, bound)
 		}

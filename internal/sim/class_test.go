@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -31,14 +31,15 @@ func TestForegroundTransferHoldsToDeadline(t *testing.T) {
 	}
 }
 
-// Preemptive-resume on one pipe: the foreground transfer finishes in its
-// own service time, the background one at the sum.
+// On one pipe the background transfer is served only while no foreground
+// one is: the foreground transfer finishes in its own service time, the
+// background one at the sum.
 func TestBackgroundYieldsAndResumes(t *testing.T) {
 	k := NewKernel()
 	pipe := NewPipe("disk", 1e6)
 	pipe.PerTransferOverhead = time.Second
 	var bgEnd, fgEnd time.Duration
-	bg := k.Spawn("bg", func(p *Proc) {
+	k.Spawn("bg", func(p *Proc) {
 		if left := pipe.Transfer(p, 9e6, 1, Background); left != 0 {
 			t.Errorf("background transfer left %v", left)
 		}
@@ -56,31 +57,29 @@ func TestBackgroundYieldsAndResumes(t *testing.T) {
 		t.Errorf("foreground arriving at 3 s with 2 s of service done at %v", fgEnd)
 	}
 	if bgEnd != 12*time.Second {
-		t.Errorf("background with 10 s of service, preempted for 2 s, done at %v", bgEnd)
-	}
-	if bg.Preemptions() != 1 {
-		t.Errorf("preemptions = %d, want 1", bg.Preemptions())
+		t.Errorf("background with 10 s of service, paused for 2 s, done at %v", bgEnd)
 	}
 	if bytes, background, n := pipe.Stats(); bytes != 10e6 || background != 9e6 || n != 2 {
 		t.Errorf("stats = (%d, %d background, %d transfers)", bytes, background, n)
 	}
 }
 
-// Foreground takes a slot and then the pipe, background the pipe and
-// then a slot, so a background transfer must give up the pipe it holds
-// while it is still queued for a slot: preemptible on everything it
-// holds from the moment it holds it. Otherwise f2 below, holding the
-// only slot, and the background transfer, holding f2's pipe, wait for
-// each other for ever.
-func TestBackgroundPreemptedWhileQueuedForSlot(t *testing.T) {
+// Two pipes behind one server as fast as either: foreground transfers on
+// both share the server equally, and a background transfer alone on its
+// pipe gets nothing while foreground work elsewhere takes all of the
+// server.
+func TestBackgroundStarvedBySaturatedServer(t *testing.T) {
 	k := NewKernel()
-	slots := NewResource("slots", 1)
+	srv := NewPipe("server", 1e6)
 	a, b := NewPipe("a", 1e6), NewPipe("b", 1e6)
-	a.Slots, b.Slots = slots, slots
-	var f2End, bgEnd time.Duration
-	k.Spawn("f1", func(p *Proc) { a.Transfer(p, 10e6, 1, Foreground) })
+	a.Via, b.Via = srv, srv
+	var f1End, f2End, bgEnd time.Duration
+	k.Spawn("f1", func(p *Proc) {
+		a.Transfer(p, 10e6, 1, Foreground)
+		f1End = p.Now()
+	})
 	k.Spawn("bg", func(p *Proc) {
-		b.Transfer(p, 1e6, 1, Background) // b's pipe, then queued for f1's slot
+		b.Transfer(p, 1e6, 1, Background)
 		bgEnd = p.Now()
 	})
 	k.Spawn("f2", func(p *Proc) {
@@ -91,25 +90,63 @@ func TestBackgroundPreemptedWhileQueuedForSlot(t *testing.T) {
 	if res := k.Run(0); len(res.Stranded) != 0 {
 		t.Fatalf("stranded: %v", res.Stranded)
 	}
-	if f2End != 12*time.Second {
-		t.Errorf("f2, queued for the slot until 10 s with 2 s of service, done at %v", f2End)
-	}
-	if bgEnd != 13*time.Second {
-		t.Errorf("background done at %v, want 13 s (after f2)", bgEnd)
+	for name, c := range map[string]struct{ got, want time.Duration }{
+		"f2": {f2End, 5 * time.Second},  // 2 s of service at half rate from 1 s
+		"f1": {f1End, 12 * time.Second}, // 10 s of service, at half rate for 4 s
+		"bg": {bgEnd, 13 * time.Second}, // its 1 s once f1 leaves the server idle
+	} {
+		if c.got != c.want {
+			t.Errorf("%s done at %v, want %v", name, c.got, c.want)
+		}
 	}
 }
 
-// The owner's interrupt, cancelling: a queued transfer leaves the queue
-// with all its service left, one in service returns what it has not
-// had, and the pipe counts only the bytes served.
+// n foreground transfers on their own paths to a server four paths
+// wide: below four they leave the background a path's worth, from four
+// on they spend the server — whatever rounding does to n equal shares —
+// and the background transfer waits until they finish.
+func TestSaturatedServerLeavesBackgroundNothing(t *testing.T) {
+	for n := 1; n <= 12; n++ {
+		k := NewKernel()
+		srv := NewPipe("server", 44e6)
+		path := func() *Pipe {
+			pi := NewPipe("mount", 11e6)
+			pi.Via = srv
+			return pi
+		}
+		for range n {
+			pi := path()
+			k.Spawn("fg", func(p *Proc) { pi.Transfer(p, 110e6, 1, Foreground) })
+		}
+		var bgEnd time.Duration
+		bg := path()
+		k.Spawn("bg", func(p *Proc) {
+			p.Sleep(time.Second)
+			bg.Transfer(p, 11e6, 1, Background)
+			bgEnd = p.Now()
+		})
+		k.Run(0)
+		want := 2 * time.Second
+		if n >= 4 {
+			want = time.Duration(n)*2500*time.Millisecond + time.Second
+		}
+		if bgEnd != want {
+			t.Errorf("beside %d foreground transfers the background one ended at %v, want %v", n, bgEnd, want)
+		}
+	}
+}
+
+// The owner's interrupt, cancelling: a transfer paused beside a
+// foreground one leaves with all its service left, one in service
+// returns what it has not had, and the pipe counts only the bytes served.
 func TestInterruptCancelsBackgroundTransfer(t *testing.T) {
 	k := NewKernel()
 	pipe := NewPipe("disk", 1e6)
-	var queuedLeft, servedLeft, queuedAt, servedAt time.Duration
+	var pausedLeft, servedLeft, pausedAt, servedAt time.Duration
 	k.Spawn("fg", func(p *Proc) { pipe.Transfer(p, 4e6, 1, Foreground) })
-	queued := k.Spawn("queued", func(p *Proc) {
-		queuedLeft = pipe.Transfer(p, 5e6, 1, Background)
-		queuedAt = p.Now()
+	paused := k.Spawn("paused", func(p *Proc) {
+		pausedLeft = pipe.Transfer(p, 5e6, 1, Background)
+		pausedAt = p.Now()
 	})
 	served := k.Spawn("served", func(p *Proc) {
 		p.Sleep(10 * time.Second)
@@ -118,21 +155,21 @@ func TestInterruptCancelsBackgroundTransfer(t *testing.T) {
 	})
 	k.Spawn("owner", func(p *Proc) {
 		p.Sleep(2 * time.Second)
-		queued.Interrupt()
-		if pipe.QueueLen() != 1 { // not unlinked until it runs, at this same instant
-			t.Errorf("queue length %d at the interrupt", pipe.QueueLen())
+		paused.Interrupt()
+		if pipe.bg.n != 1 { // not unlinked until it runs, at this same instant
+			t.Errorf("%d background transfers at the interrupt", pipe.bg.n)
 		}
 		p.Sleep(11 * time.Second)
-		if pipe.QueueLen() != 0 {
-			t.Errorf("queue length %d after the cancelled transfer left", pipe.QueueLen())
+		if pipe.bg.n != 1 {
+			t.Errorf("%d background transfers after the cancelled one left", pipe.bg.n)
 		}
 		served.Interrupt()
 	})
 	if res := k.Run(0); len(res.Stranded) != 0 {
 		t.Fatalf("stranded: %v", res.Stranded)
 	}
-	if queuedAt != 2*time.Second || queuedLeft != 5*time.Second {
-		t.Errorf("queued transfer returned at %v with %v left, want 2s and 5s", queuedAt, queuedLeft)
+	if pausedAt != 2*time.Second || pausedLeft != 5*time.Second {
+		t.Errorf("paused transfer returned at %v with %v left, want 2s and 5s", pausedAt, pausedLeft)
 	}
 	if servedAt != 13*time.Second || servedLeft != 5*time.Second {
 		t.Errorf("transfer in service returned at %v with %v left, want 13s and 5s", servedAt, servedLeft)
@@ -142,17 +179,18 @@ func TestInterruptCancelsBackgroundTransfer(t *testing.T) {
 	}
 }
 
-// The wait queues are intrusive and a resource's holder list is reused:
-// queueing, preemption and re-queueing allocate nothing.
+// The transfer lists are intrusive and a server's water-fill scratch is
+// reused: arrivals, departures and the re-rates they cause allocate
+// nothing.
 func TestContendedTransfersDoNotAllocate(t *testing.T) {
 	k := NewKernel()
-	slots := NewResource("slots", 1)
+	srv := NewPipe("server", 1e6)
 	a, b := NewPipe("a", 1e6), NewPipe("b", 1e6)
-	a.Slots, b.Slots = slots, slots
+	a.Via, b.Via = srv, srv
 	done := false
 	// Two foreground streams of 1 ms transfers every 3 ms, one on the
-	// background transfer's pipe and one on its slot only; they queue
-	// for the slot behind each other now and then.
+	// background transfer's pipe and one on another path to its server;
+	// each pauses it, and they share the server now and then.
 	for i, pi := range []*Pipe{a, b} {
 		k.Spawn("fg", func(p *Proc) {
 			p.Sleep(time.Duration(i) * 500 * time.Microsecond)
@@ -163,46 +201,67 @@ func TestContendedTransfersDoNotAllocate(t *testing.T) {
 		})
 	}
 	var allocs float64
-	bg := k.Spawn("bg", func(p *Proc) {
+	var took time.Duration
+	k.Spawn("bg", func(p *Proc) {
 		allocs = testing.AllocsPerRun(1000, func() { a.Transfer(p, 5000, 1, Background) })
+		took = p.Now()
 		done = true
 	})
 	k.Run(0)
 	if allocs != 0 {
 		t.Errorf("a contended background transfer allocates %v objects, want 0", allocs)
 	}
-	if bg.Preemptions() < 1000 {
-		t.Errorf("%d preemptions over 1001 transfers: the transfers were not contended", bg.Preemptions())
+	if alone := 1001 * 5 * time.Millisecond; took < alone*3/2 {
+		t.Errorf("1001 transfers of 5 ms took %v: the transfers were not contended", took)
 	}
 }
 
 // classRun is what one random two-class program did.
 type classRun struct {
-	fgLog       string // every foreground step, in execution order
-	preemptions int
-	cancels     int
+	fgLog   string // every foreground step, in execution order
+	paused  int    // intervals in which a background transfer had no rate
+	shared  int    // intervals in which a server served several transfers
+	cancels int
 }
 
 // classProgram runs a random program drawn from seed: foreground
 // processes making transfers and raw acquisitions and waking each other,
 // and, when background is set, background processes making background
 // transfers over the same pipes with an owner that cancels and wakes
-// them. Two pipes share a two-slot server, a third stands alone. Every
-// process draws from its own generator, so deleting the background side
-// changes no foreground draw. The kernel is stepped one timestamp at a
-// time and the resources audited in between.
+// them. Two pipes are paths to a server that is slower than both
+// together and takes transfers of its own; a third pipe stands alone.
+// Every process draws from its own generator, so deleting the background
+// side changes no foreground draw. The kernel is stepped one timestamp at
+// a time: in between, rates are audited and each transfer's service is
+// integrated.
 func classProgram(t *testing.T, seed int64, background bool) classRun {
 	var run classRun
 	var fgLog strings.Builder
 	k := NewKernel()
-	slots := NewResource("slots", 2)
-	pipes := []*Pipe{NewPipe("a", 1e6), NewPipe("b", 2e6), NewPipe("c", 1e6)}
-	pipes[0].Slots, pipes[1].Slots = slots, slots
-	pipes[2].PerTransferOverhead = 3 * time.Millisecond
+	srv := NewPipe("server", 2e6)
+	a, b, c := NewPipe("a", 1e6), NewPipe("b", 2e6), NewPipe("c", 1e6)
+	a.Via, b.Via = srv, srv
+	c.PerTransferOverhead = 3 * time.Millisecond
+	pipes := []*Pipe{a, b, c, srv}
+	servers := map[*Pipe][]*Pipe{srv: {a, b, srv}, c: {c}}
 	r3 := NewResource("r3", 3)
-	resources := []*Resource{slots, r3, pipes[0].res, pipes[1].res, pipes[2].res}
 	root := NewRNG(seed)
 	ms := func(g *RNG, n int) time.Duration { return time.Duration(g.Intn(n)) * time.Millisecond }
+
+	// due[p] is the service p's transfers were due: all of it, less what
+	// a cancelled one reported left; got[p] is the service integrated
+	// over its rates. transfers[p] counts them, each worth up to 1 ns of
+	// rounding.
+	due := make(map[*Proc]time.Duration)
+	got := make(map[*Proc]float64)
+	transfers := make(map[*Proc]int)
+	transfer := func(p *Proc, pi *Pipe, size int64, scale float64, class Class) time.Duration {
+		need := pi.PerTransferOverhead + Seconds(float64(size)/pi.BytesPerSecond*scale)
+		left := pi.Transfer(p, size, scale, class)
+		due[p] += need - left
+		transfers[p]++
+		return left
+	}
 
 	var fgs []*Proc
 	for i, n := 0, 2+root.Intn(6); i < n; i++ {
@@ -218,7 +277,7 @@ func classProgram(t *testing.T, seed int64, background bool) classRun {
 					step("slept")
 				case op < 7:
 					pi := pipes[g.Intn(len(pipes))]
-					pi.Transfer(p, int64(g.Intn(30000)), 1+g.Float64(), Foreground)
+					transfer(p, pi, int64(g.Intn(30000)), 1+g.Float64(), Foreground)
 					step("transferred on %s", pi.Name())
 				case op < 9:
 					n := 1 + g.Intn(3)
@@ -236,11 +295,6 @@ func classProgram(t *testing.T, seed int64, background bool) classRun {
 		}))
 	}
 
-	// served[p] is the service p's background transfers were due: all of
-	// it, less what a cancelled one reported left. held[p] is how long p
-	// was seen in service.
-	served := make(map[*Proc]time.Duration)
-	held := make(map[*Proc]time.Duration)
 	var bgs []*Proc
 	if background {
 		for i, n := 0, 1+root.Intn(5); i < n; i++ {
@@ -249,13 +303,9 @@ func classProgram(t *testing.T, seed int64, background bool) classRun {
 				for n := 1 + g.Intn(8); n > 0; n-- {
 					p.Sleep(ms(g, 30))
 					pi := pipes[g.Intn(len(pipes))]
-					size, scale := int64(g.Intn(60000)), 1+g.Float64()
-					need := pi.PerTransferOverhead + Seconds(float64(size)/pi.BytesPerSecond*scale)
-					left := pi.Transfer(p, size, scale, Background)
-					if left > 0 {
+					if transfer(p, pi, int64(g.Intn(60000)), 1+g.Float64(), Background) > 0 {
 						run.cancels++
 					}
-					served[p] += need - left
 				}
 			}))
 		}
@@ -273,26 +323,59 @@ func classProgram(t *testing.T, seed int64, background bool) classRun {
 		})
 	}
 
+	// audit checks the rates between two events: no pipe or server is
+	// given more than its bandwidth, a server with any transfer in
+	// progress gives all it can (its own bandwidth, or every busy pipe
+	// under it its full speed), and no background transfer moves on a
+	// pipe with a foreground one.
+	const eps = 1e-9
 	audit := func() {
-		for _, r := range resources {
-			if r.inUse > r.capacity || r.inUse < len(r.holders) {
-				t.Fatalf("seed %d t=%v: %s holds %d (%d in the background) of %d", seed, k.Now(), r.name, r.inUse, len(r.holders), r.capacity)
+		for s, under := range servers {
+			var flow, can float64
+			moving := 0
+			for _, pi := range under {
+				var f float64
+				for _, q := range []*waitQueue{&pi.fg, &pi.bg} {
+					for p := q.head; p != nil; p = p.qnext {
+						f += p.x.rate * pi.BytesPerSecond
+						if p.x.rate > 0 {
+							moving++
+						}
+						if q == &pi.bg && p.x.rate == 0 {
+							run.paused++
+						}
+					}
+				}
+				if f > pi.BytesPerSecond*(1+eps) {
+					t.Fatalf("seed %d t=%v: %s serves %.0f B/s of %.0f", seed, k.Now(), pi.Name(), f, pi.BytesPerSecond)
+				}
+				for p := pi.bg.head; p != nil && pi.fg.n > 0; p = p.qnext {
+					if p.x.rate != 0 {
+						t.Fatalf("seed %d t=%v: %s serves %s's background transfer beside a foreground one", seed, k.Now(), pi.Name(), p.Name())
+					}
+				}
+				if pi.fg.n+pi.bg.n > 0 {
+					can += pi.BytesPerSecond
+				}
+				flow += f
 			}
-			if r.fg.n > 0 && len(r.holders) > 0 && r != r3 {
-				t.Fatalf("seed %d t=%v: %s serves the background with %d foreground requests queued", seed, k.Now(), r.name, r.fg.n)
+			if can = min(can, s.BytesPerSecond); math.Abs(flow-can) > eps*s.BytesPerSecond {
+				t.Fatalf("seed %d t=%v: server %s serves %.0f B/s, could serve %.0f", seed, k.Now(), s.Name(), flow, can)
+			}
+			if moving > 1 {
+				run.shared++
 			}
 		}
 	}
 	var res RunResult
 	for last := time.Duration(0); k.QueueDepth() > 0; {
-		// Nothing changes between two timestamps: whoever holds a pipe,
-		// and a slot where it needs one, in the background now is in
-		// service until the next event.
+		// Nothing changes between two timestamps: every transfer in
+		// progress is served at its rate until the next event.
 		next := k.queue[0].at
 		for _, pi := range pipes {
-			for _, h := range pi.res.holders {
-				if pi.Slots == nil || slices.Contains(pi.Slots.holders, h) {
-					held[h] += next - last
+			for _, q := range []*waitQueue{&pi.fg, &pi.bg} {
+				for p := q.head; p != nil; p = p.qnext {
+					got[p] += p.x.rate * float64(next-last)
 				}
 			}
 		}
@@ -304,36 +387,36 @@ func classProgram(t *testing.T, seed int64, background bool) classRun {
 	if len(res.Stranded) != 0 {
 		t.Fatalf("seed %d: stranded %v", seed, res.Stranded)
 	}
-	for _, r := range resources {
-		if r.inUse != 0 || len(r.holders) != 0 || r.QueueLen() != 0 {
-			t.Fatalf("seed %d: %s ends with %d in use, %d holders, %d queued", seed, r.name, r.inUse, len(r.holders), r.QueueLen())
+	for _, pi := range pipes {
+		if pi.fg.n+pi.bg.n != 0 || len(pi.busy) != 0 {
+			t.Fatalf("seed %d: %s ends with %d transfers and %d busy paths", seed, pi.Name(), pi.fg.n+pi.bg.n, len(pi.busy))
 		}
+	}
+	if r3.InUse() != 0 || r3.QueueLen() != 0 {
+		t.Fatalf("seed %d: r3 ends with %d in use, %d queued", seed, r3.InUse(), r3.QueueLen())
 	}
 	for _, p := range append(fgs, bgs...) {
 		if p.State() != ProcDone {
 			t.Fatalf("seed %d: %s did not finish", seed, p.Name())
 		}
-	}
-	for _, p := range bgs {
-		if held[p] != served[p] {
-			t.Fatalf("seed %d: %s was in service for %v, its transfers' service sums to %v", seed, p.Name(), held[p], served[p])
+		if d := math.Abs(got[p] - float64(due[p])); d > float64(transfers[p]) {
+			t.Fatalf("seed %d: %s was served %.1f ns over %d transfers, due %v", seed, p.Name(), got[p], transfers[p], due[p])
 		}
-		run.preemptions += p.Preemptions()
 	}
 	run.fgLog = fgLog.String()
 	return run
 }
 
-// TestTwoClassPrograms holds 300 random programs to the two-class
-// discipline: capacity is never exceeded and the background is never
-// served past a queued foreground request (the audit between events);
-// a background transfer's time on its pipe sums to overhead +
-// size/bandwidth over any number of preemptions; every foreground step
-// happens at the time, and in the order, it does with the background
-// processes deleted; at quiescence every transfer has finished and
-// nothing is queued, held or stranded.
+// TestTwoClassPrograms holds 300 random programs to the rate discipline:
+// no pipe or server serves past its bandwidth, a busy server serves all
+// it can, and background transfers get nothing beside a foreground one
+// on their pipe (the audit between events); each transfer's integrated
+// service equals its work, or the work less what a cancelled one
+// reported left, to the nanosecond; every foreground step happens at the
+// time, and in the order, it does with the background processes deleted;
+// at quiescence nothing is flowing, queued or stranded.
 func TestTwoClassPrograms(t *testing.T) {
-	var preemptions, cancels int
+	var paused, shared, cancels int
 	for seed := int64(1); seed <= 300; seed++ {
 		with := classProgram(t, seed, true)
 		without := classProgram(t, seed, false)
@@ -346,10 +429,11 @@ func TestTwoClassPrograms(t *testing.T) {
 			}
 			t.Fatalf("seed %d: foreground log is %d steps, without the background processes %d", seed, len(w), len(wo))
 		}
-		preemptions += with.preemptions
+		paused += with.paused
+		shared += with.shared
 		cancels += with.cancels
 	}
-	if preemptions < 300 || cancels < 100 {
-		t.Errorf("the programs exercised %d preemptions and %d cancellations: too few to mean anything", preemptions, cancels)
+	if paused < 300 || shared < 300 || cancels < 100 {
+		t.Errorf("the programs exercised %d paused and %d shared intervals and %d cancellations: too few to mean anything", paused, shared, cancels)
 	}
 }

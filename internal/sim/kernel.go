@@ -27,7 +27,7 @@
 // value. State a half-finished process left behind is never run over.
 //
 // The go1.23 build line raises this file's language version for iter;
-// go.mod still says 1.22 (see ROADMAP item 1(e)).
+// go.mod still says 1.22 (see ROADMAP item 9).
 package sim
 
 import (
@@ -227,14 +227,12 @@ type Proc struct {
 	interrupted bool
 
 	// qnext and qn are the process's node in the queue of the one
-	// resource it is blocked on: the link, and the units it asked for.
+	// resource it is blocked on, or of the pipe it has a transfer on: the
+	// link, and the units it asked for.
 	qnext *Proc
 	qn    int
-	// bg is where the process's background transfer stands (bgNone
-	// outside one); preemptions counts the times a foreground request
-	// took back what the process held.
-	bg          bgState
-	preemptions int
+	// x is the process's transfer in progress (Pipe.Transfer).
+	x transfer
 
 	// trace is the process's current trace context — which span new
 	// work on this proc should parent under. Only the proc's own
@@ -396,37 +394,17 @@ func (p *Proc) WakeUp() {
 	p.scheduleAt(p.k.now)
 }
 
-// bgState is where a process's background transfer stands. The stopped
-// states are ordered: a later, stronger reason replaces a weaker one.
-type bgState uint8
-
-const (
-	bgNone      bgState = iota // not in a background transfer
-	bgRunning                  // queued or in service, undisturbed
-	bgPreempted                // a resource took back what it held
-	bgCancelled                // its owner wants it dropped
-)
-
-// stopBackground stops p's background transfer, if it is in one, and
-// wakes p to act on it.
-func (p *Proc) stopBackground(why bgState) {
-	if p.bg != bgNone && why > p.bg {
-		p.bg = why
+// Interrupt is how the owner of a background transfer (Pipe.Transfer
+// with Background) cancels it: it leaves the pipe at once and Transfer
+// reports the service left. p is woken as by WakeUp, which is all that
+// happens to a process that is not in a background transfer. It must be
+// called from another running process.
+func (p *Proc) Interrupt() {
+	if p.x.pipe != nil && p.x.class == Background {
+		p.x.cancel = true
 	}
 	p.WakeUp()
 }
-
-// Interrupt is how the owner of a background transfer (Pipe.Transfer
-// with Background) cancels it, whether it is queued or in service: it
-// leaves the queues at once and Transfer reports the service left. p is
-// woken as by WakeUp, which is all that happens to a process that is
-// not in a background transfer. It must be called from another running
-// process.
-func (p *Proc) Interrupt() { p.stopBackground(bgCancelled) }
-
-// Preemptions reports how many times a foreground request has taken
-// back a slot or a pipe one of p's background transfers held.
-func (p *Proc) Preemptions() int { return p.preemptions }
 
 // RunResult summarizes a kernel run.
 type RunResult struct {

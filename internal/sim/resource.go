@@ -2,52 +2,37 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
-// Class is the service class of a request on a Resource or a Pipe.
-// There is no switch between disciplines: every resource serves both
-// classes the one way described at Resource.
+// Class is the service class of a transfer on a Pipe.
 type Class uint8
 
 const (
-	// Foreground is work something waits for. It is served FIFO among
-	// itself and never waits for background work.
+	// Foreground is work something waits for. Its rate is decided by
+	// foreground transfers alone.
 	Foreground Class = iota
-	// Background is work nothing waits for: served only while no
-	// foreground request is queued, and preempted by one that needs
-	// its units.
+	// Background is work nothing waits for: it shares only the bandwidth
+	// foreground transfers leave, and gets none on a pipe with a
+	// foreground transfer.
 	Background
 )
 
-// Resource is a counting semaphore with two service classes under
-// virtual time. A Resource with capacity 1 is a fair mutex.
-//
-// Foreground requests (Acquire) are served strictly first-come-first-
-// served in event order, and see only each other: a program whose
-// background processes are deleted runs its foreground processes at
-// exactly the same times. Background requests (Pipe.Transfer with
-// Background) are granted FIFO among themselves, only while no
-// foreground request is queued. A foreground request that does not fit
-// beside the background holders takes their units back, most recent
-// holder first; the preempted process is woken, keeps the service it
-// already received and queues again for the remainder
-// (preemptive-resume).
-//
-// Both queues are intrusive lists through Proc, so queueing and
-// re-queueing allocate nothing.
+// Resource is a counting semaphore under virtual time, served strictly
+// first-come-first-served in event order. A Resource with capacity 1 is
+// a fair mutex. The wait queue is an intrusive list through Proc, so
+// queueing allocates nothing.
 type Resource struct {
 	name     string
 	capacity int
-	inUse    int // units held, both classes
-	fg, bg   waitQueue
-	// holders each hold one unit in the background, oldest first: the
-	// units a foreground request may take back.
-	holders []*Proc
+	inUse    int
+	q        waitQueue
 }
 
-// waitQueue is a FIFO of blocked processes, linked through Proc.qnext.
-// A blocked process waits on one resource, so one link is enough.
+// waitQueue is a FIFO of processes, linked through Proc.qnext: those
+// blocked on a resource, or those with a transfer in progress on a pipe.
+// A process is in at most one, so one link is enough.
 type waitQueue struct {
 	head, tail *Proc
 	n          int
@@ -61,19 +46,6 @@ func (q *waitQueue) push(p *Proc) {
 	}
 	q.tail = p
 	q.n++
-}
-
-func (q *waitQueue) pushFront(p *Proc) {
-	p.qnext = q.head
-	q.head = p
-	if q.tail == nil {
-		q.tail = p
-	}
-	q.n++
-}
-
-func (q *waitQueue) pop() {
-	q.remove(q.head)
 }
 
 // remove unlinks p, which must be queued.
@@ -105,38 +77,33 @@ func NewResource(name string, capacity int) *Resource {
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
 
-// InUse reports how many units are currently held, in either class.
+// InUse reports how many units are currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
 // Capacity reports the resource's total units.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// QueueLen reports how many processes are waiting, in either class.
-func (r *Resource) QueueLen() int { return r.fg.n + r.bg.n }
+// QueueLen reports how many processes are waiting.
+func (r *Resource) QueueLen() int { return r.q.n }
 
-// fits reports whether n more foreground units fit beside the
-// foreground units already held; background holders do not count.
-func (r *Resource) fits(n int) bool { return r.inUse-len(r.holders)+n <= r.capacity }
-
-// Acquire blocks the calling process until n units are available to the
-// foreground and then holds them. n must be between 1 and the resource
-// capacity.
+// Acquire blocks the calling process until n units are available and
+// then holds them. n must be between 1 and the resource capacity.
 func (r *Resource) Acquire(p *Proc, n int) {
 	if n < 1 || n > r.capacity {
 		p.Failf("acquire %d of resource %q with capacity %d", n, r.name, r.capacity)
 	}
-	if r.fg.n == 0 && r.fits(n) {
-		r.take(n)
+	if r.q.n == 0 && r.inUse+n <= r.capacity {
+		r.inUse += n
 		return
 	}
 	p.qn = n
-	r.fg.push(p)
+	r.q.push(p)
 	for {
 		p.Wait(-1)
 		// Woken by Release; check if we are at the head and fit.
-		if r.fg.head == p && r.fits(n) {
-			r.fg.pop()
-			r.take(n)
+		if r.q.head == p && r.inUse+n <= r.capacity {
+			r.q.remove(p)
+			r.inUse += n
 			// Cascade: the next waiter may also fit now (e.g. several
 			// small requests after a big release).
 			r.wakeHead()
@@ -145,102 +112,18 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	}
 }
 
-// take holds n foreground units that fit, taking back as many
-// background holders' units as it needs, the most recent holder first.
-func (r *Resource) take(n int) {
-	for r.inUse+n > r.capacity {
-		h := r.holders[len(r.holders)-1]
-		r.drop(len(r.holders) - 1)
-		h.preemptions++
-		h.stopBackground(bgPreempted)
-	}
-	r.inUse += n
-}
-
-// drop forgets background holder i and its unit.
-func (r *Resource) drop(i int) {
-	last := len(r.holders) - 1
-	copy(r.holders[i:], r.holders[i+1:])
-	r.holders[last] = nil
-	r.holders = r.holders[:last]
-	r.inUse--
-}
-
-// Release returns n foreground units and wakes the head waiter if it
-// can proceed.
+// Release returns n units and wakes the head waiter if it can proceed.
 func (r *Resource) Release(p *Proc, n int) {
-	if held := r.inUse - len(r.holders); n < 1 || n > held {
-		p.Failf("release %d of resource %q with %d in use", n, r.name, held)
+	if n < 1 || n > r.inUse {
+		p.Failf("release %d of resource %q with %d in use", n, r.name, r.inUse)
 	}
 	r.inUse -= n
 	r.wakeHead()
 }
 
-// wakeHead wakes the foreground head if it fits, or, with no foreground
-// request queued, the background head.
 func (r *Resource) wakeHead() {
-	if h := r.fg.head; h != nil {
-		if r.fits(h.qn) {
-			h.WakeUp()
-		}
-		return
-	}
-	r.wakeBackground()
-}
-
-// free reports whether a background request can be granted a unit now.
-func (r *Resource) free() bool { return r.fg.n == 0 && r.inUse < r.capacity }
-
-// wakeBackground wakes the background head if it can be granted. It
-// never touches a foreground waiter: waking one whose wake-up is
-// already pending would move it behind later foreground events.
-func (r *Resource) wakeBackground() {
-	if r.bg.head != nil && r.free() {
-		r.bg.head.WakeUp()
-	}
-}
-
-// acquireBackground blocks p, which is in a background transfer, until
-// a unit is free with no foreground request queued, and holds it
-// preemptibly. It reports false, holding and queued nowhere, once the
-// transfer is stopped (preempted on another resource, or interrupted by
-// its owner). front queues p ahead of the other background waiters: a
-// preempted transfer keeps its turn.
-func (r *Resource) acquireBackground(p *Proc, front bool) bool {
-	if !r.free() || (r.bg.n > 0 && !front) {
-		if front {
-			r.bg.pushFront(p)
-		} else {
-			r.bg.push(p)
-		}
-		for {
-			p.Wait(-1)
-			if p.bg != bgRunning {
-				r.bg.remove(p)
-				r.wakeBackground()
-				return false
-			}
-			if r.bg.head == p && r.free() {
-				r.bg.pop()
-				break
-			}
-		}
-	}
-	r.inUse++
-	r.holders = append(r.holders, p)
-	r.wakeBackground()
-	return true
-}
-
-// releaseBackground returns the unit p holds in the background; a
-// preempted holder holds nothing and nothing happens.
-func (r *Resource) releaseBackground(p *Proc) {
-	for i, h := range r.holders {
-		if h == p {
-			r.drop(i)
-			r.wakeBackground()
-			return
-		}
+	if h := r.q.head; h != nil && r.inUse+h.qn <= r.capacity {
+		h.WakeUp()
 	}
 }
 
@@ -252,27 +135,48 @@ func (r *Resource) Use(p *Proc, n int, d time.Duration) {
 	r.Release(p, n)
 }
 
-// Pipe models a bandwidth-limited transfer channel (a disk, a NIC, an
-// NFS server's aggregate throughput). One transfer is served at a time:
-// a transfer of size bytes occupies the pipe for size/bandwidth of
-// virtual time. Foreground transfers are served FIFO; background
-// transfers are served while no foreground transfer waits and give the
-// pipe back to one that arrives (see Resource). Serialization (rather
-// than processor sharing) matches how contention appears as queueing
-// delay; it keeps the model deterministic and is a good approximation
-// for the mostly-sequential workloads in the VMPlants experiments.
+// Pipe models a bandwidth-limited channel (a disk, a NIC, an NFS mount
+// or server) under processor sharing: every transfer in progress is
+// served at once, each at a rate — a fraction of its own pipe's full
+// speed — fixed between two arrivals or departures. A pipe may be a path
+// to a server (Via), whose bandwidth it shares with the server's other
+// paths and the server's own transfers.
+//
+// Rates are max-min fair (water-filling) over a server and the pipes
+// under it. Pipes with a foreground transfer come first: each gets the
+// least of its own bandwidth and an equal share of the server's, split
+// equally among its foreground transfers. Pipes with only background
+// transfers share what is left the same way; a background transfer on a
+// pipe with a foreground one gets nothing. So foreground rates, and with
+// them every foreground completion time, are the same whatever the
+// background does, and a lone transfer is served at full speed: it takes
+// PerTransferOverhead + size/BytesPerSecond, as it would on an idle pipe.
+//
+// Each arrival and departure re-rates the server's transfers. A transfer
+// whose rate changes is credited the work it was served at the old rate
+// and its completion event is moved; no event is dispatched until a
+// transfer completes. The rate state lives on the Proc (one transfer per
+// process) and the water-fill scratch on the server, so re-rating
+// allocates nothing.
 type Pipe struct {
-	res *Resource
-	// Slots, when set, bounds the concurrent streams of the server this
-	// pipe is a path to: a transfer is in service while it holds one
-	// slot and the pipe. Several pipes may share one.
-	Slots *Resource
+	name string
+	// Via, when set, is the server this pipe is a path to: transfers on
+	// the pipe also take their bandwidth from Via's, which every pipe
+	// naming it and Via's own transfers share. A server has no Via.
+	Via *Pipe
 	// BytesPerSecond is the pipe's throughput. It may be changed between
 	// transfers to model degraded devices.
 	BytesPerSecond float64
 	// PerTransferOverhead is a fixed setup latency added to every
-	// transfer (protocol round trips, open/close).
+	// transfer (protocol round trips, open/close). It is served like the
+	// bytes are, at the transfer's rate.
 	PerTransferOverhead time.Duration
+
+	fg, bg waitQueue // transfers in progress, in arrival order
+	share  float64   // this pipe's bandwidth in the current water-fill
+	// On a server: the pipes under it (itself included) with a transfer
+	// in progress, in the order they became busy, and water-fill scratch.
+	busy, fill []*Pipe
 
 	totalBytes      int64
 	backgroundBytes int64
@@ -284,28 +188,53 @@ func NewPipe(name string, bytesPerSecond float64) *Pipe {
 	if bytesPerSecond <= 0 {
 		panic("sim: pipe bandwidth must be positive")
 	}
-	return &Pipe{res: NewResource(name, 1), BytesPerSecond: bytesPerSecond}
+	return &Pipe{name: name, BytesPerSecond: bytesPerSecond}
 }
 
 // Name returns the pipe's name.
-func (pi *Pipe) Name() string { return pi.res.Name() }
+func (pi *Pipe) Name() string { return pi.name }
+
+// server is the pipe whose bandwidth pi's transfers share.
+func (pi *Pipe) server() *Pipe {
+	if pi.Via != nil {
+		return pi.Via
+	}
+	return pi
+}
+
+// transfer is a process's Pipe.Transfer in progress.
+type transfer struct {
+	pipe   *Pipe // nil outside a transfer
+	class  Class
+	cancel bool    // the owner interrupted a background transfer
+	rate   float64 // the fraction of the pipe's full speed being served
+	left   float64 // work left at since, in nanoseconds at full speed
+	since  time.Duration
+}
+
+// end is when the transfer completes at its current rate (> 0). A rate
+// so small that the completion lies past the clock's range is parked
+// far ahead; a later re-rate moves it.
+func (x *transfer) end() time.Duration {
+	return x.since + time.Duration(min(math.Ceil(x.left/x.rate), math.MaxInt64/2))
+}
+
+// advance credits the work served at the current rate up to now.
+func (x *transfer) advance(now time.Duration) {
+	x.left = max(0, x.left-x.rate*float64(now-x.since))
+	x.since = now
+}
 
 // Transfer moves size bytes through the pipe, blocking the calling
-// process for queueing plus service time: the fixed overhead, then the
-// transmission time. The scale factor multiplies the transmission time
-// (>= 1 models a slowed device, e.g. a host under memory pressure);
-// scale <= 0 is treated as 1.
+// process until it has been served its work: the fixed overhead plus the
+// transmission time, at the rate the pipe's sharing gives it. The scale
+// factor multiplies the transmission time (>= 1 models a slowed device,
+// e.g. a host under memory pressure); scale <= 0 is treated as 1.
 //
-// A foreground transfer takes a slot, then the pipe, and holds both for
-// its whole service time whatever wakes the process. A background
-// transfer takes the pipe, then a slot — it never sits on a slot of the
-// shared server that it cannot use yet — both in the background class,
-// so it is preemptible on everything it holds from the moment it holds
-// it, in service or still queued for the other: when a foreground
-// request takes back its pipe or its slot it gives up both, keeps the
-// service it has had and queues again for the rest. Its owner can
-// cancel it with Proc.Interrupt: it leaves the queues at once and
-// Transfer returns the service time left (zero in every other case).
+// A wake-up meant for something else changes nothing. The owner of a
+// background transfer can cancel it with Proc.Interrupt: it leaves the
+// pipe at once and Transfer returns the service time left, zero in every
+// other case.
 func (pi *Pipe) Transfer(p *Proc, size int64, scale float64, class Class) time.Duration {
 	if size < 0 {
 		p.Failf("negative transfer size %d on pipe %q", size, pi.Name())
@@ -314,16 +243,45 @@ func (pi *Pipe) Transfer(p *Proc, size int64, scale float64, class Class) time.D
 		scale = 1
 	}
 	need := pi.PerTransferOverhead + Seconds(float64(size)/pi.BytesPerSecond*scale)
-	if class == Foreground {
-		pi.foreground(p, need)
-	} else {
-		if left := pi.background(p, need); left > 0 {
-			// The overhead is served first and carries no bytes.
-			moved := int64(math.Max(0, (need-left-pi.PerTransferOverhead).Seconds()) * pi.BytesPerSecond / scale)
-			pi.backgroundBytes += moved
-			pi.totalBytes += moved
-			return left
+	x := &p.x
+	*x = transfer{pipe: pi, class: class, left: float64(need), since: p.Now()}
+	srv := pi.server()
+	if pi.fg.n+pi.bg.n == 0 {
+		srv.busy = append(srv.busy, pi)
+	}
+	pi.queue(class).push(p)
+	srv.rerate(p.Now())
+	var left time.Duration
+	for x.rate == 0 || p.Now() < x.end() {
+		if x.cancel {
+			x.advance(p.Now())
+			left = time.Duration(math.Ceil(x.left))
+			break
 		}
+		// Re-rating never schedules the running process, and a wake-up
+		// meant for something else dropped the completion event: the
+		// process has none pending here.
+		if x.rate > 0 {
+			p.scheduleAt(x.end())
+		}
+		p.yield()
+		p.interrupted = false
+	}
+	pi.queue(class).remove(p)
+	if pi.fg.n+pi.bg.n == 0 {
+		i := slices.Index(srv.busy, pi)
+		srv.busy = slices.Delete(srv.busy, i, i+1)
+	}
+	x.pipe = nil
+	srv.rerate(p.Now())
+	if left > 0 {
+		// Count the overhead as served first: it carries no bytes.
+		moved := int64(math.Max(0, (need-left-pi.PerTransferOverhead).Seconds()) * pi.BytesPerSecond / scale)
+		pi.backgroundBytes += moved
+		pi.totalBytes += moved
+		return left
+	}
+	if class == Background {
 		pi.backgroundBytes += size
 	}
 	pi.totalBytes += size
@@ -331,48 +289,81 @@ func (pi *Pipe) Transfer(p *Proc, size int64, scale float64, class Class) time.D
 	return 0
 }
 
-// foreground holds a slot and the pipe for d, to the deadline whatever
-// wakes the process meanwhile.
-func (pi *Pipe) foreground(p *Proc, d time.Duration) {
-	if pi.Slots != nil {
-		pi.Slots.Acquire(p, 1)
+func (pi *Pipe) queue(c Class) *waitQueue {
+	if c == Foreground {
+		return &pi.fg
 	}
-	pi.res.Acquire(p, 1)
-	for deadline := p.Now() + d; ; {
-		p.Sleep(deadline - p.Now())
-		if p.Now() >= deadline {
-			break
+	return &pi.bg
+}
+
+// rerate water-fills the server's bandwidth over its busy pipes,
+// foreground first, and gives each transfer its rate.
+func (srv *Pipe) rerate(now time.Duration) {
+	left := srv.BytesPerSecond
+	for _, class := range []Class{Foreground, Background} {
+		srv.fill = srv.fill[:0]
+		for _, pi := range srv.busy {
+			if (class == Foreground) == (pi.fg.n > 0) {
+				srv.fill = append(srv.fill, pi)
+			}
 		}
-	}
-	pi.res.Release(p, 1)
-	if pi.Slots != nil {
-		pi.Slots.Release(p, 1)
+		left = max(0, left-waterFill(srv.fill, left))
+		for _, pi := range srv.fill {
+			q := pi.queue(class)
+			pi.setRates(q, pi.share/pi.BytesPerSecond/float64(q.n), now)
+			if class == Foreground {
+				pi.setRates(&pi.bg, 0, now)
+			}
+		}
 	}
 }
 
-// background serves need of service time in the background class. It
-// returns what is left of it when the owner cancelled the transfer.
-func (pi *Pipe) background(p *Proc, need time.Duration) time.Duration {
-	left := need
-	for again := false; ; again = true {
-		p.bg = bgRunning
-		if pi.res.acquireBackground(p, again) && (pi.Slots == nil || pi.Slots.acquireBackground(p, again)) {
-			// In service until it is all had or the transfer is stopped;
-			// a wake-up meant for something else changes nothing.
-			for left > 0 && p.bg == bgRunning {
-				start := p.Now()
-				p.Wait(left)
-				left -= p.Now() - start
-			}
+// waterFill gives each pipe in ps its max-min fair share of capacity —
+// the least of its bandwidth and a level that spends the capacity or
+// leaves every pipe at its bandwidth — and returns what it gave. A share
+// depends only on the pipe's bandwidth and the bandwidths in ps, not on
+// their order.
+func waterFill(ps []*Pipe, capacity float64) float64 {
+	// Insertion sort by bandwidth: ps is short and this allocates nothing.
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && ps[j].BytesPerSecond < ps[j-1].BytesPerSecond; j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
 		}
-		if pi.Slots != nil {
-			pi.Slots.releaseBackground(p)
+	}
+	level := capacity / float64(len(ps))
+	for i, pi := range ps {
+		if pi.BytesPerSecond > level || i == len(ps)-1 {
+			break
 		}
-		pi.res.releaseBackground(p)
-		why := p.bg
-		p.bg = bgNone
-		if left == 0 || why == bgCancelled {
-			return left
+		capacity -= pi.BytesPerSecond
+		level = capacity / float64(len(ps)-i-1)
+	}
+	var given float64
+	for _, pi := range ps {
+		pi.share = min(pi.BytesPerSecond, level)
+		given += pi.share
+	}
+	return given
+}
+
+// setRates gives every transfer in q the rate r. One whose rate changes
+// is credited what it was served so far and its completion is moved,
+// unless its process is the one running or has a wake-up pending: that
+// one schedules its completion itself before it blocks.
+func (pi *Pipe) setRates(q *waitQueue, r float64, now time.Duration) {
+	for p := q.head; p != nil; p = p.qnext {
+		x := &p.x
+		if x.rate == r {
+			continue
+		}
+		x.advance(now)
+		x.rate = r
+		if p.interrupted || p.state == ProcRunning {
+			continue
+		}
+		p.cancelPending()
+		if r > 0 {
+			p.scheduleAt(x.end())
 		}
 	}
 }
@@ -384,6 +375,3 @@ func (pi *Pipe) background(p *Proc, need time.Duration) time.Duration {
 func (pi *Pipe) Stats() (bytes, background, transfers int64) {
 	return pi.totalBytes, pi.backgroundBytes, pi.transfers
 }
-
-// QueueLen reports how many transfers are waiting for the pipe.
-func (pi *Pipe) QueueLen() int { return pi.res.QueueLen() }

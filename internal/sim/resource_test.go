@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -139,7 +140,9 @@ func TestResourceCascadeWake(t *testing.T) {
 	}
 }
 
-func TestPipeSerializesTransfers(t *testing.T) {
+// Three equal transfers that arrive together share the pipe and finish
+// together, at the time the three would take one after another.
+func TestPipeSharesBandwidth(t *testing.T) {
 	k := NewKernel()
 	pipe := NewPipe("nfs", 10e6) // 10 MB/s
 	var done []time.Duration
@@ -150,11 +153,9 @@ func TestPipeSerializesTransfers(t *testing.T) {
 		})
 	}
 	k.Run(0)
-	want := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Fatalf("transfer completions %v, want %v", done, want)
-		}
+	want := []time.Duration{3 * time.Second, 3 * time.Second, 3 * time.Second}
+	if !slices.Equal(done, want) {
+		t.Fatalf("transfer completions %v, want %v", done, want)
 	}
 	bytes, _, n := pipe.Stats()
 	if bytes != 30e6 || n != 3 {

@@ -32,20 +32,14 @@ func NewDevice(name string, bytesPerSecond float64, perTransferOverhead time.Dur
 	return &Device{pipe: p}
 }
 
-// NewServer creates a shared device that admits at most maxStreams
-// concurrent transfers; further clients queue.
-func NewServer(name string, bytesPerSecond float64, perTransferOverhead time.Duration, maxStreams int) *Device {
-	d := NewDevice(name, bytesPerSecond, perTransferOverhead)
-	d.pipe.Slots = sim.NewResource(name+".slots", maxStreams)
-	return d
-}
-
 // Name returns the device name.
 func (d *Device) Name() string { return d.pipe.Name() }
 
-// ShareSlots makes transfers through d also occupy other's stream slots,
-// modeling a client mount whose server bounds aggregate concurrency.
-func (d *Device) ShareSlots(other *Device) { d.pipe.Slots = other.pipe.Slots }
+// ShareServer makes d a path to server, the way a client mount reaches
+// its NFS server: transfers through d also share server's bandwidth,
+// with every other path to it and with server's own transfers
+// (sim.Pipe.Via).
+func (d *Device) ShareServer(server *Device) { d.pipe.Via = server.pipe }
 
 // Transfer moves size bytes through the device in the given class;
 // scale ≥ 1 slows the effective rate (memory pressure, degraded paths).
@@ -247,8 +241,9 @@ func (v *Volume) LinkForeign(p *sim.Proc, src *Volume, srcPath, dst string) erro
 // devices: the transfer occupies the source device at the bottleneck
 // rate, then pays only the destination's fixed overhead (the stream
 // writes as it reads). scale further slows the effective rate. A
-// background copy gives way to foreground traffic on the source device;
-// cancelled by its owner it writes nothing and returns ErrInterrupted.
+// background copy takes only the bandwidth foreground traffic leaves on
+// the source device; cancelled by its owner it writes nothing and
+// returns ErrInterrupted.
 func (v *Volume) CopyTo(p *sim.Proc, src string, dst *Volume, dstPath string, scale float64, class sim.Class) (int64, error) {
 	size, err := v.Stat(src)
 	if err != nil {
@@ -320,12 +315,13 @@ func (v *Volume) Truncate(path string, size int64) error {
 // Charge pays the device cost of moving size bytes in the given class
 // without touching the namespace — for operations whose file bookkeeping
 // happens elsewhere (e.g. a warehouse publish whose entries the
-// warehouse itself records).
-func (v *Volume) Charge(p *sim.Proc, size int64, scale float64, class sim.Class) {
+// warehouse itself records). It returns the service time left, which is
+// zero unless the owner cancelled a background charge (Device.Transfer).
+func (v *Volume) Charge(p *sim.Proc, size int64, scale float64, class sim.Class) time.Duration {
 	if size <= 0 {
-		return
+		return 0
 	}
-	v.dev.Transfer(p, size, scale, class)
+	return v.dev.Transfer(p, size, scale, class)
 }
 
 // Delete removes a file; it is an error if absent.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,8 +103,12 @@ func TestCopyScaleSlowsDown(t *testing.T) {
 	}
 }
 
-func TestServerSlotsQueueTransfers(t *testing.T) {
-	server := NewServer("nfs", 100e6, 0, 1) // one stream at a time
+// A server time-shares its bandwidth: three equal transfers that would
+// take 1 s each alone finish together at 3 s, and a 4 KB read issued
+// beside a 256 MB copy on the same mount is not queued behind it — it
+// takes at most twice its time alone.
+func TestServerSharesBandwidth(t *testing.T) {
+	server := NewDevice("nfs", 100e6, 0)
 	v := NewVolume("w", server)
 	var done []time.Duration
 	k := sim.NewKernel()
@@ -117,11 +122,37 @@ func TestServerSlotsQueueTransfers(t *testing.T) {
 		})
 	}
 	k.Run(0)
-	want := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Fatalf("completions %v, want %v", done, want)
-		}
+	if want := []time.Duration{3 * time.Second, 3 * time.Second, 3 * time.Second}; !slices.Equal(done, want) {
+		t.Fatalf("completions %v, want %v", done, want)
+	}
+	if bytes, _, n := server.Stats(); bytes != 300e6 || n != 3 {
+		t.Errorf("server stats = (%d bytes, %d transfers), want (300e6, 3)", bytes, n)
+	}
+
+	nfs := NewDevice("nfs", 44e6, 120*time.Millisecond)
+	mountDev := NewDevice("mount", 11e6, 120*time.Millisecond)
+	mountDev.ShareServer(nfs)
+	mount := NewVolume("w", nfs).ViewOn(mountDev)
+	mount.WriteMeta("mem", 256<<20)
+	mount.WriteMeta("block", 4096)
+	read := func(k *sim.Kernel) time.Duration {
+		var took time.Duration
+		k.Spawn("fault", func(p *sim.Proc) {
+			p.Sleep(time.Second)
+			start := p.Now()
+			if _, err := mount.Read(p, "block", 1); err != nil {
+				t.Error(err)
+			}
+			took = p.Now() - start
+		})
+		k.Run(0)
+		return took
+	}
+	alone := read(sim.NewKernel())
+	k = sim.NewKernel()
+	k.Spawn("copy", func(p *sim.Proc) { mount.Read(p, "mem", 1) })
+	if beside := read(k); beside > 2*alone {
+		t.Errorf("a 4 KB read beside a 256 MB copy took %v, %v alone", beside, alone)
 	}
 }
 
@@ -208,20 +239,20 @@ func TestPerTransferOverhead(t *testing.T) {
 	}
 }
 
-// Three mounts of one two-stream server, as cluster.NewTestbed wires
-// them: a foreground copy that arrives in the middle of a background
-// one finishes in its own service time — on the same mount, and on
-// another mount when the background copies hold every stream slot — and
-// the background copies finish at the sum of what was served ahead of
-// them, no slot or mount having idled meanwhile.
+// Three mounts of one server as fast as two of them, as
+// cluster.NewTestbed wires them: a foreground copy finishes in its own
+// service time whether it lands on a background copy's mount (which it
+// pauses) or on a third mount (whose share of the server the background
+// copies give up), and the background copies finish in the bandwidth
+// the foreground leaves — the server never idles while one could use it.
 func TestForegroundCopyPreemptsBackgroundCopy(t *testing.T) {
-	server := NewServer("nfs", 20e6, 0, 2)
+	server := NewDevice("nfs", 20e6, 0)
 	wh := NewVolume("w", server)
 	wh.WriteMeta("extent", 100e6) // 10 s over a 10 MB/s mount
 	wh.WriteMeta("mem", 20e6)     // 2 s
 	mount := func(name string) *Volume {
 		dev := NewDevice(name, 10e6, 0)
-		dev.ShareSlots(server)
+		dev.ShareServer(server)
 		return wh.ViewOn(dev)
 	}
 	m1, m2, m3 := mount("m1"), mount("m2"), mount("m3")
@@ -240,12 +271,10 @@ func TestForegroundCopyPreemptsBackgroundCopy(t *testing.T) {
 	}
 	copyAt("bg1", 0, m1, "extent", sim.Background)
 	copyAt("bg2", 0, m2, "extent", sim.Background)
-	// At 3 s the foreground copy takes bg1's mount, and the slot of the
-	// more recent holder, bg2 — which at once takes the slot bg1 gives
-	// up with its mount, and carries on.
+	// From 3 s to 5 s the foreground copy has m1: bg1 pauses, bg2 keeps
+	// the other half of the server.
 	copyAt("fg-same-mount", 3*time.Second, m1, "mem", sim.Foreground)
-	// At 6 s both slots are held again, bg1's (back in service since
-	// 5 s) the more recently.
+	// From 6 s to 8 s it has half the server: bg1 and bg2 split the rest.
 	copyAt("fg-other-mount", 6*time.Second, m3, "mem", sim.Foreground)
 	if res := k.Run(0); len(res.Stranded) != 0 {
 		t.Fatalf("stranded: %v", res.Stranded)
@@ -253,8 +282,8 @@ func TestForegroundCopyPreemptsBackgroundCopy(t *testing.T) {
 	for name, want := range map[string]time.Duration{
 		"fg-same-mount":  5 * time.Second,
 		"fg-other-mount": 8 * time.Second,
-		"bg1":            14 * time.Second, // 10 s of service, preempted 3–5 s and 6–8 s
-		"bg2":            10 * time.Second,
+		"bg2":            11 * time.Second, // 6 s at full speed, 2 s at half, the last 3 s at full
+		"bg1":            13 * time.Second, // 10 s of service, none 3–5 s, half 6–8 s
 	} {
 		if done[name] != want {
 			t.Errorf("%s done at %v, want %v", name, done[name], want)

@@ -442,6 +442,34 @@ func TestScrubPassSurvivesConcurrentRemove(t *testing.T) {
 	}
 }
 
+// Stopping the scrubber mid-read cuts the deep read short: the scrub
+// proc is done at Stop's instant, the pass it was in does not count, and
+// nothing is left on the kernel.
+func TestScrubberStopInterruptsDeepRead(t *testing.T) {
+	w := newWarehouse()
+	seedImage(t, w, "a")
+	k := sim.NewKernel()
+	s := w.NewScrubber(time.Minute)
+	k.Spawn("owner", func(p *sim.Proc) {
+		s.Start(p.Kernel())
+		p.Sleep(100 * time.Millisecond) // mid-deep-read of the first pass
+		s.Stop()
+		p.Sleep(0) // the scrub proc runs at this same instant
+		if st := s.proc.State(); st != sim.ProcDone {
+			t.Errorf("scrubber state %d at Stop's instant, want done", st)
+		}
+		if n := p.Kernel().QueueDepth(); n != 0 {
+			t.Errorf("%d events pending after the scrubber stopped", n)
+		}
+	})
+	if res := k.Run(0); len(res.Stranded) != 0 || res.End != 100*time.Millisecond {
+		t.Fatalf("ended at %v, stranded %v", res.End, res.Stranded)
+	}
+	if stats := w.ScrubStatsNow(); stats.Passes != 0 {
+		t.Errorf("%d scrub passes counted, want none", stats.Passes)
+	}
+}
+
 // The quarantine accessors are the one warehouse surface read from
 // outside the kernel (vmctl via the debug endpoint), so they must be
 // safe against a concurrently mutating kernel. Run under -race.

@@ -51,19 +51,21 @@ func (s *Scrubber) Start(k *sim.Kernel) {
 }
 
 // Stop ends the scrub loop: the flag stops the next iteration and the
-// wake-up pulls the proc out of its between-pass sleep so the kernel
-// can reach quiescence. Must be called from a running proc.
+// interrupt cuts short a deep read in flight, or pulls the proc out of
+// its between-pass sleep, so the kernel can reach quiescence. Must be
+// called from a running proc.
 func (s *Scrubber) Stop() {
 	s.stopped = true
 	if s.proc != nil {
-		s.proc.WakeUp()
+		s.proc.Interrupt()
 	}
 }
 
 // ScrubPass runs one full scrub cycle: verify every in-service image
 // (reading its accounted bytes off the volume), then attempt repair of
 // everything quarantined — seeds first, so a healed parent extent
-// clears the derived images poisoned through it in the same pass.
+// clears the derived images poisoned through it in the same pass. A deep
+// read its proc's owner interrupts (Scrubber.Stop) ends the pass there.
 func (w *Warehouse) ScrubPass(p *sim.Proc) {
 	// List's copy: the pass sleeps in Charge and retires at the repair
 	// limit, so the catalog changes under the walk.
@@ -86,7 +88,9 @@ func (w *Warehouse) ScrubPass(p *sim.Proc) {
 				}
 			}
 		}
-		w.vol.Charge(p, deep, 1, sim.Background)
+		if w.vol.Charge(p, deep, 1, sim.Background) > 0 {
+			return
+		}
 		// The proc slept in Charge; the image may have been removed or
 		// quarantined meanwhile.
 		if cur, live := w.images[name]; !live || cur != im || w.IsQuarantined(name) {

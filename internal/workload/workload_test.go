@@ -223,9 +223,9 @@ func TestRandomDAGTopoPrefixAlwaysMatches(t *testing.T) {
 type dagActionAlias = dag.Action
 
 // Concurrent clients: the paper's runs are sequential, but the system
-// must stay correct when several clients create at once — the NFS
-// server's stream slots serialize the copies, so everything succeeds,
-// just slower per request.
+// must stay correct when several clients create at once — the copies
+// share the NFS server's bandwidth, so everything succeeds, just slower
+// per request.
 func TestConcurrentClientsAllSucceed(t *testing.T) {
 	d, err := NewDeployment(Options{Seed: 31, GoldenSizesMB: []int{64}, Plants: 4})
 	if err != nil {
