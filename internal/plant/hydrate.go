@@ -203,6 +203,7 @@ func (h *hydration) copyExtent(p *sim.Proc, i int) error {
 	if _, err := node.Warehouse().CopyTo(p, src, node.LocalDisk(), dst, node.Jitter(), sim.Background); err != nil {
 		return fmt.Errorf("hydrate extent %d: %w", i, err)
 	}
+	h.vm.AddFile(dst)
 	if err := h.pl.wh.VerifyClone(h.cctx); err != nil {
 		return fmt.Errorf("hydrate extent %d: %w", i, err)
 	}

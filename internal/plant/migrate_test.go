@@ -73,6 +73,10 @@ func TestMigrateMovesVMAndResources(t *testing.T) {
 		if moved.Guest().IP != guestIP || moved.MAC() != macBefore {
 			t.Error("guest identity lost in migration")
 		}
+		// The VM's files left the source node with it.
+		if files := tb.Nodes[0].LocalDisk().List(); len(files) != 0 {
+			t.Errorf("source node still holds %q", files)
+		}
 		// Source's host-only network freed, destination's allocated.
 		if a.Networks().FreeCount() != a.Networks().Size() {
 			t.Error("source network leaked")
@@ -100,6 +104,9 @@ func TestMigrateMovesVMAndResources(t *testing.T) {
 		}
 		if tb.Nodes[1].VMs() != 0 {
 			t.Error("destination memory leaked after collect")
+		}
+		if files := tb.Nodes[1].LocalDisk().List(); len(files) != 0 {
+			t.Errorf("destination node still holds %q after collect", files)
 		}
 	})
 }

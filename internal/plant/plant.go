@@ -189,6 +189,8 @@ type Plant struct {
 	hAdmissionWait    *telemetry.Histogram
 
 	mDemandFaults      *telemetry.Counter
+	mReplicaHits       *telemetry.Counter
+	mReplicaFills      *telemetry.Counter
 	mHydratedExtents   *telemetry.Counter
 	mHydrationAborts   *telemetry.Counter
 	hHydrationLag      *telemetry.Histogram
@@ -282,6 +284,8 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 		gBrownout:  tel.Gauge("plant.brownout"),
 
 		mDemandFaults:      tel.Counter("plant.demand_faults"),
+		mReplicaHits:       tel.Counter("plant.memimage_replica_hits"),
+		mReplicaFills:      tel.Counter("plant.memimage_replica_fills"),
 		mHydratedExtents:   tel.Counter("plant.hydrated_extents"),
 		mHydrationAborts:   tel.Counter("plant.hydration_aborts"),
 		hHydrationLag:      tel.Histogram("plant.hydration_lag_secs"),
@@ -566,9 +570,16 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		golden.Unref()
 	}
 	if vm == nil {
-		vm, cloneStats, err = backend.Clone(p, pl.node, golden, id, pl.cfg.CloneMode)
+		vm, cloneStats, err = backend.Clone(p, pl.node, cctx, id, pl.cfg.CloneMode)
 		if err != nil {
 			return nil, fmt.Errorf("plant %s: clone: %w", pl.name, err)
+		}
+		if cloneStats.ReplicaHit {
+			pl.mReplicaHits.Inc()
+		}
+		if cloneStats.ReplicaFill {
+			pl.mReplicaFills.Inc()
+			pl.pruneReplicas()
 		}
 	}
 	hold(func() { vm.Collect(p) })
@@ -758,6 +769,20 @@ func (pl *Plant) recordClone(cloneSp *telemetry.Span, cloneStart time.Duration, 
 	cloneSp.SetInt("bytes_copied", cs.CopiedBytes)
 	pl.mCloneBytes.Add(cs.CopiedBytes)
 	pl.mCloneLinks.Add(int64(cs.LinkedFiles))
+}
+
+// pruneReplicas deletes the node's memory-image replicas whose image the
+// warehouse no longer publishes at their epoch. It runs after a lazy
+// clone filled a replica, the only time the node adds one, so replicas
+// never outnumber the published images for longer than until the next
+// fill. The key is stateless: a restarted plant prunes the same way.
+func (pl *Plant) pruneReplicas() {
+	local := pl.node.LocalDisk()
+	for _, path := range local.List() {
+		if pl.wh.StaleReplica(path) {
+			_ = local.Delete(path) // fails only on a missing path
+		}
+	}
 }
 
 // configure executes the residual plan: guest actions are delivered via
@@ -1121,7 +1146,7 @@ func (pl *Plant) Precreate(p *sim.Proc, image string, count int) (err error) {
 		seq := pl.poolSeq
 		pl.mu.Unlock()
 		id := core.VMID(fmt.Sprintf("pre-%s-%d", pl.name, seq))
-		vm, cs, err := backend.Clone(p, pl.node, golden, id, mode)
+		vm, cs, err := backend.Clone(p, pl.node, cctx, id, mode)
 		if err != nil {
 			return fmt.Errorf("plant %s: precreate: %w", pl.name, err)
 		}

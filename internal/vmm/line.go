@@ -43,6 +43,8 @@ type CloneStats struct {
 	Mode        vdisk.CloneMode
 	CopiedBytes int64         // physical state copied (redo, config, memory, extents under copy-mode)
 	LinkedFiles int           // extent files satisfied by soft links
+	ReplicaHit  bool          // a lazy clone found the node's memory-image replica current
+	ReplicaFill bool          // a lazy clone copied the memory image into the replica
 	CopyTime    time.Duration // state-copy stage
 	ResumeTime  time.Duration // resume (or boot) stage
 	Total       time.Duration // end-to-end clone latency (PPP clone → VM usable)
@@ -52,10 +54,10 @@ type CloneStats struct {
 type Backend interface {
 	// Name returns the backend key ("vmware", "uml").
 	Name() string
-	// Clone instantiates the golden image as a new VM on node. mode
-	// selects link-cloning (the paper's mechanism) or full copying (the
-	// slow baseline).
-	Clone(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, id core.VMID, mode vdisk.CloneMode) (*VM, CloneStats, error)
+	// Clone instantiates the opened golden image (cctx.Image) as a new
+	// VM on node. mode selects link-cloning (the paper's mechanism),
+	// full copying (the slow baseline) or lazy cloning.
+	Clone(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneContext, id core.VMID, mode vdisk.CloneMode) (*VM, CloneStats, error)
 }
 
 // memImageBytes is the checkpoint file size for a guest of this shape.
@@ -63,59 +65,63 @@ func memImageBytes(hw core.HardwareSpec) int64 {
 	return int64(hw.MemoryMB+warehouse.MemImageOverheadMB) * 1024 * 1024
 }
 
-// cloneDiskState lays down the clone's disk state files on the node:
-// links or copies of the golden extents, plus a copy of the base redo
-// log and the VM configuration file. Returns bytes physically copied
-// and files linked.
-func cloneDiskState(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, id core.VMID, mode vdisk.CloneMode) (int64, int, error) {
+// cloneDiskState lays down the clone's disk state files in dir on the
+// node: links or copies of the golden extents, plus a copy of the base
+// redo log and the VM configuration file. Returns bytes physically
+// copied, files linked, and the paths laid down, with room left for the
+// extents a lazy clone's hydrator lands later.
+func cloneDiskState(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, dir string, mode vdisk.CloneMode) (int64, int, []string, error) {
 	local := node.LocalDisk()
 	wh := node.Warehouse() // the node's NFS view of the warehouse volume
-	dir := "vms/" + string(id) + "/"
+	files := make([]string, 2, 2+len(golden.ExtentPaths))
+	files[0], files[1] = dir+"vm.cfg", dir+"base.redo"
 	var copied int64
 	var linked int
 
 	// "replicates the VM configuration file … for each clone"
-	n, err := wh.CopyTo(p, golden.ConfigPath, local, dir+"vm.cfg", 1, sim.Foreground)
+	n, err := wh.CopyTo(p, golden.ConfigPath, local, files[0], 1, sim.Foreground)
 	if err != nil {
-		return 0, 0, fmt.Errorf("vmm: replicate config: %w", err)
+		return 0, 0, nil, fmt.Errorf("vmm: replicate config: %w", err)
 	}
 	copied += n
 
 	// "… and base redo log for each clone"
-	n, err = wh.CopyTo(p, golden.RedoPath, local, dir+"base.redo", 1, sim.Foreground)
+	n, err = wh.CopyTo(p, golden.RedoPath, local, files[1], 1, sim.Foreground)
 	if err != nil {
-		return 0, 0, fmt.Errorf("vmm: copy redo log: %w", err)
+		return 0, 0, nil, fmt.Errorf("vmm: copy redo log: %w", err)
 	}
 	copied += n
 
+	// A lazy clone lays no extent down: the plant's hydrator materializes
+	// them in the background after the VM resumes (or a guest touch
+	// faults a block in first).
+	if mode == vdisk.CloneByLazy {
+		return copied, 0, files, nil
+	}
 	// "uses soft links for the virtual hard disk" — or full copies for
 	// the ablation baseline.
 	for i, ext := range golden.ExtentPaths {
 		dst := fmt.Sprintf("%sdisk-s%03d.vmdk", dir, i)
-		switch mode {
-		case vdisk.CloneByLink:
+		if mode == vdisk.CloneByLink {
 			if err := local.LinkForeign(p, wh, ext, dst); err != nil {
-				return 0, 0, fmt.Errorf("vmm: link extent: %w", err)
+				return 0, 0, nil, fmt.Errorf("vmm: link extent: %w", err)
 			}
 			linked++
-		case vdisk.CloneByCopy:
+		} else {
 			n, err := wh.CopyTo(p, ext, local, dst, 1, sim.Foreground)
 			if err != nil {
-				return 0, 0, fmt.Errorf("vmm: copy extent: %w", err)
+				return 0, 0, nil, fmt.Errorf("vmm: copy extent: %w", err)
 			}
 			copied += n
-		case vdisk.CloneByLazy:
-			// Deferred: the plant's hydrator materializes this extent in
-			// the background after the VM resumes (or a guest touch
-			// faults it in first). Nothing is laid down here.
 		}
+		files = append(files, dst)
 	}
-	return copied, linked, nil
+	return copied, linked, files, nil
 }
 
 // VMware is the checkpoint-resume production line (paper §4.1): golden
-// machines are suspended VMs; clones copy the memory state and resume
-// without a guest boot.
+// machines are suspended VMs; clones copy the memory state (a lazy clone
+// links it to the node's replica) and resume without a guest boot.
 type VMware struct {
 	Timing Timing
 }
@@ -127,14 +133,16 @@ func NewVMware() *VMware { return &VMware{Timing: DefaultTiming()} }
 func (b *VMware) Name() string { return warehouse.BackendVMware }
 
 // Clone implements Backend.
-func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, id core.VMID, mode vdisk.CloneMode) (*VM, CloneStats, error) {
+func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneContext, id core.VMID, mode vdisk.CloneMode) (*VM, CloneStats, error) {
+	golden := cctx.Image
 	if golden.Backend != warehouse.BackendVMware {
 		return nil, CloneStats{}, fmt.Errorf("vmm: vmware line cannot clone %q image %q", golden.Backend, golden.Name)
 	}
 	start := p.Now()
 	stats := CloneStats{Mode: mode}
 
-	copied, linked, err := cloneDiskState(p, node, golden, id, mode)
+	dir := "vms/" + string(id) + "/"
+	copied, linked, files, err := cloneDiskState(p, node, golden, dir, mode)
 	if err != nil {
 		return nil, CloneStats{}, err
 	}
@@ -143,17 +151,38 @@ func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, golden *warehouse.Image,
 
 	// "The memory state is currently copied by the VMPlant
 	// implementation during cloning" — the dominant per-clone cost,
-	// scaling with guest memory size.
-	memPath := "vms/" + string(id) + "/mem.vmss"
-	// A loaded host pages while absorbing the incoming memory image, so
-	// the copy slows under memory pressure too (priced as if this VM's
-	// own footprint were already committed).
-	copyScale := node.PressureScale(golden.Hardware.MemoryMB) * node.Jitter()
-	n, err := node.Warehouse().CopyTo(p, golden.MemImagePath, node.LocalDisk(), memPath, copyScale, sim.Foreground)
-	if err != nil {
-		return nil, CloneStats{}, fmt.Errorf("vmm: copy memory state: %w", err)
+	// scaling with guest memory size. Link and copy clones keep that
+	// per-clone copy. The image is immutable, so a lazy clone copies it
+	// into the node's replica instead, once per (image, epoch), and links
+	// its own memory file to it: the replica counts only while its
+	// checksum is the warehouse's, so nothing quarantined, repaired or
+	// re-published since is resumed from stale bytes.
+	local, wh := node.LocalDisk(), node.Warehouse()
+	memPath := dir + "mem.vmss"
+	dst := memPath
+	if mode == vdisk.CloneByLazy {
+		dst = cctx.MemReplica
+		sum, _ := wh.Checksum(golden.MemImagePath)
+		got, ok := local.Checksum(dst)
+		stats.ReplicaHit = ok && got == sum
+		stats.ReplicaFill = !stats.ReplicaHit
 	}
-	stats.CopiedBytes += n
+	if !stats.ReplicaHit {
+		// A loaded host pages while absorbing the incoming memory image,
+		// so the copy slows under memory pressure too (priced as if this
+		// VM's own footprint were already committed).
+		copyScale := node.PressureScale(golden.Hardware.MemoryMB) * node.Jitter()
+		n, err := wh.CopyTo(p, golden.MemImagePath, local, dst, copyScale, sim.Foreground)
+		if err != nil {
+			return nil, CloneStats{}, fmt.Errorf("vmm: copy memory state: %w", err)
+		}
+		stats.CopiedBytes += n
+	}
+	if dst != memPath {
+		if err := local.Link(p, dst, memPath); err != nil {
+			return nil, CloneStats{}, fmt.Errorf("vmm: link memory state: %w", err)
+		}
+	}
 	stats.CopyTime = p.Now() - start
 
 	// Resume: commit host memory, read the image back under the node's
@@ -161,7 +190,7 @@ func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, golden *warehouse.Image,
 	node.Commit(golden.Hardware.MemoryMB)
 	resumeStart := p.Now()
 	scale := node.PressureScale(0) * node.Jitter()
-	if _, err := node.LocalDisk().Read(p, memPath, scale); err != nil {
+	if _, err := local.Read(p, memPath, scale); err != nil {
 		node.Release(golden.Hardware.MemoryMB)
 		return nil, CloneStats{}, err
 	}
@@ -184,6 +213,7 @@ func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, golden *warehouse.Image,
 		guest:   golden.Guest.Clone(),
 		state:   Running,
 		memPath: memPath,
+		files:   files,
 		timing:  b.Timing,
 		history: append([]dag.Action(nil), golden.Performed...),
 	}
@@ -204,14 +234,15 @@ func NewUML() *UML { return &UML{Timing: DefaultTiming()} }
 func (b *UML) Name() string { return warehouse.BackendUML }
 
 // Clone implements Backend.
-func (b *UML) Clone(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, id core.VMID, mode vdisk.CloneMode) (*VM, CloneStats, error) {
+func (b *UML) Clone(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneContext, id core.VMID, mode vdisk.CloneMode) (*VM, CloneStats, error) {
+	golden := cctx.Image
 	if golden.Backend != warehouse.BackendUML {
 		return nil, CloneStats{}, fmt.Errorf("vmm: uml line cannot clone %q image %q", golden.Backend, golden.Name)
 	}
 	start := p.Now()
 	stats := CloneStats{Mode: mode}
 
-	copied, linked, err := cloneDiskState(p, node, golden, id, mode)
+	copied, linked, files, err := cloneDiskState(p, node, golden, "vms/"+string(id)+"/", mode)
 	if err != nil {
 		return nil, CloneStats{}, err
 	}
@@ -250,6 +281,7 @@ func (b *UML) Clone(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, id
 		disk:    res.Disk,
 		guest:   guest,
 		state:   Running,
+		files:   files,
 		timing:  b.Timing,
 		history: append([]dag.Action(nil), golden.Performed...),
 	}

@@ -64,6 +64,12 @@ type VM struct {
 	cdBlob    []byte // attached config CD image, nil when ejected
 	cdActions []dag.Action
 
+	// files are the VM's other paths on its node's local disk: the
+	// config, the redo log and the extents, linked or copied by the clone
+	// or landed later (AddFile). Collect and Migrate delete them, and
+	// memPath, by path.
+	files []string
+
 	// history is the VM's full configuration lineage: the golden image's
 	// recorded actions plus everything executed on this instance, in
 	// order. Publishing the VM as a new golden image records it.
@@ -80,6 +86,27 @@ type VM struct {
 // fault extents in on demand (nil removes it).
 func (vm *VM) SetBlockTouchHook(fn func(p *sim.Proc, block int64) error) {
 	vm.blockTouch = fn
+}
+
+// AddFile records a file landed for the VM on its node's local disk (a
+// lazy clone's hydrated extent), for Collect to delete.
+func (vm *VM) AddFile(path string) { vm.files = append(vm.files, path) }
+
+// removeFiles deletes the VM's files, memPath included, from its node's
+// local disk, skipping any already gone. A memory file linked to the
+// node's replica loses the link, not the replica.
+func (vm *VM) removeFiles() {
+	local := vm.node.LocalDisk()
+	remove := func(path string) {
+		if local.Exists(path) {
+			_ = local.Delete(path) // fails only on a missing path
+		}
+	}
+	for _, path := range vm.files {
+		remove(path)
+	}
+	remove(vm.memPath)
+	vm.files = vm.files[:0]
 }
 
 // History returns the VM's configuration lineage (golden history plus
@@ -395,7 +422,8 @@ func (vm *VM) Migrate(p *sim.Proc, dst *cluster.Node) error {
 		moved += memImageBytes(vm.hw)
 	}
 	vm.node.SendTo(p, dst, moved)
-	// The destination now holds the state files.
+	// The destination now holds the state files, and the source none.
+	vm.removeFiles()
 	if vm.memPath != "" {
 		dst.LocalDisk().WriteMeta(vm.memPath, memImageBytes(vm.hw))
 	}
@@ -416,15 +444,16 @@ func (vm *VM) Rebrand(id core.VMID, name string) error {
 }
 
 // Collect stops the VM and releases its host resources: node memory,
-// NIC port, and the discardable redo state (the paper's non-persistent
-// sessions). The host-only network slot is released by the plant, which
-// owns domain accounting.
+// NIC port, the discardable redo state (the paper's non-persistent
+// sessions) and its files on the node's local disk. The host-only
+// network slot is released by the plant, which owns domain accounting.
 func (vm *VM) Collect(p *sim.Proc) error {
 	if vm.state == Stopped {
 		return fmt.Errorf("vmm: %s already collected", vm.id)
 	}
 	p.Sleep(sim.Seconds(0.5 * vm.node.Jitter()))
 	vm.disk.DiscardTop()
+	vm.removeFiles()
 	if vm.nic != nil {
 		vm.nic.Close()
 		vm.nic = nil

@@ -29,7 +29,7 @@ type rig struct {
 	k      *sim.Kernel
 	tb     *cluster.Testbed
 	wh     *warehouse.Warehouse
-	golden *warehouse.Image
+	golden *warehouse.CloneContext
 }
 
 func newRig(t *testing.T, backend string, memMB int) *rig {
@@ -52,7 +52,11 @@ func newRig(t *testing.T, backend string, memMB int) *rig {
 	if err := wh.Publish(im); err != nil {
 		t.Fatal(err)
 	}
-	return &rig{k: k, tb: tb, wh: wh, golden: im}
+	cctx, err := wh.OpenClone(im.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &rig{k: k, tb: tb, wh: wh, golden: cctx}
 }
 
 // inSim runs body as a simulation process to completion.
@@ -87,7 +91,7 @@ func TestVMwareCloneResumesWithGoldenState(t *testing.T) {
 		t.Error("resumed clone lost running service")
 	}
 	// Clone content equals golden content.
-	if vm.Disk().ContentHash() != r.golden.Disk.ContentHash() {
+	if vm.Disk().ContentHash() != r.golden.Image.Disk.ContentHash() {
 		t.Error("clone disk content differs from golden")
 	}
 	// Link cloning: 16 extents linked, only small state copied.
@@ -118,7 +122,7 @@ func TestVMwareCloneGuestIndependentOfGolden(t *testing.T) {
 		if err := vm.ExecGuestAction(p, act(actions.OpCreateUser, "name", "ivan")); err != nil {
 			t.Fatal(err)
 		}
-		if r.golden.Guest.Users["ivan"] {
+		if r.golden.Image.Guest.Users["ivan"] {
 			t.Error("clone guest mutation leaked into golden image")
 		}
 	})
@@ -500,8 +504,12 @@ func TestMigrateRequiresSuspend(t *testing.T) {
 	if err := wh.Publish(im); err != nil {
 		t.Fatal(err)
 	}
+	cctx, err := wh.OpenClone(im.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	k.Spawn("test", func(p *sim.Proc) {
-		vm, _, err := NewVMware().Clone(p, tb.Nodes[0], im, "vm-1", vdisk.CloneByLink)
+		vm, _, err := NewVMware().Clone(p, tb.Nodes[0], cctx, "vm-1", vdisk.CloneByLink)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package warehouse
 import (
 	"container/list"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"vmplants/internal/core"
 	"vmplants/internal/fault"
@@ -31,6 +33,33 @@ type CloneContext struct {
 	// compares it after the state copy so a quarantine/repair landing
 	// mid-clone fails the creation over instead of resuming it.
 	Epoch int64
+	// MemReplica is the local path where a node keeps its replica of the
+	// image's memory file at Epoch ("" for boot-style images). A context
+	// is filled once per (image, epoch), so the name is built once too.
+	MemReplica string
+}
+
+// ReplicaDir is the directory of a node's local disk that holds its
+// memory-image replicas, one file per (image, epoch) it pulled.
+const ReplicaDir = "cache/"
+
+// replicaPath names a node's replica of the image's memory file at the
+// given epoch.
+func replicaPath(name string, epoch int64) string {
+	return ReplicaDir + name + "@" + strconv.FormatInt(epoch, 10) + ".vmss"
+}
+
+// StaleReplica reports whether path is a memory-image replica
+// (CloneContext.MemReplica) whose image is no longer published at the
+// epoch in its name: unpublished, quarantined, or repaired since.
+func (w *Warehouse) StaleReplica(path string) bool {
+	name, ok := strings.CutPrefix(path, ReplicaDir)
+	at := strings.LastIndexByte(name, '@')
+	if !ok || at < 0 {
+		return false
+	}
+	im, published := w.images[name[:at]]
+	return !published || path != replicaPath(im.Name, im.epoch)
 }
 
 // cloneCache is an LRU over recently cloned images' CloneContexts. It
@@ -173,6 +202,9 @@ func (w *Warehouse) OpenClone(name string) (*CloneContext, error) {
 		return nil, err
 	}
 	ctx.Epoch = im.epoch
+	if im.MemImagePath != "" {
+		ctx.MemReplica = replicaPath(name, im.epoch)
+	}
 	w.cache.put(name, ctx)
 	w.gCacheSize.Set(int64(w.cache.order.Len()))
 	return ctx, nil
