@@ -4,7 +4,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= staticcheck
 
-.PHONY: build test race vet lint check bench goldens reach
+.PHONY: build test race vet lint check bench goldens reach knobs
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,12 @@ bench:
 # scripts/reach.allow does not name with the test that needs it.
 reach:
 	./scripts/reach.sh --check
+
+# knobs lists the exported struct fields no product code outside their
+# package sets (only tests or the bench module do, or nothing does) and
+# fails on one that scripts/knobs.allow does not name with its reason.
+knobs:
+	$(GO) test -count=1 ./scripts/knobs
 
 # goldens rewrites the behaviour pins — internal/workload/testdata/
 # fingerprints.golden and cmd/vmbench/testdata/{smoke,paper}.golden —

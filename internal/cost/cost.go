@@ -84,11 +84,11 @@ func (m NetworkCompute) Estimate(v PlantView, memoryMB int) core.Cost {
 
 // FreeMemory is the prototype's memory-availability model: scarcer free
 // host memory means a higher bid. A plant without enough free memory
-// for the requested guest is infeasible.
-type FreeMemory struct {
-	// ReserveMB is host memory the plant never commits to guests.
-	ReserveMB int
-}
+// for the requested guest is infeasible. Nothing is held in reserve:
+// the paper's plants host 16 × 64 MB guests on 1.5 GB nodes, i.e.
+// guests plus VMM overhead may consume all host memory (paging absorbs
+// the overcommit).
+type FreeMemory struct{}
 
 // Name implements Model.
 func (m FreeMemory) Name() string { return "free-memory" }
@@ -98,12 +98,11 @@ func (m FreeMemory) Estimate(v PlantView, memoryMB int) core.Cost {
 	if v.MaxVMs > 0 && v.VMs >= v.MaxVMs {
 		return core.Infeasible
 	}
-	usable := v.FreeMemoryMB - m.ReserveMB
-	if usable < memoryMB {
+	if v.FreeMemoryMB < memoryMB {
 		return core.Infeasible
 	}
 	// Cost grows as free memory shrinks relative to the request.
-	return core.Cost(float64(memoryMB) / float64(usable) * 1000)
+	return core.Cost(float64(memoryMB) / float64(v.FreeMemoryMB) * 1000)
 }
 
 // ByName returns a model by its experiment-config name.
@@ -112,9 +111,6 @@ func ByName(name string) (Model, error) {
 	case "", "network+compute":
 		return DefaultNetworkCompute(), nil
 	case "free-memory":
-		// No reserve: the paper's plants host 16 × 64 MB guests on
-		// 1.5 GB nodes, i.e. guests plus VMM overhead may consume all
-		// host memory (paging absorbs the overcommit).
 		return FreeMemory{}, nil
 	}
 	return nil, fmt.Errorf("cost: unknown model %q", name)

@@ -63,7 +63,7 @@ func TestNetworkComputeInfeasibility(t *testing.T) {
 }
 
 func TestFreeMemoryModel(t *testing.T) {
-	m := FreeMemory{ReserveMB: 256}
+	m := FreeMemory{}
 	rich := PlantView{FreeMemoryMB: 1536}
 	poor := PlantView{FreeMemoryMB: 512}
 	cr := m.Estimate(rich, 64)
@@ -71,7 +71,7 @@ func TestFreeMemoryModel(t *testing.T) {
 	if !cr.OK() || !cp.OK() || !(cr < cp) {
 		t.Errorf("rich=%v poor=%v, want rich cheaper", cr, cp)
 	}
-	broke := PlantView{FreeMemoryMB: 300}
+	broke := PlantView{FreeMemoryMB: 48}
 	if c := m.Estimate(broke, 64); c.OK() {
 		t.Errorf("infeasible memory bid %v", c)
 	}

@@ -1,8 +1,7 @@
 // Package fleet is the telemetry-driven autoscaler for a cell's plant
 // fleet: a controller process that watches the shop's admission gate
-// (queue depth and in-flight creations), the SLO engine's error-budget
-// burn, and the spread of the latest bidding round, and grows or
-// shrinks the plant set in response.
+// (queue depth and in-flight creations) and its failure and shed
+// counters, and grows or shrinks the plant set in response.
 //
 // Growing provisions a new plant through a caller-supplied factory and
 // wires it into the shop's rotation; shrinking runs the shop's safe
@@ -10,20 +9,12 @@
 // Both directions are damped: scale decisions respect a cooldown, and
 // shrinking additionally demands a run of consecutive calm ticks —
 // classic hysteresis, so a sawtooth load cannot flap the fleet.
-//
-// The controller also owns brownout: when the watched SLO objective's
-// burn crosses the configured threshold, every plant is switched into
-// its degraded mode (publish-back and background hydration pause)
-// until the burn falls back below the clear threshold. Enter and clear
-// thresholds are distinct — hysteresis again — so the fleet does not
-// oscillate around one line.
 package fleet
 
 import (
 	"fmt"
 	"time"
 
-	"vmplants/internal/core"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
@@ -52,25 +43,9 @@ type Config struct {
 	// distress signals, and being deltas they cannot slip between two
 	// tick samples the way a transient queue can.
 	ScaleUpFailures int
-	// ScaleDownDepth permits shrinking only while total admission
-	// pressure is at or below it (default 0: a fully idle gate).
-	ScaleDownDepth int
 	// QuietTicks is how many consecutive calm ticks must pass before a
 	// shrink (default 4) — the hysteresis band.
 	QuietTicks int
-	// BidSpread, when positive, also grows the fleet whenever the last
-	// bidding round's cheapest and dearest feasible bids differ by at
-	// least this much: a wide spread means the cheap capacity is nearly
-	// gone and arrivals are about to pay the expensive tail.
-	BidSpread core.Cost
-	// BrownoutObjective names the SLO objective whose burn drives
-	// brownout ("" disables brownout control).
-	BrownoutObjective string
-	// BrownoutBurn enters brownout at or above this burn (default 1.0:
-	// the error budget is spent); BrownoutClear leaves it at or below
-	// (default half of BrownoutBurn).
-	BrownoutBurn  float64
-	BrownoutClear float64
 }
 
 func (c Config) withDefaults() Config {
@@ -95,12 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.QuietTicks <= 0 {
 		c.QuietTicks = 4
 	}
-	if c.BrownoutBurn <= 0 {
-		c.BrownoutBurn = 1.0
-	}
-	if c.BrownoutClear <= 0 {
-		c.BrownoutClear = c.BrownoutBurn / 2
-	}
 	return c
 }
 
@@ -109,20 +78,12 @@ func (c Config) withDefaults() Config {
 // name unique across the fleet's history (retired names stay dead).
 type Provisioner func(p *sim.Proc, idx int) (shop.PlantHandle, error)
 
-// brownouter is the optional handle capability the brownout switch
-// uses (shop.LocalHandle implements it).
-type brownouter interface {
-	SetBrownout(on bool)
-}
-
 // Status is the controller's snapshot for tests and experiments.
 type Status struct {
-	Active     int  `json:"active"`
-	Draining   int  `json:"draining"`
-	ScaleUps   int  `json:"scale_ups"`
-	ScaleDowns int  `json:"scale_downs"`
-	Brownouts  int  `json:"brownouts"`
-	InBrownout bool `json:"in_brownout"`
+	Active     int `json:"active"`
+	Draining   int `json:"draining"`
+	ScaleUps   int `json:"scale_ups"`
+	ScaleDowns int `json:"scale_downs"`
 }
 
 // Controller is one cell's autoscaler.
@@ -132,28 +93,26 @@ type Controller struct {
 	hub       *telemetry.Hub
 	provision Provisioner
 
-	stopped    bool
-	proc       *sim.Proc
-	idx        int // next provision index
-	lastScale  time.Duration
-	lastFails  int64 // shop failures + sheds at the previous tick
-	calm       int   // consecutive calm ticks
-	inBrownout bool
-	draining   int // drains this controller started, not yet finished
+	stopped   bool
+	proc      *sim.Proc
+	idx       int // next provision index
+	lastScale time.Duration
+	lastFails int64 // shop failures + sheds at the previous tick
+	calm      int   // consecutive calm ticks
+	draining  int   // drains this controller started, not yet finished
 
 	scaleUps   int
 	scaleDowns int
-	brownouts  int
 
 	mScaleUps   *telemetry.Counter
 	mScaleDowns *telemetry.Counter
-	mBrownouts  *telemetry.Counter
 	gPlants     *telemetry.Gauge
 }
 
-// New builds a controller over the shop. hub supplies the SLO engine
-// for brownout (and receives the controller's own metrics); provision
-// is required for scale-up (nil pins the fleet at its current size).
+// New builds a controller over the shop. hub supplies the shop's
+// failure and shed counters and receives the controller's own metrics;
+// provision is required for scale-up (nil pins the fleet at its current
+// size).
 func New(cfg Config, s *shop.Shop, hub *telemetry.Hub, provision Provisioner) *Controller {
 	c := &Controller{
 		cfg:       cfg.withDefaults(),
@@ -163,7 +122,6 @@ func New(cfg Config, s *shop.Shop, hub *telemetry.Hub, provision Provisioner) *C
 	}
 	c.mScaleUps = hub.Counter("fleet.scale_ups")
 	c.mScaleDowns = hub.Counter("fleet.scale_downs")
-	c.mBrownouts = hub.Counter("fleet.brownouts")
 	c.gPlants = hub.Gauge("fleet.plants")
 	return c
 }
@@ -185,14 +143,10 @@ func (c *Controller) Start(k *sim.Kernel) {
 	})
 }
 
-// Stop ends the control loop and lifts any brownout (parked hydrators
-// must be released or they strand the kernel at quiescence). Drains
-// already in flight run to completion on their own procs.
+// Stop ends the control loop. Drains already in flight run to
+// completion on their own procs.
 func (c *Controller) Stop() {
 	c.stopped = true
-	if c.inBrownout {
-		c.setBrownout(false)
-	}
 	if c.proc != nil {
 		c.proc.WakeUp()
 	}
@@ -205,13 +159,10 @@ func (c *Controller) Status() Status {
 		Draining:   c.draining,
 		ScaleUps:   c.scaleUps,
 		ScaleDowns: c.scaleDowns,
-		Brownouts:  c.brownouts,
-		InBrownout: c.inBrownout,
 	}
 }
 
-// tick is one control decision: read the signals, maybe toggle
-// brownout, maybe scale.
+// tick is one control decision: read the signals, maybe scale.
 func (c *Controller) tick(p *sim.Proc) {
 	queued := c.shop.AdmissionQueueLen()
 	inflight := c.shop.InflightCreates()
@@ -219,12 +170,9 @@ func (c *Controller) tick(p *sim.Proc) {
 	active := len(c.shop.Plants())
 	c.gPlants.Set(int64(active))
 
-	c.tickBrownout(p)
-
-	// Scale up: the gate is backing up, creations started failing or
+	// Scale up: the gate is backing up, or creations started failing or
 	// being shed (both fail fast without queueing, so depth alone would
-	// miss them), or the last auction's bid spread says the cheap
-	// capacity is exhausted.
+	// miss them).
 	fails := c.hub.Counter("shop.create_failures").Value() +
 		c.hub.Counter("shop.shed_creates").Value()
 	failDelta := fails - c.lastFails
@@ -232,9 +180,6 @@ func (c *Controller) tick(p *sim.Proc) {
 	pressure := queued >= c.cfg.ScaleUpDepth
 	if !pressure && c.cfg.ScaleUpFailures > 0 {
 		pressure = failDelta >= int64(c.cfg.ScaleUpFailures)
-	}
-	if !pressure && c.cfg.BidSpread > 0 {
-		pressure = c.lastBidSpread() >= c.cfg.BidSpread
 	}
 	if pressure {
 		c.calm = 0
@@ -244,10 +189,10 @@ func (c *Controller) tick(p *sim.Proc) {
 		return
 	}
 
-	// Scale down: sustained calm, and only down to the floor. The drain
-	// runs on its own proc — a tick must not block for the minutes an
-	// evacuation can take.
-	if depth <= c.cfg.ScaleDownDepth {
+	// Scale down: sustained calm on a fully idle gate, and only down to
+	// the floor. The drain runs on its own proc — a tick must not block
+	// for the minutes an evacuation can take.
+	if depth == 0 {
 		c.calm++
 	} else {
 		c.calm = 0
@@ -259,31 +204,6 @@ func (c *Controller) tick(p *sim.Proc) {
 
 func (c *Controller) cooledDown(p *sim.Proc) bool {
 	return c.lastScale == 0 || p.Now()-c.lastScale >= c.cfg.Cooldown
-}
-
-// lastBidSpread is the cheapest-to-dearest gap of the most recent
-// bidding round with at least two feasible bids (0 when none).
-func (c *Controller) lastBidSpread() core.Cost {
-	round, ok := c.shop.LastContestedBid()
-	if !ok {
-		return 0
-	}
-	var min, max core.Cost
-	first := true
-	for _, cost := range round.Costs {
-		if first {
-			min, max = cost, cost
-			first = false
-			continue
-		}
-		if cost < min {
-			min = cost
-		}
-		if cost > max {
-			max = cost
-		}
-	}
-	return max - min
 }
 
 func (c *Controller) scaleUp(p *sim.Proc) {
@@ -338,41 +258,4 @@ func (c *Controller) victim() string {
 		}
 	}
 	return best
-}
-
-// tickBrownout reads the watched objective's burn and flips the
-// fleet-wide degraded mode across its hysteresis band.
-func (c *Controller) tickBrownout(p *sim.Proc) {
-	if c.cfg.BrownoutObjective == "" || c.hub == nil || c.hub.SLO == nil {
-		return
-	}
-	var burn float64
-	found := false
-	for _, st := range c.hub.SLO.Evaluate(p.Now()) {
-		if st.Name == c.cfg.BrownoutObjective {
-			burn, found = st.Burn, true
-			break
-		}
-	}
-	if !found {
-		return
-	}
-	if !c.inBrownout && burn >= c.cfg.BrownoutBurn {
-		c.setBrownout(true)
-		c.brownouts++
-		c.mBrownouts.Inc()
-	} else if c.inBrownout && burn <= c.cfg.BrownoutClear {
-		c.setBrownout(false)
-	}
-}
-
-// setBrownout flips every plant (draining ones included — their
-// background work competes for the same disks).
-func (c *Controller) setBrownout(on bool) {
-	c.inBrownout = on
-	for _, h := range c.shop.Plants() {
-		if b, ok := h.(brownouter); ok {
-			b.SetBrownout(on)
-		}
-	}
 }

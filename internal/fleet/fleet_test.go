@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -122,52 +123,62 @@ func TestScaleDownWhenCalm(t *testing.T) {
 	}
 }
 
-// TestBrownoutFollowsSLOBurn: budget burn over the watched objective
-// flips the fleet into brownout; recovery clears it (distinct enter
-// and clear thresholds — the hysteresis band).
-func TestBrownoutFollowsSLOBurn(t *testing.T) {
+// TestScaleUpOnFailureDelta: sheds at a full admission gate fail fast
+// and never queue, so the queue depth stays under ScaleUpDepth; the
+// failure/shed delta alone brings a standby plant in on the next tick.
+func TestScaleUpOnFailureDelta(t *testing.T) {
 	hub := telemetry.New()
-	hub.SLO = telemetry.NewSLOEngine(hub.M(), telemetry.Objective{
-		Name: "create.success", Good: "fleet_test.good", Bad: "fleet_test.bad", MinRatio: 0.9,
-	})
-	d, c := elastic(t, 1, 0, hub, fleet.Config{
-		MinPlants:         1,
-		MaxPlants:         1,
-		Tick:              10 * time.Second,
-		BrownoutObjective: "create.success",
-		BrownoutBurn:      2.0,
-		BrownoutClear:     0.5,
-	})
+	cfg := fleet.Config{
+		MinPlants:       1,
+		MaxPlants:       2,
+		Tick:            10 * time.Second,
+		ScaleUpDepth:    4,
+		ScaleUpFailures: 1,
+	}
+	d, c := elastic(t, 2, 1, hub, cfg)
+	d.Shop.SetAdmission(shop.AdmissionConfig{MaxInflight: 1, MaxQueue: 1})
 	c.Start(d.Kernel)
 
-	good, bad := hub.Counter("fleet_test.good"), hub.Counter("fleet_test.bad")
+	const clients = 4
+	done, shed := 0, 0
 	err := d.Run(func(p *sim.Proc) error {
-		// Half the requests failing: burn = 0.5/0.1 = 5 ≥ 2 → brownout.
-		good.Add(5)
-		bad.Add(5)
-		p.Sleep(30 * time.Second)
-		if st := c.Status(); !st.InBrownout {
-			t.Errorf("burn 5.0 did not enter brownout: %+v", st)
+		// Between the controller's first two ticks, so the first one has
+		// already read the counters.
+		p.Sleep(time.Second)
+		for i := 0; i < clients; i++ {
+			seq := i + 1
+			p.Kernel().Spawn("burst", func(wp *sim.Proc) {
+				defer func() { done++ }()
+				spec, err := d.WorkspaceSpec(seq, 32)
+				if err != nil {
+					t.Errorf("spec: %v", err)
+					return
+				}
+				if _, _, err := d.Shop.Create(wp, spec); errors.Is(err, shop.ErrOverload) {
+					shed++
+				} else if err != nil {
+					t.Errorf("create %d: %v", seq, err)
+				}
+			})
 		}
-		if !d.Plants[0].Brownout() {
-			t.Error("plant not in brownout mode")
+		p.Sleep(8 * time.Second)
+		if q := d.Shop.AdmissionQueueLen(); q >= cfg.ScaleUpDepth {
+			t.Errorf("queue depth %d reached ScaleUpDepth %d: the depth trigger would fire", q, cfg.ScaleUpDepth)
 		}
-		// Recovery: flood of successes drops burn to 0.05 ≤ 0.5 → clear.
-		good.Add(990)
-		p.Sleep(30 * time.Second)
-		if st := c.Status(); st.InBrownout {
-			t.Errorf("burn 0.05 did not clear brownout: %+v", st)
+		if shed == 0 || c.Status().ScaleUps != 0 {
+			t.Fatalf("before the next tick: %d shed, %+v; want sheds and no scale-up yet", shed, c.Status())
 		}
-		if d.Plants[0].Brownout() {
-			t.Error("plant still in brownout mode after clear")
+		p.Sleep(2 * time.Second) // past the tick at 10 s
+		if st := c.Status(); st.ScaleUps != 1 || st.Active != 2 {
+			t.Errorf("after the tick: %+v, want the standby plant joined", st)
+		}
+		for done < clients {
+			p.Sleep(time.Minute)
 		}
 		c.Stop()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := c.Status().Brownouts; got != 1 {
-		t.Errorf("brownout entries = %d, want 1", got)
 	}
 }

@@ -1,4 +1,4 @@
-// Drain and brownout: the plant-side half of the elastic fleet.
+// Drain: the plant-side half of the elastic fleet.
 //
 // Draining is the graceful exit from the fleet: a draining plant stops
 // bidding (its Estimate refuses, and its resource ad carries a
@@ -8,19 +8,16 @@
 // protocol (shop/drain.go) migrates or awaits the hosted VMs and
 // journals the retirement.
 //
-// Brownout is the load-shedding degraded mode: when admission pressure
-// burns the SLO budget, the fleet controller browns the plant out —
-// publish-back checkpoints and background hydration pause so every
-// disk and NFS byte serves foreground creations — and lifts it when
-// pressure clears.
+// A plant has no degraded mode for load shedding: its background work
+// (lazy-clone hydration, the publish-back upload) is sim.Background, so
+// it takes only what foreground transfers leave on the NFS server, and
+// nothing on a pipe that carries one.
 package plant
 
 import (
 	"fmt"
-	"time"
 
 	"vmplants/internal/core"
-	"vmplants/internal/sim"
 )
 
 // SetDraining marks (or unmarks) the plant as draining. A draining
@@ -65,53 +62,4 @@ func (pl *Plant) refuseIfDraining() error {
 		return fmt.Errorf("plant %s: %w: draining", pl.name, core.ErrTransient)
 	}
 	return nil
-}
-
-// SetBrownout switches the plant's degraded mode. Entering brownout
-// pauses publish-back and background hydration; leaving it wakes the
-// parked hydrators.
-func (pl *Plant) SetBrownout(on bool) {
-	pl.mu.Lock()
-	was := pl.brownout
-	pl.brownout = on
-	var wake []*sim.Proc
-	if was && !on {
-		wake = pl.brownoutWait
-		pl.brownoutWait = nil
-	}
-	pl.mu.Unlock()
-	if was != on {
-		if on {
-			pl.mBrownouts.Inc()
-			pl.gBrownout.Set(1)
-		} else {
-			pl.gBrownout.Set(0)
-		}
-	}
-	for _, w := range wake {
-		w.WakeUp()
-	}
-}
-
-// Brownout reports whether the plant is in brownout.
-func (pl *Plant) Brownout() bool {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.brownout
-}
-
-// brownoutPark parks p once if a brownout is in effect and returns
-// after it is woken — by the brownout lifting or by any other WakeUp
-// (a hydration cancel, say). Callers loop, re-checking their own exit
-// conditions alongside Brownout(), so a cancel can always pull a
-// parked proc out. Immediately returns outside a brownout.
-func (pl *Plant) brownoutPark(p *sim.Proc) {
-	pl.mu.Lock()
-	if !pl.brownout {
-		pl.mu.Unlock()
-		return
-	}
-	pl.brownoutWait = append(pl.brownoutWait, p)
-	pl.mu.Unlock()
-	p.Wait(time.Hour)
 }

@@ -130,12 +130,6 @@ func (h *hydration) extents() int { return len(h.cctx.Image.ExtentPaths) }
 // NFS server and the node's mount only what creations leave idle.
 func (h *hydration) run(p *sim.Proc) {
 	for h.landed < h.extents() {
-		// Brownout pauses background hydration at extent boundaries;
-		// demand faults still read their blocks (the guest is blocked on
-		// them — that is foreground I/O).
-		for h.pl.Brownout() && !h.cancelled && h.failed == nil {
-			h.pl.brownoutPark(p)
-		}
 		if h.cancelled || h.failed != nil {
 			return
 		}

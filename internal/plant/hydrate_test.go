@@ -272,6 +272,46 @@ func TestDemandFaultLatencyUnderBackgroundLoad(t *testing.T) {
 	}
 }
 
+// A foreground state copy on the node's mount takes exactly its lone
+// time beside a lazy clone's hydrator: background work gets no
+// bandwidth on a pipe that carries a foreground transfer, so no extent
+// lands while the copy runs. That is why the plant needs no degraded
+// mode to keep its NFS path for creations.
+func TestForegroundCopyBesideHydrationTakesItsLoneTime(t *testing.T) {
+	const memoryImage = 256 << 20
+	quiet, _ := newQuietRig(t, 1)
+	var lone time.Duration
+	quiet.run(t, func(p *sim.Proc) {
+		start := p.Now()
+		quiet.tb.Nodes[0].Warehouse().Charge(p, memoryImage, 1, sim.Foreground)
+		lone = p.Now() - start
+	})
+
+	r, hub := newQuietRig(t, 1)
+	r.run(t, func(p *sim.Proc) {
+		if _, err := r.pl.Create(p, "vm-a", spec(t, "alice")); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		p.Sleep(extentCopy(r) / 2)
+		h := r.pl.live["vm-a"]
+		if h == nil || h.proc == nil || h.proc.State() == sim.ProcDone || h.landed == h.extents() {
+			t.Fatalf("no extent in flight: %+v", h)
+		}
+		landed := hub.Counter("plant.hydrated_extents").Value()
+		start := p.Now()
+		r.tb.Nodes[0].Warehouse().Charge(p, memoryImage, 1, sim.Foreground)
+		if got := p.Now() - start; got != lone {
+			t.Errorf("foreground copy beside the hydrator took %v, alone %v", got, lone)
+		}
+		if got := hub.Counter("plant.hydrated_extents").Value(); got != landed {
+			t.Errorf("%d extents landed during the foreground copy", got-landed)
+		}
+	})
+	if !r.pl.AllHydrated() {
+		t.Error("hydration did not converge after the copy")
+	}
+}
+
 // Five other nodes stream foreground reads that take all of the
 // server's bandwidth, so the hydrator's background copy is starved for
 // as long as they last. A guest touching a block of the extent in flight

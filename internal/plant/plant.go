@@ -129,10 +129,6 @@ type Plant struct {
 	// is the one-way terminal state.
 	draining bool
 	retired  bool
-	// brownout pauses publish-back and background hydration while the
-	// fleet sheds load; brownoutWait holds procs parked until it lifts.
-	brownout     bool
-	brownoutWait []*sim.Proc
 
 	// cloneGate is the admission-control semaphore: at most K clone
 	// state-copies in flight (see admission.go). Only kernel processes
@@ -195,9 +191,6 @@ type Plant struct {
 	mHydrationAborts   *telemetry.Counter
 	hHydrationLag      *telemetry.Histogram
 	hHydrationComplete *telemetry.Histogram
-
-	mBrownouts *telemetry.Counter
-	gBrownout  *telemetry.Gauge
 }
 
 // CreateStats records one successful creation's breakdown.
@@ -279,9 +272,6 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 		gCloneInflightMax: tel.Gauge("plant.clone_inflight_max"),
 		gAdmissionQueue:   tel.Gauge("plant.admission_queue"),
 		hAdmissionWait:    tel.Histogram("plant.admission_wait_secs"),
-
-		mBrownouts: tel.Counter("plant.brownouts"),
-		gBrownout:  tel.Gauge("plant.brownout"),
 
 		mDemandFaults:      tel.Counter("plant.demand_faults"),
 		mReplicaHits:       tel.Counter("plant.memimage_replica_hits"),
@@ -691,15 +681,7 @@ const publishBackResidual = 4
 // creations of the same configuration resolve at publish time: the
 // loser's duplicate is simply dropped.
 func (pl *Plant) maybePublishBack(p *sim.Proc, sp *telemetry.Span, vm *vmm.VM, golden *warehouse.Image, residual int) {
-	if !pl.cfg.PublishBack {
-		return
-	}
-	// Brownout: every spare disk/NFS byte serves foreground creations;
-	// the checkpoint opportunity is simply forgone, not deferred.
-	if pl.Brownout() {
-		return
-	}
-	if residual < publishBackResidual {
+	if !pl.cfg.PublishBack || residual < publishBackResidual {
 		return
 	}
 	history := vm.History()

@@ -22,8 +22,6 @@ type Binding struct {
 	Name string
 	// Addr is the endpoint description (host:port, or an in-process key).
 	Addr string
-	// Meta carries free-form attributes (site, architecture, …).
-	Meta map[string]string
 	// Expires is when the lease lapses (zero means no expiry).
 	Expires time.Time
 }

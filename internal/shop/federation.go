@@ -22,7 +22,6 @@ import (
 
 	"vmplants/internal/classad"
 	"vmplants/internal/core"
-	"vmplants/internal/fault"
 	"vmplants/internal/journal"
 	"vmplants/internal/registry"
 	"vmplants/internal/shop/ledger"
@@ -370,19 +369,16 @@ func (e ShopEnd) Lifecycle(p *sim.Proc, id core.VMID, op string) error {
 
 // LocalPeerHandle is the simulated transport in front of an in-process
 // peer's ShopEnd under the same kernel: it charges a cross-cell message
-// latency, injects transport faults, and checks the peer's registry
-// lease before every call — a peer whose lease has lapsed is
-// authoritatively gone, so the call fails immediately instead of
-// burning a timeout, and a vanished peer can never stall a bid round.
+// latency and checks the peer's registry lease before every call — a
+// peer whose lease has lapsed is authoritatively gone, so the call fails
+// immediately instead of burning a timeout, and a vanished peer can
+// never stall a bid round.
 // It decides no outcome itself.
 type LocalPeerHandle struct {
 	ShopEnd
 	// Registry, when set, is consulted for a live Service lease under
 	// the peer's name before every call.
 	Registry *registry.Registry
-	// Faults injects transport faults against this peer, keyed by the
-	// peer's name with ops "peer-estimate", "peer-create", …
-	Faults *fault.Registry
 }
 
 // NewLocalPeerHandle wraps a peer shop.
@@ -390,7 +386,7 @@ func NewLocalPeerHandle(target *Shop, reg *registry.Registry) *LocalPeerHandle {
 	return &LocalPeerHandle{ShopEnd: ShopEnd{target}, Registry: reg}
 }
 
-func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
+func (h *LocalPeerHandle) roundTrip(p *sim.Proc) error {
 	name := h.Shop.Name()
 	if h.Registry != nil {
 		if _, err := h.Registry.Bind(Service, name); err != nil {
@@ -399,13 +395,6 @@ func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
 			// directory already says is gone.
 			return fmt.Errorf("%w: %s: no live registry lease", ErrPeerDown, name)
 		}
-	}
-	if h.Faults.Should(name, fault.RPCDrop, op) {
-		callTimeout(p)
-		return fmt.Errorf("%w: %s: %s timed out", ErrPeerDown, name, op)
-	}
-	if d := h.Faults.DelayFor(name, fault.RPCDelay, op); d > 0 {
-		p.Sleep(d)
 	}
 	if h.Shop.Down() {
 		callTimeout(p)
@@ -417,7 +406,7 @@ func (h *LocalPeerHandle) roundTrip(p *sim.Proc, op string) error {
 
 // Estimate implements PeerHandle.
 func (h *LocalPeerHandle) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, error) {
-	if err := h.roundTrip(p, "peer-estimate"); err != nil {
+	if err := h.roundTrip(p); err != nil {
 		return core.Infeasible, err
 	}
 	c, _, err := h.ShopEnd.Estimate(p, spec)
@@ -426,7 +415,7 @@ func (h *LocalPeerHandle) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, err
 
 // Create implements PeerHandle.
 func (h *LocalPeerHandle) Create(p *sim.Proc, spec *core.Spec) (core.VMID, *classad.Ad, error) {
-	if err := h.roundTrip(p, "peer-create"); err != nil {
+	if err := h.roundTrip(p); err != nil {
 		return "", nil, err
 	}
 	return h.ShopEnd.Forward(p, spec)
@@ -434,7 +423,7 @@ func (h *LocalPeerHandle) Create(p *sim.Proc, spec *core.Spec) (core.VMID, *clas
 
 // LookupForward implements PeerHandle.
 func (h *LocalPeerHandle) LookupForward(p *sim.Proc, token string) (core.VMID, bool, error) {
-	if err := h.roundTrip(p, "peer-lookup"); err != nil {
+	if err := h.roundTrip(p); err != nil {
 		return "", false, err
 	}
 	return h.ShopEnd.LookupForward(p, token)
@@ -442,7 +431,7 @@ func (h *LocalPeerHandle) LookupForward(p *sim.Proc, token string) (core.VMID, b
 
 // Query implements PeerHandle.
 func (h *LocalPeerHandle) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, error) {
-	if err := h.roundTrip(p, "peer-query"); err != nil {
+	if err := h.roundTrip(p); err != nil {
 		return nil, false, err
 	}
 	return h.ShopEnd.Query(p, id)
@@ -450,7 +439,7 @@ func (h *LocalPeerHandle) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, e
 
 // Collect implements PeerHandle.
 func (h *LocalPeerHandle) Collect(p *sim.Proc, id core.VMID) (bool, error) {
-	if err := h.roundTrip(p, "peer-collect"); err != nil {
+	if err := h.roundTrip(p); err != nil {
 		return false, err
 	}
 	return h.ShopEnd.Collect(p, id)
@@ -458,7 +447,7 @@ func (h *LocalPeerHandle) Collect(p *sim.Proc, id core.VMID) (bool, error) {
 
 // Publish implements PeerHandle.
 func (h *LocalPeerHandle) Publish(p *sim.Proc, id core.VMID, image string) error {
-	if err := h.roundTrip(p, "peer-publish"); err != nil {
+	if err := h.roundTrip(p); err != nil {
 		return err
 	}
 	return h.ShopEnd.Publish(p, id, image)
@@ -466,7 +455,7 @@ func (h *LocalPeerHandle) Publish(p *sim.Proc, id core.VMID, image string) error
 
 // Lifecycle implements PeerHandle.
 func (h *LocalPeerHandle) Lifecycle(p *sim.Proc, id core.VMID, op string) error {
-	if err := h.roundTrip(p, "peer-lifecycle"); err != nil {
+	if err := h.roundTrip(p); err != nil {
 		return err
 	}
 	return h.ShopEnd.Lifecycle(p, id, op)

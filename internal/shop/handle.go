@@ -224,9 +224,6 @@ func (h *LocalHandle) Retire() { h.Plant.Retire() }
 // dispatch-time recheck, not a health probe.
 func (h *LocalHandle) Alive() bool { return !h.Down && !h.Plant.Down() }
 
-// SetBrownout toggles the plant's load-shedding degraded mode.
-func (h *LocalHandle) SetBrownout(on bool) { h.Plant.SetBrownout(on) }
-
 // MigrateVM implements Migrator: move a hosted VM to another local
 // plant, preserving its VMID.
 func (h *LocalHandle) MigrateVM(p *sim.Proc, id core.VMID, dst PlantHandle) error {

@@ -79,8 +79,8 @@ type Shop struct {
 	// draining and retired plants. Its only writer is record/apply
 	// (durability.go); Restart rebuilds it by folding the journal.
 	led      *ledger.Ledger
-	bids     []BidRecord    // audit log for experiments
-	inflight map[string]int // plant name → creations dispatched, not yet done
+	bids     telemetry.Ring[BidRecord] // the last bidLogRounds rounds
+	inflight map[string]int            // plant name → creations dispatched, not yet done
 
 	// admission/gate is the bounded front door (overload.go).
 	admission AdmissionConfig
@@ -120,6 +120,10 @@ type Shop struct {
 	hAdmissionWait  *telemetry.Histogram
 }
 
+// bidLogRounds is how many bidding rounds the audit log keeps: a daemon
+// serves creations for its whole life, and each round holds a map.
+const bidLogRounds = 128
+
 // BidRecord is one bidding round's outcome.
 type BidRecord struct {
 	VMID   core.VMID
@@ -135,6 +139,7 @@ func New(name string, plants []PlantHandle, seed int64) *Shop {
 		plants:   plants,
 		rng:      sim.NewRNG(seed),
 		led:      ledger.New(name),
+		bids:     telemetry.NewRing[BidRecord](bidLogRounds),
 		cache:    make(map[core.VMID]*classad.Ad),
 		breakers: make(map[string]*breaker),
 		inflight: make(map[string]int),
@@ -147,33 +152,23 @@ func (s *Shop) Name() string { return s.name }
 // Plants returns the managed plant handles.
 func (s *Shop) Plants() []PlantHandle { return append([]PlantHandle(nil), s.plants...) }
 
-// Bids returns a defensive copy of the audit log of bidding rounds,
-// taken under the shop's mutex.
+// Bids returns a defensive copy of the audit log of the most recent
+// bidding rounds, oldest first, taken under the shop's mutex.
 func (s *Shop) Bids() []BidRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]BidRecord(nil), s.bids...)
-}
-
-// LastContestedBid returns the most recent bidding round with at least
-// two feasible bids — what the fleet controller's bid-spread signal
-// reads every tick. The log is scanned in place under the mutex; only
-// the one record leaves it.
-func (s *Shop) LastContestedBid() (BidRecord, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.bids) - 1; i >= 0; i-- {
-		if len(s.bids[i].Costs) >= 2 {
-			return s.bids[i], true
-		}
+	out := make([]BidRecord, s.bids.Len())
+	for i := range out {
+		out[i] = s.bids.At(i)
 	}
-	return BidRecord{}, false
+	return out
 }
 
-// logBid appends one bidding round to the audit log.
+// logBid appends one bidding round to the audit log, evicting the
+// oldest past bidLogRounds.
 func (s *Shop) logBid(rec BidRecord) {
 	s.mu.Lock()
-	s.bids = append(s.bids, rec)
+	s.bids.Push(rec)
 	s.mu.Unlock()
 }
 

@@ -190,6 +190,34 @@ func TestBidAuditLog(t *testing.T) {
 	}
 }
 
+// TestBidLogKeepsLastRounds: the audit log is bounded — a long-lived
+// shop keeps the last bidLogRounds rounds, oldest first.
+func TestBidLogKeepsLastRounds(t *testing.T) {
+	d := newDeployment(t, 2, plant.Config{MaxVMs: 32})
+	var ids []core.VMID
+	d.run(t, func(p *sim.Proc) {
+		for i := 0; i < bidLogRounds+3; i++ {
+			id, _, err := d.shop.Create(p, wsSpec(t, "u1", "ufl.edu"))
+			if err != nil {
+				t.Fatalf("create %d: %v", i, err)
+			}
+			if err := d.shop.Destroy(p, id); err != nil {
+				t.Fatalf("destroy %d: %v", i, err)
+			}
+			ids = append(ids, id)
+		}
+	})
+	bids := d.shop.Bids()
+	if len(bids) != bidLogRounds {
+		t.Fatalf("%d bid records after %d creations, want %d", len(bids), len(ids), bidLogRounds)
+	}
+	for i, rec := range bids {
+		if want := ids[3+i]; rec.VMID != want {
+			t.Fatalf("bids[%d] is %s, want %s (the newest last)", i, rec.VMID, want)
+		}
+	}
+}
+
 func TestNoFeasiblePlant(t *testing.T) {
 	d := newDeployment(t, 2, plant.Config{MaxVMs: 32})
 	d.run(t, func(p *sim.Proc) {

@@ -44,12 +44,9 @@ const DefaultFlightLimit = 16384
 // FlightRecorder is a bounded, concurrency-safe lifecycle-event ring.
 // A nil *FlightRecorder accepts every call as a no-op.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	limit   int
-	ring    []FlightEvent
-	next    int // write position once the ring is full
-	seq     uint64
-	dropped uint64
+	mu   sync.Mutex
+	ring Ring[FlightEvent]
+	seq  uint64 // events ever recorded: Reset does not rewind it
 }
 
 // NewFlightRecorder returns a recorder keeping the most recent limit
@@ -58,7 +55,7 @@ func NewFlightRecorder(limit int) *FlightRecorder {
 	if limit <= 0 {
 		limit = DefaultFlightLimit
 	}
-	return &FlightRecorder{limit: limit}
+	return &FlightRecorder{ring: NewRing[FlightEvent](limit)}
 }
 
 // Record appends one event. c supplies virtual time and may be nil for
@@ -74,13 +71,7 @@ func (f *FlightRecorder) Record(c Clock, key, kind, detail string) {
 	f.mu.Lock()
 	f.seq++
 	ev.Seq = f.seq
-	if len(f.ring) < f.limit {
-		f.ring = append(f.ring, ev)
-	} else {
-		f.ring[f.next] = ev
-		f.next = (f.next + 1) % f.limit
-		f.dropped++
-	}
+	f.ring.Push(ev)
 	f.mu.Unlock()
 }
 
@@ -92,20 +83,11 @@ func (f *FlightRecorder) Events(key string) []FlightEvent {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightEvent, 0, len(f.ring))
-	emit := func(ev FlightEvent) {
-		if key == "" || ev.Key == key {
+	out := make([]FlightEvent, 0, f.ring.Len())
+	for i := 0; i < f.ring.Len(); i++ {
+		if ev := f.ring.At(i); key == "" || ev.Key == key {
 			out = append(out, ev)
 		}
-	}
-	if f.dropped > 0 {
-		for i := 0; i < f.limit; i++ {
-			emit(f.ring[(f.next+i)%f.limit])
-		}
-		return out
-	}
-	for _, ev := range f.ring {
-		emit(ev)
 	}
 	return out
 }
@@ -134,7 +116,7 @@ func (f *FlightRecorder) Dropped() uint64 {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.dropped
+	return f.ring.Dropped()
 }
 
 // Reset discards all retained events (sequence numbers keep
@@ -144,9 +126,7 @@ func (f *FlightRecorder) Reset() {
 		return
 	}
 	f.mu.Lock()
-	f.ring = f.ring[:0]
-	f.next = 0
-	f.dropped = 0
+	f.ring.Reset()
 	f.mu.Unlock()
 }
 

@@ -96,13 +96,10 @@ const DefaultSpanLimit = 8192
 // Tracer collects finished spans in a bounded ring buffer. A nil
 // *Tracer is a valid no-op tracer.
 type Tracer struct {
-	mu      sync.Mutex
-	nextID  uint64
-	idBase  uint64
-	limit   int
-	ring    []*Span
-	next    int // write position once the ring is full
-	dropped uint64
+	mu     sync.Mutex
+	nextID uint64
+	idBase uint64
+	ring   Ring[*Span]
 }
 
 // NewTracer returns a tracer keeping the most recent limit finished
@@ -111,7 +108,7 @@ func NewTracer(limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultSpanLimit
 	}
-	return &Tracer{limit: limit}
+	return &Tracer{ring: NewRing[*Span](limit)}
 }
 
 // SetIDBase offsets every span ID this tracer mints by base, so span
@@ -241,13 +238,7 @@ func (s *Span) RecordChild(name string, vstart, vend time.Duration) {
 // record appends a finished span, evicting the oldest when full.
 func (t *Tracer) record(s *Span) {
 	t.mu.Lock()
-	if len(t.ring) < t.limit {
-		t.ring = append(t.ring, s)
-	} else {
-		t.ring[t.next] = s
-		t.next = (t.next + 1) % t.limit
-		t.dropped++
-	}
+	t.ring.Push(s)
 	t.mu.Unlock()
 }
 
@@ -258,16 +249,9 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
-	if t.dropped > 0 {
-		// Ring is full: oldest entry sits at the write position.
-		for i := 0; i < t.limit; i++ {
-			out = append(out, *t.ring[(t.next+i)%t.limit])
-		}
-		return out
-	}
-	for _, s := range t.ring {
-		out = append(out, *s)
+	out := make([]Span, t.ring.Len())
+	for i := range out {
+		out[i] = *t.ring.At(i)
 	}
 	return out
 }
@@ -295,7 +279,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.Dropped()
 }
 
 // Reset discards all finished spans (span IDs keep increasing).
@@ -304,9 +288,7 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.ring = t.ring[:0]
-	t.next = 0
-	t.dropped = 0
+	t.ring.Reset()
 	t.mu.Unlock()
 }
 

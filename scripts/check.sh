@@ -56,6 +56,9 @@ go vet ./...
 # So is "a feature only its own test runs": every function no binary
 # links must be allowlisted with the test that needs it.
 ./scripts/reach.sh --check
+# And "an option no run sets": every exported struct field no product
+# code outside its package writes must be allowlisted with its reason.
+go test -count=1 ./scripts/knobs
 # The benchmark is its own module, invisible to ./...: vet and test it
 # here so a change to the proto/service surface it compiles against
 # cannot break it unseen.
