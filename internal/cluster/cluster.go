@@ -75,7 +75,48 @@ type Node struct {
 	nfs         *storage.Volume // the shared warehouse volume, via this node's mount
 	committedMB int
 	vms         int
-	rng         *sim.RNG
+	// images are the memory images VMs map, by file and content checksum.
+	// Host state, like committedMB: a plant crash leaves it alone.
+	images map[memKey]*MemImage
+	rng    *sim.RNG
+}
+
+type memKey struct {
+	path string
+	sum  uint64
+}
+
+// MemImage is an immutable memory image's pages in a node's host memory.
+// A hosted VMM backs guest RAM with the checkpoint file it resumed from,
+// so VMs resumed from the same file map its pages copy-on-write: while
+// one running VM maps them, the next resumes without reading the file.
+// One operation at a time brings the pages in (filling the file and
+// reading it back): the Resource's one unit is held for it, and a clone
+// that finds it held waits.
+type MemImage struct {
+	*sim.Resource
+	Maps int // running VMs mapping the pages
+}
+
+// MemImage returns the node's record of the memory image read from path
+// with content checksum sum, making it on first use.
+func (n *Node) MemImage(path string, sum uint64) *MemImage {
+	k := memKey{path, sum}
+	m := n.images[k]
+	if m == nil {
+		m = &MemImage{Resource: sim.NewResource(n.name+"/"+path, 1)}
+		n.images[k] = m
+	}
+	return m
+}
+
+// Mappings counts the memory-image mappings the node's VMs hold.
+func (n *Node) Mappings() int {
+	total := 0
+	for _, m := range n.images {
+		total += m.Maps
+	}
+	return total
 }
 
 // Name returns the node name.
@@ -109,7 +150,8 @@ func (n *Node) Commit(guestMB int) {
 	n.vms++
 }
 
-// Release returns a VM's memory.
+// Release returns a VM's memory. A VM unmaps its memory image before it
+// releases, so the node's last VM leaving a mapping behind is a leak.
 func (n *Node) Release(guestMB int) error {
 	if n.vms == 0 {
 		return fmt.Errorf("cluster: release on %s with no VMs", n.name)
@@ -118,6 +160,9 @@ func (n *Node) Release(guestMB int) error {
 	n.vms--
 	if n.committedMB < 0 {
 		return fmt.Errorf("cluster: negative committed memory on %s", n.name)
+	}
+	if n.vms == 0 && n.Mappings() != 0 {
+		return fmt.Errorf("cluster: %s has no VMs but %d memory-image mappings", n.name, n.Mappings())
 	}
 	return nil
 }
@@ -189,6 +234,7 @@ func NewTestbed(k *sim.Kernel, n int, params Params, seed int64) *Testbed {
 			localDisk: storage.NewVolume(name+"/disk", local),
 			lan:       storage.NewDevice(name+".lan", params.GigabitBps, 5*time.Millisecond),
 			nfs:       newMountView(tb.Warehouse, mount),
+			images:    make(map[memKey]*MemImage),
 			rng:       root.Child(),
 		}
 		tb.Nodes = append(tb.Nodes, node)

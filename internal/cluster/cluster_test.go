@@ -76,6 +76,32 @@ func TestCommitReleaseAccounting(t *testing.T) {
 	}
 }
 
+// Memory-image mappings are keyed by path and checksum, and the node's
+// last VM to leave must not leave one behind.
+func TestReleaseOfLastVMRefusesLeakedMapping(t *testing.T) {
+	n := NewTestbed(sim.NewKernel(), 1, DefaultParams(), 1).Nodes[0]
+	if n.MemImage("cache/a@0.vmss", 1) == n.MemImage("cache/a@0.vmss", 2) {
+		t.Error("two checksums of one replica share a record")
+	}
+	img := n.MemImage("cache/a@0.vmss", 1)
+	if n.MemImage("cache/a@0.vmss", 1) != img {
+		t.Error("one image's record made twice")
+	}
+	n.Commit(64)
+	n.Commit(64)
+	img.Maps += 2
+	img.Maps--
+	if err := n.Release(64); err != nil {
+		t.Fatalf("release of one of two VMs: %v", err)
+	}
+	if err := n.Release(64); err == nil {
+		t.Error("the last VM left a mapping behind and the release passed")
+	}
+	if img.Maps--; n.Mappings() != 0 {
+		t.Errorf("%d mappings after the last unmap", n.Mappings())
+	}
+}
+
 func TestPressureScaleKicksInPastThreshold(t *testing.T) {
 	k := sim.NewKernel()
 	p := DefaultParams()

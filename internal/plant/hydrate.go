@@ -1,7 +1,7 @@
-// Lazy-clone hydration: under vdisk.CloneByLazy the production line
-// resumes a clone after copying only its private state (config, redo
-// log, memory image) — the 2 GB of golden disk extents are NOT on the
-// node yet. This file materializes them afterwards, post-copy style:
+// Lazy-clone hydration: under vdisk.CloneByLazy a clone resumes with
+// only its config and redo log copied and its memory image linked to the
+// node's replica; the 2 GB of golden disk extents are NOT on the node
+// yet. This file materializes them afterwards, post-copy style:
 //
 //   - a background hydrator (a virtual-time proc per lazy clone, one
 //     running per plant at a time, oldest clone first) walks the

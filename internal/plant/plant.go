@@ -9,6 +9,7 @@ package plant
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -187,6 +188,7 @@ type Plant struct {
 	mDemandFaults      *telemetry.Counter
 	mReplicaHits       *telemetry.Counter
 	mReplicaFills      *telemetry.Counter
+	mSharedResumes     *telemetry.Counter
 	mHydratedExtents   *telemetry.Counter
 	mHydrationAborts   *telemetry.Counter
 	hHydrationLag      *telemetry.Histogram
@@ -276,6 +278,7 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 		mDemandFaults:      tel.Counter("plant.demand_faults"),
 		mReplicaHits:       tel.Counter("plant.memimage_replica_hits"),
 		mReplicaFills:      tel.Counter("plant.memimage_replica_fills"),
+		mSharedResumes:     tel.Counter("plant.memimage_shared_resumes"),
 		mHydratedExtents:   tel.Counter("plant.hydrated_extents"),
 		mHydrationAborts:   tel.Counter("plant.hydration_aborts"),
 		hHydrationLag:      tel.Histogram("plant.hydration_lag_secs"),
@@ -571,6 +574,9 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 			pl.mReplicaFills.Inc()
 			pl.pruneReplicas()
 		}
+		if cloneStats.SharedResume {
+			pl.mSharedResumes.Inc()
+		}
 	}
 	hold(func() { vm.Collect(p) })
 	if !hit {
@@ -746,7 +752,8 @@ func (pl *Plant) recordClone(cloneSp *telemetry.Span, cloneStart time.Duration, 
 	} else {
 		copyEnd := cloneStart + cs.CopyTime
 		cloneSp.RecordChild("clone.copy", cloneStart, copyEnd)
-		cloneSp.RecordChild(phase, copyEnd, copyEnd+cs.ResumeTime)
+		// shared: the resume mapped a running VM's memory-image pages.
+		cloneSp.RecordChild(phase, copyEnd, copyEnd+cs.ResumeTime, telemetry.Attr{Key: "shared", Value: strconv.FormatBool(cs.SharedResume)})
 	}
 	cloneSp.SetInt("bytes_copied", cs.CopiedBytes)
 	pl.mCloneBytes.Add(cs.CopiedBytes)

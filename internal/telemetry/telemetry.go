@@ -219,8 +219,8 @@ func (s *Span) EndErr(c Clock, err error) {
 // RecordChild attaches an already-measured virtual-time interval as a
 // finished child span of s — how a caller decomposes an operation whose
 // stage timings were measured elsewhere (e.g. vmm.CloneStats) without
-// instrumenting the callee.
-func (s *Span) RecordChild(name string, vstart, vend time.Duration) {
+// instrumenting the callee. attrs annotate the child.
+func (s *Span) RecordChild(name string, vstart, vend time.Duration, attrs ...Attr) {
 	if s == nil {
 		return
 	}
@@ -232,6 +232,7 @@ func (s *Span) RecordChild(name string, vstart, vend time.Duration) {
 	cs.VEnd = vend
 	cs.WStart = now
 	cs.WEnd = now
+	cs.Attrs = append(cs.Attrs, attrs...)
 	s.tr.record(cs)
 }
 

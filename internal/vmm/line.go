@@ -40,14 +40,15 @@ func DefaultTiming() Timing {
 // CloneStats reports what a clone operation did and how long its stages
 // took — the quantities behind the paper's Figures 5 and 6.
 type CloneStats struct {
-	Mode        vdisk.CloneMode
-	CopiedBytes int64         // physical state copied (redo, config, memory, extents under copy-mode)
-	LinkedFiles int           // extent files satisfied by soft links
-	ReplicaHit  bool          // a lazy clone found the node's memory-image replica current
-	ReplicaFill bool          // a lazy clone copied the memory image into the replica
-	CopyTime    time.Duration // state-copy stage
-	ResumeTime  time.Duration // resume (or boot) stage
-	Total       time.Duration // end-to-end clone latency (PPP clone → VM usable)
+	Mode         vdisk.CloneMode
+	CopiedBytes  int64         // physical state copied (redo, config, memory, extents under copy-mode)
+	LinkedFiles  int           // extent files satisfied by soft links
+	ReplicaHit   bool          // a lazy clone found the node's memory-image replica current
+	ReplicaFill  bool          // a lazy clone copied the memory image into the replica
+	SharedResume bool          // a lazy clone mapped the replica pages a running VM holds, reading nothing
+	CopyTime     time.Duration // state-copy stage
+	ResumeTime   time.Duration // resume (or boot) stage
+	Total        time.Duration // end-to-end clone latency (PPP clone → VM usable)
 }
 
 // Backend is one production line implementation.
@@ -69,7 +70,8 @@ func memImageBytes(hw core.HardwareSpec) int64 {
 // node: links or copies of the golden extents, plus a copy of the base
 // redo log and the VM configuration file. Returns bytes physically
 // copied, files linked, and the paths laid down, with room left for the
-// extents a lazy clone's hydrator lands later.
+// extents a lazy clone's hydrator lands later. On error it leaves no
+// file behind.
 func cloneDiskState(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, dir string, mode vdisk.CloneMode) (int64, int, []string, error) {
 	local := node.LocalDisk()
 	wh := node.Warehouse() // the node's NFS view of the warehouse volume
@@ -77,18 +79,22 @@ func cloneDiskState(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, di
 	files[0], files[1] = dir+"vm.cfg", dir+"base.redo"
 	var copied int64
 	var linked int
+	fail := func(err error) (int64, int, []string, error) {
+		removeAll(local, files...)
+		return 0, 0, nil, err
+	}
 
 	// "replicates the VM configuration file … for each clone"
 	n, err := wh.CopyTo(p, golden.ConfigPath, local, files[0], 1, sim.Foreground)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("vmm: replicate config: %w", err)
+		return fail(fmt.Errorf("vmm: replicate config: %w", err))
 	}
 	copied += n
 
 	// "… and base redo log for each clone"
 	n, err = wh.CopyTo(p, golden.RedoPath, local, files[1], 1, sim.Foreground)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("vmm: copy redo log: %w", err)
+		return fail(fmt.Errorf("vmm: copy redo log: %w", err))
 	}
 	copied += n
 
@@ -104,13 +110,13 @@ func cloneDiskState(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, di
 		dst := fmt.Sprintf("%sdisk-s%03d.vmdk", dir, i)
 		if mode == vdisk.CloneByLink {
 			if err := local.LinkForeign(p, wh, ext, dst); err != nil {
-				return 0, 0, nil, fmt.Errorf("vmm: link extent: %w", err)
+				return fail(fmt.Errorf("vmm: link extent: %w", err))
 			}
 			linked++
 		} else {
 			n, err := wh.CopyTo(p, ext, local, dst, 1, sim.Foreground)
 			if err != nil {
-				return 0, 0, nil, fmt.Errorf("vmm: copy extent: %w", err)
+				return fail(fmt.Errorf("vmm: copy extent: %w", err))
 			}
 			copied += n
 		}
@@ -140,6 +146,10 @@ func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneCon
 	}
 	start := p.Now()
 	stats := CloneStats{Mode: mode}
+	res, err := golden.Disk.Clone(string(id), mode)
+	if err != nil {
+		return nil, CloneStats{}, err
+	}
 
 	dir := "vms/" + string(id) + "/"
 	copied, linked, files, err := cloneDiskState(p, node, golden, dir, mode)
@@ -149,60 +159,18 @@ func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneCon
 	stats.CopiedBytes += copied
 	stats.LinkedFiles = linked
 
-	// "The memory state is currently copied by the VMPlant
-	// implementation during cloning" — the dominant per-clone cost,
-	// scaling with guest memory size. Link and copy clones keep that
-	// per-clone copy. The image is immutable, so a lazy clone copies it
-	// into the node's replica instead, once per (image, epoch), and links
-	// its own memory file to it: the replica counts only while its
-	// checksum is the warehouse's, so nothing quarantined, repaired or
-	// re-published since is resumed from stale bytes.
-	local, wh := node.LocalDisk(), node.Warehouse()
 	memPath := dir + "mem.vmss"
-	dst := memPath
-	if mode == vdisk.CloneByLazy {
-		dst = cctx.MemReplica
-		sum, _ := wh.Checksum(golden.MemImagePath)
-		got, ok := local.Checksum(dst)
-		stats.ReplicaHit = ok && got == sum
-		stats.ReplicaFill = !stats.ReplicaHit
-	}
-	if !stats.ReplicaHit {
-		// A loaded host pages while absorbing the incoming memory image,
-		// so the copy slows under memory pressure too (priced as if this
-		// VM's own footprint were already committed).
-		copyScale := node.PressureScale(golden.Hardware.MemoryMB) * node.Jitter()
-		n, err := wh.CopyTo(p, golden.MemImagePath, local, dst, copyScale, sim.Foreground)
-		if err != nil {
-			return nil, CloneStats{}, fmt.Errorf("vmm: copy memory state: %w", err)
-		}
-		stats.CopiedBytes += n
-	}
-	if dst != memPath {
-		if err := local.Link(p, dst, memPath); err != nil {
-			return nil, CloneStats{}, fmt.Errorf("vmm: link memory state: %w", err)
-		}
-	}
-	stats.CopyTime = p.Now() - start
-
-	// Resume: commit host memory, read the image back under the node's
-	// current memory pressure, then the fixed VMM resume cost.
-	node.Commit(golden.Hardware.MemoryMB)
-	resumeStart := p.Now()
-	scale := node.PressureScale(0) * node.Jitter()
-	if _, err := local.Read(p, memPath, scale); err != nil {
-		node.Release(golden.Hardware.MemoryMB)
-		return nil, CloneStats{}, err
-	}
-	p.Sleep(sim.Seconds(node.RNG().LogNormalMean(b.Timing.ResumeFixedSecs, b.Timing.ResumeSigma)))
-	stats.ResumeTime = p.Now() - resumeStart
-	stats.Total = p.Now() - start
-
-	res, err := golden.Disk.Clone(string(id), mode)
+	image, err := loadMemory(p, node, cctx, memPath, start, &stats)
 	if err != nil {
-		node.Release(golden.Hardware.MemoryMB)
+		// A memory file linked to the replica loses the link.
+		removeAll(node.LocalDisk(), append(files, memPath)...)
 		return nil, CloneStats{}, err
 	}
+	// The fixed VMM resume cost: all a clone that mapped resident pages
+	// pays for its resume.
+	p.Sleep(sim.Seconds(node.RNG().LogNormalMean(b.Timing.ResumeFixedSecs, b.Timing.ResumeSigma)))
+	stats.Total = p.Now() - start
+	stats.ResumeTime = stats.Total - stats.CopyTime
 	vm := &VM{
 		id:      id,
 		name:    golden.Name,
@@ -213,11 +181,73 @@ func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneCon
 		guest:   golden.Guest.Clone(),
 		state:   Running,
 		memPath: memPath,
+		image:   image,
 		files:   files,
 		timing:  b.Timing,
 		history: append([]dag.Action(nil), golden.Performed...),
 	}
 	return vm, stats, nil
+}
+
+// loadMemory lays the clone's memory image at memPath, commits the
+// guest's host memory and reads the image back under the node's memory
+// pressure. "The memory state is currently copied by the VMPlant
+// implementation during cloning", and link and copy clones keep that
+// per-clone copy. A lazy clone copies the immutable image into the
+// node's replica once per (image, epoch), links memPath to it and maps
+// the replica's pages, which it returns: while a running VM maps the
+// same bytes it reads nothing. Replica and pages count only under the
+// warehouse's current checksum, so nothing quarantined, repaired or
+// re-published since is resumed from stale bytes. Errors hold nothing.
+func loadMemory(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneContext, memPath string, start time.Duration, stats *CloneStats) (*cluster.MemImage, error) {
+	golden := cctx.Image
+	local, wh := node.LocalDisk(), node.Warehouse()
+	dst := memPath
+	var image *cluster.MemImage
+	if stats.Mode == vdisk.CloneByLazy {
+		dst = cctx.MemReplica
+		sum, _ := wh.Checksum(golden.MemImagePath)
+		image = node.MemImage(dst, sum)
+		// One fill or read-back of the bytes at a time: a clone that finds
+		// one under way waits, then maps the pages it left resident, or
+		// does the work itself if it failed.
+		image.Acquire(p, 1)
+		defer image.Release(p, 1)
+		got, ok := local.Checksum(dst)
+		stats.ReplicaHit = ok && got == sum
+		stats.ReplicaFill = !stats.ReplicaHit
+		stats.SharedResume = stats.ReplicaHit && image.Maps > 0
+	}
+	if !stats.ReplicaHit {
+		// A loaded host pages while absorbing the incoming memory image,
+		// so the copy slows under memory pressure too (priced as if this
+		// VM's own footprint were already committed).
+		copyScale := node.PressureScale(golden.Hardware.MemoryMB) * node.Jitter()
+		n, err := wh.CopyTo(p, golden.MemImagePath, local, dst, copyScale, sim.Foreground)
+		if err != nil {
+			return nil, fmt.Errorf("vmm: copy memory state: %w", err)
+		}
+		stats.CopiedBytes += n
+	}
+	if dst != memPath {
+		if err := local.Link(p, dst, memPath); err != nil {
+			return nil, fmt.Errorf("vmm: link memory state: %w", err)
+		}
+	}
+	stats.CopyTime = p.Now() - start
+
+	node.Commit(golden.Hardware.MemoryMB)
+	if !stats.SharedResume {
+		scale := node.PressureScale(0) * node.Jitter()
+		if _, err := local.Read(p, memPath, scale); err != nil {
+			node.Release(golden.Hardware.MemoryMB)
+			return nil, err
+		}
+	}
+	if image != nil {
+		image.Maps++
+	}
+	return image, nil
 }
 
 // UML is the boot-style production line (paper §4.1): clones share
@@ -241,6 +271,10 @@ func (b *UML) Clone(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneContex
 	}
 	start := p.Now()
 	stats := CloneStats{Mode: mode}
+	res, err := golden.Disk.Clone(string(id), mode)
+	if err != nil {
+		return nil, CloneStats{}, err
+	}
 
 	copied, linked, files, err := cloneDiskState(p, node, golden, "vms/"+string(id)+"/", mode)
 	if err != nil {
@@ -259,11 +293,6 @@ func (b *UML) Clone(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneContex
 	stats.ResumeTime = p.Now() - bootStart
 	stats.Total = p.Now() - start
 
-	res, err := golden.Disk.Clone(string(id), mode)
-	if err != nil {
-		node.Release(golden.Hardware.MemoryMB)
-		return nil, CloneStats{}, err
-	}
 	// A freshly booted guest has the golden image's installed state but
 	// nothing running: services come up configured, not started.
 	guest := golden.Guest.Clone()

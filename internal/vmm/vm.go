@@ -21,6 +21,7 @@ import (
 	"vmplants/internal/isofs"
 	"vmplants/internal/sim"
 	"vmplants/internal/simnet"
+	"vmplants/internal/storage"
 	"vmplants/internal/vdisk"
 )
 
@@ -59,9 +60,10 @@ type VM struct {
 	nic *simnet.Port
 	net *simnet.HostOnlyNet
 
-	memPath   string // local memory-image path ("" until first suspend for boot backends)
-	timing    Timing // the production line's latency constants
-	cdBlob    []byte // attached config CD image, nil when ejected
+	memPath   string            // local memory-image path ("" until first suspend for boot backends)
+	image     *cluster.MemImage // the resident memory image a lazy clone maps until Suspend or Collect
+	timing    Timing            // the production line's latency constants
+	cdBlob    []byte            // attached config CD image, nil when ejected
 	cdActions []dag.Action
 
 	// files are the VM's other paths on its node's local disk: the
@@ -97,16 +99,27 @@ func (vm *VM) AddFile(path string) { vm.files = append(vm.files, path) }
 // node's replica loses the link, not the replica.
 func (vm *VM) removeFiles() {
 	local := vm.node.LocalDisk()
-	remove := func(path string) {
-		if local.Exists(path) {
-			_ = local.Delete(path) // fails only on a missing path
+	removeAll(local, vm.files...)
+	removeAll(local, vm.memPath)
+	vm.files = vm.files[:0]
+}
+
+// removeAll deletes paths from vol, skipping any already gone.
+func removeAll(vol *storage.Volume, paths ...string) {
+	for _, path := range paths {
+		if vol.Exists(path) {
+			_ = vol.Delete(path) // fails only on a missing path
 		}
 	}
-	for _, path := range vm.files {
-		remove(path)
+}
+
+// unmap ends the VM's mapping of its node's resident memory image, if it
+// holds one.
+func (vm *VM) unmap() {
+	if vm.image != nil {
+		vm.image.Maps--
+		vm.image = nil
 	}
-	remove(vm.memPath)
-	vm.files = vm.files[:0]
 }
 
 // History returns the VM's configuration lineage (golden history plus
@@ -353,7 +366,8 @@ func (vm *VM) ExecHostAction(p *sim.Proc, a dag.Action) error {
 }
 
 // Suspend checkpoints the VM — its memory image is written to the
-// node's local disk — and releases the guest's host memory. VMware-line
+// node's local disk, ending its mapping of the image it resumed from —
+// and releases the guest's host memory. VMware-line
 // VMs use the hosted VMM's native suspend; UML-line VMs use the
 // SBUML-style checkpointing the paper cites ("With checkpointing
 // techniques such as SBUML, it is possible to clone virtual machines
@@ -370,6 +384,7 @@ func (vm *VM) Suspend(p *sim.Proc) error {
 	if err := vm.node.LocalDisk().Write(p, vm.memPath, memImageBytes(vm.hw), scale); err != nil {
 		return err
 	}
+	vm.unmap()
 	if err := vm.node.Release(vm.hw.MemoryMB); err != nil {
 		return err
 	}
@@ -443,9 +458,10 @@ func (vm *VM) Rebrand(id core.VMID, name string) error {
 	return nil
 }
 
-// Collect stops the VM and releases its host resources: node memory,
-// NIC port, the discardable redo state (the paper's non-persistent
-// sessions) and its files on the node's local disk. The host-only
+// Collect stops the VM and releases its host resources: node memory and
+// its mapping of a resident memory image, NIC port, the discardable redo
+// state (the paper's non-persistent sessions) and its files on the
+// node's local disk. The host-only
 // network slot is released by the plant, which owns domain accounting.
 func (vm *VM) Collect(p *sim.Proc) error {
 	if vm.state == Stopped {
@@ -454,6 +470,7 @@ func (vm *VM) Collect(p *sim.Proc) error {
 	p.Sleep(sim.Seconds(0.5 * vm.node.Jitter()))
 	vm.disk.DiscardTop()
 	vm.removeFiles()
+	vm.unmap()
 	if vm.nic != nil {
 		vm.nic.Close()
 		vm.nic = nil

@@ -28,7 +28,6 @@ type CloneContext struct {
 	Desc        Descriptor
 	ExtentPaths []string
 	ExtentBytes int64 // total size of the extent files
-	StateBytes  int64 // redo log + memory image copied per clone
 	// Epoch is the image's integrity epoch at fill time; VerifyClone
 	// compares it after the state copy so a quarantine/repair landing
 	// mid-clone fails the creation over instead of resuming it.
@@ -158,7 +157,6 @@ func (w *Warehouse) buildCloneContext(im *Image) (*CloneContext, error) {
 		ctx.ExtentPaths = append(ctx.ExtentPaths, p)
 		ctx.ExtentBytes += n
 	}
-	ctx.StateBytes = im.Disk.RedoBytes() + im.MemImageBytes()
 	return ctx, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"vmplants/internal/core"
 	"vmplants/internal/plant"
+	"vmplants/internal/sim"
 	"vmplants/internal/stats"
 	"vmplants/internal/telemetry"
 	"vmplants/internal/vdisk"
@@ -33,6 +34,8 @@ type cloneModeRun struct {
 	HydrationLag    stats.Summary // background extent lag behind the resume
 	ExtentStats     warehouse.ExtentStats
 	AllHydrated     bool
+	SharedResumes   int64 // clones that mapped a running VM's memory image
+	Mappings        int   // memory-image mappings left once every VM is destroyed
 
 	// The transcript digests every observable of the run; equal
 	// fingerprints across same-seed reruns mean lazy hydration
@@ -84,6 +87,20 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun
 	r.HydratedExtents = hub.Counter("plant.hydrated_extents").Value()
 	r.HydrationLag = hub.Histogram("plant.hydration_lag_secs").Snapshot()
 	r.ExtentStats = d.Warehouse.ExtentStatsNow()
+	r.SharedResumes = hub.Counter("plant.memimage_shared_resumes").Value()
+	if err := d.Run(func(p *sim.Proc) error {
+		for _, id := range ids {
+			if err := d.Shop.Destroy(p, id); err != nil {
+				return fmt.Errorf("clone comparison: destroy %s: %w", id, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for _, n := range d.Testbed.Nodes {
+		r.Mappings += n.Mappings()
+	}
 
 	for i, id := range ids {
 		r.logf("vm=%s resume=%.6f hash=%016x", id, r.ResumeSecs[i], r.Hashes[id])
@@ -94,6 +111,7 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun
 	}
 	r.logf("extents entries=%d refs=%d logical=%d physical=%d",
 		r.ExtentStats.Entries, r.ExtentStats.Refs, r.ExtentStats.LogicalBytes, r.ExtentStats.PhysicalBytes)
+	r.logf("shared_resumes=%d mappings_after_teardown=%d", r.SharedResumes, r.Mappings)
 	return r, nil
 }
 

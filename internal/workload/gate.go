@@ -109,7 +109,7 @@ var scenarios = []Scenario{
 		chaosParams{requests: 32}, chaosParams{requests: 16}, runChaos),
 	newScenario("pipeline", "Pipeline: batched creation throughput (8 plants, 64 MB workspaces)",
 		pipelineParams{sizes: []int{1, 4, 16, 64}, cloneVMs: 8},
-		pipelineParams{sizes: []int{1, 4, 16}, cloneVMs: 4}, runPipeline).reportsOwnRerun(),
+		pipelineParams{sizes: []int{1, 4, 16}, cloneVMs: 6}, runPipeline).reportsOwnRerun(),
 	newScenario("warm", "Warm: the warehouse learning loop (derived images, utility retirement)",
 		streamParams{plants: 4, requests: 48, users: 12, derivedBudgetMB: 600},
 		streamParams{plants: 2, requests: 24, users: 8, derivedBudgetMB: 375}, runWarm),

@@ -155,6 +155,10 @@ func (r *pipelineResult) Violations() []string {
 	g.check(c.ResumeSpeedup >= 2, "lazy resume speedup %.2f× < 2", c.ResumeSpeedup)
 	g.check(c.HashesMatch, "lazy and eager end-state disks hash differently")
 	g.check(c.AllHydrated, "a lazy clone never finished hydrating")
+	// Serial clones of one image on four plants: a later clone on a node
+	// maps the pages of a VM still running there.
+	g.check(c.Lazy.SharedResumes > 0, "no lazy clone mapped a resident memory image")
+	g.check(c.Eager.Mappings+c.Lazy.Mappings == 0, "%d memory-image mappings outlived their VMs", c.Eager.Mappings+c.Lazy.Mappings)
 	g.check(c.DeterminismOK, "same-seed lazy rerun not byte-identical")
 	return g
 }
