@@ -91,9 +91,9 @@ var commands = []command{
 	{"dot", "[-spec file]", 0, dot},
 	{"stats", "[-debug addr] [-traces n]", 0, stats},
 	{"trace", "<vmid> [-debug addr,addr...]", 1, trace},
-	{"queue", "[-debug addr,addr...]", 0, queue},
-	{"warehouse", "[-debug addr,addr...]", 0, warehouseView},
-	{"scrub", "[-debug addr,addr...]", 0, scrub},
+	{"queue", "[-debug addr,addr...]", 0, show("queue")},
+	{"warehouse", "[-debug addr,addr...]", 0, show("warehouse")},
+	{"scrub", "[-debug addr,addr...]", 0, show("scrub")},
 	{"journal", "[-debug addr,addr...] [-n k] [-verify]", 0, journalView},
 	{"federation", "[-debug addr,addr...]", 0, federation},
 }
@@ -255,6 +255,12 @@ func printExample(c *cli) {
 	fmt.Fprintln(c.out)
 }
 
+// Each daemon's default -debug address: vmshopd's and vmplantd's.
+const (
+	shopDebug  = "localhost:7070"
+	plantDebug = "localhost:7071"
+)
+
 // daemons parses a debug subcommand's flags — each takes -debug, a
 // comma-separated list of daemon debug HTTP addresses (vmshopd :7070,
 // vmplantd :7071), beside whatever the caller already defined on fs —
@@ -319,22 +325,6 @@ func each[T any](c *cli, addrs []string, path, lacks string, render func(addr st
 	return true
 }
 
-// instruments prints one slice of every daemon's /metrics snapshot: the
-// named instruments, whatever extra adds, or the notice that there are
-// none.
-func instruments(c *cli, addrs, names []string, width int, none string, extra func(addr string, snap map[string]any) bool) {
-	each(c, addrs, "/metrics", "", func(addr string, snap map[string]any) {
-		fmt.Fprintf(c.out, "%s:\n", addr)
-		found := printInstruments(c.out, snap, names, width)
-		if extra != nil {
-			found = extra(addr, snap) || found
-		}
-		if !found {
-			fmt.Fprintln(c.out, "  "+none)
-		}
-	})
-}
-
 // printInstruments prints the named instruments a /metrics snapshot
 // holds, reporting whether there were any.
 func printInstruments(w io.Writer, snap map[string]any, names []string, width int) (found bool) {
@@ -370,7 +360,7 @@ func traceMeta(body []byte) (meta telemetry.TraceMeta, spans string) {
 // from /debug/traces.
 func stats(c *cli, args []string) {
 	fs := c.flags("stats")
-	addr := fs.String("debug", "localhost:7070", "daemon debug HTTP address (vmshopd :7070, vmplantd :7071)")
+	addr := fs.String("debug", shopDebug, "daemon debug HTTP address (vmshopd :7070, vmplantd :7071)")
 	traces := fs.Int("traces", 0, "also print the N most recent trace spans (0 = none)")
 	if !c.parse(fs, args) {
 		return
@@ -429,7 +419,7 @@ func stats(c *cli, args []string) {
 // process boundary by the propagated trace context — attached beneath.
 func trace(c *cli, args []string) {
 	vmid := args[0]
-	addrs := c.daemons(c.flags("trace"), "localhost:7070,localhost:7071", args[1:])
+	addrs := c.daemons(c.flags("trace"), shopDebug+","+plantDebug, args[1:])
 	var (
 		events  []telemetry.FlightRecord
 		spans   []telemetry.SpanRecord
@@ -503,83 +493,115 @@ func trace(c *cli, args []string) {
 	walk(0, 0)
 }
 
-// queue summarizes the creation pipeline's admission state across one
-// or more daemons: per-plant in-flight clones and admission queue depth,
-// plus the shop-side batch backlog where those gauges exist.
-func queue(c *cli, args []string) {
-	// Only the admission-control surface; everything else is `stats`.
-	gauges := []string{
-		"shop.batch_queue_depth",
-		"shop.inflight_creates",
-		"plant.clone_inflight",
-		"plant.clone_inflight_max",
-		"plant.admission_queue",
+// view is a subcommand that prints one slice of every daemon's /metrics
+// snapshot: the daemons it asks unless -debug says otherwise, the
+// instruments it prints as they are, the histograms it prints as count,
+// mean, p99 and max, and what else it adds per daemon.
+type view struct {
+	daemons string
+	names   []string
+	hists   []string
+	none    string // printed for a daemon that holds none of them
+	extra   func(c *cli, addr string)
+}
+
+// views are the /metrics subcommands, by name.
+var views = map[string]view{
+	// queue is the creation pipeline's admission state: the shop's batch
+	// backlog and front-door gate, each plant's in-flight clones and
+	// clone-slot queue. Everything else is `stats`.
+	"queue": {
+		daemons: shopDebug + "," + plantDebug,
+		names: []string{
+			"shop.batch_queue_depth",
+			"shop.inflight_creates",
+			"shop.admission_queue",
+			"plant.clone_inflight",
+			"plant.clone_inflight_max",
+			"plant.admission_queue",
+		},
+		hists: []string{"shop.admission_wait_secs", "plant.admission_wait_secs"},
+		none:  "no pipeline metrics (daemon runs neither a shop nor a plant?)",
+	},
+	// warehouse is the image store: published and derived image counts,
+	// byte accounting against the capacity budget, retirement churn, and
+	// how many clone opens reused their epoch's verified context.
+	"warehouse": {
+		daemons: plantDebug,
+		names: []string{
+			"warehouse.images",
+			"warehouse.derived_images",
+			"warehouse.bytes_used",
+			"warehouse.publishes",
+			"warehouse.retirements",
+			"plant.publish_backs",
+			"warehouse.cache_hits",
+			"warehouse.cache_misses",
+			"warehouse.corruptions_detected",
+			"warehouse.quarantined",
+			"warehouse.quarantine_size",
+		},
+		none: "no warehouse metrics (daemon runs no plant?)",
+	},
+	// scrub is the warehouse's data-integrity state: scrub cadence and
+	// verification counts, detected corruptions, quarantine and repair
+	// activity, plus the quarantine list from /debug/warehouse.
+	"scrub": {
+		daemons: plantDebug,
+		names: []string{
+			"warehouse.scrub_passes",
+			"warehouse.scrub_verified",
+			"warehouse.corruptions_detected",
+			"warehouse.quarantined",
+			"warehouse.quarantine_size",
+			"warehouse.repairs",
+			"warehouse.repair_bytes",
+			"warehouse.scrub_retirements",
+			"plant.verified_clones",
+		},
+		none:  "no integrity metrics (daemon runs no warehouse?)",
+		extra: quarantineList,
+	},
+}
+
+// show runs the named view.
+func show(name string) func(c *cli, args []string) {
+	return func(c *cli, args []string) {
+		v := views[name]
+		const width = 30 // len("warehouse.corruptions_detected")
+		each(c, c.daemons(c.flags(name), v.daemons, args), "/metrics", "", func(addr string, snap map[string]any) {
+			fmt.Fprintf(c.out, "%s:\n", addr)
+			found := printInstruments(c.out, snap, v.names, width)
+			for _, n := range v.hists {
+				if h, ok := snap[n].(map[string]any); ok {
+					fmt.Fprintf(c.out, "  %-*s count=%v mean=%s p99=%s max=%s\n",
+						width, n, h["count"], num(h["mean"]), num(h["p99"]), num(h["max"]))
+					found = true
+				}
+			}
+			if !found {
+				fmt.Fprintln(c.out, "  "+v.none)
+			}
+			if v.extra != nil {
+				v.extra(c, addr)
+			}
+		})
 	}
-	instruments(c, c.daemons(c.flags("queue"), "localhost:7070", args), gauges, 26,
-		"no pipeline metrics (daemon runs neither a shop nor a plant?)",
-		func(_ string, snap map[string]any) bool {
-			v, ok := snap["plant.admission_wait_secs"].(map[string]any)
-			if ok {
-				fmt.Fprintf(c.out, "  %-26s count=%v mean=%s p99=%s max=%s\n",
-					"plant.admission_wait_secs", v["count"], num(v["mean"]), num(v["p99"]), num(v["max"]))
-			}
-			return ok
-		})
 }
 
-// warehouseView summarizes the image store across one or more daemons:
-// published and derived image counts, byte accounting against the
-// capacity budget, retirement churn, and the hot clone cache.
-func warehouseView(c *cli, args []string) {
-	instruments(c, c.daemons(c.flags("warehouse"), "localhost:7070", args), []string{
-		"warehouse.images",
-		"warehouse.derived_images",
-		"warehouse.bytes_used",
-		"warehouse.publishes",
-		"warehouse.retirements",
-		"plant.publish_backs",
-		"warehouse.cache_size",
-		"warehouse.cache_hits",
-		"warehouse.cache_misses",
-		"warehouse.corruptions_detected",
-		"warehouse.quarantined",
-		"warehouse.quarantine_size",
-	}, 26, "no warehouse metrics (daemon runs no plant?)", nil)
-}
-
-// scrub summarizes the warehouse's data-integrity state across one or
-// more daemons: scrub cadence and verification counts, detected
-// corruptions, quarantine and repair activity, plus the current
-// quarantine list from /debug/warehouse where the daemon exposes it.
-func scrub(c *cli, args []string) {
-	instruments(c, c.daemons(c.flags("scrub"), "localhost:7071", args), []string{
-		"warehouse.scrub_passes",
-		"warehouse.scrub_verified",
-		"warehouse.corruptions_detected",
-		"warehouse.quarantined",
-		"warehouse.quarantine_size",
-		"warehouse.repairs",
-		"warehouse.repair_bytes",
-		"warehouse.scrub_retirements",
-		"plant.verified_clones",
-		"fault.injections.corrupt-extent",
-		"fault.injections.torn-write",
-	}, 32, "no integrity metrics (daemon runs no warehouse?)",
-		func(addr string, _ map[string]any) bool {
-			// The quarantine list lives on its own endpoint; daemons
-			// without a warehouse simply do not serve it.
-			state, err := fetch[warehouse.DebugState](addr, "/debug/warehouse")
-			if err != nil {
-				return false
-			}
-			if len(state.Quarantine) == 0 {
-				fmt.Fprintln(c.out, "  quarantine: empty")
-			}
-			for _, q := range state.Quarantine {
-				fmt.Fprintf(c.out, "  quarantine: %s (%s)\n", q.Image, q.Reason)
-			}
-			return false
-		})
+// quarantineList prints a daemon's quarantined images from
+// /debug/warehouse; daemons without a warehouse do not serve it.
+func quarantineList(c *cli, addr string) {
+	state, err := fetch[warehouse.DebugState](addr, "/debug/warehouse")
+	if err != nil {
+		return
+	}
+	if len(state.Quarantine) == 0 {
+		fmt.Fprintln(c.out, "  quarantine: empty")
+	}
+	for _, q := range state.Quarantine {
+		fmt.Fprintf(c.out, "  quarantine: %s (%s)\n", q.Image, q.Reason)
+	}
 }
 
 // journalView tails and verifies each daemon's control-plane event log
@@ -588,7 +610,7 @@ func journalView(c *cli, args []string) {
 	fs := c.flags("journal")
 	tail := fs.Int("n", 20, "records to tail per daemon (0 = all)")
 	verify := fs.Bool("verify", false, "only print checksum verification counts")
-	addrs := c.daemons(fs, "localhost:7070,localhost:7071", args)
+	addrs := c.daemons(fs, shopDebug+","+plantDebug, args)
 	bad := 0
 	each(c, addrs, fmt.Sprintf("/debug/journal?n=%d", *tail), "journal", func(addr string, st journal.DebugState) {
 		fmt.Fprintf(c.out, "%s: %s seq=%d segments=%d bytes=%d verified %d good / %d bad\n",
@@ -619,7 +641,7 @@ func journalView(c *cli, args []string) {
 // /debug/federation endpoint: the cell's peers, cross-cell forwarding
 // routes, and the forwarding counters from /metrics.
 func federation(c *cli, args []string) {
-	addrs := c.daemons(c.flags("federation"), "localhost:7070", args)
+	addrs := c.daemons(c.flags("federation"), shopDebug, args)
 	counters := []string{
 		"shop.peer_bid_rounds",
 		"shop.forwarded_creates",

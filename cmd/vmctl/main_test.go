@@ -107,7 +107,7 @@ func TestEverySubcommand(t *testing.T) {
 		{args: []string{"journal", "-verify", "-debug", all}, out: "/ 0 bad"},
 		{args: []string{"journal", "-n", "3", "-debug", shopDebug}, out: "route-drop"},
 		{args: []string{"warehouse", "-debug", plantDebug}, out: "warehouse.images"},
-		{args: []string{"queue", "-debug", all}, out: "plant.clone_inflight"},
+		{args: []string{"queue", "-debug", all}, out: "shop.admission_wait_secs"},
 		{args: []string{"scrub", "-debug", plantDebug}, out: "quarantine: empty"},
 		{args: []string{"stats", "-debug", shopDebug, "-traces", "2"}, out: "shop.creations"},
 		{args: []string{"trace", "vm-shop-1", "-debug", all}, out: "plant.create"},
@@ -130,6 +130,38 @@ func TestEverySubcommand(t *testing.T) {
 		if slices.Contains(tc.args, "-example") {
 			if err := os.WriteFile(spec, stdout.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// Every instrument a /metrics view prints is registered by a daemon on
+// the view's default -debug list: the rig's shop and first plant stand in
+// for vmshopd's and vmplantd's default addresses.
+func TestViewsPrintRegisteredMetrics(t *testing.T) {
+	_, debug := startSite(t)
+	live := map[string]string{shopDebug: debug[0], plantDebug: debug[1]}
+	for name, v := range views {
+		if !slices.ContainsFunc(commands, func(cmd command) bool { return cmd.name == name }) {
+			t.Errorf("view %q is not a subcommand", name)
+		}
+		registered := map[string]bool{}
+		for _, def := range strings.Split(v.daemons, ",") {
+			addr, ok := live[def]
+			if !ok {
+				t.Fatalf("vmctl %s asks %s by default, which is no daemon's default", name, def)
+			}
+			snap, err := fetch[map[string]any](addr, "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := range snap {
+				registered[n] = true
+			}
+		}
+		for _, n := range append(v.names, v.hists...) {
+			if !registered[n] {
+				t.Errorf("vmctl %s prints %s, which no daemon on its default list (%s) registers", name, n, v.daemons)
 			}
 		}
 	}

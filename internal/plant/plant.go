@@ -479,9 +479,8 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	} else {
 		pl.mImageMisses.Inc()
 	}
-	// Open the matched image through the warehouse's hot clone cache:
-	// repeat clones of the same golden machine skip the descriptor
-	// re-parse and extent walk.
+	// Open the matched image: the first open of its integrity epoch
+	// verifies it, later ones reuse that epoch's context.
 	cctx, err := pl.wh.OpenClone(best.Candidate.ID)
 	if err != nil {
 		return nil, fmt.Errorf("plant %s: matched image %q unavailable: %w", pl.name, best.Candidate.ID, err)
@@ -1110,7 +1109,7 @@ func (pl *Plant) Precreate(p *sim.Proc, image string, count int) (err error) {
 		Set("golden", image).
 		SetInt("count", int64(count))
 	defer func() { sp.EndErr(p, err) }()
-	// Open through the clone cache like Create does: a quarantined image
+	// Open the image like Create does: a quarantined image
 	// refuses (speculation must not park clones of suspect state), and
 	// the cold verification cost is paid here, off the critical path.
 	cctx, err := pl.wh.OpenClone(image)

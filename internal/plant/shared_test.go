@@ -377,8 +377,8 @@ func TestFailedCloneLeavesNoFiles(t *testing.T) {
 			im, _ := r.wh.Lookup("ws-golden")
 			local := r.tb.Nodes[0].LocalDisk()
 			r.run(t, func(p *sim.Proc) {
-				// The first clone warms the clone cache, so the second opens
-				// the image without re-verifying it.
+				// The first clone verifies the image's epoch, so the second
+				// opens it without re-verifying.
 				createOrFatal(t, p, r.pl, "vm-a", spec(t, "alice"))
 				if err := r.wh.Volume().Delete(tc.missing(im)); err != nil {
 					t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 
 	"vmplants/internal/actions"
 	"vmplants/internal/dag"
-	"vmplants/internal/telemetry"
 )
 
 func seedImage(t *testing.T, w *Warehouse, name string) *Image {
@@ -350,34 +349,6 @@ func TestDerivedNameIsHistoryFingerprint(t *testing.T) {
 	}
 	if !strings.HasPrefix(a, "derived-"+BackendVMware+"-") {
 		t.Errorf("name %q lacks the derived prefix", a)
-	}
-}
-
-// Regression (stale gauge bugfix): resizing the clone cache drops every
-// entry, so the "warehouse.cache_size" gauge must drop to zero with
-// them. The pre-fix code left it at the old entry count until the next
-// OpenClone.
-func TestSetCloneCacheSizeResetsGauge(t *testing.T) {
-	w := newWarehouse()
-	hub := telemetry.New()
-	w.SetTelemetry(hub)
-	seedImage(t, w, "g0")
-	seedImage(t, w, "g1")
-	for _, n := range []string{"g0", "g1"} {
-		if _, err := w.OpenClone(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gauge := hub.Gauge("warehouse.cache_size")
-	if gauge.Value() != 2 {
-		t.Fatalf("cache_size = %d before resize", gauge.Value())
-	}
-	w.SetCloneCacheSize(16)
-	if gauge.Value() != 0 {
-		t.Errorf("cache_size = %d after resize, want 0 (cache was emptied)", gauge.Value())
-	}
-	if len(w.CacheKeys()) != 0 {
-		t.Errorf("cache still holds %v", w.CacheKeys())
 	}
 }
 

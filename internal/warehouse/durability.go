@@ -10,8 +10,8 @@
 // stored extent carries. Every change to it is a typed journal record,
 // appended and then applied by the same Ledger.Apply that Restart folds
 // the log with, so what a restart rebuilds is what the live daemon
-// held. The clone cache and the scrubber's repair counters are soft and
-// start empty.
+// held. The images' clone contexts and the scrubber's repair counters
+// are soft and start empty.
 package warehouse
 
 import (
@@ -90,8 +90,9 @@ type RestartStats struct {
 // anyway — the old ledger's catalog and extents — and the quarantine
 // set comes back empty: the amnesia the regression test documents.
 func (w *Warehouse) Restart() RestartStats {
-	w.cache = newCloneCache(w.cache.cap)
-	w.gCacheSize.Set(0)
+	for _, im := range w.images {
+		im.clone = nil
+	}
 
 	var st RestartStats
 	fresh := ledger.New()

@@ -17,10 +17,10 @@ import (
 // for every artifact — in the image descriptor's <integrity> section
 // and in the storage volume's file namespace — and every read path
 // verifies before trusting the state: clone opens verify once per
-// cache fill (the hot path stays hot), the background scrubber deep-
-// verifies everything else. A mismatch quarantines the image; the
-// scrubber repairs from a replica or by re-materializing derived
-// state, and retires what it cannot repair.
+// (image, integrity epoch), so the hot path stays hot; the background
+// scrubber deep-verifies everything else. A mismatch quarantines the
+// image; the scrubber repairs from a replica or by re-materializing
+// derived state, and retires what it cannot repair.
 
 // integritySite is the fault-registry site label for warehouse-side
 // storage faults; ops qualify the read path ("clone", "scrub") or the
@@ -62,7 +62,7 @@ func (im *Image) descriptorPath() string { return "golden/" + im.Name + "/descri
 
 // Epoch reports the image's integrity epoch: it advances every time
 // the image's trustworthiness changes (corruption detected, repair
-// completed). A CloneContext captures it at cache-fill time so clones
+// completed). A CloneContext captures it when it is built so clones
 // in flight across a transition can be failed over instead of resumed
 // from suspect state.
 func (im *Image) Epoch() int64 { return im.epoch }
@@ -161,9 +161,10 @@ func (w *Warehouse) SetReplica(vol *storage.Volume) {
 
 // Quarantine takes the named image out of service: matching skips it,
 // clone opens refuse with a transient error (so in-flight creations
-// fail over through the shop's re-bid path), the hot clone cache drops
-// it, and its integrity epoch advances so already-open clone contexts
-// fail verification. Reports whether the image was newly quarantined.
+// fail over through the shop's re-bid path), and its integrity epoch
+// advances so already-open clone contexts fail verification and the
+// next open after repair verifies afresh. Reports whether the image was
+// newly quarantined.
 func (w *Warehouse) Quarantine(name, reason string) bool {
 	im, ok := w.images[name]
 	if !ok || w.IsQuarantined(name) {
@@ -171,8 +172,6 @@ func (w *Warehouse) Quarantine(name, reason string) bool {
 	}
 	w.record(journal.QuarantineEnter, name, map[string]string{"reason": reason})
 	im.epoch++
-	w.cache.drop(name)
-	w.gCacheSize.Set(int64(w.cache.order.Len()))
 	w.mQuarantines.Inc()
 	w.gQuarantine.Set(int64(len(w.Quarantined())))
 	return true
@@ -188,7 +187,6 @@ func (w *Warehouse) Unquarantine(name string) bool {
 	if im, live := w.images[name]; live {
 		im.epoch++
 	}
-	w.cache.drop(name)
 	w.gQuarantine.Set(int64(len(w.Quarantined())))
 	return true
 }
@@ -237,7 +235,7 @@ func (w *Warehouse) detect(im *Image, bad []string, origin string) {
 
 // VerifyClone re-checks a clone context after the state copy finished:
 // the image must still be published, out of quarantine, and at the
-// same integrity epoch as when the context was filled. Anything else
+// same integrity epoch as when the context was built. Anything else
 // means the clone may have read suspect bytes, and the error is marked
 // transient so the shop fails the creation over to another bidder.
 func (w *Warehouse) VerifyClone(ctx *CloneContext) error {

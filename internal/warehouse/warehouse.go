@@ -93,6 +93,9 @@ type Image struct {
 	// epoch advances whenever the image's integrity status changes
 	// (quarantine, repair); see Epoch.
 	epoch int64
+	// clone is the context OpenClone verified and built; it serves opens
+	// only while its Epoch is epoch.
+	clone *CloneContext
 
 	// refs counts live clones whose virtual disks link into this
 	// image's state files; a referenced image cannot be retired.
@@ -270,7 +273,6 @@ type Warehouse struct {
 	// names is the keys of images, kept sorted by register and
 	// unregister, its only writers.
 	names []string
-	cache *cloneCache
 
 	// faults decides corruption injections on the warehouse's storage
 	// paths; nil means no injection (SetFaults).
@@ -314,7 +316,6 @@ type Warehouse struct {
 	gBytesUsed    *telemetry.Gauge
 	mCacheHits    *telemetry.Counter
 	mCacheMisses  *telemetry.Counter
-	gCacheSize    *telemetry.Gauge
 
 	// Extent-store instruments.
 	gExtentEntries  *telemetry.Gauge
@@ -337,7 +338,6 @@ func New(vol *storage.Volume) *Warehouse {
 	return &Warehouse{
 		vol:         vol,
 		images:      make(map[string]*Image),
-		cache:       newCloneCache(DefaultCloneCacheSize),
 		led:         ledger.New(),
 		repairFails: make(map[string]int),
 		repairLimit: DefaultRepairAttempts,
@@ -349,9 +349,10 @@ func New(vol *storage.Volume) *Warehouse {
 // ("warehouse.publishes"), the published-image gauge
 // ("warehouse.images"), the learning-loop instruments
 // ("warehouse.derived_images", "warehouse.retirements",
-// "warehouse.bytes_used") and the hot clone-cache instruments
-// ("warehouse.cache_hits", "warehouse.cache_misses",
-// "warehouse.cache_size"). Passing nil detaches them.
+// "warehouse.bytes_used") and the clone-open counters
+// ("warehouse.cache_hits" for opens that reused their epoch's context,
+// "warehouse.cache_misses" for the first, verifying open of an epoch).
+// Passing nil detaches them.
 func (w *Warehouse) SetTelemetry(h *telemetry.Hub) {
 	w.mLookups = h.Counter("warehouse.lookups")
 	w.mLookupMisses = h.Counter("warehouse.lookup_misses")
@@ -362,7 +363,6 @@ func (w *Warehouse) SetTelemetry(h *telemetry.Hub) {
 	w.gBytesUsed = h.Gauge("warehouse.bytes_used")
 	w.mCacheHits = h.Counter("warehouse.cache_hits")
 	w.mCacheMisses = h.Counter("warehouse.cache_misses")
-	w.gCacheSize = h.Gauge("warehouse.cache_size")
 	w.gExtentEntries = h.Gauge("warehouse.extent_entries")
 	w.gExtentLogical = h.Gauge("warehouse.extent_logical_bytes")
 	w.gExtentPhysical = h.Gauge("warehouse.extent_physical_bytes")
@@ -712,8 +712,6 @@ func (w *Warehouse) unregister(im *Image) {
 	delete(w.repairFails, im.Name)
 	w.qmu.Unlock()
 	w.gQuarantine.Set(int64(len(w.Quarantined())))
-	w.cache.drop(im.Name)
-	w.gCacheSize.Set(int64(w.cache.order.Len()))
 	w.gImages.Set(int64(len(w.images)))
 	w.gDerived.Set(int64(w.DerivedCount()))
 	if !im.Derived {

@@ -15,13 +15,14 @@ import (
 // corruption is the integrity attack's rates.
 type corruption struct {
 	// cloneRead is the corrupt-extent probability per verifying clone
-	// read, i.e. per clone-cache fill (the acceptance floor is 0.01).
+	// read, i.e. per first open of an (image, integrity epoch) (the
+	// acceptance floor is 0.01).
 	cloneRead float64
 	// scrubRead is the corrupt-extent probability per image per scrub
 	// pass — bit rot the scrubber itself discovers.
 	scrubRead float64
 	// tornWrite corrupts a publication as it lands; the damage is latent
-	// until the next clone miss or scrub read (high because
+	// until the next verifying clone open or scrub read (high because
 	// publications are rare, one per distinct configuration).
 	tornWrite float64
 }
@@ -124,9 +125,6 @@ func scrubStream(seed int64, par streamParams, attack corruption) (*scrubResult,
 	}
 	seeds := d.Warehouse.List()
 	par.budget(d.Warehouse)
-	// A small hot clone cache, so opens miss — and therefore verify —
-	// often.
-	d.Warehouse.SetCloneCacheSize(2)
 
 	// The replica device: the site's second copy of the installer-laid
 	// seed extents, and the repair source for seed corruption. Mirrored

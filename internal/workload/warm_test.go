@@ -89,7 +89,7 @@ func concurrentPublishFingerprint(t *testing.T, seed int64) string {
 }
 
 // Run under -race in CI: concurrent creations with publish-back share
-// Image.refs and the clone cache through the kernel's serialization,
+// Image.refs and the images' clone contexts through the kernel's serialization,
 // and same-seed runs must stay byte-identical.
 func TestConcurrentPublishBackDeterministic(t *testing.T) {
 	a := concurrentPublishFingerprint(t, 21)

@@ -14,6 +14,7 @@ done <<TARGETS
 ./internal/journal FuzzDecode
 ./internal/shop/ledger FuzzApply
 ./internal/warehouse/ledger FuzzApply
+./internal/warehouse FuzzParseDescriptor
 ./internal/proto FuzzEnvelope
 ./internal/classad FuzzAdXML
 ./internal/classad FuzzParse
