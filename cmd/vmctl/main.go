@@ -507,13 +507,12 @@ type view struct {
 
 // views are the /metrics subcommands, by name.
 var views = map[string]view{
-	// queue is the creation pipeline's admission state: the shop's batch
-	// backlog and front-door gate, each plant's in-flight clones and
-	// clone-slot queue. Everything else is `stats`.
+	// queue is the creation pipeline's admission state: the shop's
+	// front-door gate, each plant's in-flight clones and clone-slot
+	// queue. Everything else is `stats`.
 	"queue": {
 		daemons: shopDebug + "," + plantDebug,
 		names: []string{
-			"shop.batch_queue_depth",
 			"shop.inflight_creates",
 			"shop.admission_queue",
 			"plant.clone_inflight",

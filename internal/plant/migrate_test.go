@@ -1,12 +1,14 @@
 package plant
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/sim"
+	"vmplants/internal/vdisk"
 	"vmplants/internal/warehouse"
 )
 
@@ -162,6 +164,87 @@ func TestMigrateRespectsDomainIsolation(t *testing.T) {
 			// plant record is intact either way — assert it still exists
 			// and can be collected.
 			t.Logf("VM left %s after aborted migration", vm.State())
+		}
+	})
+}
+
+// A creation in flight on the destination holds a slot: a migration
+// started meanwhile must not take it, or the destination ends above
+// MaxVMs once both land.
+func TestMigrateCountsDestinationCreations(t *testing.T) {
+	k, _, a, b := twoPlantRig(t, Config{MaxVMs: 2})
+	runK(t, k, func(p *sim.Proc) {
+		createOrFatal(t, p, a, "vm-a", spec(t, "u1"))
+		createOrFatal(t, p, b, "vm-b1", spec(t, "u2"))
+		done := false
+		p.Kernel().Spawn("create-b2", func(cp *sim.Proc) {
+			createOrFatal(t, cp, b, "vm-b2", spec(t, "u3"))
+			done = true
+		})
+		p.Sleep(time.Second)
+		if err := a.MigrateTo(p, "vm-a", b); err == nil {
+			t.Error("migration took the slot of a creation in flight")
+		}
+		for !done {
+			p.Sleep(time.Second)
+		}
+		if a.ActiveVMs() != 1 || b.ActiveVMs() != 2 {
+			t.Errorf("VM counts: a=%d b=%d, want 1 and 2", a.ActiveVMs(), b.ActiveVMs())
+		}
+	})
+}
+
+// A migration in flight holds its destination slot: a creation started
+// meanwhile is refused transiently instead of overshooting MaxVMs.
+func TestMigrationHoldsDestinationSlot(t *testing.T) {
+	k, _, a, b := twoPlantRig(t, Config{MaxVMs: 2})
+	runK(t, k, func(p *sim.Proc) {
+		createOrFatal(t, p, a, "vm-a", spec(t, "u1"))
+		createOrFatal(t, p, b, "vm-b1", spec(t, "u2"))
+		done := false
+		p.Kernel().Spawn("migrate", func(mp *sim.Proc) {
+			if err := a.MigrateTo(mp, "vm-a", b); err != nil {
+				t.Error(err)
+			}
+			done = true
+		})
+		p.Sleep(10 * time.Millisecond)
+		if done {
+			t.Fatal("migration finished before the creation could race it")
+		}
+		if _, err := b.Create(p, "vm-b2", spec(t, "u3")); !errors.Is(err, core.ErrTransient) {
+			t.Errorf("creation during the migration: %v, want a transient capacity refusal", err)
+		}
+		for !done {
+			p.Sleep(time.Second)
+		}
+		if a.ActiveVMs() != 0 || b.ActiveVMs() != 2 {
+			t.Errorf("VM counts: a=%d b=%d, want 0 and 2", a.ActiveVMs(), b.ActiveVMs())
+		}
+	})
+}
+
+// A migrated lazy clone takes its hydration record with it: the source
+// keeps no entry, and no pointer to the VM, once the destination
+// collects it.
+func TestMigratedLazyCloneLeavesNoHydrationBehind(t *testing.T) {
+	k, _, a, b := twoPlantRig(t, Config{CloneMode: vdisk.CloneByLazy})
+	runK(t, k, func(p *sim.Proc) {
+		createOrFatal(t, p, a, "vm-a", spec(t, "alice"))
+		for !a.AllHydrated() {
+			p.Sleep(time.Second)
+		}
+		if err := a.MigrateTo(p, "vm-a", b); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Collect(p, "vm-a"); err != nil {
+			t.Fatal(err)
+		}
+		a.mu.Lock()
+		left := len(a.live)
+		a.mu.Unlock()
+		if left != 0 {
+			t.Errorf("source keeps %d hydration record(s) after the VM left", left)
 		}
 	})
 }

@@ -121,9 +121,9 @@ type Plant struct {
 	poolSeq   int
 	creations []CreateStats
 	down      bool
-	// creating reserves capacity for in-flight creations so a batch of
-	// concurrent orders cannot overshoot MaxVMs between the capacity
-	// check and info.store.
+	// creating counts the slots reserve holds for in-flight creations and
+	// incoming migrations, so concurrent arrivals cannot overshoot MaxVMs
+	// between the capacity check and info.store.
 	creating int
 	// draining/retired is the elastic-fleet exit state (drain.go): a
 	// draining plant refuses new work but finishes what it has; retired
@@ -441,28 +441,16 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	if err := pl.refuseIfDraining(); err != nil {
 		return nil, err
 	}
-	// Capacity check with reservation: concurrent pipeline orders each
-	// hold a slot in `creating` until their VM lands in the information
-	// system, so a burst cannot overshoot MaxVMs between check and
-	// store. Serially this is the same comparison as before.
-	if pl.cfg.MaxVMs > 0 {
-		pl.mu.Lock()
-		if pl.info.Count()+pl.creating >= pl.cfg.MaxVMs {
-			pl.mu.Unlock()
-			// Transient: the winning bid raced another order into the
-			// last slot. The shop fails over to its next bidder — or, in
-			// a federation, re-auctions among peer cells — instead of
-			// reporting a dead-end to the client.
-			return nil, fmt.Errorf("plant %s: %w: at VM capacity (%d)", pl.name, core.ErrTransient, pl.cfg.MaxVMs)
-		}
-		pl.creating++
-		pl.mu.Unlock()
-		defer func() {
-			pl.mu.Lock()
-			pl.creating--
-			pl.mu.Unlock()
-		}()
+	// Capacity check with reservation: a burst of concurrent orders
+	// cannot overshoot MaxVMs between check and store.
+	if !pl.reserve() {
+		// Transient: the winning bid raced another order into the
+		// last slot. The shop fails over to its next bidder — or, in
+		// a federation, re-auctions among peer cells — instead of
+		// reporting a dead-end to the client.
+		return nil, fmt.Errorf("plant %s: %w: at VM capacity (%d)", pl.name, core.ErrTransient, pl.cfg.MaxVMs)
 	}
+	defer pl.unreserve()
 	planSp := sp.Child(p, "plan")
 	best, err := pl.plan(spec)
 	if err != nil {
@@ -1021,9 +1009,11 @@ func (pl *Plant) MigrateTo(p *sim.Proc, id core.VMID, dst *Plant) (err error) {
 	if !ok {
 		return fmt.Errorf("plant %s: no VM %s", pl.name, id)
 	}
-	if dst.cfg.MaxVMs > 0 && dst.info.Count() >= dst.cfg.MaxVMs {
+	// The slot is held from here until the record lands on dst.
+	if !dst.reserve() {
 		return fmt.Errorf("plant %s: destination %s at VM capacity", pl.name, dst.name)
 	}
+	defer dst.unreserve()
 	vm := r.vm
 	if vm.State() != vmm.Running {
 		return fmt.Errorf("plant %s: VM %s is %s; cannot migrate", pl.name, id, vm.State())
@@ -1063,6 +1053,7 @@ func (pl *Plant) MigrateTo(p *sim.Proc, id core.VMID, dst *Plant) (err error) {
 	pl.info.remove(id)
 	pl.mu.Lock()
 	delete(pl.host, id)
+	delete(pl.live, id) // its hydration is done, so nothing is left to cancel
 	pl.mu.Unlock()
 	pl.journalVM(p, id, false)
 	if err := pl.nets.Release(r.domain); err != nil {
@@ -1076,6 +1067,32 @@ func (pl *Plant) MigrateTo(p *sim.Proc, id core.VMID, dst *Plant) (err error) {
 	dst.mu.Unlock()
 	dst.journalVM(p, id, true)
 	return nil
+}
+
+// reserve holds one of the plant's MaxVMs slots for a VM on its way in
+// (a creation or an incoming migration) until unreserve, so two arrivals
+// racing for the last slot cannot both land. It reports false when the
+// VMs held plus the slots already held fill the plant.
+func (pl *Plant) reserve() bool {
+	if pl.cfg.MaxVMs <= 0 {
+		return true
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if pl.info.Count()+pl.creating >= pl.cfg.MaxVMs {
+		return false
+	}
+	pl.creating++
+	return true
+}
+
+// unreserve releases the slot reserve held.
+func (pl *Plant) unreserve() {
+	if pl.cfg.MaxVMs > 0 {
+		pl.mu.Lock()
+		pl.creating--
+		pl.mu.Unlock()
+	}
 }
 
 // takePrecreated pops a pooled clone of the named image.

@@ -41,23 +41,6 @@ func appendMessage(dst []byte, m *Message) []byte {
 	case KindCreateResponse:
 		dst = appendText(dst, "vmid", m.Created.VMID)
 		dst = appendAd(dst, m.Created.Ad)
-	case KindBatchCreateRequest:
-		dst = append(dst, "<items>"...)
-		for i := range m.BatchCreate.Items {
-			dst = appendCreateRequest(dst, "create-request", &m.BatchCreate.Items[i])
-		}
-		dst = append(dst, "</items>"...)
-	case KindBatchCreateResponse:
-		dst = append(dst, "<items>"...)
-		for i := range m.BatchCreated.Items {
-			it := &m.BatchCreated.Items[i]
-			dst = append(dst, "<item>"...)
-			dst = appendOptional(dst, "vmid", it.VMID)
-			dst = appendAd(dst, it.Ad)
-			dst = appendOptional(dst, "error", it.Err)
-			dst = append(dst, "</item>"...)
-		}
-		dst = append(dst, "</items>"...)
 	case KindQueryRequest:
 		dst = appendText(dst, "vmid", m.Query.VMID)
 	case KindQueryResponse:
@@ -231,7 +214,6 @@ var (
 	envelopeAttrs = []string{"kind", "seq", "trace", "span"}
 	bodyNames     = []string{
 		string(KindCreateRequest), string(KindCreateResponse),
-		string(KindBatchCreateRequest), string(KindBatchCreateResponse),
 		string(KindQueryRequest), string(KindQueryResponse),
 		string(KindDestroyRequest), string(KindDestroyResponse),
 		string(KindEstimateRequest), string(KindEstimateResponse),
@@ -242,10 +224,7 @@ var (
 		string(KindPingRequest), string(KindPingResponse),
 		string(KindError),
 	}
-	itemsName  = []string{"items"}
-	itemName   = []string{"item"}
-	createName = []string{"create-request"}
-	vmidName   = []string{"vmid"}
+	vmidName = []string{"vmid"}
 )
 
 // scanMessage decodes the envelope.
@@ -286,25 +265,6 @@ func scanBody(s *xmlwire.Scanner, m *Message, kind Kind) error {
 	case KindCreateResponse:
 		m.Created = new(CreateResponse)
 		return scanFields(s, field{"vmid", &m.Created.VMID}, field{"classad", &m.Created.Ad})
-	case KindBatchCreateRequest:
-		m.BatchCreate = new(BatchCreateRequest)
-		return s.Children(itemsName, 0, func(int) error {
-			return s.Children(createName, 1, func(int) error {
-				items := &m.BatchCreate.Items
-				*items = append(*items, CreateRequest{})
-				return scanCreateRequest(s, &(*items)[len(*items)-1])
-			})
-		})
-	case KindBatchCreateResponse:
-		m.BatchCreated = new(BatchCreateResponse)
-		return s.Children(itemsName, 0, func(int) error {
-			return s.Children(itemName, 1, func(int) error {
-				items := &m.BatchCreated.Items
-				*items = append(*items, BatchCreateItem{})
-				it := &(*items)[len(*items)-1]
-				return scanFields(s, field{"vmid", &it.VMID}, field{"classad", &it.Ad}, field{"error", &it.Err})
-			})
-		})
 	case KindQueryRequest:
 		m.Query = new(QueryRequest)
 		return scanFields(s, field{"vmid", &m.Query.VMID})

@@ -51,8 +51,6 @@ type Kind string
 const (
 	KindCreateRequest         Kind = "create-request"
 	KindCreateResponse        Kind = "create-response"
-	KindBatchCreateRequest    Kind = "batch-create-request"
-	KindBatchCreateResponse   Kind = "batch-create-response"
 	KindQueryRequest          Kind = "query-request"
 	KindQueryResponse         Kind = "query-response"
 	KindDestroyRequest        Kind = "destroy-request"
@@ -86,8 +84,6 @@ type Message struct {
 	ParentSpan     uint64                 `xml:"span,attr,omitempty"`
 	Create         *CreateRequest         `xml:"create-request"`
 	Created        *CreateResponse        `xml:"create-response"`
-	BatchCreate    *BatchCreateRequest    `xml:"batch-create-request"`
-	BatchCreated   *BatchCreateResponse   `xml:"batch-create-response"`
 	Query          *QueryRequest          `xml:"query-request"`
 	Queried        *QueryResponse         `xml:"query-response"`
 	Destroy        *DestroyRequest        `xml:"destroy-request"`
@@ -174,27 +170,6 @@ func FromSpec(s *core.Spec, token string) *CreateRequest {
 type CreateResponse struct {
 	VMID string      `xml:"vmid"`
 	Ad   *classad.Ad `xml:"classad"`
-}
-
-// BatchCreateRequest submits a batch of creation requests in one call;
-// the shop drives them through its concurrent pipeline and answers when
-// every request has an outcome. Not idempotent — like create-request,
-// it is never retransmitted.
-type BatchCreateRequest struct {
-	Items []CreateRequest `xml:"items>create-request"`
-}
-
-// BatchCreateItem is one request's outcome within a batch: either a
-// VMID with its classad, or an error string.
-type BatchCreateItem struct {
-	VMID string      `xml:"vmid,omitempty"`
-	Ad   *classad.Ad `xml:"classad,omitempty"`
-	Err  string      `xml:"error,omitempty"`
-}
-
-// BatchCreateResponse returns per-request outcomes in request order.
-type BatchCreateResponse struct {
-	Items []BatchCreateItem `xml:"items>item"`
 }
 
 // QueryRequest asks for an active VM's classad.
@@ -337,7 +312,7 @@ func Errorf(seq uint64, code, format string, args ...any) *Message {
 // no other body rides along.
 func (m *Message) validateEnvelope() error {
 	bodies := [...]bool{ // in bodyNames order
-		m.Create != nil, m.Created != nil, m.BatchCreate != nil, m.BatchCreated != nil,
+		m.Create != nil, m.Created != nil,
 		m.Query != nil, m.Queried != nil, m.Destroy != nil, m.Destroyed != nil,
 		m.Estimate != nil, m.Bid != nil, m.ForwardCreate != nil, m.ForwardCreated != nil,
 		m.Publish != nil, m.Published != nil, m.Lifecycle != nil, m.Lifecycled != nil,

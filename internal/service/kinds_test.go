@@ -5,7 +5,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"net"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,15 +16,16 @@ import (
 	"vmplants/internal/proto"
 )
 
-// requestKinds reads every request kind proto.go declares, so a kind
-// added there without a row below fails the table test.
-func requestKinds(t *testing.T) map[proto.Kind]bool {
+// requestKinds reads every request kind proto.go declares, with the name
+// of its constant, so a kind added there without a row below fails the
+// table test and one no product code sends fails TestEveryWireKindIsSent.
+func requestKinds(t *testing.T) map[proto.Kind]string {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "../proto/proto.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[proto.Kind]bool{}
+	kinds := map[proto.Kind]string{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		vs, ok := n.(*ast.ValueSpec)
 		if !ok || vs.Type == nil || len(vs.Values) != 1 {
@@ -33,7 +36,7 @@ func requestKinds(t *testing.T) map[proto.Kind]bool {
 		}
 		if lit, ok := vs.Values[0].(*ast.BasicLit); ok {
 			if kind, err := strconv.Unquote(lit.Value); err == nil && strings.HasSuffix(kind, "-request") {
-				kinds[proto.Kind(kind)] = true
+				kinds[proto.Kind(kind)] = vs.Names[0].Name
 			}
 		}
 		return true
@@ -71,10 +74,6 @@ func TestEveryWireKindIsServed(t *testing.T) {
 		}},
 		{"shop", func() *proto.Message { return &proto.Message{Kind: proto.KindCreateRequest, Create: createReq(t)} }},
 		{"shop", func() *proto.Message {
-			return &proto.Message{Kind: proto.KindBatchCreateRequest,
-				BatchCreate: &proto.BatchCreateRequest{Items: []proto.CreateRequest{*createReq(t)}}}
-		}},
-		{"shop", func() *proto.Message {
 			return &proto.Message{Kind: proto.KindForwardCreateRequest,
 				ForwardCreate: &proto.ForwardCreateRequest{Origin: "cellA", Create: forward}}
 		}},
@@ -100,7 +99,7 @@ func TestEveryWireKindIsServed(t *testing.T) {
 	}
 	for _, row := range rows {
 		req := row.req()
-		if !kinds[req.Kind] {
+		if _, ok := kinds[req.Kind]; !ok {
 			t.Errorf("row for %s, which proto.go does not declare", req.Kind)
 			continue
 		}
@@ -117,6 +116,54 @@ func TestEveryWireKindIsServed(t *testing.T) {
 	}
 	for kind := range kinds {
 		t.Errorf("%s is declared in proto.go but no daemon is driven with it", kind)
+	}
+}
+
+// TestEveryWireKindIsSent is the client half of the table test: a
+// request kind only daemons serve, and no product code sends, is dead
+// protocol. Some non-test Go file outside internal/proto, serve.go and
+// the bench module must name each kind's constant.
+func TestEveryWireKindIsSent(t *testing.T) {
+	kinds := requestKinds(t)
+	sent := map[string]bool{}
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			switch rel {
+			case ".git", "bench", filepath.Join("internal", "proto"):
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
+			rel == filepath.Join("internal", "service", "serve.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "proto" {
+					sent[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, name := range kinds {
+		if !sent[name] {
+			t.Errorf("%s is declared in proto.go but no product code sends proto.%s", kind, name)
+		}
 	}
 }
 

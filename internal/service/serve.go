@@ -184,35 +184,14 @@ func NewPlantHandler(r *Runner, pl *plant.Plant) proto.Handler {
 
 // NewShopHandler returns the proto.Handler serving clients and peer
 // cells through a shop: the shared kinds (create without a vmid, query,
-// destroy, publish, …) plus the shop's own, batched and forwarded
-// creation.
+// destroy, publish, …) plus the shop's own forwarded creation. A client
+// with many VMs to create sends that many create-requests; the shop's
+// admission gate is their one queue.
 func NewShopHandler(r *Runner, s *shop.Shop) proto.Handler {
 	end := shop.ShopEnd{Shop: s}
 	c := &serving{r: r, sv: end}
 	return func(req *proto.Message) *proto.Message {
 		switch req.Kind {
-		case proto.KindBatchCreateRequest:
-			specs := make([]*core.Spec, len(req.BatchCreate.Items))
-			for i := range req.BatchCreate.Items {
-				spec, err := req.BatchCreate.Items[i].Spec()
-				if err != nil {
-					return badRequest(req.Seq, fmt.Errorf("item %d: %v", i, err))
-				}
-				specs[i] = spec
-			}
-			return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
-				results := s.CreateMany(p, specs)
-				resp := &proto.BatchCreateResponse{Items: make([]proto.BatchCreateItem, len(results))}
-				for i, res := range results {
-					if res.Err != nil {
-						resp.Items[i] = proto.BatchCreateItem{Err: res.Err.Error()}
-						continue
-					}
-					resp.Items[i] = proto.BatchCreateItem{VMID: string(res.VMID), Ad: res.Ad}
-				}
-				return &proto.Message{Kind: proto.KindBatchCreateResponse, BatchCreated: resp}, nil
-			})
-
 		case proto.KindForwardCreateRequest:
 			fwd := req.ForwardCreate
 			if fwd.Probe {

@@ -73,42 +73,52 @@ func startTracedShopDaemon(t *testing.T, plantAddrs map[string]string) (string, 
 	return l.Addr().String(), hub
 }
 
-// TestBatchCreateSpanTreesOverTCP drives a batch creation through real
-// TCP daemons — one of which drops its first connections — and checks
-// the end-to-end observability contract: spans merged across all three
-// processes form exactly one rooted tree per creation, the plant-side
-// subtree joins through the trace context on the message envelope, and
-// the dropped connections surface as rpc.attempt retry spans inside
-// those trees rather than as broken traces.
-func TestBatchCreateSpanTreesOverTCP(t *testing.T) {
+// TestConcurrentCreateSpanTreesOverTCP drives four concurrent creations
+// over two client connections through real TCP daemons — one of which
+// drops its first connections — and checks the end-to-end observability
+// contract: spans merged across all three processes form exactly one
+// rooted tree per creation, the plant-side subtree joins through the
+// trace context on the message envelope, and the dropped connections
+// surface as rpc.attempt retry spans inside those trees rather than as
+// broken traces.
+func TestConcurrentCreateSpanTreesOverTCP(t *testing.T) {
 	addrA, hubA := startTracedPlantDaemon(t, "plantA", 1, 2)
 	addrB, hubB := startTracedPlantDaemon(t, "plantB", 2, 0)
 	shopAddr, shopHub := startTracedShopDaemon(t,
 		map[string]string{"plantA": addrA, "plantB": addrB})
 
-	c, err := proto.Dial(shopAddr, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	var clients [2]*proto.Client
+	for i := range clients {
+		c, err := proto.Dial(shopAddr, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
 	}
-	defer c.Close()
 
 	const n = 4
-	batch := &proto.BatchCreateRequest{}
+	ids := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		r := createReq(t)
 		r.Name = fmt.Sprintf("trace-%d", i)
-		batch.Items = append(batch.Items, *r)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := clients[i%len(clients)].Call(&proto.Message{Kind: proto.KindCreateRequest, Create: r})
+			if err == nil {
+				ids[i] = resp.Created.VMID
+			}
+			errs[i] = err
+		}()
 	}
-	resp, err := c.Call(&proto.Message{Kind: proto.KindBatchCreateRequest, BatchCreate: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for i, item := range resp.BatchCreated.Items {
-		if item.Err != "" {
-			t.Fatalf("batch item %d failed: %s", i, item.Err)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("creation %d failed: %v", i, err)
 		}
-		ids = append(ids, item.VMID)
 	}
 
 	// Merge the three processes' span sets; the per-instance ID bases

@@ -8,15 +8,6 @@ import (
 	"vmplants/internal/sim"
 )
 
-// The batched creation pipeline: CreateMany fans a batch of requests
-// out over a bounded pool of worker processes, each running the full
-// bid/dispatch/create flow concurrently in virtual time. Bidding rounds
-// of different requests overlap with clone I/O of earlier ones, and
-// per-plant admission control (the CloneSlots attribute plants
-// advertise, tracked against the shop's own in-flight ledger) steers
-// winners away from saturated plants so the batch spreads across the
-// cluster instead of piling onto the one cheapest bidder.
-
 // BatchResult is one request's outcome within a batch.
 type BatchResult struct {
 	// Index is the request's position in the specs slice.
@@ -24,67 +15,29 @@ type BatchResult struct {
 	VMID  core.VMID
 	Ad    *classad.Ad
 	Err   error
-	// WaitSecs is the virtual time the request sat queued before a
-	// worker picked it up.
-	WaitSecs float64
 }
 
-// CreateMany creates a batch of VMs through the concurrent pipeline and
-// returns per-request results in input order. A single-request batch
-// takes the plain Create path inline, so it is byte-identical to a
-// serial Create of the same spec under the same seed.
+// CreateMany creates a batch of VMs as that many concurrent Creates, one
+// process per spec, and returns their results in input order. A batch
+// has no queue of its own: the admission gate, when set, is its only
+// queue, so specs beyond MaxInflight + MaxQueue are shed with the
+// retryable ErrOverload, as a burst of single creations would be. The
+// plants' clone slots and the admissible filter bound the rest.
 func (s *Shop) CreateMany(p *sim.Proc, specs []*core.Spec) []BatchResult {
 	results := make([]BatchResult, len(specs))
-	if len(specs) == 0 {
-		return results
-	}
-	if len(specs) == 1 {
-		id, ad, err := s.Create(p, specs[0])
-		results[0] = BatchResult{VMID: id, Ad: ad, Err: err}
-		return results
-	}
-	// Twice the plant count bounds how many creations are driven
-	// concurrently: enough to keep every plant's admission slots fed
-	// without flooding bidding rounds.
-	workers := 2 * len(s.plants)
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sp := s.tel.T().Start(p, "shop.batch_create").
-		Set("shop", s.name).
-		SetInt("requests", int64(len(specs))).
-		SetInt("workers", int64(workers))
-
-	// Shared dispatch state. Workers are kernel processes: exactly one
-	// runs at a time and claim/advance happens without an intervening
-	// yield, so plain ints are safe and the claim order — hence the
-	// whole run — is deterministic.
-	queued := p.Now()
-	next, done := 0, 0
-	client := p
-	s.gBatchQueue.Set(int64(len(specs)))
-	for w := 0; w < workers; w++ {
-		p.Kernel().Spawn(fmt.Sprintf("%s/batch-worker-%d", s.name, w), func(wp *sim.Proc) {
-			for {
-				if next >= len(specs) {
-					return
-				}
-				i := next
-				next++
-				s.gBatchQueue.Set(int64(len(specs) - next))
-				wait := (wp.Now() - queued).Seconds()
-				s.hBatchWait.Observe(wait)
-				id, ad, err := s.Create(wp, specs[i])
-				results[i] = BatchResult{Index: i, VMID: id, Ad: ad, Err: err, WaitSecs: wait}
-				done++
-				client.WakeUp()
-			}
+	sp := s.tel.T().Start(p, "shop.batch_create").Set("shop", s.name).SetInt("requests", int64(len(specs)))
+	// Creations are kernel processes: exactly one runs at a time, so a
+	// plain counter is safe.
+	pending := len(specs)
+	for i, spec := range specs {
+		p.Kernel().Spawn(fmt.Sprintf("%s/create-%d", s.name, i), func(cp *sim.Proc) {
+			id, ad, err := s.Create(cp, spec)
+			results[i] = BatchResult{Index: i, VMID: id, Ad: ad, Err: err}
+			pending--
+			p.WakeUp()
 		})
 	}
-	for done < len(specs) {
+	for pending > 0 {
 		p.Wait(-1)
 	}
 	sp.End(p)

@@ -1,11 +1,13 @@
 package shop
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"vmplants/internal/core"
+	"vmplants/internal/journal"
 	"vmplants/internal/plant"
 	"vmplants/internal/sim"
 )
@@ -71,8 +73,8 @@ func TestCreateManySpreadsLoad(t *testing.T) {
 }
 
 // TestCreateManySingleMatchesSerial is the shop-level determinism
-// check: a one-element batch takes the identical code path as a serial
-// Create, so same-seed runs must produce identical audit records.
+// check: a one-element batch is one Create in a process of its own, so
+// same-seed runs must produce identical audit records.
 func TestCreateManySingleMatchesSerial(t *testing.T) {
 	render := func(batch bool) string {
 		d := newDeployment(t, 4, plant.Config{MaxVMs: 32})
@@ -124,4 +126,93 @@ func TestCreateManyEmptyAndErrors(t *testing.T) {
 			t.Errorf("ok=%d failed=%d, want 2/2 with 2 one-VM plants", ok, failed)
 		}
 	})
+}
+
+// frontDoorBatch runs a 16-spec batch on 4 plants behind an admission
+// gate 4 wide with the given queue bound, sampling the gate's occupancy
+// from a monitor process until the batch returns.
+func frontDoorBatch(t *testing.T, maxQueue int) (d *deployment, specs []*core.Spec, results []BatchResult, peak int) {
+	d = newDeployment(t, 4, plant.Config{MaxVMs: 32})
+	d.shop.BidTimeout = time.Second
+	d.shop.SetAdmission(AdmissionConfig{MaxInflight: 4, MaxQueue: maxQueue})
+	journaled(d)
+	specs = make([]*core.Spec, 16)
+	for i := range specs {
+		specs[i] = wsSpec(t, fmt.Sprintf("user%02d", i), "ufl.edu")
+	}
+	d.run(t, func(p *sim.Proc) {
+		returned := false
+		p.Kernel().Spawn("monitor", func(mp *sim.Proc) {
+			for !returned {
+				peak = max(peak, d.shop.InflightCreates())
+				mp.Sleep(100 * time.Millisecond)
+			}
+		})
+		results = d.shop.CreateMany(p, specs)
+		returned = true
+		if n := d.shop.AdmissionQueueLen(); n != 0 {
+			t.Errorf("%d creations still queued at the gate after the batch returned", n)
+		}
+		if n := d.shop.InflightCreates(); n != 0 {
+			t.Errorf("%d creations still hold a gate slot after the batch returned", n)
+		}
+	})
+	return d, specs, results, peak
+}
+
+// TestCreateManyQueuesOnlyAtTheGate: a batch is admitted like that many
+// concurrent Creates. The gate bounds how many run at once, every spec
+// is served in input order, and the gate drains.
+func TestCreateManyQueuesOnlyAtTheGate(t *testing.T) {
+	_, specs, results, peak := frontDoorBatch(t, 64)
+	if len(results) != len(specs) {
+		t.Fatalf("%d results for %d specs", len(results), len(specs))
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+		if r.Index != i || r.Ad.GetString(core.AttrName, "") != specs[i].Name {
+			t.Errorf("result %d is index %d, VM %q; want %q", i, r.Index, r.Ad.GetString(core.AttrName, ""), specs[i].Name)
+		}
+	}
+	if peak != 4 {
+		t.Errorf("peak in-flight creations %d, want the gate's 4", peak)
+	}
+}
+
+// TestCreateManyShedsBeyondTheGate: with 4 slots and a queue of 2, a
+// 16-spec batch sheds exactly 10, each with the retryable ErrOverload,
+// and a shed spec builds and journals nothing.
+func TestCreateManyShedsBeyondTheGate(t *testing.T) {
+	d, _, results, _ := frontDoorBatch(t, 2)
+	shed := 0
+	for i, r := range results {
+		if r.Err == nil {
+			continue
+		}
+		if !errors.Is(r.Err, ErrOverload) || !errors.Is(r.Err, core.ErrTransient) {
+			t.Errorf("request %d: %v, want a transient ErrOverload", i, r.Err)
+		}
+		if r.VMID != "" || r.Ad != nil {
+			t.Errorf("shed request %d answered %q with an ad", i, r.VMID)
+		}
+		shed++
+	}
+	if shed != 10 {
+		t.Errorf("%d specs shed, want 10 beyond MaxInflight 4 + MaxQueue 2", shed)
+	}
+	intents := 0
+	for _, rec := range d.shop.Journal().Records() {
+		if rec.Kind == journal.CreationIntent {
+			intents++
+		}
+	}
+	built := 0
+	for _, pl := range d.plants {
+		built += pl.ActiveVMs()
+	}
+	if intents != 6 || built != 6 {
+		t.Errorf("%d intents journaled and %d VMs built, want 6 each", intents, built)
+	}
 }

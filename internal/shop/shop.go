@@ -99,9 +99,7 @@ type Shop struct {
 	gMissingBids    *telemetry.Gauge
 	gOpenBreakers   *telemetry.Gauge
 	hCreateSecs     *telemetry.Histogram
-	gBatchQueue     *telemetry.Gauge
 	gInflight       *telemetry.Gauge
-	hBatchWait      *telemetry.Histogram
 	mCrashes        *telemetry.Counter
 	mRestarts       *telemetry.Counter
 	mDedups         *telemetry.Counter
@@ -188,9 +186,7 @@ func (s *Shop) SetTelemetry(h *telemetry.Hub) {
 	s.gMissingBids = h.Gauge("shop.missing_bids")
 	s.gOpenBreakers = h.Gauge("shop.open_breakers")
 	s.hCreateSecs = h.Histogram("shop.create_secs")
-	s.gBatchQueue = h.Gauge("shop.batch_queue_depth")
 	s.gInflight = h.Gauge("shop.inflight_creates")
-	s.hBatchWait = h.Histogram("shop.batch_wait_secs")
 	s.mCrashes = h.Counter("shop.crashes")
 	s.mRestarts = h.Counter("shop.restarts")
 	s.mDedups = h.Counter("shop.deduped_creates")

@@ -83,7 +83,7 @@ func inCharacterRange(r rune) bool {
 
 const (
 	// maxDepth bounds element nesting. The deepest path in the protocol
-	// is nine elements (message > batch-create-request > items >
+	// is eight elements (message > forward-create-request >
 	// create-request > dag > node > onerror > handler > param); the rest
 	// is room for skipped unknown elements.
 	maxDepth = 32
