@@ -413,21 +413,19 @@ func stats(c *cli, args []string) {
 }
 
 // trace reconstructs one creation's end-to-end timeline by merging the
-// /debug/creation/<id> payloads of every listed daemon: the
-// flight-recorder events in virtual-time order, then the span tree
-// rooted at shop.create with the plant-side subtree — joined across the
-// process boundary by the propagated trace context — attached beneath.
+// /debug/creation/<id> payloads of every listed daemon into one span
+// tree rooted at shop.create, with the plant-side subtree — joined
+// across the process boundary by the propagated trace context —
+// attached beneath.
 func trace(c *cli, args []string) {
 	vmid := args[0]
 	addrs := c.daemons(c.flags("trace"), shopDebug+","+plantDebug, args[1:])
 	var (
-		events  []telemetry.FlightRecord
 		spans   []telemetry.SpanRecord
 		dropped uint64
 		seen    = map[uint64]bool{}
 	)
 	ok := each(c, addrs, "/debug/creation/"+vmid, "", func(_ string, rep telemetry.CreationReport) {
-		events = append(events, rep.Events...)
 		for _, s := range rep.Spans {
 			if !seen[s.ID] {
 				seen[s.ID] = true
@@ -439,26 +437,15 @@ func trace(c *cli, args []string) {
 	if !ok || len(addrs) == 0 {
 		return
 	}
-	if len(events) == 0 && len(spans) == 0 {
+	if len(spans) == 0 {
 		c.fail(fmt.Errorf("no trace for %s on %d daemon(s)", vmid, len(addrs)))
 		return
 	}
 
-	fmt.Fprintf(c.out, "creation %s: %d flight events, %d spans from %d daemon(s)\n",
-		vmid, len(events), len(spans), len(addrs))
+	fmt.Fprintf(c.out, "creation %s: %d spans from %d daemon(s)\n", vmid, len(spans), len(addrs))
 	if dropped > 0 {
 		fmt.Fprintf(c.out, "warning: %d spans evicted from daemon rings; the tree may be incomplete\n", dropped)
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].VSecs != events[j].VSecs {
-			return events[i].VSecs < events[j].VSecs
-		}
-		return events[i].Seq < events[j].Seq
-	})
-	for _, ev := range events {
-		fmt.Fprintf(c.out, "  %10.3fs  %-14s %s\n", ev.VSecs, ev.Kind, ev.Detail)
-	}
-
 	// Parents referencing spans no daemon returned (evicted, or the
 	// daemon was not listed) degrade to roots instead of vanishing.
 	children := map[uint64][]telemetry.SpanRecord{}

@@ -110,7 +110,10 @@ func TestEverySubcommand(t *testing.T) {
 		{args: []string{"queue", "-debug", all}, out: "shop.admission_wait_secs"},
 		{args: []string{"scrub", "-debug", plantDebug}, out: "quarantine: empty"},
 		{args: []string{"stats", "-debug", shopDebug, "-traces", "2"}, out: "shop.creations"},
-		{args: []string{"trace", "vm-shop-1", "-debug", all}, out: "plant.create"},
+		{args: []string{"trace", "vm-shop-1", "-debug", all}, out: "spans from 3 daemon(s)"},
+		// The plant's clone span hangs two levels under the shop's root:
+		// the cross-daemon join, not a span degraded to a root.
+		{args: []string{"trace", "vm-shop-1", "-debug", all}, out: "s      clone ("},
 		{args: []string{"dot", "-spec", spec}, out: "digraph"},
 
 		{args: []string{"query", "vm-shop-1"}, code: 1, err: "vmctl: service: VM vm-shop-1 not found"},

@@ -161,7 +161,6 @@ type Plant struct {
 	// Telemetry instruments, resolved once in New; all nil (no-op)
 	// when cfg.Telemetry is nil.
 	tel             *telemetry.Hub
-	flight          *telemetry.FlightRecorder
 	mCreates        *telemetry.Counter
 	mCreateFails    *telemetry.Counter
 	mCollects       *telemetry.Counter
@@ -251,7 +250,6 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 		backends: vmm.DefaultRegistry(),
 
 		tel:             tel,
-		flight:          tel.F(),
 		mCreates:        tel.Counter("plant.creations"),
 		mCreateFails:    tel.Counter("plant.create_failures"),
 		mCollects:       tel.Counter("plant.collections"),
@@ -519,8 +517,6 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	releaseSlot := pl.admitClone(p)
 	hold(releaseSlot)
 	admitSp.End(p)
-	pl.flight.Record(p, string(id), telemetry.EvAdmitted, pl.name)
-	pl.flight.Record(p, string(id), telemetry.EvCloneStart, golden.Name)
 	cloneSp := sp.Child(p, "clone").
 		Set("golden", golden.Name).
 		Set("backend", backend.Name())
@@ -571,7 +567,6 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		// full local disk). The partial clone is destroyed and the
 		// error marked transient so the shop fails over.
 		if pl.faults.Should(pl.name, fault.CloneIO, "") {
-			pl.flight.Record(p, string(id), telemetry.EvFaultInjected, "clone-io")
 			return nil, fmt.Errorf("plant %s: clone: %w: injected I/O error", pl.name, core.ErrTransient)
 		}
 		// Integrity gate: the state copy slept in virtual time, so the
@@ -581,7 +576,6 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		verifySp := cloneSp.Child(p, "verify").Set("golden", golden.Name)
 		if err := pl.wh.VerifyClone(cctx); err != nil {
 			verifySp.EndErr(p, err)
-			pl.flight.Record(p, string(id), telemetry.EvQuarantineHit, golden.Name)
 			return nil, fmt.Errorf("plant %s: clone: %w", pl.name, err)
 		}
 		verifySp.End(p)
@@ -590,7 +584,6 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	pl.recordClone(cloneSp, cloneStart, cloneStats, backend.Name(), hit)
 	cloneSp.End(p)
 	stage = nil
-	pl.flight.Record(p, string(id), telemetry.EvCloneDone, golden.Name)
 	// The state copy is done: free the slot before configuration, which
 	// contends on guest CPU rather than host disk.
 	releaseSlot()
@@ -609,7 +602,6 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	// configuration. The production line reaps the half-built clone
 	// first, so nothing is orphaned; the plant stays down until Recover.
 	if pl.faults.Should(pl.name, fault.PlantCrash, "create") {
-		pl.flight.Record(p, string(id), telemetry.EvFaultInjected, "plant-crash")
 		rollback()
 		pl.Crash()
 		return nil, fmt.Errorf("plant %s: %w: plant crashed during creation", pl.name, core.ErrTransient)
@@ -715,7 +707,6 @@ func (pl *Plant) maybePublishBack(p *sim.Proc, sp *telemetry.Span, vm *vmm.VM, g
 			return
 		}
 		pl.mPublishBacks.Inc()
-		pl.flight.Record(bp, string(vm.ID()), telemetry.EvPublished, name)
 	})
 }
 

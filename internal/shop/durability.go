@@ -125,9 +125,10 @@ func (s *Shop) aborted(p *sim.Proc, id core.VMID, err error) error {
 	return err
 }
 
-// Kill is kill -9: the ledger and all soft state — classad cache,
-// breakers, in-flight counts — evaporate, the journal loses its
-// unsynced tail, and every call fails with ErrShopDown until Restart.
+// Kill is kill -9: the ledger and all soft state — classad cache, bid
+// audit ring, breakers, in-flight counts — evaporate, the journal loses
+// its unsynced tail, and every call fails with ErrShopDown until
+// Restart.
 func (s *Shop) Kill() {
 	s.down = true
 	s.mCrashes.Inc()
@@ -135,6 +136,7 @@ func (s *Shop) Kill() {
 	s.breakers = make(map[string]*breaker)
 	s.mu.Lock()
 	s.led = ledger.New(s.name)
+	s.bids.Reset()
 	s.inflight = make(map[string]int)
 	s.mu.Unlock()
 	if s.jnl != nil {

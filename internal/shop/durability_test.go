@@ -154,6 +154,30 @@ func TestRestartRebuildsRoutesAndHonorsDrops(t *testing.T) {
 	})
 }
 
+// The bid audit ring is soft state: after Kill and Restart it holds no
+// round the dead process ran.
+func TestKillForgetsBidAudit(t *testing.T) {
+	d := newDeployment(t, 2, plant.Config{MaxVMs: 32})
+	journaled(d)
+	d.run(t, func(p *sim.Proc) {
+		for _, user := range []string{"ivan", "ana"} {
+			if _, _, err := d.shop.Create(p, wsSpec(t, user, "ufl.edu")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(d.shop.Bids()); n != 2 {
+			t.Fatalf("%d bid rounds logged, want 2", n)
+		}
+		d.shop.Kill()
+		if _, err := d.shop.Restart(p); err != nil {
+			t.Fatal(err)
+		}
+		if bids := d.shop.Bids(); len(bids) != 0 {
+			t.Fatalf("bid audit survived the kill: %+v", bids)
+		}
+	})
+}
+
 // Without a RequestID each submission is a fresh request — the journal
 // must not dedupe distinct creations that share a spec.
 func TestDistinctRequestsAreNotDeduped(t *testing.T) {

@@ -26,7 +26,6 @@ import (
 	"vmplants/internal/registry"
 	"vmplants/internal/shop/ledger"
 	"vmplants/internal/sim"
-	"vmplants/internal/telemetry"
 )
 
 // PeerHandle is one shop's view of a peer shop in another cell: the
@@ -152,7 +151,6 @@ func (s *Shop) tryForward(p *sim.Proc, id core.VMID, spec *core.Spec) (ad *class
 				s.cache[id] = ad.Clone()
 			}
 			sp.Set("peer", win.Name()).Set("remote", string(remote))
-			s.flight.Record(p, string(id), telemetry.EvCreated, "peer")
 			return ad, true, nil
 		}
 		if !errors.Is(cerr, ErrPeerDown) && !errors.Is(cerr, core.ErrTransient) {

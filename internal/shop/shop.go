@@ -88,7 +88,6 @@ type Shop struct {
 
 	// Telemetry instruments (nil-safe no-ops when unset).
 	tel             *telemetry.Hub
-	flight          *telemetry.FlightRecorder
 	mCreates        *telemetry.Counter
 	mCreateFails    *telemetry.Counter
 	mBidRounds      *telemetry.Counter
@@ -175,7 +174,6 @@ func (s *Shop) logBid(rec BidRecord) {
 // "shop.create_secs"). Passing nil detaches them.
 func (s *Shop) SetTelemetry(h *telemetry.Hub) {
 	s.tel = h
-	s.flight = h.F()
 	s.mCreates = h.Counter("shop.creations")
 	s.mCreateFails = h.Counter("shop.create_failures")
 	s.mBidRounds = h.Counter("shop.bid_rounds")
@@ -260,7 +258,6 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		Set("shop", s.name).
 		Set("vmid", string(id))
 	prevTrace := p.SetTrace(sp.Context())
-	s.flight.Record(p, string(id), telemetry.EvSubmitted, spec.Name)
 	defer func() {
 		p.SetTrace(prevTrace)
 		sp.EndErr(p, err)
@@ -315,10 +312,8 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 			if !first {
 				s.mFailovers.Inc()
 				sp.Set("failover", winner.Name())
-				s.flight.Record(p, string(id), telemetry.EvRetried, winner.Name())
 			}
 			first = false
-			s.flight.Record(p, string(id), telemetry.EvBidWon, winner.Name())
 			retire := s.noteDispatch(winner.Name())
 			ad, err := winner.Create(p, id, spec)
 			retire()
@@ -337,7 +332,6 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 					s.cache[id] = ad.Clone()
 				}
 				sp.Set("winner", winner.Name())
-				s.flight.Record(p, string(id), telemetry.EvCreated, winner.Name())
 				return ad, nil
 			}
 			if !errors.Is(err, ErrPlantDown) && !errors.Is(err, core.ErrTransient) {

@@ -72,14 +72,12 @@ type TraceMeta struct {
 	Dropped uint64 `json:"dropped"` // spans evicted from the ring
 }
 
-// CreationReport is the JSON document /debug/creation/<id> serves: the
-// flight-recorder timeline for one creation plus every span of the
-// traces that mention it.
+// CreationReport is the JSON document /debug/creation/<id> serves:
+// every span of the traces that mention one creation — its timeline.
 type CreationReport struct {
-	ID      string         `json:"id"`
-	Events  []FlightRecord `json:"events"`
-	Spans   []SpanRecord   `json:"spans"`
-	Dropped uint64         `json:"dropped"` // span-ring evictions (completeness caveat)
+	ID      string       `json:"id"`
+	Spans   []SpanRecord `json:"spans"`
+	Dropped uint64       `json:"dropped"` // span-ring evictions (completeness caveat)
 }
 
 // HealthReport is the JSON document /debug/health serves.
@@ -89,14 +87,11 @@ type HealthReport struct {
 	Objectives []ObjectiveStatus `json:"objectives"`
 }
 
-// CreationReportFor assembles the report for one creation/VM ID: its
-// flight events, plus all spans of every trace containing a span whose
-// "vmid" attribute matches.
+// CreationReportFor assembles the report for one creation/VM ID: all
+// spans of every trace containing a span whose "vmid" attribute
+// matches.
 func (h *Hub) CreationReportFor(id string) CreationReport {
-	rep := CreationReport{ID: id, Events: []FlightRecord{}, Spans: []SpanRecord{}, Dropped: h.T().Dropped()}
-	for _, ev := range h.F().Events(id) {
-		rep.Events = append(rep.Events, ev.Record())
-	}
+	rep := CreationReport{ID: id, Spans: []SpanRecord{}, Dropped: h.T().Dropped()}
 	spans := h.T().Spans()
 	traces := make(map[uint64]bool)
 	for _, s := range spans {
@@ -135,8 +130,7 @@ func (h *Hub) HealthReportAt(vnow time.Duration) HealthReport {
 //	GET /debug/traces         a meta line (span/dropped counts), then
 //	                          finished spans as JSONL (?limit=N for the
 //	                          most recent N, ?name=prefix to filter)
-//	GET /debug/creation/<id>  one creation's flight-recorder timeline
-//	                          and span trees
+//	GET /debug/creation/<id>  one creation's span trees
 //	GET /debug/health         SLO evaluation at current virtual time
 func (h *Hub) DebugMux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -161,7 +155,7 @@ func (h *Hub) DebugMux() *http.ServeMux {
 		name := req.URL.Query().Get("name")
 		var out []SpanRecord
 		for _, s := range spans {
-			if name != "" && !hasPrefix(s.Name, name) {
+			if name != "" && !strings.HasPrefix(s.Name, name) {
 				continue
 			}
 			out = append(out, s.Record())
@@ -197,10 +191,6 @@ func (h *Hub) DebugMux() *http.ServeMux {
 	return mux
 }
 
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-}
-
 // chromeEvent is one entry of the Chrome trace-event format ("ph":"X"
 // complete events), loadable as-is by chrome://tracing and Perfetto.
 type chromeEvent struct {
@@ -212,6 +202,7 @@ type chromeEvent struct {
 	Pid  int               `json:"pid"`
 	Tid  uint64            `json:"tid"` // trace ID: one creation per row
 	Args map[string]string `json:"args,omitempty"`
+	id   uint64            // span ID, the final sort key (not exported)
 }
 
 // WriteChromeTrace renders spans as a Chrome trace-event JSON document.
@@ -230,6 +221,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 			Dur:  s.Virtual().Microseconds(),
 			Pid:  1,
 			Tid:  s.TraceID,
+			id:   s.ID,
 		}
 		args := map[string]string{
 			"id":     strconv.FormatUint(s.ID, 10),
@@ -253,7 +245,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		if evs[i].Tid != evs[j].Tid {
 			return evs[i].Tid < evs[j].Tid
 		}
-		return evs[i].Args["id"] < evs[j].Args["id"]
+		return evs[i].id < evs[j].id
 	})
 	doc := struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`

@@ -65,55 +65,6 @@ func TestSetIDBaseSeparatesInstances(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderPerKeyAndEviction(t *testing.T) {
-	f := NewFlightRecorder(4)
-	c := &fakeClock{t: 3 * time.Second}
-	f.Record(c, "vm-1", EvSubmitted, "")
-	f.Record(c, "vm-1", EvBidWon, "plant-a")
-	f.Record(nil, "vm-2", EvSubmitted, "")
-	f.Record(c, "vm-1", EvCreated, "plant-a")
-
-	evs := f.Events("vm-1")
-	if len(evs) != 3 {
-		t.Fatalf("vm-1 has %d events, want 3", len(evs))
-	}
-	if evs[0].Kind != EvSubmitted || evs[2].Kind != EvCreated {
-		t.Fatalf("event order: %v", evs)
-	}
-	if evs[0].V != 3*time.Second {
-		t.Fatalf("virtual stamp = %v, want 3s", evs[0].V)
-	}
-	if keys := f.Keys(); len(keys) != 2 || keys[0] != "vm-1" || keys[1] != "vm-2" {
-		t.Fatalf("keys = %v", keys)
-	}
-
-	// One past the limit: the oldest event falls off.
-	f.Record(c, "vm-2", EvCreated, "")
-	if f.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", f.Dropped())
-	}
-	all := f.Events("")
-	if len(all) != 4 || all[0].Kind != EvBidWon {
-		t.Fatalf("post-eviction ring: %v", all)
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i].Seq <= all[i-1].Seq {
-			t.Fatalf("out-of-order seq at %d: %v", i, all)
-		}
-	}
-
-	f.Reset()
-	if len(f.Events("")) != 0 || f.Dropped() != 0 {
-		t.Fatal("reset must clear the ring")
-	}
-
-	var nilF *FlightRecorder
-	nilF.Record(c, "vm-1", EvSubmitted, "")
-	if nilF.Events("") != nil || nilF.Keys() != nil || nilF.Dropped() != 0 {
-		t.Fatal("nil recorder must no-op")
-	}
-}
-
 func TestHistogramResetQuantileFraction(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("secs")
@@ -205,8 +156,6 @@ func TestCreationAndHealthEndpoints(t *testing.T) {
 	c.t = 5 * time.Second
 	child.End(c)
 	sp.End(c)
-	h.F().Record(c, "vm-9", EvSubmitted, "")
-	h.F().Record(c, "vm-9", EvCreated, "plant-a")
 	h.Histogram("plant.create_secs").Observe(5)
 
 	addr, err := Serve("127.0.0.1:0", h.DebugMux())
@@ -224,7 +173,7 @@ func TestCreationAndHealthEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatalf("/debug/creation not JSON: %v\n%s", err, body)
 	}
-	if rep.ID != "vm-9" || len(rep.Events) != 2 || len(rep.Spans) != 2 {
+	if rep.ID != "vm-9" || len(rep.Spans) != 2 {
 		t.Fatalf("creation report = %+v", rep)
 	}
 
@@ -279,5 +228,34 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 	}
 	if strings.Contains(a, "wstart") {
 		t.Fatal("chrome trace must not embed wall timestamps")
+	}
+
+	// Ties on (ts, tid) break on the numeric span ID: 9 before 10, one
+	// trace, both starting at 1 s.
+	tr := NewTracer(0)
+	c := &fakeClock{}
+	root := tr.Start(c, "root")
+	for root.ID < 8 {
+		root.End(c)
+		root = tr.Start(c, "root")
+	}
+	c.t = time.Second
+	nine, ten := root.Child(c, "nine"), root.Child(c, "ten")
+	ten.End(c)
+	nine.End(c)
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, []Span{*ten, *nine}); err != nil {
+		t.Fatal(err)
+	}
+	doc.TraceEvents = nil
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var ids []any
+	for _, ev := range doc.TraceEvents {
+		ids = append(ids, ev["args"].(map[string]any)["id"])
+	}
+	if len(ids) != 2 || ids[0] != "9" || ids[1] != "10" {
+		t.Fatalf("tied spans in id order %v, want [9 10]", ids)
 	}
 }

@@ -293,13 +293,12 @@ func (t *Tracer) Reset() {
 	t.mu.Unlock()
 }
 
-// Hub bundles a tracer, a metrics registry, a per-creation flight
-// recorder and an optional SLO engine — the single handle components
-// are wired with. A nil *Hub disables all instrumentation.
+// Hub bundles a tracer, a metrics registry and an optional SLO engine
+// — the single handle components are wired with. A nil *Hub disables
+// all instrumentation.
 type Hub struct {
 	Tracer  *Tracer
 	Metrics *Registry
-	Flight  *FlightRecorder
 	// SLO holds the hub's objectives; nil until a daemon or experiment
 	// installs an engine (see NewSLOEngine).
 	SLO *SLOEngine
@@ -308,10 +307,9 @@ type Hub struct {
 	VClock Clock
 }
 
-// New returns a hub with a default tracer, an empty registry and a
-// default flight recorder.
+// New returns a hub with a default tracer and an empty registry.
 func New() *Hub {
-	return &Hub{Tracer: NewTracer(0), Metrics: NewRegistry(), Flight: NewFlightRecorder(0)}
+	return &Hub{Tracer: NewTracer(0), Metrics: NewRegistry()}
 }
 
 // T returns the hub's tracer (nil on a nil hub).
@@ -328,14 +326,6 @@ func (h *Hub) M() *Registry {
 		return nil
 	}
 	return h.Metrics
-}
-
-// F returns the hub's flight recorder (nil on a nil hub).
-func (h *Hub) F() *FlightRecorder {
-	if h == nil {
-		return nil
-	}
-	return h.Flight
 }
 
 // Counter resolves a counter by name (nil on a nil hub).

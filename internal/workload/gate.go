@@ -116,7 +116,7 @@ var scenarios = []Scenario{
 	newScenario("scrub", "Scrub: end-to-end data integrity under corruption injection",
 		streamParams{plants: 4, requests: 40, users: 10, derivedBudgetMB: 600},
 		streamParams{plants: 2, requests: 20, users: 6, derivedBudgetMB: 375}, runScrub),
-	newScenario("slo", "SLO: causal tracing, flight recorder and objectives under chaos",
+	newScenario("slo", "SLO: causal tracing and objectives under chaos",
 		sloParams{warmBatch: 16, chaosRequests: 16}, sloParams{warmBatch: 8, chaosRequests: 8}, runSLO),
 	newScenario("restart", "Restart: kill-9 crash-restart gate for the journaled control plane",
 		restartParams{requests: 24}, restartParams{requests: 12}, runRestart),

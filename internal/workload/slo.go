@@ -44,10 +44,8 @@ type sloResult struct {
 	SpanCount     int
 	OrphanSpans   int // spans whose parent is missing from their trace
 	ExtraRoots    int // traces with more than one root span
-	Incomplete    int // successful creations missing a layer's spans
-	BadFlights    int // successful creations with an incomplete event timeline
+	Incomplete    int // successful creations missing a required span
 	TracerDropped uint64
-	FlightDropped uint64
 
 	Objectives []telemetry.ObjectiveStatus
 	SLOsHold   bool
@@ -60,25 +58,21 @@ type sloResult struct {
 }
 
 // TreeOK reports the span-tree invariant: complete rings, zero orphans,
-// one root per trace, all layers present for every success.
+// one root per trace, every required span present for every success.
 func (r *sloResult) TreeOK() bool {
-	return r.TracerDropped == 0 && r.FlightDropped == 0 &&
-		r.OrphanSpans == 0 && r.ExtraRoots == 0 && r.Incomplete == 0 && r.BadFlights == 0
+	return r.TracerDropped == 0 && r.OrphanSpans == 0 && r.ExtraRoots == 0 && r.Incomplete == 0
 }
 
-// requiredFlightKinds is the lifecycle every successful creation must
-// have recorded.
-var requiredFlightKinds = []string{
-	telemetry.EvSubmitted, telemetry.EvBidWon, telemetry.EvAdmitted,
-	telemetry.EvCloneStart, telemetry.EvCloneDone, telemetry.EvCreated,
-}
+// requiredSpans is the lifecycle every successful creation's trace must
+// hold: submission and the winning bid at the shop, then the plant's
+// admission, clone and configuration stages.
+var requiredSpans = []string{"shop.create", "shop.bid", "plant.create", "admission", "clone", "configure"}
 
 // runSLO is the observability stack's own gate: a mixed warm/chaos
 // burst of 64 MB creations on 4 plants whose every creation — batched,
 // serial, faulted-over — must yield exactly one rooted span tree
-// crossing all three layers (shop, plant, clone/verify), a complete
-// flight-recorder timeline, and SLOs that hold under the injected
-// faults.
+// crossing all three layers (shop, plant, clone/verify) with every
+// lifecycle stage, and SLOs that hold under the injected faults.
 func runSLO(seed int64, par sloParams) (*sloResult, error) {
 	const (
 		memMB         = 64
@@ -166,7 +160,6 @@ func runSLO(seed int64, par sloParams) (*sloResult, error) {
 	res.Spans = hub.T().Spans()
 	res.SpanCount = len(res.Spans)
 	res.TracerDropped = hub.T().Dropped()
-	res.FlightDropped = hub.F().Dropped()
 	byTrace := make(map[uint64][]telemetry.Span)
 	for _, s := range res.Spans {
 		byTrace[s.TraceID] = append(byTrace[s.TraceID], s)
@@ -201,10 +194,8 @@ func runSLO(seed int64, par sloParams) (*sloResult, error) {
 		res.logf("trace %d roots=%d orphans=%d spans=[%s]", tid, roots, orphans, strings.Join(names, ","))
 	}
 
-	// Audit 2 — layer coverage and flight timelines, per successful
-	// creation: the trace must cross shop → plant → clone, and the
-	// flight recorder must hold the full lifecycle starting at
-	// submission.
+	// Audit 2 — lifecycle coverage, per successful creation: the trace
+	// must hold every required span, from submission to configuration.
 	rootOf := make(map[string]uint64) // vmid → trace
 	for _, s := range res.Spans {
 		if s.Name == "shop.create" {
@@ -216,25 +207,13 @@ func runSLO(seed int64, par sloParams) (*sloResult, error) {
 		for _, s := range byTrace[rootOf[string(id)]] {
 			have[s.Name] = true
 		}
-		if !have["shop.create"] || !have["plant.create"] || !have["clone"] {
-			res.Incomplete++
-			res.logf("incomplete trace for %s", id)
+		for _, name := range requiredSpans {
+			if !have[name] {
+				res.Incomplete++
+				res.logf("incomplete trace for %s: no %s span", id, name)
+				break
+			}
 		}
-		evs := hub.F().Events(string(id))
-		kinds := make(map[string]bool, len(evs))
-		var evLine []string
-		for _, ev := range evs {
-			kinds[ev.Kind] = true
-			evLine = append(evLine, fmt.Sprintf("%s@%s", ev.Kind, ev.V))
-		}
-		ok := len(evs) > 0 && evs[0].Kind == telemetry.EvSubmitted
-		for _, k := range requiredFlightKinds {
-			ok = ok && kinds[k]
-		}
-		if !ok {
-			res.BadFlights++
-		}
-		res.logf("flight %s %s", id, strings.Join(evLine, " "))
 	}
 
 	// Audit 3 — objectives, evaluated at the end of virtual time.
@@ -242,9 +221,9 @@ func runSLO(seed int64, par sloParams) (*sloResult, error) {
 
 	res.Injections = reg.Counts()
 	res.lines = append(res.lines, reg.Summary()...)
-	res.logf("traces=%d spans=%d orphans=%d extra_roots=%d incomplete=%d bad_flights=%d dropped=%d/%d end=%s",
+	res.logf("traces=%d spans=%d orphans=%d extra_roots=%d incomplete=%d dropped=%d end=%s",
 		res.Traces, res.SpanCount, res.OrphanSpans, res.ExtraRoots, res.Incomplete,
-		res.BadFlights, res.TracerDropped, res.FlightDropped, d.Kernel.Now())
+		res.TracerDropped, d.Kernel.Now())
 	return res, nil
 }
 
@@ -252,8 +231,8 @@ func runSLO(seed int64, par sloParams) (*sloResult, error) {
 func (r *sloResult) Violations() []string {
 	var g gate
 	g.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
-	g.check(r.TreeOK(), "span-tree invariant violated: orphans=%d extra_roots=%d incomplete=%d bad_flights=%d dropped=%d/%d",
-		r.OrphanSpans, r.ExtraRoots, r.Incomplete, r.BadFlights, r.TracerDropped, r.FlightDropped)
+	g.check(r.TreeOK(), "span-tree invariant violated: orphans=%d extra_roots=%d incomplete=%d dropped=%d",
+		r.OrphanSpans, r.ExtraRoots, r.Incomplete, r.TracerDropped)
 	for _, st := range r.Objectives {
 		g.check(st.OK, "objective %s violated: value=%v bound=%v", st.Name, st.Value, st.Bound)
 	}
@@ -280,8 +259,7 @@ func (r *sloResult) Report() []string {
 		fmt.Sprintf("orphan spans:      %d", r.OrphanSpans),
 		fmt.Sprintf("multi-root traces: %d", r.ExtraRoots),
 		fmt.Sprintf("incomplete traces: %d", r.Incomplete),
-		fmt.Sprintf("bad flight logs:   %d", r.BadFlights),
-		fmt.Sprintf("ring drops:        spans=%d events=%d", r.TracerDropped, r.FlightDropped),
+		fmt.Sprintf("ring drops:        spans=%d", r.TracerDropped),
 		fmt.Sprintf("chaos create secs: %s", r.CreateSecs),
 	}
 	out = append(out, objectiveReport(r.Objectives)...)

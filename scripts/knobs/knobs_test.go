@@ -19,7 +19,7 @@
 // scripts/knobs.allow holds one line per listed field: `pkg.Type.Field
 // class reason…`, with scripts/reach.sh's classes: oracle, seam, api
 // (the root package only), platform, paper, pinned (only and always for
-// a field the frozen bench module sets).
+// a field the frozen bench module sets or reads).
 package knobs
 
 import (
@@ -45,6 +45,7 @@ type writers struct {
 	product bool // non-test code of this module outside the declaring package
 	self    bool // non-test code of the declaring package
 	bench   bool // non-test code of the bench module
+	benchRd bool // non-test code of the bench module reads it
 	tests   []string
 }
 
@@ -119,8 +120,8 @@ func TestEveryOptionHasAProductCaller(t *testing.T) {
 		switch {
 		case !ok:
 			t.Errorf("%s (%s) has no product caller, %s: set it where the product runs, make it a constant, delete it, or allowlist it in scripts/knobs.allow", name, where, f.why())
-		case class == "pinned" && !f.w.bench:
-			t.Errorf("knobs.allow: %s is pinned but bench does not set it", name)
+		case class == "pinned" && !f.w.bench && !f.w.benchRd:
+			t.Errorf("knobs.allow: %s is pinned but bench neither sets nor reads it", name)
 		case class != "pinned" && f.w.bench:
 			t.Errorf("knobs.allow: %s is set by the frozen bench module: class it pinned", name)
 		case class == "api" && f.pkg != module:
@@ -255,6 +256,13 @@ func scan(root string) (map[string]*field, error) {
 		for _, file := range c.files {
 			name := fset.Position(file.Pos()).Filename
 			test := strings.HasSuffix(name, "_test.go")
+			if c.p.bench && !test {
+				reads(file, c.info, func(obj *types.Var) {
+					if f := byPos[fset.Position(obj.Pos()).String()]; f != nil {
+						f.w.benchRd = true
+					}
+				})
+			}
 			writes(file, c.info, func(obj *types.Var) {
 				f := byPos[fset.Position(obj.Pos()).String()]
 				if f == nil {
@@ -486,6 +494,18 @@ func writes(file *ast.File, info *types.Info, set func(*types.Var)) {
 				} else if i < st.NumFields() {
 					set(st.Field(i))
 				}
+			}
+		}
+		return true
+	})
+}
+
+// reads calls get for every field the file selects, read or written.
+func reads(file *ast.File, info *types.Info, get func(*types.Var)) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		if e, ok := n.(*ast.SelectorExpr); ok {
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				get(sel.Obj().(*types.Var))
 			}
 		}
 		return true
