@@ -17,7 +17,6 @@ package main
 
 import (
 	"encoding/json"
-	"encoding/xml"
 	"errors"
 	"flag"
 	"fmt"
@@ -208,8 +207,8 @@ func readRequest(path string) (*proto.CreateRequest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("read spec: %v", err)
 	}
-	req := new(proto.CreateRequest)
-	if err := xml.Unmarshal(blob, req); err != nil {
+	req, err := proto.UnmarshalCreateRequest(blob)
+	if err != nil {
 		return nil, fmt.Errorf("parse spec: %v", err)
 	}
 	return req, nil
@@ -234,25 +233,21 @@ func dot(c *cli, args []string) {
 
 // printExample emits a complete In-VIGO-style workspace request.
 func printExample(c *cli) {
-	g, err := workload.InVigoDAG("alice", "00:50:56:00:00:2a", "10.1.0.42")
+	req, err := exampleRequest()
 	if err != nil {
 		c.fail(err)
 		return
 	}
-	enc := xml.NewEncoder(c.out)
-	enc.Indent("", "  ")
-	err = enc.Encode(proto.CreateRequest{
-		Name:     "workspace-alice",
-		Arch:     "x86",
-		MemoryMB: 64,
-		DiskMB:   2048,
-		Domain:   "ufl.edu",
-		Graph:    g,
-	})
+	fmt.Fprintf(c.out, "%s\n", proto.MarshalCreateRequest(req))
+}
+
+// exampleRequest is the request create -example prints.
+func exampleRequest() (*proto.CreateRequest, error) {
+	g, err := workload.InVigoDAG("alice", "00:50:56:00:00:2a", "10.1.0.42")
 	if err != nil {
-		c.fail(err)
+		return nil, err
 	}
-	fmt.Fprintln(c.out)
+	return &proto.CreateRequest{Name: "workspace-alice", Arch: "x86", MemoryMB: 64, DiskMB: 2048, Domain: "ufl.edu", Graph: g}, nil
 }
 
 // Each daemon's default -debug address: vmshopd's and vmplantd's.

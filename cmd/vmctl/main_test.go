@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -81,13 +82,60 @@ func startSite(t *testing.T) (shopAddr string, debug []string) {
 	return serve(t, service.NewShopHandler(d.Runner, s)), append([]string{dbg}, debug...)
 }
 
+// handWritten is a request as an operator would type it: an XML
+// declaration, comments and indentation, self-closing tags.
+const handWritten = `<?xml version="1.0" encoding="UTF-8"?>
+<!-- a workspace for bob -->
+<CreateRequest>
+  <name>workspace-bob</name>
+  <hardware>
+    <arch>x86</arch>
+    <memoryMB>64</memoryMB>
+    <diskMB>2048</diskMB>
+  </hardware>
+  <network>
+    <domain>ufl.edu</domain>
+  </network>
+  <dag>
+    <!-- the golden image's history, then the user -->
+    <node id="os" action="install-os" target="guest">
+      <param name="distro" value="redhat-8.0"/>
+    </node>
+    <node id="vnc" action="install-package"><param name="name" value="vnc-server"/></node>
+    <node id="files" action="install-package"><param name="name" value="web-file-manager"/></node>
+    <node id="user" action="create-user" target="guest">
+      <param name="name" value="bob"/>
+    </node>
+    <edge from="START" to="os"/>
+    <edge from="os" to="vnc"/>
+    <edge from="vnc" to="files"/>
+    <edge from="files" to="user"/>
+    <edge from="user" to="FINISH"/>
+  </dag>
+</CreateRequest>
+`
+
 // TestEverySubcommand drives vmctl's subcommands, in the order an
 // operator would, against a live site, checking each one's exit code and
-// the line its output is read for.
+// the line its output is read for; then it checks that what create
+// -example printed reads back as the request it was built from.
 func TestEverySubcommand(t *testing.T) {
 	shopAddr, debug := startSite(t)
 	all, shopDebug, plantDebug := strings.Join(debug, ","), debug[0], strings.Join(debug[1:], ",")
-	spec := filepath.Join(t.TempDir(), "request.xml")
+	dir := t.TempDir()
+	file := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	spec := filepath.Join(dir, "request.xml") // what create -example prints
+	// Request files: one written by hand, and two that step outside the
+	// XML subset the codec reads.
+	hand := file("hand.xml", handWritten)
+	cdata := file("cdata.xml", strings.Replace(handWritten, "<name>workspace-bob</name>", "<name><![CDATA[workspace-bob]]></name>", 1))
+	doctype := file("doctype.xml", strings.Replace(handWritten, "<!-- a workspace for bob -->", "<!DOCTYPE CreateRequest>", 1))
 
 	for _, tc := range []struct {
 		args []string
@@ -115,6 +163,12 @@ func TestEverySubcommand(t *testing.T) {
 		// the cross-daemon join, not a span degraded to a root.
 		{args: []string{"trace", "vm-shop-1", "-debug", all}, out: "s      clone ("},
 		{args: []string{"dot", "-spec", spec}, out: "digraph"},
+		{args: []string{"create", "-spec", hand}, out: "created vm-shop-2"},
+		{args: []string{"dot", "-spec", hand}, out: `"user" [shape=box, label="user\ncreate-user bob"];`},
+		{args: []string{"create", "-spec", cdata}, code: 1, err: "vmctl: parse spec: "},
+		{args: []string{"dot", "-spec", cdata}, code: 1, err: "vmctl: parse spec: "},
+		{args: []string{"create", "-spec", doctype}, code: 1, err: "vmctl: parse spec: "},
+		{args: []string{"dot", "-spec", doctype}, code: 1, err: "vmctl: parse spec: "},
 
 		{args: []string{"query", "vm-shop-1"}, code: 1, err: "vmctl: service: VM vm-shop-1 not found"},
 		{args: []string{"trace", "vm-none", "-debug", all}, code: 1, err: "no trace for vm-none on 3 daemon(s)"},
@@ -135,6 +189,30 @@ func TestEverySubcommand(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+
+	// What create -example printed reads back as the request it was
+	// built from.
+	got, err := readRequest(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exampleRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSpec, err := got.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSpec, err := want.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotXML, wantXML := gotSpec.Graph.AppendXML(nil), wantSpec.Graph.AppendXML(nil)
+	gotSpec.Graph, wantSpec.Graph = nil, nil
+	if !reflect.DeepEqual(gotSpec, wantSpec) || !bytes.Equal(gotXML, wantXML) {
+		t.Errorf("create -example reads back as\n%+v\n%s\nwant\n%+v\n%s", gotSpec, gotXML, wantSpec, wantXML)
 	}
 }
 

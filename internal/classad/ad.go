@@ -1,7 +1,6 @@
 package classad
 
 import (
-	"encoding/xml"
 	"fmt"
 	"maps"
 	"math"
@@ -368,47 +367,11 @@ func MustParse(src string) *Ad {
 	return ad
 }
 
-// xmlAd is the wire form used by the service protocol: each attribute
-// carried as classad source text so arbitrary expressions round-trip.
-type xmlAd struct {
-	XMLName xml.Name  `xml:"classad"`
-	Attrs   []xmlAttr `xml:"attr"`
-}
-
-type xmlAttr struct {
-	Name string `xml:"name,attr"`
-	Expr string `xml:",chardata"`
-}
-
-// MarshalXML encodes the ad as <classad><attr name=...>expr</attr>...</classad>.
-func (a *Ad) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
-	x := xmlAd{}
-	for i := range a.attrs {
-		x.Attrs = append(x.Attrs, xmlAttr{Name: a.attrs[i].name, Expr: a.attrs[i].source()})
-	}
-	start.Name = xml.Name{Local: "classad"}
-	return e.EncodeElement(x, start)
-}
-
-// UnmarshalXML decodes the wire form produced by MarshalXML.
-func (a *Ad) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
-	var x xmlAd
-	if err := d.DecodeElement(&x, &start); err != nil {
-		return err
-	}
-	for _, at := range x.Attrs {
-		ex, err := ParseExpr(at.Expr)
-		if err != nil {
-			return fmt.Errorf("classad: attribute %q: %w", at.Name, err)
-		}
-		a.Set(at.Name, ex)
-	}
-	return nil
-}
-
-// AppendXML appends the ad's wire form to dst: byte for byte what
-// MarshalXML writes, without encoding/xml. It is what the protocol
-// codec (internal/proto) calls.
+// AppendXML appends the ad's wire form to dst,
+// <classad><attr name=...>expr</attr>...</classad>: each attribute
+// carried as classad source text, so arbitrary expressions round-trip.
+// The bytes are what encoding/xml writes for the reflection oracle in
+// xml_test.go. It is what the protocol codec (internal/proto) calls.
 func (a *Ad) AppendXML(dst []byte) []byte {
 	dst = append(dst, "<classad>"...)
 	for i := range a.attrs {
@@ -462,13 +425,15 @@ var (
 )
 
 // DecodeXML reads the wire form from a scanner that has just read the
-// <classad> start tag, and adds its attributes to a: what UnmarshalXML
-// does, over the subset of XML the scanner accepts.
+// <classad> start tag, and adds its attributes to a. It reads the
+// subset of XML the scanner accepts, and decodes what it reads as the
+// encoding/xml oracle in xml_test.go does.
 func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
 	if n := s.CountAhead("<attr", "</classad>"); a.attrs == nil && n > 0 {
-		a.attrs = make([]attr, 0, n)
-		// The count is a guess ("<attr0" counts too): an ad that ends
-		// up empty must look as if nothing had been reserved.
+		// The count is a guess from raw bytes ("<attr0" and comments
+		// count too): reserve at most scanMax, and an ad that ends up
+		// empty must look as if nothing had been reserved.
+		a.attrs = make([]attr, 0, min(n, scanMax))
 		defer func() {
 			if len(a.attrs) == 0 {
 				a.attrs = nil
@@ -477,10 +442,7 @@ func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
 	}
 	return s.Children(adChildren, 1, func(int) error {
 		var name string
-		if err := s.Attrs(attrAttrs, func(_ int, v []byte) error {
-			name = string(v)
-			return nil
-		}); err != nil {
+		if err := s.StringAttrs(attrAttrs, &name); err != nil {
 			return err
 		}
 		src, err := s.Text()

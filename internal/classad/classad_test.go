@@ -1,7 +1,6 @@
 package classad
 
 import (
-	"encoding/xml"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -369,13 +368,10 @@ func TestXMLRoundTrip(t *testing.T) {
 		SetStrings("Actions", "install-os", "create-user")
 	ad.SetExprString("Requirements", "TARGET.Disk >= 2048")
 
-	blob, err := xml.Marshal(ad)
+	blob := ad.AppendXML(nil)
+	got, err := scanAd(blob)
 	if err != nil {
-		t.Fatal(err)
-	}
-	got := New()
-	if err := xml.Unmarshal(blob, got); err != nil {
-		t.Fatalf("unmarshal %s: %v", blob, err)
+		t.Fatalf("decode %s: %v", blob, err)
 	}
 	if got.GetString("VMID", "") != "vm-42" || got.GetInt("Memory", 0) != 256 {
 		t.Errorf("round trip: %s", got)
@@ -390,12 +386,8 @@ func TestXMLRoundTrip(t *testing.T) {
 
 func TestXMLSpecialCharsInStrings(t *testing.T) {
 	ad := New().SetString("Weird", `a<b&"c"\n`)
-	blob, err := xml.Marshal(ad)
+	got, err := scanAd(ad.AppendXML(nil))
 	if err != nil {
-		t.Fatal(err)
-	}
-	got := New()
-	if err := xml.Unmarshal(blob, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.GetString("Weird", "") != `a<b&"c"\n` {

@@ -2,6 +2,7 @@ package classad
 
 import (
 	"encoding/xml"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,6 +65,47 @@ func TestLiteralMatchesParser(t *testing.T) {
 			t.Errorf("ParseExpr(%s) evaluates to %s", v, got)
 		}
 	}
+}
+
+// The oracle: encoding/xml's reading of the wire form, which is what
+// the ad's codec was before AppendXML and DecodeXML replaced it.
+
+// xmlAd is the wire form used by the service protocol: each attribute
+// carried as classad source text so arbitrary expressions round-trip.
+type xmlAd struct {
+	XMLName xml.Name  `xml:"classad"`
+	Attrs   []xmlAttr `xml:"attr"`
+}
+
+type xmlAttr struct {
+	Name string `xml:"name,attr"`
+	Expr string `xml:",chardata"`
+}
+
+// MarshalXML encodes the ad as <classad><attr name=...>expr</attr>...</classad>.
+func (a *Ad) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
+	x := xmlAd{}
+	for i := range a.attrs {
+		x.Attrs = append(x.Attrs, xmlAttr{Name: a.attrs[i].name, Expr: a.attrs[i].source()})
+	}
+	start.Name = xml.Name{Local: "classad"}
+	return e.EncodeElement(x, start)
+}
+
+// UnmarshalXML decodes the wire form produced by MarshalXML.
+func (a *Ad) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
+	var x xmlAd
+	if err := d.DecodeElement(&x, &start); err != nil {
+		return err
+	}
+	for _, at := range x.Attrs {
+		ex, err := ParseExpr(at.Expr)
+		if err != nil {
+			return fmt.Errorf("classad: attribute %q: %w", at.Name, err)
+		}
+		a.Set(at.Name, ex)
+	}
+	return nil
 }
 
 // scanAd decodes a standalone <classad> document with DecodeXML.

@@ -1,11 +1,9 @@
 package dag
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -28,110 +26,10 @@ import (
 //	  <edge from="START" to="A"/>
 //	  <edge from="A" to="FINISH"/>
 //	</dag>
-
-type xmlDAG struct {
-	XMLName xml.Name  `xml:"dag"`
-	Nodes   []xmlNode `xml:"node"`
-	Edges   []xmlEdge `xml:"edge"`
-}
-
-type xmlNode struct {
-	ID      string      `xml:"id,attr"`
-	Action  string      `xml:"action,attr"`
-	Target  string      `xml:"target,attr,omitempty"`
-	Params  []xmlParam  `xml:"param"`
-	OnError *xmlOnError `xml:"onerror"`
-}
-
-type xmlParam struct {
-	Name  string `xml:"name,attr"`
-	Value string `xml:"value,attr"`
-}
-
-type xmlOnError struct {
-	Retries  int          `xml:"retries,attr"`
-	Continue bool         `xml:"continue,attr"`
-	Handlers []xmlHandler `xml:"handler"`
-}
-
-type xmlHandler struct {
-	Action string     `xml:"action,attr"`
-	Target string     `xml:"target,attr,omitempty"`
-	Params []xmlParam `xml:"param"`
-}
-
-func paramsToXML(m map[string]string) []xmlParam {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]xmlParam, len(keys))
-	for i, k := range keys {
-		out[i] = xmlParam{Name: k, Value: m[k]}
-	}
-	return out
-}
-
-func paramsFromXML(ps []xmlParam) map[string]string {
-	if len(ps) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(ps))
-	for _, p := range ps {
-		m[p.Name] = p.Value
-	}
-	return m
-}
-
-// MarshalXML encodes the graph in the wire format above.
-func (g *Graph) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
-	x := xmlDAG{}
-	for _, id := range g.ActionIDs() {
-		n := g.nodes[id]
-		xn := xmlNode{
-			ID:     n.ID,
-			Action: n.Action.Op,
-			Target: n.Action.Target.String(),
-			Params: paramsToXML(n.Action.Params),
-		}
-		pol := n.OnError
-		if pol.Retries != 0 || pol.Continue || len(pol.Handler) > 0 {
-			xe := &xmlOnError{Retries: pol.Retries, Continue: pol.Continue}
-			for _, h := range pol.Handler {
-				xe.Handlers = append(xe.Handlers, xmlHandler{
-					Action: h.Op,
-					Target: h.Target.String(),
-					Params: paramsToXML(h.Params),
-				})
-			}
-			xn.OnError = xe
-		}
-		x.Nodes = append(x.Nodes, xn)
-	}
-	for _, ed := range g.Edges() {
-		x.Edges = append(x.Edges, xmlEdge{From: ed[0], To: ed[1]})
-	}
-	start.Name = xml.Name{Local: "dag"}
-	return e.EncodeElement(x, start)
-}
-
-type xmlEdge struct {
-	From string `xml:"from,attr"`
-	To   string `xml:"to,attr"`
-}
-
-// UnmarshalXML decodes the wire format and validates the result.
-func (g *Graph) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
-	var x xmlDAG
-	if err := d.DecodeElement(&x, &start); err != nil {
-		return err
-	}
-	return g.fromXML(&x)
-}
+//
+// AppendXML writes it and DecodeXML reads it; the encoding/xml oracle
+// in xmlwire_test.go holds the two to encoding/xml's reading of the
+// same format, byte for byte and value for value.
 
 // maxWireNodes bounds the action nodes of a graph read from the wire.
 // The index holds one ancestor bitset per node, n²/8 bytes in all: 2 MB
@@ -139,54 +37,11 @@ func (g *Graph) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 // could otherwise ask for. The paper's graphs have around ten.
 const maxWireNodes = 4096
 
-// fromXML builds and validates the graph a decoded document describes,
-// then replaces g with it.
-func (g *Graph) fromXML(x *xmlDAG) error {
-	if len(x.Nodes) > maxWireNodes {
-		return fmt.Errorf("dag: %d nodes exceed the limit of %d", len(x.Nodes), maxWireNodes)
-	}
-	fresh := newGraph(len(x.Nodes) + 2)
-	for _, xn := range x.Nodes {
-		tgt, err := ParseTarget(xn.Target)
-		if err != nil {
-			return fmt.Errorf("dag: node %q: %w", xn.ID, err)
-		}
-		n := &Node{
-			ID:     xn.ID,
-			Action: Action{Op: xn.Action, Target: tgt, Params: paramsFromXML(xn.Params)},
-		}
-		if xn.OnError != nil {
-			n.OnError = ErrorPolicy{Retries: xn.OnError.Retries, Continue: xn.OnError.Continue}
-			for _, h := range xn.OnError.Handlers {
-				ht, err := ParseTarget(h.Target)
-				if err != nil {
-					return fmt.Errorf("dag: node %q handler: %w", xn.ID, err)
-				}
-				n.OnError.Handler = append(n.OnError.Handler, Action{
-					Op: h.Action, Target: ht, Params: paramsFromXML(h.Params),
-				})
-			}
-		}
-		if err := fresh.AddNode(n); err != nil {
-			return err
-		}
-	}
-	for _, xe := range x.Edges {
-		if err := fresh.AddEdge(xe.From, xe.To); err != nil {
-			return err
-		}
-	}
-	if err := fresh.Validate(); err != nil {
-		return err
-	}
-	g.nodes, g.order, g.succ, g.pred = fresh.nodes, fresh.order, fresh.succ, fresh.pred
-	g.idx.Store(fresh.idx.Load()) // what Validate just derived, for the plan that follows
-	return nil
-}
+// errTooManyNodes refuses a graph of more than maxWireNodes nodes.
+var errTooManyNodes = fmt.Errorf("dag: nodes exceed the limit of %d", maxWireNodes)
 
-// AppendXML appends the graph's wire form to dst: byte for byte what
-// MarshalXML writes, without encoding/xml. It is what the protocol
-// codec (internal/proto) calls.
+// AppendXML appends the graph's wire form to dst. It is what the
+// protocol codec (internal/proto) and Encode call.
 func (g *Graph) AppendXML(dst []byte) []byte {
 	dst = append(dst, "<dag>"...)
 	for _, id := range g.order {
@@ -263,86 +118,107 @@ var (
 )
 
 // DecodeXML reads the wire form from a scanner that has just read the
-// <dag> start tag, validates the graph and replaces g with it: what
-// UnmarshalXML does, over the subset of XML the scanner accepts.
+// <dag> start tag, validates the graph and replaces g with it. It reads
+// the subset of XML the scanner accepts, and refuses the document at
+// its node maxWireNodes+1.
 func (g *Graph) DecodeXML(s *xmlwire.Scanner) error {
-	var x xmlDAG
-	x.Nodes = make([]xmlNode, 0, s.CountAhead("<node", "</dag>"))
-	x.Edges = make([]xmlEdge, 0, s.CountAhead("<edge", "</dag>"))
+	// The counts are guesses from raw bytes (a comment full of "<node"
+	// counts too), so they reserve room for at most maxWireNodes of each.
+	fresh := newGraph(min(s.CountAhead("<node", "</dag>"), maxWireNodes) + 2)
+	edges := make([][2]string, 0, min(s.CountAhead("<edge", "</dag>"), maxWireNodes))
+	nodes := 0
 	err := s.Children(dagChildren, 1<<0|1<<1, func(i int) error {
 		if i == 1 {
-			x.Edges = append(x.Edges, xmlEdge{})
-			e := &x.Edges[len(x.Edges)-1]
-			return scanLeaf(s, edgeAttrs, &e.From, &e.To)
+			edges = append(edges, [2]string{})
+			e := &edges[len(edges)-1]
+			return s.Leaf(edgeAttrs, &e[0], &e[1])
 		}
-		x.Nodes = append(x.Nodes, xmlNode{})
-		n := &x.Nodes[len(x.Nodes)-1]
-		if err := scanAttrs(s, nodeAttrs, &n.ID, &n.Action, &n.Target); err != nil {
+		if nodes++; nodes > maxWireNodes {
+			return errTooManyNodes
+		}
+		n := new(Node)
+		var target string
+		if err := s.StringAttrs(nodeAttrs, &n.ID, &n.Action.Op, &target); err != nil {
 			return err
 		}
-		return s.Children(nodeChildren, 1<<0, func(i int) error {
+		err := s.Children(nodeChildren, 1<<0, func(i int) error {
 			if i == 0 {
-				return scanParam(s, &n.Params)
+				return scanParam(s, &n.Action.Params)
 			}
-			pol := &xmlOnError{}
-			n.OnError = pol
-			if err := s.Attrs(onErrorAttrs, func(i int, v []byte) (err error) {
-				if i == 0 {
-					pol.Retries, err = xmlwire.Int(v)
-				} else {
-					pol.Continue, err = xmlwire.Bool(v)
-				}
-				return err
-			}); err != nil {
-				return err
-			}
-			return s.Children(onErrorChildren, 1<<0, func(int) error {
-				pol.Handlers = append(pol.Handlers, xmlHandler{})
-				h := &pol.Handlers[len(pol.Handlers)-1]
-				if err := scanAttrs(s, handlerAttrs, &h.Action, &h.Target); err != nil {
-					return err
-				}
-				return s.Children(handlerChildren, 1<<0, func(int) error { return scanParam(s, &h.Params) })
-			})
+			return scanOnError(s, n)
 		})
+		if err != nil {
+			return err
+		}
+		if n.Action.Target, err = ParseTarget(target); err != nil {
+			return fmt.Errorf("dag: node %q: %w", n.ID, err)
+		}
+		return fresh.AddNode(n)
 	})
 	if err != nil {
 		return err
 	}
-	return g.fromXML(&x)
+	for _, e := range edges {
+		if err := fresh.AddEdge(e[0], e[1]); err != nil {
+			return err
+		}
+	}
+	if err := fresh.Validate(); err != nil {
+		return err
+	}
+	g.nodes, g.order, g.succ, g.pred = fresh.nodes, fresh.order, fresh.succ, fresh.pred
+	g.idx.Store(fresh.idx.Load()) // what Validate just derived, for the plan that follows
+	return nil
 }
 
-// scanAttrs stores the current tag's attribute named names[i] in
-// *dst[i].
-func scanAttrs(s *xmlwire.Scanner, names []string, dst ...*string) error {
-	return s.Attrs(names, func(i int, v []byte) error {
-		*dst[i] = string(v)
+// scanOnError reads a node's <onerror> into its error policy.
+func scanOnError(s *xmlwire.Scanner, n *Node) error {
+	pol := &n.OnError
+	err := s.Attrs(onErrorAttrs, func(i int, v []byte) (err error) {
+		if i == 0 {
+			pol.Retries, err = xmlwire.Int(v)
+		} else {
+			pol.Continue, err = xmlwire.Bool(v)
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	return s.Children(onErrorChildren, 1<<0, func(int) error {
+		var h Action
+		var target string
+		if err := s.StringAttrs(handlerAttrs, &h.Op, &target); err != nil {
+			return err
+		}
+		err := s.Children(handlerChildren, 1<<0, func(int) error { return scanParam(s, &h.Params) })
+		if err != nil {
+			return err
+		}
+		if h.Target, err = ParseTarget(target); err != nil {
+			return fmt.Errorf("dag: node %q handler: %w", n.ID, err)
+		}
+		pol.Handler = append(pol.Handler, h)
 		return nil
 	})
 }
 
-// scanLeaf reads an element that is all attributes.
-func scanLeaf(s *xmlwire.Scanner, names []string, dst ...*string) error {
-	if err := scanAttrs(s, names, dst...); err != nil {
+// scanParam reads a <param> into *ps, which the first one makes.
+func scanParam(s *xmlwire.Scanner, ps *map[string]string) error {
+	var name, value string
+	if err := s.Leaf(paramAttrs, &name, &value); err != nil {
 		return err
 	}
-	return s.Skip()
+	if *ps == nil {
+		*ps = make(map[string]string)
+	}
+	(*ps)[name] = value
+	return nil
 }
 
-func scanParam(s *xmlwire.Scanner, ps *[]xmlParam) error {
-	*ps = append(*ps, xmlParam{})
-	p := &(*ps)[len(*ps)-1]
-	return scanLeaf(s, paramAttrs, &p.Name, &p.Value)
-}
-
-// Encode writes the graph as indented XML.
+// Encode writes the graph's wire form and a newline.
 func (g *Graph) Encode(w io.Writer) error {
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(g); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
+	_, err := w.Write(append(g.AppendXML(nil), '\n'))
 	return err
 }
 
@@ -375,12 +251,19 @@ func dotEscape(s string) string {
 	return strings.ReplaceAll(s, `"`, `'`)
 }
 
-// Decode reads a graph from XML produced by Encode (or hand-written in
-// the same schema).
+// Decode reads a standalone <dag> document: what Encode writes, or the
+// same schema written by hand.
 func Decode(r io.Reader) (*Graph, error) {
-	g := NewGraph()
-	if err := xml.NewDecoder(r).Decode(g); err != nil {
+	doc, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	return g, nil
+	s, g := xmlwire.NewScanner(doc), new(Graph)
+	if err := s.Open("dag"); err != nil {
+		return nil, err
+	}
+	if err := g.DecodeXML(s); err != nil {
+		return nil, err
+	}
+	return g, s.End()
 }

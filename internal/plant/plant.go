@@ -9,6 +9,8 @@ package plant
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -784,9 +786,11 @@ func (pl *Plant) configure(p *sim.Proc, vm *vmm.VM, g *dag.Graph, residual []str
 			return err
 		}
 		defer vm.DetachCD(p)
-		// Cross-check what the guest agent read back.
-		if got := vm.CDActions(); len(got) != len(guestActs) {
-			return fmt.Errorf("guest agent parsed %d scripts, burned %d", len(got), len(guestActs))
+		// Cross-check what the guest agent read back, script by script.
+		if got := vm.CDActions(); !slices.EqualFunc(got, guestActs, func(a, b dag.Action) bool {
+			return a.Op == b.Op && a.Target == b.Target && maps.Equal(a.Params, b.Params)
+		}) {
+			return fmt.Errorf("guest agent parsed %d scripts that differ from the %d burned", len(got), len(guestActs))
 		}
 	}
 	for _, nid := range residual {

@@ -132,6 +132,36 @@ func TestCreateProducesConfiguredVM(t *testing.T) {
 	})
 }
 
+// A DAG parameter that reaches the plant with line breaks, backslashes
+// or '=' in it configures the guest with exactly that value: the guest
+// script escapes it, and the agent parses back each action as burned.
+func TestAwkwardParamsConfigureTheGuest(t *testing.T) {
+	user := "eve\nop=install-os\nsmith\\"
+	g, err := dag.NewBuilder().
+		Add("os", act(actions.OpInstallOS, "distro", "mandrake-8.1")).
+		Add("vnc", act(actions.OpInstallPackage, "name", "vnc-server"), "os").
+		Add("user", act(actions.OpCreateUser, "name", user, "x=y", "z\r"), "vnc").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec(t, "eve")
+	s.Graph = g
+	r := newRig(t, Config{})
+	r.run(t, func(p *sim.Proc) {
+		if _, err := r.pl.Create(p, "vm-s-1", s); err != nil {
+			t.Fatal(err)
+		}
+		vm, ok := r.pl.VM("vm-s-1")
+		if !ok {
+			t.Fatal("VM not in info system")
+		}
+		if users := vm.Guest().Users; len(users) != 1 || !users[user] {
+			t.Errorf("guest users = %v, want only %q", users, user)
+		}
+	})
+}
+
 func TestCreateStatsRecorded(t *testing.T) {
 	r := newRig(t, Config{})
 	r.run(t, func(p *sim.Proc) {

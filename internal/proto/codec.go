@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"encoding/xml"
 	"fmt"
 	"strconv"
 
@@ -233,7 +232,7 @@ func scanMessage(doc []byte) (*Message, error) {
 	if err := s.Open("message"); err != nil {
 		return nil, err
 	}
-	m := &Message{XMLName: xml.Name{Local: "message"}}
+	m := new(Message)
 	err := s.Attrs(envelopeAttrs, func(i int, v []byte) (err error) {
 		switch i {
 		case 0:

@@ -7,32 +7,142 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"vmplants/internal/classad"
 	"vmplants/internal/dag"
+	"vmplants/internal/xmlwire"
 )
 
 // The oracle: encoding/xml's reading of the struct tags in proto.go,
 // which is what Marshal and Unmarshal were before they stopped using it.
+// The classad and dag packages keep their reflection oracles in their
+// own tests, out of reach of this one, so encoding/xml sees an embedded
+// ad or DAG as an element with no fields it knows: <classad></classad>,
+// <dag></dag>. The oracle splices that one element in with the ad's or
+// the graph's own codec, which its package holds to its oracle.
+
+// oracleMessage gives the envelope the root element name the codec
+// writes.
+type oracleMessage struct {
+	XMLName xml.Name `xml:"message"`
+	Message
+}
 
 func oracleMarshal(m *Message) ([]byte, error) {
 	if err := m.validateEnvelope(); err != nil {
 		return nil, err
 	}
-	return xml.Marshal(m)
+	doc, err := xml.Marshal(oracleMessage{Message: *m})
+	if err != nil {
+		return nil, err
+	}
+	_, g, ad := embedded(m)
+	return spliceEmbedded(doc, g, ad), nil
 }
 
 func oracleUnmarshal(doc []byte) (*Message, error) {
-	var m Message
-	if err := xml.Unmarshal(doc, &m); err != nil {
+	var om oracleMessage
+	if err := xml.Unmarshal(doc, &om); err != nil {
+		return nil, err
+	}
+	m := &om.Message
+	path, g, ad := embedded(m)
+	if err := decodeEmbedded(doc, path, g, ad); err != nil {
 		return nil, err
 	}
 	if err := m.validateEnvelope(); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
+}
+
+// embedded locates the one classad or DAG a message's body carries:
+// the path of its element and the field that holds it.
+func embedded(m *Message) (path string, g **dag.Graph, ad **classad.Ad) {
+	switch {
+	case m.Create != nil:
+		return "message/create-request/dag", &m.Create.Graph, nil
+	case m.Estimate != nil && m.Estimate.Create != nil:
+		return "message/estimate-request/create-request/dag", &m.Estimate.Create.Graph, nil
+	case m.ForwardCreate != nil && m.ForwardCreate.Create != nil:
+		return "message/forward-create-request/create-request/dag", &m.ForwardCreate.Create.Graph, nil
+	case m.Created != nil:
+		return "message/create-response/classad", nil, &m.Created.Ad
+	case m.Queried != nil:
+		return "message/query-response/classad", nil, &m.Queried.Ad
+	case m.Bid != nil:
+		return "message/estimate-response/classad", nil, &m.Bid.Ad
+	case m.ForwardCreated != nil:
+		return "message/forward-create-response/classad", nil, &m.ForwardCreated.Ad
+	}
+	return "", nil, nil
+}
+
+// spliceEmbedded replaces the empty element encoding/xml wrote for a
+// non-nil ad or graph with its wire form. Escaped text never holds a
+// '<', so the element is the document's only match.
+func spliceEmbedded(doc []byte, g **dag.Graph, ad **classad.Ad) []byte {
+	switch {
+	case g != nil && *g != nil:
+		return bytes.Replace(doc, []byte("<dag></dag>"), (*g).AppendXML(nil), 1)
+	case ad != nil && *ad != nil:
+		return bytes.Replace(doc, []byte("<classad></classad>"), (*ad).AppendXML(nil), 1)
+	}
+	return doc
+}
+
+// decodeEmbedded decodes the element at path in doc, which encoding/xml
+// has accepted, into the non-nil ad or graph encoding/xml allocated for
+// it.
+func decodeEmbedded(doc []byte, path string, g **dag.Graph, ad **classad.Ad) error {
+	if (g == nil || *g == nil) && (ad == nil || *ad == nil) {
+		return nil
+	}
+	raw := rawElement(doc, path)
+	if g != nil && *g != nil {
+		var err error
+		*g, err = dag.Decode(bytes.NewReader(raw))
+		return err
+	}
+	s := xmlwire.NewScanner(raw)
+	*ad = new(classad.Ad)
+	if err := s.Open("classad"); err != nil {
+		return err
+	}
+	if err := (*ad).DecodeXML(s); err != nil {
+		return err
+	}
+	return s.End()
+}
+
+// rawElement returns the bytes of the last element at path, its names
+// joined by '/', in a document encoding/xml accepts.
+func rawElement(doc []byte, path string) []byte {
+	d := xml.NewDecoder(bytes.NewReader(doc))
+	var open []string
+	var begin int64
+	var raw []byte
+	for {
+		at := d.InputOffset()
+		tok, err := d.Token()
+		if err != nil {
+			return raw
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			if open = append(open, t.Name.Local); strings.Join(open, "/") == path {
+				begin = at
+			}
+		case xml.EndElement:
+			if strings.Join(open, "/") == path {
+				raw = doc[begin:d.InputOffset()]
+			}
+			open = open[:len(open)-1]
+		}
+	}
 }
 
 // gen draws messages whose strings are hostile to an XML codec.
@@ -408,12 +518,16 @@ func TestBareCreateRequestMatchesEncodingXML(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want = spliceEmbedded(want, &r.Graph, nil)
 		got := MarshalCreateRequest(r)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("bytes differ\n got: %q\nwant: %q", got, want)
 		}
 		var wantReq CreateRequest
 		werr := xml.Unmarshal(got, &wantReq)
+		if werr == nil {
+			werr = decodeEmbedded(got, bareCreateRequest+"/dag", &wantReq.Graph, nil)
+		}
 		gotReq, gerr := UnmarshalCreateRequest(got)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("unmarshal error %v, oracle %v\n%q", gerr, werr, got)
@@ -517,4 +631,48 @@ func FuzzEnvelope(f *testing.F) {
 			t.Fatalf("decoded differently\n got: %+v\nwant: %+v\n%q", got, want, doc)
 		}
 	})
+}
+
+// TestHostileFramesStayWithinTheirSize: the decoders size their slices
+// from a count of raw tag bytes, which a frame can fake with a comment
+// full of "<node" or "<attr", or with a flood of well-formed nodes past
+// the DAG limit. Each such frame must fail while allocating less than
+// twice its own size.
+func TestHostileFramesStayWithinTheirSize(t *testing.T) {
+	// frame fills a 4 MB frame with units, unit(i) the i-th.
+	frame := func(head string, unit func(i int) string, tail string) []byte {
+		doc := []byte(head)
+		for i := 0; len(doc)+len(unit(i))+len(tail) <= MaxMessageSize; i++ {
+			doc = append(doc, unit(i)...)
+		}
+		return append(doc, tail...)
+	}
+	repeat := func(s string) func(int) string { return func(int) string { return s } }
+	const (
+		create = `<message kind="create-request" seq="1"><create-request><name>n</name><dag>`
+		query  = `<message kind="query-response" seq="1"><query-response><vmid>v</vmid><found>true</found><classad>`
+	)
+	for _, tc := range []struct {
+		name string
+		doc  []byte
+		err  string
+	}{
+		{"dag comment", frame(create+"<!--", repeat("<node"), `--><edge from="START" to="A"/></dag></create-request></message>`), "unknown node"},
+		{"classad comment", frame(query+"<!--", repeat("<attr"), `--><attr name="A">1 +</attr></classad></query-response></message>`), `attribute "A"`},
+		{"node flood", frame(create, func(i int) string { return fmt.Sprintf(`<node id="n%d" action="x"/>`, i) }, `</dag></create-request></message>`), "exceed the limit"},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(tc.doc)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: error %v, want one saying %q", tc.name, err, tc.err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: a %d-byte frame, %d bytes allocated", tc.name, len(tc.doc), alloc)
+		if alloc >= 2*uint64(len(tc.doc)) {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes", tc.name, len(tc.doc), alloc)
+		}
+	}
 }

@@ -11,11 +11,12 @@
 // serve from, and internal/service's parity test holds the two paths to
 // the same outcomes.
 //
-// The struct tags below define the format, and the bytes are what
-// encoding/xml makes of them — but Marshal and Unmarshal do not go
-// through encoding/xml: codec.go writes each body with an append-style
+// The struct tags below define the format: the root element is
+// <message>, and the bytes are what encoding/xml makes of the tags. Only
+// the oracle in codec_test.go reads them that way; no product code
+// imports encoding/xml. codec.go writes each body with an append-style
 // encoder and reads it with internal/xmlwire's scanner, and the tests
-// hold both to encoding/xml as their oracle. The decoder reads a subset
+// hold both to the oracle byte for byte. The decoder reads a subset
 // of XML: elements, attributes in either quote, character data with the
 // five named entities and numeric character references, self-closing
 // tags, comments, and a leading <?xml ... ?> declaration; unknown
@@ -29,7 +30,6 @@ package proto
 
 import (
 	"encoding/binary"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"slices"
@@ -73,9 +73,8 @@ const (
 // Message is the envelope: exactly one of the pointers is non-nil,
 // matching Kind.
 type Message struct {
-	XMLName xml.Name `xml:"message"`
-	Kind    Kind     `xml:"kind,attr"`
-	Seq     uint64   `xml:"seq,attr"` // request/response correlation
+	Kind Kind   `xml:"kind,attr"`
+	Seq  uint64 `xml:"seq,attr"` // request/response correlation
 	// Trace context: the caller's trace ID and the span the callee's
 	// work should parent under, so causality survives the process
 	// boundary. Zero values mean "untraced" and are omitted from the

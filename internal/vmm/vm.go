@@ -197,13 +197,24 @@ func (vm *VM) AttachNIC(net *simnet.HostOnlyNet, mac simnet.MAC) error {
 //	op=create-user
 //	target=guest
 //	param.name=arijit
+//
+// A backslash escapes what would change how a line parses: \\ is a
+// backslash, \n a newline, \r a carriage return and, in a key, \e an
+// equals sign, so the first '=' of a line always ends its key. Text
+// without those characters is written as it is.
 const scriptMagic = "#!vmplant-action"
+
+var (
+	scriptText     = strings.NewReplacer(`\`, `\\`, "\n", `\n`, "\r", `\r`)
+	scriptKey      = strings.NewReplacer(`\`, `\\`, "\n", `\n`, "\r", `\r`, "=", `\e`)
+	scriptUnescape = strings.NewReplacer(`\\`, `\`, `\n`, "\n", `\r`, "\r", `\e`, "=")
+)
 
 // EncodeScript renders one action as guest-script bytes.
 func EncodeScript(a dag.Action) []byte {
 	var b bytes.Buffer
 	fmt.Fprintln(&b, scriptMagic)
-	fmt.Fprintf(&b, "op=%s\n", a.Op)
+	fmt.Fprintf(&b, "op=%s\n", scriptText.Replace(a.Op))
 	fmt.Fprintf(&b, "target=%s\n", a.Target)
 	keys := make([]string, 0, len(a.Params))
 	for k := range a.Params {
@@ -211,7 +222,7 @@ func EncodeScript(a dag.Action) []byte {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "param.%s=%s\n", k, a.Params[k])
+		fmt.Fprintf(&b, "param.%s=%s\n", scriptKey.Replace(k), scriptText.Replace(a.Params[k]))
 	}
 	return b.Bytes()
 }
@@ -231,6 +242,9 @@ func ParseScript(blob []byte) (dag.Action, error) {
 		key, val, ok := strings.Cut(line, "=")
 		if !ok {
 			return dag.Action{}, fmt.Errorf("vmm: bad script line %q", line)
+		}
+		if strings.Contains(line, `\`) {
+			key, val = scriptUnescape.Replace(key), scriptUnescape.Replace(val)
 		}
 		switch {
 		case key == "op":
@@ -300,10 +314,9 @@ func (vm *VM) AttachCD(p *sim.Proc, blob []byte) error {
 }
 
 // CDActions returns the actions parsed from the attached CD, in
-// execution order.
-func (vm *VM) CDActions() []dag.Action {
-	return append([]dag.Action(nil), vm.cdActions...)
-}
+// execution order. The slice is the VM's own: callers must not modify
+// it.
+func (vm *VM) CDActions() []dag.Action { return vm.cdActions }
 
 // DetachCD ejects the CD.
 func (vm *VM) DetachCD(p *sim.Proc) error {

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -206,6 +207,26 @@ func TestScriptRoundTrip(t *testing.T) {
 	}
 	if got.Op != a.Op || got.Target != a.Target || got.Params["name"] != "arijit" || got.Params["password"] != "x" {
 		t.Errorf("round trip: %+v", got)
+	}
+	// A parameter that arrived over the wire with a line break in it, or
+	// a key with '=' in it, comes back as it went in.
+	for _, a := range []dag.Action{
+		act(actions.OpCreateUser, "name", "eve\nop=install-os"),
+		act(actions.OpCreateUser, "name", "eve", "x=y", "z"),
+		act(actions.OpCreateUser, "name", `back\slash\n`, "cr\r", "\r\n=", `\=`, `\`, `\e`, `=\e`),
+		{Op: "odd\nop=x\\", Target: dag.Host},
+	} {
+		got, err := ParseScript(EncodeScript(a))
+		if err != nil {
+			t.Fatalf("%q: %v", EncodeScript(a), err)
+		}
+		if got.Op != a.Op || got.Target != a.Target || !maps.Equal(got.Params, a.Params) {
+			t.Errorf("round trip of %+v: %+v\n%q", a, got, EncodeScript(a))
+		}
+	}
+	// Ordinary text is written as it is.
+	if got := string(EncodeScript(a)); got != "#!vmplant-action\nop=create-user\ntarget=guest\nparam.name=arijit\nparam.password=x\n" {
+		t.Errorf("script = %q", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package warehouse
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -37,60 +36,6 @@ func derivedOf(t *testing.T, parent *Image, name string, extra ...string) *Image
 		t.Fatal(err)
 	}
 	return im
-}
-
-// Regression (leak bugfix): a descriptor encode failure during Publish
-// must leave the volume untouched and the image unregistered. The
-// pre-fix code laid every state file down before encoding, leaking them
-// on failure.
-func TestPublishEncodeFailureLeavesVolumeUntouched(t *testing.T) {
-	orig := encodeDescriptor
-	encodeDescriptor = func(Descriptor) ([]byte, error) {
-		return nil, errors.New("forced encode failure")
-	}
-	defer func() { encodeDescriptor = orig }()
-
-	w := newWarehouse()
-	im, err := BuildGolden("leaky", hw(), BackendVMware, history())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Publish(im); err == nil || !strings.Contains(err.Error(), "forced encode failure") {
-		t.Fatalf("Publish error = %v", err)
-	}
-	if files := w.Volume().List(); len(files) != 0 {
-		t.Errorf("encode failure leaked %d state files: %v", len(files), files)
-	}
-	if _, ok := w.Lookup("leaky"); ok {
-		t.Error("failed publish registered the image")
-	}
-	if w.BytesUsed() != 0 {
-		t.Errorf("failed publish accounted %d bytes", w.BytesUsed())
-	}
-}
-
-// Same ordering guarantee on the derived-publish path.
-func TestPublishDerivedEncodeFailureLeavesVolumeUntouched(t *testing.T) {
-	w := newWarehouse()
-	parent := seedImage(t, w, "seed")
-	before := len(w.Volume().List())
-
-	orig := encodeDescriptor
-	encodeDescriptor = func(Descriptor) ([]byte, error) {
-		return nil, errors.New("forced encode failure")
-	}
-	defer func() { encodeDescriptor = orig }()
-
-	im := derivedOf(t, parent, "derived-x", "matlab")
-	if err := w.PublishDerived(im, 0); err == nil {
-		t.Fatal("PublishDerived succeeded with a failing encoder")
-	}
-	if got := len(w.Volume().List()); got != before {
-		t.Errorf("failed derived publish changed the volume: %d files, was %d", got, before)
-	}
-	if parent.Refs() != 0 {
-		t.Errorf("failed derived publish left a parent reference: %d", parent.Refs())
-	}
 }
 
 // Regression (Remove wedge bugfix): a removal retried after a partial

@@ -9,13 +9,10 @@
 package warehouse
 
 import (
-	"bytes"
-	"encoding/xml"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -173,99 +170,6 @@ func (im *Image) Candidate() match.Candidate {
 	return match.Candidate{ID: im.Name, Hardware: im.Hardware, Performed: im.Performed, Keys: im.keys}
 }
 
-// Descriptor is the XML description stored beside each image (paper
-// §4.1: "XML files are used to describe such cached images in terms of
-// their memory sizes, operating system installed, and the configuration
-// actions that have already been performed").
-type Descriptor struct {
-	XMLName  xml.Name      `xml:"golden-machine"`
-	Name     string        `xml:"name,attr"`
-	Backend  string        `xml:"backend,attr"`
-	Arch     string        `xml:"hardware>arch"`
-	MemoryMB int           `xml:"hardware>memoryMB"`
-	DiskMB   int           `xml:"hardware>diskMB"`
-	OS       string        `xml:"os"`
-	Actions  []descrAction `xml:"performed>action"`
-	// Integrity records the content checksum of every other state file
-	// (the descriptor cannot checksum itself), paper-style: the XML
-	// descriptor is the image's manifest, so it carries the sums a
-	// reader needs to verify what it is about to clone.
-	Integrity []descrSum `xml:"integrity>artifact"`
-}
-
-type descrSum struct {
-	Path string `xml:"path,attr"`
-	Sum  string `xml:"sum,attr"`
-}
-
-type descrAction struct {
-	Op     string       `xml:"op,attr"`
-	Target string       `xml:"target,attr"`
-	Params []descrParam `xml:"param"`
-}
-
-type descrParam struct {
-	Name  string `xml:"name,attr"`
-	Value string `xml:"value,attr"`
-}
-
-// Descriptor builds the XML descriptor for the image.
-func (im *Image) Descriptor() Descriptor {
-	d := Descriptor{
-		Name:     im.Name,
-		Backend:  im.Backend,
-		Arch:     im.Hardware.Arch,
-		MemoryMB: im.Hardware.MemoryMB,
-		DiskMB:   im.Hardware.DiskMB,
-		OS:       im.OS(),
-	}
-	for _, a := range im.Performed {
-		da := descrAction{Op: a.Op, Target: a.Target.String()}
-		keys := make([]string, 0, len(a.Params))
-		for k := range a.Params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			da.Params = append(da.Params, descrParam{Name: k, Value: a.Params[k]})
-		}
-		d.Actions = append(d.Actions, da)
-	}
-	own := im.descriptorPath()
-	for _, p := range im.sumPaths() {
-		if p == own {
-			continue
-		}
-		d.Integrity = append(d.Integrity, descrSum{Path: p, Sum: fmt.Sprintf("%016x", im.Sums[p])})
-	}
-	return d
-}
-
-// ParseDescriptor decodes an XML descriptor and reconstructs the
-// performed-action list.
-func ParseDescriptor(blob []byte) (Descriptor, []dag.Action, error) {
-	var d Descriptor
-	if err := xml.Unmarshal(blob, &d); err != nil {
-		return Descriptor{}, nil, fmt.Errorf("warehouse: bad descriptor: %w", err)
-	}
-	var perf []dag.Action
-	for _, da := range d.Actions {
-		tgt, err := dag.ParseTarget(da.Target)
-		if err != nil {
-			return Descriptor{}, nil, fmt.Errorf("warehouse: descriptor %q: %w", d.Name, err)
-		}
-		a := dag.Action{Op: da.Op, Target: tgt}
-		if len(da.Params) > 0 {
-			a.Params = make(map[string]string, len(da.Params))
-			for _, p := range da.Params {
-				a.Params[p.Name] = p.Value
-			}
-		}
-		perf = append(perf, a)
-	}
-	return d, perf, nil
-}
-
 // Warehouse is the image store over the shared volume.
 type Warehouse struct {
 	vol    *storage.Volume
@@ -406,19 +310,6 @@ func (w *Warehouse) DerivedCount() int {
 // Volume returns the backing volume.
 func (w *Warehouse) Volume() *storage.Volume { return w.vol }
 
-// encodeDescriptor serializes an image descriptor to its on-volume XML
-// bytes. It is a package variable so tests can force an encode failure
-// and exercise Publish's error path.
-var encodeDescriptor = func(d Descriptor) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := xml.NewEncoder(&buf)
-	enc.Indent("", "  ")
-	if err := enc.Encode(d); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // validate runs the publish-time checks shared by seed and derived
 // publications, filling im.Guest from a replay when unset.
 func (w *Warehouse) validate(im *Image) error {
@@ -456,9 +347,8 @@ func (w *Warehouse) validate(im *Image) error {
 // describe stamps what the descriptor records — the state-file paths
 // and every artifact's sum (ExtentPaths are set; a derived image's
 // extent sums are its parent's) — and renders it, once: nothing it
-// reads changes after publish. Nothing has touched the volume yet, so
-// an encode failure leaves it untouched.
-func (im *Image) describe(parent *Image) error {
+// reads changes after publish.
+func (im *Image) describe(parent *Image) {
 	dir := "golden/" + im.Name + "/"
 	im.ConfigPath = dir + "vm.cfg"
 	im.RedoPath = dir + "base.redo"
@@ -466,13 +356,8 @@ func (im *Image) describe(parent *Image) error {
 		im.MemImagePath = dir + "mem.vmss"
 	}
 	im.stampSums(parent)
-	blob, err := encodeDescriptor(im.Descriptor())
-	if err != nil {
-		return fmt.Errorf("warehouse: image %q descriptor: %w", im.Name, err)
-	}
-	im.descriptor = blob
-	im.Sums[im.descriptorPath()] = artifactSum(im.descriptorPath(), int64(len(blob)), 0)
-	return nil
+	im.descriptor = appendDescriptor(nil, im.Descriptor())
+	im.Sums[im.descriptorPath()] = artifactSum(im.descriptorPath(), int64(len(im.descriptor)), 0)
 }
 
 // register lays a described image's private state files down, books it
@@ -503,9 +388,7 @@ func (w *Warehouse) register(im *Image, accounted int64, fields map[string]strin
 // Publish registers a seed golden image and lays its state files down
 // on the warehouse volume. Publication is the paper's off-line "golden
 // machine definition" step, performed by installers before plants serve
-// requests, so no virtual time is charged. The descriptor is encoded
-// before any file is laid down, so an encode failure leaves the volume
-// untouched.
+// requests, so no virtual time is charged.
 func (w *Warehouse) Publish(im *Image) error {
 	if im.Derived {
 		return fmt.Errorf("warehouse: image %q is derived; publish it through PublishDerived", im.Name)
@@ -518,15 +401,13 @@ func (w *Warehouse) Publish(im *Image) error {
 	// path of its (size, content) key, so byte-identical extents — the
 	// all-zero spans of sparse installer images, across every seed — land
 	// on one shared physical copy. The paths are stamped before the
-	// encode; the store references (which lay the files) are taken after,
-	// so an encode failure still leaves the volume untouched.
+	// descriptor that records them is rendered; the store references
+	// (which lay the files) are taken after.
 	im.ExtentPaths = nil
 	for i := 0; i < DiskSpanFiles; i++ {
 		im.ExtentPaths = append(im.ExtentPaths, extentPath(extentKey(im.slot(i))))
 	}
-	if err := im.describe(nil); err != nil {
-		return err
-	}
+	im.describe(nil)
 
 	for i := 0; i < DiskSpanFiles; i++ {
 		if w.killpoint("publish", i) {
@@ -584,9 +465,7 @@ func (w *Warehouse) PublishDerived(im *Image, now time.Duration) error {
 	// The checkpoint is copy-on-write: clones of the derived image read
 	// base blocks from the parent's extent files.
 	im.ExtentPaths = append([]string(nil), parent.ExtentPaths...)
-	if err := im.describe(parent); err != nil {
-		return err
-	}
+	im.describe(parent)
 	need := stateBytes(im)
 	if w.capacity > 0 {
 		for w.BytesUsed()+need > w.capacity {

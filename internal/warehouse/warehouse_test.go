@@ -1,7 +1,6 @@
 package warehouse
 
 import (
-	"encoding/xml"
 	"strings"
 	"testing"
 
@@ -159,10 +158,7 @@ func TestLookupListCandidates(t *testing.T) {
 
 func TestDescriptorXMLRoundTrip(t *testing.T) {
 	im, _ := BuildGolden("ws", hw(), BackendVMware, history())
-	blob, err := xml.MarshalIndent(im.Descriptor(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := appendDescriptor(nil, im.Descriptor())
 	if !strings.Contains(string(blob), "mandrake-8.1") || !strings.Contains(string(blob), "install-os") {
 		t.Errorf("descriptor xml:\n%s", blob)
 	}

@@ -59,6 +59,12 @@ go vet ./...
 # And "an option no run sets": every exported struct field no product
 # code outside its package writes must be allowlisted with its reason.
 go test -count=1 ./scripts/knobs
+# One XML codec: internal/xmlwire. encoding/xml is a test oracle only,
+# so no package of the module may depend on it.
+if go list -deps ./... | grep -x encoding/xml; then
+    echo "check.sh: a product package depends on encoding/xml; use internal/xmlwire" >&2
+    exit 1
+fi
 # The benchmark is its own module, invisible to ./...: vet and test it
 # here so a change to the proto/service surface it compiles against
 # cannot break it unseen.
