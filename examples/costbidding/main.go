@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"vmplants"
 )
@@ -54,9 +55,14 @@ func main() {
 		}
 		bids := sys.Bids()
 		last := bids[len(bids)-1]
+		plants := make([]string, 0, len(last.Costs))
+		for plant := range last.Costs {
+			plants = append(plants, plant)
+		}
+		sort.Strings(plants)
 		bidStr := ""
-		for plant, c := range last.Costs {
-			bidStr += fmt.Sprintf("%s=%.0f ", plant, float64(c))
+		for _, plant := range plants {
+			bidStr += fmt.Sprintf("%s=%.0f ", plant, float64(last.Costs[plant]))
 		}
 		fmt.Printf("%7d  %-28s → %s\n", i, bidStr, ad.GetString("Plant", "?"))
 	}

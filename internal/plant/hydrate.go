@@ -27,35 +27,17 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"vmplants/internal/cluster"
-	"vmplants/internal/core"
 	"vmplants/internal/sim"
 	"vmplants/internal/storage"
+	"vmplants/internal/telemetry"
 	"vmplants/internal/vdisk"
 	"vmplants/internal/vmm"
 	"vmplants/internal/warehouse"
 )
-
-// HydrationStats is one lazy clone's hydration record, appended to the
-// plant's log when the last extent lands (or the hydration aborts).
-type HydrationStats struct {
-	VMID    core.VMID
-	Extents int
-	// DemandFaults is how many blocks the guest fetched before the
-	// background hydrator landed their extents.
-	DemandFaults int
-	// ResumeSecs is the creation's critical-path latency (VM usable);
-	// CompleteSecs is when the last extent landed — both measured from
-	// the creation's start, so their gap is what laziness moved off the
-	// critical path.
-	ResumeSecs   float64
-	CompleteSecs float64
-	// Aborted is true when the hydration ended without materializing
-	// every extent (integrity failure or VM collected mid-hydration).
-	Aborted bool
-}
 
 // hydration tracks one lazy clone's extent materialization. All fields
 // are touched only by kernel procs (the hydrator, guest actions, and
@@ -71,17 +53,18 @@ type hydration struct {
 	// fetched holds the blocks demand faults read ahead of their extent.
 	fetched []int64
 
-	start     time.Duration // virtual time hydration began (VM resumed)
-	createdAt time.Duration // virtual time the creation started
+	start     time.Duration   // virtual time hydration began (VM resumed)
+	createdAt time.Duration   // virtual time the creation started
+	cloneSp   *telemetry.Span // the creation's clone span, parent of "hydrate"
 	cancelled bool
 	failed    error     // sticky integrity failure; guest touches surface it
 	proc      *sim.Proc // the hydrator, nil until the clone's turn comes
-	logged    bool
+	finished  bool
 }
 
 // startHydration installs the demand-fault hook on a freshly resumed
 // lazy clone and queues it for the plant's background hydrator.
-func (pl *Plant) startHydration(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneContext, createdAt time.Duration) *hydration {
+func (pl *Plant) startHydration(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneContext, createdAt time.Duration, cloneSp *telemetry.Span) *hydration {
 	h := &hydration{
 		pl:        pl,
 		vm:        vm,
@@ -89,6 +72,7 @@ func (pl *Plant) startHydration(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneCo
 		dir:       "vms/" + string(vm.ID()) + "/",
 		start:     p.Now(),
 		createdAt: createdAt,
+		cloneSp:   cloneSp,
 	}
 	vm.SetBlockTouchHook(h.touch)
 	pl.mu.Lock()
@@ -145,7 +129,7 @@ func (h *hydration) run(p *sim.Proc) {
 		h.pl.mHydratedExtents.Inc()
 		h.pl.hHydrationLag.Observe((p.Now() - h.start).Seconds())
 	}
-	h.finish(p, false)
+	h.finish(p)
 }
 
 // touch is the guest's pre-write hook: block the guest until the
@@ -210,32 +194,31 @@ func (h *hydration) copyExtent(p *sim.Proc, i int) error {
 func (h *hydration) poison(p *sim.Proc, err error) error {
 	if h.failed == nil {
 		h.failed = err
-		h.finish(p, true)
+		h.finish(p)
 	}
 	return h.failed
 }
 
-// finish closes out the hydration record exactly once.
-func (h *hydration) finish(p *sim.Proc, aborted bool) {
-	if h.logged {
+// finish closes out the hydration exactly once, as a completion when
+// every extent landed or as an abort when it has a verdict, and records
+// its "hydrate" span: resume to the last extent landing or the abort.
+func (h *hydration) finish(p *sim.Proc) {
+	if h.finished {
 		return
 	}
-	h.logged = true
-	if aborted {
+	h.finished = true
+	if h.failed != nil {
 		h.pl.mHydrationAborts.Inc()
+		h.pl.mu.Lock()
+		h.pl.hydrationAborted = true
+		h.pl.mu.Unlock()
+	} else {
+		h.pl.hHydrationComplete.Observe((p.Now() - h.createdAt).Seconds())
 	}
-	complete := (p.Now() - h.createdAt).Seconds()
-	h.pl.hHydrationComplete.Observe(complete)
-	h.pl.mu.Lock()
-	h.pl.hydrations = append(h.pl.hydrations, HydrationStats{
-		VMID:         h.vm.ID(),
-		Extents:      h.extents(),
-		DemandFaults: len(h.fetched),
-		ResumeSecs:   (h.start - h.createdAt).Seconds(),
-		CompleteSecs: complete,
-		Aborted:      aborted,
-	})
-	h.pl.mu.Unlock()
+	h.cloneSp.RecordChild("hydrate", h.start, p.Now(), h.failed,
+		telemetry.Attr{Key: "vmid", Value: string(h.vm.ID())},
+		telemetry.Attr{Key: "extents", Value: strconv.Itoa(h.extents())},
+		telemetry.Attr{Key: "demand_faults", Value: strconv.Itoa(len(h.fetched))})
 }
 
 // cancel stops the hydration (VM collected, creation failed): the
@@ -261,24 +244,14 @@ func (h *hydration) cancel(p *sim.Proc) {
 // Done reports whether every extent is local (false after an abort).
 func (h *hydration) Done() bool { return h.landed == h.extents() && h.failed == nil }
 
-// HydrationLog returns a copy of the plant's completed hydration
-// records.
-func (pl *Plant) HydrationLog() []HydrationStats {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return append([]HydrationStats(nil), pl.hydrations...)
-}
-
 // AllHydrated reports whether every lazy clone the plant ever resumed
 // finished hydrating (vacuously true without lazy cloning) — the
 // experiment-side proof that laziness converges to the eager end state.
 func (pl *Plant) AllHydrated() bool {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	for _, hs := range pl.hydrations {
-		if hs.Aborted {
-			return false
-		}
+	if pl.hydrationAborted {
+		return false
 	}
 	for _, h := range pl.live {
 		if !h.Done() {

@@ -2,6 +2,9 @@ package plant
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,7 +36,7 @@ func TestLazyCloneResumesEarlyAndHydrates(t *testing.T) {
 		eagerHash = vm.Disk().ContentHash()
 	})
 
-	lazy := newRig(t, Config{CloneMode: vdisk.CloneByLazy})
+	lazy := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: telemetry.New()})
 	var lazySecs time.Duration
 	var lazyHash uint64
 	lazy.run(t, func(p *sim.Proc) {
@@ -56,24 +59,21 @@ func TestLazyCloneResumesEarlyAndHydrates(t *testing.T) {
 	if lazyHash != eagerHash {
 		t.Errorf("end-state ContentHash differs: lazy %016x, eager %016x", lazyHash, eagerHash)
 	}
-	log := lazy.pl.HydrationLog()
-	if len(log) != 1 {
-		t.Fatalf("hydration log has %d entries: %+v", len(log), log)
-	}
-	hs := log[0]
-	if hs.Aborted {
-		t.Errorf("hydration recorded as aborted: %+v", hs)
+	hs := onlyHydration(t, lazy)
+	if hs.Err != "" {
+		t.Errorf("hydration aborted: %s", hs.Err)
 	}
 	golden, _ := lazy.wh.Lookup("ws-golden")
-	if hs.Extents != len(golden.ExtentPaths) || hs.Extents != 16 {
-		t.Errorf("hydration extents = %d, the golden disk spans %d", hs.Extents, len(golden.ExtentPaths))
+	extents := len(golden.ExtentPaths)
+	if got := hs.Attr("extents"); got != strconv.Itoa(extents) || extents != 16 {
+		t.Errorf("hydration extents = %s, the golden disk spans %d", got, extents)
 	}
-	if hs.CompleteSecs <= hs.ResumeSecs {
-		t.Errorf("complete %.1fs not after resume %.1fs", hs.CompleteSecs, hs.ResumeSecs)
+	if hs.Virtual() <= 0 {
+		t.Errorf("last extent landed at %v, not after the resume at %v", hs.VEnd, hs.VStart)
 	}
 	// The guest's configuration actions write mid-disk, ahead of the
 	// in-order hydrator: the demand-fault path must have served them.
-	if hs.DemandFaults < 1 {
+	if demandFaults(hs) < 1 {
 		t.Errorf("no demand faults: the config writes landed after their extents")
 	}
 	// Every extent the clone's disk directory should hold is local.
@@ -82,7 +82,7 @@ func TestLazyCloneResumesEarlyAndHydrates(t *testing.T) {
 		t.Fatal("lazy VM not in info system")
 	}
 	local := vm.Node().LocalDisk()
-	for i := 0; i < hs.Extents; i++ {
+	for i := 0; i < extents; i++ {
 		path := fmt.Sprintf("vms/vm-x/disk-s%03d.vmdk", i)
 		if _, err := local.Stat(path); err != nil {
 			t.Errorf("extent %s not materialized locally: %v", path, err)
@@ -91,10 +91,11 @@ func TestLazyCloneResumesEarlyAndHydrates(t *testing.T) {
 }
 
 // Collecting a VM mid-hydration cancels the hydrator cleanly: the
-// kernel reaches quiescence (no stranded proc) and the hydration is
-// logged as aborted.
+// kernel reaches quiescence (no stranded proc), and the hydration's span
+// and counters record one abort and no completion.
 func TestCollectCancelsHydration(t *testing.T) {
-	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy})
+	hub := telemetry.New()
+	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: hub})
 	r.run(t, func(p *sim.Proc) {
 		if _, err := r.pl.Create(p, "vm-doomed", spec(t, "bob")); err != nil {
 			t.Errorf("create: %v", err)
@@ -105,15 +106,67 @@ func TestCollectCancelsHydration(t *testing.T) {
 			t.Errorf("collect: %v", err)
 		}
 	})
-	log := r.pl.HydrationLog()
-	if len(log) != 1 {
-		t.Fatalf("hydration log has %d entries", len(log))
+	if hs := onlyHydration(t, r); !strings.Contains(hs.Err, "collected") {
+		t.Errorf("cancelled hydration's span err %q, want the collection", hs.Err)
 	}
-	if !log[0].Aborted {
-		t.Error("cancelled hydration not recorded as aborted")
+	completions := hub.Histogram("plant.hydration_complete_secs").Count()
+	if aborts := hub.Counter("plant.hydration_aborts").Value(); completions != 0 || aborts != 1 {
+		t.Errorf("%d completions and %d aborts, want 0 and 1", completions, aborts)
 	}
 	if r.pl.AllHydrated() {
 		t.Error("AllHydrated true after an aborted hydration")
+	}
+}
+
+// A lazy clone's hydration is one "hydrate" span under the creation's
+// clone span, in the creation's trace: from the resume to the last
+// extent landing, or to the abort, which it carries as its error. Link
+// and copy clones, and pool hits, resume with their disk in place and
+// have none.
+func TestHydrateSpanJoinsTheCreationTrace(t *testing.T) {
+	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: telemetry.New()})
+	r.run(t, func(p *sim.Proc) {
+		for _, id := range []core.VMID{"vm-kept", "vm-doomed"} {
+			if _, err := r.pl.Create(p, id, spec(t, string(id))); err != nil {
+				t.Fatalf("create %s: %v", id, err)
+			}
+		}
+		if err := r.pl.Collect(p, "vm-doomed"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	creates, clones, hydrations := named(r, "plant.create"), named(r, "clone"), named(r, "hydrate")
+	if len(hydrations) != 2 {
+		t.Fatalf("%d hydrate spans for two lazy clones", len(hydrations))
+	}
+	for _, hs := range hydrations {
+		vmid := hs.Attr("vmid")
+		i := slices.IndexFunc(creates, func(s telemetry.Span) bool { return s.Attr("vmid") == vmid })
+		if i < 0 || hs.Parent != clones[i].ID || hs.TraceID != creates[i].TraceID {
+			t.Errorf("%s: hydrate span parent %d trace %d is not its creation's clone span", vmid, hs.Parent, hs.TraceID)
+			continue
+		}
+		if hs.VStart != clones[i].VEnd || hs.VEnd <= hs.VStart {
+			t.Errorf("%s: hydrate %v..%v, want from the clone's end at %v", vmid, hs.VStart, hs.VEnd, clones[i].VEnd)
+		}
+		if hs.Attr("extents") != "16" || hs.Attr("demand_faults") == "" {
+			t.Errorf("%s: hydrate attrs %v", vmid, hs.Attrs)
+		}
+		if aborted := hs.Err != ""; aborted != (vmid == "vm-doomed") {
+			t.Errorf("%s: hydrate err %q", vmid, hs.Err)
+		}
+	}
+
+	for _, mode := range []vdisk.CloneMode{vdisk.CloneByLink, vdisk.CloneByCopy} {
+		r := newRig(t, Config{CloneMode: mode, Telemetry: telemetry.New()})
+		r.run(t, func(p *sim.Proc) {
+			if _, err := r.pl.Create(p, "vm-x", spec(t, "erin")); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := len(named(r, "hydrate")); got != 0 {
+			t.Errorf("%v clone recorded %d hydrate spans", mode, got)
+		}
 	}
 }
 
@@ -122,7 +175,7 @@ func TestCollectCancelsHydration(t *testing.T) {
 // hydration, and subsequent guest disk touches must fail rather than
 // read suspect state.
 func TestQuarantineMidHydrationPoisonsLazyClone(t *testing.T) {
-	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy})
+	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: telemetry.New()})
 	r.run(t, func(p *sim.Proc) {
 		if _, err := r.pl.Create(p, "vm-poisoned", spec(t, "carol")); err != nil {
 			t.Errorf("create: %v", err)
@@ -143,9 +196,8 @@ func TestQuarantineMidHydrationPoisonsLazyClone(t *testing.T) {
 			t.Errorf("second touch returned %v after %v, want the sticky %v at once", again, p.Now()-start, err)
 		}
 	})
-	log := r.pl.HydrationLog()
-	if len(log) != 1 || !log[0].Aborted {
-		t.Fatalf("hydration should have aborted on quarantine: %+v", log)
+	if hs := onlyHydration(t, r); !strings.Contains(hs.Err, "quarantined") {
+		t.Fatalf("hydration should have aborted on quarantine, its span err is %q", hs.Err)
 	}
 	if r.pl.AllHydrated() {
 		t.Error("AllHydrated true after a poisoned hydration")
@@ -155,7 +207,7 @@ func TestQuarantineMidHydrationPoisonsLazyClone(t *testing.T) {
 // Precreate under lazy mode parks link clones (a suspended VM cannot
 // demand-fault), and resuming one needs no hydration.
 func TestPrecreateFallsBackToLinkUnderLazy(t *testing.T) {
-	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy})
+	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: telemetry.New()})
 	r.run(t, func(p *sim.Proc) {
 		if err := r.pl.Precreate(p, "ws-golden", 1); err != nil {
 			t.Errorf("precreate: %v", err)
@@ -165,12 +217,29 @@ func TestPrecreateFallsBackToLinkUnderLazy(t *testing.T) {
 			t.Errorf("create: %v", err)
 		}
 	})
-	if got := len(r.pl.HydrationLog()); got != 0 {
+	if got := len(named(r, "hydrate")); got != 0 {
 		t.Errorf("pool hit started %d hydrations, want 0", got)
 	}
 	if !r.pl.AllHydrated() {
 		t.Error("AllHydrated false with no lazy clones outstanding")
 	}
+}
+
+// onlyHydration returns the plant's one "hydrate" span.
+func onlyHydration(t *testing.T, r *rig) telemetry.Span {
+	t.Helper()
+	spans := named(r, "hydrate")
+	if len(spans) != 1 {
+		t.Fatalf("%d hydrate spans, want 1", len(spans))
+	}
+	return spans[0]
+}
+
+// demandFaults is how many blocks a hydrate span's guest fetched ahead
+// of the hydrator.
+func demandFaults(hs telemetry.Span) int {
+	n, _ := strconv.Atoi(hs.Attr("demand_faults"))
+	return n
 }
 
 // newQuietRig is a lazy-cloning plant on node 0 of an n-node testbed
@@ -362,8 +431,8 @@ func TestTouchBlockOfExtentInFlight(t *testing.T) {
 	if !r.pl.AllHydrated() {
 		t.Error("hydration did not converge after the load")
 	}
-	if hs := r.pl.HydrationLog()[0]; hs.CompleteSecs < loadEnds.Seconds() {
-		t.Errorf("hydration complete at %.0f s, before the foreground load ended at %.0f s", hs.CompleteSecs, loadEnds.Seconds())
+	if hs := onlyHydration(t, r); hs.VEnd < loadEnds {
+		t.Errorf("hydration complete at %v, before the foreground load ended at %v", hs.VEnd, loadEnds)
 	}
 	if got := hub.Counter("plant.hydrated_extents").Value(); got != 16 {
 		t.Errorf("%d extents landed through the hydrator, want all 16", got)
@@ -392,7 +461,7 @@ func TestLazyCreationCostsLinkCloneAndBlockReads(t *testing.T) {
 	create := func(mode vdisk.CloneMode) (time.Duration, *rig) {
 		params := cluster.DefaultParams()
 		params.JitterSigma = 0
-		r := newRigOn(t, 1, params, Config{CloneMode: mode})
+		r := newRigOn(t, 1, params, Config{CloneMode: mode, Telemetry: telemetry.New()})
 		var took time.Duration
 		r.run(t, func(p *sim.Proc) {
 			start := p.Now()
@@ -405,7 +474,7 @@ func TestLazyCreationCostsLinkCloneAndBlockReads(t *testing.T) {
 	}
 	link, _ := create(vdisk.CloneByLink)
 	lazy, r := create(vdisk.CloneByLazy)
-	faults := r.pl.HydrationLog()[0].DemandFaults
+	faults := demandFaults(onlyHydration(t, r))
 	if faults < 1 {
 		t.Fatalf("no demand faults: the residual actions' writes landed after their extents")
 	}
@@ -457,8 +526,8 @@ func TestCollectDropsExtentInFlight(t *testing.T) {
 			if end < collected+50*time.Second || end > collected+70*time.Second {
 				t.Errorf("kernel ran until %v after the Collect at %v: want only the other nodes' minute of load", end, collected)
 			}
-			if log := r.pl.HydrationLog(); len(log) != 1 || !log[0].Aborted {
-				t.Errorf("hydration log %+v, want one aborted entry", log)
+			if hs := onlyHydration(t, r); hs.Err == "" {
+				t.Error("the collected clone's hydrate span records no abort")
 			}
 		})
 	}

@@ -137,10 +137,10 @@ type Plant struct {
 	// state-copies in flight (see admission.go). Only kernel processes
 	// touch it, so it needs no lock.
 	cloneGate *sim.Resource
-	// live tracks the in-service lazy clones' hydrations (guarded by mu;
-	// hydrations is the closed-out log).
-	live       map[core.VMID]*hydration
-	hydrations []HydrationStats
+	// live tracks the in-service lazy clones' hydrations; hydrationAborted
+	// says one ever ended without every extent (both guarded by mu).
+	live             map[core.VMID]*hydration
+	hydrationAborted bool
 	// hydrating says a background hydrator process is running, and
 	// unhydrated holds the resumed clones waiting for theirs, oldest
 	// first (hydrate.go). Only kernel processes touch them.
@@ -196,19 +196,11 @@ type Plant struct {
 	hHydrationComplete *telemetry.Histogram
 }
 
-// CreateStats records one successful creation's breakdown.
+// CreateStats is one successful creation's plant-side latency; its
+// timing lives in the span tree. It stays only because the frozen
+// benchmark module reads it, until ROADMAP item 9 deletes it.
 type CreateStats struct {
-	VMID        core.VMID
-	MemoryMB    int
-	Clone       vmm.CloneStats
-	ConfigTime  time.Duration
-	Total       time.Duration // plant-side create latency
-	MatchedOps  int
-	ResidualOps int
-	Golden      string
-	// PrecreateHit is true when the request was served by resuming a
-	// speculatively pre-created clone instead of cloning on demand.
-	PrecreateHit bool
+	Total time.Duration // plant-side create latency
 }
 
 // New creates a plant on the given node, serving images from wh.
@@ -594,7 +586,7 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	// demand-fault hook before any guest action can touch the disk.
 	// (Pool hits were parked as link clones and need neither.)
 	if cloneStats.Mode == vdisk.CloneByLazy && !hit {
-		hyd := pl.startHydration(p, vm, cctx, start)
+		hyd := pl.startHydration(p, vm, cctx, start, cloneSp)
 		hold(func() { hyd.cancel(p) })
 	}
 	if err := vm.AttachNIC(honet, pl.macs.Next()); err != nil {
@@ -632,17 +624,7 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	pl.journalVM(p, id, true)
 	total := p.Now() - start
 	pl.mu.Lock()
-	pl.creations = append(pl.creations, CreateStats{
-		VMID:         id,
-		MemoryMB:     spec.Hardware.MemoryMB,
-		Clone:        cloneStats,
-		ConfigTime:   cfgTime,
-		Total:        total,
-		MatchedOps:   len(best.Result.Matched),
-		ResidualOps:  len(best.Result.Residual),
-		Golden:       golden.Name,
-		PrecreateHit: hit,
-	})
+	pl.creations = append(pl.creations, CreateStats{Total: total})
 	pl.mu.Unlock()
 	pl.mCreates.Inc()
 	pl.gActiveVMs.Set(int64(pl.info.Count()))
@@ -728,12 +710,12 @@ func (pl *Plant) recordClone(cloneSp *telemetry.Span, cloneStart time.Duration, 
 	if hit {
 		cloneSp.Set("precreate_hit", "true")
 		// Resume of a parked clone is the whole on-critical-path cost.
-		cloneSp.RecordChild(phase, cloneStart, cloneStart+cs.Total)
+		cloneSp.RecordChild(phase, cloneStart, cloneStart+cs.Total, nil)
 	} else {
 		copyEnd := cloneStart + cs.CopyTime
-		cloneSp.RecordChild("clone.copy", cloneStart, copyEnd)
+		cloneSp.RecordChild("clone.copy", cloneStart, copyEnd, nil)
 		// shared: the resume mapped a running VM's memory-image pages.
-		cloneSp.RecordChild(phase, copyEnd, copyEnd+cs.ResumeTime, telemetry.Attr{Key: "shared", Value: strconv.FormatBool(cs.SharedResume)})
+		cloneSp.RecordChild(phase, copyEnd, copyEnd+cs.ResumeTime, nil, telemetry.Attr{Key: "shared", Value: strconv.FormatBool(cs.SharedResume)})
 	}
 	cloneSp.SetInt("bytes_copied", cs.CopiedBytes)
 	pl.mCloneBytes.Add(cs.CopiedBytes)

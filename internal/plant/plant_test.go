@@ -6,10 +6,12 @@ import (
 	"time"
 
 	"vmplants/internal/actions"
+	"vmplants/internal/classad"
 	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/dag"
 	"vmplants/internal/sim"
+	"vmplants/internal/telemetry"
 	"vmplants/internal/vdisk"
 	"vmplants/internal/warehouse"
 )
@@ -74,6 +76,18 @@ func newRigOn(t *testing.T, nodes int, params cluster.Params, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	return &rig{k: k, tb: tb, wh: wh, pl: New("node00", tb.Nodes[0], wh, cfg)}
+}
+
+// named returns the plant's finished spans of one name, in end order
+// (none without a telemetry hub).
+func named(r *rig, name string) []telemetry.Span {
+	var out []telemetry.Span
+	for _, s := range r.pl.tel.T().Spans() {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func (r *rig) run(t *testing.T, body func(p *sim.Proc)) time.Duration {
@@ -162,10 +176,15 @@ func TestAwkwardParamsConfigureTheGuest(t *testing.T) {
 	})
 }
 
+// A creation's facts are in its classad and its span tree; CreationLog
+// keeps only the plant-side latency, which covers the clone and the
+// configuration.
 func TestCreateStatsRecorded(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t, Config{Telemetry: telemetry.New()})
+	var ad *classad.Ad
 	r.run(t, func(p *sim.Proc) {
-		if _, err := r.pl.Create(p, "vm-s-1", spec(t, "u1")); err != nil {
+		var err error
+		if ad, err = r.pl.Create(p, "vm-s-1", spec(t, "u1")); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -173,12 +192,15 @@ func TestCreateStatsRecorded(t *testing.T) {
 	if len(log) != 1 {
 		t.Fatalf("%d log entries", len(log))
 	}
-	cs := log[0]
-	if cs.MatchedOps != 2 || cs.ResidualOps != 2 || cs.Golden != "ws-golden" {
-		t.Errorf("stats = %+v", cs)
+	if ad.GetInt(core.AttrMatchedOps, 0) != 2 || ad.GetString(core.AttrGoldenImage, "") != "ws-golden" {
+		t.Errorf("ad = %s", ad)
 	}
-	if cs.Clone.Total <= 0 || cs.ConfigTime <= 0 || cs.Total < cs.Clone.Total+cs.ConfigTime {
-		t.Errorf("times: clone=%v config=%v total=%v", cs.Clone.Total, cs.ConfigTime, cs.Total)
+	if plan := named(r, "plan"); len(plan) != 1 || plan[0].Attr("residual_ops") != "2" {
+		t.Errorf("plan spans = %+v", plan)
+	}
+	clone, config := named(r, "clone")[0].Virtual(), named(r, "configure")[0].Virtual()
+	if clone <= 0 || config <= 0 || log[0].Total < clone+config {
+		t.Errorf("times: clone=%v config=%v total=%v", clone, config, log[0].Total)
 	}
 }
 
@@ -405,7 +427,8 @@ func TestDisablePartialMatchUsesBlankImage(t *testing.T) {
 }
 
 func TestCloneModeCopyAblation(t *testing.T) {
-	r := newRig(t, Config{CloneMode: vdisk.CloneByCopy})
+	hub := telemetry.New()
+	r := newRig(t, Config{CloneMode: vdisk.CloneByCopy, Telemetry: hub})
 	took := r.run(t, func(p *sim.Proc) {
 		if _, err := r.pl.Create(p, "vm-s-1", spec(t, "u1")); err != nil {
 			t.Fatal(err)
@@ -414,7 +437,7 @@ func TestCloneModeCopyAblation(t *testing.T) {
 	if took < 3*time.Minute {
 		t.Errorf("copy-clone create took only %v", took)
 	}
-	if r.pl.CreationLog()[0].Clone.CopiedBytes < 2<<30 {
+	if hub.Counter("vmm.clone_bytes_copied").Value() < 2<<30 {
 		t.Error("copy mode did not copy the disk")
 	}
 }

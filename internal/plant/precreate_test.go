@@ -6,10 +6,21 @@ import (
 
 	"vmplants/internal/core"
 	"vmplants/internal/sim"
+	"vmplants/internal/telemetry"
 )
 
+// poolHits says, per creation in end order, whether its clone span
+// records a pool hit.
+func poolHits(r *rig) []bool {
+	var out []bool
+	for _, s := range named(r, "clone") {
+		out = append(out, s.Attr("precreate_hit") == "true")
+	}
+	return out
+}
+
 func TestPrecreateServesRequestsFaster(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t, Config{Telemetry: telemetry.New()})
 	var coldTook, warmTook time.Duration
 	r.run(t, func(p *sim.Proc) {
 		// Cold creation: full clone on the critical path.
@@ -49,9 +60,8 @@ func TestPrecreateServesRequestsFaster(t *testing.T) {
 	if warmTook >= coldTook*7/10 {
 		t.Errorf("precreation did not hide latency: cold %v, warm %v", coldTook, warmTook)
 	}
-	log := r.pl.CreationLog()
-	if log[0].PrecreateHit || !log[1].PrecreateHit {
-		t.Errorf("hit flags = %v, %v", log[0].PrecreateHit, log[1].PrecreateHit)
+	if hits := poolHits(r); len(hits) != 2 || hits[0] || !hits[1] {
+		t.Errorf("hit flags = %v, want [false true]", hits)
 	}
 }
 
@@ -93,7 +103,7 @@ func TestPrecreatedVMFullyFunctional(t *testing.T) {
 }
 
 func TestPoolExhaustionFallsBackToCloning(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t, Config{Telemetry: telemetry.New()})
 	r.run(t, func(p *sim.Proc) {
 		if err := r.pl.Precreate(p, "ws-golden", 1); err != nil {
 			t.Fatal(err)
@@ -105,9 +115,8 @@ func TestPoolExhaustionFallsBackToCloning(t *testing.T) {
 		if _, err := r.pl.Create(p, "vm-2", spec(t, "u2")); err != nil {
 			t.Fatal(err)
 		}
-		log := r.pl.CreationLog()
-		if !log[0].PrecreateHit || log[1].PrecreateHit {
-			t.Errorf("hit flags = %v, %v", log[0].PrecreateHit, log[1].PrecreateHit)
+		if hits := poolHits(r); len(hits) != 2 || !hits[0] || hits[1] {
+			t.Errorf("hit flags = %v, want [true false]", hits)
 		}
 	})
 }
@@ -147,7 +156,7 @@ func TestPoolClonesHoldImageReferences(t *testing.T) {
 // the parked VM uncollected, with the pool's image reference never
 // released — so the image could never be removed again.
 func TestUnusablePrecreatedCloneIsCollected(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t, Config{Telemetry: telemetry.New()})
 	r.run(t, func(p *sim.Proc) {
 		if err := r.pl.Precreate(p, "ws-golden", 1); err != nil {
 			t.Fatal(err)
@@ -158,8 +167,8 @@ func TestUnusablePrecreatedCloneIsCollected(t *testing.T) {
 		if _, err := r.pl.Create(p, "vm-s-1", spec(t, "u1")); err != nil {
 			t.Fatalf("create did not fall back to a fresh clone: %v", err)
 		}
-		if log := r.pl.CreationLog(); len(log) != 1 || log[0].PrecreateHit {
-			t.Fatalf("creation log = %+v, want one cold creation", log)
+		if hits := poolHits(r); len(hits) != 1 || hits[0] {
+			t.Fatalf("hit flags = %v, want one cold creation", hits)
 		}
 		im, _ := r.wh.Lookup("ws-golden")
 		if im.Refs() != 1 {

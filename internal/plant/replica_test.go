@@ -1,6 +1,7 @@
 package plant
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -64,13 +65,13 @@ func TestSecondLazyCloneResumesFromReplica(t *testing.T) {
 				got, cfg, redo, faults.Value()-f, want)
 		}
 	})
-	log := r.pl.CreationLog()
-	if got, want := log[0].Clone.CopyTime-log[1].Clone.CopyTime, fromWarehouse(r, golden.MemImageBytes()); got != want {
+	copies := named(r, "clone.copy")
+	if got, want := copies[0].Virtual()-copies[1].Virtual(), fromWarehouse(r, golden.MemImageBytes()); got != want {
 		t.Errorf("state copies %v then %v: the replica saved %v, the memory image's copy takes %v",
-			log[0].Clone.CopyTime, log[1].Clone.CopyTime, got, want)
+			copies[0].Virtual(), copies[1].Virtual(), got, want)
 	}
-	if log[1].Clone.CopiedBytes != cfg+redo {
-		t.Errorf("second clone copied %d bytes, want config + redo = %d", log[1].Clone.CopiedBytes, cfg+redo)
+	if got, want := named(r, "clone")[1].Attr("bytes_copied"), strconv.FormatInt(cfg+redo, 10); got != want {
+		t.Errorf("second clone copied %s bytes, want config + redo = %s", got, want)
 	}
 	if hits, fills := replicaCounts(hub); hits != 1 || fills != 1 {
 		t.Errorf("replica hits %d, fills %d; want 1 and 1", hits, fills)

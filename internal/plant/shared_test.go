@@ -30,11 +30,15 @@ func localReads(n *cluster.Node) int64 {
 	return bytes
 }
 
-// lastClone is the plant's most recent creation's clone record.
-func lastClone(pl *Plant) vmm.CloneStats {
-	log := pl.CreationLog()
-	return log[len(log)-1].Clone
+// lastResume is the plant's most recent creation's clone.resume span.
+func lastResume(r *rig) telemetry.Span {
+	spans := named(r, "clone.resume")
+	return spans[len(spans)-1]
 }
+
+// sharedResume says whether a clone.resume span mapped a running VM's
+// memory-image pages.
+func sharedResume(s telemetry.Span) bool { return s.Attr("shared") == "true" }
 
 // collectAll collects every VM the plants host.
 func collectAll(t *testing.T, p *sim.Proc, plants ...*Plant) {
@@ -70,15 +74,17 @@ func TestCloneBesideRunningVMMapsResidentImage(t *testing.T) {
 	shared := hub.Counter("plant.memimage_shared_resumes")
 	r.run(t, func(p *sim.Proc) {
 		createOrFatal(t, p, r.pl, "vm-a", spec(t, "alice"))
-		if cs := lastClone(r.pl); cs.SharedResume || cs.ResumeTime <= fixed {
-			t.Errorf("first clone: shared %v, resume %v; want a read-back beyond the fixed %v", cs.SharedResume, cs.ResumeTime, fixed)
+		if rs := lastResume(r); sharedResume(rs) || rs.Virtual() <= fixed {
+			t.Errorf("first clone: shared %v, resume %v; want a read-back beyond the fixed %v", sharedResume(rs), rs.Virtual(), fixed)
 		}
 		read := localReads(node)
+		hits, _ := replicaCounts(hub)
 		createOrFatal(t, p, r.pl, "vm-b", spec(t, "bob"))
-		cs := lastClone(r.pl)
-		if !cs.SharedResume || !cs.ReplicaHit || cs.ResumeTime != fixed {
-			t.Errorf("clone beside a running VM: shared %v, replica hit %v, resume %v; want a shared hit resuming in exactly %v",
-				cs.SharedResume, cs.ReplicaHit, cs.ResumeTime, fixed)
+		rs := lastResume(r)
+		hit, _ := replicaCounts(hub)
+		if !sharedResume(rs) || hit != hits+1 || rs.Virtual() != fixed {
+			t.Errorf("clone beside a running VM: shared %v, replica hits %d → %d, resume %v; want a shared hit resuming in exactly %v",
+				sharedResume(rs), hits, hit, rs.Virtual(), fixed)
 		}
 		if got := localReads(node) - read; got != 0 {
 			t.Errorf("clone beside a running VM read %d bytes from the local disk, want 0", got)
@@ -90,9 +96,11 @@ func TestCloneBesideRunningVMMapsResidentImage(t *testing.T) {
 		collectAll(t, p, r.pl)
 		noMappings(t, r.tb)
 		read = localReads(node)
+		hits, _ = replicaCounts(hub)
 		createOrFatal(t, p, r.pl, "vm-c", spec(t, "carol"))
-		if cs := lastClone(r.pl); cs.SharedResume || !cs.ReplicaHit {
-			t.Errorf("clone after every VM left: shared %v, replica hit %v; want an unshared hit", cs.SharedResume, cs.ReplicaHit)
+		rs = lastResume(r)
+		if hit, _ := replicaCounts(hub); sharedResume(rs) || hit != hits+1 {
+			t.Errorf("clone after every VM left: shared %v, replica hits %d → %d; want an unshared hit", sharedResume(rs), hits, hit)
 		}
 		if got := localReads(node) - read; got != golden.MemImageBytes() {
 			t.Errorf("clone after every VM left read %d bytes, the memory image is %d", got, golden.MemImageBytes())
@@ -181,7 +189,7 @@ func TestCloneAfterSuspendReads(t *testing.T) {
 		noMappings(t, r.tb)
 		read := localReads(node)
 		createOrFatal(t, p, r.pl, "vm-b", spec(t, "bob"))
-		if cs := lastClone(r.pl); cs.SharedResume {
+		if sharedResume(lastResume(r)) {
 			t.Error("a clone beside a suspended VM shared its pages")
 		}
 		if got := localReads(node) - read; got != golden.MemImageBytes() {
@@ -229,7 +237,7 @@ func TestRepublishedImageNeverMapsOldPages(t *testing.T) {
 		for _, id := range []core.VMID{"vm-new-1", "vm-new-2"} {
 			read := localReads(node)
 			createOrFatal(t, p, r.pl, id, sized(string(id), 48))
-			if cs := lastClone(r.pl); cs.SharedResume {
+			if sharedResume(lastResume(r)) {
 				t.Errorf("%s mapped the old image's pages", id)
 			}
 			if got := localReads(node) - read; got != again.MemImageBytes() {
@@ -323,7 +331,7 @@ func TestMappingsReturnToZero(t *testing.T) {
 			}
 			r.pl.Recover(p)
 			createOrFatal(t, p, r.pl, "vm-b", spec(t, "bob"))
-			if cs := lastClone(r.pl); !cs.SharedResume {
+			if !sharedResume(lastResume(r)) {
 				t.Error("a clone after the recovery did not map the surviving VM's pages")
 			}
 			collectAll(t, p, r.pl)

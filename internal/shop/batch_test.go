@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vmplants/internal/classad"
 	"vmplants/internal/core"
 	"vmplants/internal/journal"
 	"vmplants/internal/plant"
@@ -74,7 +75,8 @@ func TestCreateManySpreadsLoad(t *testing.T) {
 
 // TestCreateManySingleMatchesSerial is the shop-level determinism
 // check: a one-element batch is one Create in a process of its own, so
-// same-seed runs must produce identical audit records.
+// two same-seed deployments must hand out the same VMID and classad
+// bytes, end at the same virtual time and audit the same bids.
 func TestCreateManySingleMatchesSerial(t *testing.T) {
 	render := func(batch bool) string {
 		d := newDeployment(t, 4, plant.Config{MaxVMs: 32})
@@ -82,17 +84,22 @@ func TestCreateManySingleMatchesSerial(t *testing.T) {
 		d.run(t, func(p *sim.Proc) {
 			spec := wsSpec(t, "det", "ufl.edu")
 			var id core.VMID
+			var ad *classad.Ad
 			var err error
 			if batch {
 				r := d.shop.CreateMany(p, []*core.Spec{spec})[0]
-				id, err = r.VMID, r.Err
+				id, ad, err = r.VMID, r.Ad, r.Err
 			} else {
-				id, _, err = d.shop.Create(p, spec)
+				id, ad, err = d.shop.Create(p, spec)
 			}
-			out = fmt.Sprintf("id=%s err=%v end=%s", id, err, p.Now())
+			if err != nil {
+				t.Fatalf("batch=%v: %v", batch, err)
+			}
+			out = fmt.Sprintf("id=%s end=%s\nad=%s", id, p.Now(), ad)
 		})
+		// fmt prints a map's keys sorted, so the bids render stably.
 		for _, rec := range d.shop.Bids() {
-			out += fmt.Sprintf("\nwinner=%s bids=%d", rec.Winner, len(rec.Costs))
+			out += fmt.Sprintf("\nbid %+v", rec)
 		}
 		return out
 	}

@@ -183,8 +183,7 @@ func (s *Shop) EstimateForward(p *sim.Proc, spec *core.Spec) (core.Cost, error) 
 	}
 	round := breakerGate(s, p.Now(), s.eligiblePlants(), plantKey)
 	sp := s.tel.T().StartCtx(p, "shop.estimate_forward", p.Trace()).Set("shop", s.name)
-	rec := BidRecord{Costs: make(map[string]core.Cost)}
-	feasible := s.collectBids(p, round, spec, reqAd, &rec, sp)
+	feasible := s.collectBids(p, round, spec, reqAd, sp)
 	sp.SetInt("feasible", int64(len(feasible))).End(p)
 	if len(feasible) == 0 {
 		return core.Infeasible, nil

@@ -285,8 +285,11 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		s.mBidRounds.Inc()
 		bidSp := sp.Child(p, "shop.bid").
 			SetInt("candidates", int64(len(round)))
-		feasible := s.collectBids(p, round, spec, reqAd, &rec, bidSp)
+		feasible := s.collectBids(p, round, spec, reqAd, bidSp)
 		bidSp.SetInt("feasible", int64(len(feasible))).End(p)
+		for _, b := range feasible {
+			rec.Costs[b.h.Name()] = b.c
+		}
 		if len(feasible) == 0 {
 			failure = "no plant can satisfy the request"
 			break
@@ -458,7 +461,7 @@ func withoutBid[H bidder](bs []bid[H], drop H) []bid[H] {
 // round that would otherwise close empty-handed extends until its
 // first response (quorum ≥ 1), and plants that missed the deadline are
 // charged a breaker failure.
-func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, reqAd *classad.Ad, rec *BidRecord, bidSp *telemetry.Span) []bid[PlantHandle] {
+func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, reqAd *classad.Ad, bidSp *telemetry.Span) []bid[PlantHandle] {
 	type answer struct {
 		h   PlantHandle
 		c   core.Cost
@@ -551,7 +554,6 @@ func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, re
 		if a.ad != nil {
 			slots = int(a.ad.GetInt("CloneSlots", 0))
 		}
-		rec.Costs[a.h.Name()] = a.c
 		feasible = append(feasible, bid[PlantHandle]{a.h, a.c, slots})
 	}
 	return feasible

@@ -219,8 +219,9 @@ func (s *Span) EndErr(c Clock, err error) {
 // RecordChild attaches an already-measured virtual-time interval as a
 // finished child span of s — how a caller decomposes an operation whose
 // stage timings were measured elsewhere (e.g. vmm.CloneStats) without
-// instrumenting the callee. attrs annotate the child.
-func (s *Span) RecordChild(name string, vstart, vend time.Duration, attrs ...Attr) {
+// instrumenting the callee. err (if any) is the child's outcome, and
+// attrs annotate it.
+func (s *Span) RecordChild(name string, vstart, vend time.Duration, err error, attrs ...Attr) {
 	if s == nil {
 		return
 	}
@@ -233,6 +234,9 @@ func (s *Span) RecordChild(name string, vstart, vend time.Duration, attrs ...Att
 	cs.WStart = now
 	cs.WEnd = now
 	cs.Attrs = append(cs.Attrs, attrs...)
+	if err != nil {
+		cs.Err = err.Error()
+	}
 	s.tr.record(cs)
 }
 

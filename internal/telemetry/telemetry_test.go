@@ -93,7 +93,7 @@ func TestNoopTracerZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		sp := tr.Start(c, "op").Set("k", "v").SetInt("n", 42)
 		child := sp.Child(c, "child")
-		child.RecordChild("grand", 0, time.Second)
+		child.RecordChild("grand", 0, time.Second, nil)
 		child.EndErr(c, nil)
 		sp.End(c)
 	})

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vmplants/internal/core"
@@ -27,15 +28,15 @@ type cloneModeRun struct {
 	Mode       vdisk.CloneMode
 	ResumeSecs []float64 // client-observed creation latency per request
 	Hashes     map[core.VMID]uint64
-	Hydrations []plant.HydrationStats
 
-	DemandFaults    int64
-	HydratedExtents int64
-	HydrationLag    stats.Summary // background extent lag behind the resume
-	ExtentStats     warehouse.ExtentStats
-	AllHydrated     bool
-	SharedResumes   int64 // clones that mapped a running VM's memory image
-	Mappings        int   // memory-image mappings left once every VM is destroyed
+	DemandFaults      int64
+	HydratedExtents   int64
+	HydrationLag      stats.Summary // background extent lag behind the resume
+	HydrationComplete stats.Summary // creation start → last extent landed
+	ExtentStats       warehouse.ExtentStats
+	AllHydrated       bool
+	SharedResumes     int64 // clones that mapped a running VM's memory image
+	Mappings          int   // memory-image mappings left once every VM is destroyed
 
 	// The transcript digests every observable of the run; equal
 	// fingerprints across same-seed reruns mean lazy hydration
@@ -77,15 +78,16 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun
 	}
 	r.AllHydrated = true
 	for _, pl := range d.Plants {
-		r.Hydrations = append(r.Hydrations, pl.HydrationLog()...)
 		if !pl.AllHydrated() {
 			r.AllHydrated = false
 		}
 	}
-	sort.Slice(r.Hydrations, func(i, j int) bool { return r.Hydrations[i].VMID < r.Hydrations[j].VMID })
+	hydrations := slices.DeleteFunc(hub.T().Spans(), func(sp telemetry.Span) bool { return sp.Name != "hydrate" })
+	sort.Slice(hydrations, func(i, j int) bool { return hydrations[i].Attr("vmid") < hydrations[j].Attr("vmid") })
 	r.DemandFaults = hub.Counter("plant.demand_faults").Value()
 	r.HydratedExtents = hub.Counter("plant.hydrated_extents").Value()
 	r.HydrationLag = hub.Histogram("plant.hydration_lag_secs").Snapshot()
+	r.HydrationComplete = hub.Histogram("plant.hydration_complete_secs").Snapshot()
 	r.ExtentStats = d.Warehouse.ExtentStatsNow()
 	r.SharedResumes = hub.Counter("plant.memimage_shared_resumes").Value()
 	if err := d.Run(func(p *sim.Proc) error {
@@ -105,9 +107,9 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun
 	for i, id := range ids {
 		r.logf("vm=%s resume=%.6f hash=%016x", id, r.ResumeSecs[i], r.Hashes[id])
 	}
-	for _, hs := range r.Hydrations {
-		r.logf("hyd vm=%s extents=%d faults=%d resume=%.6f complete=%.6f aborted=%v",
-			hs.VMID, hs.Extents, hs.DemandFaults, hs.ResumeSecs, hs.CompleteSecs, hs.Aborted)
+	for _, sp := range hydrations {
+		r.logf("hyd vm=%s extents=%s faults=%s resumed=%.6f landed=%.6f err=%q",
+			sp.Attr("vmid"), sp.Attr("extents"), sp.Attr("demand_faults"), sp.VStart.Seconds(), sp.VEnd.Seconds(), sp.Err)
 	}
 	r.logf("extents entries=%d refs=%d logical=%d physical=%d",
 		r.ExtentStats.Entries, r.ExtentStats.Refs, r.ExtentStats.LogicalBytes, r.ExtentStats.PhysicalBytes)
@@ -124,9 +126,8 @@ type cloneComparison struct {
 	Eager *cloneModeRun // vdisk.CloneByCopy — the full-copy floor
 	Lazy  *cloneModeRun // vdisk.CloneByLazy
 
-	EagerResume  stats.Summary // creation latency under full copy
-	LazyResume   stats.Summary // creation latency under lazy cloning
-	LazyComplete stats.Summary // creation start → last extent hydrated
+	EagerResume stats.Summary // creation latency under full copy
+	LazyResume  stats.Summary // creation latency under lazy cloning
 
 	// ResumeSpeedup is the eager p50 resume latency over the lazy p50:
 	// how far laziness pushes the critical path below the copy floor.
@@ -162,11 +163,6 @@ func runCloneComparison(seed int64, n, memMB int) (*cloneComparison, error) {
 	c := &cloneComparison{VMs: n, MemoryMB: memMB, Eager: eager, Lazy: lazy}
 	c.EagerResume = stats.Summarize(eager.ResumeSecs)
 	c.LazyResume = stats.Summarize(lazy.ResumeSecs)
-	var completes []float64
-	for _, hs := range lazy.Hydrations {
-		completes = append(completes, hs.CompleteSecs)
-	}
-	c.LazyComplete = stats.Summarize(completes)
 	if c.LazyResume.P50 > 0 {
 		c.ResumeSpeedup = c.EagerResume.P50 / c.LazyResume.P50
 	}
@@ -189,7 +185,7 @@ func (c *cloneComparison) Report() []string {
 		fmt.Sprintf("%d VMs of %d MB, eager full-copy vs lazy hydration:", c.VMs, c.MemoryMB),
 		fmt.Sprintf("eager resume p50: %7.1f s   (full-copy floor)", c.EagerResume.P50),
 		fmt.Sprintf("lazy resume p50:  %7.1f s   (%.1f× faster to a usable VM)", c.LazyResume.P50, c.ResumeSpeedup),
-		fmt.Sprintf("lazy complete p50:%7.1f s   (last extent hydrated)", c.LazyComplete.P50),
+		fmt.Sprintf("lazy complete p50:%7.1f s   (last extent hydrated)", c.Lazy.HydrationComplete.P50),
 		fmt.Sprintf("demand faults: %d, hydrated extents: %d, hydration lag p90: %.1f s",
 			c.Lazy.DemandFaults, c.Lazy.HydratedExtents, c.Lazy.HydrationLag.P90),
 		fmt.Sprintf("extent store: %d logical MB → %d physical MB (%.1f× dedup, %d MB saved)",

@@ -421,23 +421,38 @@ type anatomyResult struct {
 }
 
 // runAnatomy runs a 64 MB series of 32 requests and averages per-stage
-// latencies from the plants' creation logs.
+// latencies from each successful creation's span tree, plant by plant.
 func runAnatomy(seed int64) (*anatomyResult, error) {
 	res := &anatomyResult{}
-	d, recs, err := res.series("anatomy", Options{Seed: seed, GoldenSizesMB: []int{64}}, 32, 64)
+	hub := telemetry.New()
+	d, recs, err := res.series("anatomy", Options{Seed: seed, GoldenSizesMB: []int{64}, Telemetry: hub}, 32, 64)
 	if err != nil {
 		return nil, err
 	}
+	spans := hub.T().Spans()
+	type edge struct {
+		parent uint64
+		name   string
+	}
+	stage := make(map[edge]telemetry.Span, len(spans))
+	for _, s := range spans {
+		stage[edge{s.Parent, s.Name}] = s
+	}
 	n := 0.0
 	for _, pl := range d.Plants {
-		for _, cs := range pl.CreationLog() {
+		for _, create := range spans {
+			if create.Name != "plant.create" || create.Err != "" || create.Attr("plant") != pl.Name() {
+				continue
+			}
+			clone := stage[edge{create.ID, "clone"}]
+			cp, resume := stage[edge{clone.ID, "clone.copy"}].Virtual(), stage[edge{clone.ID, "clone.resume"}].Virtual()
+			config, total := stage[edge{create.ID, "configure"}].Virtual(), create.Virtual()
 			n++
-			res.CopySecs += cs.Clone.CopyTime.Seconds()
-			res.ResumeSecs += cs.Clone.ResumeTime.Seconds()
-			res.ConfigSecs += cs.ConfigTime.Seconds()
-			res.TotalSecs += cs.Total.Seconds()
-			res.logf("%s copy=%v resume=%v config=%v total=%v", pl.Name(),
-				cs.Clone.CopyTime, cs.Clone.ResumeTime, cs.ConfigTime, cs.Total)
+			res.CopySecs += cp.Seconds()
+			res.ResumeSecs += resume.Seconds()
+			res.ConfigSecs += config.Seconds()
+			res.TotalSecs += total.Seconds()
+			res.logf("%s copy=%v resume=%v config=%v total=%v", pl.Name(), cp, resume, config, total)
 		}
 	}
 	for _, sum := range []*float64{&res.CopySecs, &res.ResumeSecs, &res.ConfigSecs, &res.TotalSecs} {
@@ -661,6 +676,8 @@ func (t *transcript) precreate(label string, seed int64, n int, backend string) 
 	if err != nil {
 		return precreation{}, err
 	}
+	hub := telemetry.New()
+	opts.Telemetry = hub
 	warm, err := NewDeployment(opts)
 	if err != nil {
 		return precreation{}, err
@@ -672,12 +689,8 @@ func (t *transcript) precreate(label string, seed int64, n int, backend string) 
 	}
 	recs, err := warm.runCreationSeries(n, 64)
 	t.logRecords(label+" warm", recs)
-	res := precreation{ColdSecs: mean(cold, createTimes), WarmSecs: mean(recs, createTimes)}
-	for _, cs := range warm.Plants[0].CreationLog() {
-		if cs.PrecreateHit {
-			res.Hits++
-		}
-	}
+	res := precreation{ColdSecs: mean(cold, createTimes), WarmSecs: mean(recs, createTimes),
+		Hits: int(hub.Counter("plant.precreate_hits").Value())}
 	res.Speedup = ratio(res.ColdSecs, res.WarmSecs)
 	return res, err
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"vmplants/internal/core"
@@ -42,19 +41,10 @@ type batchPoint struct {
 	MaxInflight int
 }
 
-// pipelineResult is the full sweep, the determinism check and the
-// lazy-vs-eager clone comparison.
+// pipelineResult is the full sweep and the lazy-vs-eager clone
+// comparison.
 type pipelineResult struct {
-	Batches []batchPoint
-
-	// DeterminismOK reports that a fresh default deployment creating
-	// one VM serially and a fresh same-seed deployment creating the
-	// same VM through CreateMany produced byte-identical creation logs
-	// and bid records.
-	DeterminismOK     bool
-	SerialFingerprint string
-	BatchFingerprint  string
-
+	Batches    []batchPoint
 	Comparison *cloneComparison
 }
 
@@ -79,9 +69,8 @@ func (r *pipelineResult) SpeedupOver(a, b int) float64 {
 // runPipeline is the batched-creation gate: what the creation pipeline
 // buys in creations per virtual second at growing batch sizes on 8
 // plants — a fresh deployment per size so points are independent; only
-// the first clone of the one golden image may verify it, and batch 16 must beat batch 1 by >= 3x — plus the guarantee
-// that the pipeline machinery leaves a single serial request
-// byte-identical, and the lazy-vs-eager clone comparison.
+// the first clone of the one golden image may verify it, and batch 16
+// must beat batch 1 by >= 3x — plus the lazy-vs-eager clone comparison.
 func runPipeline(seed int64, par pipelineParams) (*pipelineResult, error) {
 	res := &pipelineResult{}
 	for i, size := range par.sizes {
@@ -92,29 +81,20 @@ func runPipeline(seed int64, par pipelineParams) (*pipelineResult, error) {
 		res.Batches = append(res.Batches, pt)
 	}
 	var err error
-	if res.SerialFingerprint, err = creationFingerprint(seed, false); err != nil {
-		return nil, err
-	}
-	if res.BatchFingerprint, err = creationFingerprint(seed, true); err != nil {
-		return nil, err
-	}
-	res.DeterminismOK = res.SerialFingerprint == res.BatchFingerprint
 	if res.Comparison, err = runCloneComparison(seed, par.cloneVMs, pipelineMemMB); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// Fingerprint digests the batch sweep, the serial-vs-batch creation
-// logs, and both clone-mode runs.
+// Fingerprint digests the batch sweep and both clone-mode runs.
 func (r *pipelineResult) Fingerprint() string {
 	var lines []string
 	for _, bp := range r.Batches {
 		lines = append(lines, fmt.Sprintf("batch size=%d ok=%d failed=%d makespan=%.6f hits=%d misses=%d admwait_p99=%.6f max_inflight=%d",
 			bp.Size, bp.OK, bp.Failed, bp.MakespanSecs, bp.CacheHits, bp.CacheMisses, bp.AdmissionWait.P99, bp.MaxInflight))
 	}
-	lines = append(lines, "serial:", r.SerialFingerprint, "batch:", r.BatchFingerprint,
-		"eager:", r.Comparison.Eager.Fingerprint(), "lazy:", r.Comparison.Lazy.Fingerprint())
+	lines = append(lines, "eager:", r.Comparison.Eager.Fingerprint(), "lazy:", r.Comparison.Lazy.Fingerprint())
 	return strings.Join(lines, "\n")
 }
 
@@ -129,7 +109,6 @@ func (r *pipelineResult) Report() []string {
 	}
 	out = append(out, "",
 		fmt.Sprintf("batch-16 vs batch-1 throughput: %.1f×", r.SpeedupOver(16, 1)),
-		fmt.Sprintf("serial vs batch single-request creation log byte-identical: %v", r.DeterminismOK),
 		"", "Lazy vs eager cloning (content-addressed extent store):")
 	return append(out, r.Comparison.Report()...)
 }
@@ -149,7 +128,6 @@ func (r *pipelineResult) Violations() []string {
 	}
 	speedup := r.SpeedupOver(16, 1)
 	g.check(speedup >= 3, "batch-16 speedup over batch-1 = %.2f×, want >= 3×", speedup)
-	g.check(r.DeterminismOK, "serial and single-batch creation logs diverged")
 	c := r.Comparison
 	g.check(c.ResumeSpeedup >= 2, "lazy resume speedup %.2f× < 2", c.ResumeSpeedup)
 	g.check(c.HashesMatch, "lazy and eager end-state disks hash differently")
@@ -219,61 +197,4 @@ func runBatchPoint(seed int64, size int) (batchPoint, error) {
 		}
 	}
 	return pt, nil
-}
-
-// creationFingerprint creates one VM on a fresh default deployment —
-// serially through Shop.Create, or through the batch pipeline when
-// batch is set — and digests everything observable about the creation:
-// the plant-side creation log, the bidding round, and the client-facing
-// outcome. Identical fingerprints mean the pipeline left the serial
-// path byte-identical.
-func creationFingerprint(seed int64, batch bool) (string, error) {
-	d, err := NewDeployment(Options{Seed: seed})
-	if err != nil {
-		return "", err
-	}
-	spec, err := d.WorkspaceSpec(1, pipelineMemMB)
-	if err != nil {
-		return "", err
-	}
-	var lines []string
-	err = d.Run(func(p *sim.Proc) error {
-		var id core.VMID
-		var cerr error
-		if batch {
-			r := d.Shop.CreateMany(p, []*core.Spec{spec})[0]
-			id, cerr = r.VMID, r.Err
-		} else {
-			id, _, cerr = d.Shop.Create(p, spec)
-		}
-		lines = append(lines, fmt.Sprintf("outcome id=%s err=%v end=%s", id, cerr, p.Now()))
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, pl := range d.Plants {
-		for _, cs := range pl.CreationLog() {
-			lines = append(lines, fmt.Sprintf(
-				"plant=%d vmid=%s mem=%d mode=%v copied=%d linked=%d copy=%s resume=%s clone=%s cfg=%s total=%s matched=%d residual=%d golden=%s hit=%v",
-				i, cs.VMID, cs.MemoryMB, cs.Clone.Mode, cs.Clone.CopiedBytes,
-				cs.Clone.LinkedFiles, cs.Clone.CopyTime, cs.Clone.ResumeTime,
-				cs.Clone.Total, cs.ConfigTime, cs.Total, cs.MatchedOps,
-				cs.ResidualOps, cs.Golden, cs.PrecreateHit))
-		}
-	}
-	for _, rec := range d.Shop.Bids() {
-		plants := make([]string, 0, len(rec.Costs))
-		for name := range rec.Costs {
-			plants = append(plants, name)
-		}
-		sort.Strings(plants)
-		var costs []string
-		for _, name := range plants {
-			costs = append(costs, fmt.Sprintf("%s=%v", name, rec.Costs[name]))
-		}
-		lines = append(lines, fmt.Sprintf("bid vmid=%s winner=%s costs=[%s]",
-			rec.VMID, rec.Winner, strings.Join(costs, " ")))
-	}
-	return strings.Join(lines, "\n"), nil
 }
