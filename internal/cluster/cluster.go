@@ -75,46 +75,57 @@ type Node struct {
 	nfs         *storage.Volume // the shared warehouse volume, via this node's mount
 	committedMB int
 	vms         int
-	// images are the memory images VMs map, by file and content checksum.
-	// Host state, like committedMB: a plant crash leaves it alone.
-	images map[memKey]*MemImage
-	rng    *sim.RNG
+	// cache is the node's image cache (CacheEntry), by local path and
+	// content checksum. Host state, like committedMB: a plant crash
+	// leaves it alone.
+	cache map[cacheKey]*CacheEntry
+	rng   *sim.RNG
 }
 
-type memKey struct {
+type cacheKey struct {
 	path string
 	sum  uint64
 }
 
-// MemImage is an immutable memory image's pages in a node's host memory.
-// A hosted VMM backs guest RAM with the checkpoint file it resumed from,
-// so VMs resumed from the same file map its pages copy-on-write: while
-// one running VM maps them, the next resumes without reading the file.
-// One operation at a time brings the pages in (filling the file and
-// reading it back): the Resource's one unit is held for it, and a clone
-// that finds it held waits.
-type MemImage struct {
+// CacheEntry is one entry of a node's image cache: an immutable golden
+// file (a memory image, a disk extent) the node pulled from the
+// warehouse, named by its local path and content checksum. One operation
+// at a time brings its bytes in: the Resource's one unit is held for it,
+// and whoever finds it held waits. A hosted VMM backs guest RAM with the
+// checkpoint file it resumed from, so VMs resumed from one memory image
+// map its pages copy-on-write: while one running VM maps them, the next
+// resumes without reading the file.
+type CacheEntry struct {
 	*sim.Resource
-	Maps int // running VMs mapping the pages
+	Maps  int // running VMs mapping a memory image's pages
+	Fills int // times the node pulled the bytes over NFS
 }
 
-// MemImage returns the node's record of the memory image read from path
-// with content checksum sum, making it on first use.
-func (n *Node) MemImage(path string, sum uint64) *MemImage {
-	k := memKey{path, sum}
-	m := n.images[k]
-	if m == nil {
-		m = &MemImage{Resource: sim.NewResource(n.name+"/"+path, 1)}
-		n.images[k] = m
+// CacheEntry returns the node's record of the cache entry at path with
+// content checksum sum, making it on first use.
+func (n *Node) CacheEntry(path string, sum uint64) *CacheEntry {
+	k := cacheKey{path, sum}
+	e := n.cache[k]
+	if e == nil {
+		e = &CacheEntry{Resource: sim.NewResource(n.name+"/"+path, 1)}
+		n.cache[k] = e
 	}
-	return m
+	return e
 }
 
 // Mappings counts the memory-image mappings the node's VMs hold.
-func (n *Node) Mappings() int {
-	total := 0
-	for _, m := range n.images {
-		total += m.Maps
+func (n *Node) Mappings() (total int) {
+	for _, e := range n.cache {
+		total += e.Maps
+	}
+	return total
+}
+
+// Refills counts the pulls beyond the first of a cache entry at one
+// checksum: bytes the node already held, brought over NFS again.
+func (n *Node) Refills() (total int) {
+	for _, e := range n.cache {
+		total += max(e.Fills-1, 0)
 	}
 	return total
 }
@@ -234,7 +245,7 @@ func NewTestbed(k *sim.Kernel, n int, params Params, seed int64) *Testbed {
 			localDisk: storage.NewVolume(name+"/disk", local),
 			lan:       storage.NewDevice(name+".lan", params.GigabitBps, 5*time.Millisecond),
 			nfs:       newMountView(tb.Warehouse, mount),
-			images:    make(map[memKey]*MemImage),
+			cache:     make(map[cacheKey]*CacheEntry),
 			rng:       root.Child(),
 		}
 		tb.Nodes = append(tb.Nodes, node)

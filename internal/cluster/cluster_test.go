@@ -76,16 +76,26 @@ func TestCommitReleaseAccounting(t *testing.T) {
 	}
 }
 
-// Memory-image mappings are keyed by path and checksum, and the node's
-// last VM to leave must not leave one behind.
+// Cache entries are keyed by path and checksum, a pull beyond an entry's
+// first is a refill, and the node's last VM to leave must not leave a
+// memory-image mapping behind.
 func TestReleaseOfLastVMRefusesLeakedMapping(t *testing.T) {
 	n := NewTestbed(sim.NewKernel(), 1, DefaultParams(), 1).Nodes[0]
-	if n.MemImage("cache/a@0.vmss", 1) == n.MemImage("cache/a@0.vmss", 2) {
+	if n.CacheEntry("cache/a@0.vmss", 1) == n.CacheEntry("cache/a@0.vmss", 2) {
 		t.Error("two checksums of one replica share a record")
 	}
-	img := n.MemImage("cache/a@0.vmss", 1)
-	if n.MemImage("cache/a@0.vmss", 1) != img {
+	img := n.CacheEntry("cache/a@0.vmss", 1)
+	if n.CacheEntry("cache/a@0.vmss", 1) != img {
 		t.Error("one image's record made twice")
+	}
+	ext := n.CacheEntry("cache/extents/00.vmdk", 3)
+	ext.Fills++
+	n.CacheEntry("cache/extents/00.vmdk", 4).Fills++
+	if got := n.Refills(); got != 0 {
+		t.Errorf("%d refills after one pull at each of two checksums", got)
+	}
+	if ext.Fills++; n.Refills() != 1 {
+		t.Errorf("%d refills after a second pull at one checksum, want 1", n.Refills())
 	}
 	n.Commit(64)
 	n.Commit(64)

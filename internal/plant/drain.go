@@ -9,7 +9,7 @@
 // journals the retirement.
 //
 // A plant has no degraded mode for load shedding: its background work
-// (lazy-clone hydration, the publish-back upload) is sim.Background, so
+// (the image cache's filler, the publish-back upload) is sim.Background, so
 // it takes only what foreground transfers leave on the NFS server, and
 // nothing on a pipe that carries one.
 package plant

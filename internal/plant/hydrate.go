@@ -1,26 +1,28 @@
-// Lazy-clone hydration: under vdisk.CloneByLazy a clone resumes with
-// only its config and redo log copied and its memory image linked to the
-// node's replica; the 2 GB of golden disk extents are NOT on the node
-// yet. This file materializes them afterwards, post-copy style:
+// Lazy cloning and the node image cache: under vdisk.CloneByLazy a clone
+// resumes with only its config and redo log copied and its memory image
+// linked to the node's replica (vmm.loadMemory). Its disk reads the 2 GB
+// of golden extents from the node's image cache (warehouse.CacheDir),
+// one entry per stored extent under its content key, whichever images
+// and clones share it. An entry counts only while its checksum is the
+// one the warehouse recorded, so a half-copied or corrupt copy is never
+// read.
 //
-//   - a background hydrator (a virtual-time proc per lazy clone, one
-//     running per plant at a time, oldest clone first) walks the
-//     extents in order and copies each from the warehouse's NFS view to
-//     the clone's local disk directory as a background transfer: it
-//     takes only the bandwidth foreground transfers leave on the NFS
-//     server, and none while one is on the node's mount
-//     (sim.Background). It is the only thing that lands extents, so the
-//     local ones are always a prefix;
-//   - a demand fault: when the guest's action DAG writes a block whose
-//     extent has not landed yet, the guest blocks for one foreground
-//     read of that block (vdisk.BlockSize bytes) over the node's mount —
-//     the bytes it needs, not the 128 MB extent around them, which still
-//     arrives through the hydrator.
+//   - A clone whose extents are all cached resumes with its disk whole:
+//     no hydration record, no process.
+//   - Any other clone waits on the plant's one filler, which lands each
+//     missing extent once, longest-waiting clone first, as a background
+//     transfer (sim.Background): it takes only what foreground transfers
+//     leave on the NFS server, and nothing while one is on the node's
+//     mount. It stops when no clone waits.
+//   - A demand fault: a guest write to a block whose extent has not
+//     landed blocks for one foreground read of that block over the
+//     node's mount, not of the 128 MB extent around it.
 //
-// Every extent landed and every block fetched re-checks the clone's
-// integrity context (warehouse.VerifyClone), extending PR 5's epoch gate
-// to late-arriving state: an image quarantined or repaired after the VM
-// resumed must not have its suspect bytes land under a running guest.
+// Every extent landed and every block fetched re-checks the waiting
+// clones' integrity contexts (warehouse.VerifyClone): an image
+// quarantined or repaired after a VM resumed stops the fill for it and
+// poisons the clones still reading it over NFS, so no suspect byte lands
+// under a running guest.
 package plant
 
 import (
@@ -31,6 +33,7 @@ import (
 	"time"
 
 	"vmplants/internal/cluster"
+	"vmplants/internal/core"
 	"vmplants/internal/sim"
 	"vmplants/internal/storage"
 	"vmplants/internal/telemetry"
@@ -39,123 +42,141 @@ import (
 	"vmplants/internal/warehouse"
 )
 
-// hydration tracks one lazy clone's extent materialization. All fields
-// are touched only by kernel procs (the hydrator, guest actions, and
-// Collect runs on procs), so kernel serialization is the lock.
+// hydration is a lazy clone whose disk still reads extents over NFS: the
+// demand-fault hook's state and the clone's place in the filler's queue.
+// Only kernel processes touch it, so kernel serialization is the lock.
 type hydration struct {
 	pl   *Plant
 	vm   *vmm.VM
 	cctx *warehouse.CloneContext
-	dir  string
 
-	// landed is how many extents are local: extent i is iff i < landed.
-	landed int
-	// fetched holds the blocks demand faults read ahead of their extent.
-	fetched []int64
-
-	start     time.Duration   // virtual time hydration began (VM resumed)
-	createdAt time.Duration   // virtual time the creation started
-	cloneSp   *telemetry.Span // the creation's clone span, parent of "hydrate"
-	cancelled bool
-	failed    error     // sticky integrity failure; guest touches surface it
-	proc      *sim.Proc // the hydrator, nil until the clone's turn comes
-	finished  bool
+	fetched   []int64         // blocks demand faults read ahead of their extent
+	start     time.Duration   // virtual time the VM resumed on the node
+	createdAt time.Duration   // virtual time its order (creation or migration) began
+	sp        *telemetry.Span // the order's span, parent of "hydrate"
+	failed    error           // sticky verdict; guest touches surface it
 }
 
-// startHydration installs the demand-fault hook on a freshly resumed
-// lazy clone and queues it for the plant's background hydrator.
-func (pl *Plant) startHydration(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneContext, createdAt time.Duration, cloneSp *telemetry.Span) *hydration {
-	h := &hydration{
-		pl:        pl,
-		vm:        vm,
-		cctx:      cctx,
-		dir:       "vms/" + string(vm.ID()) + "/",
-		start:     p.Now(),
-		createdAt: createdAt,
-		cloneSp:   cloneSp,
+// cached reports whether the node's image cache holds extent i of the
+// image at the checksum the warehouse recorded for it.
+func (pl *Plant) cached(cctx *warehouse.CloneContext, i int) bool {
+	sum, ok := pl.node.LocalDisk().Checksum(cctx.ExtentCache[i])
+	return ok && sum == cctx.Image.Sums[cctx.Image.ExtentPaths[i]]
+}
+
+// missing returns the first extent of the image the node's cache lacks,
+// or -1 when it holds them all.
+func (pl *Plant) missing(cctx *warehouse.CloneContext) int {
+	for i, path := range cctx.ExtentCache {
+		if (i == 0 || path != cctx.ExtentCache[i-1]) && !pl.cached(cctx, i) {
+			return i
+		}
 	}
+	return -1
+}
+
+// hydrate puts a lazy clone, resumed on the node by a creation or a
+// migration begun at createdAt, on the node's image cache, and reports
+// whether it waits for an extent. A disk whose extents are all cached is
+// whole at once; any other gets the demand-fault hook and a place in the
+// filler's queue.
+func (pl *Plant) hydrate(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneContext, createdAt time.Duration, sp *telemetry.Span) bool {
+	if pl.missing(cctx) < 0 {
+		pl.mExtentHits.Inc()
+		pl.hHydrationComplete.Observe((p.Now() - createdAt).Seconds())
+		return false
+	}
+	h := &hydration{pl: pl, vm: vm, cctx: cctx, start: p.Now(), createdAt: createdAt, sp: sp}
 	vm.SetBlockTouchHook(h.touch)
-	pl.mu.Lock()
-	pl.live[vm.ID()] = h
-	pl.mu.Unlock()
-	pl.unhydrated = append(pl.unhydrated, h)
-	pl.nextHydrator(p.Kernel())
-	return h
+	pl.waiting = append(pl.waiting, h)
+	pl.startFiller(p.Kernel())
+	return true
 }
 
-// nextHydrator starts the hydrator of the longest-resumed clone still
-// waiting for one, unless one is running: a plant hydrates its clones
-// one after another. The node's mount serves one extent at a time
-// whichever clone it belongs to, so a hydrator process per clone would
-// finish no extent sooner; it would only keep a blocked process, and
-// its coroutine, alive for every clone in the backlog.
-func (pl *Plant) nextHydrator(k *sim.Kernel) {
-	for !pl.hydrating && len(pl.unhydrated) > 0 {
-		h := pl.unhydrated[0]
-		pl.unhydrated[0] = nil
-		pl.unhydrated = pl.unhydrated[1:]
-		if h.cancelled || h.failed != nil {
-			continue
-		}
-		pl.hydrating = true
-		h.proc = k.Spawn(pl.name+"/hydrate/"+string(h.vm.ID()), func(p *sim.Proc) {
-			h.run(p)
-			pl.hydrating = false
-			pl.nextHydrator(k)
-		})
+// startFiller spawns the node's filler when a clone waits and none runs.
+func (pl *Plant) startFiller(k *sim.Kernel) {
+	if pl.filler == nil && len(pl.waiting) > 0 {
+		pl.filler = k.Spawn(pl.name+"/fill", pl.fill)
 	}
 }
 
-// extents is how many extents the clone's disk spans.
-func (h *hydration) extents() int { return len(h.cctx.Image.ExtentPaths) }
-
-// run is the background hydrator: extents are materialized in order,
-// each a background transfer, so a batch of lazy clones takes from the
-// NFS server and the node's mount only what creations leave idle.
-func (h *hydration) run(p *sim.Proc) {
-	for h.landed < h.extents() {
-		if h.cancelled || h.failed != nil {
+// fill is the node's filler: each pass lands the first extent the
+// longest-waiting clone lacks, until no clone waits or the daemon dies.
+// An interrupt (the last waiting clone collected, a crash) drops the
+// extent in flight, and the next pass decides what to do.
+func (pl *Plant) fill(p *sim.Proc) {
+	defer func() { pl.filler = nil }()
+	for !pl.Down() {
+		h, i := pl.next(p)
+		if h == nil {
 			return
 		}
-		err := h.copyExtent(p, h.landed)
-		if errors.Is(err, storage.ErrInterrupted) {
-			return // cancelled mid-copy: nothing landed
+		if err := pl.land(p, h.cctx, i); err != nil && !errors.Is(err, storage.ErrInterrupted) {
+			h.finish(p, err)
 		}
-		if err != nil {
-			h.poison(p, err)
-			return
-		}
-		h.landed++
-		h.pl.mHydratedExtents.Inc()
-		h.pl.hHydrationLag.Observe((p.Now() - h.start).Seconds())
 	}
-	h.finish(p)
+}
+
+// next sweeps the filler's queue and returns the longest-waiting clone
+// with the first extent its disk lacks (nil when none waits): a clone
+// whose image no longer verifies is poisoned, and one whose disk is
+// whole completes.
+func (pl *Plant) next(p *sim.Proc) (head *hydration, at int) {
+	for _, h := range slices.Clone(pl.waiting) {
+		if err := pl.wh.VerifyClone(h.cctx); err != nil {
+			h.finish(p, fmt.Errorf("hydrate: %w", err))
+		} else if i := pl.missing(h.cctx); i < 0 {
+			h.finish(p, nil)
+		} else if head == nil {
+			head, at = h, i
+		}
+	}
+	return head, at
+}
+
+// land pulls extent i of the image into the node's image cache as a
+// background transfer, holding the entry. The entry's file is there,
+// unchecksummed, from the copy's start, so a copy cut short leaves a
+// file that never counts.
+func (pl *Plant) land(p *sim.Proc, cctx *warehouse.CloneContext, i int) error {
+	node, src, dst := pl.node, cctx.Image.ExtentPaths[i], cctx.ExtentCache[i]
+	entry := node.CacheEntry(dst, cctx.Image.Sums[src])
+	entry.Acquire(p, 1)
+	defer entry.Release(p, 1)
+	node.LocalDisk().WriteMeta(dst, 0)
+	if _, err := node.Warehouse().CopyTo(p, src, node.LocalDisk(), dst, node.Jitter(), sim.Background); err != nil {
+		return fmt.Errorf("hydrate extent %d: %w", i, err)
+	}
+	entry.Fills++
+	pl.mExtentFills.Inc()
+	pl.pruneCache()
+	return nil
 }
 
 // touch is the guest's pre-write hook: block the guest until the
-// touched block is local, reading just that block on demand when the
-// background hydrator has not landed its extent yet. Only the creating
-// process's configure runs guest actions, so no two procs fault at once
-// and nobody needs to wait for another's read.
+// touched block is local, reading just that block on demand when its
+// extent is not in the node's cache yet. Only the creating process's
+// configure runs guest actions, so no two procs fault at once and
+// nobody needs to wait for another's read.
 func (h *hydration) touch(p *sim.Proc, block int64) error {
 	if h.failed != nil {
 		return h.failed
 	}
-	blocks := h.vm.Disk().Base().SizeBytes() / vdisk.BlockSize
-	i := min(int(block*int64(h.extents())/blocks), h.extents()-1)
-	if i < h.landed || slices.Contains(h.fetched, block) {
+	n := len(h.cctx.ExtentCache)
+	i := min(int(block*int64(n)/(h.vm.Disk().Base().SizeBytes()/vdisk.BlockSize)), n-1)
+	if h.pl.cached(h.cctx, i) || slices.Contains(h.fetched, block) {
 		return nil
 	}
-	node := h.vm.Node()
-	if _, err := node.Warehouse().Stat(h.cctx.Image.ExtentPaths[i]); err != nil {
-		return h.poison(p, fmt.Errorf("demand fault on extent %d: %w", i, err))
+	mount := h.pl.node.Warehouse()
+	if _, err := mount.Stat(h.cctx.Image.ExtentPaths[i]); err != nil {
+		return h.finish(p, fmt.Errorf("demand fault on extent %d: %w", i, err))
 	}
 	// Priced as CopyTo prices a copy: the mount (the bottleneck: 11 MB/s
 	// against the local disk's 35) at its rate, then the local disk's
 	// per-transfer overhead. Like the clone's config and redo copies, the
 	// small read carries no state-I/O jitter, so it draws nothing from the
 	// node's random stream.
-	node.Warehouse().Charge(p, vdisk.BlockSize, 1, sim.Foreground)
+	mount.Charge(p, vdisk.BlockSize, 1, sim.Foreground)
 	p.Sleep(cluster.LocalDiskOverhead)
 	// The image may have been quarantined, or the VM collected, while the
 	// read slept.
@@ -163,100 +184,77 @@ func (h *hydration) touch(p *sim.Proc, block int64) error {
 		return h.failed
 	}
 	if err := h.pl.wh.VerifyClone(h.cctx); err != nil {
-		return h.poison(p, fmt.Errorf("demand fault on extent %d: %w", i, err))
+		return h.finish(p, fmt.Errorf("demand fault on extent %d: %w", i, err))
 	}
 	h.fetched = append(h.fetched, block)
 	h.pl.mDemandFaults.Inc()
 	return nil
 }
 
-// copyExtent streams one extent from the warehouse's NFS view to the
-// clone's local directory and re-checks the clone's integrity context:
-// state arriving after the resume must pass the same epoch gate the
-// eager copy passed before it.
-func (h *hydration) copyExtent(p *sim.Proc, i int) error {
-	node := h.vm.Node()
-	src := h.cctx.Image.ExtentPaths[i]
-	dst := fmt.Sprintf("%sdisk-s%03d.vmdk", h.dir, i)
-	if _, err := node.Warehouse().CopyTo(p, src, node.LocalDisk(), dst, node.Jitter(), sim.Background); err != nil {
-		return fmt.Errorf("hydrate extent %d: %w", i, err)
+// finish takes h out of the filler's queue, as a completion when err is
+// nil or as an abort with err as its sticky verdict, and records its
+// "hydrate" span: resume to the disk whole, or to the abort. It returns
+// the verdict; a hydration already finished keeps its first.
+func (h *hydration) finish(p *sim.Proc, err error) error {
+	pl := h.pl
+	i := slices.Index(pl.waiting, h)
+	if i < 0 {
+		return h.failed
 	}
-	h.vm.AddFile(dst)
-	if err := h.pl.wh.VerifyClone(h.cctx); err != nil {
-		return fmt.Errorf("hydrate extent %d: %w", i, err)
-	}
-	return nil
-}
-
-// poison makes err the hydration's verdict unless it already has one:
-// no further extent lands, and every later guest touch fails with it.
-// It returns the verdict.
-func (h *hydration) poison(p *sim.Proc, err error) error {
-	if h.failed == nil {
-		h.failed = err
-		h.finish(p)
-	}
-	return h.failed
-}
-
-// finish closes out the hydration exactly once, as a completion when
-// every extent landed or as an abort when it has a verdict, and records
-// its "hydrate" span: resume to the last extent landing or the abort.
-func (h *hydration) finish(p *sim.Proc) {
-	if h.finished {
-		return
-	}
-	h.finished = true
-	if h.failed != nil {
-		h.pl.mHydrationAborts.Inc()
-		h.pl.mu.Lock()
-		h.pl.hydrationAborted = true
-		h.pl.mu.Unlock()
+	pl.waiting = slices.Delete(pl.waiting, i, i+1)
+	h.failed = err
+	if err != nil {
+		pl.mHydrationAborts.Inc()
+		pl.hydrationAborted = true
 	} else {
-		h.pl.hHydrationComplete.Observe((p.Now() - h.createdAt).Seconds())
+		h.vm.SetBlockTouchHook(nil)
+		pl.hHydrationComplete.Observe((p.Now() - h.createdAt).Seconds())
 	}
-	h.cloneSp.RecordChild("hydrate", h.start, p.Now(), h.failed,
+	h.sp.RecordChild("hydrate", h.start, p.Now(), err,
 		telemetry.Attr{Key: "vmid", Value: string(h.vm.ID())},
-		telemetry.Attr{Key: "extents", Value: strconv.Itoa(h.extents())},
+		telemetry.Attr{Key: "extents", Value: strconv.Itoa(len(h.cctx.ExtentCache))},
 		telemetry.Attr{Key: "demand_faults", Value: strconv.Itoa(len(h.fetched))})
+	return err
 }
 
-// cancel stops the hydration (VM collected, creation failed): the
-// background hydrator drops the copy it is queued for or in the middle
-// of — nothing of it lands, and it holds no place in any device's queue
-// — and exits; a later guest touch gets the sticky error.
-func (h *hydration) cancel(p *sim.Proc) {
-	if h.cancelled {
+// unhydrate ends the VM's wait for the node's image cache, if it waits:
+// as an abort when it was collected, or, when it migrated away, as a
+// move that records nothing. A filler left with no clone to fill for
+// drops the extent in flight.
+func (pl *Plant) unhydrate(p *sim.Proc, id core.VMID, collected bool) {
+	i := slices.IndexFunc(pl.waiting, func(h *hydration) bool { return h.vm.ID() == id })
+	if i < 0 {
 		return
 	}
-	h.cancelled = true
-	h.pl.mu.Lock()
-	delete(h.pl.live, h.vm.ID())
-	h.pl.mu.Unlock()
-	if h.landed < h.extents() {
-		h.poison(p, fmt.Errorf("hydration cancelled: VM %s collected", h.vm.ID()))
+	if h := pl.waiting[i]; collected {
+		h.finish(p, fmt.Errorf("hydration cancelled: VM %s collected", id))
+	} else {
+		pl.waiting = slices.Delete(pl.waiting, i, i+1)
+		h.vm.SetBlockTouchHook(nil)
 	}
-	if h.proc != nil {
-		h.proc.Interrupt()
+	if len(pl.waiting) == 0 && pl.filler != nil {
+		pl.filler.Interrupt()
 	}
 }
 
-// Done reports whether every extent is local (false after an abort).
-func (h *hydration) Done() bool { return h.landed == h.extents() && h.failed == nil }
-
-// AllHydrated reports whether every lazy clone the plant ever resumed
-// finished hydrating (vacuously true without lazy cloning) — the
-// experiment-side proof that laziness converges to the eager end state.
-func (pl *Plant) AllHydrated() bool {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.hydrationAborted {
-		return false
-	}
-	for _, h := range pl.live {
-		if !h.Done() {
-			return false
+// pruneCache deletes the node's image-cache entries the warehouse no
+// longer publishes. It runs after every fill, the only time the node
+// adds an entry, so entries never outnumber the published ones for
+// longer than until the next fill. The key is stateless: a restarted
+// plant prunes the same way.
+func (pl *Plant) pruneCache() {
+	local := pl.node.LocalDisk()
+	for _, path := range local.List() {
+		if pl.wh.StaleCacheEntry(path) {
+			_ = local.Delete(path) // fails only on a missing path
 		}
 	}
-	return true
+}
+
+// AllHydrated reports whether every lazy clone the plant ever resumed
+// got its disk whole (vacuously true without lazy cloning) — the
+// experiment-side proof that laziness converges to the eager end state.
+// Only kernel processes change what it reads: call it between runs.
+func (pl *Plant) AllHydrated() bool {
+	return !pl.hydrationAborted && len(pl.waiting) == 0
 }

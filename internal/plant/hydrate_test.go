@@ -1,7 +1,6 @@
 package plant
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -15,12 +14,15 @@ import (
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
 	"vmplants/internal/vdisk"
+	"vmplants/internal/warehouse"
 )
 
 // A lazy clone must resume well before a full-copy clone could (only
 // config + redo + memory on the critical path), then converge: the
-// background hydrator materializes every extent, and the end-state disk
-// content is identical to an eager clone's.
+// node's filler lands the golden extent in the image cache once for all
+// sixteen slots of the disk, nothing of it lands in the clone's own
+// directory, and the end-state disk content is identical to an eager
+// clone's.
 func TestLazyCloneResumesEarlyAndHydrates(t *testing.T) {
 	eager := newRig(t, Config{CloneMode: vdisk.CloneByCopy})
 	var eagerSecs time.Duration
@@ -36,7 +38,8 @@ func TestLazyCloneResumesEarlyAndHydrates(t *testing.T) {
 		eagerHash = vm.Disk().ContentHash()
 	})
 
-	lazy := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: telemetry.New()})
+	hub := telemetry.New()
+	lazy := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: hub})
 	var lazySecs time.Duration
 	var lazyHash uint64
 	lazy.run(t, func(p *sim.Proc) {
@@ -49,7 +52,7 @@ func TestLazyCloneResumesEarlyAndHydrates(t *testing.T) {
 		vm, _ := lazy.pl.VM("vm-x")
 		lazyHash = vm.Disk().ContentHash()
 	})
-	// run() drains the kernel, so the hydrator has finished by here.
+	// run() drains the kernel, so the filler has finished by here.
 	if !lazy.pl.AllHydrated() {
 		t.Fatal("hydration did not complete")
 	}
@@ -71,37 +74,43 @@ func TestLazyCloneResumesEarlyAndHydrates(t *testing.T) {
 	if hs.Virtual() <= 0 {
 		t.Errorf("last extent landed at %v, not after the resume at %v", hs.VEnd, hs.VStart)
 	}
-	// The guest's configuration actions write mid-disk, ahead of the
-	// in-order hydrator: the demand-fault path must have served them.
+	// The guest's configuration actions write mid-disk while the node's
+	// cache is still cold: the demand-fault path must have served them.
 	if demandFaults(hs) < 1 {
 		t.Errorf("no demand faults: the config writes landed after their extents")
 	}
-	// Every extent the clone's disk directory should hold is local.
-	vm, ok := lazy.pl.VM("vm-x")
-	if !ok {
-		t.Fatal("lazy VM not in info system")
+	// The seed's sixteen slots are one stored extent: one pull fills them
+	// all, into the cache and nowhere else.
+	cctx, err := lazy.wh.OpenClone("ws-golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	local := vm.Node().LocalDisk()
-	for i := 0; i < extents; i++ {
-		path := fmt.Sprintf("vms/vm-x/disk-s%03d.vmdk", i)
-		if _, err := local.Stat(path); err != nil {
-			t.Errorf("extent %s not materialized locally: %v", path, err)
+	if i := lazy.pl.missing(cctx); i >= 0 {
+		t.Errorf("extent %d not in the node's cache", i)
+	}
+	if fills := hub.Counter("plant.extent_cache_fills").Value(); fills != 1 {
+		t.Errorf("%d extents pulled for a disk of one stored extent, want 1", fills)
+	}
+	for _, path := range lazy.tb.Nodes[0].LocalDisk().List() {
+		if strings.HasPrefix(path, "vms/vm-x/disk-") {
+			t.Errorf("extent %s landed in the clone's own directory", path)
 		}
 	}
 }
 
-// Collecting a VM mid-hydration cancels the hydrator cleanly: the
-// kernel reaches quiescence (no stranded proc), and the hydration's span
-// and counters record one abort and no completion.
+// Collecting the only clone that waits for the cache cancels the fill
+// cleanly: the kernel reaches quiescence (no stranded proc), the extent
+// in flight never counts, and the clone's span and counters record one
+// abort and no completion.
 func TestCollectCancelsHydration(t *testing.T) {
 	hub := telemetry.New()
-	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: hub})
+	r := newRigOn(t, 1, cluster.DefaultParams(), Config{CloneMode: vdisk.CloneByLazy, Telemetry: hub}, distinctExtents(t))
 	r.run(t, func(p *sim.Proc) {
 		if _, err := r.pl.Create(p, "vm-doomed", spec(t, "bob")); err != nil {
 			t.Errorf("create: %v", err)
 			return
 		}
-		// Collect immediately: the hydrator is still copying extents.
+		// Collect immediately: the filler is still pulling extents.
 		if err := r.pl.Collect(p, core.VMID("vm-doomed")); err != nil {
 			t.Errorf("collect: %v", err)
 		}
@@ -116,15 +125,20 @@ func TestCollectCancelsHydration(t *testing.T) {
 	if r.pl.AllHydrated() {
 		t.Error("AllHydrated true after an aborted hydration")
 	}
+	cctx, _ := r.wh.OpenClone("ws-golden")
+	if fills := hub.Counter("plant.extent_cache_fills").Value(); r.pl.filler != nil || fills >= 16 || r.pl.missing(cctx) != int(fills) {
+		t.Errorf("after the collect: filler %v, %d extents landed, first missing %d", r.pl.filler, fills, r.pl.missing(cctx))
+	}
 }
 
-// A lazy clone's hydration is one "hydrate" span under the creation's
-// clone span, in the creation's trace: from the resume to the last
-// extent landing, or to the abort, which it carries as its error. Link
-// and copy clones, and pool hits, resume with their disk in place and
-// have none.
+// A lazy clone that waits for the node's cache records one "hydrate"
+// span under its creation's clone span, in the creation's trace: from
+// the resume to its disk whole, or to the abort, which it carries as its
+// error. A lazy clone whose extents are all cached, link and copy
+// clones, and pool hits resume with their disk whole and have none.
 func TestHydrateSpanJoinsTheCreationTrace(t *testing.T) {
-	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: telemetry.New()})
+	hub := telemetry.New()
+	r := newRigOn(t, 1, cluster.DefaultParams(), Config{CloneMode: vdisk.CloneByLazy, Telemetry: hub}, distinctExtents(t))
 	r.run(t, func(p *sim.Proc) {
 		for _, id := range []core.VMID{"vm-kept", "vm-doomed"} {
 			if _, err := r.pl.Create(p, id, spec(t, string(id))); err != nil {
@@ -134,10 +148,16 @@ func TestHydrateSpanJoinsTheCreationTrace(t *testing.T) {
 		if err := r.pl.Collect(p, "vm-doomed"); err != nil {
 			t.Fatal(err)
 		}
+		for len(r.pl.waiting) > 0 {
+			p.Sleep(time.Second)
+		}
+		if _, err := r.pl.Create(p, "vm-warm", spec(t, "vm-warm")); err != nil {
+			t.Fatal(err)
+		}
 	})
 	creates, clones, hydrations := named(r, "plant.create"), named(r, "clone"), named(r, "hydrate")
 	if len(hydrations) != 2 {
-		t.Fatalf("%d hydrate spans for two lazy clones", len(hydrations))
+		t.Fatalf("%d hydrate spans for two clones of a cold cache and one of a warm one", len(hydrations))
 	}
 	for _, hs := range hydrations {
 		vmid := hs.Attr("vmid")
@@ -156,6 +176,9 @@ func TestHydrateSpanJoinsTheCreationTrace(t *testing.T) {
 			t.Errorf("%s: hydrate err %q", vmid, hs.Err)
 		}
 	}
+	if hits := hub.Counter("plant.extent_cache_hits").Value(); hits != 1 {
+		t.Errorf("%d clones resumed on a whole cache, want vm-warm alone", hits)
+	}
 
 	for _, mode := range []vdisk.CloneMode{vdisk.CloneByLink, vdisk.CloneByCopy} {
 		r := newRig(t, Config{CloneMode: mode, Telemetry: telemetry.New()})
@@ -171,19 +194,19 @@ func TestHydrateSpanJoinsTheCreationTrace(t *testing.T) {
 }
 
 // The epoch gate extends to late-arriving extents: quarantining the
-// golden image while a lazy clone is still hydrating must poison the
-// hydration, and subsequent guest disk touches must fail rather than
+// golden image while a lazy clone still waits for the cache must poison
+// the clone, and subsequent guest disk touches must fail rather than
 // read suspect state.
 func TestQuarantineMidHydrationPoisonsLazyClone(t *testing.T) {
-	r := newRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: telemetry.New()})
+	r := newRigOn(t, 1, cluster.DefaultParams(), Config{CloneMode: vdisk.CloneByLazy, Telemetry: telemetry.New()}, distinctExtents(t))
 	r.run(t, func(p *sim.Proc) {
 		if _, err := r.pl.Create(p, "vm-poisoned", spec(t, "carol")); err != nil {
 			t.Errorf("create: %v", err)
 			return
 		}
-		h := r.pl.live["vm-poisoned"]
-		// Quarantine while the hydrator is mid-stream (the first extent
-		// copy takes seconds of virtual time at NFS bandwidth).
+		h := waitingFor(t, r, "vm-poisoned")
+		// Quarantine while the filler is mid-stream (each extent's copy
+		// takes seconds of virtual time at NFS bandwidth).
 		if !r.wh.Quarantine("ws-golden", "scrub: checksum mismatch") {
 			t.Error("quarantine refused")
 		}
@@ -201,6 +224,35 @@ func TestQuarantineMidHydrationPoisonsLazyClone(t *testing.T) {
 	}
 	if r.pl.AllHydrated() {
 		t.Error("AllHydrated true after a poisoned hydration")
+	}
+}
+
+// A quarantine stops the fill at the cache level, with no guest touch
+// to find it: the extent in flight lands, the filler's next sweep fails
+// the waiting clone's integrity context, poisons the clone and pulls
+// nothing more for it.
+func TestQuarantineStopsTheFill(t *testing.T) {
+	r, hub := newQuietRig(t, 1, distinctExtents(t))
+	fills := hub.Counter("plant.extent_cache_fills")
+	r.run(t, func(p *sim.Proc) {
+		createOrFatal(t, p, r.pl, "vm-a", spec(t, "alice"))
+		p.Sleep(extentCopy(r) / 2)
+		h, landed := waitingFor(t, r, "vm-a"), fills.Value()
+		if !r.wh.Quarantine("ws-golden", "scrub: checksum mismatch") {
+			t.Fatal("quarantine refused")
+		}
+		p.Sleep(3 * extentCopy(r))
+		if got := fills.Value(); got != landed+1 || r.pl.filler != nil || h.failed == nil {
+			t.Errorf("after the quarantine: %d → %d extents landed, filler %v, verdict %v; want the one in flight, no filler, a verdict",
+				landed, got, r.pl.filler, h.failed)
+		}
+		start := p.Now()
+		if err := h.touch(p, lastBlock(h)); err != h.failed || p.Now() != start {
+			t.Errorf("touch after the poisoning returned %v after %v, want the sticky %v at once", err, p.Now()-start, h.failed)
+		}
+	})
+	if hs := onlyHydration(t, r); !strings.Contains(hs.Err, "quarantined") {
+		t.Errorf("hydrate span err %q, want the quarantine", hs.Err)
 	}
 }
 
@@ -225,6 +277,83 @@ func TestPrecreateFallsBackToLinkUnderLazy(t *testing.T) {
 	}
 }
 
+// A plant crash in the middle of a fill stops it: the extent in flight
+// stays a torn, unchecksummed file that the cache never counts, and no
+// extent lands while the daemon is down. Recover resumes the fill, which
+// pulls that extent once more and every other one once.
+func TestCrashMidFillResumesAfterRecover(t *testing.T) {
+	r, hub := newQuietRig(t, 1, distinctExtents(t))
+	fills := hub.Counter("plant.extent_cache_fills")
+	cctx, err := r.wh.OpenClone("ws-golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := r.tb.Nodes[0].LocalDisk()
+	r.run(t, func(p *sim.Proc) {
+		createOrFatal(t, p, r.pl, "vm-a", spec(t, "alice"))
+		p.Sleep(extentCopy(r) / 2)
+		i, landed := r.pl.missing(cctx), fills.Value()
+		if r.pl.filler == nil || i < 0 {
+			t.Fatalf("no extent in flight: filler %v, first missing %d", r.pl.filler, i)
+		}
+		r.pl.Crash()
+		p.Sleep(2 * extentCopy(r))
+		if got := fills.Value(); got != landed || r.pl.filler != nil {
+			t.Errorf("down for two extents' copy: %d → %d extents landed, filler %v", landed, got, r.pl.filler)
+		}
+		torn := cctx.ExtentCache[i]
+		if size, err := local.Stat(torn); err != nil || size != 0 || r.pl.missing(cctx) != i {
+			t.Errorf("extent %d after the crash: %s is %d bytes (%v); the cache's first missing extent is %d",
+				i, torn, size, err, r.pl.missing(cctx))
+		}
+		if n := r.pl.Recover(p); n != 1 {
+			t.Errorf("recovered %d VMs, want 1", n)
+		}
+	})
+	if !r.pl.AllHydrated() || r.pl.missing(cctx) >= 0 {
+		t.Errorf("the fill did not resume: AllHydrated %v, first missing %d", r.pl.AllHydrated(), r.pl.missing(cctx))
+	}
+	if got := fills.Value(); got != 16 || r.tb.Nodes[0].Refills() != 0 {
+		t.Errorf("%d extents pulled, %d of them again at one checksum; want each of 16 once", got, r.tb.Nodes[0].Refills())
+	}
+}
+
+// A node pulls an extent once, whichever images share it: clones of two
+// seeds whose disks are the same stored extent wait on one fill, and a
+// third clone, after it, finds its disk whole.
+func TestNodePullsSharedExtentOnce(t *testing.T) {
+	r, hub := newQuietRig(t, 1)
+	small, err := warehouse.BuildGolden("ws-small", core.HardwareSpec{Arch: "x86", MemoryMB: 32, DiskMB: 2048},
+		warehouse.BackendVMware, goldenHistory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.wh.Publish(small); err != nil {
+		t.Fatal(err)
+	}
+	mount := r.tb.Nodes[0].Warehouse().Device()
+	r.run(t, func(p *sim.Proc) {
+		for i, memMB := range []int{64, 32} {
+			p.Kernel().Spawn("create", func(cp *sim.Proc) {
+				s := spec(t, "alice")
+				s.Hardware.MemoryMB = memMB
+				createOrFatal(t, cp, r.pl, core.VMID("vm-"+strconv.Itoa(i)), s)
+			})
+		}
+		p.Sleep(10 * time.Minute)
+		createOrFatal(t, p, r.pl, "vm-2", spec(t, "bob"))
+	})
+	if fills, hits := hub.Counter("plant.extent_cache_fills").Value(), hub.Counter("plant.extent_cache_hits").Value(); fills != 1 || hits != 1 {
+		t.Errorf("extent fills %d, cache hits %d; want 1 and 1", fills, hits)
+	}
+	if _, background, _ := mount.Stats(); background != 128<<20 {
+		t.Errorf("the mount carried %d background bytes, one extent is %d", background, 128<<20)
+	}
+	if n := len(named(r, "hydrate")); n != 2 || !r.pl.AllHydrated() {
+		t.Errorf("%d hydrate spans (want the two cold clones'), AllHydrated %v", n, r.pl.AllHydrated())
+	}
+}
+
 // onlyHydration returns the plant's one "hydrate" span.
 func onlyHydration(t *testing.T, r *rig) telemetry.Span {
 	t.Helper()
@@ -236,20 +365,48 @@ func onlyHydration(t *testing.T, r *rig) telemetry.Span {
 }
 
 // demandFaults is how many blocks a hydrate span's guest fetched ahead
-// of the hydrator.
+// of the filler.
 func demandFaults(hs telemetry.Span) int {
 	n, _ := strconv.Atoi(hs.Attr("demand_faults"))
 	return n
 }
 
+// waitingFor returns the VM's hydration record: it waits for the node's
+// image cache.
+func waitingFor(t *testing.T, r *rig, id core.VMID) *hydration {
+	t.Helper()
+	i := slices.IndexFunc(r.pl.waiting, func(h *hydration) bool { return h.vm.ID() == id })
+	if i < 0 {
+		t.Fatalf("%s does not wait for the node's cache", id)
+	}
+	return r.pl.waiting[i]
+}
+
+// distinctExtents gives each of a golden image's extents content of its
+// own, so the warehouse stores sixteen and a node pulls 2 GB, extent by
+// extent, before a lazy clone of a cold cache has its disk whole.
+func distinctExtents(t *testing.T) func(*warehouse.Image) {
+	return func(im *warehouse.Image) {
+		base := im.Disk.Base()
+		per := base.SizeBytes() / vdisk.BlockSize / int64(base.SpanFiles())
+		for i := range int64(base.SpanFiles()) {
+			blk := make([]byte, vdisk.BlockSize)
+			blk[0] = byte(i + 1)
+			if err := base.Populate(i*per, blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // newQuietRig is a lazy-cloning plant on node 0 of an n-node testbed
 // without jitter, so every service time is exact.
-func newQuietRig(t *testing.T, nodes int) (*rig, *telemetry.Hub) {
+func newQuietRig(t *testing.T, nodes int, prep ...func(*warehouse.Image)) (*rig, *telemetry.Hub) {
 	t.Helper()
 	params := cluster.DefaultParams()
 	params.JitterSigma = 0
 	hub := telemetry.New()
-	return newRigOn(t, nodes, params, Config{CloneMode: vdisk.CloneByLazy, Telemetry: hub}), hub
+	return newRigOn(t, nodes, params, Config{CloneMode: vdisk.CloneByLazy, Telemetry: hub}, prep...), hub
 }
 
 // fromWarehouse is size bytes' way from the warehouse to a local disk
@@ -278,20 +435,20 @@ func loadNFS(r *rig, nodes []*cluster.Node, class sim.Class, until time.Duration
 	}
 }
 
-// lastBlock is a block of the VM's last extent: the one the hydrator
+// lastBlock is a block of the VM's last extent: the one the filler
 // reaches last.
 func lastBlock(h *hydration) int64 {
 	return h.vm.Disk().Base().SizeBytes()/vdisk.BlockSize - 1
 }
 
-// A demand fault is foreground I/O of one block: with a hydrator busy on
-// its own mount, another clone waiting for its turn, and background
-// readers on four other nodes, the guest waits for its block's read and
-// nothing else — not for the extent around it. Beside three memory-image
-// copies on its own mount it shares the mount with them instead of
-// queueing behind them.
+// A demand fault is foreground I/O of one block: with the filler busy on
+// its own mount, another clone waiting beside it, and background readers
+// on four other nodes, the guest waits for its block's read and nothing
+// else — not for the extent around it. Beside three memory-image copies
+// on its own mount it shares the mount with them instead of queueing
+// behind them.
 func TestDemandFaultLatencyUnderBackgroundLoad(t *testing.T) {
-	r, hub := newQuietRig(t, 5)
+	r, hub := newQuietRig(t, 5, distinctExtents(t))
 	r.run(t, func(p *sim.Proc) {
 		for _, id := range []core.VMID{"vm-a", "vm-b"} {
 			if _, err := r.pl.Create(p, id, spec(t, "alice")); err != nil {
@@ -300,9 +457,9 @@ func TestDemandFaultLatencyUnderBackgroundLoad(t *testing.T) {
 		}
 		loadNFS(r, r.tb.Nodes[1:], sim.Background, p.Now()+5*time.Minute)
 		p.Sleep(30 * time.Second)
-		h := r.pl.live["vm-a"]
-		if h == nil || h.extents()-h.landed < 8 {
-			t.Fatalf("vm-a's hydration is not in full swing: %+v", h)
+		h := waitingFor(t, r, "vm-a")
+		if i := r.pl.missing(h.cctx); i < 0 || i > 8 {
+			t.Fatalf("the fill is not in full swing: first missing extent %d", i)
 		}
 		faults := hub.Counter("plant.demand_faults").Value()
 		start := p.Now()
@@ -342,10 +499,10 @@ func TestDemandFaultLatencyUnderBackgroundLoad(t *testing.T) {
 }
 
 // A foreground state copy on the node's mount takes exactly its lone
-// time beside a lazy clone's hydrator: background work gets no
-// bandwidth on a pipe that carries a foreground transfer, so no extent
-// lands while the copy runs. That is why the plant needs no degraded
-// mode to keep its NFS path for creations.
+// time beside the node's filler: background work gets no bandwidth on a
+// pipe that carries a foreground transfer, so no extent lands while the
+// copy runs. That is why the plant needs no degraded mode to keep its
+// NFS path for creations.
 func TestForegroundCopyBesideHydrationTakesItsLoneTime(t *testing.T) {
 	const memoryImage = 256 << 20
 	quiet, _ := newQuietRig(t, 1)
@@ -356,23 +513,23 @@ func TestForegroundCopyBesideHydrationTakesItsLoneTime(t *testing.T) {
 		lone = p.Now() - start
 	})
 
-	r, hub := newQuietRig(t, 1)
+	r, hub := newQuietRig(t, 1, distinctExtents(t))
 	r.run(t, func(p *sim.Proc) {
 		if _, err := r.pl.Create(p, "vm-a", spec(t, "alice")); err != nil {
 			t.Fatalf("create: %v", err)
 		}
 		p.Sleep(extentCopy(r) / 2)
-		h := r.pl.live["vm-a"]
-		if h == nil || h.proc == nil || h.proc.State() == sim.ProcDone || h.landed == h.extents() {
-			t.Fatalf("no extent in flight: %+v", h)
+		h := waitingFor(t, r, "vm-a")
+		if r.pl.filler == nil || r.pl.filler.State() == sim.ProcDone || r.pl.missing(h.cctx) < 0 {
+			t.Fatalf("no extent in flight: filler %v", r.pl.filler)
 		}
-		landed := hub.Counter("plant.hydrated_extents").Value()
+		landed := hub.Counter("plant.extent_cache_fills").Value()
 		start := p.Now()
 		r.tb.Nodes[0].Warehouse().Charge(p, memoryImage, 1, sim.Foreground)
 		if got := p.Now() - start; got != lone {
-			t.Errorf("foreground copy beside the hydrator took %v, alone %v", got, lone)
+			t.Errorf("foreground copy beside the filler took %v, alone %v", got, lone)
 		}
-		if got := hub.Counter("plant.hydrated_extents").Value(); got != landed {
+		if got := hub.Counter("plant.extent_cache_fills").Value(); got != landed {
 			t.Errorf("%d extents landed during the foreground copy", got-landed)
 		}
 	})
@@ -382,13 +539,13 @@ func TestForegroundCopyBesideHydrationTakesItsLoneTime(t *testing.T) {
 }
 
 // Five other nodes stream foreground reads that take all of the
-// server's bandwidth, so the hydrator's background copy is starved for
-// as long as they last. A guest touching a block of the extent in flight
+// server's bandwidth, so the filler's background copy is starved for as
+// long as they last. A guest touching a block of the extent in flight
 // does not wait on that copy: it reads its block at its share of the
-// server beside the streams, and the copy stays the hydrator's, neither
+// server beside the streams, and the copy stays the filler's, neither
 // promoted nor cancelled, landing after the load like the rest.
 func TestTouchBlockOfExtentInFlight(t *testing.T) {
-	r, hub := newQuietRig(t, 6)
+	r, hub := newQuietRig(t, 6, distinctExtents(t))
 	var loadEnds time.Duration
 	r.run(t, func(p *sim.Proc) {
 		loadEnds = p.Now() + 20*time.Minute
@@ -396,13 +553,13 @@ func TestTouchBlockOfExtentInFlight(t *testing.T) {
 		if _, err := r.pl.Create(p, "vm-a", spec(t, "alice")); err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		h := r.pl.live["vm-a"]
-		i := h.landed
+		h := waitingFor(t, r, "vm-a")
+		i, landed := r.pl.missing(h.cctx), hub.Counter("plant.extent_cache_fills").Value()
 		p.Sleep(2 * time.Minute)
-		if h.landed != i {
-			t.Fatalf("hydration landed extents %d to %d under a saturating foreground load", i, h.landed)
+		if got := r.pl.missing(h.cctx); got != i {
+			t.Fatalf("the fill landed extents %d to %d under a saturating foreground load", i, got)
 		}
-		block := int64(i) * (h.vm.Disk().Base().SizeBytes() / vdisk.BlockSize) / int64(h.extents())
+		block := int64(i) * (h.vm.Disk().Base().SizeBytes() / vdisk.BlockSize) / int64(len(h.cctx.ExtentCache))
 		faults := hub.Counter("plant.demand_faults").Value()
 		start := p.Now()
 		if err := h.touch(p, block); err != nil {
@@ -417,8 +574,8 @@ func TestTouchBlockOfExtentInFlight(t *testing.T) {
 		if got := hub.Counter("plant.demand_faults").Value(); got != faults+1 {
 			t.Errorf("demand faults %d → %d, want one more", faults, got)
 		}
-		if h.landed != i || h.proc.State() == sim.ProcDone {
-			t.Errorf("the touch moved the hydrator: %d extents landed, hydrator state %d", h.landed, h.proc.State())
+		if got := hub.Counter("plant.extent_cache_fills").Value(); got != landed || r.pl.filler == nil || r.pl.filler.State() == sim.ProcDone {
+			t.Errorf("the touch moved the filler: %d → %d extents landed, filler %v", landed, got, r.pl.filler)
 		}
 		start = p.Now()
 		if err := h.touch(p, block); err != nil || p.Now() != start {
@@ -434,15 +591,16 @@ func TestTouchBlockOfExtentInFlight(t *testing.T) {
 	if hs := onlyHydration(t, r); hs.VEnd < loadEnds {
 		t.Errorf("hydration complete at %v, before the foreground load ended at %v", hs.VEnd, loadEnds)
 	}
-	if got := hub.Counter("plant.hydrated_extents").Value(); got != 16 {
-		t.Errorf("%d extents landed through the hydrator, want all 16", got)
+	if got := hub.Counter("plant.extent_cache_fills").Value(); got != 16 {
+		t.Errorf("%d extents landed through the filler, want all 16", got)
 	}
 }
 
-// Lazy cloning costs on the critical path what link cloning costs, plus
-// one block read per demand fault. The residual actions take no time, so
-// they draw nothing from the node's random stream, which the lazy
-// clone's hydrator draws from as it starts each extent's copy.
+// Lazy cloning on a node with a cold cache costs on the critical path
+// what link cloning costs, plus one block read per demand fault. The
+// residual actions take no time, so they draw nothing from the node's
+// random stream, which the filler draws from as it starts each extent's
+// copy.
 func TestLazyCreationCostsLinkCloneAndBlockReads(t *testing.T) {
 	instant := func(t *testing.T, user string) *core.Spec {
 		s := spec(t, user)
@@ -483,10 +641,10 @@ func TestLazyCreationCostsLinkCloneAndBlockReads(t *testing.T) {
 	}
 }
 
-// Collect drops the hydrator's copy at once, in service or queued: the
-// hydrator is gone before Collect returns, the extent it was on does
-// not land or count, and nothing of the VM is left in a device queue
-// for the kernel to run afterwards.
+// Collecting the last clone that waits drops the filler's copy at once,
+// in service or queued: the filler is gone before Collect returns, the
+// extent it was on does not land or count, and nothing of it is left in
+// a device queue for the kernel to run afterwards.
 func TestCollectDropsExtentInFlight(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -496,7 +654,7 @@ func TestCollectDropsExtentInFlight(t *testing.T) {
 		{"queued", sim.Foreground},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, hub := newQuietRig(t, 6)
+			r, hub := newQuietRig(t, 6, distinctExtents(t))
 			var collected time.Duration
 			end := r.run(t, func(p *sim.Proc) {
 				if _, err := r.pl.Create(p, "vm-a", spec(t, "alice")); err != nil {
@@ -504,23 +662,24 @@ func TestCollectDropsExtentInFlight(t *testing.T) {
 				}
 				loadNFS(r, r.tb.Nodes[1:], tc.load, p.Now()+time.Minute)
 				p.Sleep(extentCopy(r) / 2)
-				h := r.pl.live["vm-a"]
-				i, landed := h.landed, hub.Counter("plant.hydrated_extents").Value()
-				if h.proc == nil || h.proc.State() == sim.ProcDone {
+				h := waitingFor(t, r, "vm-a")
+				i, landed := r.pl.missing(h.cctx), hub.Counter("plant.extent_cache_fills").Value()
+				filler := r.pl.filler
+				if filler == nil || filler.State() == sim.ProcDone {
 					t.Fatal("no extent in flight")
 				}
 				if err := r.pl.Collect(p, "vm-a"); err != nil {
 					t.Fatal(err)
 				}
 				collected = p.Now()
-				if h.proc.State() != sim.ProcDone {
-					t.Errorf("hydrator still alive (state %d) after Collect", h.proc.State())
+				if filler.State() != sim.ProcDone || r.pl.filler != nil {
+					t.Errorf("filler still alive (state %d) after Collect", filler.State())
 				}
-				if got := hub.Counter("plant.hydrated_extents").Value(); got != landed {
-					t.Errorf("hydrated extents %d → %d across Collect: the cut-short extent counted", landed, got)
+				if got := hub.Counter("plant.extent_cache_fills").Value(); got != landed {
+					t.Errorf("extent fills %d → %d across Collect: the cut-short extent counted", landed, got)
 				}
-				if path := fmt.Sprintf("vms/vm-a/disk-s%03d.vmdk", i); r.tb.Nodes[0].LocalDisk().Exists(path) {
-					t.Errorf("cut-short extent %s landed", path)
+				if r.pl.cached(h.cctx, i) {
+					t.Errorf("cut-short extent %s counts as cached", h.cctx.ExtentCache[i])
 				}
 			})
 			if end < collected+50*time.Second || end > collected+70*time.Second {

@@ -2,12 +2,16 @@ package plant
 
 import (
 	"errors"
+	"maps"
+	"strings"
 	"testing"
 	"time"
 
+	"vmplants/internal/actions"
 	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/sim"
+	"vmplants/internal/telemetry"
 	"vmplants/internal/vdisk"
 	"vmplants/internal/warehouse"
 )
@@ -224,27 +228,52 @@ func TestMigrationHoldsDestinationSlot(t *testing.T) {
 	})
 }
 
-// A migrated lazy clone takes its hydration record with it: the source
-// keeps no entry, and no pointer to the VM, once the destination
-// collects it.
-func TestMigratedLazyCloneLeavesNoHydrationBehind(t *testing.T) {
-	k, _, a, b := twoPlantRig(t, Config{CloneMode: vdisk.CloneByLazy})
+// A lazy clone migrates at any age: one second after its creation, its
+// disk moves to a node whose image cache is cold, which serves what it
+// holds and demand-faults the rest. The next block the guest writes is
+// one fault on the destination; the source keeps nothing of the VM
+// under vms/ and every entry of its cache as it was.
+func TestYoungLazyCloneMigratesToAColdCache(t *testing.T) {
+	hub := telemetry.New()
+	k, tb, a, b := twoPlantRig(t, Config{CloneMode: vdisk.CloneByLazy, Telemetry: hub})
+	src := tb.Nodes[0].LocalDisk()
+	cache := func() map[string]uint64 {
+		sums := map[string]uint64{}
+		for _, path := range src.List() {
+			if strings.HasPrefix(path, warehouse.CacheDir) {
+				sums[path], _ = src.Checksum(path)
+			}
+		}
+		return sums
+	}
 	runK(t, k, func(p *sim.Proc) {
 		createOrFatal(t, p, a, "vm-a", spec(t, "alice"))
-		for !a.AllHydrated() {
-			p.Sleep(time.Second)
-		}
+		p.Sleep(time.Second)
+		before := cache()
 		if err := a.MigrateTo(p, "vm-a", b); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Collect(p, "vm-a"); err != nil {
+		vm, ok := b.VM("vm-a")
+		if !ok {
+			t.Fatal("destination does not hold the VM")
+		}
+		faults := hub.Counter("plant.demand_faults").Value()
+		if err := vm.ExecGuestAction(p, act(actions.OpCreateUser, "name", "zed", "seconds", "0")); err != nil {
 			t.Fatal(err)
 		}
-		a.mu.Lock()
-		left := len(a.live)
-		a.mu.Unlock()
-		if left != 0 {
-			t.Errorf("source keeps %d hydration record(s) after the VM left", left)
+		if got := hub.Counter("plant.demand_faults").Value(); got != faults+1 {
+			t.Errorf("the guest's next write after the move took %d demand faults, want 1", got-faults)
+		}
+		for _, path := range src.List() {
+			if strings.HasPrefix(path, "vms/") {
+				t.Errorf("source node still holds %s", path)
+			}
+		}
+		if after := cache(); !maps.Equal(after, before) {
+			t.Errorf("source cache went from %v to %v across the migration", before, after)
 		}
 	})
+	if !a.AllHydrated() || !b.AllHydrated() {
+		t.Errorf("AllHydrated: source %v, destination %v", a.AllHydrated(), b.AllHydrated())
+	}
 }

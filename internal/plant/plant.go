@@ -7,7 +7,6 @@
 package plant
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -137,15 +136,14 @@ type Plant struct {
 	// state-copies in flight (see admission.go). Only kernel processes
 	// touch it, so it needs no lock.
 	cloneGate *sim.Resource
-	// live tracks the in-service lazy clones' hydrations; hydrationAborted
-	// says one ever ended without every extent (both guarded by mu).
-	live             map[core.VMID]*hydration
+	// waiting holds the lazy clones whose disks still read extents over
+	// NFS, longest-waiting first; filler is the process landing those
+	// extents in the node's image cache, nil when none runs; and
+	// hydrationAborted says a clone's wait ever ended without its disk
+	// whole (hydrate.go). Only kernel processes touch them.
+	waiting          []*hydration
+	filler           *sim.Proc
 	hydrationAborted bool
-	// hydrating says a background hydrator process is running, and
-	// unhydrated holds the resumed clones waiting for theirs, oldest
-	// first (hydrate.go). Only kernel processes touch them.
-	hydrating  bool
-	unhydrated []*hydration
 	// host models the host-side runtime state that survives a daemon
 	// death: the production line's VM processes keep running when the
 	// management daemon dies. It is maintained continuously — a record
@@ -190,9 +188,9 @@ type Plant struct {
 	mReplicaHits       *telemetry.Counter
 	mReplicaFills      *telemetry.Counter
 	mSharedResumes     *telemetry.Counter
-	mHydratedExtents   *telemetry.Counter
+	mExtentHits        *telemetry.Counter
+	mExtentFills       *telemetry.Counter
 	mHydrationAborts   *telemetry.Counter
-	hHydrationLag      *telemetry.Histogram
 	hHydrationComplete *telemetry.Histogram
 }
 
@@ -237,7 +235,6 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 		info:   NewInfoSystem(),
 		pool:   make(map[string][]precreated),
 		host:   make(map[core.VMID]*record),
-		live:   make(map[core.VMID]*hydration),
 		rng:    rng,
 		faults: faults,
 
@@ -271,9 +268,9 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 		mReplicaHits:       tel.Counter("plant.memimage_replica_hits"),
 		mReplicaFills:      tel.Counter("plant.memimage_replica_fills"),
 		mSharedResumes:     tel.Counter("plant.memimage_shared_resumes"),
-		mHydratedExtents:   tel.Counter("plant.hydrated_extents"),
+		mExtentHits:        tel.Counter("plant.extent_cache_hits"),
+		mExtentFills:       tel.Counter("plant.extent_cache_fills"),
 		mHydrationAborts:   tel.Counter("plant.hydration_aborts"),
-		hHydrationLag:      tel.Histogram("plant.hydration_lag_secs"),
 		hHydrationComplete: tel.Histogram("plant.hydration_complete_secs"),
 	}
 	slots := cfg.CloneSlots
@@ -549,7 +546,7 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		}
 		if cloneStats.ReplicaFill {
 			pl.mReplicaFills.Inc()
-			pl.pruneReplicas()
+			pl.pruneCache()
 		}
 		if cloneStats.SharedResume {
 			pl.mSharedResumes.Inc()
@@ -581,13 +578,16 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	// The state copy is done: free the slot before configuration, which
 	// contends on guest CPU rather than host disk.
 	releaseSlot()
-	// Lazy clone: the VM resumed without its disk extents. Hand the rest
-	// of the state copy to the background hydrator and install the
-	// demand-fault hook before any guest action can touch the disk.
-	// (Pool hits were parked as link clones and need neither.)
+	// Lazy clone: the VM resumed without its disk extents, which it reads
+	// from the node's image cache. Before any guest action can touch the
+	// disk, extents not cached yet get the demand-fault hook and the
+	// filler. (Pool hits were parked as link clones and need neither.)
+	var lazy *warehouse.CloneContext
 	if cloneStats.Mode == vdisk.CloneByLazy && !hit {
-		hyd := pl.startHydration(p, vm, cctx, start, cloneSp)
-		hold(func() { hyd.cancel(p) })
+		lazy = cctx
+		if pl.hydrate(p, vm, cctx, start, cloneSp) {
+			hold(func() { pl.unhydrate(p, id, true) })
+		}
 	}
 	if err := vm.AttachNIC(honet, pl.macs.Next()); err != nil {
 		return nil, err
@@ -616,7 +616,7 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	// also enters the host map: that is the runtime state a daemon
 	// crash cannot take down.
 	ad := pl.buildAd(p, id, spec, vm, golden, best, cloneStats)
-	rec := &record{vm: vm, ad: ad, domain: spec.Domain, golden: golden, createdAt: p.Now()}
+	rec := &record{vm: vm, ad: ad, domain: spec.Domain, golden: golden, lazy: lazy, createdAt: p.Now()}
 	pl.info.store(rec)
 	pl.mu.Lock()
 	pl.host[id] = rec
@@ -720,20 +720,6 @@ func (pl *Plant) recordClone(cloneSp *telemetry.Span, cloneStart time.Duration, 
 	cloneSp.SetInt("bytes_copied", cs.CopiedBytes)
 	pl.mCloneBytes.Add(cs.CopiedBytes)
 	pl.mCloneLinks.Add(int64(cs.LinkedFiles))
-}
-
-// pruneReplicas deletes the node's memory-image replicas whose image the
-// warehouse no longer publishes at their epoch. It runs after a lazy
-// clone filled a replica, the only time the node adds one, so replicas
-// never outnumber the published images for longer than until the next
-// fill. The key is stateless: a restarted plant prunes the same way.
-func (pl *Plant) pruneReplicas() {
-	local := pl.node.LocalDisk()
-	for _, path := range local.List() {
-		if pl.wh.StaleReplica(path) {
-			_ = local.Delete(path) // fails only on a missing path
-		}
-	}
 }
 
 // configure executes the residual plan: guest actions are delivered via
@@ -864,11 +850,7 @@ func sortedKeys(m map[string]string) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -904,14 +886,7 @@ func (pl *Plant) Collect(p *sim.Proc, id core.VMID) error {
 	if !ok {
 		return fmt.Errorf("plant %s: no VM %s", pl.name, id)
 	}
-	pl.mu.Lock()
-	hyd := pl.live[id]
-	pl.mu.Unlock()
-	if hyd != nil {
-		// Stop hydrating state nobody will read; the hydrator drops its
-		// in-flight extent and exits.
-		hyd.cancel(p)
-	}
+	pl.unhydrate(p, id, true)
 	if err := r.vm.Collect(p); err != nil {
 		return err
 	}
@@ -970,6 +945,7 @@ func (pl *Plant) MigrateTo(p *sim.Proc, id core.VMID, dst *Plant) (err error) {
 	if dst == pl {
 		return nil
 	}
+	start := p.Now()
 	sp := pl.tel.T().Start(p, "plant.migrate").
 		Set("plant", pl.name).
 		Set("dst", dst.name).
@@ -995,15 +971,6 @@ func (pl *Plant) MigrateTo(p *sim.Proc, id core.VMID, dst *Plant) (err error) {
 	if vm.State() != vmm.Running {
 		return fmt.Errorf("plant %s: VM %s is %s; cannot migrate", pl.name, id, vm.State())
 	}
-	pl.mu.Lock()
-	hyd := pl.live[id]
-	pl.mu.Unlock()
-	if hyd != nil && !hyd.Done() {
-		// A lazy clone still hydrating has extents landing on this node's
-		// local disk; moving it mid-stream would strand them. Migration
-		// waits for the hydrator (or the caller retries).
-		return fmt.Errorf("plant %s: VM %s still hydrating; cannot migrate", pl.name, id)
-	}
 	dstNet, _, err := dst.nets.Acquire(r.domain)
 	if err != nil {
 		return fmt.Errorf("plant %s: destination network: %w", pl.name, err)
@@ -1019,9 +986,15 @@ func (pl *Plant) MigrateTo(p *sim.Proc, id core.VMID, dst *Plant) (err error) {
 	if err := vm.Migrate(p, dst.node); err != nil {
 		return abort(err)
 	}
+	// A lazy clone's disk reads the destination's image cache from here:
+	// what it holds, and demand faults for the rest.
+	pl.unhydrate(p, id, false)
 	vm.DetachNIC()
 	if err := vm.Resume(p); err != nil {
 		return abort(err)
+	}
+	if r.lazy != nil {
+		dst.hydrate(p, vm, r.lazy, start, sp)
 	}
 	if err := vm.AttachNIC(dstNet, mac); err != nil {
 		return abort(err)
@@ -1030,7 +1003,6 @@ func (pl *Plant) MigrateTo(p *sim.Proc, id core.VMID, dst *Plant) (err error) {
 	pl.info.remove(id)
 	pl.mu.Lock()
 	delete(pl.host, id)
-	delete(pl.live, id) // its hydration is done, so nothing is left to cancel
 	pl.mu.Unlock()
 	pl.journalVM(p, id, false)
 	if err := pl.nets.Release(r.domain); err != nil {
@@ -1195,6 +1167,3 @@ func (pl *Plant) VM(id core.VMID) (*vmm.VM, bool) {
 	}
 	return r.vm, true
 }
-
-// ErrNoGolden is a sentinel match failure cause.
-var ErrNoGolden = errors.New("plant: no golden machine matches")

@@ -61,8 +61,9 @@ func newRig(t *testing.T, cfg Config) *rig {
 }
 
 // newRigOn is a plant on node 0 of a testbed of the given size and
-// timing; the other nodes are there to load the NFS server.
-func newRigOn(t *testing.T, nodes int, params cluster.Params, cfg Config) *rig {
+// timing; the other nodes are there to load the NFS server. prep, when
+// given, shapes the golden image before it is published.
+func newRigOn(t *testing.T, nodes int, params cluster.Params, cfg Config, prep ...func(*warehouse.Image)) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	tb := cluster.NewTestbed(k, nodes, params, 5)
@@ -71,6 +72,9 @@ func newRigOn(t *testing.T, nodes int, params cluster.Params, cfg Config) *rig {
 	im, err := warehouse.BuildGolden("ws-golden", hw, warehouse.BackendVMware, goldenHistory())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range prep {
+		f(im)
 	}
 	if err := wh.Publish(im); err != nil {
 		t.Fatal(err)

@@ -64,6 +64,9 @@ func (pl *Plant) Crash() {
 	}
 	pl.down = true
 	pl.mu.Unlock()
+	if pl.filler != nil {
+		pl.filler.Interrupt() // the fill dies with the daemon
+	}
 	for _, id := range pl.info.IDs() {
 		if r, ok := pl.info.get(id); ok {
 			r.ad = nil // soft state dies with the daemon
@@ -140,6 +143,7 @@ func (pl *Plant) Recover(p *sim.Proc) (n int) {
 		pl.info.store(r)
 		n++
 	}
+	pl.startFiller(p.Kernel()) // the fill resumes where the cache stands
 	pl.mRecoveries.Inc()
 	pl.gActiveVMs.Set(int64(pl.info.Count()))
 	if pl.jnl != nil {

@@ -16,16 +16,25 @@ import (
 )
 
 // replicas splits the files on a node's local disk into its
-// memory-image replicas and everything else.
+// memory-image replicas, its cached extents, and everything outside its
+// image cache.
 func replicas(local *storage.Volume) (cache, other []string) {
+	cache, _, other = cacheFiles(local)
+	return cache, other
+}
+
+func cacheFiles(local *storage.Volume) (replicas, extents, other []string) {
 	for _, path := range local.List() {
-		if strings.HasPrefix(path, warehouse.ReplicaDir) {
-			cache = append(cache, path)
-		} else {
+		switch {
+		case strings.HasPrefix(path, warehouse.CacheDir+"extents/"):
+			extents = append(extents, path)
+		case strings.HasPrefix(path, warehouse.CacheDir):
+			replicas = append(replicas, path)
+		default:
 			other = append(other, path)
 		}
 	}
-	return cache, other
+	return replicas, extents, other
 }
 
 // replicaCounts reads the plant's replica counters.
@@ -93,7 +102,7 @@ func TestQuarantineAndRepairForceRefill(t *testing.T) {
 		createOrFatal(t, p, r.pl, "vm-b", spec(t, "bob"))
 	})
 	golden, _ := r.wh.Lookup("ws-golden")
-	want := warehouse.ReplicaDir + "ws-golden@" + "2.vmss"
+	want := warehouse.CacheDir + "ws-golden@" + "2.vmss"
 	if golden.Epoch() != 2 || len(stale) != 1 || stale[0] == want {
 		t.Fatalf("epoch %d, replicas before the repair %q", golden.Epoch(), stale)
 	}
@@ -128,12 +137,12 @@ func TestRemovedImageReplicaDeletedByNextMiss(t *testing.T) {
 		if err := r.wh.Remove("ws-small"); err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := replicas(local); len(got) != 1 || !r.wh.StaleReplica(got[0]) {
+		if got, _ := replicas(local); len(got) != 1 || !r.wh.StaleCacheEntry(got[0]) {
 			t.Errorf("replicas after the removal %q, want the removed image's, stale", got)
 		}
 		createOrFatal(t, p, r.pl, "vm-b", spec(t, "bob"))
 	})
-	if got, _ := replicas(local); len(got) != 1 || got[0] != warehouse.ReplicaDir+"ws-golden@0.vmss" {
+	if got, _ := replicas(local); len(got) != 1 || got[0] != warehouse.CacheDir+"ws-golden@0.vmss" {
 		t.Errorf("replicas after the next miss %q, want only ws-golden's", got)
 	}
 }
@@ -175,7 +184,7 @@ func TestRepublishedImageRefills(t *testing.T) {
 		}
 	})
 	cache, _ := replicas(local)
-	if len(cache) != 1 || cache[0] != warehouse.ReplicaDir+"ws-small@0.vmss" {
+	if len(cache) != 1 || cache[0] != warehouse.CacheDir+"ws-small@0.vmss" {
 		t.Fatalf("replicas %q", cache)
 	}
 	if size, _ := local.Stat(cache[0]); size != again.MemImageBytes() {
@@ -239,10 +248,12 @@ func TestReplicaHitsAfterCrashAndRecover(t *testing.T) {
 }
 
 // Collecting a VM deletes its files from the node's local disk, in every
-// clone mode: a hydrated lazy clone, one collected mid-hydration, and a
-// suspended-then-resumed VM's own checkpoint. Only lazy cloning leaves
-// anything behind — the memory-image replica — and link and copy clones,
-// whose per-clone copy the paper's figures measure, never make one.
+// clone mode: a lazy clone whose disk came whole, one collected while the
+// node's cache was still cold, and a suspended-then-resumed VM's own
+// checkpoint. Only lazy cloning leaves anything behind — its image
+// cache, which holds only entries the warehouse still publishes — and
+// link and copy clones, whose per-clone copy the paper's figures
+// measure, never make one.
 func TestCollectLeavesOnlyReplicas(t *testing.T) {
 	for _, mode := range []vdisk.CloneMode{vdisk.CloneByLazy, vdisk.CloneByLink, vdisk.CloneByCopy} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -272,12 +283,21 @@ func TestCollectLeavesOnlyReplicas(t *testing.T) {
 			if mode == vdisk.CloneByLazy {
 				want = 1
 			}
-			cache, other := replicas(r.tb.Nodes[0].LocalDisk())
-			if len(cache) != want || len(other) != 0 {
-				t.Errorf("after collecting every VM the local disk holds replicas %q and files %q; want %d replicas, no other file", cache, other, want)
+			cache, extents, other := cacheFiles(r.tb.Nodes[0].LocalDisk())
+			if len(cache) != want || len(extents) != want || len(other) != 0 {
+				t.Errorf("after collecting every VM the local disk holds replicas %q, extents %q and files %q; want %d of each kind in the cache, no other file",
+					cache, extents, other, want)
+			}
+			for _, path := range append(cache, extents...) {
+				if r.wh.StaleCacheEntry(path) {
+					t.Errorf("cache entry %s outlived what the warehouse publishes", path)
+				}
 			}
 			if hits, fills := replicaCounts(hub); hits+fills != int64(want+want) {
 				t.Errorf("replica hits %d, fills %d under %v", hits, fills, mode)
+			}
+			if hits, fills := hub.Counter("plant.extent_cache_hits").Value(), hub.Counter("plant.extent_cache_fills").Value(); hits != int64(want) || fills != int64(want) {
+				t.Errorf("extent cache hits %d, fills %d under %v", hits, fills, mode)
 			}
 		})
 	}

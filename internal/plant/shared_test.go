@@ -135,8 +135,8 @@ func TestConcurrentClonesFillAndReadOnce(t *testing.T) {
 			})
 		}
 	})
-	// Hydration is background work; the rest is the two clones' and their
-	// guests' demand faults.
+	// The image cache's fill is background work; the rest is the two
+	// clones' and their guests' demand faults.
 	bytes, background, _ := node.Warehouse().Device().Stats()
 	want := 2*(cfg+redo) + golden.MemImageBytes() + faults.Value()*vdisk.BlockSize
 	if got := bytes - background; got != want {

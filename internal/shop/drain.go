@@ -5,8 +5,8 @@
 // effect, the plant stops bidding (shop-side eligibility filter plus
 // the plant's own Draining classad marker), dispatches already in
 // flight finish normally, and the hosted VMs are migrated to the
-// remaining plants — or awaited, when migration is refused (a lazy
-// clone still hydrating, a suspended VM) — before a retirement record
+// remaining plants — or awaited, when migration is refused (a full
+// destination, a suspended VM) — before a retirement record
 // makes the exit durable. The two journal records bracket the protocol
 // so a shop killed mid-drain resumes it on restart instead of
 // forgetting it, and replay removes retired plants from the candidate
@@ -197,11 +197,11 @@ func (s *Shop) finishDrain(p *sim.Proc, name string) error {
 		}
 		p.Sleep(drainPoll)
 	}
-	// Evacuate: every VM routed to the draining plant is migrated to an
-	// eligible plant. A refused migration (destination full, lazy clone
-	// still hydrating, suspended VM) is awaited and retried — hydration
-	// lands, clients collect, capacity frees — so the loop always makes
-	// progress in virtual time without ever abandoning a VM.
+	// Evacuate: every VM routed to the draining plant, a lazy clone at any
+	// age, is migrated to an eligible plant. A refused migration
+	// (destination full, suspended VM) is awaited and retried — clients
+	// collect, capacity frees — so the loop always makes progress in
+	// virtual time without ever abandoning a VM.
 	for {
 		if s.down {
 			return ErrShopDown

@@ -69,8 +69,7 @@ func memImageBytes(hw core.HardwareSpec) int64 {
 // cloneDiskState lays down the clone's disk state files in dir on the
 // node: links or copies of the golden extents, plus a copy of the base
 // redo log and the VM configuration file. Returns bytes physically
-// copied, files linked, and the paths laid down, with room left for the
-// extents a lazy clone's hydrator lands later. On error it leaves no
+// copied, files linked, and the paths laid down. On error it leaves no
 // file behind.
 func cloneDiskState(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, dir string, mode vdisk.CloneMode) (int64, int, []string, error) {
 	local := node.LocalDisk()
@@ -98,9 +97,9 @@ func cloneDiskState(p *sim.Proc, node *cluster.Node, golden *warehouse.Image, di
 	}
 	copied += n
 
-	// A lazy clone lays no extent down: the plant's hydrator materializes
-	// them in the background after the VM resumes (or a guest touch
-	// faults a block in first).
+	// A lazy clone lays no extent down: its disk reads them from the
+	// node's image cache, which the plant fills (or a guest touch faults
+	// a block in first).
 	if mode == vdisk.CloneByLazy {
 		return copied, 0, files, nil
 	}
@@ -194,20 +193,20 @@ func (b *VMware) Clone(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneCon
 // pressure. "The memory state is currently copied by the VMPlant
 // implementation during cloning", and link and copy clones keep that
 // per-clone copy. A lazy clone copies the immutable image into the
-// node's replica once per (image, epoch), links memPath to it and maps
-// the replica's pages, which it returns: while a running VM maps the
-// same bytes it reads nothing. Replica and pages count only under the
+// node's image cache once per (image, epoch), links memPath to that
+// replica and maps its pages, which it returns: while a running VM maps
+// the same bytes it reads nothing. Replica and pages count only under the
 // warehouse's current checksum, so nothing quarantined, repaired or
 // re-published since is resumed from stale bytes. Errors hold nothing.
-func loadMemory(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneContext, memPath string, start time.Duration, stats *CloneStats) (*cluster.MemImage, error) {
+func loadMemory(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneContext, memPath string, start time.Duration, stats *CloneStats) (*cluster.CacheEntry, error) {
 	golden := cctx.Image
 	local, wh := node.LocalDisk(), node.Warehouse()
 	dst := memPath
-	var image *cluster.MemImage
+	var image *cluster.CacheEntry
 	if stats.Mode == vdisk.CloneByLazy {
 		dst = cctx.MemReplica
 		sum, _ := wh.Checksum(golden.MemImagePath)
-		image = node.MemImage(dst, sum)
+		image = node.CacheEntry(dst, sum)
 		// One fill or read-back of the bytes at a time: a clone that finds
 		// one under way waits, then maps the pages it left resident, or
 		// does the work itself if it failed.
@@ -228,6 +227,9 @@ func loadMemory(p *sim.Proc, node *cluster.Node, cctx *warehouse.CloneContext, m
 			return nil, fmt.Errorf("vmm: copy memory state: %w", err)
 		}
 		stats.CopiedBytes += n
+		if image != nil {
+			image.Fills++
+		}
 	}
 	if dst != memPath {
 		if err := local.Link(p, dst, memPath); err != nil {

@@ -60,16 +60,15 @@ type VM struct {
 	nic *simnet.Port
 	net *simnet.HostOnlyNet
 
-	memPath   string            // local memory-image path ("" until first suspend for boot backends)
-	image     *cluster.MemImage // the resident memory image a lazy clone maps until Suspend or Collect
-	timing    Timing            // the production line's latency constants
-	cdBlob    []byte            // attached config CD image, nil when ejected
+	memPath   string              // local memory-image path ("" until first suspend for boot backends)
+	image     *cluster.CacheEntry // the resident memory image a lazy clone maps until Suspend or Collect
+	timing    Timing              // the production line's latency constants
+	cdBlob    []byte              // attached config CD image, nil when ejected
 	cdActions []dag.Action
 
 	// files are the VM's other paths on its node's local disk: the
-	// config, the redo log and the extents, linked or copied by the clone
-	// or landed later (AddFile). Collect and Migrate delete them, and
-	// memPath, by path.
+	// config, the redo log and the extents a link or copy clone laid
+	// down. Collect and Migrate delete them, and memPath, by path.
 	files []string
 
 	// history is the VM's full configuration lineage: the golden image's
@@ -79,20 +78,16 @@ type VM struct {
 
 	// blockTouch, when set, is consulted before every guest block write —
 	// the demand-fault seam for lazily cloned disks, whose extents may
-	// not be local yet. It blocks the guest until the touched block's
-	// extent is materialized, or fails the action.
+	// not be in the node's image cache yet. It blocks the guest until the
+	// touched block is local, or fails the action.
 	blockTouch func(p *sim.Proc, block int64) error
 }
 
 // SetBlockTouchHook installs the pre-write hook lazy cloning uses to
-// fault extents in on demand (nil removes it).
+// fault blocks in on demand (nil removes it).
 func (vm *VM) SetBlockTouchHook(fn func(p *sim.Proc, block int64) error) {
 	vm.blockTouch = fn
 }
-
-// AddFile records a file landed for the VM on its node's local disk (a
-// lazy clone's hydrated extent), for Collect to delete.
-func (vm *VM) AddFile(path string) { vm.files = append(vm.files, path) }
 
 // removeFiles deletes the VM's files, memPath included, from its node's
 // local disk, skipping any already gone. A memory file linked to the
@@ -151,9 +146,6 @@ func (vm *VM) Guest() *actions.State { return vm.guest }
 
 // Disk returns the VM's virtual disk.
 func (vm *VM) Disk() *vdisk.Disk { return vm.disk }
-
-// Node returns the hosting cluster node.
-func (vm *VM) Node() *cluster.Node { return vm.node }
 
 // MAC returns the virtual NIC's address (zero until AttachNIC).
 func (vm *VM) MAC() simnet.MAC { return vm.mac }
@@ -436,8 +428,9 @@ func (vm *VM) DetachNIC() {
 // Migrate re-homes a suspended VM onto another cluster node: the
 // checkpointed memory image and the private redo logs stream over the
 // cluster's gigabit interconnect, and the shared golden state is
-// re-linked from the destination's warehouse mount (no bulk disk copy —
-// the same property that makes cloning fast makes migration cheap).
+// re-linked from the destination's warehouse mount, or read from its
+// image cache (no bulk disk copy — the same property that makes cloning
+// fast makes migration cheap).
 func (vm *VM) Migrate(p *sim.Proc, dst *cluster.Node) error {
 	if vm.state != Suspended {
 		return fmt.Errorf("vmm: migrate of %s in state %s (suspend first)", vm.id, vm.state)

@@ -544,7 +544,7 @@ func TestMigrateRequiresSuspend(t *testing.T) {
 		if err := vm.Migrate(p, tb.Nodes[1]); err != nil {
 			t.Fatal(err)
 		}
-		if vm.Node() != tb.Nodes[1] {
+		if vm.node != tb.Nodes[1] {
 			t.Error("VM not re-homed")
 		}
 		// Self-migration is a no-op.

@@ -11,10 +11,10 @@ import (
 
 // CloneContext is what the production line holds while it clones a
 // golden image: the image, the integrity epoch its recorded sums were
-// verified at, and where a node keeps its memory-image replica. An
-// image carries one context per integrity epoch; OpenClone builds it on
-// the first open of the epoch and hands the same one out until the
-// epoch moves.
+// verified at, and where a node's image cache keeps the image's memory
+// file and disk extents. An image carries one context per integrity
+// epoch; OpenClone builds it on the first open of the epoch and hands
+// the same one out until the epoch moves.
 type CloneContext struct {
 	Image *Image
 	// Epoch is the image's integrity epoch when the context was built;
@@ -24,23 +24,32 @@ type CloneContext struct {
 	// MemReplica is the local path where a node keeps its replica of the
 	// image's memory file at Epoch ("" for boot-style images).
 	MemReplica string
+	// ExtentCache is, beside each of Image.ExtentPaths, the local path
+	// where a node keeps that extent: its store path under CacheDir, so
+	// every image sharing the extent shares the entry.
+	ExtentCache []string
 }
 
-// ReplicaDir is the directory of a node's local disk that holds its
-// memory-image replicas, one file per (image, epoch) it pulled.
-const ReplicaDir = "cache/"
+// CacheDir is the directory of a node's local disk that holds its image
+// cache: a memory-image replica per (image, epoch) the node pulled, and
+// each stored disk extent it pulled, under its content key.
+const CacheDir = "cache/"
 
 // replicaPath names a node's replica of the image's memory file at the
 // given epoch.
 func replicaPath(name string, epoch int64) string {
-	return ReplicaDir + name + "@" + strconv.FormatInt(epoch, 10) + ".vmss"
+	return CacheDir + name + "@" + strconv.FormatInt(epoch, 10) + ".vmss"
 }
 
-// StaleReplica reports whether path is a memory-image replica
-// (CloneContext.MemReplica) whose image is no longer published at the
-// epoch in its name: unpublished, quarantined, or repaired since.
-func (w *Warehouse) StaleReplica(path string) bool {
-	name, ok := strings.CutPrefix(path, ReplicaDir)
+// StaleCacheEntry reports whether path is a node's image-cache entry the
+// warehouse no longer publishes: a memory-image replica whose image is
+// unpublished, quarantined or repaired since the epoch in its name, or
+// an extent the store no longer holds.
+func (w *Warehouse) StaleCacheEntry(path string) bool {
+	name, ok := strings.CutPrefix(path, CacheDir)
+	if ok && strings.HasPrefix(name, "extents/") {
+		return !w.vol.Exists(name)
+	}
 	at := strings.LastIndexByte(name, '@')
 	if !ok || at < 0 {
 		return false
@@ -86,6 +95,9 @@ func (w *Warehouse) OpenClone(name string) (*CloneContext, error) {
 	im.clone = &CloneContext{Image: im, Epoch: im.epoch}
 	if im.MemImagePath != "" {
 		im.clone.MemReplica = replicaPath(name, im.epoch)
+	}
+	for _, p := range im.ExtentPaths {
+		im.clone.ExtentCache = append(im.clone.ExtentCache, CacheDir+p)
 	}
 	return im.clone, nil
 }

@@ -18,7 +18,8 @@ import (
 // creation critical path: the same request stream is replayed through
 // two fresh same-seed deployments, one cloning by full copy (the
 // 2 GB-per-clone floor) and one cloning lazily (only config + redo +
-// memory before the resume, extents hydrated behind the running VM).
+// memory before the resume, the disk read from the node's image cache,
+// which pulls each stored extent once behind the running VMs).
 // The shop mints VMIDs deterministically, so the two runs create the
 // same VMs and their end-state disks must hash byte-identically once
 // hydration converges.
@@ -30,9 +31,10 @@ type cloneModeRun struct {
 	Hashes     map[core.VMID]uint64
 
 	DemandFaults      int64
-	HydratedExtents   int64
-	HydrationLag      stats.Summary // background extent lag behind the resume
-	HydrationComplete stats.Summary // creation start → last extent landed
+	ExtentHits        int64         // clones that resumed with every extent in their node's cache
+	ExtentFills       int64         // extents the nodes pulled into their caches
+	Refills           int           // pulls of an extent a node already held at that checksum
+	HydrationComplete stats.Summary // creation start → the clone's disk whole on its node
 	ExtentStats       warehouse.ExtentStats
 	AllHydrated       bool
 	SharedResumes     int64 // clones that mapped a running VM's memory image
@@ -61,8 +63,8 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun
 		return nil, err
 	}
 	r := &cloneModeRun{Mode: mode, Hashes: make(map[core.VMID]uint64)}
-	// The series drained the kernel, so every background hydrator has
-	// finished: the hashes below are converged end states.
+	// The series drained the kernel, so every node's filler has finished:
+	// the hashes below are converged end states.
 	var ids []core.VMID
 	for _, rec := range recs {
 		if !rec.OK {
@@ -85,8 +87,8 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun
 	hydrations := slices.DeleteFunc(hub.T().Spans(), func(sp telemetry.Span) bool { return sp.Name != "hydrate" })
 	sort.Slice(hydrations, func(i, j int) bool { return hydrations[i].Attr("vmid") < hydrations[j].Attr("vmid") })
 	r.DemandFaults = hub.Counter("plant.demand_faults").Value()
-	r.HydratedExtents = hub.Counter("plant.hydrated_extents").Value()
-	r.HydrationLag = hub.Histogram("plant.hydration_lag_secs").Snapshot()
+	r.ExtentHits = hub.Counter("plant.extent_cache_hits").Value()
+	r.ExtentFills = hub.Counter("plant.extent_cache_fills").Value()
 	r.HydrationComplete = hub.Histogram("plant.hydration_complete_secs").Snapshot()
 	r.ExtentStats = d.Warehouse.ExtentStatsNow()
 	r.SharedResumes = hub.Counter("plant.memimage_shared_resumes").Value()
@@ -102,6 +104,7 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun
 	}
 	for _, n := range d.Testbed.Nodes {
 		r.Mappings += n.Mappings()
+		r.Refills += n.Refills()
 	}
 
 	for i, id := range ids {
@@ -114,6 +117,7 @@ func runCloneMode(seed int64, n, memMB int, mode vdisk.CloneMode) (*cloneModeRun
 	r.logf("extents entries=%d refs=%d logical=%d physical=%d",
 		r.ExtentStats.Entries, r.ExtentStats.Refs, r.ExtentStats.LogicalBytes, r.ExtentStats.PhysicalBytes)
 	r.logf("shared_resumes=%d mappings_after_teardown=%d", r.SharedResumes, r.Mappings)
+	r.logf("extent_cache hits=%d fills=%d refills=%d", r.ExtentHits, r.ExtentFills, r.Refills)
 	return r, nil
 }
 
@@ -185,9 +189,9 @@ func (c *cloneComparison) Report() []string {
 		fmt.Sprintf("%d VMs of %d MB, eager full-copy vs lazy hydration:", c.VMs, c.MemoryMB),
 		fmt.Sprintf("eager resume p50: %7.1f s   (full-copy floor)", c.EagerResume.P50),
 		fmt.Sprintf("lazy resume p50:  %7.1f s   (%.1f× faster to a usable VM)", c.LazyResume.P50, c.ResumeSpeedup),
-		fmt.Sprintf("lazy complete p50:%7.1f s   (last extent hydrated)", c.Lazy.HydrationComplete.P50),
-		fmt.Sprintf("demand faults: %d, hydrated extents: %d, hydration lag p90: %.1f s",
-			c.Lazy.DemandFaults, c.Lazy.HydratedExtents, c.Lazy.HydrationLag.P90),
+		fmt.Sprintf("lazy complete p50:%7.1f s   (disk whole in the node's image cache)", c.Lazy.HydrationComplete.P50),
+		fmt.Sprintf("demand faults: %d, extent cache hits: %d, extent fills: %d (%d refills)",
+			c.Lazy.DemandFaults, c.Lazy.ExtentHits, c.Lazy.ExtentFills, c.Lazy.Refills),
 		fmt.Sprintf("extent store: %d logical MB → %d physical MB (%.1f× dedup, %d MB saved)",
 			c.Lazy.ExtentStats.LogicalBytes>>20, c.Lazy.ExtentStats.PhysicalBytes>>20,
 			c.DedupRatio, c.SavedBytes>>20),

@@ -136,12 +136,14 @@ func (r *pipelineResult) Violations() []string {
 	// maps the pages of a VM still running there.
 	g.check(c.Lazy.SharedResumes > 0, "no lazy clone mapped a resident memory image")
 	g.check(c.Eager.Mappings+c.Lazy.Mappings == 0, "%d memory-image mappings outlived their VMs", c.Eager.Mappings+c.Lazy.Mappings)
+	g.check(c.Lazy.Refills == 0, "%d extents pulled over NFS again at a checksum their node held", c.Lazy.Refills)
+	g.check(c.Lazy.ExtentHits > 0, "no lazy clone used a cached extent")
 	g.check(c.DeterminismOK, "same-seed lazy rerun not byte-identical")
 	return g
 }
 
 // Artifacts is the batch sweep and the clone comparison (dedup ratio,
-// hydration lag, per-VM hashes) as JSON.
+// extent cache hits and fills, per-VM hashes) as JSON.
 func (r *pipelineResult) Artifacts() []Artifact {
 	return []Artifact{{Name: "metrics.json", Write: func(w io.Writer) error {
 		enc := json.NewEncoder(w)
