@@ -6,15 +6,14 @@ import (
 )
 
 func BenchmarkWriteRead32Scripts(b *testing.B) {
-	im := New()
-	for i := 0; i < 32; i++ {
-		im.Add(fmt.Sprintf("scripts/%03d.sh", i), []byte("#!vmplant-action\nop=create-user\nparam.name=u\n"))
-	}
+	script := []byte("#!vmplant-action\nop=create-user\nparam.name=u\n")
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blob := im.Bytes()
-		if _, err := Read(blob); err != nil {
+		w := NewWriter(2048)
+		for j := 0; j < 32; j++ {
+			w.Add(fmt.Appendf(nil, "scripts/%03d.sh", j), appendBytes(script))
+		}
+		if _, err := Read(w.Finish()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,10 +17,12 @@ func seal(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(slices.Clip(body), crc32.ChecksumIEEE(body))
 }
 
-// FuzzRead holds the config CD parser every residual-action creation
-// runs (vmm.AttachCD) to two properties: no input panics it, and an
-// image it accepts re-serialises to bytes it parses back to the same
-// paths and contents.
+// FuzzRead holds the config CD reader every residual-action creation
+// runs (vmm.AttachCD) to three properties: no input panics it; an image
+// it accepts is one the map-backed oracle accepts with the same files,
+// and Writer re-serialises it to exactly the bytes it read (one set of
+// files, one encoding); and an image the oracle accepts in its own
+// canonical encoding, Read accepts too.
 func FuzzRead(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 16; i++ {
@@ -36,22 +38,28 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, blob := range [][]byte{b, seal(b)} {
-			im, err := Read(blob)
+			files, err := Read(blob)
+			old, oerr := readOracle(blob)
 			if err != nil {
+				if oerr == nil && bytes.Equal(old.Bytes(), blob) {
+					t.Fatalf("Read refused an image in canonical encoding: %v", err)
+				}
 				continue
 			}
-			back, err := Read(im.Bytes())
-			if err != nil {
-				t.Fatalf("re-serialised image does not parse: %v", err)
+			if oerr != nil {
+				t.Fatalf("Read accepted an image the oracle refuses: %v", oerr)
 			}
-			if !slices.Equal(back.Paths(), im.Paths()) {
-				t.Fatalf("paths %q read back as %q", im.Paths(), back.Paths())
-			}
-			for _, p := range im.Paths() {
-				want, _ := im.Lookup(p)
-				if got, _ := back.Lookup(p); !bytes.Equal(got, want) {
-					t.Fatalf("%s: %q read back as %q", p, want, got)
+			w := NewWriter(len(blob))
+			for _, f := range files {
+				if got, ok := old.Lookup(string(f.Path)); !ok || !bytes.Equal(got, f.Data) {
+					t.Fatalf("%s: Read %q, the oracle %q", f.Path, f.Data, got)
 				}
+				if err := w.Add(f.Path, appendBytes(f.Data)); err != nil {
+					t.Fatalf("Writer refused what Read accepted: %v", err)
+				}
+			}
+			if back := w.Finish(); len(files) != old.Len() || !bytes.Equal(back, blob) {
+				t.Fatalf("%d files re-serialise as %q, read from %q", len(files), back, blob)
 			}
 		}
 	})

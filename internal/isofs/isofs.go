@@ -14,6 +14,11 @@
 //	count   uint32
 //	entries count × { pathLen uint16, path, dataLen uint32, data }
 //	crc32   uint32   (IEEE, over everything before it)
+//
+// Entries are in strictly increasing path order, so an image has no
+// duplicate path and one set of files has exactly one encoding. The
+// image is written once, by appending (Writer), and read in place
+// (Read): neither side stages a file's bytes anywhere else.
 package isofs
 
 import (
@@ -23,8 +28,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
-	"strings"
 )
 
 var magic = [8]byte{'V', 'M', 'P', 'I', 'S', 'O', '1', '\n'}
@@ -36,179 +39,132 @@ const (
 	MaxFileSize = 64 << 20 // 64 MiB per file
 )
 
-// File is one entry in an image.
+// File is one entry of a read image. Path and Data are slices of the
+// image they were read from.
 type File struct {
-	Path string
-	Data []byte
+	Path, Data []byte
 }
 
-// Image is a parsed or under-construction CD image.
-type Image struct {
-	files []File
-	index map[string]int
-}
-
-// New returns an empty image.
-func New() *Image {
-	return &Image{index: make(map[string]int)}
-}
-
-// validatePath enforces the path rules: non-empty, relative, clean,
-// ASCII printable, and at most MaxPathLen bytes.
-func validatePath(p string) error {
-	if p == "" {
+// checkEntry enforces the entry rules on a path that follows prev (nil
+// for the first entry): non-empty, relative, clean, ASCII printable, at
+// most MaxPathLen bytes and after prev; and a file of at most
+// MaxFileSize bytes.
+func checkEntry(prev, p []byte, size int) error {
+	if len(p) == 0 {
 		return errors.New("isofs: empty path")
 	}
 	if len(p) > MaxPathLen {
-		return fmt.Errorf("isofs: path %q exceeds %d bytes", p[:32]+"…", MaxPathLen)
+		return fmt.Errorf("isofs: path %q… exceeds %d bytes", p[:32], MaxPathLen)
 	}
-	if strings.HasPrefix(p, "/") {
+	if p[0] == '/' {
 		return fmt.Errorf("isofs: absolute path %q", p)
 	}
-	for _, seg := range strings.Split(p, "/") {
-		if seg == "" || seg == "." || seg == ".." {
+	for seg, rest, more := p, p, true; more; {
+		if seg, rest, more = bytes.Cut(rest, []byte("/")); len(seg) == 0 || string(seg) == "." || string(seg) == ".." {
 			return fmt.Errorf("isofs: path %q has empty or dot segment", p)
 		}
 	}
-	for i := 0; i < len(p); i++ {
-		if p[i] < 0x20 || p[i] == 0x7f {
+	for _, c := range p {
+		if c < 0x20 || c == 0x7f {
 			return fmt.Errorf("isofs: path %q has control character", p)
 		}
 	}
+	if bytes.Compare(prev, p) >= 0 {
+		return fmt.Errorf("isofs: path %q does not follow %q", p, prev)
+	}
+	if size > MaxFileSize {
+		return fmt.Errorf("isofs: file %q exceeds %d bytes", p, MaxFileSize)
+	}
 	return nil
 }
 
-// Add inserts a file, replacing any previous entry at the same path.
-func (im *Image) Add(path string, data []byte) error {
-	if err := validatePath(path); err != nil {
-		return err
-	}
-	if len(data) > MaxFileSize {
-		return fmt.Errorf("isofs: file %q exceeds %d bytes", path, MaxFileSize)
-	}
-	if i, ok := im.index[path]; ok {
-		im.files[i].Data = append([]byte(nil), data...)
-		return nil
-	}
-	if len(im.files) >= MaxFiles {
+// Writer builds an image by appending to one byte slice.
+type Writer struct {
+	buf  []byte
+	n    int // files added
+	prev int // offset of the last file's path length; 0 before the first
+}
+
+// NewWriter starts an image in a buffer of capacity sizeHint.
+func NewWriter(sizeHint int) *Writer {
+	buf := append(make([]byte, 0, sizeHint), magic[:]...)
+	return &Writer{buf: append(buf, 0, 0, 0, 0)}
+}
+
+// Add appends one file at path, after every path added before it. The
+// file's bytes are whatever data appends to the slice it is given, so
+// they are written straight into the image. A refused file leaves the
+// image as it was.
+func (w *Writer) Add(path []byte, data func([]byte) []byte) error {
+	if w.n >= MaxFiles {
 		return fmt.Errorf("isofs: image full (%d files)", MaxFiles)
 	}
-	im.index[path] = len(im.files)
-	im.files = append(im.files, File{Path: path, Data: append([]byte(nil), data...)})
+	at := len(w.buf)
+	b := binary.LittleEndian.AppendUint16(w.buf, uint16(len(path)))
+	b = append(b, path...)
+	b = data(append(b, 0, 0, 0, 0))
+	pathAt, dataAt := at+2, at+2+len(path)+4
+	var prev []byte
+	if w.prev > 0 {
+		prev = b[w.prev+2 : w.prev+2+int(binary.LittleEndian.Uint16(b[w.prev:]))]
+	}
+	if err := checkEntry(prev, b[pathAt:dataAt-4], len(b)-dataAt); err != nil {
+		w.buf = b[:at]
+		return err
+	}
+	binary.LittleEndian.PutUint32(b[dataAt-4:], uint32(len(b)-dataAt))
+	w.buf, w.prev = b, at
+	w.n++
 	return nil
 }
 
-// Lookup returns a file's content.
-func (im *Image) Lookup(path string) ([]byte, bool) {
-	i, ok := im.index[path]
-	if !ok {
-		return nil, false
-	}
-	return im.files[i].Data, true
+// Finish seals the image — file count and CRC — and returns it.
+func (w *Writer) Finish() []byte {
+	binary.LittleEndian.PutUint32(w.buf[len(magic):], uint32(w.n))
+	return binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf))
 }
 
-// Len reports the number of files.
-func (im *Image) Len() int { return len(im.files) }
-
-// Paths returns all paths, sorted.
-func (im *Image) Paths() []string {
-	out := make([]string, 0, len(im.files))
-	for _, f := range im.files {
-		out = append(out, f.Path)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// WriteTo serializes the image. Entries are written in sorted path
-// order so identical content always produces identical bytes.
-func (im *Image) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	files := append([]File(nil), im.files...)
-	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
-	var n4 [4]byte
-	binary.LittleEndian.PutUint32(n4[:], uint32(len(files)))
-	buf.Write(n4[:])
-	var n2 [2]byte
-	for _, f := range files {
-		binary.LittleEndian.PutUint16(n2[:], uint16(len(f.Path)))
-		buf.Write(n2[:])
-		buf.WriteString(f.Path)
-		binary.LittleEndian.PutUint32(n4[:], uint32(len(f.Data)))
-		buf.Write(n4[:])
-		buf.Write(f.Data)
-	}
-	binary.LittleEndian.PutUint32(n4[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(n4[:])
-	return buf.WriteTo(w)
-}
-
-// Bytes serializes the image into a fresh slice.
-func (im *Image) Bytes() []byte {
-	var buf bytes.Buffer
-	im.WriteTo(&buf) // writing to a bytes.Buffer cannot fail
-	return buf.Bytes()
-}
-
-// SizeBytes is the serialized size: the length of Bytes.
-func (im *Image) SizeBytes() int64 { return int64(len(im.Bytes())) }
-
-// Read parses an image, verifying the magic and CRC.
-func Read(blob []byte) (*Image, error) {
+// Read checks an image — magic, CRC, limits and path order — and returns
+// its files in on-disc (path) order, as slices of blob.
+func Read(blob []byte) ([]File, error) {
 	if len(blob) < len(magic)+8 {
 		return nil, errors.New("isofs: image too short")
 	}
 	if !bytes.Equal(blob[:len(magic)], magic[:]) {
 		return nil, errors.New("isofs: bad magic")
 	}
-	body, trailer := blob[:len(blob)-4], blob[len(blob)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
+	body := blob[:len(blob)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(blob[len(body):]) {
 		return nil, errors.New("isofs: CRC mismatch (corrupt image)")
 	}
-	r := bytes.NewReader(body[len(magic):])
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("isofs: truncated header: %w", err)
-	}
+	count := binary.LittleEndian.Uint32(body[len(magic):])
 	if count > MaxFiles {
 		return nil, fmt.Errorf("isofs: file count %d exceeds limit", count)
 	}
-	im := New()
-	for i := uint32(0); i < count; i++ {
-		var plen uint16
-		if err := binary.Read(r, binary.LittleEndian, &plen); err != nil {
-			return nil, fmt.Errorf("isofs: truncated entry %d: %w", i, err)
+	// An entry takes at least 7 bytes, so a count the body cannot hold
+	// allocates nothing past what the body could.
+	b := body[len(magic)+4:]
+	files := make([]File, 0, min(int(count), len(b)/7))
+	var prev []byte
+	for i := 0; i < int(count); i++ {
+		if len(b) < 2 || len(b) < 2+int(binary.LittleEndian.Uint16(b))+4 {
+			return nil, fmt.Errorf("isofs: truncated entry %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		if int(plen) > MaxPathLen {
-			return nil, fmt.Errorf("isofs: entry %d path too long", i)
-		}
-		pbuf := make([]byte, plen)
-		if _, err := io.ReadFull(r, pbuf); err != nil {
-			return nil, fmt.Errorf("isofs: truncated path of entry %d: %w", i, err)
-		}
-		var dlen uint32
-		if err := binary.Read(r, binary.LittleEndian, &dlen); err != nil {
-			return nil, fmt.Errorf("isofs: truncated entry %d: %w", i, err)
-		}
-		if dlen > MaxFileSize {
-			return nil, fmt.Errorf("isofs: entry %d data too large", i)
-		}
-		// A length past the end is refused before it is allocated: a
-		// few hostile bytes must not cost MaxFileSize of memory.
-		if int64(dlen) > int64(r.Len()) {
+		plen := int(binary.LittleEndian.Uint16(b))
+		path, size := b[2:2+plen:2+plen], binary.LittleEndian.Uint32(b[2+plen:])
+		b = b[2+plen+4:]
+		// A length past the end is refused before anything trusts it.
+		if uint64(size) > uint64(len(b)) {
 			return nil, fmt.Errorf("isofs: truncated data of entry %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		data := make([]byte, dlen)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, fmt.Errorf("isofs: truncated data of entry %d: %w", i, err)
-		}
-		if err := im.Add(string(pbuf), data); err != nil {
+		if err := checkEntry(prev, path, int(size)); err != nil {
 			return nil, err
 		}
+		files = append(files, File{Path: path, Data: b[:size:size]})
+		prev, b = path, b[size:]
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("isofs: %d trailing bytes", r.Len())
+	if len(b) != 0 {
+		return nil, fmt.Errorf("isofs: %d trailing bytes", len(b))
 	}
-	return im, nil
+	return files, nil
 }

@@ -735,7 +735,7 @@ func (pl *Plant) configure(p *sim.Proc, vm *vmm.VM, g *dag.Graph, residual []str
 	// Burn every residual guest action onto one CD, in plan order. The
 	// guest agent parses it; we then execute in plan order, interleaving
 	// host actions at the right positions.
-	var guestActs []dag.Action
+	guestActs := make([]dag.Action, 0, len(residual))
 	for _, nid := range residual {
 		n, ok := g.Node(nid)
 		if !ok {
@@ -750,7 +750,7 @@ func (pl *Plant) configure(p *sim.Proc, vm *vmm.VM, g *dag.Graph, residual []str
 		if err != nil {
 			return err
 		}
-		if err := vm.AttachCD(p, cd.Bytes()); err != nil {
+		if err := vm.AttachCD(p, cd); err != nil {
 			return err
 		}
 		defer vm.DetachCD(p)

@@ -13,13 +13,23 @@
 // The block store is real: reads and writes move actual bytes through
 // the COW chain, so tests can verify that clones see the golden state
 // and never leak writes into shared layers.
+//
+// A stored block keeps its bytes only up to its last non-zero byte (an
+// all-zero block keeps none); ReadBlock and both content hashes pad it
+// back to BlockSize, so the trimming is invisible. A stored block is
+// never written in place: a write stores a fresh slice. That is what
+// lets a clone, a copy clone's base image and a commit share block
+// slices instead of copying them.
 package vdisk
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // BlockSize is the unit of copy-on-write, in bytes.
@@ -80,20 +90,27 @@ func (im *Image) ExtentContentHash(i int) uint64 {
 			idxs = append(idxs, idx)
 		}
 	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
+	return hashBlocks(idxs, func(idx int64) []byte { return im.blocks[idx] })
+}
+
+// zero pads a stored block back to BlockSize.
+var zero [BlockSize]byte
+
+// hashBlocks digests the non-zero blocks at idxs (repeats ignored) in
+// address order, each as its address and its content padded to
+// BlockSize; block returns the stored block at an address.
+func hashBlocks(idxs []int64, block func(int64) []byte) uint64 {
+	slices.Sort(idxs)
 	h := fnv.New64a()
-	buf := make([]byte, 8)
-	var zero [BlockSize]byte
-	for _, idx := range idxs {
-		b := im.blocks[idx]
-		if string(b) == string(zero[:]) {
+	var addr [8]byte
+	for _, idx := range slices.Compact(idxs) {
+		b := block(idx)
+		if len(b) == 0 {
 			continue
 		}
-		for j := 0; j < 8; j++ {
-			buf[j] = byte(idx >> (8 * j))
-		}
-		h.Write(buf)
+		h.Write(binary.LittleEndian.AppendUint64(addr[:0], uint64(idx)))
 		h.Write(b)
+		h.Write(zero[len(b):])
 	}
 	return h.Sum64()
 }
@@ -105,13 +122,20 @@ func (im *Image) Populate(blockIdx int64, data []byte) error {
 	if err := im.checkBlock(blockIdx, data); err != nil {
 		return err
 	}
-	im.blocks[blockIdx] = append([]byte(nil), data...)
+	im.blocks[blockIdx] = append([]byte(nil), bytes.TrimRight(data, "\x00")...)
+	return nil
+}
+
+func (im *Image) checkIndex(blockIdx int64) error {
+	if blockIdx < 0 || blockIdx >= im.blockCount() {
+		return fmt.Errorf("vdisk: block %d out of range (disk has %d blocks)", blockIdx, im.blockCount())
+	}
 	return nil
 }
 
 func (im *Image) checkBlock(blockIdx int64, data []byte) error {
-	if blockIdx < 0 || blockIdx >= im.blockCount() {
-		return fmt.Errorf("vdisk: block %d out of range (disk has %d blocks)", blockIdx, im.blockCount())
+	if err := im.checkIndex(blockIdx); err != nil {
+		return err
 	}
 	if len(data) != BlockSize {
 		return fmt.Errorf("vdisk: block data must be %d bytes, got %d", BlockSize, len(data))
@@ -144,13 +168,10 @@ func (l *Layer) SizeBytes() int64 {
 	return header + int64(len(l.blocks))*BlockSize
 }
 
-// copyOf duplicates the layer's content into a fresh writable layer.
+// copyOf duplicates the layer's content into a fresh writable layer,
+// sharing its block slices.
 func (l *Layer) copyOf(name string) *Layer {
-	c := NewLayer(name)
-	for idx, b := range l.blocks {
-		c.blocks[idx] = append([]byte(nil), b...)
-	}
-	return c
+	return &Layer{name: name, blocks: maps.Clone(l.blocks)}
 }
 
 // Disk is a virtual disk presented to a guest: a base image plus a COW
@@ -181,18 +202,23 @@ func (d *Disk) top() *Layer { return d.chain[len(d.chain)-1] }
 // ReadBlock reads one block through the COW chain: topmost layer that
 // has the block wins, falling through to the base image, then zeros.
 func (d *Disk) ReadBlock(blockIdx int64) ([]byte, error) {
-	if err := d.base.checkBlock(blockIdx, make([]byte, BlockSize)); err != nil {
+	if err := d.base.checkIndex(blockIdx); err != nil {
 		return nil, err
 	}
+	b := make([]byte, BlockSize)
+	copy(b, d.stored(blockIdx))
+	return b, nil
+}
+
+// stored returns the stored block the chain presents at blockIdx (nil
+// when none holds it).
+func (d *Disk) stored(blockIdx int64) []byte {
 	for i := len(d.chain) - 1; i >= 0; i-- {
 		if b, ok := d.chain[i].blocks[blockIdx]; ok {
-			return append([]byte(nil), b...), nil
+			return b
 		}
 	}
-	if b, ok := d.base.blocks[blockIdx]; ok {
-		return append([]byte(nil), b...), nil
-	}
-	return make([]byte, BlockSize), nil
+	return d.base.blocks[blockIdx]
 }
 
 // WriteBlock writes one block into the top redo log.
@@ -204,7 +230,7 @@ func (d *Disk) WriteBlock(blockIdx int64, data []byte) error {
 	if t.frozen {
 		return fmt.Errorf("vdisk: disk %q top layer %q is frozen", d.name, t.name)
 	}
-	t.blocks[blockIdx] = append([]byte(nil), data...)
+	t.blocks[blockIdx] = append([]byte(nil), bytes.TrimRight(data, "\x00")...)
 	return nil
 }
 
@@ -299,9 +325,9 @@ type CloneResult struct {
 }
 
 // Clone creates a new disk presenting the same content as d. All frozen
-// layers are copied (they are the golden machine's recorded state); the
-// writable top layer must be empty — golden machines are checkpointed,
-// not live.
+// layers are copied (they are the golden machine's recorded state), the
+// copies sharing their block slices; the writable top layer must be
+// empty — golden machines are checkpointed, not live.
 func (d *Disk) Clone(name string, mode CloneMode) (CloneResult, error) {
 	if len(d.top().blocks) != 0 {
 		return CloneResult{}, fmt.Errorf("vdisk: clone of %q with dirty top layer; freeze first", d.name)
@@ -313,9 +339,7 @@ func (d *Disk) Clone(name string, mode CloneMode) (CloneResult, error) {
 		if err != nil {
 			return CloneResult{}, err
 		}
-		for idx, b := range base.blocks {
-			cp.blocks[idx] = append([]byte(nil), b...)
-		}
+		cp.blocks = maps.Clone(base.blocks)
 		base = cp
 		res.CopiedBytes += d.base.SizeBytes()
 		res.Files += d.base.spanFiles
@@ -338,38 +362,16 @@ func (d *Disk) Clone(name string, mode CloneMode) (CloneResult, error) {
 // block through the chain), for integrity checks in tests: a clone must
 // hash identically to its golden source.
 func (d *Disk) ContentHash() uint64 {
-	idxSet := make(map[int64]bool)
+	var idxs []int64
 	for idx := range d.base.blocks {
-		idxSet[idx] = true
+		idxs = append(idxs, idx)
 	}
 	for _, l := range d.chain {
 		for idx := range l.blocks {
-			idxSet[idx] = true
+			idxs = append(idxs, idx)
 		}
 	}
-	idxs := make([]int64, 0, len(idxSet))
-	for idx := range idxSet {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	h := fnv.New64a()
-	var zero [BlockSize]byte
-	buf := make([]byte, 8)
-	for _, idx := range idxs {
-		b, err := d.ReadBlock(idx)
-		if err != nil {
-			continue
-		}
-		if string(b) == string(zero[:]) {
-			continue
-		}
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(idx >> (8 * i))
-		}
-		h.Write(buf)
-		h.Write(b)
-	}
-	return h.Sum64()
+	return hashBlocks(idxs, d.stored)
 }
 
 // RedoBytes is the total physical size of all redo logs.

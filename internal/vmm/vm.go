@@ -8,10 +8,9 @@
 package vmm
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"vmplants/internal/actions"
@@ -183,7 +182,8 @@ func (vm *VM) AttachNIC(net *simnet.HostOnlyNet, mac simnet.MAC) error {
 // Action-script format: the host-side production line converts DAG
 // actions into scripts, burns them onto a CD image, and the in-guest
 // agent parses and executes them (paper §4.1). The format is a
-// shebang-style header followed by key=value lines:
+// shebang-style header followed by key=value lines, each ended by a
+// newline:
 //
 //	#!vmplant-action
 //	op=create-user
@@ -196,38 +196,53 @@ func (vm *VM) AttachNIC(net *simnet.HostOnlyNet, mac simnet.MAC) error {
 // without those characters is written as it is.
 const scriptMagic = "#!vmplant-action"
 
-var (
-	scriptText     = strings.NewReplacer(`\`, `\\`, "\n", `\n`, "\r", `\r`)
-	scriptKey      = strings.NewReplacer(`\`, `\\`, "\n", `\n`, "\r", `\r`, "=", `\e`)
-	scriptUnescape = strings.NewReplacer(`\\`, `\`, `\n`, "\n", `\r`, "\r", `\e`, "=")
-)
+var scriptUnescape = strings.NewReplacer(`\\`, `\`, `\n`, "\n", `\r`, "\r", `\e`, "=")
 
-// EncodeScript renders one action as guest-script bytes.
-func EncodeScript(a dag.Action) []byte {
-	var b bytes.Buffer
-	fmt.Fprintln(&b, scriptMagic)
-	fmt.Fprintf(&b, "op=%s\n", scriptText.Replace(a.Op))
-	fmt.Fprintf(&b, "target=%s\n", a.Target)
-	keys := make([]string, 0, len(a.Params))
+// AppendScript appends one action's guest script to dst.
+func AppendScript(dst []byte, a dag.Action) []byte {
+	dst = appendEscaped(append(dst, scriptMagic+"\nop="...), a.Op, false)
+	dst = append(append(append(dst, "\ntarget="...), a.Target.String()...), '\n')
+	var stack [8]string
+	keys := stack[:0]
 	for k := range a.Params {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "param.%s=%s\n", scriptKey.Replace(k), scriptText.Replace(a.Params[k]))
+		dst = appendEscaped(append(dst, "param."...), k, true)
+		dst = append(appendEscaped(append(dst, '='), a.Params[k], false), '\n')
 	}
-	return b.Bytes()
+	return dst
 }
 
-// ParseScript inverts EncodeScript.
+// appendEscaped appends s to dst with the script escapes; '=' is escaped
+// only in a key.
+func appendEscaped(dst []byte, s string, key bool) []byte {
+	for i := 0; i < len(s); i++ {
+		if e := strings.IndexByte("\\\n\r=", s[i]); e >= 0 && (e < 3 || key) {
+			dst = append(dst, '\\', `\nre`[e])
+		} else {
+			dst = append(dst, s[i])
+		}
+	}
+	return dst
+}
+
+// ParseScript inverts AppendScript. Keys and values are slices of one
+// string copy of blob. A line without its newline is a script cut off,
+// and an error.
 func ParseScript(blob []byte) (dag.Action, error) {
-	sc := bufio.NewScanner(bytes.NewReader(blob))
-	if !sc.Scan() || sc.Text() != scriptMagic {
+	header, s, _ := strings.Cut(string(blob), "\n")
+	if strings.TrimSuffix(header, "\r") != scriptMagic {
 		return dag.Action{}, fmt.Errorf("vmm: script missing %q header", scriptMagic)
 	}
-	a := dag.Action{Params: map[string]string{}}
-	for sc.Scan() {
-		line := sc.Text()
+	var a dag.Action
+	for s != "" {
+		line, rest, ok := strings.Cut(s, "\n")
+		if !ok {
+			return dag.Action{}, fmt.Errorf("vmm: script cut off in a %d-byte line", len(line))
+		}
+		s, line = rest, strings.TrimSuffix(line, "\r")
 		if line == "" {
 			continue
 		}
@@ -248,7 +263,10 @@ func ParseScript(blob []byte) (dag.Action, error) {
 			}
 			a.Target = t
 		case strings.HasPrefix(key, "param."):
-			a.Params[strings.TrimPrefix(key, "param.")] = val
+			if a.Params == nil {
+				a.Params = make(map[string]string, bytes.Count(blob, []byte("\nparam.")))
+			}
+			a.Params[key[len("param."):]] = val
 		default:
 			return dag.Action{}, fmt.Errorf("vmm: unknown script key %q", key)
 		}
@@ -256,28 +274,38 @@ func ParseScript(blob []byte) (dag.Action, error) {
 	if a.Op == "" {
 		return dag.Action{}, fmt.Errorf("vmm: script without op")
 	}
-	if len(a.Params) == 0 {
-		a.Params = nil
-	}
 	return a, nil
 }
 
 // BuildConfigCD burns a sequence of guest actions onto a CD image, one
-// script per action, named so the agent executes them in order.
-func BuildConfigCD(acts []dag.Action) (*isofs.Image, error) {
-	im := isofs.New()
+// script per action appended straight into the image. A script is named
+// scripts/NNNN-<op>.sh: four digits number every file isofs.MaxFiles
+// allows, so path order — the order the agent reads — is plan order.
+func BuildConfigCD(acts []dag.Action) ([]byte, error) {
+	// An upper bound for scripts without escapes: one allocation.
+	size := 16
+	for _, a := range acts {
+		size += 64 + 2*len(a.Op)
+		for k, v := range a.Params {
+			size += 8 + len(k) + len(v)
+		}
+	}
+	w := isofs.NewWriter(size)
+	var path [64]byte
 	for i, a := range acts {
-		path := fmt.Sprintf("scripts/%03d-%s.sh", i, a.Op)
-		if err := im.Add(path, EncodeScript(a)); err != nil {
+		p := append(path[:0], "scripts/"...)
+		p = append(p, byte('0'+i/1000%10), byte('0'+i/100%10), byte('0'+i/10%10), byte('0'+i%10), '-')
+		p = append(append(p, a.Op...), ".sh"...)
+		if err := w.Add(p, func(b []byte) []byte { return AppendScript(b, a) }); err != nil {
 			return nil, err
 		}
 	}
-	return im, nil
+	return w.Finish(), nil
 }
 
 // AttachCD connects a CD image to the VM; the guest agent mounts it and
-// parses the scripts. A CD is already attached → error (one virtual
-// CD-ROM drive).
+// parses the scripts in place, in on-disc order. A CD is already
+// attached → error (one virtual CD-ROM drive).
 func (vm *VM) AttachCD(p *sim.Proc, blob []byte) error {
 	if vm.state != Running {
 		return fmt.Errorf("vmm: %s is %s; cannot attach CD", vm.id, vm.state)
@@ -287,22 +315,29 @@ func (vm *VM) AttachCD(p *sim.Proc, blob []byte) error {
 	}
 	// Host-side attach plus in-guest mount.
 	p.Sleep(sim.Seconds(0.5 * vm.node.Jitter()))
-	im, err := isofs.Read(blob)
+	acts, err := readCD(blob)
 	if err != nil {
-		return fmt.Errorf("vmm: guest agent mount failed: %w", err)
-	}
-	var acts []dag.Action
-	for _, path := range im.Paths() {
-		data, _ := im.Lookup(path)
-		a, err := ParseScript(data)
-		if err != nil {
-			return fmt.Errorf("vmm: guest agent: script %q: %w", path, err)
-		}
-		acts = append(acts, a)
+		return err
 	}
 	vm.cdBlob = blob
 	vm.cdActions = acts
 	return nil
+}
+
+// readCD is the guest agent's parse of a config CD: every script, in
+// on-disc order.
+func readCD(blob []byte) ([]dag.Action, error) {
+	files, err := isofs.Read(blob)
+	if err != nil {
+		return nil, fmt.Errorf("vmm: guest agent mount failed: %w", err)
+	}
+	acts := make([]dag.Action, len(files))
+	for i, f := range files {
+		if acts[i], err = ParseScript(f.Data); err != nil {
+			return nil, fmt.Errorf("vmm: guest agent: script %q: %w", f.Path, err)
+		}
+	}
+	return acts, nil
 }
 
 // CDActions returns the actions parsed from the attached CD, in
@@ -339,8 +374,11 @@ func (vm *VM) ExecGuestAction(p *sim.Proc, a dag.Action) error {
 	}
 	// Writing configuration dirties the private redo log: one block per
 	// action keeps the disk model honest.
-	blk := make([]byte, vdisk.BlockSize)
-	copy(blk, fmt.Sprintf("config %s %s", vm.id, a.Op))
+	var blk [vdisk.BlockSize]byte
+	n := copy(blk[:], "config ")
+	n += copy(blk[n:], vm.id)
+	n += copy(blk[n:], " ")
+	copy(blk[n:], a.Op)
 	blocks := vm.disk.Base().SizeBytes() / vdisk.BlockSize
 	idx := (blocks/2 + int64(len(vm.guest.Outputs))) % blocks
 	if vm.blockTouch != nil {
@@ -348,7 +386,7 @@ func (vm *VM) ExecGuestAction(p *sim.Proc, a dag.Action) error {
 			return fmt.Errorf("vmm: block %d fault: %w", idx, err)
 		}
 	}
-	if err := vm.disk.WriteBlock(idx, blk); err != nil {
+	if err := vm.disk.WriteBlock(idx, blk[:]); err != nil {
 		return fmt.Errorf("vmm: config write: %w", err)
 	}
 	vm.history = append(vm.history, a)

@@ -201,7 +201,7 @@ func TestMemoryPressureSlowsSuccessiveClones(t *testing.T) {
 
 func TestScriptRoundTrip(t *testing.T) {
 	a := act(actions.OpCreateUser, "name", "arijit", "password", "x")
-	got, err := ParseScript(EncodeScript(a))
+	got, err := ParseScript(AppendScript(nil, a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,16 +216,16 @@ func TestScriptRoundTrip(t *testing.T) {
 		act(actions.OpCreateUser, "name", `back\slash\n`, "cr\r", "\r\n=", `\=`, `\`, `\e`, `=\e`),
 		{Op: "odd\nop=x\\", Target: dag.Host},
 	} {
-		got, err := ParseScript(EncodeScript(a))
+		got, err := ParseScript(AppendScript(nil, a))
 		if err != nil {
-			t.Fatalf("%q: %v", EncodeScript(a), err)
+			t.Fatalf("%q: %v", AppendScript(nil, a), err)
 		}
 		if got.Op != a.Op || got.Target != a.Target || !maps.Equal(got.Params, a.Params) {
-			t.Errorf("round trip of %+v: %+v\n%q", a, got, EncodeScript(a))
+			t.Errorf("round trip of %+v: %+v\n%q", a, got, AppendScript(nil, a))
 		}
 	}
 	// Ordinary text is written as it is.
-	if got := string(EncodeScript(a)); got != "#!vmplant-action\nop=create-user\ntarget=guest\nparam.name=arijit\nparam.password=x\n" {
+	if got := string(AppendScript(nil, a)); got != "#!vmplant-action\nop=create-user\ntarget=guest\nparam.name=arijit\nparam.password=x\n" {
 		t.Errorf("script = %q", got)
 	}
 }
@@ -262,7 +262,7 @@ func TestConfigCDDeliversActionsInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := vm.AttachCD(p, cd.Bytes()); err != nil {
+		if err := vm.AttachCD(p, cd); err != nil {
 			t.Fatal(err)
 		}
 		got := vm.CDActions()
@@ -270,7 +270,7 @@ func TestConfigCDDeliversActionsInOrder(t *testing.T) {
 			t.Fatalf("CD actions = %+v", got)
 		}
 		// Double attach refused; execute then detach.
-		if err := vm.AttachCD(p, cd.Bytes()); err == nil {
+		if err := vm.AttachCD(p, cd); err == nil {
 			t.Error("double attach accepted")
 		}
 		for _, a := range got {
@@ -298,9 +298,8 @@ func TestAttachCDRejectsCorruptImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		cd, _ := BuildConfigCD([]dag.Action{act(actions.OpCreateUser, "name", "u")})
-		blob := cd.Bytes()
-		blob[len(blob)-6] ^= 0xFF
-		if err := vm.AttachCD(p, blob); err == nil {
+		cd[len(cd)-6] ^= 0xFF
+		if err := vm.AttachCD(p, cd); err == nil {
 			t.Error("corrupt CD accepted")
 		}
 	})

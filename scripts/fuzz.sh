@@ -22,4 +22,5 @@ done <<TARGETS
 ./internal/dag FuzzGraphXML
 ./internal/match FuzzEvaluate
 ./internal/isofs FuzzRead
+./internal/vmm FuzzScript
 TARGETS
