@@ -36,10 +36,19 @@ func main() {
 	)
 	flag.Parse()
 
+	plantList, err := endpoints("plant", *plants)
+	if err != nil {
+		log.Fatalf("vmshopd: %v", err)
+	}
+	peerList, err := endpoints("peer", *peers)
+	if err != nil {
+		log.Fatalf("vmshopd: %v", err)
+	}
+
 	d := service.NewDaemon(*cell, workload.DefaultSLOObjectives()...)
 	hub, runner := d.Hub, d.Runner
 	var handles []shop.PlantHandle
-	for _, e := range endpoints("plant", *plants) {
+	for _, e := range plantList {
 		name, addr := e[0], e[1]
 		handles = append(handles, &service.RemotePlant{PlantName: name, Addr: addr, Timeout: *timeout, Telemetry: hub})
 	}
@@ -52,7 +61,7 @@ func main() {
 	s.SetTelemetry(hub)
 	s.SetAdmission(workload.DaemonAdmission)
 	var peerHandles []shop.PeerHandle
-	for _, e := range endpoints("peer", *peers) {
+	for _, e := range peerList {
 		name, addr := e[0], e[1]
 		if name == *cell {
 			log.Fatalf("vmshopd: peer %q is this cell", name)
@@ -81,8 +90,12 @@ func main() {
 	proto.Serve(l, service.NewShopHandler(runner, s))
 }
 
-// endpoints parses a comma-separated name=addr list, in order.
-func endpoints(kind, list string) (pairs [][2]string) {
+// endpoints parses a comma-separated name=addr list, in order. The
+// shop resolves a route by name, so a name may appear only once: two
+// handles under one name would send a VM's calls to whichever is wired
+// first, not to the one hosting it.
+func endpoints(kind, list string) (pairs [][2]string, err error) {
+	seen := make(map[string]bool)
 	for _, pair := range strings.Split(list, ",") {
 		pair = strings.TrimSpace(pair)
 		if pair == "" {
@@ -90,9 +103,13 @@ func endpoints(kind, list string) (pairs [][2]string) {
 		}
 		name, addr, ok := strings.Cut(pair, "=")
 		if !ok {
-			log.Fatalf("vmshopd: bad %s %q (want name=addr)", kind, pair)
+			return nil, fmt.Errorf("bad %s %q (want name=addr)", kind, pair)
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("%s name %q given twice", kind, name)
+		}
+		seen[name] = true
 		pairs = append(pairs, [2]string{name, addr})
 	}
-	return pairs
+	return pairs, nil
 }

@@ -290,9 +290,6 @@ func (pl *Plant) Node() *cluster.Node { return pl.node }
 // ActiveVMs reports how many VMs the plant currently hosts.
 func (pl *Plant) ActiveVMs() int { return pl.info.Count() }
 
-// VMIDs lists the active VMs.
-func (pl *Plant) VMIDs() []core.VMID { return pl.info.IDs() }
-
 // Networks exposes the host-only network pool (the VNET server uses it
 // to resolve a domain's switch).
 func (pl *Plant) Networks() *simnet.NetPool { return pl.nets }

@@ -180,6 +180,43 @@ func TestAwkwardParamsConfigureTheGuest(t *testing.T) {
 	})
 }
 
+// Host-targeted actions run at the hypervisor, not from the config CD:
+// a residual DAG that ends by attaching a device and detaching it again
+// leaves both in the VM's history and the guest's device map empty.
+func TestHostActionsRunOnTheHypervisor(t *testing.T) {
+	attach := act(actions.OpAttachDevice, "device", "usb0", "image", "data.img")
+	detach := act(actions.OpDetachDevice, "device", "usb0")
+	g, err := dag.NewBuilder().
+		Add("os", act(actions.OpInstallOS, "distro", "mandrake-8.1")).
+		Add("vnc", act(actions.OpInstallPackage, "name", "vnc-server"), "os").
+		Add("user", act(actions.OpCreateUser, "name", "hugo"), "vnc").
+		Add("attach", attach, "user").
+		Add("detach", detach, "attach").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec(t, "hugo")
+	s.Graph = g
+	r := newRig(t, Config{})
+	r.run(t, func(p *sim.Proc) {
+		if _, err := r.pl.Create(p, "vm-s-1", s); err != nil {
+			t.Fatal(err)
+		}
+		vm, ok := r.pl.VM("vm-s-1")
+		if !ok {
+			t.Fatal("VM not in info system")
+		}
+		h := vm.History()
+		if n := len(h); n < 2 || h[n-2].Op != attach.Op || h[n-1].Op != detach.Op {
+			t.Errorf("history = %v, want it to end with %s, %s", h, attach.Op, detach.Op)
+		}
+		if devs := vm.Guest().Devices; len(devs) != 0 {
+			t.Errorf("devices after detach = %v, want none", devs)
+		}
+	})
+}
+
 // A creation's facts are in its classad and its span tree; CreationLog
 // keeps only the plant-side latency, which covers the clone and the
 // configuration.

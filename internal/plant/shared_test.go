@@ -44,7 +44,7 @@ func sharedResume(s telemetry.Span) bool { return s.Attr("shared") == "true" }
 func collectAll(t *testing.T, p *sim.Proc, plants ...*Plant) {
 	t.Helper()
 	for _, pl := range plants {
-		for _, id := range pl.VMIDs() {
+		for _, id := range pl.info.IDs() {
 			if err := pl.Collect(p, id); err != nil {
 				t.Fatalf("collect %s: %v", id, err)
 			}

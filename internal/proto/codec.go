@@ -88,14 +88,7 @@ func appendMessage(dst []byte, m *Message) []byte {
 	case KindLifecycleResponse:
 		dst = appendText(dst, "vmid", m.Lifecycled.VMID)
 		dst = appendText(dst, "state", m.Lifecycled.State)
-	case KindListRequest, KindPingRequest:
-	case KindListResponse:
-		dst = appendText(dst, "plant", m.Listed.Plant)
-		dst = append(dst, "<vmids>"...)
-		for _, id := range m.Listed.VMIDs {
-			dst = appendText(dst, "vmid", id)
-		}
-		dst = append(dst, "</vmids>"...)
+	case KindPingRequest:
 	case KindPingResponse:
 		dst = appendText(dst, "service", m.Pong.Service)
 	case KindError:
@@ -219,11 +212,9 @@ var (
 		string(KindForwardCreateRequest), string(KindForwardCreateResponse),
 		string(KindPublishRequest), string(KindPublishResponse),
 		string(KindLifecycleRequest), string(KindLifecycleResponse),
-		string(KindListRequest), string(KindListResponse),
 		string(KindPingRequest), string(KindPingResponse),
 		string(KindError),
 	}
-	vmidName = []string{"vmid"}
 )
 
 // scanMessage decodes the envelope.
@@ -302,12 +293,6 @@ func scanBody(s *xmlwire.Scanner, m *Message, kind Kind) error {
 	case KindLifecycleResponse:
 		m.Lifecycled = new(LifecycleResponse)
 		return scanFields(s, field{"vmid", &m.Lifecycled.VMID}, field{"state", &m.Lifecycled.State})
-	case KindListRequest:
-		m.List = new(ListRequest)
-		return s.Skip()
-	case KindListResponse:
-		m.Listed = new(ListResponse)
-		return scanFields(s, field{"plant", &m.Listed.Plant}, field{"vmids", &m.Listed.VMIDs})
 	case KindPingRequest:
 		m.Ping = new(PingRequest)
 		return s.Skip()
@@ -355,12 +340,6 @@ func scanValue(s *xmlwire.Scanner, dst any) (err error) {
 	case **CreateRequest:
 		*dst = new(CreateRequest)
 		return scanCreateRequest(s, *dst)
-	case *[]string: // vmids>vmid
-		return s.Children(vmidName, 1, func(int) error {
-			text, err := s.Text()
-			*dst = append(*dst, string(text))
-			return err
-		})
 	}
 	text, err := s.Text()
 	if err != nil {

@@ -310,21 +310,6 @@ func (g gen) create() *CreateRequest {
 	return r
 }
 
-func (g gen) strs() []string {
-	switch n := g.r.Intn(5); n {
-	case 0:
-		return nil
-	case 1:
-		return []string{}
-	default:
-		out := make([]string, n)
-		for i := range out {
-			out[i] = g.str()
-		}
-		return out
-	}
-}
-
 // message builds a message of the given kind.
 func (g gen) message(kind Kind) *Message {
 	m := &Message{Kind: kind, Seq: g.r.Uint64() >> uint(g.r.Intn(64))}
@@ -368,10 +353,6 @@ func (g gen) message(kind Kind) *Message {
 		m.Lifecycle = &LifecycleRequest{VMID: g.str(), Op: g.str()}
 	case KindLifecycleResponse:
 		m.Lifecycled = &LifecycleResponse{VMID: g.str(), State: g.str()}
-	case KindListRequest:
-		m.List = &ListRequest{}
-	case KindListResponse:
-		m.Listed = &ListResponse{Plant: g.str(), VMIDs: g.strs()}
 	case KindPingRequest:
 		m.Ping = &PingRequest{}
 	case KindPingResponse:
@@ -465,8 +446,8 @@ func equalModuloNaN(a, b *Message) bool {
 // encoding/xml writes, and Unmarshal of those bytes succeeds exactly
 // when encoding/xml's does and builds exactly the same message.
 func TestCodecMatchesEncodingXML(t *testing.T) {
-	if len(bodyNames) != 19 {
-		t.Fatalf("%d kinds in bodyNames, want 19", len(bodyNames))
+	if len(bodyNames) != 17 {
+		t.Fatalf("%d kinds in bodyNames, want 17", len(bodyNames))
 	}
 	rounds := 150
 	if testing.Short() {
@@ -571,6 +552,8 @@ var rejected = []string{
 	`<message kind="publish-image-response" seq="1"><publish-image-response><image>d</image><accepted>true</accepted></publish-image-response></message>`,
 	`<message kind="batch-create-request" seq="1"><batch-create-request><items><create-request><name>n</name></create-request></items></batch-create-request></message>`,
 	`<message kind="batch-create-response" seq="1"><batch-create-response><items><item><vmid>v</vmid></item></items></batch-create-response></message>`,
+	`<message kind="list-request" seq="1"><list-request/></message>`,
+	`<message kind="list-response" seq="1"><list-response><plant>p</plant><vmids><vmid>v</vmid></vmids></list-response></message>`,
 }
 
 func TestDecoderSubset(t *testing.T) {

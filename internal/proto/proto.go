@@ -63,8 +63,6 @@ const (
 	KindPublishResponse       Kind = "publish-response"
 	KindLifecycleRequest      Kind = "lifecycle-request"
 	KindLifecycleResponse     Kind = "lifecycle-response"
-	KindListRequest           Kind = "list-request"
-	KindListResponse          Kind = "list-response"
 	KindPingRequest           Kind = "ping-request"
 	KindPingResponse          Kind = "ping-response"
 	KindError                 Kind = "error"
@@ -95,8 +93,6 @@ type Message struct {
 	Published      *PublishResponse       `xml:"publish-response"`
 	Lifecycle      *LifecycleRequest      `xml:"lifecycle-request"`
 	Lifecycled     *LifecycleResponse     `xml:"lifecycle-response"`
-	List           *ListRequest           `xml:"list-request"`
-	Listed         *ListResponse          `xml:"list-response"`
 	Ping           *PingRequest           `xml:"ping-request"`
 	Pong           *PingResponse          `xml:"ping-response"`
 	Err            *ErrorResponse         `xml:"error"`
@@ -268,16 +264,6 @@ type LifecycleResponse struct {
 	State string `xml:"state"`
 }
 
-// ListRequest asks a plant for its VM inventory — the shop's recovery
-// sweep rebuilds routing soft state from the answers.
-type ListRequest struct{}
-
-// ListResponse enumerates the plant's active VMs.
-type ListResponse struct {
-	Plant string   `xml:"plant"`
-	VMIDs []string `xml:"vmids>vmid"`
-}
-
 // PingRequest is a liveness probe: the cheapest idempotent request,
 // used by retry probes and circuit-breaker half-open checks.
 type PingRequest struct{}
@@ -315,7 +301,6 @@ func (m *Message) validateEnvelope() error {
 		m.Query != nil, m.Queried != nil, m.Destroy != nil, m.Destroyed != nil,
 		m.Estimate != nil, m.Bid != nil, m.ForwardCreate != nil, m.ForwardCreated != nil,
 		m.Publish != nil, m.Published != nil, m.Lifecycle != nil, m.Lifecycled != nil,
-		m.List != nil, m.Listed != nil,
 		m.Ping != nil, m.Pong != nil, m.Err != nil,
 	}
 	kind := slices.Index(bodyNames, string(m.Kind))

@@ -255,7 +255,6 @@ func (c *Client) attempt(m *Message) (*Message, error) {
 var idempotentKinds = map[Kind]bool{
 	KindQueryRequest:         true,
 	KindEstimateRequest:      true,
-	KindListRequest:          true,
 	KindPingRequest:          true,
 	KindForwardCreateRequest: true,
 }

@@ -252,19 +252,6 @@ func (rp *RemotePlant) Lifecycle(p *sim.Proc, id core.VMID, op string) error {
 	return err
 }
 
-// List implements shop.PlantHandle.
-func (rp *RemotePlant) List(p *sim.Proc) ([]core.VMID, error) {
-	resp, err := rp.call(p, &proto.Message{Kind: proto.KindListRequest, List: &proto.ListRequest{}}, proto.KindListResponse)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.VMID, len(resp.Listed.VMIDs))
-	for i, id := range resp.Listed.VMIDs {
-		out[i] = core.VMID(id)
-	}
-	return out, nil
-}
-
 // RemotePeer is a shop.PeerHandle reaching a peer shop daemon in
 // another cell over TCP. A shop daemon speaks the plant's protocol —
 // query, destroy, publish and lifecycle are RemotePlant's, on the same

@@ -77,7 +77,6 @@ func TestEveryWireKindIsServed(t *testing.T) {
 			return &proto.Message{Kind: proto.KindForwardCreateRequest,
 				ForwardCreate: &proto.ForwardCreateRequest{Origin: "cellA", Create: forward}}
 		}},
-		{"plant", func() *proto.Message { return &proto.Message{Kind: proto.KindListRequest, List: &proto.ListRequest{}} }},
 		{"shop", func() *proto.Message {
 			return &proto.Message{Kind: proto.KindQueryRequest, Query: &proto.QueryRequest{VMID: vmid}}
 		}},

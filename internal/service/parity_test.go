@@ -135,8 +135,6 @@ func plantScript(t *testing.T, h shop.PlantHandle, pl *plant.Plant, sd side) (ts
 		ts.add("estimate", c.OK(), err)
 		_, err = h.Create(p, "vm-a", spec)
 		ts.add("create", false, err)
-		ids, err := h.List(p)
-		ts.add("list", len(ids) == 1, err)
 		ts.add("lifecycle: bad op", false, h.Lifecycle(p, "vm-a", "defenestrate"))
 		every("served", "vm-a", p)
 		every("unknown", "vm-none", p)
@@ -167,8 +165,6 @@ func plantScript(t *testing.T, h shop.PlantHandle, pl *plant.Plant, sd side) (ts
 		ts.add("down: estimate", false, err)
 		_, err = h.Create(p, "vm-d", spec)
 		ts.add("down: create", false, err)
-		_, err = h.List(p)
-		ts.add("down: list", false, err)
 		every("down", "vm-b", p)
 		failedDestroyKeepsTheRoute(t, p, s, jnl, mine, h.Name())
 	})
@@ -193,12 +189,12 @@ func TestPlantTransportsAgree(t *testing.T) {
 		t.Cleanup(rp.Close)
 		return plantScript(t, rp, pl, side{on(t, NewRunner(sim.NewKernel())), on(t, d.Runner)})
 	}
-	want := transcript{step("estimate", isFound), step("create", isDone), step("list", isFound), step("lifecycle: bad op", isFailed)}
+	want := transcript{step("estimate", isFound), step("create", isDone), step("lifecycle: bad op", isFailed)}
 	want = append(want, states("served", isFound, isDone, isFound)...)
 	want = append(want, states("unknown", isAbsent, isUnknown, isAbsent)...)
 	want = append(want, step("create", isDone), step("at capacity: create", outcome{class: "transient"}),
 		step("plant failure: collect", isFailed),
-		step("down: estimate", isDown), step("down: create", isDown), step("down: list", isDown))
+		step("down: estimate", isDown), step("down: create", isDown))
 	want = append(want, states("down", isDown, isDown, isDown)...)
 	compare(t, want, local(t), wire(t))
 }

@@ -92,9 +92,6 @@ func TestRemotePlantReusesOneConnection(t *testing.T) {
 		if _, err := rp.Create(nil, id, spec); err != nil {
 			t.Fatal(err)
 		}
-		if ids, err := rp.List(nil); err != nil || len(ids) != 1 {
-			t.Fatalf("list = %v, %v", ids, err)
-		}
 		if _, found, err := rp.Query(nil, id); err != nil || !found {
 			t.Fatalf("query: found=%v err=%v", found, err)
 		}
@@ -114,7 +111,7 @@ func TestRemotePlantReusesOneConnection(t *testing.T) {
 		}
 	}
 	if got := d.accepted.Load(); got != 1 {
-		t.Errorf("plant accepted %d connections for 45 calls, want 1", got)
+		t.Errorf("plant accepted %d connections for 40 calls, want 1", got)
 	}
 }
 
@@ -249,7 +246,7 @@ func TestRemotePlantConcurrentCalls(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := rp.List(nil); err != nil {
+				if _, _, err := rp.Query(nil, "vm-none"); err != nil {
 					t.Error(err)
 					return
 				}

@@ -157,7 +157,7 @@ func (c *serving) handle(req *proto.Message) *proto.Message {
 
 // NewPlantHandler returns the proto.Handler serving a plant's four
 // operations (Figure 2: Create, Collect, Query, Estimate cost) and the
-// rest of the shared kinds, plus the plant's own: its VM inventory.
+// rest of the shared kinds.
 func NewPlantHandler(r *Runner, pl *plant.Plant) proto.Handler {
 	c := &serving{r: r, sv: shop.PlantEnd{Plant: pl}}
 	return func(req *proto.Message) *proto.Message {
@@ -165,15 +165,6 @@ func NewPlantHandler(r *Runner, pl *plant.Plant) proto.Handler {
 		// shop's handle reads the class as ErrPlantDown.
 		if pl.Down() {
 			return failure(req.Seq, fmt.Errorf("%w: %s: daemon not running", shop.ErrPlantDown, pl.Name()))
-		}
-		if req.Kind == proto.KindListRequest {
-			ids := pl.VMIDs()
-			out := make([]string, len(ids))
-			for i, id := range ids {
-				out[i] = string(id)
-			}
-			return &proto.Message{Kind: proto.KindListResponse,
-				Listed: &proto.ListResponse{Plant: pl.Name(), VMIDs: out}}
 		}
 		if req.Create != nil && req.Create.VMID == "" {
 			return badRequest(req.Seq, errors.New("plant create requires a shop-assigned vmid"))

@@ -18,7 +18,8 @@
 // through Ledger.Apply. Restart folds the journal through the same
 // Apply, so replayed state is live state by construction. Without a
 // journal the shop keeps the same ledger — it just cannot get it back
-// after a kill, and Restart falls back to the legacy Recover re-scrape.
+// after a kill: its Restart folds nothing, and every route comes back
+// on demand through recover's sweep.
 package shop
 
 import (
@@ -41,7 +42,7 @@ var ErrShopDown = errors.New("shop daemon down")
 
 // SetJournal attaches the shop's durable event log. From now on every
 // creation writes intent/commit records, Destroy writes route-drops,
-// and Restart rebuilds state by replay instead of re-scrape.
+// and Restart rebuilds state by replay.
 func (s *Shop) SetJournal(j *journal.Journal) {
 	s.jnl = j
 }
@@ -70,6 +71,20 @@ func (s *Shop) persist(p *sim.Proc, sync bool, r journal.Record) {
 	default:
 		s.jnl.Append(p, r)
 	}
+}
+
+// fold replays the journal, when one is attached, into a fresh ledger —
+// the read path's only such check. A shop without one folds nothing.
+func (s *Shop) fold() (*ledger.Ledger, journal.ReplayStats, error) {
+	led := ledger.New(s.name)
+	if s.jnl == nil {
+		return led, journal.ReplayStats{}, nil
+	}
+	rst, err := s.jnl.Replay(func(r journal.Record) error {
+		led.Apply(r)
+		return nil
+	})
+	return led, rst, err
 }
 
 // apply folds a record into the ledger. The mutex is held for the fold
@@ -184,16 +199,12 @@ type RestartStats struct {
 // ledger — routes, the request-dedupe index, open intents, the fleet's
 // exits — then each open intent is reconciled against the world:
 // committed if the VM exists on some plant, re-driven from its journaled
-// spec if not. Without a journal it falls back to the legacy Recover
-// re-scrape.
+// spec if not. A route the journal does not hold is re-learned when a
+// call first needs it (recover).
 func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 	var st RestartStats
 	s.down = false
 	s.mRestarts.Inc()
-	if s.jnl == nil {
-		st.Routes, _ = s.Recover(p)
-		return st, nil
-	}
 	sp := s.tel.T().Start(p, "shop.restart").Set("shop", s.name)
 	defer func() {
 		sp.SetInt("replayed", int64(st.Replayed)).
@@ -201,11 +212,7 @@ func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 			SetInt("redriven", int64(st.Redriven)).
 			End(p)
 	}()
-	led := ledger.New(s.name)
-	rst, err := s.jnl.Replay(func(r journal.Record) error {
-		led.Apply(r)
-		return nil
-	})
+	led, rst, err := s.fold()
 	if err != nil {
 		return st, err
 	}
@@ -254,7 +261,7 @@ func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 	}
 	// Reconcile open intents in deterministic (VMID) order.
 	for _, id := range led.Open() {
-		if h, ok := s.findVM(p, id); ok {
+		if _, h := s.sweep(p, id); h != nil {
 			// The plant finished the creation before the crash; only the
 			// commit record was lost. Write it now.
 			s.record(p, true, commitRecord(id, h.Name()))
@@ -401,17 +408,6 @@ func (s *Shop) ForwardLookup(p *sim.Proc, token string) (core.VMID, bool, error)
 		return "", false, fmt.Errorf("shop %s: forward %s still in flight", s.name, token)
 	}
 	return prior, true, nil
-}
-
-// findVM sweeps the plants for a VM the journal says was intended but
-// not committed — the reconcile probe.
-func (s *Shop) findVM(p *sim.Proc, id core.VMID) (PlantHandle, bool) {
-	for _, h := range s.plants {
-		if _, found, err := h.Query(p, id); err == nil && found {
-			return h, true
-		}
-	}
-	return nil, false
 }
 
 // specFromXML rebuilds a creation spec from a journaled intent's

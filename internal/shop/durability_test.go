@@ -26,14 +26,10 @@ func journaled(d *deployment) (*journal.Journal, *fault.Registry) {
 }
 
 // vmCount sums the VM inventories of every plant.
-func vmCount(p *sim.Proc, d *deployment) int {
+func vmCount(d *deployment) int {
 	n := 0
-	for _, h := range d.handles {
-		ids, err := h.List(p)
-		if err != nil {
-			continue
-		}
-		n += len(ids)
+	for _, pl := range d.plants {
+		n += pl.ActiveVMs()
 	}
 	return n
 }
@@ -70,7 +66,7 @@ func TestKillAfterIntentRedrivesExactlyOnce(t *testing.T) {
 		if ad == nil || ad.GetString(core.AttrVMID, "") != string(id) {
 			t.Fatalf("deduped answer has no usable classad: %v", ad)
 		}
-		if n := vmCount(p, d); n != 1 {
+		if n := vmCount(d); n != 1 {
 			t.Fatalf("%d VMs exist, want exactly 1", n)
 		}
 	})
@@ -90,7 +86,7 @@ func TestKillBeforeCommitReconcilesExactlyOnce(t *testing.T) {
 		if _, _, err := d.shop.Create(p, spec); !errors.Is(err, ErrShopDown) {
 			t.Fatalf("create survived the kill: %v", err)
 		}
-		if n := vmCount(p, d); n != 1 {
+		if n := vmCount(d); n != 1 {
 			t.Fatalf("plant should hold the orphaned VM, inventory = %d", n)
 		}
 		st, err := d.shop.Restart(p)
@@ -107,7 +103,7 @@ func TestKillBeforeCommitReconcilesExactlyOnce(t *testing.T) {
 		if d.shop.RouteOf(id) == "" {
 			t.Fatal("reconciled VM has no route")
 		}
-		if n := vmCount(p, d); n != 1 {
+		if n := vmCount(d); n != 1 {
 			t.Fatalf("%d VMs exist, want exactly 1", n)
 		}
 	})
@@ -195,7 +191,7 @@ func TestDistinctRequestsAreNotDeduped(t *testing.T) {
 		if a == b {
 			t.Fatalf("two submissions share VMID %s", a)
 		}
-		if n := vmCount(p, d); n != 2 {
+		if n := vmCount(d); n != 2 {
 			t.Fatalf("%d VMs, want 2", n)
 		}
 	})

@@ -1,6 +1,7 @@
 package shop
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -189,11 +190,14 @@ func TestBreakerShieldsRepeatedlyDeadPlant(t *testing.T) {
 	}
 }
 
-// Satellite: shop recovery with a subset of plants down must drop the
-// unreachable plants' routes — not fabricate them — and re-learn the
-// routes once the plant daemon returns.
+// Satellite: a journal-less shop killed and restarted while one plant
+// is down must drop that plant's routes — not fabricate them — and
+// re-learn them, on demand, once the plant daemon returns.
 func TestShopRecoverWithSubsetOfPlantsDown(t *testing.T) {
 	d := newDeployment(t, 3, plant.Config{MaxVMs: 8})
+	hub := telemetry.New()
+	d.shop.SetTelemetry(hub)
+	relearned := hub.Counter("shop.recovered_routes")
 	d.run(t, func(p *sim.Proc) {
 		ids := make([]core.VMID, 0, 6)
 		for i := 0; i < 6; i++ {
@@ -219,37 +223,44 @@ func TestShopRecoverWithSubsetOfPlantsDown(t *testing.T) {
 		}
 		down.Crash()
 
-		d.shop.ForgetRoutes()
-		routes, unreachable := d.shop.Recover(p)
-		if len(unreachable) != 1 || unreachable[0] != victim {
-			t.Fatalf("unreachable = %v, want [%s]", unreachable, victim)
+		d.shop.Kill()
+		st, err := d.shop.Restart(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if routes != len(ids)-len(lost) {
-			t.Errorf("recovered %d routes, want %d", routes, len(ids)-len(lost))
+		if st.Routes != 0 {
+			t.Fatalf("journal-less restart brought back %d routes, want 0", st.Routes)
 		}
+		// Each VM is re-learned when first asked for; the dead plant's
+		// are unknown, and routed nowhere.
 		for _, id := range ids {
+			_, qerr := d.shop.Query(p, id)
 			got := d.shop.RouteOf(id)
-			if lost[id] && got != "" {
+			switch {
+			case lost[id] && got != "":
 				t.Errorf("fabricated route %s for VM %s on the dead plant", got, id)
+			case lost[id] && !errors.Is(qerr, ErrUnknownVM):
+				t.Errorf("query of VM %s on the dead plant: %v, want ErrUnknownVM", id, qerr)
+			case !lost[id] && (qerr != nil || got == ""):
+				t.Errorf("VM %s on a live plant: query %v, route %q", id, qerr, got)
 			}
-			if !lost[id] && got == "" {
-				t.Errorf("lost route for VM %s on a live plant", id)
-			}
+		}
+		if n := relearned.Value(); n != int64(len(ids)-len(lost)) {
+			t.Errorf("re-learned %d routes, want %d", n, len(ids)-len(lost))
 		}
 
-		// The plant daemon restarts; a second sweep finds its VMs again.
+		// The plant daemon restarts; the next call finds its VMs again.
 		down.Recover(p)
-		routes, unreachable = d.shop.Recover(p)
-		if len(unreachable) != 0 {
-			t.Fatalf("unreachable after restart = %v", unreachable)
-		}
-		if routes != len(ids) {
-			t.Errorf("recovered %d routes after restart, want %d", routes, len(ids))
-		}
 		for id := range lost {
+			if _, err := d.shop.Query(p, id); err != nil {
+				t.Errorf("query %s after the plant returned: %v", id, err)
+			}
 			if got := d.shop.RouteOf(id); got != victim {
 				t.Errorf("VM %s routed to %q after restart, want %s", id, got, victim)
 			}
+		}
+		if n := relearned.Value(); n != int64(len(ids)) {
+			t.Errorf("re-learned %d routes after the plant returned, want %d", n, len(ids))
 		}
 		// End to end: the re-learned routes actually work.
 		for _, id := range ids {

@@ -36,10 +36,6 @@ type PlantHandle interface {
 	// Lifecycle suspends or resumes an active VM (op is
 	// proto.LifecycleSuspend or proto.LifecycleResume).
 	Lifecycle(p *sim.Proc, id core.VMID, op string) error
-	// List enumerates the VMs the plant currently hosts. Shop.Recover
-	// uses it to rebuild routing soft state with one call per plant
-	// instead of probing VM by VM.
-	List(p *sim.Proc) ([]core.VMID, error)
 }
 
 // ErrPlantDown marks an unreachable plant.
@@ -265,14 +261,6 @@ func (h *LocalHandle) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, error
 		return nil, false, err
 	}
 	return h.PlantEnd.Query(p, id)
-}
-
-// List implements PlantHandle.
-func (h *LocalHandle) List(p *sim.Proc) ([]core.VMID, error) {
-	if err := h.roundTrip(p, "list"); err != nil {
-		return nil, err
-	}
-	return h.Plant.VMIDs(), nil
 }
 
 // Collect implements PlantHandle.

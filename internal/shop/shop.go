@@ -559,40 +559,6 @@ func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, re
 	return feasible
 }
 
-// Recover rebuilds the shop's soft routing state by asking every plant
-// for its VM inventory (paper §3.1: an active VM's classad "is not part
-// of the state that needs to be maintained by VMShop" — it can always
-// be re-learned). All existing plant routes are dropped first, so routes
-// to unreachable plants disappear rather than being fabricated: the shop
-// honestly reports not knowing those VMs until the plant returns and a
-// later Recover — or a per-query recovery sweep — re-learns them. It
-// returns the number of routes learned and the names of the plants it
-// could not reach.
-func (s *Shop) Recover(p *sim.Proc) (routes int, unreachable []string) {
-	sp := s.tel.T().Start(p, "shop.recover").Set("shop", s.name)
-	defer func() {
-		sp.SetInt("routes", int64(routes)).
-			SetInt("unreachable", int64(len(unreachable))).
-			End(p)
-	}()
-	s.forgetPlantRoutes()
-	for _, h := range s.plants {
-		ids, err := h.List(p)
-		if err != nil {
-			unreachable = append(unreachable, h.Name())
-			s.noteFailure(p.Now(), h.Name())
-			continue
-		}
-		s.noteSuccess(h.Name())
-		for _, id := range ids {
-			s.record(p, false, routeRecord(id, h.Name()))
-			routes++
-		}
-	}
-	s.mRecoveredRts.Add(int64(routes))
-	return routes, unreachable
-}
-
 func without(hs []PlantHandle, drop PlantHandle) []PlantHandle {
 	out := hs[:0]
 	for _, h := range hs {
@@ -702,20 +668,36 @@ func (s *Shop) Query(p *sim.Proc, id core.VMID) (*classad.Ad, error) {
 	return nil, fmt.Errorf("shop %s: %w %s: no plant knows it", s.name, ErrUnknownVM, id)
 }
 
-// recover sweeps all plants for a VM the shop has no (valid) route to.
-// The re-learned route is journaled buffered, not synced: it is soft
-// state — losing it to a crash only costs another sweep.
+// recover re-learns the route to a VM the shop has no (valid) route to
+// from the plant a sweep finds it on (paper §3.1: an active VM's
+// classad "is not part of the state that needs to be maintained by
+// VMShop"). It is how every route a restart could not fold back from
+// the journal returns: on demand, one VM at a time. A plant that is
+// down answers no sweep, so its VMs' routes are never invented; they
+// come back once it does. The re-learned route is journaled buffered,
+// not synced: it is soft state — losing it to a crash only costs
+// another sweep.
 func (s *Shop) recover(p *sim.Proc, id core.VMID) (*classad.Ad, PlantHandle) {
+	ad, h := s.sweep(p, id)
+	if h == nil {
+		return nil, nil
+	}
+	s.record(p, false, routeRecord(id, h.Name()))
+	s.mRecoveredRts.Inc()
+	if s.CacheAds {
+		s.cache[id] = ad.Clone()
+	}
+	return ad, h
+}
+
+// sweep asks the plants, in wiring order, for a VM and returns its
+// classad and the first plant that hosts it (nil when none answers that
+// it does). recover and the restart reconcile both probe through it.
+func (s *Shop) sweep(p *sim.Proc, id core.VMID) (*classad.Ad, PlantHandle) {
 	for _, h := range s.plants {
-		ad, found, err := h.Query(p, id)
-		if err != nil || !found {
-			continue
+		if ad, found, err := h.Query(p, id); err == nil && found {
+			return ad, h
 		}
-		s.record(p, false, routeRecord(id, h.Name()))
-		if s.CacheAds {
-			s.cache[id] = ad.Clone()
-		}
-		return ad, h
 	}
 	return nil, nil
 }
@@ -773,30 +755,6 @@ func (s *Shop) lifecycle(p *sim.Proc, id core.VMID, op string) error {
 		return err
 	}
 	return sv.Lifecycle(p, sv.id, op)
-}
-
-// ForgetRoutes drops the shop's soft routing state, simulating a shop
-// restart; subsequent queries must recover from the plants.
-func (s *Shop) ForgetRoutes() {
-	s.forgetPlantRoutes()
-	s.cache = make(map[core.VMID]*classad.Ad)
-}
-
-// forgetPlantRoutes evicts every plant route — soft state, so nothing
-// is journaled. Cross-cell routes and the creation ledger are not the
-// plants' to re-teach, and stay.
-func (s *Shop) forgetPlantRoutes() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var ids []core.VMID
-	s.led.Routes(func(id core.VMID, rt ledger.Route) {
-		if rt.Peer == "" {
-			ids = append(ids, id)
-		}
-	})
-	for _, id := range ids {
-		s.led.Apply(evictRecord(id))
-	}
 }
 
 // requestAd renders a creation request as a classad for matchmaking

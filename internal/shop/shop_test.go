@@ -263,8 +263,14 @@ func TestShopRecoversRoutesAfterRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := d.shop.RouteOf(id)
-		// Simulated shop restart: soft state gone.
-		d.shop.ForgetRoutes()
+		// Journal-less shop restart: every route dies with the daemon.
+		restart := func() {
+			d.shop.Kill()
+			if _, err := d.shop.Restart(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		restart()
 		if d.shop.RouteOf(id) != "" {
 			t.Fatal("routes survived restart")
 		}
@@ -280,7 +286,7 @@ func TestShopRecoversRoutesAfterRestart(t *testing.T) {
 			t.Errorf("recovered route %q, want %q", d.shop.RouteOf(id), before)
 		}
 		// Destroy also works after restart.
-		d.shop.ForgetRoutes()
+		restart()
 		if err := d.shop.Destroy(p, id); err != nil {
 			t.Fatalf("post-restart destroy: %v", err)
 		}

@@ -45,7 +45,6 @@ const (
 	opDestroy
 	opForward
 	opSweep
-	opRecover
 	opDrain
 	opKillIntent
 	opKillCommit
@@ -57,7 +56,7 @@ const (
 )
 
 var twinOpNames = [nTwinOps]string{
-	"create", "resubmit", "failing-create", "destroy", "forward", "sweep", "recover",
+	"create", "resubmit", "failing-create", "destroy", "forward", "sweep",
 	"drain", "kill@intent", "kill@commit", "kill@forward", "kill@drain", "kill", "kill-peer",
 }
 
@@ -299,11 +298,6 @@ func (tw *twin) step(p *sim.Proc, op twinOp) bool {
 			}
 		}
 		return false
-	case opRecover:
-		routes, unreachable := tw.a.Recover(p)
-		if len(unreachable) != 0 || routes != len(tw.local(p)) {
-			tw.failf("recover learned %d routes (%v unreachable), %d VMs are local", routes, unreachable, len(tw.local(p)))
-		}
 	case opDrain, opKillDrain:
 		name, ok := tw.drainable()
 		if !ok {
@@ -358,22 +352,30 @@ func (tw *twin) step(p *sim.Proc, op twinOp) bool {
 	return true
 }
 
-// local is the census of cell A's plants.
-func (tw *twin) local(p *sim.Proc) map[core.VMID]string { return tw.census(p, tw.aPlants) }
-
-// census asks every given plant for its inventory: VMID → hosting plant.
-func (tw *twin) census(p *sim.Proc, plants []PlantHandle) map[core.VMID]string {
+// census is what the given plants really host: VMID → hosting plant.
+// A plant hosts a VM only under an ID one of the two cells minted, so
+// every such ID is looked up on every plant, and each plant's VM count
+// must match what the lookups found — nothing else can hide.
+func (tw *twin) census(plants []PlantHandle) map[core.VMID]string {
 	where := map[core.VMID]string{}
 	for _, h := range plants {
-		ids, err := h.List(p)
-		if err != nil {
-			tw.failf("list %s: %v", h.Name(), err)
-		}
-		for _, id := range ids {
-			if prev, dup := where[id]; dup {
-				tw.failf("VM %s exists on %s and %s", id, prev, h.Name())
+		pl := h.(*LocalHandle).Plant
+		found := 0
+		for _, s := range []*Shop{tw.a, tw.b} {
+			for seq := uint64(1); seq <= s.nextID.Load(); seq++ {
+				id := core.VMID(fmt.Sprintf("vm-%s-%d", s.Name(), seq))
+				if _, ok := pl.VM(id); !ok {
+					continue
+				}
+				if prev, dup := where[id]; dup {
+					tw.failf("VM %s exists on %s and %s", id, prev, pl.Name())
+				}
+				where[id] = pl.Name()
+				found++
 			}
-			where[id] = h.Name()
+		}
+		if n := pl.ActiveVMs(); n != found {
+			tw.failf("%s hosts %d VMs, %d under a minted ID", pl.Name(), n, found)
 		}
 	}
 	return where
@@ -389,7 +391,7 @@ func (tw *twin) check(p *sim.Proc, after string) {
 		}
 	}
 	// … is routed to whoever really hosts it, and nothing else exists.
-	local, remote := tw.local(p), tw.census(p, tw.bPlants)
+	local, remote := tw.census(tw.aPlants), tw.census(tw.bPlants)
 	if len(local)+len(remote) != len(tw.live) {
 		tw.failf("after %s: %d local + %d remote VMs exist, client holds %d", after, len(local), len(remote), len(tw.live))
 	}

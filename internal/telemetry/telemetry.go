@@ -287,16 +287,6 @@ func (t *Tracer) Dropped() uint64 {
 	return t.ring.Dropped()
 }
 
-// Reset discards all finished spans (span IDs keep increasing).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ring.Reset()
-	t.mu.Unlock()
-}
-
 // Hub bundles a tracer, a metrics registry and an optional SLO engine
 // — the single handle components are wired with. A nil *Hub disables
 // all instrumentation.

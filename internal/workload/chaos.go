@@ -79,7 +79,8 @@ type chaosResult struct {
 	BreakerOpens  int64
 	PlantCrashes  int64
 	Recoveries    int64
-	RoutesRecov   int // routes shop.Recover re-learned at the end
+	restartRoutes int   // routes the killed shop's Restart brought back
+	RoutesRecov   int64 // routes the drain re-learned on demand
 	Injections    map[string]int64
 	Disruptions   int64 // injections that fail a call: drops, clone I/O, crashes, slow bids
 	CreateSecs    stats.Summary
@@ -90,9 +91,10 @@ type chaosResult struct {
 // runChaos is the failure-recovery gate: a series of 64 MB creations
 // through 8 plants under the default fault mix must absorb every fault.
 // All requests eventually succeed (shop-side failover and circuit
-// breaking plus bounded client retry), recovery rebuilds routing after
-// the shop forgets it, and destroying everything leaves zero orphaned
-// VMs and zero leaked host-only networks.
+// breaking plus bounded client retry), the journal-less shop is killed
+// and restarted with no route left, and destroying everything through
+// routes re-learned on demand leaves zero orphaned VMs and zero leaked
+// host-only networks.
 func runChaos(seed int64, par chaosParams) (*chaosResult, error) {
 	const (
 		memMB         = 64
@@ -136,21 +138,26 @@ func runChaos(seed int64, par chaosParams) (*chaosResult, error) {
 		}
 		res.CreateSecs = stats.Summarize(secs)
 
-		// Shop restart: soft routing state gone; Recover re-learns it
-		// from plant inventories (restarting any still-crashed plant
-		// daemon first, as an operator would).
+		// Shop kill -9 and restart (restarting any still-crashed plant
+		// daemon first, as an operator would). The shop keeps no
+		// journal, so every route dies with it and the restart folds
+		// none back.
 		for _, pl := range d.Plants {
 			pl.Recover(p)
 		}
-		d.Shop.ForgetRoutes()
-		routes, unreachable := d.Shop.Recover(p)
-		res.RoutesRecov = routes
-		res.logf("recover routes=%d unreachable=%d", routes, len(unreachable))
+		d.Shop.Kill()
+		st, err := d.Shop.Restart(p)
+		if err != nil {
+			return err
+		}
+		res.restartRoutes = st.Routes
+		res.logf("restart routes=%d", st.Routes)
 
-		// Drain the site through the recovered routes; every VM must be
-		// reachable and collectable. Destroys ride the same fault mix —
-		// a dropped collect times out before reaching the plant and the
-		// shop keeps the route, so re-asking is safe.
+		// Drain the site; every VM must be reachable and collectable,
+		// each destroy re-learning its VM's route by a plant sweep.
+		// Destroys ride the same fault mix — a dropped collect times
+		// out before reaching the plant and the shop keeps the route,
+		// so re-asking is safe.
 		for _, id := range created {
 			retries, derr := retry(clientRetries, func() error { return d.Shop.Destroy(p, id) }, backoff(p, 2*time.Second))
 			res.ClientRetries += retries
@@ -170,6 +177,7 @@ func runChaos(seed int64, par chaosParams) (*chaosResult, error) {
 	res.BreakerOpens = hub.Counter("shop.breaker_opens").Value()
 	res.PlantCrashes = hub.Counter("plant.crashes").Value()
 	res.Recoveries = hub.Counter("plant.recoveries").Value()
+	res.RoutesRecov = hub.Counter("shop.recovered_routes").Value()
 	res.Injections = reg.Counts()
 	res.Disruptions = reg.Total(fault.RPCDrop) + reg.Total(fault.CloneIO) + reg.Total(fault.PlantCrash) + reg.Total(fault.SlowBid)
 
@@ -185,7 +193,8 @@ func (r *chaosResult) Violations() []string {
 	g.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
 	g.check(r.OrphanVMs == 0, "%d orphaned VMs after drain", r.OrphanVMs)
 	g.check(r.LeakedNets == 0, "%d leaked host-only networks after drain", r.LeakedNets)
-	g.check(r.RoutesRecov == r.Requests, "shop.Recover rebuilt %d routes, want %d", r.RoutesRecov, r.Requests)
+	g.check(r.restartRoutes == 0, "the journal-less shop's restart brought back %d routes, want 0", r.restartRoutes)
+	g.check(r.RoutesRecov == int64(r.Requests), "the drain re-learned %d routes, want %d", r.RoutesRecov, r.Requests)
 	// The mix is hot enough that even the smoke run must actually have
 	// exercised the machinery, or the experiment proves nothing.
 	g.check(r.Disruptions > 0, "no faults injected; chaos run exercised nothing")
@@ -202,6 +211,7 @@ func (r *chaosResult) Report() []string {
 		fmt.Sprintf("degraded bid rounds: %d", r.DegradedBids),
 		fmt.Sprintf("breaker opens:       %d", r.BreakerOpens),
 		fmt.Sprintf("plant crashes:       %d (recoveries %d)", r.PlantCrashes, r.Recoveries),
+		fmt.Sprintf("restart routes:      %d", r.restartRoutes),
 		fmt.Sprintf("routes recovered:    %d", r.RoutesRecov),
 		fmt.Sprintf("create latency:      %s", r.CreateSecs),
 		fmt.Sprintf("orphaned VMs:        %d", r.OrphanVMs),

@@ -2,11 +2,15 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"vmplants/internal/journal"
 )
 
 // scenarioNamed finds a registry entry.
@@ -160,6 +164,56 @@ func TestGatePrintsReportAndRerunVerdict(t *testing.T) {
 	err := Gate(&out, broken, 42, Smoke, "")
 	if err == nil || !strings.Contains(err.Error(), "1 orphaned VMs after drain") {
 		t.Errorf("Gate error = %v, want the orphan violation", err)
+	}
+}
+
+// What vmbench -artifacts writes reads back: every line of a journal
+// dump decodes to one journal record, in sequence order, and the Chrome
+// trace is one JSON document of complete trace events.
+func TestGateArtifactsReadBack(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := Gate(&out, scenarioNamed(t, "federation"), 42, Smoke, dir); err != nil {
+		t.Fatalf("Gate: %v\n%s", err, out.String())
+	}
+	dumps, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	if err != nil || len(dumps) == 0 {
+		t.Fatalf("journal dumps in %s: %v, %v", dir, dumps, err)
+	}
+	for _, path := range dumps {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last uint64
+		for i, line := range bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n")) {
+			var rec journal.Record
+			dec := json.NewDecoder(bytes.NewReader(line))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&rec); err != nil || rec.Kind == "" || rec.Seq <= last {
+				t.Fatalf("%s line %d: %+v, %v (after seq %d)", filepath.Base(path), i+1, rec, err, last)
+			}
+			last = rec.Seq
+		}
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "federation-trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Tid  uint64 `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("chrome trace: %d events, %v", len(doc.TraceEvents), err)
+	}
+	for i, ev := range doc.TraceEvents {
+		if ev.Name == "" || ev.Ph != "X" || ev.Tid == 0 {
+			t.Fatalf("trace event %d: %+v", i, ev)
+		}
 	}
 }
 
