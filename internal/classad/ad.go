@@ -428,36 +428,69 @@ var (
 // <classad> start tag, and adds its attributes to a. It reads the
 // subset of XML the scanner accepts, and decodes what it reads as the
 // encoding/xml oracle in xml_test.go does.
+//
+// Every name and every plain string literal is cut from one string
+// made for the ad: the walk copies them into one scratch buffer, and
+// the attributes are set, in document order, once that string exists.
+// Other literals are read in place; anything else is an expression
+// parseExpr reads.
 func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
-	if n := s.CountAhead("<attr", "</classad>"); a.attrs == nil && n > 0 {
-		// The count is a guess from raw bytes ("<attr0" and comments
-		// count too): reserve at most scanMax, and an ad that ends up
-		// empty must look as if nothing had been reserved.
-		a.attrs = make([]attr, 0, min(n, scanMax))
-		defer func() {
-			if len(a.attrs) == 0 {
-				a.attrs = nil
-			}
-		}()
-	}
-	return s.Children(adChildren, 1, func(int) error {
-		var name string
-		if err := s.StringAttrs(attrAttrs, &name); err != nil {
+	// The lists start in arrays here, so that an ad of the size the
+	// protocol carries is read without allocating for them.
+	var (
+		bufArr [512]byte
+		defArr [24]pendingAttr
+	)
+	buf, defs := bufArr[:0], defArr[:0]
+	err := s.Children(adChildren, 1, func(int) error {
+		var def pendingAttr
+		err := s.Attrs(attrAttrs, func(_ int, v []byte) error {
+			def.name = [2]int{len(buf), len(buf) + len(v)}
+			buf = append(buf, v...)
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 		src, err := s.Text()
 		if err != nil {
 			return err
 		}
-		if v, ok := literal(src); ok {
-			a.set(name, nil, v)
-			return nil
+		if q, ok := quoted(src); ok {
+			def.str, def.cut = [2]int{len(buf), len(buf) + len(q)}, true
+			buf = append(buf, q...)
+		} else if v, ok := literal(src); ok {
+			def.val = v
+		} else if def.expr, err = parseExpr(string(src)); err != nil {
+			return fmt.Errorf("classad: attribute %q: %w", string(buf[def.name[0]:def.name[1]]), err)
+		} else if l, ok := def.expr.(litExpr); ok {
+			def.expr, def.val = nil, l.v
 		}
-		ex, err := parseExpr(string(src))
-		if err != nil {
-			return fmt.Errorf("classad: attribute %q: %w", name, err)
-		}
-		a.Set(name, ex)
+		defs = append(defs, def)
 		return nil
 	})
+	if err != nil || len(defs) == 0 {
+		return err
+	}
+	str := string(buf)
+	if a.attrs == nil {
+		a.attrs = make([]attr, 0, len(defs))
+	}
+	for _, def := range defs {
+		if def.cut {
+			def.val = Str(str[def.str[0]:def.str[1]])
+		}
+		a.set(str[def.name[0]:def.name[1]], def.expr, def.val)
+	}
+	return nil
+}
+
+// pendingAttr is one <attr> as DecodeXML's walk records it. Its name,
+// and the text of a plain string literal (cut), are ranges of the
+// walk's buffer.
+type pendingAttr struct {
+	name, str [2]int
+	cut       bool
+	expr      Expr
+	val       Value
 }

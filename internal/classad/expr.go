@@ -128,15 +128,10 @@ func literal[T string | []byte](src T) (Value, bool) {
 	}
 	switch c := src[0]; {
 	case c == '"':
-		if n < 2 || src[n-1] != '"' {
-			return Value{}, false
+		if q, ok := quoted(src); ok {
+			return Str(string(q)), true
 		}
-		for i := 1; i < n-1; i++ {
-			if src[i] == '"' || src[i] == '\\' {
-				return Value{}, false
-			}
-		}
-		return Str(string(src[1 : n-1])), true
+		return Value{}, false
 	case '0' <= c && c <= '9':
 		isReal := false
 		for i := 1; i < n; i++ {
@@ -160,6 +155,21 @@ func literal[T string | []byte](src T) (Value, bool) {
 		return Bool(false), true
 	}
 	return Value{}, false
+}
+
+// quoted returns the text of a quoted string literal without escapes,
+// the one kind of string literal that reads as its own text.
+func quoted[T string | []byte](src T) (T, bool) {
+	n := len(src)
+	if n < 2 || src[0] != '"' || src[n-1] != '"' {
+		return src[:0], false
+	}
+	for i := 1; i < n-1; i++ {
+		if src[i] == '"' || src[i] == '\\' {
+			return src[:0], false
+		}
+	}
+	return src[1 : n-1], true
 }
 
 // MustParseExpr is ParseExpr, panicking on error; for constants in code.

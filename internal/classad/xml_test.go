@@ -156,6 +156,9 @@ func FuzzAdXML(f *testing.F) {
 	f.Add([]byte(`<classad><attr name="Name">&#34;vm-1&#34;</attr><attr name="MemoryMB">64</attr><attr name="Load">0.25</attr><attr name="Up">true</attr></classad>`))
 	f.Add([]byte(`<?xml version="1.0"?><classad> <attr name='Req'>other.Memory &gt;= 64 &amp;&amp; Arch == "x86"</attr><!-- c --><attr name="L">{"a", "b"}</attr><x/></classad>`))
 	f.Add([]byte("<classad><attr name=\"A\">1<!---->2</attr><attr name=\"a\">\"x\r\ny\"</attr><attr>-1</attr></classad>"))
+	// A name repeated in another case, and a string literal with \".
+	f.Add([]byte(`<classad><attr name="Owner">&#34;ann&#34;</attr><attr name="OWNER">"bob"</attr><attr name="owner">7</attr></classad>`))
+	f.Add([]byte(`<classad><attr name="Say">"a \"quoted\" word"</attr><attr name="Plain">"a"</attr></classad>`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		got, err := scanAd(doc)
 		if err != nil {

@@ -137,14 +137,9 @@ func newGraph(nodes int) *Graph {
 // AddNode inserts an action node. The ID must be unique and not a
 // reserved marker.
 func (g *Graph) AddNode(n *Node) error {
-	if n.ID == "" {
-		return errors.New("dag: node with empty ID")
-	}
-	if n.ID == StartID || n.ID == FinishID {
-		return fmt.Errorf("dag: node ID %q is reserved", n.ID)
-	}
-	if _, ok := g.nodes[n.ID]; ok {
-		return fmt.Errorf("dag: duplicate node ID %q", n.ID)
+	_, dup := g.nodes[n.ID]
+	if err := idError(n.ID, dup); err != nil {
+		return err
 	}
 	g.nodes[n.ID] = n
 	g.order = append(g.order, n.ID)
@@ -152,27 +147,49 @@ func (g *Graph) AddNode(n *Node) error {
 	return nil
 }
 
+// idError is why a graph refuses a new node's ID, or nil; dup reports
+// that the graph holds a node of that ID already.
+func idError(id string, dup bool) error {
+	switch {
+	case id == "":
+		return errors.New("dag: node with empty ID")
+	case id == StartID || id == FinishID:
+		return fmt.Errorf("dag: node ID %q is reserved", id)
+	case dup:
+		return fmt.Errorf("dag: duplicate node ID %q", id)
+	}
+	return nil
+}
+
 // AddEdge inserts a directed ordering constraint from → to. Both nodes
 // must exist; duplicate edges are rejected.
 func (g *Graph) AddEdge(from, to string) error {
 	if _, ok := g.nodes[from]; !ok {
-		return fmt.Errorf("dag: edge from unknown node %q", from)
+		return errUnknownEnd("from", from)
 	}
 	if _, ok := g.nodes[to]; !ok {
-		return fmt.Errorf("dag: edge to unknown node %q", to)
+		return errUnknownEnd("to", to)
 	}
 	if from == to {
-		return fmt.Errorf("dag: self edge on %q", from)
+		return errSelfEdge(from)
 	}
 	for _, s := range g.succ[from] {
 		if s == to {
-			return fmt.Errorf("dag: duplicate edge %s→%s", from, to)
+			return errDuplicateEdge(from, to)
 		}
 	}
 	g.succ[from] = append(g.succ[from], to)
 	g.pred[to] = append(g.pred[to], from)
 	g.idx.Store(nil)
 	return nil
+}
+
+// The reasons AddEdge and DecodeXML refuse an edge.
+
+func errUnknownEnd(dir, id string) error { return fmt.Errorf("dag: edge %s unknown node %q", dir, id) }
+func errSelfEdge(id string) error        { return fmt.Errorf("dag: self edge on %q", id) }
+func errDuplicateEdge(from, to string) error {
+	return fmt.Errorf("dag: duplicate edge %s→%s", from, to)
 }
 
 // Node returns the node with the given ID.

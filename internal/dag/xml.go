@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
 	"slices"
 	"strconv"
@@ -121,99 +122,416 @@ var (
 // <dag> start tag, validates the graph and replaces g with it. It reads
 // the subset of XML the scanner accepts, and refuses the document at
 // its node maxWireNodes+1.
+//
+// It works in two phases, so that the graph's values are not an
+// allocation each. The walk copies each value it keeps into one scratch
+// buffer and records where it lies. The build makes one string of that
+// buffer and cuts every ID, operation and parameter from it; all nodes
+// share one []Node, all successor and predecessor lists one []string,
+// and each parameter set is one map made at its size.
 func (g *Graph) DecodeXML(s *xmlwire.Scanner) error {
-	// The counts are guesses from raw bytes (a comment full of "<node"
-	// counts too), so they reserve room for at most maxWireNodes of each.
-	fresh := newGraph(min(s.CountAhead("<node", "</dag>"), maxWireNodes) + 2)
-	edges := make([][2]string, 0, min(s.CountAhead("<edge", "</dag>"), maxWireNodes))
-	nodes := 0
-	err := s.Children(dagChildren, 1<<0|1<<1, func(i int) error {
-		if i == 1 {
-			edges = append(edges, [2]string{})
-			e := &edges[len(edges)-1]
-			return s.Leaf(edgeAttrs, &e[0], &e[1])
-		}
-		if nodes++; nodes > maxWireNodes {
-			return errTooManyNodes
-		}
-		n := new(Node)
-		var target string
-		if err := s.StringAttrs(nodeAttrs, &n.ID, &n.Action.Op, &target); err != nil {
-			return err
-		}
-		err := s.Children(nodeChildren, 1<<0, func(i int) error {
-			if i == 0 {
-				return scanParam(s, &n.Action.Params)
-			}
-			return scanOnError(s, n)
+	// Each list starts in an array here, so that a graph of the paper's
+	// size is read without allocating. The walk's steps are closures, not
+	// methods: a method appending to d's lists through a pointer would
+	// move these arrays to the heap.
+	var (
+		buf      [512]byte
+		nodes    [12]nodeRec
+		handlers [2]actionRec
+		params   [16][2]span
+		hparams  [4][2]span
+		edges    [16][2]edgeEnd
+		ids      [32]int32
+		scratch  [64]int32
+	)
+	d := decoder{buf: buf[:0], nodes: nodes[:0], handlers: handlers[:0], params: params[:0],
+		hparams: hparams[:0], edges: edges[:0], ids: ids[:], scratch: scratch[:]}
+
+	keep := func(v []byte) span {
+		lo := len(d.buf)
+		d.buf = append(d.buf, v...)
+		return span{lo, len(d.buf)}
+	}
+	param := func(handler bool) error {
+		var p [2]span
+		err := s.Attrs(paramAttrs, func(i int, v []byte) error {
+			p[i] = keep(v)
+			return nil
 		})
 		if err != nil {
 			return err
 		}
-		if n.Action.Target, err = ParseTarget(target); err != nil {
-			return fmt.Errorf("dag: node %q: %w", n.ID, err)
-		}
-		return fresh.AddNode(n)
-	})
-	if err != nil {
-		return err
-	}
-	for _, e := range edges {
-		if err := fresh.AddEdge(e[0], e[1]); err != nil {
-			return err
-		}
-	}
-	if err := fresh.Validate(); err != nil {
-		return err
-	}
-	g.nodes, g.order, g.succ, g.pred = fresh.nodes, fresh.order, fresh.succ, fresh.pred
-	g.idx.Store(fresh.idx.Load()) // what Validate just derived, for the plan that follows
-	return nil
-}
-
-// scanOnError reads a node's <onerror> into its error policy.
-func scanOnError(s *xmlwire.Scanner, n *Node) error {
-	pol := &n.OnError
-	err := s.Attrs(onErrorAttrs, func(i int, v []byte) (err error) {
-		if i == 0 {
-			pol.Retries, err = xmlwire.Int(v)
+		if handler {
+			d.hparams = append(d.hparams, p)
 		} else {
-			pol.Continue, err = xmlwire.Bool(v)
+			d.params = append(d.params, p)
 		}
-		return err
-	})
-	if err != nil {
-		return err
+		return s.Skip()
 	}
-	return s.Children(onErrorChildren, 1<<0, func(int) error {
-		var h Action
-		var target string
-		if err := s.StringAttrs(handlerAttrs, &h.Op, &target); err != nil {
+	onError := func(n *nodeRec) error {
+		err := s.Attrs(onErrorAttrs, func(i int, v []byte) (err error) {
+			if i == 0 {
+				n.retries, err = xmlwire.Int(v)
+			} else {
+				n.cont, err = xmlwire.Bool(v)
+			}
 			return err
-		}
-		err := s.Children(handlerChildren, 1<<0, func(int) error { return scanParam(s, &h.Params) })
+		})
 		if err != nil {
 			return err
 		}
-		if h.Target, err = ParseTarget(target); err != nil {
-			return fmt.Errorf("dag: node %q handler: %w", n.ID, err)
-		}
-		pol.Handler = append(pol.Handler, h)
-		return nil
-	})
-}
-
-// scanParam reads a <param> into *ps, which the first one makes.
-func scanParam(s *xmlwire.Scanner, ps *map[string]string) error {
-	var name, value string
-	if err := s.Leaf(paramAttrs, &name, &value); err != nil {
+		n.h0 = len(d.handlers)
+		err = s.Children(onErrorChildren, 1<<0, func(int) error {
+			h := actionRec{p0: len(d.hparams)}
+			var terr error
+			err := s.Attrs(handlerAttrs, func(i int, v []byte) error {
+				if i == 0 {
+					h.op = keep(v)
+				} else {
+					h.target, terr = parseTarget(v)
+				}
+				return nil
+			})
+			if err == nil {
+				err = s.Children(handlerChildren, 1<<0, func(int) error { return param(true) })
+			}
+			if err == nil && terr != nil {
+				err = fmt.Errorf("dag: node %q handler: %w", string(d.buf[n.id.lo:n.id.hi]), terr)
+			}
+			if err != nil {
+				return err
+			}
+			h.p1 = len(d.hparams)
+			d.handlers = append(d.handlers, h)
+			return nil
+		})
+		n.h1 = len(d.handlers)
 		return err
 	}
-	if *ps == nil {
-		*ps = make(map[string]string)
+	// node checks what AddNode checks, in the order the old per-value
+	// decoder met them.
+	node := func() error {
+		if len(d.nodes) == maxWireNodes {
+			return errTooManyNodes
+		}
+		n := nodeRec{act: actionRec{p0: len(d.params)}}
+		var terr error
+		err := s.Attrs(nodeAttrs, func(i int, v []byte) error {
+			switch i {
+			case 0:
+				n.id = keep(v)
+			case 1:
+				n.act.op = keep(v)
+			default:
+				n.act.target, terr = parseTarget(v)
+			}
+			return nil
+		})
+		if err == nil {
+			err = s.Children(nodeChildren, 1<<0, func(i int) error {
+				if i == 0 {
+					return param(false)
+				}
+				return onError(&n)
+			})
+		}
+		if err != nil {
+			return err
+		}
+		id := d.buf[n.id.lo:n.id.hi]
+		if terr != nil {
+			return fmt.Errorf("dag: node %q: %w", string(id), terr)
+		}
+		// A marker's position says the ID is reserved, a later one that
+		// it is taken.
+		if p := d.lookup(id); p >= 0 || len(id) == 0 {
+			return idError(string(id), p > FinishPos)
+		}
+		n.act.p1 = len(d.params)
+		d.nodes = append(d.nodes, n)
+		d.insert()
+		return nil
 	}
-	(*ps)[name] = value
+	// edge keeps an end that names a node already read as its position,
+	// so that the graph reuses that node's ID; only an end naming a node
+	// not read yet is copied.
+	edge := func() error {
+		e := [2]edgeEnd{{pos: -1}, {pos: -1}}
+		err := s.Attrs(edgeAttrs, func(i int, v []byte) error {
+			if e[i].pos = d.lookup(v); e[i].pos < 0 {
+				e[i].name = keep(v)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		d.edges = append(d.edges, e)
+		return s.Skip()
+	}
+
+	err := s.Children(dagChildren, 1<<0|1<<1, func(i int) error {
+		if i == 1 {
+			return edge()
+		}
+		return node()
+	})
+	if err != nil {
+		return err
+	}
+	return d.build(g)
+}
+
+// span is where one decoded value lies in the decoder's buffer.
+type span struct{ lo, hi int }
+
+func (sp span) in(str string) string { return str[sp.lo:sp.hi] }
+
+// actionRec is an Action as the walk records it, its parameters being
+// params[p0:p1] of the list it was read into.
+type actionRec struct {
+	op     span
+	target Target
+	p0, p1 int
+}
+
+// nodeRec is a Node as the walk records it, its handlers being
+// handlers[h0:h1].
+type nodeRec struct {
+	id      span
+	act     actionRec
+	retries int
+	cont    bool
+	h0, h1  int
+}
+
+// edgeEnd is the position of the node an edge names, or -1 and the
+// name as written when the walk had not read that node yet.
+type edgeEnd struct {
+	pos  int
+	name span
+}
+
+// decoder holds what DecodeXML's walk records.
+type decoder struct {
+	buf      []byte
+	nodes    []nodeRec   // the nodes at position 2 onwards
+	handlers []actionRec // all nodes' handlers, in order
+	params   [][2]span   // all nodes' parameters, name and value
+	hparams  [][2]span   // all handlers' parameters
+	edges    [][2]edgeEnd
+	ids      []int32 // open-addressed set of node positions, hashed by ID; 0 is empty
+	scratch  []int32 // room for build's counts and marks
+}
+
+// idSeed keys the hash of the decoder's ID set.
+var idSeed = maphash.MakeSeed()
+
+// id is the ID of the node at position p >= 2.
+func (d *decoder) id(p int32) []byte {
+	sp := d.nodes[p-2].id
+	return d.buf[sp.lo:sp.hi]
+}
+
+// lookup returns the position of the node the walk has read with the
+// given ID, the markers included, or -1.
+func (d *decoder) lookup(id []byte) int {
+	switch string(id) {
+	case StartID:
+		return StartPos
+	case FinishID:
+		return FinishPos
+	}
+	mask := len(d.ids) - 1
+	for i := int(maphash.Bytes(idSeed, id)) & mask; d.ids[i] != 0; i = (i + 1) & mask {
+		if string(d.id(d.ids[i])) == string(id) {
+			return int(d.ids[i])
+		}
+	}
+	return -1
+}
+
+// insert adds the last node recorded to the ID set, doubling the set
+// first when it would be more than half full.
+func (d *decoder) insert() {
+	if 2*len(d.nodes) > len(d.ids) {
+		old := d.ids
+		d.ids = make([]int32, 2*len(old))
+		for _, p := range old {
+			if p != 0 {
+				d.place(p)
+			}
+		}
+	}
+	d.place(int32(len(d.nodes) + 1))
+}
+
+func (d *decoder) place(p int32) {
+	mask := len(d.ids) - 1
+	i := int(maphash.Bytes(idSeed, d.id(p))) & mask
+	for d.ids[i] != 0 {
+		i = (i + 1) & mask
+	}
+	d.ids[i] = p
+}
+
+// build makes the graph the walk recorded, checks its edges as AddEdge
+// would one by one, validates it and replaces g with it.
+func (d *decoder) build(g *Graph) error {
+	str := string(d.buf)
+	n := len(d.nodes) + 2
+	nodes := make([]Node, n)
+	nodes[StartPos] = Node{ID: StartID, Action: Action{Op: "start"}}
+	nodes[FinishPos] = Node{ID: FinishID, Action: Action{Op: "finish"}}
+	var handlers []Action
+	if len(d.handlers) > 0 {
+		handlers = make([]Action, len(d.handlers))
+		for i, h := range d.handlers {
+			handlers[i] = h.action(str, d.hparams)
+		}
+	}
+	byID := make(map[string]*Node, n)
+	order := make([]string, n)
+	for p := range nodes {
+		nd := &nodes[p]
+		if p > FinishPos {
+			r := &d.nodes[p-2]
+			nd.ID, nd.Action = r.id.in(str), r.act.action(str, d.params)
+			nd.OnError = ErrorPolicy{Retries: r.retries, Continue: r.cont}
+			if r.h1 > r.h0 {
+				nd.OnError.Handler = handlers[r.h0:r.h1:r.h1]
+			}
+		}
+		byID[nd.ID] = nd
+		order[p] = nd.ID
+	}
+
+	// The first edge AddEdge would refuse for a reason other than a
+	// duplicate, and the first duplicate before it.
+	edges, bad := d.edges, error(nil)
+	for i := range edges {
+		e := &edges[i]
+		for end, dir := range [2]string{"from", "to"} {
+			if e[end].pos < 0 {
+				e[end].pos = d.lookup(d.buf[e[end].name.lo:e[end].name.hi])
+			}
+			if e[end].pos < 0 && bad == nil {
+				bad = errUnknownEnd(dir, e[end].name.in(str))
+			}
+		}
+		if bad == nil && e[0].pos == e[1].pos {
+			bad = errSelfEdge(order[e[0].pos])
+		}
+		if bad != nil {
+			edges = edges[:i]
+			break
+		}
+	}
+
+	// Group the edges by tail, each group in edge order (a counting
+	// sort), and find repeats with one mark per head: O(E + N).
+	scratch := d.scratch
+	if need := 3*n + 2 + len(edges); need > len(scratch) {
+		scratch = make([]int32, need)
+	}
+	outOff, inOff := scratch[:n+1], scratch[n+1:2*n+2]
+	mark, byTail := scratch[2*n+2:3*n+2], scratch[3*n+2:][:len(edges)]
+	clear(scratch[:3*n+2])
+	for _, e := range edges {
+		outOff[e[0].pos+1]++
+		inOff[e[1].pos+1]++
+	}
+	for p := range n {
+		outOff[p+1] += outOff[p]
+		inOff[p+1] += inOff[p]
+	}
+	next := mark
+	copy(next, outOff[:n])
+	for i, e := range edges {
+		byTail[next[e[0].pos]] = int32(i)
+		next[e[0].pos]++
+	}
+	clear(mark)
+	dup := len(edges)
+	for u := range n {
+		for _, i := range byTail[outOff[u]:outOff[u+1]] {
+			if to := edges[i][1].pos; mark[to] == int32(u+1) {
+				dup = min(dup, int(i))
+			} else {
+				mark[to] = int32(u + 1)
+			}
+		}
+	}
+	if dup < len(edges) {
+		return errDuplicateEdge(order[edges[dup][0].pos], order[edges[dup][1].pos])
+	}
+	if bad != nil {
+		return bad
+	}
+
+	// Every list is carved from one array, its capacity cut to its
+	// length, so that AddEdge copies a list before it appends to it.
+	adj := make([]string, 2*len(edges))
+	succList, predList := adj[:len(edges)], adj[len(edges):]
+	for j, i := range byTail {
+		succList[j] = order[edges[i][1].pos]
+	}
+	copy(next, inOff[:n])
+	for _, e := range edges {
+		predList[next[e[1].pos]] = order[e[0].pos]
+		next[e[1].pos]++
+	}
+	succ, pred := make(map[string][]string, n), make(map[string][]string, n)
+	for p, id := range order {
+		if lo, hi := outOff[p], outOff[p+1]; hi > lo {
+			succ[id] = succList[lo:hi:hi]
+		}
+		if lo, hi := inOff[p], inOff[p+1]; hi > lo {
+			pred[id] = predList[lo:hi:hi]
+		}
+	}
+
+	fresh := Graph{nodes: byID, order: order, succ: succ, pred: pred}
+	ix := fresh.buildIndex()
+	if ix.valid != nil {
+		return ix.valid
+	}
+	g.nodes, g.order, g.succ, g.pred = byID, order, succ, pred
+	g.idx.Store(ix) // what Validate derived, for the plan that follows
 	return nil
+}
+
+// action makes the Action r records, its parameters read from ps.
+func (r actionRec) action(str string, ps [][2]span) Action {
+	a := Action{Op: r.op.in(str), Target: r.target}
+	if r.p1 > r.p0 {
+		a.Params = make(map[string]string, r.p1-r.p0)
+		for _, p := range ps[r.p0:r.p1] {
+			a.Params[p[0].in(str)] = p[1].in(str)
+		}
+	}
+	return a
+}
+
+// parseTarget is ParseTarget on bytes, without a copy for what the
+// wire carries: an ASCII "guest", "host" or nothing, in any case.
+func parseTarget(b []byte) (Target, error) {
+	var low [5]byte
+	if len(b) <= len(low) {
+		for i, c := range b {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			low[i] = c
+		}
+		switch string(low[:len(b)]) {
+		case "guest", "":
+			return Guest, nil
+		case "host":
+			return Host, nil
+		}
+	}
+	return ParseTarget(string(b))
 }
 
 // Encode writes the graph's wire form and a newline.

@@ -4,8 +4,11 @@ import (
 	"encoding/xml"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"testing"
+	"time"
 
 	"vmplants/internal/xmlwire"
 )
@@ -231,6 +234,9 @@ func FuzzGraphXML(f *testing.F) {
 		`<edge from="START" to="A"></edge><edge from="A" to="B"></edge><edge from="B" to="FINISH"></edge></dag>`))
 	f.Add([]byte("<?xml version='1.0'?>\n<dag>\n  <!-- one node -->\n  <edge from='START' to='A'/>\n  <node id='A' action='a&amp;b' target='HOST'><param name='k' value='1'/><param name='k' value='2'/></node>\n  <edge from='A' to='FINISH'/>\n</dag>\n"))
 	f.Add([]byte(`<dag><node id="A" action="x"><onerror retries=" 2 " continue="T"/><later/></node><edge from="START" to="A"/><edge from="A" to="FINISH"/></dag>`))
+	// An edge naming a node declared after it, and a duplicate edge.
+	f.Add([]byte(`<dag><edge from="START" to="B"/><edge from="B" to="FINISH"/><node id="B" action="y" target="Host"></node></dag>`))
+	f.Add([]byte(`<dag><node id="A" action="x"/><edge from="START" to="A"/><edge from="A" to="FINISH"/><edge from="START" to="A"/></dag>`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		got, err := scanGraph(doc)
 		if err != nil {
@@ -244,4 +250,143 @@ func FuzzGraphXML(f *testing.F) {
 			t.Fatalf("decoded differently\n got: %#v\nwant: %#v\n%q", got, &want, doc)
 		}
 	})
+}
+
+// DecodeXML refuses what AddNode, AddEdge and Validate refuse, with
+// their words, and where several edges are wrong it names the first in
+// document order, as adding them one by one does. An edge may name a
+// node declared after it.
+func TestDecodeMatchesOracle(t *testing.T) {
+	docs := []string{
+		`<dag><node id="" action="x"/></dag>`,
+		`<dag><node action="x"/></dag>`,
+		`<dag><node id="START" action="x"/></dag>`,
+		`<dag><node id="A" action="x"/><node id="A" action="y"/></dag>`,
+		`<dag><node id="A" action="x" target="mars"/></dag>`,
+		`<dag><node id="A" action="x"><onerror><handler action="h" target="moon"/></onerror></node></dag>`,
+		`<dag><node id="A" action="x"/><edge from="B" to="A"/></dag>`,
+		`<dag><node id="A" action="x"/><edge from="A" to="B"/></dag>`,
+		`<dag><node id="A" action="x"/><edge to="A"/></dag>`,
+		`<dag><node id="A" action="x"/><edge from="A" to="A"/></dag>`,
+		`<dag><node id="A" action="x"/><edge from="START" to="A"/><edge from="START" to="A"/></dag>`,
+		`<dag><node id="A" action="x"/><edge from="START" to="A"/><edge from="START" to="A"/><edge from="A" to="Z"/></dag>`,
+		`<dag><node id="A" action="x"/><edge from="START" to="A"/><edge from="A" to="Z"/><edge from="START" to="A"/></dag>`,
+		`<dag><node id="A" action="x"/><node id="B" action="y"/><edge from="A" to="B"/><edge from="START" to="A"/>` +
+			`<edge from="B" to="FINISH"/><edge from="START" to="A"/><edge from="A" to="B"/></dag>`,
+		`<dag><edge from="START" to="A"/><node id="A" action="x"/><edge from="A" to="FINISH"/><edge from="START" to="A"/></dag>`,
+		`<dag><node id="A" action="x"/><node id="B" action="y"/><edge from="START" to="A"/><edge from="A" to="B"/>` +
+			`<edge from="B" to="A"/><edge from="B" to="FINISH"/></dag>`,
+		`<dag><node id="A" action="x"/><edge from="START" to="FINISH"/></dag>`,
+		`<dag><edge from="START" to="A"/><edge from="A" to="B"/><node id="A" action="x"/>` +
+			`<edge from="B" to="FINISH"/><node id="B" action="y"/></dag>`,
+	}
+	for _, doc := range docs {
+		got, gerr := scanGraph([]byte(doc))
+		var want Graph
+		werr := xml.Unmarshal([]byte(doc), &want)
+		switch {
+		case gerr == nil && werr == nil:
+			if !sameGraph(got, &want) {
+				t.Errorf("%s\n got: %#v\nwant: %#v", doc, got, &want)
+			}
+		case gerr == nil || werr == nil || gerr.Error() != werr.Error():
+			t.Errorf("%s\n got: %v\nwant: %v", doc, gerr, werr)
+		}
+	}
+}
+
+// A decoded graph's successor and predecessor lists are carved from one
+// array, so growing one of them must not write into its neighbour.
+func TestDecodedListsGrowApart(t *testing.T) {
+	mutate := func(g *Graph) {
+		for _, n := range []string{"E", "F"} {
+			if err := g.AddNode(&Node{ID: n, Action: Action{Op: "x"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range [][2]string{{StartID, "E"}, {"A", "E"}, {"E", "D"}, {"B", "F"}, {"F", FinishID}, {"C", "F"}, {"E", "F"}} {
+			if err := g.AddEdge(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := diamond(t)
+	got, err := scanGraph(want.AppendXML(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(want)
+	mutate(got)
+	for _, id := range want.NodeIDs() {
+		if s, w := got.Successors(id), want.Successors(id); !slices.Equal(s, w) {
+			t.Errorf("successors of %s = %v, want %v", id, s, w)
+		}
+		if p, w := got.Predecessors(id), want.Predecessors(id); !slices.Equal(p, w) {
+			t.Errorf("predecessors of %s = %v, want %v", id, p, w)
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// hubDocs returns two valid graphs of nodes nodes and about the same
+// number of edges: in hub, the first hubs nodes each precede every other
+// node; in spread, every node precedes the next hubs nodes.
+func hubDocs(nodes, hubs int) (hub, spread []byte) {
+	doc := func(edges func(add func(from, to string))) []byte {
+		b := []byte("<dag>")
+		for i := range nodes {
+			b = fmt.Appendf(b, `<node id="%d" action="x"/>`, i)
+		}
+		edges(func(from, to string) { b = fmt.Appendf(b, `<edge from="%s" to="%s"/>`, from, to) })
+		return append(b, "</dag>"...)
+	}
+	id := strconv.Itoa
+	hub = doc(func(add func(from, to string)) {
+		for h := range hubs {
+			add(StartID, id(h))
+			for i := hubs; i < nodes; i++ {
+				add(id(h), id(i))
+			}
+		}
+		for i := hubs; i < nodes; i++ {
+			add(id(i), FinishID)
+		}
+	})
+	spread = doc(func(add func(from, to string)) {
+		add(StartID, id(0))
+		for i := range nodes {
+			for j := i + 1; j <= i+hubs && j < nodes; j++ {
+				add(id(i), id(j))
+			}
+		}
+		add(id(nodes-1), FinishID)
+	})
+	return hub, spread
+}
+
+// The duplicate-edge check costs the same whether a graph's edges
+// leave a few nodes or all of them: a node with thousands of edges
+// must not make each of them scan the ones before it.
+func TestHubEdgesDecodeInLinearTime(t *testing.T) {
+	hub, spread := hubDocs(maxWireNodes, 36)
+	best := func(doc []byte) time.Duration {
+		var min time.Duration
+		for range 3 {
+			start := time.Now()
+			if _, err := scanGraph(doc); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); min == 0 || d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	h, s := best(hub), best(spread)
+	t.Logf("hub %d bytes in %v, spread %d bytes in %v", len(hub), h, len(spread), s)
+	if h > 2*s {
+		t.Errorf("hub graph decodes in %v, %.1f× the spread one's %v; want ≤ 2×", h, float64(h)/float64(s), s)
+	}
 }

@@ -227,7 +227,7 @@ func scanMessage(doc []byte) (*Message, error) {
 	err := s.Attrs(envelopeAttrs, func(i int, v []byte) (err error) {
 		switch i {
 		case 0:
-			m.Kind = Kind(v)
+			m.Kind = kindOf(v)
 		case 1:
 			m.Seq, err = xmlwire.Uint(v)
 		case 2:
@@ -244,6 +244,17 @@ func scanMessage(doc []byte) (*Message, error) {
 		return m, err
 	}
 	return m, s.End()
+}
+
+// kindOf is the envelope's kind as the bodyNames entry it names; only
+// a kind no body has is copied.
+func kindOf(v []byte) Kind {
+	for _, k := range bodyNames {
+		if string(v) == k {
+			return Kind(k)
+		}
+	}
+	return Kind(v)
 }
 
 // scanBody decodes the body element named kind into its field of m.

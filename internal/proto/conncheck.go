@@ -11,38 +11,51 @@ import (
 
 var errUnexpectedRead = errors.New("proto: unexpected read from idle connection")
 
-// connCheck is the check database drivers make before reusing a pooled
+// idleCheck is the check database drivers make before reusing a pooled
 // connection: one non-blocking read of one byte, straight on the
 // descriptor. Only "would block" means the connection is idle and open;
 // end of file, a reset or a stray byte all mean it must not be used.
-// Connections that are not backed by a descriptor pass.
-func connCheck(conn net.Conn) error {
-	sc, ok := conn.(syscall.Conn)
-	if !ok {
-		return nil
+// Connections that are not backed by a descriptor pass. It takes the
+// descriptor's syscall.RawConn and builds its read callback once per
+// connection, so that a check allocates nothing.
+type idleCheck struct {
+	conn net.Conn
+	rc   syscall.RawConn // nil when conn has no descriptor
+	err  error           // SyscallConn's failure, or what the last read found
+	read func(fd uintptr) bool
+	one  [1]byte // where read reads; on the stack it would escape under -race
+}
+
+func newIdleCheck(conn net.Conn) *idleCheck {
+	ic := &idleCheck{conn: conn}
+	if sc, ok := conn.(syscall.Conn); ok {
+		if ic.rc, ic.err = sc.SyscallConn(); ic.err != nil {
+			ic.rc = nil
+		}
 	}
-	rc, err := sc.SyscallConn()
-	if err != nil {
-		return err
-	}
-	var readErr error
-	err = rc.Read(func(fd uintptr) bool {
-		var one [1]byte
-		n, err := syscall.Read(int(fd), one[:])
+	ic.read = func(fd uintptr) bool {
+		n, err := syscall.Read(int(fd), ic.one[:])
 		switch {
 		case n == 0 && err == nil:
-			readErr = io.EOF
+			ic.err = io.EOF
 		case n > 0:
-			readErr = errUnexpectedRead
+			ic.err = errUnexpectedRead
 		case err == syscall.EAGAIN || err == syscall.EWOULDBLOCK:
-			readErr = nil
+			ic.err = nil
 		default:
-			readErr = err
+			ic.err = err
 		}
 		return true // never wait for readability
-	})
-	if err != nil {
+	}
+	return ic
+}
+
+func (ic *idleCheck) check() error {
+	if ic.rc == nil {
+		return ic.err
+	}
+	if err := ic.rc.Read(ic.read); err != nil {
 		return err
 	}
-	return readErr
+	return ic.err
 }

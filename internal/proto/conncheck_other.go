@@ -4,6 +4,10 @@ package proto
 
 import "net"
 
-// connCheck has no portable non-blocking read to make here; a dead
+// idleCheck has no portable non-blocking read to make here; a dead
 // connection is found by the call that fails on it.
-func connCheck(net.Conn) error { return nil }
+type idleCheck struct{ conn net.Conn }
+
+func newIdleCheck(conn net.Conn) *idleCheck { return &idleCheck{conn: conn} }
+
+func (*idleCheck) check() error { return nil }

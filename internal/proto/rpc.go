@@ -23,11 +23,11 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("remote error %s: %s", e.Code, e.Detail)
 }
 
-// RetryPolicy bounds retransmission of idempotent requests
-// (query/estimate/list/ping) after transport failures: exponential
-// backoff from BaseBackoff doubling up to MaxBackoff, with a
-// deterministic jitter stream seeded by Seed so identically configured
-// clients replay identical schedules.
+// RetryPolicy bounds retransmission of idempotent requests (see
+// idempotentKinds) after transport failures: exponential backoff from
+// BaseBackoff doubling up to MaxBackoff, with a deterministic jitter
+// stream seeded by Seed so identically configured clients replay
+// identical schedules.
 type RetryPolicy struct {
 	// Attempts is the total number of tries (first call included);
 	// 0 or 1 disables retry.
@@ -81,6 +81,7 @@ type Client struct {
 	Retry RetryPolicy
 
 	retryRNG *rand.Rand // lazily seeded from Retry.Seed, under mu
+	idle     *idleCheck // Stale's check of conn, made at its first use on it
 	// redial re-establishes the connection between attempts.
 	redial func() (net.Conn, error)
 	// sleepFn pauses between attempts; time.Sleep unless a test
@@ -310,7 +311,10 @@ func (c *Client) Stale() bool {
 	// The last call's deadline may have passed since; expired, it would
 	// fail the check on a healthy connection.
 	c.conn.SetReadDeadline(time.Time{})
-	return connCheck(c.conn) != nil
+	if c.idle == nil || c.idle.conn != c.conn {
+		c.idle = newIdleCheck(c.conn)
+	}
+	return c.idle.check() != nil
 }
 
 // Handler processes one request message and returns the response. The

@@ -41,7 +41,7 @@ type RemotePlant struct {
 	Addr      string
 	Timeout   time.Duration
 	// Retry bounds retransmission of idempotent calls
-	// (estimate/query/list/ping); the zero value selects DefaultRetry, 3
+	// (estimate/query/ping); the zero value selects DefaultRetry, 3
 	// attempts with 50 ms base backoff. Set Attempts to 1 to disable.
 	Retry proto.RetryPolicy
 	// Telemetry instruments the connection's RPCs; nil disables.
@@ -51,8 +51,8 @@ type RemotePlant struct {
 	// reported as; nil means shop.ErrPlantDown.
 	down error
 	// unchecked skips the idle-connection check before each call. A
-	// ShopClient sets it: the check's five allocations are 1.4 % of a
-	// query's whole path, and a client that finds its shop gone has
+	// ShopClient sets it: the check allocates nothing but is one more
+	// system call per query, and a client that finds its shop gone has
 	// nothing to fail over to anyway — it reports the error.
 	unchecked bool
 	mu        sync.Mutex

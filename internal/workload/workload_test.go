@@ -8,6 +8,7 @@ import (
 	"vmplants/internal/dag"
 	"vmplants/internal/match"
 	"vmplants/internal/plant"
+	"vmplants/internal/proto"
 	"vmplants/internal/sim"
 	"vmplants/internal/stats"
 )
@@ -325,6 +326,32 @@ func TestUserEnvDAGHasOneEncoding(t *testing.T) {
 	g, _ := InVigoUserEnvDAG("arijit", "00:50:56:00:00:01", "10.1.0.7")
 	if got := fmt.Sprint(g.Successors("F")); got != "[J G I]" {
 		t.Errorf("successors of F = %s, want declaration order [J G I]", got)
+	}
+}
+
+// A create request carrying the In-VIGO DAG decodes with one string
+// for all the DAG's IDs, operations and parameters, one []Node and one
+// array for all its edge lists (it cost 142 allocations when each value
+// was its own).
+func TestInVigoCreateRequestDecodeAllocations(t *testing.T) {
+	g, err := InVigoDAG("user0000001", "00:50:56:00:00:01", "10.2.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &core.Spec{Name: "workspace-1", Hardware: core.HardwareSpec{Arch: "x86", MemoryMB: 64, DiskMB: 2048},
+		Domain: "ufl.edu", Backend: "vmware", Graph: g}
+	doc, err := proto.Marshal(&proto.Message{Kind: proto.KindCreateRequest, Create: proto.FromSpec(spec, "secret")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := proto.Unmarshal(doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations", n)
+	if n > 80 {
+		t.Errorf("decoding an In-VIGO create request: %.0f allocations, want ≤ 80", n)
 	}
 }
 

@@ -525,17 +525,6 @@ func (s *Scanner) Skip() error {
 	return nil
 }
 
-// CountAhead reports how often tag occurs in the unread input before
-// the first stop (or the end): a sizing hint for the caller's
-// containers, not a parse.
-func (s *Scanner) CountAhead(tag, stop string) int {
-	rest := s.src[s.pos:]
-	if end := bytes.Index(rest, []byte(stop)); end >= 0 {
-		rest = rest[:end]
-	}
-	return bytes.Count(rest, []byte(tag))
-}
-
 // Children walks the current element's child elements. For a child
 // named names[i] it calls f(i), which must consume the child with
 // Attr/Attrs and then Children, Text or Skip; children with other names
