@@ -62,6 +62,6 @@ goldens:
 # generic gate runner: it exits nonzero unless the scenario's invariants
 # hold and a same-seed rerun is byte-identical. `go run ./cmd/vmbench
 # -list` names the scenarios, the paper's own experiments first; what
-# each one gates is its result's Violations in internal/workload.
+# each one gates is its result's Checks in internal/workload.
 smoke-%:
 	$(GO) run ./cmd/vmbench -exp $* -series smoke

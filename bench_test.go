@@ -26,7 +26,7 @@ func BenchmarkScenarios(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if v := res.Violations(); len(v) != 0 {
+				if v := workload.Failures(res.Checks()); len(v) != 0 {
 					b.Fatalf("gate violations:\n  %s", strings.Join(v, "\n  "))
 				}
 			}

@@ -187,34 +187,27 @@ func runChaos(seed int64, par chaosParams) (*chaosResult, error) {
 	return res, nil
 }
 
-// Violations lists the chaos invariants the run broke.
-func (r *chaosResult) Violations() []string {
-	var g gate
-	g.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
-	g.check(r.OrphanVMs == 0, "%d orphaned VMs after drain", r.OrphanVMs)
-	g.check(r.LeakedNets == 0, "%d leaked host-only networks after drain", r.LeakedNets)
-	g.check(r.restartRoutes == 0, "the journal-less shop's restart brought back %d routes, want 0", r.restartRoutes)
-	g.check(r.RoutesRecov == int64(r.Requests), "the drain re-learned %d routes, want %d", r.RoutesRecov, r.Requests)
-	// The mix is hot enough that even the smoke run must actually have
-	// exercised the machinery, or the experiment proves nothing.
-	g.check(r.Disruptions > 0, "no faults injected; chaos run exercised nothing")
-	return g
+func (r *chaosResult) Checks() []Check {
+	return []Check{
+		equal(invariant("chaos.served", "requests served"), r.Succeeded, r.Requests),
+		equal(invariant("chaos.orphans", "orphaned VMs after drain"), r.OrphanVMs, 0),
+		equal(invariant("chaos.leaked-nets", "leaked host-only networks after drain"), r.LeakedNets, 0),
+		equal(invariant("chaos.restart-routes", "routes the journal-less shop's restart brought back"), r.restartRoutes, 0),
+		equal(invariant("chaos.relearned", "routes the drain re-learned"), r.RoutesRecov, int64(r.Requests)),
+		// The mix is hot enough that even the smoke run must actually have
+		// exercised the machinery, or the experiment proves nothing.
+		atLeast(precondition("chaos.disrupted", "injections that failed a call"), r.Disruptions, 1),
+	}
 }
 
 // Report renders the run as printable lines.
 func (r *chaosResult) Report() []string {
 	return append([]string{
-		fmt.Sprintf("requests:            %d", r.Requests),
-		fmt.Sprintf("succeeded:           %d (%.0f%%)", r.Succeeded, 100*float64(r.Succeeded)/float64(r.Requests)),
 		fmt.Sprintf("client retries:      %d", r.ClientRetries),
 		fmt.Sprintf("shop failovers:      %d", r.Failovers),
 		fmt.Sprintf("degraded bid rounds: %d", r.DegradedBids),
 		fmt.Sprintf("breaker opens:       %d", r.BreakerOpens),
 		fmt.Sprintf("plant crashes:       %d (recoveries %d)", r.PlantCrashes, r.Recoveries),
-		fmt.Sprintf("restart routes:      %d", r.restartRoutes),
-		fmt.Sprintf("routes recovered:    %d", r.RoutesRecov),
 		fmt.Sprintf("create latency:      %s", r.CreateSecs),
-		fmt.Sprintf("orphaned VMs:        %d", r.OrphanVMs),
-		fmt.Sprintf("leaked networks:     %d", r.LeakedNets),
 	}, injectionReport(r.Injections)...)
 }

@@ -115,23 +115,26 @@ func installSLOs(hub *telemetry.Hub) {
 
 // evaluateSLOs evaluates the hub's standing objectives at the end of
 // virtual time, logging each status to the fingerprint.
-func evaluateSLOs(hub *telemetry.Hub, now time.Duration, t *transcript) (statuses []telemetry.ObjectiveStatus, hold bool) {
-	statuses = hub.SLO.Evaluate(now)
-	hold = true
+func evaluateSLOs(hub *telemetry.Hub, now time.Duration, t *transcript) []telemetry.ObjectiveStatus {
+	statuses := hub.SLO.Evaluate(now)
 	for _, st := range statuses {
-		hold = hold && st.OK
 		t.logf("slo %s ok=%v value=%.6g bound=%g samples=%d burn=%.6g",
 			st.Name, st.OK, st.Value, st.Bound, st.Samples, st.Burn)
 	}
-	return statuses, hold
+	return statuses
 }
 
-// objectiveReport renders objective statuses as report lines.
-func objectiveReport(statuses []telemetry.ObjectiveStatus) []string {
-	out := make([]string, len(statuses))
+// objectiveChecks states each objective as one claim, its ID the
+// scenario's name and the objective's.
+func objectiveChecks(scenario string, statuses []telemetry.ObjectiveStatus) []Check {
+	out := make([]Check, len(statuses))
 	for i, st := range statuses {
-		out[i] = fmt.Sprintf("slo %-16s ok=%-5v value=%.4g bound=%g burn=%.3g (n=%d)",
-			st.Name, st.OK, st.Value, st.Bound, st.Burn, st.Samples)
+		label, want := "latency objective (s)", "≤ "+show(st.Bound)
+		if st.Kind == "ratio" {
+			label, want = "ratio objective", "≥ "+show(st.Bound)
+		}
+		got := fmt.Sprintf("%s (burn %s, n=%d)", show(st.Value), show(st.Burn), st.Samples)
+		out[i] = holds(claim(scenario+"."+st.Name, "", label), st.OK, got, want)
 	}
 	return out
 }

@@ -151,7 +151,6 @@ type diurnalResult struct {
 	LeakedExtentRefs int
 
 	Objectives []telemetry.ObjectiveStatus
-	SLOsHold   bool
 
 	PeakPlants int
 
@@ -161,23 +160,21 @@ type diurnalResult struct {
 	Spans   []telemetry.Span
 }
 
-// Violations lists every acceptance-gate failure.
-func (r *diurnalResult) Violations() []string {
-	var g gate
-	g.check(r.SLOsHold, "SLOs violated over the week")
-	g.check(r.ScaleUps >= 2, "scale-ups = %d, want >= 2", r.ScaleUps)
-	g.check(r.Retired >= 2, "drain/retires = %d, want >= 2", r.Retired)
-	g.check(r.ShopKills >= 1, "no shop kill landed mid-drain")
-	g.check(r.ShopRestarts >= 1, "killed shop never restarted")
-	g.check(r.ResumedDrains >= 1, "interrupted drain never resumed")
-	g.check(r.OrphanVMs == 0, "orphaned VMs = %d", r.OrphanVMs)
-	g.check(r.LeakedNets == 0, "leaked virtual networks = %d", r.LeakedNets)
-	g.check(r.LeakedExtentRefs == 0, "leaked extent refs = %d", r.LeakedExtentRefs)
-	g.check(r.Shed > 0, "overload path never exercised (0 sheds)")
-	g.check(r.NonRetryableSheds == 0, "non-retryable sheds = %d", r.NonRetryableSheds)
-	g.check(r.FailedFinal == 0, "requests abandoned = %d", r.FailedFinal)
-	g.check(r.DestroyFails == 0, "collections abandoned = %d", r.DestroyFails)
-	return g
+func (r *diurnalResult) Checks() []Check {
+	return append([]Check{
+		atLeast(claim("diurnal.scale-ups", "", "scale-ups"), r.ScaleUps, 2),
+		atLeast(claim("diurnal.retires", "", "drain/retires"), r.Retired, 2),
+		atLeast(precondition("diurnal.kill", "shop kills mid-drain"), r.ShopKills, 1),
+		atLeast(invariant("diurnal.restarts", "shop restarts, one per kill at least"), r.ShopRestarts, r.ShopKills),
+		atLeast(invariant("diurnal.resumed", "interrupted drains resumed, one per kill at least"), int64(r.ResumedDrains), r.ShopKills),
+		equal(invariant("diurnal.orphans", "orphaned VMs"), r.OrphanVMs, 0),
+		equal(invariant("diurnal.leaked-nets", "leaked virtual networks"), r.LeakedNets, 0),
+		equal(invariant("diurnal.leaked-refs", "leaked extent refs"), r.LeakedExtentRefs, 0),
+		atLeast(precondition("diurnal.shed", "requests shed at admission"), r.Shed, 1),
+		equal(invariant("diurnal.retryable-sheds", "non-retryable sheds"), r.NonRetryableSheds, 0),
+		equal(invariant("diurnal.abandoned", "requests abandoned"), r.FailedFinal, 0),
+		equal(invariant("diurnal.collect", "collections abandoned"), r.DestroyFails, 0),
+	}, objectiveChecks("diurnal", r.Objectives)...)
 }
 
 // Artifacts is the shop's write-ahead log and the run's span set as a
@@ -188,18 +185,12 @@ func (r *diurnalResult) Artifacts() []Artifact {
 
 // Report renders the run as printable lines.
 func (r *diurnalResult) Report() []string {
-	return append([]string{
+	return []string{
 		fmt.Sprintf("simulated days:     %d", r.Days),
-		fmt.Sprintf("requests:           %d (succeeded %d, abandoned %d)", r.Requests, r.Succeeded, r.FailedFinal),
-		fmt.Sprintf("shed at admission:  %d (non-retryable %d)", r.Shed, r.NonRetryableSheds),
-		fmt.Sprintf("scale-ups:          %d (peak fleet %d plants)", r.ScaleUps, r.PeakPlants),
-		fmt.Sprintf("drain/retires:      %d (controller %d, migrations %d)", r.Retired, r.ScaleDowns, r.Migrated),
-		fmt.Sprintf("shop kills:         %d (restarts %d, drains resumed %d)", r.ShopKills, r.ShopRestarts, r.ResumedDrains),
-		fmt.Sprintf("orphaned VMs:       %d", r.OrphanVMs),
-		fmt.Sprintf("leaked nets:        %d", r.LeakedNets),
-		fmt.Sprintf("leaked extent refs: %d", r.LeakedExtentRefs),
-		fmt.Sprintf("collect failures:   %d", r.DestroyFails),
-	}, objectiveReport(r.Objectives)...)
+		fmt.Sprintf("requests:           %d (succeeded %d)", r.Requests, r.Succeeded),
+		fmt.Sprintf("peak fleet:         %d plants", r.PeakPlants),
+		fmt.Sprintf("controller retires: %d (migrations %d)", r.ScaleDowns, r.Migrated),
+	}
 }
 
 // rate is the diurnal arrival intensity at elapsed virtual time t, in
@@ -473,7 +464,7 @@ func runDiurnal(seed int64, par diurnalParams) (*diurnalResult, error) {
 	res.LeakedExtentRefs = d.Warehouse.ExtentStatsNow().Refs - baseExtentRefs
 
 	// Audit 3 — the standing SLOs over the whole week.
-	res.Objectives, res.SLOsHold = evaluateSLOs(hub, d.Kernel.Now(), &res.transcript)
+	res.Objectives = evaluateSLOs(hub, d.Kernel.Now(), &res.transcript)
 
 	res.logf("requests=%d ok=%d failed=%d shed=%d scale_ups=%d scale_downs=%d retired=%d migrated=%d kills=%d restarts=%d resumed=%d orphans=%d leaked_nets=%d leaked_refs=%d end=%s",
 		res.Requests, res.Succeeded, res.FailedFinal, res.Shed, res.ScaleUps, res.ScaleDowns,

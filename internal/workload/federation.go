@@ -520,23 +520,25 @@ func runFederation(seed int64) (*federationResult, error) {
 	return res, nil
 }
 
-// Violations lists the federation invariants the run broke. The
-// federation must serve the entire offered stream; the single shop is
-// allowed to shed load (that is the point), but must serve something or
-// the ratio is meaningless.
-func (r *federationResult) Violations() []string {
-	var g gate
-	g.check(r.FederatedSucceeded == r.ThroughputRequests, "federated stream served %d/%d", r.FederatedSucceeded, r.ThroughputRequests)
-	g.check(r.BaselineSucceeded > 0, "single-shop baseline served nothing of %d", r.ThroughputRequests)
-	g.check(r.Speedup >= 2.5, "goodput speedup %.2fx < 2.5", r.Speedup)
-	g.check(r.Succeeded == r.Requests, "integrity wave served %d/%d", r.Succeeded, r.Requests)
-	g.check(r.Forwarded > 0 && r.ServedForwards > 0, "hot cell never overflowed: forwarded=%d served=%d", r.Forwarded, r.ServedForwards)
-	g.check(r.ShopKills == 1 && r.ShopRestarts == 1, "kill/restart = %d/%d, want 1/1", r.ShopKills, r.ShopRestarts)
-	g.check(r.Lost == 0 && r.Duplicated == 0, "exactly-once violated: lost=%d duplicated=%d", r.Lost, r.Duplicated)
-	g.check(r.GossipOK, "gossiped image is not in every cell's catalog")
-	g.check(r.WarmCloneOK, "no cross-cell warm clone of a gossiped derived image")
-	g.check(len(r.Journals) == r.Cells, "captured %d cell journals, want %d", len(r.Journals), r.Cells)
-	return g
+// Checks: the federation must serve the entire offered stream; the
+// single shop is allowed to shed load (that is the point), but must
+// serve something or the ratio is meaningless.
+func (r *federationResult) Checks() []Check {
+	return []Check{
+		equal(invariant("federation.served", "federated stream served"), r.FederatedSucceeded, r.ThroughputRequests),
+		atLeast(precondition("federation.baseline", "single-shop stream served"), r.BaselineSucceeded, 1),
+		atLeast(claim("federation.speedup", "", "goodput speedup over one shop (×)"), r.Speedup, 2.5),
+		equal(invariant("federation.integrity-served", "integrity wave served"), r.Succeeded, r.Requests),
+		holds(precondition("federation.overflow", "hot-cell creations forwarded/served by peers"), r.Forwarded > 0 && r.ServedForwards > 0,
+			fmt.Sprintf("%d/%d", r.Forwarded, r.ServedForwards), "> 0/> 0"),
+		holds(precondition("federation.kill", "hot-shop kills/restarts"), r.ShopKills == 1 && r.ShopRestarts == 1,
+			fmt.Sprintf("%d/%d", r.ShopKills, r.ShopRestarts), "1/1"),
+		equal(invariant("federation.lost", "acknowledged creations lost"), r.Lost, 0),
+		equal(invariant("federation.duplicated", "duplicated VMs"), r.Duplicated, 0),
+		equal(invariant("federation.gossip", "gossiped image in every cell's catalog"), r.GossipOK, true),
+		equal(invariant("federation.warm-clone", "cross-cell warm clone of a gossiped derived image"), r.WarmCloneOK, true),
+		equal(invariant("federation.journals", "cell journals captured"), len(r.Journals), r.Cells),
+	}
 }
 
 // Artifacts is each integrity-phase cell's shop journal and that
@@ -566,14 +568,10 @@ func (r *federationResult) Report() []string {
 		fmt.Sprintf("stream:               %d requests (create-hold-destroy)", r.ThroughputRequests),
 		fmt.Sprintf("  1 shop:             %d/%d served, makespan %.1fs", r.BaselineSucceeded, r.ThroughputRequests, r.BaselineMakespanSecs),
 		fmt.Sprintf("  %d shops:            %d/%d served, makespan %.1fs", r.Cells, r.FederatedSucceeded, r.ThroughputRequests, r.FederatedMakespanSecs),
-		fmt.Sprintf("  goodput speedup:    %.2fx", r.Speedup),
-		fmt.Sprintf("integrity wave:       %d requests (succeeded %d)", r.Requests, r.Succeeded),
 		fmt.Sprintf("peer bid rounds:      %d (forwarded %d, failed %d, served %d)",
 			r.PeerBidRounds, r.Forwarded, r.ForwardFails, r.ServedForwards),
 		fmt.Sprintf("hot-shop kills:       %d (restarts %d, reconciled %d, deduped %d)",
 			r.ShopKills, r.ShopRestarts, r.Reconciled, r.Deduped),
-		fmt.Sprintf("lost creations:       %d", r.Lost),
-		fmt.Sprintf("duplicated VMs:       %d", r.Duplicated),
 		fmt.Sprintf("gossip imports:       %d (cluster-wide %v)", r.GossipImported, r.GossipOK),
 		fmt.Sprintf("warm clone:           %v (%s in %s, matched %d ops)",
 			r.WarmCloneOK, r.WarmImage, r.WarmCloneCell, r.WarmMatchedOps),

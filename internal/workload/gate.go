@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 
 	"vmplants/internal/journal"
@@ -18,8 +21,8 @@ import (
 // (paper.go), then the gates this repository adds. The registry below
 // lists them all, and Gate is the one runner that vmbench, check.sh, CI,
 // the tests and the root benchmark put them through. Adding a scenario
-// is one registry entry; a claim is enforced in its result's Violations
-// and nowhere else.
+// is one registry entry; a claim is one Check in its result's Checks
+// and is stated nowhere else.
 
 // Series selects one of a scenario's two fixed parameter presets.
 type Series string
@@ -38,15 +41,111 @@ func ParseSeries(s string) (Series, error) {
 	return "", fmt.Errorf("unknown series %q (want %s or %s)", s, Paper, Smoke)
 }
 
-// Result is what a scenario run leaves behind. Report renders it for
-// people; Fingerprint digests every virtual-time observable, so two
-// same-seed runs must produce equal fingerprints; Violations lists each
-// invariant the run broke (empty = the gate passes). A result may also
-// offer Artifacts() []Artifact: evidence worth keeping from a red run.
+// Result is what a scenario run leaves behind. Report renders what no
+// check states (tables, histograms, ungated numbers); Fingerprint
+// digests every virtual-time observable, so two same-seed runs must
+// produce equal fingerprints; Checks is every gated statement of the
+// run. A result may also offer Artifacts() []Artifact: evidence worth
+// keeping from a red run.
 type Result interface {
 	Report() []string
 	Fingerprint() string
-	Violations() []string
+	Checks() []Check
+}
+
+// Check is one gated statement of a run: its kind, an ID that
+// EXPERIMENTS.md cites once, for a claim the paper's section or figure,
+// a label, the observed value and the bound, both rendered, and the
+// verdict. By what a failure means, a check is an invariant, which must
+// hold on every seed (a defect); a claim, which holds a statistic to a
+// bound, the paper's number where the paper gives one (on one seed,
+// maybe a noisy sample); or a precondition, which says the run
+// exercised what its claims are about (when one fails the run proves
+// nothing, so no claim of it is evaluated).
+type Check struct {
+	kind, id, source, label, got, want string
+	ok                                 bool
+	skipped                            bool // a claim not evaluated: a precondition failed
+}
+
+func invariant(id, label string) Check    { return Check{kind: "invariant", id: id, label: label} }
+func precondition(id, label string) Check { return Check{kind: "precondition", id: id, label: label} }
+
+// claim starts a claim; source is the paper's section or figure, empty
+// for a claim of this repository's own.
+func claim(id, source, label string) Check {
+	return Check{kind: "claim", id: id, source: source, label: label}
+}
+
+// equal, atLeast, atMost and within hold c to got == want, got >= min,
+// got <= max and lo <= got <= hi.
+func equal[T comparable](c Check, got, want T) Check {
+	return holds(c, got == want, show(got), show(want))
+}
+func atLeast[T cmp.Ordered](c Check, got, min T) Check {
+	return holds(c, got >= min, show(got), "≥ "+show(min))
+}
+func atMost[T cmp.Ordered](c Check, got, max T) Check {
+	return holds(c, got <= max, show(got), "≤ "+show(max))
+}
+func within[T cmp.Ordered](c Check, got, lo, hi T) Check {
+	return holds(c, lo <= got && got <= hi, show(got), show(lo)+"–"+show(hi))
+}
+
+// holds holds c to a condition the caller evaluated and rendered.
+func holds(c Check, ok bool, got, want string) Check {
+	c.ok, c.got, c.want = ok, got, want
+	return c
+}
+
+// show renders an observed value or a bound, a float to four
+// significant digits.
+func show(v any) string {
+	if f, ok := v.(float64); ok {
+		return strconv.FormatFloat(f, 'g', 4, 64)
+	}
+	return fmt.Sprint(v)
+}
+
+// String renders the check as its one line, under the report and, when
+// it failed, as its violation.
+func (c Check) String() string {
+	verdict := "ok"
+	if c.skipped {
+		verdict = "skip"
+	} else if !c.ok {
+		verdict = "FAIL"
+	}
+	line := fmt.Sprintf("%-4s %s %s: %s = %s, want %s", verdict, c.kind, c.id, c.label, c.got, c.want)
+	if c.source != "" {
+		line += " (paper: " + c.source + ")"
+	}
+	return line
+}
+
+// settle applies the precondition rule: when a precondition failed, no
+// claim is evaluated. Invariants always are.
+func settle(checks []Check) []Check {
+	checks = slices.Clone(checks)
+	if slices.ContainsFunc(checks, func(c Check) bool { return c.kind == "precondition" && !c.ok }) {
+		for i := range checks {
+			checks[i].skipped = checks[i].kind == "claim"
+		}
+	}
+	return checks
+}
+
+// Failures is the gate's verdict on a run's checks: the rendered line of
+// every check that failed, once the precondition rule has set aside the
+// claims of a run that proved nothing. Empty means the gate passes.
+func Failures(checks []Check) []string {
+	var out []string
+	for _, c := range settle(checks) {
+		if !c.ok && !c.skipped {
+			out = append(out, c.String())
+		}
+	}
+	return out
 }
 
 // Artifact is one named file of run evidence.
@@ -61,15 +160,6 @@ type Scenario struct {
 	Name  string
 	Title string
 	Run   func(seed int64, series Series) (Result, error)
-	// rerunInReport makes Gate print no rerun verdict of its own.
-	rerunInReport bool
-}
-
-// reportsOwnRerun marks a scenario whose Report already states its own
-// same-seed rerun verdict.
-func (s Scenario) reportsOwnRerun() Scenario {
-	s.rerunInReport = true
-	return s
 }
 
 // newScenario binds a typed run function to its two presets.
@@ -109,7 +199,7 @@ var scenarios = []Scenario{
 		chaosParams{requests: 32}, chaosParams{requests: 16}, runChaos),
 	newScenario("pipeline", "Pipeline: batched creation throughput (8 plants, 64 MB workspaces)",
 		pipelineParams{sizes: []int{1, 4, 16, 64}, cloneVMs: 8},
-		pipelineParams{sizes: []int{1, 4, 16}, cloneVMs: 6}, runPipeline).reportsOwnRerun(),
+		pipelineParams{sizes: []int{1, 4, 16}, cloneVMs: 6}, runPipeline),
 	newScenario("warm", "Warm: the warehouse learning loop (derived images, utility retirement)",
 		streamParams{plants: 4, requests: 48, users: 12, derivedBudgetMB: 600},
 		streamParams{plants: 2, requests: 24, users: 8, derivedBudgetMB: 375}, runWarm),
@@ -128,33 +218,27 @@ var scenarios = []Scenario{
 // Scenarios lists every registered scenario in execution order.
 func Scenarios() []Scenario { return scenarios }
 
-// sameSeed runs twice and reports whether the two fingerprints match
-// byte for byte, returning the first run.
-func sameSeed[R interface{ Fingerprint() string }](run func() (R, error)) (first R, same bool, err error) {
-	if first, err = run(); err != nil {
-		return first, false, err
-	}
-	again, err := run()
-	if err != nil {
-		return first, false, err
-	}
-	return first, first.Fingerprint() == again.Fingerprint(), nil
-}
-
 // Gate is the generic runner: it runs sc twice on the same seed, prints
-// the report and the byte-compare verdict to w, dumps the result's
-// artifacts into artifactsDir (when set) under the scenario's name, and
-// returns an error listing every violated invariant.
+// the report and then every check, the byte-compare verdict last, to w,
+// dumps the result's artifacts into artifactsDir (when set) under the
+// scenario's name, and returns an error listing every failed check.
 func Gate(w io.Writer, sc Scenario, seed int64, series Series, artifactsDir string) error {
-	res, same, err := sameSeed(func() (Result, error) { return sc.Run(seed, series) })
+	res, err := sc.Run(seed, series)
 	if err != nil {
 		return err
 	}
+	again, err := sc.Run(seed, series)
+	if err != nil {
+		return err
+	}
+	same := res.Fingerprint() == again.Fingerprint()
 	for _, line := range res.Report() {
 		fmt.Fprintln(w, line)
 	}
-	if !sc.rerunInReport {
-		fmt.Fprintf(w, "\nsame-seed rerun byte-identical: %v\n", same)
+	checks := settle(append(res.Checks(), equal(invariant("rerun.identical", "same-seed rerun byte-identical"), same, true)))
+	fmt.Fprintln(w)
+	for _, c := range checks {
+		fmt.Fprintln(w, c)
 	}
 	if a, ok := res.(interface{ Artifacts() []Artifact }); ok && artifactsDir != "" {
 		arts := a.Artifacts()
@@ -166,12 +250,8 @@ func Gate(w io.Writer, sc Scenario, seed int64, series Series, artifactsDir stri
 		}
 		fmt.Fprintf(w, "artifacts written to %s\n", artifactsDir)
 	}
-	violations := res.Violations()
-	if !same {
-		violations = append(violations, "same-seed rerun not byte-identical")
-	}
-	if len(violations) != 0 {
-		return fmt.Errorf("%s run failed its gate:\n  %s", sc.Name, strings.Join(violations, "\n  "))
+	if failures := Failures(checks); len(failures) != 0 {
+		return fmt.Errorf("%s run failed its gate:\n  %s", sc.Name, strings.Join(failures, "\n  "))
 	}
 	return nil
 }
@@ -228,12 +308,3 @@ func (t *transcript) logf(format string, args ...any) {
 
 // Fingerprint joins every line logged so far.
 func (t *transcript) Fingerprint() string { return strings.Join(t.lines, "\n") }
-
-// gate collects the invariants a result violates.
-type gate []string
-
-func (g *gate) check(ok bool, format string, args ...any) {
-	if !ok {
-		*g = append(*g, fmt.Sprintf(format, args...))
-	}
-}

@@ -5,25 +5,32 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fingerprints.golden from this run (make goldens)")
 
-// gateFailures renders a result's violations with its report, for a
-// failing test's log.
+// gateFailures is a result's failed checks followed by its report, for
+// a failing test's log; empty when the gate passes.
 func gateFailures(res Result) string {
-	return "  " + strings.Join(res.Violations(), "\n  ") + "\n" + strings.Join(res.Report(), "\n")
+	failures := Failures(res.Checks())
+	if len(failures) == 0 {
+		return ""
+	}
+	return "  " + strings.Join(failures, "\n  ") + "\n" + strings.Join(res.Report(), "\n")
 }
 
 // TestScenariosPassGateAndMatchGolden runs every registered scenario at
 // seed 42 under both presets. Each run must pass its own gate — the
-// same Violations() vmbench enforces — and its fingerprint must hash to
-// the sha256 recorded in testdata/fingerprints.golden ("<scenario>
-// <series> <sha256>" per line). A fingerprint digests every
-// virtual-time observable of a run, so a changed hash is a changed
-// behaviour; every scenario that diverges is reported, not the first.
+// same Failures vmbench enforces — and its fingerprint must hash to the
+// sha256 recorded in testdata/fingerprints.golden ("<scenario> <series>
+// <sha256>" per line). A fingerprint digests every virtual-time
+// observable of a run, so a changed hash is a changed behaviour; every
+// scenario that diverges is reported, not the first. Every check ID the
+// runs state, Gate's rerun check included, must be cited in
+// EXPERIMENTS.md exactly once, in backquotes.
 func TestScenariosPassGateAndMatchGolden(t *testing.T) {
 	const golden = "testdata/fingerprints.golden"
 	blob, err := os.ReadFile(golden)
@@ -42,6 +49,7 @@ func TestScenariosPassGateAndMatchGolden(t *testing.T) {
 		t.Fatalf("golden holds %d hashes, want %d", len(want), 2*len(Scenarios()))
 	}
 	var got strings.Builder
+	ids := []string{"rerun.identical"} // Gate's own check
 	for _, sc := range Scenarios() {
 		for _, series := range []Series{Paper, Smoke} {
 			key := sc.Name + " " + string(series)
@@ -50,8 +58,11 @@ func TestScenariosPassGateAndMatchGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(res.Violations()) != 0 {
-					t.Errorf("gate violations:\n%s", gateFailures(res))
+				if msg := gateFailures(res); msg != "" {
+					t.Errorf("gate violations:\n%s", msg)
+				}
+				for _, c := range res.Checks() {
+					ids = append(ids, c.id)
 				}
 				sum := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Fingerprint())))
 				fmt.Fprintf(&got, "%s %s\n", key, sum)
@@ -59,6 +70,16 @@ func TestScenariosPassGateAndMatchGolden(t *testing.T) {
 					t.Errorf("fingerprint sha256 = %s, golden %s", sum, want[key])
 				}
 			})
+		}
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(ids)
+	for _, id := range slices.Compact(ids) {
+		if n := strings.Count(string(doc), "`"+id+"`"); n != 1 {
+			t.Errorf("check ID %s cited %d times in EXPERIMENTS.md, want once", id, n)
 		}
 	}
 	if *update && !t.Failed() {

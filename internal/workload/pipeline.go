@@ -48,24 +48,6 @@ type pipelineResult struct {
 	Comparison *cloneComparison
 }
 
-// SpeedupOver reports throughput at batch size a divided by throughput
-// at batch size b (0 when either point is missing or empty).
-func (r *pipelineResult) SpeedupOver(a, b int) float64 {
-	var ta, tb float64
-	for _, bp := range r.Batches {
-		if bp.Size == a {
-			ta = bp.Throughput
-		}
-		if bp.Size == b {
-			tb = bp.Throughput
-		}
-	}
-	if tb == 0 {
-		return 0
-	}
-	return ta / tb
-}
-
 // runPipeline is the batched-creation gate: what the creation pipeline
 // buys in creations per virtual second at growing batch sizes on 8
 // plants — a fresh deployment per size so points are independent; only
@@ -107,39 +89,42 @@ func (r *pipelineResult) Report() []string {
 			bp.Size, bp.OK, bp.Failed, bp.MakespanSecs, bp.Throughput,
 			bp.CacheHits, bp.CacheMisses, bp.AdmissionWait.P99, bp.MaxInflight))
 	}
-	out = append(out, "",
-		fmt.Sprintf("batch-16 vs batch-1 throughput: %.1f×", r.SpeedupOver(16, 1)),
-		"", "Lazy vs eager cloning (content-addressed extent store):")
+	out = append(out, "", "Lazy vs eager cloning (content-addressed extent store):")
 	return append(out, r.Comparison.Report()...)
 }
 
-// Violations lists the pipeline invariants the run broke.
-func (r *pipelineResult) Violations() []string {
-	var g gate
+func (r *pipelineResult) Checks() []Check {
+	unserved, unverified, serial := 0, 0, 0
+	throughput := make(map[int]float64)
 	for _, b := range r.Batches {
-		g.check(b.Failed == 0 && b.OK == b.Size, "batch %d: ok=%d failed=%d", b.Size, b.OK, b.Failed)
+		throughput[b.Size] = b.Throughput
+		unserved += b.Size - b.OK
 		// One golden image: the first clone misses, the rest must hit.
-		g.check(b.CacheMisses == 1 && b.CacheHits == int64(b.Size-1),
-			"batch %d: cache hits=%d misses=%d", b.Size, b.CacheHits, b.CacheMisses)
+		if b.CacheMisses != 1 || b.CacheHits != int64(b.Size-1) {
+			unverified++
+		}
 		// The derived per-plant cap is 3 on the default node; a batch of
 		// 16 over 8 plants must drive plants into concurrent cloning.
-		g.check(b.Size < 16 || b.MaxInflight >= 2,
-			"batch %d: max in-flight clones = %d; batching produced no concurrency", b.Size, b.MaxInflight)
+		if b.Size >= 16 && b.MaxInflight < 2 {
+			serial++
+		}
 	}
-	speedup := r.SpeedupOver(16, 1)
-	g.check(speedup >= 3, "batch-16 speedup over batch-1 = %.2f×, want >= 3×", speedup)
 	c := r.Comparison
-	g.check(c.ResumeSpeedup >= 2, "lazy resume speedup %.2f× < 2", c.ResumeSpeedup)
-	g.check(c.HashesMatch, "lazy and eager end-state disks hash differently")
-	g.check(c.AllHydrated, "a lazy clone never finished hydrating")
-	// Serial clones of one image on four plants: a later clone on a node
-	// maps the pages of a VM still running there.
-	g.check(c.Lazy.SharedResumes > 0, "no lazy clone mapped a resident memory image")
-	g.check(c.Eager.Mappings+c.Lazy.Mappings == 0, "%d memory-image mappings outlived their VMs", c.Eager.Mappings+c.Lazy.Mappings)
-	g.check(c.Lazy.Refills == 0, "%d extents pulled over NFS again at a checksum their node held", c.Lazy.Refills)
-	g.check(c.Lazy.ExtentHits > 0, "no lazy clone used a cached extent")
-	g.check(c.DeterminismOK, "same-seed lazy rerun not byte-identical")
-	return g
+	return []Check{
+		equal(invariant("pipeline.served", "batched creations not served"), unserved, 0),
+		equal(invariant("pipeline.verify-once", "batches whose clones did not verify the image once"), unverified, 0),
+		equal(invariant("pipeline.concurrency", "batches of 16 and up that never cloned concurrently"), serial, 0),
+		atLeast(claim("pipeline.batch-speedup", "", "batch-16 over batch-1 throughput (×)"), ratio(throughput[16], throughput[1]), 3),
+		atLeast(claim("pipeline.lazy-speedup", "", "eager over lazy resume p50 (×)"), c.ResumeSpeedup, 2),
+		equal(invariant("pipeline.hashes", "lazy and eager end-state disks hash alike"), c.HashesMatch, true),
+		equal(invariant("pipeline.hydrated", "every lazy clone's disk came whole"), c.AllHydrated, true),
+		// Serial clones of one image on four plants: a later clone on a node
+		// maps the pages of a VM still running there.
+		atLeast(invariant("pipeline.shared-resumes", "lazy clones that mapped a resident memory image"), c.Lazy.SharedResumes, 1),
+		equal(invariant("pipeline.mappings", "memory-image mappings that outlived their VMs"), c.Eager.Mappings+c.Lazy.Mappings, 0),
+		equal(invariant("pipeline.refills", "extents pulled again at a checksum their node held"), c.Lazy.Refills, 0),
+		atLeast(invariant("pipeline.extent-hits", "lazy clones that found their extents cached"), c.Lazy.ExtentHits, 1),
+	}
 }
 
 // Artifacts is the batch sweep and the clone comparison (dedup ratio,

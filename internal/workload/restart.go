@@ -212,36 +212,28 @@ func runRestart(seed int64, par restartParams) (*restartResult, error) {
 	return res, nil
 }
 
-// Violations lists the exactly-once invariants the run broke.
-func (r *restartResult) Violations() []string {
-	var g gate
-	g.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
-	g.check(r.Lost == 0, "%d acknowledged creations lost", r.Lost)
-	g.check(r.Duplicated == 0, "%d duplicated VMs", r.Duplicated)
-	g.check(r.ShopKills > 0, "no shop kills fired; the run exercised nothing")
-	g.check(r.Redriven+r.Reconciled > 0, "kills fired but no intent was re-driven or reconciled (kills=%d)", r.ShopKills)
-	g.check(r.QuarantineSurvived, "quarantine did not survive the warehouse restart")
-	g.check(r.RoutesFinal == r.Succeeded, "final restart rebuilt %d routes, want %d", r.RoutesFinal, r.Succeeded)
-	g.check(r.TornTails == 0, "%d torn tails in a sync-boundary kill schedule", r.TornTails)
-	g.check(r.PlantCrashes > 0 && r.PlantRecoveries > 0,
-		"plant crash/recover leg did not run (crashes=%d recoveries=%d)", r.PlantCrashes, r.PlantRecoveries)
-	return g
+func (r *restartResult) Checks() []Check {
+	return []Check{
+		equal(invariant("restart.served", "requests served"), r.Succeeded, r.Requests),
+		equal(invariant("restart.lost", "acknowledged creations lost"), r.Lost, 0),
+		equal(invariant("restart.duplicated", "duplicated VMs"), r.Duplicated, 0),
+		atLeast(precondition("restart.kills", "shop kills fired"), r.ShopKills, 1),
+		atLeast(precondition("restart.redriven", "intents re-driven or reconciled"), r.Redriven+r.Reconciled, 1),
+		equal(invariant("restart.quarantine", "quarantine survived the warehouse restart"), r.QuarantineSurvived, true),
+		equal(invariant("restart.routes", "routes the final restart rebuilt"), r.RoutesFinal, r.Succeeded),
+		equal(invariant("restart.torn-tails", "torn tails under sync-boundary kills"), r.TornTails, 0),
+		holds(precondition("restart.plant-crash", "plant crashes/recoveries"), r.PlantCrashes > 0 && r.PlantRecoveries > 0,
+			fmt.Sprintf("%d/%d", r.PlantCrashes, r.PlantRecoveries), "> 0/> 0"),
+	}
 }
 
 // Report renders the run as printable lines.
 func (r *restartResult) Report() []string {
 	return []string{
-		fmt.Sprintf("requests:            %d", r.Requests),
-		fmt.Sprintf("succeeded:           %d (%.0f%%)", r.Succeeded, 100*float64(r.Succeeded)/float64(r.Requests)),
 		fmt.Sprintf("shop kills:          %d (restarts %d)", r.ShopKills, r.ShopRestarts),
 		fmt.Sprintf("intents re-driven:   %d", r.Redriven),
 		fmt.Sprintf("intents reconciled:  %d", r.Reconciled),
 		fmt.Sprintf("retries deduped:     %d", r.Deduped),
-		fmt.Sprintf("plant crashes:       %d (recoveries %d)", r.PlantCrashes, r.PlantRecoveries),
-		fmt.Sprintf("quarantine survived: %v", r.QuarantineSurvived),
-		fmt.Sprintf("routes (final):      %d", r.RoutesFinal),
 		fmt.Sprintf("journal records:     %d (torn tails %d)", r.JournalRecords, r.TornTails),
-		fmt.Sprintf("lost creations:      %d", r.Lost),
-		fmt.Sprintf("duplicated VMs:      %d", r.Duplicated),
 	}
 }

@@ -75,7 +75,7 @@ func TestPaperClaimsHoldOnOtherSeeds(t *testing.T) {
 
 // The per-claim tests that predate the registry, kept by name: each is
 // now a row — a paper scenario's gate at the seed that test drew — and
-// the threshold it used to spell out is read from Violations.
+// the threshold it used to spell out is read from its Checks.
 func TestSmokeCreationExperimentShapes(t *testing.T) {
 	for _, name := range []string{"fig4", "fig5", "fig6"} {
 		gateHolds(t, scenarioNamed(t, name), 11, Smoke)
@@ -110,11 +110,15 @@ func TestScenariosDeterministicAcrossRuns(t *testing.T) {
 			if testing.Short() && sc.Name == "federation" {
 				t.Skip("triple federation run in -short mode")
 			}
-			a, same, err := sameSeed(func() (Result, error) { return sc.Run(7, Smoke) })
+			a, err := sc.Run(7, Smoke)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !same {
+			b, err := sc.Run(7, Smoke)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Fingerprint() != b.Fingerprint() {
 				t.Fatalf("same-seed runs diverged; first run:\n%s", a.Fingerprint())
 			}
 			c, err := sc.Run(8, Smoke)
@@ -136,20 +140,20 @@ func TestDiurnalSmokeGateSecondSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("diurnal run: %v", err)
 	}
-	if len(res.Violations()) != 0 {
-		t.Errorf("gate violations:\n%s", gateFailures(res))
+	if msg := gateFailures(res); msg != "" {
+		t.Errorf("gate violations:\n%s", msg)
 	}
 }
 
-// Gate is the runner vmbench drives: report, rerun verdict, then the
-// violations as one error.
+// Gate is the runner vmbench drives: report, every check with the rerun
+// verdict last, then the failed checks as one error.
 func TestGatePrintsReportAndRerunVerdict(t *testing.T) {
 	var out bytes.Buffer
 	chaos := scenarioNamed(t, "chaos")
 	if err := Gate(&out, chaos, 42, Smoke, ""); err != nil {
 		t.Fatalf("Gate: %v", err)
 	}
-	if !strings.HasSuffix(out.String(), "\nsame-seed rerun byte-identical: true\n") {
+	if !strings.HasSuffix(out.String(), "\nok   invariant rerun.identical: same-seed rerun byte-identical = true, want true\n") {
 		t.Errorf("no rerun verdict at the end of:\n%s", out.String())
 	}
 
@@ -162,8 +166,35 @@ func TestGatePrintsReportAndRerunVerdict(t *testing.T) {
 		return res, err
 	}
 	err := Gate(&out, broken, 42, Smoke, "")
-	if err == nil || !strings.Contains(err.Error(), "1 orphaned VMs after drain") {
+	if err == nil || !strings.Contains(err.Error(), "\n  FAIL invariant chaos.orphans: orphaned VMs after drain = 1, want 0") {
 		t.Errorf("Gate error = %v, want the orphan violation", err)
+	}
+}
+
+// A failed precondition means the run proved nothing: its claims are
+// not evaluated, so a failed claim is no violation, while every failed
+// invariant still is.
+func TestFailedPreconditionSetsClaimsAside(t *testing.T) {
+	checks := []Check{
+		atLeast(precondition("t.pre", "faults injected"), 0, 1),
+		atLeast(claim("t.claim", "§0", "speedup"), 1.5, 2.0),
+		equal(invariant("t.inv", "leaks"), 1, 0),
+		equal(invariant("t.fine", "orphans"), 0, 0),
+	}
+	want := []string{
+		"FAIL precondition t.pre: faults injected = 0, want ≥ 1",
+		"FAIL invariant t.inv: leaks = 1, want 0",
+	}
+	if got := Failures(checks); !slices.Equal(got, want) {
+		t.Errorf("Failures = %q, want %q", got, want)
+	}
+	if got := settle(checks)[1].String(); got != "skip claim t.claim: speedup = 1.5, want ≥ 2 (paper: §0)" {
+		t.Errorf("set-aside claim renders as %q", got)
+	}
+	// With the precondition met, the same claim is a violation.
+	checks[0] = atLeast(precondition("t.pre", "faults injected"), 3, 1)
+	if got := Failures(checks); len(got) != 2 || got[0] != "FAIL claim t.claim: speedup = 1.5, want ≥ 2 (paper: §0)" {
+		t.Errorf("Failures with the precondition met = %q", got)
 	}
 }
 

@@ -48,19 +48,12 @@ type sloResult struct {
 	TracerDropped uint64
 
 	Objectives []telemetry.ObjectiveStatus
-	SLOsHold   bool
 
 	Injections map[string]int64
 	CreateSecs stats.Summary
 
 	// Spans is the full span set, for Chrome trace export.
 	Spans []telemetry.Span
-}
-
-// TreeOK reports the span-tree invariant: complete rings, zero orphans,
-// one root per trace, every required span present for every success.
-func (r *sloResult) TreeOK() bool {
-	return r.TracerDropped == 0 && r.OrphanSpans == 0 && r.ExtraRoots == 0 && r.Incomplete == 0
 }
 
 // requiredSpans is the lifecycle every successful creation's trace must
@@ -217,7 +210,7 @@ func runSLO(seed int64, par sloParams) (*sloResult, error) {
 	}
 
 	// Audit 3 — objectives, evaluated at the end of virtual time.
-	res.Objectives, res.SLOsHold = evaluateSLOs(hub, d.Kernel.Now(), &res.transcript)
+	res.Objectives = evaluateSLOs(hub, d.Kernel.Now(), &res.transcript)
 
 	res.Injections = reg.Counts()
 	res.lines = append(res.lines, reg.Summary()...)
@@ -227,21 +220,18 @@ func runSLO(seed int64, par sloParams) (*sloResult, error) {
 	return res, nil
 }
 
-// Violations lists the observability invariants the run broke.
-func (r *sloResult) Violations() []string {
-	var g gate
-	g.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
-	g.check(r.TreeOK(), "span-tree invariant violated: orphans=%d extra_roots=%d incomplete=%d dropped=%d",
-		r.OrphanSpans, r.ExtraRoots, r.Incomplete, r.TracerDropped)
-	for _, st := range r.Objectives {
-		g.check(st.OK, "objective %s violated: value=%v bound=%v", st.Name, st.Value, st.Bound)
-	}
-	g.check(len(r.Objectives) == len(DefaultSLOObjectives()),
-		"%d objective statuses, want %d", len(r.Objectives), len(DefaultSLOObjectives()))
-	// The chaos phase must actually have injected something, or the
-	// gate proves nothing.
-	g.check(len(r.Injections) > 0, "chaos phase injected no faults")
-	return g
+func (r *sloResult) Checks() []Check {
+	return append([]Check{
+		equal(invariant("slo.served", "requests served"), r.Succeeded, r.Requests),
+		equal(invariant("slo.orphan-spans", "spans whose parent is missing"), r.OrphanSpans, 0),
+		equal(invariant("slo.multi-root", "traces with more than one root"), r.ExtraRoots, 0),
+		equal(invariant("slo.incomplete", "successful creations missing a required span"), r.Incomplete, 0),
+		equal(invariant("slo.ring-drops", "spans the ring dropped"), r.TracerDropped, 0),
+		equal(invariant("slo.objectives", "objective statuses"), len(r.Objectives), len(DefaultSLOObjectives())),
+		// The chaos phase must actually have injected something, or the
+		// gate proves nothing.
+		atLeast(precondition("slo.injected", "fault sites the chaos phase hit"), len(r.Injections), 1),
+	}, objectiveChecks("slo", r.Objectives)...)
 }
 
 // Artifacts is the run's span set as a Chrome trace: deterministic
@@ -252,16 +242,8 @@ func (r *sloResult) Artifacts() []Artifact {
 
 // Report renders the run as printable lines.
 func (r *sloResult) Report() []string {
-	out := []string{
-		fmt.Sprintf("requests:          %d", r.Requests),
-		fmt.Sprintf("succeeded:         %d (%.0f%%)", r.Succeeded, 100*float64(r.Succeeded)/float64(r.Requests)),
+	return append([]string{
 		fmt.Sprintf("traces:            %d (%d spans)", r.Traces, r.SpanCount),
-		fmt.Sprintf("orphan spans:      %d", r.OrphanSpans),
-		fmt.Sprintf("multi-root traces: %d", r.ExtraRoots),
-		fmt.Sprintf("incomplete traces: %d", r.Incomplete),
-		fmt.Sprintf("ring drops:        spans=%d", r.TracerDropped),
 		fmt.Sprintf("chaos create secs: %s", r.CreateSecs),
-	}
-	out = append(out, objectiveReport(r.Objectives)...)
-	return append(out, injectionReport(r.Injections)...)
+	}, injectionReport(r.Injections)...)
 }

@@ -101,32 +101,25 @@ type warmResult struct {
 // Report renders the result as printable lines.
 func (r *warmResult) Report() []string {
 	return []string{
-		fmt.Sprintf("requests: %d over %d users (Zipf), %d failed", r.Requests, r.Users, r.Failed),
+		fmt.Sprintf("requests: %d over %d users (Zipf)", r.Requests, r.Users),
 		fmt.Sprintf("cold-half mean creation: %6.1f s", r.ColdMean),
 		fmt.Sprintf("warm-half mean creation: %6.1f s", r.WarmMean),
-		fmt.Sprintf("improvement:             %6.1f %%", 100*r.Improvement),
-		fmt.Sprintf("publish-backs: %d, derived images: %d, retirements: %d",
-			r.PublishBacks, r.DerivedImages, r.Retirements),
-		fmt.Sprintf("warehouse bytes: %d of %d budget (seeds intact: %v)",
-			r.BytesUsed, r.Capacity, r.SeedsIntact),
 		fmt.Sprintf("extent store: %d MB logical → %d MB physical (%d MB deduplicated)",
 			r.ExtentLogicalBytes>>20, r.ExtentPhysicalBytes>>20, r.ExtentSavedBytes>>20),
 	}
 }
 
-// Violations lists the learning-loop invariants the run broke.
-func (r *warmResult) Violations() []string {
-	var g gate
-	g.check(r.Failed == 0, "%d requests failed", r.Failed)
-	g.check(r.Improvement >= 0.30, "improvement = %.1f%%, want >= 30%%", 100*r.Improvement)
-	g.check(r.PublishBacks > 0 && r.DerivedImages > 0,
-		"publish-backs = %d, derived images = %d", r.PublishBacks, r.DerivedImages)
-	g.check(r.Retirements > 0, "capacity pressure retired nothing")
-	g.check(r.BytesUsed <= r.Capacity, "bytes used %d exceed the %d budget", r.BytesUsed, r.Capacity)
-	g.check(r.SeedsIntact, "a seed image was evicted")
-	g.check(r.ExtentSavedBytes > 0, "no extent bytes saved (logical %d, physical %d) — content-addressed dedup is not engaging",
-		r.ExtentLogicalBytes, r.ExtentPhysicalBytes)
-	return g
+func (r *warmResult) Checks() []Check {
+	return []Check{
+		equal(invariant("warm.served", "requests failed"), r.Failed, 0),
+		atLeast(claim("warm.improvement", "", "warm-half speedup over the cold half (fraction)"), r.Improvement, 0.30),
+		holds(precondition("warm.published", "publish-backs/derived images"), r.PublishBacks > 0 && r.DerivedImages > 0,
+			fmt.Sprintf("%d/%d", r.PublishBacks, r.DerivedImages), "> 0/> 0"),
+		atLeast(precondition("warm.retired", "images capacity pressure retired"), r.Retirements, 1),
+		atMost(invariant("warm.budget", "warehouse bytes used"), r.BytesUsed, r.Capacity),
+		equal(invariant("warm.seeds", "seed images intact"), r.SeedsIntact, true),
+		atLeast(invariant("warm.dedup", "extent bytes deduplicated"), r.ExtentSavedBytes, 1),
+	}
 }
 
 // runWarm is the warehouse learning-loop gate: a Zipf-skewed stream of

@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 # smoke runs one scenario gate — the paper's figures and tables first,
 # then the gates this repository adds (what each one holds the system
-# to is its result's Violations in internal/workload); every scenario
+# to is its result's Checks in internal/workload); every scenario
 # takes -artifacts.
 smoke() {
     set -- -exp "$1" -series smoke
