@@ -136,14 +136,8 @@ func (a *Ad) SetString(name, v string) *Ad { return a.set(name, nil, Str(v)) }
 // SetBool binds name to a boolean literal.
 func (a *Ad) SetBool(name string, v bool) *Ad { return a.set(name, nil, Bool(v)) }
 
-// SetStrings binds name to a list of string literals.
-func (a *Ad) SetStrings(name string, vs ...string) *Ad {
-	elems := make([]Value, len(vs))
-	for i, s := range vs {
-		elems[i] = Str(s)
-	}
-	return a.set(name, nil, List(elems...))
-}
+// SetValue binds name to a literal value; a list's elements are shared.
+func (a *Ad) SetValue(name string, v Value) *Ad { return a.set(name, nil, v) }
 
 // SetExprString parses src as an expression and binds it to name.
 func (a *Ad) SetExprString(name, src string) error {

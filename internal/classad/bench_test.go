@@ -43,7 +43,7 @@ func resourceAd() *Ad {
 		SetInt("CloneSlots", 2).
 		SetInt("InflightClones", 0).
 		SetBool("Draining", false).
-		SetStrings("GoldenImages", "golden-32", "golden-64", "golden-256")
+		SetValue("GoldenImages", Strings("golden-32", "golden-64", "golden-256"))
 }
 
 func BenchmarkAdBuild(b *testing.B) {

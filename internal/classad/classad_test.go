@@ -253,7 +253,7 @@ func TestAdSettersAndGetters(t *testing.T) {
 		SetInt("Memory", 64).
 		SetReal("Load", 0.5).
 		SetBool("Active", true).
-		SetStrings("Tags", "a", "b")
+		SetValue("Tags", Strings("a", "b"))
 	if ad.GetString("Name", "") != "vm1" {
 		t.Error("GetString")
 	}
@@ -365,7 +365,7 @@ func TestXMLRoundTrip(t *testing.T) {
 	ad := New().
 		SetString("VMID", "vm-42").
 		SetInt("Memory", 256).
-		SetStrings("Actions", "install-os", "create-user")
+		SetValue("Actions", Strings("install-os", "create-user"))
 	ad.SetExprString("Requirements", "TARGET.Disk >= 2048")
 
 	blob := ad.AppendXML(nil)

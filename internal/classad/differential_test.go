@@ -161,7 +161,7 @@ func runScript(prog []byte) error {
 			r.Set(name, Lit(Bool(v)))
 		case 6:
 			vs := scriptStrings[:s.next()%4]
-			a.SetStrings(name, vs...)
+			a.SetValue(name, Strings(vs...))
 			r.SetStrings(name, vs...)
 		case 7:
 			src := pick(s, scriptSources)

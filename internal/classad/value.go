@@ -92,6 +92,15 @@ func Str(s string) Value { return Value{kind: KindString, s: s} }
 // List returns a list value.
 func List(vs ...Value) Value { return Value{kind: KindList, l: vs} }
 
+// Strings returns a list value of string elements.
+func Strings(vs ...string) Value {
+	elems := make([]Value, len(vs))
+	for i, s := range vs {
+		elems[i] = Str(s)
+	}
+	return List(elems...)
+}
+
 // Kind reports the value's runtime type.
 func (v Value) Kind() Kind { return v.kind }
 

@@ -127,7 +127,7 @@ func TestAppendXMLMatchesMarshalXML(t *testing.T) {
 		new(Ad),
 		New().SetString("Name", "vm-1").SetInt("MemoryMB", 64).SetReal("Load", 0.25).SetBool("Up", true),
 		New().SetString("Odd", "<&>\"'\t\r\n\x00\xff]]>").SetString(`na"me<`, "v").SetReal("Big", 1e21).SetInt("Neg", -3),
-		New().SetStrings("L", "a", "b<c").Set("Req", MustParseExpr(`other.Memory >= 64 && Arch == "x86"`)).Set("U", Lit(Undefined())),
+		New().SetValue("L", Strings("a", "b<c")).Set("Req", MustParseExpr(`other.Memory >= 64 && Arch == "x86"`)).Set("U", Lit(Undefined())),
 	}
 	for _, ad := range ads {
 		want, err := xml.Marshal(ad)

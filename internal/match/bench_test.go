@@ -37,7 +37,7 @@ func BenchmarkBestOver32Candidates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := Best(hw(64, 4096), g, cands); !ok {
+		if _, ok := Best(hw(64, 4096), g, cands); !ok {
 			b.Fatal("no match")
 		}
 	}
@@ -89,7 +89,7 @@ func BenchmarkBestCatalog67(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := Best(hw(64, 4096), g, cands); !ok {
+		if _, ok := Best(hw(64, 4096), g, cands); !ok {
 			b.Fatal("no match")
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkIndexCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, ok := Best(hw(64, 4096), g, cands); !ok {
+		if _, ok := Best(hw(64, 4096), g, cands); !ok {
 			b.Fatal("no match")
 		}
 	}

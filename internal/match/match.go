@@ -20,8 +20,9 @@
 // its history's action keys, computed once when the warehouse publishes
 // the image and carried in Candidate.Keys. What is left per candidate
 // is one map lookup per performed action and bitset arithmetic on
-// scratch space that lives on the stack; node IDs are only touched to
-// build the Result of a candidate that passed.
+// scratch space that lives on the stack. Best keeps a running winner
+// instead of ranking every feasible image, and node IDs are only
+// touched to build the winner's Result.
 package match
 
 import (
@@ -72,39 +73,46 @@ func (r Result) Score() int { return len(r.Matched) }
 func Evaluate(g *dag.Graph, performed []dag.Action) Result {
 	ix := g.Index()
 	var s scratch
-	r, m := evaluate(ix, dag.Keys(performed), &s)
+	have, bound, m := test(ix, dag.Keys(performed), &s)
+	r := Result{Failed: m.failed}
 	switch {
-	case r.Failed == TestSubset:
+	case m.failed == "":
+		return result(ix, have, bound)
+	case m.failed == TestSubset:
 		r.Reason = fmt.Sprintf("image operation %d (%s) is not required by the request", m.op, performed[m.op].Op)
-	case r.Failed == TestPrefix:
+	case m.failed == TestPrefix:
 		r.Reason = fmt.Sprintf("image has %s but not its prerequisite %s", ix.ID(m.node), ix.ID(m.prereq))
 	case m.cyclic:
 		r.Reason = "request DAG is cyclic"
-	case r.Failed == TestPartialOrder:
+	default:
 		r.Reason = "image operations were performed in an order the DAG forbids"
 	}
 	return r
 }
 
-// miss says where a failed evaluation stopped: enough for Evaluate to
-// word Result.Reason, which Best never reads.
+// miss says which test failed (none when failed is empty) and where:
+// enough for Evaluate to word Result.Reason, which Best never reads.
 type miss struct {
+	failed       Test
 	op           int   // subset: index of the history's foreign operation
 	node, prereq int32 // prefix: a matched node and its first unmatched prerequisite
 	cyclic       bool  // partial order: the tests passed but the request has no order
 }
 
-// scratch is evaluate's working memory, reused from candidate to
-// candidate. The arrays keep it on the caller's stack for requests of
-// up to 254 actions and histories of up to 32.
+// scratch is test's working memory, reused from candidate to candidate.
+// The arrays keep it on the caller's stack for requests of up to 254
+// actions and histories of up to 32.
 type scratch struct {
 	words [2 * 4]uint64
 	bound [32]int32
 }
 
-// evaluate binds each key of an image's history to a node of the
-// compiled request and runs the three tests on the binding.
-func evaluate(ix *dag.Index, keys []string, s *scratch) (Result, miss) {
+// test binds each key of an image's history to a node of the compiled
+// request and runs the three tests on the binding. A pass leaves the
+// matched node set in have and its nodes, in performed order, in bound;
+// both live in the scratch until its next test. It allocates only when
+// the request or the history outgrows the scratch arrays.
+func test(ix *dag.Index, keys []string, s *scratch) (have []uint64, bound []int32, m miss) {
 	w := ix.Words()
 	sets := s.words[:]
 	if 2*w > len(sets) {
@@ -115,7 +123,7 @@ func evaluate(ix *dag.Index, keys []string, s *scratch) (Result, miss) {
 	// Every history starts from the blank machine, so START counts as
 	// performed and an ancestor set can be compared whole.
 	have[0] = 1 << dag.StartPos
-	bound := s.bound[:0]
+	bound = s.bound[:0]
 
 	// Subset test: bind each performed action to a distinct DAG node.
 	// When several unmatched nodes share the action's key, bind in an
@@ -139,7 +147,7 @@ func evaluate(ix *dag.Index, keys []string, s *scratch) (Result, miss) {
 			}
 		}
 		if pick < 0 {
-			return Result{Failed: TestSubset}, miss{op: i}
+			return nil, nil, miss{failed: TestSubset, op: i}
 		}
 		set(have, pick)
 		bound = append(bound, pick)
@@ -148,7 +156,7 @@ func evaluate(ix *dag.Index, keys []string, s *scratch) (Result, miss) {
 	// Prefix test: every matched node's ancestors must be matched.
 	for _, p := range bound {
 		if a := missing(ix.Ancestors(p), have); a >= 0 {
-			return Result{Failed: TestPrefix}, miss{node: p, prereq: a}
+			return nil, nil, miss{failed: TestPrefix, node: p, prereq: a}
 		}
 	}
 
@@ -159,32 +167,34 @@ func evaluate(ix *dag.Index, keys []string, s *scratch) (Result, miss) {
 	done[0] = 1 << dag.StartPos
 	for _, p := range bound {
 		if missing(ix.Ancestors(p), done) >= 0 {
-			return Result{Failed: TestPartialOrder}, miss{}
+			return nil, nil, miss{failed: TestPartialOrder}
 		}
 		set(done, p)
 	}
-	topo := ix.Topo()
-	if topo == nil {
-		return Result{Failed: TestPartialOrder}, miss{cyclic: true}
+	if ix.Topo() == nil {
+		return nil, nil, miss{failed: TestPartialOrder, cyclic: true}
 	}
+	return have, bound, miss{}
+}
 
-	// Residual plan: topological order of unmatched nodes. Because the
-	// matched set is ancestor-closed (prefix test), removing it leaves a
-	// well-formed suffix; the full order filtered to unmatched nodes is
-	// a valid execution order.
+// result lists a passing test's matched node IDs and its residual
+// plan: the topological order filtered to unmatched nodes, a valid
+// execution order because the matched set is ancestor-closed (prefix
+// test).
+func result(ix *dag.Index, have []uint64, bound []int32) Result {
 	r := Result{OK: true, Matched: make([]string, len(bound))}
 	for i, p := range bound {
 		r.Matched[i] = ix.ID(p)
 	}
 	if left := ix.Len() - 2 - len(bound); left > 0 {
 		r.Residual = make([]string, 0, left)
-		for _, p := range topo {
+		for _, p := range ix.Topo() {
 			if p != dag.FinishPos && !has(have, p) {
 				r.Residual = append(r.Residual, ix.ID(p))
 			}
 		}
 	}
-	return r, miss{}
+	return r
 }
 
 func has(set []uint64, p int32) bool { return set[p/64]&(1<<(p%64)) != 0 }
@@ -223,56 +233,54 @@ type Ranked struct {
 	Result    Result
 }
 
-// Best evaluates every candidate against the request and returns the
-// feasible matches sorted best-first: highest score, then smallest disk,
-// then lexicographically smallest ID for determinism. The boolean is
-// false when no candidate passes all tests.
-func Best(spec core.HardwareSpec, g *dag.Graph, cands []Candidate) (Ranked, []Ranked, bool) {
+// Best returns the best feasible candidate: highest score, then
+// smallest disk, then smallest ID, then first in cands. It keeps a
+// running winner, so a candidate that fails or loses costs no
+// allocation; only the winner's Result is built. The boolean is false
+// when no candidate passes all tests.
+func Best(spec core.HardwareSpec, g *dag.Graph, cands []Candidate) (Ranked, bool) {
 	ix := g.Index()
 	var s scratch
-	var feasible []Ranked
-	for _, c := range cands {
+	win, top := -1, 0
+	for i := range cands {
+		c := &cands[i]
 		if !c.Hardware.Satisfies(spec) {
 			continue
 		}
-		keys := c.Keys
-		if len(keys) != len(c.Performed) {
-			keys = dag.Keys(c.Performed)
-		}
-		r, _ := evaluate(ix, keys, &s)
-		if !r.OK {
+		_, bound, m := test(ix, c.keys(), &s)
+		if m.failed != "" {
 			continue
 		}
-		if feasible == nil {
-			feasible = make([]Ranked, 0, len(cands))
-		}
-		feasible = append(feasible, Ranked{Candidate: c, Result: r})
-	}
-	if len(feasible) == 0 {
-		return Ranked{}, nil, false
-	}
-	sortRanked(feasible)
-	return feasible[0], feasible, true
-}
-
-func sortRanked(rs []Ranked) {
-	// Insertion sort: candidate lists are small and this avoids pulling
-	// in sort for a three-key comparison.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && better(rs[j], rs[j-1]); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
+		if win < 0 || better(len(bound), c, top, &cands[win]) {
+			win, top = i, len(bound)
 		}
 	}
+	if win < 0 {
+		return Ranked{}, false
+	}
+	// The scratch holds the last candidate's binding: redo the winner's.
+	c := cands[win]
+	have, bound, _ := test(ix, c.keys(), &s)
+	return Ranked{Candidate: c, Result: result(ix, have, bound)}, true
 }
 
-func better(a, b Ranked) bool {
-	if a.Result.Score() != b.Result.Score() {
-		return a.Result.Score() > b.Result.Score()
+// keys is Keys when the warehouse filled it, and derived otherwise.
+func (c *Candidate) keys() []string {
+	if len(c.Keys) != len(c.Performed) {
+		return dag.Keys(c.Performed)
 	}
-	if a.Candidate.Hardware.DiskMB != b.Candidate.Hardware.DiskMB {
-		return a.Candidate.Hardware.DiskMB < b.Candidate.Hardware.DiskMB
+	return c.Keys
+}
+
+// better reports whether a, scoring n, ranks above b, scoring m.
+func better(n int, a *Candidate, m int, b *Candidate) bool {
+	if n != m {
+		return n > m
 	}
-	return a.Candidate.ID < b.Candidate.ID
+	if a.Hardware.DiskMB != b.Hardware.DiskMB {
+		return a.Hardware.DiskMB < b.Hardware.DiskMB
+	}
+	return a.ID < b.ID
 }
 
 // TemplateEvaluate is the ablation baseline modeled on template-based

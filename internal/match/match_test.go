@@ -1,6 +1,7 @@
 package match
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -215,12 +216,16 @@ func TestBestPrefersLongestMatch(t *testing.T) {
 		{ID: "os-only", Hardware: hw(64, 4096), Performed: cachedABC()[:1]},
 		{ID: "workspace", Hardware: hw(64, 4096), Performed: cachedABC()},
 	}
-	best, all, ok := Best(hw(64, 4096), g, cands)
+	best, ok := Best(hw(64, 4096), g, cands)
 	if !ok {
 		t.Fatal("no feasible candidate")
 	}
 	if best.Candidate.ID != "workspace" {
 		t.Errorf("best = %s", best.Candidate.ID)
+	}
+	all := ranking(hw(64, 4096), g, cands)
+	if _, want, _ := oracleBest(hw(64, 4096), g, cands); !reflect.DeepEqual(all, want) {
+		t.Errorf("ranking %+v, oracle %+v", all, want)
 	}
 	if len(all) != 3 {
 		t.Errorf("feasible count = %d", len(all))
@@ -237,12 +242,12 @@ func TestBestHardwareFiltering(t *testing.T) {
 		{ID: "small-disk", Hardware: hw(64, 1024), Performed: cachedABC()},
 		{ID: "wrong-arch", Hardware: core.HardwareSpec{Arch: "sparc", MemoryMB: 64, DiskMB: 4096}, Performed: cachedABC()},
 	}
-	if _, _, ok := Best(hw(64, 4096), g, cands); ok {
+	if _, ok := Best(hw(64, 4096), g, cands); ok {
 		t.Error("infeasible hardware matched")
 	}
 	// Bigger disk than requested is fine.
 	cands = append(cands, Candidate{ID: "big-disk", Hardware: hw(64, 8192), Performed: cachedABC()})
-	best, _, ok := Best(hw(64, 4096), g, cands)
+	best, ok := Best(hw(64, 4096), g, cands)
 	if !ok || best.Candidate.ID != "big-disk" {
 		t.Errorf("best = %+v ok=%v", best.Candidate.ID, ok)
 	}
@@ -255,12 +260,16 @@ func TestBestTieBreaks(t *testing.T) {
 		{ID: "a", Hardware: hw(64, 8192), Performed: cachedABC()},
 		{ID: "lean", Hardware: hw(64, 4096), Performed: cachedABC()},
 	}
-	best, all, ok := Best(hw(64, 4096), g, cands)
+	best, ok := Best(hw(64, 4096), g, cands)
 	if !ok {
 		t.Fatal("no match")
 	}
 	if best.Candidate.ID != "lean" {
 		t.Errorf("disk tie-break failed: best = %s", best.Candidate.ID)
+	}
+	all := ranking(hw(64, 4096), g, cands)
+	if _, want, _ := oracleBest(hw(64, 4096), g, cands); !reflect.DeepEqual(all, want) {
+		t.Errorf("ranking %+v, oracle %+v", all, want)
 	}
 	if all[1].Candidate.ID != "a" || all[2].Candidate.ID != "b" {
 		t.Errorf("ID tie-break failed: %s, %s", all[1].Candidate.ID, all[2].Candidate.ID)

@@ -2,6 +2,8 @@ package match
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -212,6 +214,22 @@ func oracleBest(spec core.HardwareSpec, g *dag.Graph, cands []Candidate) (Ranked
 		}
 	}
 	return feasible[0], feasible, true
+}
+
+// ranking is Best's full order over cands: its winner, then its winner
+// once that candidate is removed, and so on until none is feasible.
+func ranking(spec core.HardwareSpec, g *dag.Graph, cands []Candidate) []Ranked {
+	var out []Ranked
+	left := slices.Clone(cands)
+	for {
+		r, ok := Best(spec, g, left)
+		if !ok {
+			return out
+		}
+		out = append(out, r)
+		i := slices.IndexFunc(left, func(c Candidate) bool { return reflect.DeepEqual(c, r.Candidate) })
+		left = slices.Delete(left, i, i+1)
+	}
 }
 
 func oracleBetter(a, b Ranked) bool {

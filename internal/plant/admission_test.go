@@ -2,13 +2,17 @@ package plant
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"vmplants/internal/actions"
 	"vmplants/internal/classad"
 	"vmplants/internal/core"
+	"vmplants/internal/dag"
 	"vmplants/internal/fault"
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
+	"vmplants/internal/warehouse"
 )
 
 func TestDerivedCloneSlots(t *testing.T) {
@@ -28,8 +32,9 @@ func TestDerivedCloneSlots(t *testing.T) {
 }
 
 // TestResourceAdAllocations pins what a bid and a query cost in
-// allocations: the ad and its reserved attributes, the image list and
-// its values; one slice for a copy; nothing to read a value.
+// allocations: the ad and its reserved attributes, as the image list
+// is the warehouse's, shared (the race detector's build counts one
+// more); one slice for a copy; nothing to read a value.
 func TestResourceAdAllocations(t *testing.T) {
 	r := newRig(t, Config{PolicyAd: classad.New().SetBool("AcceptsGuests", true)})
 	ad := r.pl.ResourceAd()
@@ -41,7 +46,7 @@ func TestResourceAdAllocations(t *testing.T) {
 		max  float64
 		fn   func()
 	}{
-		{"ResourceAd", 6, func() { r.pl.ResourceAd() }},
+		{"ResourceAd", 3, func() { r.pl.ResourceAd() }},
 		{"Clone", 2, func() { ad.Clone() }},
 		{"GetInt", 0, func() { ad.GetInt("CloneSlots", 0) }},
 	} {
@@ -49,6 +54,66 @@ func TestResourceAdAllocations(t *testing.T) {
 			t.Errorf("%s: %v allocations, want at most %v", c.what, got, c.max)
 		}
 	}
+}
+
+// TestEstimateAllocations pins a bid over a catalog the size of the
+// benchmark's catalog workload: 67 golden images, of which ten pass
+// the matcher's tests. The bid reads the warehouse's shared candidate
+// list and builds only the winner's plan, so it costs the winner's
+// Matched and Residual lists, not a copy of the catalog.
+func TestEstimateAllocations(t *testing.T) {
+	r := newRig(t, Config{})
+	rng := rand.New(rand.NewSource(1))
+	publish := func(name string, mem int, hist []dag.Action) {
+		hw := core.HardwareSpec{Arch: "x86", MemoryMB: mem, DiskMB: 2048}
+		im, err := warehouse.BuildGolden(name, hw, warehouse.BackendVMware, hist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.wh.Publish(im); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish("ws-golden-32", 32, goldenHistory())
+	publish("ws-golden-256", 256, goldenHistory())
+	distros := []string{"mandrake-8.1", "mandrake-8.1", "redhat-8.0"}
+	extras := []string{"gcc", "matlab", "octave", "gaussian", "namd", "blast"}
+	for i := 0; i < 30; i++ {
+		hist := []dag.Action{act(actions.OpInstallOS, "distro", distros[rng.Intn(len(distros))])}
+		if rng.Intn(2) == 0 {
+			hist = append(hist, act(actions.OpInstallPackage, "name", "vnc-server"))
+		}
+		for _, j := range rng.Perm(len(extras))[:rng.Intn(3)] {
+			hist = append(hist, act(actions.OpInstallPackage, "name", extras[j]))
+		}
+		publish(fmt.Sprintf("seed-%02d", i), 64, hist)
+	}
+	parent, _ := r.wh.Lookup("ws-golden")
+	for u := 0; u < 34; u++ {
+		user := fmt.Sprintf("user%02d", u)
+		im, err := warehouse.BuildDerived("derived-"+user, parent, append(goldenHistory(),
+			act(actions.OpConfigureNetwork, "ip", fmt.Sprintf("10.1.0.%d", u)),
+			act(actions.OpCreateUser, "name", user)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.wh.PublishDerived(im, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(r.wh.Candidates(warehouse.BackendVMware)); n != 67 {
+		t.Fatalf("%d candidates, want 67", n)
+	}
+	// No image has user40's account, so the winner leaves a residual.
+	sp := spec(t, "user40")
+	r.run(t, func(p *sim.Proc) {
+		if best, err := r.pl.plan(sp); err != nil || len(best.Result.Residual) != 2 {
+			t.Fatalf("plan = %+v, %v", best, err)
+		}
+		if got := testing.AllocsPerRun(50, func() { r.pl.Estimate(p, sp) }); got > 2 {
+			t.Errorf("Estimate over 67 images: %v allocations, want at most 2", got)
+		}
+	})
 }
 
 func TestAdmissionCapUnderBurst(t *testing.T) {

@@ -334,7 +334,7 @@ func (pl *Plant) ResourceAd() *classad.Ad {
 		SetInt("CloneSlots", int64(pl.cloneGate.Capacity())).
 		SetInt("InflightClones", int64(pl.cloneGate.InUse())).
 		SetBool("Draining", pl.Draining()).
-		SetStrings("GoldenImages", pl.wh.List()...)
+		SetValue("GoldenImages", pl.wh.GoldenImages())
 	if pl.cfg.PolicyAd != nil {
 		ad.Merge(pl.cfg.PolicyAd)
 	}
@@ -391,7 +391,7 @@ func (pl *Plant) plan(spec *core.Spec) (match.Ranked, error) {
 		}
 		cands = usable
 	}
-	best, _, ok := match.Best(spec.Hardware, spec.Graph, cands)
+	best, ok := match.Best(spec.Hardware, spec.Graph, cands)
 	if !ok {
 		return match.Ranked{}, fmt.Errorf("plant %s: no golden machine matches the request", pl.name)
 	}
@@ -628,7 +628,7 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	pl.hCreateSecs.Observe(total.Seconds())
 	pl.hCloneSecs.Observe(cloneStats.Total.Seconds())
 	pl.hConfigSecs.Observe(cfgTime.Seconds())
-	pl.wh.NoteUse(golden.Name, len(best.Result.Matched), p.Now())
+	pl.wh.NoteUse(golden.Name, best.Result.Score(), p.Now())
 	pl.maybePublishBack(p, sp, vm, golden, len(best.Result.Residual))
 	return ad.Clone(), nil
 }

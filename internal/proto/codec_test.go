@@ -216,7 +216,7 @@ func (g gen) ad() *classad.Ad {
 		case 4:
 			ad.SetBool(name, g.r.Intn(2) == 0)
 		case 5:
-			ad.SetStrings(name, g.str(), "b", g.str())
+			ad.SetValue(name, classad.Strings(g.str(), "b", g.str()))
 		case 6:
 			ad.Set(name, classad.MustParseExpr(`other.Memory >= MY.MemoryMB && (Arch == "x86" || Rank > 1.5e3)`))
 		case 7:

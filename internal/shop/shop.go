@@ -468,7 +468,7 @@ func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, re
 		ad  *classad.Ad
 		err error
 	}
-	var answers []answer
+	answers := make([]answer, 0, len(round))
 	if s.BidTimeout <= 0 {
 		prev := p.SetTrace(bidSp.Context())
 		for _, h := range round {
@@ -481,7 +481,7 @@ func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, re
 			open    bool
 			pending int
 			got     []answer
-		}{open: true, pending: len(round)}
+		}{open: true, pending: len(round), got: answers}
 		client := p
 		// Captured outside the closures: bid procs are separate processes,
 		// so each installs the bid span's context on itself before asking,
@@ -534,7 +534,7 @@ func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, re
 		s.gMissingBids.Set(int64(st.pending))
 	}
 
-	var feasible []bid[PlantHandle]
+	feasible := make([]bid[PlantHandle], 0, len(round))
 	for _, a := range answers {
 		if a.err != nil {
 			s.noteFailure(p.Now(), a.h.Name())

@@ -57,6 +57,7 @@ func (w *Warehouse) record(kind journal.Kind, key string, fields map[string]stri
 	w.qmu.Lock()
 	w.led.Apply(r)
 	w.qmu.Unlock()
+	w.cands = nil
 }
 
 // RestartStats reports what a warehouse restart rebuilt.
@@ -111,6 +112,7 @@ func (w *Warehouse) Restart() RestartStats {
 	w.led = fresh
 	w.repairFails = make(map[string]int)
 	w.qmu.Unlock()
+	w.cands = nil
 
 	journaled := fresh.Published()
 	for _, name := range journaled {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"vmplants/internal/actions"
+	"vmplants/internal/classad"
 	"vmplants/internal/core"
 	"vmplants/internal/dag"
 	"vmplants/internal/fault"
@@ -177,6 +178,12 @@ type Warehouse struct {
 	// names is the keys of images, kept sorted by register and
 	// unregister, its only writers.
 	names []string
+	// cands and golden are what bids read of the catalog, built on the
+	// first read after a change and shared read-only until the next:
+	// record (every ledger change) and Restart (a new ledger) drop them
+	// by setting cands to nil. A rebuild never edits what a reader holds.
+	cands  map[string][]match.Candidate
+	golden classad.Value
 
 	// faults decides corruption injections on the warehouse's storage
 	// paths; nil means no injection (SetFaults).
@@ -624,12 +631,30 @@ func (w *Warehouse) List() []string {
 	return slices.Clone(w.names)
 }
 
+func (w *Warehouse) fresh() {
+	if w.cands == nil {
+		w.cands = make(map[string][]match.Candidate, 1)
+		w.golden = classad.Strings(w.names...)
+	}
+}
+
+// GoldenImages returns List's names as one shared, read-only classad
+// list value, rebuilt with the candidates.
+func (w *Warehouse) GoldenImages() classad.Value {
+	w.fresh()
+	return w.golden
+}
+
 // Candidates returns the matcher's view of every image suited to the
-// given backend ("" means any), in deterministic order. Quarantined
-// images are invisible to matching: no new creation may bind to state
-// under suspicion.
+// given backend ("" means any), in name order. Quarantined images are
+// invisible to matching: no new creation may bind to state under
+// suspicion. Unlike List's, the slice is shared and read-only.
 func (w *Warehouse) Candidates(backend string) []match.Candidate {
-	var out []match.Candidate
+	w.fresh()
+	if out, ok := w.cands[backend]; ok {
+		return out
+	}
+	out := make([]match.Candidate, 0, len(w.names))
 	for _, n := range w.names {
 		im := w.images[n]
 		if backend != "" && im.Backend != backend {
@@ -640,7 +665,9 @@ func (w *Warehouse) Candidates(backend string) []match.Candidate {
 		}
 		out = append(out, im.Candidate())
 	}
-	return out
+	// Clipped: a caller's append copies instead of writing into it.
+	w.cands[backend] = slices.Clip(out)
+	return w.cands[backend]
 }
 
 // BuildGolden constructs a golden image in memory: it replays the given
