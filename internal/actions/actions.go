@@ -296,14 +296,7 @@ func Apply(st *State, a dag.Action) error {
 	if !ok {
 		return fmt.Errorf("actions: unknown operation %q", a.Op)
 	}
-	return s.apply(st, nonNil(a.Params))
-}
-
-func nonNil(m map[string]string) map[string]string {
-	if m == nil {
-		return map[string]string{}
-	}
-	return m
+	return s.apply(st, a.Params) // a nil map reads as empty; no apply writes to it
 }
 
 // Sampler is the subset of sim.RNG the duration model needs.

@@ -98,6 +98,22 @@ func TestMissingParamsFail(t *testing.T) {
 	}
 }
 
+// An action without parameters is applied to its nil map as it is: a
+// detach of an attached "" device, which succeeds without parameters,
+// allocates nothing (an empty map was made for it before each apply).
+func TestApplyWithoutParamsAllocatesNothingForThem(t *testing.T) {
+	st := NewState()
+	n := testing.AllocsPerRun(20, func() {
+		st.Devices[""] = "iso"
+		if err := Apply(st, dag.Action{Op: OpDetachDevice}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("detach without parameters: %.0f allocations, want 0", n)
+	}
+}
+
 func TestHostDeviceLifecycle(t *testing.T) {
 	st := NewState()
 	if err := Apply(st, act(OpAttachDevice, "device", "cdrom0", "image", "cfg.iso")); err != nil {

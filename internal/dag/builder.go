@@ -12,25 +12,20 @@ import "fmt"
 //	b.Add("B", dag.Action{Op: "install-package", ...}, "A")
 //	g, err := b.Build()
 type Builder struct {
-	g    *Graph
-	errs []error
-	deps map[string][]string
+	g       *Graph
+	errs    []error
+	pending [][2]string // the edges declared dependencies ask for, in declaration order
 }
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
-	return &Builder{g: NewGraph(), deps: make(map[string][]string)}
+	return &Builder{g: NewGraph(), pending: make([][2]string, 0, 16)}
 }
 
 // Add declares an action node that must run after every node in deps.
 // Errors are accumulated and reported by Build.
 func (b *Builder) Add(id string, a Action, deps ...string) *Builder {
-	if err := b.g.AddNode(&Node{ID: id, Action: a}); err != nil {
-		b.errs = append(b.errs, err)
-		return b
-	}
-	b.deps[id] = deps
-	return b
+	return b.AddWithPolicy(id, a, ErrorPolicy{}, deps...)
 }
 
 // AddWithPolicy is Add with an explicit error-handling policy.
@@ -39,7 +34,9 @@ func (b *Builder) AddWithPolicy(id string, a Action, pol ErrorPolicy, deps ...st
 		b.errs = append(b.errs, err)
 		return b
 	}
-	b.deps[id] = deps
+	for _, d := range deps {
+		b.pending = append(b.pending, [2]string{d, id})
+	}
 	return b
 }
 
@@ -50,10 +47,11 @@ func (b *Builder) Chain(ids []string, acts []Action, deps ...string) *Builder {
 		b.errs = append(b.errs, fmt.Errorf("dag: Chain with %d ids and %d actions", len(ids), len(acts)))
 		return b
 	}
-	prev := deps
 	for i, id := range ids {
-		b.Add(id, acts[i], prev...)
-		prev = []string{id}
+		if i > 0 {
+			deps = ids[i-1 : i]
+		}
+		b.Add(id, acts[i], deps...)
 	}
 	return b
 }
@@ -64,37 +62,29 @@ func (b *Builder) Build() (*Graph, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	// In declaration order, not b.deps' map order: the order edges are
-	// added is the order Edges and the wire form list them.
-	for _, id := range b.g.ActionIDs() {
-		for _, d := range b.deps[id] {
-			if err := b.g.AddEdge(d, id); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, id := range b.g.ActionIDs() {
-		if len(b.g.pred[id]) == 0 {
-			if err := b.g.AddEdge(StartID, id); err != nil {
-				return nil, err
-			}
-		}
-		if len(b.g.succ[id]) == 0 {
-			if err := b.g.AddEdge(id, FinishID); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Degenerate but legal: a DAG with no actions at all.
-	if b.g.Len() == 0 {
-		if err := b.g.AddEdge(StartID, FinishID); err != nil {
+	g := b.g
+	for _, e := range b.pending { // in declaration order, the order Edges and the wire form keep
+		if err := g.AddEdge(e[0], e[1]); err != nil {
 			return nil, err
 		}
 	}
-	if err := b.g.Validate(); err != nil {
+	for p := int32(2); p < int32(len(g.nodes)); p++ {
+		if g.first(p, firstIn) == 0 {
+			g.link(StartPos, p)
+		}
+		if g.first(p, firstOut) == 0 {
+			g.link(p, FinishPos)
+		}
+	}
+	// Degenerate but legal: a DAG with no actions at all.
+	if g.Len() == 0 {
+		g.link(StartPos, FinishPos)
+	}
+	g.idx.Store(nil)
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return b.g, nil
+	return g, nil
 }
 
 // MustBuild is Build, panicking on error; for fixed graphs in examples

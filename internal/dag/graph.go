@@ -14,6 +14,10 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"maps"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -102,6 +106,11 @@ type Node struct {
 // Graph is a configuration DAG. Construct with NewGraph or Builder; a
 // Graph must pass Validate before being submitted or matched.
 //
+// A graph is positions: its nodes in insertion order (START at
+// StartPos, FINISH at FinishPos), a hash table from action-node ID to
+// position, and its edges as position pairs in insertion order, each
+// chained to the next edge out of its tail and into its head.
+//
 // What Validate, TopoSort and the matcher derive from the structure is
 // kept in one derived index (see Index), built on first use and dropped
 // by AddNode and AddEdge, so a graph that is no longer being built pays
@@ -109,40 +118,50 @@ type Node struct {
 // Any number of goroutines may read a graph, the index included, as
 // long as none mutates it.
 type Graph struct {
-	nodes map[string]*Node
-	order []string            // node insertion order (determinism)
-	succ  map[string][]string // edges out, in insertion order
-	pred  map[string][]string // edges in, in insertion order
+	nodes []Node  // by position
+	slots idTable // action node positions, hashed by ID
+	edges []int32 // edgeWords per edge, edges numbered from 1 in insertion order
+	heads []int32 // chainWords per position: where its edge chains start and end
 
 	idx atomic.Pointer[Index] // nil until needed; see Index
 }
 
-// NewGraph returns a graph containing only the START and FINISH markers.
-func NewGraph() *Graph { return newGraph(2) }
+// The words of one edge in Graph.edges, and of one position in
+// Graph.heads. Edge 0 is none: it ends a chain, and zeroed heads hold no edges.
+const (
+	tail, head, nextOut, nextIn, edgeWords         = 0, 1, 2, 3, 4
+	firstOut, lastOut, firstIn, lastIn, chainWords = 0, 1, 2, 3, 4
+)
 
-// newGraph is NewGraph with room for nodes nodes, markers included.
-func newGraph(nodes int) *Graph {
-	g := &Graph{
-		nodes: make(map[string]*Node, nodes),
-		order: make([]string, 0, nodes),
-		succ:  make(map[string][]string, nodes),
-		pred:  make(map[string][]string, nodes),
-	}
-	g.nodes[StartID] = &Node{ID: StartID, Action: Action{Op: "start"}}
-	g.nodes[FinishID] = &Node{ID: FinishID, Action: Action{Op: "finish"}}
-	g.order = append(g.order, StartID, FinishID)
+// markers are the nodes at StartPos and FinishPos of every graph.
+var markers = [2]Node{{ID: StartID, Action: Action{Op: "start"}}, {ID: FinishID, Action: Action{Op: "finish"}}}
+
+// NewGraph returns a graph containing only the START and FINISH markers,
+// with room for the paper's graphs (around ten nodes) before it grows.
+func NewGraph() *Graph {
+	const room = 16 // nodes, markers included, and twice as many edges
+	g := &Graph{nodes: append(make([]Node, 0, room), markers[:]...)}
+	slots, edges, heads := carve(tableSize(room-2), 2*edgeWords*room, chainWords*room)
+	g.slots, g.edges, g.heads = slots, edges[:0], heads[:2*chainWords]
 	return g
 }
 
-// AddNode inserts an action node. The ID must be unique and not a
-// reserved marker.
+// carve cuts three zeroed slices of the given lengths from one array,
+// each one's capacity ending where the next begins.
+func carve(a, b, c int) (x, y, z []int32) {
+	all := make([]int32, a+b+c)
+	return all[:a:a], all[a : a+b : a+b], all[a+b:]
+}
+
+// AddNode inserts a copy of an action node. The ID must be unique and
+// not a reserved marker.
 func (g *Graph) AddNode(n *Node) error {
-	_, dup := g.nodes[n.ID]
-	if err := idError(n.ID, dup); err != nil {
+	if err := idError(n.ID, g.pos(n.ID) >= 0); err != nil {
 		return err
 	}
-	g.nodes[n.ID] = n
-	g.order = append(g.order, n.ID)
+	g.nodes = append(g.nodes, *n)
+	g.heads = append(g.heads, 0, 0, 0, 0)
+	g.slots = g.slots.add(int32(len(g.nodes)-1), g.Len(), func(p int32) uint64 { return maphash.String(idSeed, g.nodes[p].ID) })
 	g.idx.Store(nil)
 	return nil
 }
@@ -161,27 +180,67 @@ func idError(id string, dup bool) error {
 	return nil
 }
 
+// pos returns the position of the node with the given ID, or -1.
+func (g *Graph) pos(id string) int32 {
+	switch id {
+	case StartID:
+		return StartPos
+	case FinishID:
+		return FinishPos
+	}
+	return g.slots.find(maphash.String(idSeed, id), func(p int32) bool { return g.nodes[p].ID == id })
+}
+
 // AddEdge inserts a directed ordering constraint from → to. Both nodes
 // must exist; duplicate edges are rejected.
 func (g *Graph) AddEdge(from, to string) error {
-	if _, ok := g.nodes[from]; !ok {
+	f, t := g.pos(from), g.pos(to)
+	switch {
+	case f < 0:
 		return errUnknownEnd("from", from)
-	}
-	if _, ok := g.nodes[to]; !ok {
+	case t < 0:
 		return errUnknownEnd("to", to)
-	}
-	if from == to {
+	case f == t:
 		return errSelfEdge(from)
 	}
-	for _, s := range g.succ[from] {
-		if s == to {
+	for e := g.first(f, firstOut); e != 0; e = g.word(e, nextOut) {
+		if g.word(e, head) == t {
 			return errDuplicateEdge(from, to)
 		}
 	}
-	g.succ[from] = append(g.succ[from], to)
-	g.pred[to] = append(g.pred[to], from)
+	g.link(f, t)
 	g.idx.Store(nil)
 	return nil
+}
+
+// link appends the edge f→t and chains it behind the last edge out of
+// f and the last edge into t.
+func (g *Graph) link(f, t int32) {
+	g.edges = append(g.edges, f, t, 0, 0)
+	e := int32(len(g.edges) / edgeWords)
+	g.chainOn(f, firstOut, lastOut, nextOut, e)
+	g.chainOn(t, firstIn, lastIn, nextIn, e)
+}
+
+// chainOn appends edge e to one of p's chains: the one whose ends are
+// p's heads words first and last, and whose edges link through word next.
+func (g *Graph) chainOn(p, first, last, next, e int32) {
+	if l := g.heads[p*chainWords+last]; l != 0 {
+		g.edges[(l-1)*edgeWords+next] = e
+	} else {
+		g.heads[p*chainWords+first] = e
+	}
+	g.heads[p*chainWords+last] = e
+}
+
+// word returns one word of edge e, and first the first edge of one of
+// p's chains (firstOut or firstIn), or 0, as for the position -1 of no node.
+func (g *Graph) word(e, w int32) int32 { return g.edges[(e-1)*edgeWords+w] }
+func (g *Graph) first(p, chain int32) int32 {
+	if p < 0 {
+		return 0
+	}
+	return g.heads[p*chainWords+chain]
 }
 
 // The reasons AddEdge and DecodeXML refuse an edge.
@@ -192,45 +251,56 @@ func errDuplicateEdge(from, to string) error {
 	return fmt.Errorf("dag: duplicate edge %s→%s", from, to)
 }
 
-// Node returns the node with the given ID.
+// Node returns the node with the given ID, in the graph: the pointer
+// is valid until the next AddNode.
 func (g *Graph) Node(id string) (*Node, bool) {
-	n, ok := g.nodes[id]
-	return n, ok
+	if p := g.pos(id); p >= 0 {
+		return &g.nodes[p], true
+	}
+	return nil, false
 }
 
 // Len reports the number of action nodes (START/FINISH excluded).
 func (g *Graph) Len() int { return len(g.nodes) - 2 }
 
 // NodeIDs returns all node IDs including markers, in insertion order.
-func (g *Graph) NodeIDs() []string { return append([]string(nil), g.order...) }
+func (g *Graph) NodeIDs() []string { return ids(g.nodes) }
 
 // ActionIDs returns action node IDs (markers excluded), insertion order.
-func (g *Graph) ActionIDs() []string {
-	out := make([]string, 0, g.Len())
-	for _, id := range g.order {
-		if id != StartID && id != FinishID {
-			out = append(out, id)
-		}
+func (g *Graph) ActionIDs() []string { return ids(g.nodes[2:]) }
+
+func ids(nodes []Node) []string {
+	out := make([]string, len(nodes))
+	for i := range nodes {
+		out[i] = nodes[i].ID
 	}
 	return out
 }
 
 // Successors returns the IDs with an edge from id, in insertion order.
 func (g *Graph) Successors(id string) []string {
-	return append([]string(nil), g.succ[id]...)
+	var out []string
+	for e := g.first(g.pos(id), firstOut); e != 0; e = g.word(e, nextOut) {
+		out = append(out, g.nodes[g.word(e, head)].ID)
+	}
+	return out
 }
 
 // Predecessors returns the IDs with an edge to id, in insertion order.
 func (g *Graph) Predecessors(id string) []string {
-	return append([]string(nil), g.pred[id]...)
+	var out []string
+	for e := g.first(g.pos(id), firstIn); e != 0; e = g.word(e, nextIn) {
+		out = append(out, g.nodes[g.word(e, tail)].ID)
+	}
+	return out
 }
 
-// Edges returns every edge as [from, to] pairs in deterministic order.
+// Edges returns every edge as [from, to], by tail, each in insertion order.
 func (g *Graph) Edges() [][2]string {
 	var out [][2]string
-	for _, from := range g.order {
-		for _, to := range g.succ[from] {
-			out = append(out, [2]string{from, to})
+	for p := range int32(len(g.nodes)) {
+		for e := g.first(p, firstOut); e != 0; e = g.word(e, nextOut) {
+			out = append(out, [2]string{g.nodes[p].ID, g.nodes[g.word(e, head)].ID})
 		}
 	}
 	return out
@@ -243,22 +313,6 @@ func (g *Graph) Edges() [][2]string {
 // mutation costs nothing.
 func (g *Graph) Validate() error { return g.Index().valid }
 
-func (g *Graph) reach(from string, adj map[string][]string) map[string]bool {
-	seen := map[string]bool{from: true}
-	stack := []string{from}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, next := range adj[id] {
-			if !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	return seen
-}
-
 // TopoSort returns every node ID in a deterministic topological order
 // (Kahn's algorithm; ties broken by node insertion order, so the same
 // graph always sorts the same way). It returns an error naming a node on
@@ -270,7 +324,7 @@ func (g *Graph) TopoSort() ([]string, error) {
 	}
 	out := make([]string, len(ix.topo))
 	for i, p := range ix.topo {
-		out[i] = ix.ids[p]
+		out[i] = g.nodes[p].ID
 	}
 	return out, nil
 }
@@ -278,23 +332,32 @@ func (g *Graph) TopoSort() ([]string, error) {
 // Ancestors returns the set of node IDs from which id is reachable
 // (excluding id itself).
 func (g *Graph) Ancestors(id string) map[string]bool {
-	seen := g.reach(id, g.pred)
-	delete(seen, id)
-	return seen
+	out := map[string]bool{}
+	for _, n := range g.nodes {
+		if g.Before(n.ID, id) {
+			out[n.ID] = true
+		}
+	}
+	return out
 }
 
 // Descendants returns the set of node IDs reachable from id (excluding
 // id itself).
 func (g *Graph) Descendants(id string) map[string]bool {
-	seen := g.reach(id, g.succ)
-	delete(seen, id)
-	return seen
+	out := map[string]bool{}
+	for _, n := range g.nodes {
+		if g.Before(id, n.ID) {
+			out[n.ID] = true
+		}
+	}
+	return out
 }
 
 // Before reports whether the DAG orders a strictly before b (a is an
 // ancestor of b).
 func (g *Graph) Before(a, b string) bool {
-	return g.Descendants(a)[b]
+	p, q := g.pos(a), g.pos(b)
+	return p >= 0 && q >= 0 && g.Index().Ancestors(q)[p/64]&(1<<(p%64)) != 0
 }
 
 // IsLinearExtension reports whether seq — a sequence of action node IDs
@@ -302,22 +365,12 @@ func (g *Graph) Before(a, b string) bool {
 // both present in seq, if the DAG orders one before the other, seq lists
 // them in that order. Nodes absent from the DAG make it false.
 func (g *Graph) IsLinearExtension(seq []string) bool {
-	index := make(map[string]int, len(seq))
-	for i, id := range seq {
-		if _, ok := g.nodes[id]; !ok {
+	for i, a := range seq {
+		if g.pos(a) < 0 || slices.Contains(seq[:i], a) {
 			return false
 		}
-		if _, dup := index[id]; dup {
-			return false
-		}
-		index[id] = i
-	}
-	for _, id := range seq {
-		for anc := range g.Ancestors(id) {
-			if anc == StartID {
-				continue
-			}
-			if j, ok := index[anc]; ok && j > index[id] {
+		for _, b := range seq[:i] {
+			if a != StartID && g.Before(a, b) {
 				return false
 			}
 		}
@@ -328,30 +381,15 @@ func (g *Graph) IsLinearExtension(seq []string) bool {
 // Clone returns a deep copy of the graph. The copy derives its own
 // index.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		nodes: make(map[string]*Node, len(g.nodes)),
-		order: append([]string(nil), g.order...),
-		succ:  make(map[string][]string, len(g.succ)),
-		pred:  make(map[string][]string, len(g.pred)),
-	}
-	for id, n := range g.nodes {
-		cp := *n
+	c := &Graph{nodes: slices.Clone(g.nodes), slots: slices.Clone(g.slots), edges: slices.Clone(g.edges), heads: slices.Clone(g.heads)}
+	for i := range c.nodes {
+		n := &c.nodes[i]
 		if n.Action.Params != nil {
-			cp.Action.Params = make(map[string]string, len(n.Action.Params))
-			for k, v := range n.Action.Params {
-				cp.Action.Params[k] = v
-			}
+			n.Action.Params = maps.Clone(n.Action.Params)
 		}
 		if n.OnError.Handler != nil {
-			cp.OnError.Handler = append([]Action(nil), n.OnError.Handler...)
+			n.OnError.Handler = append([]Action(nil), n.OnError.Handler...)
 		}
-		c.nodes[id] = &cp
-	}
-	for id, s := range g.succ {
-		c.succ[id] = append([]string(nil), s...)
-	}
-	for id, p := range g.pred {
-		c.pred[id] = append([]string(nil), p...)
 	}
 	return c
 }
@@ -361,16 +399,55 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) String() string {
 	topo, err := g.TopoSort()
 	if err != nil {
-		topo = g.order
+		topo = g.NodeIDs()
 	}
-	var b strings.Builder
-	b.WriteString("dag(")
-	for i, id := range topo {
-		if i > 0 {
-			b.WriteString("→")
+	return fmt.Sprintf("dag(%s, %d edges)", strings.Join(topo, "→"), len(g.edges)/edgeWords)
+}
+
+// idSeed keys every ID and action-key hash of the package.
+var idSeed = maphash.MakeSeed()
+
+// An idTable is an open-addressed hash set of action-node positions (so
+// 0 marks an empty slot), a power of two long and at most half full.
+type idTable []int32
+
+// tableSize is the length of an idTable with room for n positions: the
+// least power of two of at least 2n and 8.
+func tableSize(n int) int { return max(8, 1<<bits.Len(uint(max(2*n-1, 1)))) }
+
+// find returns the position, hashed to h, that is accepts, or -1.
+func (t idTable) find(h uint64, is func(p int32) bool) int32 {
+	if len(t) > 0 {
+		if p := t[t.slot(h, is)]; p != 0 {
+			return p
 		}
-		b.WriteString(id)
 	}
-	fmt.Fprintf(&b, ", %d edges)", len(g.Edges()))
-	return b.String()
+	return -1
+}
+
+// slot returns the index of the first slot from h's that is empty or
+// holds a position is accepts.
+func (t idTable) slot(h uint64, is func(p int32) bool) int {
+	mask := len(t) - 1
+	i := int(h) & mask
+	for t[i] != 0 && !is(t[i]) {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// add puts position p, the nth, in t, or in a copy of t at least twice
+// the size when t would be over half full; hash hashes a position's ID.
+func (t idTable) add(p int32, n int, hash func(p int32) uint64) idTable {
+	if 2*n > len(t) {
+		bigger := make(idTable, max(2*len(t), tableSize(n)))
+		for _, q := range t {
+			if q != 0 {
+				bigger.add(q, 0, hash)
+			}
+		}
+		t = bigger
+	}
+	t[t.slot(hash(p), func(int32) bool { return false })] = p
+	return t
 }

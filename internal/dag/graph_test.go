@@ -2,9 +2,12 @@ package dag
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // diamond builds START → A → {B, C} → D → FINISH.
@@ -354,5 +357,66 @@ func TestDOTOutput(t *testing.T) {
 	}
 	if strings.Contains(dot, `we"ird`) {
 		t.Error("unescaped quote in DOT label")
+	}
+}
+
+// Every name in the DOT output is quoted one way: an ID holding `"` or
+// `\` is declared once, and each edge names it as declared, so Graphviz
+// draws no second node for it.
+func TestDOTEdgesNameDeclaredNodes(t *testing.T) {
+	odd := `a"b\c`
+	g := NewBuilder().
+		Add(odd, Action{Op: "install-os"}).
+		Add("B", Action{Op: "install-package"}, odd).
+		MustBuild()
+	declared := map[string]bool{}
+	var ends []string
+	for _, line := range strings.Split(g.DOT(), "\n") {
+		line = strings.TrimSpace(line)
+		if from, to, ok := strings.Cut(line, " -> "); ok {
+			ends = append(ends, from, strings.TrimSuffix(to, ";"))
+		} else if name, _, ok := strings.Cut(line, " ["); ok {
+			declared[name] = true
+		}
+	}
+	if len(ends) != 2*len(g.Edges()) || len(declared) != 4 {
+		t.Fatalf("%d edge ends and %d declared nodes in\n%s", len(ends), len(declared), g.DOT())
+	}
+	for _, end := range ends {
+		if !declared[end] {
+			t.Errorf("edge end %s is not a declared node:\n%s", end, g.DOT())
+		}
+	}
+}
+
+// Builder wires a chain in time linear in its length: one chain of
+// 4 096 nodes builds within twice the time of 16 chains of 256.
+func TestBuilderChainBuildsInLinearTime(t *testing.T) {
+	chain := func(n int) func() {
+		ids, acts := make([]string, n), make([]Action, n)
+		for i := range ids {
+			ids[i], acts[i] = fmt.Sprintf("n%d", i), Action{Op: "x"}
+		}
+		return func() { NewBuilder().Chain(ids, acts).MustBuild() }
+	}
+	best := func(build func(), times int) time.Duration {
+		var min time.Duration
+		for range 5 {
+			runtime.GC() // so that neither pays for the other's garbage
+			start := time.Now()
+			for range times {
+				build()
+			}
+			if d := time.Since(start); min == 0 || d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	long, short := best(chain(4096), 1), best(chain(256), 16)
+	t.Logf("4096 nodes in %v, 16 × 256 in %v", long, short)
+	if long > 2*short {
+		t.Errorf("a 4096-node chain builds in %v, %.1f× the time of 16 chains of 256 (%v); want ≤ 2×",
+			long, float64(long)/float64(short), short)
 	}
 }

@@ -2,7 +2,6 @@ package dag
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -10,123 +9,42 @@ import (
 	"testing"
 )
 
-// oracleValidate is Validate as it stood before the index: degree
-// checks, a map-based Kahn sort, then two reachability walks.
-func oracleValidate(g *Graph) error {
-	for _, id := range g.order {
-		if id == StartID {
-			if len(g.pred[id]) != 0 {
-				return errors.New("dag: START has incoming edges")
-			}
-			continue
-		}
-		if id == FinishID {
-			if len(g.succ[id]) != 0 {
-				return errors.New("dag: FINISH has outgoing edges")
-			}
-			continue
-		}
-		if len(g.pred[id]) == 0 {
-			return fmt.Errorf("dag: node %q unreachable (no incoming edges; connect it to START)", id)
-		}
-		if len(g.succ[id]) == 0 {
-			return fmt.Errorf("dag: node %q is a dead end (no outgoing edges; connect it to FINISH)", id)
-		}
-	}
-	if _, err := oracleTopoSort(g); err != nil {
-		return err
-	}
-	fwd := g.reach(StartID, g.succ)
-	back := g.reach(FinishID, g.pred)
-	for _, id := range g.order {
-		if !fwd[id] {
-			return fmt.Errorf("dag: node %q not reachable from START", id)
-		}
-		if !back[id] {
-			return fmt.Errorf("dag: FINISH not reachable from node %q", id)
-		}
-	}
-	return nil
-}
-
-func oracleTopoSort(g *Graph) ([]string, error) {
-	indeg := make(map[string]int, len(g.nodes))
-	for id := range g.nodes {
-		indeg[id] = len(g.pred[id])
-	}
-	pos := make(map[string]int, len(g.order))
-	for i, id := range g.order {
-		pos[id] = i
-	}
-	var ready []string
-	for _, id := range g.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
-		}
-	}
-	var out []string
-	for len(ready) > 0 {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if pos[ready[i]] < pos[ready[best]] {
-				best = i
-			}
-		}
-		id := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		out = append(out, id)
-		for _, next := range g.succ[id] {
-			indeg[next]--
-			if indeg[next] == 0 {
-				ready = append(ready, next)
-			}
-		}
-	}
-	if len(out) != len(g.nodes) {
-		for _, id := range g.order {
-			if indeg[id] > 0 {
-				return nil, fmt.Errorf("dag: cycle involving node %q", id)
-			}
-		}
-		return nil, errors.New("dag: cycle detected")
-	}
-	return out, nil
-}
-
 // randomGraph has n action nodes and random edges: mostly forward ones
 // between action nodes, wired to the markers as Builder does, with now
-// and then an edge anywhere AddEdge allows and a node left unwired.
-func randomGraph(rng *rand.Rand, n int) *Graph {
-	g := NewGraph()
+// and then an edge anywhere AddEdge allows and a node left unwired. The
+// oracle is built by the same calls.
+func randomGraph(t testing.TB, rng *rand.Rand, n int) twin {
+	tw := newTwin()
 	for i := 0; i < n; i++ {
-		g.AddNode(&Node{ID: fmt.Sprintf("n%d", i), Action: Action{Op: fmt.Sprintf("op%d", rng.Intn(4))}})
+		tw.addNode(t, Node{ID: fmt.Sprintf("n%d", i), Action: Action{Op: fmt.Sprintf("op%d", rng.Intn(4))}})
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Intn(n) < 2 {
-				g.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j))
+				tw.addEdge(t, fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j))
 			}
 		}
 	}
-	for _, id := range g.ActionIDs() {
+	for _, id := range tw.g.ActionIDs() {
 		if rng.Intn(20) == 0 {
 			continue
 		}
-		if len(g.pred[id]) == 0 {
-			g.AddEdge(StartID, id)
+		if len(tw.o.pred[id]) == 0 {
+			tw.addEdge(t, StartID, id)
 		}
-		if len(g.succ[id]) == 0 {
-			g.AddEdge(id, FinishID)
+		if len(tw.o.succ[id]) == 0 {
+			tw.addEdge(t, id, FinishID)
 		}
 	}
+	ids := tw.g.NodeIDs()
 	for rng.Intn(4) == 0 {
-		g.AddEdge(g.order[rng.Intn(len(g.order))], g.order[rng.Intn(len(g.order))])
+		tw.addEdge(t, ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))])
 	}
-	return g
+	return tw
 }
 
-// What the index holds is what the graph walks it replaces computed:
-// the same verdict with the same message, the same order, the same
+// What the index holds is what the oracle's graph walks compute: the
+// same verdict with the same message, the same order, the same
 // ancestor sets — on valid, invalid and cyclic graphs, with bitsets of
 // one word and of several.
 func TestIndexMatchesGraphWalks(t *testing.T) {
@@ -137,35 +55,27 @@ func TestIndexMatchesGraphWalks(t *testing.T) {
 		if i%100 == 0 {
 			n = 60 + rng.Intn(100)
 		}
-		g := randomGraph(rng, n)
-		got, want := g.Validate(), oracleValidate(g)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%v: Validate = %v, want %v", g.Edges(), got, want)
-		}
-		if want == nil {
+		tw := randomGraph(t, rng, n)
+		tw.compare(t)
+		if tw.o.Validate() == nil {
 			valid++
 		}
-		gotTopo, gotErr := g.TopoSort()
-		wantTopo, wantErr := oracleTopoSort(g)
-		if fmt.Sprint(gotTopo, gotErr) != fmt.Sprint(wantTopo, wantErr) {
-			t.Fatalf("%v: TopoSort = %v, %v, want %v, %v", g.Edges(), gotTopo, gotErr, wantTopo, wantErr)
-		}
-		ix := g.Index()
-		for p, id := range g.order {
+		ix := tw.g.Index()
+		for p, id := range tw.o.order {
 			var fromIndex []string
-			for q, other := range g.order {
+			for q, other := range tw.o.order {
 				if ix.Ancestors(int32(p))[q/64]&(1<<(q%64)) != 0 {
 					fromIndex = append(fromIndex, other)
 				}
 			}
 			var walked []string
-			for _, other := range g.order {
-				if g.Ancestors(id)[other] {
+			for _, other := range tw.o.order {
+				if tw.o.Ancestors(id)[other] {
 					walked = append(walked, other)
 				}
 			}
 			if fmt.Sprint(fromIndex) != fmt.Sprint(walked) {
-				t.Fatalf("%v: ancestors of %s = %v, want %v", g.Edges(), id, fromIndex, walked)
+				t.Fatalf("%v: ancestors of %s = %v, want %v", tw.o.Edges(), id, fromIndex, walked)
 			}
 		}
 	}

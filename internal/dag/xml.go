@@ -45,11 +45,8 @@ var errTooManyNodes = fmt.Errorf("dag: nodes exceed the limit of %d", maxWireNod
 // protocol codec (internal/proto) and Encode call.
 func (g *Graph) AppendXML(dst []byte) []byte {
 	dst = append(dst, "<dag>"...)
-	for _, id := range g.order {
-		if id == StartID || id == FinishID {
-			continue
-		}
-		n := g.nodes[id]
+	for i := 2; i < len(g.nodes); i++ {
+		n := &g.nodes[i]
 		dst = append(dst, `<node id="`...)
 		dst = xmlwire.AppendEscaped(dst, n.ID)
 		dst = append(dst, '"')
@@ -69,12 +66,12 @@ func (g *Graph) AppendXML(dst []byte) []byte {
 		}
 		dst = append(dst, "</node>"...)
 	}
-	for _, from := range g.order {
-		for _, to := range g.succ[from] {
+	for p := range int32(len(g.nodes)) {
+		for e := g.first(p, firstOut); e != 0; e = g.word(e, nextOut) {
 			dst = append(dst, `<edge from="`...)
-			dst = xmlwire.AppendEscaped(dst, from)
+			dst = xmlwire.AppendEscaped(dst, g.nodes[p].ID)
 			dst = append(dst, `" to="`...)
-			dst = xmlwire.AppendEscaped(dst, to)
+			dst = xmlwire.AppendEscaped(dst, g.nodes[g.word(e, head)].ID)
 			dst = append(dst, `"></edge>`...)
 		}
 	}
@@ -125,10 +122,11 @@ var (
 //
 // It works in two phases, so that the graph's values are not an
 // allocation each. The walk copies each value it keeps into one scratch
-// buffer and records where it lies. The build makes one string of that
-// buffer and cuts every ID, operation and parameter from it; all nodes
-// share one []Node, all successor and predecessor lists one []string,
-// and each parameter set is one map made at its size.
+// buffer, records where it lies and keeps an ID table of the nodes. The
+// build cuts every ID, operation and parameter from one string of that
+// buffer into one []Node, and hands the graph that array, the walk's ID
+// table and the edges chained in one array. Each parameter set is one
+// map made at its size.
 func (g *Graph) DecodeXML(s *xmlwire.Scanner) error {
 	// Each list starts in an array here, so that a graph of the paper's
 	// size is read without allocating. The walk's steps are closures, not
@@ -320,12 +318,9 @@ type decoder struct {
 	params   [][2]span   // all nodes' parameters, name and value
 	hparams  [][2]span   // all handlers' parameters
 	edges    [][2]edgeEnd
-	ids      []int32 // open-addressed set of node positions, hashed by ID; 0 is empty
-	scratch  []int32 // room for build's counts and marks
+	ids      idTable // the positions of the nodes read, hashed by ID
+	scratch  []int32 // room for build's marks
 }
-
-// idSeed keys the hash of the decoder's ID set.
-var idSeed = maphash.MakeSeed()
 
 // id is the ID of the node at position p >= 2.
 func (d *decoder) id(p int32) []byte {
@@ -342,37 +337,12 @@ func (d *decoder) lookup(id []byte) int {
 	case FinishID:
 		return FinishPos
 	}
-	mask := len(d.ids) - 1
-	for i := int(maphash.Bytes(idSeed, id)) & mask; d.ids[i] != 0; i = (i + 1) & mask {
-		if string(d.id(d.ids[i])) == string(id) {
-			return int(d.ids[i])
-		}
-	}
-	return -1
+	return int(d.ids.find(maphash.Bytes(idSeed, id), func(p int32) bool { return string(d.id(p)) == string(id) }))
 }
 
-// insert adds the last node recorded to the ID set, doubling the set
-// first when it would be more than half full.
+// insert adds the last node recorded to the ID set.
 func (d *decoder) insert() {
-	if 2*len(d.nodes) > len(d.ids) {
-		old := d.ids
-		d.ids = make([]int32, 2*len(old))
-		for _, p := range old {
-			if p != 0 {
-				d.place(p)
-			}
-		}
-	}
-	d.place(int32(len(d.nodes) + 1))
-}
-
-func (d *decoder) place(p int32) {
-	mask := len(d.ids) - 1
-	i := int(maphash.Bytes(idSeed, d.id(p))) & mask
-	for d.ids[i] != 0 {
-		i = (i + 1) & mask
-	}
-	d.ids[i] = p
+	d.ids = d.ids.add(int32(len(d.nodes)+1), len(d.nodes), func(p int32) uint64 { return maphash.Bytes(idSeed, d.id(p)) })
 }
 
 // build makes the graph the walk recorded, checks its edges as AddEdge
@@ -381,8 +351,7 @@ func (d *decoder) build(g *Graph) error {
 	str := string(d.buf)
 	n := len(d.nodes) + 2
 	nodes := make([]Node, n)
-	nodes[StartPos] = Node{ID: StartID, Action: Action{Op: "start"}}
-	nodes[FinishPos] = Node{ID: FinishID, Action: Action{Op: "finish"}}
+	copy(nodes, markers[:])
 	var handlers []Action
 	if len(d.handlers) > 0 {
 		handlers = make([]Action, len(d.handlers))
@@ -390,20 +359,13 @@ func (d *decoder) build(g *Graph) error {
 			handlers[i] = h.action(str, d.hparams)
 		}
 	}
-	byID := make(map[string]*Node, n)
-	order := make([]string, n)
-	for p := range nodes {
-		nd := &nodes[p]
-		if p > FinishPos {
-			r := &d.nodes[p-2]
-			nd.ID, nd.Action = r.id.in(str), r.act.action(str, d.params)
-			nd.OnError = ErrorPolicy{Retries: r.retries, Continue: r.cont}
-			if r.h1 > r.h0 {
-				nd.OnError.Handler = handlers[r.h0:r.h1:r.h1]
-			}
+	for p := FinishPos + 1; p < n; p++ {
+		nd, r := &nodes[p], &d.nodes[p-2]
+		nd.ID, nd.Action = r.id.in(str), r.act.action(str, d.params)
+		nd.OnError = ErrorPolicy{Retries: r.retries, Continue: r.cont}
+		if r.h1 > r.h0 {
+			nd.OnError.Handler = handlers[r.h0:r.h1:r.h1]
 		}
-		byID[nd.ID] = nd
-		order[p] = nd.ID
 	}
 
 	// The first edge AddEdge would refuse for a reason other than a
@@ -420,7 +382,7 @@ func (d *decoder) build(g *Graph) error {
 			}
 		}
 		if bad == nil && e[0].pos == e[1].pos {
-			bad = errSelfEdge(order[e[0].pos])
+			bad = errSelfEdge(nodes[e[0].pos].ID)
 		}
 		if bad != nil {
 			edges = edges[:i]
@@ -428,75 +390,42 @@ func (d *decoder) build(g *Graph) error {
 		}
 	}
 
-	// Group the edges by tail, each group in edge order (a counting
-	// sort), and find repeats with one mark per head: O(E + N).
-	scratch := d.scratch
-	if need := 3*n + 2 + len(edges); need > len(scratch) {
-		scratch = make([]int32, need)
-	}
-	outOff, inOff := scratch[:n+1], scratch[n+1:2*n+2]
-	mark, byTail := scratch[2*n+2:3*n+2], scratch[3*n+2:][:len(edges)]
-	clear(scratch[:3*n+2])
+	// The graph takes the walk's ID table: both hash an ID's bytes alike.
+	slots, links, heads := carve(len(d.ids), edgeWords*len(edges), chainWords*n)
+	copy(slots, d.ids)
+	fresh := Graph{nodes: nodes, slots: slots, edges: links[:0], heads: heads}
 	for _, e := range edges {
-		outOff[e[0].pos+1]++
-		inOff[e[1].pos+1]++
+		fresh.link(int32(e[0].pos), int32(e[1].pos))
 	}
-	for p := range n {
-		outOff[p+1] += outOff[p]
-		inOff[p+1] += inOff[p]
+	// Repeats: one mark per head while each tail's chain is walked.
+	mark := d.scratch
+	if n > len(mark) {
+		mark = make([]int32, n)
 	}
-	next := mark
-	copy(next, outOff[:n])
-	for i, e := range edges {
-		byTail[next[e[0].pos]] = int32(i)
-		next[e[0].pos]++
-	}
+	mark = mark[:n]
 	clear(mark)
 	dup := len(edges)
-	for u := range n {
-		for _, i := range byTail[outOff[u]:outOff[u+1]] {
-			if to := edges[i][1].pos; mark[to] == int32(u+1) {
-				dup = min(dup, int(i))
+	for u := range int32(n) {
+		for e := fresh.first(u, firstOut); e != 0; e = fresh.word(e, nextOut) {
+			if to := fresh.word(e, head); mark[to] == u+1 {
+				dup = min(dup, int(e-1))
 			} else {
-				mark[to] = int32(u + 1)
+				mark[to] = u + 1
 			}
 		}
 	}
 	if dup < len(edges) {
-		return errDuplicateEdge(order[edges[dup][0].pos], order[edges[dup][1].pos])
+		return errDuplicateEdge(nodes[edges[dup][0].pos].ID, nodes[edges[dup][1].pos].ID)
 	}
 	if bad != nil {
 		return bad
 	}
 
-	// Every list is carved from one array, its capacity cut to its
-	// length, so that AddEdge copies a list before it appends to it.
-	adj := make([]string, 2*len(edges))
-	succList, predList := adj[:len(edges)], adj[len(edges):]
-	for j, i := range byTail {
-		succList[j] = order[edges[i][1].pos]
-	}
-	copy(next, inOff[:n])
-	for _, e := range edges {
-		predList[next[e[1].pos]] = order[e[0].pos]
-		next[e[1].pos]++
-	}
-	succ, pred := make(map[string][]string, n), make(map[string][]string, n)
-	for p, id := range order {
-		if lo, hi := outOff[p], outOff[p+1]; hi > lo {
-			succ[id] = succList[lo:hi:hi]
-		}
-		if lo, hi := inOff[p], inOff[p+1]; hi > lo {
-			pred[id] = predList[lo:hi:hi]
-		}
-	}
-
-	fresh := Graph{nodes: byID, order: order, succ: succ, pred: pred}
 	ix := fresh.buildIndex()
 	if ix.valid != nil {
 		return ix.valid
 	}
-	g.nodes, g.order, g.succ, g.pred = byID, order, succ, pred
+	g.nodes, g.slots, g.edges, g.heads = nodes, slots, fresh.edges, heads
 	g.idx.Store(ix) // what Validate derived, for the plan that follows
 	return nil
 }
@@ -543,21 +472,22 @@ func (g *Graph) Encode(w io.Writer) error {
 // DOT renders the graph in Graphviz dot syntax, for documentation and
 // debugging; action nodes are boxes labeled with their operation,
 // START/FINISH are circles. Graphviz line breaks are a literal
-// backslash-n inside the quoted label, so quoting is built by hand.
+// backslash-n inside the quoted label, so quoting is built by hand, and
+// every node name, declared or on an edge, is quoted by dotEscape.
 func (g *Graph) DOT() string {
 	var b strings.Builder
 	b.WriteString("digraph config {\n  rankdir=LR;\n")
-	fmt.Fprintf(&b, "  %q [shape=circle];\n  %q [shape=doublecircle];\n", StartID, FinishID)
+	fmt.Fprintf(&b, "  \"%s\" [shape=circle];\n  \"%s\" [shape=doublecircle];\n", StartID, FinishID)
 	for _, id := range g.ActionIDs() {
-		n := g.nodes[id]
-		label := dotEscape(id) + `\n` + dotEscape(n.Action.Op)
+		n, _ := g.Node(id)
+		label := dotEscape(n.ID) + `\n` + dotEscape(n.Action.Op)
 		if name := n.Action.Param("name"); name != "" {
 			label += " " + dotEscape(name)
 		}
-		fmt.Fprintf(&b, "  \"%s\" [shape=box, label=\"%s\"];\n", dotEscape(id), label)
+		fmt.Fprintf(&b, "  \"%s\" [shape=box, label=\"%s\"];\n", dotEscape(n.ID), label)
 	}
 	for _, e := range g.Edges() {
-		fmt.Fprintf(&b, "  %q -> %q;\n", e[0], e[1])
+		fmt.Fprintf(&b, "  \"%s\" -> \"%s\";\n", dotEscape(e[0]), dotEscape(e[1]))
 	}
 	b.WriteString("}\n")
 	return b.String()

@@ -68,7 +68,7 @@ func paramsFromXML(ps []xmlParam) map[string]string {
 // fromXML builds and validates the graph a decoded document describes,
 // then replaces g with it.
 func (g *Graph) fromXML(x *xmlDAG) error {
-	fresh := newGraph(len(x.Nodes) + 2)
+	fresh := NewGraph()
 	for _, xn := range x.Nodes {
 		tgt, err := ParseTarget(xn.Target)
 		if err != nil {
@@ -102,7 +102,7 @@ func (g *Graph) fromXML(x *xmlDAG) error {
 	if err := fresh.Validate(); err != nil {
 		return err
 	}
-	g.nodes, g.order, g.succ, g.pred = fresh.nodes, fresh.order, fresh.succ, fresh.pred
+	g.nodes, g.slots, g.edges, g.heads = fresh.nodes, fresh.slots, fresh.edges, fresh.heads
 	g.idx.Store(fresh.idx.Load()) // what Validate just derived, for the plan that follows
 	return nil
 }
@@ -127,7 +127,7 @@ func paramsToXML(m map[string]string) []xmlParam {
 func (g *Graph) MarshalXML(e *xml.Encoder, start xml.StartElement) error {
 	x := xmlDAG{}
 	for _, id := range g.ActionIDs() {
-		n := g.nodes[id]
+		n, _ := g.Node(id)
 		xn := xmlNode{
 			ID:     n.ID,
 			Action: n.Action.Op,
@@ -183,11 +183,21 @@ func scanGraph(doc []byte) (*Graph, error) {
 	return g, s.End()
 }
 
-// sameGraph is reflect.DeepEqual on everything but the derived index,
-// which a Graph holds behind a pointer DeepEqual compares by address.
+// sameGraph is reflect.DeepEqual on the nodes and the edge chains, and
+// the same answer from both ID tables for every ID. The derived index
+// is left out (a Graph holds it behind a pointer DeepEqual compares by
+// address), and so is the tables' layout, which depends on their
+// sizes.
 func sameGraph(a, b *Graph) bool {
-	return reflect.DeepEqual(a.nodes, b.nodes) && reflect.DeepEqual(a.order, b.order) &&
-		reflect.DeepEqual(a.succ, b.succ) && reflect.DeepEqual(a.pred, b.pred)
+	if !reflect.DeepEqual(a.nodes, b.nodes) || !slices.Equal(a.edges, b.edges) || !slices.Equal(a.heads, b.heads) {
+		return false
+	}
+	for i := range a.nodes {
+		if a.pos(a.nodes[i].ID) != int32(i) || b.pos(a.nodes[i].ID) != int32(i) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestAppendXMLMatchesMarshalXML(t *testing.T) {

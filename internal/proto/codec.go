@@ -177,9 +177,13 @@ func appendCreateFields(dst []byte, r *CreateRequest) []byte {
 const bareCreateRequest = "CreateRequest"
 
 // MarshalCreateRequest renders a create-request as a document of its
-// own — the form the shop journals in a creation intent.
-func MarshalCreateRequest(r *CreateRequest) []byte {
-	return appendCreateRequest(nil, bareCreateRequest, r)
+// own — the form the shop journals in a creation intent. It renders
+// into a pooled buffer, so the string is its one allocation.
+func MarshalCreateRequest(r *CreateRequest) string {
+	bp := frameBufs.Get().(*[]byte)
+	buf := appendCreateRequest((*bp)[:0], bareCreateRequest, r)
+	defer recycle(bp, buf)
+	return string(buf)
 }
 
 // UnmarshalCreateRequest parses what MarshalCreateRequest wrote.

@@ -500,7 +500,7 @@ func TestBareCreateRequestMatchesEncodingXML(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = spliceEmbedded(want, &r.Graph, nil)
-		got := MarshalCreateRequest(r)
+		got := []byte(MarshalCreateRequest(r))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("bytes differ\n got: %q\nwant: %q", got, want)
 		}

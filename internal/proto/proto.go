@@ -358,7 +358,8 @@ func decode(doc []byte) (*Message, error) {
 // stream is still in step after it, so a server answers it and reads on.
 type badFrame struct{ error }
 
-// frameBufs recycles WriteMessage's and ReadMessage's frame buffers.
+// frameBufs recycles the buffers Marshal, MarshalCreateRequest,
+// WriteMessage and ReadMessage render and read frames in.
 var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // recycle returns a frame buffer to the pool, unless one outsized

@@ -342,7 +342,7 @@ func (s *Shop) beginCreation(p *sim.Proc, spec *core.Spec) (id core.VMID, ad *cl
 	if spec.Origin != "" {
 		f["origin"] = spec.Origin
 	}
-	f["spec"] = string(proto.MarshalCreateRequest(proto.FromSpec(spec, "")))
+	f["spec"] = proto.MarshalCreateRequest(proto.FromSpec(spec, ""))
 	s.record(p, true, journal.Record{Kind: journal.CreationIntent, Key: string(id), Fields: f})
 	// Chaos point: the daemon can die here, the intent durable and no
 	// plant asked yet — Restart re-drives it.

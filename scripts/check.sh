@@ -83,7 +83,7 @@ fi
 go test -race ./...
 
 if [ "${CHECK_SHORT:-0}" != "1" ]; then
-    # Each of the twelve native fuzz targets, 30 s apiece.
+    # Each of the thirteen native fuzz targets, 30 s apiece.
     ./scripts/fuzz.sh
 
     # Every registered scenario, in registry order.

@@ -20,6 +20,7 @@ done <<TARGETS
 ./internal/classad FuzzParse
 ./internal/classad FuzzAdOps
 ./internal/dag FuzzGraphXML
+./internal/dag FuzzGraphOps
 ./internal/match FuzzEvaluate
 ./internal/isofs FuzzRead
 ./internal/vmm FuzzScript
