@@ -349,7 +349,7 @@ func TestDOTOutput(t *testing.T) {
 	dot := g.DOT()
 	for _, want := range []string{
 		"digraph config", `"START" [shape=circle]`, `"FINISH" [shape=doublecircle]`,
-		`label="A\ninstall-os"`, `"A" -> "B"`, `we'ird`,
+		`label="A\ninstall-os"`, `"A" -> "B"`, `we\"ird`,
 	} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT missing %q:\n%s", want, dot)
@@ -362,12 +362,15 @@ func TestDOTOutput(t *testing.T) {
 
 // Every name in the DOT output is quoted one way: an ID holding `"` or
 // `\` is declared once, and each edge names it as declared, so Graphviz
-// draws no second node for it.
+// draws no second node for it. IDs that differ only in a quote character
+// stay two nodes.
 func TestDOTEdgesNameDeclaredNodes(t *testing.T) {
-	odd := `a"b\c`
+	odd, dq, sq := `a"b\c`, `a"b`, `a'b`
 	g := NewBuilder().
 		Add(odd, Action{Op: "install-os"}).
-		Add("B", Action{Op: "install-package"}, odd).
+		Add(dq, Action{Op: "install-os"}).
+		Add(sq, Action{Op: "install-os"}).
+		Add("B", Action{Op: "install-package"}, odd, dq, sq).
 		MustBuild()
 	declared := map[string]bool{}
 	var ends []string
@@ -379,7 +382,7 @@ func TestDOTEdgesNameDeclaredNodes(t *testing.T) {
 			declared[name] = true
 		}
 	}
-	if len(ends) != 2*len(g.Edges()) || len(declared) != 4 {
+	if len(ends) != 2*len(g.Edges()) || len(declared) != 6 {
 		t.Fatalf("%d edge ends and %d declared nodes in\n%s", len(ends), len(declared), g.DOT())
 	}
 	for _, end := range ends {

@@ -493,10 +493,11 @@ func (g *Graph) DOT() string {
 	return b.String()
 }
 
-// dotEscape neutralizes characters that would break a dot string.
+// dotEscape backslash-escapes the characters that would end or bend a
+// dot string, so distinct names stay distinct nodes.
 func dotEscape(s string) string {
-	s = strings.ReplaceAll(s, "\\", "\\\\")
-	return strings.ReplaceAll(s, `"`, `'`)
+	s = strings.ReplaceAll(s, `\`, `\\`)
+	return strings.ReplaceAll(s, `"`, `\"`)
 }
 
 // Decode reads a standalone <dag> document: what Encode writes, or the

@@ -346,8 +346,8 @@ func (pl *Plant) ResourceAd() *classad.Ad {
 func (pl *Plant) Estimate(p *sim.Proc, spec *core.Spec) core.Cost {
 	// Bid computation latency: small, but real on the wire.
 	p.Sleep(sim.Seconds(0.02 * pl.node.Jitter()))
-	// Slow-bid fault: an overloaded plant stalls its estimate past the
-	// shop's patience; the bidding round proceeds without it.
+	// Slow-bid fault: an overloaded plant stalls its estimate; the
+	// bidding round waits for it, so the whole round is late by the stall.
 	if d := pl.faults.DelayFor(pl.name, fault.SlowBid, ""); d > 0 {
 		p.Sleep(d)
 	}

@@ -265,7 +265,7 @@ type LifecycleResponse struct {
 }
 
 // PingRequest is a liveness probe: the cheapest idempotent request,
-// used by retry probes and circuit-breaker half-open checks.
+// sent by `vmctl ping` to check that a daemon answers.
 type PingRequest struct{}
 
 // PingResponse acknowledges liveness.

@@ -130,9 +130,9 @@ func (rp *RemotePlant) roundTrip(m *proto.Message) (*proto.Message, error) {
 //
 // A failed call is given the outcome class the daemon's error code
 // carries — the inverse of failure on the serve side — so the shop's
-// recovery machinery (re-bid, failover, breakers, route eviction) acts
-// on a remote failure as it does on the same failure in-process. A call
-// that broke in flight has no class: nobody knows what the daemon did.
+// recovery machinery (re-bid, failover, route eviction) acts on a
+// remote failure as it does on the same failure in-process. A call that
+// broke in flight has no class: nobody knows what the daemon did.
 func (rp *RemotePlant) call(p *sim.Proc, m *proto.Message, want proto.Kind) (*proto.Message, error) {
 	if p != nil {
 		sc := p.Trace()

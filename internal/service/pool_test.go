@@ -32,12 +32,13 @@ func (l countingListener) Accept() (net.Conn, error) {
 // on the same address, counting what it accepted and served across
 // incarnations.
 type restartablePlant struct {
-	t        *testing.T
-	addr     string
-	handler  proto.Handler
-	accepted atomic.Int64
-	creates  atomic.Int64
-	stop     func()
+	t         *testing.T
+	addr      string
+	handler   proto.Handler
+	accepted  atomic.Int64
+	estimates atomic.Int64
+	creates   atomic.Int64
+	stop      func()
 }
 
 func newRestartablePlant(t *testing.T, name string, seed int64) *restartablePlant {
@@ -46,7 +47,10 @@ func newRestartablePlant(t *testing.T, name string, seed int64) *restartablePlan
 	inner := NewPlantHandler(d.Runner, pl)
 	rp := &restartablePlant{t: t, addr: "127.0.0.1:0"}
 	rp.handler = func(req *proto.Message) *proto.Message {
-		if req.Kind == proto.KindCreateRequest {
+		switch req.Kind {
+		case proto.KindEstimateRequest:
+			rp.estimates.Add(1)
+		case proto.KindCreateRequest:
 			rp.creates.Add(1)
 		}
 		return inner(req)
@@ -117,8 +121,8 @@ func TestRemotePlantReusesOneConnection(t *testing.T) {
 
 // A plant daemon restarted between two creations costs a redial, not a
 // failure: the stale connection is found before the second request is
-// written, so the server sees each create exactly once and the shop's
-// breaker never hears of it.
+// written, so the server sees each estimate and each create exactly
+// once and the shop never hears of it: no creation fails.
 func TestRemotePlantSurvivesDaemonRestart(t *testing.T) {
 	d := newRestartablePlant(t, "p", 62)
 	hub := NewDaemon("shop").Hub
@@ -126,7 +130,6 @@ func TestRemotePlantSurvivesDaemonRestart(t *testing.T) {
 	defer rp.Close()
 	s := shop.New("shop", []shop.PlantHandle{rp}, 7)
 	s.SetTelemetry(hub)
-	s.Breaker = shop.BreakerConfig{Threshold: 1, Cooldown: time.Hour}
 	r := NewRunner(sim.NewKernel())
 	create := func() {
 		t.Helper()
@@ -142,14 +145,17 @@ func TestRemotePlantSurvivesDaemonRestart(t *testing.T) {
 	d.stop()
 	d.start()
 	create()
+	if got := d.estimates.Load(); got != 2 {
+		t.Errorf("plant served %d estimates, want 2", got)
+	}
 	if got := d.creates.Load(); got != 2 {
 		t.Errorf("plant served %d creates, want 2", got)
 	}
 	if got := d.accepted.Load(); got != 2 {
 		t.Errorf("plant accepted %d connections, want 2 (one per incarnation)", got)
 	}
-	if got := hub.Counter("shop.breaker_opens").Value(); got != 0 {
-		t.Errorf("breaker opened %d times", got)
+	if got := hub.Counter("shop.create_failures").Value(); got != 0 {
+		t.Errorf("shop counted %d failed creations", got)
 	}
 
 	// And once the daemon is gone for good, that is ErrPlantDown.

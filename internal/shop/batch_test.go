@@ -15,7 +15,6 @@ import (
 
 func TestCreateManyAllSucceed(t *testing.T) {
 	d := newDeployment(t, 4, plant.Config{MaxVMs: 32})
-	d.shop.BidTimeout = time.Second
 	specs := make([]*core.Spec, 12)
 	for i := range specs {
 		specs[i] = wsSpec(t, fmt.Sprintf("user%02d", i), "ufl.edu")
@@ -50,7 +49,6 @@ func TestCreateManyAllSucceed(t *testing.T) {
 // a batch must land across plants rather than queuing on one.
 func TestCreateManySpreadsLoad(t *testing.T) {
 	d := newDeployment(t, 4, plant.Config{MaxVMs: 32, CloneSlots: 1})
-	d.shop.BidTimeout = time.Second
 	specs := make([]*core.Spec, 8)
 	for i := range specs {
 		specs[i] = wsSpec(t, fmt.Sprintf("user%02d", i), "ufl.edu")
@@ -111,7 +109,6 @@ func TestCreateManySingleMatchesSerial(t *testing.T) {
 
 func TestCreateManyEmptyAndErrors(t *testing.T) {
 	d := newDeployment(t, 2, plant.Config{MaxVMs: 1})
-	d.shop.BidTimeout = time.Second
 	d.run(t, func(p *sim.Proc) {
 		if got := d.shop.CreateMany(p, nil); len(got) != 0 {
 			t.Errorf("empty batch returned %d results", len(got))
@@ -140,7 +137,6 @@ func TestCreateManyEmptyAndErrors(t *testing.T) {
 // from a monitor process until the batch returns.
 func frontDoorBatch(t *testing.T, maxQueue int) (d *deployment, specs []*core.Spec, results []BatchResult, peak int) {
 	d = newDeployment(t, 4, plant.Config{MaxVMs: 32})
-	d.shop.BidTimeout = time.Second
 	d.shop.SetAdmission(AdmissionConfig{MaxInflight: 4, MaxQueue: maxQueue})
 	journaled(d)
 	specs = make([]*core.Spec, 16)

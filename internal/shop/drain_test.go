@@ -38,7 +38,6 @@ func TestStaleBidRecheckedAtDispatch(t *testing.T) {
 	d := newDeployment(t, 2, plant.Config{MaxVMs: 32})
 	hub := telemetry.New()
 	d.shop.SetTelemetry(hub)
-	d.shop.BidTimeout = 2 * time.Second
 	reg := fault.NewRegistry(5)
 	d.handles[1].Faults = reg
 	reg.SetDelay(d.handles[1].Name(), fault.RPCDelay, "estimate", 500*time.Millisecond)

@@ -141,14 +141,13 @@ func (s *Shop) aborted(p *sim.Proc, id core.VMID, err error) error {
 }
 
 // Kill is kill -9: the ledger and all soft state — classad cache, bid
-// audit ring, breakers, in-flight counts — evaporate, the journal loses
+// audit ring, in-flight counts — evaporate, the journal loses
 // its unsynced tail, and every call fails with ErrShopDown until
 // Restart.
 func (s *Shop) Kill() {
 	s.down = true
 	s.mCrashes.Inc()
 	s.cache = make(map[core.VMID]*classad.Ad)
-	s.breakers = make(map[string]*breaker)
 	s.mu.Lock()
 	s.led = ledger.New(s.name)
 	s.bids.Reset()

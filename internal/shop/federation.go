@@ -1,7 +1,7 @@
 // Federated shops: the hierarchical half of the bidding machinery.
 //
 // A shop that cannot serve a creation locally — every plant infeasible,
-// breaker-open, or transiently failing — re-auctions the request among
+// unreachable, or transiently failing — re-auctions the request among
 // its peer shops exactly the way it auctions among plants: collect cost
 // estimates, pick the cheapest (ties at random), fail over to the next
 // bidder when the winner turns out to be unreachable. A forwarded
@@ -84,9 +84,6 @@ func ForwardToken(origin string, id core.VMID) string {
 	return fmt.Sprintf("fwd-%s-%s", origin, id)
 }
 
-// peerKey namespaces peer breaker entries away from plant names.
-func peerKey(name string) string { return "peer:" + name }
-
 // tryForward runs the peer auction for a creation the local plants
 // could not serve. handled=true means forwarding decided the outcome
 // (success, a permanent peer-side failure already journaled as an
@@ -105,23 +102,15 @@ func (s *Shop) tryForward(p *sim.Proc, id core.VMID, spec *core.Spec) (ad *class
 		Set("vmid", string(id))
 	defer func() { sp.EndErr(p, err) }()
 
-	// Peer bidding round, breaker-gated like a plant round.
+	// Peer bidding round, asked in turn like a plant round.
 	s.mPeerBidRounds.Inc()
-	round := breakerGate(s, p.Now(), s.peers, peerKey)
 	var feasible []bid[PeerHandle]
-	for _, h := range round {
-		c, eerr := h.Estimate(p, &fwd)
-		if eerr != nil {
-			s.noteFailure(p.Now(), peerKey(h.Name()))
-			continue
+	for _, h := range s.peers {
+		if c, eerr := h.Estimate(p, &fwd); eerr == nil && c.OK() {
+			feasible = append(feasible, bid[PeerHandle]{h: h, c: c})
 		}
-		s.noteSuccess(peerKey(h.Name()))
-		if !c.OK() {
-			continue
-		}
-		feasible = append(feasible, bid[PeerHandle]{h: h, c: c})
 	}
-	sp.SetInt("peers", int64(len(round))).SetInt("feasible", int64(len(feasible)))
+	sp.SetInt("peers", int64(len(s.peers))).SetInt("feasible", int64(len(feasible)))
 
 	for len(feasible) > 0 {
 		win := cheapest(s.rng, feasible)
@@ -145,7 +134,6 @@ func (s *Shop) tryForward(p *sim.Proc, id core.VMID, spec *core.Spec) (ad *class
 			// Synced before the client hears the answer; applying it
 			// installs the cross-cell route later calls follow.
 			s.record(p, true, forwardCommitRecord(id, win.Name(), remote))
-			s.noteSuccess(peerKey(win.Name()))
 			s.mForwards.Inc()
 			if s.CacheAds {
 				s.cache[id] = ad.Clone()
@@ -159,7 +147,6 @@ func (s *Shop) tryForward(p *sim.Proc, id core.VMID, spec *core.Spec) (ad *class
 			s.mForwardFails.Inc()
 			return nil, true, s.aborted(p, id, fmt.Errorf("shop %s: peer %s: %w", s.name, win.Name(), cerr))
 		}
-		s.noteFailure(p.Now(), peerKey(win.Name()))
 		feasible = withoutBid(feasible, win)
 	}
 	s.mForwardFails.Inc()
@@ -181,9 +168,8 @@ func (s *Shop) EstimateForward(p *sim.Proc, spec *core.Spec) (core.Cost, error) 
 	if err != nil {
 		return core.Infeasible, err
 	}
-	round := breakerGate(s, p.Now(), s.eligiblePlants(), plantKey)
 	sp := s.tel.T().StartCtx(p, "shop.estimate_forward", p.Trace()).Set("shop", s.name)
-	feasible := s.collectBids(p, round, spec, reqAd, sp)
+	feasible := s.collectBids(p, s.eligiblePlants(), spec, reqAd, sp)
 	sp.SetInt("feasible", int64(len(feasible))).End(p)
 	if len(feasible) == 0 {
 		return core.Infeasible, nil

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vmplants/internal/classad"
 	"vmplants/internal/core"
@@ -45,19 +44,6 @@ type Shop struct {
 	// CacheAds enables classad caching (paper: "VMShop may, however,
 	// cache classad information … to speed up queries").
 	CacheAds bool
-
-	// BidTimeout bounds how long a bidding round waits for any single
-	// plant's estimate, in virtual time. When positive, bids are
-	// collected concurrently and the round closes at the deadline with
-	// whatever bids arrived (quorum ≥ 1: a round with no responses at
-	// all keeps waiting for the first). 0 — the default — keeps the
-	// legacy sequential round that waits for every plant.
-	BidTimeout time.Duration
-
-	// Breaker configures the per-plant circuit breakers; the zero value
-	// disables them (legacy behavior).
-	Breaker  BreakerConfig
-	breakers map[string]*breaker
 
 	// Faults injects shop-level chaos: fault.DaemonKill at site "shop"
 	// with ops "intent" (after the intent record is durable, before
@@ -91,12 +77,8 @@ type Shop struct {
 	mCreates        *telemetry.Counter
 	mCreateFails    *telemetry.Counter
 	mBidRounds      *telemetry.Counter
-	mDegradedRounds *telemetry.Counter
 	mFailovers      *telemetry.Counter
-	mBreakerOpens   *telemetry.Counter
 	mRecoveredRts   *telemetry.Counter
-	gMissingBids    *telemetry.Gauge
-	gOpenBreakers   *telemetry.Gauge
 	hCreateSecs     *telemetry.Histogram
 	gInflight       *telemetry.Gauge
 	mCrashes        *telemetry.Counter
@@ -138,7 +120,6 @@ func New(name string, plants []PlantHandle, seed int64) *Shop {
 		led:      ledger.New(name),
 		bids:     telemetry.NewRing[BidRecord](bidLogRounds),
 		cache:    make(map[core.VMID]*classad.Ad),
-		breakers: make(map[string]*breaker),
 		inflight: make(map[string]int),
 	}
 }
@@ -177,12 +158,8 @@ func (s *Shop) SetTelemetry(h *telemetry.Hub) {
 	s.mCreates = h.Counter("shop.creations")
 	s.mCreateFails = h.Counter("shop.create_failures")
 	s.mBidRounds = h.Counter("shop.bid_rounds")
-	s.mDegradedRounds = h.Counter("shop.degraded_bid_rounds")
 	s.mFailovers = h.Counter("shop.failovers")
-	s.mBreakerOpens = h.Counter("shop.breaker_opens")
 	s.mRecoveredRts = h.Counter("shop.recovered_routes")
-	s.gMissingBids = h.Gauge("shop.missing_bids")
-	s.gOpenBreakers = h.Gauge("shop.open_breakers")
 	s.hCreateSecs = h.Histogram("shop.create_secs")
 	s.gInflight = h.Gauge("shop.inflight_creates")
 	s.mCrashes = h.Counter("shop.crashes")
@@ -280,12 +257,11 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	}
 	failure := "every feasible plant failed to create the VM"
 	for len(candidates) > 0 {
-		round := breakerGate(s, p.Now(), candidates, plantKey)
-		// Bidding round: ask each plant in the round for an estimate.
+		// Bidding round: ask each candidate plant for an estimate.
 		s.mBidRounds.Inc()
 		bidSp := sp.Child(p, "shop.bid").
-			SetInt("candidates", int64(len(round)))
-		feasible := s.collectBids(p, round, spec, reqAd, bidSp)
+			SetInt("candidates", int64(len(candidates)))
+		feasible := s.collectBids(p, candidates, spec, reqAd, bidSp)
 		bidSp.SetInt("feasible", int64(len(feasible))).End(p)
 		for _, b := range feasible {
 			rec.Costs[b.h.Name()] = b.c
@@ -307,7 +283,6 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 			// was dispatched) and re-pick from the rest of the round.
 			if !s.dispatchOK(winner) {
 				s.mStaleBids.Inc()
-				s.noteFailure(p.Now(), winner.Name())
 				feasible = withoutBid(feasible, winner)
 				candidates = without(candidates, winner)
 				continue
@@ -328,7 +303,6 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 					return nil, ErrShopDown
 				}
 				s.record(p, true, commitRecord(id, winner.Name()))
-				s.noteSuccess(winner.Name())
 				rec.Winner = winner.Name()
 				s.logBid(rec)
 				if s.CacheAds {
@@ -345,13 +319,12 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 				s.logBid(rec)
 				return nil, s.aborted(p, id, fmt.Errorf("shop %s: plant %s: %w", s.name, winner.Name(), err))
 			}
-			s.noteFailure(p.Now(), winner.Name())
 			feasible = withoutBid(feasible, winner)
 			candidates = without(candidates, winner)
 		}
 		// Every bidder of this round failed transiently; re-bid among
-		// whoever is left (plants that bid infeasible, were skipped by
-		// their breaker, or missed the round's deadline).
+		// whoever is left (plants that bid infeasible or could not be
+		// reached for an estimate).
 	}
 	s.logBid(rec)
 	// No local plant can take the request, or every one that could
@@ -380,29 +353,6 @@ type bid[H bidder] struct {
 	// slots is a plant's advertised admission cap (CloneSlots); 0 when
 	// the bidder doesn't advertise one.
 	slots int
-}
-
-// plantKey is a plant's breaker key: its name. Peers use peerKey.
-func plantKey(name string) string { return name }
-
-// breakerGate is the front of every bidding round: bidders whose breaker
-// is open are skipped — unless that would empty the round, in which
-// case all are probed anyway: availability beats protection once
-// nothing else is left.
-func breakerGate[H bidder](s *Shop, now time.Duration, hs []H, key func(string) string) []H {
-	if s.Breaker.Threshold <= 0 {
-		return hs
-	}
-	var allowed []H
-	for _, h := range hs {
-		if s.breakerFor(key(h.Name())).allow(now) {
-			allowed = append(allowed, h)
-		}
-	}
-	if len(allowed) == 0 {
-		return hs
-	}
-	return allowed
 }
 
 // lowest is the cheapest cost among a round's (non-empty) bids.
@@ -454,107 +404,30 @@ func withoutBid[H bidder](bs []bid[H], drop H) []bid[H] {
 }
 
 // collectBids runs one bidding round over the given plants and returns
-// the feasible bids. With no BidTimeout it asks each plant in turn and
-// waits as long as each takes — the legacy round. With a timeout it
-// asks all plants concurrently and closes the round at the deadline
-// with whatever arrived; responses past the deadline are discarded, a
-// round that would otherwise close empty-handed extends until its
-// first response (quorum ≥ 1), and plants that missed the deadline are
-// charged a breaker failure.
+// the feasible bids. It asks each plant in turn and waits as long as
+// each takes, as the shop daemon does over TCP: a slow bidder delays the
+// round by its stall, and an unreachable one costs its transport's call
+// timeout and is left out of the round.
 func (s *Shop) collectBids(p *sim.Proc, round []PlantHandle, spec *core.Spec, reqAd *classad.Ad, bidSp *telemetry.Span) []bid[PlantHandle] {
-	type answer struct {
-		h   PlantHandle
-		c   core.Cost
-		ad  *classad.Ad
-		err error
-	}
-	answers := make([]answer, 0, len(round))
-	if s.BidTimeout <= 0 {
-		prev := p.SetTrace(bidSp.Context())
-		for _, h := range round {
-			c, plantAd, err := h.Estimate(p, spec)
-			answers = append(answers, answer{h, c, plantAd, err})
-		}
-		p.SetTrace(prev)
-	} else {
-		st := struct {
-			open    bool
-			pending int
-			got     []answer
-		}{open: true, pending: len(round), got: answers}
-		client := p
-		// Captured outside the closures: bid procs are separate processes,
-		// so each installs the bid span's context on itself before asking,
-		// keeping estimate spans (and estimate RPC envelopes) parented
-		// under this round rather than orphaned.
-		bidCtx := bidSp.Context()
-		for _, h := range round {
-			h := h
-			p.Kernel().Spawn("bid/"+h.Name(), func(bp *sim.Proc) {
-				bp.SetTrace(bidCtx)
-				c, plantAd, err := h.Estimate(bp, spec)
-				if !st.open {
-					return // the round closed without us; bid discarded
-				}
-				st.pending--
-				st.got = append(st.got, answer{h, c, plantAd, err})
-				client.WakeUp()
-			})
-		}
-		deadline := p.Now() + s.BidTimeout
-		for st.pending > 0 {
-			if len(st.got) > 0 && p.Now() >= deadline {
-				break
-			}
-			wait := deadline - p.Now()
-			if wait <= 0 {
-				// Past the deadline with nothing in hand: extend in
-				// timeout-sized grace periods until the first response.
-				wait = s.BidTimeout
-			}
-			p.Wait(wait)
-		}
-		st.open = false
-		answers = st.got
-		if st.pending > 0 {
-			// Degraded round: proceed on partial bids; laggards count
-			// as transport failures toward their breakers.
-			s.mDegradedRounds.Inc()
-			bidSp.SetInt("missing", int64(st.pending))
-			answered := make(map[string]bool, len(answers))
-			for _, a := range answers {
-				answered[a.h.Name()] = true
-			}
-			for _, h := range round {
-				if !answered[h.Name()] {
-					s.noteFailure(p.Now(), h.Name())
-				}
-			}
-		}
-		s.gMissingBids.Set(int64(st.pending))
-	}
-
+	prev := p.SetTrace(bidSp.Context())
+	defer p.SetTrace(prev)
 	feasible := make([]bid[PlantHandle], 0, len(round))
-	for _, a := range answers {
-		if a.err != nil {
-			s.noteFailure(p.Now(), a.h.Name())
-			continue
-		}
-		s.noteSuccess(a.h.Name())
-		if !a.c.OK() {
+	for _, h := range round {
+		c, ad, err := h.Estimate(p, spec)
+		if err != nil || !c.OK() {
 			continue
 		}
 		// Classad matchmaking (Raman et al.): the request's
 		// Requirements must accept the plant's resource ad, and the
 		// plant's policy Requirements must accept the request.
-		if a.ad != nil && !classad.Match(reqAd, a.ad) {
+		if ad != nil && !classad.Match(reqAd, ad) {
 			continue
 		}
 		slots := 0
-		if a.ad != nil {
-			slots = int(a.ad.GetInt("CloneSlots", 0))
+		if ad != nil {
+			slots = int(ad.GetInt("CloneSlots", 0))
 		}
-		feasible = append(feasible, bid[PlantHandle]{a.h, a.c, slots})
+		feasible = append(feasible, bid[PlantHandle]{h, c, slots})
 	}
 	return feasible
 }

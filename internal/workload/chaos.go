@@ -6,7 +6,6 @@ import (
 
 	"vmplants/internal/core"
 	"vmplants/internal/fault"
-	"vmplants/internal/shop"
 	"vmplants/internal/sim"
 	"vmplants/internal/stats"
 	"vmplants/internal/telemetry"
@@ -22,8 +21,8 @@ type faultMix struct {
 	// rpcDelayProb stalls a message by rpcDelay without losing it.
 	rpcDelayProb float64
 	rpcDelay     time.Duration
-	// slowBidProb stalls a plant's estimate by slowBidDelay — past the
-	// shop's bid timeout, so the round proceeds without it.
+	// slowBidProb stalls a plant's estimate by slowBidDelay; the round
+	// waits for it, so the creation is late by the stall.
 	slowBidProb  float64
 	slowBidDelay time.Duration
 	// cloneIO fails a clone's state copy, destroying the partial clone.
@@ -62,10 +61,6 @@ func (m faultMix) arm(reg *fault.Registry) {
 	set(fault.PlantCrash, "create", m.crashInCreate, 0)
 }
 
-// bidTimeout bounds each bidding round (virtual time) wherever a
-// scenario needs concurrent rounds to overlap or slow bidders skipped.
-const bidTimeout = time.Second
-
 type chaosParams struct{ requests int }
 
 // chaosResult reports what a chaos run survived.
@@ -75,14 +70,12 @@ type chaosResult struct {
 	Succeeded     int
 	ClientRetries int // request re-submissions after shop-level failure
 	Failovers     int64
-	DegradedBids  int64
-	BreakerOpens  int64
 	PlantCrashes  int64
 	Recoveries    int64
 	restartRoutes int   // routes the killed shop's Restart brought back
 	RoutesRecov   int64 // routes the drain re-learned on demand
 	Injections    map[string]int64
-	Disruptions   int64 // injections that fail a call: drops, clone I/O, crashes, slow bids
+	Disruptions   int64 // injections that fail a call: drops, clone I/O, crashes
 	CreateSecs    stats.Summary
 	OrphanVMs     int // VMs left on plants after every destroy
 	LeakedNets    int // host-only network slots never released
@@ -90,11 +83,10 @@ type chaosResult struct {
 
 // runChaos is the failure-recovery gate: a series of 64 MB creations
 // through 8 plants under the default fault mix must absorb every fault.
-// All requests eventually succeed (shop-side failover and circuit
-// breaking plus bounded client retry), the journal-less shop is killed
-// and restarted with no route left, and destroying everything through
-// routes re-learned on demand leaves zero orphaned VMs and zero leaked
-// host-only networks.
+// All requests eventually succeed (shop-side failover plus bounded
+// client retry), the journal-less shop is killed and restarted with no
+// route left, and destroying everything through routes re-learned on
+// demand leaves zero orphaned VMs and zero leaked host-only networks.
 func runChaos(seed int64, par chaosParams) (*chaosResult, error) {
 	const (
 		memMB         = 64
@@ -106,8 +98,6 @@ func runChaos(seed int64, par chaosParams) (*chaosResult, error) {
 		return nil, err
 	}
 	chaosMix.arm(reg)
-	d.Shop.BidTimeout = bidTimeout
-	d.Shop.Breaker = shop.BreakerConfig{Threshold: 3, Cooldown: 20 * time.Second}
 	for _, h := range d.Handles {
 		h.RestartAfter = 10 * time.Second // the supervisor's crash→restart delay
 	}
@@ -173,17 +163,15 @@ func runChaos(seed int64, par chaosParams) (*chaosResult, error) {
 
 	res.OrphanVMs, res.LeakedNets = residue(d.Plants)
 	res.Failovers = hub.Counter("shop.failovers").Value()
-	res.DegradedBids = hub.Counter("shop.degraded_bid_rounds").Value()
-	res.BreakerOpens = hub.Counter("shop.breaker_opens").Value()
 	res.PlantCrashes = hub.Counter("plant.crashes").Value()
 	res.Recoveries = hub.Counter("plant.recoveries").Value()
 	res.RoutesRecov = hub.Counter("shop.recovered_routes").Value()
 	res.Injections = reg.Counts()
-	res.Disruptions = reg.Total(fault.RPCDrop) + reg.Total(fault.CloneIO) + reg.Total(fault.PlantCrash) + reg.Total(fault.SlowBid)
+	res.Disruptions = reg.Total(fault.RPCDrop) + reg.Total(fault.CloneIO) + reg.Total(fault.PlantCrash)
 
 	res.lines = append(res.lines, reg.Summary()...)
-	res.logf("failovers=%d degraded=%d breaker_opens=%d crashes=%d recoveries=%d orphans=%d leaks=%d",
-		res.Failovers, res.DegradedBids, res.BreakerOpens, res.PlantCrashes, res.Recoveries, res.OrphanVMs, res.LeakedNets)
+	res.logf("failovers=%d crashes=%d recoveries=%d orphans=%d leaks=%d",
+		res.Failovers, res.PlantCrashes, res.Recoveries, res.OrphanVMs, res.LeakedNets)
 	return res, nil
 }
 
@@ -205,8 +193,6 @@ func (r *chaosResult) Report() []string {
 	return append([]string{
 		fmt.Sprintf("client retries:      %d", r.ClientRetries),
 		fmt.Sprintf("shop failovers:      %d", r.Failovers),
-		fmt.Sprintf("degraded bid rounds: %d", r.DegradedBids),
-		fmt.Sprintf("breaker opens:       %d", r.BreakerOpens),
 		fmt.Sprintf("plant crashes:       %d (recoveries %d)", r.PlantCrashes, r.Recoveries),
 		fmt.Sprintf("create latency:      %s", r.CreateSecs),
 	}, injectionReport(r.Injections)...)

@@ -146,7 +146,6 @@ func runBatchPoint(seed int64, size int) (batchPoint, error) {
 	if err != nil {
 		return batchPoint{}, err
 	}
-	d.Shop.BidTimeout = bidTimeout // so concurrent bidding rounds overlap
 
 	specs := make([]*core.Spec, size)
 	for i := range specs {

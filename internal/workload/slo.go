@@ -87,7 +87,6 @@ func runSLO(seed int64, par sloParams) (*sloResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Shop.BidTimeout = bidTimeout
 	installSLOs(hub)
 
 	res := &sloResult{Requests: par.warmBatch + par.chaosRequests}
