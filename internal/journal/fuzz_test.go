@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -43,11 +44,12 @@ func seal(b []byte) []byte {
 	return []byte(fmt.Sprintf("%s #%016x\n", b, h.Sum64()))
 }
 
-// FuzzDecode holds the record codec to two properties: decode never
-// panics, whatever bytes a crash or bit rot left on the volume; and any
+// FuzzDecode holds the record codec to three properties: decode never
+// panics, whatever bytes a crash or bit rot left on the volume; any
 // record decode accepts survives encode → decode unchanged, so replay
-// reads back exactly what was appended. Each input is tried raw and as
-// the body of a correctly checksummed record.
+// reads back exactly what was appended; and the codec's quoting is
+// strconv's, byte for byte and error for error. Each input is tried raw
+// and as the body of a correctly checksummed record.
 func FuzzDecode(f *testing.F) {
 	for _, r := range smokeRecords(f) {
 		line := encode(r)
@@ -56,6 +58,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte(`seq=x kind= key="\" a="unterminated`))
 	f.Fuzz(func(t *testing.T, b []byte) {
+		sameQuoting(t, string(b))
 		for _, line := range [][]byte{b, seal(b)} {
 			r, err := decode(line)
 			if err != nil {
@@ -70,4 +73,20 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameQuoting holds appendQuote and unquote to strconv on s, on its
+// quoted form and on the quoted prefix decode would cut from s.
+func sameQuoting(t *testing.T, s string) {
+	t.Helper()
+	if got, want := appendQuote([]byte("x"), s), strconv.AppendQuote([]byte("x"), s); !bytes.Equal(got, want) {
+		t.Fatalf("appendQuote(%q) = %q, strconv says %q", s, got, want)
+	}
+	for _, q := range []string{s, strconv.Quote(s), quotedPrefix(`"` + s)} {
+		got, err := unquote(q)
+		want, wantErr := strconv.Unquote(q)
+		if got != want || (err == nil) != (wantErr == nil) {
+			t.Fatalf("unquote(%q) = %q, %v; strconv says %q, %v", q, got, err, want, wantErr)
+		}
+	}
 }

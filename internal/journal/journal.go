@@ -230,24 +230,24 @@ func (j *Journal) active() *segment {
 func encode(r Record) []byte {
 	var stack [16]string
 	keys := stack[:0]
-	n := len("seq=18446744073709551615 kind= key=\"\" #0123456789abcdef\n") + len(r.Kind) + len(r.Key)
+	n := len("seq=18446744073709551615 kind= key= #0123456789abcdef\n") + len(r.Kind) + quotedLen(r.Key)
 	for k, v := range r.Fields {
 		keys = append(keys, k)
-		n += len(` =""`) + len(k) + len(v)
+		n += len(" =") + len(k) + quotedLen(v)
 	}
 	slices.Sort(keys)
-	b := make([]byte, 0, n) // exact unless a value needs escaping
+	b := make([]byte, 0, n) // enough unless a value holds a byte outside printable ASCII
 	b = append(b, "seq="...)
 	b = strconv.AppendUint(b, r.Seq, 10)
 	b = append(b, " kind="...)
 	b = append(b, r.Kind...)
 	b = append(b, " key="...)
-	b = strconv.AppendQuote(b, r.Key)
+	b = appendQuote(b, r.Key)
 	for _, k := range keys {
 		b = append(b, ' ')
 		b = append(b, k...)
 		b = append(b, '=')
-		b = strconv.AppendQuote(b, r.Fields[k])
+		b = appendQuote(b, r.Fields[k])
 	}
 	sum := fnv64a(b)
 	b = append(b, " #"...)
@@ -294,12 +294,13 @@ func decode(b []byte) (Record, error) {
 		var v string
 		quoted := strings.HasPrefix(rest, `"`)
 		if quoted {
+			q := quotedPrefix(rest)
 			var err error
-			v, err = strconv.Unquote(quotedPrefix(rest))
+			v, err = unquote(q)
 			if err != nil {
 				return Record{}, fmt.Errorf("journal: bad quoted value: %w", err)
 			}
-			rest = rest[len(quotedPrefix(rest)):]
+			rest = rest[len(q):]
 		} else {
 			sp := strings.Index(rest, " ")
 			if sp < 0 {

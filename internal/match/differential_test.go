@@ -319,6 +319,14 @@ func FuzzEvaluate(f *testing.F) {
 		if ok != wantOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v\nhistory %v\n got %v %+v\nwant %v %+v", g, hist, ok, got, wantOK, want)
 		}
+		// Any over every suffix of the candidates, so the first that
+		// passes sits anywhere in the list or nowhere.
+		for i := range cands {
+			_, _, wantOK := oracleBest(hw(64, 1024), g, cands[i:])
+			if Any(hw(64, 1024), g, cands[i:]) != wantOK {
+				t.Fatalf("%v\nhistory %v\nAny over candidates %d.. = %v, oracle says %v", g, hist, i, !wantOK, wantOK)
+			}
+		}
 	})
 }
 

@@ -264,6 +264,25 @@ func Best(spec core.HardwareSpec, g *dag.Graph, cands []Candidate) (Ranked, bool
 	return Ranked{Candidate: c, Result: result(ix, have, bound)}, true
 }
 
+// Any reports whether some candidate passes every test: Best's boolean,
+// found by stopping at the first candidate that passes. It builds no
+// Result, so it allocates only when the request or a history outgrows
+// the scratch arrays.
+func Any(spec core.HardwareSpec, g *dag.Graph, cands []Candidate) bool {
+	ix := g.Index()
+	var s scratch
+	for i := range cands {
+		c := &cands[i]
+		if !c.Hardware.Satisfies(spec) {
+			continue
+		}
+		if _, _, m := test(ix, c.keys(), &s); m.failed == "" {
+			return true
+		}
+	}
+	return false
+}
+
 // keys is Keys when the warehouse filled it, and derived otherwise.
 func (c *Candidate) keys() []string {
 	if len(c.Keys) != len(c.Performed) {

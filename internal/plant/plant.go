@@ -356,7 +356,10 @@ func (pl *Plant) Estimate(p *sim.Proc, spec *core.Spec) core.Cost {
 	if pl.Draining() {
 		return core.Infeasible
 	}
-	if _, err := pl.plan(spec); err != nil {
+	// The bid's price never reads the plan, so it asks only whether one
+	// exists.
+	cands, err := pl.candidates(spec)
+	if err != nil || !match.Any(spec.Hardware, spec.Graph, cands) {
 		return core.Infeasible
 	}
 	return pl.cfg.CostModel.Estimate(pl.view(spec.Domain), spec.Hardware.MemoryMB)
@@ -364,9 +367,23 @@ func (pl *Plant) Estimate(p *sim.Proc, spec *core.Spec) core.Cost {
 
 // plan runs warehouse matching for a spec without side effects.
 func (pl *Plant) plan(spec *core.Spec) (match.Ranked, error) {
-	backend, err := pl.backends.Get(spec.Backend)
+	cands, err := pl.candidates(spec)
 	if err != nil {
 		return match.Ranked{}, err
+	}
+	best, ok := match.Best(spec.Hardware, spec.Graph, cands)
+	if !ok {
+		return match.Ranked{}, fmt.Errorf("plant %s: no golden machine matches the request", pl.name)
+	}
+	return best, nil
+}
+
+// candidates is the golden images the spec's backend may clone, less
+// those the ablations' matching rules set aside.
+func (pl *Plant) candidates(spec *core.Spec) ([]match.Candidate, error) {
+	backend, err := pl.backends.Get(spec.Backend)
+	if err != nil {
+		return nil, err
 	}
 	cands := pl.wh.Candidates(backend.Name())
 	if pl.cfg.DisablePartialMatch {
@@ -391,11 +408,7 @@ func (pl *Plant) plan(spec *core.Spec) (match.Ranked, error) {
 		}
 		cands = usable
 	}
-	best, ok := match.Best(spec.Hardware, spec.Graph, cands)
-	if !ok {
-		return match.Ranked{}, fmt.Errorf("plant %s: no golden machine matches the request", pl.name)
-	}
-	return best, nil
+	return cands, nil
 }
 
 // Create is the PPP's production order (Figure 2): match, clone,

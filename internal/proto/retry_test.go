@@ -3,6 +3,7 @@ package proto
 import (
 	"errors"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -213,5 +214,46 @@ func TestTimeoutResetClearsStaleDeadline(t *testing.T) {
 	c.Timeout = 0
 	if _, err := c.Call(ping()); err != nil {
 		t.Fatalf("call with Timeout reset to 0 failed on a stale deadline: %v", err)
+	}
+}
+
+// TestRetrySpans pins the call span's shape: a call answered on its
+// first try records one span and no attempt spans; a call retried twice
+// records its three tries as attempts 1, 2 and 3 under the call span.
+func TestRetrySpans(t *testing.T) {
+	for _, tc := range []struct {
+		drops    int64
+		attempts []string
+	}{
+		{0, nil},
+		{2, []string{"1", "2", "3"}},
+	} {
+		l, _ := flakyServer(t, tc.drops)
+		c, err := Dial(l.Addr().String(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Retry = RetryPolicy{Attempts: 4, BaseBackoff: time.Millisecond}
+		hub := telemetry.New()
+		c.SetTelemetry(hub)
+		if _, err := c.Call(ping()); err != nil {
+			t.Fatalf("%d dropped: %v", tc.drops, err)
+		}
+		c.Close()
+		spans := hub.T().Spans()
+		call := spans[len(spans)-1]
+		if call.Name != "rpc.ping-request" || call.Parent != 0 {
+			t.Fatalf("%d dropped: last span %q under %d, want the root rpc.ping-request", tc.drops, call.Name, call.Parent)
+		}
+		var attempts []string
+		for _, s := range spans[:len(spans)-1] {
+			if s.Name != "rpc.attempt" || s.Parent != call.ID {
+				t.Errorf("%d dropped: span %q under %d, want rpc.attempt under %d", tc.drops, s.Name, s.Parent, call.ID)
+			}
+			attempts = append(attempts, s.Attr("attempt"))
+		}
+		if !slices.Equal(attempts, tc.attempts) {
+			t.Errorf("%d dropped: attempts %v, want %v", tc.drops, attempts, tc.attempts)
+		}
 	}
 }

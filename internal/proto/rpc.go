@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -111,14 +112,33 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // SetTelemetry wires the client's RPC instruments: call and error
 // counters ("proto.rpc_calls", "proto.rpc_errors"), the wall-clock
 // round-trip histogram ("proto.rpc_secs"), and the tracer per-call
-// "rpc.<kind>" spans (with one "rpc.attempt" child per try) are
-// recorded into. Passing nil detaches them.
+// "rpc.<kind>" spans are recorded into. A retried call's span gets one
+// "rpc.attempt" child per try, the first included; a call that
+// succeeds or fails for good on its first try records none. Passing nil
+// detaches them.
 func (c *Client) SetTelemetry(h *telemetry.Hub) {
 	c.mCalls = h.Counter("proto.rpc_calls")
 	c.mErrors = h.Counter("proto.rpc_errors")
 	c.mRetries = h.Counter("proto.rpc_retries")
 	c.hSecs = h.Histogram("proto.rpc_secs")
 	c.tracer = h.T()
+}
+
+// spanNames holds each kind's call span name, in bodyNames order.
+var spanNames = func() []string {
+	names := make([]string, len(bodyNames))
+	for i, k := range bodyNames {
+		names[i] = "rpc." + k
+	}
+	return names
+}()
+
+// spanName names the call span of a request of kind k.
+func spanName(k Kind) string {
+	if i := slices.Index(bodyNames, string(k)); i >= 0 {
+		return spanNames[i]
+	}
+	return "rpc." + string(k)
 }
 
 // RemoteAddr reports the peer's address ("" when unknown).
@@ -158,14 +178,21 @@ func (c *Client) call(m *Message) (*Message, error) {
 	// disabled path stays allocation-free.
 	var sp *telemetry.Span
 	if c.tracer != nil {
-		sp = c.tracer.StartCtx(nil, "rpc."+string(m.Kind),
+		sp = c.tracer.StartCtx(nil, spanName(m.Kind),
 			telemetry.SpanContext{TraceID: m.TraceID, Span: m.ParentSpan}).
 			Set("addr", c.addrLabel())
 	}
-	resp, err := c.tracedAttempt(sp, m, 1, 0, false)
+	resp, err := c.attempt(m)
 	if err == nil || !c.shouldRetry(m.Kind, err) {
 		sp.EndErr(nil, err)
 		return resp, err
+	}
+	// The call is retried: its first try becomes an attempt span too,
+	// so the tree lists every try.
+	if sp != nil {
+		at := sp.Child(nil, "rpc.attempt").SetInt("attempt", 1)
+		at.WStart = start
+		at.EndErr(nil, err)
 	}
 	for retry := 1; retry < c.Retry.Attempts; retry++ {
 		c.mRetries.Inc()
@@ -185,7 +212,7 @@ func (c *Client) call(m *Message) (*Message, error) {
 		c.conn.Close()
 		c.conn = conn
 		c.in = frameReader{r: conn, buf: c.in.buf}
-		resp, err = c.tracedAttempt(sp, m, retry+1, backoff, true)
+		resp, err = c.tracedAttempt(sp, m, retry+1, backoff)
 		if err == nil || !c.shouldRetry(m.Kind, err) {
 			sp.EndErr(nil, err)
 			return resp, err
@@ -195,20 +222,18 @@ func (c *Client) call(m *Message) (*Message, error) {
 	return resp, err
 }
 
-// tracedAttempt runs one attempt under a per-attempt child span so a
+// tracedAttempt runs one retry under a per-attempt child span so a
 // retried RPC decomposes into its tries — attempt number, the backoff
-// that preceded it, and whether the connection was re-dialed — instead
-// of reading as one opaque call.
-func (c *Client) tracedAttempt(sp *telemetry.Span, m *Message, n int, backoff time.Duration, redialed bool) (*Message, error) {
+// that preceded it, and the redial before it — instead of reading as
+// one opaque call.
+func (c *Client) tracedAttempt(sp *telemetry.Span, m *Message, n int, backoff time.Duration) (*Message, error) {
 	var at *telemetry.Span
 	if sp != nil {
 		at = sp.Child(nil, "rpc.attempt").SetInt("attempt", int64(n))
 		if backoff > 0 {
 			at.Set("backoff", backoff.String())
 		}
-		if redialed {
-			at.Set("redial", "true")
-		}
+		at.Set("redial", "true")
 	}
 	resp, err := c.attempt(m)
 	at.EndErr(nil, err)

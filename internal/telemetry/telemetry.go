@@ -13,6 +13,7 @@ package telemetry
 
 import (
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -45,11 +46,21 @@ type Span struct {
 	WStart time.Time     // wall clock at start
 	WEnd   time.Time     // wall clock at end
 
+	// Attrs points into inline while the span has at most
+	// inlineAttrs annotations; a further one spills to the heap.
 	Attrs []Attr
 	Err   string // non-empty when the operation failed
 
-	tr *Tracer
+	tr     *Tracer
+	inline [inlineAttrs]Attr
 }
+
+// inlineAttrs is how many annotations a span holds without allocating:
+// nearly every span the control plane records carries one to three.
+const inlineAttrs = 3
+
+// spanSlab is how many spans Start carves from one allocation.
+const spanSlab = 32
 
 // Virtual reports the span's virtual-time duration.
 func (s Span) Virtual() time.Duration { return s.VEnd - s.VStart }
@@ -100,6 +111,7 @@ type Tracer struct {
 	nextID uint64
 	idBase uint64
 	ring   Ring[*Span]
+	slab   []Span // spans not yet handed out by Start
 }
 
 // NewTracer returns a tracer keeping the most recent limit finished
@@ -142,15 +154,25 @@ func (t *Tracer) Start(c Clock, name string) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{Name: name, WStart: time.Now(), tr: t}
+	var vstart time.Duration
 	if c != nil {
-		s.VStart = c.Now()
+		vstart = c.Now()
 	}
+	wstart := time.Now()
 	t.mu.Lock()
+	if len(t.slab) == 0 {
+		t.slab = make([]Span, spanSlab)
+	}
+	s := &t.slab[0]
+	t.slab = t.slab[1:]
 	t.nextID++
 	s.ID = t.idBase + t.nextID
 	t.mu.Unlock()
 	s.TraceID = s.ID
+	s.Name = name
+	s.VStart = vstart
+	s.WStart = wstart
+	s.tr = t
 	return s
 }
 
@@ -186,8 +208,17 @@ func (s *Span) Set(key, value string) *Span {
 	if s == nil {
 		return nil
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
+	s.Attrs = append(s.spare(), Attr{Key: key, Value: value})
 	return s
+}
+
+// spare is Attrs ready to append to: the inline array while the span
+// has no annotation yet.
+func (s *Span) spare() []Attr {
+	if s.Attrs == nil {
+		return s.inline[:0]
+	}
+	return s.Attrs
 }
 
 // SetInt annotates the span with an integer value.
@@ -233,7 +264,9 @@ func (s *Span) RecordChild(name string, vstart, vend time.Duration, err error, a
 	cs.VEnd = vend
 	cs.WStart = now
 	cs.WEnd = now
-	cs.Attrs = append(cs.Attrs, attrs...)
+	if len(attrs) > 0 {
+		cs.Attrs = append(cs.spare(), attrs...)
+	}
 	if err != nil {
 		cs.Err = err.Error()
 	}
@@ -247,7 +280,9 @@ func (t *Tracer) record(s *Span) {
 	t.mu.Unlock()
 }
 
-// Spans returns the finished spans, oldest first, as value copies.
+// Spans returns the finished spans, oldest first, as value copies. A
+// copy's Attrs is clipped to its length, so appending to it never
+// writes into the span the ring holds.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
@@ -257,6 +292,7 @@ func (t *Tracer) Spans() []Span {
 	out := make([]Span, t.ring.Len())
 	for i := range out {
 		out[i] = *t.ring.At(i)
+		out[i].Attrs = slices.Clip(out[i].Attrs)
 	}
 	return out
 }

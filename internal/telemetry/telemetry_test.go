@@ -85,6 +85,68 @@ func TestTracerRingEviction(t *testing.T) {
 	}
 }
 
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
+// TestSpanAllocatesNothing pins the enabled tracer's steady state: a
+// span with three annotations keeps them inline, is carved from a slab
+// of spanSlab, and evicts into a full ring, so it costs no allocation
+// of its own.
+func TestSpanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the measured path")
+	}
+	tr := NewTracer(64)
+	c := &fakeClock{}
+	span := func() {
+		tr.Start(c, "op").Set("a", "1").Set("b", "2").Set("c", "3").End(c)
+	}
+	for i := 0; i < 64; i++ {
+		span()
+	}
+	if got := testing.AllocsPerRun(10*spanSlab, span); got != 0 {
+		t.Errorf("a span with three annotations: %v allocations, want 0", got)
+	}
+	s := tr.Spans()[0]
+	if len(s.Attrs) != 3 || s.Attr("c") != "3" {
+		t.Errorf("attrs = %v", s.Attrs)
+	}
+}
+
+// TestSpanSpillsPastInlineAttrs checks a fourth annotation keeps the
+// first three.
+func TestSpanSpillsPastInlineAttrs(t *testing.T) {
+	tr := NewTracer(0)
+	sp := tr.Start(nil, "op")
+	for i := 0; i < inlineAttrs+2; i++ {
+		sp.SetInt(fmt.Sprint("k", i), int64(i))
+	}
+	sp.End(nil)
+	s := tr.Spans()[0]
+	for i := 0; i < inlineAttrs+2; i++ {
+		if got := s.Attr(fmt.Sprint("k", i)); got != fmt.Sprint(i) {
+			t.Errorf("k%d = %q, want %d", i, got, i)
+		}
+	}
+}
+
+// TestSpansCopiesOwnTheirAppends appends to one copy Spans returned,
+// reads the ring again, and appends to that copy: neither append may
+// reach the span the ring holds or the other copy.
+func TestSpansCopiesOwnTheirAppends(t *testing.T) {
+	tr := NewTracer(0)
+	tr.Start(nil, "op").Set("a", "1").Set("b", "2").End(nil)
+	first := append(tr.Spans()[0].Attrs, Attr{Key: "x", Value: "first"})
+	again := tr.Spans()[0].Attrs
+	if len(again) != 2 {
+		t.Fatalf("ring span's attrs after an append to a copy: %v, want a and b only", again)
+	}
+	_ = append(again, Attr{Key: "x", Value: "again"})
+	if got := first[2].Value; got != "first" {
+		t.Errorf("first copy's appended attr = %q after appending to a second copy, want first", got)
+	}
+}
+
 // TestNoopTracerZeroAlloc is the issue's zero-allocation requirement:
 // a disabled (nil) tracer must cost nothing on the instrumented path.
 func TestNoopTracerZeroAlloc(t *testing.T) {

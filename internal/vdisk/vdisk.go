@@ -23,7 +23,6 @@
 package vdisk
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -122,8 +121,21 @@ func (im *Image) Populate(blockIdx int64, data []byte) error {
 	if err := im.checkBlock(blockIdx, data); err != nil {
 		return err
 	}
-	im.blocks[blockIdx] = append([]byte(nil), bytes.TrimRight(data, "\x00")...)
+	im.blocks[blockIdx] = append([]byte(nil), trimZeros(data)...)
 	return nil
+}
+
+// trimZeros is bytes.TrimRight(b, "\x00"), comparing the tail eight
+// bytes at a time.
+func trimZeros(b []byte) []byte {
+	n := len(b)
+	for n >= 8 && binary.LittleEndian.Uint64(b[n-8:n]) == 0 {
+		n -= 8
+	}
+	for n > 0 && b[n-1] == 0 {
+		n--
+	}
+	return b[:n]
 }
 
 func (im *Image) checkIndex(blockIdx int64) error {
@@ -230,7 +242,7 @@ func (d *Disk) WriteBlock(blockIdx int64, data []byte) error {
 	if t.frozen {
 		return fmt.Errorf("vdisk: disk %q top layer %q is frozen", d.name, t.name)
 	}
-	t.blocks[blockIdx] = append([]byte(nil), bytes.TrimRight(data, "\x00")...)
+	t.blocks[blockIdx] = append([]byte(nil), trimZeros(data)...)
 	return nil
 }
 

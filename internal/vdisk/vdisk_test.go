@@ -294,3 +294,35 @@ func TestReadYourWritesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTrimZerosMatchesTrimRight checks the word-at-a-time trim against
+// bytes.TrimRight on blocks whose zero tail ends on and off a word
+// boundary, with zeros inside the kept part too, and through a write:
+// the stored bytes are the trimmed ones.
+func TestTrimZerosMatchesTrimRight(t *testing.T) {
+	for _, tail := range []int{0, 1, 7, 8, 9, 4095, 4096} {
+		b := make([]byte, BlockSize)
+		for i := 0; i < BlockSize-tail; i++ {
+			if i%5 != 0 {
+				b[i] = byte(i)
+			}
+		}
+		if tail < BlockSize {
+			b[BlockSize-tail-1] = 0xff
+		}
+		want := bytes.TrimRight(b, "\x00")
+		if got := trimZeros(b); !bytes.Equal(got, want) || len(got) != BlockSize-tail {
+			t.Errorf("tail %d: trimmed to %d bytes, want %d", tail, len(got), len(want))
+		}
+		d := newTestDisk(t, 1)
+		if err := d.WriteBlock(3, b); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.top().blocks[3]; !bytes.Equal(got, want) {
+			t.Errorf("tail %d: stored %d bytes, want %d", tail, len(got), len(want))
+		}
+		if got, _ := d.ReadBlock(3); !bytes.Equal(got, b) {
+			t.Errorf("tail %d: read back differs from the write", tail)
+		}
+	}
+}
