@@ -296,7 +296,7 @@ func decode(b []byte) (Record, error) {
 		if quoted {
 			q := quotedPrefix(rest)
 			var err error
-			v, err = unquote(q)
+			v, err = strconv.Unquote(q)
 			if err != nil {
 				return Record{}, fmt.Errorf("journal: bad quoted value: %w", err)
 			}

@@ -42,35 +42,3 @@ func appendQuote(b []byte, s string) []byte {
 	}
 	return append(b, '"')
 }
-
-// unquote is strconv.Unquote for a double-quoted q, result and error
-// alike. A string of printable ASCII whose only escapes are \" and \\
-// is read here; anything else goes to strconv.
-func unquote(q string) (string, error) {
-	if len(q) < 2 || q[0] != '"' || q[len(q)-1] != '"' {
-		return strconv.Unquote(q)
-	}
-	s := q[1 : len(q)-1]
-	i := 0
-	for i < len(s) && plain[s[i]] {
-		i++
-	}
-	if i == len(s) {
-		return s, nil
-	}
-	var b strings.Builder
-	b.Grow(len(s) - 1)
-	for {
-		b.WriteString(s[:i])
-		if i == len(s) {
-			return b.String(), nil
-		}
-		if s[i] != '\\' || i+1 == len(s) || (s[i+1] != '"' && s[i+1] != '\\') {
-			return strconv.Unquote(q)
-		}
-		b.WriteByte(s[i+1])
-		s = s[i+2:]
-		for i = 0; i < len(s) && plain[s[i]]; i++ {
-		}
-	}
-}

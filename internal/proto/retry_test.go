@@ -219,7 +219,7 @@ func TestTimeoutResetClearsStaleDeadline(t *testing.T) {
 
 // TestRetrySpans pins the call span's shape: a call answered on its
 // first try records one span and no attempt spans; a call retried twice
-// records its three tries as attempts 1, 2 and 3 under the call span.
+// records its three tries as attempts 1, 2 and 3 inside the call span.
 func TestRetrySpans(t *testing.T) {
 	for _, tc := range []struct {
 		drops    int64
@@ -249,6 +249,9 @@ func TestRetrySpans(t *testing.T) {
 		for _, s := range spans[:len(spans)-1] {
 			if s.Name != "rpc.attempt" || s.Parent != call.ID {
 				t.Errorf("%d dropped: span %q under %d, want rpc.attempt under %d", tc.drops, s.Name, s.Parent, call.ID)
+			}
+			if s.WStart.Before(call.WStart) || s.WEnd.After(call.WEnd) {
+				t.Errorf("%d dropped: attempt %s runs %v–%v, outside its call's %v–%v", tc.drops, s.Attr("attempt"), s.WStart, s.WEnd, call.WStart, call.WEnd)
 			}
 			attempts = append(attempts, s.Attr("attempt"))
 		}

@@ -191,7 +191,7 @@ func (c *Client) call(m *Message) (*Message, error) {
 	// so the tree lists every try.
 	if sp != nil {
 		at := sp.Child(nil, "rpc.attempt").SetInt("attempt", 1)
-		at.WStart = start
+		at.WStart = sp.WStart
 		at.EndErr(nil, err)
 	}
 	for retry := 1; retry < c.Retry.Attempts; retry++ {
