@@ -269,7 +269,7 @@ func TestPeerTransportsAgree(t *testing.T) {
 	local := func(t *testing.T) transcript {
 		d, b, pl := newCellB(t)
 		run := on(t, d.Runner)
-		return peerScript(t, shop.NewLocalPeerHandle(b, nil), b, pl, side{run, run})
+		return peerScript(t, shop.NewLocalPeerHandle(b), b, pl, side{run, run})
 	}
 	wire := func(t *testing.T) transcript {
 		d, b, pl := newCellB(t)

@@ -23,7 +23,6 @@ import (
 	"vmplants/internal/classad"
 	"vmplants/internal/core"
 	"vmplants/internal/journal"
-	"vmplants/internal/registry"
 	"vmplants/internal/shop/ledger"
 	"vmplants/internal/sim"
 )
@@ -59,18 +58,15 @@ type PeerHandle interface {
 	Lifecycle(p *sim.Proc, id core.VMID, op string) error
 }
 
-// ErrPeerDown marks an unreachable peer shop (lease lapsed, daemon
-// dead, or transport failure) — the transient class of peer errors, so
-// the peer auction fails over instead of reporting it to the client.
+// ErrPeerDown marks an unreachable peer shop (daemon dead or transport
+// failure) — the transient class of peer errors, so the peer auction
+// fails over instead of reporting it to the client.
 var ErrPeerDown = errors.New("shop: peer shop unreachable")
 
 // SetPeers wires the shop's peer cells for hierarchical bidding.
 func (s *Shop) SetPeers(peers []PeerHandle) {
 	s.peers = append([]PeerHandle(nil), peers...)
 }
-
-// Peers returns the wired peer handles.
-func (s *Shop) Peers() []PeerHandle { return append([]PeerHandle(nil), s.peers...) }
 
 // peerByName finds a wired peer handle (nil when the cell is not wired
 // into this incarnation).
@@ -270,10 +266,6 @@ func (s *Shop) Federation() FederationStatus {
 	return st
 }
 
-// Service is the registry service type a shop cell publishes itself
-// under; peers check for a live lease there before every call.
-const Service = "vmshop"
-
 // ShopEnd is a shop's end of the protocol as another cell — or a
 // client on the wire — meets it, with no transport in front: each
 // operation run on the shop and its outcome put into one of the
@@ -352,36 +344,22 @@ func (e ShopEnd) Lifecycle(p *sim.Proc, id core.VMID, op string) error {
 
 // LocalPeerHandle is the simulated transport in front of an in-process
 // peer's ShopEnd under the same kernel: it charges a cross-cell message
-// latency and checks the peer's registry lease before every call — a
-// peer whose lease has lapsed is authoritatively gone, so the call fails
-// immediately instead of burning a timeout, and a vanished peer can
-// never stall a bid round.
+// latency, and a peer whose daemon is down costs the caller one call
+// timeout, as service.RemotePeer's does over TCP.
 // It decides no outcome itself.
 type LocalPeerHandle struct {
 	ShopEnd
-	// Registry, when set, is consulted for a live Service lease under
-	// the peer's name before every call.
-	Registry *registry.Registry
 }
 
 // NewLocalPeerHandle wraps a peer shop.
-func NewLocalPeerHandle(target *Shop, reg *registry.Registry) *LocalPeerHandle {
-	return &LocalPeerHandle{ShopEnd: ShopEnd{target}, Registry: reg}
+func NewLocalPeerHandle(target *Shop) *LocalPeerHandle {
+	return &LocalPeerHandle{ShopEnd{target}}
 }
 
 func (h *LocalPeerHandle) roundTrip(p *sim.Proc) error {
-	name := h.Shop.Name()
-	if h.Registry != nil {
-		if _, err := h.Registry.Bind(Service, name); err != nil {
-			// Fail fast: an expired lease means the cell withdrew (or
-			// stopped heartbeating); no timeout is owed for a peer the
-			// directory already says is gone.
-			return fmt.Errorf("%w: %s: no live registry lease", ErrPeerDown, name)
-		}
-	}
 	if h.Shop.Down() {
 		callTimeout(p)
-		return fmt.Errorf("%w: %s: daemon not running", ErrPeerDown, name)
+		return fmt.Errorf("%w: %s: daemon not running", ErrPeerDown, h.Shop.Name())
 	}
 	p.Sleep(sim.Seconds(2 * peerMsgLatency))
 	return nil

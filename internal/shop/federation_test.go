@@ -11,9 +11,9 @@ import (
 	"vmplants/internal/dag"
 	"vmplants/internal/journal"
 	"vmplants/internal/plant"
-	"vmplants/internal/registry"
 	"vmplants/internal/sim"
 	"vmplants/internal/storage"
+	"vmplants/internal/telemetry"
 	"vmplants/internal/warehouse"
 )
 
@@ -45,11 +45,6 @@ func newCell(t *testing.T, k *sim.Kernel, name string, nPlants int, seed int64, 
 	return New(name, phs, seed+1), wh
 }
 
-// simClock wires a registry to the kernel's virtual time.
-func simClock(k *sim.Kernel, r *registry.Registry) {
-	r.Now = func() time.Time { return time.Unix(0, 0).Add(k.Now()) }
-}
-
 func runKernel(t *testing.T, k *sim.Kernel, body func(p *sim.Proc)) {
 	t.Helper()
 	k.Spawn("client", body)
@@ -63,16 +58,9 @@ func runKernel(t *testing.T, k *sim.Kernel, body func(p *sim.Proc)) {
 // its peer cell; the cross-cell route then serves Query and Destroy.
 func TestForwardWhenLocalFull(t *testing.T) {
 	k := sim.NewKernel()
-	reg := registry.New()
-	simClock(k, reg)
 	a, _ := newCell(t, k, "cellA", 1, 11, plant.Config{MaxVMs: 1})
 	b, _ := newCell(t, k, "cellB", 1, 23, plant.Config{MaxVMs: 1})
-	for _, name := range []string{"cellA", "cellB"} {
-		if err := reg.Publish(registry.Binding{Service: "vmshop", Name: name, Addr: name}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.SetPeers([]PeerHandle{NewLocalPeerHandle(b, reg)})
+	a.SetPeers([]PeerHandle{NewLocalPeerHandle(b)})
 	runKernel(t, k, func(p *sim.Proc) {
 		if _, _, err := a.Create(p, wsSpec(t, "ivan", "ufl.edu")); err != nil {
 			t.Fatalf("local create: %v", err)
@@ -100,42 +88,35 @@ func TestForwardWhenLocalFull(t *testing.T) {
 	})
 }
 
-// A peer whose registry lease lapsed mid-auction is authoritatively
-// gone: the bid round fails fast instead of hanging on a call timeout,
-// and a re-published lease brings the peer back into the next round.
-func TestPeerLeaseLapseFailsFastAndRepublishRecovers(t *testing.T) {
+// A dead peer cell is reached the way a dead shop daemon is over TCP:
+// the overflow's peer round pays exactly one call timeout to learn it
+// is down and the creation fails; once the peer restarts, the next
+// overflow is forwarded to it.
+func TestDeadPeerCostsOneCallTimeoutAndRestartRecovers(t *testing.T) {
 	k := sim.NewKernel()
-	reg := registry.New()
-	simClock(k, reg)
 	a, _ := newCell(t, k, "cellA", 1, 11, plant.Config{MaxVMs: 1})
 	b, _ := newCell(t, k, "cellB", 1, 23, plant.Config{MaxVMs: 1})
-	if err := reg.Publish(registry.Binding{Service: "vmshop", Name: "cellB", Addr: "cellB"}, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	a.SetPeers([]PeerHandle{NewLocalPeerHandle(b, reg)})
+	a.SetPeers([]PeerHandle{NewLocalPeerHandle(b)})
+	hub := telemetry.New()
+	a.SetTelemetry(hub)
 	runKernel(t, k, func(p *sim.Proc) {
 		if _, _, err := a.Create(p, wsSpec(t, "ivan", "ufl.edu")); err != nil {
 			t.Fatalf("local create: %v", err)
 		}
-		p.Sleep(6 * time.Second) // cellB's lease lapses (no heartbeat)
-		start := p.Now()
+		b.Kill()
 		if _, _, err := a.Create(p, wsSpec(t, "ana", "ufl.edu")); err == nil {
-			t.Fatal("create served via a peer whose lease had lapsed")
+			t.Fatal("overflow create served via a dead peer")
 		}
-		// The peer daemon is actually alive — only the lease lapsed — so
-		// a success here would mean the lease check is skipped, and a
-		// slow failure would mean the round burned the 1 s call timeout
-		// on a peer the directory already said was gone.
-		if waited := p.Now() - start; waited > 500*time.Millisecond {
-			t.Errorf("vanished peer stalled the bid round for %v", waited)
+		fwd := only(t, hub, "shop.forward")
+		if got, want := fwd.VEnd-fwd.VStart, sim.Seconds(callTimeoutSecs); got != want {
+			t.Errorf("peer round against a dead peer took %v, want one call timeout %v", got, want)
 		}
-		// The heartbeat resumes: a fresh lease restores forwarding.
-		if err := reg.Publish(registry.Binding{Service: "vmshop", Name: "cellB", Addr: "cellB"}, 5*time.Second); err != nil {
+		if _, err := b.Restart(p); err != nil {
 			t.Fatal(err)
 		}
 		id, _, err := a.Create(p, wsSpec(t, "olga", "ufl.edu"))
 		if err != nil {
-			t.Fatalf("create after re-publish: %v", err)
+			t.Fatalf("overflow create after the peer restarted: %v", err)
 		}
 		if peer, _, ok := a.ForwardedTo(id); !ok || peer != "cellB" {
 			t.Errorf("ForwardedTo = %q %v, want cellB", peer, ok)
@@ -151,14 +132,9 @@ func TestPeerLeaseLapseFailsFastAndRepublishRecovers(t *testing.T) {
 // endpoint field at all and must keep replaying as plant routes.
 func TestRouteChangeReplayHonorsEndpointKind(t *testing.T) {
 	k := sim.NewKernel()
-	reg := registry.New()
-	simClock(k, reg)
 	a, _ := newCell(t, k, "cellA", 1, 11, plant.Config{MaxVMs: 4})
 	b, _ := newCell(t, k, "cellB", 1, 23, plant.Config{MaxVMs: 4})
-	if err := reg.Publish(registry.Binding{Service: "vmshop", Name: "cellB", Addr: "cellB"}, 0); err != nil {
-		t.Fatal(err)
-	}
-	a.SetPeers([]PeerHandle{NewLocalPeerHandle(b, reg)})
+	a.SetPeers([]PeerHandle{NewLocalPeerHandle(b)})
 	vol := storage.NewVolume("cellA-log",
 		storage.NewDevice("cellA-log-disk", 16<<20, 100*time.Microsecond))
 	jnl := journal.Open(vol, "journal/cellA")

@@ -11,7 +11,6 @@ import (
 	"vmplants/internal/fault"
 	"vmplants/internal/journal"
 	"vmplants/internal/plant"
-	"vmplants/internal/registry"
 	"vmplants/internal/sim"
 	"vmplants/internal/storage"
 	"vmplants/internal/telemetry"
@@ -196,16 +195,9 @@ func TestSpanTreeCarriesTheLifecycle(t *testing.T) {
 
 	t.Run("peer created", func(t *testing.T) {
 		k := sim.NewKernel()
-		reg := registry.New()
-		simClock(k, reg)
 		a, _ := newCell(t, k, "cellA", 1, 11, plant.Config{MaxVMs: 1})
 		b, _ := newCell(t, k, "cellB", 1, 23, plant.Config{MaxVMs: 1})
-		for _, name := range []string{"cellA", "cellB"} {
-			if err := reg.Publish(registry.Binding{Service: "vmshop", Name: name, Addr: name}, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		a.SetPeers([]PeerHandle{NewLocalPeerHandle(b, reg)})
+		a.SetPeers([]PeerHandle{NewLocalPeerHandle(b)})
 		hub := telemetry.New()
 		a.SetTelemetry(hub)
 		var id core.VMID

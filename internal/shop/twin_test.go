@@ -12,7 +12,6 @@ import (
 	"vmplants/internal/fault"
 	"vmplants/internal/journal"
 	"vmplants/internal/plant"
-	"vmplants/internal/registry"
 	"vmplants/internal/shop/ledger"
 	"vmplants/internal/sim"
 	"vmplants/internal/storage"
@@ -107,16 +106,11 @@ func TestReplayTwin(t *testing.T) {
 
 func runTwin(t *testing.T, seed int64, ran *[nTwinOps]atomic.Int64) {
 	k := sim.NewKernel()
-	reg := registry.New()
-	simClock(k, reg)
 	tw := &twin{t: t, seed: seed, rng: sim.NewRNG(seed), live: map[core.VMID]string{}}
 	tw.a, _ = newCell(t, k, "cellA", 3, 11+seed, plant.Config{MaxVMs: 32})
 	tw.b, _ = newCell(t, k, "cellB", 1, 23+seed, plant.Config{MaxVMs: 32})
 	tw.aPlants, tw.bPlants = tw.a.Plants(), tw.b.Plants()
-	if err := reg.Publish(registry.Binding{Service: "vmshop", Name: "cellB", Addr: "cellB"}, 0); err != nil {
-		t.Fatal(err)
-	}
-	tw.a.SetPeers([]PeerHandle{NewLocalPeerHandle(tw.b, reg)})
+	tw.a.SetPeers([]PeerHandle{NewLocalPeerHandle(tw.b)})
 	journalOn(tw.a)
 	journalOn(tw.b)
 	tw.faults = fault.NewRegistry(seed)
@@ -338,7 +332,7 @@ func (tw *twin) step(p *sim.Proc, op twinOp) bool {
 		old.Kill()
 		tw.a = New(old.Name(), append([]PlantHandle(nil), tw.aPlants...), tw.seed)
 		tw.a.SetJournal(old.Journal())
-		tw.a.SetPeers(old.Peers())
+		tw.a.SetPeers(old.peers)
 		tw.a.Faults = tw.faults
 		if st := tw.restart(p); st.Routes != len(tw.live) {
 			tw.failf("restart rebuilt %d routes for %d VMs", st.Routes, len(tw.live))

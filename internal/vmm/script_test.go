@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -114,7 +115,10 @@ func TestConfigCDAllocationBudget(t *testing.T) {
 
 // A guest action writes one config block to the redo log without
 // allocating a block for it: the block is built on the stack and stored
-// trimmed.
+// trimmed. TotalAlloc is process-wide, so a stray allocation on another
+// goroutine can inflate one reading; the least of several calls, each
+// creating a fresh user, cannot be raised by that, while a block
+// allocated per call would still show in every one of them.
 func TestExecGuestActionAllocatesNoBlock(t *testing.T) {
 	r := newRig(t, warehouse.BackendVMware, 32)
 	r.inSim(t, func(p *sim.Proc) {
@@ -122,17 +126,21 @@ func TestExecGuestActionAllocatesNoBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err = vm.ExecGuestAction(p, act(actions.OpCreateUser, "name", "arijit"))
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 8; i++ {
+			a := act(actions.OpCreateUser, "name", fmt.Sprint("arijit", i))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = vm.ExecGuestAction(p, a)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		n := after.TotalAlloc - before.TotalAlloc
-		t.Logf("ExecGuestAction allocated %d bytes", n)
-		if n >= vdisk.BlockSize {
-			t.Errorf("ExecGuestAction allocated %d bytes, want < %d", n, vdisk.BlockSize)
+		t.Logf("ExecGuestAction allocated at least %d bytes a call", least)
+		if least >= vdisk.BlockSize {
+			t.Errorf("ExecGuestAction allocated %d bytes, want < %d", least, vdisk.BlockSize)
 		}
 	})
 }

@@ -8,12 +8,12 @@ import (
 
 	"vmplants/internal/core"
 	"vmplants/internal/fault"
-	"vmplants/internal/federation"
 	"vmplants/internal/journal"
 	"vmplants/internal/plant"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
+	"vmplants/internal/warehouse"
 )
 
 // The federation gate's geometry. Both vmbench series run it at this
@@ -86,7 +86,7 @@ type federationResult struct {
 	// Catalog gossip: derived images imported across cells, and the
 	// warm-clone proof — a checkpoint published in one cell matched a
 	// later creation in a different cell.
-	GossipImported int64
+	GossipImported int
 	GossipOK       bool
 	WarmCloneOK    bool
 	WarmImage      string
@@ -195,14 +195,13 @@ func runFederatedWave(k *sim.Kernel, d *Deployment, shops []*shop.Shop, targets 
 }
 
 // buildCells wires a federation of fresh cells on one kernel, each with
-// its own testbed. Journals attach only when withJournals is set (the
-// integrity phase needs forwarded intents durable in both cells).
-func buildCells(k *sim.Kernel, hub *telemetry.Hub, seed int64, plantsPerCell int, withJournals bool) ([]*Deployment, []*shop.Shop, []*journal.Journal, *federation.Federation, error) {
+// its own testbed and every other cell's shop as a peer, in cell order.
+// Journals attach only when withJournals is set (the integrity phase
+// needs forwarded intents durable in both cells).
+func buildCells(k *sim.Kernel, hub *telemetry.Hub, seed int64, plantsPerCell int, withJournals bool) ([]*Deployment, []*shop.Shop, []*journal.Journal, error) {
 	cells := make([]*Deployment, fedCells)
 	shops := make([]*shop.Shop, fedCells)
 	jnls := make([]*journal.Journal, fedCells)
-	fed := federation.New(k)
-	fed.SetTelemetry(hub)
 	for i := range cells {
 		d, err := NewDeployment(Options{
 			Kernel:      k,
@@ -213,20 +212,50 @@ func buildCells(k *sim.Kernel, hub *telemetry.Hub, seed int64, plantsPerCell int
 			Telemetry:   hub,
 		})
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		if withJournals {
 			jnls[i] = d.JournalShop()
 		}
 		cells[i] = d
 		shops[i] = d.Shop
-		if err := fed.AddCell(&federation.Cell{Name: cellName(i), Shop: d.Shop, Warehouse: d.Warehouse}); err != nil {
-			return nil, nil, nil, nil, err
+	}
+	for i, s := range shops {
+		var peers []shop.PeerHandle
+		for j, o := range shops {
+			if j != i {
+				peers = append(peers, shop.NewLocalPeerHandle(o))
+			}
+		}
+		s.SetPeers(peers)
+	}
+	return cells, shops, jnls, nil
+}
+
+// gossip runs one catalog-exchange round over the cells' warehouses:
+// each derived catalog is exported once, then every other cell imports
+// it, in cell order, so a checkpoint published in one cell becomes
+// clone-warm in all of them and a quarantine verdict poisons the image
+// everywhere.
+func gossip(p *sim.Proc, cells []*Deployment) warehouse.ImportStats {
+	exports := make([][]warehouse.CatalogEntry, len(cells))
+	for i, d := range cells {
+		exports[i] = d.Warehouse.ExportCatalog()
+	}
+	var st warehouse.ImportStats
+	for i, d := range cells {
+		for j, entries := range exports {
+			if j == i {
+				continue
+			}
+			ist := d.Warehouse.ImportCatalog(entries, p.Now())
+			st.Imported += ist.Imported
+			st.Quarantined += ist.Quarantined
+			st.Deferred += ist.Deferred
+			st.Rejected += ist.Rejected
 		}
 	}
-	fed.Wire()
-	fed.Start(k)
-	return cells, shops, jnls, fed, nil
+	return st
 }
 
 var fedPlantConfig = plant.Config{MaxVMs: fedMaxVMs, PublishBack: true}
@@ -257,13 +286,12 @@ func runThroughputPhase(seed int64, res *federationResult) error {
 	hub := telemetry.New()
 	k := sim.NewKernel()
 	k.SetTelemetry(hub)
-	cells, shops, _, fed, err := buildCells(k, hub, seed+1, fedPlantsPerCell, false)
+	cells, shops, _, err := buildCells(k, hub, seed+1, fedPlantsPerCell, false)
 	if err != nil {
 		return err
 	}
 	fedRecs, fedSpan, err := runFederatedWave(k, cells[0], shops,
-		fedTargets(w), "scale", fedHold,
-		func(*sim.Proc, []fedRecord) { fed.Stop() })
+		fedTargets(w), "scale", fedHold, nil)
 	if err != nil {
 		return fmt.Errorf("federation scale-out: %w", err)
 	}
@@ -301,7 +329,7 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 	reg.SetTelemetry(hub)
 	k := sim.NewKernel()
 	k.SetTelemetry(hub)
-	cells, shops, jnls, fed, err := buildCells(k, hub, seed+2, fedIntegrityPlantsPerCell, true)
+	cells, shops, jnls, err := buildCells(k, hub, seed+2, fedIntegrityPlantsPerCell, true)
 	if err != nil {
 		return err
 	}
@@ -382,9 +410,10 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 				break
 			}
 		}
-		g := fed.GossipNow(p)
+		g := gossip(p, cells)
+		res.GossipImported = g.Imported
 		lines = append(lines, fmt.Sprintf("gossip: imported=%d deferred=%d rejected=%d poisoned=%d",
-			g.Imported, g.Deferred, g.Rejected, g.Poisoned))
+			g.Imported, g.Deferred, g.Rejected, g.Quarantined))
 		if donor >= 0 {
 			// Make room in the warm cell, then re-run the donor's spec.
 			freed := false
@@ -434,7 +463,6 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 		// Shut the long-lived procs down so the kernel can quiesce.
 		supStop = true
 		sup.WakeUp()
-		fed.Stop()
 	})
 
 	if err != nil {
@@ -455,7 +483,6 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 	res.ShopRestarts = hub.Counter("shop.restarts").Value()
 	res.Reconciled = hub.Counter("shop.reconciled_creates").Value()
 	res.Deduped = hub.Counter("shop.deduped_creates").Value()
-	res.GossipImported = hub.Counter("federation.images_imported").Value()
 
 	for i, d := range cells {
 		load := cellLoad{Cell: cellName(i)}
