@@ -379,26 +379,41 @@ func (a *Ad) AppendXML(dst []byte) []byte {
 }
 
 // appendSourceXML appends the definition's source text, XML-escaped.
-// Literals that need no escaping — most of what an ad on the wire
-// holds — skip the String call and the escaper.
 func appendSourceXML(dst []byte, at *attr) []byte {
 	if at.expr == nil {
-		switch v := &at.val; v.kind {
-		case KindBool:
-			return strconv.AppendBool(dst, v.n != 0)
-		case KindInt:
-			return strconv.AppendInt(dst, int64(v.n), 10)
-		case KindReal:
-			return strconv.AppendFloat(dst, math.Float64frombits(v.n), 'g', -1, 64)
-		case KindString:
-			if quotesToItself(v.s) {
-				dst = append(dst, "&#34;"...)
-				dst = append(dst, v.s...)
-				return append(dst, "&#34;"...)
-			}
-		}
+		return appendValueXML(dst, &at.val)
 	}
-	return xmlwire.AppendEscaped(dst, at.source())
+	return xmlwire.AppendEscaped(dst, at.expr.String())
+}
+
+// appendValueXML appends a literal's source text, XML-escaped. Literals
+// that need no escaping — most of what an ad on the wire holds, and
+// lists of them — skip the String call and the escaper.
+func appendValueXML(dst []byte, v *Value) []byte {
+	switch v.kind {
+	case KindBool:
+		return strconv.AppendBool(dst, v.n != 0)
+	case KindInt:
+		return strconv.AppendInt(dst, int64(v.n), 10)
+	case KindReal:
+		return strconv.AppendFloat(dst, math.Float64frombits(v.n), 'g', -1, 64)
+	case KindString:
+		if quotesToItself(v.s) {
+			dst = append(dst, "&#34;"...)
+			dst = append(dst, v.s...)
+			return append(dst, "&#34;"...)
+		}
+	case KindList:
+		dst = append(dst, '{')
+		for i := range v.l {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendValueXML(dst, &v.l[i])
+		}
+		return append(dst, '}')
+	}
+	return xmlwire.AppendEscaped(dst, v.String())
 }
 
 // quotesToItself reports whether s is printable ASCII that neither
@@ -423,19 +438,21 @@ var (
 // subset of XML the scanner accepts, and decodes what it reads as the
 // encoding/xml oracle in xml_test.go does.
 //
-// Every name and every plain string literal is cut from one string
-// made for the ad: the walk copies them into one scratch buffer, and
-// the attributes are set, in document order, once that string exists.
-// Other literals are read in place; anything else is an expression
-// parseExpr reads.
+// Every name and every plain string literal, those in lists of plain
+// strings included, is cut from one string made for the ad: the walk
+// copies them into one scratch buffer, and the attributes are set, in
+// document order, once that string exists. Such lists share one
+// allocation for their elements. Other literals are read in place;
+// anything else is an expression parseExpr reads.
 func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
 	// The lists start in arrays here, so that an ad of the size the
 	// protocol carries is read without allocating for them.
 	var (
-		bufArr [512]byte
-		defArr [24]pendingAttr
+		bufArr  [512]byte
+		defArr  [24]pendingAttr
+		elemArr [16][2]int
 	)
-	buf, defs := bufArr[:0], defArr[:0]
+	buf, defs, elems := bufArr[:0], defArr[:0], elemArr[:0]
 	err := s.Children(adChildren, 1, func(int) error {
 		var def pendingAttr
 		err := s.Attrs(attrAttrs, func(_ int, v []byte) error {
@@ -450,11 +467,14 @@ func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
 		if err != nil {
 			return err
 		}
+		n := len(elems)
 		if q, ok := quoted(src); ok {
-			def.str, def.cut = [2]int{len(buf), len(buf) + len(q)}, true
+			def.str, def.cut = [2]int{len(buf), len(buf) + len(q)}, cutString
 			buf = append(buf, q...)
 		} else if v, ok := literal(src); ok {
 			def.val = v
+		} else if buf, elems, ok = stringList(src, buf, elems); ok {
+			def.str, def.cut = [2]int{n, len(elems)}, cutList
 		} else if def.expr, err = parseExpr(string(src)); err != nil {
 			return fmt.Errorf("classad: attribute %q: %w", string(buf[def.name[0]:def.name[1]]), err)
 		} else if l, ok := def.expr.(litExpr); ok {
@@ -467,24 +487,85 @@ func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
 		return err
 	}
 	str := string(buf)
+	var vals []Value
+	if len(elems) > 0 {
+		vals = make([]Value, len(elems))
+		for i, e := range elems {
+			vals[i] = Str(str[e[0]:e[1]])
+		}
+	}
 	if a.attrs == nil {
 		a.attrs = make([]attr, 0, len(defs))
 	}
 	for _, def := range defs {
-		if def.cut {
+		switch def.cut {
+		case cutString:
 			def.val = Str(str[def.str[0]:def.str[1]])
+		case cutList:
+			def.val = List(vals[def.str[0]:def.str[1]:def.str[1]]...)
 		}
 		a.set(str[def.name[0]:def.name[1]], def.expr, def.val)
 	}
 	return nil
 }
 
-// pendingAttr is one <attr> as DecodeXML's walk records it. Its name,
-// and the text of a plain string literal (cut), are ranges of the
-// walk's buffer.
+// pendingAttr is one <attr> as DecodeXML's walk records it. Its name is
+// a range of the walk's buffer, and so is the text of a plain string
+// literal (cutString); a list of plain strings (cutList) is a range of
+// the walk's element ranges.
 type pendingAttr struct {
 	name, str [2]int
-	cut       bool
+	cut       byte
 	expr      Expr
 	val       Value
+}
+
+// What of a pendingAttr's value is cut from the ad's string.
+const (
+	cutString = 1 + iota
+	cutList
+)
+
+// stringList reads a list of one or more plain quoted strings — {"a",
+// "b"}, with white space between the tokens — appending each string's
+// text to buf and its range of buf to elems. Anything else (an empty
+// list, an escape, another kind of element, a comment) it declines,
+// returning buf and elems as they were, for the parser to read: what it
+// accepts it reads as the parser does.
+func stringList(src, buf []byte, elems [][2]int) ([]byte, [][2]int, bool) {
+	n := len(src)
+	if n < 2 || src[0] != '{' || src[n-1] != '}' {
+		return buf, elems, false
+	}
+	b, e := buf, elems
+	for i := 1; ; i++ { // src[i-1] is '{' or ','
+		i = skipBlanks(src, i)
+		if src[i] != '"' {
+			return buf, elems, false
+		}
+		j := i + 1
+		for j < n-1 && src[j] != '"' && src[j] != '\\' {
+			j++
+		}
+		if j == n-1 || src[j] != '"' {
+			return buf, elems, false
+		}
+		e = append(e, [2]int{len(b), len(b) + j - i - 1})
+		b = append(b, src[i+1:j]...)
+		switch i = skipBlanks(src, j+1); {
+		case i == n-1:
+			return b, e, true
+		case src[i] != ',':
+			return buf, elems, false
+		}
+	}
+}
+
+// skipBlanks returns the position of the first byte from i on that is
+// not white space to the lexer; src ends in one that is not.
+func skipBlanks(src []byte, i int) int {
+	for src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r' {
+		i++
+	}
+	return i
 }

@@ -35,6 +35,10 @@ var scriptSources = []string{
 	`1`, `"str"`, `2.5`, `true`, `a + 1`, `A`, `b`, `my.a`, `other.b`, `TARGET.Rank + 1`, `MY.A == "x"`, `"abc" < "ABD"`,
 	`member(a, {1, 2})`, `ifThenElse(a, 1, 2)`, `isUndefined(k)`, `strcat("a", s)`, `a && b`, `a || !b`, `a ? b : k`,
 	`other.Requirements`, `-a`, `{a, b}`, `1 +`, `@`, ``, `"unterminated`, `nosuch(1)`, `a.b`,
+	// Lists of literals fold into one value, in the parser and on the
+	// wire; a list holding anything else stays an expression.
+	`{}`, `{ }`, `{"a", "b"}`, `{"a","b"}`, "{ \"x86\" ,\n\t\"k\" }", `{{1, "a"}, {}, 2.5}`, `{"a\"b", "é"}`,
+	`{x, "a"}`, `{"a", {b}}`, `member("b", {"a", "b"})`, `size({1, true, undefined})`, `{"a",}`, `{"a" "b"}`,
 }
 
 var scriptOps = []string{"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||", "=?=", "=!="}

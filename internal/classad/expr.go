@@ -407,7 +407,7 @@ func (p *parser) parseList() (Expr, error) {
 	var elems []Expr
 	if p.peek().kind == tokRBrace {
 		p.advance()
-		return listExpr{}, nil
+		return litExpr{List()}, nil
 	}
 	for {
 		e, err := p.parseExpr()
@@ -420,11 +420,27 @@ func (p *parser) parseList() (Expr, error) {
 			p.advance()
 		case tokRBrace:
 			p.advance()
-			return listExpr{elems: elems}, nil
+			return foldList(elems), nil
 		default:
 			return nil, fmt.Errorf("classad: offset %d: expected ',' or '}' in list", p.peek().pos)
 		}
 	}
+}
+
+// foldList is the list of elems. A list whose elements are all
+// literals is itself a literal — it evaluates to the same value
+// anywhere — so it is kept as that value, one representation whichever
+// way it was read.
+func foldList(elems []Expr) Expr {
+	vs := make([]Value, len(elems))
+	for i, e := range elems {
+		l, ok := e.(litExpr)
+		if !ok {
+			return listExpr{elems: elems}
+		}
+		vs[i] = l.v
+	}
+	return litExpr{List(vs...)}
 }
 
 func (p *parser) parseRefOrCall() (Expr, error) {

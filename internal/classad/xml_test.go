@@ -67,6 +67,52 @@ func TestLiteralMatchesParser(t *testing.T) {
 	}
 }
 
+// TestListFold: a list whose elements are all literals is one literal
+// list value — whichever way it was read, the parser or the wire's list
+// fast path — and renders as the list expression did; a list holding
+// anything else stays an expression.
+func TestListFold(t *testing.T) {
+	for _, tc := range []struct {
+		src, text string
+		folded    bool
+	}{
+		{`{}`, `{}`, true},
+		{`{ }`, `{}`, true},
+		{`{"a", "b"}`, `{"a", "b"}`, true},
+		{"{ \"a\" ,\n\t\"b\"\r}", `{"a", "b"}`, true},
+		{`{{1, "a"}, {}, 2.5, true}`, `{{1, "a"}, {}, 2.5, true}`, true},
+		{`{"a\"b", "é"}`, `{"a\"b", "é"}`, true},
+		{`{undefined, error}`, `{undefined, error}`, true},
+		{`{x, "a"}`, `{x, "a"}`, false},
+		{`{"a", {b}}`, `{"a", {b}}`, false},
+		{`{1 + 2}`, `{(1 + 2)}`, false},
+	} {
+		e, err := ParseExpr(tc.src)
+		if err != nil {
+			t.Errorf("ParseExpr(%q): %v", tc.src, err)
+			continue
+		}
+		if _, folded := e.(litExpr); folded != tc.folded {
+			t.Errorf("ParseExpr(%q) = %#v, folded %v, want %v", tc.src, e, folded, tc.folded)
+		}
+		if got := e.String(); got != tc.text {
+			t.Errorf("ParseExpr(%q).String() = %q, want %q", tc.src, got, tc.text)
+		}
+		ad := New().Set("L", e)
+		doc := ad.AppendXML(nil)
+		if want, err := xml.Marshal(ad); err != nil || string(doc) != string(want) {
+			t.Errorf("%q: AppendXML %q, encoding/xml %q (%v)", tc.src, doc, want, err)
+		}
+		var want Ad
+		if err := xml.Unmarshal(doc, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := scanAd(doc); err != nil || !reflect.DeepEqual(got, &want) {
+			t.Errorf("%q: DecodeXML %#v (%v), oracle %#v", tc.src, got, err, &want)
+		}
+	}
+}
+
 // The oracle: encoding/xml's reading of the wire form, which is what
 // the ad's codec was before AppendXML and DecodeXML replaced it.
 
@@ -128,6 +174,9 @@ func TestAppendXMLMatchesMarshalXML(t *testing.T) {
 		New().SetString("Name", "vm-1").SetInt("MemoryMB", 64).SetReal("Load", 0.25).SetBool("Up", true),
 		New().SetString("Odd", "<&>\"'\t\r\n\x00\xff]]>").SetString(`na"me<`, "v").SetReal("Big", 1e21).SetInt("Neg", -3),
 		New().SetValue("L", Strings("a", "b<c")).Set("Req", MustParseExpr(`other.Memory >= 64 && Arch == "x86"`)).Set("U", Lit(Undefined())),
+		New().SetValue("Empty", List()).SetValue("Nested", List(Strings("a"), List(), Int(3), Real(0.5), Bool(true))).
+			SetValue("Escaped", Strings(`a"b`, "tab\t", "é<&>")).SetValue("Odd", List(Undefined(), Errorf("x"), Real(1e21))).
+			Set("Expr", MustParseExpr(`{x, "a"}`)).Set("Spaced", MustParseExpr("{ \"a\" ,\n\"b\" }")),
 	}
 	for _, ad := range ads {
 		want, err := xml.Marshal(ad)
@@ -159,6 +208,11 @@ func FuzzAdXML(f *testing.F) {
 	// A name repeated in another case, and a string literal with \".
 	f.Add([]byte(`<classad><attr name="Owner">&#34;ann&#34;</attr><attr name="OWNER">"bob"</attr><attr name="owner">7</attr></classad>`))
 	f.Add([]byte(`<classad><attr name="Say">"a \"quoted\" word"</attr><attr name="Plain">"a"</attr></classad>`))
+	// Lists: of plain strings, with white space, empty, nested, with an
+	// escape, with an expression, and two that do not parse.
+	f.Add([]byte(`<classad><attr name="G">{&#34;a&#34;, &#34;b&#34;}</attr><attr name="S">{ "a" ,&#xA;&#x9;"b" }</attr><attr name="E">{}</attr></classad>`))
+	f.Add([]byte(`<classad><attr name="N">{{1, "a"}, {}}</attr><attr name="Q">{"a\"b", "c"}</attr><attr name="X">{x, "a"}</attr></classad>`))
+	f.Add([]byte(`<classad><attr name="T">{"a",}</attr><attr name="U">{"a" "b"}</attr></classad>`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		got, err := scanAd(doc)
 		if err != nil {

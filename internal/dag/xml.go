@@ -508,6 +508,7 @@ func Decode(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	s, g := xmlwire.NewScanner(doc), new(Graph)
+	defer s.Release()
 	if err := s.Open("dag"); err != nil {
 		return nil, err
 	}

@@ -189,6 +189,7 @@ func MarshalCreateRequest(r *CreateRequest) string {
 // UnmarshalCreateRequest parses what MarshalCreateRequest wrote.
 func UnmarshalCreateRequest(doc []byte) (*CreateRequest, error) {
 	s := xmlwire.NewScanner(doc)
+	defer s.Release()
 	r := new(CreateRequest)
 	err := s.Open(bareCreateRequest)
 	if err == nil {
@@ -221,30 +222,40 @@ var (
 	}
 )
 
-// scanMessage decodes the envelope.
+// scanMessage decodes the envelope. The first body shares the
+// envelope's allocation (an Envelope of its type), and the scanner's
+// unescape buffer goes back to its pool when the decode is done: every
+// value decoded was copied out of it.
 func scanMessage(doc []byte) (*Message, error) {
 	s := xmlwire.NewScanner(doc)
+	defer s.Release()
 	if err := s.Open("message"); err != nil {
 		return nil, err
 	}
-	m := new(Message)
+	var hdr Message
 	err := s.Attrs(envelopeAttrs, func(i int, v []byte) (err error) {
 		switch i {
 		case 0:
-			m.Kind = kindOf(v)
+			hdr.Kind = kindOf(v)
 		case 1:
-			m.Seq, err = xmlwire.Uint(v)
+			hdr.Seq, err = xmlwire.Uint(v)
 		case 2:
-			m.TraceID, err = xmlwire.Uint(v)
+			hdr.TraceID, err = xmlwire.Uint(v)
 		case 3:
-			m.ParentSpan, err = xmlwire.Uint(v)
+			hdr.ParentSpan, err = xmlwire.Uint(v)
 		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Children(bodyNames, 0, func(i int) error { return scanBody(s, m, Kind(bodyNames[i])) }); err != nil {
+	var m *Message
+	err = s.Children(bodyNames, 0, func(i int) error { return scanBody(s, &hdr, &m, Kind(bodyNames[i])) })
+	if m == nil {
+		m = new(Message)
+		*m = hdr
+	}
+	if err != nil {
 		return m, err
 	}
 	return m, s.End()
@@ -261,62 +272,87 @@ func kindOf(v []byte) Kind {
 	return Kind(v)
 }
 
-// scanBody decodes the body element named kind into its field of m.
-func scanBody(s *xmlwire.Scanner, m *Message, kind Kind) error {
+// bodyOf returns a new body of type B for *m: the first body makes *m,
+// an Envelope holding hdr, in the same allocation.
+func bodyOf[B any](hdr *Message, m **Message) *B {
+	if *m != nil {
+		return new(B)
+	}
+	e := &Envelope[B]{Message: *hdr}
+	*m = &e.Message
+	return &e.Body
+}
+
+// scanBody decodes the body element named kind into its field of *m.
+func scanBody(s *xmlwire.Scanner, hdr *Message, m **Message, kind Kind) error {
 	switch kind {
 	case KindCreateRequest:
-		m.Create = new(CreateRequest)
-		return scanCreateRequest(s, m.Create)
+		b := bodyOf[CreateRequest](hdr, m)
+		(*m).Create = b
+		return scanCreateRequest(s, b)
 	case KindCreateResponse:
-		m.Created = new(CreateResponse)
-		return scanFields(s, field{"vmid", &m.Created.VMID}, field{"classad", &m.Created.Ad})
+		b := bodyOf[CreateResponse](hdr, m)
+		(*m).Created = b
+		return scanFields(s, field{"vmid", &b.VMID}, field{"classad", &b.Ad})
 	case KindQueryRequest:
-		m.Query = new(QueryRequest)
-		return scanFields(s, field{"vmid", &m.Query.VMID})
+		b := bodyOf[QueryRequest](hdr, m)
+		(*m).Query = b
+		return scanFields(s, field{"vmid", &b.VMID})
 	case KindQueryResponse:
-		m.Queried = new(QueryResponse)
-		return scanFields(s, field{"vmid", &m.Queried.VMID}, field{"found", &m.Queried.Found}, field{"classad", &m.Queried.Ad})
+		b := bodyOf[QueryResponse](hdr, m)
+		(*m).Queried = b
+		return scanFields(s, field{"vmid", &b.VMID}, field{"found", &b.Found}, field{"classad", &b.Ad})
 	case KindDestroyRequest:
-		m.Destroy = new(DestroyRequest)
-		return scanFields(s, field{"vmid", &m.Destroy.VMID})
+		b := bodyOf[DestroyRequest](hdr, m)
+		(*m).Destroy = b
+		return scanFields(s, field{"vmid", &b.VMID})
 	case KindDestroyResponse:
-		m.Destroyed = new(DestroyResponse)
-		return scanFields(s, field{"vmid", &m.Destroyed.VMID}, field{"destroyed", &m.Destroyed.Destroyed})
+		b := bodyOf[DestroyResponse](hdr, m)
+		(*m).Destroyed = b
+		return scanFields(s, field{"vmid", &b.VMID}, field{"destroyed", &b.Destroyed})
 	case KindEstimateRequest:
-		m.Estimate = new(EstimateRequest)
-		return scanFields(s, field{"create-request", &m.Estimate.Create})
+		b := bodyOf[EstimateRequest](hdr, m)
+		(*m).Estimate = b
+		return scanFields(s, field{"create-request", &b.Create})
 	case KindEstimateResponse:
-		m.Bid = new(EstimateResponse)
-		return scanFields(s, field{"plant", &m.Bid.Plant}, field{"cost", &m.Bid.Cost}, field{"classad", &m.Bid.Ad})
+		b := bodyOf[EstimateResponse](hdr, m)
+		(*m).Bid = b
+		return scanFields(s, field{"plant", &b.Plant}, field{"cost", &b.Cost}, field{"classad", &b.Ad})
 	case KindForwardCreateRequest:
-		f := new(ForwardCreateRequest)
-		m.ForwardCreate = f
-		return scanFields(s, field{"origin", &f.Origin}, field{"create-request", &f.Create}, field{"probe", &f.Probe}, field{"token", &f.Token})
+		b := bodyOf[ForwardCreateRequest](hdr, m)
+		(*m).ForwardCreate = b
+		return scanFields(s, field{"origin", &b.Origin}, field{"create-request", &b.Create}, field{"probe", &b.Probe}, field{"token", &b.Token})
 	case KindForwardCreateResponse:
-		f := new(ForwardCreateResponse)
-		m.ForwardCreated = f
-		return scanFields(s, field{"vmid", &f.VMID}, field{"classad", &f.Ad}, field{"found", &f.Found})
+		b := bodyOf[ForwardCreateResponse](hdr, m)
+		(*m).ForwardCreated = b
+		return scanFields(s, field{"vmid", &b.VMID}, field{"classad", &b.Ad}, field{"found", &b.Found})
 	case KindPublishRequest:
-		m.Publish = new(PublishRequest)
-		return scanFields(s, field{"vmid", &m.Publish.VMID}, field{"image", &m.Publish.Image})
+		b := bodyOf[PublishRequest](hdr, m)
+		(*m).Publish = b
+		return scanFields(s, field{"vmid", &b.VMID}, field{"image", &b.Image})
 	case KindPublishResponse:
-		m.Published = new(PublishResponse)
-		return scanFields(s, field{"vmid", &m.Published.VMID}, field{"image", &m.Published.Image})
+		b := bodyOf[PublishResponse](hdr, m)
+		(*m).Published = b
+		return scanFields(s, field{"vmid", &b.VMID}, field{"image", &b.Image})
 	case KindLifecycleRequest:
-		m.Lifecycle = new(LifecycleRequest)
-		return scanFields(s, field{"vmid", &m.Lifecycle.VMID}, field{"op", &m.Lifecycle.Op})
+		b := bodyOf[LifecycleRequest](hdr, m)
+		(*m).Lifecycle = b
+		return scanFields(s, field{"vmid", &b.VMID}, field{"op", &b.Op})
 	case KindLifecycleResponse:
-		m.Lifecycled = new(LifecycleResponse)
-		return scanFields(s, field{"vmid", &m.Lifecycled.VMID}, field{"state", &m.Lifecycled.State})
+		b := bodyOf[LifecycleResponse](hdr, m)
+		(*m).Lifecycled = b
+		return scanFields(s, field{"vmid", &b.VMID}, field{"state", &b.State})
 	case KindPingRequest:
-		m.Ping = new(PingRequest)
+		(*m).Ping = bodyOf[PingRequest](hdr, m)
 		return s.Skip()
 	case KindPingResponse:
-		m.Pong = new(PingResponse)
-		return scanFields(s, field{"service", &m.Pong.Service})
+		b := bodyOf[PingResponse](hdr, m)
+		(*m).Pong = b
+		return scanFields(s, field{"service", &b.Service})
 	case KindError:
-		m.Err = new(ErrorResponse)
-		return scanFields(s, field{"code", &m.Err.Code}, field{"detail", &m.Err.Detail})
+		b := bodyOf[ErrorResponse](hdr, m)
+		(*m).Err = b
+		return scanFields(s, field{"code", &b.Code}, field{"detail", &b.Detail})
 	}
 	return s.Skip()
 }
@@ -328,9 +364,14 @@ type field struct {
 	dst  any
 }
 
-// group is the value of an "a>b" tag's shared parent <a>: the fields
-// nested in it.
-type group []field
+// hardware and network stand for the "hardware>…" and "network>…"
+// tags' shared parents, which hold fields of the request and no value
+// of their own. Each is one pointer, so naming one as a field's dst
+// allocates nothing.
+type (
+	hardware struct{ r *CreateRequest }
+	network  struct{ r *CreateRequest }
+)
 
 // scanFields reads the current element's children into fs, each at most
 // once; other children are skipped.
@@ -344,8 +385,10 @@ func scanFields(s *xmlwire.Scanner, fs ...field) error {
 
 func scanValue(s *xmlwire.Scanner, dst any) (err error) {
 	switch dst := dst.(type) {
-	case group:
-		return scanFields(s, dst...)
+	case hardware:
+		return scanFields(s, field{"arch", &dst.r.Arch}, field{"memoryMB", &dst.r.MemoryMB}, field{"diskMB", &dst.r.DiskMB})
+	case network:
+		return scanFields(s, field{"domain", &dst.r.Domain}, field{"proxy", &dst.r.ProxyAddr}, field{"token", &dst.r.Token})
 	case **classad.Ad:
 		*dst = new(classad.Ad)
 		return (*dst).DecodeXML(s)
@@ -380,8 +423,8 @@ func scanCreateRequest(s *xmlwire.Scanner, r *CreateRequest) error {
 		field{"vmid", &r.VMID},
 		field{"request-id", &r.RequestID},
 		field{"name", &r.Name},
-		field{"hardware", group{{"arch", &r.Arch}, {"memoryMB", &r.MemoryMB}, {"diskMB", &r.DiskMB}}},
-		field{"network", group{{"domain", &r.Domain}, {"proxy", &r.ProxyAddr}, {"token", &r.Token}}},
+		field{"hardware", hardware{r}},
+		field{"network", network{r}},
 		field{"origin", &r.Origin},
 		field{"backend", &r.Backend},
 		field{"requirements", &r.Reqs},

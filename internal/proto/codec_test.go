@@ -601,8 +601,12 @@ func FuzzEnvelope(f *testing.F) {
 	for _, doc := range rejected {
 		f.Add([]byte(doc))
 	}
+	// A second document whose decode fills the pooled unescape buffer.
+	other := []byte(`<message kind="error" seq="9"><error><code>&lt;&lt;&lt;&lt;</code><detail>` +
+		strings.Repeat("&amp;&#34;&#x263A;", 64) + `</detail></error></message>`)
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		got, err := Unmarshal(doc)
+		own := bytes.Clone(doc)
+		got, err := Unmarshal(own)
 		if err != nil {
 			return
 		}
@@ -612,6 +616,15 @@ func FuzzEnvelope(f *testing.F) {
 		}
 		if !equalMessages(got, want) {
 			t.Fatalf("decoded differently\n got: %+v\nwant: %+v\n%q", got, want, doc)
+		}
+		// What was decoded holds on to neither its document nor the
+		// buffer the next decode borrows.
+		clear(own)
+		if _, err := Unmarshal(other); err != nil {
+			t.Fatal(err)
+		}
+		if !equalMessages(got, want) {
+			t.Fatalf("changed by a later decode\n got: %+v\nwant: %+v\n%q", got, want, doc)
 		}
 	})
 }

@@ -290,7 +290,19 @@ const (
 
 // Errorf builds an error envelope.
 func Errorf(seq uint64, code, format string, args ...any) *Message {
-	return &Message{Kind: KindError, Seq: seq, Err: &ErrorResponse{Code: code, Detail: fmt.Sprintf(format, args...)}}
+	e := &Envelope[ErrorResponse]{Message: Message{Kind: KindError, Seq: seq}}
+	e.Body = ErrorResponse{Code: code, Detail: fmt.Sprintf(format, args...)}
+	e.Err = &e.Body
+	return &e.Message
+}
+
+// Envelope is a message and its one body in a single allocation, the
+// Message's body field for B pointing at Body. The decoder reads each
+// message into one, and internal/service builds its requests and
+// responses as one.
+type Envelope[B any] struct {
+	Message
+	Body B
 }
 
 // validateEnvelope checks the Kind matches the populated body and that

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"time"
@@ -286,9 +287,17 @@ var idempotentKinds = map[Kind]bool{
 }
 
 // shouldRetry reports whether a failed attempt of the given kind is
-// worth retransmitting under the client's policy.
+// worth retransmitting under the client's policy. An estimate that ran
+// out of time is not: the bidding round takes the silence as the
+// plant's answer, as the simulated transport does after one call
+// timeout, instead of waiting out every attempt and its backoff on a
+// plant that accepts and never answers. A refused or reset connection
+// is still retried, as a query's timeout is.
 func (c *Client) shouldRetry(kind Kind, err error) bool {
 	if c.Retry.Attempts <= 1 || !idempotentKinds[kind] {
+		return false
+	}
+	if kind == KindEstimateRequest && errors.Is(err, os.ErrDeadlineExceeded) {
 		return false
 	}
 	var remote *RemoteError

@@ -125,47 +125,80 @@ func TestFrameReader(t *testing.T) {
 }
 
 // What a message decodes to owns its strings: a frame reader reuses its
-// buffer for the next frame, and the DAG and classad read from the
-// frame before keep their values.
+// buffer for the next frame, every decode borrows its scanner's unescape
+// buffer from one pool, and the DAG, classad and error detail read
+// before keep their values. Each frame holds text that must be
+// unescaped — a DAG parameter with '&', a classad string with '<', an
+// error detail with both — so its values pass through the pooled buffer.
 func TestDecodedValuesOutliveTheFrame(t *testing.T) {
-	frame := func(user string) (*Message, *Message) {
+	frame := func(user string) []*Message {
 		g, err := dag.NewBuilder().
-			Add("n-"+user, dag.Action{Op: "create-user", Params: map[string]string{"name": user}}).
+			Add("n-"+user, dag.Action{Op: "create-user", Params: map[string]string{"name": user + " & co"}}).
 			Add("m-"+user, dag.Action{Op: "mount-fs", Target: dag.Host, Params: map[string]string{"source": "nfs:/" + user}}, "n-"+user).
 			Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ad := classad.New().SetString("Owner", user).SetString(user, "v-"+user).SetInt("MemoryMB", 64)
-		return &Message{Kind: KindCreateRequest, Seq: 1, Create: &CreateRequest{Name: user, Arch: "x86", Graph: g}},
-			&Message{Kind: KindQueryResponse, Seq: 2, Queried: &QueryResponse{VMID: "vm-" + user, Found: true, Ad: ad}}
+		ad := classad.New().SetString("Owner", user+" <admin>").SetString(user, "v-"+user).SetInt("MemoryMB", 64)
+		return []*Message{
+			{Kind: KindCreateRequest, Seq: 1, Create: &CreateRequest{Name: user, Arch: "x86", Graph: g}},
+			{Kind: KindQueryResponse, Seq: 2, Queried: &QueryResponse{VMID: "vm-" + user, Found: true, Ad: ad}},
+			Errorf(3, CodeInternal, "%s: <%s> & more", user, user),
+		}
 	}
+	first, later := frame("aaaa"), frame("bbbb")
+	check := func(how string, got []*Message) {
+		t.Helper()
+		for i, m := range got {
+			a, err := Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, _ := Marshal(first[i]); !bytes.Equal(a, b) {
+				t.Errorf("%s, %s after later decodes:\n got: %s\nwant: %s", how, first[i].Kind, a, b)
+			}
+		}
+	}
+
+	// One frame reader, whose buffer the later frames overwrite.
 	var stream bytes.Buffer
-	create, query := frame("aaaa")
-	later, laterQuery := frame("bbbb")
-	for _, m := range []*Message{create, query, later, laterQuery} {
+	for _, m := range append(append([]*Message(nil), first...), later...) {
 		if err := WriteMessage(&stream, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fr := frameReader{r: iotest.HalfReader(&stream)}
-	var got [2]*Message
-	for i := range 4 {
+	var got []*Message
+	for range len(first) + len(later) {
 		m, err := fr.next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i < 2 {
-			got[i] = m
+		if len(got) < len(first) {
+			got = append(got, m)
 		}
 	}
-	if a, b := got[0].Create.Graph.AppendXML(nil), create.Create.Graph.AppendXML(nil); !bytes.Equal(a, b) {
-		t.Errorf("DAG after the buffer was reused:\n got: %s\nwant: %s", a, b)
+	check("one frame reader", got)
+
+	// Separate Unmarshal calls, whose documents are cleared once read.
+	unmarshal := func(m *Message) *Message {
+		doc, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Unmarshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(doc)
+		return out
 	}
-	if got[0].Create.Name != "aaaa" {
-		t.Errorf("name after the buffer was reused: %q", got[0].Create.Name)
+	got = got[:0]
+	for _, m := range first {
+		got = append(got, unmarshal(m))
 	}
-	if a, b := got[1].Queried.Ad.AppendXML(nil), query.Queried.Ad.AppendXML(nil); !bytes.Equal(a, b) {
-		t.Errorf("classad after the buffer was reused:\n got: %s\nwant: %s", a, b)
+	for _, m := range later {
+		unmarshal(m)
 	}
+	check("separate Unmarshal calls", got)
 }

@@ -166,7 +166,9 @@ func (rp *RemotePlant) call(p *sim.Proc, m *proto.Message, want proto.Kind) (*pr
 
 // ping probes the daemon's liveness and returns the name it answers to.
 func (rp *RemotePlant) ping() (string, error) {
-	resp, err := rp.call(nil, &proto.Message{Kind: proto.KindPingRequest, Ping: &proto.PingRequest{}}, proto.KindPingResponse)
+	req := new(proto.Envelope[proto.PingRequest])
+	req.Kind, req.Ping = proto.KindPingRequest, &req.Body
+	resp, err := rp.call(nil, &req.Message, proto.KindPingResponse)
 	if err != nil {
 		return "", err
 	}
@@ -181,8 +183,13 @@ func (rp *RemotePlant) Ping() error {
 
 // Estimate implements shop.PlantHandle.
 func (rp *RemotePlant) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, *classad.Ad, error) {
-	resp, err := rp.call(p, &proto.Message{Kind: proto.KindEstimateRequest,
-		Estimate: &proto.EstimateRequest{Create: proto.FromSpec(spec, "")}}, proto.KindEstimateResponse)
+	req := new(struct { // the create-request an estimate carries shares its allocation
+		proto.Envelope[proto.EstimateRequest]
+		create proto.CreateRequest
+	})
+	req.create = *proto.FromSpec(spec, "")
+	req.Kind, req.Estimate, req.Body.Create = proto.KindEstimateRequest, &req.Body, &req.create
+	resp, err := rp.call(p, &req.Message, proto.KindEstimateResponse)
 	if err != nil {
 		return core.Infeasible, nil, err
 	}
@@ -192,9 +199,10 @@ func (rp *RemotePlant) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, *class
 // create builds a VM: under the given ID on a plant, under one the shop
 // mints when id is empty.
 func (rp *RemotePlant) create(p *sim.Proc, id core.VMID, spec *core.Spec) (core.VMID, *classad.Ad, error) {
-	cr := proto.FromSpec(spec, "")
-	cr.VMID = string(id)
-	resp, err := rp.call(p, &proto.Message{Kind: proto.KindCreateRequest, Create: cr}, proto.KindCreateResponse)
+	req := &proto.Envelope[proto.CreateRequest]{Body: *proto.FromSpec(spec, "")}
+	req.Kind, req.Create = proto.KindCreateRequest, &req.Body
+	req.Body.VMID = string(id)
+	resp, err := rp.call(p, &req.Message, proto.KindCreateResponse)
 	if err != nil {
 		return "", nil, err
 	}
@@ -209,8 +217,9 @@ func (rp *RemotePlant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (*clas
 
 // Query implements shop.PlantHandle.
 func (rp *RemotePlant) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, error) {
-	resp, err := rp.call(p, &proto.Message{Kind: proto.KindQueryRequest,
-		Query: &proto.QueryRequest{VMID: string(id)}}, proto.KindQueryResponse)
+	req := &proto.Envelope[proto.QueryRequest]{Body: proto.QueryRequest{VMID: string(id)}}
+	req.Kind, req.Query = proto.KindQueryRequest, &req.Body
+	resp, err := rp.call(p, &req.Message, proto.KindQueryResponse)
 	if err != nil {
 		_, err = shop.Found(err)
 		return nil, false, err
@@ -220,8 +229,9 @@ func (rp *RemotePlant) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool, erro
 
 // Collect implements shop.PlantHandle.
 func (rp *RemotePlant) Collect(p *sim.Proc, id core.VMID) (bool, error) {
-	resp, err := rp.call(p, &proto.Message{Kind: proto.KindDestroyRequest,
-		Destroy: &proto.DestroyRequest{VMID: string(id)}}, proto.KindDestroyResponse)
+	req := &proto.Envelope[proto.DestroyRequest]{Body: proto.DestroyRequest{VMID: string(id)}}
+	req.Kind, req.Destroy = proto.KindDestroyRequest, &req.Body
+	resp, err := rp.call(p, &req.Message, proto.KindDestroyResponse)
 	if err != nil {
 		return shop.Found(err)
 	}
@@ -230,16 +240,18 @@ func (rp *RemotePlant) Collect(p *sim.Proc, id core.VMID) (bool, error) {
 
 // Publish implements shop.PlantHandle.
 func (rp *RemotePlant) Publish(p *sim.Proc, id core.VMID, image string) error {
-	_, err := rp.call(p, &proto.Message{Kind: proto.KindPublishRequest,
-		Publish: &proto.PublishRequest{VMID: string(id), Image: image}}, proto.KindPublishResponse)
+	req := &proto.Envelope[proto.PublishRequest]{Body: proto.PublishRequest{VMID: string(id), Image: image}}
+	req.Kind, req.Publish = proto.KindPublishRequest, &req.Body
+	_, err := rp.call(p, &req.Message, proto.KindPublishResponse)
 	return err
 }
 
 // lifecycle suspends or resumes an active VM and returns the state it
 // is in afterwards.
 func (rp *RemotePlant) lifecycle(p *sim.Proc, id core.VMID, op string) (string, error) {
-	resp, err := rp.call(p, &proto.Message{Kind: proto.KindLifecycleRequest,
-		Lifecycle: &proto.LifecycleRequest{VMID: string(id), Op: op}}, proto.KindLifecycleResponse)
+	req := &proto.Envelope[proto.LifecycleRequest]{Body: proto.LifecycleRequest{VMID: string(id), Op: op}}
+	req.Kind, req.Lifecycle = proto.KindLifecycleRequest, &req.Body
+	resp, err := rp.call(p, &req.Message, proto.KindLifecycleResponse)
 	if err != nil {
 		return "", err
 	}
@@ -278,8 +290,10 @@ func (rp *RemotePeer) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, error) 
 
 // forward sends one forward-create request: a forwarded creation, or
 // the probe for one.
-func (rp *RemotePeer) forward(p *sim.Proc, fwd *proto.ForwardCreateRequest) (*proto.ForwardCreateResponse, error) {
-	resp, err := rp.call(p, &proto.Message{Kind: proto.KindForwardCreateRequest, ForwardCreate: fwd}, proto.KindForwardCreateResponse)
+func (rp *RemotePeer) forward(p *sim.Proc, fwd proto.ForwardCreateRequest) (*proto.ForwardCreateResponse, error) {
+	req := &proto.Envelope[proto.ForwardCreateRequest]{Body: fwd}
+	req.Kind, req.ForwardCreate = proto.KindForwardCreateRequest, &req.Body
+	resp, err := rp.call(p, &req.Message, proto.KindForwardCreateResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +302,7 @@ func (rp *RemotePeer) forward(p *sim.Proc, fwd *proto.ForwardCreateRequest) (*pr
 
 // Create implements shop.PeerHandle.
 func (rp *RemotePeer) Create(p *sim.Proc, spec *core.Spec) (core.VMID, *classad.Ad, error) {
-	resp, err := rp.forward(p, &proto.ForwardCreateRequest{Origin: spec.Origin, Create: proto.FromSpec(spec, "")})
+	resp, err := rp.forward(p, proto.ForwardCreateRequest{Origin: spec.Origin, Create: proto.FromSpec(spec, "")})
 	if err != nil {
 		return "", nil, err
 	}
@@ -297,7 +311,7 @@ func (rp *RemotePeer) Create(p *sim.Proc, spec *core.Spec) (core.VMID, *classad.
 
 // LookupForward implements shop.PeerHandle.
 func (rp *RemotePeer) LookupForward(p *sim.Proc, token string) (core.VMID, bool, error) {
-	resp, err := rp.forward(p, &proto.ForwardCreateRequest{Probe: true, Token: token})
+	resp, err := rp.forward(p, proto.ForwardCreateRequest{Probe: true, Token: token})
 	if err != nil {
 		return "", false, err
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"vmplants/internal/proto"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
+	"vmplants/internal/telemetry"
 )
 
 // countingListener counts the connections a daemon accepted.
@@ -168,6 +170,54 @@ func TestRemotePlantSurvivesDaemonRestart(t *testing.T) {
 	}
 	if got := d.creates.Load(); got != 2 {
 		t.Errorf("plant served %d creates, want 2", got)
+	}
+}
+
+// A plant that accepts a connection and never answers costs a bidding
+// round one timeout: the estimate is not sent again after its deadline
+// (it was, twice, with DefaultRetry's backoff between the tries).
+func TestBlackHoleEstimateFailsAfterOneTimeout(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		held []net.Conn
+	)
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		l.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	hub := telemetry.New()
+	rp := &RemotePlant{PlantName: "hole", Addr: l.Addr().String(), Timeout: 200 * time.Millisecond, Telemetry: hub}
+	defer rp.Close()
+	start := time.Now()
+	_, _, err = rp.Estimate(nil, testSpec(t))
+	took := time.Since(start)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("estimate from a plant that never answers: %v, want a deadline error", err)
+	}
+	if took >= 2*rp.Timeout {
+		t.Errorf("the estimate failed after %v, want under 2 × %v", took, rp.Timeout)
+	}
+	if got := hub.Counter("proto.rpc_retries").Value(); got != 0 {
+		t.Errorf("proto.rpc_retries = %d, want 0", got)
 	}
 }
 

@@ -36,25 +36,27 @@ type serving struct {
 	sv server
 }
 
-// run executes fn as one simulation process and answers with the reply
-// fn built, or with the failure fn returned beside it. The process carries the trace context the
-// request envelope arrived with (zero when the caller is untraced), so
-// spans the work starts parent under the remote caller's trace. A
-// kernel that cannot run the process to quiescence is the daemon's own
-// failure.
-func (c *serving) run(req *proto.Message, fn func(p *sim.Proc) (*proto.Message, error)) *proto.Message {
-	var out struct { // one value, so the process's closure costs one allocation for it
-		resp *proto.Message
-		err  error
-	}
-	kerr := c.r.Do(string(req.Kind), func(p *sim.Proc) {
-		p.SetTrace(telemetry.SpanContext{TraceID: req.TraceID, Span: req.ParentSpan})
-		out.resp, out.err = fn(p)
-	})
+// served is a request's answer while its process runs: the response
+// envelope and body the operation fills in, beside the error it fails
+// with, in one allocation. The process's closure points at it, so the
+// closure is the request's one other allocation of its own.
+type served[B any] struct {
+	proto.Envelope[B]
+	err error
+}
+
+// run executes op as one simulation process and answers with the
+// response op filled into out, or with the failure it recorded there.
+// The process carries the trace context the request envelope arrived
+// with (zero when the caller is untraced), so spans the work starts
+// parent under the remote caller's trace. A kernel that cannot run the
+// process to quiescence is the daemon's own failure.
+func run[B any](c *serving, req *proto.Message, out *served[B], op func(p *sim.Proc)) *proto.Message {
+	kerr := c.r.do(string(req.Kind), telemetry.SpanContext{TraceID: req.TraceID, Span: req.ParentSpan}, op)
 	if err := errors.Join(kerr, out.err); err != nil {
 		return failure(req.Seq, err)
 	}
-	return out.resp
+	return &out.Message
 }
 
 // failure is the reply to an operation that failed. Its code is what
@@ -91,18 +93,21 @@ func (c *serving) known(id string, found bool, err error) error {
 func (c *serving) handle(req *proto.Message) *proto.Message {
 	switch req.Kind {
 	case proto.KindPingRequest:
-		return &proto.Message{Kind: proto.KindPingResponse,
-			Pong: &proto.PingResponse{Service: c.sv.Name()}}
+		out := &proto.Envelope[proto.PingResponse]{Body: proto.PingResponse{Service: c.sv.Name()}}
+		out.Kind, out.Pong = proto.KindPingResponse, &out.Body
+		return &out.Message
 
 	case proto.KindEstimateRequest:
 		spec, err := req.Estimate.Create.Spec()
 		if err != nil {
 			return badRequest(req.Seq, err)
 		}
-		return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
+		out := new(served[proto.EstimateResponse])
+		out.Kind, out.Bid = proto.KindEstimateResponse, &out.Body
+		return run(c, req, out, func(p *sim.Proc) {
 			cost, ad, err := c.sv.Estimate(p, spec)
-			return &proto.Message{Kind: proto.KindEstimateResponse,
-				Bid: &proto.EstimateResponse{Plant: c.sv.Name(), Cost: float64(cost), Ad: ad}}, err
+			out.Body = proto.EstimateResponse{Plant: c.sv.Name(), Cost: float64(cost), Ad: ad}
+			out.err = err
 		})
 
 	case proto.KindCreateRequest:
@@ -110,34 +115,41 @@ func (c *serving) handle(req *proto.Message) *proto.Message {
 		if err != nil {
 			return badRequest(req.Seq, err)
 		}
-		return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
+		out := new(served[proto.CreateResponse])
+		out.Kind, out.Created = proto.KindCreateResponse, &out.Body
+		return run(c, req, out, func(p *sim.Proc) {
 			id, ad, err := c.sv.Create(p, core.VMID(req.Create.VMID), spec)
-			return &proto.Message{Kind: proto.KindCreateResponse,
-				Created: &proto.CreateResponse{VMID: string(id), Ad: ad}}, err
+			out.Body = proto.CreateResponse{VMID: string(id), Ad: ad}
+			out.err = err
 		})
 
 	case proto.KindQueryRequest:
 		id := req.Query.VMID
-		return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
+		out := new(served[proto.QueryResponse])
+		out.Kind, out.Queried = proto.KindQueryResponse, &out.Body
+		return run(c, req, out, func(p *sim.Proc) {
 			ad, found, err := c.sv.Query(p, core.VMID(id))
-			return &proto.Message{Kind: proto.KindQueryResponse,
-				Queried: &proto.QueryResponse{VMID: id, Found: true, Ad: ad}}, c.known(id, found, err)
+			out.Body = proto.QueryResponse{VMID: id, Found: true, Ad: ad}
+			out.err = c.known(id, found, err)
 		})
 
 	case proto.KindDestroyRequest:
 		id := req.Destroy.VMID
-		return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
+		out := new(served[proto.DestroyResponse])
+		out.Kind, out.Destroyed = proto.KindDestroyResponse, &out.Body
+		return run(c, req, out, func(p *sim.Proc) {
 			found, err := c.sv.Collect(p, core.VMID(id))
-			return &proto.Message{Kind: proto.KindDestroyResponse,
-				Destroyed: &proto.DestroyResponse{VMID: id, Destroyed: true}}, c.known(id, found, err)
+			out.Body = proto.DestroyResponse{VMID: id, Destroyed: true}
+			out.err = c.known(id, found, err)
 		})
 
 	case proto.KindPublishRequest:
 		pub := req.Publish
-		return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
-			err := c.sv.Publish(p, core.VMID(pub.VMID), pub.Image)
-			return &proto.Message{Kind: proto.KindPublishResponse,
-				Published: &proto.PublishResponse{VMID: pub.VMID, Image: pub.Image}}, err
+		out := new(served[proto.PublishResponse])
+		out.Kind, out.Published = proto.KindPublishResponse, &out.Body
+		return run(c, req, out, func(p *sim.Proc) {
+			out.Body = proto.PublishResponse{VMID: pub.VMID, Image: pub.Image}
+			out.err = c.sv.Publish(p, core.VMID(pub.VMID), pub.Image)
 		})
 
 	case proto.KindLifecycleRequest:
@@ -146,10 +158,11 @@ func (c *serving) handle(req *proto.Message) *proto.Message {
 		if lc.Op == proto.LifecycleResume {
 			state = "running"
 		}
-		return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
-			err := c.sv.Lifecycle(p, core.VMID(lc.VMID), lc.Op)
-			return &proto.Message{Kind: proto.KindLifecycleResponse,
-				Lifecycled: &proto.LifecycleResponse{VMID: lc.VMID, State: state}}, err
+		out := new(served[proto.LifecycleResponse])
+		out.Kind, out.Lifecycled = proto.KindLifecycleResponse, &out.Body
+		return run(c, req, out, func(p *sim.Proc) {
+			out.Body = proto.LifecycleResponse{VMID: lc.VMID, State: state}
+			out.err = c.sv.Lifecycle(p, core.VMID(lc.VMID), lc.Op)
 		})
 	}
 	return proto.Errorf(req.Seq, proto.CodeBadRequest, "%s does not serve %q", c.sv.Name(), req.Kind)
@@ -185,13 +198,15 @@ func NewShopHandler(r *Runner, s *shop.Shop) proto.Handler {
 		switch req.Kind {
 		case proto.KindForwardCreateRequest:
 			fwd := req.ForwardCreate
+			out := new(served[proto.ForwardCreateResponse])
+			out.Kind, out.ForwardCreated = proto.KindForwardCreateResponse, &out.Body
 			if fwd.Probe {
 				// Non-creating reconcile probe: did this cell commit a
 				// creation under the origin's forwarding token?
-				return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
+				return run(c, req, out, func(p *sim.Proc) {
 					id, found, err := end.LookupForward(p, fwd.Token)
-					return &proto.Message{Kind: proto.KindForwardCreateResponse,
-						ForwardCreated: &proto.ForwardCreateResponse{VMID: string(id), Found: found}}, err
+					out.Body = proto.ForwardCreateResponse{VMID: string(id), Found: found}
+					out.err = err
 				})
 			}
 			if fwd.Create == nil {
@@ -203,10 +218,10 @@ func NewShopHandler(r *Runner, s *shop.Shop) proto.Handler {
 			if err != nil {
 				return badRequest(req.Seq, err)
 			}
-			return c.run(req, func(p *sim.Proc) (*proto.Message, error) {
+			return run(c, req, out, func(p *sim.Proc) {
 				id, ad, err := end.Forward(p, spec)
-				return &proto.Message{Kind: proto.KindForwardCreateResponse,
-					ForwardCreated: &proto.ForwardCreateResponse{VMID: string(id), Ad: ad}}, err
+				out.Body = proto.ForwardCreateResponse{VMID: string(id), Ad: ad}
+				out.err = err
 			})
 		}
 		return c.handle(req)

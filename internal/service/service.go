@@ -14,12 +14,14 @@
 package service
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"vmplants/internal/registry"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
+	"vmplants/internal/telemetry"
 )
 
 // Runner serializes operations on one simulation kernel so concurrent
@@ -35,9 +37,19 @@ func NewRunner(k *sim.Kernel) *Runner { return &Runner{k: k} }
 // Do executes fn as a simulation process and drives the kernel to
 // quiescence, under the runner's lock.
 func (r *Runner) Do(name string, fn func(p *sim.Proc)) error {
+	return r.do(name, telemetry.SpanContext{}, fn)
+}
+
+// do is Do with the process carrying the trace context sc from its
+// start, so the spans it starts parent under sc's.
+func (r *Runner) do(name string, sc telemetry.SpanContext, fn func(p *sim.Proc)) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.k.Do(name, fn)
+	r.k.Spawn(name, fn).SetTrace(sc)
+	if res := r.k.Run(0); len(res.Stranded) != 0 {
+		return fmt.Errorf("sim: stranded processes: %v", res.Stranded)
+	}
+	return nil
 }
 
 // Now reports the kernel's virtual time under the lock.

@@ -157,6 +157,50 @@ func createReq(t *testing.T) *proto.CreateRequest {
 	}
 }
 
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
+// TestShopClientQueryAllocations counts what one ShopClient.Query costs
+// the whole process over loopback — the client's request and reply and
+// the shop daemon's, which answers from its classad cache. It read 40
+// before a wire message became one block per envelope, the unescape
+// buffer pooled and a served request one allocation for its process.
+func TestShopClientQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the measured path")
+	}
+	shopAddr := startShopDaemon(t, map[string]string{"plantA": startPlantDaemon(t, "plantA", 1)})
+	sc, err := DialShop(shopAddr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	id, _, err := sc.Create(testSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func() {
+		if _, err := sc.Query(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 50 {
+		query()
+	}
+	const n = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.1f allocations per query", per)
+	if per > 26 { // 24.1 measured; the count is the whole process's
+		t.Errorf("one query over loopback: %.1f allocations, want ≤ 26", per)
+	}
+}
+
 func TestFullStackOverTCP(t *testing.T) {
 	plants := map[string]string{
 		"plantA": startPlantDaemon(t, "plantA", 1),

@@ -236,8 +236,8 @@ type Proc struct {
 
 	// trace is the process's current trace context — which span new
 	// work on this proc should parent under. Only the proc's own
-	// body touches it (the kernel serializes processes), so no
-	// lock is needed.
+	// body touches it, and its spawner before it first runs (the
+	// kernel serializes processes), so no lock is needed.
 	trace telemetry.SpanContext
 }
 

@@ -153,6 +153,7 @@ var (
 func scanDescriptor(blob []byte) (Descriptor, error) {
 	var d Descriptor
 	s := xmlwire.NewScanner(blob)
+	defer s.Release()
 	if err := s.Open("golden-machine"); err != nil {
 		return d, err
 	}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -114,11 +115,40 @@ type Scanner struct {
 	attrs  [maxAttrs][]byte // attribute names seen in the current tag
 	nattrs int
 
-	buf []byte // unescaped text, when it differs from the source bytes
+	buf  []byte  // unescaped text, when it differs from the source bytes
+	lent *[]byte // where buf came from: unescapeBufs, until Release
 }
 
 // NewScanner returns a scanner over doc, which it never modifies.
 func NewScanner(doc []byte) *Scanner { return &Scanner{src: doc} }
+
+// unescapeBufs lends scanners the buffer they unescape text into, from
+// the first text that needs it until Release.
+var unescapeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Release returns the scanner's unescape buffer to be lent to another
+// scanner. What the scanner returned before must not be used after, and
+// the scanner not at all; a scanner never released is only collected.
+func (s *Scanner) Release() {
+	if s.lent == nil {
+		return
+	}
+	if cap(s.buf) <= 64<<10 { // one outsized document keeps its buffer out of the pool
+		*s.lent = s.buf[:0]
+		unescapeBufs.Put(s.lent)
+	}
+	s.buf, s.lent = nil, nil
+}
+
+// scratch returns the unescape buffer, emptied, borrowing it at the
+// first call.
+func (s *Scanner) scratch() []byte {
+	if s.lent == nil {
+		s.lent = unescapeBufs.Get().(*[]byte)
+		s.buf = *s.lent
+	}
+	return s.buf[:0]
+}
 
 func (s *Scanner) errorf(format string, args ...any) error {
 	return fmt.Errorf("xml: offset %d: %s", s.pos, fmt.Sprintf(format, args...))
@@ -468,7 +498,7 @@ func (s *Scanner) Text() ([]byte, error) {
 			text, err = s.unescape(raw, false)
 		} else {
 			if runs == 1 {
-				s.buf = append(s.buf[:0], text...) // a no-op copy when text is s.buf already
+				s.buf = append(s.scratch(), text...) // a no-op copy when text is s.buf already
 			}
 			s.buf, err = appendUnescaped(s.buf, raw, false)
 			text = s.buf
@@ -648,7 +678,7 @@ func (s *Scanner) unescape(raw []byte, attr bool) ([]byte, error) {
 		return raw, nil
 	}
 	var err error
-	s.buf, err = appendUnescaped(s.buf[:0], raw, attr)
+	s.buf, err = appendUnescaped(s.scratch(), raw, attr)
 	return s.buf, err
 }
 

@@ -169,3 +169,36 @@ func TestSkipAndChildren(t *testing.T) {
 		t.Error("bad entity inside a skipped element accepted")
 	}
 }
+
+// Two live scanners never share an unescape buffer, a released one
+// lends its buffer on, and releasing twice is harmless.
+func TestReleaseLendsTheBuffer(t *testing.T) {
+	text := func(s *Scanner, doc string) []byte {
+		t.Helper()
+		*s = Scanner{src: []byte(doc)}
+		if err := s.Open("a"); err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.Text()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var s1, s2 Scanner
+	a := text(&s1, "<a>x &amp; y</a>")
+	b := text(&s2, "<a>&lt;&lt;&lt;&lt;&lt;</a>")
+	if string(a) != "x & y" || string(b) != "<<<<<" {
+		t.Fatalf("two live scanners read %q and %q", a, b)
+	}
+	s1.Release()
+	s1.Release()
+	s2.Release()
+	if s1.lent != nil || s1.buf != nil {
+		t.Error("a released scanner still holds its buffer")
+	}
+	if c := text(&s1, "<a>&#34;q&#34;</a>"); string(c) != `"q"` {
+		t.Errorf("after a release: %q", c)
+	}
+	s1.Release()
+}
