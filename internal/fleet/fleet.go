@@ -183,7 +183,7 @@ func (c *Controller) tick(p *sim.Proc) {
 	}
 	if pressure {
 		c.calm = 0
-		if active+c.draining < c.cfg.MaxPlants && c.cooledDown(p) && c.provision != nil {
+		if active < c.cfg.MaxPlants && c.cooledDown(p) && c.provision != nil {
 			c.scaleUp(p)
 		}
 		return
@@ -191,7 +191,7 @@ func (c *Controller) tick(p *sim.Proc) {
 
 	// Scale down: sustained calm on a fully idle gate, and only down to
 	// the floor. The drain runs on its own proc — a tick must not block
-	// for the minutes an evacuation can take.
+	// for the hours a drain can wait on its VMs' clients.
 	if depth == 0 {
 		c.calm++
 	} else {
@@ -222,7 +222,8 @@ func (c *Controller) scaleUp(p *sim.Proc) {
 }
 
 // scaleDown picks the emptiest active plant and drains it on a
-// dedicated proc: migration can take minutes of virtual time.
+// dedicated proc: the drain waits until every VM on the plant is
+// collected.
 func (c *Controller) scaleDown(p *sim.Proc) {
 	victim := c.victim()
 	if victim == "" {
@@ -239,8 +240,9 @@ func (c *Controller) scaleDown(p *sim.Proc) {
 	})
 }
 
-// victim selects the plant to retire: the fewest hosted VMs (cheapest
-// evacuation), name-ordered ties, skipping plants already draining.
+// victim selects the plant to retire: the fewest VMs routed to it in
+// the shop's ledger (the shortest wait), name-ordered ties, skipping
+// plants already draining.
 func (c *Controller) victim() string {
 	var best string
 	bestVMs := 0
@@ -249,10 +251,7 @@ func (c *Controller) victim() string {
 		if c.shop.Draining(name) {
 			continue
 		}
-		vms := 0 // a remote plant's count would cost a round trip
-		if lh, ok := h.(*shop.LocalHandle); ok {
-			vms = lh.Plant.ActiveVMs()
-		}
+		vms := c.shop.RoutedVMs(name)
 		if best == "" || vms < bestVMs || (vms == bestVMs && name < best) {
 			best, bestVMs = name, vms
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vmplants/internal/core"
 	"vmplants/internal/fleet"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
@@ -35,7 +36,8 @@ func elastic(t *testing.T, total, standby int, hub *telemetry.Hub, cfg fleet.Con
 
 // TestScaleUpOnQueueDepth: a burst of concurrent creations backs up
 // the admission gate; the controller provisions standby plants until
-// the pressure clears or the fleet cap is hit.
+// the pressure clears or the fleet cap is hit. The clients collect
+// their VMs at the end, which any drain the controller began waits for.
 func TestScaleUpOnQueueDepth(t *testing.T) {
 	hub := telemetry.New()
 	d, c := elastic(t, 3, 2, hub, fleet.Config{
@@ -49,6 +51,7 @@ func TestScaleUpOnQueueDepth(t *testing.T) {
 	c.Start(d.Kernel)
 
 	const clients = 4
+	var ids []core.VMID
 	done := 0
 	err := d.Run(func(p *sim.Proc) error {
 		for i := 0; i < clients; i++ {
@@ -58,8 +61,10 @@ func TestScaleUpOnQueueDepth(t *testing.T) {
 				if err != nil {
 					t.Errorf("spec: %v", err)
 				}
-				if _, _, err := d.Shop.Create(wp, spec); err != nil {
+				if id, _, err := d.Shop.Create(wp, spec); err != nil {
 					t.Errorf("create %d: %v", seq, err)
+				} else {
+					ids = append(ids, id)
 				}
 				done++
 			})
@@ -68,6 +73,11 @@ func TestScaleUpOnQueueDepth(t *testing.T) {
 			p.Sleep(time.Minute)
 		}
 		c.Stop()
+		for _, id := range ids {
+			if err := d.Shop.Destroy(p, id); err != nil {
+				t.Errorf("collect %s: %v", id, err)
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -180,5 +190,87 @@ func TestScaleUpOnFailureDelta(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScaleUpWhileADrainWaits: a draining plant stays among the shop's
+// plants until it retires, so the fleet cap counts it once. With one
+// drain open — waiting on a VM its client still holds — and the queue
+// backed up, the controller still admits a standby plant while fewer
+// than MaxPlants are wired. Counting the drain a second time starved
+// scale-up for as long as a drain waits.
+func TestScaleUpWhileADrainWaits(t *testing.T) {
+	hub := telemetry.New()
+	const tick = 10 * time.Second
+	d, c := elastic(t, 3, 1, hub, fleet.Config{
+		MinPlants:       1,
+		MaxPlants:       3,
+		Tick:            tick,
+		Cooldown:        tick,
+		ScaleUpDepth:    2,
+		ScaleUpFailures: -1,
+		QuietTicks:      2,
+	})
+	d.Shop.SetAdmission(shop.AdmissionConfig{MaxInflight: 1})
+	spec := func(seq int) *core.Spec {
+		s, err := d.WorkspaceSpec(seq, 32)
+		if err != nil {
+			t.Fatalf("spec: %v", err)
+		}
+		return s
+	}
+	err := d.Run(func(p *sim.Proc) error {
+		// One held VM on each active plant, so whichever plant the
+		// controller drains stays draining until its VM is collected.
+		var held []core.VMID
+		for i, name := range []string{"node00", "node01"} {
+			s := spec(i + 1)
+			s.Requirements = `TARGET.Plant == "` + name + `"`
+			id, _, err := d.Shop.Create(p, s)
+			if err != nil {
+				t.Fatalf("create on %s: %v", name, err)
+			}
+			held = append(held, id)
+		}
+		c.Start(p.Kernel())
+		for c.Status().Draining == 0 {
+			p.Sleep(tick)
+		}
+		const clients = 4
+		done := 0
+		for i := 0; i < clients; i++ {
+			seq := 10 + i
+			p.Kernel().Spawn("burst", func(wp *sim.Proc) {
+				defer func() { done++ }()
+				id, _, err := d.Shop.Create(wp, spec(seq))
+				if err != nil {
+					t.Errorf("create %d: %v", seq, err)
+					return
+				}
+				if err := d.Shop.Destroy(wp, id); err != nil {
+					t.Errorf("collect %s: %v", id, err)
+				}
+			})
+		}
+		for done < clients {
+			p.Sleep(tick)
+		}
+		st := c.Status()
+		c.Stop()
+		if st.ScaleUps != 1 || st.Draining != 1 || st.Active != 3 {
+			t.Errorf("after the burst: %+v, want the standby plant joined beside the open drain", st)
+		}
+		for _, id := range held {
+			if err := d.Shop.Destroy(p, id); err != nil {
+				t.Errorf("collect %s: %v", id, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Shop.Retired("node00") {
+		t.Error("the drained plant did not retire once its VM was collected")
 	}
 }

@@ -38,7 +38,7 @@ func TestDerivedCloneSlots(t *testing.T) {
 func TestResourceAdAllocations(t *testing.T) {
 	r := newRig(t, Config{PolicyAd: classad.New().SetBool("AcceptsGuests", true)})
 	ad := r.pl.ResourceAd()
-	if ad.Len() != 11 {
+	if ad.Len() != 10 {
 		t.Fatalf("resource ad has %d attributes: %s", ad.Len(), ad)
 	}
 	for _, c := range []struct {

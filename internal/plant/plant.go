@@ -53,9 +53,10 @@ type Config struct {
 	// Figure 4–6 scenario (internal/workload's runCreation, tuned to
 	// the paper's observed 121/124/40 successes of 128/128/40 requests),
 	// and moving that to the site's shared fault.Registry changes which
-	// draws those figures see. ROADMAP item 2(b) regenerates the goldens anyway and
-	// may fold it in; anything else configures Faults, which covers
-	// crashes, RPC faults and clone I/O errors as well.
+	// draws those figures see. The ROADMAP's seed-loop item (claims as
+	// distributions) regenerates the goldens anyway and may fold it in;
+	// anything else configures Faults, which covers crashes, RPC faults
+	// and clone I/O errors as well.
 	FailProb map[string]float64
 	// Faults is the fault-injection registry every injection point in
 	// the plant consults: DAG action failures, clone I/O errors,
@@ -126,11 +127,6 @@ type Plant struct {
 	// incoming migrations, so concurrent arrivals cannot overshoot MaxVMs
 	// between the capacity check and info.store.
 	creating int
-	// draining/retired is the elastic-fleet exit state (drain.go): a
-	// draining plant refuses new work but finishes what it has; retired
-	// is the one-way terminal state.
-	draining bool
-	retired  bool
 
 	// cloneGate is the admission-control semaphore: at most K clone
 	// state-copies in flight (see admission.go). Only kernel processes
@@ -196,7 +192,8 @@ type Plant struct {
 
 // CreateStats is one successful creation's plant-side latency; its
 // timing lives in the span tree. It stays only because the frozen
-// benchmark module reads it, until ROADMAP item 9 deletes it.
+// benchmark module reads it, until the ROADMAP's `benchmark` item
+// (unfreeze what the perf PRs could not touch) deletes it.
 type CreateStats struct {
 	Total time.Duration // plant-side create latency
 }
@@ -324,7 +321,7 @@ func (pl *Plant) view(domain string) cost.PlantView {
 // bidding: capacity and load attributes, plus the administrator's
 // policy ad (including any site Requirements).
 func (pl *Plant) ResourceAd() *classad.Ad {
-	ad := classad.New().Grow(10+pl.cfg.PolicyAd.Len()).
+	ad := classad.New().Grow(9+pl.cfg.PolicyAd.Len()).
 		SetString("Plant", pl.name).
 		SetString("Arch", "x86").
 		SetInt("FreeMemoryMB", int64(pl.node.FreeMB())).
@@ -333,7 +330,6 @@ func (pl *Plant) ResourceAd() *classad.Ad {
 		SetInt("FreeNetworks", int64(pl.nets.FreeCount())).
 		SetInt("CloneSlots", int64(pl.cloneGate.Capacity())).
 		SetInt("InflightClones", int64(pl.cloneGate.InUse())).
-		SetBool("Draining", pl.Draining()).
 		SetValue("GoldenImages", pl.wh.GoldenImages())
 	if pl.cfg.PolicyAd != nil {
 		ad.Merge(pl.cfg.PolicyAd)
@@ -350,11 +346,6 @@ func (pl *Plant) Estimate(p *sim.Proc, spec *core.Spec) core.Cost {
 	// bidding round waits for it, so the whole round is late by the stall.
 	if d := pl.faults.DelayFor(pl.name, fault.SlowBid, ""); d > 0 {
 		p.Sleep(d)
-	}
-	// A draining plant stops bidding: the classad marker covers shops
-	// holding a stale ad, and the infeasible bid covers everyone else.
-	if pl.Draining() {
-		return core.Infeasible
 	}
 	// The bid's price never reads the plan, so it asks only whether one
 	// exists.
@@ -433,11 +424,6 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		}
 	}()
 	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	// Stale-bid race: the plant may have begun draining after its bid
-	// was collected. Refuse the order transiently so the shop re-bids.
-	if err := pl.refuseIfDraining(); err != nil {
 		return nil, err
 	}
 	// Capacity check with reservation: a burst of concurrent orders

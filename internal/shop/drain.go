@@ -1,14 +1,15 @@
 // Safe drain and retirement: the shop-side half of the elastic fleet.
 //
 // Draining takes a plant out of the bidding rotation without dropping a
-// single creation: a drain-begin record is synced before any side
-// effect, the plant stops bidding (shop-side eligibility filter plus
-// the plant's own Draining classad marker), dispatches already in
-// flight finish normally, and the hosted VMs are migrated to the
-// remaining plants — or awaited, when migration is refused (a full
-// destination, a suspended VM) — before a retirement record
-// makes the exit durable. The two journal records bracket the protocol
-// so a shop killed mid-drain resumes it on restart instead of
+// single creation, using only the shop's ledger and the four plant
+// operations: a drain-begin record is synced before any side effect,
+// the plant leaves every bidding round and every dispatch from then on,
+// dispatches already in flight finish normally, and the drain waits
+// until no creation is in flight to the plant and no VM is routed to it
+// — its clients collect them — before a retirement record makes the exit
+// durable. The plant itself is never told: the ledger is the one place
+// that knows a plant is draining. The two journal records bracket the
+// protocol so a shop killed mid-drain resumes it on restart instead of
 // forgetting it, and replay removes retired plants from the candidate
 // set before any intent is reconciled or re-driven: a retired plant can
 // never be routed to again.
@@ -18,41 +19,12 @@ import (
 	"fmt"
 	"time"
 
-	"vmplants/internal/core"
 	"vmplants/internal/journal"
 	"vmplants/internal/sim"
 )
 
-// Drainable is the optional capability of plant handles whose plant can
-// be told to stop bidding. LocalHandle implements it; remote handles
-// without it still drain correctly — the shop-side eligibility filter
-// and dispatch recheck carry the protocol alone, the plant just keeps
-// advertising until its ad expires.
-type Drainable interface {
-	// SetDraining marks (or unmarks) the plant as draining.
-	SetDraining(on bool)
-	// Retire marks the plant permanently retired.
-	Retire()
-}
-
-// LivenessProbe is the optional capability of plant handles that can
-// answer "is the daemon up right now?" without a round trip — the
-// dispatch-time recheck that catches bids gone stale when a plant
-// crashed after bidding.
-type LivenessProbe interface {
-	Alive() bool
-}
-
-// Migrator is the optional capability of plant handles that can move a
-// hosted VM to another plant (both in-process under the simulation
-// kernel). Drains on handles without it simply await their VMs instead
-// of migrating them.
-type Migrator interface {
-	MigrateVM(p *sim.Proc, id core.VMID, dst PlantHandle) error
-}
-
 // drainPoll is how often a drain re-checks for in-flight work and
-// unmigratable VMs while waiting them out.
+// routed VMs while waiting them out.
 const drainPoll = time.Second
 
 // plantByName finds a wired plant handle, including one already
@@ -99,21 +71,6 @@ func (s *Shop) eligiblePlants() []PlantHandle {
 	return out
 }
 
-// dispatchOK is the moment-of-dispatch recheck: a bid was collected at
-// round start, but the plant may have begun draining — or died — since.
-// Dispatching anyway would either park a fresh creation on a plant
-// trying to empty itself or burn a call timeout on a corpse; the caller
-// skips the stale bid and re-picks instead.
-func (s *Shop) dispatchOK(h PlantHandle) bool {
-	if s.Draining(h.Name()) {
-		return false
-	}
-	if probe, ok := h.(LivenessProbe); ok && !probe.Alive() {
-		return false
-	}
-	return true
-}
-
 // BeginDrain starts draining the named plant: the drain-begin record is
 // synced before any side effect, so a daemon killed at any later point
 // resumes the drain on restart. Idempotent — re-beginning an open drain
@@ -122,8 +79,7 @@ func (s *Shop) BeginDrain(p *sim.Proc, name string) error {
 	if s.down {
 		return ErrShopDown
 	}
-	h := s.plantByName(name)
-	if h == nil {
+	if s.plantByName(name) == nil {
 		return fmt.Errorf("shop %s: no plant %s to drain", s.name, name)
 	}
 	if s.Retired(name) {
@@ -133,19 +89,17 @@ func (s *Shop) BeginDrain(p *sim.Proc, name string) error {
 		return nil
 	}
 	s.record(p, true, journal.Record{Kind: journal.PlantDrainBegin, Key: name})
-	if d, ok := h.(Drainable); ok {
-		d.SetDraining(true)
-	}
 	s.mDrains.Inc()
 	return nil
 }
 
 // DrainAndRetire runs the full drain protocol on the named plant:
-// drain-begin, wait out in-flight dispatches, migrate (or await) every
-// hosted VM, then sync the retirement record and remove the plant from
-// the fleet. Blocks in virtual time until the plant is empty. The
-// "drain" chaos point sits right after the begin record — the widest
-// crash window, which the restart-time drain resume must close.
+// drain-begin, wait out in-flight dispatches and every VM routed to the
+// plant, then sync the retirement record and remove the plant from the
+// fleet. Blocks in virtual time until the plant's clients have
+// collected its VMs. The "drain" chaos point sits right after the begin
+// record — the widest crash window, which the restart-time drain resume
+// must close.
 func (s *Shop) DrainAndRetire(p *sim.Proc, name string) error {
 	if err := s.BeginDrain(p, name); err != nil {
 		return err
@@ -178,8 +132,8 @@ func (s *Shop) ResumeDrains(p *sim.Proc) error {
 	return nil
 }
 
-// finishDrain is the back half of the protocol: empty the plant, then
-// retire it durably.
+// finishDrain is the back half of the protocol: wait until the plant
+// has nothing in flight and no VM routed to it, then retire it durably.
 func (s *Shop) finishDrain(p *sim.Proc, name string) error {
 	if s.Retired(name) {
 		return nil // another drainer already finished the job
@@ -188,68 +142,26 @@ func (s *Shop) finishDrain(p *sim.Proc, name string) error {
 	if h == nil {
 		return fmt.Errorf("shop %s: no plant %s to drain", s.name, name)
 	}
-	// In-flight dispatches (orders handed to the plant before the drain
-	// began) run to completion; the plant accepts them, it only refuses
-	// new ones.
-	for s.inflightOf(name) > 0 {
-		if s.down {
-			return ErrShopDown
-		}
-		p.Sleep(drainPoll)
-	}
-	// Evacuate: every VM routed to the draining plant, a lazy clone at any
-	// age, is migrated to an eligible plant. A refused migration
-	// (destination full, suspended VM) is awaited and retried — clients
-	// collect, capacity frees — so the loop always makes progress in
-	// virtual time without ever abandoning a VM.
 	for {
 		if s.down {
 			return ErrShopDown
 		}
-		ids := s.routedTo(name)
-		if len(ids) == 0 {
+		if s.inflightOf(name) == 0 && s.RoutedVMs(name) == 0 {
 			break
 		}
-		moved := false
-		for _, id := range ids {
-			dst := s.migrationTarget(h)
-			m, ok := h.(Migrator)
-			if !ok || dst == nil {
-				continue // no way to move it: await collection
-			}
-			if err := m.MigrateVM(p, id, dst); err != nil {
-				continue // refused now; retry next pass
-			}
-			// The one place that applies before it persists: the VM has
-			// already moved, so the live route flips before the sync
-			// parks this proc — a Query or Destroy arriving meanwhile must
-			// not be sent to the plant the VM just left. The sync still
-			// comes before the retirement record: that must never be
-			// durable while a route points at the retiring plant.
-			rec := routeRecord(id, dst.Name())
-			s.apply(rec)
-			s.persist(p, true, rec)
-			s.mMigratedVMs.Inc()
-			moved = true
-		}
-		if !moved {
-			p.Sleep(drainPoll)
-		}
+		p.Sleep(drainPoll)
 	}
 	// The plant is empty and invisible to new work: make the exit
 	// durable, then drop it from the fleet. Replay of this record strips
 	// the plant from every restart's candidate set before reconciliation
 	// runs, so nothing can ever be routed to it again. A concurrent
 	// drainer of the same plant may have retired it while this one slept
-	// in the evacuation loop — exactly one retirement record lands.
+	// — exactly one retirement record lands.
 	if s.Retired(name) {
 		return nil
 	}
 	s.record(p, true, journal.Record{Kind: journal.PlantRetired, Key: name})
 	s.plants = without(s.plants, h)
-	if d, ok := h.(Drainable); ok {
-		d.Retire()
-	}
 	s.mRetires.Inc()
 	return nil
 }
@@ -281,31 +193,10 @@ func (s *Shop) inflightOf(name string) int {
 	return s.inflight[name]
 }
 
-// routedTo lists the VMs the shop routes to the named plant, in VMID
-// order for deterministic migration order.
-func (s *Shop) routedTo(name string) []core.VMID {
+// RoutedVMs counts the VMs the shop's ledger routes to the named plant:
+// what a drain of it waits for its clients to collect.
+func (s *Shop) RoutedVMs(name string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.led.RoutedTo(name)
-}
-
-// migrationTarget picks where an evacuated VM goes: the eligible,
-// reachable plant with the fewest VMs routed to it (name-ordered ties),
-// spreading the refugees instead of dumping them on one node.
-func (s *Shop) migrationTarget(from PlantHandle) PlantHandle {
-	var best PlantHandle
-	bestLoad := 0
-	for _, h := range s.eligiblePlants() {
-		if h == from {
-			continue
-		}
-		if probe, ok := h.(LivenessProbe); ok && !probe.Alive() {
-			continue
-		}
-		load := len(s.routedTo(h.Name()))
-		if best == nil || load < bestLoad || (load == bestLoad && h.Name() < best.Name()) {
-			best, bestLoad = h, load
-		}
-	}
-	return best
+	return s.led.RoutedCount(name)
 }

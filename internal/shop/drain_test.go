@@ -31,9 +31,9 @@ func seedPlantB(t *testing.T, p *sim.Proc, d *deployment) {
 // plant 0's now-stale bid in hand. The dispatch-time recheck must skip
 // the draining winner and re-pick — counting a stale bid, not a
 // failover (nothing was dispatched), and never handing the draining
-// plant the order. Before the recheck existed this test failed:
-// dispatch reached the draining plant, which refused with a transient
-// error, and the creation burned a round trip and a failover.
+// plant the order. The plant does not know it is draining — only the
+// shop's ledger does — so without the recheck the creation would land
+// on the plant the drain is waiting to empty.
 func TestStaleBidRecheckedAtDispatch(t *testing.T) {
 	d := newDeployment(t, 2, plant.Config{MaxVMs: 32})
 	hub := telemetry.New()
@@ -78,10 +78,10 @@ func TestStaleBidRecheckedAtDispatch(t *testing.T) {
 // round (bid not yet won), right at dispatch, during the clone state
 // copy, while the lazy clone hydrates, and during configuration. In
 // every interleaving the invariant is the same: the creation completes
-// (on the drained plant and is then migrated off, or failed over to the
-// other plant mid-round), the drain retires an empty plant, and exactly
-// the expected VMs exist afterwards — never an orphan, never a VM
-// stranded on a retired plant.
+// (on the drained plant, or failed over to the other plant mid-round),
+// the drain waits until its client collects the VM and then retires an
+// empty plant, and exactly the expected VMs exist afterwards — never an
+// orphan, never a VM stranded on a retired plant.
 func TestDrainVsInflightSweep(t *testing.T) {
 	delays := []struct {
 		name  string
@@ -112,7 +112,18 @@ func TestDrainVsInflightSweep(t *testing.T) {
 				if err != nil {
 					t.Fatalf("create with drain at %s: %v", tc.name, err)
 				}
-				// Let the drain finish before auditing.
+				// A drain never takes a VM from its client: while the VM
+				// is routed to the draining plant, the drain waits.
+				p.Sleep(time.Minute)
+				if r := d.shop.RouteOf(id); r == target && drained {
+					t.Errorf("drain finished with %s still routed to %s", id, r)
+				}
+				if _, err := d.shop.Query(p, id); err != nil {
+					t.Errorf("created VM lost to the drain: %v", err)
+				}
+				if err := d.shop.Destroy(p, id); err != nil {
+					t.Fatal(err)
+				}
 				for !drained {
 					p.Sleep(time.Second)
 				}
@@ -122,14 +133,8 @@ func TestDrainVsInflightSweep(t *testing.T) {
 				if n := d.plants[0].ActiveVMs(); n != 0 {
 					t.Errorf("retired plant still hosts %d VMs", n)
 				}
-				if total := d.plants[0].ActiveVMs() + d.plants[1].ActiveVMs(); total != 2 {
-					t.Errorf("%d VMs exist, want 2 (the creation and the seed)", total)
-				}
-				if _, err := d.shop.Query(p, id); err != nil {
-					t.Errorf("created VM lost after drain: %v", err)
-				}
-				if r := d.shop.RouteOf(id); r == target {
-					t.Errorf("route still points at retired plant %s", r)
+				if n := d.plants[1].ActiveVMs(); n != 1 {
+					t.Errorf("%d VMs on the other plant, want 1 (the seed)", n)
 				}
 				// A retired plant never re-enters the rotation.
 				if _, ad, err := d.shop.Create(p, wsSpec(t, "ana", "ufl.edu")); err != nil {
@@ -144,9 +149,10 @@ func TestDrainVsInflightSweep(t *testing.T) {
 
 // kill -9 lands immediately after the drain-begin record: the daemon
 // forgets everything soft, but the journal remembers the open drain.
-// Restart must resume and finish it — migrating the hosted VMs off,
-// retiring the plant durably — and no re-drive or later creation may
-// ever route to the retired plant, across yet another kill/restart.
+// Restart must resume it — waiting until the client has collected the
+// hosted VMs, then retiring the plant durably — and no re-drive or later
+// creation may ever route to the retired plant, across yet another
+// kill/restart.
 func TestKillMidDrainResumesOnRestart(t *testing.T) {
 	d := newDeployment(t, 2, plant.Config{MaxVMs: 32})
 	_, reg := journaled(d)
@@ -162,6 +168,9 @@ func TestKillMidDrainResumesOnRestart(t *testing.T) {
 			}
 			ids = append(ids, id)
 		}
+		if n := d.shop.RoutedVMs(target); n != 3 {
+			t.Fatalf("%d VMs routed to %s, want all 3", n, target)
+		}
 		if err := d.shop.DrainAndRetire(p, target); !errors.Is(err, ErrShopDown) {
 			t.Fatalf("drain survived the kill: %v", err)
 		}
@@ -172,26 +181,37 @@ func TestKillMidDrainResumesOnRestart(t *testing.T) {
 		if len(open) != 1 || open[0] != target {
 			t.Fatalf("OpenDrains = %v, want [%s]", open, target)
 		}
-		if !d.plants[0].Draining() {
-			t.Error("replay did not re-mark the plant draining")
+		if !d.shop.Draining(target) {
+			t.Error("replay did not keep the plant draining")
 		}
-		if err := d.shop.ResumeDrains(p); err != nil {
-			t.Fatal(err)
+		var resumed bool
+		p.Kernel().Spawn("resume", func(rp *sim.Proc) {
+			if err := d.shop.ResumeDrains(rp); err != nil {
+				t.Error(err)
+			}
+			resumed = true
+		})
+		// Every VM survives the drain until its client collects it.
+		for _, id := range ids {
+			p.Sleep(time.Minute)
+			if resumed {
+				t.Fatalf("drain retired %s before %s was collected", target, id)
+			}
+			if _, err := d.shop.Query(p, id); err != nil {
+				t.Errorf("VM %s lost to the drain: %v", id, err)
+			}
+			if err := d.shop.Destroy(p, id); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !d.shop.Retired(target) || !d.plants[0].RetiredPlant() {
+		for !resumed {
+			p.Sleep(time.Second)
+		}
+		if !d.shop.Retired(target) {
 			t.Error("resumed drain did not retire the plant")
 		}
 		if n := d.plants[0].ActiveVMs(); n != 0 {
 			t.Errorf("retired plant still hosts %d VMs", n)
-		}
-		// Every VM survived the drain: queryable, not routed to the corpse.
-		for _, id := range ids {
-			if _, err := d.shop.Query(p, id); err != nil {
-				t.Errorf("VM %s lost across the drain: %v", id, err)
-			}
-			if r := d.shop.RouteOf(id); r == target || r == "" {
-				t.Errorf("VM %s routed to %q after retirement", id, r)
-			}
 		}
 		// Retirement is durable: a second kill -9 and restart must not
 		// resurrect the plant, and reconciliation must not touch it.

@@ -53,17 +53,11 @@ func (s *Shop) Journal() *journal.Journal { return s.jnl }
 // Down reports whether the shop daemon is currently dead.
 func (s *Shop) Down() bool { return s.down }
 
-// record is how shop state changes: the record goes to the journal —
-// synced when the protocol needs it durable before the next step — and
-// then into the ledger.
+// record is how shop state changes: the record goes to the journal,
+// when one is attached (the write path's only such check) — synced when
+// the protocol needs it durable before the next step — and then into
+// the ledger.
 func (s *Shop) record(p *sim.Proc, sync bool, r journal.Record) {
-	s.persist(p, sync, r)
-	s.apply(r)
-}
-
-// persist writes a record to the journal when one is attached — the
-// write path's only such check.
-func (s *Shop) persist(p *sim.Proc, sync bool, r journal.Record) {
 	switch {
 	case s.jnl == nil:
 	case sync:
@@ -71,6 +65,7 @@ func (s *Shop) persist(p *sim.Proc, sync bool, r journal.Record) {
 	default:
 		s.jnl.Append(p, r)
 	}
+	s.apply(r)
 }
 
 // fold replays the journal, when one is attached, into a fresh ledger —
@@ -88,7 +83,8 @@ func (s *Shop) fold() (*ledger.Ledger, journal.ReplayStats, error) {
 }
 
 // apply folds a record into the ledger. The mutex is held for the fold
-// only, never across persist: a sync parks the proc in the kernel.
+// only, never across the journal write: a sync parks the proc in the
+// kernel.
 func (s *Shop) apply(r journal.Record) {
 	s.mu.Lock()
 	s.led.Apply(r)
@@ -112,8 +108,8 @@ func forwardCommitRecord(id core.VMID, peer string, remote core.VMID) journal.Re
 	}
 }
 
-// routeRecord says the VM is now served by the named plant: re-learned
-// by a recovery sweep, or moved there by a drain.
+// routeRecord says the VM is now served by the named plant, as a
+// recovery sweep re-learned it.
 func routeRecord(id core.VMID, plant string) journal.Record {
 	return journal.Record{
 		Kind: journal.RouteChange, Key: string(id),
@@ -223,21 +219,14 @@ func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 	// The journal is the authority on fleet membership too. Act on it
 	// before any intent is reconciled: retired plants leave the candidate
 	// set (a route still naming one no longer resolves — a retired plant
-	// is provably empty), open drains re-mark their plants, so neither
-	// the reconcile sweep nor a re-drive can ever route work to a plant
-	// that already left.
-	draining, retired := led.Exits()
+	// is provably empty), so neither the reconcile sweep nor a re-drive
+	// can ever route work to a plant that already left. Open drains need
+	// nothing here: the folded ledger already keeps their plants out of
+	// every round.
+	_, retired := led.Exits()
 	for _, name := range retired {
 		if h := s.plantByName(name); h != nil {
 			s.plants = without(s.plants, h)
-			if d, ok := h.(Drainable); ok {
-				d.Retire()
-			}
-		}
-	}
-	for _, name := range draining {
-		if d, ok := s.plantByName(name).(Drainable); ok {
-			d.SetDraining(true)
 		}
 	}
 	plantRoutes := 0

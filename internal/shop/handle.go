@@ -209,30 +209,6 @@ func (h *LocalHandle) roundTrip(p *sim.Proc, op string) error {
 	return nil
 }
 
-// SetDraining implements Drainable.
-func (h *LocalHandle) SetDraining(on bool) { h.Plant.SetDraining(on) }
-
-// Retire implements Drainable.
-func (h *LocalHandle) Retire() { h.Plant.Retire() }
-
-// Alive implements LivenessProbe: the handle is marked up and the
-// plant daemon is running. No round trip — this is the cheap
-// dispatch-time recheck, not a health probe.
-func (h *LocalHandle) Alive() bool { return !h.Down && !h.Plant.Down() }
-
-// MigrateVM implements Migrator: move a hosted VM to another local
-// plant, preserving its VMID.
-func (h *LocalHandle) MigrateVM(p *sim.Proc, id core.VMID, dst PlantHandle) error {
-	dh, ok := dst.(*LocalHandle)
-	if !ok {
-		return fmt.Errorf("shop: cannot migrate %s to non-local plant %s", id, dst.Name())
-	}
-	if err := h.roundTrip(p, "migrate"); err != nil {
-		return err
-	}
-	return h.Plant.MigrateTo(p, id, dh.Plant)
-}
-
 // Estimate implements PlantHandle.
 func (h *LocalHandle) Estimate(p *sim.Proc, spec *core.Spec) (core.Cost, *classad.Ad, error) {
 	if err := h.roundTrip(p, "estimate"); err != nil {

@@ -161,16 +161,15 @@ func (l *Ledger) Routes(fn func(core.VMID, Route)) {
 	}
 }
 
-// RoutedTo lists the VMs routed to the named plant, in VMID order.
-func (l *Ledger) RoutedTo(plant string) []core.VMID {
-	var ids []core.VMID
-	for id, rt := range l.routes {
+// RoutedCount counts the VMs routed to the named plant.
+func (l *Ledger) RoutedCount(plant string) int {
+	n := 0
+	for _, rt := range l.routes {
 		if rt.Peer == "" && rt.Plant == plant {
-			ids = append(ids, id)
+			n++
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return n
 }
 
 // Request resolves a client RequestID (or forwarding token) to the

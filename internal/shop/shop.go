@@ -94,7 +94,6 @@ type Shop struct {
 	mShedCreates    *telemetry.Counter
 	mDrains         *telemetry.Counter
 	mRetires        *telemetry.Counter
-	mMigratedVMs    *telemetry.Counter
 	gAdmissionQueue *telemetry.Gauge
 	hAdmissionWait  *telemetry.Histogram
 }
@@ -175,7 +174,6 @@ func (s *Shop) SetTelemetry(h *telemetry.Hub) {
 	s.mShedCreates = h.Counter("shop.shed_creates")
 	s.mDrains = h.Counter("shop.plant_drains")
 	s.mRetires = h.Counter("shop.plant_retirements")
-	s.mMigratedVMs = h.Counter("shop.drain_migrations")
 	s.gAdmissionQueue = h.Gauge("shop.admission_queue")
 	s.hAdmissionWait = h.Histogram("shop.admission_wait_secs")
 }
@@ -278,10 +276,12 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		for len(feasible) > 0 {
 			winner := s.pickWinner(feasible)
 			// Stale-bid recheck: the winner bid at round start, but may
-			// have begun draining — or died — since. Skip it without
-			// paying a dispatch (and without counting a failover: nothing
-			// was dispatched) and re-pick from the rest of the round.
-			if !s.dispatchOK(winner) {
+			// have begun draining since. Dispatching anyway would park a
+			// fresh creation on a plant trying to empty itself; skip it
+			// without paying a dispatch (and without counting a failover:
+			// nothing was dispatched) and re-pick from the rest of the
+			// round.
+			if s.Draining(winner.Name()) {
 				s.mStaleBids.Inc()
 				feasible = withoutBid(feasible, winner)
 				candidates = without(candidates, winner)

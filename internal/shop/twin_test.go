@@ -29,7 +29,7 @@ const (
 	twinOps   = 14
 	// twinHorizon bounds a seed's virtual time (a healthy one needs
 	// well under an hour), so a shop that can no longer make progress —
-	// a drain waiting on a route that never moves — fails instead of
+	// a drain waiting on a route that never goes — fails instead of
 	// spinning.
 	twinHorizon = 24 * time.Hour
 )
@@ -210,7 +210,7 @@ func (tw *twin) restart(p *sim.Proc) RestartStats {
 }
 
 // drainable picks an active plant of cell A to retire, keeping at least
-// one to migrate onto.
+// one to serve.
 func (tw *twin) drainable() (string, bool) {
 	var active []string
 	for _, h := range tw.a.Plants() {
@@ -222,6 +222,20 @@ func (tw *twin) drainable() (string, bool) {
 		return "", false
 	}
 	return active[tw.rng.Intn(len(active))], true
+}
+
+// collect destroys every VM the client holds on the named plant, as a
+// drain of it waits for.
+func (tw *twin) collect(p *sim.Proc, plant string) {
+	for _, id := range append([]core.VMID(nil), tw.order...) {
+		if tw.a.RouteOf(id) != plant {
+			continue
+		}
+		if err := tw.a.Destroy(p, id); err != nil {
+			tw.failf("collect %s: %v", id, err)
+		}
+		tw.drop(id)
+	}
 }
 
 // step runs one operation; false means its precondition did not hold
@@ -285,7 +299,7 @@ func (tw *twin) step(p *sim.Proc, op twinOp) bool {
 		}
 		for _, h := range tw.a.eligiblePlants() {
 			if h != PlantHandle(from) {
-				if err := from.MigrateVM(p, id, h); err != nil {
+				if err := from.Plant.MigrateTo(p, id, h.(*LocalHandle).Plant); err != nil {
 					tw.failf("migrate %s: %v", id, err)
 				}
 				return true
@@ -297,19 +311,29 @@ func (tw *twin) step(p *sim.Proc, op twinOp) bool {
 		if !ok {
 			return false
 		}
+		var err error
 		if op == opKillDrain {
 			arm("drain")
-		}
-		err := tw.a.DrainAndRetire(p, name)
-		if op == opKillDrain {
-			if !errors.Is(err, ErrShopDown) {
+			if err := tw.a.DrainAndRetire(p, name); !errors.Is(err, ErrShopDown) {
 				tw.failf("drain survived the kill: %v", err)
 			}
 			tw.restart(p)
 			if open := tw.a.OpenDrains(); len(open) != 1 || open[0] != name {
 				tw.failf("restart forgot the open drain of %s: %v", name, open)
 			}
+			tw.collect(p, name)
 			err = tw.a.ResumeDrains(p)
+		} else {
+			// The drain waits while the client collects the plant's VMs.
+			done := false
+			p.Kernel().Spawn("drain", func(dp *sim.Proc) {
+				err = tw.a.DrainAndRetire(dp, name)
+				done = true
+			})
+			tw.collect(p, name)
+			for !done {
+				p.Sleep(time.Second)
+			}
 		}
 		if err != nil || !tw.a.Retired(name) || tw.a.plantByName(name) != nil {
 			tw.failf("drain of %s: %v (retired %v)", name, err, tw.a.Retired(name))

@@ -27,7 +27,7 @@
 // value. State a half-finished process left behind is never run over.
 //
 // The go1.23 build line raises this file's language version for iter;
-// go.mod still says 1.22 (see ROADMAP item 9).
+// go.mod still says 1.22 (see the ROADMAP's `benchmark` item).
 package sim
 
 import (
@@ -472,6 +472,17 @@ func (k *Kernel) Do(name string, fn func(p *Proc)) error {
 		return fmt.Errorf("sim: stranded processes: %v", res.Stranded)
 	}
 	return nil
+}
+
+// Live lists the names of the processes that have not finished, sorted:
+// what a run stopped at its horizon left running.
+func (k *Kernel) Live() []string {
+	names := make([]string, 0, len(k.procs))
+	for _, p := range k.procs {
+		names = append(names, p.name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // failure is the panic value of Failf: a message that already names its

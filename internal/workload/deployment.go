@@ -317,12 +317,25 @@ func (d *Deployment) runSeries(n, memMB int, specFor func(seq, memMB int) (*core
 	return records, err
 }
 
+// runHorizon bounds a run's virtual time from its start. The longest
+// scenario, the diurnal paper week, ends well inside it (196 h at most
+// over seeds 1–100), so a run still live past it is stuck — a drain
+// waiting on a VM no client collects, a loop retrying forever — not
+// slow.
+const runHorizon = 14 * 24 * time.Hour
+
 // Run executes a client body inside the deployment's kernel to
-// completion, returning the body's error.
+// completion, returning the body's error. A run whose kernel still has
+// work at runHorizon fails, naming the processes left live.
 func (d *Deployment) Run(body func(p *sim.Proc) error) error {
 	var err error
-	if derr := d.Kernel.Do("client", func(p *sim.Proc) { err = body(p) }); derr != nil {
-		return derr
+	d.Kernel.Spawn("client", func(p *sim.Proc) { err = body(p) })
+	res := d.Kernel.Run(d.Kernel.Now() + runHorizon)
+	if d.Kernel.QueueDepth() > 0 {
+		return fmt.Errorf("run still live at its %v horizon: %v", runHorizon, d.Kernel.Live())
+	}
+	if len(res.Stranded) != 0 {
+		return fmt.Errorf("sim: stranded processes: %v", res.Stranded)
 	}
 	return err
 }

@@ -135,7 +135,6 @@ type diurnalResult struct {
 	ScaleUps   int
 	ScaleDowns int
 	Retired    int
-	Migrated   int64
 
 	ShopKills     int64
 	ShopRestarts  int64
@@ -189,7 +188,7 @@ func (r *diurnalResult) Report() []string {
 		fmt.Sprintf("simulated days:     %d", r.Days),
 		fmt.Sprintf("requests:           %d (succeeded %d)", r.Requests, r.Succeeded),
 		fmt.Sprintf("peak fleet:         %d plants", r.PeakPlants),
-		fmt.Sprintf("controller retires: %d (migrations %d)", r.ScaleDowns, r.Migrated),
+		fmt.Sprintf("controller retires: %d", r.ScaleDowns),
 	}
 }
 
@@ -452,7 +451,6 @@ func runDiurnal(seed int64, par diurnalParams) (*diurnalResult, error) {
 		res.PeakPlants = n
 	}
 	res.Retired = int(hub.Counter("shop.plant_retirements").Value())
-	res.Migrated = hub.Counter("shop.drain_migrations").Value()
 	res.ShopKills = hub.Counter("shop.crashes").Value()
 	res.ShopRestarts = hub.Counter("shop.restarts").Value()
 
@@ -466,9 +464,9 @@ func runDiurnal(seed int64, par diurnalParams) (*diurnalResult, error) {
 	// Audit 3 — the standing SLOs over the whole week.
 	res.Objectives = evaluateSLOs(hub, d.Kernel.Now(), &res.transcript)
 
-	res.logf("requests=%d ok=%d failed=%d shed=%d scale_ups=%d scale_downs=%d retired=%d migrated=%d kills=%d restarts=%d resumed=%d orphans=%d leaked_nets=%d leaked_refs=%d end=%s",
+	res.logf("requests=%d ok=%d failed=%d shed=%d scale_ups=%d scale_downs=%d retired=%d kills=%d restarts=%d resumed=%d orphans=%d leaked_nets=%d leaked_refs=%d end=%s",
 		res.Requests, res.Succeeded, res.FailedFinal, res.Shed, res.ScaleUps, res.ScaleDowns,
-		res.Retired, res.Migrated, res.ShopKills, res.ShopRestarts, res.ResumedDrains,
+		res.Retired, res.ShopKills, res.ShopRestarts, res.ResumedDrains,
 		res.OrphanVMs, res.LeakedNets, res.LeakedExtentRefs, d.Kernel.Now())
 	res.Journal = jnl.Records()
 	res.Spans = hub.T().Spans()

@@ -149,6 +149,27 @@ func TestDiurnalSmokeGateSecondSeed(t *testing.T) {
 	}
 }
 
+// The smoke seeds on which drain-time migration orphaned VMs, leaked
+// networks or never ended hold every invariant now that a drain waits
+// for its VMs, and each run ends inside its horizon (Run's error).
+// Claims and preconditions are not judged here: on one seed they are a
+// sample, not a defect.
+func TestDiurnalRegressionSeedsHoldInvariants(t *testing.T) {
+	sc := scenarioNamed(t, "diurnal")
+	for _, seed := range []int64{9, 65, 94, 119, 159, 196} {
+		res, err := sc.Run(seed, Smoke)
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			continue
+		}
+		for _, c := range res.Checks() {
+			if c.kind == "invariant" && !c.ok {
+				t.Errorf("seed %d: %s", seed, c)
+			}
+		}
+	}
+}
+
 // Gate is the runner vmbench drives: report, every check with the rerun
 // verdict last, then the failed checks as one error.
 func TestGatePrintsReportAndRerunVerdict(t *testing.T) {

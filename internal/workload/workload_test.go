@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vmplants/internal/core"
@@ -159,6 +160,33 @@ func TestDeploymentRunReportsStranded(t *testing.T) {
 	}
 	if err := d.Run(func(p *sim.Proc) error { p.Wait(-1); return nil }); err == nil {
 		t.Error("stranded process not reported")
+	}
+}
+
+// A drain of a plant whose VM no client ever collects never ends: the
+// run fails at its horizon, naming the drain, instead of spinning.
+func TestDeploymentRunFailsAtItsHorizon(t *testing.T) {
+	d, err := NewDeployment(Options{Seed: 1, GoldenSizesMB: []int{32}, Plants: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := ""
+	err = d.Run(func(p *sim.Proc) error {
+		spec, err := d.WorkspaceSpec(1, 32)
+		if err != nil {
+			return err
+		}
+		id, _, err := d.Shop.Create(p, spec)
+		if err != nil {
+			return err
+		}
+		route := d.Shop.RouteOf(id)
+		drain = "drain/" + route
+		p.Kernel().Spawn(drain, func(dp *sim.Proc) { _ = d.Shop.DrainAndRetire(dp, route) })
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "horizon") || !strings.Contains(err.Error(), drain) {
+		t.Errorf("Run = %v, want the horizon failure naming %s", err, drain)
 	}
 }
 
