@@ -99,7 +99,6 @@ type Controller struct {
 	lastScale time.Duration
 	lastFails int64 // shop failures + sheds at the previous tick
 	calm      int   // consecutive calm ticks
-	draining  int   // drains this controller started, not yet finished
 
 	scaleUps   int
 	scaleDowns int
@@ -156,7 +155,7 @@ func (c *Controller) Stop() {
 func (c *Controller) Status() Status {
 	return Status{
 		Active:     len(c.shop.Plants()),
-		Draining:   c.draining,
+		Draining:   c.draining(),
 		ScaleUps:   c.scaleUps,
 		ScaleDowns: c.scaleDowns,
 	}
@@ -197,7 +196,7 @@ func (c *Controller) tick(p *sim.Proc) {
 	} else {
 		c.calm = 0
 	}
-	if c.calm >= c.cfg.QuietTicks && active-c.draining > c.cfg.MinPlants && c.cooledDown(p) {
+	if c.calm >= c.cfg.QuietTicks && active-c.draining() > c.cfg.MinPlants && c.cooledDown(p) {
 		c.scaleDown(p)
 	}
 }
@@ -233,11 +232,22 @@ func (c *Controller) scaleDown(p *sim.Proc) {
 	c.scaleDowns++
 	c.mScaleDowns.Inc()
 	c.calm = 0
-	c.draining++
 	p.Kernel().Spawn(fmt.Sprintf("fleet/drain/%s", victim), func(dp *sim.Proc) {
-		defer func() { c.draining-- }()
 		_ = c.shop.DrainAndRetire(dp, victim)
 	})
+}
+
+// draining counts the wired plants with an open drain in the shop's
+// ledger, whoever began it: this controller, a maintenance window, or a
+// restart resuming one.
+func (c *Controller) draining() int {
+	n := 0
+	for _, h := range c.shop.Plants() {
+		if c.shop.Draining(h.Name()) {
+			n++
+		}
+	}
+	return n
 }
 
 // victim selects the plant to retire: the fewest VMs routed to it in

@@ -274,3 +274,62 @@ func TestScaleUpWhileADrainWaits(t *testing.T) {
 		t.Error("the drained plant did not retire once its VM was collected")
 	}
 }
+
+// TestFloorCountsEveryOpenDrain: a drain the controller did not begin —
+// a maintenance window's, waiting on a VM its client still holds —
+// counts against MinPlants too, so a calm gate never shrinks the fleet
+// below the floor of serving plants.
+func TestFloorCountsEveryOpenDrain(t *testing.T) {
+	hub := telemetry.New()
+	const tick = 10 * time.Second
+	cfg := fleet.Config{
+		MinPlants:       2,
+		MaxPlants:       3,
+		Tick:            tick,
+		Cooldown:        tick,
+		ScaleUpFailures: -1,
+		QuietTicks:      2,
+	}
+	d, c := elastic(t, 3, 0, hub, cfg)
+	err := d.Run(func(p *sim.Proc) error {
+		s, err := d.WorkspaceSpec(1, 32)
+		if err != nil {
+			t.Fatalf("spec: %v", err)
+		}
+		s.Requirements = `TARGET.Plant == "node00"`
+		held, _, err := d.Shop.Create(p, s)
+		if err != nil {
+			t.Fatalf("create on node00: %v", err)
+		}
+		p.Kernel().Spawn("maintenance", func(mp *sim.Proc) {
+			if err := d.Shop.DrainAndRetire(mp, "node00"); err != nil {
+				t.Errorf("maintenance drain: %v", err)
+			}
+		})
+		c.Start(p.Kernel())
+		for i := 0; i < 30; i++ {
+			p.Sleep(tick)
+			serving := 0
+			for _, h := range d.Shop.Plants() {
+				if !d.Shop.Draining(h.Name()) {
+					serving++
+				}
+			}
+			if serving < cfg.MinPlants {
+				t.Fatalf("at %v: %d serving plants, below MinPlants %d: %+v", p.Now(), serving, cfg.MinPlants, c.Status())
+			}
+		}
+		st := c.Status()
+		c.Stop()
+		if st.ScaleDowns != 0 || st.Draining != 1 {
+			t.Errorf("with the maintenance drain open: %+v, want no scale-down and the one drain counted", st)
+		}
+		return d.Shop.Destroy(p, held)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Shop.Retired("node00") {
+		t.Error("the maintenance drain did not retire node00 once its VM was collected")
+	}
+}

@@ -1,11 +1,8 @@
 package proto
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"net"
-	"os"
 	"slices"
 	"sync"
 	"time"
@@ -14,8 +11,7 @@ import (
 )
 
 // RemoteError is a decoded error response from the peer. The request
-// was delivered and answered — the failure is the answer — so the
-// retry machinery never retries one.
+// was delivered and answered: the failure is the answer.
 type RemoteError struct {
 	Code   string
 	Detail string
@@ -23,48 +19,6 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("remote error %s: %s", e.Code, e.Detail)
-}
-
-// RetryPolicy bounds retransmission of idempotent requests (see
-// idempotentKinds) after transport failures: exponential backoff from
-// BaseBackoff doubling up to MaxBackoff, with a deterministic jitter
-// stream seeded by Seed so identically configured clients replay
-// identical schedules.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (first call included);
-	// 0 or 1 disables retry.
-	Attempts int
-	// BaseBackoff is the pause before the first retry; it doubles per
-	// retry up to MaxBackoff (0 = no cap).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Jitter is the fraction of each backoff randomized, in [0, 1]: the
-	// pause becomes backoff * (1 ± Jitter*u) for uniform u.
-	Jitter float64
-	// Seed drives the jitter stream.
-	Seed int64
-}
-
-// backoffFor computes the pause before retry number retry (1-based).
-func (rp RetryPolicy) backoffFor(retry int, rng *rand.Rand) time.Duration {
-	d := rp.BaseBackoff
-	for i := 1; i < retry; i++ {
-		d *= 2
-		if rp.MaxBackoff > 0 && d >= rp.MaxBackoff {
-			d = rp.MaxBackoff
-			break
-		}
-	}
-	if rp.MaxBackoff > 0 && d > rp.MaxBackoff {
-		d = rp.MaxBackoff
-	}
-	if rp.Jitter > 0 && d > 0 && rng != nil {
-		d += time.Duration(float64(d) * rp.Jitter * (2*rng.Float64() - 1))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
 }
 
 // Client is a request/response connection to a VMPlants service. It is
@@ -78,24 +32,14 @@ type Client struct {
 	seq  uint64
 	// Timeout bounds each round trip (0 = no deadline).
 	Timeout time.Duration
-	// Retry bounds retransmission of idempotent requests after
-	// transport failures; the zero value disables retry.
-	Retry RetryPolicy
 
-	retryRNG *rand.Rand // lazily seeded from Retry.Seed, under mu
-	idle     *idleCheck // Stale's check of conn, made at its first use on it
-	// redial re-establishes the connection between attempts.
-	redial func() (net.Conn, error)
-	// sleepFn pauses between attempts; time.Sleep unless a test
-	// substitutes one.
-	sleepFn func(time.Duration)
+	idle *idleCheck // Stale's check of conn, made at its first use on it
 
 	// Telemetry instruments (nil-safe no-ops when unset).
-	mCalls   *telemetry.Counter
-	mErrors  *telemetry.Counter
-	mRetries *telemetry.Counter
-	hSecs    *telemetry.Histogram
-	tracer   *telemetry.Tracer
+	mCalls  *telemetry.Counter
+	mErrors *telemetry.Counter
+	hSecs   *telemetry.Histogram
+	tracer  *telemetry.Tracer
 }
 
 // Dial connects to a service endpoint.
@@ -105,22 +49,16 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proto: dial %s: %w", addr, err)
 	}
-	c := &Client{conn: conn, in: frameReader{r: conn}, addr: addr, Timeout: timeout}
-	c.redial = func() (net.Conn, error) { return d.Dial("tcp", addr) }
-	return c, nil
+	return &Client{conn: conn, in: frameReader{r: conn}, addr: addr, Timeout: timeout}, nil
 }
 
 // SetTelemetry wires the client's RPC instruments: call and error
 // counters ("proto.rpc_calls", "proto.rpc_errors"), the wall-clock
 // round-trip histogram ("proto.rpc_secs"), and the tracer per-call
-// "rpc.<kind>" spans are recorded into. A retried call's span gets one
-// "rpc.attempt" child per try, the first included; a call that
-// succeeds or fails for good on its first try records none. Passing nil
-// detaches them.
+// "rpc.<kind>" spans are recorded into. Passing nil detaches them.
 func (c *Client) SetTelemetry(h *telemetry.Hub) {
 	c.mCalls = h.Counter("proto.rpc_calls")
 	c.mErrors = h.Counter("proto.rpc_errors")
-	c.mRetries = h.Counter("proto.rpc_retries")
 	c.hSecs = h.Histogram("proto.rpc_secs")
 	c.tracer = h.T()
 }
@@ -184,67 +122,13 @@ func (c *Client) call(m *Message) (*Message, error) {
 			Set("addr", c.addrLabel())
 	}
 	resp, err := c.attempt(m)
-	if err == nil || !c.shouldRetry(m.Kind, err) {
-		sp.EndErr(nil, err)
-		return resp, err
-	}
-	// The call is retried: its first try becomes an attempt span too,
-	// so the tree lists every try.
-	if sp != nil {
-		at := sp.Child(nil, "rpc.attempt").SetInt("attempt", 1)
-		at.WStart = sp.WStart
-		at.EndErr(nil, err)
-	}
-	for retry := 1; retry < c.Retry.Attempts; retry++ {
-		c.mRetries.Inc()
-		backoff := c.Retry.backoffFor(retry, c.jitterRNG())
-		c.pause(backoff)
-		conn, derr := c.redial()
-		if derr != nil {
-			err = fmt.Errorf("redial: %w", derr)
-			if sp != nil {
-				sp.Child(nil, "rpc.attempt").
-					SetInt("attempt", int64(retry+1)).
-					Set("redial", "failed").
-					EndErr(nil, err)
-			}
-			continue
-		}
-		c.conn.Close()
-		c.conn = conn
-		c.in = frameReader{r: conn, buf: c.in.buf}
-		resp, err = c.tracedAttempt(sp, m, retry+1, backoff)
-		if err == nil || !c.shouldRetry(m.Kind, err) {
-			sp.EndErr(nil, err)
-			return resp, err
-		}
-	}
 	sp.EndErr(nil, err)
 	return resp, err
 }
 
-// tracedAttempt runs one retry under a per-attempt child span so a
-// retried RPC decomposes into its tries — attempt number, the backoff
-// that preceded it, and the redial before it — instead of reading as
-// one opaque call.
-func (c *Client) tracedAttempt(sp *telemetry.Span, m *Message, n int, backoff time.Duration) (*Message, error) {
-	var at *telemetry.Span
-	if sp != nil {
-		at = sp.Child(nil, "rpc.attempt").SetInt("attempt", int64(n))
-		if backoff > 0 {
-			at.Set("backoff", backoff.String())
-		}
-		at.Set("redial", "true")
-	}
-	resp, err := c.attempt(m)
-	at.EndErr(nil, err)
-	return resp, err
-}
-
 // attempt performs one round trip under the client's lock. Each
-// attempt is a fresh request with its own sequence number, so a reply
-// to an abandoned earlier attempt can never be mistaken for the
-// current one.
+// request gets its own sequence number, so a reply to an abandoned
+// earlier request can never be mistaken for the current one.
 func (c *Client) attempt(m *Message) (*Message, error) {
 	c.seq++
 	m.Seq = c.seq
@@ -272,63 +156,6 @@ func (c *Client) attempt(m *Message) (*Message, error) {
 	return resp, nil
 }
 
-// idempotentKinds are the requests safe to retransmit: re-asking never
-// changes service state. Create/destroy/publish/lifecycle are not —
-// the first attempt may have been applied before its reply was lost.
-// Forward-create is the exception among mutating kinds: its embedded
-// RequestID is a deterministic forwarding token journaled by the peer
-// shop, so a retransmission is answered from the peer's dedupe index
-// rather than applied twice.
-var idempotentKinds = map[Kind]bool{
-	KindQueryRequest:         true,
-	KindEstimateRequest:      true,
-	KindPingRequest:          true,
-	KindForwardCreateRequest: true,
-}
-
-// shouldRetry reports whether a failed attempt of the given kind is
-// worth retransmitting under the client's policy. An estimate that ran
-// out of time is not: the bidding round takes the silence as the
-// plant's answer, as the simulated transport does after one call
-// timeout, instead of waiting out every attempt and its backoff on a
-// plant that accepts and never answers. A refused or reset connection
-// is still retried, as a query's timeout is.
-func (c *Client) shouldRetry(kind Kind, err error) bool {
-	if c.Retry.Attempts <= 1 || !idempotentKinds[kind] {
-		return false
-	}
-	if kind == KindEstimateRequest && errors.Is(err, os.ErrDeadlineExceeded) {
-		return false
-	}
-	var remote *RemoteError
-	return !errors.As(err, &remote)
-}
-
-func (c *Client) jitterRNG() *rand.Rand {
-	if c.Retry.Jitter <= 0 {
-		return nil
-	}
-	if c.retryRNG == nil {
-		c.retryRNG = rand.New(rand.NewSource(c.Retry.Seed))
-	}
-	return c.retryRNG
-}
-
-func (c *Client) pause(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if c.sleepFn != nil {
-		c.sleepFn(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// SetSleepFunc substitutes the pause between retry attempts — tests
-// use it to record the backoff schedule instead of sleeping.
-func (c *Client) SetSleepFunc(fn func(time.Duration)) { c.sleepFn = fn }
-
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
@@ -336,9 +163,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 // longer carry one: the peer has closed or reset it (a daemon that
 // restarted since the last call), or sent bytes nobody asked for. A
 // caller that keeps a client across calls checks before each one and
-// dials afresh instead of writing a request into a dead connection —
-// a request that was never written is not retransmitted by being
-// written elsewhere.
+// dials afresh instead of writing a request into a dead connection.
 func (c *Client) Stale() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -14,10 +14,6 @@ import (
 	"vmplants/internal/telemetry"
 )
 
-// DefaultRetry is the retry policy a client of a daemon uses unless
-// configured otherwise.
-var DefaultRetry = proto.RetryPolicy{Attempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: time.Second, Jitter: 0.2}
-
 // RemotePlant is a shop.PlantHandle reaching a plant daemon over TCP —
 // and the call side of the protocol, written once: each operation
 // builds its request, sends it, checks the reply's kind and unpacks it
@@ -31,32 +27,24 @@ var DefaultRetry = proto.RetryPolicy{Attempts: 3, BaseBackoff: 50 * time.Millise
 // call the idle connection is checked (proto.Client.Stale): one the
 // daemon has closed — it restarted since the last call — is replaced by
 // a fresh dial before the request is written, which is not a
-// retransmission. A call that fails in flight drops the connection and
-// returns the error it always did; mutating requests are still sent at
-// most once, idempotent ones retried by the client's own policy. An
-// error response is an answer: the connection stays. A crashed daemon
-// surfaces as ErrPlantDown rather than wedging the shop.
+// retransmission. Every call is one attempt, as an in-process call is:
+// one that fails in flight drops the connection and returns its error,
+// and the shop's own recovery (leaving the plant out of the round, the
+// route sweep) decides what happens next. An error response is an
+// answer: the connection stays. A crashed daemon surfaces as
+// ErrPlantDown rather than wedging the shop.
 type RemotePlant struct {
 	PlantName string
 	Addr      string
 	Timeout   time.Duration
-	// Retry bounds retransmission of idempotent calls
-	// (estimate/query/ping); the zero value selects DefaultRetry, 3
-	// attempts with 50 ms base backoff. Set Attempts to 1 to disable.
-	Retry proto.RetryPolicy
 	// Telemetry instruments the connection's RPCs; nil disables.
 	Telemetry *telemetry.Hub
 
 	// down is the class an unreachable or not-running daemon is
 	// reported as; nil means shop.ErrPlantDown.
 	down error
-	// unchecked skips the idle-connection check before each call. A
-	// ShopClient sets it: the check allocates nothing but is one more
-	// system call per query, and a client that finds its shop gone has
-	// nothing to fail over to anyway — it reports the error.
-	unchecked bool
-	mu        sync.Mutex
-	c         *proto.Client
+	mu   sync.Mutex
+	c    *proto.Client
 }
 
 // Name implements shop.PlantHandle.
@@ -79,7 +67,7 @@ var errUnreachable = errors.New("service: daemon unreachable")
 // call, dialing when there is none or the daemon has closed the one
 // there was. The caller holds rp.mu.
 func (rp *RemotePlant) connect() error {
-	if rp.c != nil && !rp.unchecked && rp.c.Stale() {
+	if rp.c != nil && rp.c.Stale() {
 		rp.c.Close()
 		rp.c = nil
 	}
@@ -94,34 +82,40 @@ func (rp *RemotePlant) connect() error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUnreachable, err)
 	}
-	c.Retry = rp.Retry
-	if c.Retry.Attempts == 0 {
-		c.Retry = DefaultRetry
-	}
 	c.SetTelemetry(rp.Telemetry)
 	rp.c = c
 	return nil
 }
 
-// roundTrip sends m on the handle's connection.
+// roundTrip sends m on the handle's connection. A forward-create that
+// broke in flight is sent once more, on a fresh connection (see
+// RemotePeer.Create); every other request is sent once.
 func (rp *RemotePlant) roundTrip(m *proto.Message) (*proto.Message, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	if err := rp.connect(); err != nil {
-		return nil, err
-	}
-	resp, err := rp.c.Call(m)
-	if err != nil {
+	resend := m.Kind == proto.KindForwardCreateRequest && !m.ForwardCreate.Probe
+	for {
+		if err := rp.connect(); err != nil {
+			return nil, err
+		}
+		resp, err := rp.c.Call(m)
+		if err == nil {
+			return resp, nil
+		}
 		// An error response is an answer; anything else broke the
 		// connection. (remote lives in here so that a call that
 		// succeeds does not allocate it.)
 		var remote *proto.RemoteError
-		if !errors.As(err, &remote) {
-			rp.c.Close()
-			rp.c = nil
+		if errors.As(err, &remote) {
+			return nil, err
 		}
+		rp.c.Close()
+		rp.c = nil
+		if !resend {
+			return nil, err
+		}
+		resend = false
 	}
-	return resp, err
 }
 
 // call performs one RPC and returns a reply of the kind asked for. p,
@@ -300,7 +294,13 @@ func (rp *RemotePeer) forward(p *sim.Proc, fwd proto.ForwardCreateRequest) (*pro
 	return resp.ForwardCreated, nil
 }
 
-// Create implements shop.PeerHandle.
+// Create implements shop.PeerHandle. A forward-create is the one
+// request sent twice: when the call breaks in flight the peer may hold
+// the VM, and no recovery in the shop asks again, so roundTrip sends it
+// once more on a fresh connection. The peer answers the duplicate from
+// its dedupe index under the request's forwarding token. An unreachable
+// peer and an error response are answers, and the LookupForward probe
+// is not resent: the restart reconcile treats its error as unresolved.
 func (rp *RemotePeer) Create(p *sim.Proc, spec *core.Spec) (core.VMID, *classad.Ad, error) {
 	resp, err := rp.forward(p, proto.ForwardCreateRequest{Origin: spec.Origin, Create: proto.FromSpec(spec, "")})
 	if err != nil {

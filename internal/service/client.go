@@ -12,16 +12,16 @@ import (
 
 // ShopClient is the typed Go client for a VMShop daemon — what
 // cmd/vmctl and programs drive a shop with. It makes RemotePlant's
-// calls on one connection of its own, so idempotent requests (query,
-// ping) ride DefaultRetry and mutating kinds are never retransmitted;
-// it is safe for concurrent use.
+// calls on one connection of its own, checked before each call like
+// every handle's, so a restarted shop costs the client one redial; no
+// call is retransmitted. It is safe for concurrent use.
 type ShopClient struct {
 	rp RemotePlant
 }
 
 // DialShop connects to a VMShop daemon.
 func DialShop(addr string, timeout time.Duration) (*ShopClient, error) {
-	sc := &ShopClient{rp: RemotePlant{Addr: addr, Timeout: timeout, down: shop.ErrShopDown, unchecked: true}}
+	sc := &ShopClient{rp: RemotePlant{Addr: addr, Timeout: timeout, down: shop.ErrShopDown}}
 	sc.rp.mu.Lock()
 	err := sc.rp.connect()
 	sc.rp.mu.Unlock()

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ import (
 )
 
 // dropListener closes the first drops accepted connections before the
-// protocol can answer — the transient network failure the client's
-// retry-with-redial policy exists for.
+// protocol can answer: a transient network failure the shop's own
+// recovery must absorb.
 type dropListener struct {
 	net.Listener
 	mu    sync.Mutex
@@ -78,9 +79,10 @@ func startTracedShopDaemon(t *testing.T, plantAddrs map[string]string) (string, 
 // drops its first connections — and checks the end-to-end observability
 // contract: spans merged across all three processes form exactly one
 // rooted tree per creation, the plant-side subtree joins through the
-// trace context on the message envelope, and the dropped connections
-// surface as rpc.attempt retry spans inside those trees rather than as
-// broken traces.
+// trace context on the message envelope, and each dropped connection
+// surfaces as a failed rpc.estimate-request span inside its creation's
+// tree rather than as a broken trace: the bidding round leaves the
+// plant out, and the creation is served by the other.
 func TestConcurrentCreateSpanTreesOverTCP(t *testing.T) {
 	addrA, hubA := startTracedPlantDaemon(t, "plantA", 1, 2)
 	addrB, hubB := startTracedPlantDaemon(t, "plantB", 2, 0)
@@ -140,17 +142,28 @@ func TestConcurrentCreateSpanTreesOverTCP(t *testing.T) {
 		groups[s.TraceID] = append(groups[s.TraceID], s)
 	}
 	traceOf := map[string]uint64{}
-	retried := false
+	creations := map[uint64]bool{}
 	for _, s := range spans {
 		if s.Name == "shop.create" {
 			traceOf[s.Attr("vmid")] = s.TraceID
-		}
-		if s.Name == "rpc.attempt" && s.Attr("attempt") != "" && s.Attr("attempt") != "1" {
-			retried = true
+			creations[s.TraceID] = true
 		}
 	}
-	if !retried {
-		t.Error("dropped connections produced no rpc.attempt retry spans")
+	dropped := 0
+	for _, s := range spans {
+		if s.Err == "" || !strings.HasPrefix(s.Name, "rpc.") {
+			continue
+		}
+		if s.Name != "rpc.estimate-request" || s.Attr("addr") != addrA {
+			t.Errorf("failed span %q to %s, want only estimates to the dropping plant %s", s.Name, s.Attr("addr"), addrA)
+		}
+		if !creations[s.TraceID] {
+			t.Errorf("failed %s in trace %d, which is no creation's", s.Name, s.TraceID)
+		}
+		dropped++
+	}
+	if dropped != 2 {
+		t.Errorf("%d failed rpc spans, want one per dropped connection (2)", dropped)
 	}
 
 	for _, id := range ids {
