@@ -22,10 +22,6 @@ type Params struct {
 	NFSClientBps float64
 	// LocalDiskBps is each node's SCSI disk throughput.
 	LocalDiskBps float64
-	// GigabitBps is node-to-node throughput over the cluster's gigabit
-	// interconnect (paper §4.2: "the cluster nodes are interconnected by
-	// an Ethernet gigabit switch"), used by VM migration.
-	GigabitBps float64
 	// TransferOverhead is the fixed per-file cost (open, protocol
 	// round-trips); the golden disk spans 16 extent files, so per-file
 	// overhead is visible in full copies.
@@ -51,7 +47,6 @@ func DefaultParams() Params {
 	return Params{
 		NFSClientBps:        11e6,
 		LocalDiskBps:        35e6,
-		GigabitBps:          90e6,
 		TransferOverhead:    120 * time.Millisecond,
 		NodeRAMMB:           1536,
 		VMMOverheadMB:       32,
@@ -71,7 +66,6 @@ type Node struct {
 	name        string
 	params      Params
 	localDisk   *storage.Volume
-	lan         *storage.Device // gigabit interconnect to peer nodes
 	nfs         *storage.Volume // the shared warehouse volume, via this node's mount
 	committedMB int
 	vms         int
@@ -191,16 +185,6 @@ func (n *Node) PressureScale(extraMB int) float64 {
 	return 1 + n.params.PressurePerGB*float64(over)/1024
 }
 
-// SendTo streams size bytes to another node over the gigabit
-// interconnect, charging this node's LAN path (receivers keep up: the
-// destination disk is faster than the wire for migration-sized state).
-func (n *Node) SendTo(p *sim.Proc, dst *Node, size int64) {
-	if dst == n || size <= 0 {
-		return
-	}
-	n.lan.Transfer(p, size, n.Jitter(), sim.Foreground)
-}
-
 // Jitter samples a multiplicative latency factor with mean 1.
 func (n *Node) Jitter() float64 {
 	return n.rng.LogNormalMean(1, n.params.JitterSigma)
@@ -243,7 +227,6 @@ func NewTestbed(k *sim.Kernel, n int, params Params, seed int64) *Testbed {
 			name:      name,
 			params:    params,
 			localDisk: storage.NewVolume(name+"/disk", local),
-			lan:       storage.NewDevice(name+".lan", params.GigabitBps, 5*time.Millisecond),
 			nfs:       newMountView(tb.Warehouse, mount),
 			cache:     make(map[cacheKey]*CacheEntry),
 			rng:       root.Child(),

@@ -77,10 +77,10 @@ const (
 	// PlantCrash records an observed plant daemon death.
 	PlantCrash Kind = "plant-crash"
 	// PlantDrainBegin is written (and synced) before any drain side
-	// effect: the named plant stops winning bids and its VMs are being
-	// migrated away. A restart that replays this record without a
-	// matching PlantRetired resumes the drain instead of routing new
-	// work to the plant.
+	// effect: the named plant stops winning bids and the drain waits
+	// for its VMs to be collected. A restart that replays this record
+	// without a matching PlantRetired resumes the drain instead of
+	// routing new work to the plant.
 	PlantDrainBegin Kind = "plant-drain-begin"
 	// PlantRetired closes a drain: the plant has left the fleet for
 	// good. Replay and restart reconciliation must never route a
@@ -91,7 +91,7 @@ const (
 	PlantRecover Kind = "plant-recover"
 	// VMCreated records a VM landing in a plant's information system.
 	VMCreated Kind = "vm-created"
-	// VMCollected records a VM leaving a plant (collect or migration).
+	// VMCollected records a VM leaving a plant (collect).
 	VMCollected Kind = "vm-collected"
 	// ExtentPut records one reference taken on a content-addressed
 	// extent in the warehouse's extent store (key = content key, hex);

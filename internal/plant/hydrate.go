@@ -52,8 +52,8 @@ type hydration struct {
 
 	fetched   []int64         // blocks demand faults read ahead of their extent
 	start     time.Duration   // virtual time the VM resumed on the node
-	createdAt time.Duration   // virtual time its order (creation or migration) began
-	sp        *telemetry.Span // the order's span, parent of "hydrate"
+	createdAt time.Duration   // virtual time its creation began
+	sp        *telemetry.Span // the creation's clone span, parent of "hydrate"
 	failed    error           // sticky verdict; guest touches surface it
 }
 
@@ -75,11 +75,10 @@ func (pl *Plant) missing(cctx *warehouse.CloneContext) int {
 	return -1
 }
 
-// hydrate puts a lazy clone, resumed on the node by a creation or a
-// migration begun at createdAt, on the node's image cache, and reports
-// whether it waits for an extent. A disk whose extents are all cached is
-// whole at once; any other gets the demand-fault hook and a place in the
-// filler's queue.
+// hydrate puts a lazy clone, resumed on the node by a creation begun at
+// createdAt, on the node's image cache, and reports whether it waits for
+// an extent. A disk whose extents are all cached is whole at once; any
+// other gets the demand-fault hook and a place in the filler's queue.
 func (pl *Plant) hydrate(p *sim.Proc, vm *vmm.VM, cctx *warehouse.CloneContext, createdAt time.Duration, sp *telemetry.Span) bool {
 	if pl.missing(cctx) < 0 {
 		pl.mExtentHits.Inc()
@@ -217,21 +216,15 @@ func (h *hydration) finish(p *sim.Proc, err error) error {
 	return err
 }
 
-// unhydrate ends the VM's wait for the node's image cache, if it waits:
-// as an abort when it was collected, or, when it migrated away, as a
-// move that records nothing. A filler left with no clone to fill for
-// drops the extent in flight.
-func (pl *Plant) unhydrate(p *sim.Proc, id core.VMID, collected bool) {
+// unhydrate ends the collected VM's wait for the node's image cache, if
+// it waits, as an abort. A filler left with no clone to fill for drops
+// the extent in flight.
+func (pl *Plant) unhydrate(p *sim.Proc, id core.VMID) {
 	i := slices.IndexFunc(pl.waiting, func(h *hydration) bool { return h.vm.ID() == id })
 	if i < 0 {
 		return
 	}
-	if h := pl.waiting[i]; collected {
-		h.finish(p, fmt.Errorf("hydration cancelled: VM %s collected", id))
-	} else {
-		pl.waiting = slices.Delete(pl.waiting, i, i+1)
-		h.vm.SetBlockTouchHook(nil)
-	}
+	pl.waiting[i].finish(p, fmt.Errorf("hydration cancelled: VM %s collected", id))
 	if len(pl.waiting) == 0 && pl.filler != nil {
 		pl.filler.Interrupt()
 	}

@@ -16,9 +16,8 @@ type record struct {
 	vm        *vmm.VM
 	ad        *classad.Ad
 	domain    string
-	golden    *warehouse.Image        // the image this VM's disk links into
-	lazy      *warehouse.CloneContext // a lazy clone's: its disk reads the node's image cache
-	createdAt time.Duration           // virtual time of creation
+	golden    *warehouse.Image // the image this VM's disk links into
+	createdAt time.Duration    // virtual time of creation
 }
 
 // InfoSystem is the VM Information System of Figure 2: it "maintains

@@ -123,9 +123,9 @@ type Plant struct {
 	poolSeq   int
 	creations []CreateStats
 	down      bool
-	// creating counts the slots reserve holds for in-flight creations and
-	// incoming migrations, so concurrent arrivals cannot overshoot MaxVMs
-	// between the capacity check and info.store.
+	// creating counts the slots reserve holds for in-flight creations, so
+	// concurrent creations cannot overshoot MaxVMs between the capacity
+	// check and info.store.
 	creating int
 
 	// cloneGate is the admission-control semaphore: at most K clone
@@ -143,7 +143,7 @@ type Plant struct {
 	// host models the host-side runtime state that survives a daemon
 	// death: the production line's VM processes keep running when the
 	// management daemon dies. It is maintained continuously — a record
-	// enters at creation and leaves at collect/migration — never copied
+	// enters at creation and leaves at collect — never copied
 	// at crash time, so Recover always rebuilds the information system
 	// from exactly what the host still runs. Classads are soft state
 	// and are re-derived, not kept.
@@ -160,7 +160,6 @@ type Plant struct {
 	mCreates        *telemetry.Counter
 	mCreateFails    *telemetry.Counter
 	mCollects       *telemetry.Counter
-	mMigrations     *telemetry.Counter
 	mPrecreateHit   *telemetry.Counter
 	mImageHits      *telemetry.Counter
 	mImageMisses    *telemetry.Counter
@@ -241,7 +240,6 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 		mCreates:        tel.Counter("plant.creations"),
 		mCreateFails:    tel.Counter("plant.create_failures"),
 		mCollects:       tel.Counter("plant.collections"),
-		mMigrations:     tel.Counter("plant.migrations"),
 		mPrecreateHit:   tel.Counter("plant.precreate_hits"),
 		mImageHits:      tel.Counter("warehouse.image_hits"),
 		mImageMisses:    tel.Counter("warehouse.image_misses"),
@@ -578,12 +576,8 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	// from the node's image cache. Before any guest action can touch the
 	// disk, extents not cached yet get the demand-fault hook and the
 	// filler. (Pool hits were parked as link clones and need neither.)
-	var lazy *warehouse.CloneContext
-	if cloneStats.Mode == vdisk.CloneByLazy && !hit {
-		lazy = cctx
-		if pl.hydrate(p, vm, cctx, start, cloneSp) {
-			hold(func() { pl.unhydrate(p, id, true) })
-		}
+	if cloneStats.Mode == vdisk.CloneByLazy && !hit && pl.hydrate(p, vm, cctx, start, cloneSp) {
+		hold(func() { pl.unhydrate(p, id) })
 	}
 	if err := vm.AttachNIC(honet, pl.macs.Next()); err != nil {
 		return nil, err
@@ -612,7 +606,7 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	// also enters the host map: that is the runtime state a daemon
 	// crash cannot take down.
 	ad := pl.buildAd(p, id, spec, vm, golden, best, cloneStats)
-	rec := &record{vm: vm, ad: ad, domain: spec.Domain, golden: golden, lazy: lazy, createdAt: p.Now()}
+	rec := &record{vm: vm, ad: ad, domain: spec.Domain, golden: golden, createdAt: p.Now()}
 	pl.info.store(rec)
 	pl.mu.Lock()
 	pl.host[id] = rec
@@ -882,7 +876,7 @@ func (pl *Plant) Collect(p *sim.Proc, id core.VMID) error {
 	if !ok {
 		return fmt.Errorf("plant %s: no VM %s", pl.name, id)
 	}
-	pl.unhydrate(p, id, true)
+	pl.unhydrate(p, id)
 	if err := r.vm.Collect(p); err != nil {
 		return err
 	}
@@ -931,93 +925,10 @@ func (pl *Plant) ResumeVM(p *sim.Proc, id core.VMID) error {
 	return nil
 }
 
-// MigrateTo moves an active VM to another plant (paper §6 future work:
-// "migration of active VMs across plants"): suspend, stream the private
-// state over the cluster interconnect, re-home the NIC on a host-only
-// network of the destination's matching domain, resume, and hand the
-// information-system record over. The VMID is preserved; the shop's
-// soft routing heals on its next query.
-func (pl *Plant) MigrateTo(p *sim.Proc, id core.VMID, dst *Plant) (err error) {
-	if dst == pl {
-		return nil
-	}
-	start := p.Now()
-	sp := pl.tel.T().Start(p, "plant.migrate").
-		Set("plant", pl.name).
-		Set("dst", dst.name).
-		Set("vmid", string(id))
-	defer func() {
-		sp.EndErr(p, err)
-		if err == nil {
-			pl.mMigrations.Inc()
-			pl.gActiveVMs.Set(int64(pl.info.Count()))
-			dst.gActiveVMs.Set(int64(dst.info.Count()))
-		}
-	}()
-	r, ok := pl.info.get(id)
-	if !ok {
-		return fmt.Errorf("plant %s: no VM %s", pl.name, id)
-	}
-	// The slot is held from here until the record lands on dst.
-	if !dst.reserve() {
-		return fmt.Errorf("plant %s: destination %s at VM capacity", pl.name, dst.name)
-	}
-	defer dst.unreserve()
-	vm := r.vm
-	if vm.State() != vmm.Running {
-		return fmt.Errorf("plant %s: VM %s is %s; cannot migrate", pl.name, id, vm.State())
-	}
-	dstNet, _, err := dst.nets.Acquire(r.domain)
-	if err != nil {
-		return fmt.Errorf("plant %s: destination network: %w", pl.name, err)
-	}
-	abort := func(cause error) error {
-		dst.nets.Release(r.domain)
-		return cause
-	}
-	mac := vm.MAC()
-	if err := vm.Suspend(p); err != nil {
-		return abort(err)
-	}
-	if err := vm.Migrate(p, dst.node); err != nil {
-		return abort(err)
-	}
-	// A lazy clone's disk reads the destination's image cache from here:
-	// what it holds, and demand faults for the rest.
-	pl.unhydrate(p, id, false)
-	vm.DetachNIC()
-	if err := vm.Resume(p); err != nil {
-		return abort(err)
-	}
-	if r.lazy != nil {
-		dst.hydrate(p, vm, r.lazy, start, sp)
-	}
-	if err := vm.AttachNIC(dstNet, mac); err != nil {
-		return abort(err)
-	}
-	// Hand over bookkeeping: record moves, source network slot freed.
-	pl.info.remove(id)
-	pl.mu.Lock()
-	delete(pl.host, id)
-	pl.mu.Unlock()
-	pl.journalVM(p, id, false)
-	if err := pl.nets.Release(r.domain); err != nil {
-		return err
-	}
-	r.ad.SetString(core.AttrPlant, dst.name)
-	r.ad.SetString(core.AttrNetwork, dstNet.ID)
-	dst.info.store(r)
-	dst.mu.Lock()
-	dst.host[id] = r
-	dst.mu.Unlock()
-	dst.journalVM(p, id, true)
-	return nil
-}
-
-// reserve holds one of the plant's MaxVMs slots for a VM on its way in
-// (a creation or an incoming migration) until unreserve, so two arrivals
-// racing for the last slot cannot both land. It reports false when the
-// VMs held plus the slots already held fill the plant.
+// reserve holds one of the plant's MaxVMs slots for a creation until
+// unreserve, so two creations racing for the last slot cannot both land.
+// It reports false when the VMs held plus the slots already held fill
+// the plant.
 func (pl *Plant) reserve() bool {
 	if pl.cfg.MaxVMs <= 0 {
 		return true

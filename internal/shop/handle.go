@@ -196,8 +196,10 @@ func (h *LocalHandle) roundTrip(p *sim.Proc, op string) error {
 		callTimeout(p)
 		return fmt.Errorf("%w: %s: daemon not running", ErrPlantDown, name)
 	}
-	// Dropped request (or dropped reply — indistinguishable to the
-	// caller): burn the timeout, then report the transport failure.
+	// Dropped request: the plant never does the work. Burn the timeout,
+	// then report the transport failure. The simulator models a lost
+	// request only; a reply lost after the plant acted is left to the
+	// ROADMAP's "every gate crosses the wire" item.
 	if h.Faults.Should(name, fault.RPCDrop, op) {
 		callTimeout(p)
 		return fmt.Errorf("%w: %s: %s timed out", ErrPlantDown, name, op)

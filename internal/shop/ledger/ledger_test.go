@@ -189,7 +189,7 @@ func TestApplyEveryKind(t *testing.T) {
 		l.Apply(r)
 	}
 	if rt, _ := l.Route("vm-shop-1"); rt != (Route{Plant: "node01"}) {
-		t.Errorf("migrated VM routed to %+v", rt)
+		t.Errorf("VM after a route change routed to %+v", rt)
 	}
 	if rt, ok := l.Route("vm-shop-2"); ok {
 		t.Errorf("destroyed VM still routed to %+v", rt)

@@ -515,9 +515,10 @@ func (s *Shop) Query(p *sim.Proc, id core.VMID) (*classad.Ad, error) {
 		}
 		if err == nil {
 			// Whoever the route names no longer holds the VM: it was
-			// collected — or migrated to another plant, where the sweep
-			// below finds it. The eviction is soft state: applied, never
-			// journaled.
+			// collected, since a VM stays on the plant that built it. The
+			// eviction is soft state: applied, never journaled. The sweep
+			// below then finds nothing; it finds a live VM only when its
+			// route is missing, as after a journal-less restart.
 			s.apply(evictRecord(id))
 			delete(s.cache, id)
 		}

@@ -43,7 +43,6 @@ const (
 	opFailingCreate
 	opDestroy
 	opForward
-	opSweep
 	opDrain
 	opKillIntent
 	opKillCommit
@@ -55,7 +54,7 @@ const (
 )
 
 var twinOpNames = [nTwinOps]string{
-	"create", "resubmit", "failing-create", "destroy", "forward", "sweep",
+	"create", "resubmit", "failing-create", "destroy", "forward",
 	"drain", "kill@intent", "kill@commit", "kill@forward", "kill@drain", "kill", "kill-peer",
 }
 
@@ -285,27 +284,6 @@ func (tw *twin) step(p *sim.Proc, op twinOp) bool {
 		tw.create(p, s, nil)
 	case opForward:
 		tw.create(p, tw.forwardSpec(), nil)
-	case opSweep:
-		// Move a VM behind the shop's back; the next Query (in check)
-		// evicts the stale route and re-learns it by a sweep.
-		id, ok := tw.pick()
-		if !ok {
-			return false
-		}
-		src, _ := tw.a.lookup(id)
-		from, local := src.vmServer.(*LocalHandle)
-		if !local {
-			return false // served by the peer cell
-		}
-		for _, h := range tw.a.eligiblePlants() {
-			if h != PlantHandle(from) {
-				if err := from.Plant.MigrateTo(p, id, h.(*LocalHandle).Plant); err != nil {
-					tw.failf("migrate %s: %v", id, err)
-				}
-				return true
-			}
-		}
-		return false
 	case opDrain, opKillDrain:
 		name, ok := tw.drainable()
 		if !ok {
@@ -402,7 +380,7 @@ func (tw *twin) census(plants []PlantHandle) map[core.VMID]string {
 // check is the invariant set, run after every operation.
 func (tw *twin) check(p *sim.Proc, after string) {
 	// Every VM the client holds answers a query (which also heals a
-	// route a lost buffered record or a migration left stale) …
+	// route a lost buffered record left stale) …
 	for _, id := range tw.order {
 		if _, err := tw.a.Query(p, id); err != nil {
 			tw.failf("after %s: query %s: %v", after, id, err)

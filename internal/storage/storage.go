@@ -41,16 +41,6 @@ func (d *Device) Name() string { return d.pipe.Name() }
 // (sim.Pipe.Via).
 func (d *Device) ShareServer(server *Device) { d.pipe.Via = server.pipe }
 
-// Transfer moves size bytes through the device in the given class;
-// scale ≥ 1 slows the effective rate (memory pressure, degraded paths).
-// It returns the service time left, which is zero unless the transfer
-// was a background one and its owner cancelled it. Volumes move their
-// bytes through it; paths with no file namespace, like the cluster's
-// node-to-node interconnect, call it directly.
-func (d *Device) Transfer(p *sim.Proc, size int64, scale float64, class sim.Class) time.Duration {
-	return d.pipe.Transfer(p, size, scale, class)
-}
-
 // Stats reports cumulative bytes served, how many of them in the
 // background class, and the count of completed transfers.
 func (d *Device) Stats() (bytes, background, transfers int64) { return d.pipe.Stats() }
@@ -145,7 +135,7 @@ func (v *Volume) Write(p *sim.Proc, path string, size int64, scale float64) erro
 	if size < 0 {
 		return fmt.Errorf("storage: negative size for %q", path)
 	}
-	v.dev.Transfer(p, size, scale, sim.Foreground)
+	v.dev.pipe.Transfer(p, size, scale, sim.Foreground)
 	v.files[path] = entry{size: size}
 	return nil
 }
@@ -204,7 +194,7 @@ func (v *Volume) Read(p *sim.Proc, path string, scale float64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v.dev.Transfer(p, size, scale, sim.Foreground)
+	v.dev.pipe.Transfer(p, size, scale, sim.Foreground)
 	return size, nil
 }
 
@@ -261,7 +251,7 @@ func (v *Volume) CopyTo(p *sim.Proc, src string, dst *Volume, dstPath string, sc
 	// Occupy the source device for the whole streamed copy at the
 	// bottleneck rate; the destination only charges its per-transfer
 	// overhead (its bandwidth is subsumed by the bottleneck rate).
-	if left := v.dev.Transfer(p, size, scale*srcBW/eff, class); left > 0 {
+	if left := v.dev.pipe.Transfer(p, size, scale*srcBW/eff, class); left > 0 {
 		return 0, fmt.Errorf("storage: copy %s:%q: %w with %v of service left", v.name, src, ErrInterrupted, left)
 	}
 	p.Sleep(dst.dev.pipe.PerTransferOverhead)
@@ -287,7 +277,7 @@ func (v *Volume) Append(p *sim.Proc, path string, delta int64, scale float64) (i
 		return 0, fmt.Errorf("storage: %s: append to link %q", v.name, path)
 	}
 	if p != nil {
-		v.dev.Transfer(p, delta, scale, sim.Foreground)
+		v.dev.pipe.Transfer(p, delta, scale, sim.Foreground)
 	}
 	e.size += delta
 	v.files[path] = e
@@ -316,12 +306,12 @@ func (v *Volume) Truncate(path string, size int64) error {
 // without touching the namespace — for operations whose file bookkeeping
 // happens elsewhere (e.g. a warehouse publish whose entries the
 // warehouse itself records). It returns the service time left, which is
-// zero unless the owner cancelled a background charge (Device.Transfer).
+// zero unless the owner cancelled a background charge (sim.Pipe.Transfer).
 func (v *Volume) Charge(p *sim.Proc, size int64, scale float64, class sim.Class) time.Duration {
 	if size <= 0 {
 		return 0
 	}
-	return v.dev.Transfer(p, size, scale, class)
+	return v.dev.pipe.Transfer(p, size, scale, class)
 }
 
 // Delete removes a file; it is an error if absent.

@@ -305,7 +305,7 @@ func TestInterruptedBackgroundCopy(t *testing.T) {
 	var left time.Duration
 	copier := k.Spawn("copier", func(p *sim.Proc) {
 		_, err = src.CopyTo(p, "f", dst, "f", 1, sim.Background)
-		left = src.Device().Transfer(p, 100e6, 1, sim.Background)
+		left = src.dev.pipe.Transfer(p, 100e6, 1, sim.Background)
 	})
 	k.Spawn("owner", func(p *sim.Proc) {
 		p.Sleep(4 * time.Second)

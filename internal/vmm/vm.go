@@ -67,7 +67,7 @@ type VM struct {
 
 	// files are the VM's other paths on its node's local disk: the
 	// config, the redo log and the extents a link or copy clone laid
-	// down. Collect and Migrate delete them, and memPath, by path.
+	// down. Collect deletes them, and memPath, by path.
 	files []string
 
 	// history is the VM's full configuration lineage: the golden image's
@@ -450,43 +450,6 @@ func (vm *VM) Resume(p *sim.Proc) error {
 	}
 	p.Sleep(sim.Seconds(vm.node.RNG().LogNormalMean(vm.timing.ResumeFixedSecs, vm.timing.ResumeSigma)))
 	vm.state = Running
-	return nil
-}
-
-// DetachNIC disconnects the VM from its host-only network (migration
-// re-homes the NIC on the destination plant's network).
-func (vm *VM) DetachNIC() {
-	if vm.nic != nil {
-		vm.nic.Close()
-		vm.nic = nil
-		vm.net = nil
-	}
-}
-
-// Migrate re-homes a suspended VM onto another cluster node: the
-// checkpointed memory image and the private redo logs stream over the
-// cluster's gigabit interconnect, and the shared golden state is
-// re-linked from the destination's warehouse mount, or read from its
-// image cache (no bulk disk copy — the same property that makes cloning
-// fast makes migration cheap).
-func (vm *VM) Migrate(p *sim.Proc, dst *cluster.Node) error {
-	if vm.state != Suspended {
-		return fmt.Errorf("vmm: migrate of %s in state %s (suspend first)", vm.id, vm.state)
-	}
-	if dst == vm.node {
-		return nil
-	}
-	moved := vm.disk.RedoBytes()
-	if vm.memPath != "" {
-		moved += memImageBytes(vm.hw)
-	}
-	vm.node.SendTo(p, dst, moved)
-	// The destination now holds the state files, and the source none.
-	vm.removeFiles()
-	if vm.memPath != "" {
-		dst.LocalDisk().WriteMeta(vm.memPath, memImageBytes(vm.hw))
-	}
-	vm.node = dst
 	return nil
 }
 

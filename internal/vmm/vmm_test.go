@@ -512,56 +512,6 @@ func TestUMLSuspendResumeSBUMLStyle(t *testing.T) {
 	})
 }
 
-func TestMigrateRequiresSuspend(t *testing.T) {
-	k := sim.NewKernel()
-	tb := cluster.NewTestbed(k, 2, cluster.DefaultParams(), 17)
-	wh := warehouse.New(tb.Warehouse)
-	im, err := warehouse.BuildGolden("g", core.HardwareSpec{Arch: "x86", MemoryMB: 64, DiskMB: 2048},
-		warehouse.BackendVMware, []dag.Action{act(actions.OpInstallOS, "distro", "linux")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wh.Publish(im); err != nil {
-		t.Fatal(err)
-	}
-	cctx, err := wh.OpenClone(im.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Spawn("test", func(p *sim.Proc) {
-		vm, _, err := NewVMware().Clone(p, tb.Nodes[0], cctx, "vm-1", vdisk.CloneByLink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Running VM refuses to migrate.
-		if err := vm.Migrate(p, tb.Nodes[1]); err == nil {
-			t.Error("migrate of running VM succeeded")
-		}
-		if err := vm.Suspend(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.Migrate(p, tb.Nodes[1]); err != nil {
-			t.Fatal(err)
-		}
-		if vm.node != tb.Nodes[1] {
-			t.Error("VM not re-homed")
-		}
-		// Self-migration is a no-op.
-		if err := vm.Migrate(p, tb.Nodes[1]); err != nil {
-			t.Errorf("self migration: %v", err)
-		}
-		if err := vm.Resume(p); err != nil {
-			t.Fatal(err)
-		}
-		if tb.Nodes[1].VMs() != 1 || tb.Nodes[0].VMs() != 0 {
-			t.Errorf("memory accounting: src %d, dst %d", tb.Nodes[0].VMs(), tb.Nodes[1].VMs())
-		}
-	})
-	if res := k.Run(0); len(res.Stranded) != 0 {
-		t.Fatalf("stranded: %v", res.Stranded)
-	}
-}
-
 func TestRebrandOnlyWhileSuspended(t *testing.T) {
 	r := newRig(t, warehouse.BackendVMware, 32)
 	r.inSim(t, func(p *sim.Proc) {

@@ -692,59 +692,6 @@ func (t *transcript) precreate(label string, seed int64, n int, backend string) 
 	return res, err
 }
 
-// migration measures live VM relocation (paper §6 future work:
-// "migration of active VMs across plants") against the alternative of
-// destroying and re-creating the VM on the destination.
-type migration struct {
-	MigrateSecs, RecreateSecs float64 // means
-	Speedup                   float64
-}
-
-// migrate creates n VMs on one plant and moves each to a second plant,
-// comparing migration latency with fresh re-creation latency.
-func (t *transcript) migrate(seed int64, n int) (migration, error) {
-	d, err := NewDeployment(Options{Seed: seed, Plants: 2, GoldenSizesMB: []int{64}})
-	if err != nil {
-		return migration{}, err
-	}
-	src, dst := d.Plants[0], d.Plants[1]
-	var migrate, recreate []float64
-	err = d.Run(func(p *sim.Proc) error {
-		for i := 1; i <= n; i++ {
-			spec, err := d.WorkspaceSpec(i, 64)
-			if err != nil {
-				return err
-			}
-			id := core.VMID(fmt.Sprintf("vm-mig-%d", i))
-			if _, err := src.Create(p, id, spec); err != nil {
-				return fmt.Errorf("create: %w", err)
-			}
-			start := p.Now()
-			if err := src.MigrateTo(p, id, dst); err != nil {
-				return fmt.Errorf("migrate: %w", err)
-			}
-			migrate = append(migrate, (p.Now() - start).Seconds())
-
-			// The alternative: build the same workspace from scratch on
-			// the destination.
-			spec2, err := d.WorkspaceSpec(i+1000, 64)
-			if err != nil {
-				return err
-			}
-			start = p.Now()
-			if _, err := dst.Create(p, core.VMID(fmt.Sprintf("vm-fresh-%d", i)), spec2); err != nil {
-				return fmt.Errorf("recreate: %w", err)
-			}
-			recreate = append(recreate, (p.Now() - start).Seconds())
-			t.logf("E10 #%d migrate=%v recreate=%v", i, migrate[i-1], recreate[i-1])
-		}
-		return nil
-	})
-	res := migration{MigrateSecs: stats.Summarize(migrate).Mean, RecreateSecs: stats.Summarize(recreate).Mean}
-	res.Speedup = ratio(res.RecreateSecs, res.MigrateSecs)
-	return res, err
-}
-
 // parking measures the idle-workspace lifecycle: suspending a workspace
 // frees its host memory; resuming it is far cheaper than re-creating
 // it.
@@ -787,25 +734,21 @@ func (t *transcript) park(seed int64, n int) (parking, error) {
 	return res, err
 }
 
-// Request counts of E9, E10, E11 and E13.
-const poolRequests, migrations, umlPoolRequests, parkedWorkspaces = 6, 4, 4, 5
+// Request counts of E9, E11 and E13.
+const poolRequests, umlPoolRequests, parkedWorkspaces = 6, 4, 5
 
 // extensionsResult is the paper's §6 future work, measured.
 type extensionsResult struct {
 	transcript
-	Pool      precreation // E9
-	Migration migration   // E10
-	UMLPool   precreation // E11
-	Parking   parking     // E13
+	Pool    precreation // E9
+	UMLPool precreation // E11
+	Parking parking     // E13
 }
 
 func runExtensions(seed int64) (*extensionsResult, error) {
 	res := &extensionsResult{}
 	var err error
 	if res.Pool, err = res.precreate("E9", seed, poolRequests, warehouse.BackendVMware); err != nil {
-		return nil, err
-	}
-	if res.Migration, err = res.migrate(seed, migrations); err != nil {
 		return nil, err
 	}
 	if res.UMLPool, err = res.precreate("E11", seed, umlPoolRequests, warehouse.BackendUML); err != nil {
@@ -821,8 +764,6 @@ func (r *extensionsResult) Report() []string {
 	return []string{
 		fmt.Sprintf("E9 speculative pre-creation: %.1f s → %.1f s per create (%.1f× faster, %d/%d pool hits)",
 			r.Pool.ColdSecs, r.Pool.WarmSecs, r.Pool.Speedup, r.Pool.Hits, poolRequests),
-		fmt.Sprintf("E10 VM migration:            %.1f s to migrate vs %.1f s to re-create (%.1f× faster)",
-			r.Migration.MigrateSecs, r.Migration.RecreateSecs, r.Migration.Speedup),
 		fmt.Sprintf("E11 SBUML-style UML resume:  %.1f s boot → %.1f s checkpoint resume (%.1f× faster)",
 			r.UMLPool.ColdSecs, r.UMLPool.WarmSecs, r.UMLPool.Speedup),
 		fmt.Sprintf("E13 workspace parking:       suspend %.1f s, resume %.1f s (vs %.1f s re-create); %d MB → %d MB committed while parked",
@@ -838,7 +779,6 @@ func (r *extensionsResult) Checks() []Check {
 		// is a solid fraction, not an order of magnitude.
 		equal(invariant("e9.hits", "E9 pool hits"), r.Pool.Hits, poolRequests),
 		atLeast(claim("e9.speedup", "§6", "E9 pre-creation speedup (×)"), r.Pool.Speedup, 1.15),
-		atLeast(claim("e10.speedup", "§6", "E10 migration over re-creation speedup (×)"), r.Migration.Speedup, 1.2),
 		// A checkpoint resume skips the ≈76 s boot entirely, so the gain is
 		// far larger than for the VMware line.
 		equal(invariant("e11.hits", "E11 pool hits"), r.UMLPool.Hits, umlPoolRequests),

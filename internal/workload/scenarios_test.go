@@ -94,9 +94,6 @@ func TestTemplateVsDAG(t *testing.T)           { gateHolds(t, scenarioNamed(t, "
 func TestPrecreationHidesLatency(t *testing.T) {
 	gateHolds(t, scenarioNamed(t, "extensions"), 12, Paper)
 }
-func TestMigrationFasterThanRecreation(t *testing.T) {
-	gateHolds(t, scenarioNamed(t, "extensions"), 13, Paper)
-}
 func TestUMLCheckpointResumeSkipsBoot(t *testing.T) {
 	gateHolds(t, scenarioNamed(t, "extensions"), 14, Paper)
 }

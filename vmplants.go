@@ -228,27 +228,6 @@ func (s *System) findPlant(name string) (*plant.Plant, error) {
 	return nil, fmt.Errorf("vmplants: no plant %q", name)
 }
 
-// MigrateVM moves an active VM to the named plant: suspend, stream the
-// private state over the cluster interconnect, resume on the
-// destination (the paper's §6 "migration of active VMs across plants").
-func (s *System) MigrateVM(id VMID, toPlant string) error {
-	dst, err := s.findPlant(toPlant)
-	if err != nil {
-		return err
-	}
-	var src *plant.Plant
-	for _, pl := range s.plants {
-		if _, ok := pl.VM(id); ok {
-			src = pl
-			break
-		}
-	}
-	if src == nil {
-		return fmt.Errorf("vmplants: no plant hosts VM %s", id)
-	}
-	return s.do("client-migrate", func(p *sim.Proc) error { return src.MigrateTo(p, id, dst) })
-}
-
 // Precreate speculatively clones the named golden image count times on
 // the named plant, parking the clones suspended so later matching
 // requests resume them instead of paying the state copy (the paper's

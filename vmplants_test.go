@@ -178,42 +178,6 @@ func TestUnknownCostModelRejected(t *testing.T) {
 	}
 }
 
-func TestMigrateVMThroughFacade(t *testing.T) {
-	sys := newSystem(t, Config{Seed: 21, Plants: 2})
-	id, _, err := sys.CreateVM(wsSpec(t, "mallory"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, _ := sys.PlantOf(id)
-	var dst string
-	for _, name := range sys.Plants() {
-		if name != src {
-			dst = name
-		}
-	}
-	if err := sys.MigrateVM(id, dst); err != nil {
-		t.Fatal(err)
-	}
-	// The shop's soft route is stale; Query heals it and sees the VM on
-	// the destination.
-	ad, err := sys.QueryVM(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ad.GetString("Plant", "") != dst {
-		t.Errorf("migrated VM on %q, want %q", ad.GetString("Plant", ""), dst)
-	}
-	if alive, err := sys.GuestProbe(id); err != nil || !alive {
-		t.Errorf("guest dead after migration: alive=%v err=%v", alive, err)
-	}
-	if err := sys.MigrateVM("vm-ghost", dst); err == nil {
-		t.Error("migrate of unknown VM succeeded")
-	}
-	if err := sys.MigrateVM(id, "plant-x"); err == nil {
-		t.Error("migrate to unknown plant succeeded")
-	}
-}
-
 func TestPublishAndPrecreateThroughFacade(t *testing.T) {
 	sys := newSystem(t, Config{Seed: 22, Plants: 1})
 	id, _, err := sys.CreateVM(wsSpec(t, "peggy"))
