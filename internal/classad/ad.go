@@ -22,6 +22,9 @@ type Ad struct {
 	// and a scan per lookup would make decoding it quadratic). Only
 	// operations that change the ad touch it, so readers stay safe.
 	index map[string]int
+	// frozen marks a snapshot: every reader shares it, nothing edits it
+	// (each setter panics), and With makes the edited copy instead.
+	frozen bool
 }
 
 const scanMax = 64
@@ -47,8 +50,51 @@ func New() *Ad { return &Ad{} }
 // Grow reserves room for n more attributes, so that an ad of known
 // size is allocated once.
 func (a *Ad) Grow(n int) *Ad {
+	a.writable()
 	a.attrs = slices.Grow(a.attrs, n)
 	return a
+}
+
+// Freeze makes a a snapshot and returns it: from now on a setter on it
+// panics, so it may be shared by any number of readers. A nil ad stays
+// nil, and freezing a frozen ad writes nothing.
+func (a *Ad) Freeze() *Ad {
+	if a != nil && !a.frozen {
+		a.frozen = true
+	}
+	return a
+}
+
+// writable panics on a frozen ad: the edit would reach every reader
+// sharing the snapshot.
+func (a *Ad) writable() {
+	if a.frozen {
+		panic("classad: edit of a frozen ad")
+	}
+}
+
+// With returns a frozen copy of a with name bound to the literal v, its
+// attribute table sized exactly: how a snapshot is edited. a itself is
+// unchanged, and a frozen a already binding name to exactly v is
+// returned as it is.
+func (a *Ad) With(name string, v Value) *Ad {
+	i := a.find(name)
+	if i >= 0 && a.frozen && a.attrs[i].expr == nil && a.attrs[i].val.same(v) {
+		return a
+	}
+	n := a.Len()
+	if i < 0 {
+		n++
+	}
+	b := &Ad{attrs: make([]attr, n), frozen: true}
+	copy(b.attrs, a.attrs)
+	if i < 0 {
+		b.attrs[n-1] = attr{name: name, val: v}
+	} else {
+		b.attrs[i].expr, b.attrs[i].val = nil, v
+	}
+	b.reindex()
+	return b
 }
 
 // Len reports the number of attributes; a nil ad has none.
@@ -109,6 +155,7 @@ func (a *Ad) Set(name string, e Expr) *Ad {
 }
 
 func (a *Ad) set(name string, e Expr, v Value) *Ad {
+	a.writable()
 	if i := a.find(name); i >= 0 {
 		a.attrs[i].expr, a.attrs[i].val = e, v
 		return a
@@ -141,6 +188,7 @@ func (a *Ad) SetValue(name string, v Value) *Ad { return a.set(name, nil, v) }
 
 // SetExprString parses src as an expression and binds it to name.
 func (a *Ad) SetExprString(name, src string) error {
+	a.writable()
 	e, err := ParseExpr(src)
 	if err != nil {
 		return err
@@ -151,6 +199,7 @@ func (a *Ad) SetExprString(name, src string) error {
 
 // Delete removes an attribute; it reports whether it was present.
 func (a *Ad) Delete(name string) bool {
+	a.writable()
 	i := a.find(name)
 	if i < 0 {
 		return false
@@ -254,13 +303,15 @@ func (a *Ad) GetStrings(name string) []string {
 }
 
 // Clone returns a deep-enough copy: expressions are immutable once
-// parsed, so sharing them is safe; the attribute table is copied.
+// parsed, so sharing them is safe; the attribute table is copied. The
+// copy is writable, even of a frozen ad.
 func (a *Ad) Clone() *Ad {
 	return &Ad{attrs: slices.Clone(a.attrs), index: maps.Clone(a.index)}
 }
 
 // Merge copies every attribute of b into a, overwriting duplicates.
 func (a *Ad) Merge(b *Ad) *Ad {
+	a.writable()
 	for i := range b.attrs {
 		at := &b.attrs[i]
 		a.set(at.name, at.expr, at.val)

@@ -184,6 +184,12 @@ func (v Value) Equal(w Value) bool {
 	return false
 }
 
+// same reports whether v and w are one scalar, bit for bit: a literal
+// that is the same renders the same. Lists are never the same.
+func (v Value) same(w Value) bool {
+	return v.kind != KindList && v.kind == w.kind && v.n == w.n && v.s == w.s
+}
+
 // String renders the value in classad literal syntax.
 func (v Value) String() string {
 	switch v.kind {

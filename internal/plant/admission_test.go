@@ -32,21 +32,34 @@ func TestDerivedCloneSlots(t *testing.T) {
 }
 
 // TestResourceAdAllocations pins what a bid and a query cost in
-// allocations: the ad and its reserved attributes, as the image list
-// is the warehouse's, shared (the race detector's build counts one
-// more); one slice for a copy; nothing to read a value.
+// allocations: an unchanged plant serves the ad it built last, so a bid
+// allocates nothing; after a change the ad is rebuilt — the ad and its
+// attributes, as the image list is the warehouse's, shared (the race
+// detector's build counts one more); one slice for a copy; nothing to
+// read a value.
 func TestResourceAdAllocations(t *testing.T) {
 	r := newRig(t, Config{PolicyAd: classad.New().SetBool("AcceptsGuests", true)})
 	ad := r.pl.ResourceAd()
 	if ad.Len() != 10 {
 		t.Fatalf("resource ad has %d attributes: %s", ad.Len(), ad)
 	}
+	node := r.tb.Nodes[0]
+	node.Commit(64) // a VM, so that the releases below never empty the node
+	changed := false
 	for _, c := range []struct {
 		what string
 		max  float64
 		fn   func()
 	}{
-		{"ResourceAd", 3, func() { r.pl.ResourceAd() }},
+		{"ResourceAd, unchanged", 0, func() { r.pl.ResourceAd() }},
+		{"ResourceAd, after a change", 3, func() {
+			if changed = !changed; changed {
+				node.Commit(64)
+			} else {
+				node.Release(64)
+			}
+			r.pl.ResourceAd()
+		}},
 		{"Clone", 2, func() { ad.Clone() }},
 		{"GetInt", 0, func() { ad.GetInt("CloneSlots", 0) }},
 	} {

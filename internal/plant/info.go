@@ -13,7 +13,9 @@ import (
 
 // record is one VM tracked by the plant's information system.
 type record struct {
-	vm        *vmm.VM
+	vm *vmm.VM
+	// ad is a frozen snapshot: a change of state replaces it, so an ad
+	// already handed out never changes under its reader.
 	ad        *classad.Ad
 	domain    string
 	golden    *warehouse.Image // the image this VM's disk links into
@@ -89,7 +91,7 @@ func (pl *Plant) MonitorTick(p *sim.Proc) {
 		if load > 1 {
 			load = 1
 		}
-		r.ad.SetReal(core.AttrCPULoad, load)
-		r.ad.SetInt(core.AttrUptimeSecs, int64((p.Now()-r.createdAt)/time.Second))
+		r.ad = r.ad.With(core.AttrCPULoad, classad.Real(load)).
+			With(core.AttrUptimeSecs, classad.Int(int64((p.Now()-r.createdAt)/time.Second)))
 	}
 }

@@ -140,6 +140,11 @@ type Plant struct {
 	waiting          []*hydration
 	filler           *sim.Proc
 	hydrationAborted bool
+	// resAd is the last resource ad built and res the facts it states
+	// (ResourceAd). They are read and written where those facts are,
+	// by kernel processes only.
+	res   resFacts
+	resAd *classad.Ad
 	// host models the host-side runtime state that survives a daemon
 	// death: the production line's VM processes keep running when the
 	// management daemon dies. It is maintained continuously — a record
@@ -315,24 +320,44 @@ func (pl *Plant) view(domain string) cost.PlantView {
 	}
 }
 
+// resFacts is what the resource ad states that changes while the plant
+// runs: an ad built from equal facts is the same ad. The rest — name,
+// MaxVMs, CloneSlots, the policy ad — is fixed at New.
+type resFacts struct {
+	freeMB, vms, freeNets, inflight int
+	catalog                         uint64 // the warehouse's Generation
+}
+
 // ResourceAd describes the plant as a classad for matchmaking during
 // bidding: capacity and load attributes, plus the administrator's
-// policy ad (including any site Requirements).
+// policy ad (including any site Requirements). The ad is a frozen
+// snapshot, rebuilt only when the facts it states have changed.
 func (pl *Plant) ResourceAd() *classad.Ad {
+	f := resFacts{
+		freeMB:   pl.node.FreeMB(),
+		vms:      pl.info.Count(),
+		freeNets: pl.nets.FreeCount(),
+		inflight: pl.cloneGate.InUse(),
+		catalog:  pl.wh.Generation(),
+	}
+	if pl.resAd != nil && f == pl.res {
+		return pl.resAd
+	}
 	ad := classad.New().Grow(9+pl.cfg.PolicyAd.Len()).
 		SetString("Plant", pl.name).
 		SetString("Arch", "x86").
-		SetInt("FreeMemoryMB", int64(pl.node.FreeMB())).
-		SetInt("VMs", int64(pl.info.Count())).
+		SetInt("FreeMemoryMB", int64(f.freeMB)).
+		SetInt("VMs", int64(f.vms)).
 		SetInt("MaxVMs", int64(pl.cfg.MaxVMs)).
-		SetInt("FreeNetworks", int64(pl.nets.FreeCount())).
+		SetInt("FreeNetworks", int64(f.freeNets)).
 		SetInt("CloneSlots", int64(pl.cloneGate.Capacity())).
-		SetInt("InflightClones", int64(pl.cloneGate.InUse())).
+		SetInt("InflightClones", int64(f.inflight)).
 		SetValue("GoldenImages", pl.wh.GoldenImages())
 	if pl.cfg.PolicyAd != nil {
 		ad.Merge(pl.cfg.PolicyAd)
 	}
-	return ad
+	pl.res, pl.resAd = f, ad.Freeze()
+	return pl.resAd
 }
 
 // Estimate prices a creation request (the bid of §3.4). Infeasible when
@@ -623,7 +648,7 @@ func (pl *Plant) Create(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 	pl.hConfigSecs.Observe(cfgTime.Seconds())
 	pl.wh.NoteUse(golden.Name, best.Result.Score(), p.Now())
 	pl.maybePublishBack(p, sp, vm, golden, len(best.Result.Residual))
-	return ad.Clone(), nil
+	return ad, nil
 }
 
 // publishBackResidual is the residual-plan length at which a creation
@@ -806,9 +831,9 @@ func (pl *Plant) exec(p *sim.Proc, vm *vmm.VM, a dag.Action) error {
 // buildAd assembles the creation classad: identity, configuration
 // outputs (IP, MAC, credentials), and production metrics.
 func (pl *Plant) buildAd(p *sim.Proc, id core.VMID, spec *core.Spec, vm *vmm.VM, golden *warehouse.Image, best match.Ranked, cs vmm.CloneStats) *classad.Ad {
-	// Sixteen attributes set here, one per action output, and the two
-	// the monitor and Query add later (CPULoad, UptimeSecs).
-	ad := classad.New().Grow(18+len(vm.Guest().Outputs)).
+	// Sixteen attributes and one per action output: the ad is a frozen
+	// snapshot, and the monitor and Query replace it to add more.
+	ad := classad.New().Grow(16+len(vm.Guest().Outputs)).
 		SetString(core.AttrVMID, string(id)).
 		SetString(core.AttrName, spec.Name).
 		SetString(core.AttrState, core.StateRunning.String()).
@@ -832,7 +857,7 @@ func (pl *Plant) buildAd(p *sim.Proc, id core.VMID, spec *core.Spec, vm *vmm.VM,
 	for _, k := range sortedKeys(vm.Guest().Outputs) {
 		ad.SetString("Out_"+sanitizeAttr(k), vm.Guest().Outputs[k])
 	}
-	return ad
+	return ad.Freeze()
 }
 
 func sortedKeys(m map[string]string) []string {
@@ -858,15 +883,16 @@ func sanitizeAttr(s string) string {
 	return b.String()
 }
 
-// Query returns a copy of an active VM's classad.
+// Query returns an active VM's classad, a frozen snapshot stating its
+// uptime.
 func (pl *Plant) Query(p *sim.Proc, id core.VMID) (*classad.Ad, bool) {
 	p.Sleep(sim.Seconds(0.01 * pl.node.Jitter()))
 	r, ok := pl.info.get(id)
 	if !ok {
 		return nil, false
 	}
-	r.ad.SetInt(core.AttrUptimeSecs, int64((p.Now()-r.createdAt)/time.Second))
-	return r.ad.Clone(), true
+	r.ad = r.ad.With(core.AttrUptimeSecs, classad.Int(int64((p.Now()-r.createdAt)/time.Second)))
+	return r.ad, true
 }
 
 // Collect destroys an active VM and reclaims its resources, including
@@ -908,7 +934,7 @@ func (pl *Plant) SuspendVM(p *sim.Proc, id core.VMID) error {
 	if err := r.vm.Suspend(p); err != nil {
 		return err
 	}
-	r.ad.SetString(core.AttrState, "suspended")
+	r.ad = r.ad.With(core.AttrState, classad.Str("suspended"))
 	return nil
 }
 
@@ -921,7 +947,7 @@ func (pl *Plant) ResumeVM(p *sim.Proc, id core.VMID) error {
 	if err := r.vm.Resume(p); err != nil {
 		return err
 	}
-	r.ad.SetString(core.AttrState, core.StateRunning.String())
+	r.ad = r.ad.With(core.AttrState, classad.Str(core.StateRunning.String()))
 	return nil
 }
 

@@ -210,5 +210,5 @@ func (pl *Plant) rebuildAd(p *sim.Proc, r *record) *classad.Ad {
 		ad.SetString("Out_"+sanitizeAttr(k), vm.Guest().Outputs[k])
 	}
 	ad.SetInt(core.AttrUptimeSecs, int64((p.Now()-r.createdAt)/time.Second))
-	return ad
+	return ad.Freeze()
 }

@@ -196,8 +196,8 @@ func TestShopClientQueryAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(after.Mallocs-before.Mallocs) / n
 	t.Logf("%.1f allocations per query", per)
-	if per > 26 { // 24.1 measured; the count is the whole process's
-		t.Errorf("one query over loopback: %.1f allocations, want ≤ 26", per)
+	if per > 23 { // 22.1 measured; the count is the whole process's
+		t.Errorf("one query over loopback: %.1f allocations, want ≤ 23", per)
 	}
 }
 

@@ -22,7 +22,7 @@ type BatchResult struct {
 // has no queue of its own: the admission gate, when set, is its only
 // queue, so specs beyond MaxInflight + MaxQueue are shed with the
 // retryable ErrOverload, as a burst of single creations would be. The
-// plants' clone slots and the admissible filter bound the rest.
+// plants' clone slots and pickWinner's clone-slot filter bound the rest.
 func (s *Shop) CreateMany(p *sim.Proc, specs []*core.Spec) []BatchResult {
 	results := make([]BatchResult, len(specs))
 	sp := s.tel.T().Start(p, "shop.batch_create").Set("shop", s.name).SetInt("requests", int64(len(specs)))
@@ -73,22 +73,6 @@ func (s *Shop) InflightByPlant() map[string]int {
 	out := make(map[string]int, len(s.inflight))
 	for n, c := range s.inflight {
 		out[n] = c
-	}
-	return out
-}
-
-// admissible filters bids down to plants with a free advertised clone
-// slot. Bids that don't advertise CloneSlots (older plants) are never
-// filtered. With nothing in flight the filter passes every bid, so the
-// serial path draws from exactly the pre-pipeline candidate set.
-func (s *Shop) admissible(feasible []bid[PlantHandle]) []bid[PlantHandle] {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []bid[PlantHandle]
-	for _, b := range feasible {
-		if b.slots <= 0 || s.inflight[b.h.Name()] < b.slots {
-			out = append(out, b)
-		}
 	}
 	return out
 }

@@ -109,7 +109,7 @@ func (s *Shop) tryForward(p *sim.Proc, id core.VMID, spec *core.Spec) (ad *class
 	sp.SetInt("peers", int64(len(s.peers))).SetInt("feasible", int64(len(feasible)))
 
 	for len(feasible) > 0 {
-		win := cheapest(s.rng, feasible)
+		win := cheapest(s.rng, feasible, nil)
 		// Write-ahead: the attempt record must be durable before the
 		// peer can build anything, or a crash here would strand a VM in
 		// a cell the restart has no reason to ask — it names every cell
@@ -131,9 +131,7 @@ func (s *Shop) tryForward(p *sim.Proc, id core.VMID, spec *core.Spec) (ad *class
 			// installs the cross-cell route later calls follow.
 			s.record(p, true, forwardCommitRecord(id, win.Name(), remote))
 			s.mForwards.Inc()
-			if s.CacheAds {
-				s.cache[id] = ad.Clone()
-			}
+			s.keep(id, ad)
 			sp.Set("peer", win.Name()).Set("remote", string(remote))
 			return ad, true, nil
 		}

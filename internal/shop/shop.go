@@ -13,6 +13,7 @@ package shop
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,7 +36,7 @@ type Shop struct {
 	// nextID is atomic so concurrent Create calls (e.g. from the RPC
 	// server's per-connection handlers) never mint duplicate VMIDs.
 	nextID atomic.Uint64
-	cache  map[core.VMID]*classad.Ad // optional classad cache (speeds queries)
+	cache  map[core.VMID]*classad.Ad // optional classad cache (speeds queries); see keep
 
 	// peers are the other cells of the federation (SetPeers); when a
 	// creation cannot be served locally it is re-auctioned among them.
@@ -305,9 +306,7 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 				s.record(p, true, commitRecord(id, winner.Name()))
 				rec.Winner = winner.Name()
 				s.logBid(rec)
-				if s.CacheAds {
-					s.cache[id] = ad.Clone()
-				}
+				s.keep(id, ad)
 				sp.Set("winner", winner.Name())
 				return ad, nil
 			}
@@ -366,31 +365,49 @@ func lowest[H bidder](bids []bid[H]) core.Cost {
 	return best
 }
 
-// cheapest selects the cheapest bid, ties broken uniformly at random
-// ("The VMShop picks one plant at random", §3.4) — one RNG draw per
-// call, tie or not.
-func cheapest[H bidder](rng *sim.RNG, bids []bid[H]) H {
-	best := lowest(bids)
-	var winners []H
+// cheapest selects the cheapest of the bids open accepts (nil accepts
+// every bid), ties broken uniformly at random ("The VMShop picks one
+// plant at random", §3.4) — one RNG draw per call, tie or not. It picks
+// in place: it counts the ties, draws, and walks to the drawn one.
+func cheapest[H bidder](rng *sim.RNG, bids []bid[H], open func(bid[H]) bool) H {
+	var best core.Cost
+	ties := 0
 	for _, b := range bids {
-		if b.c == best {
-			winners = append(winners, b.h)
+		switch {
+		case open != nil && !open(b):
+		case ties == 0 || b.c < best:
+			best, ties = b.c, 1
+		case b.c == best:
+			ties++
 		}
 	}
-	return winners[rng.Intn(len(winners))]
+	k := rng.Intn(ties)
+	for i := 0; ; i++ {
+		if b := bids[i]; (open == nil || open(b)) && b.c == best {
+			if k--; k < 0 {
+				return b.h
+			}
+		}
+	}
 }
 
 // pickWinner selects the cheapest plant bid. Under the batched
 // pipeline, bids from plants whose advertised clone slots are all
 // occupied by this shop's own in-flight orders are set aside first —
-// unless that empties the set, in which case queuing somewhere beats
-// failing. With nothing in flight the filter passes everything, so a
-// serial creation draws from exactly the same candidates as before.
+// unless that sets every bid aside, in which case queuing somewhere
+// beats failing. Bids that don't advertise CloneSlots are never set
+// aside, and with nothing in flight none is, so a serial creation draws
+// from exactly the same candidates as before.
 func (s *Shop) pickWinner(feasible []bid[PlantHandle]) PlantHandle {
-	if open := s.admissible(feasible); len(open) > 0 {
-		return cheapest(s.rng, open)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	open := func(b bid[PlantHandle]) bool {
+		return b.slots <= 0 || s.inflight[b.h.Name()] < b.slots
 	}
-	return cheapest(s.rng, feasible)
+	if !slices.ContainsFunc(feasible, open) {
+		open = nil
+	}
+	return cheapest(s.rng, feasible, open)
 }
 
 func withoutBid[H bidder](bs []bid[H], drop H) []bid[H] {
@@ -508,10 +525,7 @@ func (s *Shop) Query(p *sim.Proc, id core.VMID) (*classad.Ad, error) {
 	if routed {
 		ad, found, err := sv.Query(p, sv.id)
 		if err == nil && found {
-			if s.CacheAds {
-				s.cache[id] = ad.Clone()
-			}
-			return ad, nil
+			return s.keep(id, ad), nil
 		}
 		if err == nil {
 			// Whoever the route names no longer holds the VM: it was
@@ -533,7 +547,7 @@ func (s *Shop) Query(p *sim.Proc, id core.VMID) (*classad.Ad, error) {
 	// Serve a stale cached ad if we have one and the server is down.
 	if s.CacheAds {
 		if ad, ok := s.cache[id]; ok {
-			return ad.Clone(), nil
+			return ad, nil
 		}
 	}
 	if sv.peer {
@@ -558,10 +572,18 @@ func (s *Shop) recover(p *sim.Proc, id core.VMID) (*classad.Ad, PlantHandle) {
 	}
 	s.record(p, false, routeRecord(id, h.Name()))
 	s.mRecoveredRts.Inc()
+	return s.keep(id, ad), h
+}
+
+// keep freezes an ad the shop hands out and, with CacheAds, caches it:
+// the cache and every reader share the one snapshot, and a later answer
+// replaces it rather than editing it.
+func (s *Shop) keep(id core.VMID, ad *classad.Ad) *classad.Ad {
+	ad.Freeze()
 	if s.CacheAds {
-		s.cache[id] = ad.Clone()
+		s.cache[id] = ad
 	}
-	return ad, h
+	return ad
 }
 
 // sweep asks the plants, in wiring order, for a VM and returns its

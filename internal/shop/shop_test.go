@@ -53,7 +53,7 @@ type deployment struct {
 	shop    *Shop
 }
 
-func newDeployment(t *testing.T, nPlants int, cfg plant.Config) *deployment {
+func newDeployment(t testing.TB, nPlants int, cfg plant.Config) *deployment {
 	t.Helper()
 	k := sim.NewKernel()
 	tb := cluster.NewTestbed(k, nPlants, cluster.DefaultParams(), 9)

@@ -58,6 +58,7 @@ func (w *Warehouse) record(kind journal.Kind, key string, fields map[string]stri
 	w.led.Apply(r)
 	w.qmu.Unlock()
 	w.cands = nil
+	w.gen++
 }
 
 // RestartStats reports what a warehouse restart rebuilt.
@@ -113,6 +114,7 @@ func (w *Warehouse) Restart() RestartStats {
 	w.repairFails = make(map[string]int)
 	w.qmu.Unlock()
 	w.cands = nil
+	w.gen++
 
 	journaled := fresh.Published()
 	for _, name := range journaled {

@@ -181,9 +181,11 @@ type Warehouse struct {
 	// cands and golden are what bids read of the catalog, built on the
 	// first read after a change and shared read-only until the next:
 	// record (every ledger change) and Restart (a new ledger) drop them
-	// by setting cands to nil. A rebuild never edits what a reader holds.
+	// by setting cands to nil, and count each drop in gen. A rebuild
+	// never edits what a reader holds.
 	cands  map[string][]match.Candidate
 	golden classad.Value
+	gen    uint64
 
 	// faults decides corruption injections on the warehouse's storage
 	// paths; nil means no injection (SetFaults).
@@ -637,6 +639,10 @@ func (w *Warehouse) fresh() {
 		w.golden = classad.Strings(w.names...)
 	}
 }
+
+// Generation counts the catalog changes that drop the views bids read:
+// while it stands still, GoldenImages and Candidates do too.
+func (w *Warehouse) Generation() uint64 { return w.gen }
 
 // GoldenImages returns List's names as one shared, read-only classad
 // list value, rebuilt with the candidates.
