@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"vmplants/internal/classad"
@@ -14,13 +15,15 @@ func BenchmarkCreateRequestRoundTrip(b *testing.B) { benchRoundTrip(b, sampleCre
 
 // The most frequent message on the wire: 10 of the 36 in a creation's
 // lifecycle over tcp.
-func BenchmarkQueryResponseRoundTrip(b *testing.B) { benchRoundTrip(b, queryResponse()) }
+func BenchmarkQueryResponseRoundTrip(b *testing.B) { benchRoundTrip(b, vmQueryResponse()) }
 
 // The bid reply: every plant sends one per bidding round, four rounds'
 // worth per creation over tcp.
 func BenchmarkEstimateResponseRoundTrip(b *testing.B) { benchRoundTrip(b, estimateResponse()) }
 
-// queryResponse answers a query with a plant's 21-attribute VM ad.
+// queryResponse answers a query with a 21-attribute ad that carries a
+// Requirements expression, which no plant sends: what the classad
+// parser adds to a decode.
 func queryResponse() *Message {
 	ad := classad.New().
 		SetString("VMID", "vm-shop-17").SetString("Name", "workspace-17").SetString("State", "running").
@@ -31,6 +34,22 @@ func queryResponse() *Message {
 		SetReal("CloneSecs", 31.25).SetReal("ConfigSecs", 9.5).SetReal("CreateSecs", 40.75).
 		SetInt("CreatedAt", 1287).SetBool("Lazy", true).
 		Set("Requirements", classad.MustParseExpr(`other.MemoryMB >= 64 && other.Arch == "x86"`))
+	return &Message{Kind: KindQueryResponse, Seq: 7, TraceID: 99, ParentSpan: 3,
+		Queried: &QueryResponse{VMID: "vm-shop-17", Found: true, Ad: ad}}
+}
+
+// vmQueryResponse answers a query with the ad a plant serves for an
+// In-VIGO workspace: the creation's sixteen attributes, one per action
+// output, and the uptime a query adds.
+func vmQueryResponse() *Message {
+	ad := classad.New().
+		SetString("VMID", "vm-shop-17").SetString("Name", "lc-1000001-3").SetString("State", "running").
+		SetInt("MemoryMB", 64).SetInt("DiskMB", 2048).SetString("Arch", "x86").SetString("Domain", "ufl.edu").
+		SetString("Plant", "plant2").SetString("Backend", "vmware").SetString("HostOnlyNetwork", "plant2/vmnet3").
+		SetString("GoldenImage", "invigo-64-vmware").SetInt("MatchedOps", 3).SetReal("CloneSecs", 16.47597397).
+		SetInt("CreatedAt", 1287).SetString("IP", "10.3.0.4").SetString("MAC", "00:50:56:00:00:11").
+		SetString("Out_ip", "10.3.0.4").SetString("Out_mac", "00:50:56:0f:42:44").SetString("Out_os", "redhat-8.0").
+		SetString("Out_user", "user1000004").SetInt("UptimeSecs", 12)
 	return &Message{Kind: KindQueryResponse, Seq: 7, TraceID: 99, ParentSpan: 3,
 		Queried: &QueryResponse{VMID: "vm-shop-17", Found: true, Ad: ad}}
 }
@@ -97,6 +116,42 @@ func TestQueryResponseDecodeAllocations(t *testing.T) {
 	if n > 20 {
 		t.Errorf("decoding a 21-attribute query response: %.0f allocations, want ≤ 20", n)
 	}
+}
+
+// The query response a plant actually sends: all its values are
+// literals, so the decode is the envelope and body, the ad's attribute
+// slice and its one string of names and values, and nothing else.
+func TestVMQueryResponseDecodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the measured path")
+	}
+	doc, err := Marshal(vmQueryResponse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, size := allocated(100, func() {
+		if _, err := Unmarshal(doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations, %.0f B", n, size)
+	if n > 5 || size > 2640 {
+		t.Errorf("decoding a plant's 21-attribute query response: %.0f allocations and %.0f B, want ≤ 5 and ≤ 2640", n, size)
+	}
+}
+
+// allocated is testing.AllocsPerRun's count and the bytes beside it: the
+// heap allocations and bytes one run of f makes, averaged over runs.
+func allocated(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 func benchRoundTrip(b *testing.B, m *Message) {

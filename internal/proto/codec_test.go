@@ -617,6 +617,14 @@ func FuzzEnvelope(f *testing.F) {
 		if !equalMessages(got, want) {
 			t.Fatalf("decoded differently\n got: %+v\nwant: %+v\n%q", got, want, doc)
 		}
+		// Read twice off one stream, the second read shares the first's
+		// DAG, and both are the same message.
+		fr := new(frameReader)
+		for range 2 {
+			if m, err := decode(doc, fr); err != nil || !equalMessages(m, want) {
+				t.Fatalf("read off a stream (%v)\n got: %+v\nwant: %+v\n%q", err, m, want, doc)
+			}
+		}
 		// What was decoded holds on to neither its document nor the
 		// buffer the next decode borrows.
 		clear(own)

@@ -348,7 +348,7 @@ func Marshal(m *Message) ([]byte, error) {
 // Unmarshal parses and validates a message document. The message holds
 // no reference to doc afterwards.
 func Unmarshal(doc []byte) (*Message, error) {
-	m, err := decode(doc)
+	m, err := decode(doc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -358,8 +358,8 @@ func Unmarshal(doc []byte) (*Message, error) {
 // decode is Unmarshal, except that a document that does not decode
 // still yields what of the envelope was read (nil when not even that):
 // a server answers a bad request on the seq it came with.
-func decode(doc []byte) (*Message, error) {
-	m, err := scanMessage(doc)
+func decode(doc []byte, fr *frameReader) (*Message, error) {
+	m, err := scanMessage(doc, fr)
 	if err != nil {
 		return m, fmt.Errorf("proto: %w", err)
 	}
@@ -421,6 +421,8 @@ type frameReader struct {
 	start int // buf[start:end] has been read but is not yet decoded
 	end   int
 	exact bool
+	dag   []byte     // unless exact, the last <dag> decoded from after
+	graph *dag.Graph // its name, and its graph: see scanDAG
 }
 
 // next reads and decodes the next frame. The error is io.EOF when the
@@ -441,7 +443,7 @@ func (fr *frameReader) next() (*Message, error) {
 		fr.start, fr.end = 0, 0
 		return nil, fmt.Errorf("proto: truncated frame: %w", err)
 	}
-	m, err := decode(fr.buf[4:fr.start])
+	m, err := decode(fr.buf[4:fr.start], fr)
 	if err != nil {
 		return m, badFrame{err}
 	}

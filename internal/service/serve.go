@@ -154,14 +154,10 @@ func (c *serving) handle(req *proto.Message) *proto.Message {
 
 	case proto.KindLifecycleRequest:
 		lc := req.Lifecycle
-		state := "suspended"
-		if lc.Op == proto.LifecycleResume {
-			state = "running"
-		}
 		out := new(served[proto.LifecycleResponse])
 		out.Kind, out.Lifecycled = proto.KindLifecycleResponse, &out.Body
 		return run(c, req, out, func(p *sim.Proc) {
-			out.Body = proto.LifecycleResponse{VMID: lc.VMID, State: state}
+			out.Body = proto.LifecycleResponse{VMID: lc.VMID, State: shop.LifecycleState(lc.Op)}
 			out.err = c.sv.Lifecycle(p, core.VMID(lc.VMID), lc.Op)
 		})
 	}

@@ -161,8 +161,9 @@ func createReq(t *testing.T) *proto.CreateRequest {
 var raceEnabled bool
 
 // TestShopClientQueryAllocations counts what one ShopClient.Query costs
-// the whole process over loopback — the client's request and reply and
-// the shop daemon's, which answers from its classad cache. It read 40
+// the whole process over loopback — the client's request and reply, the
+// shop daemon's, and the plant daemon's, which the shop asks for the ad
+// (its classad cache answers only when the plant cannot). It read 40
 // before a wire message became one block per envelope, the unescape
 // buffer pooled and a served request one allocation for its process.
 func TestShopClientQueryAllocations(t *testing.T) {

@@ -36,14 +36,16 @@ type Shop struct {
 	// nextID is atomic so concurrent Create calls (e.g. from the RPC
 	// server's per-connection handlers) never mint duplicate VMIDs.
 	nextID atomic.Uint64
-	cache  map[core.VMID]*classad.Ad // optional classad cache (speeds queries); see keep
+	cache  map[core.VMID]*classad.Ad // optional last-known ads, served when the plant cannot answer; see keep
 
 	// peers are the other cells of the federation (SetPeers); when a
 	// creation cannot be served locally it is re-auctioned among them.
 	peers []PeerHandle
 
-	// CacheAds enables classad caching (paper: "VMShop may, however,
-	// cache classad information … to speed up queries").
+	// CacheAds keeps each VM's last ad (paper: "VMShop may, however,
+	// cache classad information"), served only when the plant cannot
+	// answer: by decision a routed query still asks the plant, as only it
+	// knows the VM's UptimeSecs and state.
 	CacheAds bool
 
 	// Faults injects shop-level chaos: fault.DaemonKill at site "shop"
@@ -650,7 +652,19 @@ func (s *Shop) lifecycle(p *sim.Proc, id core.VMID, op string) error {
 	if err != nil {
 		return err
 	}
-	return sv.Lifecycle(p, sv.id, op)
+	err = sv.Lifecycle(p, sv.id, op)
+	if ad, ok := s.cache[id]; ok && err == nil { // served should the plant stop answering
+		s.cache[id] = ad.With(core.AttrState, classad.Str(LifecycleState(op)))
+	}
+	return err
+}
+
+// LifecycleState is the state a lifecycle op leaves a VM in.
+func LifecycleState(op string) string {
+	if op == proto.LifecycleResume {
+		return core.StateRunning.String()
+	}
+	return "suspended"
 }
 
 // requestAd renders a creation request as a classad for matchmaking

@@ -9,6 +9,7 @@ import (
 	"vmplants/internal/core"
 	"vmplants/internal/dag"
 	"vmplants/internal/plant"
+	"vmplants/internal/proto"
 	"vmplants/internal/sim"
 	"vmplants/internal/warehouse"
 )
@@ -313,6 +314,47 @@ func TestCachedAdServedWhenPlantDown(t *testing.T) {
 			t.Error("wrong cached ad")
 		}
 	})
+}
+
+// A suspend or resume replaces the cached ad's state, so a plant that
+// crashes after it leaves the shop serving the state the VM is in. The
+// resume case queries between the two ops, so the ad it replaces is
+// the plant's "suspended" one.
+func TestCachedAdFollowsLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		ops  []string // run in order, a query between each two
+		want string
+	}{
+		{[]string{proto.LifecycleSuspend}, "suspended"},
+		{[]string{proto.LifecycleSuspend, proto.LifecycleResume}, "running"},
+	} {
+		d := newDeployment(t, 1, plant.Config{MaxVMs: 32})
+		d.shop.CacheAds = true
+		d.run(t, func(p *sim.Proc) {
+			id, _, err := d.shop.Create(p, wsSpec(t, "u1", "ufl.edu"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, op := range tc.ops {
+				if i > 0 {
+					if _, err := d.shop.Query(p, id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := d.shop.lifecycle(p, id, op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.plants[0].Crash()
+			ad, err := d.shop.Query(p, id)
+			if err != nil {
+				t.Fatalf("cached query: %v", err)
+			}
+			if got := ad.GetString(core.AttrState, ""); got != tc.want {
+				t.Errorf("after %v and a plant crash the shop serves State %q, want %q", tc.ops, got, tc.want)
+			}
+		})
+	}
 }
 
 func TestQueryUnknownVM(t *testing.T) {

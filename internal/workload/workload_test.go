@@ -362,7 +362,8 @@ func TestUserEnvDAGHasOneEncoding(t *testing.T) {
 // for all the DAG's IDs, operations and parameters, one []Node and one
 // array for the graph's ID table and edge chains (it cost 142
 // allocations when each value was its own, 66 while the graph kept
-// ID-keyed maps).
+// ID-keyed maps, 39 while the DAG decoder's scratch arrays sat on the
+// heap).
 func TestInVigoCreateRequestDecodeAllocations(t *testing.T) {
 	spec := inVigoSpec(t)
 	doc, err := proto.Marshal(&proto.Message{Kind: proto.KindCreateRequest, Create: proto.FromSpec(spec, "secret")})
@@ -375,8 +376,8 @@ func TestInVigoCreateRequestDecodeAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations", n)
-	if n > 50 {
-		t.Errorf("decoding an In-VIGO create request: %.0f allocations, want ≤ 50", n)
+	if n > 31 {
+		t.Errorf("decoding an In-VIGO create request: %.0f allocations, want ≤ 31", n)
 	}
 }
 
@@ -392,7 +393,9 @@ func inVigoSpec(t *testing.T) *core.Spec {
 
 // The In-VIGO DAG alone: built by its Builder (108 allocations while
 // the graph kept ID-keyed maps, 18 of them the actions' parameter maps)
-// and decoded from its wire form (53).
+// and decoded from its wire form (53 then, 33 while the decoder's
+// scratch arrays sat on the heap; the rest is one string, the nodes,
+// the tables and the parameter maps).
 func TestInVigoDAGAllocationCeilings(t *testing.T) {
 	build := testing.AllocsPerRun(100, func() {
 		if _, err := InVigoDAG("user0000001", "00:50:56:00:00:01", "10.2.0.1"); err != nil {
@@ -414,8 +417,8 @@ func TestInVigoDAGAllocationCeilings(t *testing.T) {
 	if build > 60 {
 		t.Errorf("building the In-VIGO DAG: %.0f allocations, want ≤ 60", build)
 	}
-	if decode > 36 {
-		t.Errorf("decoding the In-VIGO DAG: %.0f allocations, want ≤ 36", decode)
+	if decode > 25 {
+		t.Errorf("decoding the In-VIGO DAG: %.0f allocations, want ≤ 25", decode)
 	}
 }
 

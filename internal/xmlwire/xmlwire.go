@@ -555,6 +555,9 @@ func (s *Scanner) Skip() error {
 	return nil
 }
 
+// Rest is the document from the scanner's position on.
+func (s *Scanner) Rest() []byte { return s.src[s.pos:] }
+
 // Children walks the current element's child elements. For a child
 // named names[i] it calls f(i), which must consume the child with
 // Attr/Attrs and then Children, Text or Skip; children with other names

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: gofmt, go mod tidy, build, vet,
-# lint, then the test suite under the race detector. The telemetry
-# subsystem serves debug HTTP endpoints concurrently with kernel runs,
-# so -race is part of the bar.
+# lint, then the test suite under the race detector and the allocation
+# budgets without it. The telemetry subsystem serves debug HTTP
+# endpoints concurrently with kernel runs, so -race is part of the bar.
 #
 # Knobs (all off by default):
 #   CI_QUIET=1        suppress command echoing (CI logs stay readable)
@@ -81,6 +81,10 @@ else
 fi
 
 go test -race ./...
+# The allocation budgets, without -race: several skip under the race
+# detector, which allocates on the measured path, so the race run alone
+# would never hold them.
+go test -count=1 -run 'Alloc' ./...
 
 if [ "${CHECK_SHORT:-0}" != "1" ]; then
     # Each of the thirteen native fuzz targets, 30 s apiece.
