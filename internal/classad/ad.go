@@ -29,19 +29,27 @@ type Ad struct {
 
 const scanMax = 64
 
-// attr is one definition: a literal keeps its value unboxed in val and
-// leaves expr nil.
+// attr is one definition, 56 bytes: a literal keeps its value unboxed
+// in val, and an attribute bound to an expression holds a value of kind
+// kindExpr pointing to it.
 type attr struct {
 	name string // original spelling
-	expr Expr
 	val  Value
 }
 
-func (at *attr) source() string {
-	if at.expr == nil {
-		return at.val.String()
+// expr returns the expression at is bound to, or nil for a literal.
+func (at *attr) expr() Expr {
+	if at.val.kind != kindExpr {
+		return nil
 	}
-	return at.expr.String()
+	return *(*Expr)(at.val.p)
+}
+
+func (at *attr) source() string {
+	if e := at.expr(); e != nil {
+		return e.String()
+	}
+	return at.val.String()
 }
 
 // New returns an empty ad.
@@ -79,7 +87,7 @@ func (a *Ad) writable() {
 // returned as it is.
 func (a *Ad) With(name string, v Value) *Ad {
 	i := a.find(name)
-	if i >= 0 && a.frozen && a.attrs[i].expr == nil && a.attrs[i].val.same(v) {
+	if i >= 0 && a.frozen && a.attrs[i].val.same(v) {
 		return a
 	}
 	n := a.Len()
@@ -91,7 +99,7 @@ func (a *Ad) With(name string, v Value) *Ad {
 	if i < 0 {
 		b.attrs[n-1] = attr{name: name, val: v}
 	} else {
-		b.attrs[i].expr, b.attrs[i].val = nil, v
+		b.attrs[i].val = v
 	}
 	b.reindex()
 	return b
@@ -149,18 +157,18 @@ func (a *Ad) reindex() {
 // binding but keeping the original position and spelling.
 func (a *Ad) Set(name string, e Expr) *Ad {
 	if l, ok := e.(litExpr); ok {
-		return a.set(name, nil, l.v)
+		return a.set(name, l.v)
 	}
-	return a.set(name, e, Value{})
+	return a.set(name, exprValue(e))
 }
 
-func (a *Ad) set(name string, e Expr, v Value) *Ad {
+func (a *Ad) set(name string, v Value) *Ad {
 	a.writable()
 	if i := a.find(name); i >= 0 {
-		a.attrs[i].expr, a.attrs[i].val = e, v
+		a.attrs[i].val = v
 		return a
 	}
-	a.attrs = append(a.attrs, attr{name, e, v})
+	a.attrs = append(a.attrs, attr{name, v})
 	if a.index != nil {
 		a.index[strings.ToLower(name)] = len(a.attrs) - 1
 	} else if len(a.attrs) > scanMax {
@@ -172,19 +180,19 @@ func (a *Ad) set(name string, e Expr, v Value) *Ad {
 // Convenience setters for literal values.
 
 // SetInt binds name to an integer literal.
-func (a *Ad) SetInt(name string, v int64) *Ad { return a.set(name, nil, Int(v)) }
+func (a *Ad) SetInt(name string, v int64) *Ad { return a.set(name, Int(v)) }
 
 // SetReal binds name to a real literal.
-func (a *Ad) SetReal(name string, v float64) *Ad { return a.set(name, nil, Real(v)) }
+func (a *Ad) SetReal(name string, v float64) *Ad { return a.set(name, Real(v)) }
 
 // SetString binds name to a string literal.
-func (a *Ad) SetString(name, v string) *Ad { return a.set(name, nil, Str(v)) }
+func (a *Ad) SetString(name, v string) *Ad { return a.set(name, Str(v)) }
 
 // SetBool binds name to a boolean literal.
-func (a *Ad) SetBool(name string, v bool) *Ad { return a.set(name, nil, Bool(v)) }
+func (a *Ad) SetBool(name string, v bool) *Ad { return a.set(name, Bool(v)) }
 
 // SetValue binds name to a literal value; a list's elements are shared.
-func (a *Ad) SetValue(name string, v Value) *Ad { return a.set(name, nil, v) }
+func (a *Ad) SetValue(name string, v Value) *Ad { return a.set(name, v) }
 
 // SetExprString parses src as an expression and binds it to name.
 func (a *Ad) SetExprString(name, src string) error {
@@ -215,7 +223,7 @@ func (a *Ad) Lookup(name string) (Expr, bool) {
 	if i < 0 {
 		return nil, false
 	}
-	if e := a.attrs[i].expr; e != nil {
+	if e := a.attrs[i].expr(); e != nil {
 		return e, true
 	}
 	return litExpr{a.attrs[i].val}, true
@@ -233,11 +241,11 @@ func (a *Ad) EvalAgainst(name string, other *Ad) Value {
 	if i < 0 {
 		return Undefined()
 	}
-	at := &a.attrs[i]
-	if at.expr == nil {
-		return at.val
+	e := a.attrs[i].expr()
+	if e == nil {
+		return a.attrs[i].val
 	}
-	return at.expr.eval(&env{self: a, target: other, stack: []attrExpr{{"my", name}}})
+	return e.eval(&env{self: a, target: other, stack: []attrExpr{{"my", name}}})
 }
 
 // EvalExpr evaluates an arbitrary expression in the ad's scope.
@@ -313,8 +321,7 @@ func (a *Ad) Clone() *Ad {
 func (a *Ad) Merge(b *Ad) *Ad {
 	a.writable()
 	for i := range b.attrs {
-		at := &b.attrs[i]
-		a.set(at.name, at.expr, at.val)
+		a.set(b.attrs[i].name, b.attrs[i].val)
 	}
 	return a
 }
@@ -363,7 +370,7 @@ func (a *Ad) String() string {
 
 // Parse parses an ad in classad source syntax.
 func Parse(src string) (*Ad, error) {
-	toks, err := lex(src)
+	toks, err := lex(src, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -431,10 +438,10 @@ func (a *Ad) AppendXML(dst []byte) []byte {
 
 // appendSourceXML appends the definition's source text, XML-escaped.
 func appendSourceXML(dst []byte, at *attr) []byte {
-	if at.expr == nil {
-		return appendValueXML(dst, &at.val)
+	if e := at.expr(); e != nil {
+		return xmlwire.AppendEscaped(dst, e.String())
 	}
-	return xmlwire.AppendEscaped(dst, at.expr.String())
+	return appendValueXML(dst, &at.val)
 }
 
 // appendValueXML appends a literal's source text, XML-escaped. Literals
@@ -456,11 +463,12 @@ func appendValueXML(dst []byte, v *Value) []byte {
 		}
 	case KindList:
 		dst = append(dst, '{')
-		for i := range v.l {
+		l := v.list()
+		for i := range l {
 			if i > 0 {
 				dst = append(dst, ", "...)
 			}
-			dst = appendValueXML(dst, &v.l[i])
+			dst = appendValueXML(dst, &l[i])
 		}
 		return append(dst, '}')
 	}
@@ -555,7 +563,10 @@ func (a *Ad) DecodeXML(s *xmlwire.Scanner) error {
 		case cutList:
 			def.val = List(vals[def.str[0]:def.str[1]:def.str[1]]...)
 		}
-		a.set(str[def.name[0]:def.name[1]], def.expr, def.val)
+		if def.expr != nil {
+			def.val = exprValue(def.expr)
+		}
+		a.set(str[def.name[0]:def.name[1]], def.val)
 	}
 	return nil
 }

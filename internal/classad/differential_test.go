@@ -3,6 +3,7 @@ package classad
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -114,8 +115,71 @@ func (s *script) expr(depth int) Expr {
 }
 
 func sameValue(a, b Value) bool {
-	return a.kind == b.kind && a.n == b.n && a.s == b.s && slices.EqualFunc(a.l, b.l, sameValue)
+	if a.kind == KindList && b.kind == KindList {
+		return slices.EqualFunc(a.list(), b.list(), sameValue)
+	}
+	return a.kind == b.kind && a.n == b.n && a.s == b.s
 }
+
+// sameExpr is reflect.DeepEqual for expressions, but reads every element
+// of a literal list with sameValue: DeepEqual compares where a list's
+// elements are, not what they hold.
+func sameExpr(x, y Expr) bool {
+	switch x := x.(type) {
+	case litExpr:
+		y, ok := y.(litExpr)
+		return ok && sameValue(x.v, y.v)
+	case unaryExpr:
+		y, ok := y.(unaryExpr)
+		return ok && x.op == y.op && sameExpr(x.x, y.x)
+	case binaryExpr:
+		y, ok := y.(binaryExpr)
+		return ok && x.op == y.op && sameExpr(x.x, y.x) && sameExpr(x.y, y.y)
+	case condExpr:
+		y, ok := y.(condExpr)
+		return ok && sameExpr(x.c, y.c) && sameExpr(x.a, y.a) && sameExpr(x.b, y.b)
+	case listExpr:
+		y, ok := y.(listExpr)
+		return ok && slices.EqualFunc(x.elems, y.elems, sameExpr)
+	case callExpr:
+		y, ok := y.(callExpr)
+		return ok && x.name == y.name && slices.EqualFunc(x.args, y.args, sameExpr)
+	}
+	return reflect.DeepEqual(x, y)
+}
+
+// sameAd reports whether two ads hold the same definitions, spelled and
+// ordered the same, and agree on their index and on being frozen.
+func sameAd(a, b *Ad) bool {
+	if a.Len() != b.Len() || a.frozen != b.frozen || !maps.Equal(a.index, b.index) {
+		return false
+	}
+	for i := range a.attrs {
+		x, y := &a.attrs[i], &b.attrs[i]
+		ex, ey := x.expr(), y.expr()
+		if x.name != y.name || (ex == nil) != (ey == nil) || ex == nil && !sameValue(x.val, y.val) || ex != nil && !sameExpr(ex, ey) {
+			return false
+		}
+	}
+	return true
+}
+
+// agree reports where an ad and its oracle differ: in rendering, names,
+// wire form or the value of any attribute.
+func agree(a *Ad, r *oracleAd) error {
+	if a.String() != r.String() || !reflect.DeepEqual(a.Names(), r.Names()) || !bytes.Equal(a.AppendXML(nil), r.AppendXML(nil)) {
+		return fmt.Errorf("differs\n new: %s\n old: %s", a, r)
+	}
+	for _, name := range a.Names() {
+		if got, want := a.Eval(name), r.EvalAgainst(name, nil); !sameValue(got, want) {
+			return fmt.Errorf("Eval(%q) = %#v, oracle %#v", name, got, want)
+		}
+	}
+	return nil
+}
+
+// withOracle is With on the oracle: a copy with name bound to v.
+func withOracle(r *oracleAd, name string, v Value) *oracleAd { return r.Clone().Set(name, Lit(v)) }
 
 func sameErr(a, b error) bool {
 	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
@@ -141,7 +205,7 @@ func runScript(prog []byte) error {
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("step %d ad %d name %q: %s\n new: %s\n old: %s", step, i, name, fmt.Sprintf(format, args...), ads[i], ref[i])
 		}
-		op := s.next() % 24
+		op := s.next() % 28
 		switch op {
 		case 0, 1:
 			e := s.expr(2)
@@ -184,7 +248,7 @@ func runScript(prog []byte) error {
 		case 12:
 			got, gok := a.Lookup(name)
 			want, wok := r.Lookup(name)
-			if gok != wok || !reflect.DeepEqual(got, want) {
+			if gok != wok || gok && !sameExpr(got, want) {
 				return fail("Lookup = %v %v, oracle %v %v", got, gok, want, wok)
 			}
 		case 13, 14:
@@ -235,6 +299,60 @@ func runScript(prog []byte) error {
 			if got, want := a.Names(), r.Names(); !reflect.DeepEqual(got, want) {
 				return fail("Names = %q, oracle %q", got, want)
 			}
+		case 24:
+			// Expression, literal, expression again, on one name.
+			e, v, e2 := s.expr(2), s.value(), s.expr(2)
+			a.Set(name, e).SetValue(name, v).Set(name, e2)
+			r.Set(name, e).Set(name, Lit(v)).Set(name, e2)
+		case 25:
+			// Delete an attribute bound to an expression: the first such,
+			// or name once it is bound to one.
+			victim := name
+			if k := slices.IndexFunc(a.attrs, func(at attr) bool { return at.val.kind == kindExpr }); k >= 0 {
+				victim = a.attrs[k].name
+			} else {
+				e := s.expr(2)
+				a.Set(name, e)
+				r.Set(name, e)
+			}
+			if got, want := a.Delete(victim), r.Delete(victim); got != want {
+				return fail("Delete(%q) = %v, oracle %v", victim, got, want)
+			}
+		case 26:
+			// Merge an ad with expressions into one of literals only.
+			e := s.expr(2)
+			a.Set(name, e)
+			r.Set(name, e)
+			other, str := pick(s, scriptNames), pick(s, scriptStrings)
+			lits, rlits := New().SetInt(other, 1).SetValue("L", Strings(str)), newOracleAd().Set(other, Lit(Int(1))).SetStrings("L", str)
+			ads[j], ref[j] = lits.Merge(a), rlits.Merge(r)
+		case 27:
+			// With copies of an ad holding a list and an expression,
+			// then of the copies, then more edits of the original: each
+			// copy keeps what it saw.
+			e, vs := s.expr(2), scriptStrings[:1+s.next()%3]
+			a.SetValue("L", Strings(vs...)).Set(name, e)
+			r.SetStrings("L", vs...).Set(name, e)
+			v1, v2, other := s.value(), s.value(), pick(s, scriptNames)
+			w1, rw1 := a.With(name, v1), withOracle(r, name, v1)
+			w2, rw2 := w1.With(other, v2), withOracle(rw1, other, v2)
+			w3, rw3 := a.Clone().Freeze().With("L", v2), withOracle(r, "L", v2)
+			for n := 0; n < 4; n++ {
+				e := s.expr(2)
+				a.Set(numbered[n], e).Set(name, e)
+				r.Set(numbered[n], e).Set(name, e)
+			}
+			a.Delete(name)
+			r.Delete(name)
+			for k, c := range []struct {
+				ad  *Ad
+				ref *oracleAd
+			}{{a, r}, {w1, rw1}, {w2, rw2}, {w3, rw3}} {
+				if err := agree(c.ad, c.ref); err != nil {
+					return fail("copy %d: %v", k, err)
+				}
+			}
+			ads[j], ref[j] = w2.Clone(), rw2
 		}
 		for _, k := range []int{i, j} {
 			if ads[k].Len() != ref[k].Len() || (ads[k].Len() <= 24 || step%8 == 0) && ads[k].String() != ref[k].String() {
@@ -429,8 +547,8 @@ func TestZeroAdIsUsable(t *testing.T) {
 
 // TestAdAllocations pins what the slice representation is for.
 func TestAdAllocations(t *testing.T) {
-	if v, at := unsafe.Sizeof(Value{}), unsafe.Sizeof(attr{}); v > 56 || at > 88 {
-		t.Errorf("a Value is %d bytes and an attribute %d, want at most 56 and 88", v, at)
+	if v, at := unsafe.Sizeof(Value{}), unsafe.Sizeof(attr{}); v > 40 || at > 56 {
+		t.Errorf("a Value is %d bytes and an attribute %d, want at most 40 and 56", v, at)
 	}
 	ad := resourceAd() // bench_test.go: the ten attributes of Plant.ResourceAd
 	for _, c := range []struct {

@@ -52,7 +52,8 @@ func (e attrExpr) evalIn(en *env, ad *Ad, scope string) (v Value, ok bool) {
 		return Errorf("cyclic reference to %q", e.name), true
 	}
 	at := &ad.attrs[i]
-	if at.expr == nil {
+	x := at.expr()
+	if x == nil {
 		return at.val, true
 	}
 	// Attribute bodies evaluate with "self" rebound to the ad that
@@ -62,7 +63,7 @@ func (e attrExpr) evalIn(en *env, ad *Ad, scope string) (v Value, ok bool) {
 		en.self, en.target = target, self
 	}
 	en.stack = append(en.stack, attrExpr{scope, e.name})
-	v = at.expr.eval(en)
+	v = x.eval(en)
 	en.stack = en.stack[:len(en.stack)-1]
 	en.self, en.target = self, target
 	return v, true

@@ -97,9 +97,12 @@ func ParseExpr(src string) (Expr, error) {
 	return parseExpr(src)
 }
 
-// parseExpr is the lexer and parser, which read every expression.
+// parseExpr is the lexer and parser, which read every expression. An
+// expression of up to 16 tokens, a Requirements for one, lexes into an
+// array on the stack.
 func parseExpr(src string) (Expr, error) {
-	toks, err := lex(src)
+	var tokArr [16]token
+	toks, err := lex(src, tokArr[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -54,22 +54,22 @@ type token struct {
 
 // lexer splits classad source text into tokens.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
 }
 
-// lex tokenizes src, returning an error with position on bad input.
-func lex(src string) ([]token, error) {
+// lex tokenizes src, appending to toks, returning an error with
+// position on bad input.
+func lex(src string, toks []token) ([]token, error) {
 	l := &lexer{src: src}
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}
-		l.toks = append(l.toks, t)
+		toks = append(toks, t)
 		if t.kind == tokEOF {
-			return l.toks, nil
+			return toks, nil
 		}
 	}
 }

@@ -15,8 +15,10 @@ package classad
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime types of classad values.
@@ -53,12 +55,17 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Value is the result of evaluating a classad expression.
+// kindExpr marks the value an attribute bound to an expression holds:
+// its p points to the expression. No such value leaves the package.
+const kindExpr Kind = -1
+
+// Value is the result of evaluating a classad expression. It is 40
+// bytes: a list keeps only where its elements start, its length in n.
 type Value struct {
 	kind Kind
-	n    uint64 // KindBool: 0 or 1; KindInt: the int64; KindReal: the float64's bits
-	s    string // KindString: the string; KindError: what went wrong
-	l    []Value
+	n    uint64         // KindBool: 0 or 1; KindInt: the int64; KindReal: the float64's bits; KindList: the length
+	s    string         // KindString: the string; KindError: what went wrong
+	p    unsafe.Pointer // KindList: the first element (*Value), nil when there is none; kindExpr: the *Expr
 }
 
 // Constructors.
@@ -89,8 +96,21 @@ func Real(r float64) Value { return Value{kind: KindReal, n: math.Float64bits(r)
 // Str returns a string value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
 
-// List returns a list value.
-func List(vs ...Value) Value { return Value{kind: KindList, l: vs} }
+// List returns a list value; it shares vs.
+func List(vs ...Value) Value {
+	v := Value{kind: KindList, n: uint64(len(vs))}
+	if len(vs) > 0 {
+		v.p = unsafe.Pointer(&vs[0])
+	}
+	return v
+}
+
+// list returns the elements of a list value.
+func (v *Value) list() []Value { return unsafe.Slice((*Value)(v.p), v.n) }
+
+// exprValue returns the value an attribute bound to e holds. Expressions
+// are immutable, so every copy of the value shares the box.
+func exprValue(e Expr) Value { return Value{kind: kindExpr, p: unsafe.Pointer(&e)} }
 
 // Strings returns a list value of string elements.
 func Strings(vs ...string) Value {
@@ -138,7 +158,12 @@ func (v Value) StringVal() (string, bool) {
 }
 
 // ListVal returns the elements and ok=true if v is a list.
-func (v Value) ListVal() ([]Value, bool) { return v.l, v.kind == KindList }
+func (v Value) ListVal() ([]Value, bool) {
+	if v.kind != KindList {
+		return nil, false
+	}
+	return v.list(), true
+}
 
 // Number returns v as a float64 when v is numeric (int or real).
 func (v Value) Number() (float64, bool) {
@@ -171,15 +196,7 @@ func (v Value) Equal(w Value) bool {
 	case KindString:
 		return v.s == w.s
 	case KindList:
-		if len(v.l) != len(w.l) {
-			return false
-		}
-		for i := range v.l {
-			if !v.l[i].Equal(w.l[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(v.list(), w.list(), Value.Equal)
 	}
 	return false
 }
@@ -206,8 +223,9 @@ func (v Value) String() string {
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindList:
-		parts := make([]string, len(v.l))
-		for i, e := range v.l {
+		l := v.list()
+		parts := make([]string, len(l))
+		for i, e := range l {
 			parts[i] = e.String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"

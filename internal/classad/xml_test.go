@@ -1,6 +1,7 @@
 package classad
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"reflect"
@@ -107,8 +108,53 @@ func TestListFold(t *testing.T) {
 		if err := xml.Unmarshal(doc, &want); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := scanAd(doc); err != nil || !reflect.DeepEqual(got, &want) {
+		if got, err := scanAd(doc); err != nil || !sameAd(got, &want) {
 			t.Errorf("%q: DecodeXML %#v (%v), oracle %#v", tc.src, got, err, &want)
+		}
+	}
+}
+
+// TestDecodeRepeatsMatchOracle: a name repeated in another case, or
+// through the Kelvin sign or the dotted İ, replaces the earlier value in
+// the earlier position, as encoding/xml's reading does; names that only
+// look alike stay apart. It holds for an ad decoded into one that has
+// attributes already, and for one that runs past scanMax.
+func TestDecodeRepeatsMatchOracle(t *testing.T) {
+	attr := func(name, src string) string {
+		return fmt.Sprintf(`<attr name="%s">%s</attr>`, name, strings.ReplaceAll(src, `"`, "&#34;"))
+	}
+	var long strings.Builder
+	for n := range numbered[:scanMax-2] {
+		long.WriteString(attr(numbered[n], fmt.Sprint(n)))
+	}
+	for _, c := range []struct {
+		what, body string
+		onto       *Ad
+	}{
+		{"case", attr("Owner", `"ann"`) + attr("Memory", "64") + attr("OWNER", `{"a", "b"}`) + attr("owner", `other.x + 1`) + attr("MEMORY", `"m"`), nil},
+		{"Kelvin sign", attr("k", "1") + attr("Kb", "2") + attr("K", `"kelvin"`) + attr("KB", `a + 1`) + attr("K", `{"x"}`), nil},
+		{"dotted İ", attr("İ", "1") + attr("i", "2") + attr("I", "3") + attr("ı", "4") + attr("İ", `"again"`), nil},
+		{"expressions", attr("R", "a + 1") + attr("r", "b + 1") + attr("S", "{x}") + attr("R", "7") + attr("s", "c"), nil},
+		{"onto an ad", attr("a", "1") + attr("B", `"b"`) + attr("K", "k + 1"), New().SetInt("A", 0).Set("K", MustParseExpr("x"))},
+		{"past scanMax", long.String() + attr("n1", `"one"`) + attr("Extra", "1") + attr("More", "2") + attr("Another", "4") + attr("N2", "b + 2") + attr("extra", "3"), nil},
+	} {
+		doc := []byte("<classad>" + c.body + "</classad>")
+		s := xmlwire.NewScanner(doc)
+		if err := s.Open("classad"); err != nil {
+			t.Fatal(err)
+		}
+		got, want := new(Ad), new(Ad)
+		if c.onto != nil {
+			got, want = c.onto.Clone(), c.onto.Clone()
+		}
+		if err := got.DecodeXML(s); err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		if err := xml.Unmarshal(doc, want); err != nil {
+			t.Fatal(err)
+		}
+		if !sameAd(got, want) {
+			t.Errorf("%s:\n got: %s\nwant: %s", c.what, got, want)
 		}
 	}
 }
@@ -192,7 +238,7 @@ func TestAppendXMLMatchesMarshalXML(t *testing.T) {
 		scanned, gerr := scanAd(got)
 		if (gerr == nil) != (werr == nil) {
 			t.Errorf("%q: decode error %v, encoding/xml %v", got, gerr, werr)
-		} else if gerr == nil && !reflect.DeepEqual(scanned, &back) {
+		} else if gerr == nil && (!sameAd(scanned, &back) || !bytes.Equal(scanned.AppendXML(nil), back.AppendXML(nil))) {
 			t.Errorf("%q\n got: %#v\nwant: %#v", got, scanned, &back)
 		}
 	}
@@ -222,9 +268,9 @@ func FuzzAdXML(f *testing.F) {
 		if err := xml.Unmarshal(doc, &want); err != nil {
 			t.Fatalf("accepted what encoding/xml rejects (%v): %q", err, doc)
 		}
-		// Expressions hold no NaN (NaN is not a literal), so DeepEqual
-		// is exact.
-		if !reflect.DeepEqual(got, &want) {
+		// Expressions hold no NaN (NaN is not a literal), so sameAd is
+		// exact.
+		if !sameAd(got, &want) || !bytes.Equal(got.AppendXML(nil), want.AppendXML(nil)) {
 			t.Fatalf("decoded differently\n got: %#v\nwant: %#v\n%q", got, &want, doc)
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -409,10 +410,44 @@ func requestsOf(m *Message) []*CreateRequest {
 	return out
 }
 
+// sameAd compares two classads through their API: reflect.DeepEqual
+// would compare the address of a list's elements or of an expression,
+// not what is there.
+func sameAd(a, b *classad.Ad) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if !bytes.Equal(a.AppendXML(nil), b.AppendXML(nil)) {
+		return false
+	}
+	for _, name := range a.Names() {
+		if !sameValue(a.Eval(name), b.Eval(name)) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameValue(x, y classad.Value) bool {
+	xl, isList := x.ListVal()
+	yl, _ := y.ListVal()
+	return x.Kind() == y.Kind() && x.String() == y.String() && (!isList || slices.EqualFunc(xl, yl, sameValue))
+}
+
 // equalMessages is reflect.DeepEqual on two decoded messages, except
-// that request graphs are compared by sameGraph and two bids both
-// costing NaN compare equal (DeepEqual never equates NaNs).
+// that request graphs are compared by sameGraph, classads by sameAd, and
+// two bids both costing NaN compare equal (DeepEqual never equates
+// NaNs).
 func equalMessages(a, b *Message) bool {
+	if _, _, ada := embedded(a); ada != nil {
+		_, _, adb := embedded(b)
+		if adb == nil || !sameAd(*ada, *adb) {
+			return false
+		}
+		x, y := *ada, *adb
+		*ada, *adb = nil, nil
+		defer func() { *ada, *adb = x, y }()
+	}
 	ra, rb := requestsOf(a), requestsOf(b)
 	if len(ra) != len(rb) {
 		return false
