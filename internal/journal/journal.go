@@ -76,16 +76,6 @@ const (
 	RouteDrop Kind = "route-drop"
 	// PlantCrash records an observed plant daemon death.
 	PlantCrash Kind = "plant-crash"
-	// PlantDrainBegin is written (and synced) before any drain side
-	// effect: the named plant stops winning bids and the drain waits
-	// for its VMs to be collected. A restart that replays this record
-	// without a matching PlantRetired resumes the drain instead of
-	// routing new work to the plant.
-	PlantDrainBegin Kind = "plant-drain-begin"
-	// PlantRetired closes a drain: the plant has left the fleet for
-	// good. Replay and restart reconciliation must never route a
-	// creation to a retired plant.
-	PlantRetired Kind = "plant-retired"
 	// PlantRecover records a plant daemon restart with the number of
 	// VMs its information system was rebuilt from.
 	PlantRecover Kind = "plant-recover"

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"vmplants/internal/classad"
@@ -145,9 +146,13 @@ func TestVMQueryResponseDecodeAllocations(t *testing.T) {
 }
 
 // allocated is testing.AllocsPerRun's count and the bytes beside it: the
-// heap allocations and bytes one run of f makes, averaged over runs.
+// heap allocations and bytes one run of f makes, averaged over runs. GC
+// is off for the window: a cycle empties the pooled buffers f reuses, so
+// one that lands mid-measurement makes f allocate them again. No GC is
+// forced first, for the same reason.
 func allocated(runs int, f func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -147,16 +147,16 @@ func frontDoorBatch(t *testing.T, maxQueue int) (d *deployment, specs []*core.Sp
 		returned := false
 		p.Kernel().Spawn("monitor", func(mp *sim.Proc) {
 			for !returned {
-				peak = max(peak, d.shop.InflightCreates())
+				peak = max(peak, d.shop.gate.InUse())
 				mp.Sleep(100 * time.Millisecond)
 			}
 		})
 		results = d.shop.CreateMany(p, specs)
 		returned = true
-		if n := d.shop.AdmissionQueueLen(); n != 0 {
+		if n := d.shop.gate.QueueLen(); n != 0 {
 			t.Errorf("%d creations still queued at the gate after the batch returned", n)
 		}
-		if n := d.shop.InflightCreates(); n != 0 {
+		if n := d.shop.gate.InUse(); n != 0 {
 			t.Errorf("%d creations still hold a gate slot after the batch returned", n)
 		}
 	})

@@ -155,9 +155,9 @@ func (s *Shop) Kill() {
 }
 
 // killIf fires the daemon-kill fault at one of the shop's protocol
-// points ("intent", "commit", "forward", "drain") and, when it fires,
-// kills the shop. The fault site is the shop's own name, so a
-// federation experiment can kill one cell while its peers keep serving.
+// points ("intent", "commit", "forward") and, when it fires, kills the
+// shop. The fault site is the shop's own name, so a federation
+// experiment can kill one cell while its peers keep serving.
 func (s *Shop) killIf(op string) bool {
 	if !s.Faults.Should(s.name, fault.DaemonKill, op) {
 		return false
@@ -191,11 +191,11 @@ type RestartStats struct {
 }
 
 // Restart brings a killed shop back: the journal is folded into a fresh
-// ledger — routes, the request-dedupe index, open intents, the fleet's
-// exits — then each open intent is reconciled against the world:
-// committed if the VM exists on some plant, re-driven from its journaled
-// spec if not. A route the journal does not hold is re-learned when a
-// call first needs it (recover).
+// ledger — routes, the request-dedupe index, open intents — then each
+// open intent is reconciled against the world: committed if the VM
+// exists on some plant, re-driven from its journaled spec if not. A
+// route the journal does not hold is re-learned when a call first needs
+// it (recover).
 func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 	var st RestartStats
 	s.down = false
@@ -216,19 +216,6 @@ func (s *Shop) Restart(p *sim.Proc) (RestartStats, error) {
 	s.mu.Unlock()
 	st.Replayed = rst.Records
 	st.TornTails = rst.TornTails
-	// The journal is the authority on fleet membership too. Act on it
-	// before any intent is reconciled: retired plants leave the candidate
-	// set (a route still naming one no longer resolves — a retired plant
-	// is provably empty), so neither the reconcile sweep nor a re-drive
-	// can ever route work to a plant that already left. Open drains need
-	// nothing here: the folded ledger already keeps their plants out of
-	// every round.
-	_, retired := led.Exits()
-	for _, name := range retired {
-		if h := s.plantByName(name); h != nil {
-			s.plants = without(s.plants, h)
-		}
-	}
 	plantRoutes := 0
 	led.Routes(func(_ core.VMID, rt ledger.Route) {
 		switch {

@@ -163,15 +163,12 @@ func (s *Shop) EstimateForward(p *sim.Proc, spec *core.Spec) (core.Cost, error) 
 		return core.Infeasible, err
 	}
 	sp := s.tel.T().StartCtx(p, "shop.estimate_forward", p.Trace()).Set("shop", s.name)
-	feasible := s.collectBids(p, s.eligiblePlants(), spec, reqAd, sp)
+	feasible := s.collectBids(p, s.plants, spec, reqAd, sp)
 	sp.SetInt("feasible", int64(len(feasible))).End(p)
 	if len(feasible) == 0 {
 		return core.Infeasible, nil
 	}
-	// Price admission pressure into the quote: a forwarded creation
-	// would queue at this cell's gate like any other arrival, so a
-	// loaded cell bids higher and loses auctions it would only delay.
-	return lowest(feasible) + s.bidPressure(), nil
+	return lowest(feasible), nil
 }
 
 // ForwardCreate serves a creation on behalf of a peer cell. The spec

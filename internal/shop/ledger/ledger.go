@@ -45,7 +45,6 @@ type Ledger struct {
 	routes  map[core.VMID]Route
 	intents map[core.VMID]intent
 	byReq   map[string]core.VMID // RequestID → the intent that carries it
-	exits   map[string]bool      // plant name → retired; present alone = draining
 	minted  uint64               // highest VMID sequence number journaled
 }
 
@@ -56,7 +55,6 @@ func New(shop string) *Ledger {
 		routes:  make(map[core.VMID]Route),
 		intents: make(map[core.VMID]intent),
 		byReq:   make(map[string]core.VMID),
-		exits:   make(map[string]bool),
 	}
 }
 
@@ -103,11 +101,6 @@ func (l *Ledger) Apply(r journal.Record) {
 		case journal.EndpointPeer:
 			l.reroute(id, Route{Peer: r.Field("peer"), Remote: core.VMID(r.Field("remote"))})
 		}
-	case journal.PlantDrainBegin:
-		// Marks the plant present; a retirement already folded stands.
-		l.exits[r.Key] = l.exits[r.Key]
-	case journal.PlantRetired:
-		l.exits[r.Key] = true
 	}
 }
 
@@ -161,17 +154,6 @@ func (l *Ledger) Routes(fn func(core.VMID, Route)) {
 	}
 }
 
-// RoutedCount counts the VMs routed to the named plant.
-func (l *Ledger) RoutedCount(plant string) int {
-	n := 0
-	for _, rt := range l.routes {
-		if rt.Peer == "" && rt.Plant == plant {
-			n++
-		}
-	}
-	return n
-}
-
 // Request resolves a client RequestID (or forwarding token) to the
 // creation journaled under it and whether that creation committed.
 func (l *Ledger) Request(req string) (id core.VMID, committed, ok bool) {
@@ -198,30 +180,6 @@ func (l *Ledger) Open() []core.VMID {
 func (l *Ledger) Intent(id core.VMID) (spec string, attempts []string) {
 	in := l.intents[id]
 	return in.spec, append([]string(nil), in.attempts...)
-}
-
-// Draining reports whether the plant began draining (retired or not).
-func (l *Ledger) Draining(plant string) bool {
-	_, ok := l.exits[plant]
-	return ok
-}
-
-// Retired reports whether the plant's retirement is recorded.
-func (l *Ledger) Retired(plant string) bool { return l.exits[plant] }
-
-// Exits lists the plants with an open drain and the retired ones, each
-// in name order.
-func (l *Ledger) Exits() (draining, retired []string) {
-	for name, gone := range l.exits {
-		if gone {
-			retired = append(retired, name)
-		} else {
-			draining = append(draining, name)
-		}
-	}
-	sort.Strings(draining)
-	sort.Strings(retired)
-	return draining, retired
 }
 
 // Minted is the highest sequence number among this shop's journaled

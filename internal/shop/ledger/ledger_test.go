@@ -17,7 +17,6 @@ var (
 	fuzzKinds = []journal.Kind{
 		journal.CreationIntent, journal.CreationCommit, journal.CreationForward,
 		journal.CreationAbort, journal.RouteDrop, journal.RouteChange,
-		journal.PlantDrainBegin, journal.PlantRetired,
 		journal.ImagePublish, "no-such-kind",
 	}
 	fuzzKeys   = []string{"vm-shop-1", "vm-shop-2", "vm-shop-3", "vm-shop-40", "vm-other-7", "vm-shop-x", "", "node00", "node01"}
@@ -117,7 +116,7 @@ func smokeJournal(tb testing.TB) []journal.Record {
 
 // everyKind is a hand-written history that reaches each Apply arm: a
 // local creation, a forwarded one, an aborted one, a re-learned and a
-// cross-cell route, a drain through to retirement, a destroy.
+// cross-cell route, a destroy.
 var everyKind = []journal.Record{
 	{Kind: journal.CreationIntent, Key: "vm-shop-1", Fields: map[string]string{"req": "req-1", "spec": "<spec/>"}},
 	{Kind: journal.CreationCommit, Key: "vm-shop-1", Fields: map[string]string{"plant": "node00"}},
@@ -126,9 +125,7 @@ var everyKind = []journal.Record{
 	{Kind: journal.CreationForward, Key: "vm-shop-2", Fields: map[string]string{"phase": "commit", "peer": "cellB", "remote": "vm-cellB-1"}},
 	{Kind: journal.CreationIntent, Key: "vm-shop-3", Fields: map[string]string{"spec": "<spec/>"}},
 	{Kind: journal.CreationAbort, Key: "vm-shop-3", Fields: map[string]string{"reason": "bogus"}},
-	{Kind: journal.PlantDrainBegin, Key: "node00"},
 	{Kind: journal.RouteChange, Key: "vm-shop-1", Fields: map[string]string{"endpoint": "plant", "plant": "node01"}},
-	{Kind: journal.PlantRetired, Key: "node00"},
 	{Kind: journal.RouteChange, Key: "vm-shop-40", Fields: map[string]string{"endpoint": "peer", "peer": "cellB", "remote": "vm-cellB-1"}},
 	{Kind: journal.RouteDrop, Key: "vm-shop-2"},
 }
@@ -208,13 +205,6 @@ func TestApplyEveryKind(t *testing.T) {
 	}
 	if open := l.Open(); len(open) != 0 {
 		t.Errorf("open intents %v", open)
-	}
-	if got := l.RoutedCount("node01"); got != 1 {
-		t.Errorf("RoutedCount(node01) = %d, want 1 (vm-shop-1)", got)
-	}
-	draining, retired := l.Exits()
-	if len(draining) != 0 || !reflect.DeepEqual(retired, []string{"node00"}) || !l.Draining("node00") || !l.Retired("node00") {
-		t.Errorf("exits: draining %v retired %v", draining, retired)
 	}
 	if l.Minted() != 3 {
 		t.Errorf("minted = %d, want 3 (vm-shop-40 was never an intent)", l.Minted())

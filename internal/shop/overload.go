@@ -6,23 +6,16 @@
 // overload collapse. The shop instead bounds how many creations it
 // will work on at once (a FIFO admission gate) and how many callers
 // may wait at the gate; past that, requests are shed immediately with
-// ErrOverload. Shedding is deadline-aware: even with queue slots free,
-// a request whose projected wait already blows the admission SLO is
-// refused now, when the client's retry is still cheap, rather than
-// after queueing through the whole backlog.
+// ErrOverload.
 //
 // ErrOverload is in the transient error class, so shed work is
 // retryable by construction: clients back off and resubmit (the
 // RequestID dedupe makes the retry safe), and a federated origin cell
-// fails the creation over to its next peer. The same pressure is
-// priced into the shop's federation bids — EstimateForward adds the
-// projected admission wait to the quote — so loaded cells lose
-// auctions they would only queue, before anyone forwards to them.
+// fails the creation over to its next peer.
 package shop
 
 import (
 	"fmt"
-	"time"
 
 	"vmplants/internal/core"
 	"vmplants/internal/sim"
@@ -42,12 +35,6 @@ type AdmissionConfig struct {
 	// MaxQueue is how many arrivals may wait at the gate; the next one
 	// is shed. 0 means no queue-length bound.
 	MaxQueue int
-	// MaxWait sheds arrivals whose projected queue wait exceeds it —
-	// the deadline-aware half. Requires ServiceEstimate. 0 disables.
-	MaxWait time.Duration
-	// ServiceEstimate is the planning estimate of one creation's
-	// service time, used only for the wait projection.
-	ServiceEstimate time.Duration
 }
 
 func (c AdmissionConfig) enabled() bool { return c.MaxInflight > 0 }
@@ -63,41 +50,9 @@ func (s *Shop) SetAdmission(c AdmissionConfig) {
 	}
 }
 
-// AdmissionQueueLen reports how many creations are waiting at the gate.
-func (s *Shop) AdmissionQueueLen() int {
-	if s.gate == nil {
-		return 0
-	}
-	return s.gate.QueueLen()
-}
-
-// InflightCreates reports how many creations hold an admission slot.
-func (s *Shop) InflightCreates() int {
-	if s.gate == nil {
-		return 0
-	}
-	return s.gate.InUse()
-}
-
-// projectedWait is the planning estimate of how long one more arrival
-// would queue, given the creations already holding or waiting for a
-// slot: zero while a slot is free, else the backlog ahead of it served
-// MaxInflight-wide.
-func (s *Shop) projectedWait(pending int) time.Duration {
-	if s.admission.ServiceEstimate <= 0 || s.admission.MaxInflight <= 0 {
-		return 0
-	}
-	excess := pending + 1 - s.admission.MaxInflight
-	if excess <= 0 {
-		return 0
-	}
-	return time.Duration(excess) * s.admission.ServiceEstimate / time.Duration(s.admission.MaxInflight)
-}
-
 // admit passes one creation through the gate, shedding instead of
-// queueing when the bound or the projected wait says the request
-// cannot be served in time. On success the returned release must be
-// called when the creation settles.
+// queueing when the queue bound is reached. On success the returned
+// release must be called when the creation settles.
 func (s *Shop) admit(p *sim.Proc) (release func(), err error) {
 	if s.gate == nil {
 		return func() {}, nil
@@ -107,12 +62,6 @@ func (s *Shop) admit(p *sim.Proc) (release func(), err error) {
 		s.mShedCreates.Inc()
 		return nil, fmt.Errorf("shop %s: %w (%d queued)", s.name, ErrOverload, queued)
 	}
-	if s.admission.MaxWait > 0 {
-		if w := s.projectedWait(s.gate.InUse() + queued); w > s.admission.MaxWait {
-			s.mShedCreates.Inc()
-			return nil, fmt.Errorf("shop %s: %w (projected wait %s)", s.name, ErrOverload, w)
-		}
-	}
 	start := p.Now()
 	s.gate.Acquire(p, 1)
 	s.hAdmissionWait.Observe((p.Now() - start).Seconds())
@@ -121,14 +70,4 @@ func (s *Shop) admit(p *sim.Proc) (release func(), err error) {
 		s.gate.Release(p, 1)
 		s.gAdmissionQueue.Set(int64(s.gate.QueueLen()))
 	}, nil
-}
-
-// bidPressure is the admission-wait surcharge a loaded shop adds to
-// its federation bids, in cost units (virtual seconds): the projected
-// gate wait a forwarded creation would actually pay here.
-func (s *Shop) bidPressure() core.Cost {
-	if s.gate == nil {
-		return 0
-	}
-	return core.Cost(s.projectedWait(s.gate.InUse() + s.gate.QueueLen()).Seconds())
 }

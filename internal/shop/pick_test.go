@@ -99,7 +99,7 @@ func BenchmarkBidRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	round := d.shop.eligiblePlants()
+	round := d.shop.plants
 	b.ReportAllocs()
 	d.k.Spawn("bench", func(p *sim.Proc) {
 		b.ResetTimer()

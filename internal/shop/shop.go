@@ -30,7 +30,7 @@ import (
 // Shop is one VMShop instance.
 type Shop struct {
 	name   string
-	plants []PlantHandle
+	plants []PlantHandle // wired at New, never changed after
 	rng    *sim.RNG
 
 	// nextID is atomic so concurrent Create calls (e.g. from the RPC
@@ -64,9 +64,9 @@ type Shop struct {
 	// while creations write.
 	mu sync.Mutex
 	// led is everything the shop knows that a restart must know again —
-	// routes, open and committed creations, the RequestID dedupe index,
-	// draining and retired plants. Its only writer is record/apply
-	// (durability.go); Restart rebuilds it by folding the journal.
+	// routes, open and committed creations, the RequestID dedupe index.
+	// Its only writer is record/apply (durability.go); Restart rebuilds
+	// it by folding the journal.
 	led      *ledger.Ledger
 	bids     telemetry.Ring[BidRecord] // the last bidLogRounds rounds
 	inflight map[string]int            // plant name → creations dispatched, not yet done
@@ -93,10 +93,7 @@ type Shop struct {
 	mForwards       *telemetry.Counter
 	mForwardFails   *telemetry.Counter
 	mServedForwards *telemetry.Counter
-	mStaleBids      *telemetry.Counter
 	mShedCreates    *telemetry.Counter
-	mDrains         *telemetry.Counter
-	mRetires        *telemetry.Counter
 	gAdmissionQueue *telemetry.Gauge
 	hAdmissionWait  *telemetry.Histogram
 }
@@ -128,9 +125,6 @@ func New(name string, plants []PlantHandle, seed int64) *Shop {
 
 // Name returns the shop name.
 func (s *Shop) Name() string { return s.name }
-
-// Plants returns the managed plant handles.
-func (s *Shop) Plants() []PlantHandle { return append([]PlantHandle(nil), s.plants...) }
 
 // Bids returns a defensive copy of the audit log of the most recent
 // bidding rounds, oldest first, taken under the shop's mutex.
@@ -173,10 +167,7 @@ func (s *Shop) SetTelemetry(h *telemetry.Hub) {
 	s.mForwards = h.Counter("shop.forwarded_creates")
 	s.mForwardFails = h.Counter("shop.forward_failures")
 	s.mServedForwards = h.Counter("shop.served_forwards")
-	s.mStaleBids = h.Counter("shop.stale_bids")
 	s.mShedCreates = h.Counter("shop.shed_creates")
-	s.mDrains = h.Counter("shop.plant_drains")
-	s.mRetires = h.Counter("shop.plant_retirements")
 	s.gAdmissionQueue = h.Gauge("shop.admission_queue")
 	s.hAdmissionWait = h.Histogram("shop.admission_wait_secs")
 }
@@ -202,7 +193,7 @@ func (s *Shop) Create(p *sim.Proc, spec *core.Spec) (core.VMID, *classad.Ad, err
 		return "", nil, ErrShopDown
 	}
 	// Bounded front door: queue, or shed with the retryable ErrOverload
-	// when the gate's bounds say this request cannot be served in time.
+	// when the gate's queue is full.
 	release, err := s.admit(p)
 	if err != nil {
 		return "", nil, err
@@ -246,10 +237,8 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 			s.hCreateSecs.Observe((p.Now() - start).Seconds())
 		}
 	}()
-	// Draining and retired plants never enter the round: a drain must
-	// not be handed new work, and replay guarantees a retired plant is
-	// invisible to every post-restart re-drive.
-	candidates := s.eligiblePlants()
+	// A copy: without filters the candidates in place.
+	candidates := slices.Clone(s.plants)
 	rec := BidRecord{VMID: id, Costs: make(map[string]core.Cost)}
 
 	reqAd, err := requestAd(spec)
@@ -278,18 +267,6 @@ func (s *Shop) createAs(p *sim.Proc, id core.VMID, spec *core.Spec) (_ *classad.
 		first := true
 		for len(feasible) > 0 {
 			winner := s.pickWinner(feasible)
-			// Stale-bid recheck: the winner bid at round start, but may
-			// have begun draining since. Dispatching anyway would park a
-			// fresh creation on a plant trying to empty itself; skip it
-			// without paying a dispatch (and without counting a failover:
-			// nothing was dispatched) and re-pick from the rest of the
-			// round.
-			if s.Draining(winner.Name()) {
-				s.mStaleBids.Inc()
-				feasible = withoutBid(feasible, winner)
-				candidates = without(candidates, winner)
-				continue
-			}
 			if !first {
 				s.mFailovers.Inc()
 				sp.Set("failover", winner.Name())
@@ -479,9 +456,24 @@ type served struct {
 	peer bool
 }
 
+// plantByName finds the plant handle wired under a name. The ledger
+// holds names; this is how a name becomes a handle again.
+func (s *Shop) plantByName(name string) PlantHandle { return byName(s.plants, name) }
+
+// byName finds the plant or peer handle wired under a name (the zero
+// handle, nil, when none is).
+func byName[H bidder](hs []H, name string) (none H) {
+	for _, h := range hs {
+		if h.Name() == name {
+			return h
+		}
+	}
+	return none
+}
+
 // lookup resolves the VM's ledger route to the handle wired under the
-// name it holds. A route naming a plant or peer that is not wired (any
-// more — a retired plant, say) resolves to nothing.
+// name it holds. A route naming a plant or peer that is not wired
+// resolves to nothing.
 func (s *Shop) lookup(id core.VMID) (served, bool) {
 	s.mu.Lock()
 	rt, ok := s.led.Route(id)

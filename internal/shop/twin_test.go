@@ -28,9 +28,8 @@ const (
 	twinSeeds = 1000
 	twinOps   = 14
 	// twinHorizon bounds a seed's virtual time (a healthy one needs
-	// well under an hour), so a shop that can no longer make progress —
-	// a drain waiting on a route that never goes — fails instead of
-	// spinning.
+	// well under an hour), so a shop that can no longer make progress
+	// fails instead of spinning.
 	twinHorizon = 24 * time.Hour
 )
 
@@ -43,11 +42,9 @@ const (
 	opFailingCreate
 	opDestroy
 	opForward
-	opDrain
 	opKillIntent
 	opKillCommit
 	opKillForward
-	opKillDrain
 	opKillPlain
 	opKillPeer
 	nTwinOps
@@ -55,7 +52,7 @@ const (
 
 var twinOpNames = [nTwinOps]string{
 	"create", "resubmit", "failing-create", "destroy", "forward",
-	"drain", "kill@intent", "kill@commit", "kill@forward", "kill@drain", "kill", "kill-peer",
+	"kill@intent", "kill@commit", "kill@forward", "kill", "kill-peer",
 }
 
 // twin is one seed's rig: cell A (three plants, the shop under test) and
@@ -66,8 +63,8 @@ type twin struct {
 	rng    *sim.RNG
 	a, b   *Shop
 	faults *fault.Registry
-	// aPlants/bPlants are every plant handle ever wired, retired ones
-	// included: the census asks them all.
+	// aPlants/bPlants are every plant handle wired: the census asks
+	// them all.
 	aPlants, bPlants []PlantHandle
 	live             map[core.VMID]string // VMID the client holds → its RequestID
 	order            []core.VMID          // the same IDs, in creation order
@@ -108,7 +105,7 @@ func runTwin(t *testing.T, seed int64, ran *[nTwinOps]atomic.Int64) {
 	tw := &twin{t: t, seed: seed, rng: sim.NewRNG(seed), live: map[core.VMID]string{}}
 	tw.a, _ = newCell(t, k, "cellA", 3, 11+seed, plant.Config{MaxVMs: 32})
 	tw.b, _ = newCell(t, k, "cellB", 1, 23+seed, plant.Config{MaxVMs: 32})
-	tw.aPlants, tw.bPlants = tw.a.Plants(), tw.b.Plants()
+	tw.aPlants, tw.bPlants = tw.a.plants, tw.b.plants
 	tw.a.SetPeers([]PeerHandle{NewLocalPeerHandle(tw.b)})
 	journalOn(tw.a)
 	journalOn(tw.b)
@@ -208,37 +205,8 @@ func (tw *twin) restart(p *sim.Proc) RestartStats {
 	return st
 }
 
-// drainable picks an active plant of cell A to retire, keeping at least
-// one to serve.
-func (tw *twin) drainable() (string, bool) {
-	var active []string
-	for _, h := range tw.a.Plants() {
-		if !tw.a.Draining(h.Name()) {
-			active = append(active, h.Name())
-		}
-	}
-	if len(active) < 2 {
-		return "", false
-	}
-	return active[tw.rng.Intn(len(active))], true
-}
-
-// collect destroys every VM the client holds on the named plant, as a
-// drain of it waits for.
-func (tw *twin) collect(p *sim.Proc, plant string) {
-	for _, id := range append([]core.VMID(nil), tw.order...) {
-		if tw.a.RouteOf(id) != plant {
-			continue
-		}
-		if err := tw.a.Destroy(p, id); err != nil {
-			tw.failf("collect %s: %v", id, err)
-		}
-		tw.drop(id)
-	}
-}
-
 // step runs one operation; false means its precondition did not hold
-// (nothing to destroy, no plant left to drain) and nothing ran.
+// (nothing to destroy) and nothing ran.
 func (tw *twin) step(p *sim.Proc, op twinOp) bool {
 	arm := func(point string) { tw.faults.Arm("cellA", fault.DaemonKill, point, 1) }
 	switch op {
@@ -284,38 +252,6 @@ func (tw *twin) step(p *sim.Proc, op twinOp) bool {
 		tw.create(p, s, nil)
 	case opForward:
 		tw.create(p, tw.forwardSpec(), nil)
-	case opDrain, opKillDrain:
-		name, ok := tw.drainable()
-		if !ok {
-			return false
-		}
-		var err error
-		if op == opKillDrain {
-			arm("drain")
-			if err := tw.a.DrainAndRetire(p, name); !errors.Is(err, ErrShopDown) {
-				tw.failf("drain survived the kill: %v", err)
-			}
-			tw.restart(p)
-			if open := tw.a.OpenDrains(); len(open) != 1 || open[0] != name {
-				tw.failf("restart forgot the open drain of %s: %v", name, open)
-			}
-			tw.collect(p, name)
-			err = tw.a.ResumeDrains(p)
-		} else {
-			// The drain waits while the client collects the plant's VMs.
-			done := false
-			p.Kernel().Spawn("drain", func(dp *sim.Proc) {
-				err = tw.a.DrainAndRetire(dp, name)
-				done = true
-			})
-			tw.collect(p, name)
-			for !done {
-				p.Sleep(time.Second)
-			}
-		}
-		if err != nil || !tw.a.Retired(name) || tw.a.plantByName(name) != nil {
-			tw.failf("drain of %s: %v (retired %v)", name, err, tw.a.Retired(name))
-		}
 	case opKillIntent:
 		arm("intent")
 		tw.create(p, tw.spec(), func(st RestartStats) bool { return st.Redriven == 1 && st.Reconciled == 0 })
@@ -327,8 +263,7 @@ func (tw *twin) step(p *sim.Proc, op twinOp) bool {
 		tw.create(p, tw.forwardSpec(), func(st RestartStats) bool { return st.Reconciled == 1 && st.Redriven == 0 })
 	case opKillPlain:
 		// A real process death: nothing of the old Shop value survives.
-		// The new one is wired with every plant the cell ever had — the
-		// journal alone must say which have retired — and a VMID counter
+		// The new one is wired with the cell's plants and a VMID counter
 		// at zero.
 		old := tw.a
 		old.Kill()
@@ -404,12 +339,9 @@ func (tw *twin) check(p *sim.Proc, after string) {
 			tw.failf("after %s: %s is on no local plant, routed to %q (%s as %s)", after, id, route, peer, rid)
 		}
 	}
-	// No creation is left open, no plant left half-drained.
+	// No creation is left open.
 	if open := tw.a.led.Open(); len(open) != 0 {
 		tw.failf("after %s: open intents %v", after, open)
-	}
-	if open := tw.a.OpenDrains(); len(open) != 0 {
-		tw.failf("after %s: open drains %v", after, open)
 	}
 	// The twin: the journal folds to the live ledger, in both cells.
 	for _, s := range []*Shop{tw.a, tw.b} {

@@ -23,11 +23,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform value in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Uniform returns a uniform value in [lo, hi).
-func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
-}
-
 // LogNormal returns a log-normally distributed value whose underlying
 // normal has mean mu and standard deviation sigma. Latency noise in the
 // cluster model is log-normal: strictly positive, right-skewed, matching

@@ -55,11 +55,6 @@ type Options struct {
 	// cell needs a distinct shop name; plant names are qualified with it
 	// too, since every testbed repeats node00, node01, ….
 	CellName string
-	// StandbyPlants holds the last N plants out of the shop's initial
-	// rotation: built and ready, but not bidding. They are the fleet
-	// controller's provisioning pool — scale-up hands them to the shop
-	// one at a time. Must be less than Plants.
-	StandbyPlants int
 }
 
 // withDefaults fills unset options.
@@ -159,11 +154,7 @@ func NewDeployment(opts Options) (*Deployment, error) {
 		d.Handles = append(d.Handles, h)
 		phs = append(phs, h)
 	}
-	active := phs
-	if opts.StandbyPlants > 0 && opts.StandbyPlants < len(phs) {
-		active = phs[:len(phs)-opts.StandbyPlants]
-	}
-	d.Shop = shop.New(opts.CellName, active, opts.Seed+1)
+	d.Shop = shop.New(opts.CellName, phs, opts.Seed+1)
 	d.Shop.SetTelemetry(opts.Telemetry)
 	return d, nil
 }
@@ -227,7 +218,7 @@ func OpenShopLog(name string, hub *telemetry.Hub) *journal.Journal {
 }
 
 // JournalShop makes the site's control plane durable: the shop journals
-// creation intents/commits, routes and drains to its own log volume.
+// creation intents, commits and routes to its own log volume.
 func (d *Deployment) JournalShop() *journal.Journal {
 	jnl := OpenShopLog(d.Opts.CellName, d.Opts.Telemetry)
 	d.Shop.SetJournal(jnl)
@@ -318,10 +309,9 @@ func (d *Deployment) runSeries(n, memMB int, specFor func(seq, memMB int) (*core
 }
 
 // runHorizon bounds a run's virtual time from its start. The longest
-// scenario, the diurnal paper week, ends well inside it (196 h at most
-// over seeds 1–100), so a run still live past it is stuck — a drain
-// waiting on a VM no client collects, a loop retrying forever — not
-// slow.
+// run, one of the ablations scenario's, ends well inside it (1 h 41 min
+// at most over seeds 1–100, both series), so a run still live past it
+// is stuck — a loop retrying or polling forever — not slow.
 const runHorizon = 14 * 24 * time.Hour
 
 // Run executes a client body inside the deployment's kernel to

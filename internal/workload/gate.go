@@ -211,8 +211,6 @@ var scenarios = []Scenario{
 	newScenario("restart", "Restart: kill-9 crash-restart gate for the journaled control plane",
 		restartParams{requests: 24}, restartParams{requests: 12}, runRestart),
 	fixedScenario("federation", "Federation: multi-shop control plane with hierarchical bidding", runFederation),
-	newScenario("diurnal", "Diurnal: elastic fleet under a simulated week of day/night load",
-		diurnalPaper, diurnalSmoke, runDiurnal),
 }
 
 // Scenarios lists every registered scenario in execution order.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"vmplants/internal/core"
 	"vmplants/internal/dag"
@@ -163,30 +164,24 @@ func TestDeploymentRunReportsStranded(t *testing.T) {
 	}
 }
 
-// A drain of a plant whose VM no client ever collects never ends: the
-// run fails at its horizon, naming the drain, instead of spinning.
+// A process that polls forever — a loop retrying what never succeeds —
+// keeps the kernel busy without end: the run fails at its horizon,
+// naming the process, instead of spinning.
 func TestDeploymentRunFailsAtItsHorizon(t *testing.T) {
-	d, err := NewDeployment(Options{Seed: 1, GoldenSizesMB: []int{32}, Plants: 2})
+	d, err := NewDeployment(Options{Seed: 1, GoldenSizesMB: []int{32}, Plants: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain := ""
 	err = d.Run(func(p *sim.Proc) error {
-		spec, err := d.WorkspaceSpec(1, 32)
-		if err != nil {
-			return err
-		}
-		id, _, err := d.Shop.Create(p, spec)
-		if err != nil {
-			return err
-		}
-		route := d.Shop.RouteOf(id)
-		drain = "drain/" + route
-		p.Kernel().Spawn(drain, func(dp *sim.Proc) { _ = d.Shop.DrainAndRetire(dp, route) })
+		p.Kernel().Spawn("poller", func(pp *sim.Proc) {
+			for {
+				pp.Sleep(time.Minute)
+			}
+		})
 		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "horizon") || !strings.Contains(err.Error(), drain) {
-		t.Errorf("Run = %v, want the horizon failure naming %s", err, drain)
+	if err == nil || !strings.Contains(err.Error(), "horizon") || !strings.Contains(err.Error(), "poller") {
+		t.Errorf("Run = %v, want the horizon failure naming poller", err)
 	}
 }
 
