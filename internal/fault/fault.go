@@ -61,10 +61,15 @@ const (
 	// its recorded checksum.
 	TornWrite Kind = "torn-write"
 	// DaemonKill hard-kills a control-plane daemon (kill -9) at a named
-	// point in its protocol — site "shop" with op "intent" (after the
-	// creation intent is journaled, before dispatch) or "commit" (after
-	// the plant succeeded, before the commit record lands). The daemon's
-	// journal loses its unsynced tail; soft state evaporates.
+	// point in its protocol. A shop's site is its own name, with op
+	// "intent" (after the creation intent is journaled, before
+	// dispatch), "commit" (after the plant succeeded, before the commit
+	// record lands) or "forward" (after a peer cell built a forwarded
+	// creation, before the forward record lands; shop/federation.go).
+	// The warehouse's site is "warehouse", with op "publish:k" or
+	// "retire:k" (before extent reference k of a seed's publish is taken
+	// or of its retirement released; warehouse/extentstore.go). The
+	// daemon's journal loses its unsynced tail; soft state evaporates.
 	DaemonKill Kind = "daemon-kill"
 )
 

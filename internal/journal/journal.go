@@ -67,8 +67,8 @@ const (
 	QuarantineExit Kind = "quarantine-exit"
 	// RouteChange records a VM's route moving or being re-learned. The
 	// record's "endpoint" field says what kind of endpoint now serves
-	// the VM — "plant" (default when absent, for records written before
-	// federation) or "peer" for a peer shop in another cell, in which
+	// the VM — "plant" (for a record without the field, see
+	// EndpointPlant) or "peer" for a peer shop in another cell, in which
 	// case "peer" names the shop and "remote" carries the VMID the peer
 	// knows the VM by.
 	RouteChange Kind = "route-change"
@@ -93,8 +93,9 @@ const (
 )
 
 // Endpoint kinds carried in a route-change record's "endpoint" field.
-// Records written before federation carry no endpoint field; readers
-// treat that as EndpointPlant.
+// A record without one is a plant route when it names a plant, and an
+// eviction (the shop's evictRecord: the route is stale and no better
+// one is known) when it names none.
 const (
 	// EndpointPlant marks a route served by a local plant.
 	EndpointPlant = "plant"

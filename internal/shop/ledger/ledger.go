@@ -93,8 +93,9 @@ func (l *Ledger) Apply(r journal.Record) {
 		delete(l.routes, id)
 		l.forget(id)
 	case journal.RouteChange:
-		// Routes carry an endpoint kind; records written before
-		// federation have no endpoint field and mean a plant.
+		// Routes carry an endpoint kind. A record without one is a
+		// plant route when it names a plant, and evictRecord's eviction
+		// when it names none: reroute drops the empty route.
 		switch r.Field("endpoint") {
 		case "", journal.EndpointPlant:
 			l.reroute(id, Route{Plant: r.Field("plant")})

@@ -48,10 +48,15 @@ type Shop struct {
 	// knows the VM's UptimeSecs and state.
 	CacheAds bool
 
-	// Faults injects shop-level chaos: fault.DaemonKill at site "shop"
-	// with ops "intent" (after the intent record is durable, before
-	// dispatch) and "commit" (after the plant succeeded, before the
-	// commit record lands). nil disables injection.
+	// Faults injects shop-level chaos: fault.DaemonKill at the shop's
+	// own name as site, with ops "intent" (after the intent record is
+	// durable, before dispatch), "commit" (after the plant succeeded,
+	// before the commit record lands) and "forward" (after a peer cell
+	// built a forwarded creation, before the forward record lands;
+	// federation.go). The warehouse's kill points, "publish:k" and
+	// "retire:k" at site "warehouse", fire through the registry
+	// Warehouse.SetFaults wires (warehouse/extentstore.go). nil disables
+	// injection.
 	Faults *fault.Registry
 
 	// Durable state (durability.go). jnl is the event journal; down
@@ -620,7 +625,7 @@ func (s *Shop) Destroy(p *sim.Proc, id core.VMID) error {
 // Publish checkpoints an active VM into the warehouse as a new golden
 // image, routed to the hosting plant — or to the peer cell serving a
 // forwarded creation (the image lands in that cell's warehouse and
-// reaches this one through catalog gossip).
+// does not reach this one).
 func (s *Shop) Publish(p *sim.Proc, id core.VMID, image string) error {
 	sv, err := s.resolve(p, id)
 	if err != nil {

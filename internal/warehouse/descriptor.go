@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"vmplants/internal/dag"
 	"vmplants/internal/xmlwire"
 )
 
@@ -16,8 +15,7 @@ import (
 // actions that have already been performed"). The root element is
 // <golden-machine>. The struct tags define the format: appendDescriptor
 // writes what encoding/xml's MarshalIndent(d, "", "  ") makes of them,
-// and scanDescriptor reads it, both held to that oracle by
-// descriptor_fuzz_test.go.
+// held to that oracle by descriptor_test.go.
 type Descriptor struct {
 	Name     string        `xml:"name,attr"`
 	Backend  string        `xml:"backend,attr"`
@@ -130,106 +128,4 @@ func appendPair(dst []byte, open, a, sep, b string) []byte {
 	dst = append(dst, sep...)
 	dst = xmlwire.AppendEscaped(dst, b)
 	return append(dst, `">`...)
-}
-
-// The descriptor decoder's name tables: the index a Children or Attrs
-// callback receives is the position in the table.
-var (
-	descrAttrs      = []string{"name", "backend"}
-	descrChildren   = []string{"hardware", "os", "performed", "integrity"}
-	hardwareFields  = []string{"arch", "memoryMB", "diskMB"}
-	actionElement   = []string{"action"}
-	actionAttrs     = []string{"op", "target"}
-	paramElement    = []string{"param"}
-	paramAttrs      = []string{"name", "value"}
-	artifactElement = []string{"artifact"}
-	artifactAttrs   = []string{"path", "sum"}
-)
-
-// scanDescriptor decodes a descriptor document. It reads the subset of
-// XML xmlwire's scanner accepts, and refuses an element of the
-// descriptor given twice; what it accepts it decodes as encoding/xml
-// does.
-func scanDescriptor(blob []byte) (Descriptor, error) {
-	var d Descriptor
-	s := xmlwire.NewScanner(blob)
-	defer s.Release()
-	if err := s.Open("golden-machine"); err != nil {
-		return d, err
-	}
-	if err := s.StringAttrs(descrAttrs, &d.Name, &d.Backend); err != nil {
-		return d, err
-	}
-	err := s.Children(descrChildren, 0, func(i int) error {
-		switch i {
-		case 0:
-			return s.Children(hardwareFields, 0, func(i int) error {
-				text, err := s.Text()
-				if err != nil {
-					return err
-				}
-				switch i {
-				case 0:
-					d.Arch = string(text)
-				case 1:
-					d.MemoryMB, err = xmlwire.Int(text)
-				case 2:
-					d.DiskMB, err = xmlwire.Int(text)
-				}
-				return err
-			})
-		case 1:
-			text, err := s.Text()
-			d.OS = string(text)
-			return err
-		case 2:
-			return s.Children(actionElement, 1, func(int) error {
-				d.Actions = append(d.Actions, descrAction{})
-				a := &d.Actions[len(d.Actions)-1]
-				if err := s.StringAttrs(actionAttrs, &a.Op, &a.Target); err != nil {
-					return err
-				}
-				return s.Children(paramElement, 1, func(int) error {
-					a.Params = append(a.Params, descrParam{})
-					p := &a.Params[len(a.Params)-1]
-					return s.Leaf(paramAttrs, &p.Name, &p.Value)
-				})
-			})
-		default:
-			return s.Children(artifactElement, 1, func(int) error {
-				d.Integrity = append(d.Integrity, descrSum{})
-				a := &d.Integrity[len(d.Integrity)-1]
-				return s.Leaf(artifactAttrs, &a.Path, &a.Sum)
-			})
-		}
-	})
-	if err == nil {
-		err = s.End()
-	}
-	return d, err
-}
-
-// ParseDescriptor decodes an XML descriptor and reconstructs the
-// performed-action list.
-func ParseDescriptor(blob []byte) (Descriptor, []dag.Action, error) {
-	d, err := scanDescriptor(blob)
-	if err != nil {
-		return Descriptor{}, nil, fmt.Errorf("warehouse: bad descriptor: %w", err)
-	}
-	var perf []dag.Action
-	for _, da := range d.Actions {
-		tgt, err := dag.ParseTarget(da.Target)
-		if err != nil {
-			return Descriptor{}, nil, fmt.Errorf("warehouse: descriptor %q: %w", d.Name, err)
-		}
-		a := dag.Action{Op: da.Op, Target: tgt}
-		if len(da.Params) > 0 {
-			a.Params = make(map[string]string, len(da.Params))
-			for _, p := range da.Params {
-				a.Params[p.Name] = p.Value
-			}
-		}
-		perf = append(perf, a)
-	}
-	return d, perf, nil
 }

@@ -232,7 +232,7 @@ func (w *Warehouse) rebuildArtifact(p *sim.Proc, im *Image, path string) int64 {
 	case im.MemImagePath:
 		size = im.MemImageBytes()
 	case im.descriptorPath():
-		size = int64(len(im.descriptor))
+		size = im.descriptorSize
 	default:
 		return 0
 	}

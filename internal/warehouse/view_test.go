@@ -19,7 +19,7 @@ import (
 
 // TestCandidatesFollowTheCatalog drives every write that changes what a
 // bid sees — publish, derived publish-back, capacity retirement,
-// quarantine by scrub detection, by gossip and by an operator, repair,
+// quarantine by scrub detection and by an operator, repair,
 // and restart with and without a journal — and checks after each one
 // that the next Candidates call and the next plant resource ad's
 // GoldenImages agree with the catalog read afresh, while the slices and
@@ -38,7 +38,8 @@ func TestCandidatesFollowTheCatalog(t *testing.T) {
 		return dag.Action{Op: op, Target: tgt, Params: map[string]string{k: v}}
 	}
 	base := []dag.Action{act(actions.OpInstallOS, "distro", "mandrake-8.1")}
-	seedOn := func(w *warehouse.Warehouse, name, backend string, diskMB int) *warehouse.Image {
+	images := map[string]*warehouse.Image{}
+	seed := func(name, backend string, diskMB int) {
 		im, err := warehouse.BuildGolden(name, core.HardwareSpec{Arch: "x86", MemoryMB: 64, DiskMB: diskMB}, backend, base)
 		if err != nil {
 			t.Fatal(err)
@@ -46,9 +47,9 @@ func TestCandidatesFollowTheCatalog(t *testing.T) {
 		if err := w.Publish(im); err != nil {
 			t.Fatal(err)
 		}
-		return im
+		images[name] = im
 	}
-	deriveOn := func(w *warehouse.Warehouse, name, pkg string) {
+	derive := func(name, pkg string) {
 		parent, _ := w.Lookup("s1")
 		im, err := warehouse.BuildDerived(name, parent, append(slices.Clone(base), act(actions.OpInstallPackage, "name", pkg)))
 		if err != nil {
@@ -58,9 +59,6 @@ func TestCandidatesFollowTheCatalog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	images := map[string]*warehouse.Image{}
-	seed := func(name, backend string, diskMB int) { images[name] = seedOn(w, name, backend, diskMB) }
-	derive := func(name, pkg string) { deriveOn(w, name, pkg) }
 	scrub := func() {
 		k.Spawn("scrub", w.ScrubPass)
 		k.Run(0)
@@ -138,14 +136,9 @@ func TestCandidatesFollowTheCatalog(t *testing.T) {
 			t.Fatal("scrub did not quarantine s2")
 		}
 	})
-	step("quarantine by gossip", true, func() {
-		// A peer cell that holds d2 too has quarantined it.
-		peer := warehouse.New(storage.NewVolume("peer", storage.NewDevice("peer-nfs", 11e6, 0)))
-		seedOn(peer, "s1", warehouse.BackendVMware, 2048)
-		deriveOn(peer, "d2", "gdb")
-		peer.Quarantine("d2", "scrub: checksum mismatch")
-		if st := w.ImportCatalog(peer.ExportCatalog(), 0); st.Known != 1 || st.Quarantined != 1 {
-			t.Fatalf("import %+v, want d2 known and quarantined", st)
+	step("quarantine of a derived image by an operator", true, func() {
+		if !w.Quarantine("d2", "operator") {
+			t.Fatal("d2 not newly quarantined")
 		}
 	})
 	step("unquarantine after repair", true, func() {

@@ -85,9 +85,10 @@ type Image struct {
 	// records the same sums in its namespace; clone and scrub paths
 	// verify the two still agree.
 	Sums map[string]uint64
-	// descriptor is the XML descriptor as publish rendered and laid it
-	// down; every input to it is stamped by then and never changes.
-	descriptor []byte
+	// descriptorSize is the length of the XML descriptor publish rendered
+	// and laid down; every input to it is stamped by then and never
+	// changes.
+	descriptorSize int64
 	// epoch advances whenever the image's integrity status changes
 	// (quarantine, repair); see Epoch.
 	epoch int64
@@ -355,8 +356,8 @@ func (w *Warehouse) validate(im *Image) error {
 
 // describe stamps what the descriptor records — the state-file paths
 // and every artifact's sum (ExtentPaths are set; a derived image's
-// extent sums are its parent's) — and renders it, once: nothing it
-// reads changes after publish.
+// extent sums are its parent's) — and renders it once, keeping its
+// length: nothing it reads changes after publish.
 func (im *Image) describe(parent *Image) {
 	dir := "golden/" + im.Name + "/"
 	im.ConfigPath = dir + "vm.cfg"
@@ -365,8 +366,8 @@ func (im *Image) describe(parent *Image) {
 		im.MemImagePath = dir + "mem.vmss"
 	}
 	im.stampSums(parent)
-	im.descriptor = appendDescriptor(nil, im.Descriptor())
-	im.Sums[im.descriptorPath()] = artifactSum(im.descriptorPath(), int64(len(im.descriptor)), 0)
+	im.descriptorSize = int64(len(appendDescriptor(nil, im.Descriptor())))
+	im.Sums[im.descriptorPath()] = artifactSum(im.descriptorPath(), im.descriptorSize, 0)
 }
 
 // register lays a described image's private state files down, books it
@@ -377,7 +378,7 @@ func (w *Warehouse) register(im *Image, accounted int64, fields map[string]strin
 	if im.MemImagePath != "" {
 		w.vol.WriteMetaSum(im.MemImagePath, im.MemImageBytes(), im.Sums[im.MemImagePath])
 	}
-	w.vol.WriteMetaSum(im.descriptorPath(), int64(len(im.descriptor)), im.Sums[im.descriptorPath()])
+	w.vol.WriteMetaSum(im.descriptorPath(), im.descriptorSize, im.Sums[im.descriptorPath()])
 	im.keys = dag.Keys(im.Performed)
 	im.bytes = accounted
 	w.bytesUsed += accounted
@@ -440,7 +441,7 @@ const configBytes = 2 * 1024
 // takes: everything but the disk extents, which the store accounts for
 // a seed and a derived image shares with its parent.
 func stateBytes(im *Image) int64 {
-	return configBytes + im.CheckpointBytes() + int64(len(im.descriptor))
+	return configBytes + im.CheckpointBytes() + im.descriptorSize
 }
 
 // PublishDerived registers a derived golden image — a copy-on-write
@@ -723,13 +724,12 @@ func DerivedName(backend string, history []dag.Action) string {
 	return fmt.Sprintf("derived-%s-%012x", backend, h.Sum64()&0xffffffffffff)
 }
 
-// BuildDerived reconstructs a derived image from its descriptor
-// contents on the receiving side of catalog gossip: the configuration
-// history is replayed for the guest state, and the disk becomes a
-// frozen copy-on-write snapshot over the parent's golden disk with one
-// dirty block per action executed beyond the parent's history
-// (mirroring what the configuration session wrote). The caller
-// publishes the result with PublishDerived.
+// BuildDerived reconstructs a derived image from its parent and its
+// configuration history: the history is replayed for the guest state,
+// and the disk becomes a frozen copy-on-write snapshot over the
+// parent's golden disk with one dirty block per action executed beyond
+// the parent's history (mirroring what the configuration session
+// wrote). The caller publishes the result with PublishDerived.
 func BuildDerived(name string, parent *Image, performed []dag.Action) (*Image, error) {
 	guest, err := actions.Replay(performed)
 	if err != nil {

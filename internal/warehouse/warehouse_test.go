@@ -162,30 +162,6 @@ func TestDescriptorXMLRoundTrip(t *testing.T) {
 	if !strings.Contains(string(blob), "mandrake-8.1") || !strings.Contains(string(blob), "install-os") {
 		t.Errorf("descriptor xml:\n%s", blob)
 	}
-	d, perf, err := ParseDescriptor(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "ws" || d.MemoryMB != 64 || d.OS != "mandrake-8.1" {
-		t.Errorf("descriptor = %+v", d)
-	}
-	if len(perf) != 2 || perf[0].Op != actions.OpInstallOS || perf[0].Params["distro"] != "mandrake-8.1" {
-		t.Errorf("performed = %+v", perf)
-	}
-	// Round-tripped history still replays.
-	if _, err := actions.Replay(perf); err != nil {
-		t.Errorf("replay: %v", err)
-	}
-}
-
-func TestParseDescriptorErrors(t *testing.T) {
-	if _, _, err := ParseDescriptor([]byte("<<<garbage")); err == nil {
-		t.Error("garbage accepted")
-	}
-	bad := `<golden-machine name="x"><performed><action op="a" target="venus"/></performed></golden-machine>`
-	if _, _, err := ParseDescriptor([]byte(bad)); err == nil {
-		t.Error("bad target accepted")
-	}
 }
 
 func TestGoldenDiskIsFrozenWithContent(t *testing.T) {

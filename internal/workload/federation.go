@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"vmplants/internal/core"
@@ -13,7 +12,6 @@ import (
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
 	"vmplants/internal/telemetry"
-	"vmplants/internal/warehouse"
 )
 
 // The federation gate's geometry. Both vmbench series run it at this
@@ -82,16 +80,6 @@ type federationResult struct {
 	Deduped      int64
 	Lost         int
 	Duplicated   int
-
-	// Catalog gossip: derived images imported across cells, and the
-	// warm-clone proof — a checkpoint published in one cell matched a
-	// later creation in a different cell.
-	GossipImported int
-	GossipOK       bool
-	WarmCloneOK    bool
-	WarmImage      string
-	WarmCloneCell  string
-	WarmMatchedOps int
 
 	PerCell []cellLoad
 
@@ -232,32 +220,6 @@ func buildCells(k *sim.Kernel, hub *telemetry.Hub, seed int64, plantsPerCell int
 	return cells, shops, jnls, nil
 }
 
-// gossip runs one catalog-exchange round over the cells' warehouses:
-// each derived catalog is exported once, then every other cell imports
-// it, in cell order, so a checkpoint published in one cell becomes
-// clone-warm in all of them and a quarantine verdict poisons the image
-// everywhere.
-func gossip(p *sim.Proc, cells []*Deployment) warehouse.ImportStats {
-	exports := make([][]warehouse.CatalogEntry, len(cells))
-	for i, d := range cells {
-		exports[i] = d.Warehouse.ExportCatalog()
-	}
-	var st warehouse.ImportStats
-	for i, d := range cells {
-		for j, entries := range exports {
-			if j == i {
-				continue
-			}
-			ist := d.Warehouse.ImportCatalog(entries, p.Now())
-			st.Imported += ist.Imported
-			st.Quarantined += ist.Quarantined
-			st.Deferred += ist.Deferred
-			st.Rejected += ist.Rejected
-		}
-	}
-	return st
-}
-
 var fedPlantConfig = plant.Config{MaxVMs: fedMaxVMs, PublishBack: true}
 
 // forwardCounters accumulates the forward-protocol counters of one
@@ -321,8 +283,8 @@ func runThroughputPhase(seed int64, res *federationResult) error {
 	return nil
 }
 
-// runIntegrityPhase drives the kill/reconcile/gossip wave and its
-// exactly-once audit.
+// runIntegrityPhase drives the kill/reconcile wave and its exactly-once
+// audit.
 func runIntegrityPhase(seed int64, res *federationResult) error {
 	hub := telemetry.New()
 	reg := fault.NewRegistry(seed + 7919)
@@ -362,12 +324,8 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 		}
 	})
 
-	var runErr error
 	var lines []string
 	fedRecs, _, err := runFederatedWave(k, cells[0], shops, targets, "fed", 0, func(p *sim.Proc, fedRecs []fedRecord) {
-		// Let straggler publish-back uploads land before gossiping.
-		p.Sleep(30 * time.Second)
-
 		// Exactly-once audit, half one: every acked creation is
 		// queryable through the shop that acked it (local or forwarded).
 		for i := range fedRecs {
@@ -397,69 +355,6 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 		}
 		res.Duplicated = duplicates(hosted, live)
 
-		// Catalog gossip + warm-clone proof. The donor is the first
-		// acked request whose VM was built outside the warm cell, so
-		// its publish-back checkpoint can only reach the warm cell via
-		// gossip. Re-instantiating the same user's workspace there must
-		// then clone the gossiped derived image.
-		warmCell := fedCells - 1
-		donor := -1
-		for i, r := range fedRecs {
-			if r.OK && !strings.HasPrefix(r.Plant, cellName(warmCell)+"/") {
-				donor = i
-				break
-			}
-		}
-		g := gossip(p, cells)
-		res.GossipImported = g.Imported
-		lines = append(lines, fmt.Sprintf("gossip: imported=%d deferred=%d rejected=%d poisoned=%d",
-			g.Imported, g.Deferred, g.Rejected, g.Quarantined))
-		if donor >= 0 {
-			// Make room in the warm cell, then re-run the donor's spec.
-			freed := false
-			for i := len(fedRecs) - 1; i >= 0; i-- {
-				r := fedRecs[i]
-				if r.OK && r.TargetCell == warmCell && strings.HasPrefix(r.Plant, cellName(warmCell)+"/") {
-					if derr := shops[warmCell].Destroy(p, r.VMID); derr == nil {
-						freed = true
-						break
-					}
-				}
-			}
-			if !freed {
-				lines = append(lines, "warm check: no local VM to evict in warm cell")
-			}
-			spec, serr := cells[0].WorkspaceSpec(fedRecs[donor].Seq, fedMemMB)
-			if serr != nil {
-				runErr = serr
-				return
-			}
-			spec.RequestID = "fed-warm-check"
-			_, ad, cerr := shops[warmCell].Create(p, spec)
-			if cerr != nil {
-				lines = append(lines, fmt.Sprintf("warm check FAILED: %v", cerr))
-			} else {
-				res.WarmImage = ad.GetString(core.AttrGoldenImage, "")
-				res.WarmCloneCell = cellName(warmCell)
-				res.WarmMatchedOps = int(ad.GetInt(core.AttrMatchedOps, 0))
-				if im, ok := cells[warmCell].Warehouse.Lookup(res.WarmImage); ok && im.Derived {
-					res.WarmCloneOK = true
-					// The image is matchable cluster-wide only if every
-					// cell now has it.
-					res.GossipOK = true
-					for _, d := range cells {
-						if _, ok := d.Warehouse.Lookup(res.WarmImage); !ok {
-							res.GossipOK = false
-						}
-					}
-				}
-				lines = append(lines, fmt.Sprintf("warm clone in %s: image=%s derived=%v matched=%d",
-					res.WarmCloneCell, res.WarmImage, res.WarmCloneOK, res.WarmMatchedOps))
-			}
-		} else {
-			lines = append(lines, "warm check: no donor outside warm cell")
-		}
-
 		// Shut the long-lived procs down so the kernel can quiesce.
 		supStop = true
 		sup.WakeUp()
@@ -467,9 +362,6 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 
 	if err != nil {
 		return fmt.Errorf("federation integrity: %w", err)
-	}
-	if runErr != nil {
-		return runErr
 	}
 
 	for _, r := range fedRecs {
@@ -531,8 +423,7 @@ func runIntegrityPhase(seed int64, res *federationResult) error {
 // before the origin committed the route. The supervisor restarts it
 // from its journal, reconciliation probes the attempted peers, clients
 // re-submit under the same RequestID — and the audit demands zero lost,
-// zero duplicated creations across every cell, plus the gossip proof: a
-// checkpoint published in one cell warm-clones in another.
+// zero duplicated creations across every cell.
 func runFederation(seed int64) (*federationResult, error) {
 	res := &federationResult{Cells: fedCells, ThroughputRequests: fedStream, Requests: fedIntegrityRequests}
 	if err := runThroughputPhase(seed, res); err != nil {
@@ -541,9 +432,9 @@ func runFederation(seed int64) (*federationResult, error) {
 	if err := runIntegrityPhase(seed, res); err != nil {
 		return nil, err
 	}
-	res.logf("forwarded=%d fails=%d served=%d kills=%d restarts=%d reconciled=%d deduped=%d lost=%d dup=%d imported=%d",
+	res.logf("forwarded=%d fails=%d served=%d kills=%d restarts=%d reconciled=%d deduped=%d lost=%d dup=%d",
 		res.Forwarded, res.ForwardFails, res.ServedForwards, res.ShopKills, res.ShopRestarts,
-		res.Reconciled, res.Deduped, res.Lost, res.Duplicated, res.GossipImported)
+		res.Reconciled, res.Deduped, res.Lost, res.Duplicated)
 	return res, nil
 }
 
@@ -562,8 +453,6 @@ func (r *federationResult) Checks() []Check {
 			fmt.Sprintf("%d/%d", r.ShopKills, r.ShopRestarts), "1/1"),
 		equal(invariant("federation.lost", "acknowledged creations lost"), r.Lost, 0),
 		equal(invariant("federation.duplicated", "duplicated VMs"), r.Duplicated, 0),
-		equal(invariant("federation.gossip", "gossiped image in every cell's catalog"), r.GossipOK, true),
-		equal(invariant("federation.warm-clone", "cross-cell warm clone of a gossiped derived image"), r.WarmCloneOK, true),
 		equal(invariant("federation.journals", "cell journals captured"), len(r.Journals), r.Cells),
 	}
 }
@@ -599,9 +488,6 @@ func (r *federationResult) Report() []string {
 			r.PeerBidRounds, r.Forwarded, r.ForwardFails, r.ServedForwards),
 		fmt.Sprintf("hot-shop kills:       %d (restarts %d, reconciled %d, deduped %d)",
 			r.ShopKills, r.ShopRestarts, r.Reconciled, r.Deduped),
-		fmt.Sprintf("gossip imports:       %d (cluster-wide %v)", r.GossipImported, r.GossipOK),
-		fmt.Sprintf("warm clone:           %v (%s in %s, matched %d ops)",
-			r.WarmCloneOK, r.WarmImage, r.WarmCloneCell, r.WarmMatchedOps),
 	}
 	for _, c := range r.PerCell {
 		out = append(out, fmt.Sprintf("  %s: targeted %d, hosts %d VMs, forwarded %d",

@@ -1,11 +1,11 @@
 // Package xmlwire is the product's one XML codec, beneath every XML
 // document it reads or writes: the wire protocol (internal/proto), the
 // two documents a message embeds (classads and configuration DAGs), the
-// image descriptors the warehouse lays down and gossips, and the
-// request files vmctl reads. It is an append-style escaper whose output
-// is byte for byte what encoding/xml writes, and a non-recursive pull
-// scanner over a complete document held in memory. encoding/xml itself
-// is linked only into tests, as the oracle each codec is held to.
+// image descriptors the warehouse lays down, and the request files
+// vmctl reads. It is an append-style escaper whose output is byte for
+// byte what encoding/xml writes, and a non-recursive pull scanner over
+// a complete document held in memory. encoding/xml itself is linked
+// only into tests, as the oracle each codec is held to.
 //
 // The scanner reads a strict subset of what encoding/xml's decoder
 // reads, and what it accepts it decodes to the same values: elements
@@ -601,23 +601,6 @@ func (s *Scanner) Attrs(names []string, f func(i int, value []byte) error) error
 			}
 		}
 	}
-}
-
-// StringAttrs stores the current start tag's attribute named names[i]
-// in *dst[i]; others are skipped.
-func (s *Scanner) StringAttrs(names []string, dst ...*string) error {
-	return s.Attrs(names, func(i int, v []byte) error {
-		*dst[i] = string(v)
-		return nil
-	})
-}
-
-// Leaf reads an element that is all attributes: StringAttrs, then Skip.
-func (s *Scanner) Leaf(names []string, dst ...*string) error {
-	if err := s.StringAttrs(names, dst...); err != nil {
-		return err
-	}
-	return s.Skip()
 }
 
 func index(names []string, name []byte) int {

@@ -87,7 +87,7 @@ go test -race ./...
 go test -count=1 -run 'Alloc' ./...
 
 if [ "${CHECK_SHORT:-0}" != "1" ]; then
-    # Each of the thirteen native fuzz targets, 30 s apiece.
+    # Every native fuzz target in the tree, 30 s apiece.
     ./scripts/fuzz.sh
 
     # Every registered scenario, in registry order.
